@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -111,27 +112,35 @@ func TestCrashRankZeroRejected(t *testing.T) {
 
 // TestCrashDuringOutputUnrecoverable: recovery covers the search phase
 // only; a worker dying in the output window must surface a clean error
-// that says so, not a hang or corrupt output.
+// that says so, not a hang or corrupt output — by one rule in both merge
+// modes: the message names the output phase and wraps mpi.ErrRankFailed.
 func TestCrashDuringOutputUnrecoverable(t *testing.T) {
 	const nprocs = 4
 	fx := makeFixture(t, 2000)
-	free, _ := crashSpec(t, fx, "mpi", nprocs, nil)
-
-	// Fire just inside the output window: the victim has reported results
-	// and is now serving the master's fetch protocol.
-	at := free.Wall - 0.5*free.Phase.Output
-	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
-	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
-		t.Fatal(err)
-	}
-	job := *fx.job
-	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}}
-	_, err := mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
-	if err == nil {
-		t.Skip("crash window missed the output phase on this cost model")
-	}
-	if !strings.Contains(err.Error(), "output phase") {
-		t.Errorf("output-phase crash produced %v, want an error naming the output phase", err)
+	for _, tree := range []bool{false, true} {
+		opts := mpiblast.Options{TreeMerge: tree}
+		run := func(faults []mpi.Fault) (engine.RunResult, error) {
+			nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
+			if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
+				t.Fatal(err)
+			}
+			job := *fx.job
+			return mpiblast.RunOpts(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts)
+		}
+		free, err := run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fire just inside the output window: the victim has reported results
+		// and is now serving the master's fetch protocol.
+		at := free.Wall - 0.5*free.Phase.Output
+		_, err = run([]mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}})
+		if err == nil {
+			t.Skip("crash window missed the output phase on this cost model")
+		}
+		if !strings.Contains(err.Error(), "output phase") || !errors.Is(err, mpi.ErrRankFailed) {
+			t.Errorf("tree=%v: output-phase crash produced %v, want an error naming the output phase and wrapping mpi.ErrRankFailed", tree, err)
+		}
 	}
 }
 

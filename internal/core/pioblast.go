@@ -46,6 +46,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parblast/internal/blast"
@@ -279,15 +280,6 @@ func decodeGo(data []byte) (done bool, extras, alive []int, err error) {
 	return done, extras, alive, r.Err()
 }
 
-// treeMembers is the reduction-tree membership: the master plus every
-// live worker. The crash-aware tree protocol requires the membership to
-// cover all live ranks, which this is by construction.
-func treeMembers(alive []int) []int {
-	members := make([]int, 0, len(alive)+1)
-	members = append(members, 0)
-	return append(members, alive...)
-}
-
 // treeCombiner builds the TreeReduce combiner for batch metadata: decode
 // both bundles, merge per query with the master's exact selection rule,
 // and charge the merge cost on the COMBINING rank's clock — that
@@ -375,39 +367,70 @@ func decodeSelection(data []byte) (selection, error) {
 // Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1).
 // The database is the ONE global formatted database — no fragments needed.
 func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job, opts Options) (engine.RunResult, error) {
-	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost, Speeds: opts.NodeSpeeds}, job, opts)
+	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost}, job, opts)
 }
 
-// RunConfig is Run with an explicit MPI configuration (heterogeneity).
+// RunConfig is Run with an explicit MPI configuration (faults, telemetry,
+// tracing). opts.NodeSpeeds fills cfg.Speeds when the config leaves them
+// unset.
 func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	if err := job.Validate(); err != nil {
+	meta, indexBytes, err := plan(nodes, nprocs, &cfg, job, opts, false)
+	if err != nil {
 		return engine.RunResult{}, err
 	}
-	if nprocs < 2 {
-		return engine.RunResult{}, fmt.Errorf("core: need ≥2 ranks (1 master + workers), got %d", nprocs)
-	}
-	if len(nodes) < nprocs {
-		return engine.RunResult{}, fmt.Errorf("core: %d nodes for %d ranks", len(nodes), nprocs)
+	res, _, err := launch(nodes, nprocs, cfg, job, opts.IOTuner, meta, indexBytes, nil)
+	return res, err
+}
+
+// plan validates the options for the run mode and builds the broadcast that
+// seeds every worker — for RunConfig and Serve alike, so an option one mode
+// cannot honour is rejected with a reason instead of being dropped. One
+// combination is still a pinned fallback rather than an error:
+// CollectiveRead with DynamicAssignment reads independently (see
+// Options.CollectiveRead). Also returns the size of the index files the
+// master reads to compute the partition.
+func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts Options, serve bool) (jobMeta, int64, error) {
+	boot, err := engine.PlanRun("core", nodes, nprocs, *cfg, job, opts.TreeMerge, opts.MergeFanout, opts.FaultTimeout)
+	if err != nil {
+		return jobMeta{}, 0, err
 	}
 	if opts.QueryBatch < 0 {
-		return engine.RunResult{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+		return jobMeta{}, 0, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+	}
+	if opts.PrefetchDepth < 0 {
+		return jobMeta{}, 0, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
 	}
 	if err := opts.IOHints.Validate(); err != nil {
-		return engine.RunResult{}, err
+		return jobMeta{}, 0, err
+	}
+	if opts.NodeSpeeds != nil {
+		if cfg.Speeds != nil && !slices.Equal(cfg.Speeds, opts.NodeSpeeds) {
+			return jobMeta{}, 0, fmt.Errorf("core: Options.NodeSpeeds %v conflicts with the MPI config's Speeds %v", opts.NodeSpeeds, cfg.Speeds)
+		}
+		cfg.Speeds = opts.NodeSpeeds
+	}
+	if serve {
+		switch {
+		case opts.DynamicAssignment:
+			return jobMeta{}, 0, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
+		case opts.MemoryBudgetBytes > 0:
+			return jobMeta{}, 0, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
+		case opts.QueryBatch > 1:
+			return jobMeta{}, 0, fmt.Errorf("core: serve mode does not support query batch %d (batch boundaries come from the arrival stream)", opts.QueryBatch)
+		}
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return engine.RunResult{}, err
+		return jobMeta{}, 0, err
 	}
-	workers := nprocs - 1
 	nParts := job.Fragments
 	if nParts == 0 {
-		nParts = workers // natural partitioning
+		nParts = nprocs - 1 // natural partitioning: one per worker
 	}
 	parts, err := db.Partition(nParts)
 	if err != nil {
-		return engine.RunResult{}, err
+		return jobMeta{}, 0, err
 	}
 	wireParts := make([][]wireExtent, len(parts))
 	for pi, p := range parts {
@@ -427,31 +450,7 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 			})
 		}
 	}
-	batch := opts.QueryBatch
-	if batch < 1 {
-		batch = 1
-	}
-	// Failure recovery only covers workers: the master holds the output
-	// layout and the failure detector itself.
-	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
-			return engine.RunResult{}, fmt.Errorf("core: cannot inject a crash into rank 0 (the master)")
-		}
-	}
-	ft := opts.FaultTolerant || len(cfg.Faults) > 0
-	ftTimeout := opts.FaultTimeout
-	if ftTimeout <= 0 {
-		ftTimeout = 250 * cfg.Cost.NetLatency
-	}
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, fmt.Errorf("core: merge fan-out %d < 2", opts.MergeFanout)
-	}
 	meta := jobMeta{
-		Queries:     engine.EncodeWireQueries(engine.PackQueries(job.Queries)),
 		Title:       db.Title,
 		Kind:        db.Kind,
 		NumSeqs:     db.NumSeqs,
@@ -463,16 +462,18 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 		Dynamic:     opts.DynamicAssignment,
 		Collective:  opts.CollectiveRead,
 		Prefetch:    opts.PrefetchDepth,
-		QueryBatch:  batch,
+		QueryBatch:  max(opts.QueryBatch, 1),
 		MemBudget:   opts.MemoryBudgetBytes,
-		FT:          ft,
-		FTTimeout:   ftTimeout,
+		FT:          opts.FaultTolerant || boot.FT,
+		FTTimeout:   boot.FTTimeout,
 		Tree:        opts.TreeMerge,
-		TreeFanout:  fanout,
+		TreeFanout:  boot.Fanout,
 		IOHints:     opts.IOHints,
+		Serve:       serve,
 	}
-	if meta.Prefetch < 0 {
-		meta.Prefetch = 0
+	if !serve {
+		// A streaming run's queries arrive per batch instead.
+		meta.Queries = engine.EncodeWireQueries(engine.PackQueries(job.Queries))
 	}
 	// The master reads the (small) index files to compute the partition.
 	var indexBytes int64
@@ -481,42 +482,37 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 			indexBytes += f.Size()
 		}
 	}
-
-	if cfg.Comm == nil {
-		cfg.Comm = mpi.NewCommStats(nprocs)
-	}
-	// Per-query latency sink, filled by the master goroutine and read only
-	// after mpi.RunConfig returns (the run's WaitGroup is the barrier).
-	qlat := make([]float64, len(job.Queries))
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			return runMaster(r, nodes[0], job, meta, indexBytes, opts.IOTuner, qlat)
-		}
-		return runWorker(r, nodes[r.ID()], job.Options, opts.IOTuner)
-	})
-	if err != nil {
-		return engine.RunResult{}, err
-	}
-	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
-		outBytes = f.Size()
-	}
-	res := engine.Summarize(clocks, outBytes)
-	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
-	return res, nil
+	return meta, indexBytes, nil
 }
 
-// runBatches drives fn over the half-open ranges defined by boundary list
-// bounds (bounds[i] .. bounds[i+1]).
-func runBatches(bounds []int, fn func(int, int) error) error {
-	for i := 0; i+1 < len(bounds); i++ {
-		if err := fn(bounds[i], bounds[i+1]); err != nil {
+// launch runs the planned job: rank 0 boots the master and runs its batch
+// driver — the serving stream when there is one, else the one-shot batch
+// loop — and every other rank runs the worker, which takes its mode from
+// the broadcast.
+func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tuner *mpiio.Tuner, meta jobMeta, indexBytes int64, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+	var stats engine.ServeStats
+	qlat := make([]float64, 0, len(job.Queries))
+	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
+		if r.ID() != 0 {
+			return runWorker(r, nodes[r.ID()], job.Options, tuner)
+		}
+		mb, err := bootMaster(r, nodes[0], job, meta, indexBytes, tuner)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		if stream != nil {
+			err = mb.serveStream(stream, &stats, &qlat)
+		} else {
+			err = mb.oneShot(job.Queries, &qlat)
+		}
+		if err != nil {
+			return err
+		}
+		r.SetPhase(simtime.PhaseOther)
+		r.Barrier()
+		return nil
+	})
+	return res, stats, err
 }
 
 // adaptiveBounds packs queries into batches whose summed cached-output
@@ -561,80 +557,35 @@ func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 	return total
 }
 
-func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, indexBytes int64, tuner *mpiio.Tuner, qlat []float64) error {
+// bootMaster brings the master up to the point where batches can be merged:
+// setup, the index read, the job broadcast, the acquisition stage's master
+// half (serving greedy part requests, or joining the workers' collective
+// reads with empty views), the post-acquisition recovery rendezvous, and the
+// output file. One-shot and serving runs boot identically; serving is
+// static-only, so the dynamic branch never runs for it.
+func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, indexBytes int64, tuner *mpiio.Tuner) (*masterBatch, error) {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
 	r.SetPhase(simtime.PhaseInput)
 	r.IO(node.Shared, indexBytes) // read the global index files for partitioning
 	r.SetPhase(simtime.PhaseOther)
 	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
-	admit := r.Clock().Now()
 
 	workers := r.Size() - 1
-	alive := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		alive = append(alive, w)
+	mb := &masterBatch{
+		r: r, meta: meta, renderOpts: job.Options,
+		// Admission: every query of a one-shot run is "in the system" once
+		// the job metadata broadcast completes.
+		admit:   r.Clock().Now(),
+		alive:   engine.WorkerRanks(workers),
+		partsOf: make([][]int, workers+1),
 	}
-	// partsOf records which virtual partitions each worker is responsible
-	// for; pending collects partitions reclaimed from crashed workers.
-	partsOf := make([][]int, workers+1)
 	var pending []int
 	if meta.Dynamic {
-		// Greedy run-time assignment of virtual fragments (§5): serve
-		// part requests until every worker has been told "done".
-		r.SetPhase(simtime.PhaseIdle)
-		next := 0
-		if meta.FT {
-			served := make(map[int]bool)
-			for {
-				allServed := true
-				for _, w := range alive {
-					if !served[w] {
-						allServed = false
-						break
-					}
-				}
-				if allServed {
-					break
-				}
-				_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, meta.FTTimeout)
-				if err != nil {
-					// Timeout (AnySource never reports a specific failure):
-					// check ground truth for crashed workers and reclaim
-					// their assignments.
-					alive, pending = reapDead(r, alive, partsOf, pending)
-					continue
-				}
-				if r.Failed(from) {
-					continue // the requester crashed after sending
-				}
-				if next < len(meta.Parts) {
-					partsOf[from] = append(partsOf[from], next)
-					r.Send(from, tagPartAssign, engine.EncodeInt(next))
-					next++
-				} else {
-					r.Send(from, tagPartAssign, engine.EncodeInt(-1))
-					served[from] = true
-				}
-			}
-		} else {
-			done := 0
-			for done < workers {
-				_, from, _ := r.Recv(mpi.AnySource, tagPartReq)
-				if next < len(meta.Parts) {
-					r.Send(from, tagPartAssign, engine.EncodeInt(next))
-					next++
-				} else {
-					r.Send(from, tagPartAssign, engine.EncodeInt(-1))
-					done++
-				}
-			}
-		}
+		pending = mb.assignParts()
 	} else {
 		for pi := range meta.Parts {
-			partsOf[pi%workers+1] = append(partsOf[pi%workers+1], pi)
+			mb.partsOf[pi%workers+1] = append(mb.partsOf[pi%workers+1], pi)
 		}
 		if meta.Collective {
 			// Participate (with empty views) in the workers' collective
@@ -643,90 +594,115 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, index
 			// useful sequential I/O.
 			r.SetPhase(simtime.PhaseInput)
 			if _, err := readPartsCollective(r, newFileCache(r, node.Shared, meta.IOHints, tuner), meta, nil); err != nil {
-				return err
+				return nil, err
 			}
 			r.SetPhase(simtime.PhaseIdle)
 		}
 	}
-
 	if meta.FT {
-		var err error
-		alive, err = syncWorkers(r, meta, alive, partsOf, pending)
-		if err != nil {
-			return err
+		// Recover partitions from workers that crashed while acquiring
+		// (and, one-shot, searching) before any batch is merged.
+		if err := mb.syncWorkers(pending); err != nil {
+			return nil, err
 		}
 	}
 
 	searcher, err := blast.NewSearcher(job.Options)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	if err := out.SetHints(meta.IOHints); err != nil {
-		return err
+	mb.searcher = searcher
+	mb.maxTargets = searcher.Options().MaxTargetSeqs
+	mb.dbInfo = blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
+	mb.out = mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
+	if err := mb.out.SetHints(meta.IOHints); err != nil {
+		return nil, err
 	}
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
+	return mb, nil
+}
 
-	recvWorker := recvWorkerFn(r, meta)
+// assignParts is the master half of greedy run-time assignment (§5): serve
+// part requests until every worker has been told "done". Returns the
+// partitions reclaimed from workers that crashed meanwhile.
+func (mb *masterBatch) assignParts() (pending []int) {
+	r, meta := mb.r, mb.meta
+	r.SetPhase(simtime.PhaseIdle)
+	next := 0
+	if !meta.FT {
+		for done := 0; done < r.Size()-1; {
+			_, from, _ := r.Recv(mpi.AnySource, tagPartReq)
+			if next < len(meta.Parts) {
+				r.Send(from, tagPartAssign, engine.EncodeInt(next))
+				next++
+			} else {
+				r.Send(from, tagPartAssign, engine.EncodeInt(-1))
+				done++
+			}
+		}
+		return nil
+	}
+	served := make(map[int]bool)
+	allServed := func() bool {
+		for _, w := range mb.alive {
+			if !served[w] {
+				return false
+			}
+		}
+		return true
+	}
+	for !allServed() {
+		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, meta.FTTimeout)
+		if err != nil {
+			// Timeout (AnySource never reports a specific failure):
+			// check ground truth for crashed workers and reclaim
+			// their assignments.
+			pending = mb.reapDead(pending)
+			continue
+		}
+		if r.Failed(from) {
+			continue // the requester crashed after sending
+		}
+		if next < len(meta.Parts) {
+			mb.partsOf[from] = append(mb.partsOf[from], next)
+			r.Send(from, tagPartAssign, engine.EncodeInt(next))
+			next++
+		} else {
+			r.Send(from, tagPartAssign, engine.EncodeInt(-1))
+			served[from] = true
+		}
+	}
+	return pending
+}
 
-	bounds := fixedBounds(len(job.Queries), meta.QueryBatch)
+// oneShot is the master's batch driver for a one-shot run: boundaries from
+// the fixed batch size or, under a memory budget, from the ranks' agreed
+// per-query volumes; every query's latency counts from the job broadcast.
+func (mb *masterBatch) oneShot(queries []*seq.Sequence, qlat *[]float64) error {
+	r, meta := mb.r, mb.meta
+	bounds := fixedBounds(len(queries), meta.QueryBatch)
 	if meta.MemBudget > 0 {
 		r.SetPhase(simtime.PhaseIdle)
-		volumes := exchangeVolumes(r, make([]int64, len(job.Queries)))
+		volumes := exchangeVolumes(r, make([]int64, len(queries)))
 		bounds = adaptiveBounds(volumes, meta.MemBudget)
 	}
-	mb := &masterBatch{
-		r: r, meta: meta, renderOpts: job.Options, searcher: searcher,
-		maxTargets: maxTargets, dbInfo: dbInfo, out: out,
-	}
-	batchIdx := -1
-	err = runBatches(bounds, func(q0, q1 int) error {
+	for b := 0; b+1 < len(bounds); b++ {
 		// Stamp the batch ordinal as the trace context: every envelope the
 		// master sends for this batch carries it, and receivers propagate it.
-		batchIdx++
-		r.SetTraceBatch(batchIdx)
-		return mb.mergeBatch(job.Queries, q0, q1, alive, recvWorker, func(q int) {
-			// The query's results are now globally merged and laid out:
-			// its end-to-end latency is settled on the master's clock.
-			lat := r.Clock().Now() - admit
-			qlat[q] = lat
-			engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+		r.SetTraceBatch(b)
+		err := mb.mergeBatch(queries, bounds[b], bounds[b+1], func() {
+			engine.SettleQuery(r, mb.admit, qlat)
 		})
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
 	return nil
 }
 
-// recvWorkerFn builds the master's receive primitive: under fault
-// tolerance a crash during the output phase is unrecoverable (the dead
-// worker's cached blocks are gone and the layout is already partly
-// written), so it is reported as a clean error instead of a deadlock.
-func recvWorkerFn(r *mpi.Rank, meta jobMeta) func(w, tag int) ([]byte, error) {
-	return func(w, tag int) ([]byte, error) {
-		if !meta.FT {
-			data, _, _ := r.Recv(w, tag)
-			return data, nil
-		}
-		for {
-			data, _, _, err := r.RecvTimeout(w, tag, meta.FTTimeout)
-			if err == nil {
-				return data, nil
-			}
-			if errors.Is(err, mpi.ErrRankFailed) {
-				return nil, fmt.Errorf("core: worker %d crashed during the output phase; recovery only covers the search phase: %w", w, err)
-			}
-		}
-	}
-}
-
-// masterBatch carries the master's cross-batch merge state: the open
-// output file and the running layout offset persist across batches (and,
-// in the serving mode, across admitted stream batches).
+// masterBatch carries the master's cross-batch state: the open output file
+// and the running layout offset persist across batches (and, in the serving
+// mode, across admitted stream batches), as does the failure detector's
+// view of the workers.
 type masterBatch struct {
 	r          *mpi.Rank
 	meta       jobMeta
@@ -736,18 +712,25 @@ type masterBatch struct {
 	dbInfo     blast.DBInfo
 	out        *mpiio.File
 	off        int64
+	admit      float64 // master clock when the job broadcast completed
+	// alive lists the surviving workers; partsOf records which virtual
+	// partitions each is responsible for, so a crashed worker's can be
+	// reclaimed and re-issued.
+	alive   []int
+	partsOf [][]int
 }
 
 // mergeBatch runs the master side of one batch over queries[q0:q1]:
 // early-prune participation, metadata collection (flat per-worker streams
 // or one hierarchical tree reduction), the global merge and output-file
 // layout (§3.3, Figure 2), the selection send-back, and the collective
-// write. onQueryDone fires as each query's merge completes, on the
-// master's clock — the caller owns the latency baseline. Shared verbatim
-// by the one-shot run and the serving loop, which is what makes streamed
-// output byte-identical to the one-shot oracle.
-func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, alive []int, recvWorker func(w, tag int) ([]byte, error), onQueryDone func(q int)) error {
-	r, meta := mb.r, mb.meta
+// write. onQueryDone fires as each query's merge completes (in query
+// order), on the master's clock — the caller owns the latency baseline and
+// the trace context. Shared verbatim by the one-shot run and the serving
+// loop, which is what makes streamed output byte-identical to the one-shot
+// oracle.
+func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDone func()) error {
+	r, meta, alive := mb.r, mb.meta, mb.alive
 	workers := r.Size() - 1
 	// While the workers finish this batch, the master is parked.
 	r.SetPhase(simtime.PhaseIdle)
@@ -762,7 +745,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, alive []i
 	var treeMerged []engine.QueryMeta
 	perWorker := make([]batchMetas, workers+1)
 	if meta.Tree {
-		members := treeMembers(alive)
+		members := engine.TreeMembers(alive)
 		// The master contributes an identity bundle covering every
 		// query, so the fold always yields the full batch range.
 		id := batchMetas{FirstQuery: q0}
@@ -796,7 +779,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, alive []i
 		treeMerged = bm.PerQuery
 	} else {
 		for _, w := range alive {
-			data, err := recvWorker(w, tagResults)
+			data, err := engine.RecvOutputPhase(r, "core", w, tagResults, meta.FT, meta.FTTimeout)
 			if err != nil {
 				return err
 			}
@@ -857,12 +840,12 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, alive []i
 			mpiio.Segment{Offset: headOff, Length: int64(len(header) + len(summary))},
 			mpiio.Segment{Offset: cur, Length: int64(len(footer))})
 		mb.off = cur + int64(len(footer))
-		onQueryDone(q)
+		onQueryDone()
 	}
 	if meta.Tree {
 		// Layout broadcast down the tree (§3.3): one bundle holding
 		// every worker's selection instead of N point-to-point sends.
-		r.TreeBcast(0, meta.TreeFanout, treeMembers(alive), encodeSelectionBundle(true, sel, alive))
+		r.TreeBcast(0, meta.TreeFanout, engine.TreeMembers(alive), encodeSelectionBundle(true, sel, alive))
 	} else {
 		for _, w := range alive {
 			r.Send(w, tagSelect, sel[w].encode())
@@ -884,30 +867,32 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, alive []i
 // reapDead removes crashed workers from the alive list, reclaiming their
 // virtual partitions into pending. Safe to call repeatedly: a reclaimed
 // worker's partsOf entry is cleared.
-func reapDead(r *mpi.Rank, alive []int, partsOf [][]int, pending []int) (live, newPending []int) {
-	live = alive[:0]
-	for _, w := range alive {
-		if r.Failed(w) {
-			pending = append(pending, partsOf[w]...)
-			partsOf[w] = nil
+func (mb *masterBatch) reapDead(pending []int) []int {
+	live := mb.alive[:0]
+	for _, w := range mb.alive {
+		if mb.r.Failed(w) {
+			pending = append(pending, mb.partsOf[w]...)
+			mb.partsOf[w] = nil
 			continue
 		}
 		live = append(live, w)
 	}
-	return live, pending
+	mb.alive = live
+	return pending
 }
 
-// syncWorkers runs the master side of the post-search ready/go rendezvous:
-// collect a ready message from every live worker (crashes detected by
-// timeout plus ground-truth liveness check), re-issue dead workers' virtual
-// partitions to survivors — offsets only, no data movement — and repeat
-// until a round completes with nothing left to recover. Returns the final
-// alive set.
-func syncWorkers(r *mpi.Rank, meta jobMeta, alive []int, partsOf [][]int, pending []int) ([]int, error) {
+// syncWorkers runs the master side of the ready/go rendezvous: collect a
+// ready message from every live worker (crashes detected by timeout plus
+// ground-truth liveness check), re-issue dead workers' virtual partitions
+// (pending holds any already reclaimed) to survivors — offsets only, no
+// data movement — and repeat until a round completes with nothing left to
+// recover. Leaves the final survivor set in mb.alive.
+func (mb *masterBatch) syncWorkers(pending []int) error {
+	r, meta := mb.r, mb.meta
 	r.SetPhase(simtime.PhaseIdle)
 	for {
 		var survivors []int
-		for _, w := range alive {
+		for _, w := range mb.alive {
 			for {
 				_, _, _, err := r.RecvTimeout(w, tagReady, meta.FTTimeout)
 				if err == nil {
@@ -915,22 +900,22 @@ func syncWorkers(r *mpi.Rank, meta jobMeta, alive []int, partsOf [][]int, pendin
 					break
 				}
 				if errors.Is(err, mpi.ErrRankFailed) {
-					pending = append(pending, partsOf[w]...)
-					partsOf[w] = nil
+					pending = append(pending, mb.partsOf[w]...)
+					mb.partsOf[w] = nil
 					break
 				}
 				// Timed out: the worker is alive but still searching.
 			}
 		}
-		alive = survivors
-		if len(alive) == 0 {
-			return nil, fmt.Errorf("core: all workers failed; cannot recover")
+		mb.alive = survivors
+		if len(mb.alive) == 0 {
+			return fmt.Errorf("core: all workers failed; cannot recover")
 		}
 		if len(pending) == 0 {
-			for _, w := range alive {
-				r.Send(w, tagGo, encodeGo(true, nil, alive))
+			for _, w := range mb.alive {
+				r.Send(w, tagGo, encodeGo(true, nil, mb.alive))
 			}
-			return alive, nil
+			return nil
 		}
 		// Re-issue the reclaimed partitions round-robin. Recovery is cheap
 		// by construction (§3.1): a partition is a set of offset ranges into
@@ -939,26 +924,54 @@ func syncWorkers(r *mpi.Rank, meta jobMeta, alive []int, partsOf [][]int, pendin
 		r.Metrics().Counter("engine.parts_reissued", r.ID()).Add(int64(len(pending)))
 		extra := make(map[int][]int)
 		for i, pi := range pending {
-			w := alive[i%len(alive)]
+			w := mb.alive[i%len(mb.alive)]
 			extra[w] = append(extra[w], pi)
-			partsOf[w] = append(partsOf[w], pi)
+			mb.partsOf[w] = append(mb.partsOf[w], pi)
 		}
 		pending = nil
-		for _, w := range alive {
+		for _, w := range mb.alive {
 			r.Send(w, tagGo, encodeGo(false, extra[w], nil))
 		}
 	}
 }
 
-// workerState is everything a worker caches between the search and output
-// phases: the subjects it searched, plus per-query hit lists.
-type workerState struct {
-	frag  blast.Fragment // all subjects this worker searched
-	byOID map[int]int    // OID -> index into frag.Subjects
-	hits  [][]*blast.SubjectResult
-	work  []blast.WorkCounters
+// worker is everything a worker keeps across the acquisition, search, and
+// output stages — of a one-shot run or, when serving, of the whole stream.
+type worker struct {
+	r     *mpi.Rank
+	meta  jobMeta
+	opts  blast.Options
+	loop  *engine.SearchLoop
+	files *fileCache
+	out   *mpiio.File
+	// resident holds the acquired fragments in acquisition order — searched
+	// as they arrive (one-shot) or once per batch (serving), always in that
+	// order, so per-(query, fragment) work counters agree between the modes.
+	// pool concatenates their subjects (byOID: OID → index into it): the
+	// result cache the output stage renders blocks from.
+	resident []*blast.Fragment
+	pool     blast.Fragment
+	byOID    map[int]int
+	// The current query set — the job's, or one stream batch's — with every
+	// candidate hit and work counter found for it so far.
+	queries []*seq.Sequence
+	hits    [][]*blast.SubjectResult
+	work    []blast.WorkCounters
+	collect func(qi int, res *blast.QueryResult) // record, bound once
+	// alive is this worker's view of the surviving worker set — the
+	// tree-merge membership. Without fault tolerance nobody can die; with
+	// it, the final go message of each rendezvous carries the master's
+	// survivor list.
+	alive []int
 }
 
+// runWorker is the one worker body: boot from the job broadcast, acquire and
+// retain this worker's virtual fragments, absorb partitions re-issued from
+// crashed peers, then merge and write batch by batch. The broadcast's Serve
+// flag picks between the two short drivers over those stages: a one-shot
+// worker has its queries up front and searches each fragment the moment it
+// is retained; a serving worker only retains, and searches everything
+// resident once per stream batch.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tuner) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
@@ -966,119 +979,124 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
-	if meta.Serve {
-		// Streaming run: queries arrive per batch; partitions stay warm.
-		return runServeWorker(r, node, meta, opts, tuner)
-	}
-	wq, err := engine.DecodeWireQueries(meta.Queries)
+	loop, err := engine.NewSearchLoop(r, opts, meta.TotalLen, meta.NumSeqs)
 	if err != nil {
 		return err
 	}
-	queries := wq.Unpack()
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
-
-	st := &workerState{
+	workers := r.Size() - 1
+	w := &worker{
+		r: r, meta: meta, opts: opts, loop: loop,
+		files: newFileCache(r, node.Shared, meta.IOHints, tuner),
 		byOID: make(map[int]int),
-		hits:  make([][]*blast.SubjectResult, len(queries)),
-		work:  make([]blast.WorkCounters, len(queries)),
+		alive: engine.WorkerRanks(workers),
 	}
-
-	// Phase 1: acquire virtual fragments and search every query against
-	// them. Static mode reads a fixed set ("the input stage") — optionally
-	// with collective reads or an async prefetch pipeline; dynamic mode
-	// interleaves greedy assignment, reading, and searching.
-	files := newFileCache(r, node.Shared, meta.IOHints, tuner)
-	searchFrag := func(frag *blast.Fragment) error {
-		base := len(st.frag.Subjects)
-		st.frag.Subjects = append(st.frag.Subjects, frag.Subjects...)
-		for i := base; i < len(st.frag.Subjects); i++ {
-			st.byOID[st.frag.Subjects[i].OID] = i
-		}
-		r.SetPhase(simtime.PhaseSearch)
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-			st.hits[qi] = append(st.hits[qi], res.Hits...)
-			st.work[qi].Add(res.Work)
-			r.Yield()
-		}
-		return nil
-	}
-	searchPart := func(part []wireExtent) error {
-		r.Yield() // keep virtual-time order across ranks' storage accesses
-		r.SetPhase(simtime.PhaseInput)
-		frag, err := readPart(files, part)
+	w.collect = w.record
+	onFrag, reissuePrefetch := w.retain, 0
+	if !meta.Serve {
+		wq, err := engine.DecodeWireQueries(meta.Queries)
 		if err != nil {
 			return err
 		}
-		return searchFrag(frag)
-	}
-	// searchPipelined searches a known list of partitions, keeping the
-	// asynchronous reads of up to meta.Prefetch upcoming partitions in
-	// flight while the current one is searched.
-	searchPipelined := func(parts []int) error {
-		fetches := make([]*partFetch, len(parts))
-		next := 0
-		for cur := range parts {
-			r.Yield()
-			r.SetPhase(simtime.PhaseInput)
-			for next <= cur+meta.Prefetch && next < len(parts) {
-				pf, err := startPartFetch(files, meta.Parts[parts[next]])
-				if err != nil {
-					return err
-				}
-				fetches[next] = pf
-				next++
-			}
-			frag, err := fetches[cur].finish()
-			fetches[cur] = nil
-			if err != nil {
-				return err
-			}
-			if err := searchFrag(frag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	searchStatic := func(parts []int) error {
-		if meta.Prefetch > 0 {
-			return searchPipelined(parts)
-		}
-		for _, pi := range parts {
-			if err := searchPart(meta.Parts[pi]); err != nil {
-				return err
-			}
-		}
-		return nil
+		w.begin(wq.Unpack())
+		// Re-issued partitions go through the static path too (prefetched
+		// when enabled). A serving worker reads them independently: at a
+		// rendezvous it has no search to overlap the reads with.
+		onFrag, reissuePrefetch = w.retainAndSearch, meta.Prefetch
 	}
 
-	workers := r.Size() - 1
 	var mine []int
 	for pi := range meta.Parts {
 		if pi%workers == r.ID()-1 {
 			mine = append(mine, pi)
 		}
 	}
+	if err := w.acquire(mine, onFrag); err != nil {
+		return err
+	}
+	if meta.FT {
+		err := w.rendezvous(func(extras []int) error {
+			return w.acquireStatic(extras, reissuePrefetch, onFrag)
+		})
+		if err != nil {
+			return err
+		}
+	}
+
+	w.out = mpiio.OpenOrCreate(r, node.Shared, meta.OutputPath)
+	if err := w.out.SetHints(meta.IOHints); err != nil {
+		return err
+	}
+	if meta.Serve {
+		err = w.serveStream()
+	} else {
+		err = w.oneShot()
+	}
+	if err != nil {
+		return err
+	}
+	r.SetPhase(simtime.PhaseOther)
+	r.Barrier()
+	return nil
+}
+
+// begin installs the query set the following searches and output batches
+// work on, with empty hit lists.
+func (w *worker) begin(queries []*seq.Sequence) {
+	w.queries = queries
+	w.hits = make([][]*blast.SubjectResult, len(queries))
+	w.work = make([]blast.WorkCounters, len(queries))
+}
+
+// retain keeps an acquired fragment resident and adds its subjects to the
+// result cache's pool.
+func (w *worker) retain(frag *blast.Fragment) error {
+	w.resident = append(w.resident, frag)
+	base := len(w.pool.Subjects)
+	w.pool.Subjects = append(w.pool.Subjects, frag.Subjects...)
+	for i := base; i < len(w.pool.Subjects); i++ {
+		w.byOID[w.pool.Subjects[i].OID] = i
+	}
+	return nil
+}
+
+// retainAndSearch is the one-shot onFrag: retain, then search now.
+func (w *worker) retainAndSearch(frag *blast.Fragment) error {
+	from := len(w.resident)
+	if err := w.retain(frag); err != nil {
+		return err
+	}
+	return w.searchFrags(from)
+}
+
+// searchFrags searches the current queries against resident[from:],
+// appending hits and work.
+func (w *worker) searchFrags(from int) error {
+	for _, frag := range w.resident[from:] {
+		if err := w.loop.Search(w.queries, frag, w.collect); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *worker) record(qi int, res *blast.QueryResult) {
+	w.hits[qi] = append(w.hits[qi], res.Hits...)
+	w.work[qi].Add(res.Work)
+}
+
+// acquire is the acquisition stage: obtain this worker's virtual fragments
+// — the fixed list mine, read independently, through the prefetch pipeline,
+// or with collective reads; or, under dynamic assignment, whatever the
+// master hands out at run time, optionally pipelined one deep — and deliver
+// each to onFrag in acquisition order.
+func (w *worker) acquire(mine []int, onFrag func(*blast.Fragment) error) error {
+	r, meta := w.r, w.meta
 	switch {
 	case meta.Dynamic && meta.Prefetch > 0:
 		// Pipeline the greedy protocol one partition deep: the next
 		// assignment is requested — and its reads started — before the
-		// current partition is searched, so both the master round trip
-		// and the input I/O hide behind the search.
+		// current partition is delivered (and, one-shot, searched), so both
+		// the master round trip and the input I/O hide behind the search.
 		reqPart := func() {
 			r.SetPhase(simtime.PhaseIdle)
 			r.Send(0, tagPartReq, nil)
@@ -1092,7 +1110,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 			reqPart()
 			r.Yield()
 			r.SetPhase(simtime.PhaseInput)
-			return startPartFetch(files, meta.Parts[pi])
+			return startPartFetch(w.files, meta.Parts[pi])
 		}
 		reqPart()
 		cur, err := recvAssign()
@@ -1121,11 +1139,12 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 			if err != nil {
 				return err
 			}
-			if err := searchFrag(frag); err != nil {
+			if err := onFrag(frag); err != nil {
 				return err
 			}
 			cur, curFetch = nxt, nxtFetch
 		}
+		return nil
 	case meta.Dynamic:
 		for {
 			// The request/assign rendezvous is queueing, not search: the
@@ -1138,78 +1157,120 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 				return err
 			}
 			if part < 0 {
-				break
+				return nil
 			}
-			if err := searchPart(meta.Parts[part]); err != nil {
+			if err := w.readOne(part, onFrag); err != nil {
 				return err
 			}
 		}
 	case meta.Collective:
 		r.Yield()
 		r.SetPhase(simtime.PhaseInput)
-		frags, err := readPartsCollective(r, files, meta, mine)
+		frags, err := readPartsCollective(r, w.files, meta, mine)
 		if err != nil {
 			return err
 		}
 		for _, pi := range mine {
-			if err := searchFrag(frags[pi]); err != nil {
+			if err := onFrag(frags[pi]); err != nil {
 				return err
 			}
 		}
+		return nil
 	default:
-		if err := searchStatic(mine); err != nil {
-			return err
-		}
+		return w.acquireStatic(mine, meta.Prefetch, onFrag)
 	}
+}
 
-	// Ready/go rendezvous (fault tolerance): report the search phase done,
-	// then either proceed to output or absorb partitions reclaimed from
-	// crashed peers and search them too.
-	// aliveWorkers is this worker's view of the surviving worker set —
-	// the tree-merge membership. Without fault tolerance nobody can die;
-	// with it, the final go message carries the master's survivor list.
-	aliveWorkers := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		aliveWorkers = append(aliveWorkers, w)
+// readOne delivers one partition through an independent read of its
+// extents. It first yields, keeping virtual-time order across ranks' storage
+// accesses.
+func (w *worker) readOne(pi int, onFrag func(*blast.Fragment) error) error {
+	w.r.Yield()
+	w.r.SetPhase(simtime.PhaseInput)
+	frag, err := readPart(w.files, w.meta.Parts[pi])
+	if err != nil {
+		return err
 	}
-	if meta.FT {
-		for {
-			r.SetPhase(simtime.PhaseIdle)
-			r.Send(0, tagReady, nil)
-			data, _, _ := r.Recv(0, tagGo)
-			done, extras, alive, err := decodeGo(data)
+	return onFrag(frag)
+}
+
+// acquireStatic delivers a known list of partitions: one independent read
+// each, or — with prefetch > 0 — a pipeline keeping the asynchronous reads
+// of up to prefetch upcoming partitions in flight while the current one is
+// delivered.
+func (w *worker) acquireStatic(parts []int, prefetch int, onFrag func(*blast.Fragment) error) error {
+	if prefetch == 0 {
+		for _, pi := range parts {
+			if err := w.readOne(pi, onFrag); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	fetches := make([]*partFetch, len(parts))
+	next := 0
+	for cur := range parts {
+		w.r.Yield()
+		w.r.SetPhase(simtime.PhaseInput)
+		for next <= cur+prefetch && next < len(parts) {
+			pf, err := startPartFetch(w.files, w.meta.Parts[parts[next]])
 			if err != nil {
 				return err
 			}
-			// Re-issued partitions are re-read with the static path
-			// (independent reads, prefetched when enabled): the crashed
-			// peers a collective would need are gone.
-			if err := searchStatic(extras); err != nil {
-				return err
-			}
-			if done {
-				aliveWorkers = alive
-				break
-			}
+			fetches[next] = pf
+			next++
+		}
+		frag, err := fetches[cur].finish()
+		fetches[cur] = nil
+		if err != nil {
+			return err
+		}
+		if err := onFrag(frag); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// Phase 2: per-batch merge and parallel output.
-	outFile := mpiio.OpenOrCreate(r, node.Shared, meta.OutputPath)
-	if err := outFile.SetHints(meta.IOHints); err != nil {
-		return err
+// rendezvous is the worker side of the ready/go rendezvous (fault
+// tolerance): report the stage done, then either proceed or hand the
+// partitions reclaimed from crashed peers to onExtras, and repeat. The final
+// go message carries the survivor list.
+func (w *worker) rendezvous(onExtras func(extras []int) error) error {
+	r := w.r
+	for {
+		r.SetPhase(simtime.PhaseIdle)
+		r.Send(0, tagReady, nil)
+		data, _, _ := r.Recv(0, tagGo)
+		done, extras, alive, err := decodeGo(data)
+		if err != nil {
+			return err
+		}
+		if err := onExtras(extras); err != nil {
+			return err
+		}
+		if done {
+			w.alive = alive
+			return nil
+		}
 	}
-	bounds := fixedBounds(len(queries), meta.QueryBatch)
+}
+
+// oneShot is the worker's batch driver for a one-shot run; the boundaries
+// mirror masterBatch.oneShot.
+func (w *worker) oneShot() error {
+	r, meta := w.r, w.meta
+	bounds := fixedBounds(len(w.queries), meta.QueryBatch)
 	if meta.MemBudget > 0 {
 		// Adaptive batching (§5): agree on batch boundaries sized to the
 		// memory budget, using cheap per-query volume estimates (the
 		// alignment panels dominate a block, ≈4 bytes per subject residue
 		// in the aligned span).
 		r.SetPhase(simtime.PhaseOutput)
-		local := make([]int64, len(queries))
-		for q := range queries {
+		local := make([]int64, len(w.queries))
+		for q := range w.queries {
 			var est int64
-			for _, hit := range st.hits[q] {
+			for _, hit := range w.hits[q] {
 				for _, h := range hit.HSPs {
 					est += int64(4*(h.SubjTo-h.SubjFrom)) + 256
 				}
@@ -1219,48 +1280,45 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 		volumes := exchangeVolumes(r, local)
 		bounds = adaptiveBounds(volumes, meta.MemBudget)
 	}
-	workerBatch := -1
-	err = runBatches(bounds, func(q0, q1 int) error {
-		workerBatch++
-		r.SetTraceBatch(workerBatch)
-		return workerOutputBatch(r, meta, opts, maxTargets, outFile, queries, q0, q1, st, aliveWorkers)
-	})
-	if err != nil {
-		return err
+	for b := 0; b+1 < len(bounds); b++ {
+		r.SetTraceBatch(b)
+		if err := w.outputBatch(bounds[b], bounds[b+1]); err != nil {
+			return err
+		}
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
 	return nil
 }
 
-// workerOutputBatch runs the worker side of one batch's merge/output over
+// outputBatch runs the worker side of one batch's merge/output over
 // queries[q0:q1]: local hit consolidation, optional early-prune exchange,
 // result-caching block rendering (§3.2), metadata submission (flat or
 // tree), and the selection-ordered collective write (§3.3). Shared
 // verbatim by the one-shot run and the serving loop.
-func workerOutputBatch(r *mpi.Rank, meta jobMeta, opts blast.Options, maxTargets int, outFile *mpiio.File, queries []*seq.Sequence, q0, q1 int, st *workerState, aliveWorkers []int) error {
+func (w *worker) outputBatch(q0, q1 int) error {
+	r, meta, opts, queries, outFile := w.r, w.meta, w.opts, w.queries, w.out
+	maxTargets := w.loop.MaxTargets()
 	r.SetPhase(simtime.PhaseOutput)
 	// Consolidate each query's hits across this worker's parts.
 	for q := q0; q < q1; q++ {
-		blast.SortHits(st.hits[q])
-		if len(st.hits[q]) > maxTargets {
-			st.hits[q] = st.hits[q][:maxTargets]
+		blast.SortHits(w.hits[q])
+		if len(w.hits[q]) > maxTargets {
+			w.hits[q] = w.hits[q][:maxTargets]
 		}
 	}
 	if meta.EarlyPrune {
 		for q := q0; q < q1; q++ {
-			scores := make([]int64, 0, len(st.hits[q]))
-			for _, h := range st.hits[q] {
+			scores := make([]int64, 0, len(w.hits[q]))
+			for _, h := range w.hits[q] {
 				scores = append(scores, int64(h.BestScore()))
 			}
 			threshold := exchangeThreshold(r, scores, maxTargets)
-			kept := st.hits[q][:0]
-			for _, h := range st.hits[q] {
+			kept := w.hits[q][:0]
+			for _, h := range w.hits[q] {
 				if int64(h.BestScore()) >= threshold {
 					kept = append(kept, h)
 				}
 			}
-			st.hits[q] = kept
+			w.hits[q] = kept
 		}
 	}
 	// Result caching (§3.2): render candidate blocks into memory and
@@ -1268,9 +1326,9 @@ func workerOutputBatch(r *mpi.Rank, meta jobMeta, opts blast.Options, maxTargets
 	blocks := make(map[[2]int][]byte)
 	bm := batchMetas{FirstQuery: q0}
 	for q := q0; q < q1; q++ {
-		qm := engine.QueryMeta{QueryIndex: q, Work: st.work[q]}
-		for _, hit := range st.hits[q] {
-			subj := st.frag.Subjects[st.byOID[hit.OID]].Residues
+		qm := engine.QueryMeta{QueryIndex: q, Work: w.work[q]}
+		for _, hit := range w.hits[q] {
+			subj := w.pool.Subjects[w.byOID[hit.OID]].Residues
 			block := []byte(blast.RenderHit(opts.OutFormat, queries[q], subj, hit, opts.Matrix))
 			r.FormatCost(int64(len(block)))
 			blocks[[2]int{q, hit.OID}] = block
@@ -1284,7 +1342,7 @@ func workerOutputBatch(r *mpi.Rank, meta jobMeta, opts blast.Options, maxTargets
 		// Hierarchical merge: fold this worker's metadata into the
 		// k-ary reduction (pre-merging the group's bundles locally)
 		// and take the layout from the down-tree broadcast.
-		members := treeMembers(aliveWorkers)
+		members := engine.TreeMembers(w.alive)
 		var combErr error
 		if _, _, err := r.TreeReduce(0, meta.TreeFanout, members, bm.encode(), treeCombiner(r, maxTargets, &combErr)); err != nil {
 			return err

@@ -329,6 +329,51 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestOptionPlan: the one plan() behind RunConfig and Serve either honours
+// an option or rejects it with a reason — it never drops one silently.
+func TestOptionPlan(t *testing.T) {
+	fx := makeFixture(t, 600)
+	slow := []float64{1, 1, 3}
+	rows := []struct {
+		name    string
+		opts    core.Options
+		speeds  []float64 // mpi.Config.Speeds
+		wantErr string    // "" = must run
+	}{
+		{"negative query batch", core.Options{QueryBatch: -1}, nil, "negative query batch"},
+		{"negative prefetch depth", core.Options{PrefetchDepth: -1}, nil, "negative prefetch depth"},
+		{"node speeds conflict with config speeds", core.Options{NodeSpeeds: slow}, []float64{1, 2, 1}, "conflicts"},
+		{"node speeds repeat config speeds", core.Options{NodeSpeeds: slow}, slow, ""},
+		{"node speeds alone", core.Options{NodeSpeeds: slow}, nil, ""},
+		{"config speeds alone", core.Options{}, slow, ""},
+		{"homogeneous", core.Options{}, nil, ""},
+	}
+	walls := make(map[string]float64)
+	for _, row := range rows {
+		nodes := fx.newCluster(t, 3, vfs.XFSLike(), nil, 0)
+		job := *fx.job
+		res, err := core.RunConfig(nodes, 3, mpiCfg(row.speeds), &job, row.opts)
+		if row.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+				t.Errorf("%s: want error containing %q, got %v", row.name, row.wantErr, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", row.name, err)
+		}
+		walls[row.name] = res.Wall
+	}
+	// RunConfig applies Options.NodeSpeeds exactly as a config carrying the
+	// same speeds would — and they do slow the run down.
+	if walls["node speeds alone"] != walls["config speeds alone"] || walls["node speeds alone"] != walls["node speeds repeat config speeds"] {
+		t.Errorf("Options.NodeSpeeds not applied by RunConfig: walls %v", walls)
+	}
+	if walls["node speeds alone"] <= walls["homogeneous"] {
+		t.Errorf("a 3x-slow worker did not slow the run: walls %v", walls)
+	}
+}
+
 func TestDynamicAssignmentPreservesOutput(t *testing.T) {
 	fx := makeFixture(t, 300)
 	seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 12, vfs.XFSLike(), nil,

@@ -1,15 +1,8 @@
 package core
 
 import (
-	"fmt"
-
-	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
-	"parblast/internal/mpiio"
-	"parblast/internal/seq"
-	"parblast/internal/simtime"
 	"parblast/internal/vfs"
 	"parblast/internal/workload"
 )
@@ -17,11 +10,11 @@ import (
 // Serving mode: the cluster boots once — database opened, virtual
 // partitions read and RETAINED by the workers — and then processes an
 // open-loop stream of query batches (workload.Arrivals) one at a time.
-// The master runs the admission queue (engine.Admission): it idles until
+// The master runs the admission queue (engine.ServeStream): it idles until
 // the next admitted batch's arrival, stamps the batch's Seq as the trace
 // context, broadcasts the batch's queries, and runs exactly the same
 // per-batch merge/layout/write code as the one-shot path (masterBatch.
-// mergeBatch / workerOutputBatch) — which is why the streamed output file
+// mergeBatch / worker.outputBatch) — which is why the streamed output file
 // is byte-identical to a one-shot run over the admitted queries.
 //
 // Fault tolerance reuses the ready/go rendezvous per batch: a worker
@@ -32,480 +25,80 @@ import (
 // dispatch and never reset by recovery, so percentiles include the full
 // recovery cost.
 
-// serveBatchMsg is the per-batch broadcast: the batch's arrival-order id
-// (the trace-batch context) and its packed queries. Seq == -1 is the
-// end-of-stream sentinel.
-type serveBatchMsg struct {
-	Seq     int
-	Queries []byte // engine.EncodeWireQueries payload; nil on the sentinel
-}
-
 // Serve runs the persistent-cluster serving mode over an arrival stream.
 // batches must come from workload.Arrivals (non-decreasing arrival times,
 // contiguous in-order partition of job.Queries). admitCap bounds the
 // admission queue (0 = unbounded); batches arriving while the queue is
 // full are deterministically shed (drop-newest) and never dispatched.
+// Batch boundaries come from the stream, so the options that set them
+// (QueryBatch > 1, MemoryBudgetBytes) are rejected, as is
+// DynamicAssignment: partitions must stay resident across batches.
 //
 // The returned RunResult's QueryLatencies hold one entry per ADMITTED
 // query in dispatch order, measured from the batch's open-loop arrival to
 // the query's merge completion. ServeStats carries per-batch accounting
 // and the shed set.
 func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
-	var stats engine.ServeStats
-	if err := job.Validate(); err != nil {
-		return engine.RunResult{}, stats, err
+	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
+	meta, indexBytes, err := plan(nodes, nprocs, &cfg, job, opts, true)
+	if err == nil {
+		err = stream.Validate("core", len(job.Queries))
 	}
-	if nprocs < 2 {
-		return engine.RunResult{}, stats, fmt.Errorf("core: need ≥2 ranks (1 master + workers), got %d", nprocs)
-	}
-	if len(nodes) < nprocs {
-		return engine.RunResult{}, stats, fmt.Errorf("core: %d nodes for %d ranks", len(nodes), nprocs)
-	}
-	if opts.DynamicAssignment {
-		return engine.RunResult{}, stats, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
-	}
-	if opts.MemoryBudgetBytes > 0 {
-		return engine.RunResult{}, stats, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
-	}
-	if admitCap < 0 {
-		return engine.RunResult{}, stats, fmt.Errorf("core: negative admission cap %d", admitCap)
-	}
-	if err := opts.IOHints.Validate(); err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	shared := nodes[0].Shared
-	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return engine.RunResult{}, stats, err
+		return engine.RunResult{}, engine.ServeStats{}, err
 	}
-	workers := nprocs - 1
-	nParts := job.Fragments
-	if nParts == 0 {
-		nParts = workers
-	}
-	parts, err := db.Partition(nParts)
-	if err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	wireParts := make([][]wireExtent, len(parts))
-	for pi, p := range parts {
-		for _, e := range p.Extents {
-			v := &db.Volumes[e.Volume]
-			wireParts[pi] = append(wireParts[pi], wireExtent{
-				VolBase:     v.Base,
-				From:        e.From,
-				To:          e.To,
-				OIDFrom:     e.OIDFrom,
-				HdrOff:      e.HdrOff,
-				HdrLen:      e.HdrLen,
-				SeqOff:      e.SeqOff,
-				SeqLen:      e.SeqLen,
-				HdrArrayPos: v.HdrOffsetArrayPos(e.From),
-				SeqArrayPos: v.SeqOffsetArrayPos(e.From),
-			})
-		}
-	}
-	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
-			return engine.RunResult{}, stats, fmt.Errorf("core: cannot inject a crash into rank 0 (the master)")
-		}
-	}
-	ft := opts.FaultTolerant || len(cfg.Faults) > 0
-	ftTimeout := opts.FaultTimeout
-	if ftTimeout <= 0 {
-		ftTimeout = 250 * cfg.Cost.NetLatency
-	}
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, stats, fmt.Errorf("core: merge fan-out %d < 2", opts.MergeFanout)
-	}
-	// Sanity-check the stream against the job: every batch's queries must
-	// be a contiguous in-order slice of job.Queries (what the one-shot
-	// oracle runs), and arrivals must be non-decreasing.
-	next, prevArrival := 0, 0.0
-	for _, b := range batches {
-		if b.First != next || len(b.Queries) == 0 {
-			return engine.RunResult{}, stats, fmt.Errorf("core: batch %d is not a contiguous in-order partition of the query set", b.Seq)
-		}
-		if b.Arrival < prevArrival {
-			return engine.RunResult{}, stats, fmt.Errorf("core: batch %d arrives before its predecessor", b.Seq)
-		}
-		next += len(b.Queries)
-		prevArrival = b.Arrival
-	}
-	if next != len(job.Queries) {
-		return engine.RunResult{}, stats, fmt.Errorf("core: stream covers %d queries, job has %d", next, len(job.Queries))
-	}
-
-	meta := jobMeta{
-		Title:       db.Title,
-		Kind:        db.Kind,
-		NumSeqs:     db.NumSeqs,
-		TotalLen:    db.TotalResidues,
-		Parts:       wireParts,
-		OutputPath:  job.OutputPath,
-		EarlyPrune:  opts.EarlyPrune,
-		Independent: opts.IndependentOutput,
-		Collective:  opts.CollectiveRead,
-		Prefetch:    opts.PrefetchDepth,
-		QueryBatch:  1,
-		FT:          ft,
-		FTTimeout:   ftTimeout,
-		Tree:        opts.TreeMerge,
-		TreeFanout:  fanout,
-		IOHints:     opts.IOHints,
-		Serve:       true,
-	}
-	if meta.Prefetch < 0 {
-		meta.Prefetch = 0
-	}
-	var indexBytes int64
-	for _, v := range db.Volumes {
-		if f, err := shared.Open(formatdb.IndexPath(v.Base)); err == nil {
-			indexBytes += f.Size()
-		}
-	}
-	if cfg.Comm == nil {
-		cfg.Comm = mpi.NewCommStats(nprocs)
-	}
-	stats.Arrivals = len(batches)
-	// Latency sink: appended by the master goroutine only, read after
-	// mpi.RunConfig returns (its WaitGroup is the barrier).
-	var qlat []float64
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			return runServeMaster(r, nodes[0], job, meta, indexBytes, opts.IOTuner, batches, admitCap, &qlat, &stats)
-		}
-		return runWorker(r, nodes[r.ID()], job.Options, opts.IOTuner)
-	})
-	if err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
-		outBytes = f.Size()
-	}
-	res := engine.Summarize(clocks, outBytes)
-	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
-	return res, stats, nil
+	return launch(nodes, nprocs, cfg, job, opts.IOTuner, meta, indexBytes, stream)
 }
 
-func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, indexBytes int64, tuner *mpiio.Tuner, batches []workload.Batch, admitCap int, qlat *[]float64, stats *engine.ServeStats) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	r.SetPhase(simtime.PhaseInput)
-	r.IO(node.Shared, indexBytes)
-	r.SetPhase(simtime.PhaseOther)
-	r.Bcast(0, engine.EncodeGob(meta))
-
-	workers := r.Size() - 1
-	alive := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		alive = append(alive, w)
-	}
-	partsOf := make([][]int, workers+1)
-	for pi := range meta.Parts {
-		partsOf[pi%workers+1] = append(partsOf[pi%workers+1], pi)
-	}
-	if meta.Collective {
-		// Participate (with empty views) in the workers' warmup collective
-		// input reads.
-		r.SetPhase(simtime.PhaseInput)
-		if _, err := readPartsCollective(r, newFileCache(r, node.Shared, meta.IOHints, tuner), meta, nil); err != nil {
-			return err
-		}
-		r.SetPhase(simtime.PhaseIdle)
-	}
-	if meta.FT {
-		// Warmup rendezvous: recover partitions from workers that crashed
-		// while loading, before the stream opens.
-		var err error
-		alive, err = syncWorkers(r, meta, alive, partsOf, nil)
-		if err != nil {
-			return err
-		}
-	}
-
-	searcher, err := blast.NewSearcher(job.Options)
-	if err != nil {
-		return err
-	}
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	if err := out.SetHints(meta.IOHints); err != nil {
-		return err
-	}
-	mb := &masterBatch{
-		r: r, meta: meta, renderOpts: job.Options, searcher: searcher,
-		maxTargets: searcher.Options().MaxTargetSeqs,
-		dbInfo:     blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen},
-		out:        out,
-	}
-	recvWorker := recvWorkerFn(r, meta)
-
-	arrivals := make([]float64, len(batches))
-	for i, b := range batches {
-		arrivals[i] = b.Arrival
-	}
-	adm := engine.NewAdmission(arrivals, admitCap)
-	for {
-		now := r.Clock().Now()
-		bi, arrival, ok := adm.Next(now)
-		if !ok {
-			break
-		}
-		b := batches[bi]
-		if arrival > now {
-			// Open-loop idle: the cluster is drained, wait for the next
-			// arrival on the virtual clock.
-			r.SetPhase(simtime.PhaseIdle)
-			r.Advance(arrival - now)
-		}
-		start := r.Clock().Now()
-		// The batch's Seq is the trace context for every envelope it
-		// causes, across all ranks.
-		r.SetTraceBatch(b.Seq)
-		r.SetPhase(simtime.PhaseOther)
-		r.Bcast(0, engine.EncodeGob(serveBatchMsg{
-			Seq:     b.Seq,
-			Queries: engine.EncodeWireQueries(engine.PackQueries(b.Queries)),
-		}))
-		if meta.FT {
+// serveStream is the master's batch driver for a serving run: one merge per
+// admitted stream batch, each query's latency counted from the batch's
+// arrival.
+func (mb *masterBatch) serveStream(stream *engine.Stream, stats *engine.ServeStats, qlat *[]float64) error {
+	return engine.ServeStream(mb.r, stream, stats, func(b workload.Batch, arrival float64) error {
+		if mb.meta.FT {
 			// Per-batch rendezvous: detect crashes since the last batch,
 			// re-issue the dead workers' partitions, and wait until the
 			// survivors have absorbed and searched them for this batch.
-			var err error
-			alive, err = syncWorkers(r, meta, alive, partsOf, nil)
-			if err != nil {
+			if err := mb.syncWorkers(nil); err != nil {
 				return err
 			}
 		}
-		// The admission clock is the batch's ARRIVAL, never its dispatch
-		// and never reset under recovery: queueing delay and recovery cost
-		// both land in the latency.
-		err := mb.mergeBatch(b.Queries, 0, len(b.Queries), alive, recvWorker, func(q int) {
-			lat := r.Clock().Now() - arrival
-			*qlat = append(*qlat, lat)
-			engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+		return mb.mergeBatch(b.Queries, 0, len(b.Queries), func() {
+			engine.SettleQuery(mb.r, arrival, qlat)
 		})
-		if err != nil {
-			return err
-		}
-		stats.RecordDispatch(b.Seq, arrival, start, r.Clock().Now(), len(b.Queries))
-		r.Metrics().Counter("engine.batches_served", r.ID()).Inc()
-	}
-	stats.ShedSeqs = adm.ShedSeqs()
-	stats.Shed = len(stats.ShedSeqs)
-	r.Metrics().Counter("engine.batches_shed", r.ID()).Add(int64(stats.Shed))
-	// End of stream: sentinel broadcast, then the closing barrier.
-	r.SetPhase(simtime.PhaseOther)
-	r.Bcast(0, engine.EncodeGob(serveBatchMsg{Seq: -1}))
-	r.Barrier()
-	return nil
+	})
 }
 
-// runServeWorker is the worker side of the stream: load (and keep) my
-// partitions, then serve batches until the sentinel. Called from runWorker
-// once the decoded jobMeta says Serve.
-func runServeWorker(r *mpi.Rank, node *vfs.Node, meta jobMeta, opts blast.Options, tuner *mpiio.Tuner) error {
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
-	files := newFileCache(r, node.Shared, meta.IOHints, tuner)
-
-	// Resident state: the individual fragments (searched per batch, in
-	// acquisition order, so the per-(query, fragment) work counters match
-	// the one-shot run exactly) plus the concatenated subject pool the
-	// output path renders blocks from.
-	st := &workerState{byOID: make(map[int]int)}
-	var resident []*blast.Fragment
-	retain := func(frag *blast.Fragment) {
-		resident = append(resident, frag)
-		base := len(st.frag.Subjects)
-		st.frag.Subjects = append(st.frag.Subjects, frag.Subjects...)
-		for i := base; i < len(st.frag.Subjects); i++ {
-			st.byOID[st.frag.Subjects[i].OID] = i
-		}
-	}
-	absorbPart := func(pi int) error {
-		r.Yield()
-		r.SetPhase(simtime.PhaseInput)
-		frag, err := readPart(files, meta.Parts[pi])
-		if err != nil {
-			return err
-		}
-		retain(frag)
-		return nil
-	}
-
-	workers := r.Size() - 1
-	var mine []int
-	for pi := range meta.Parts {
-		if pi%workers == r.ID()-1 {
-			mine = append(mine, pi)
-		}
-	}
-	// Warmup: read my partitions once; they stay resident for the whole
-	// stream (the database is loaded exactly once per serving session).
-	switch {
-	case meta.Collective:
-		r.Yield()
-		r.SetPhase(simtime.PhaseInput)
-		frags, err := readPartsCollective(r, files, meta, mine)
-		if err != nil {
-			return err
-		}
-		for _, pi := range mine {
-			retain(frags[pi])
-		}
-	case meta.Prefetch > 0:
-		// Keep up to Prefetch+1 reads in flight while retaining in order.
-		fetches := make([]*partFetch, len(mine))
-		next := 0
-		for cur := range mine {
-			r.Yield()
-			r.SetPhase(simtime.PhaseInput)
-			for next <= cur+meta.Prefetch && next < len(mine) {
-				pf, err := startPartFetch(files, meta.Parts[mine[next]])
-				if err != nil {
-					return err
-				}
-				fetches[next] = pf
-				next++
-			}
-			frag, err := fetches[cur].finish()
-			fetches[cur] = nil
-			if err != nil {
-				return err
-			}
-			retain(frag)
-		}
-	default:
-		for _, pi := range mine {
-			if err := absorbPart(pi); err != nil {
-				return err
-			}
-		}
-	}
-
-	aliveWorkers := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		aliveWorkers = append(aliveWorkers, w)
-	}
-	if meta.FT {
-		// Warmup rendezvous: absorb partitions reclaimed from workers
-		// that crashed while loading (nothing to search yet).
-		for {
-			r.SetPhase(simtime.PhaseIdle)
-			r.Send(0, tagReady, nil)
-			data, _, _ := r.Recv(0, tagGo)
-			done, extras, alive, err := decodeGo(data)
-			if err != nil {
-				return err
-			}
-			for _, pi := range extras {
-				if err := absorbPart(pi); err != nil {
-					return err
-				}
-			}
-			if done {
-				aliveWorkers = alive
-				break
-			}
-		}
-	}
-
-	outFile := mpiio.OpenOrCreate(r, node.Shared, meta.OutputPath)
-	if err := outFile.SetHints(meta.IOHints); err != nil {
-		return err
-	}
-
-	// searchFrags searches queries against resident[from:], appending hits
-	// and work — the same (fragment, query) loop nest as the one-shot
-	// path, so scores, hit sets, AND footer work counters agree.
-	searchFrags := func(queries []*seq.Sequence, from int) error {
-		for _, frag := range resident[from:] {
-			r.SetPhase(simtime.PhaseSearch)
-			for qi, q := range queries {
-				if err := ctx.SetQuery(q); err != nil {
-					return err
-				}
-				space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-				res, err := ctx.SearchFragment(frag, space)
-				if err != nil {
-					return err
-				}
-				r.Compute(res.Work.Units())
-				engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-				st.hits[qi] = append(st.hits[qi], res.Hits...)
-				st.work[qi].Add(res.Work)
-				r.Yield()
-			}
-		}
-		return nil
-	}
-
+// serveStream is the worker's batch driver for a serving run: per stream
+// batch, search everything resident — no reads: the warm-cluster payoff —
+// then merge and write it as one batch.
+func (w *worker) serveStream() error {
 	for {
-		r.SetPhase(simtime.PhaseIdle)
-		var msg serveBatchMsg
-		if err := engine.DecodeGob(r.Bcast(0, nil), &msg); err != nil {
+		queries, ok, err := engine.NextBatch(w.r)
+		if err != nil || !ok {
 			return err
 		}
-		if msg.Seq < 0 {
-			break // end of stream
-		}
-		r.SetTraceBatch(msg.Seq)
-		wq, err := engine.DecodeWireQueries(msg.Queries)
-		if err != nil {
+		w.begin(queries)
+		if err := w.searchFrags(0); err != nil {
 			return err
 		}
-		queries := wq.Unpack()
-		st.hits = make([][]*blast.SubjectResult, len(queries))
-		st.work = make([]blast.WorkCounters, len(queries))
-		if err := searchFrags(queries, 0); err != nil {
-			return err
-		}
-		if meta.FT {
+		if w.meta.FT {
 			// Per-batch rendezvous: report this batch searched; absorb any
 			// re-issued partitions (retained for every later batch too)
 			// and search them for THIS batch before the merge.
-			for {
-				r.SetPhase(simtime.PhaseIdle)
-				r.Send(0, tagReady, nil)
-				data, _, _ := r.Recv(0, tagGo)
-				done, extras, alive, err := decodeGo(data)
-				if err != nil {
+			err := w.rendezvous(func(extras []int) error {
+				from := len(w.resident)
+				if err := w.acquireStatic(extras, 0, w.retain); err != nil {
 					return err
 				}
-				if len(extras) > 0 {
-					from := len(resident)
-					for _, pi := range extras {
-						if err := absorbPart(pi); err != nil {
-							return err
-						}
-					}
-					if err := searchFrags(queries, from); err != nil {
-						return err
-					}
-				}
-				if done {
-					aliveWorkers = alive
-					break
-				}
+				return w.searchFrags(from)
+			})
+			if err != nil {
+				return err
 			}
 		}
-		if err := workerOutputBatch(r, meta, opts, maxTargets, outFile, queries, 0, len(queries), st, aliveWorkers); err != nil {
+		if err := w.outputBatch(0, len(queries)); err != nil {
 			return err
 		}
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
 }

@@ -149,6 +149,44 @@ func TestServeMatchesOneShotMpiblast(t *testing.T) {
 	}
 }
 
+// TestBaselineMergeSeriesMatchAcrossModes: the baseline master's final
+// per-query selection is booked into blast.hsps_kept/dropped exactly where a
+// merge cost is charged — on the flat protocol, never on the tree protocol,
+// whose combiners already paid for and recorded the merge — so serving the
+// whole query set does the same merge work as the one-shot run and must
+// show the same series, in both protocols. (One worker, so the tree has a
+// single combine per fold: with more, the interior nodes fold bundles in
+// arrival order, and the kept/dropped split of the same merge depends on
+// that order.)
+func TestBaselineMergeSeriesMatchAcrossModes(t *testing.T) {
+	const nprocs = 2
+	fx := makeFixture(t, 1200)
+	batches := serveArrivals(t, fx, workload.ArrivalConfig{Rate: 50, BatchMean: 2, Seed: 7})
+	for _, tree := range []bool{false, true} {
+		opts := mpiblast.Options{TreeMerge: tree}
+		oneReg := metrics.NewRegistry()
+		nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
+		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
+			t.Fatal(err)
+		}
+		job := *fx.job
+		if _, err := mpiblast.RunOpts(nodes, nprocs, mpi.Config{Cost: testCost(), Metrics: oneReg}, &job, opts); err != nil {
+			t.Fatal(err)
+		}
+		serveReg := metrics.NewRegistry()
+		runServeMpi(t, fx, nprocs, mpi.Config{Cost: testCost(), Metrics: serveReg}, opts, batches, 0)
+		one, served := oneReg.Snapshot(), serveReg.Snapshot()
+		for _, series := range []string{"blast.hsps_kept", "blast.hsps_dropped"} {
+			if a, b := one.CounterTotal(series), served.CounterTotal(series); a != b {
+				t.Errorf("tree=%v: %s is %d one-shot but %d served", tree, series, a, b)
+			}
+		}
+		if one.CounterTotal("blast.hsps_kept") == 0 {
+			t.Errorf("tree=%v: no merges recorded at all", tree)
+		}
+	}
+}
+
 // TestServeMpiblastRejectsFaults: the baseline's recovery story (re-copying
 // whole physical fragments) is one-shot only; a fault schedule must be a
 // clean up-front error, not a hang.
@@ -370,6 +408,8 @@ func TestServeValidation(t *testing.T) {
 	}
 	try(core.Options{DynamicAssignment: true}, batches, 0, "static assignment")
 	try(core.Options{MemoryBudgetBytes: 1 << 20}, batches, 0, "adaptive batching")
+	try(core.Options{QueryBatch: 2}, batches, 0, "query batch")
+	try(core.Options{PrefetchDepth: -1}, batches, 0, "negative prefetch depth")
 	try(core.Options{}, batches, -1, "admission cap")
 	try(core.Options{}, batches[1:], 0, "contiguous")
 	truncated := append([]workload.Batch(nil), batches...)

@@ -319,7 +319,7 @@ func RunSequential(fs *vfs.FS, job *Job) error {
 		text.WriteString(blast.RenderHeader(job.Options.OutFormat, db.Kind, q, dbInfo))
 		text.WriteString(blast.RenderSummary(job.Options.OutFormat, res.Hits))
 		for _, hit := range res.Hits {
-			text.WriteString(blast.RenderHit(job.Options.OutFormat, q, frag.Subjects[indexByOID(frag, hit.OID)].Residues, hit, job.Options.Matrix))
+			text.WriteString(blast.RenderHit(job.Options.OutFormat, q, frag.Subjects[IndexByOID(frag, hit.OID)].Residues, hit, job.Options.Matrix))
 		}
 		text.WriteString(blast.RenderFooter(job.Options.OutFormat, searcher.GappedParams(), space, res.Work))
 		out.WriteAt(text.Bytes(), off)
@@ -328,10 +328,9 @@ func RunSequential(fs *vfs.FS, job *Job) error {
 	return nil
 }
 
-// indexByOID finds a subject's position in a fragment; fragments built by
-// FragmentFromRecords over the whole DB are OID-ordered starting at the
-// first subject's OID.
-func indexByOID(frag *blast.Fragment, oid int) int {
+// IndexByOID finds a subject's position in a fragment; fragments built by
+// FragmentFromRecords are OID-ordered starting at the first subject's OID.
+func IndexByOID(frag *blast.Fragment, oid int) int {
 	base := frag.Subjects[0].OID
 	i := oid - base
 	if i < 0 || i >= len(frag.Subjects) || frag.Subjects[i].OID != oid {

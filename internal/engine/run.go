@@ -1,0 +1,196 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+
+	"parblast/internal/blast"
+	"parblast/internal/mpi"
+	"parblast/internal/seq"
+	"parblast/internal/simtime"
+	"parblast/internal/vfs"
+)
+
+// The stages both parallel engines run the same way: validating and
+// launching a run, the worker's (fragment, query) search loop, the master's
+// latency settlement and output-phase receive, and the rank lists the merge
+// trees are built over. Each exists once, here, so a change to any of them
+// is one edit and the two engines — and their one-shot and serving modes —
+// cannot drift apart.
+
+// Boot is the engine-independent part of a validated run plan.
+type Boot struct {
+	// FT enables the failure-recovery protocol: set when the MPI config
+	// schedules faults (an engine may also force it on).
+	FT bool
+	// FTTimeout is the failure-detection polling interval in virtual
+	// seconds. Detection is timeout-paced but never wrong: a timeout only
+	// triggers a ground-truth liveness check.
+	FTTimeout float64
+	// Fanout is the reduction-tree fan-out for the hierarchical merge.
+	Fanout int
+}
+
+// PlanRun validates what every run needs regardless of engine — a usable
+// job, a master plus at least one worker, a storage view per rank, a fault
+// schedule that spares the master, a tree fan-out that can form a tree — and
+// fills the defaults (fan-out 0 = mpi.DefaultTreeFanout, faultTimeout 0 =
+// 250 × NetLatency). pkg prefixes the errors with the calling engine.
+func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, treeMerge bool, mergeFanout int, faultTimeout float64) (Boot, error) {
+	if err := job.Validate(); err != nil {
+		return Boot{}, err
+	}
+	if nprocs < 2 {
+		return Boot{}, fmt.Errorf("%s: need ≥2 ranks (1 master + workers), got %d", pkg, nprocs)
+	}
+	if len(nodes) < nprocs {
+		return Boot{}, fmt.Errorf("%s: %d nodes for %d ranks", pkg, len(nodes), nprocs)
+	}
+	// Failure recovery only covers workers: the master holds the merged
+	// results, the output layout, and the failure detector itself.
+	for _, f := range cfg.Faults {
+		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
+			return Boot{}, fmt.Errorf("%s: cannot inject a crash into rank 0 (the master)", pkg)
+		}
+	}
+	b := Boot{FT: len(cfg.Faults) > 0, FTTimeout: faultTimeout, Fanout: mergeFanout}
+	if b.FTTimeout <= 0 {
+		b.FTTimeout = 250 * cfg.Cost.NetLatency
+	}
+	if b.Fanout == 0 {
+		b.Fanout = mpi.DefaultTreeFanout
+	}
+	if treeMerge && b.Fanout < 2 {
+		return Boot{}, fmt.Errorf("%s: merge fan-out %d < 2", pkg, mergeFanout)
+	}
+	return b, nil
+}
+
+// Execute runs body on nprocs ranks and summarizes the run: wall and phase
+// maxima, output size, traffic totals, and I/O fault statistics. qlat is
+// the per-query latency sink the master goroutine appends to (SettleQuery);
+// it is read only after mpi.RunConfig returns — the run's WaitGroup is the
+// barrier.
+func Execute(nodes []*vfs.Node, nprocs int, cfg mpi.Config, outputPath string, qlat *[]float64, body func(*mpi.Rank) error) (RunResult, error) {
+	if cfg.Comm == nil {
+		cfg.Comm = mpi.NewCommStats(nprocs)
+	}
+	clocks, err := mpi.RunConfig(nprocs, cfg, body)
+	if err != nil {
+		return RunResult{}, err
+	}
+	var outBytes int64
+	if f, err := nodes[0].Shared.Open(outputPath); err == nil {
+		outBytes = f.Size()
+	}
+	res := Summarize(clocks, outBytes)
+	res.QueryLatencies = *qlat
+	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
+	res.AddIOFaults(nodes)
+	return res, nil
+}
+
+// SettleQuery records that the next query's results are globally merged and
+// laid out (or on disk): its end-to-end latency, measured on the master's
+// clock from since — the job-metadata broadcast for a one-shot run, the
+// batch's open-loop ARRIVAL for a served one — is appended to qlat and
+// booked into the latency distribution.
+func SettleQuery(r *mpi.Rank, since float64, qlat *[]float64) {
+	lat := r.Clock().Now() - since
+	*qlat = append(*qlat, lat)
+	RecordQueryLatency(r.Metrics(), r.ID(), lat)
+}
+
+// RecvOutputPhase is the master's receive from one worker once the output
+// phase has begun. Recovery only covers the search phase — what the dead
+// worker cached is gone and the output is already partly laid out — so
+// under fault tolerance a crash here surfaces as a clean error wrapping
+// mpi.ErrRankFailed instead of a deadlock.
+func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int, ft bool, ftTimeout float64) ([]byte, error) {
+	if !ft {
+		data, _, _ := r.Recv(w, tag)
+		return data, nil
+	}
+	for {
+		data, _, _, err := r.RecvTimeout(w, tag, ftTimeout)
+		if err == nil {
+			return data, nil
+		}
+		if errors.Is(err, mpi.ErrRankFailed) {
+			return nil, fmt.Errorf("%s: worker %d crashed during the output phase; recovery only covers the search phase: %w", pkg, w, err)
+		}
+		// Timed out: the worker is alive but busy; poll again.
+	}
+}
+
+// WorkerRanks lists the worker ranks 1..workers — everyone alive, before
+// any failure detection has run.
+func WorkerRanks(workers int) []int {
+	all := make([]int, 0, workers)
+	for w := 1; w <= workers; w++ {
+		all = append(all, w)
+	}
+	return all
+}
+
+// TreeMembers is the reduction-tree membership: the master plus every live
+// worker. The crash-aware tree protocol requires the membership to cover
+// all live ranks, which this is by construction.
+func TreeMembers(alive []int) []int {
+	members := make([]int, 0, len(alive)+1)
+	members = append(members, 0)
+	return append(members, alive...)
+}
+
+// SearchLoop is a worker's search stage: the kernel, its scratch context,
+// and the database-global statistics every rank must agree on for E-values
+// to be comparable across fragments.
+type SearchLoop struct {
+	r          *mpi.Rank
+	searcher   *blast.Searcher
+	ctx        *blast.Context
+	dbResidues int64
+	dbSeqs     int
+}
+
+// NewSearchLoop builds the kernel for one worker rank.
+func NewSearchLoop(r *mpi.Rank, opts blast.Options, dbResidues int64, dbSeqs int) (*SearchLoop, error) {
+	searcher, err := blast.NewSearcher(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &SearchLoop{r: r, searcher: searcher, ctx: searcher.NewContext(), dbResidues: dbResidues, dbSeqs: dbSeqs}, nil
+}
+
+// MaxTargets is the per-query cap of the global selection rule.
+func (l *SearchLoop) MaxTargets() int { return l.searcher.Options().MaxTargetSeqs }
+
+// Search runs every query against one fragment, in query order: index the
+// query, search, charge the kernel's work units to the rank's clock, book
+// the work counters, and hand the result to emit. The rank yields after
+// every (fragment, query) step so that ranks' storage accesses are issued
+// in virtual-time order (see mpi.Rank.Yield); emit runs before the yield,
+// still inside the step. Both engines' one-shot and serving workers search
+// through this loop, which is what keeps their per-(query, fragment) work
+// counters — and so the report footers — identical. Pass emit as a func
+// value built once per worker: the loop itself allocates nothing per
+// (fragment, query).
+func (l *SearchLoop) Search(queries []*seq.Sequence, frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
+	r := l.r
+	r.SetPhase(simtime.PhaseSearch)
+	for qi, q := range queries {
+		if err := l.ctx.SetQuery(q); err != nil {
+			return err
+		}
+		space := SearchSpaceFor(l.searcher, q.Len(), l.dbResidues, l.dbSeqs)
+		res, err := l.ctx.SearchFragment(frag, space)
+		if err != nil {
+			return err
+		}
+		r.Compute(res.Work.Units())
+		RecordWork(r.Metrics(), r.ID(), res.Work)
+		emit(qi, res)
+		r.Yield()
+	}
+	return nil
+}

@@ -1,5 +1,14 @@
 package engine
 
+import (
+	"fmt"
+
+	"parblast/internal/mpi"
+	"parblast/internal/seq"
+	"parblast/internal/simtime"
+	"parblast/internal/workload"
+)
+
 // Streaming admission control for the serving mode: an open-loop arrival
 // sequence meets a single-dispatch server (the warm cluster runs one batch
 // at a time), mediated by a bounded FIFO queue with deterministic
@@ -103,4 +112,117 @@ func (s *ServeStats) RecordDispatch(seq int, arrival, start, done float64, queri
 	s.BatchStart = append(s.BatchStart, start)
 	s.BatchDone = append(s.BatchDone, done)
 	s.BatchQueries = append(s.BatchQueries, queries)
+}
+
+// Stream is a serving run's input: the arrival stream and the admission
+// queue's bound (0 = unbounded).
+type Stream struct {
+	Batches  []workload.Batch
+	AdmitCap int
+}
+
+// Validate sanity-checks a serving stream against its job: every
+// batch's queries must be a contiguous in-order slice of the job's query
+// set (what the one-shot oracle runs), arrivals must be non-decreasing
+// (what Admission assumes), and the admission cap cannot be negative. pkg
+// prefixes the errors with the calling engine.
+func (s *Stream) Validate(pkg string, nQueries int) error {
+	if s.AdmitCap < 0 {
+		return fmt.Errorf("%s: negative admission cap %d", pkg, s.AdmitCap)
+	}
+	next, prevArrival := 0, 0.0
+	for _, b := range s.Batches {
+		if b.First != next || len(b.Queries) == 0 {
+			return fmt.Errorf("%s: batch %d is not a contiguous in-order partition of the query set", pkg, b.Seq)
+		}
+		if b.Arrival < prevArrival {
+			return fmt.Errorf("%s: batch %d arrives before its predecessor", pkg, b.Seq)
+		}
+		next += len(b.Queries)
+		prevArrival = b.Arrival
+	}
+	if next != nQueries {
+		return fmt.Errorf("%s: stream covers %d queries, job has %d", pkg, next, nQueries)
+	}
+	return nil
+}
+
+// serveBatchMsg is the per-batch broadcast of a serving run: the batch's
+// arrival-order id (the trace-batch context) and its packed queries.
+// Seq == -1 is the end-of-stream sentinel.
+type serveBatchMsg struct {
+	Seq     int
+	Queries []byte // EncodeWireQueries payload; nil on the sentinel
+}
+
+// ServeStream is the master side of a serving run, after the cluster is
+// warm: run the admission queue over the arrival stream, idle on the
+// virtual clock until the next admitted batch lands, stamp its Seq as the
+// trace context for every envelope it causes, broadcast its queries, and
+// hand it to serve — the engine's per-batch merge and output, which gets
+// the batch's ARRIVAL as its latency baseline (never the dispatch, and never
+// reset by recovery: queueing delay and recovery cost both land in the
+// latency). When the stream is exhausted the sentinel broadcast releases
+// the workers; the closing barrier is the caller's. stats receives the
+// per-batch accounting and the shed set.
+func ServeStream(r *mpi.Rank, s *Stream, stats *ServeStats, serve func(b workload.Batch, arrival float64) error) error {
+	batches := s.Batches
+	arrivals := make([]float64, len(batches))
+	for i, b := range batches {
+		arrivals[i] = b.Arrival
+	}
+	stats.Arrivals = len(batches)
+	adm := NewAdmission(arrivals, s.AdmitCap)
+	for {
+		now := r.Clock().Now()
+		bi, arrival, ok := adm.Next(now)
+		if !ok {
+			break
+		}
+		b := batches[bi]
+		if arrival > now {
+			// Open-loop idle: the cluster is drained, wait for the next
+			// arrival on the virtual clock.
+			r.SetPhase(simtime.PhaseIdle)
+			r.Advance(arrival - now)
+		}
+		start := r.Clock().Now()
+		r.SetTraceBatch(b.Seq)
+		r.SetPhase(simtime.PhaseOther)
+		r.Bcast(0, EncodeGob(serveBatchMsg{
+			Seq:     b.Seq,
+			Queries: EncodeWireQueries(PackQueries(b.Queries)),
+		}))
+		if err := serve(b, arrival); err != nil {
+			return err
+		}
+		stats.RecordDispatch(b.Seq, arrival, start, r.Clock().Now(), len(b.Queries))
+		r.Metrics().Counter("engine.batches_served", r.ID()).Inc()
+	}
+	stats.ShedSeqs = adm.ShedSeqs()
+	stats.Shed = len(stats.ShedSeqs)
+	r.Metrics().Counter("engine.batches_shed", r.ID()).Add(int64(stats.Shed))
+	r.SetPhase(simtime.PhaseOther)
+	r.Bcast(0, EncodeGob(serveBatchMsg{Seq: -1}))
+	return nil
+}
+
+// NextBatch is the worker side of ServeStream: wait (idle) for the next
+// batch broadcast, adopt its Seq as the trace context, and unpack its
+// queries. ok is false on the end-of-stream sentinel.
+func NextBatch(r *mpi.Rank) (queries []*seq.Sequence, ok bool, err error) {
+	r.SetPhase(simtime.PhaseIdle)
+	var msg serveBatchMsg
+	if err := DecodeGob(r.Bcast(0, nil), &msg); err != nil {
+		return nil, false, err
+	}
+	if msg.Seq < 0 {
+		return nil, false, nil
+	}
+	r.SetTraceBatch(msg.Seq)
+	wq, err := DecodeWireQueries(msg.Queries)
+	if err != nil {
+		return nil, false, err
+	}
+	return wq.Unpack(), true, nil
 }

@@ -19,8 +19,6 @@
 package mpiblast
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"parblast/internal/blast"
@@ -31,6 +29,7 @@ import (
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
+	"parblast/internal/workload"
 )
 
 // Message tags (all below the mpiio-reserved space).
@@ -58,7 +57,7 @@ type jobMeta struct {
 	Tree       bool
 	TreeFanout int
 	// Serve marks a streaming run: Queries is empty, and each batch's
-	// queries arrive in a per-batch broadcast instead (see serve.go).
+	// queries arrive in a per-batch broadcast instead (engine.ServeStream).
 	Serve bool
 }
 
@@ -171,34 +170,59 @@ type Options struct {
 // workers are 1..nprocs-1). nodes[i] is rank i's storage view. The physical
 // fragments must already exist (PrepareFragments).
 func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job) (engine.RunResult, error) {
-	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost}, job)
+	return RunOpts(nodes, nprocs, mpi.Config{Cost: cost}, job, Options{})
 }
 
-// RunOpts is RunConfig with baseline variant options.
+// RunOpts is Run with an explicit MPI configuration (heterogeneity, faults,
+// tracing) and baseline variant options.
 func RunOpts(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	return runConfig(nodes, nprocs, cfg, job, opts)
-}
-
-// RunConfig is Run with an explicit MPI configuration (heterogeneity,
-// tracing).
-func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job) (engine.RunResult, error) {
-	return runConfig(nodes, nprocs, cfg, job, Options{})
-}
-
-func runConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	if err := job.Validate(); err != nil {
+	meta, boot, err := plan(nodes, nprocs, cfg, job, opts, false)
+	if err != nil {
 		return engine.RunResult{}, err
 	}
-	if nprocs < 2 {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: need ≥2 ranks (1 master + workers), got %d", nprocs)
+	res, _, err := launch(nodes, nprocs, cfg, job, opts, meta, boot, nil)
+	return res, err
+}
+
+// Serve runs the baseline engine in serving mode over an arrival stream: the
+// cluster boots once — every worker COPIES its fragments to local staging
+// and loads them exactly once — and then drains the stream. The stream
+// semantics (admission queue, drop-newest shedding, arrival-anchored
+// latencies) match core.Serve exactly; see that function. Because each
+// batch runs the one-shot merge and output stages at a running offset, the
+// streamed output file is byte-identical to a one-shot run over the admitted
+// queries.
+//
+// Fault schedules are rejected up front: the baseline's recovery story is
+// re-copying whole physical fragments, which interacts with a persistent
+// stream in ways mpiBLAST 1.2.1 never defined. The pio engine is the one
+// that demonstrates mid-stream recovery.
+func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
+	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
+	meta, boot, err := plan(nodes, nprocs, cfg, job, opts, true)
+	if err == nil {
+		err = stream.Validate("mpiblast", len(job.Queries))
 	}
-	if len(nodes) < nprocs {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: %d nodes for %d ranks", len(nodes), nprocs)
+	if err != nil {
+		return engine.RunResult{}, engine.ServeStats{}, err
+	}
+	return launch(nodes, nprocs, cfg, job, opts, meta, boot, stream)
+}
+
+// plan validates the run and builds the broadcast that seeds every worker,
+// for one-shot and serving runs alike.
+func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (jobMeta, engine.Boot, error) {
+	boot, err := engine.PlanRun("mpiblast", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout, opts.FaultTimeout)
+	if err != nil {
+		return jobMeta{}, boot, err
+	}
+	if serve && boot.FT {
+		return jobMeta{}, boot, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return engine.RunResult{}, err
+		return jobMeta{}, boot, err
 	}
 	nFrags := job.Fragments
 	if nFrags == 0 {
@@ -208,351 +232,93 @@ func runConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 	for i := range fragBases {
 		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
 		if _, err := shared.Open(formatdb.IndexPath(fragBases[i])); err != nil {
-			return engine.RunResult{}, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
+			return jobMeta{}, boot, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
 		}
 	}
-
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: merge fan-out %d < 2", opts.MergeFanout)
-	}
 	meta := jobMeta{
-		Queries:    engine.EncodeWireQueries(engine.PackQueries(job.Queries)),
 		Title:      db.Title,
 		Kind:       db.Kind,
 		NumSeqs:    db.NumSeqs,
 		TotalLen:   db.TotalResidues,
 		FragBases:  fragBases,
 		Tree:       opts.TreeMerge,
-		TreeFanout: fanout,
+		TreeFanout: boot.Fanout,
+		Serve:      serve,
 	}
-	// Failure recovery only covers workers: the master holds the merged
-	// results and the failure detector itself.
-	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
-			return engine.RunResult{}, fmt.Errorf("mpiblast: cannot inject a crash into rank 0 (the master)")
-		}
+	if !serve {
+		// A streaming run's queries arrive per batch instead.
+		meta.Queries = engine.EncodeWireQueries(engine.PackQueries(job.Queries))
 	}
-	ft := len(cfg.Faults) > 0
-	ftTimeout := opts.FaultTimeout
-	if ftTimeout <= 0 {
-		ftTimeout = 250 * cfg.Cost.NetLatency
-	}
-
-	if cfg.Comm == nil {
-		cfg.Comm = mpi.NewCommStats(nprocs)
-	}
-	// Per-query latency sink, filled by the master goroutine and read only
-	// after mpi.RunConfig returns (the run's WaitGroup is the barrier).
-	qlat := make([]float64, len(job.Queries))
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			if meta.Tree {
-				return runMasterTree(r, nodes[0], job, meta, opts, ft, ftTimeout, qlat)
-			}
-			return runMaster(r, nodes[0], job, meta, opts, ft, ftTimeout, qlat)
-		}
-		if meta.Tree {
-			return runWorkerTree(r, nodes[r.ID()], job.Options)
-		}
-		return runWorker(r, nodes[r.ID()], job.Options)
-	})
-	if err != nil {
-		return engine.RunResult{}, err
-	}
-	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
-		outBytes = f.Size()
-	}
-	res := engine.Summarize(clocks, outBytes)
-	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
-	return res, nil
+	return meta, boot, nil
 }
 
-func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts Options, ft bool, ftTimeout float64, qlat []float64) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
-	admit := r.Clock().Now()
-
-	workers := r.Size() - 1
-	nFrags := len(meta.FragBases)
-	nQueries := len(job.Queries)
-
-	// While the workers copy and search, the master serves assignments and
-	// collects result metadata — mostly waiting. Results are kept PER
-	// FRAGMENT (not just per query) so that a crashed worker's partial
-	// contributions can be purged and its fragments re-searched: recovery is
-	// expensive here by construction, because the replacement worker must
-	// re-COPY the physical fragment files before searching (contrast with
-	// pioBLAST, which only re-issues offset ranges).
-	r.SetPhase(simtime.PhaseIdle)
-	type masterHit struct {
-		res    *blast.SubjectResult
-		worker int
-	}
-	fragHits := make([][][]masterHit, nFrags)
-	fragWork := make([][]blast.WorkCounters, nFrags)
-	got := make([][]bool, nFrags)
-	fragQueue := make([]int, 0, nFrags)
-	for f := 0; f < nFrags; f++ {
-		fragHits[f] = make([][]masterHit, nQueries)
-		fragWork[f] = make([]blast.WorkCounters, nQueries)
-		got[f] = make([]bool, nQueries)
-		fragQueue = append(fragQueue, f)
-	}
-	alive := make([]int, 0, workers)
-	current := make([]int, workers+1) // fragment in flight per worker (-1 none)
-	doneBy := make([][]int, workers+1)
-	for w := 1; w <= workers; w++ {
-		alive = append(alive, w)
-		current[w] = -1
-	}
-	releasedSet := make(map[int]bool) // workers already told "done"
-	var parked []int                  // requesters waiting for a possible requeue
-	remaining := nFrags * nQueries    // (fragment, query) results outstanding
-
-	release := func(w int) {
-		r.Send(w, tagAssign, engine.EncodeInt(-1))
-		releasedSet[w] = true
-	}
-	assign := func(w int) bool {
-		if len(fragQueue) == 0 {
-			return false
+// launch runs the planned job: rank 0 boots the master — setup and the job
+// broadcast — and runs its driver (the serving stream when there is one,
+// else the flat or tree one-shot protocol); every other rank runs the
+// worker, which takes its protocol from the broadcast.
+func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, meta jobMeta, boot engine.Boot, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+	var stats engine.ServeStats
+	qlat := make([]float64, 0, len(job.Queries))
+	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
+		if r.ID() != 0 {
+			return runWorker(r, nodes[r.ID()], job.Options)
 		}
-		f := fragQueue[0]
-		fragQueue = fragQueue[1:]
-		current[w] = f
-		r.Send(w, tagAssign, engine.EncodeInt(f))
-		return true
-	}
-	// purgeDead removes crashed workers, reclaims every fragment they
-	// searched or were searching, and serves parked requesters from the
-	// replenished queue.
-	purgeDead := func() {
-		live := alive[:0]
-		for _, w := range alive {
-			if !r.Failed(w) {
-				live = append(live, w)
-				continue
-			}
-			lost := append([]int(nil), doneBy[w]...)
-			if current[w] >= 0 {
-				lost = append(lost, current[w])
-			}
-			for _, f := range lost {
-				for q := 0; q < nQueries; q++ {
-					if got[f][q] {
-						got[f][q] = false
-						fragHits[f][q] = nil
-						fragWork[f][q] = blast.WorkCounters{}
-						remaining++
-					}
-				}
-				fragQueue = append(fragQueue, f)
-			}
-			r.Metrics().Counter("engine.frags_requeued", r.ID()).Add(int64(len(lost)))
-			doneBy[w] = nil
-			current[w] = -1
-			delete(releasedSet, w)
+		r.SetPhase(simtime.PhaseOther)
+		r.Advance(r.Cost().SetupCost)
+		r.Bcast(0, engine.EncodeGob(meta))
+		m := &master{
+			r: r, node: nodes[0], job: job, meta: meta, boot: boot,
+			window: max(opts.FetchWindow, 1),
+			// Admission: every query of a one-shot run is "in the system"
+			// once the job metadata broadcast completes.
+			admit: r.Clock().Now(),
 		}
-		alive = live
-		keep := parked[:0]
-		for _, w := range parked {
-			if r.Failed(w) {
-				continue
-			}
-			if assign(w) {
-				continue
-			}
-			if remaining == 0 {
-				release(w)
-				continue
-			}
-			keep = append(keep, w)
-		}
-		parked = keep
-	}
-
-	for remaining > 0 || len(releasedSet) < len(alive) {
-		var data []byte
-		var from, tag int
-		if ft {
-			var err error
-			data, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, ftTimeout)
-			if err != nil {
-				// Timed out: check ground truth for crashed workers.
-				purgeDead()
-				if len(alive) == 0 {
-					return fmt.Errorf("mpiblast: all workers failed; cannot recover")
-				}
-				continue
-			}
-			if r.Failed(from) {
-				continue // stale message from a crashed worker
-			}
-		} else {
-			data, from, tag = r.Recv(mpi.AnySource, mpi.AnyTag)
-		}
-		switch tag {
-		case tagWorkReq:
-			if cur := current[from]; cur >= 0 {
-				// A worker only asks again once its previous fragment's
-				// results are fully submitted.
-				doneBy[from] = append(doneBy[from], cur)
-				current[from] = -1
-			}
-			if assign(from) {
-				break
-			}
-			if ft && remaining > 0 {
-				// Queue empty but results outstanding: park the requester —
-				// a crashed peer's fragment may yet need a new home.
-				parked = append(parked, from)
-				break
-			}
-			release(from)
-		case tagResults:
-			msg, err := decodeResultsMsg(data)
-			if err != nil {
-				return err
-			}
-			if got[msg.Fragment][msg.Query] {
-				break // duplicate after a requeue race; first submission wins
-			}
-			// Splicing a fragment's alignments into the master's result
-			// structures is real work on the master's critical path.
-			r.SetPhase(simtime.PhaseOutput)
-			r.Advance(r.Cost().ResultMsgCost + float64(len(msg.Hits))*r.Cost().MergeItemCost)
-			hits := make([]masterHit, 0, len(msg.Hits))
-			for _, wh := range msg.Hits {
-				res, _ := wh.Unpack()
-				hits = append(hits, masterHit{res: res, worker: msg.Worker})
-			}
-			got[msg.Fragment][msg.Query] = true
-			fragHits[msg.Fragment][msg.Query] = hits
-			fragWork[msg.Fragment][msg.Query] = msg.Work
-			r.SetPhase(simtime.PhaseIdle)
-			remaining--
-			if remaining == 0 {
-				// Everything is in: release any parked requesters.
-				for _, w := range parked {
-					release(w)
-				}
-				parked = nil
-			}
+		var err error
+		switch {
+		case stream != nil:
+			err = m.serveStream(stream, &stats, &qlat)
+		case meta.Tree:
+			err = m.oneShotTree(&qlat)
 		default:
-			return fmt.Errorf("mpiblast: master got unexpected tag %d from %d", tag, from)
+			err = m.oneShotFlat(&qlat)
 		}
-	}
-
-	// Serialized result merging and output (§2.2 / Figure 2 right side).
-	r.SetPhase(simtime.PhaseOutput)
-	searcher, err := blast.NewSearcher(job.Options)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-	// fetchRecv collects one fetched hit; under fault injection a crash at
-	// this point is unrecoverable (the hit data lives only in the dead
-	// worker's memory), so it surfaces as a clean error.
-	fetchRecv := func(w int) ([]byte, error) {
-		if !ft {
-			residues, _, _ := r.Recv(w, tagHitData)
-			return residues, nil
+		if err != nil {
+			return err
 		}
-		for {
-			residues, _, _, err := r.RecvTimeout(w, tagHitData, ftTimeout)
-			if err == nil {
-				return residues, nil
-			}
-			if errors.Is(err, mpi.ErrRankFailed) {
-				return nil, fmt.Errorf("mpiblast: worker %d crashed during the output phase; recovery only covers the search phase: %w", w, err)
-			}
-		}
-	}
-	var off int64
-	for qi, q := range job.Queries {
-		// The serialized merge handles one query at a time: stamp it as the
-		// trace context so the fetch round-trips it triggers carry it.
-		r.SetTraceBatch(qi)
-		// Concatenate this query's hits in fragment order — deterministic
-		// regardless of result arrival order or crash recovery (MergeHits
-		// imposes a total order anyway).
-		var qhits []masterHit
-		var qwork blast.WorkCounters
-		for f := 0; f < nFrags; f++ {
-			qhits = append(qhits, fragHits[f][qi]...)
-			qwork.Add(fragWork[f][qi])
-		}
-		r.Advance(float64(len(qhits)) * r.Cost().MergeItemCost)
-		byOID := make(map[int]masterHit, len(qhits))
-		metas := make([]engine.HitMeta, 0, len(qhits))
-		for _, mh := range qhits {
-			byOID[mh.res.OID] = mh
-			metas = append(metas, engine.MetaFromResult(mh.worker, mh.res, 0))
-		}
-		merged := engine.MergeHits(metas, maxTargets)
-		engine.RecordMerge(r.Metrics(), r.ID(), len(metas), len(merged))
-
-		outFormat := job.Options.OutFormat
-		var text bytes.Buffer
-		text.WriteString(blast.RenderHeader(outFormat, meta.Kind, q, dbInfo))
-		text.WriteString(blast.RenderSummary(outFormat, engine.SummaryResults(merged)))
-		// Fetch every selected hit's sequence information from its worker —
-		// one serial request/reply per hit in faithful mode (the bottleneck
-		// the paper measured at >40% of mpiBLAST's output time), or with a
-		// sliding window of outstanding requests in the pipelined ablation.
-		window := opts.FetchWindow
-		if window < 1 {
-			window = 1
-		}
-		sent := 0
-		for done := 0; done < len(merged); done++ {
-			for sent < len(merged) && sent-done < window {
-				h := merged[sent]
-				r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
-				sent++
-			}
-			h := merged[done]
-			residues, err := fetchRecv(h.Worker)
-			if err != nil {
-				return err
-			}
-			mh := byOID[h.OID]
-			block := blast.RenderHit(outFormat, q, residues, mh.res, job.Options.Matrix)
-			r.FormatCost(int64(len(block)))
-			r.Advance(r.Cost().FetchItemCost)
-			text.WriteString(block)
-		}
-		space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-		text.WriteString(blast.RenderFooter(outFormat, searcher.GappedParams(), space, qwork))
-		r.FormatCost(int64(text.Len()) / 8) // header/summary/footer rendering
-		out.WriteAt(text.Bytes(), off)
-		off += int64(text.Len())
-		// The query's merged report is on disk: its end-to-end latency is
-		// settled on the master's clock.
-		lat := r.Clock().Now() - admit
-		qlat[qi] = lat
-		engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
-	}
-	for _, w := range alive {
-		r.Send(w, tagRelease, nil)
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
+		r.SetPhase(simtime.PhaseOther)
+		r.Barrier()
+		return nil
+	})
+	return res, stats, err
 }
 
+// worker is the baseline worker's state: where fragments are staged, and
+// what the current query set's searches have produced for the master.
+type worker struct {
+	r       *mpi.Rank
+	node    *vfs.Node
+	meta    jobMeta
+	loop    *engine.SearchLoop
+	staging *vfs.FS // node-local disk, or shared scratch (under prefix)
+	prefix  string
+	queries []*seq.Sequence
+	// residues maps (query, OID) to the subject residues the master may
+	// fetch; bundle accumulates the tree protocol's per-query hit lists.
+	residues map[fetchKey][]byte
+	bundle   treeResults
+	// fragID and frag are the fragment being searched, read by emit.
+	fragID int
+	frag   *blast.Fragment
+	submit func(qi int, res *blast.QueryResult) // emit, bound once
+}
+
+// runWorker is the one worker body. The broadcast says how fragments are
+// obtained (Serve: a static share copied and loaded once, then searched per
+// stream batch; otherwise greedily assigned, copied, loaded, and searched
+// one at a time) and how results reach the master (Tree: held locally and
+// folded up the reduction tree; otherwise streamed per (query, fragment)
+// during the search). Either way the worker then serves the master's
+// per-hit residue fetches until released.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
@@ -560,28 +326,43 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
+	loop, err := engine.NewSearchLoop(r, opts, meta.TotalLen, meta.NumSeqs)
+	if err != nil {
+		return err
+	}
+	// Local staging target: node-local disk, or shared scratch when the
+	// platform has none (the paper's Altix configuration).
+	w := &worker{r: r, node: node, meta: meta, loop: loop, staging: node.Local}
+	if w.staging == nil {
+		w.staging = node.Shared
+		w.prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
+	}
+	w.submit = w.emit
+
+	if meta.Serve {
+		err = w.serveStream()
+	} else {
+		err = w.oneShot()
+	}
+	if err != nil {
+		return err
+	}
+	r.SetPhase(simtime.PhaseOther)
+	r.Barrier()
+	return nil
+}
+
+// oneShot is the worker's driver for a one-shot run: search greedily
+// assigned fragments until released, fold the tree (tree protocol), serve
+// fetches.
+func (w *worker) oneShot() error {
+	r, meta := w.r, w.meta
 	wq, err := engine.DecodeWireQueries(meta.Queries)
 	if err != nil {
 		return err
 	}
-	queries := wq.Unpack()
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	ctx := searcher.NewContext()
-
-	// Local staging target: node-local disk, or shared scratch when the
-	// platform has none (the paper's Altix configuration).
-	staging := node.Local
-	prefix := ""
-	if staging == nil {
-		staging = node.Shared
-		prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
-	}
-
-	// hits maps (query, OID) to the subject residues the master may fetch.
-	hits := make(map[fetchKey][]byte)
+	w.begin(wq.Unpack())
+	var alive []int
 	searchedAny := false
 	for {
 		// Waiting for an assignment is startup time before the first
@@ -594,7 +375,13 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 		}
 		r.Send(0, tagWorkReq, nil)
 		data, _, _ := r.Recv(0, tagAssign)
-		fragID, err := engine.DecodeInt(data)
+		var fragID int
+		if meta.Tree {
+			// The tree protocol's release also carries the survivor list.
+			fragID, alive, err = decodeTreeAssign(data)
+		} else {
+			fragID, err = engine.DecodeInt(data)
+		}
 		if err != nil {
 			return err
 		}
@@ -602,64 +389,173 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 			break
 		}
 		searchedAny = true
-		base := meta.FragBases[fragID]
-
-		// Copy stage: shared FS → local staging, file by file.
-		r.SetPhase(simtime.PhaseCopy)
-		for _, path := range formatdb.FragmentFiles(base) {
-			src, err := mpiio.Open(r, node.Shared, path)
-			if err != nil {
-				return err
-			}
-			content := src.ReadAt(0, src.Size())
-			dst := mpiio.OpenOrCreate(r, staging, prefix+path)
-			dst.WriteAt(content, 0)
-		}
-
-		// Search stage. The fragment is imported from the staged copy;
-		// NCBI BLAST memory-maps the fragment files, so this I/O is
-		// embedded in search time (the paper observes exactly that).
-		r.SetPhase(simtime.PhaseSearch)
-		frag, err := loadFragment(r, staging, prefix+base)
+		frag, err := w.stageFragment(meta.FragBases[fragID])
 		if err != nil {
 			return err
 		}
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-			msg := resultsMsg{Query: qi, Fragment: fragID, Worker: r.ID(), Work: res.Work}
-			for _, hit := range res.Hits {
-				msg.Hits = append(msg.Hits, engine.PackHit(hit, nil))
-				hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
-			}
-			r.SetPhase(simtime.PhaseOutput)
-			r.Send(0, tagResults, msg.encode())
-			r.SetPhase(simtime.PhaseSearch)
-			r.Yield()
+		if err := w.search(fragID, frag); err != nil {
+			return err
 		}
 	}
+	if meta.Tree {
+		members := engine.TreeMembers(alive)
+		if err := w.fold(members); err != nil {
+			return err
+		}
+		marker := r.TreeBcast(0, meta.TreeFanout, members, nil)
+		if len(marker) != 1 || marker[0] == 0 {
+			return fmt.Errorf("mpiblast: merge aborted: a peer crashed during the hierarchical merge")
+		}
+	}
+	return w.serveFetches()
+}
 
-	// Fetch service: answer the master's per-hit data requests until
-	// released. All waiting here is result-processing (output) time.
+// serveStream is the worker's driver for a serving run. Warmup copies and
+// loads this worker's static share of the fragments ONCE — in the one-shot
+// baseline that cost is paid inside the timed run per assignment; here it
+// is amortized over the whole stream — and every batch then searches the
+// resident fragments with no copy and no load: the warm-cluster payoff.
+func (w *worker) serveStream() error {
+	r, meta := w.r, w.meta
+	workers := r.Size() - 1
+	mine := serveOwners(len(meta.FragBases), workers, r.ID())
+	// Membership is fixed (no faults in serve mode).
+	members := engine.TreeMembers(engine.WorkerRanks(workers))
+	resident := make([]*blast.Fragment, 0, len(mine))
+	for _, fragID := range mine {
+		frag, err := w.stageFragment(meta.FragBases[fragID])
+		if err != nil {
+			return err
+		}
+		resident = append(resident, frag)
+	}
+	for {
+		queries, ok, err := engine.NextBatch(r)
+		if err != nil || !ok {
+			return err
+		}
+		w.begin(queries)
+		for i, frag := range resident {
+			if err := w.search(mine[i], frag); err != nil {
+				return err
+			}
+		}
+		if meta.Tree {
+			if err := w.fold(members); err != nil {
+				return err
+			}
+		}
+		// Fetch service until this batch's release, then loop back to the
+		// next batch broadcast.
+		if err := w.serveFetches(); err != nil {
+			return err
+		}
+	}
+}
+
+// serveOwners is the static fragment ownership of the serving mode:
+// fragment f belongs to worker (f mod workers)+1.
+func serveOwners(nFrags, workers, worker int) []int {
+	var mine []int
+	for f := 0; f < nFrags; f++ {
+		if f%workers == worker-1 {
+			mine = append(mine, f)
+		}
+	}
+	return mine
+}
+
+// begin installs the query set and clears what the previous one produced.
+func (w *worker) begin(queries []*seq.Sequence) {
+	w.queries = queries
+	w.residues = make(map[fetchKey][]byte)
+	w.bundle = treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
+}
+
+// stageFragment is the copy stage plus the import: copy the fragment's
+// files from the shared FS to local staging, file by file, then read the
+// staged copy into memory. NCBI BLAST memory-maps the fragment files, so the
+// import I/O is embedded in search time (the paper observes exactly that).
+func (w *worker) stageFragment(base string) (*blast.Fragment, error) {
+	r := w.r
+	r.SetPhase(simtime.PhaseCopy)
+	for _, path := range formatdb.FragmentFiles(base) {
+		src, err := mpiio.Open(r, w.node.Shared, path)
+		if err != nil {
+			return nil, err
+		}
+		content := src.ReadAt(0, src.Size())
+		dst := mpiio.OpenOrCreate(r, w.staging, w.prefix+path)
+		dst.WriteAt(content, 0)
+	}
+	r.SetPhase(simtime.PhaseSearch)
+	return loadFragment(r, w.staging, w.prefix+base)
+}
+
+// search runs the current queries against one fragment through the shared
+// loop; emit routes each (query, fragment) result.
+func (w *worker) search(fragID int, frag *blast.Fragment) error {
+	w.fragID, w.frag = fragID, frag
+	return w.loop.Search(w.queries, frag, w.submit)
+}
+
+// emit keeps the residues the master may fetch for every hit, then either
+// adds the hits to the tree bundle or — the flat protocol — submits them to
+// the master at once.
+func (w *worker) emit(qi int, res *blast.QueryResult) {
+	r := w.r
+	for _, hit := range res.Hits {
+		w.residues[fetchKey{Query: qi, OID: hit.OID}] = w.frag.Subjects[engine.IndexByOID(w.frag, hit.OID)].Residues
+	}
+	if w.meta.Tree {
+		for _, hit := range res.Hits {
+			w.bundle.Hits[qi] = append(w.bundle.Hits[qi], treeHit{Worker: r.ID(), Hit: engine.PackHit(hit, nil)})
+		}
+		w.bundle.Work[qi].Add(res.Work)
+		return
+	}
+	msg := resultsMsg{Query: qi, Fragment: w.fragID, Worker: r.ID(), Work: res.Work}
+	for _, hit := range res.Hits {
+		msg.Hits = append(msg.Hits, engine.PackHit(hit, nil))
+	}
+	r.SetPhase(simtime.PhaseOutput)
+	r.Send(0, tagResults, msg.encode())
+	r.SetPhase(simtime.PhaseSearch)
+}
+
+// fold pre-merges the bundle locally (the "group" contribution: every query
+// capped to the global top-k before the payload enters the tree) and folds
+// it into the reduction.
+func (w *worker) fold(members []int) error {
+	r := w.r
+	r.SetPhase(simtime.PhaseOutput)
+	maxTargets := w.loop.MaxTargets()
+	for qi := range w.bundle.Hits {
+		w.bundle.Hits[qi] = sortCapTreeHits(w.bundle.Hits[qi], maxTargets)
+	}
+	var combErr error
+	if _, _, err := r.TreeReduce(0, w.meta.TreeFanout, members, w.bundle.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
+		return err
+	}
+	return combErr
+}
+
+// serveFetches is the fetch service: answer the master's per-hit data
+// requests until released. All waiting here is result-processing (output)
+// time.
+func (w *worker) serveFetches() error {
+	r := w.r
 	r.SetPhase(simtime.PhaseOutput)
 	for {
 		data, _, tag := r.Recv(0, mpi.AnyTag)
 		if tag == tagRelease {
-			break
+			return nil
 		}
 		key, err := decodeFetchKey(data)
 		if err != nil {
 			return err
 		}
-		residues, ok := hits[key]
+		residues, ok := w.residues[key]
 		if !ok {
 			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
 			return fmt.Errorf("mpiblast: worker %d asked for unknown hit %+v", r.ID(), key)
@@ -667,9 +563,6 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
 		r.Send(0, tagHitData, residues)
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
 }
 
 // loadFragment reads a staged fragment database into memory with charged
@@ -691,19 +584,4 @@ func loadFragment(r *mpi.Rank, fs *vfs.FS, base string) (*blast.Fragment, error)
 		return nil, err
 	}
 	return engine.FragmentFromRecords(recs), nil
-}
-
-// fragSubject returns the residues of the subject with the given OID.
-func fragSubject(frag *blast.Fragment, oid int) []byte {
-	base := frag.Subjects[0].OID
-	i := oid - base
-	if i >= 0 && i < len(frag.Subjects) && frag.Subjects[i].OID == oid {
-		return frag.Subjects[i].Residues
-	}
-	for k := range frag.Subjects {
-		if frag.Subjects[k].OID == oid {
-			return frag.Subjects[k].Residues
-		}
-	}
-	panic(fmt.Sprintf("mpiblast: OID %d not in fragment", oid))
 }

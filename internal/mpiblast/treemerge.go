@@ -16,11 +16,7 @@ import (
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
-	"parblast/internal/mpiio"
-	"parblast/internal/simtime"
-	"parblast/internal/vfs"
 )
 
 // treeHit is one worker-owned hit riding the reduction tree: the wire
@@ -145,13 +141,6 @@ func treeResultsCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []b
 	}
 }
 
-// treeMembers is the reduction-tree membership: master plus live workers.
-func treeMembers(alive []int) []int {
-	members := make([]int, 0, len(alive)+1)
-	members = append(members, 0)
-	return append(members, alive...)
-}
-
 // encodeTreeAssign packs a tree-mode assignment: the fragment id, or -1
 // for the release, which also carries the final survivor list so every
 // rank derives the identical tree membership for the merge.
@@ -173,376 +162,4 @@ func decodeTreeAssign(data []byte) (frag int, alive []int, err error) {
 		alive = append(alive, int(r.Int()))
 	}
 	return frag, alive, r.Err()
-}
-
-// runMasterTree is the tree-merge master: the greedy fragment assignment
-// protocol tracked by COMPLETION (a work request acknowledges the prior
-// fragment — results never travel during search), one sweep release
-// carrying the survivor membership, the tree reduction, and then the flat
-// baseline's render/fetch/write output stage over the merged selection.
-func runMasterTree(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts Options, ft bool, ftTimeout float64, qlat []float64) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
-	admit := r.Clock().Now()
-
-	workers := r.Size() - 1
-	nFrags := len(meta.FragBases)
-	nQueries := len(job.Queries)
-
-	r.SetPhase(simtime.PhaseIdle)
-	fragQueue := make([]int, 0, nFrags)
-	for f := 0; f < nFrags; f++ {
-		fragQueue = append(fragQueue, f)
-	}
-	alive := make([]int, 0, workers)
-	current := make([]int, workers+1) // fragment in flight per worker (-1 none)
-	doneBy := make([][]int, workers+1)
-	for w := 1; w <= workers; w++ {
-		alive = append(alive, w)
-		current[w] = -1
-	}
-	var parked []int // idle requesters awaiting the sweep release
-
-	assign := func(w int) bool {
-		if len(fragQueue) == 0 {
-			return false
-		}
-		f := fragQueue[0]
-		fragQueue = fragQueue[1:]
-		current[w] = f
-		r.Send(w, tagAssign, encodeTreeAssign(f, nil))
-		return true
-	}
-	complete := func() bool {
-		if len(fragQueue) > 0 {
-			return false
-		}
-		for _, w := range alive {
-			if current[w] >= 0 {
-				return false
-			}
-		}
-		return true
-	}
-	// purgeDead reclaims every fragment a crashed worker completed or had
-	// in flight: its results only ever existed in its memory, so the whole
-	// set must be re-searched (the baseline's expensive recovery, same as
-	// the flat path).
-	purgeDead := func() {
-		live := alive[:0]
-		for _, w := range alive {
-			if !r.Failed(w) {
-				live = append(live, w)
-				continue
-			}
-			lost := append([]int(nil), doneBy[w]...)
-			if current[w] >= 0 {
-				lost = append(lost, current[w])
-			}
-			fragQueue = append(fragQueue, lost...)
-			r.Metrics().Counter("engine.frags_requeued", r.ID()).Add(int64(len(lost)))
-			doneBy[w] = nil
-			current[w] = -1
-		}
-		alive = live
-		keep := parked[:0]
-		for _, w := range parked {
-			if r.Failed(w) {
-				continue
-			}
-			if assign(w) {
-				continue
-			}
-			keep = append(keep, w)
-		}
-		parked = keep
-	}
-
-	for !(complete() && len(parked) == len(alive)) {
-		var data []byte
-		var from, tag int
-		if ft {
-			var err error
-			data, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, ftTimeout)
-			if err != nil {
-				purgeDead()
-				if len(alive) == 0 {
-					return fmt.Errorf("mpiblast: all workers failed; cannot recover")
-				}
-				continue
-			}
-			if r.Failed(from) {
-				continue // stale request from a crashed worker
-			}
-		} else {
-			data, from, tag = r.Recv(mpi.AnySource, mpi.AnyTag)
-		}
-		_ = data
-		if tag != tagWorkReq {
-			return fmt.Errorf("mpiblast: tree master got unexpected tag %d from %d", tag, from)
-		}
-		if cur := current[from]; cur >= 0 {
-			doneBy[from] = append(doneBy[from], cur)
-			current[from] = -1
-		}
-		if assign(from) {
-			continue
-		}
-		parked = append(parked, from)
-	}
-	// Sweep release: everyone learns the final membership at once.
-	for _, w := range alive {
-		r.Send(w, tagAssign, encodeTreeAssign(-1, alive))
-	}
-
-	// Hierarchical merge: the master contributes an identity bundle and
-	// folds the tree; the result is already the per-query selection.
-	r.SetPhase(simtime.PhaseOutput)
-	searcher, err := blast.NewSearcher(job.Options)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	members := treeMembers(alive)
-	identity := treeResults{Work: make([]blast.WorkCounters, nQueries), Hits: make([][]treeHit, nQueries)}
-	var combErr error
-	combined, contributors, err := r.TreeReduce(0, meta.TreeFanout, members, identity.encode(), treeResultsCombiner(r, maxTargets, &combErr))
-	if err != nil {
-		return err
-	}
-	if combErr != nil {
-		return combErr
-	}
-	if len(contributors) != len(members) {
-		// A member died mid-merge; its results are unrecoverable. Stand
-		// the survivors down, then fail cleanly — the same output-phase
-		// contract as the flat path.
-		r.TreeBcast(0, meta.TreeFanout, members, []byte{0})
-		return fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
-	}
-	r.TreeBcast(0, meta.TreeFanout, members, []byte{1})
-	res, err := decodeTreeResults(combined)
-	if err != nil {
-		return err
-	}
-	if len(res.Hits) != nQueries {
-		return fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), nQueries)
-	}
-
-	// Output stage: identical to the flat baseline, including the serial
-	// per-hit residue fetch — only the merge feeding it changed.
-	type masterHit struct {
-		res    *blast.SubjectResult
-		worker int
-	}
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-	fetchRecv := func(w int) ([]byte, error) {
-		if !ft {
-			residues, _, _ := r.Recv(w, tagHitData)
-			return residues, nil
-		}
-		for {
-			residues, _, _, err := r.RecvTimeout(w, tagHitData, ftTimeout)
-			if err == nil {
-				return residues, nil
-			}
-			if r.Failed(w) {
-				return nil, fmt.Errorf("mpiblast: worker %d crashed during the output phase; recovery only covers the search phase", w)
-			}
-		}
-	}
-	var off int64
-	for qi, q := range job.Queries {
-		// One query at a time through the output loop: stamp it as the
-		// trace context so its fetch round-trips carry it.
-		r.SetTraceBatch(qi)
-		byOID := make(map[int]masterHit, len(res.Hits[qi]))
-		metas := make([]engine.HitMeta, 0, len(res.Hits[qi]))
-		for _, th := range res.Hits[qi] {
-			sr, _ := th.Hit.Unpack()
-			byOID[sr.OID] = masterHit{res: sr, worker: th.Worker}
-			metas = append(metas, engine.MetaFromResult(th.Worker, sr, 0))
-		}
-		merged := engine.MergeHits(metas, maxTargets)
-
-		outFormat := job.Options.OutFormat
-		var text []byte
-		text = append(text, blast.RenderHeader(outFormat, meta.Kind, q, dbInfo)...)
-		text = append(text, blast.RenderSummary(outFormat, engine.SummaryResults(merged))...)
-		window := opts.FetchWindow
-		if window < 1 {
-			window = 1
-		}
-		sent := 0
-		for done := 0; done < len(merged); done++ {
-			for sent < len(merged) && sent-done < window {
-				h := merged[sent]
-				r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
-				sent++
-			}
-			h := merged[done]
-			residues, err := fetchRecv(h.Worker)
-			if err != nil {
-				return err
-			}
-			mh := byOID[h.OID]
-			block := blast.RenderHit(outFormat, q, residues, mh.res, job.Options.Matrix)
-			r.FormatCost(int64(len(block)))
-			r.Advance(r.Cost().FetchItemCost)
-			text = append(text, block...)
-		}
-		space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-		text = append(text, blast.RenderFooter(outFormat, searcher.GappedParams(), space, res.Work[qi])...)
-		r.FormatCost(int64(len(text)) / 8)
-		out.WriteAt(text, off)
-		off += int64(len(text))
-		// The query's merged report is on disk: its end-to-end latency is
-		// settled on the master's clock.
-		lat := r.Clock().Now() - admit
-		qlat[qi] = lat
-		engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
-	}
-	for _, w := range alive {
-		r.Send(w, tagRelease, nil)
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
-}
-
-// runWorkerTree is the tree-merge worker: the copy/search loop holds all
-// results locally, pre-merges them to the per-query top-k, folds them
-// into the reduction tree, and then serves the master's residue fetches
-// exactly as the flat worker does.
-func runWorkerTree(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	var meta jobMeta
-	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
-		return err
-	}
-	wq, err := engine.DecodeWireQueries(meta.Queries)
-	if err != nil {
-		return err
-	}
-	queries := wq.Unpack()
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
-
-	staging := node.Local
-	prefix := ""
-	if staging == nil {
-		staging = node.Shared
-		prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
-	}
-
-	// Results accumulate locally: per-query hit lists for the tree bundle
-	// plus the residues the master may fetch after the merge.
-	hits := make(map[fetchKey][]byte)
-	mine := treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
-	var aliveWorkers []int
-	searchedAny := false
-	for {
-		if searchedAny {
-			r.SetPhase(simtime.PhaseOutput)
-		} else {
-			r.SetPhase(simtime.PhaseOther)
-		}
-		r.Send(0, tagWorkReq, nil)
-		data, _, _ := r.Recv(0, tagAssign)
-		fragID, alive, err := decodeTreeAssign(data)
-		if err != nil {
-			return err
-		}
-		if fragID < 0 {
-			aliveWorkers = alive
-			break
-		}
-		searchedAny = true
-		base := meta.FragBases[fragID]
-
-		r.SetPhase(simtime.PhaseCopy)
-		for _, path := range formatdb.FragmentFiles(base) {
-			src, err := mpiio.Open(r, node.Shared, path)
-			if err != nil {
-				return err
-			}
-			content := src.ReadAt(0, src.Size())
-			dst := mpiio.OpenOrCreate(r, staging, prefix+path)
-			dst.WriteAt(content, 0)
-		}
-
-		r.SetPhase(simtime.PhaseSearch)
-		frag, err := loadFragment(r, staging, prefix+base)
-		if err != nil {
-			return err
-		}
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-			for _, hit := range res.Hits {
-				mine.Hits[qi] = append(mine.Hits[qi], treeHit{Worker: r.ID(), Hit: engine.PackHit(hit, nil)})
-				hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
-			}
-			mine.Work[qi].Add(res.Work)
-			r.Yield()
-		}
-	}
-
-	// Local pre-merge (the "group" contribution): cap every query to the
-	// global top-k before the payload enters the tree.
-	r.SetPhase(simtime.PhaseOutput)
-	for qi := range mine.Hits {
-		mine.Hits[qi] = sortCapTreeHits(mine.Hits[qi], maxTargets)
-	}
-	members := treeMembers(aliveWorkers)
-	var combErr error
-	if _, _, err := r.TreeReduce(0, meta.TreeFanout, members, mine.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
-		return err
-	}
-	if combErr != nil {
-		return combErr
-	}
-	marker := r.TreeBcast(0, meta.TreeFanout, members, nil)
-	if len(marker) != 1 || marker[0] == 0 {
-		return fmt.Errorf("mpiblast: merge aborted: a peer crashed during the hierarchical merge")
-	}
-
-	// Fetch service: unchanged from the flat baseline.
-	for {
-		data, _, tag := r.Recv(0, mpi.AnyTag)
-		if tag == tagRelease {
-			break
-		}
-		key, err := decodeFetchKey(data)
-		if err != nil {
-			return err
-		}
-		residues, ok := hits[key]
-		if !ok {
-			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
-			return fmt.Errorf("mpiblast: worker %d asked for unknown hit %+v", r.ID(), key)
-		}
-		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
-		r.Send(0, tagHitData, residues)
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
 }
