@@ -469,7 +469,9 @@ func serveOwners(nFrags, workers, worker int) []int {
 func (w *worker) begin(queries []*seq.Sequence) {
 	w.queries = queries
 	w.residues = make(map[fetchKey][]byte)
-	w.bundle = treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
+	if w.meta.Tree {
+		w.bundle = treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
+	}
 }
 
 // stageFragment is the copy stage plus the import: copy the fragment's

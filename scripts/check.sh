@@ -25,6 +25,11 @@ fi
 go build ./...
 go vet ./...
 
+# The benchmark is a nested module (bench/go.mod, replaced onto ../), so
+# `./...` above does not see it: without this step a rename in
+# internal/engine breaks it only when the benchmark pipeline next runs.
+(cd bench && go vet ./... && go test ./...)
+
 # Invariant lint gate: the analyzers in internal/lint enforce the
 # determinism contract (no wall clock, seeded randomness, no map-order
 # leaks, matched MPI tags, clock-neutral telemetry). Fresh findings —
