@@ -63,16 +63,19 @@ func BenchmarkSearchFragment4Threads(b *testing.B) { benchSearchFragment(b, 4) }
 
 func BenchmarkBuildIndexProtein(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	query := randomProtein(rng, 300)
-	opts := DefaultProteinOptions()
+	query := &seq.Sequence{ID: "bench-query", Residues: randomProtein(rng, 300), Alpha: seq.AlphabetFor(seq.Protein)}
+	s, err := NewSearcher(DefaultProteinOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx, err := buildIndex(query, &opts)
+		p, err := s.Prepare(query)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if idx.neighbors == 0 {
+		if p.work.IndexWords == 0 {
 			b.Fatal("empty index")
 		}
 	}

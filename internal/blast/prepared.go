@@ -1,0 +1,141 @@
+package blast
+
+import (
+	"fmt"
+	"sync"
+
+	"parblast/internal/seq"
+)
+
+// PreparedQuery is the immutable part of a loaded query: everything that
+// depends only on the query's residues and the searcher's options, and so
+// can be built once and read by any number of Contexts at the same time.
+// The sequence itself (its ID) and all search scratch stay in the Context.
+type PreparedQuery struct {
+	seeding []byte     // residues the index was built from, low-complexity masked
+	idx     *wordIndex // read-only after Prepare
+	// work is what the build cost. SearchFragment adds it to every result:
+	// the modelled worker rebuilds the index for each (fragment, query) it
+	// searches, however often the host really did.
+	work WorkCounters
+}
+
+// Prepare builds the word lookup table for the query. It is the one build
+// path: Context.SetQuery and QueryBank.Get both end here.
+func (s *Searcher) Prepare(q *seq.Sequence) (*PreparedQuery, error) {
+	if err := s.checkAlphabet(q); err != nil {
+		return nil, err
+	}
+	seeding := q.Residues
+	if s.opts.FilterLowComplexity {
+		seeding, _ = MaskForSeeding(q.Residues, q.Alpha, DefaultFilterParams(q.Alpha.Kind()))
+	}
+	idx, err := buildIndex(seeding, &s.opts)
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedQuery{
+		seeding: seeding,
+		idx:     idx,
+		work:    WorkCounters{ResiduesScanned: int64(q.Len()), IndexWords: idx.neighbors},
+	}, nil
+}
+
+func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
+	if q.Alpha != s.opts.Matrix.Alphabet() {
+		return fmt.Errorf("blast: query %q alphabet %s does not match matrix %s",
+			q.ID, q.Alpha.Kind(), s.opts.Matrix.Name())
+	}
+	return nil
+}
+
+// QueryBank is one job's set of prepared queries, shared by every rank
+// goroutine of the run so that each distinct query is indexed once per job
+// instead of once per rank × fragment × query. Entries are keyed by residue
+// content, not by *seq.Sequence or ID: every rank decodes its own copies of
+// the broadcast queries, and two queries with equal residues share one index
+// while each context reports its own ID. Entries build lazily on first
+// request. A bank is safe for concurrent use and is never reused across
+// jobs.
+type QueryBank struct {
+	s *Searcher
+
+	mu      sync.Mutex
+	entries map[string]*bankEntry
+	stats   BankStats
+}
+
+type bankEntry struct {
+	once  sync.Once
+	build func() // bound at insertion, so a hit allocates nothing
+	p     *PreparedQuery
+	err   error
+}
+
+// BankStats is a bank's host-side accounting. Which goroutine happened to
+// build an entry is a scheduling artifact, so there is no per-rank split.
+type BankStats struct {
+	Builds      int64 // indexes built
+	Reuses      int64 // requests served from an existing entry
+	Entries     int   // entries held now
+	PeakEntries int   // most entries held at once
+}
+
+// NewQueryBank creates the empty bank of one job searching with opts.
+func NewQueryBank(opts Options) (*QueryBank, error) {
+	s, err := NewSearcher(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryBank{s: s, entries: make(map[string]*bankEntry)}, nil
+}
+
+// Searcher returns the searcher the bank prepares with; contexts that load
+// the bank's entries must come from it.
+func (b *QueryBank) Searcher() *Searcher { return b.s }
+
+// Get returns the prepared form of q, building it if no entry with q's
+// residues exists. Concurrent requests for one entry wait for a single
+// build.
+func (b *QueryBank) Get(q *seq.Sequence) (*PreparedQuery, error) {
+	// Residue codes mean nothing without their alphabet; reject a foreign
+	// one before it can claim the key of a legitimate query.
+	if err := b.s.checkAlphabet(q); err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	e, hit := b.entries[string(q.Residues)]
+	if hit {
+		b.stats.Reuses++
+	} else {
+		e = &bankEntry{}
+		e.build = func() { e.p, e.err = b.s.Prepare(q) }
+		b.entries[string(q.Residues)] = e
+		b.stats.Builds++
+		b.stats.PeakEntries = max(b.stats.PeakEntries, len(b.entries))
+	}
+	b.mu.Unlock()
+	e.once.Do(e.build)
+	return e.p, e.err
+}
+
+// Release drops the entries for the given queries: a serving run calls it
+// once a batch is settled, which bounds the bank by the batch rather than
+// the stream. Contexts still holding a released index keep it alive until
+// they load their next query; a later Get for the same residues rebuilds.
+func (b *QueryBank) Release(queries []*seq.Sequence) {
+	b.mu.Lock()
+	for _, q := range queries {
+		delete(b.entries, string(q.Residues))
+	}
+	b.mu.Unlock()
+}
+
+// Stats returns the bank's accounting so far.
+func (b *QueryBank) Stats() BankStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.stats
+	st.Entries = len(b.entries)
+	return st
+}

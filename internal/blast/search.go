@@ -56,14 +56,18 @@ func (s *Searcher) Options() Options { return s.opts }
 // GappedParams exposes the statistics used for final scores.
 func (s *Searcher) GappedParams() stats.Params { return s.gp }
 
-// Context carries the per-query word index and reusable scratch buffers.
-// A Context belongs to one goroutine; SearchFragment may internally fan
-// subjects out to clone Contexts (one per worker goroutine), which it owns
-// and reuses across calls.
+// Context carries the loaded query and reusable scratch buffers. The query's
+// word index is not the context's own: it lives in the shared, immutable
+// PreparedQuery the context points at. A Context belongs to one goroutine;
+// SearchFragment may internally fan subjects out to clone Contexts (one per
+// worker goroutine), which it owns and reuses across calls.
 type Context struct {
-	s     *Searcher
+	s *Searcher
+	// query is this context's own sequence — the ID results are reported
+	// under and the unmasked residues extensions run over; prep is the
+	// index built from residues equal to its.
 	query *seq.Sequence
-	idx   *wordIndex
+	prep  *PreparedQuery
 
 	// Diagonal bookkeeping, epoch-stamped so it needs no clearing between
 	// subjects. Index: (sPos - qPos) + queryLen.
@@ -80,9 +84,6 @@ type Context struct {
 	// clones are the worker contexts of the intra-rank search pool, created
 	// lazily and reused across SearchFragment calls.
 	clones []*Context
-
-	// buildWork tallies index construction, charged once per query.
-	buildWork WorkCounters
 }
 
 // hspBox is the query/subject bounding box of an already-found gapped HSP,
@@ -94,25 +95,43 @@ func (s *Searcher) NewContext() *Context {
 	return &Context{s: s}
 }
 
-// SetQuery builds the word lookup table for the query. It must be called
-// before SearchFragment and may be called repeatedly to reuse the context.
+// SetQuery prepares the query (see Searcher.Prepare) and loads it. One of
+// SetQuery and UsePrepared must succeed before SearchFragment; both may be
+// called repeatedly to reuse the context. On error the context is left with
+// no query loaded.
 func (c *Context) SetQuery(q *seq.Sequence) error {
-	if q.Alpha != c.s.opts.Matrix.Alphabet() {
-		return fmt.Errorf("blast: query %q alphabet %s does not match matrix %s",
-			q.ID, q.Alpha.Kind(), c.s.opts.Matrix.Name())
-	}
-	seeding := q.Residues
-	if c.s.opts.FilterLowComplexity {
-		seeding, _ = MaskForSeeding(q.Residues, q.Alpha, DefaultFilterParams(q.Alpha.Kind()))
-	}
-	idx, err := buildIndex(seeding, &c.s.opts)
+	c.unload()
+	p, err := c.s.Prepare(q)
 	if err != nil {
 		return err
 	}
-	c.query = q
-	c.idx = idx
-	c.buildWork = WorkCounters{ResiduesScanned: int64(q.Len()), IndexWords: idx.neighbors}
+	return c.UsePrepared(q, p)
+}
+
+// UsePrepared loads q with an index prepared earlier — by this searcher,
+// from a sequence with the same residues (a QueryBank guarantees both).
+// Results are reported under q's own ID. On error the context is left with
+// no query loaded.
+func (c *Context) UsePrepared(q *seq.Sequence, p *PreparedQuery) error {
+	c.unload()
+	if err := c.s.checkAlphabet(q); err != nil {
+		return err
+	}
+	if len(p.seeding) != q.Len() {
+		return fmt.Errorf("blast: query %q has %d residues, its prepared index %d", q.ID, q.Len(), len(p.seeding))
+	}
+	c.query, c.prep = q, p
 	return nil
+}
+
+// unload drops the loaded query. The pool clones let go of it here too,
+// rather than keeping the last query's index reachable after its bank has
+// released it.
+func (c *Context) unload() {
+	c.query, c.prep = nil, nil
+	for _, cl := range c.clones {
+		cl.query, cl.prep = nil, nil
+	}
 }
 
 // Query returns the query currently loaded in the context.
@@ -165,7 +184,7 @@ func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*Quer
 		return nil, fmt.Errorf("blast: SearchFragment before SetQuery")
 	}
 	res := &QueryResult{QueryID: c.query.ID}
-	res.Work.Add(c.buildWork)
+	res.Work.Add(c.prep.work)
 	cutoffRaw := c.s.gp.ScoreForEValue(c.s.opts.EValue, space)
 
 	if nw := c.searchThreads(len(frag.Subjects)); nw > 1 {
@@ -224,7 +243,7 @@ func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.Sear
 	workers[0] = c
 	for i := 1; i < nw; i++ {
 		cl := c.clones[i-1]
-		cl.query, cl.idx = c.query, c.idx
+		cl.query, cl.prep = c.query, c.prep
 		workers[i] = cl
 	}
 
@@ -262,6 +281,7 @@ func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.Sear
 // searchSubject scans one subject for seeds and extends them.
 func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) []*HSP {
 	query := c.query.Residues
+	idx := c.prep.idx
 	w := c.s.opts.WordSize
 	if len(subj) < w || len(query) < w {
 		work.ResiduesScanned += int64(len(subj))
@@ -330,9 +350,9 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 		}
 	}
 
-	if c.idx.dense {
-		strict := c.idx.strict
-		offsets, positions := c.idx.offsets, c.idx.positions
+	if idx.dense {
+		strict := idx.strict
+		offsets, positions := idx.offsets, idx.positions
 		// Rolling dense word ID over strict residues.
 		valid := 0
 		id := 0
@@ -357,7 +377,7 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 			}
 		}
 	} else {
-		strict := uint64(c.idx.strict)
+		strict := uint64(idx.strict)
 		mod := uint64(1)
 		for i := 0; i < w; i++ {
 			mod *= strict
@@ -366,7 +386,7 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 		var id uint64
 		for j := 0; j < len(subj); j++ {
 			cdb := subj[j]
-			if int(cdb) >= c.idx.strict {
+			if int(cdb) >= idx.strict {
 				valid, id = 0, 0
 				continue
 			}
@@ -376,7 +396,7 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 				continue
 			}
 			start := j - w + 1
-			for _, qPos := range c.idx.lookupSparse(id) {
+			for _, qPos := range idx.lookupSparse(id) {
 				handleHit(int(qPos), start)
 			}
 		}

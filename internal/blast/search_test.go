@@ -322,12 +322,42 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestSearchQueryAlphabetMismatch: a query the searcher cannot take is
+// rejected, and a load that fails must not leave the previous query loaded —
+// a caller that dropped the error would otherwise silently search the old
+// query and report it under the old ID.
 func TestSearchQueryAlphabetMismatch(t *testing.T) {
 	s, _ := NewSearcher(DefaultProteinOptions())
-	ctx := s.NewContext()
-	q := &seq.Sequence{ID: "d", Residues: []byte{0, 1, 2, 3}, Alpha: seq.DNAAlphabet}
-	if err := ctx.SetQuery(q); err == nil {
-		t.Fatal("DNA query accepted by protein searcher")
+	good := proteinSeq("good", randomProtein(rand.New(rand.NewSource(3)), 60))
+	prepared, err := s.Prepare(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dna := &seq.Sequence{ID: "d", Residues: []byte{0, 1, 2, 3}, Alpha: seq.DNAAlphabet}
+	cases := []struct {
+		name string
+		load func(*Context) error
+	}{
+		{"SetQuery alphabet mismatch", func(c *Context) error { return c.SetQuery(dna) }},
+		{"UsePrepared alphabet mismatch", func(c *Context) error { return c.UsePrepared(dna, prepared) }},
+		{"UsePrepared index of another length", func(c *Context) error {
+			return c.UsePrepared(proteinSeq("short", good.Residues[:30]), prepared)
+		}},
+	}
+	for _, tc := range cases {
+		ctx := s.NewContext()
+		if err := ctx.SetQuery(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.load(ctx); err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if q := ctx.Query(); q != nil {
+			t.Errorf("%s: query %q still loaded after the failed load", tc.name, q.ID)
+		}
+		if _, err := ctx.SearchFragment(&Fragment{}, stats.SearchSpace{}); err == nil {
+			t.Errorf("%s: SearchFragment ran after the failed load", tc.name)
+		}
 	}
 }
 

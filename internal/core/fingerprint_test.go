@@ -78,9 +78,13 @@ var fpPhases = []string{
 
 // fpSkippedSeries are left out of the fingerprint: the merged baseline
 // output stage records the master's final selection exactly where a merge
-// cost is charged, which moves these two series (and nothing else) on the
-// mpiBLAST tree paths.
-var fpSkippedSeries = map[string]bool{"blast.hsps_kept": true, "blast.hsps_dropped": true}
+// cost is charged, which moves the two hsps series (and nothing else) on the
+// mpiBLAST tree paths; the two index series count what the host's query bank
+// built and reused, which describes the simulator, not the modelled cluster.
+var fpSkippedSeries = map[string]bool{
+	"blast.hsps_kept": true, "blast.hsps_dropped": true,
+	"blast.index_builds": true, "blast.index_reuses": true,
+}
 
 // fpCluster is fixture.newCluster with the registry attached to every file
 // system, so vfs and mpiio counters land in the fingerprint too.

@@ -491,17 +491,21 @@ func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts 
 // the broadcast.
 func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tuner *mpiio.Tuner, meta jobMeta, indexBytes int64, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
 	var stats engine.ServeStats
+	bank, err := blast.NewQueryBank(job.Options)
+	if err != nil {
+		return engine.RunResult{}, stats, err
+	}
 	qlat := make([]float64, 0, len(job.Queries))
 	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
 		if r.ID() != 0 {
-			return runWorker(r, nodes[r.ID()], job.Options, tuner)
+			return runWorker(r, nodes[r.ID()], job.Options, bank, tuner)
 		}
 		mb, err := bootMaster(r, nodes[0], job, meta, indexBytes, tuner)
 		if err != nil {
 			return err
 		}
 		if stream != nil {
-			err = mb.serveStream(stream, &stats, &qlat)
+			err = mb.serveStream(stream, bank, &stats, &qlat)
 		} else {
 			err = mb.oneShot(job.Queries, &qlat)
 		}
@@ -512,6 +516,7 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tune
 		r.Barrier()
 		return nil
 	})
+	engine.RecordIndexSharing(cfg.Metrics, bank.Stats())
 	return res, stats, err
 }
 
@@ -972,20 +977,17 @@ type worker struct {
 // worker has its queries up front and searches each fragment the moment it
 // is retained; a serving worker only retains, and searches everything
 // resident once per stream batch.
-func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tuner) error {
+func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.QueryBank, tuner *mpiio.Tuner) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
 	var meta jobMeta
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
-	loop, err := engine.NewSearchLoop(r, opts, meta.TotalLen, meta.NumSeqs)
-	if err != nil {
-		return err
-	}
 	workers := r.Size() - 1
 	w := &worker{
-		r: r, meta: meta, opts: opts, loop: loop,
+		r: r, meta: meta, opts: opts,
+		loop:  engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
 		files: newFileCache(r, node.Shared, meta.IOHints, tuner),
 		byOID: make(map[int]int),
 		alive: engine.WorkerRanks(workers),
@@ -1026,6 +1028,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 	if err := w.out.SetHints(meta.IOHints); err != nil {
 		return err
 	}
+	var err error
 	if meta.Serve {
 		err = w.serveStream()
 	} else {
@@ -1043,6 +1046,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 // work on, with empty hit lists.
 func (w *worker) begin(queries []*seq.Sequence) {
 	w.queries = queries
+	w.loop.Begin(queries)
 	w.hits = make([][]*blast.SubjectResult, len(queries))
 	w.work = make([]blast.WorkCounters, len(queries))
 }
@@ -1072,7 +1076,7 @@ func (w *worker) retainAndSearch(frag *blast.Fragment) error {
 // appending hits and work.
 func (w *worker) searchFrags(from int) error {
 	for _, frag := range w.resident[from:] {
-		if err := w.loop.Search(w.queries, frag, w.collect); err != nil {
+		if err := w.loop.Search(frag, w.collect); err != nil {
 			return err
 		}
 	}

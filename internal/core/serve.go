@@ -1,6 +1,7 @@
 package core
 
 import (
+	"parblast/internal/blast"
 	"parblast/internal/engine"
 	"parblast/internal/mpi"
 	"parblast/internal/vfs"
@@ -53,8 +54,8 @@ func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts 
 // serveStream is the master's batch driver for a serving run: one merge per
 // admitted stream batch, each query's latency counted from the batch's
 // arrival.
-func (mb *masterBatch) serveStream(stream *engine.Stream, stats *engine.ServeStats, qlat *[]float64) error {
-	return engine.ServeStream(mb.r, stream, stats, func(b workload.Batch, arrival float64) error {
+func (mb *masterBatch) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats *engine.ServeStats, qlat *[]float64) error {
+	return engine.ServeStream(mb.r, stream, bank, stats, func(b workload.Batch, arrival float64) error {
 		if mb.meta.FT {
 			// Per-batch rendezvous: detect crashes since the last batch,
 			// re-issue the dead workers' partitions, and wait until the

@@ -22,6 +22,20 @@ func RecordWork(reg *metrics.Registry, rank int, w blast.WorkCounters) {
 	reg.Counter("blast.index_words", rank).Add(w.IndexWords)
 }
 
+// RecordIndexSharing books a finished job's query-bank totals: how many word
+// indexes the host really built and how many requests reused one. These
+// describe the simulator, not the modelled cluster — the virtual cost of
+// indexing is blast.index_words, charged per (rank, fragment, query) — so
+// they are booked once, after the run, under rank 0: which rank's goroutine
+// happened to build an entry is a host scheduling artifact.
+func RecordIndexSharing(reg *metrics.Registry, st blast.BankStats) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("blast.index_builds", 0).Add(st.Builds)
+	reg.Counter("blast.index_reuses", 0).Add(st.Reuses)
+}
+
 // RecordMerge counts the hits kept versus dropped by one MergeHits
 // selection — the blast-layer "HSPs kept/dropped" view of result merging.
 func RecordMerge(reg *metrics.Registry, rank, candidates, kept int) {

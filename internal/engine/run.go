@@ -8,6 +8,7 @@ import (
 	"parblast/internal/mpi"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
+	"parblast/internal/stats"
 	"parblast/internal/vfs"
 )
 
@@ -143,31 +144,46 @@ func TreeMembers(alive []int) []int {
 }
 
 // SearchLoop is a worker's search stage: the kernel, its scratch context,
-// and the database-global statistics every rank must agree on for E-values
-// to be comparable across fragments.
+// the job's shared query bank, and the database-global statistics every rank
+// must agree on for E-values to be comparable across fragments.
 type SearchLoop struct {
 	r          *mpi.Rank
-	searcher   *blast.Searcher
+	bank       *blast.QueryBank
 	ctx        *blast.Context
 	dbResidues int64
 	dbSeqs     int
+	// queries is the current query set; spaces[i] is queries[i]'s search
+	// space, which depends on the query and the database but not on the
+	// fragment, so Begin computes it once.
+	queries []*seq.Sequence
+	spaces  []stats.SearchSpace
 }
 
-// NewSearchLoop builds the kernel for one worker rank.
-func NewSearchLoop(r *mpi.Rank, opts blast.Options, dbResidues int64, dbSeqs int) (*SearchLoop, error) {
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &SearchLoop{r: r, searcher: searcher, ctx: searcher.NewContext(), dbResidues: dbResidues, dbSeqs: dbSeqs}, nil
+// NewSearchLoop builds the search stage of one worker rank over the job's
+// query bank, which every rank of the run shares host-side.
+func NewSearchLoop(r *mpi.Rank, bank *blast.QueryBank, dbResidues int64, dbSeqs int) *SearchLoop {
+	return &SearchLoop{r: r, bank: bank, ctx: bank.Searcher().NewContext(), dbResidues: dbResidues, dbSeqs: dbSeqs}
 }
 
 // MaxTargets is the per-query cap of the global selection rule.
-func (l *SearchLoop) MaxTargets() int { return l.searcher.Options().MaxTargetSeqs }
+func (l *SearchLoop) MaxTargets() int { return l.bank.Searcher().Options().MaxTargetSeqs }
 
-// Search runs every query against one fragment, in query order: index the
-// query, search, charge the kernel's work units to the rank's clock, book
-// the work counters, and hand the result to emit. The rank yields after
+// Begin installs the query set the following Search calls run: the job's
+// queries for a one-shot worker, the next batch's for a serving one.
+func (l *SearchLoop) Begin(queries []*seq.Sequence) {
+	l.queries = queries
+	l.spaces = l.spaces[:0]
+	for _, q := range queries {
+		l.spaces = append(l.spaces, SearchSpaceFor(l.bank.Searcher(), q.Len(), l.dbResidues, l.dbSeqs))
+	}
+}
+
+// Search runs every query against one fragment, in query order: load the
+// query's index from the job's bank, search, charge the kernel's work units
+// to the rank's clock, book the work counters, and hand the result to emit.
+// Only the host shares the index. The result's work still includes the
+// build, so the modelled rank is charged for indexing the query at every
+// (fragment, query) step, as a real worker would be. The rank yields after
 // every (fragment, query) step so that ranks' storage accesses are issued
 // in virtual-time order (see mpi.Rank.Yield); emit runs before the yield,
 // still inside the step. Both engines' one-shot and serving workers search
@@ -175,15 +191,18 @@ func (l *SearchLoop) MaxTargets() int { return l.searcher.Options().MaxTargetSeq
 // counters — and so the report footers — identical. Pass emit as a func
 // value built once per worker: the loop itself allocates nothing per
 // (fragment, query).
-func (l *SearchLoop) Search(queries []*seq.Sequence, frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
+func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
 	r := l.r
 	r.SetPhase(simtime.PhaseSearch)
-	for qi, q := range queries {
-		if err := l.ctx.SetQuery(q); err != nil {
+	for qi, q := range l.queries {
+		p, err := l.bank.Get(q)
+		if err != nil {
 			return err
 		}
-		space := SearchSpaceFor(l.searcher, q.Len(), l.dbResidues, l.dbSeqs)
-		res, err := l.ctx.SearchFragment(frag, space)
+		if err := l.ctx.UsePrepared(q, p); err != nil {
+			return err
+		}
+		res, err := l.ctx.SearchFragment(frag, l.spaces[qi])
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"parblast/internal/blast"
 	"parblast/internal/mpi"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
@@ -162,10 +163,13 @@ type serveBatchMsg struct {
 // hand it to serve — the engine's per-batch merge and output, which gets
 // the batch's ARRIVAL as its latency baseline (never the dispatch, and never
 // reset by recovery: queueing delay and recovery cost both land in the
-// latency). When the stream is exhausted the sentinel broadcast releases
-// the workers; the closing barrier is the caller's. stats receives the
-// per-batch accounting and the shed set.
-func ServeStream(r *mpi.Rank, s *Stream, stats *ServeStats, serve func(b workload.Batch, arrival float64) error) error {
+// latency). Once serve returns the batch is settled — every worker has
+// searched it and its output is written — so its entries in the job's query
+// bank are released: the bank holds one batch, not the stream. When the
+// stream is exhausted the sentinel broadcast releases the workers; the
+// closing barrier is the caller's. stats receives the per-batch accounting
+// and the shed set.
+func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStats, serve func(b workload.Batch, arrival float64) error) error {
 	batches := s.Batches
 	arrivals := make([]float64, len(batches))
 	for i, b := range batches {
@@ -196,6 +200,7 @@ func ServeStream(r *mpi.Rank, s *Stream, stats *ServeStats, serve func(b workloa
 		if err := serve(b, arrival); err != nil {
 			return err
 		}
+		bank.Release(b.Queries)
 		stats.RecordDispatch(b.Seq, arrival, start, r.Clock().Now(), len(b.Queries))
 		r.Metrics().Counter("engine.batches_served", r.ID()).Inc()
 	}

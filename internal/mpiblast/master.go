@@ -409,7 +409,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 // the stream's running offset. The trace context stays the batch id (not
 // the per-query ordinal the one-shot drivers use), so the flow graph splits
 // by arrival batch.
-func (m *master) serveStream(stream *engine.Stream, stats *engine.ServeStats, qlat *[]float64) error {
+func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats *engine.ServeStats, qlat *[]float64) error {
 	r := m.r
 	nFrags := len(m.meta.FragBases)
 	if err := m.openOutput(); err != nil {
@@ -419,7 +419,7 @@ func (m *master) serveStream(stream *engine.Stream, stats *engine.ServeStats, ql
 	// no abort protocol.
 	workers := engine.WorkerRanks(r.Size() - 1)
 	members := engine.TreeMembers(workers)
-	return engine.ServeStream(r, stream, stats, func(b workload.Batch, arrival float64) error {
+	return engine.ServeStream(r, stream, bank, stats, func(b workload.Batch, arrival float64) error {
 		nQueries := len(b.Queries)
 		hits := make([][]masterHit, nQueries)
 		work := make([]blast.WorkCounters, nQueries)

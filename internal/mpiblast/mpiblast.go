@@ -258,10 +258,14 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 // worker, which takes its protocol from the broadcast.
 func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, meta jobMeta, boot engine.Boot, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
 	var stats engine.ServeStats
+	bank, err := blast.NewQueryBank(job.Options)
+	if err != nil {
+		return engine.RunResult{}, stats, err
+	}
 	qlat := make([]float64, 0, len(job.Queries))
 	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
 		if r.ID() != 0 {
-			return runWorker(r, nodes[r.ID()], job.Options)
+			return runWorker(r, nodes[r.ID()], bank)
 		}
 		r.SetPhase(simtime.PhaseOther)
 		r.Advance(r.Cost().SetupCost)
@@ -276,7 +280,7 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts
 		var err error
 		switch {
 		case stream != nil:
-			err = m.serveStream(stream, &stats, &qlat)
+			err = m.serveStream(stream, bank, &stats, &qlat)
 		case meta.Tree:
 			err = m.oneShotTree(&qlat)
 		default:
@@ -289,6 +293,7 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts
 		r.Barrier()
 		return nil
 	})
+	engine.RecordIndexSharing(cfg.Metrics, bank.Stats())
 	return res, stats, err
 }
 
@@ -301,7 +306,6 @@ type worker struct {
 	loop    *engine.SearchLoop
 	staging *vfs.FS // node-local disk, or shared scratch (under prefix)
 	prefix  string
-	queries []*seq.Sequence
 	// residues maps (query, OID) to the subject residues the master may
 	// fetch; bundle accumulates the tree protocol's per-query hit lists.
 	residues map[fetchKey][]byte
@@ -319,26 +323,26 @@ type worker struct {
 // folded up the reduction tree; otherwise streamed per (query, fragment)
 // during the search). Either way the worker then serves the master's
 // per-hit residue fetches until released.
-func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
+func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
 	var meta jobMeta
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
-	loop, err := engine.NewSearchLoop(r, opts, meta.TotalLen, meta.NumSeqs)
-	if err != nil {
-		return err
-	}
 	// Local staging target: node-local disk, or shared scratch when the
 	// platform has none (the paper's Altix configuration).
-	w := &worker{r: r, node: node, meta: meta, loop: loop, staging: node.Local}
+	w := &worker{
+		r: r, node: node, meta: meta, staging: node.Local,
+		loop: engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
+	}
 	if w.staging == nil {
 		w.staging = node.Shared
 		w.prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
 	}
 	w.submit = w.emit
 
+	var err error
 	if meta.Serve {
 		err = w.serveStream()
 	} else {
@@ -467,7 +471,7 @@ func serveOwners(nFrags, workers, worker int) []int {
 
 // begin installs the query set and clears what the previous one produced.
 func (w *worker) begin(queries []*seq.Sequence) {
-	w.queries = queries
+	w.loop.Begin(queries)
 	w.residues = make(map[fetchKey][]byte)
 	if w.meta.Tree {
 		w.bundle = treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
@@ -498,7 +502,7 @@ func (w *worker) stageFragment(base string) (*blast.Fragment, error) {
 // loop; emit routes each (query, fragment) result.
 func (w *worker) search(fragID int, frag *blast.Fragment) error {
 	w.fragID, w.frag = fragID, frag
-	return w.loop.Search(w.queries, frag, w.submit)
+	return w.loop.Search(frag, w.submit)
 }
 
 // emit keeps the residues the master may fetch for every hit, then either

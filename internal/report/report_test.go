@@ -70,6 +70,14 @@ func TestFiveLayerCoverage(t *testing.T) {
 			t.Errorf("no metrics from layer %q in the report", layer)
 		}
 	}
+	// The simulator's own cost shows too: how many word indexes the host
+	// built for the job — at most one per query — against how many of the
+	// (fragment, query) searches, one fragment per worker, reused one.
+	builds, reuses := r.Metrics.CounterTotal("blast.index_builds"), r.Metrics.CounterTotal("blast.index_reuses")
+	steps := int64(r.Info.Queries * (r.Info.Procs - 1))
+	if builds < 1 || builds > int64(r.Info.Queries) || builds+reuses != steps {
+		t.Errorf("report shows %d index builds and %d reuses for %d queries in %d searches", builds, reuses, r.Info.Queries, steps)
+	}
 	if len(r.Ranks) != 4 {
 		t.Fatalf("ranks = %d, want 4", len(r.Ranks))
 	}
