@@ -198,12 +198,6 @@ func (idx *wordIndex) buildDNA(query []byte) {
 	})
 }
 
-// lookupDense returns the query positions seeded by a protein word; empty
-// when none.
-func (idx *wordIndex) lookupDense(wordID int) []int32 {
-	return idx.positions[idx.offsets[wordID]:idx.offsets[wordID+1]]
-}
-
 // lookupSparse returns the query positions seeded by a DNA word; nil when
 // the word does not occur in the query.
 func (idx *wordIndex) lookupSparse(wordID uint64) []int32 {

@@ -44,6 +44,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -1705,19 +1706,13 @@ func readPartsCollective(r *mpi.Rank, files *fileCache, meta jobMeta, mine []int
 func exchangeThreshold(r *mpi.Rank, scores []int64, k int) int64 {
 	buf := make([]byte, 8*len(scores))
 	for i, s := range scores {
-		for b := 0; b < 8; b++ {
-			buf[8*i+b] = byte(uint64(s) >> (8 * b))
-		}
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(s))
 	}
 	all := r.AllGather(buf)
 	var flat []int64
 	for _, d := range all {
 		for i := 0; i+8 <= len(d); i += 8 {
-			var v uint64
-			for b := 0; b < 8; b++ {
-				v |= uint64(d[i+b]) << (8 * b)
-			}
-			flat = append(flat, int64(v))
+			flat = append(flat, int64(binary.LittleEndian.Uint64(d[i:])))
 		}
 	}
 	if len(flat) < k {

@@ -165,19 +165,6 @@ func Format(fs *vfs.FS, base string, seqs []*seq.Sequence, cfg Config) (*DB, err
 	return db, nil
 }
 
-// FormatFASTA parses a FASTA file stored in fs and formats it.
-func FormatFASTA(fs *vfs.FS, fastaFile, base string, cfg Config) (*DB, error) {
-	data, err := fs.ReadFile(fastaFile)
-	if err != nil {
-		return nil, err
-	}
-	seqs, err := fasta.Parse(data, seq.AlphabetFor(cfg.Kind))
-	if err != nil {
-		return nil, err
-	}
-	return Format(fs, base, seqs, cfg)
-}
-
 func writeVolume(fs *vfs.FS, vbase, title string, kind seq.Kind, seqs []*seq.Sequence, firstOID int) (*VolumeInfo, error) {
 	info := &VolumeInfo{Base: vbase, NumSeqs: len(seqs), FirstOID: firstOID}
 	var hdr, body bytes.Buffer

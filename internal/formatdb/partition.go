@@ -46,15 +46,6 @@ func (p *Part) Residues() int64 {
 	return n
 }
 
-// TotalReadBytes is the volume of file data a worker reads for the part.
-func (p *Part) TotalReadBytes() int64 {
-	var n int64
-	for _, e := range p.Extents {
-		n += e.HdrLen + e.SeqLen
-	}
-	return n
-}
-
 // Partition splits the database into n virtual fragments balanced by
 // residue count — pioBLAST's dynamic partitioning (§3.1). It never creates
 // more parts than sequences; the returned slice may therefore be shorter

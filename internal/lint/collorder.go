@@ -36,7 +36,7 @@ import (
 
 var CollOrderAnalyzer = &Analyzer{
 	Name: "collorder",
-	Doc: "mpi collectives (Barrier/Bcast/Gather/AllGather/ReduceMax/Tree*) must be reached " +
+	Doc: "mpi collectives (Barrier/Bcast/AllGather/Tree*) must be reached " +
 		"uniformly by all ranks: every rank-dependent branch must cover the same collective set",
 	Run: runCollOrder,
 }
@@ -45,15 +45,11 @@ var CollOrderAnalyzer = &Analyzer{
 // participant (or every member list) and therefore must be called
 // uniformly.
 var collectiveOps = map[string]bool{
-	"Barrier":     true,
-	"Bcast":       true,
-	"Gather":      true,
-	"AllGather":   true,
-	"ReduceMax":   true,
-	"TreeReduce":  true,
-	"TreeGather":  true,
-	"TreeBcast":   true,
-	"TreeBarrier": true,
+	"Barrier":    true,
+	"Bcast":      true,
+	"AllGather":  true,
+	"TreeReduce": true,
+	"TreeBcast":  true,
 }
 
 // opset is a footprint: the set of collective op kinds a region can reach.

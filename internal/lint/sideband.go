@@ -72,11 +72,8 @@ var clockSinkArgs = map[string]int{
 var payloadSinkArgs = map[string]int{
 	"Send":       2,
 	"Bcast":      1,
-	"Gather":     1,
 	"AllGather":  0,
-	"ReduceMax":  0,
 	"TreeReduce": 3,
-	"TreeGather": 3,
 	"TreeBcast":  3,
 }
 

@@ -37,7 +37,6 @@ var mpiTagCalls = map[string]struct {
 	"Send":        {1, dirSend},
 	"Recv":        {1, dirRecv},
 	"RecvTimeout": {1, dirRecv},
-	"TryRecv":     {1, dirRecv},
 }
 
 // anyTag mirrors mpi.AnyTag: a wildcard receive that matches every tag

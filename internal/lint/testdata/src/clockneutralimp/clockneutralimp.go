@@ -7,5 +7,5 @@ import (
 )
 
 func drain(r *mpi.Rank) {
-	r.TryRecv(0, 7) // want "mpi.TryRecv charges virtual time"
+	r.RecvTimeout(0, 7, 0) // want "mpi.RecvTimeout charges virtual time"
 }

@@ -6,11 +6,12 @@
 //
 // The world runs as a sequential discrete-event simulation: at any moment
 // exactly one rank executes (it holds the scheduler token). A rank runs
-// until it blocks — on a receive with no matching message, or inside a
-// collective — and then the scheduler hands the token to the eligible rank
-// with the smallest virtual time. This rule makes runs fully deterministic
-// (identical clocks, identical message orders) while still exercising the
-// real concurrent message-passing structure of the engines:
+// until it blocks — on a receive with no matching message, inside a
+// collective, or at a Yield — and then it picks the eligible rank with the
+// smallest virtual time and hands that rank the token. This rule makes runs
+// fully deterministic (identical clocks, identical message orders) while
+// still exercising the real concurrent message-passing structure of the
+// engines:
 //
 //   - a rank that is ready to run is eligible at its own clock;
 //   - a rank blocked on a receive is eligible at max(clock, earliest
@@ -21,6 +22,18 @@
 // Because the scheduler always advances the globally earliest event, any
 // message sent in the future carries an arrival no earlier than the event
 // being executed, so receive choices (including AnySource) are exact.
+//
+// The token is a value on a channel. Every rank owns one wake channel of
+// capacity one; the holder parks itself, scans for the earliest event, and
+// sends the token to exactly that rank (possibly itself), then receives on
+// its own channel. World state is only ever touched by the token holder, and
+// the send/receive pair is the happens-before edge between consecutive
+// holders, so the world needs no lock and a handoff wakes one goroutine.
+// Ranks start parked in the ready state; Run makes the first grant. When the
+// job stalls (deadlock, an unrecovered crash, a body error) the world is
+// marked aborted and the remaining ranks are unwound through the same
+// handoff, one at a time: each resumes into a panic that its goroutine
+// recovers, and its exit passes the token to the next unfinished rank.
 //
 // # Cost model
 //
@@ -35,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -95,7 +107,6 @@ type collective struct {
 	count     int
 	releaseFn func(datas [][]byte, maxClock float64) float64
 	releaseAt float64
-	done      bool
 	// Per-rank causal context for flow emission: entry clock, trace batch,
 	// and whether the rank joined at all (crashed ranks never do).
 	entries []float64
@@ -160,8 +171,10 @@ type World struct {
 	cost   simtime.CostModel
 	config Config
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	// wake[i] carries the scheduler token to rank i. Capacity one: the
+	// holder deposits the token without waiting for the receiver to park,
+	// and may hand it to itself. Everything below belongs to the holder.
+	wake []chan struct{}
 
 	ranks        []*Rank
 	states       []rankState
@@ -172,7 +185,6 @@ type World struct {
 	coll         *collective
 	collOf       []*collective
 	seq          int64
-	active       int
 	doneCount    int
 	aborted      bool
 	abortMsg     string
@@ -248,16 +260,16 @@ type Config struct {
 	// Faults schedules deterministic rank failures (see Fault). At most one
 	// crash and one degrade per rank.
 	Faults []Fault
-	// OnFault, when non-nil, is called once per fired fault (from the
-	// victim's goroutine, outside the world lock) — the hook the trace
-	// layer uses to put fault marks on the Gantt timeline.
+	// OnFault, when non-nil, is called once per fired fault, from the
+	// victim's goroutine while it holds the scheduler token — the hook the
+	// trace layer uses to put fault marks on the Gantt timeline.
 	OnFault func(rank int, kind FaultKind, at float64)
 	// OnFlow, when non-nil, receives one FlowEvent per causal edge:
-	// point-to-point deliveries (from the receiver's goroutine, outside the
-	// world lock) and collective contribution/release edges (from the
-	// completing rank's goroutine, UNDER the world lock — the callback must
-	// not call back into mpi). Flow reporting never advances virtual
-	// clocks, so enabling it cannot change any simulated time.
+	// point-to-point deliveries from the receiver's goroutine, collective
+	// contribution/release edges from the completing rank's goroutine. The
+	// caller holds the scheduler token, so calls never overlap and arrive in
+	// the schedule's deterministic order. Flow reporting never advances
+	// virtual clocks, so enabling it cannot change any simulated time.
 	OnFlow func(FlowEvent)
 	// Metrics, when non-nil, receives the run's unified telemetry: per-tag
 	// message counts and bytes, collective-operation counts, and
@@ -277,7 +289,7 @@ const ShuffleTagBase = 1 << 20
 
 // CollTagBase opens a third tag region, below the shuffle space, for the
 // point-to-point messages that implement TREE collectives (TreeReduce,
-// TreeGather, tree Bcast). Their bytes are collective-operation traffic —
+// TreeBcast). Their bytes are collective-operation traffic —
 // synchronization and aggregation, not merging protocol — so CommStats
 // books them in the collective bucket even though they travel as ordinary
 // sends.
@@ -285,7 +297,7 @@ const CollTagBase = 1 << 19
 
 // CommStats tallies communication per rank, split into protocol traffic,
 // collective-I/O shuffle traffic, and collective-operation payloads
-// (Barrier/Bcast/Gather/AllGather contributions, plus the point-to-point
+// (Barrier/Bcast/AllGather contributions, plus the point-to-point
 // hops of the tree collectives). The split keeps the paper's §3.2
 // protocol-volume metric clean: collective synchronization is neither
 // merging protocol nor shuffle data. Safe for concurrent use.
@@ -401,7 +413,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		recvDeadline: make([]float64, n),
 		inbox:        make([][]message, n),
 		collOf:       make([]*collective, n),
-		active:       -1,
+		wake:         make([]chan struct{}, n),
 		crashAt:      make([]float64, n),
 		degradeAt:    make([]float64, n),
 		degradeSlow:  make([]float64, n),
@@ -414,6 +426,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		w.degradeAt[i] = math.Inf(1)
 		w.degradeSlow[i] = 1
 		w.crashTime[i] = math.Inf(1)
+		w.wake[i] = make(chan struct{}, 1)
 	}
 	for _, f := range cfg.Faults {
 		if f.Rank < 0 || f.Rank >= n {
@@ -441,7 +454,6 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 			return nil, fmt.Errorf("mpi: unknown fault kind %d for rank %d", int(f.Kind), f.Rank)
 		}
 	}
-	w.cond = sync.NewCond(&w.mu)
 	clocks := make([]*simtime.Clock, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -463,35 +475,21 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 						// Aborts carry their message in the world; a
 						// crash is a simulated fault, not a Go error.
 					default:
-						w.mu.Lock()
-						if w.firstErr == nil {
-							w.firstErr = fmt.Errorf("mpi: rank %d panicked: %v", r.id, rec)
-						}
-						w.mu.Unlock()
+						w.fail(fmt.Errorf("mpi: rank %d panicked: %v", r.id, rec))
 					}
 				}
 				w.finishRank(r.id)
 			}()
-			r.waitActiveInitial()
+			r.awaitToken()
 			if err := body(r); err != nil {
-				w.mu.Lock()
-				if w.firstErr == nil {
-					w.firstErr = fmt.Errorf("mpi: rank %d: %w", r.id, err)
-				}
-				w.mu.Unlock()
+				w.fail(fmt.Errorf("mpi: rank %d: %w", r.id, err))
 			}
 		}(w.ranks[i])
 	}
-	// Kick the scheduler once every goroutine has parked as ready.
-	w.mu.Lock()
-	for w.readyCountLocked() < n {
-		w.cond.Wait()
-	}
-	w.scheduleLocked()
-	w.mu.Unlock()
+	// Every rank starts parked in the zero (ready) state and Run holds the
+	// token, so the first grant needs no handshake.
+	w.schedule()
 	wg.Wait()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.firstErr != nil {
 		return clocks, w.firstErr
 	}
@@ -501,52 +499,60 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 	return clocks, nil
 }
 
-func (w *World) readyCountLocked() int {
-	c := 0
-	for _, s := range w.states {
-		if s == stateReady {
-			c++
-		}
+// fail records the first error a rank body returned or panicked with.
+func (w *World) fail(err error) {
+	if w.firstErr == nil {
+		w.firstErr = err
 	}
-	return c
 }
 
-// waitActiveInitial parks the rank as ready and waits for its first grant.
-func (r *Rank) waitActiveInitial() {
+// awaitToken parks the rank until it is handed the scheduler token. A rank
+// woken into an aborted world unwinds instead of running.
+func (r *Rank) awaitToken() {
 	w := r.world
-	w.mu.Lock()
-	w.states[r.id] = stateReady
-	w.cond.Broadcast() // let Run see that we parked
-	for w.active != r.id && !w.aborted {
-		w.cond.Wait()
-	}
+	<-w.wake[r.id]
 	if w.aborted {
-		w.mu.Unlock()
 		panic(abortPanic{w.abortMsg})
 	}
 	w.states[r.id] = stateRunning
-	w.mu.Unlock()
 }
 
 // finishRank marks the rank done and hands the token onward.
 func (w *World) finishRank(id int) {
-	w.mu.Lock()
 	w.states[id] = stateDone
 	w.doneCount++
-	if w.active == id {
-		w.active = -1
-		w.scheduleLocked()
-	}
-	w.mu.Unlock()
+	w.schedule()
 }
 
-// scheduleLocked picks the eligible rank with the smallest virtual time and
-// grants it the token. Caller holds w.mu and has already parked itself.
-func (w *World) scheduleLocked() {
-	if w.aborted {
-		w.cond.Broadcast()
-		return
+// schedule hands the token to the eligible rank with the smallest virtual
+// time. The caller holds the token and has already parked itself. A stall
+// with unfinished ranks aborts the world, and an aborted world hands the
+// token to its lowest unfinished rank instead: that rank resumes into
+// abortPanic and its finishRank calls schedule again, so the survivors
+// unwind one at a time through the same handoff.
+func (w *World) schedule() {
+	next := -1
+	if !w.aborted {
+		next = w.earliestEligible()
+		if next < 0 && w.doneCount < w.n {
+			w.aborted, w.abortMsg = true, w.stallReason()
+		}
 	}
+	if w.aborted {
+		for i := 0; i < w.n && next < 0; i++ {
+			if w.states[i] != stateDone {
+				next = i
+			}
+		}
+	}
+	if next >= 0 {
+		w.wake[next] <- struct{}{}
+	}
+}
+
+// earliestEligible returns the rank whose next event is earliest in virtual
+// time (ties to the lowest id), or -1 when no rank can run.
+func (w *World) earliestEligible() int {
 	bestRank := -1
 	bestTime := math.Inf(1)
 	for i := 0; i < w.n; i++ {
@@ -556,7 +562,7 @@ func (w *World) scheduleLocked() {
 			t = w.ranks[i].clock.Now()
 		case stateBlockedRecv:
 			t = math.Inf(1)
-			if m, ok := w.earliestMatchLocked(i); ok {
+			if m, ok := w.earliestMatch(i); ok {
 				t = math.Max(w.ranks[i].clock.Now(), m.arrival)
 			}
 			// A receive with a deadline is always eligible: it wakes at
@@ -575,36 +581,25 @@ func (w *World) scheduleLocked() {
 			bestRank = i
 		}
 	}
-	if bestRank < 0 {
-		if w.doneCount == w.n {
-			return // clean finish
-		}
-		if w.firstErr != nil {
-			// A rank died with an error; release everyone else.
-			w.abortLocked(fmt.Sprintf("aborted after error: %v", w.firstErr))
-			return
-		}
-		// A stall with dead ranks is not a protocol deadlock: name the
-		// failure so callers see WHY their peers never answered.
-		if dump := w.crashDumpLocked(); dump != "" {
-			w.abortLocked("unrecovered rank failure (" + dump + "): " + w.stateDumpLocked())
-			return
-		}
-		w.abortLocked("deadlock: " + w.stateDumpLocked())
-		return
+	return bestRank
+}
+
+// stallReason names why no unfinished rank can run.
+func (w *World) stallReason() string {
+	if w.firstErr != nil {
+		// A rank died with an error; release everyone else.
+		return fmt.Sprintf("aborted after error: %v", w.firstErr)
 	}
-	w.active = bestRank
-	w.cond.Broadcast()
+	// A stall with dead ranks is not a protocol deadlock: name the
+	// failure so callers see WHY their peers never answered.
+	if dump := w.crashDump(); dump != "" {
+		return "unrecovered rank failure (" + dump + "): " + w.stateDump()
+	}
+	return "deadlock: " + w.stateDump()
 }
 
-func (w *World) abortLocked(msg string) {
-	w.aborted = true
-	w.abortMsg = msg
-	w.cond.Broadcast()
-}
-
-// crashDumpLocked lists crashed ranks, or "" when none crashed.
-func (w *World) crashDumpLocked() string {
+// crashDump lists crashed ranks, or "" when none crashed.
+func (w *World) crashDump() string {
 	var b strings.Builder
 	for i := 0; i < w.n; i++ {
 		if w.crashed[i] {
@@ -617,7 +612,7 @@ func (w *World) crashDumpLocked() string {
 	return b.String()
 }
 
-func (w *World) stateDumpLocked() string {
+func (w *World) stateDump() string {
 	var b strings.Builder
 	for i := 0; i < w.n; i++ {
 		fmt.Fprintf(&b, "rank %d %s t=%.3f", i, w.states[i], w.ranks[i].clock.Now())
@@ -630,9 +625,9 @@ func (w *World) stateDumpLocked() string {
 	return b.String()
 }
 
-// earliestMatchLocked finds the queued message for rank i's pending receive
+// earliestMatch finds the queued message for rank i's pending receive
 // with the smallest (arrival, seq).
-func (w *World) earliestMatchLocked(i int) (message, bool) {
+func (w *World) earliestMatch(i int) (message, bool) {
 	src, tag := w.recvSrc[i], w.recvTag[i]
 	best := -1
 	for k, m := range w.inbox[i] {
@@ -649,7 +644,7 @@ func (w *World) earliestMatchLocked(i int) (message, bool) {
 	return w.inbox[i][best], true
 }
 
-func (w *World) takeMessageLocked(i int, m message) {
+func (w *World) takeMessage(i int, m message) {
 	q := w.inbox[i]
 	for k := range q {
 		if q[k].seq == m.seq {
@@ -660,22 +655,12 @@ func (w *World) takeMessageLocked(i int, m message) {
 	panic("mpi: message vanished from inbox")
 }
 
-// block parks the calling (active) rank in the given state, runs the
-// scheduler, and returns when the rank is granted the token again.
-// Caller holds w.mu.
-func (r *Rank) blockLocked(s rankState) {
-	w := r.world
-	w.states[r.id] = s
-	w.active = -1
-	w.scheduleLocked()
-	for w.active != r.id && !w.aborted {
-		w.cond.Wait()
-	}
-	if w.aborted {
-		w.mu.Unlock()
-		panic(abortPanic{w.abortMsg})
-	}
-	w.states[r.id] = stateRunning
+// block parks the calling rank (the token holder) in the given state, hands
+// the token on, and returns when the rank is granted it again.
+func (r *Rank) block(s rankState) {
+	r.world.states[r.id] = s
+	r.world.schedule()
+	r.awaitToken()
 }
 
 // maybeCrash fires this rank's scheduled crash if its clock has reached
@@ -690,23 +675,20 @@ func (r *Rank) maybeCrash() {
 		return
 	}
 	now := r.clock.Now()
-	w.mu.Lock()
 	if w.crashed[r.id] { // already unwinding
-		w.mu.Unlock()
 		panic(crashPanic{r.id})
 	}
 	w.crashed[r.id] = true
 	w.crashTime[r.id] = now
-	w.maybeCompleteCollectiveLocked()
-	w.mu.Unlock()
+	w.maybeCompleteCollective()
 	if w.config.OnFault != nil {
 		w.config.OnFault(r.id, FaultCrash, now)
 	}
 	panic(crashPanic{r.id})
 }
 
-// liveCountLocked counts ranks that have not crashed.
-func (w *World) liveCountLocked() int {
+// liveCount counts ranks that have not crashed.
+func (w *World) liveCount() int {
 	live := w.n
 	for _, c := range w.crashed {
 		if c {
@@ -716,18 +698,18 @@ func (w *World) liveCountLocked() int {
 	return live
 }
 
-// maybeCompleteCollectiveLocked finishes an in-progress collective when
+// maybeCompleteCollective finishes an in-progress collective when
 // every live rank has already joined — the path a crash takes so survivors
 // are not stranded waiting for the dead.
-func (w *World) maybeCompleteCollectiveLocked() {
-	if c := w.coll; c != nil && c.count >= w.liveCountLocked() {
-		w.completeCollectiveLocked(c)
+func (w *World) maybeCompleteCollective() {
+	if c := w.coll; c != nil && c.count >= w.liveCount() {
+		w.completeCollective(c)
 	}
 }
 
-// completeCollectiveLocked computes the release time over LIVE participants
+// completeCollective computes the release time over LIVE participants
 // and readies every rank parked in c.
-func (w *World) completeCollectiveLocked(c *collective) {
+func (w *World) completeCollective(c *collective) {
 	maxClock := 0.0
 	for i, rk := range w.ranks {
 		if w.crashed[i] {
@@ -738,24 +720,22 @@ func (w *World) completeCollectiveLocked(c *collective) {
 		}
 	}
 	c.releaseAt = c.releaseFn(c.datas, maxClock)
-	c.done = true
 	w.coll = nil
 	for i := 0; i < w.n; i++ {
 		if w.states[i] == stateBlockedColl && w.collOf[i] == c {
 			w.states[i] = stateReady
 		}
 	}
-	w.emitCollectiveFlowsLocked(c)
+	w.emitCollectiveFlows(c)
 }
 
-// emitCollectiveFlowsLocked reports the causal edges of one completed
+// emitCollectiveFlows reports the causal edges of one completed
 // collective: each participant's entry flows INTO the fold site (the
 // last-arriving live rank, ties to the lowest id — the rank whose entry
 // clock determined the release), and the fold site flows back OUT to each
-// participant's resume point at releaseAt. Caller holds w.mu; the OnFlow
-// callback therefore must not call back into mpi. Emission never touches
-// any clock.
-func (w *World) emitCollectiveFlowsLocked(c *collective) {
+// participant's resume point at releaseAt. Emission never touches any
+// clock.
+func (w *World) emitCollectiveFlows(c *collective) {
 	onFlow := w.config.OnFlow
 	if onFlow == nil {
 		return
@@ -808,34 +788,7 @@ func (w *World) emitCollectiveFlowsLocked(c *collective) {
 // decide WHEN to ask, but the answer itself is never wrong.
 func (r *Rank) Failed(rank int) bool {
 	w := r.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return rank >= 0 && rank < w.n && w.crashed[rank]
-}
-
-// Live returns the ids of all ranks that have not crashed, ascending.
-func (r *Rank) Live() []int {
-	w := r.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]int, 0, w.n)
-	for i := 0; i < w.n; i++ {
-		if !w.crashed[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// CrashTime returns when the given rank crashed, or +Inf if it is alive.
-func (r *Rank) CrashTime(rank int) float64 {
-	w := r.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if rank < 0 || rank >= w.n || !w.crashed[rank] {
-		return math.Inf(1)
-	}
-	return w.crashTime[rank]
 }
 
 // ID returns the rank number (0-based).
@@ -870,7 +823,7 @@ func flowOp(tag int) string {
 
 // deliverFlow adopts the envelope's trace context and reports the causal
 // edge for one delivered message. Called from the receiver's goroutine
-// after the delivery clock charges, outside the world lock.
+// after the delivery clock charges.
 //
 // Adoption is monotone: a delivered envelope only advances the receiver's
 // batch context, never rewinds it. Batch ids are assigned in admission
@@ -954,10 +907,7 @@ func (r *Rank) Advance(d float64) {
 // ranks' earlier accesses would falsely queue behind its later ones.
 func (r *Rank) Yield() {
 	r.maybeCrash()
-	w := r.world
-	w.mu.Lock()
-	r.blockLocked(stateReady)
-	w.mu.Unlock()
+	r.block(stateReady)
 }
 
 // Compute charges work units at the model's search-unit cost, scaled by
@@ -983,9 +933,6 @@ func (r *Rank) effSpeed() float64 {
 	}
 	return s
 }
-
-// Speed reports the rank's node-speed factor (1 = baseline).
-func (r *Rank) Speed() float64 { return r.world.config.speed(r.id) }
 
 // FormatCost charges the per-byte report-rendering cost for n bytes.
 func (r *Rank) FormatCost(n int64) {
@@ -1064,11 +1011,9 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	w.config.Comm.add(r.id, tag, int64(len(data)))
 	r.recordSend(tag, int64(len(data)))
 	r.clock.Advance(float64(len(data)) / w.cost.NetBandwidth)
-	w.mu.Lock()
 	if w.crashed[dst] {
 		// The destination is dead: the sender still pays its NIC
 		// occupancy (charged above), but the bytes land nowhere.
-		w.mu.Unlock()
 		return
 	}
 	w.seq++
@@ -1081,7 +1026,6 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		batch:   r.traceBatch,
 		sendAt:  r.clock.Now(),
 	})
-	w.mu.Unlock()
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -1089,22 +1033,20 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	r.maybeCrash()
 	w := r.world
-	w.mu.Lock()
 	// Install the match filter BEFORE the first queue scan —
-	// earliestMatchLocked reads it, and a stale filter from a previous
+	// earliestMatch reads it, and a stale filter from a previous
 	// Recv could mis-consume another sender's message.
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
 	w.recvDeadline[r.id] = math.Inf(1)
 	for {
-		if m, ok := w.earliestMatchLocked(r.id); ok {
-			w.takeMessageLocked(r.id, m)
-			w.mu.Unlock()
+		if m, ok := w.earliestMatch(r.id); ok {
+			w.takeMessage(r.id, m)
 			r.clock.AdvanceTo(m.arrival)
 			r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
 			r.deliverFlow(m)
 			return m.data, m.src, m.tag
 		}
-		r.blockLocked(stateBlockedRecv)
+		r.block(stateBlockedRecv)
 		// Loop: a match is guaranteed present now.
 	}
 }
@@ -1129,15 +1071,13 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 	}
 	entered := r.clock.Now()
 	deadline := entered + timeout
-	w.mu.Lock()
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
 	w.recvDeadline[r.id] = deadline
 	waited := false
 	for {
-		if m, ok := w.earliestMatchLocked(r.id); ok && math.Max(r.clock.Now(), m.arrival) <= deadline {
-			w.takeMessageLocked(r.id, m)
+		if m, ok := w.earliestMatch(r.id); ok && math.Max(r.clock.Now(), m.arrival) <= deadline {
+			w.takeMessage(r.id, m)
 			w.recvDeadline[r.id] = math.Inf(1)
-			w.mu.Unlock()
 			r.clock.AdvanceTo(m.arrival)
 			r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
 			r.deliverFlow(m)
@@ -1146,7 +1086,6 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 		if src != AnySource && src >= 0 && src < w.n && w.crashed[src] {
 			at := w.crashTime[src]
 			w.recvDeadline[r.id] = math.Inf(1)
-			w.mu.Unlock()
 			r.clock.AdvanceTo(at) // no-op when the crash is in our past
 			w.config.Metrics.Counter("mpi.recv_failed_peer", r.id).Inc()
 			return nil, 0, 0, fmt.Errorf("mpi: recv from rank %d: %w (crashed at t=%.6f)", src, ErrRankFailed, at)
@@ -1155,7 +1094,6 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 		// the deadline was the earliest event: time out.
 		if waited || r.clock.Now() >= deadline {
 			w.recvDeadline[r.id] = math.Inf(1)
-			w.mu.Unlock()
 			r.clock.AdvanceTo(deadline)
 			if reg := w.config.Metrics; reg != nil {
 				reg.Counter("mpi.recv_timeouts", r.id).Inc()
@@ -1164,29 +1102,8 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 			return nil, 0, 0, ErrTimeout
 		}
 		waited = true
-		r.blockLocked(stateBlockedRecv)
+		r.block(stateBlockedRecv)
 	}
-}
-
-// TryRecv delivers a matching message that has ALREADY arrived (arrival ≤
-// the rank's current clock) without blocking or advancing time past the
-// receive cost. It reports ok=false when nothing deliverable is queued.
-func (r *Rank) TryRecv(src, tag int) (data []byte, from, gotTag int, ok bool) {
-	r.maybeCrash()
-	w := r.world
-	w.mu.Lock()
-	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
-	w.recvDeadline[r.id] = math.Inf(1)
-	m, found := w.earliestMatchLocked(r.id)
-	if !found || m.arrival > r.clock.Now() {
-		w.mu.Unlock()
-		return nil, 0, 0, false
-	}
-	w.takeMessageLocked(r.id, m)
-	w.mu.Unlock()
-	r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
-	r.deliverFlow(m)
-	return m.data, m.src, m.tag, true
 }
 
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.
@@ -1216,7 +1133,6 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 		reg.Counter("mpi.collective."+op+".bytes", r.id).Add(int64(len(data)))
 		reg.Counter("mpi.collective.bytes", r.id).Add(int64(len(data)))
 	}
-	w.mu.Lock()
 	c := w.coll
 	if c == nil {
 		c = &collective{
@@ -1230,7 +1146,6 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 		w.coll = c
 	}
 	if c.op != op {
-		w.mu.Unlock()
 		panic(fmt.Sprintf("mpi: rank %d entered collective %q while %q in progress", r.id, op, c.op))
 	}
 	c.datas[r.id] = data
@@ -1239,15 +1154,12 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 	c.joined[r.id] = true
 	c.count++
 	w.collOf[r.id] = c
-	if c.count < w.liveCountLocked() {
-		r.blockLocked(stateBlockedColl)
-		w.mu.Unlock()
-		r.clock.AdvanceTo(c.releaseAt)
-		return c.datas
+	if c.count < w.liveCount() {
+		r.block(stateBlockedColl)
+	} else {
+		// Last live participant: compute release time and free everyone.
+		w.completeCollective(c)
 	}
-	// Last live participant: compute release time and free everyone.
-	w.completeCollectiveLocked(c)
-	w.mu.Unlock()
 	r.clock.AdvanceTo(c.releaseAt)
 	return c.datas
 }
@@ -1275,26 +1187,6 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 	return datas[root]
 }
 
-// Gather collects every rank's payload at root. Root receives the slice
-// indexed by rank; other ranks receive nil. The root link is modelled as
-// the bottleneck: completion pays the total inbound volume.
-func (r *Rank) Gather(root int, data []byte) [][]byte {
-	w := r.world
-	datas := r.runCollective("gather", data, func(datas [][]byte, maxClock float64) float64 {
-		var total int64
-		for i, d := range datas {
-			if i != root {
-				total += int64(len(d))
-			}
-		}
-		return maxClock + w.cost.NetLatency*logSteps(w.n) + float64(total)/w.cost.NetBandwidth
-	})
-	if r.id == root {
-		return datas
-	}
-	return nil
-}
-
 // AllGather collects every rank's payload everywhere.
 func (r *Rank) AllGather(data []byte) [][]byte {
 	w := r.world
@@ -1305,116 +1197,4 @@ func (r *Rank) AllGather(data []byte) [][]byte {
 		}
 		return maxClock + w.cost.NetLatency*logSteps(w.n) + float64(total)/w.cost.NetBandwidth
 	})
-}
-
-// ReduceMax computes the element-wise maximum of per-rank int64 vectors at
-// every rank (a convenience for threshold broadcasting in the engines).
-//
-// Fault-free worlds run it as a k-ary TreeReduce to rank 0 followed by a
-// Bcast — O(N) payloads on the wire instead of the O(N²) an AllGather
-// moves. Worlds with scheduled faults keep the AllGather formulation: the
-// flat collective completes over the survivors (crashed ranks contribute
-// nothing), which is the crash semantics callers rely on.
-func (r *Rank) ReduceMax(values []int64) []int64 {
-	buf := make([]byte, 8*len(values))
-	for i, v := range values {
-		putInt64(buf[8*i:], v)
-	}
-	if !r.FaultsScheduled() {
-		members := make([]int, r.Size())
-		for i := range members {
-			members[i] = i
-		}
-		combined, _, err := r.TreeReduce(0, DefaultTreeFanout, members, buf, maxCombine)
-		if err != nil {
-			panic("mpi: ReduceMax tree reduce failed: " + err.Error())
-		}
-		if r.id != 0 {
-			combined = nil
-		}
-		buf = r.Bcast(0, combined)
-		out := make([]int64, len(values))
-		if len(buf) != 8*len(values) {
-			panic("mpi: ReduceMax length mismatch across ranks")
-		}
-		for i := range out {
-			out[i] = getInt64(buf[8*i:])
-		}
-		return out
-	}
-	datas := r.AllGather(buf)
-	out := make([]int64, len(values))
-	first := true
-	for _, d := range datas {
-		if d == nil {
-			continue // crashed rank: no contribution
-		}
-		if len(d) != len(buf) {
-			panic("mpi: ReduceMax length mismatch across ranks")
-		}
-		for i := range out {
-			v := getInt64(d[8*i:])
-			if first || v > out[i] {
-				out[i] = v
-			}
-		}
-		first = false
-	}
-	return out
-}
-
-// maxCombine is the element-wise int64 maximum over two equal-length
-// encoded vectors — the associative combiner ReduceMax feeds TreeReduce.
-func maxCombine(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic("mpi: ReduceMax length mismatch across ranks")
-	}
-	out := make([]byte, len(a))
-	for i := 0; i+8 <= len(a); i += 8 {
-		va, vb := getInt64(a[i:]), getInt64(b[i:])
-		if vb > va {
-			va = vb
-		}
-		putInt64(out[i:], va)
-	}
-	return out
-}
-
-func putInt64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getInt64(b []byte) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-// PendingMessages reports how many undelivered messages each rank has —
-// a post-run hygiene check used by tests.
-func (w *World) PendingMessages() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]int, w.n)
-	for i := range w.inbox {
-		out[i] = len(w.inbox[i])
-	}
-	return out
-}
-
-// SortRanksByClock returns rank ids ordered by final virtual time — a
-// reporting helper.
-func SortRanksByClock(clocks []*simtime.Clock) []int {
-	ids := make([]int, len(clocks))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return clocks[ids[a]].Now() < clocks[ids[b]].Now()
-	})
-	return ids
 }

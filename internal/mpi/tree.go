@@ -1,11 +1,11 @@
-// Tree collectives: k-ary reduction, gather, and broadcast over an
-// explicit member list, built from point-to-point messages so the per-hop
-// latency and volume are charged where they really land. The flat
-// collectives (Gather/AllGather) model the root link as the bottleneck —
-// the master pays the total inbound volume — which is exactly the paper's
-// §3.2 master-serialization problem. A k-ary tree spreads that cost: each
-// node receives at most `fanout` bundles, so the root's critical path
-// shrinks from O(N) message ingests to O(k·log_k N).
+// Tree collectives: k-ary reduction and broadcast over an explicit member
+// list, built from point-to-point messages so the per-hop latency and
+// volume are charged where they really land. The flat AllGather models the
+// root link as the bottleneck — completion pays the total inbound volume —
+// which is exactly the paper's §3.2 master-serialization problem. A k-ary
+// tree spreads that cost: each node receives at most `fanout` bundles, so
+// the root's critical path shrinks from O(N) message ingests to
+// O(k·log_k N).
 //
 // # Topology
 //
@@ -36,8 +36,8 @@
 //
 // The crash path REQUIRES members to include every live rank (it
 // synchronizes on world-wide flat collectives); the engines always call it
-// that way. Under fault schedules TreeBcast and TreeBarrier delegate to
-// the flat Bcast/Barrier, which complete over survivors by construction.
+// that way. Under fault schedules TreeBcast delegates to the flat Bcast,
+// which completes over survivors by construction.
 package mpi
 
 import (
@@ -577,65 +577,6 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 	return combined, covered, nil
 }
 
-// TreeGather collects every member's payload at root via the k-ary tree:
-// bundles concatenate (rank, blob) lists instead of streaming N messages
-// through the root link. The root receives a slice indexed by RANK (nil
-// for non-members and for members whose contribution died with a crashed
-// forwarder) plus the contributors list; everyone else receives nil.
-func (r *Rank) TreeGather(root, fanout int, members []int, data []byte) ([][]byte, []int, error) {
-	payload := appendUvarint(nil, uint64(r.id))
-	payload = appendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	combined, contributors, err := r.TreeReduce(root, fanout, members, payload, mergeLabeledBlobs)
-	if err != nil || r.id != root {
-		return nil, nil, err
-	}
-	out := make([][]byte, r.Size())
-	d := treeDecoder{buf: combined}
-	for len(d.buf) > 0 && !d.bad {
-		rank := int(d.uvarint())
-		blob := d.blob()
-		if d.bad {
-			return nil, nil, fmt.Errorf("mpi: corrupt tree gather payload at root")
-		}
-		if rank >= 0 && rank < len(out) {
-			out[rank] = blob
-		}
-	}
-	return out, contributors, nil
-}
-
-// mergeLabeledBlobs combines two sorted (rank, blob) lists into one sorted
-// list — the associative, commutative combiner behind TreeGather.
-func mergeLabeledBlobs(a, b []byte) []byte {
-	type entry struct {
-		rank int
-		blob []byte
-	}
-	decode := func(buf []byte) []entry {
-		var out []entry
-		d := treeDecoder{buf: buf}
-		for len(d.buf) > 0 && !d.bad {
-			rank := int(d.uvarint())
-			blob := d.blob()
-			if d.bad {
-				break
-			}
-			out = append(out, entry{rank, blob})
-		}
-		return out
-	}
-	all := append(decode(a), decode(b)...)
-	sort.Slice(all, func(i, j int) bool { return all[i].rank < all[j].rank })
-	var out []byte
-	for _, e := range all {
-		out = appendUvarint(out, uint64(e.rank))
-		out = appendUvarint(out, uint64(len(e.blob)))
-		out = append(out, e.blob...)
-	}
-	return out
-}
-
 // TreeBcast distributes root's payload to every member along the k-ary
 // tree and returns it everywhere. Fault-free worlds forward hop by hop
 // (each edge pays its own latency and bandwidth); worlds with scheduled
@@ -673,36 +614,4 @@ func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 		r.Send(t.members[c], tagTreeBcast, payload)
 	}
 	return payload
-}
-
-// TreeBarrier synchronizes the members with an empty up-phase reduction
-// followed by an empty broadcast — two tree traversals instead of the flat
-// barrier's analytic cost. Under fault schedules it delegates to the flat
-// Barrier (members must then include every live rank).
-func (r *Rank) TreeBarrier(root, fanout int, members []int) {
-	r.maybeCrash()
-	r.recordTreeOp("treebarrier", 0)
-	if r.FaultsScheduled() {
-		r.Barrier()
-		return
-	}
-	t := newTreeTopo(root, fanout, members)
-	if _, ok := t.pos[r.id]; !ok {
-		panic(fmt.Sprintf("mpi: rank %d called TreeBarrier without being a member", r.id))
-	}
-	if len(t.members) == 1 {
-		return
-	}
-	myPos := t.pos[r.id]
-	none := func(a, b []byte) []byte { return nil }
-	if _, _, err := r.treeReduceFast(t, myPos, nil, none); err != nil {
-		panic("mpi: tree barrier reduce failed: " + err.Error())
-	}
-	payload := []byte(nil)
-	if myPos != 0 {
-		payload, _, _ = r.Recv(t.members[t.parent(myPos)], tagTreeBcast)
-	}
-	for _, c := range t.children(myPos) {
-		r.Send(t.members[c], tagTreeBcast, payload)
-	}
 }

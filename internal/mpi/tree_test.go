@@ -2,11 +2,15 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"parblast/internal/metrics"
 )
+
+func encI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
+func decI64(b []byte) int64    { return int64(binary.LittleEndian.Uint64(b)) }
 
 // sumCombine folds two equal-length int64 vectors element-wise — an
 // associative, commutative combiner for exercising TreeReduce.
@@ -16,7 +20,7 @@ func sumCombine(a, b []byte) []byte {
 	}
 	out := make([]byte, len(a))
 	for i := 0; i+8 <= len(a); i += 8 {
-		putInt64(out[i:], getInt64(a[i:])+getInt64(b[i:]))
+		encI64(out[i:], decI64(a[i:])+decI64(b[i:]))
 	}
 	return out
 }
@@ -24,7 +28,7 @@ func sumCombine(a, b []byte) []byte {
 func rankPayload(id, width int) []byte {
 	buf := make([]byte, 8*width)
 	for i := 0; i < width; i++ {
-		putInt64(buf[8*i:], int64(id*31+i*7+1))
+		encI64(buf[8*i:], int64(id*31+i*7+1))
 	}
 	return buf
 }
@@ -37,7 +41,7 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 			for id := 0; id < n; id++ {
 				p := rankPayload(id, width)
 				for i := 0; i < width; i++ {
-					want[i] += getInt64(p[8*i:])
+					want[i] += decI64(p[8*i:])
 				}
 			}
 			_, err := Run(n, testCost(), func(r *Rank) error {
@@ -59,7 +63,7 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 					return fmt.Errorf("contributors = %v, want all %d ranks", contributors, n)
 				}
 				for i := 0; i < width; i++ {
-					if got := getInt64(combined[8*i:]); got != want[i] {
+					if got := decI64(combined[8*i:]); got != want[i] {
 						return fmt.Errorf("n=%d fanout=%d lane %d: got %d want %d", n, fanout, i, got, want[i])
 					}
 				}
@@ -69,37 +73,6 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 				t.Fatalf("n=%d fanout=%d: %v", n, fanout, err)
 			}
 		}
-	}
-}
-
-func TestTreeGatherDeliversEveryPayload(t *testing.T) {
-	const n = 13
-	_, err := Run(n, testCost(), func(r *Rank) error {
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		payload := []byte(fmt.Sprintf("rank-%02d", r.ID()))
-		got, contributors, err := r.TreeGather(0, 3, members, payload)
-		if err != nil {
-			return err
-		}
-		if r.ID() != 0 {
-			return nil
-		}
-		if len(contributors) != n {
-			return fmt.Errorf("contributors = %v", contributors)
-		}
-		for id := 0; id < n; id++ {
-			want := fmt.Sprintf("rank-%02d", id)
-			if string(got[id]) != want {
-				return fmt.Errorf("slot %d = %q, want %q", id, got[id], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -119,7 +92,7 @@ func TestTreeBcastAndBarrier(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			return fmt.Errorf("rank %d bcast got %q", r.ID(), got)
 		}
-		r.TreeBarrier(0, 4, members)
+		r.Barrier()
 		return nil
 	})
 	if err != nil {
@@ -158,7 +131,7 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 				contributors = contrib
 				combined = make([]int64, width)
 				for i := 0; i < width; i++ {
-					combined[i] = getInt64(out[8*i:])
+					combined[i] = decI64(out[8*i:])
 				}
 			}
 			return nil
@@ -176,7 +149,7 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 		}
 		p := rankPayload(id, 2)
 		for i := range want {
-			want[i] += getInt64(p[8*i:])
+			want[i] += decI64(p[8*i:])
 		}
 	}
 	if len(contributors) != n-1 {
@@ -203,52 +176,15 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 	}
 }
 
-// TestReduceMaxMatchesElementwise checks the tree-based ReduceMax against
-// a locally computed element-wise maximum — the satellite guard that the
-// re-implementation preserves the old AllGather semantics.
-func TestReduceMaxMatchesElementwise(t *testing.T) {
-	const n, width = 9, 4
-	vals := func(id int) []int64 {
-		out := make([]int64, width)
-		for i := range out {
-			out[i] = int64((id*17+i*13)%41 - 20)
-		}
-		return out
-	}
-	want := make([]int64, width)
-	for i := range want {
-		want[i] = -1 << 62
-	}
-	for id := 0; id < n; id++ {
-		for i, v := range vals(id) {
-			if v > want[i] {
-				want[i] = v
-			}
-		}
-	}
-	_, err := Run(n, testCost(), func(r *Rank) error {
-		got := r.ReduceMax(vals(r.ID()))
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d lane %d: got %d want %d", r.ID(), i, got[i], want[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCollectiveOpAccounting checks the per-op metric series (satellite:
-// gather/bcast bytes must be attributable per collective op, and the tree
+// allgather/bcast bytes must be attributable per collective op, and the tree
 // ops book their own series plus per-level edge volume).
 func TestCollectiveOpAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	const n = 8
 	cfg := Config{Cost: testCost(), Metrics: reg}
 	_, err := RunConfig(n, cfg, func(r *Rank) error {
-		r.Gather(0, []byte("abcd"))
+		r.AllGather([]byte("abcd"))
 		var b []byte
 		if r.ID() == 0 {
 			b = []byte("xyz")
@@ -265,11 +201,11 @@ func TestCollectiveOpAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.CounterTotal("mpi.collective.gather"); got != n {
-		t.Fatalf("gather op count = %d, want %d", got, n)
+	if got := snap.CounterTotal("mpi.collective.allgather"); got != n {
+		t.Fatalf("allgather op count = %d, want %d", got, n)
 	}
-	if got := snap.CounterTotal("mpi.collective.gather.bytes"); got != int64(n*4) {
-		t.Fatalf("gather bytes = %d, want %d", got, n*4)
+	if got := snap.CounterTotal("mpi.collective.allgather.bytes"); got != int64(n*4) {
+		t.Fatalf("allgather bytes = %d, want %d", got, n*4)
 	}
 	if got := snap.CounterTotal("mpi.collective.bcast"); got != n {
 		t.Fatalf("bcast op count = %d, want %d", got, n)

@@ -4,12 +4,17 @@
 package mpiio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 
 	"parblast/internal/mpi"
 )
+
+// le is the byte order of every int64 the shuffle puts on the wire: plan
+// bounds and the (offset, length) record headers.
+var le = binary.LittleEndian
 
 // bound is one live participant's view summary, gathered in phase 0: the
 // extent plus the requested volume and segment count that feed the
@@ -54,10 +59,10 @@ func (f *File) planCollective() collPlan {
 		segs++
 	}
 	bounds := make([]byte, 32)
-	putI64(bounds[0:], lo)
-	putI64(bounds[8:], hi)
-	putI64(bounds[16:], total)
-	putI64(bounds[24:], segs)
+	le.PutUint64(bounds[0:], uint64(lo))
+	le.PutUint64(bounds[8:], uint64(hi))
+	le.PutUint64(bounds[16:], uint64(total))
+	le.PutUint64(bounds[24:], uint64(segs))
 	all := f.rank.AllGather(bounds)
 	p := collPlan{selfIdx: -1, gLo: 1<<62 - 1, gHi: -1}
 	for i, b := range all {
@@ -69,10 +74,10 @@ func (f *File) planCollective() collPlan {
 		}
 		p.parts = append(p.parts, bound{
 			rank:  i,
-			lo:    getI64(b[0:]),
-			hi:    getI64(b[8:]),
-			total: getI64(b[16:]),
-			segs:  getI64(b[24:]),
+			lo:    int64(le.Uint64(b[0:])),
+			hi:    int64(le.Uint64(b[8:])),
+			total: int64(le.Uint64(b[16:])),
+			segs:  int64(le.Uint64(b[24:])),
 		})
 		h := p.parts[len(p.parts)-1]
 		if h.hi < 0 {
@@ -270,8 +275,8 @@ func (f *File) WriteCollective(data []byte) error {
 	var dataPos int64
 	f.splitView(plan, func(a int, off, length int64) {
 		rec := make([]byte, 16+length)
-		putI64(rec[0:], off)
-		putI64(rec[8:], length)
+		le.PutUint64(rec[0:], uint64(off))
+		le.PutUint64(rec[8:], uint64(length))
 		copy(rec[16:], data[dataPos:dataPos+length])
 		dataPos += length
 		myPieces[a] = append(myPieces[a], rec...)
@@ -296,8 +301,8 @@ func (f *File) WriteCollective(data []byte) error {
 		var spans []aggSpan
 		addRecords := func(buf []byte) {
 			for len(buf) > 0 {
-				off := getI64(buf[0:])
-				length := getI64(buf[8:])
+				off := int64(le.Uint64(buf[0:]))
+				length := int64(le.Uint64(buf[8:]))
 				spans = append(spans, aggSpan{off: off, data: buf[16 : 16+length]})
 				buf = buf[16+length:]
 			}
@@ -428,8 +433,8 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 	myReqs := make([][]byte, plan.numAgg)
 	f.splitView(plan, func(a int, off, length int64) {
 		rec := make([]byte, 16)
-		putI64(rec[0:], off)
-		putI64(rec[8:], length)
+		le.PutUint64(rec[0:], uint64(off))
+		le.PutUint64(rec[8:], uint64(length))
 		myReqs[a] = append(myReqs[a], rec...)
 	})
 	for a := 0; a < plan.numAgg; a++ {
@@ -450,7 +455,7 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 		var reqs []readReq
 		addReqs := func(rank int, buf []byte) {
 			for len(buf) >= 16 {
-				reqs = append(reqs, readReq{rank: rank, off: getI64(buf[0:]), n: getI64(buf[8:])})
+				reqs = append(reqs, readReq{rank: rank, off: int64(le.Uint64(buf[0:])), n: int64(le.Uint64(buf[8:]))})
 				buf = buf[16:]
 			}
 		}
@@ -527,8 +532,8 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 					data = data[:q.n]
 				}
 				rec := make([]byte, 16+len(data))
-				putI64(rec[0:], q.off)
-				putI64(rec[8:], int64(len(data)))
+				le.PutUint64(rec[0:], uint64(q.off))
+				le.PutUint64(rec[8:], uint64(int64(len(data))))
 				copy(rec[16:], data)
 				reply[q.rank] = append(reply[q.rank], rec...)
 				r.MemCopy(int64(len(data)))
@@ -552,8 +557,8 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 	failed := make(map[int]bool)
 	addPieces := func(buf []byte) {
 		for len(buf) >= 16 {
-			off := getI64(buf[0:])
-			length := getI64(buf[8:])
+			off := int64(le.Uint64(buf[0:]))
+			length := int64(le.Uint64(buf[8:]))
 			pieces[off] = buf[16 : 16+length]
 			buf = buf[16+length:]
 		}

@@ -204,17 +204,3 @@ func (a *AsyncRead) Wait() []byte {
 	a.rank.Wait(a.h)
 	return a.buf
 }
-
-func putI64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getI64(b []byte) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[i]) << (8 * i)
-	}
-	return v
-}
