@@ -86,6 +86,28 @@ var fpSkippedSeries = map[string]bool{
 	"blast.index_builds": true, "blast.index_reuses": true,
 }
 
+// fpOrderSeries is the suffix of each file system's order-inversion counter.
+// It stays out of the blob because it is not a measurement but an invariant:
+// every variant, crashes included, must end with it at zero on every file
+// system — storage accesses reached each channel pool in virtual-time order.
+const fpOrderSeries = ".order_inversions"
+
+func fpCheckOrder(t *testing.T, name string, reg *metrics.Registry) {
+	t.Helper()
+	found := false
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasSuffix(c.Name, fpOrderSeries) {
+			found = true
+			if c.Value != 0 {
+				t.Errorf("%s: %s = %d, want 0", name, c.Name, c.Value)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("%s: no %s series recorded", name, fpOrderSeries)
+	}
+}
+
 // fpCluster is fixture.newCluster with the registry attached to every file
 // system, so vfs and mpiio counters land in the fingerprint too.
 func fpCluster(t *testing.T, fx *fixture, nprocs int, volMax int64, reg *metrics.Registry) []*vfs.Node {
@@ -156,7 +178,7 @@ func (r fpRun) render(name string) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if fpSkippedSeries[n] {
+		if fpSkippedSeries[n] || strings.HasSuffix(n, fpOrderSeries) {
 			continue
 		}
 		if v, ok := counters[n]; ok {
@@ -266,7 +288,10 @@ func TestClockFingerprint(t *testing.T) {
 	}
 	fx := makeFixture(t, 2000)
 	var blob strings.Builder
-	add := func(name string, r fpRun) { blob.WriteString(r.render(name)) }
+	add := func(name string, r fpRun) {
+		fpCheckOrder(t, name, r.reg)
+		blob.WriteString(r.render(name))
+	}
 
 	// pioBLAST, one-shot.
 	pioCases := []struct {

@@ -1113,7 +1113,6 @@ func (w *worker) acquire(mine []int, onFrag func(*blast.Fragment) error) error {
 		}
 		startFetch := func(pi int) (*partFetch, error) {
 			reqPart()
-			r.Yield()
 			r.SetPhase(simtime.PhaseInput)
 			return startPartFetch(w.files, meta.Parts[pi])
 		}
@@ -1169,7 +1168,6 @@ func (w *worker) acquire(mine []int, onFrag func(*blast.Fragment) error) error {
 			}
 		}
 	case meta.Collective:
-		r.Yield()
 		r.SetPhase(simtime.PhaseInput)
 		frags, err := readPartsCollective(r, w.files, meta, mine)
 		if err != nil {
@@ -1187,10 +1185,8 @@ func (w *worker) acquire(mine []int, onFrag func(*blast.Fragment) error) error {
 }
 
 // readOne delivers one partition through an independent read of its
-// extents. It first yields, keeping virtual-time order across ranks' storage
-// accesses.
+// extents.
 func (w *worker) readOne(pi int, onFrag func(*blast.Fragment) error) error {
-	w.r.Yield()
 	w.r.SetPhase(simtime.PhaseInput)
 	frag, err := readPart(w.files, w.meta.Parts[pi])
 	if err != nil {
@@ -1215,7 +1211,6 @@ func (w *worker) acquireStatic(parts []int, prefetch int, onFrag func(*blast.Fra
 	fetches := make([]*partFetch, len(parts))
 	next := 0
 	for cur := range parts {
-		w.r.Yield()
 		w.r.SetPhase(simtime.PhaseInput)
 		for next <= cur+prefetch && next < len(parts) {
 			pf, err := startPartFetch(w.files, w.meta.Parts[parts[next]])

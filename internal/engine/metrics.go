@@ -57,10 +57,9 @@ func RecordQueryLatency(reg *metrics.Registry, rank int, seconds float64) {
 	reg.Distribution("engine.query_latency_s", rank, metrics.LatencyBuckets()).Observe(seconds)
 }
 
-// AddIOFaults folds the fault statistics of every distinct file system the
-// run could touch into the result (the shared FS appears in every node, so
-// it is counted once).
-func (r *RunResult) AddIOFaults(nodes []*vfs.Node) {
+// eachFS calls fn once per distinct file system the run could touch (the
+// shared FS appears in every node).
+func eachFS(nodes []*vfs.Node, fn func(*vfs.FS)) {
 	seen := make(map[*vfs.FS]bool)
 	for _, n := range nodes {
 		for _, fs := range []*vfs.FS{n.Shared, n.Local} {
@@ -68,10 +67,18 @@ func (r *RunResult) AddIOFaults(nodes []*vfs.Node) {
 				continue
 			}
 			seen[fs] = true
-			faulted, retries, backoff := fs.FaultStats()
-			r.IOFaultedOps += faulted
-			r.IORetries += retries
-			r.IOBackoff += backoff
+			fn(fs)
 		}
 	}
+}
+
+// AddIOFaults folds the fault statistics of every file system into the
+// result.
+func (r *RunResult) AddIOFaults(nodes []*vfs.Node) {
+	eachFS(nodes, func(fs *vfs.FS) {
+		faulted, retries, backoff := fs.FaultStats()
+		r.IOFaultedOps += faulted
+		r.IORetries += retries
+		r.IOBackoff += backoff
+	})
 }

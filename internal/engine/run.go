@@ -76,6 +76,8 @@ func Execute(nodes []*vfs.Node, nprocs int, cfg mpi.Config, outputPath string, q
 	if cfg.Comm == nil {
 		cfg.Comm = mpi.NewCommStats(nprocs)
 	}
+	// The world's clocks start at zero, so the storage it queues on must too.
+	eachFS(nodes, (*vfs.FS).BeginRun)
 	clocks, err := mpi.RunConfig(nprocs, cfg, body)
 	if err != nil {
 		return RunResult{}, err
@@ -183,14 +185,11 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 // to the rank's clock, book the work counters, and hand the result to emit.
 // Only the host shares the index. The result's work still includes the
 // build, so the modelled rank is charged for indexing the query at every
-// (fragment, query) step, as a real worker would be. The rank yields after
-// every (fragment, query) step so that ranks' storage accesses are issued
-// in virtual-time order (see mpi.Rank.Yield); emit runs before the yield,
-// still inside the step. Both engines' one-shot and serving workers search
-// through this loop, which is what keeps their per-(query, fragment) work
-// counters — and so the report footers — identical. Pass emit as a func
-// value built once per worker: the loop itself allocates nothing per
-// (fragment, query).
+// (fragment, query) step, as a real worker would be. Both engines' one-shot
+// and serving workers search through this loop, which is what keeps their
+// per-(query, fragment) work counters — and so the report footers —
+// identical. Pass emit as a func value built once per worker: the loop
+// itself allocates nothing per (fragment, query).
 func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
 	r := l.r
 	r.SetPhase(simtime.PhaseSearch)
@@ -209,7 +208,6 @@ func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.Q
 		r.Compute(res.Work.Units())
 		RecordWork(r.Metrics(), r.ID(), res.Work)
 		emit(qi, res)
-		r.Yield()
 	}
 	return nil
 }

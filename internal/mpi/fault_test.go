@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"parblast/internal/vfs"
 )
 
 // TestSingleRankCollectivesFree: a world of one pays no tree latency for
@@ -145,17 +147,24 @@ func TestRecvTimeoutExpires(t *testing.T) {
 }
 
 // TestRecvTimeoutFromCrashed: awaiting a specific crashed rank fails fast
-// with ErrRankFailed (wrapped, naming the crash time) instead of timing out.
+// with ErrRankFailed (wrapped, naming the crash time) instead of timing out
+// — fast in virtual time too: the receiver resumes at the time the failure
+// became true, not at its deadline, so its next storage access is not booked
+// behind one that rank 2 makes 48 seconds later.
 func TestRecvTimeoutFromCrashed(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
 		Faults: []Fault{{Rank: 1, At: 0.5, Kind: FaultCrash}},
 	}
-	_, err := RunConfig(2, cfg, func(r *Rank) error {
+	fs := vfs.MustNew(vfs.Profile{Name: "t", Latency: 1, Bandwidth: 1e9, Channels: 1})
+	clocks, err := RunConfig(3, cfg, func(r *Rank) error {
 		switch r.ID() {
 		case 1:
 			r.Advance(1) // dies at the next op
 			r.Barrier()
+		case 2:
+			r.Advance(50)
+			r.IO(fs, 0)
 		case 0:
 			r.Advance(2) // make sure the crash is in the past
 			_, _, _, err := r.RecvTimeout(1, 9, 100)
@@ -165,11 +174,15 @@ func TestRecvTimeoutFromCrashed(t *testing.T) {
 			if !strings.Contains(err.Error(), "crashed at t=") {
 				return fmt.Errorf("error %q does not name the crash time", err)
 			}
+			r.IO(fs, 0)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := clocks[0].Now(); !near(got, 3) {
+		t.Fatalf("rank 0 clock = %g, want 3 (failure seen at t=2, then a 1 s access on a free channel)", got)
 	}
 }
 

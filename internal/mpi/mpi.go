@@ -5,23 +5,34 @@
 // # Execution model
 //
 // The world runs as a sequential discrete-event simulation: at any moment
-// exactly one rank executes (it holds the scheduler token). A rank runs
-// until it blocks — on a receive with no matching message, inside a
-// collective, or at a Yield — and then it picks the eligible rank with the
-// smallest virtual time and hands that rank the token. This rule makes runs
-// fully deterministic (identical clocks, identical message orders) while
-// still exercising the real concurrent message-passing structure of the
-// engines:
+// exactly one rank executes (it holds the scheduler token). There is one
+// ordering rule: every operation that observes or books state another rank
+// can change — Recv, RecvTimeout, IO, StartIO, Failed — first parks its rank,
+// and the scheduler hands the token to the eligible rank with the smallest
+// virtual time (ties to the lowest id). A collective parks every participant
+// but the last, whose arrival releases the rest at a time that depends on
+// their clocks, not on the order they joined in. Operations that touch only
+// the rank's own clock or append to another rank's inbox (Advance, Compute,
+// Send, Wait) run without a handoff. This rule makes runs fully deterministic
+// (identical clocks, identical message orders) while still exercising the
+// real concurrent message-passing structure of the engines:
 //
 //   - a rank that is ready to run is eligible at its own clock;
-//   - a rank blocked on a receive is eligible at max(clock, earliest
-//     matching arrival), and ineligible while no match is queued;
+//   - a rank parked in a receive is eligible at max(clock, earliest matching
+//     arrival) — or at its deadline, or the crash time of the specific source
+//     a RecvTimeout awaits, when that comes first — and ineligible while none
+//     of those exists;
 //   - a rank inside a collective is ineligible until the last participant
 //     arrives, which releases everyone at the collective's completion time.
 //
-// Because the scheduler always advances the globally earliest event, any
-// message sent in the future carries an arrival no earlier than the event
-// being executed, so receive choices (including AnySource) are exact.
+// Because a rank resumes only when its event is the globally earliest, every
+// rank that could still send it an earlier message, book an earlier storage
+// access or crash earlier has already run that far. That is what makes
+// receive choices (including AnySource) exact and storage channels granted in
+// virtual-time order, and why callers never place scheduling points
+// themselves. Messages that arrive at the same instant are taken in (source,
+// per-source send order), which does not depend on which sender the host
+// happened to run first.
 //
 // The token is a value on a channel. Every rank owns one wake channel of
 // capacity one; the holder parks itself, scans for the earliest event, and
@@ -561,18 +572,21 @@ func (w *World) earliestEligible() int {
 		case stateReady:
 			t = w.ranks[i].clock.Now()
 		case stateBlockedRecv:
-			t = math.Inf(1)
-			if m, ok := w.earliestMatch(i); ok {
-				t = math.Max(w.ranks[i].clock.Now(), m.arrival)
+			// A receive with a deadline is always eligible: it wakes at the
+			// earliest of the match, the timeout and — so that ErrRankFailed
+			// is reported at the time it became true — its source's crash.
+			dl := w.recvDeadline[i]
+			t = dl
+			if k := w.earliestMatch(i); k >= 0 {
+				t = math.Min(t, w.inbox[i][k].arrival)
 			}
-			// A receive with a deadline is always eligible: it wakes at
-			// the earlier of the match and the timeout.
-			if dl := w.recvDeadline[i]; dl < t {
-				t = math.Max(w.ranks[i].clock.Now(), dl)
+			if src := w.recvSrc[i]; !math.IsInf(dl, 1) && w.dead(src) {
+				t = math.Min(t, w.crashTime[src])
 			}
 			if math.IsInf(t, 1) {
 				continue
 			}
+			t = math.Max(t, w.ranks[i].clock.Now())
 		default:
 			continue
 		}
@@ -625,34 +639,36 @@ func (w *World) stateDump() string {
 	return b.String()
 }
 
-// earliestMatch finds the queued message for rank i's pending receive
-// with the smallest (arrival, seq).
-func (w *World) earliestMatch(i int) (message, bool) {
+// earliestMatch returns the inbox index of the message rank i's pending
+// receive takes next, or -1 when none is queued: the smallest arrival, ties
+// to the lowest source. One source's messages are queued in send order with
+// non-decreasing arrivals, so keeping the first of equals orders them too —
+// and none of it depends on the host order in which senders ran.
+func (w *World) earliestMatch(i int) int {
 	src, tag := w.recvSrc[i], w.recvTag[i]
+	q := w.inbox[i]
 	best := -1
-	for k, m := range w.inbox[i] {
+	for k, m := range q {
 		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			if best < 0 || m.arrival < w.inbox[i][best].arrival ||
-				(m.arrival == w.inbox[i][best].arrival && m.seq < w.inbox[i][best].seq) {
+			if best < 0 || m.arrival < q[best].arrival ||
+				(m.arrival == q[best].arrival && m.src < q[best].src) {
 				best = k
 			}
 		}
 	}
-	if best < 0 {
-		return message{}, false
-	}
-	return w.inbox[i][best], true
+	return best
 }
 
-func (w *World) takeMessage(i int, m message) {
-	q := w.inbox[i]
-	for k := range q {
-		if q[k].seq == m.seq {
-			w.inbox[i] = append(q[:k], q[k+1:]...)
-			return
-		}
-	}
-	panic("mpi: message vanished from inbox")
+// deliver takes message k out of the rank's inbox and charges its delivery:
+// wait for the arrival, then the receiver's share of the transfer.
+func (r *Rank) deliver(k int) message {
+	w := r.world
+	m := w.inbox[r.id][k]
+	w.inbox[r.id] = append(w.inbox[r.id][:k], w.inbox[r.id][k+1:]...)
+	r.clock.AdvanceTo(m.arrival)
+	r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
+	r.deliverFlow(m)
+	return m
 }
 
 // block parks the calling rank (the token holder) in the given state, hands
@@ -785,9 +801,15 @@ func (w *World) emitCollectiveFlows(c *collective) {
 
 // Failed reports whether the given rank has crashed. This is the simulated
 // failure detector's ground truth: detection protocols use timeouts to
-// decide WHEN to ask, but the answer itself is never wrong.
+// decide WHEN to ask, but the answer itself is never wrong — the caller
+// parks first, so every crash earlier than its clock has already fired.
 func (r *Rank) Failed(rank int) bool {
-	w := r.world
+	r.block(stateReady)
+	return r.world.dead(rank)
+}
+
+// dead reports whether rank names a crashed rank (AnySource names none).
+func (w *World) dead(rank int) bool {
 	return rank >= 0 && rank < w.n && w.crashed[rank]
 }
 
@@ -899,17 +921,6 @@ func (r *Rank) Advance(d float64) {
 	r.clock.Advance(d)
 }
 
-// Yield hands the scheduler token to the rank with the smallest virtual
-// clock (possibly this one again). Long compute/I-O loops that never block
-// should yield between steps so that shared-resource accesses (storage
-// channel pools) are issued in virtual-time order across ranks; without
-// yields a rank would run its whole phase in one token hold and other
-// ranks' earlier accesses would falsely queue behind its later ones.
-func (r *Rank) Yield() {
-	r.maybeCrash()
-	r.block(stateReady)
-}
-
 // Compute charges work units at the model's search-unit cost, scaled by
 // the rank's node-speed factor and any active degrade fault.
 func (r *Rank) Compute(units int64) {
@@ -948,6 +959,7 @@ func (r *Rank) MemCopy(n int64) {
 // behind other ranks' concurrent accesses.
 func (r *Rank) IO(fs *vfs.FS, n int64) {
 	r.maybeCrash()
+	r.block(stateReady)
 	end := fs.Access(r.clock.Now(), n)
 	r.clock.AdvanceTo(end)
 }
@@ -968,6 +980,7 @@ type IOHandle struct {
 // schedule, so the booked completion time is reproducible.
 func (r *Rank) StartIO(fs *vfs.FS, n int64) *IOHandle {
 	r.maybeCrash()
+	r.block(stateReady)
 	start := r.clock.Now()
 	end := fs.Access(start, n)
 	r.Metrics().Counter("mpi.async_io_started", r.id).Inc()
@@ -1033,22 +1046,11 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	r.maybeCrash()
 	w := r.world
-	// Install the match filter BEFORE the first queue scan —
-	// earliestMatch reads it, and a stale filter from a previous
-	// Recv could mis-consume another sender's message.
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
-	w.recvDeadline[r.id] = math.Inf(1)
-	for {
-		if m, ok := w.earliestMatch(r.id); ok {
-			w.takeMessage(r.id, m)
-			r.clock.AdvanceTo(m.arrival)
-			r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
-			r.deliverFlow(m)
-			return m.data, m.src, m.tag
-		}
-		r.block(stateBlockedRecv)
-		// Loop: a match is guaranteed present now.
-	}
+	// The scheduler resumes a deadline-free receive only at a queued match.
+	r.block(stateBlockedRecv)
+	m := r.deliver(w.earliestMatch(r.id))
+	return m.data, m.src, m.tag
 }
 
 // RecvTimeout is Recv with a virtual-time deadline — the primitive failure
@@ -1061,8 +1063,9 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 //   - ErrTimeout when the deadline passes first — the clock advances to
 //     the deadline, so repeated polling makes forward progress.
 //
-// Determinism: the wake-up time is min(match delivery, deadline), resolved
-// by the same earliest-event scheduler as everything else.
+// Determinism: the wake-up time is min(match delivery, deadline, the
+// source's crash), resolved by the same earliest-event scheduler as
+// everything else.
 func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, gotTag int, err error) {
 	r.maybeCrash()
 	w := r.world
@@ -1073,37 +1076,26 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 	deadline := entered + timeout
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
 	w.recvDeadline[r.id] = deadline
-	waited := false
-	for {
-		if m, ok := w.earliestMatch(r.id); ok && math.Max(r.clock.Now(), m.arrival) <= deadline {
-			w.takeMessage(r.id, m)
-			w.recvDeadline[r.id] = math.Inf(1)
-			r.clock.AdvanceTo(m.arrival)
-			r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
-			r.deliverFlow(m)
-			return m.data, m.src, m.tag, nil
-		}
-		if src != AnySource && src >= 0 && src < w.n && w.crashed[src] {
-			at := w.crashTime[src]
-			w.recvDeadline[r.id] = math.Inf(1)
-			r.clock.AdvanceTo(at) // no-op when the crash is in our past
-			w.config.Metrics.Counter("mpi.recv_failed_peer", r.id).Inc()
-			return nil, 0, 0, fmt.Errorf("mpi: recv from rank %d: %w (crashed at t=%.6f)", src, ErrRankFailed, at)
-		}
-		// Once the scheduler has woken us without a deliverable match,
-		// the deadline was the earliest event: time out.
-		if waited || r.clock.Now() >= deadline {
-			w.recvDeadline[r.id] = math.Inf(1)
-			r.clock.AdvanceTo(deadline)
-			if reg := w.config.Metrics; reg != nil {
-				reg.Counter("mpi.recv_timeouts", r.id).Inc()
-				reg.Gauge("mpi.recv_timeout_wait_s", r.id).Add(deadline - entered)
-			}
-			return nil, 0, 0, ErrTimeout
-		}
-		waited = true
-		r.block(stateBlockedRecv)
+	r.block(stateBlockedRecv)
+	w.recvDeadline[r.id] = math.Inf(1)
+	if k := w.earliestMatch(r.id); k >= 0 && w.inbox[r.id][k].arrival <= deadline {
+		m := r.deliver(k)
+		return m.data, m.src, m.tag, nil
 	}
+	if w.dead(src) {
+		at := w.crashTime[src]
+		r.clock.AdvanceTo(at) // no-op when the crash is in our past
+		w.config.Metrics.Counter("mpi.recv_failed_peer", r.id).Inc()
+		return nil, 0, 0, fmt.Errorf("mpi: recv from rank %d: %w (crashed at t=%.6f)", src, ErrRankFailed, at)
+	}
+	// Resumed with neither a deliverable match nor a dead source: the
+	// deadline was the earliest event.
+	r.clock.AdvanceTo(deadline)
+	if reg := w.config.Metrics; reg != nil {
+		reg.Counter("mpi.recv_timeouts", r.id).Inc()
+		reg.Gauge("mpi.recv_timeout_wait_s", r.id).Add(deadline - entered)
+	}
+	return nil, 0, 0, ErrTimeout
 }
 
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.

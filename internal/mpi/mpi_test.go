@@ -326,7 +326,7 @@ func TestAbortHygiene(t *testing.T) {
 	// lateRank0 lets every other rank run (and park) before rank 0 acts.
 	lateRank0 := func(r *Rank) {
 		r.Advance(1)
-		r.Yield()
+		r.block(stateReady)
 	}
 	for _, tc := range []struct {
 		name, want string
@@ -460,16 +460,15 @@ func TestRecvFilterNotStale(t *testing.T) {
 	}
 }
 
-func TestYieldPreservesTimeOrder(t *testing.T) {
-	// Two ranks issue storage accesses in loops; with Yield between
-	// iterations the single-channel storage must serve them in virtual-
-	// time order, so both finish at (approximately) the same time instead
-	// of one queueing entirely behind the other.
+func TestIOOrderIsVirtualTimeOrder(t *testing.T) {
+	// Two ranks issue storage accesses in loops with no scheduling point of
+	// their own; the single-channel storage must still serve them in
+	// virtual-time order, so both finish at (approximately) the same time
+	// instead of one queueing entirely behind the other.
 	fs := vfs.MustNew(vfs.Profile{Name: "t", Latency: 0.1, Bandwidth: 1e9, Channels: 1})
 	clocks, err := Run(2, testCost(), func(r *Rank) error {
 		for i := 0; i < 5; i++ {
 			r.IO(fs, 10)
-			r.Yield()
 		}
 		return nil
 	})
@@ -487,6 +486,138 @@ func TestYieldPreservesTimeOrder(t *testing.T) {
 	}
 	if b-a > 0.11 {
 		t.Fatalf("interleaving unfair: %g vs %g", a, b)
+	}
+
+	// The gap case: rank 0 reads the shared store, writes its local disk for
+	// three seconds, and reads the shared store again. Rank 1's shared read
+	// at t=1.5 falls into that gap and must be served there, not behind
+	// rank 0's second read at t=4.
+	shared := vfs.MustNew(vfs.Profile{Name: "s", Latency: 1, Bandwidth: 1e9, Channels: 1})
+	local := vfs.MustNew(vfs.Profile{Name: "l", Latency: 3, Bandwidth: 1e9, Channels: 1})
+	clocks, err = Run(2, testCost(), func(r *Rank) error {
+		if r.ID() == 0 {
+			r.IO(shared, 0) // [0, 1]
+			r.IO(local, 0)  // [1, 4]
+			r.IO(shared, 0) // [4, 5]
+			return nil
+		}
+		r.Advance(1.5)
+		r.IO(shared, 0) // [1.5, 2.5]
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got0, got1 := clocks[0].Now(), clocks[1].Now(); !near(got0, 5) || !near(got1, 2.5) {
+		t.Fatalf("clocks %g, %g; want 5 and 2.5 (rank 1 served in rank 0's gap)", got0, got1)
+	}
+}
+
+// TestRecvDoesNotJumpToFutureMessage: a receive must not consume a queued
+// message whose arrival lies in the receiver's future while another rank can
+// still send an earlier one. Rank 1's message is queued from t=10 on; rank 2
+// ping-pongs with rank 0 around t=0, so rank 0 hears from rank 2 twice first.
+func TestRecvDoesNotJumpToFutureMessage(t *testing.T) {
+	var order []int
+	_, err := Run(3, testCost(), func(r *Rank) error {
+		switch r.ID() {
+		case 1:
+			r.Advance(10)
+			r.Send(0, 1, nil)
+		case 2:
+			r.Send(0, 1, nil)
+			r.Recv(0, 2)
+			r.Send(0, 1, nil)
+		case 0:
+			for i := 0; i < 3; i++ {
+				_, from, _ := r.Recv(AnySource, 1)
+				order = append(order, from)
+				if i == 0 {
+					r.Send(2, 2, nil)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[2 2 1]" {
+		t.Fatalf("receive order = %v, want [2 2 1]", order)
+	}
+}
+
+// TestExtraSchedulingPointsAreNeutral: the ordering rule lives in the
+// operations themselves, so parking a rank at any other point — here before
+// every single operation of a mixed send/recv/I-O/tree-reduce body — must
+// not move any clock.
+func TestExtraSchedulingPointsAreNeutral(t *testing.T) {
+	const n = 7
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	run := func(point func(*Rank)) []float64 {
+		shared := vfs.MustNew(vfs.Profile{Name: "s", Latency: 2e-3, Bandwidth: 1e6, Channels: 2})
+		locals := make([]*vfs.FS, n)
+		for i := range locals {
+			locals[i] = vfs.MustNew(vfs.LocalDisk())
+		}
+		clocks, err := Run(n, testCost(), func(r *Rank) error {
+			id := r.ID()
+			point(r)
+			r.Compute(int64(1000 * (n - id))) // later ranks start earlier
+			point(r)
+			r.IO(shared, int64(500*(id+1)))
+			point(r)
+			h := r.StartIO(locals[id], 4000)
+			if id == 0 {
+				// Greedy master: serve requests in arrival order.
+				for i := 0; i < 2*(n-1); i++ {
+					point(r)
+					_, from, _ := r.Recv(AnySource, 1)
+					point(r)
+					r.Advance(1e-4)
+					point(r)
+					r.Send(from, 2, make([]byte, 100*from))
+				}
+			} else {
+				for i := 0; i < 2; i++ {
+					point(r)
+					r.Send(0, 1, make([]byte, 300))
+					point(r)
+					r.Recv(0, 2)
+					point(r)
+					r.Compute(int64(700 * id))
+					point(r)
+					r.IO(shared, 2000)
+				}
+			}
+			point(r)
+			r.Wait(h)
+			point(r)
+			if _, _, err := r.TreeReduce(0, 2, members, rankPayload(id, 2), sumCombine); err != nil {
+				return err
+			}
+			point(r)
+			r.IO(shared, 1000)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, n)
+		for i, c := range clocks {
+			out[i] = c.Now()
+		}
+		return out
+	}
+	plain := run(func(*Rank) {})
+	parked := run(func(r *Rank) { r.block(stateReady) })
+	for i := range plain {
+		if plain[i] != parked[i] {
+			t.Fatalf("rank %d clock %x with extra scheduling points, %x without", i, parked[i], plain[i])
+		}
 	}
 }
 

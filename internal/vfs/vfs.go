@@ -108,6 +108,11 @@ type FS struct {
 	mu       sync.Mutex
 	files    map[string]*File
 	channels []float64 // busy-until time per channel
+	// watermark is the latest start time any access of the current run
+	// asked for. Channels are granted in call order, so the timing model is
+	// exact only while callers arrive in virtual-time order; an access that
+	// starts below the watermark breaks that and is counted, never hidden.
+	watermark float64
 	// stats
 	bytesRead    int64
 	bytesWritten int64
@@ -132,6 +137,7 @@ type fsInstruments struct {
 	retries     *metrics.Counter
 	backoff     *metrics.Gauge
 	accessBytes *metrics.Histogram
+	inversions  *metrics.Counter
 }
 
 // SetMetrics attaches the file system to a telemetry registry. Series are
@@ -150,6 +156,7 @@ func (fs *FS) SetMetrics(reg *metrics.Registry) {
 			retries:     reg.Counter(prefix+"fault_retries", metrics.RankGlobal),
 			backoff:     reg.Gauge(prefix+"backoff_s", metrics.RankGlobal),
 			accessBytes: reg.Histogram(prefix+"access_bytes", metrics.RankGlobal, metrics.SizeBuckets()),
+			inversions:  reg.Counter(prefix+"order_inversions", metrics.RankGlobal),
 		}
 	}
 	fs.mu.Lock()
@@ -181,9 +188,22 @@ func MustNew(p Profile) *FS {
 // Profile returns the performance profile.
 func (fs *FS) Profile() Profile { return fs.profile }
 
+// BeginRun forgets the previous run's timing state — every channel is free
+// and the order watermark is back at zero — because a new world's clocks
+// start at zero again. Files, Stats and the fault plan's access ordinals
+// stay cumulative.
+func (fs *FS) BeginRun() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	clear(fs.channels)
+	fs.watermark = 0
+}
+
 // Access charges one I/O of the given size starting no earlier than start,
 // and returns its completion time. It implements the channel-pool queueing
-// model: the operation grabs the earliest-free channel.
+// model: the operation grabs the earliest-free channel. Callers must arrive
+// in non-decreasing start order within a run (mpi's scheduler guarantees it);
+// a call that does not is counted in vfs.<profile>.order_inversions.
 func (fs *FS) Access(start float64, size int64) float64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -194,6 +214,11 @@ func (fs *FS) accessLocked(start float64, size int64) float64 {
 	fs.ops++
 	fs.inst.ops.Inc()
 	fs.inst.accessBytes.Observe(float64(size))
+	if start < fs.watermark {
+		fs.inst.inversions.Inc()
+	} else {
+		fs.watermark = start
+	}
 	// Earliest-free channel.
 	best := 0
 	for i := 1; i < len(fs.channels); i++ {
@@ -394,9 +419,7 @@ func (f *File) WriteAt(p []byte, off int64) {
 	defer f.mu.Unlock()
 	end := off + int64(len(p))
 	if end > int64(len(f.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+		f.extendLocked(end)
 	}
 	copy(f.data[off:end], p)
 	f.fs.mu.Lock()
@@ -414,7 +437,26 @@ func (f *File) Truncate(n int64) {
 		f.data = f.data[:n]
 		return
 	}
-	grown := make([]byte, n)
+	f.extendLocked(n)
+}
+
+// extendLocked grows the file to n > len bytes, the new tail zeroed. Capacity
+// at least doubles when it runs out, so a file extended piecewise — in
+// whatever order its writers happen to run — costs O(final size) allocation,
+// not one whole-file copy per extension. Bytes that a Truncate cut off and
+// the spare capacity still holds are cleared before they are exposed again.
+func (f *File) extendLocked(n int64) {
+	old := len(f.data)
+	if n <= int64(cap(f.data)) {
+		f.data = f.data[:n]
+		clear(f.data[old:])
+		return
+	}
+	c := 2 * int64(cap(f.data))
+	if c < n {
+		c = n
+	}
+	grown := make([]byte, n, c)
 	copy(grown, f.data)
 	f.data = grown
 }

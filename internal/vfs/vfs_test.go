@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"parblast/internal/metrics"
 )
 
 func TestProfiles(t *testing.T) {
@@ -65,6 +67,49 @@ func TestTruncate(t *testing.T) {
 	snap := f.Snapshot()
 	if string(snap[:3]) != "abc" || snap[3] != 0 || snap[4] != 0 {
 		t.Fatalf("grown area: %q", snap)
+	}
+}
+
+// TestExtendAfterTruncateIsZeroFilled: growth reuses spare capacity, so
+// bytes a Truncate cut off must not come back when the file is extended —
+// by Truncate or by a write past the end — in any piecewise order.
+func TestExtendAfterTruncateIsZeroFilled(t *testing.T) {
+	fs := MustNew(RAMDisk())
+	f := fs.Create("t")
+	f.WriteAt(bytes.Repeat([]byte{0xff}, 64), 0)
+	f.Truncate(8)
+	f.WriteAt([]byte("xy"), 30) // hole 8..30 lies in the old capacity
+	f.Truncate(48)
+	want := append(bytes.Repeat([]byte{0xff}, 8), make([]byte, 40)...)
+	copy(want[30:], "xy")
+	if got := f.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("stale bytes re-exposed:\n got %x\nwant %x", got, want)
+	}
+	// Create truncates in place and keeps the capacity: same rule.
+	f = fs.Create("t")
+	f.WriteAt([]byte("z"), 63)
+	if got := f.Snapshot(); !bytes.Equal(got[:63], make([]byte, 63)) || got[63] != 'z' {
+		t.Fatalf("stale bytes after re-create: %x", got)
+	}
+}
+
+// TestPiecewiseExtensionAllocatesLinearly: a file extended by many small
+// writes must not copy itself once per extension, whatever order the writes
+// come in (the shared output file is written by every rank in host order).
+func TestPiecewiseExtensionAllocatesLinearly(t *testing.T) {
+	const pieces, piece = 512, 1 << 10
+	fs := MustNew(RAMDisk())
+	p := make([]byte, piece)
+	g := fs.Create("fresh")
+	grows, lastCap := 0, 0
+	for i := 0; i < pieces; i++ {
+		g.WriteAt(p, int64(i*piece))
+		if c := cap(g.data); c != lastCap {
+			grows, lastCap = grows+1, c
+		}
+	}
+	if grows > 10 {
+		t.Fatalf("%d reallocations for %d extensions, want ≤ log2+1", grows, pieces)
 	}
 }
 
@@ -138,6 +183,45 @@ func TestAccessMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeginRunResetsTimingNotStats: a new run meets free channels and a
+// zero watermark; operation ordinals and byte counts stay cumulative, which
+// is what lets a fault plan be scheduled relative to Stats().
+func TestBeginRunResetsTimingNotStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fs := MustNew(Profile{Name: "t", Latency: 1, Bandwidth: 100, Channels: 1})
+	fs.SetMetrics(reg)
+	inversions := func() int64 {
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == "vfs.t.order_inversions" {
+				return c.Value
+			}
+		}
+		t.Fatal("vfs.t.order_inversions not registered")
+		return 0
+	}
+	if end := fs.Access(5, 100); end != 7 {
+		t.Fatalf("first access ends at %g, want 7", end)
+	}
+	fs.Access(5, 100) // equal start: in order
+	if got := inversions(); got != 0 {
+		t.Fatalf("%d inversions after in-order accesses", got)
+	}
+	fs.Access(4, 100) // below the watermark
+	if got := inversions(); got != 1 {
+		t.Fatalf("%d inversions after an out-of-order access, want 1", got)
+	}
+	fs.BeginRun()
+	if end := fs.Access(0, 100); end != 2 {
+		t.Fatalf("access at 0 in a new run ends at %g, want 2 (channel free)", end)
+	}
+	if got := inversions(); got != 1 {
+		t.Fatalf("%d inversions: t=0 in a new run is not an inversion", got)
+	}
+	if ops, _, _ := fs.Stats(); ops != 4 {
+		t.Fatalf("ops = %d, want 4 (cumulative across runs)", ops)
 	}
 }
 

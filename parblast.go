@@ -390,8 +390,9 @@ func (c *Cluster) mpiConfig(s Search) mpi.Config {
 		if c.flows {
 			// Adapter, not an import: mpi reports plain FlowEvents and the
 			// façade maps them onto trace.Flow — mirroring Observer/OnFault.
-			// The callback may run under the mpi world lock (collective
-			// edges); RecordFlow only takes the collector's own mutex.
+			// The callback runs on whichever rank goroutine holds the
+			// scheduler token, so calls never overlap; RecordFlow takes
+			// the collector's own mutex for readers outside the run.
 			cfg.OnFlow = func(f mpi.FlowEvent) {
 				tr.RecordFlow(trace.Flow{
 					Kind: f.Kind, Op: f.Op, ID: f.ID, Batch: f.Batch,

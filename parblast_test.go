@@ -271,3 +271,35 @@ func TestSearchThreadsInvarianceThroughPublicAPI(t *testing.T) {
 		t.Fatal("SearchThreads changed engine output bytes")
 	}
 }
+
+// TestClusterReuseSameWall: a world's clocks start at zero, so the storage
+// queues it meets must be empty too — the same job run three times on one
+// cluster takes the same virtual time each time, in both engines.
+func TestClusterReuseSameWall(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+		cluster, err := parblast.NewCluster(4, parblast.PlatformBladeCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := cluster.FormatDB("nr", seqs, "api nr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.PrepareFragments("nr", 3); err != nil {
+			t.Fatal(err)
+		}
+		var first float64
+		for i := 0; i < 3; i++ {
+			res, err := cluster.Run(eng, parblast.Search{DB: db, Queries: queries, Output: "out"})
+			if err != nil {
+				t.Fatalf("%v run %d: %v", eng, i, err)
+			}
+			if i == 0 {
+				first = res.Wall
+			} else if res.Wall != first {
+				t.Fatalf("%v run %d: wall %g, first run %g", eng, i, res.Wall, first)
+			}
+		}
+	}
+}
