@@ -7,79 +7,23 @@
 //	benchsuite [-exp all|fig1a|fig1b|table1|table2|fig3a|fig3b|fig4|ablations|readpath|hetero|faults|mergescale|latency|sla]
 //	           [-dbseqs N] [-family N] [-querybytes N] [-mergescale-ranks 32,128]
 //	           [-report suite.json]
-//	benchsuite -kernelbench [-bench-out BENCH_1.json] [-mergescale]
 //
 // Times are virtual seconds from the cluster simulation; see EXPERIMENTS.md
 // for the paper-vs-measured comparison. -report additionally writes the
 // rows as a versioned machine-readable suite artifact (internal/report).
-// -kernelbench instead measures the search kernel itself (wall-clock ns/op
-// and allocs/op via testing.Benchmark) and writes the perf-trajectory record;
-// with -mergescale it appends the merge-scalability sweep (flat vs tree
-// master-merge time by rank count) so BENCH_N.json carries both curves.
+// Host-time performance is measured by the bench/ module, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"parblast/internal/blast"
 	"parblast/internal/experiments"
 	"parblast/internal/report"
 )
-
-// seedBaseline is the kernel benchmark record of the growth seed (pre-CSR,
-// pre-scratch, sequential kernel), measured on the same fixture; kept in the
-// trajectory file so each BENCH_N.json is self-contained.
-var seedBaseline = []blast.KernelBenchResult{
-	{Name: "SearchFragment", NsPerOp: 3690884, AllocsPerOp: 3697, BytesPerOp: 670457},
-	{Name: "BuildIndexProtein", NsPerOp: 713432, AllocsPerOp: 6005, BytesPerOp: 263128},
-	{Name: "ExtendGapped", NsPerOp: 544499, AllocsPerOp: 218, BytesPerOp: 56312},
-}
-
-func runKernelBench(outPath string, lab *experiments.Lab, mergeRanks []int) error {
-	results := blast.RunKernelBenchmarks()
-	doc := struct {
-		Suite        string                      `json:"suite"`
-		Results      []blast.KernelBenchResult   `json:"results"`
-		Baseline     []blast.KernelBenchResult   `json:"seed_baseline"`
-		MergeScale   []experiments.MergeScaleRow `json:"mergescale,omitempty"`
-		MergeSpeedup map[string]float64          `json:"merge_speedup,omitempty"`
-	}{Suite: "kernel", Results: results, Baseline: seedBaseline}
-	if lab != nil {
-		rows, err := experiments.MergeScale(lab, mergeRanks)
-		if err != nil {
-			return err
-		}
-		doc.Suite = "kernel+mergescale"
-		doc.MergeScale = rows
-		doc.MergeSpeedup = make(map[string]float64)
-		speedup := experiments.MergeSpeedup(rows)
-		for _, r := range rows {
-			if r.Fanout == 0 {
-				doc.MergeSpeedup[fmt.Sprintf("%d", r.Ranks)] = speedup[r.Ranks]
-			}
-		}
-		experiments.PrintMergeScaleRows(os.Stdout, rows)
-	}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("%-24s %12.0f ns/op %8d allocs/op %10d B/op\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
 
 // suiteRows flattens experiment rows into the artifact's row shape.
 func suiteRows(rows []experiments.Row) []report.SuiteRow {
@@ -230,9 +174,6 @@ func main() {
 	dbSeqs := flag.Int("dbseqs", 0, "override database sequence count")
 	family := flag.Int("family", 0, "override family size (database redundancy)")
 	queryBytes := flag.Int("querybytes", 0, "override the default ('150 KB'-equivalent) query set volume")
-	kernelBench := flag.Bool("kernelbench", false, "run the search-kernel micro-benchmarks and write the perf-trajectory JSON")
-	benchOut := flag.String("bench-out", "BENCH_1.json", "output path for -kernelbench")
-	withMergeScale := flag.Bool("mergescale", false, "with -kernelbench: append the merge-scalability sweep to the JSON")
 	mergeRanksFlag := flag.String("mergescale-ranks", "", "comma-separated rank counts for the mergescale sweep (default 32,128,512,1024)")
 	reportPath := flag.String("report", "", "write a machine-readable JSON suite artifact to this path")
 	flag.Parse()
@@ -245,18 +186,6 @@ func main() {
 	mergeRanks, err := parseRankList(*mergeRanksFlag)
 	if err != nil {
 		fail(err)
-	}
-
-	if *kernelBench {
-		var benchLab *experiments.Lab
-		if *withMergeScale {
-			l := experiments.DefaultLab()
-			benchLab = &l
-		}
-		if err := runKernelBench(*benchOut, benchLab, mergeRanks); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	lab := experiments.DefaultLab()

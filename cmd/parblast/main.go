@@ -40,7 +40,7 @@ func main() {
 	outfmt := flag.String("outfmt", "pairwise", "report format: pairwise or tabular")
 	filter := flag.Bool("filter", false, "mask low-complexity query regions for seeding (-F)")
 	dynamic := flag.Bool("dynamic", false, "pioBLAST: greedy run-time fragment assignment (§5)")
-	collectiveRead := flag.Bool("collective-read", false, "pioBLAST: two-phase collective input reads (§3; static assignment only)")
+	collectiveRead := flag.Bool("collective-read", false, "pioBLAST: two-phase collective input reads (§3; static assignment only: rejected with -dynamic)")
 	prefetch := flag.Int("prefetch", 0, "pioBLAST: partitions to prefetch asynchronously while searching (0 = synchronous reads)")
 	batch := flag.Int("batch", 0, "pioBLAST: queries per collective write (§5 query batching)")
 	treeMerge := flag.Bool("tree-merge", false, "hierarchical tree merge of result metadata (both engines): group pre-merges on worker clocks, one bundle per subtree to the master")

@@ -11,14 +11,11 @@ import (
 	"strings"
 	"testing"
 
-	"parblast/internal/blast"
 	"parblast/internal/core"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/metrics"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
-	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
 	"parblast/internal/workload"
@@ -36,40 +33,6 @@ import (
 var updateFingerprint = flag.Bool("update-fingerprint", false, "rewrite testdata/clock_fingerprint.golden")
 
 const fingerprintGolden = "testdata/clock_fingerprint.golden"
-
-// TestMain pins the one piece of process-global state that leaks into
-// virtual time: encoding/gob hands out type ids in first-use order, and the
-// definition of the FIRST user type a process encodes (id 64) is one byte
-// shorter on the wire than any later one. The job broadcast is a gob shell,
-// so whichever engine broadcasts first in a process gets a 1-byte-shorter
-// Bcast — and every clock downstream moves in the 8th digit. Running one
-// tiny pioBLAST job before any test gives core's jobMeta id 64 no matter
-// which tests run, in which order, or how often, which is also what a fresh
-// `parblast -engine pio` process sees.
-func TestMain(m *testing.M) {
-	if err := primeGobTypeIDs(); err != nil {
-		fmt.Fprintln(os.Stderr, "prime gob type ids:", err)
-		os.Exit(1)
-	}
-	os.Exit(m.Run())
-}
-
-func primeGobTypeIDs() error {
-	seqs, err := workload.SynthesizeDB(workload.DBConfig{Kind: seq.Protein, NumSeqs: 4, MeanLen: 40, Seed: 1})
-	if err != nil {
-		return err
-	}
-	nodes, err := vfs.Cluster(2, vfs.RAMDisk(), nil)
-	if err != nil {
-		return err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "prime", seqs, formatdb.Config{Title: "prime", Kind: seq.Protein}); err != nil {
-		return err
-	}
-	job := &engine.Job{DBBase: "prime", Queries: seqs[:1], Options: blast.DefaultProteinOptions(), OutputPath: "prime.out"}
-	_, err = core.Run(nodes, 2, testCost(), job, core.Options{})
-	return err
-}
 
 var fpPhases = []string{
 	simtime.PhaseCopy, simtime.PhaseInput, simtime.PhaseSearch,
@@ -305,7 +268,6 @@ func TestClockFingerprint(t *testing.T) {
 		{"pio/prefetch2", core.Options{PrefetchDepth: 2}, 0},
 		{"pio/dynamic", core.Options{DynamicAssignment: true}, 0},
 		{"pio/dynamic+prefetch", core.Options{DynamicAssignment: true, PrefetchDepth: 1}, 0},
-		{"pio/dynamic+collective", core.Options{DynamicAssignment: true, CollectiveRead: true}, 0},
 		{"pio/batch3", core.Options{QueryBatch: 3}, 0},
 		{"pio/membudget", core.Options{MemoryBudgetBytes: 6 << 10}, 0},
 		{"pio/earlyprune", core.Options{EarlyPrune: true}, 0},

@@ -47,7 +47,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"parblast/internal/blast"
@@ -96,7 +95,7 @@ type Options struct {
 	// aggregators turn the strided per-partition requests into a few
 	// large sieved sequential reads. Static assignment only: with
 	// DynamicAssignment the partition→worker map is not known up front,
-	// so the engine falls back to independent reads.
+	// so the combination is rejected.
 	CollectiveRead bool
 	// PrefetchDepth > 0 overlaps input with search: a worker starts the
 	// asynchronous reads of up to this many upcoming partitions before
@@ -110,20 +109,15 @@ type Options struct {
 	// derives the same batch boundaries, packing as many queries per
 	// collective write as fit the budget. Overrides QueryBatch.
 	MemoryBudgetBytes int64
-	// NodeSpeeds optionally declares per-rank compute-speed factors
-	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes.
-	NodeSpeeds []float64
 	// FaultTolerant enables the worker-failure recovery protocol: a
 	// ready/go rendezvous after the search phase in which the master
 	// detects dead workers and re-issues their VIRTUAL partitions (offset
 	// ranges — no data movement) to survivors. Enabled automatically when
 	// the MPI config schedules faults; can be forced on to measure the
-	// protocol's fault-free overhead.
+	// protocol's fault-free overhead. Detection is paced by
+	// simtime.CostModel.FaultDetectInterval but never wrong: a timeout only
+	// triggers a ground-truth liveness check.
 	FaultTolerant bool
-	// FaultTimeout is the failure-detection polling interval in virtual
-	// seconds (0 = 250 × NetLatency). Detection is timeout-paced but never
-	// wrong: a timeout only triggers a ground-truth liveness check.
-	FaultTimeout float64
 	// TreeMerge replaces the flat worker→master metadata streams with the
 	// hierarchical group merge: workers pre-merge their batch metadata up
 	// a k-ary reduction tree (the same top-k selection the master runs, so
@@ -161,13 +155,10 @@ type wireExtent struct {
 	SeqArrayPos int64 // file position in .pin of seqOffsets[From]
 }
 
-// jobMeta is the broadcast that seeds every worker. The shell is cold-path
-// gob; the query payload inside is pre-encoded with the compact codec
-// (engine.EncodeWireQueries), since it dominates the broadcast bytes.
+// jobMeta is the broadcast that seeds every worker. It carries what a worker
+// reads and nothing else; what only the master needs stays in masterPlan.
 type jobMeta struct {
 	Queries  []byte // engine.EncodeWireQueries payload
-	Title    string
-	Kind     seq.Kind
 	NumSeqs  int
 	TotalLen int64
 	// Parts lists every virtual fragment's extents. With static
@@ -185,9 +176,8 @@ type jobMeta struct {
 	QueryBatch int
 	MemBudget  int64
 	// FT enables the ready/go failure-recovery rendezvous after the search
-	// phase; FTTimeout is the master's detection polling interval.
-	FT        bool
-	FTTimeout float64
+	// phase.
+	FT bool
 	// Tree selects the hierarchical metadata merge over the k-ary
 	// reduction tree with the given fan-out.
 	Tree       bool
@@ -197,6 +187,90 @@ type jobMeta struct {
 	// Serve marks a streaming run: Queries is empty, and each batch's
 	// queries arrive in a per-batch broadcast instead (see serve.go).
 	Serve bool
+}
+
+func (m *jobMeta) encode() []byte {
+	var w engine.Writer
+	w.Blob(m.Queries)
+	w.Int(int64(m.NumSeqs))
+	w.Int(m.TotalLen)
+	w.Uint(uint64(len(m.Parts)))
+	for _, part := range m.Parts {
+		w.Uint(uint64(len(part)))
+		for _, e := range part {
+			w.String(e.VolBase)
+			w.Int(int64(e.From))
+			w.Int(int64(e.To))
+			w.Int(int64(e.OIDFrom))
+			w.Int(e.HdrOff)
+			w.Int(e.HdrLen)
+			w.Int(e.SeqOff)
+			w.Int(e.SeqLen)
+			w.Int(e.HdrArrayPos)
+			w.Int(e.SeqArrayPos)
+		}
+	}
+	w.String(m.OutputPath)
+	w.Bool(m.EarlyPrune)
+	w.Bool(m.Independent)
+	w.Bool(m.Dynamic)
+	w.Bool(m.Collective)
+	w.Int(int64(m.Prefetch))
+	w.Int(int64(m.QueryBatch))
+	w.Int(m.MemBudget)
+	w.Bool(m.FT)
+	w.Bool(m.Tree)
+	w.Int(int64(m.TreeFanout))
+	w.Int(int64(m.IOHints.CbNodes))
+	w.Int(m.IOHints.CbBufferSize)
+	w.Int(m.IOHints.SieveGap)
+	w.Int(int64(m.IOHints.ReadStrategy))
+	w.Bool(m.Serve)
+	return w.Bytes()
+}
+
+func decodeJobMeta(data []byte) (jobMeta, error) {
+	r := engine.NewReader(data)
+	m := jobMeta{Queries: r.Blob(), NumSeqs: int(r.Int()), TotalLen: r.Int()}
+	nParts := int(r.Uint())
+	for pi := 0; pi < nParts && r.Err() == nil; pi++ {
+		var part []wireExtent
+		n := int(r.Uint())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			part = append(part, wireExtent{
+				VolBase:     r.String(),
+				From:        int(r.Int()),
+				To:          int(r.Int()),
+				OIDFrom:     int(r.Int()),
+				HdrOff:      r.Int(),
+				HdrLen:      r.Int(),
+				SeqOff:      r.Int(),
+				SeqLen:      r.Int(),
+				HdrArrayPos: r.Int(),
+				SeqArrayPos: r.Int(),
+			})
+		}
+		m.Parts = append(m.Parts, part)
+	}
+	m.OutputPath = r.String()
+	m.EarlyPrune = r.Bool()
+	m.Independent = r.Bool()
+	m.Dynamic = r.Bool()
+	m.Collective = r.Bool()
+	m.Prefetch = int(r.Int())
+	m.QueryBatch = int(r.Int())
+	m.MemBudget = r.Int()
+	m.FT = r.Bool()
+	m.Tree = r.Bool()
+	m.TreeFanout = int(r.Int())
+	m.IOHints = mpiio.Hints{
+		CbNodes:      int(r.Int()),
+		CbBufferSize: r.Int(),
+		SieveGap:     r.Int(),
+		ReadStrategy: mpiio.Strategy(r.Int()),
+	}
+	m.Serve = r.Bool()
+	return m, r.Err()
 }
 
 // batchMetas is one worker's result metadata for a batch of queries.
@@ -251,11 +325,7 @@ func (s *selection) encode() []byte {
 // rank derives the identical reduction-tree membership for the merge.
 func encodeGo(done bool, extras, alive []int) []byte {
 	var w engine.Writer
-	if done {
-		w.Int(1)
-	} else {
-		w.Int(0)
-	}
+	w.Bool(done)
 	w.Uint(uint64(len(extras)))
 	for _, pi := range extras {
 		w.Int(int64(pi))
@@ -269,7 +339,7 @@ func encodeGo(done bool, extras, alive []int) []byte {
 
 func decodeGo(data []byte) (done bool, extras, alive []int, err error) {
 	r := engine.NewReader(data)
-	done = r.Int() != 0
+	done = r.Bool()
 	n := int(r.Uint())
 	for i := 0; i < n && r.Err() == nil; i++ {
 		extras = append(extras, int(r.Int()))
@@ -317,11 +387,10 @@ func treeCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []
 // abort marker: a member crashed mid-merge and the batch cannot complete.
 func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
 	var w engine.Writer
+	w.Bool(ok)
 	if !ok {
-		w.Int(0)
 		return w.Bytes()
 	}
-	w.Int(1)
 	w.Uint(uint64(len(workers)))
 	for _, wk := range workers {
 		w.Int(int64(wk))
@@ -334,7 +403,7 @@ func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
 // broadcast. ok=false reports the master's abort marker.
 func decodeSelectionBundle(data []byte, worker int) (sel selection, ok bool, err error) {
 	r := engine.NewReader(data)
-	if r.Int() == 0 {
+	if !r.Bool() {
 		return selection{}, false, r.Err()
 	}
 	n := int(r.Uint())
@@ -371,59 +440,62 @@ func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job,
 	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost}, job, opts)
 }
 
-// RunConfig is Run with an explicit MPI configuration (faults, telemetry,
-// tracing). opts.NodeSpeeds fills cfg.Speeds when the config leaves them
-// unset.
+// RunConfig is Run with an explicit MPI configuration (heterogeneity, faults,
+// telemetry, tracing).
 func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	meta, indexBytes, err := plan(nodes, nprocs, &cfg, job, opts, false)
+	mp, err := plan(nodes, nprocs, cfg, job, opts, false)
 	if err != nil {
 		return engine.RunResult{}, err
 	}
-	res, _, err := launch(nodes, nprocs, cfg, job, opts.IOTuner, meta, indexBytes, nil)
+	res, _, err := launch(nodes, nprocs, cfg, job, opts.IOTuner, mp, nil)
 	return res, err
 }
 
-// plan validates the options for the run mode and builds the broadcast that
-// seeds every worker — for RunConfig and Serve alike, so an option one mode
-// cannot honour is rejected with a reason instead of being dropped. One
-// combination is still a pinned fallback rather than an error:
-// CollectiveRead with DynamicAssignment reads independently (see
-// Options.CollectiveRead). Also returns the size of the index files the
-// master reads to compute the partition.
-func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts Options, serve bool) (jobMeta, int64, error) {
-	boot, err := engine.PlanRun("core", nodes, nprocs, *cfg, job, opts.TreeMerge, opts.MergeFanout, opts.FaultTimeout)
+// masterPlan is a validated run as the master holds it: the broadcast that
+// seeds every worker, plus what only the master reads and so never travels.
+type masterPlan struct {
+	meta   jobMeta
+	kind   seq.Kind
+	dbInfo blast.DBInfo
+	// indexBytes is the size of the index files the master reads to compute
+	// the partition.
+	indexBytes int64
+}
+
+// plan validates the options for the run mode and builds the master's plan —
+// for RunConfig and Serve alike, so an option one mode cannot honour is
+// rejected with a reason instead of being dropped.
+func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (masterPlan, error) {
+	boot, err := engine.PlanRun("core", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout)
 	if err != nil {
-		return jobMeta{}, 0, err
+		return masterPlan{}, err
 	}
 	if opts.QueryBatch < 0 {
-		return jobMeta{}, 0, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+		return masterPlan{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
 	}
 	if opts.PrefetchDepth < 0 {
-		return jobMeta{}, 0, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
+		return masterPlan{}, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
 	}
 	if err := opts.IOHints.Validate(); err != nil {
-		return jobMeta{}, 0, err
+		return masterPlan{}, err
 	}
-	if opts.NodeSpeeds != nil {
-		if cfg.Speeds != nil && !slices.Equal(cfg.Speeds, opts.NodeSpeeds) {
-			return jobMeta{}, 0, fmt.Errorf("core: Options.NodeSpeeds %v conflicts with the MPI config's Speeds %v", opts.NodeSpeeds, cfg.Speeds)
-		}
-		cfg.Speeds = opts.NodeSpeeds
+	if opts.CollectiveRead && opts.DynamicAssignment {
+		return masterPlan{}, fmt.Errorf("core: collective read requires static assignment (the partition→worker map must be known before the read)")
 	}
 	if serve {
 		switch {
 		case opts.DynamicAssignment:
-			return jobMeta{}, 0, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
+			return masterPlan{}, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
 		case opts.MemoryBudgetBytes > 0:
-			return jobMeta{}, 0, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
+			return masterPlan{}, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
 		case opts.QueryBatch > 1:
-			return jobMeta{}, 0, fmt.Errorf("core: serve mode does not support query batch %d (batch boundaries come from the arrival stream)", opts.QueryBatch)
+			return masterPlan{}, fmt.Errorf("core: serve mode does not support query batch %d (batch boundaries come from the arrival stream)", opts.QueryBatch)
 		}
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return jobMeta{}, 0, err
+		return masterPlan{}, err
 	}
 	nParts := job.Fragments
 	if nParts == 0 {
@@ -431,7 +503,7 @@ func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts 
 	}
 	parts, err := db.Partition(nParts)
 	if err != nil {
-		return jobMeta{}, 0, err
+		return masterPlan{}, err
 	}
 	wireParts := make([][]wireExtent, len(parts))
 	for pi, p := range parts {
@@ -452,8 +524,6 @@ func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts 
 		}
 	}
 	meta := jobMeta{
-		Title:       db.Title,
-		Kind:        db.Kind,
 		NumSeqs:     db.NumSeqs,
 		TotalLen:    db.TotalResidues,
 		Parts:       wireParts,
@@ -466,7 +536,6 @@ func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts 
 		QueryBatch:  max(opts.QueryBatch, 1),
 		MemBudget:   opts.MemoryBudgetBytes,
 		FT:          opts.FaultTolerant || boot.FT,
-		FTTimeout:   boot.FTTimeout,
 		Tree:        opts.TreeMerge,
 		TreeFanout:  boot.Fanout,
 		IOHints:     opts.IOHints,
@@ -483,14 +552,19 @@ func plan(nodes []*vfs.Node, nprocs int, cfg *mpi.Config, job *engine.Job, opts 
 			indexBytes += f.Size()
 		}
 	}
-	return meta, indexBytes, nil
+	return masterPlan{
+		meta:       meta,
+		kind:       db.Kind,
+		dbInfo:     blast.DBInfo{Title: db.Title, NumSeqs: db.NumSeqs, TotalLen: db.TotalResidues},
+		indexBytes: indexBytes,
+	}, nil
 }
 
 // launch runs the planned job: rank 0 boots the master and runs its batch
 // driver — the serving stream when there is one, else the one-shot batch
 // loop — and every other rank runs the worker, which takes its mode from
 // the broadcast.
-func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tuner *mpiio.Tuner, meta jobMeta, indexBytes int64, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tuner *mpiio.Tuner, mp masterPlan, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
 	var stats engine.ServeStats
 	bank, err := blast.NewQueryBank(job.Options)
 	if err != nil {
@@ -501,7 +575,7 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tune
 		if r.ID() != 0 {
 			return runWorker(r, nodes[r.ID()], job.Options, bank, tuner)
 		}
-		mb, err := bootMaster(r, nodes[0], job, meta, indexBytes, tuner)
+		mb, err := bootMaster(r, nodes[0], job, mp, tuner)
 		if err != nil {
 			return err
 		}
@@ -569,17 +643,18 @@ func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 // reads with empty views), the post-acquisition recovery rendezvous, and the
 // output file. One-shot and serving runs boot identically; serving is
 // static-only, so the dynamic branch never runs for it.
-func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, indexBytes int64, tuner *mpiio.Tuner) (*masterBatch, error) {
+func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tuner *mpiio.Tuner) (*masterBatch, error) {
+	meta := mp.meta
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
 	r.SetPhase(simtime.PhaseInput)
-	r.IO(node.Shared, indexBytes) // read the global index files for partitioning
+	r.IO(node.Shared, mp.indexBytes) // read the global index files for partitioning
 	r.SetPhase(simtime.PhaseOther)
-	r.Bcast(0, engine.EncodeGob(meta))
+	r.Bcast(0, meta.encode())
 
 	workers := r.Size() - 1
 	mb := &masterBatch{
-		r: r, meta: meta, renderOpts: job.Options,
+		r: r, masterPlan: mp, renderOpts: job.Options,
 		// Admission: every query of a one-shot run is "in the system" once
 		// the job metadata broadcast completes.
 		admit:   r.Clock().Now(),
@@ -619,7 +694,6 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, inde
 	}
 	mb.searcher = searcher
 	mb.maxTargets = searcher.Options().MaxTargetSeqs
-	mb.dbInfo = blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
 	mb.out = mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
 	if err := mb.out.SetHints(meta.IOHints); err != nil {
 		return nil, err
@@ -657,7 +731,7 @@ func (mb *masterBatch) assignParts() (pending []int) {
 		return true
 	}
 	for !allServed() {
-		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, meta.FTTimeout)
+		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, r.Cost().FaultDetectInterval())
 		if err != nil {
 			// Timeout (AnySource never reports a specific failure):
 			// check ground truth for crashed workers and reclaim
@@ -710,12 +784,11 @@ func (mb *masterBatch) oneShot(queries []*seq.Sequence, qlat *[]float64) error {
 // mode, across admitted stream batches), as does the failure detector's
 // view of the workers.
 type masterBatch struct {
-	r          *mpi.Rank
-	meta       jobMeta
+	r *mpi.Rank
+	masterPlan
 	renderOpts blast.Options
 	searcher   *blast.Searcher
 	maxTargets int
-	dbInfo     blast.DBInfo
 	out        *mpiio.File
 	off        int64
 	admit      float64 // master clock when the job broadcast completed
@@ -785,7 +858,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		treeMerged = bm.PerQuery
 	} else {
 		for _, w := range alive {
-			data, err := engine.RecvOutputPhase(r, "core", w, tagResults, meta.FT, meta.FTTimeout)
+			data, err := engine.RecvOutputPhase(r, "core", w, tagResults, meta.FT)
 			if err != nil {
 				return err
 			}
@@ -823,7 +896,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		}
 
 		query := queries[q]
-		header := blast.RenderHeader(mb.renderOpts.OutFormat, meta.Kind, query, mb.dbInfo)
+		header := blast.RenderHeader(mb.renderOpts.OutFormat, mb.kind, query, mb.dbInfo)
 		summary := blast.RenderSummary(mb.renderOpts.OutFormat, engine.SummaryResults(merged))
 		space := engine.SearchSpaceFor(mb.searcher, query.Len(), meta.TotalLen, meta.NumSeqs)
 		footer := blast.RenderFooter(mb.renderOpts.OutFormat, mb.searcher.GappedParams(), space, work)
@@ -894,13 +967,13 @@ func (mb *masterBatch) reapDead(pending []int) []int {
 // data movement — and repeat until a round completes with nothing left to
 // recover. Leaves the final survivor set in mb.alive.
 func (mb *masterBatch) syncWorkers(pending []int) error {
-	r, meta := mb.r, mb.meta
+	r := mb.r
 	r.SetPhase(simtime.PhaseIdle)
 	for {
 		var survivors []int
 		for _, w := range mb.alive {
 			for {
-				_, _, _, err := r.RecvTimeout(w, tagReady, meta.FTTimeout)
+				_, _, _, err := r.RecvTimeout(w, tagReady, r.Cost().FaultDetectInterval())
 				if err == nil {
 					survivors = append(survivors, w)
 					break
@@ -981,8 +1054,8 @@ type worker struct {
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.QueryBank, tuner *mpiio.Tuner) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
-	var meta jobMeta
-	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
+	meta, err := decodeJobMeta(r.Bcast(0, nil))
+	if err != nil {
 		return err
 	}
 	workers := r.Size() - 1
@@ -1029,7 +1102,6 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 	if err := w.out.SetHints(meta.IOHints); err != nil {
 		return err
 	}
-	var err error
 	if meta.Serve {
 		err = w.serveStream()
 	} else {

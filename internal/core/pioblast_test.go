@@ -342,9 +342,7 @@ func TestOptionPlan(t *testing.T) {
 	}{
 		{"negative query batch", core.Options{QueryBatch: -1}, nil, "negative query batch"},
 		{"negative prefetch depth", core.Options{PrefetchDepth: -1}, nil, "negative prefetch depth"},
-		{"node speeds conflict with config speeds", core.Options{NodeSpeeds: slow}, []float64{1, 2, 1}, "conflicts"},
-		{"node speeds repeat config speeds", core.Options{NodeSpeeds: slow}, slow, ""},
-		{"node speeds alone", core.Options{NodeSpeeds: slow}, nil, ""},
+		{"collective read with dynamic assignment", core.Options{CollectiveRead: true, DynamicAssignment: true}, nil, "collective read requires static assignment"},
 		{"config speeds alone", core.Options{}, slow, ""},
 		{"homogeneous", core.Options{}, nil, ""},
 	}
@@ -364,12 +362,7 @@ func TestOptionPlan(t *testing.T) {
 		}
 		walls[row.name] = res.Wall
 	}
-	// RunConfig applies Options.NodeSpeeds exactly as a config carrying the
-	// same speeds would — and they do slow the run down.
-	if walls["node speeds alone"] != walls["config speeds alone"] || walls["node speeds alone"] != walls["node speeds repeat config speeds"] {
-		t.Errorf("Options.NodeSpeeds not applied by RunConfig: walls %v", walls)
-	}
-	if walls["node speeds alone"] <= walls["homogeneous"] {
+	if walls["config speeds alone"] <= walls["homogeneous"] {
 		t.Errorf("a 3x-slow worker did not slow the run: walls %v", walls)
 	}
 }
@@ -578,13 +571,16 @@ func TestPrefetchPreservesOutput(t *testing.T) {
 	}
 }
 
-// TestReadPathCombosPreserveOutput sweeps every combination of collective
-// reads, prefetch, and dynamic assignment (dynamic falls back to
-// independent reads, with the prefetch pipelining the greedy protocol).
+// TestReadPathCombosPreserveOutput sweeps every legal combination of
+// collective reads, prefetch, and dynamic assignment (under dynamic
+// assignment the prefetch pipelines the greedy protocol).
 func TestReadPathCombosPreserveOutput(t *testing.T) {
 	fx := makeFixture(t, 300)
 	for _, dynamic := range []bool{false, true} {
 		for _, collective := range []bool{false, true} {
+			if dynamic && collective {
+				continue // rejected by the plan (TestOptionPlan)
+			}
 			for _, depth := range []int{0, 1, 2} {
 				opts := core.Options{
 					DynamicAssignment: dynamic,

@@ -41,14 +41,14 @@ import (
 // and the shed set.
 func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
 	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
-	meta, indexBytes, err := plan(nodes, nprocs, &cfg, job, opts, true)
+	mp, err := plan(nodes, nprocs, cfg, job, opts, true)
 	if err == nil {
 		err = stream.Validate("core", len(job.Queries))
 	}
 	if err != nil {
 		return engine.RunResult{}, engine.ServeStats{}, err
 	}
-	return launch(nodes, nprocs, cfg, job, opts.IOTuner, meta, indexBytes, stream)
+	return launch(nodes, nprocs, cfg, job, opts.IOTuner, mp, stream)
 }
 
 // serveStream is the master's batch driver for a serving run: one merge per

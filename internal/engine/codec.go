@@ -9,15 +9,17 @@ import (
 	"parblast/internal/seq"
 )
 
-// Compact binary codecs for the hot protocol messages.
+// Compact binary codecs for every protocol message.
 //
 // encoding/gob resends type descriptors with every message (each encoder
 // is independent), which adds several hundred bytes of framing to even an
 // empty result submission. At cluster scale that framing is noise; at this
 // reproduction's scale it would drown the very message-volume asymmetry
-// §3.2 is about. The result-merging protocols therefore use a hand-rolled
-// varint codec: a few bytes per field, zero framing. gob remains in use
-// for the one-shot job broadcast, where convenience wins.
+// §3.2 is about. It also numbers types per process, in first-use order, so a
+// gob payload's length — and every virtual clock behind it — would depend on
+// what the process encoded before. Every message, the job and batch
+// broadcasts included, therefore uses a hand-rolled varint codec: a few bytes
+// per field, zero framing, and a length that is a pure function of the value.
 
 // Writer appends varint-framed primitives to a buffer.
 type Writer struct {
@@ -35,6 +37,15 @@ func (w *Writer) Int(v int64) {
 // Uint appends a uvarint.
 func (w *Writer) Uint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
+}
+
+// Bool appends a flag as one byte.
+func (w *Writer) Bool(v bool) {
+	var b uint64
+	if v {
+		b = 1
+	}
+	w.Uint(b)
 }
 
 // Float appends a float64 as its IEEE bits.
@@ -101,6 +112,9 @@ func (r *Reader) Uint() uint64 {
 	r.off += n
 	return v
 }
+
+// Bool reads a flag.
+func (r *Reader) Bool() bool { return r.Uint() != 0 }
 
 // Float reads a float64.
 func (r *Reader) Float() float64 {
@@ -295,9 +309,8 @@ func DecodeWireHit(r *Reader) WireHit {
 	return h
 }
 
-// EncodeWireQueries serializes the query broadcast payload with the compact
-// codec. The query set dominates the job-broadcast bytes; the cold jobMeta
-// shell around it stays gob, but its Queries field carries this encoding.
+// EncodeWireQueries serializes the query set a job or batch broadcast
+// carries; it dominates the broadcast bytes.
 func EncodeWireQueries(q WireQueries) []byte {
 	var w Writer
 	w.Uint(uint64(q.Kind))

@@ -16,6 +16,8 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	w.Int(0)
 	w.Int(1 << 40)
 	w.Uint(7)
+	w.Bool(true)
+	w.Bool(false)
 	w.Float(3.14159)
 	w.Float(math.Inf(1))
 	w.String("hello world")
@@ -29,6 +31,9 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	}
 	if r.Uint() != 7 {
 		t.Fatal("uint round trip failed")
+	}
+	if !r.Bool() || r.Bool() {
+		t.Fatal("bool round trip failed")
 	}
 	if r.Float() != 3.14159 || !math.IsInf(r.Float(), 1) {
 		t.Fatal("float round trip failed")
@@ -47,12 +52,38 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 func TestCodecTruncation(t *testing.T) {
 	var w Writer
 	w.String("a long enough string")
-	data := w.Bytes()
-	for cut := 0; cut < len(data); cut++ {
-		r := NewReader(data[:cut])
-		_ = r.String()
-		if r.Err() == nil && cut < len(data) {
-			t.Fatalf("truncation at %d undetected", cut)
+	batch := serveBatchMsg{Seq: 3, Queries: EncodeWireQueries(WireQueries{
+		Kind: seq.Protein, IDs: []string{"q1"}, Descriptions: []string{"d"}, Residues: [][]byte{{1, 2, 3}},
+	})}
+	// What decodes must encode back to the bytes it came from: the round trip.
+	decodeBatch := func(data []byte) error {
+		m, err := decodeServeBatchMsg(data)
+		if err == nil && !bytes.Equal(m.encode(), data) {
+			t.Errorf("serve batch %+v does not encode back to its %d input bytes", m, len(data))
+		}
+		return err
+	}
+	cases := []struct {
+		name   string
+		data   []byte
+		decode func([]byte) error
+	}{
+		{"string", w.Bytes(), func(data []byte) error {
+			r := NewReader(data)
+			_ = r.String()
+			return r.Err()
+		}},
+		{"serve batch", batch.encode(), decodeBatch},
+		{"serve sentinel", serveBatchMsg{Seq: -1}.encode(), decodeBatch},
+	}
+	for _, c := range cases {
+		if err := c.decode(c.data); err != nil {
+			t.Fatalf("%s: whole payload rejected: %v", c.name, err)
+		}
+		for cut := 0; cut < len(c.data); cut++ {
+			if c.decode(c.data[:cut]) == nil {
+				t.Fatalf("%s: truncation at %d undetected", c.name, cut)
+			}
 		}
 	}
 	// Reads after an error return zero values, never panic.

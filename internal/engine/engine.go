@@ -12,7 +12,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -166,20 +165,6 @@ func FragmentFromRecords(recs []formatdb.Record) *blast.Fragment {
 }
 
 // --- wire codecs -----------------------------------------------------------
-
-// EncodeGob serializes a protocol value.
-func EncodeGob(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("engine: gob encode: %v", err)) // protocol types are closed
-	}
-	return buf.Bytes()
-}
-
-// DecodeGob deserializes into out.
-func DecodeGob(data []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(out)
-}
 
 // WireQueries is the broadcast payload carrying the query set.
 type WireQueries struct {

@@ -93,10 +93,8 @@ func TestWireQueriesRoundTrip(t *testing.T) {
 		seq.New(seq.ProteinAlphabet, "q1", "first", "MKVLAW"),
 		seq.New(seq.ProteinAlphabet, "q2", "", "WWYV"),
 	}
-	packed := PackQueries(in)
-	data := EncodeGob(packed)
-	var back WireQueries
-	if err := DecodeGob(data, &back); err != nil {
+	back, err := DecodeWireQueries(EncodeWireQueries(PackQueries(in)))
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := back.Unpack()
@@ -125,10 +123,12 @@ func TestWireHitRoundTrip(t *testing.T) {
 		}},
 	}
 	residues := []byte{1, 2, 3, 4, 5}
-	wire := PackHit(res, residues)
-	var back WireHit
-	if err := DecodeGob(EncodeGob(wire), &back); err != nil {
-		t.Fatal(err)
+	var w Writer
+	EncodeWireHit(&w, PackHit(res, residues))
+	r := NewReader(w.Bytes())
+	back := DecodeWireHit(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	got, gotRes := back.Unpack()
 	if got.OID != 7 || got.ID != "s7" || got.SubjLen != 50 || !bytes.Equal(gotRes, residues) {

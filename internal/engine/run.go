@@ -24,10 +24,6 @@ type Boot struct {
 	// FT enables the failure-recovery protocol: set when the MPI config
 	// schedules faults (an engine may also force it on).
 	FT bool
-	// FTTimeout is the failure-detection polling interval in virtual
-	// seconds. Detection is timeout-paced but never wrong: a timeout only
-	// triggers a ground-truth liveness check.
-	FTTimeout float64
 	// Fanout is the reduction-tree fan-out for the hierarchical merge.
 	Fanout int
 }
@@ -35,9 +31,9 @@ type Boot struct {
 // PlanRun validates what every run needs regardless of engine — a usable
 // job, a master plus at least one worker, a storage view per rank, a fault
 // schedule that spares the master, a tree fan-out that can form a tree — and
-// fills the defaults (fan-out 0 = mpi.DefaultTreeFanout, faultTimeout 0 =
-// 250 × NetLatency). pkg prefixes the errors with the calling engine.
-func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, treeMerge bool, mergeFanout int, faultTimeout float64) (Boot, error) {
+// fills the default (fan-out 0 = mpi.DefaultTreeFanout). pkg prefixes the
+// errors with the calling engine.
+func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, treeMerge bool, mergeFanout int) (Boot, error) {
 	if err := job.Validate(); err != nil {
 		return Boot{}, err
 	}
@@ -54,10 +50,7 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 			return Boot{}, fmt.Errorf("%s: cannot inject a crash into rank 0 (the master)", pkg)
 		}
 	}
-	b := Boot{FT: len(cfg.Faults) > 0, FTTimeout: faultTimeout, Fanout: mergeFanout}
-	if b.FTTimeout <= 0 {
-		b.FTTimeout = 250 * cfg.Cost.NetLatency
-	}
+	b := Boot{FT: len(cfg.Faults) > 0, Fanout: mergeFanout}
 	if b.Fanout == 0 {
 		b.Fanout = mpi.DefaultTreeFanout
 	}
@@ -109,13 +102,13 @@ func SettleQuery(r *mpi.Rank, since float64, qlat *[]float64) {
 // worker cached is gone and the output is already partly laid out — so
 // under fault tolerance a crash here surfaces as a clean error wrapping
 // mpi.ErrRankFailed instead of a deadlock.
-func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int, ft bool, ftTimeout float64) ([]byte, error) {
+func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int, ft bool) ([]byte, error) {
 	if !ft {
 		data, _, _ := r.Recv(w, tag)
 		return data, nil
 	}
 	for {
-		data, _, _, err := r.RecvTimeout(w, tag, ftTimeout)
+		data, _, _, err := r.RecvTimeout(w, tag, r.Cost().FaultDetectInterval())
 		if err == nil {
 			return data, nil
 		}

@@ -156,6 +156,19 @@ type serveBatchMsg struct {
 	Queries []byte // EncodeWireQueries payload; nil on the sentinel
 }
 
+func (m serveBatchMsg) encode() []byte {
+	var w Writer
+	w.Int(int64(m.Seq))
+	w.Blob(m.Queries)
+	return w.Bytes()
+}
+
+func decodeServeBatchMsg(data []byte) (serveBatchMsg, error) {
+	r := NewReader(data)
+	m := serveBatchMsg{Seq: int(r.Int()), Queries: r.Blob()}
+	return m, r.Err()
+}
+
 // ServeStream is the master side of a serving run, after the cluster is
 // warm: run the admission queue over the arrival stream, idle on the
 // virtual clock until the next admitted batch lands, stamp its Seq as the
@@ -193,10 +206,10 @@ func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStat
 		start := r.Clock().Now()
 		r.SetTraceBatch(b.Seq)
 		r.SetPhase(simtime.PhaseOther)
-		r.Bcast(0, EncodeGob(serveBatchMsg{
+		r.Bcast(0, serveBatchMsg{
 			Seq:     b.Seq,
 			Queries: EncodeWireQueries(PackQueries(b.Queries)),
-		}))
+		}.encode())
 		if err := serve(b, arrival); err != nil {
 			return err
 		}
@@ -208,7 +221,7 @@ func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStat
 	stats.Shed = len(stats.ShedSeqs)
 	r.Metrics().Counter("engine.batches_shed", r.ID()).Add(int64(stats.Shed))
 	r.SetPhase(simtime.PhaseOther)
-	r.Bcast(0, EncodeGob(serveBatchMsg{Seq: -1}))
+	r.Bcast(0, serveBatchMsg{Seq: -1}.encode())
 	return nil
 }
 
@@ -217,8 +230,8 @@ func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStat
 // queries. ok is false on the end-of-stream sentinel.
 func NextBatch(r *mpi.Rank) (queries []*seq.Sequence, ok bool, err error) {
 	r.SetPhase(simtime.PhaseIdle)
-	var msg serveBatchMsg
-	if err := DecodeGob(r.Bcast(0, nil), &msg); err != nil {
+	msg, err := decodeServeBatchMsg(r.Bcast(0, nil))
+	if err != nil {
 		return nil, false, err
 	}
 	if msg.Seq < 0 {

@@ -103,6 +103,7 @@ type runSpec struct {
 	queryBytes  int
 	pio         core.Options
 	fetchWindow int
+	speeds      []float64 // per-rank compute slowdowns; nil = homogeneous
 }
 
 // Row is one measured experiment data point.
@@ -148,6 +149,7 @@ func execute(spec runSpec) (Row, error) {
 		OutputPath: "results.out",
 		Fragments:  spec.fragments,
 	}
+	cfg := mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds}
 	var res engine.RunResult
 	switch spec.engineName {
 	case "mpi":
@@ -158,10 +160,10 @@ func execute(spec runSpec) (Row, error) {
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
 			return row, err
 		}
-		res, err = mpiblast.RunOpts(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost}, job,
+		res, err = mpiblast.RunOpts(nodes, spec.procs, cfg, job,
 			mpiblast.Options{FetchWindow: spec.fetchWindow})
 	case "pio":
-		res, err = core.Run(nodes, spec.procs, spec.lab.Cost, job, spec.pio)
+		res, err = core.RunConfig(nodes, spec.procs, cfg, job, spec.pio)
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", spec.engineName)
 	}
@@ -440,10 +442,9 @@ func Hetero(lab *Lab) ([]Row, error) {
 	}
 	var rows []Row
 	for _, v := range variants {
-		v.pio.NodeSpeeds = speeds
 		row, err := execute(runSpec{
 			lab: lab, plat: altix(), engineName: "pio",
-			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio,
+			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio, speeds: speeds,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("hetero %s: %w", v.name, err)

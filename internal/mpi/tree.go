@@ -300,10 +300,6 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 	}
 }
 
-// treeTimeout is the crash-path polling interval, matching the engines'
-// default failure-detection pace.
-func (r *Rank) treeTimeout() float64 { return 250 * r.world.cost.NetLatency }
-
 // TreeReduce folds every member's payload into one result at root using
 // the user-supplied combiner, which MUST be associative and commutative —
 // the fold order is deterministic but depends on the topology. The root
@@ -382,7 +378,7 @@ func (r *Rank) treeReduceFast(t treeTopo, myPos int, data []byte, combine func(a
 // safety net.
 func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
 	round := r.nextTreeRound(tagTreeReduce)
-	timeout := r.treeTimeout()
+	timeout := r.world.cost.FaultDetectInterval()
 	sub := t.subtree(myPos)
 	resolved := make(map[int]bool, len(sub)) // by position
 	resolved[myPos] = true

@@ -28,11 +28,10 @@ import (
 
 // master is the baseline master's state after the job broadcast.
 type master struct {
-	r      *mpi.Rank
-	node   *vfs.Node
-	job    *engine.Job
-	meta   jobMeta
-	boot   engine.Boot
+	r    *mpi.Rank
+	node *vfs.Node
+	job  *engine.Job
+	masterPlan
 	window int     // outstanding fetch requests (Options.FetchWindow, ≥ 1)
 	admit  float64 // master clock when the job broadcast completed
 
@@ -40,7 +39,6 @@ type master struct {
 	// the single result file.
 	searcher   *blast.Searcher
 	maxTargets int
-	dbInfo     blast.DBInfo
 	out        *mpiio.File
 	off        int64
 }
@@ -89,12 +87,12 @@ func newAssigner(r *mpi.Rank, nFrags int, tree bool) *assigner {
 // handle — a detection timeout (dead workers purged via purge) or a stale
 // message from a crashed worker — and the caller should re-check its loop
 // condition.
-func (a *assigner) recv(boot engine.Boot, purge func()) (data []byte, from, tag int, ok bool, err error) {
-	if !boot.FT {
+func (a *assigner) recv(ft bool, purge func()) (data []byte, from, tag int, ok bool, err error) {
+	if !ft {
 		data, from, tag = a.r.Recv(mpi.AnySource, mpi.AnyTag)
 		return data, from, tag, true, nil
 	}
-	data, from, tag, err = a.r.RecvTimeout(mpi.AnySource, mpi.AnyTag, boot.FTTimeout)
+	data, from, tag, err = a.r.RecvTimeout(mpi.AnySource, mpi.AnyTag, a.r.Cost().FaultDetectInterval())
 	if err != nil {
 		// Timed out: check ground truth for crashed workers.
 		purge()
@@ -271,7 +269,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 		})
 	}
 	for remaining > 0 || len(released) < len(a.alive) {
-		data, from, tag, ok, err := a.recv(m.boot, purge)
+		data, from, tag, ok, err := a.recv(m.ft, purge)
 		if err != nil {
 			return err
 		}
@@ -283,7 +281,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 			if a.request(from) {
 				break
 			}
-			if m.boot.FT && remaining > 0 {
+			if m.ft && remaining > 0 {
 				// Queue empty but results outstanding: park the requester —
 				// a crashed peer's fragment may yet need a new home.
 				a.parked = append(a.parked, from)
@@ -355,7 +353,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 	// everything it completed or had in flight is re-searched.
 	purge := func() { a.purgeDead(nil, nil) }
 	for !(idle() && len(a.parked) == len(a.alive)) {
-		_, from, tag, ok, err := a.recv(m.boot, purge)
+		_, from, tag, ok, err := a.recv(m.ft, purge)
 		if err != nil {
 			return err
 		}
@@ -474,7 +472,6 @@ func (m *master) openOutput() error {
 	}
 	m.searcher = searcher
 	m.maxTargets = searcher.Options().MaxTargetSeqs
-	m.dbInfo = blast.DBInfo{Title: m.meta.Title, NumSeqs: m.meta.NumSeqs, TotalLen: m.meta.TotalLen}
 	m.out = mpiio.OpenOrCreate(m.r, m.node.Shared, m.job.OutputPath)
 	return nil
 }
@@ -541,7 +538,7 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 	}
 
 	var text bytes.Buffer
-	text.WriteString(blast.RenderHeader(opts.OutFormat, m.meta.Kind, q, m.dbInfo))
+	text.WriteString(blast.RenderHeader(opts.OutFormat, m.kind, q, m.dbInfo))
 	text.WriteString(blast.RenderSummary(opts.OutFormat, engine.SummaryResults(merged)))
 	// Fetch every selected hit's sequence information from its worker —
 	// one serial request/reply per hit in faithful mode (the bottleneck
@@ -557,7 +554,7 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 		h := merged[done]
 		// The hit data lives only in its worker's memory, so a crash at
 		// this point is unrecoverable.
-		residues, err := engine.RecvOutputPhase(r, "mpiblast", h.Worker, tagHitData, m.boot.FT, m.boot.FTTimeout)
+		residues, err := engine.RecvOutputPhase(r, "mpiblast", h.Worker, tagHitData, m.ft)
 		if err != nil {
 			return err
 		}

@@ -42,13 +42,10 @@ const (
 	tagRelease = 6
 )
 
-// jobMeta is the broadcast that seeds every worker. The shell is cold-path
-// gob; the query payload inside is pre-encoded with the compact codec
-// (engine.EncodeWireQueries), since it dominates the broadcast bytes.
+// jobMeta is the broadcast that seeds every worker. It carries what a worker
+// reads and nothing else; what only the master needs stays in masterPlan.
 type jobMeta struct {
 	Queries   []byte // engine.EncodeWireQueries payload
-	Title     string
-	Kind      seq.Kind
 	NumSeqs   int
 	TotalLen  int64
 	FragBases []string
@@ -59,6 +56,34 @@ type jobMeta struct {
 	// Serve marks a streaming run: Queries is empty, and each batch's
 	// queries arrive in a per-batch broadcast instead (engine.ServeStream).
 	Serve bool
+}
+
+func (m *jobMeta) encode() []byte {
+	var w engine.Writer
+	w.Blob(m.Queries)
+	w.Int(int64(m.NumSeqs))
+	w.Int(m.TotalLen)
+	w.Uint(uint64(len(m.FragBases)))
+	for _, base := range m.FragBases {
+		w.String(base)
+	}
+	w.Bool(m.Tree)
+	w.Int(int64(m.TreeFanout))
+	w.Bool(m.Serve)
+	return w.Bytes()
+}
+
+func decodeJobMeta(data []byte) (jobMeta, error) {
+	r := engine.NewReader(data)
+	m := jobMeta{Queries: r.Blob(), NumSeqs: int(r.Int()), TotalLen: r.Int()}
+	n := int(r.Uint())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.FragBases = append(m.FragBases, r.String())
+	}
+	m.Tree = r.Bool()
+	m.TreeFanout = int(r.Int())
+	m.Serve = r.Bool()
+	return m, r.Err()
 }
 
 type fetchKey struct {
@@ -151,10 +176,6 @@ type Options struct {
 	// quantifies how much of the baseline's output time is pure round-trip
 	// serialization versus master-side processing.
 	FetchWindow int
-	// FaultTimeout is the master's failure-detection polling interval in
-	// virtual seconds (0 = 250 × NetLatency). Only used when the MPI config
-	// schedules faults.
-	FaultTimeout float64
 	// TreeMerge replaces the per-(query, fragment) result streams through
 	// the master with the hierarchical tree merge: workers hold results
 	// locally, pre-merge to the per-query top-k, and fold one bundle per
@@ -176,11 +197,11 @@ func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job)
 // RunOpts is Run with an explicit MPI configuration (heterogeneity, faults,
 // tracing) and baseline variant options.
 func RunOpts(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	meta, boot, err := plan(nodes, nprocs, cfg, job, opts, false)
+	mp, err := plan(nodes, nprocs, cfg, job, opts, false)
 	if err != nil {
 		return engine.RunResult{}, err
 	}
-	res, _, err := launch(nodes, nprocs, cfg, job, opts, meta, boot, nil)
+	res, _, err := launch(nodes, nprocs, cfg, job, opts, mp, nil)
 	return res, err
 }
 
@@ -199,30 +220,41 @@ func RunOpts(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opt
 // that demonstrates mid-stream recovery.
 func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
 	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
-	meta, boot, err := plan(nodes, nprocs, cfg, job, opts, true)
+	mp, err := plan(nodes, nprocs, cfg, job, opts, true)
 	if err == nil {
 		err = stream.Validate("mpiblast", len(job.Queries))
 	}
 	if err != nil {
 		return engine.RunResult{}, engine.ServeStats{}, err
 	}
-	return launch(nodes, nprocs, cfg, job, opts, meta, boot, stream)
+	return launch(nodes, nprocs, cfg, job, opts, mp, stream)
 }
 
-// plan validates the run and builds the broadcast that seeds every worker,
-// for one-shot and serving runs alike.
-func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (jobMeta, engine.Boot, error) {
-	boot, err := engine.PlanRun("mpiblast", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout, opts.FaultTimeout)
+// masterPlan is a validated run as the master holds it: the broadcast that
+// seeds every worker, plus what only the master reads and so never travels.
+type masterPlan struct {
+	meta   jobMeta
+	kind   seq.Kind
+	dbInfo blast.DBInfo
+	// ft enables the crash-aware receive loops and fragment requeueing: set
+	// when the MPI config schedules faults.
+	ft bool
+}
+
+// plan validates the run and builds the master's plan, for one-shot and
+// serving runs alike.
+func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (masterPlan, error) {
+	boot, err := engine.PlanRun("mpiblast", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout)
 	if err != nil {
-		return jobMeta{}, boot, err
+		return masterPlan{}, err
 	}
 	if serve && boot.FT {
-		return jobMeta{}, boot, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
+		return masterPlan{}, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return jobMeta{}, boot, err
+		return masterPlan{}, err
 	}
 	nFrags := job.Fragments
 	if nFrags == 0 {
@@ -232,12 +264,10 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	for i := range fragBases {
 		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
 		if _, err := shared.Open(formatdb.IndexPath(fragBases[i])); err != nil {
-			return jobMeta{}, boot, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
+			return masterPlan{}, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
 		}
 	}
 	meta := jobMeta{
-		Title:      db.Title,
-		Kind:       db.Kind,
 		NumSeqs:    db.NumSeqs,
 		TotalLen:   db.TotalResidues,
 		FragBases:  fragBases,
@@ -249,14 +279,19 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 		// A streaming run's queries arrive per batch instead.
 		meta.Queries = engine.EncodeWireQueries(engine.PackQueries(job.Queries))
 	}
-	return meta, boot, nil
+	return masterPlan{
+		meta:   meta,
+		kind:   db.Kind,
+		dbInfo: blast.DBInfo{Title: db.Title, NumSeqs: db.NumSeqs, TotalLen: db.TotalResidues},
+		ft:     boot.FT,
+	}, nil
 }
 
 // launch runs the planned job: rank 0 boots the master — setup and the job
 // broadcast — and runs its driver (the serving stream when there is one,
 // else the flat or tree one-shot protocol); every other rank runs the
 // worker, which takes its protocol from the broadcast.
-func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, meta jobMeta, boot engine.Boot, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, mp masterPlan, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
 	var stats engine.ServeStats
 	bank, err := blast.NewQueryBank(job.Options)
 	if err != nil {
@@ -269,9 +304,9 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts
 		}
 		r.SetPhase(simtime.PhaseOther)
 		r.Advance(r.Cost().SetupCost)
-		r.Bcast(0, engine.EncodeGob(meta))
+		r.Bcast(0, mp.meta.encode())
 		m := &master{
-			r: r, node: nodes[0], job: job, meta: meta, boot: boot,
+			r: r, node: nodes[0], job: job, masterPlan: mp,
 			window: max(opts.FetchWindow, 1),
 			// Admission: every query of a one-shot run is "in the system"
 			// once the job metadata broadcast completes.
@@ -281,7 +316,7 @@ func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts
 		switch {
 		case stream != nil:
 			err = m.serveStream(stream, bank, &stats, &qlat)
-		case meta.Tree:
+		case mp.meta.Tree:
 			err = m.oneShotTree(&qlat)
 		default:
 			err = m.oneShotFlat(&qlat)
@@ -326,8 +361,8 @@ type worker struct {
 func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
-	var meta jobMeta
-	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
+	meta, err := decodeJobMeta(r.Bcast(0, nil))
+	if err != nil {
 		return err
 	}
 	// Local staging target: node-local disk, or shared scratch when the
@@ -342,7 +377,6 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	}
 	w.submit = w.emit
 
-	var err error
 	if meta.Serve {
 		err = w.serveStream()
 	} else {

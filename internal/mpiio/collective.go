@@ -223,7 +223,7 @@ func (f *File) recvShuffle(src, tag int) ([]byte, error) {
 		data, _, _ := r.Recv(src, tag)
 		return data, nil
 	}
-	timeout := 250 * r.Cost().NetLatency
+	timeout := r.Cost().FaultDetectInterval()
 	for {
 		data, _, _, err := r.RecvTimeout(src, tag, timeout)
 		if err == nil {

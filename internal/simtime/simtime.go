@@ -216,6 +216,13 @@ func (m CostModel) MessageCost(size int64) float64 {
 	return m.NetLatency + float64(size)/m.NetBandwidth
 }
 
+// FaultDetectInterval is the failure detectors' polling interval in virtual
+// seconds: how long a crash-aware receive waits before it checks ground-truth
+// liveness. Detection is timeout-paced but never wrong — a timeout only
+// triggers the check — so the interval sets how fast a crash is noticed, not
+// whether it is.
+func (m CostModel) FaultDetectInterval() float64 { return 250 * m.NetLatency }
+
 // Validate rejects models that would divide by zero or run time backwards.
 func (m CostModel) Validate() error {
 	if m.NetLatency < 0 || m.NetBandwidth <= 0 || m.SearchUnitCost < 0 ||

@@ -354,6 +354,9 @@ type Search struct {
 	// Scheduling any fault arms the engines' failure-recovery protocols;
 	// fault firings land on the trace timeline as events.
 	Faults []Fault
+	// NodeSpeeds optionally declares per-rank compute-speed factors
+	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes.
+	NodeSpeeds []float64
 }
 
 // job builds the engine job for a search, defaulting kernel options to the
@@ -379,7 +382,7 @@ func (c *Cluster) job(s Search) *engine.Job {
 // mpiConfig wires the cluster's cost model, faults, metrics, and trace
 // observers into one runtime config.
 func (c *Cluster) mpiConfig(s Search) mpi.Config {
-	cfg := mpi.Config{Cost: c.cost, Speeds: s.Pio.NodeSpeeds, Faults: s.Faults, Metrics: c.metrics}
+	cfg := mpi.Config{Cost: c.cost, Speeds: s.NodeSpeeds, Faults: s.Faults, Metrics: c.metrics}
 	if c.trace != nil {
 		cfg.Observer = c.trace.Observer
 		tr := c.trace

@@ -303,3 +303,35 @@ func TestClusterReuseSameWall(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeSpeedsThroughPublicAPI: Search.NodeSpeeds reaches the runtime of
+// both engines — a 3×-slow worker slows either one down.
+func TestNodeSpeedsThroughPublicAPI(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+		cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := cluster.FormatDB("nr", seqs, "api nr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.PrepareFragments("nr", 3); err != nil {
+			t.Fatal(err)
+		}
+		s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+		even, err := cluster.Run(eng, s)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		s.NodeSpeeds = []float64{1, 1, 1, 3}
+		skewed, err := cluster.Run(eng, s)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if skewed.Wall <= even.Wall {
+			t.Fatalf("%v: a 3x-slow worker did not slow the run: %g vs %g", eng, skewed.Wall, even.Wall)
+		}
+	}
+}

@@ -6,6 +6,22 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# One wire codec: encoding/gob numbers types per process, so a gob payload's
+# length — and every virtual clock behind it — depends on what the process
+# encoded before. Only the shim kept for the frozen benchmark row
+# engine.gob_roundtrip_cal_us may import it (bench/ is its own module).
+# `check.sh nogob` runs this gate alone.
+gob=$(grep -rl '"encoding/gob"' --include='*.go' . |
+    grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./internal/engine/gob\.go$' || true)
+if [ -n "$gob" ]; then
+    echo "encoding/gob imported outside internal/engine/gob.go:" >&2
+    echo "$gob" >&2
+    exit 1
+fi
+if [ "${1:-}" = "nogob" ]; then
+    exit 0
+fi
+
 # `check.sh lint-fast` is the seconds-fast pre-push path: lint only the
 # packages whose .go files changed since origin/main (falling back to
 # HEAD when that ref does not exist), instead of the whole module.
@@ -120,6 +136,6 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -out "$tmp/results_hinted.txt" >/dev/null
 cmp "$tmp/results_tune.txt" "$tmp/results_hinted.txt"
 
-# Perf-trajectory guard: the newest checked-in kernel benchmark record must
-# not regress allocation counts against its predecessor.
-go run ./scripts/benchdiff -old BENCH_1.json -new BENCH_2.json
+# Perf-trajectory guard: the newest checked-in benchmark record must not be
+# worse than the PR-11 baseline beyond the BENCHMARK.json bounds.
+bash bench/run.sh -compare bench/baseline.json BENCH_3.json
