@@ -31,8 +31,7 @@ func benchFixture(nSubj, subjLen int) (*Fragment, *seq.Sequence) {
 	return frag, query
 }
 
-func benchSearchFragment(b *testing.B, threads int) {
-	frag, query := benchFixture(64, 400)
+func benchSearchFragment(b *testing.B, frag *Fragment, query *seq.Sequence, threads int) {
 	opts := DefaultProteinOptions()
 	opts.SearchThreads = threads
 	s, err := NewSearcher(opts)
@@ -58,8 +57,62 @@ func benchSearchFragment(b *testing.B, threads int) {
 	b.ReportMetric(float64(frag.TotalResidues()), "residues")
 }
 
-func BenchmarkSearchFragment(b *testing.B)         { benchSearchFragment(b, 1) }
-func BenchmarkSearchFragment4Threads(b *testing.B) { benchSearchFragment(b, 4) }
+func BenchmarkSearchFragment(b *testing.B) {
+	frag, query := benchFixture(64, 400)
+	benchSearchFragment(b, frag, query, 1)
+}
+
+func BenchmarkSearchFragment4Threads(b *testing.B) {
+	frag, query := benchFixture(64, 400)
+	benchSearchFragment(b, frag, query, 4)
+}
+
+// BenchmarkSearchFragmentSkewed searches the fixture whose hit-rich subjects
+// all have even index with one worker and with two: a pool that splits the
+// subjects by index gains nothing there, one that hands them out as workers
+// come free does (given two cores).
+func BenchmarkSearchFragmentSkewed(b *testing.B) {
+	frag, query := skewedFixture(80)
+	for _, threads := range []int{1, 2} {
+		b.Run("threads="+itoa(threads), func(b *testing.B) { benchSearchFragment(b, frag, query, threads) })
+	}
+}
+
+// BenchmarkScanSubject times the seed scan alone: with a two-hit window
+// shorter than a word no pair of hits ever qualifies, so nothing is extended
+// and the cost is the rolling id, the lookup probe and the per-hit two-hit
+// bookkeeping.
+func BenchmarkScanSubject(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	frag := testFragment(rng, 32, 400)
+	query := proteinSeq("scan-query", randomProtein(rng, 300))
+	opts := DefaultProteinOptions()
+	opts.TwoHitWindow = opts.WordSize - 1
+	opts.SearchThreads = 1
+	s, err := NewSearcher(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := s.NewContext()
+	if err := ctx.SetQuery(query); err != nil {
+		b.Fatal(err)
+	}
+	space := spaceFor(s, query.Len(), frag)
+	var work WorkCounters
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ctx.SearchFragment(frag, space)
+		if err != nil {
+			b.Fatal(err)
+		}
+		work = res.Work
+	}
+	if work.UngappedExtensions != 0 {
+		b.Fatalf("fixture triggered %d extensions", work.UngappedExtensions)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work.SeedHits), "ns/hit")
+	b.ReportMetric(float64(work.SeedHits)/float64(frag.TotalResidues()), "hits/residue")
+}
 
 func BenchmarkBuildIndexProtein(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -86,29 +139,33 @@ func BenchmarkExtendGapped(b *testing.B) {
 	q := randomProtein(rng, 200)
 	s := mutate(rng, q, 0.15)
 	var sc dpScratch
+	var work WorkCounters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var work WorkCounters
+		work = WorkCounters{}
 		r := extendGapped(&sc, q, s, matrix.BLOSUM62, matrix.DefaultProteinGaps, 1<<20, &work)
 		if r.score <= 0 {
 			b.Fatal("extension failed")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work.GappedCells), "ns/cell")
 }
 
 func BenchmarkExtendUngapped(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	q := randomProtein(rng, 200)
 	subj := append(append(randomProtein(rng, 100), q...), randomProtein(rng, 100)...)
+	var work WorkCounters
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var work WorkCounters
+		work = WorkCounters{}
 		seg := extendUngapped(q, subj, 50, 150, matrix.BLOSUM62, 40, &work)
 		if seg.score <= 0 {
 			b.Fatal("ungapped extension failed")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work.UngappedCells), "ns/cell")
 }
 
 func BenchmarkFormatHit(b *testing.B) {

@@ -1,6 +1,8 @@
 package blast
 
 import (
+	"slices"
+
 	"parblast/internal/matrix"
 )
 
@@ -20,7 +22,6 @@ type ungappedSegment struct {
 // X-drop cutoff, returning the maximal-scoring segment. The word itself is
 // part of the right extension, so scores are never double counted.
 func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop int, work *WorkCounters) ungappedSegment {
-	work.UngappedExtensions++
 	// Right extension: from the word start onward.
 	score := 0
 	best := 0
@@ -28,7 +29,6 @@ func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop 
 	bq, bs := qPos, sPos
 	for q < len(query) && s < len(subj) {
 		score += m.Score(query[q], subj[s])
-		work.UngappedCells++
 		q++
 		s++
 		if score > best {
@@ -39,6 +39,7 @@ func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop 
 			break
 		}
 	}
+	cells := q - qPos // one per residue pair compared, either direction
 	seg := ungappedSegment{qFrom: qPos, qTo: bq, sFrom: sPos, sTo: bs, score: best}
 	// Left extension: before the word start.
 	score = 0
@@ -49,7 +50,6 @@ func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop 
 		q--
 		s--
 		score += m.Score(query[q], subj[s])
-		work.UngappedCells++
 		if score > bestL {
 			bestL = score
 			lq, ls = q, s
@@ -58,6 +58,9 @@ func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop 
 			break
 		}
 	}
+	cells += qPos - q
+	work.UngappedExtensions++
+	work.UngappedCells += int64(cells)
 	seg.qFrom, seg.sFrom = lq, ls
 	seg.score += bestL
 	mid := (seg.qFrom + seg.qTo) / 2
@@ -111,13 +114,15 @@ type dpScratch struct {
 	useB       bool
 }
 
-// ensure grows the DP rows to cover n+1 columns.
+// ensure grows the DP rows to cover n+1 columns, at least doubling them so
+// that a run of ever-longer subjects costs O(longest) allocation.
 func (sc *dpScratch) ensure(n int) {
 	if len(sc.prevH) < n+1 {
-		sc.prevH = make([]int, n+1)
-		sc.prevF = make([]int, n+1)
-		sc.curH = make([]int, n+1)
-		sc.curF = make([]int, n+1)
+		size := max(n+1, 2*len(sc.prevH))
+		sc.prevH = make([]int, size)
+		sc.prevF = make([]int, size)
+		sc.curH = make([]int, size)
+		sc.curF = make([]int, size)
 	}
 }
 
@@ -143,14 +148,71 @@ func (sc *dpScratch) storeOps(ops []EditOp) {
 
 // reverseInto fills dst (grown from buf) with the bytes of b reversed.
 func reverseInto(buf []byte, b []byte) []byte {
-	if cap(buf) < len(b) {
-		buf = make([]byte, len(b))
-	}
-	buf = buf[:len(b)]
+	buf = slices.Grow(buf[:0], len(b))[:len(b)]
 	for i, c := range b {
 		buf[len(b)-1-i] = c
 	}
 	return buf
+}
+
+// affine is one Gotoh gap recurrence: the better of opening a gap (open) and
+// extending one (ext), clamped to negInf once it is dead, and flag when the
+// gap opens. A tie opens, so with Gaps.Open == 0 even two dead inputs do.
+// It is written to compile to conditional moves, not branches.
+func affine(open, ext, flag int) (int, int) {
+	if open < ext {
+		flag = 0
+	}
+	v := max(open, ext)
+	if v < negInf/2 {
+		v = negInf
+	}
+	return v, flag
+}
+
+// fillWindow evaluates the cells of one DP row whose upper and upper-left
+// neighbours all lie inside the previous row's window, so that none needs a
+// range check. The slices are re-based to the window: cell k aligns
+// subj[k-1], reads prevH[k-1] diagonally and prevH[k], prevF[k] above, and
+// lands in curH, curF and tb at k; cell 0 is the caller's, whose H and E
+// come in as hLeft and e. It returns H and E of the last cell, the first and
+// last live cells (0, 0 if none) and the cell of a new best (0 if none).
+func fillWindow(prevH, prevF, curH, curF []int, tb, subj []byte, score []int16, gapOE, gapE, xdrop, best, hLeft, e int) (int, int, int, int, int) {
+	// Equal lengths let the compiler drop the bounds checks in the loop.
+	prevH = prevH[:len(subj)+1]
+	prevF, curH, curF, tb = prevF[:len(prevH)], curH[:len(prevH)], curF[:len(prevH)], tb[:len(prevH)]
+	first, last, bestAt := 0, 0, 0
+	for k := 1; k < len(prevH); k++ {
+		var cell int
+		e, cell = affine(hLeft-gapOE, e-gapE, tbEOpen)
+		f, fOpen := affine(prevH[k]-gapOE, prevF[k]-gapE, tbFOpen)
+		cell |= fOpen
+		h, src := prevH[k-1]+int(score[subj[k-1]]), tbDiag // a dead neighbour stays dead under any score
+		if e > h {
+			src = tbFromE
+		}
+		h = max(h, e)
+		if f > h {
+			src = tbFromF
+		}
+		h = max(h, f)
+		// The X-drop line rises with best along the row.
+		if h <= negInf/2 || best-h > xdrop {
+			h, src = negInf, tbStop
+		} else {
+			if first == 0 {
+				first = k
+			}
+			last = k
+			if h > best {
+				best, bestAt = h, k
+			}
+		}
+		hLeft = h
+		curH[k], curF[k] = h, f
+		tb[k] = byte(cell | src)
+	}
+	return hLeft, e, first, last, bestAt
 }
 
 // extendGapped aligns query against subj from their starts with affine gaps
@@ -160,6 +222,12 @@ func reverseInto(buf []byte, b []byte) []byte {
 // The returned ops alias sc's buffers and stay valid only until the second
 // following extendGapped call on the same scratch; nil sc allocates a
 // private scratch (tests and one-shot callers).
+//
+// The model charges one GappedCell per evaluated cell; the host pays per row
+// what it can. Row i-1 is alive only inside [prevLo, prevHi], so row i is
+// evaluated in four pieces that each know which neighbours exist, and the
+// cell count, the traceback bytes and the counters come out exactly as if
+// every cell had range-checked its neighbours one by one.
 func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matrix.GapPenalties, xdrop int, work *WorkCounters) gappedResult {
 	if len(query) == 0 || len(subj) == 0 {
 		return gappedResult{}
@@ -167,20 +235,20 @@ func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matr
 	if sc == nil {
 		sc = &dpScratch{}
 	}
-	work.GappedExtensions++
 	gapOE := gaps.Open + gaps.Extend
 	gapE := gaps.Extend
 	n := len(subj)
 
 	sc.ensure(n)
 	// prevH/prevF are valid only within [prevLo, prevHi].
-	prevH, prevF := sc.prevH, sc.prevF
-	curH, curF := sc.curH, sc.curF
+	prevH, prevF := sc.prevH[:n+1], sc.prevF[:n+1]
+	curH, curF := sc.curH[:n+1], sc.curF[:n+1]
 	prevLo, prevHi := 0, 0
 
 	rows := sc.rows[:0]
 	cells := sc.cells[:0]
 	best, bestI, bestJ := 0, 0, 0
+	evaluated := 0 // DP cells of rows 1.., charged to work once at the end
 
 	// Row 0: leading gap in the query.
 	prevH[0], prevF[0] = 0, negInf
@@ -201,107 +269,88 @@ func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matr
 	}
 	rows = append(rows, dpRow{lo: 0, start: 0, end: len(cells)})
 
-	getPrevH := func(j int) int {
-		if j < prevLo || j > prevHi {
-			return negInf
-		}
-		return prevH[j]
-	}
-	getPrevF := func(j int) int {
-		if j < prevLo || j > prevHi {
-			return negInf
-		}
-		return prevF[j]
-	}
+	// What a cell with nothing alive above it records for F.
+	_, tie := affine(negInf-gapOE, negInf-gapE, tbFOpen)
+	deadF := byte(tie)
 
 	for i := 1; i <= len(query); i++ {
-		row := m.Row(query[i-1])
-		rowStart := len(cells)
-		// The leftmost possibly-live column this row: prevLo (via F) or
-		// prevLo+1 (via diag); include column 0 boundary only while it is
-		// reachable as a leading subject gap.
+		score := m.Row(query[i-1])
+		// The leftmost possibly-live column this row is prevLo, via F. The
+		// row can run to column n: reserve its traceback bytes once.
 		startJ := prevLo
+		rowStart := len(cells)
+		cells = slices.Grow(cells, n-startJ+1)[:rowStart+n-startJ+1]
+		tb := cells[rowStart:] // tb[j-startJ] is column j
 		newLo, newHi := -1, -1
-		e := negInf     // E(i, j) carried along the row
-		hLeft := negInf // H(i, j-1)
-		for j := startJ; j <= n; j++ {
-			var cell byte
-			// E(i,j) from the left neighbour.
-			if j > startJ {
-				eo := hLeft - gapOE
-				ee := e - gapE
-				if eo >= ee {
-					e = eo
-					cell |= tbEOpen
-				} else {
-					e = ee
+
+		// Column startJ has no left neighbour and its diagonal predecessor
+		// is outside the window: F only. F (like E below) is an earlier H
+		// minus a positive penalty, so it never raises best.
+		f, cell := affine(prevH[startJ]-gapOE, prevF[startJ]-gapE, tbFOpen)
+		h := negInf
+		if f > negInf/2 && best-f <= xdrop {
+			h, newLo, newHi = f, startJ, startJ
+			cell |= tbFromF
+		}
+		curH[startJ], curF[startJ] = h, f
+		tb[0] = byte(cell)
+		hLeft, e := h, negInf // H(i, j-1) and E(i, j-1)
+
+		// Columns (startJ, prevHi+1]: every neighbour is inside the window,
+		// once the column just past it reads as dead — whatever an older
+		// row left there, which is what a range check would have answered.
+		end := n
+		if prevHi < n {
+			end = prevHi + 1
+			prevH[end], prevF[end] = negInf, negInf
+		}
+		var first, last, bestAt int
+		hLeft, e, first, last, bestAt = fillWindow(prevH[startJ:], prevF[startJ:], curH[startJ:], curF[startJ:], tb, subj[startJ:end],
+			score, gapOE, gapE, xdrop, best, hLeft, e)
+		if last > 0 {
+			if newLo < 0 {
+				newLo = startJ + first
+			}
+			newHi = startJ + last
+		}
+		if bestAt > 0 {
+			best, bestI, bestJ = curH[startJ+bestAt], i, startJ+bestAt
+		}
+		j := end + 1
+
+		// Past prevHi+1 nothing above is alive: E only, and E only falls.
+		// The scan stops after the first cell that leaves neither H nor E
+		// alive (that cell is evaluated, so it is counted and stored).
+		for ; j <= n && (hLeft != negInf || e != negInf); j++ {
+			e, cell = affine(hLeft-gapOE, e-gapE, tbEOpen)
+			hLeft = negInf
+			if e > negInf/2 && best-e <= xdrop {
+				hLeft, newHi = e, j
+				curH[j], curF[j] = e, negInf
+				cell |= tbFromE
+			} else if e-(n-j)*gapE >= negInf/2 {
+				// A dead cell here has only dead cells to its right: E keeps
+				// falling under an X-drop line that cannot move, and (the
+				// condition) stays above negInf/2 to column n, so the scan
+				// would visit every one of them and store the same byte.
+				tail := tb[j-startJ : n-startJ+1]
+				clear(tail)
+				for k := 0; deadF != 0 && k < len(tail); k++ {
+					tail[k] = deadF
 				}
-				if e < negInf/2 {
-					e = negInf
-				}
-			} else {
-				e = negInf
-			}
-			// F(i,j) from the row above.
-			fo := getPrevH(j) - gapOE
-			fe := getPrevF(j) - gapE
-			var f int
-			if fo >= fe {
-				f = fo
-				cell |= tbFOpen
-			} else {
-				f = fe
-			}
-			if f < negInf/2 {
-				f = negInf
-			}
-			// Diagonal. At j == 0 there is no diagonal predecessor; the
-			// column-0 boundary (leading subject gap) falls out of the F
-			// recurrence because H(i-1,0) and F(i-1,0) carry it.
-			d := negInf
-			if j >= 1 {
-				if ph := getPrevH(j - 1); ph > negInf/2 {
-					d = ph + int(row[subj[j-1]])
-				}
-			}
-			h := d
-			src := byte(tbDiag)
-			if e > h {
-				h = e
-				src = tbFromE
-			}
-			if f > h {
-				h = f
-				src = tbFromF
-			}
-			work.GappedCells++
-			if h <= negInf/2 || best-h > xdrop {
-				h = negInf
-				src = tbStop
-			} else {
-				if newLo < 0 {
-					newLo = j
-				}
-				newHi = j
-				if h > best {
-					best = h
-					bestI, bestJ = i, j
-				}
-			}
-			hLeft = h
-			curH[j] = h
-			curF[j] = f
-			cells = append(cells, cell|src)
-			// Stop scanning right once past the previous row's reach and
-			// nothing alive can propagate further along this row.
-			if j > prevHi && h == negInf && e == negInf {
+				tail[0] |= byte(cell)
+				j = n + 1
 				break
 			}
+			tb[j-startJ] = byte(cell) | deadF
 		}
+
+		evaluated += j - startJ
 		if newLo < 0 {
 			cells = cells[:rowStart]
 			break // the whole row fell below the X-drop line
 		}
+		cells = cells[:rowStart+j-startJ]
 		rows = append(rows, dpRow{lo: startJ, start: rowStart, end: len(cells)})
 		prevH, curH = curH, prevH
 		prevF, curF = curF, prevF
@@ -309,7 +358,8 @@ func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matr
 	}
 	// Persist possibly-grown buffers for the next extension.
 	sc.rows, sc.cells = rows, cells
-	sc.prevH, sc.prevF, sc.curH, sc.curF = prevH, prevF, curH, curF
+	work.GappedExtensions++
+	work.GappedCells += int64(evaluated)
 
 	if best <= 0 {
 		return gappedResult{}
@@ -324,6 +374,7 @@ func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matr
 func walkTraceback(sc *dpScratch, rows []dpRow, cells []byte, bi, bj int, work *WorkCounters) []EditOp {
 	rev := sc.nextOps()
 	i, j := bi, bj
+	walked := 0
 	const (
 		inH = iota
 		inE
@@ -339,7 +390,7 @@ func walkTraceback(sc *dpScratch, rows []dpRow, cells []byte, bi, bj int, work *
 			break
 		}
 		cell := cells[r.start+j-r.lo]
-		work.TracebackCells++
+		walked++
 		switch state {
 		case inH:
 			switch cell & tbMask {
@@ -374,6 +425,7 @@ func walkTraceback(sc *dpScratch, rows []dpRow, cells []byte, bi, bj int, work *
 		rev[l], rev[r] = rev[r], rev[l]
 	}
 	sc.storeOps(rev)
+	work.TracebackCells += int64(walked)
 	return rev
 }
 

@@ -51,13 +51,6 @@ func refExtendScore(query, subj []byte, m *matrix.Matrix, gaps matrix.GapPenalti
 	return best
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // scoreFromOps recomputes an alignment score from a trace.
 func scoreFromOps(query, subj []byte, qFrom, sFrom int, ops []EditOp, m *matrix.Matrix, gaps matrix.GapPenalties) int {
 	score := 0

@@ -24,6 +24,7 @@ type wordIndex struct {
 	alpha  *seq.Alphabet
 	w      int
 	strict int
+	roll   wordRoll // how a scan of this index's alphabet and word size rolls its ids
 
 	dense     bool
 	offsets   []int32         // protein: len 20^w + 1, CSR row offsets
@@ -32,6 +33,39 @@ type wordIndex struct {
 
 	queryLen  int
 	neighbors int64 // total (word, position) registrations, for work accounting
+}
+
+// wordRoll rolls the id of the word ending at each position of a sequence:
+// the last w residues read as a base-strict number. The index build (DNA)
+// and both subject scans step through it, so a scanned word and an indexed
+// one get the same id by construction.
+type wordRoll struct {
+	w      int
+	strict uint64
+	lead   uint64 // strict^(w-1), the weight of a full window's oldest residue
+}
+
+func newWordRoll(w, strict int) wordRoll {
+	lead := uint64(1)
+	for i := 1; i < w; i++ {
+		lead *= uint64(strict)
+	}
+	return wordRoll{w: w, strict: uint64(strict), lead: lead}
+}
+
+// next feeds residue s[j] to a window that holds id over the run residues
+// before it and returns the new id and run; a word ends at j when the run
+// has reached w. An ambiguity residue empties the window. A full window
+// sheds its oldest residue by subtraction — one multiply, no division.
+func (r wordRoll) next(id uint64, run int, s []byte, j int) (uint64, int) {
+	c := uint64(s[j])
+	if c >= r.strict {
+		return 0, 0
+	}
+	if run >= r.w {
+		id -= uint64(s[j-r.w]) * r.lead
+	}
+	return id*r.strict + c, run + 1
 }
 
 // span is one word's slice of the positions arena.
@@ -44,6 +78,7 @@ type span struct {
 func buildIndex(query []byte, o *Options) (*wordIndex, error) {
 	alpha := o.Matrix.Alphabet()
 	idx := &wordIndex{alpha: alpha, w: o.WordSize, strict: alpha.StrictSize(), queryLen: len(query)}
+	idx.roll = newWordRoll(idx.w, idx.strict)
 	if len(query) < o.WordSize {
 		if alpha.Kind() == seq.Protein {
 			idx.dense = true
@@ -151,25 +186,13 @@ func (idx *wordIndex) buildProtein(query []byte, o *Options, size int) {
 // word's positions into the flat arena in two passes (count, fill).
 func (idx *wordIndex) buildDNA(query []byte) {
 	w := idx.w
-	mask := uint64(1)
-	for i := 0; i < w; i++ {
-		mask *= uint64(idx.strict)
-	}
 	idx.sparse = make(map[uint64]span, len(query))
 	// scan drives fn over every valid word of the query.
 	scan := func(fn func(id uint64, start int32)) {
 		var id uint64
-		valid := 0 // length of current run of strict residues
-		for i := 0; i < len(query); i++ {
-			c := query[i]
-			if int(c) >= idx.strict {
-				valid = 0
-				id = 0
-				continue
-			}
-			id = (id*uint64(idx.strict) + uint64(c)) % mask
-			valid++
-			if valid >= w {
+		run := 0 // length of current run of strict residues
+		for i := range query {
+			if id, run = idx.roll.next(id, run, query, i); run >= w {
 				fn(id, int32(i-w+1))
 			}
 		}

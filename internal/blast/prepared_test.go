@@ -144,7 +144,7 @@ func TestQueryBankRelease(t *testing.T) {
 	}
 	ctx := bank.Searcher().NewContext()
 	first := searchVia(t, bank, ctx, queries[0], frag)
-	if len(ctx.clones) == 0 {
+	if len(ctx.pool.workers) < 2 {
 		t.Fatal("fixture did not engage the clone pool")
 	}
 	released, _ := bank.Get(queries[0])
@@ -160,7 +160,7 @@ func TestQueryBankRelease(t *testing.T) {
 	if err := ctx.UsePrepared(queries[1], p1); err != nil {
 		t.Fatal(err)
 	}
-	for i, cl := range ctx.clones {
+	for i, cl := range ctx.pool.workers[1:] {
 		if cl.prep == released || cl.query == queries[0] {
 			t.Errorf("clone %d still pins the released query", i)
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"parblast/internal/seq"
 	"parblast/internal/stats"
@@ -71,19 +73,45 @@ type Context struct {
 
 	// Diagonal bookkeeping, epoch-stamped so it needs no clearing between
 	// subjects. Index: (sPos - qPos) + queryLen.
-	lastHit  []int32
-	extLevel []int32
-	stamp    []int32
-	epoch    int32
+	diag  []diagState
+	epoch int32
 
 	// dp is the gapped-extension scratch, reused across all seeds.
 	dp dpScratch
 	// boxes is the per-subject seed-containment scratch.
 	boxes []hspBox
 
-	// clones are the worker contexts of the intra-rank search pool, created
-	// lazily and reused across SearchFragment calls.
-	clones []*Context
+	// pool is the intra-rank search pool this context drives when it is the
+	// one SearchFragment was called on; a pool's clones leave theirs empty.
+	pool searchPool
+}
+
+// searchPool is the state of searchParallel, kept across SearchFragment calls
+// so that a call allocates nothing for the pool: not its arrays and, because
+// each worker's goroutine body is bound once, not its go statements either.
+type searchPool struct {
+	// workers[0] is the owning context, the rest its clones, created lazily;
+	// starts[w] is worker w's goroutine body.
+	workers []*Context
+	starts  []func()
+	wg      sync.WaitGroup
+
+	// The call in flight.
+	frag      *Fragment
+	cutoffRaw int
+	space     stats.SearchSpace
+	next      atomic.Int64     // the next subject nobody has claimed yet
+	slots     []*SubjectResult // per-subject outcomes, in fragment order
+	works     []WorkCounters   // per-worker tallies
+}
+
+// diagState is what seeding remembers about one diagonal, kept in one place
+// so that a seed hit — almost always one that only updates lastHit — touches
+// one cache line.
+type diagState struct {
+	lastHit  int32 // subject offset of the hit a second one must pair with
+	extLevel int32 // subject offset the last extension on the diagonal reached
+	stamp    int32 // epoch the two fields above belong to
 }
 
 // hspBox is the query/subject bounding box of an already-found gapped HSP,
@@ -129,7 +157,7 @@ func (c *Context) UsePrepared(q *seq.Sequence, p *PreparedQuery) error {
 // released it.
 func (c *Context) unload() {
 	c.query, c.prep = nil, nil
-	for _, cl := range c.clones {
+	for _, cl := range c.pool.workers {
 		cl.query, cl.prep = nil, nil
 	}
 }
@@ -137,18 +165,16 @@ func (c *Context) unload() {
 // Query returns the query currently loaded in the context.
 func (c *Context) Query() *seq.Sequence { return c.query }
 
+// ensureDiag makes room for n diagonals (at least doubling, so a run of
+// ever-longer subjects costs O(longest) allocation) and starts a new epoch.
 func (c *Context) ensureDiag(n int) {
-	if len(c.stamp) < n {
-		c.lastHit = make([]int32, n)
-		c.extLevel = make([]int32, n)
-		c.stamp = make([]int32, n)
+	if len(c.diag) < n {
+		c.diag = make([]diagState, max(n, 2*len(c.diag)))
 		c.epoch = 0
 	}
 	c.epoch++
 	if c.epoch == math.MaxInt32 {
-		for i := range c.stamp {
-			c.stamp[i] = 0
-		}
+		clear(c.diag)
 		c.epoch = 1
 	}
 }
@@ -156,7 +182,7 @@ func (c *Context) ensureDiag(n int) {
 // searchThreads resolves the worker count for one fragment.
 func (c *Context) searchThreads(nSubjects int) int {
 	n := c.s.opts.SearchThreads
-	if n <= 0 {
+	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	if n > nSubjects {
@@ -174,11 +200,11 @@ func (c *Context) searchThreads(nSubjects int) int {
 // database is partitioned — the property the parallel engines' merging
 // relies on.
 //
-// With Options.SearchThreads != 1 the subjects are sharded across a bounded
-// pool of worker goroutines (clone Contexts). Each subject's search is
+// With Options.SearchThreads != 1 a bounded pool of worker goroutines (clone
+// Contexts) claims the subjects one at a time. Each subject's search is
 // independent and deterministic, and results are reassembled in subject
 // order before the canonical sort, so the output is byte-identical to the
-// sequential path for every thread count.
+// sequential path for every thread count and every claim order.
 func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*QueryResult, error) {
 	if c.query == nil {
 		return nil, fmt.Errorf("blast: SearchFragment before SetQuery")
@@ -231,179 +257,173 @@ func (c *Context) searchOneSubject(sub *Subject, cutoffRaw int, space stats.Sear
 	}
 }
 
-// searchParallel shards the fragment's subjects across nw worker contexts.
-// Slot i of the result array is subject i's outcome, so reassembly preserves
-// the sequential append order exactly; per-worker WorkCounters are summed in
-// worker order, which is deterministic because int64 addition is exact.
+// searchParallel spreads the fragment's subjects over nw worker contexts.
+// Workers claim the next unsearched subject from one shared counter, so a
+// fragment whose expensive subjects cluster (a family's members sit at a
+// fixed stride in a synthesized database) still keeps every worker busy.
+// Which worker searched which subject is host scheduling and shows nowhere:
+// slot i of the result array is subject i's outcome, so reassembly preserves
+// the sequential append order exactly, and the counters are a sum of
+// per-subject int64 tallies, which no grouping or order can change.
 func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.SearchSpace, nw int, res *QueryResult) {
-	for len(c.clones) < nw-1 {
-		c.clones = append(c.clones, c.s.NewContext())
+	p := &c.pool
+	for w := len(p.workers); w < nw; w++ {
+		cl := c
+		if w > 0 {
+			cl = c.s.NewContext()
+		}
+		p.workers = append(p.workers, cl)
+		p.starts = append(p.starts, func() {
+			defer p.wg.Done()
+			p.drain(w)
+		})
 	}
-	workers := make([]*Context, nw)
-	workers[0] = c
-	for i := 1; i < nw; i++ {
-		cl := c.clones[i-1]
+	for _, cl := range p.workers[1:nw] {
 		cl.query, cl.prep = c.query, c.prep
-		workers[i] = cl
 	}
+	p.slots = slices.Grow(p.slots[:0], len(frag.Subjects))[:len(frag.Subjects)]
+	p.works = append(p.works[:0], make([]WorkCounters, nw)...)
+	p.frag, p.cutoffRaw, p.space = frag, cutoffRaw, space
+	p.next.Store(0)
 
-	slots := make([]*SubjectResult, len(frag.Subjects))
-	works := make([]WorkCounters, nw)
-	// Static interleaved sharding: worker w takes subjects w, w+nw, ...
-	// Subject lengths are i.i.d. in practice, so interleaving balances load
-	// without the coordination of a shared queue.
-	var wg sync.WaitGroup
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := workers[w]
-			for i := w; i < len(frag.Subjects); i += nw {
-				slots[i] = ctx.searchOneSubject(&frag.Subjects[i], cutoffRaw, space, &works[w])
-			}
-		}(w)
+	p.wg.Add(nw - 1)
+	for _, start := range p.starts[1:nw] {
+		go start()
 	}
-	for i := 0; i < len(frag.Subjects); i += nw {
-		slots[i] = c.searchOneSubject(&frag.Subjects[i], cutoffRaw, space, &works[0])
-	}
-	wg.Wait()
+	p.drain(0)
+	p.wg.Wait()
 
-	for w := range works {
-		res.Work.Add(works[w])
+	for w := range p.works {
+		res.Work.Add(p.works[w])
 	}
-	for _, r := range slots {
+	for _, r := range p.slots {
 		if r != nil {
 			res.Hits = append(res.Hits, r)
 		}
 	}
+	// The results are the caller's now, the fragment always was.
+	clear(p.slots)
+	p.frag = nil
+}
+
+// drain is worker w's share of the call in flight: whatever subjects it is
+// first to claim.
+func (p *searchPool) drain(w int) {
+	ctx, work := p.workers[w], &p.works[w]
+	for i := int(p.next.Add(1)) - 1; i < len(p.slots); i = int(p.next.Add(1)) - 1 {
+		p.slots[i] = ctx.searchOneSubject(&p.frag.Subjects[i], p.cutoffRaw, p.space, work)
+	}
 }
 
 // searchSubject scans one subject for seeds and extends them.
+//
+// The model charges one SeedHit per (query position, subject position) word
+// match; the host pays per hit only what the two-hit rule needs, which for
+// nearly every hit is one diagState read and one store. Only a hit that
+// qualifies for extension leaves the loop, through subjectScan.extend.
 func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) []*HSP {
 	query := c.query.Residues
 	idx := c.prep.idx
 	w := c.s.opts.WordSize
+	work.ResiduesScanned += int64(len(subj))
 	if len(subj) < w || len(query) < w {
-		work.ResiduesScanned += int64(len(subj))
 		return nil
 	}
 	c.ensureDiag(len(query) + len(subj) + 1)
-	work.ResiduesScanned += int64(len(subj))
+	scan := subjectScan{c: c, subj: subj, cutoffRaw: cutoffRaw, work: work, boxes: c.boxes[:0]}
 
-	var hsps []*HSP
-	// Boxes of already-found gapped HSPs, for seed containment skipping;
-	// the backing array is context scratch reused across subjects.
-	boxes := c.boxes[:0]
-
-	handleHit := func(qPos, sPos int) {
-		work.SeedHits++
-		d := sPos - qPos + len(query)
-		if c.stamp[d] != c.epoch {
-			c.stamp[d] = c.epoch
-			c.lastHit[d] = int32(-1 << 30)
-			c.extLevel[d] = 0
+	diag, epoch := c.diag, c.epoch
+	twoHit := c.s.opts.TwoHitWindow
+	offsets, positions := idx.offsets, idx.positions
+	var id uint64
+	run, hits := 0, 0
+	for j := range subj {
+		if id, run = idx.roll.next(id, run, subj, j); run < w {
+			continue
 		}
-		if int32(sPos) < c.extLevel[d] {
-			return // inside a region already covered by an extension
+		var seeds []int32
+		if idx.dense {
+			seeds = positions[offsets[id]:offsets[id+1]]
+		} else {
+			seeds = idx.lookupSparse(id)
 		}
-		if c.s.opts.TwoHitWindow > 0 {
-			gap := sPos - int(c.lastHit[d])
-			if gap > c.s.opts.TwoHitWindow {
-				// First hit on this diagonal (or the previous one is out of
-				// range): remember it and wait for a second hit.
-				c.lastHit[d] = int32(sPos)
-				return
+		hits += len(seeds)
+		sPos := j - w + 1
+		for _, qPos := range seeds {
+			ds := &diag[sPos-int(qPos)+len(query)]
+			if ds.stamp != epoch {
+				*ds = diagState{lastHit: -1 << 30, stamp: epoch}
 			}
-			if gap < w {
-				// Overlaps the remembered hit. Do NOT overwrite it —
-				// otherwise densely spaced hits (as in near-identical
-				// regions) would keep resetting the window and never
-				// qualify. This mirrors the NCBI diagonal array.
-				return
+			if int32(sPos) < ds.extLevel {
+				continue // inside a region already covered by an extension
 			}
-			c.lastHit[d] = int32(sPos)
-		}
-		seg := extendUngapped(query, subj, qPos, sPos, c.s.opts.Matrix, c.s.xdropUngapped, work)
-		c.extLevel[d] = int32(seg.sTo)
-		if seg.score >= c.s.gapTrigger {
-			// Skip if the seed midpoint is inside an HSP we already have.
-			for _, b := range boxes {
-				if seg.seedQ >= b.q0 && seg.seedQ < b.q1 && seg.seedS >= b.s0 && seg.seedS < b.s1 {
-					return
+			if twoHit > 0 {
+				gap := sPos - int(ds.lastHit)
+				if gap > twoHit {
+					// First hit on this diagonal (or the previous one is out of
+					// range): remember it and wait for a second hit.
+					ds.lastHit = int32(sPos)
+					continue
 				}
+				if gap < w {
+					// Overlaps the remembered hit. Do NOT overwrite it —
+					// otherwise densely spaced hits (as in near-identical
+					// regions) would keep resetting the window and never
+					// qualify. This mirrors the NCBI diagonal array.
+					continue
+				}
+				ds.lastHit = int32(sPos)
 			}
-			h := c.gappedFromSeed(query, subj, seg.seedQ, seg.seedS, work)
-			if h != nil && h.Score >= cutoffRaw {
-				hsps = append(hsps, h)
-				boxes = append(boxes, hspBox{h.QueryFrom, h.QueryTo, h.SubjFrom, h.SubjTo})
-			}
-		} else if seg.score >= cutoffRaw {
-			// Significant without gaps: keep as an ungapped HSP. The trace
-			// is implicit (all OpSub) — synthesized lazily at render time
-			// instead of materialized per HSP.
-			h := &HSP{
-				QueryFrom: seg.qFrom, QueryTo: seg.qTo,
-				SubjFrom: seg.sFrom, SubjTo: seg.sTo,
-				Score: seg.score,
-			}
-			hsps = append(hsps, h)
+			scan.extend(ds, int(qPos), sPos)
 		}
 	}
+	work.SeedHits += int64(hits)
 
-	if idx.dense {
-		strict := idx.strict
-		offsets, positions := idx.offsets, idx.positions
-		// Rolling dense word ID over strict residues.
-		valid := 0
-		id := 0
-		hi := 1
-		for i := 1; i < w; i++ {
-			hi *= strict
-		}
-		for j := 0; j < len(subj); j++ {
-			cdb := subj[j]
-			if int(cdb) >= strict {
-				valid, id = 0, 0
-				continue
-			}
-			id = id%hi*strict + int(cdb)
-			valid++
-			if valid < w {
-				continue
-			}
-			start := j - w + 1
-			for _, qPos := range positions[offsets[id]:offsets[id+1]] {
-				handleHit(int(qPos), start)
-			}
-		}
-	} else {
-		strict := uint64(idx.strict)
-		mod := uint64(1)
-		for i := 0; i < w; i++ {
-			mod *= strict
-		}
-		valid := 0
-		var id uint64
-		for j := 0; j < len(subj); j++ {
-			cdb := subj[j]
-			if int(cdb) >= idx.strict {
-				valid, id = 0, 0
-				continue
-			}
-			id = (id*strict + uint64(cdb)) % mod
-			valid++
-			if valid < w {
-				continue
-			}
-			start := j - w + 1
-			for _, qPos := range idx.lookupSparse(id) {
-				handleHit(int(qPos), start)
+	c.boxes = scan.boxes[:0]
+	return cullContained(scan.hsps)
+}
+
+// subjectScan is the part of one subject's scan that outlives a seed hit:
+// what the extensions read and what they have found so far.
+type subjectScan struct {
+	c         *Context
+	subj      []byte
+	cutoffRaw int
+	work      *WorkCounters
+	hsps      []*HSP
+	// boxes of the gapped HSPs found so far, for seed containment skipping;
+	// the backing array is context scratch reused across subjects.
+	boxes []hspBox
+}
+
+// extend grows the qualifying seed hit at (qPos, sPos) on diagonal ds: without
+// gaps first, then with gaps if that scored high enough.
+func (ss *subjectScan) extend(ds *diagState, qPos, sPos int) {
+	c, query := ss.c, ss.c.query.Residues
+	seg := extendUngapped(query, ss.subj, qPos, sPos, c.s.opts.Matrix, c.s.xdropUngapped, ss.work)
+	ds.extLevel = int32(seg.sTo)
+	if seg.score >= c.s.gapTrigger {
+		// Skip if the seed midpoint is inside an HSP we already have.
+		for _, b := range ss.boxes {
+			if seg.seedQ >= b.q0 && seg.seedQ < b.q1 && seg.seedS >= b.s0 && seg.seedS < b.s1 {
+				return
 			}
 		}
+		h := c.gappedFromSeed(query, ss.subj, seg.seedQ, seg.seedS, ss.work)
+		if h != nil && h.Score >= ss.cutoffRaw {
+			ss.hsps = append(ss.hsps, h)
+			ss.boxes = append(ss.boxes, hspBox{h.QueryFrom, h.QueryTo, h.SubjFrom, h.SubjTo})
+		}
+	} else if seg.score >= ss.cutoffRaw {
+		// Significant without gaps: keep as an ungapped HSP. The trace
+		// is implicit (all OpSub) — synthesized lazily at render time
+		// instead of materialized per HSP.
+		ss.hsps = append(ss.hsps, &HSP{
+			QueryFrom: seg.qFrom, QueryTo: seg.qTo,
+			SubjFrom: seg.sFrom, SubjTo: seg.sTo,
+			Score: seg.score,
+		})
 	}
-
-	c.boxes = boxes[:0]
-	return cullContained(hsps)
 }
 
 // gappedFromSeed runs the two-directional gapped extension around a seed

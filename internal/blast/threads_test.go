@@ -2,8 +2,11 @@ package blast
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"parblast/internal/seq"
 )
@@ -139,6 +142,76 @@ func TestSearchThreadsPoolReuse(t *testing.T) {
 			for _, h := range hit.HSPs {
 				if err := h.Validate(); err != nil {
 					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+		}
+	}
+}
+
+// skewedFixture is a fragment whose hit-rich subjects all have even index —
+// what a synthesized database's fixed family stride does to a fragment — so
+// any split of the subjects by index gives one side all the extension work.
+func skewedFixture(seed int64) (*Fragment, *seq.Sequence) {
+	rng := rand.New(rand.NewSource(seed))
+	frag := testFragment(rng, 48, 300)
+	query := proteinSeq("skew", randomProtein(rng, 220))
+	for oid := 0; oid < len(frag.Subjects); oid += 4 {
+		hom := mutate(rng, query.Residues, 0.1+0.02*float64(oid%5))
+		copy(frag.Subjects[oid].Residues[3:], hom[:min(len(hom), 290)])
+	}
+	return frag, query
+}
+
+// TestSearchPoolClaimOrderInvisible: whichever worker claims whichever
+// subject, the result is the sequential one — hits, their order and every
+// work counter — and the pool's goroutines are gone when the call returns.
+// Nothing here looks at balance or timing: who claimed what is host
+// scheduling and must never reach a metric, span, report or golden.
+func TestSearchPoolClaimOrderInvisible(t *testing.T) {
+	frag, query := skewedFixture(80)
+	opts := DefaultProteinOptions()
+	_, want := searchWithThreads(t, opts, query, frag, 1)
+	if len(want.Hits) < 8 || want.Work.GappedExtensions == 0 {
+		t.Fatalf("fixture is not hit-rich: %d hits, work %+v", len(want.Hits), want.Work)
+	}
+	for _, hit := range want.Hits[:8] {
+		if hit.OID%2 != 0 {
+			t.Fatalf("fixture: top hit at odd subject %d", hit.OID)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{1, 2, 3, 4, 7} {
+			opts.SearchThreads = threads
+			s, err := NewSearcher(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := s.NewContext()
+			if err := ctx.SetQuery(query); err != nil {
+				t.Fatal(err)
+			}
+			// Several calls on one context: the pool state is reused.
+			for call := 0; call < 3; call++ {
+				before := runtime.NumGoroutine()
+				got, err := ctx.SearchFragment(frag, spaceFor(s, query.Len(), frag))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("GOMAXPROCS %d, SearchThreads %d, call %d: result differs from the sequential one\n got work %+v\nwant work %+v",
+						procs, threads, call, got.Work, want.Work)
+				}
+				// wg.Done is a goroutine's last act, not its exit: give the
+				// runtime a moment to retire the stragglers.
+				after := runtime.NumGoroutine()
+				for i := 0; i < 200 && after > before; i++ {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after > before {
+					t.Fatalf("GOMAXPROCS %d, SearchThreads %d: %d goroutines before the call, %d after", procs, threads, before, after)
 				}
 			}
 		}

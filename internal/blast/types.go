@@ -333,9 +333,9 @@ type Options struct {
 	// seeding stage (BLAST's -F option; soft masking — extensions still
 	// use the unmasked residues).
 	FilterLowComplexity bool
-	// SearchThreads bounds the intra-rank worker pool that shards a
-	// fragment's subjects across goroutines: 0 means GOMAXPROCS, 1 forces
-	// the sequential path. Output is byte-identical for every value.
+	// SearchThreads bounds the intra-rank worker pool whose goroutines claim
+	// a fragment's subjects one at a time: 0 means GOMAXPROCS, 1 forces the
+	// sequential path. Output is byte-identical for every value.
 	SearchThreads int
 	// OutFormat selects the report rendering (pairwise text by default,
 	// or the 12-column tabular format).
@@ -395,6 +395,13 @@ func (o *Options) Validate() error {
 	}
 	if o.XDropUngapped <= 0 || o.XDropGapped <= 0 || o.XDropFinal <= 0 {
 		return fmt.Errorf("blast: X-drop cutoffs must be positive")
+	}
+	if o.MaxTargetSeqs < 0 || o.MaxHSPsPerSubject < 0 {
+		return fmt.Errorf("blast: caps MaxTargetSeqs=%d MaxHSPsPerSubject=%d must not be negative (0 selects the default)",
+			o.MaxTargetSeqs, o.MaxHSPsPerSubject)
+	}
+	if o.SearchThreads < 0 {
+		return fmt.Errorf("blast: SearchThreads=%d must not be negative (0 selects GOMAXPROCS)", o.SearchThreads)
 	}
 	return nil
 }

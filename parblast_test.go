@@ -335,3 +335,38 @@ func TestNodeSpeedsThroughPublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestIllegalCapsRejected: a negative result cap or thread count is rejected
+// up front with a reason by both engines and the sequential oracle — it used
+// to reach a slice expression and come back as a rank panic, or silently
+// mean GOMAXPROCS.
+func TestIllegalCapsRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*parblast.SearchOptions)
+	}{
+		{"MaxTargetSeqs", func(o *parblast.SearchOptions) { o.MaxTargetSeqs = -1 }},
+		{"MaxHSPsPerSubject", func(o *parblast.SearchOptions) { o.MaxHSPsPerSubject = -1 }},
+		{"SearchThreads", func(o *parblast.SearchOptions) { o.SearchThreads = -1 }},
+	} {
+		for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast, parblast.EngineSequential} {
+			opts := parblast.DefaultProteinOptions()
+			tc.set(&opts)
+			_, err := cluster.Run(eng, parblast.Search{DB: db, Queries: queries, Output: "out", Options: opts})
+			if err == nil {
+				t.Errorf("%s = -1 accepted by %v", tc.name, eng)
+			} else if reason := tc.name + "=-1"; !strings.Contains(err.Error(), reason) {
+				t.Errorf("%s = -1 on %v: error %q does not give the reason %q", tc.name, eng, err, reason)
+			}
+		}
+	}
+}

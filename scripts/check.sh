@@ -56,13 +56,17 @@ go run ./cmd/parblastlint ./...
 # and sits near go test's default 10m per-package limit under -race;
 # give it explicit headroom rather than flaking on loaded machines.
 go test -race -timeout 20m ./...
+# The kernel's worker pool claims subjects from a shared counter: race it
+# oversubscribed (four Ps on however many cores there are) and repeatedly,
+# so that claim orders the default run never produces are exercised.
+GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 
 # Fuzz smoke: a few seconds per codec hardening target. Finds shallow
 # panics in the wire codec and artifact reader without a long campaign.
 go test -run=- -fuzz=FuzzWireQueries -fuzztime=5s ./internal/engine
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
-go test -run=- -bench=SearchFragment -benchtime=1x ./internal/blast
+go test -run=- -bench='SearchFragment|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
 go run ./examples/quickstart >/dev/null
 
 # Telemetry smoke: a tiny end-to-end run must produce a parseable run
@@ -75,6 +79,14 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -engine pio -procs 4 -out "$tmp/results.txt" \
     -report "$tmp/run.json" -trace-out "$tmp/trace.json" >/dev/null
 go run ./scripts/validatereport -run "$tmp/run.json" -trace "$tmp/trace.json"
+# An illegal option is rejected with its reason, not run: a negative thread
+# count used to mean GOMAXPROCS silently.
+if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine pio -procs 4 -out "$tmp/rejected.txt" -search-threads -1 2>"$tmp/rejected.err"; then
+    echo "parblast -search-threads -1 was accepted" >&2
+    exit 1
+fi
+grep -q 'SearchThreads=-1 must not be negative' "$tmp/rejected.err"
 
 # Latency/flow smoke: with -trace-flows the report carries the per-query
 # percentile block and the exact critical path, the Chrome trace carries
@@ -139,3 +151,4 @@ cmp "$tmp/results_tune.txt" "$tmp/results_hinted.txt"
 # Perf-trajectory guard: the newest checked-in benchmark record must not be
 # worse than the PR-11 baseline beyond the BENCHMARK.json bounds.
 bash bench/run.sh -compare bench/baseline.json BENCH_3.json
+bash bench/run.sh -compare BENCH_3.json BENCH_4.json
