@@ -1,21 +1,20 @@
-// Command parblastlint runs the project's invariant-lint suite: a
-// registry of typed static analyzers that mechanically enforce the
-// simulator's determinism contract (no wall clock, seeded randomness
-// only, no map-order leaks into output, matched MPI tag protocols,
-// clock-neutral telemetry). See internal/lint and DESIGN.md §12.
+// Command parblastlint runs the project's invariant-lint suite: typed
+// static analyzers that mechanically enforce the simulator's determinism
+// contract (no wall clock, seeded randomness only, no map-order leaks into
+// output, matched MPI tag protocols, clock-neutral telemetry, uniform
+// collectives, fenced concurrency, sideband that stays out of band). See
+// internal/lint and DESIGN.md §12.
 //
 // Usage:
 //
-//	parblastlint [-json] [-analyzers a,b] [-baseline file] [-write-baseline]
-//	             [-changed] [-changed-ref ref] [packages...]
+//	parblastlint [-json] [packages...]
 //
-// Packages default to ./... of the enclosing module. With -changed, the
-// package list is instead derived from git: the directories of every .go
-// file modified since -changed-ref (default origin/main, falling back to
-// HEAD when that ref does not exist), plus untracked .go files — the
-// seconds-fast pre-push path wired up as `scripts/check.sh lint-fast`.
-// The exit status is 0 when every finding is baselined (or there are
-// none), 1 when fresh findings exist, 2 on usage or load errors.
+// Packages default to ./... of the enclosing module. Named packages are
+// analysed against the whole module and only their findings are printed,
+// so a subset run reports exactly what ./... reports there. Every analyzer
+// always runs; the one way to accept a finding is a //lint:<name> <reason>
+// directive at the site. The exit status is 0 when there are no findings,
+// 1 when there are, 2 on usage or load errors.
 package main
 
 import (
@@ -28,90 +27,25 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	baselinePath := flag.String("baseline", "lint.baseline", "baseline file of triaged findings (relative to the module root)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline file with the current findings and exit 0")
-	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	changed := flag.Bool("changed", false, "lint only packages with .go files changed since -changed-ref")
-	changedRef := flag.String("changed-ref", "origin/main", "git ref -changed diffs against (falls back to HEAD if missing)")
 	flag.Parse()
 
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	selected, err := lint.ByName(*analyzers)
-	if err != nil {
-		fatal(err)
-	}
 	loader, err := lint.NewLoader()
 	if err != nil {
 		fatal(err)
 	}
-	patterns := flag.Args()
-	if *changed {
-		if len(patterns) != 0 {
-			fatal(fmt.Errorf("-changed derives the package list from git; explicit packages conflict"))
-		}
-		var ref string
-		patterns, ref, err = lint.ChangedPackages(loader.ModuleDir, *changedRef)
-		if err != nil {
-			fatal(err)
-		}
-		if len(patterns) == 0 {
-			fmt.Fprintf(os.Stderr, "parblastlint: no .go files changed since %s\n", ref)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "parblastlint: linting %d package(s) changed since %s\n", len(patterns), ref)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := loader.Load(patterns...)
+	diags, err := lint.Analyze(loader, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
-	diags := lint.Run(loader, pkgs, selected)
-
-	baseFile := *baselinePath
-	if !os.IsPathSeparator(baseFile[0]) {
-		baseFile = loader.ModuleDir + string(os.PathSeparator) + baseFile
-	}
-	if *writeBaseline {
-		f, err := os.Create(baseFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.WriteBaseline(f, diags); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "parblastlint: wrote %d finding(s) to %s\n", len(diags), baseFile)
-		return
-	}
-	baseline, err := lint.LoadBaseline(baseFile)
-	if err != nil {
-		fatal(err)
-	}
-	fresh, baselined := baseline.Filter(diags)
-
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, fresh); err != nil {
+		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
 			fatal(err)
 		}
 	} else {
-		lint.WriteText(os.Stdout, fresh)
+		lint.WriteText(os.Stdout, diags)
 	}
-	if len(baselined) > 0 {
-		fmt.Fprintf(os.Stderr, "parblastlint: %d baselined finding(s) suppressed\n", len(baselined))
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "parblastlint: %d fresh finding(s)\n", len(fresh))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "parblastlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

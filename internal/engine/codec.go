@@ -30,16 +30,22 @@ type Writer struct {
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Int appends a zig-zag varint.
+//
+//lint:encodes v
 func (w *Writer) Int(v int64) {
 	w.buf = binary.AppendVarint(w.buf, v)
 }
 
 // Uint appends a uvarint.
+//
+//lint:encodes v
 func (w *Writer) Uint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Bool appends a flag as one byte.
+//
+//lint:encodes v
 func (w *Writer) Bool(v bool) {
 	var b uint64
 	if v {
@@ -49,17 +55,23 @@ func (w *Writer) Bool(v bool) {
 }
 
 // Float appends a float64 as its IEEE bits.
+//
+//lint:encodes v
 func (w *Writer) Float(v float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
+//
+//lint:encodes s
 func (w *Writer) String(s string) {
 	w.Uint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
 // Blob appends a length-prefixed byte slice.
+//
+//lint:encodes b
 func (w *Writer) Blob(b []byte) {
 	w.Uint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
@@ -311,6 +323,8 @@ func DecodeWireHit(r *Reader) WireHit {
 
 // EncodeWireQueries serializes the query set a job or batch broadcast
 // carries; it dominates the broadcast bytes.
+//
+//lint:encodes q
 func EncodeWireQueries(q WireQueries) []byte {
 	var w Writer
 	w.Uint(uint64(q.Kind))
@@ -345,6 +359,8 @@ func DecodeWireQueries(data []byte) (WireQueries, error) {
 }
 
 // EncodeInt encodes a single integer (assignment messages).
+//
+//lint:encodes v
 func EncodeInt(v int) []byte {
 	var w Writer
 	w.Int(int64(v))

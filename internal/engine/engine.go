@@ -45,6 +45,11 @@ func (j *Job) Validate() error {
 	if len(j.Queries) == 0 {
 		return fmt.Errorf("engine: job needs at least one query")
 	}
+	for i, q := range j.Queries {
+		if q == nil || q.Alpha == nil {
+			return fmt.Errorf("engine: query %d is nil or has no alphabet", i)
+		}
+	}
 	if j.OutputPath == "" {
 		return fmt.Errorf("engine: job needs an output path")
 	}

@@ -14,6 +14,8 @@ import "sort"
 
 // EncodeQueryMetas serializes a per-query metadata set for one tree-merge
 // bundle payload.
+//
+//lint:encodes metas
 func EncodeQueryMetas(metas []QueryMeta) []byte {
 	w := &Writer{}
 	w.Uint(uint64(len(metas)))

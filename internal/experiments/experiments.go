@@ -93,6 +93,85 @@ func blade() platform {
 	return platform{name: "blade-nfs", shared: vfs.NFSLike(), local: &l}
 }
 
+// rig is one stood-up experiment: a fresh cluster with the lab's database
+// formatted on it as "nr" — and pre-partitioned, for the baseline — plus the
+// job to run there. Every experiment that runs an engine stands up through
+// here and dispatches through run.
+type rig struct {
+	eng   string // "mpi" or "pio"
+	procs int
+	nodes []*vfs.Node
+	job   *engine.Job
+}
+
+// variant carries each engine's options; a run reads its own engine's.
+type variant struct {
+	pio core.Options
+	mpi mpiblast.Options
+}
+
+// standUp builds the rig. fragments is the job's partition granularity
+// (0 = natural: one per worker), which for the baseline is also the number
+// of physical fragments prepared.
+func (l *Lab) standUp(eng string, procs int, plat platform, fragments int, queries []*seq.Sequence) (*rig, error) {
+	if eng != "mpi" && eng != "pio" {
+		return nil, fmt.Errorf("experiments: unknown engine %q", eng)
+	}
+	nodes, err := vfs.Cluster(procs, plat.shared, plat.local)
+	if err != nil {
+		return nil, err
+	}
+	seqs, err := workload.SynthesizeDB(l.DB)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
+		Title: "synthetic nr", Kind: l.DB.Kind,
+	}); err != nil {
+		return nil, err
+	}
+	if eng == "mpi" {
+		nFrags := fragments
+		if nFrags == 0 {
+			nFrags = procs - 1
+		}
+		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
+			return nil, err
+		}
+	}
+	return &rig{eng: eng, procs: procs, nodes: nodes, job: &engine.Job{
+		DBBase:     "nr",
+		Queries:    queries,
+		Options:    l.Options,
+		OutputPath: "results.out",
+		Fragments:  fragments,
+	}}, nil
+}
+
+// run executes the rig's job on its engine: one-shot, or serving the
+// stream when there is one.
+func (r *rig) run(cfg mpi.Config, v variant, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+	var res engine.RunResult
+	var stats engine.ServeStats
+	var err error
+	switch {
+	case r.eng == "mpi" && stream != nil:
+		res, stats, err = mpiblast.Serve(r.nodes, r.procs, cfg, r.job, v.mpi, stream.Batches, stream.AdmitCap)
+	case r.eng == "mpi":
+		res, err = mpiblast.RunOpts(r.nodes, r.procs, cfg, r.job, v.mpi)
+	case stream != nil:
+		res, stats, err = core.Serve(r.nodes, r.procs, cfg, r.job, v.pio, stream.Batches, stream.AdmitCap)
+	default:
+		res, err = core.RunConfig(r.nodes, r.procs, cfg, r.job, v.pio)
+	}
+	return res, stats, err
+}
+
+// output returns the result file the run produced.
+func (r *rig) output() ([]byte, error) {
+	return r.nodes[0].Shared.ReadFile(r.job.OutputPath)
+}
+
 // runSpec is one engine execution.
 type runSpec struct {
 	lab         *Lab
@@ -125,48 +204,16 @@ func execute(spec runSpec) (Row, error) {
 		Fragments:  spec.fragments,
 		QueryBytes: spec.queryBytes,
 	}
-	nodes, err := vfs.Cluster(spec.procs, spec.plat.shared, spec.plat.local)
-	if err != nil {
-		return row, err
-	}
-	seqs, err := workload.SynthesizeDB(spec.lab.DB)
-	if err != nil {
-		return row, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: spec.lab.DB.Kind,
-	}); err != nil {
-		return row, err
-	}
 	queries, err := spec.lab.queries(spec.queryBytes)
 	if err != nil {
 		return row, err
 	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    spec.lab.Options,
-		OutputPath: "results.out",
-		Fragments:  spec.fragments,
+	r, err := spec.lab.standUp(spec.engineName, spec.procs, spec.plat, spec.fragments, queries)
+	if err != nil {
+		return row, err
 	}
-	cfg := mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds}
-	var res engine.RunResult
-	switch spec.engineName {
-	case "mpi":
-		nFrags := spec.fragments
-		if nFrags == 0 {
-			nFrags = spec.procs - 1
-		}
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
-			return row, err
-		}
-		res, err = mpiblast.RunOpts(nodes, spec.procs, cfg, job,
-			mpiblast.Options{FetchWindow: spec.fetchWindow})
-	case "pio":
-		res, err = core.RunConfig(nodes, spec.procs, cfg, job, spec.pio)
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", spec.engineName)
-	}
+	res, _, err := r.run(mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds},
+		variant{pio: spec.pio, mpi: mpiblast.Options{FetchWindow: spec.fetchWindow}}, nil)
 	if err != nil {
 		return row, err
 	}
@@ -492,31 +539,16 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 	// is exactly the medium mpiBLAST must re-write during recovery.
 	shared := vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32}
 	staging := vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
-	nodes, err := vfs.Cluster(procs, shared, &staging)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	seqs, err := workload.SynthesizeDB(l.DB)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: l.DB.Kind,
-	}); err != nil {
-		return engine.RunResult{}, nil, err
-	}
 	queries, err := l.queries(faultQueryBytes)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
-	// Natural partitioning: one fragment per worker, so the victim loses
-	// exactly one partition and the recovery cost is a single clean
-	// re-acquire + re-search in both engines.
-	nFrags := procs - 1
-	if eng == "mpi" {
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
-			return engine.RunResult{}, nil, err
-		}
+	// Natural partitioning, spelled out: one fragment per worker, so the
+	// victim loses exactly one partition and the recovery cost is a single
+	// clean re-acquire + re-search in both engines.
+	r, err := l.standUp(eng, procs, platform{name: "san-ide", shared: shared, local: &staging}, procs-1, queries)
+	if err != nil {
+		return engine.RunResult{}, nil, err
 	}
 	if ioPlan != nil {
 		// Schedule the plan relative to the RUN's first shared-store access:
@@ -524,35 +556,19 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 		// setup (formatdb, fragment prep) already charged. Injection after
 		// setup keeps every faulted ordinal inside the measured run.
 		p := *ioPlan
-		ops, _, _ := nodes[0].Shared.Stats()
+		ops, _, _ := r.nodes[0].Shared.Stats()
 		p.FirstOp += ops
-		if err := nodes[0].Shared.InjectFaults(p); err != nil {
+		if err := r.nodes[0].Shared.InjectFaults(p); err != nil {
 			return engine.RunResult{}, nil, err
 		}
 	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    l.Options,
-		OutputPath: "results.out",
-		Fragments:  nFrags,
-	}
-	cfg := mpi.Config{Cost: l.Cost, Faults: faults}
-	var res engine.RunResult
-	switch eng {
-	case "mpi":
-		res, err = mpiblast.RunOpts(nodes, procs, cfg, job, mpiblast.Options{})
-	case "pio":
-		// Arm the recovery protocol in the baseline too, so the overhead
-		// isolates recovery work rather than protocol presence.
-		res, err = core.RunConfig(nodes, procs, cfg, job, core.Options{FaultTolerant: true})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
+	// Arm the recovery protocol in pioBLAST's baseline too, so the overhead
+	// isolates recovery work rather than protocol presence.
+	res, _, err := r.run(mpi.Config{Cost: l.Cost, Faults: faults}, variant{pio: core.Options{FaultTolerant: true}}, nil)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
-	out, err := nodes[0].Shared.ReadFile(job.OutputPath)
+	out, err := r.output()
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}

@@ -6,13 +6,10 @@ import (
 
 	"parblast/internal/core"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
 	"parblast/internal/report"
 	"parblast/internal/trace"
-	"parblast/internal/vfs"
-	"parblast/internal/workload"
 )
 
 // The latency experiment: the per-query accounting view of the paper's
@@ -77,54 +74,20 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 // untraced), then folds the collector into the latency/critical-path row.
 func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyRow, error) {
 	row := LatencyRow{Protocol: proto, Engine: eng, Procs: procs}
-	plat := altix()
-	nodes, err := vfs.Cluster(procs, plat.shared, plat.local)
-	if err != nil {
-		return row, err
-	}
-	seqs, err := workload.SynthesizeDB(lab.DB)
-	if err != nil {
-		return row, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: lab.DB.Kind,
-	}); err != nil {
-		return row, err
-	}
 	queries, err := lab.queries(lab.QuerySizes[1])
 	if err != nil {
 		return row, err
 	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    lab.Options,
-		OutputPath: "results.out",
+	r, err := lab.standUp(eng, procs, altix(), 0, queries)
+	if err != nil {
+		return row, err
 	}
 	col := trace.NewCollector()
-	cfg := mpi.Config{
-		Cost:     lab.Cost,
-		Observer: col.Observer,
-		OnFlow: func(f mpi.FlowEvent) {
-			col.RecordFlow(trace.Flow{
-				Kind: f.Kind, Op: f.Op, ID: f.ID, Batch: f.Batch,
-				Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
-				SendAt: f.SendAt, RecvAt: f.RecvAt,
-			})
-		},
-	}
-	var res engine.RunResult
-	switch eng {
-	case "mpi":
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", procs-1); err != nil {
-			return row, err
-		}
-		res, err = mpiblast.RunOpts(nodes, procs, cfg, job, mpiblast.Options{TreeMerge: tree})
-	case "pio":
-		res, err = core.RunConfig(nodes, procs, cfg, job, core.Options{TreeMerge: tree, QueryBatch: 2})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
+	res, _, err := r.run(mpi.Config{Cost: lab.Cost, Observer: col.Observer, OnFlow: engine.RecordFlows(col)},
+		variant{
+			pio: core.Options{TreeMerge: tree, QueryBatch: 2},
+			mpi: mpiblast.Options{TreeMerge: tree},
+		}, nil)
 	if err != nil {
 		return row, err
 	}

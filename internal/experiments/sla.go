@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 
-	"parblast/internal/core"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
-	"parblast/internal/mpiblast"
 	"parblast/internal/report"
-	"parblast/internal/vfs"
+	"parblast/internal/seq"
 	"parblast/internal/workload"
 )
 
@@ -115,8 +112,7 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 	if err != nil {
 		return row, err
 	}
-	serveJob := &engine.Job{DBBase: "nr", Queries: queries, Options: lab.Options, OutputPath: "results.out"}
-	res, stats, out, err := slaServe(lab, eng, serveJob, batches, admitCap)
+	res, stats, out, err := slaRun(lab, eng, queries, &engine.Stream{Batches: batches, AdmitCap: admitCap})
 	if err != nil {
 		return row, err
 	}
@@ -136,8 +132,7 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 			oracleQueries = append(oracleQueries, b.Queries...)
 		}
 	}
-	oracleJob := &engine.Job{DBBase: "nr", Queries: oracleQueries, Options: lab.Options, OutputPath: "results.out"}
-	oracleOut, err := slaOneShot(lab, eng, oracleJob)
+	_, _, oracleOut, err := slaRun(lab, eng, oracleQueries, nil)
 	if err != nil {
 		return row, err
 	}
@@ -150,73 +145,19 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 	return row, nil
 }
 
-// slaCluster provisions a fresh formatted cluster for one serving run.
-func slaCluster(lab *Lab, eng string) ([]*vfs.Node, error) {
-	plat := altix()
-	nodes, err := vfs.Cluster(slaProcs, plat.shared, plat.local)
-	if err != nil {
-		return nil, err
-	}
-	seqs, err := workload.SynthesizeDB(lab.DB)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: lab.DB.Kind,
-	}); err != nil {
-		return nil, err
-	}
-	if eng == "mpi" {
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", slaProcs-1); err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
-}
-
-func slaServe(lab *Lab, eng string, job *engine.Job, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, []byte, error) {
-	nodes, err := slaCluster(lab, eng)
+// slaRun stands up a fresh cluster and runs the queries on it — served as
+// the stream, or one-shot when there is none — and returns the output file.
+func slaRun(lab *Lab, eng string, queries []*seq.Sequence, stream *engine.Stream) (engine.RunResult, engine.ServeStats, []byte, error) {
+	r, err := lab.standUp(eng, slaProcs, altix(), 0, queries)
 	if err != nil {
 		return engine.RunResult{}, engine.ServeStats{}, nil, err
 	}
-	cfg := mpi.Config{Cost: lab.Cost}
-	var res engine.RunResult
-	var stats engine.ServeStats
-	switch eng {
-	case "mpi":
-		res, stats, err = mpiblast.Serve(nodes, slaProcs, cfg, job, mpiblast.Options{}, batches, admitCap)
-	case "pio":
-		res, stats, err = core.Serve(nodes, slaProcs, cfg, job, core.Options{}, batches, admitCap)
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
+	res, stats, err := r.run(mpi.Config{Cost: lab.Cost}, variant{}, stream)
 	if err != nil {
 		return engine.RunResult{}, stats, nil, err
 	}
-	out, err := nodes[0].Shared.ReadFile(job.OutputPath)
-	if err != nil {
-		return engine.RunResult{}, stats, nil, err
-	}
-	return res, stats, out, nil
-}
-
-func slaOneShot(lab *Lab, eng string, job *engine.Job) ([]byte, error) {
-	nodes, err := slaCluster(lab, eng)
-	if err != nil {
-		return nil, err
-	}
-	switch eng {
-	case "mpi":
-		_, err = mpiblast.Run(nodes, slaProcs, lab.Cost, job)
-	case "pio":
-		_, err = core.Run(nodes, slaProcs, lab.Cost, job, core.Options{})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return nodes[0].Shared.ReadFile(job.OutputPath)
+	out, err := r.output()
+	return res, stats, out, err
 }
 
 // PrintSLARows renders the serving-mode sweeps.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // clockNeutralPackages are the observability packages that must never
@@ -17,19 +18,12 @@ var clockNeutralPackages = map[string]bool{
 	"trace":   true,
 }
 
-// clockAdvancing are the simtime.Clock methods that move or re-bucket
-// virtual time. Read-only accessors (Now, Bucket, Buckets, Phase) are
-// allowed: exporters legitimately read clocks they must never drive.
-var clockAdvancing = map[string]bool{
-	"Advance":   true,
-	"AdvanceTo": true,
-	"SetPhase":  true,
-}
-
 // ClockNeutralAnalyzer enforces the telemetry invariant: packages metrics
-// and trace must not advance virtual clocks, directly (simtime.Clock
-// mutators) or indirectly (importing the mpi layer, whose operations all
-// charge time to the acting rank).
+// and trace must not advance virtual clocks, directly (the simtime.Clock
+// methods marked //lint:clock, which move or re-bucket virtual time;
+// unmarked read-only accessors are allowed, since exporters legitimately
+// read clocks they must never drive) or indirectly (importing the mpi
+// layer, whose operations all charge time to the acting rank).
 var ClockNeutralAnalyzer = &Analyzer{
 	Name: "clockneutral",
 	Doc: "packages metrics and trace must not call any simtime/mpi API " +
@@ -54,19 +48,19 @@ var ClockNeutralAnalyzer = &Analyzer{
 					if !ok {
 						return true
 					}
-					pkgPath, name := methodPkgPath(p.Info, sel)
-					if pkgPath == "" {
+					fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+					if !ok || fn.Pkg() == nil {
 						return true
 					}
-					if hasPathSuffix(pkgPath, "internal/simtime") && clockAdvancing[name] {
-						u.Reportf(sel.Pos(),
-							"package %s must stay clock-neutral: simtime %s advances a virtual clock, so instrumentation would change the measured timings",
-							p.Types.Name(), name)
-					}
-					if hasPathSuffix(pkgPath, "internal/mpi") {
+					switch {
+					case hasPathSuffix(fn.Pkg().Path(), "internal/mpi"):
 						u.Reportf(sel.Pos(),
 							"package %s must stay clock-neutral: mpi.%s charges virtual time to the acting rank",
-							p.Types.Name(), name)
+							p.Types.Name(), fn.Name())
+					case u.Facts.Has(fn, factClock):
+						u.Reportf(sel.Pos(),
+							"package %s must stay clock-neutral: %s %s advances a virtual clock, so instrumentation would change the measured timings",
+							p.Types.Name(), fn.Pkg().Name(), fn.Name())
 					}
 					return true
 				})

@@ -21,11 +21,13 @@ import (
 // (the set of mpi collective kinds it can reach, transitively through
 // callees and through function-valued arguments such as per-batch merge
 // callbacks) is spliced into its call sites, the same forwarding idea
-// tagmatch uses for tag parameters. Rank dependence is a taint: values
-// derived from Rank.ID() (or the mpi-internal id field), transitively
-// through assignments, parameters, and returns.
+// tagmatch uses for tag parameters. Which operations are collectives, and
+// which values name the calling rank, is declared on the mpi declarations
+// themselves (//lint:collective, //lint:rank-identity; facts.go). Rank
+// dependence is a taint: values derived from a rank-identity method or
+// field, transitively through assignments, parameters, and returns.
 //
-// Soundness limits (DESIGN.md §17): the footprint is a set, so two
+// Soundness limits (DESIGN.md §12): the footprint is a set, so two
 // branches that reach the same collectives in different orders or
 // multiplicities are accepted (mpi.runCollective still catches those at
 // run time); branches that terminate by panicking or returning a
@@ -36,20 +38,9 @@ import (
 
 var CollOrderAnalyzer = &Analyzer{
 	Name: "collorder",
-	Doc: "mpi collectives (Barrier/Bcast/AllGather/Tree*) must be reached " +
-		"uniformly by all ranks: every rank-dependent branch must cover the same collective set",
+	Doc: "operations marked //lint:collective must be reached uniformly by all ranks: " +
+		"every rank-dependent branch must cover the same collective set",
 	Run: runCollOrder,
-}
-
-// collectiveOps are the mpi.Rank methods that synchronize every
-// participant (or every member list) and therefore must be called
-// uniformly.
-var collectiveOps = map[string]bool{
-	"Barrier":    true,
-	"Bcast":      true,
-	"AllGather":  true,
-	"TreeReduce": true,
-	"TreeBcast":  true,
 }
 
 // opset is a footprint: the set of collective op kinds a region can reach.
@@ -97,7 +88,9 @@ const (
 
 func runCollOrder(u *Unit) {
 	prog := BuildProgram(u)
-	taint := RunTaint(prog, TaintSpec{ExprSource: rankSource})
+	taint := RunTaint(prog, TaintSpec{ExprSource: func(p *Package, e ast.Expr) bool {
+		return sourceObj(u.Facts, p, e, factRankIdentity)
+	}})
 	c := &collChecker{u: u, prog: prog, taint: taint, fps: make(map[*FuncInfo]opset)}
 	c.fixpointFootprints()
 	for _, fi := range prog.Funcs {
@@ -107,18 +100,15 @@ func runCollOrder(u *Unit) {
 	}
 }
 
-// rankSource marks the taint origins of rank identity: Rank.ID() calls
-// and (inside the mpi package itself) the id field.
-func rankSource(p *Package, e ast.Expr) bool {
+// sourceObj reports whether e is a call of a function, or a read of a
+// struct field, that carries the given taint-source marker.
+func sourceObj(facts Facts, p *Package, e ast.Expr, marker string) bool {
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			pkgPath, name := methodPkgPath(p.Info, sel)
-			return name == "ID" && hasPathSuffix(pkgPath, "internal/mpi")
-		}
+		return facts.Has(calleeObj(p.Info, e), marker)
 	case *ast.SelectorExpr:
-		if f := fieldObj(p.Info, e); f != nil && f.Pkg() != nil {
-			return f.Name() == "id" && hasPathSuffix(f.Pkg().Path(), "internal/mpi")
+		if f := fieldObj(p.Info, e); f != nil {
+			return facts.Has(f, marker)
 		}
 	}
 	return false
@@ -168,12 +158,9 @@ func (c *collChecker) fixpointFootprints() {
 // callee are charged to the caller's path).
 func (c *collChecker) callOps(p *Package, call *ast.CallExpr) opset {
 	fp := opset{}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		pkgPath, name := methodPkgPath(p.Info, sel)
-		if collectiveOps[name] && hasPathSuffix(pkgPath, "internal/mpi") {
-			fp.add(name)
-			return fp
-		}
+	if op := calleeObj(p.Info, call); c.u.Facts.Has(op, factCollective) {
+		fp.add(op.Name())
+		return fp
 	}
 	if callee := c.prog.Callee(p, call); callee != nil {
 		fp.union(c.fps[callee])
@@ -225,7 +212,7 @@ func (c *collChecker) exec(n *Node, fp opset) fallKind {
 	case NodeCall, NodeDefer:
 		fp.union(c.callOps(c.fi.Pkg, n.Call))
 		return fallThrough
-	case NodeGo, NodeSend:
+	case NodeGo:
 		return fallThrough
 	case NodePanic:
 		return stopAbort
@@ -419,7 +406,7 @@ func (c *collChecker) checkRankBranch(n *Node) {
 	if thenOps.equal(elseOps) {
 		return
 	}
-	if c.justified(n.Pos) {
+	if c.u.Justified(c.fi.Pkg, n.Pos, "collorder") {
 		return
 	}
 	c.u.Reportf(n.Pos,
@@ -436,7 +423,7 @@ func (c *collChecker) checkRankLoop(n *Node) {
 	if len(fp) == 0 {
 		return
 	}
-	if c.justified(n.Pos) {
+	if c.u.Justified(c.fi.Pkg, n.Pos, "collorder") {
 		return
 	}
 	c.u.Reportf(n.Pos,
@@ -448,15 +435,13 @@ func (c *collChecker) checkRankLoop(n *Node) {
 // the implicit empty default) to cover the same collective set.
 func (c *collChecker) checkRankSwitch(n *Node) {
 	var first opset
-	var firstKind fallKind
 	ok := true
 	check := func(ops opset, kind fallKind) {
 		if kind == stopAbort {
 			return
 		}
 		if first == nil {
-			first, firstKind = ops, kind
-			_ = firstKind
+			first = ops
 			return
 		}
 		if !ops.equal(first) {
@@ -471,24 +456,11 @@ func (c *collChecker) checkRankSwitch(n *Node) {
 		ops, kind := c.pathOps(&Node{Kind: NodeSeq})
 		check(ops, kind)
 	}
-	if ok || c.justified(n.Pos) {
+	if ok || c.u.Justified(c.fi.Pkg, n.Pos, "collorder") {
 		return
 	}
 	c.u.Reportf(n.Pos,
 		"rank-dependent switch arms diverge on collectives: all arms must reach the same collective set (or justify with //lint:collorder)")
-}
-
-// justified reports whether a //lint:collorder directive covers pos (a
-// bare directive with no reason does not, and is itself reported).
-func (c *collChecker) justified(pos token.Pos) bool {
-	text, ok := c.fi.Pkg.Directive(c.u.Fset, pos)
-	if !ok || !strings.HasPrefix(text, "collorder") {
-		return false
-	}
-	if strings.TrimSpace(strings.TrimPrefix(text, "collorder")) == "" {
-		c.u.Reportf(pos, "//lint:collorder needs a justification: say why this rank-dependent divergence cannot desynchronize the collective schedule")
-	}
-	return true
 }
 
 // fieldObj resolves a selector to the struct field it reads, or nil when

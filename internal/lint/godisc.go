@@ -7,729 +7,99 @@ import (
 	"strings"
 )
 
-// GoDiscAnalyzer enforces goroutine discipline in the simulator's
-// runtime packages (mpi, engine, core, mpiblast, mpiio): every go
-// statement must have a provable join — a sync.WaitGroup the goroutine
-// Done()s and the spawner Wait()s on every path, a done-channel the
-// goroutine closes/sends and the spawner receives, or a bounded receive
-// loop draining the goroutine's sends — including on early error
-// returns. The serve mode keeps a cluster warm across query batches: a
-// goroutine leaked on one batch's error path is still running when the
-// next batch arrives, which is exactly the cross-batch interference the
-// determinism contract forbids. Channel sends inside loops must be
-// select-guarded or provably bounded by the channel's capacity, so an
-// admission loop can never block forever on a full channel.
-//
-// Accepted join evidence, in order of strength (DESIGN.md §17):
-//   - a `defer wg.Wait()` (or deferred closure waiting) registered
-//     before the go statement — immune to every return path;
-//   - a guaranteed Wait()/receive in the statements that follow the go
-//     statement (walking out of enclosing blocks and loops), with no
-//     intervening statement that can return first;
-//   - the join object is a parameter or a struct field: the join is the
-//     owner's contract, checked where the owner lives.
+// GoDiscAnalyzer fences concurrency into named sites. The simulator is
+// sequential by construction — one rank holds the scheduler token at a time
+// — and the whole module has two go statements, one channel send and one
+// channel receive. So instead of proving joins, the analyzer keeps the list
+// of functions allowed to contain a go statement or a channel operation
+// (send, receive, close, select, range over a channel), over every non-test
+// file it is given, and each entry names the test that shows, by running it,
+// that the site's goroutines are gone when its run returns. Anything outside
+// the list is a finding; a new site pays one line here and one test case
+// there. A listed function that no longer contains such a construct is a
+// finding too, so the list cannot outlive the code it describes.
 var GoDiscAnalyzer = &Analyzer{
 	Name: "godisc",
-	Doc: "every go statement in the runtime packages needs a provable join " +
-		"(WaitGroup / done-channel / bounded recv) on all paths including error returns, " +
-		"and loop channel sends must be select-guarded or capacity-bounded",
+	Doc: "go statements and channel operations are allowed only in the listed concurrency sites, " +
+		"each joined by a named goroutine-count test",
 	Run: runGoDisc,
 }
 
-// goDiscPackages scopes the analyzer by package name, like clockneutral,
-// so fixtures exercise it under testdata import paths.
-var goDiscPackages = map[string]bool{
-	"mpi":      true,
-	"engine":   true,
-	"core":     true,
-	"mpiblast": true,
-	"mpiio":    true,
+// concurrencySites maps each allowed function, written as its package path,
+// a dot, and its name with the receiver type spelled as in the source, to
+// the tests that join it. Function literals belong to the declaration they
+// are written in.
+var concurrencySites = map[string]string{
+	// One goroutine per rank, joined by wg.Wait before RunConfig returns.
+	"parblast/internal/mpi.RunConfig": "mpi.TestAbortHygiene, parblast.TestNoGoroutineOutlivesARun",
+	// The scheduler token: a one-slot wake channel per rank, sent to by the
+	// rank that parks and received from by the rank that resumes.
+	"parblast/internal/mpi.(*World).schedule":  "mpi.TestAbortHygiene, parblast.TestNoGoroutineOutlivesARun",
+	"parblast/internal/mpi.(*Rank).awaitToken": "mpi.TestAbortHygiene, parblast.TestNoGoroutineOutlivesARun",
+	// The kernel's subject-claiming pool, joined by wg.Wait before the
+	// fragment's results are assembled.
+	"parblast/internal/blast.(*Context).searchParallel": "blast.TestSearchPoolClaimOrderInvisible, parblast.TestNoGoroutineOutlivesARun",
 }
 
 func runGoDisc(u *Unit) {
-	prog := BuildProgram(u)
-	g := &goDiscChecker{u: u, prog: prog}
-	for _, fi := range prog.Funcs {
-		if !goDiscPackages[fi.Pkg.Types.Name()] {
-			continue
-		}
-		g.fi = fi
-		g.frames = g.frames[:0]
-		g.loopDepth = 0
-		g.walkSeq(fi.Summary)
-	}
-}
-
-type goDiscChecker struct {
-	u    *Unit
-	prog *Program
-
-	fi        *FuncInfo
-	frames    []collFrame
-	loopDepth int
-}
-
-func (g *goDiscChecker) walkSeq(seq *Node) {
-	if seq == nil {
-		return
-	}
-	for i, kid := range seq.Kids {
-		g.frames = append(g.frames, collFrame{rest: seq.Kids[i+1:]})
-		g.walkNode(kid)
-		g.frames = g.frames[:len(g.frames)-1]
-	}
-}
-
-func (g *goDiscChecker) walkNode(n *Node) {
-	switch n.Kind {
-	case NodeGo:
-		g.checkGo(n)
-		// The goroutine body's own gos/sends are checked when its literal
-		// is visited as its own FuncInfo.
-	case NodeSend:
-		if g.loopDepth > 0 {
-			g.checkLoopSend(n)
-		}
-	case NodeIf:
-		g.walkSeq(n.Then)
-		g.walkSeq(n.Else)
-	case NodeLoop:
-		g.loopDepth++
-		g.frames = append(g.frames, collFrame{loopBoundary: true})
-		g.walkSeq(n.Body)
-		g.frames = g.frames[:len(g.frames)-1]
-		g.loopDepth--
-	case NodeSwitch:
-		for _, k := range n.Cases {
-			g.walkSeq(k)
-		}
-	case NodeSelect:
-		for _, k := range n.Cases {
-			g.walkSeq(k)
-		}
-	case NodeSeq:
-		g.walkSeq(n)
-	}
-}
-
-// joinObjects is the evidence extracted from a goroutine body: the
-// WaitGroups it Done()s and the channels it closes or sends on.
-type joinObjects struct {
-	wgs   map[types.Object]bool
-	chans map[types.Object]bool
-}
-
-// checkGo verifies one go statement has a provable join.
-func (g *goDiscChecker) checkGo(n *Node) {
-	p := g.fi.Pkg
-	body := g.goBody(n)
-	if body == nil {
-		if !g.justified(n.Pos) {
-			g.u.Reportf(n.Pos,
-				"goroutine target cannot be resolved statically, so its join cannot be proven (or justify with //lint:godisc)")
-		}
-		return
-	}
-	ev := g.joinEvidence(p, body)
-	g.remapEvidence(n.Call, ev)
-	if len(ev.wgs) == 0 && len(ev.chans) == 0 {
-		if !g.justified(n.Pos) {
-			g.u.Reportf(n.Pos,
-				"goroutine has no join protocol: its body neither signals a sync.WaitGroup nor closes/sends on a done channel (or justify with //lint:godisc)")
-		}
-		return
-	}
-	// Join objects owned elsewhere — parameters and struct fields — are
-	// the owner's contract, not this spawn site's.
-	for obj := range ev.wgs {
-		if g.ownedElsewhere(obj) {
-			return
-		}
-	}
-	for obj := range ev.chans {
-		if g.ownedElsewhere(obj) {
-			return
-		}
-	}
-	// Strongest evidence: a Wait/receive deferred before the go statement
-	// runs on every exit path, early error returns included.
-	if g.deferredJoin(n, ev) {
-		return
-	}
-	joined, leakPos := g.successorJoin(n, ev)
-	switch {
-	case joined && leakPos == token.NoPos:
-		return
-	case joined:
-		if !g.justified(n.Pos) {
-			g.u.Reportf(leakPos,
-				"this statement can return before the goroutine started at line %d is joined: the goroutine leaks on the early-exit path (join it first, defer the Wait, or justify with //lint:godisc)",
-				g.u.Fset.Position(n.Pos).Line)
-		}
-	default:
-		if !g.justified(n.Pos) {
-			g.u.Reportf(n.Pos,
-				"goroutine is never joined on the spawning path: no Wait/receive on its join object is guaranteed before the function returns (or justify with //lint:godisc)")
-		}
-	}
-}
-
-// goBody resolves the goroutine's body: an inline literal, or the body
-// of a statically resolved callee.
-func (g *goDiscChecker) goBody(n *Node) *ast.BlockStmt {
-	if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-		return lit.Body
-	}
-	if callee := g.prog.Callee(g.fi.Pkg, n.Call); callee != nil {
-		return callee.Body
-	}
-	return nil
-}
-
-// joinEvidence scans a goroutine body for Done() calls and channel
-// close/sends, keyed by the root object of the receiver expression.
-func (g *goDiscChecker) joinEvidence(p *Package, body *ast.BlockStmt) joinObjects {
-	ev := joinObjects{wgs: make(map[types.Object]bool), chans: make(map[types.Object]bool)}
-	ast.Inspect(body, func(c ast.Node) bool {
-		switch c := c.(type) {
-		case *ast.CallExpr:
-			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-				if obj := rootObject(p.Info, sel.X); obj != nil && isWaitGroup(p.Info, sel.X) {
-					ev.wgs[obj] = true
-				}
-			}
-			if id, ok := c.Fun.(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(c.Args) == 1 {
-					if obj := rootObject(p.Info, c.Args[0]); obj != nil {
-						ev.chans[obj] = true
+	for _, p := range u.Pkgs {
+		used := make(map[string]bool)
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				site := "a package-level initializer"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					site = p.ImportPath + "." + fd.Name.Name
+					if fd.Recv != nil {
+						site = p.ImportPath + ".(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 					}
 				}
-			}
-		case *ast.SendStmt:
-			if obj := rootObject(p.Info, c.Chan); obj != nil {
-				ev.chans[obj] = true
-			}
-		}
-		return true
-	})
-	return ev
-}
-
-// remapEvidence translates join objects that are parameters of a named
-// goroutine body (go helperBody(done): the close inside roots to the
-// callee's done parameter) into the root objects of the corresponding
-// call arguments, so the spawner's own <-done counts as the join.
-func (g *goDiscChecker) remapEvidence(call *ast.CallExpr, ev joinObjects) {
-	callee := g.prog.Callee(g.fi.Pkg, call)
-	if callee == nil || callee.Sig == nil {
-		return
-	}
-	params := callee.Sig.Params()
-	remap := func(set map[types.Object]bool) {
-		for i := 0; i < params.Len() && i < len(call.Args); i++ {
-			if !set[params.At(i)] {
-				continue
-			}
-			delete(set, params.At(i))
-			if obj := rootObject(g.fi.Pkg.Info, call.Args[i]); obj != nil {
-				set[obj] = true
-			}
-		}
-	}
-	remap(ev.wgs)
-	remap(ev.chans)
-}
-
-// ownedElsewhere reports whether a join object is a parameter of the
-// spawning function or a struct field — joined by its owner, not here.
-func (g *goDiscChecker) ownedElsewhere(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	if v.IsField() {
-		return true
-	}
-	if g.fi.Sig != nil {
-		params := g.fi.Sig.Params()
-		for i := 0; i < params.Len(); i++ {
-			if params.At(i) == obj {
-				return true
-			}
-		}
-		if g.fi.Sig.Recv() == obj {
-			return true
-		}
-	}
-	return false
-}
-
-// deferredJoin reports whether a defer registered before the go
-// statement waits on any of the evidence objects.
-func (g *goDiscChecker) deferredJoin(n *Node, ev joinObjects) bool {
-	found := false
-	var scan func(node *Node)
-	scan = func(node *Node) {
-		if node == nil || found {
-			return
-		}
-		if node.Kind == NodeDefer && node.Pos < n.Pos {
-			if g.callJoins(node.Call, ev) {
-				found = true
-				return
-			}
-		}
-		if node.Kind == NodeGo {
-			return
-		}
-		for _, k := range node.Kids {
-			scan(k)
-		}
-		scan(node.Then)
-		scan(node.Else)
-		scan(node.Body)
-		for _, k := range node.Cases {
-			scan(k)
-		}
-	}
-	scan(g.fi.Summary)
-	return found
-}
-
-// callJoins reports whether a call expression (possibly a closure)
-// performs a join on one of the evidence objects.
-func (g *goDiscChecker) callJoins(call *ast.CallExpr, ev joinObjects) bool {
-	p := g.fi.Pkg
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-		if obj := rootObject(p.Info, sel.X); obj != nil && ev.wgs[obj] {
-			return true
-		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		joined := false
-		ast.Inspect(lit.Body, func(c ast.Node) bool {
-			if g.nodeJoinsAST(c, ev) {
-				joined = true
-			}
-			return !joined
-		})
-		return joined
-	}
-	return false
-}
-
-// nodeJoinsAST reports whether one AST node is a join action: a Wait()
-// on an evidence WaitGroup or a receive/range on an evidence channel.
-func (g *goDiscChecker) nodeJoinsAST(c ast.Node, ev joinObjects) bool {
-	p := g.fi.Pkg
-	switch c := c.(type) {
-	case *ast.CallExpr:
-		if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-			if obj := rootObject(p.Info, sel.X); obj != nil && ev.wgs[obj] {
-				return true
-			}
-		}
-	case *ast.UnaryExpr:
-		if c.Op == token.ARROW {
-			if obj := rootObject(p.Info, c.X); obj != nil && ev.chans[obj] {
-				return true
-			}
-		}
-	case *ast.RangeStmt:
-		if obj := rootObject(p.Info, c.X); obj != nil && ev.chans[obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// successorJoin walks the statements guaranteed to run after the go
-// statement (rest of each enclosing block, outward to the function end).
-// It returns whether a guaranteed join was found, and the position of
-// the first intervening statement that can return early (token.NoPos if
-// none).
-func (g *goDiscChecker) successorJoin(n *Node, ev joinObjects) (joined bool, leakPos token.Pos) {
-	leakPos = token.NoPos
-	for i := len(g.frames) - 1; i >= 0; i-- {
-		for _, node := range g.frames[i].rest {
-			if g.guaranteedJoin(node, ev) {
-				return true, leakPos
-			}
-			if leakPos == token.NoPos {
-				if pos := returnInside(node); pos != token.NoPos {
-					leakPos = pos
-				}
-			}
-		}
-	}
-	return false, leakPos
-}
-
-// guaranteedJoin reports whether control flowing into node always
-// performs a join before leaving it.
-func (g *goDiscChecker) guaranteedJoin(node *Node, ev joinObjects) bool {
-	if node == nil {
-		return false
-	}
-	p := g.fi.Pkg
-	switch node.Kind {
-	case NodeSeq:
-		for _, k := range node.Kids {
-			if g.guaranteedJoin(k, ev) {
-				return true
-			}
-		}
-		return false
-	case NodeRecv:
-		if obj := rootObject(p.Info, node.Recv.X); obj != nil && ev.chans[obj] {
-			return true
-		}
-		return false
-	case NodeCall, NodeDefer:
-		if g.callJoins(node.Call, ev) {
-			return true
-		}
-		// Receives are hoisted as part of expressions; check the call's
-		// subtree for a receive on an evidence channel.
-		found := false
-		ast.Inspect(node.Call, func(c ast.Node) bool {
-			if u, ok := c.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				if obj := rootObject(p.Info, u.X); obj != nil && ev.chans[obj] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	case NodeIf:
-		return g.guaranteedJoin(node.Then, ev) && node.Else != nil && g.guaranteedJoin(node.Else, ev)
-	case NodeLoop:
-		// A receive loop over an evidence channel is the bounded-recv
-		// join: it drains the goroutine's sends until close.
-		if rs, ok := node.Stmt.(*ast.RangeStmt); ok {
-			if obj := rootObject(p.Info, rs.X); obj != nil && ev.chans[obj] {
-				return true
-			}
-		}
-		// A loop body receive (for i := 0; i < n; i++ { <-ch }) also
-		// counts; loops may run zero times, so only channel receives
-		// that structurally drain count, not arbitrary Waits.
-		if node.Body != nil {
-			for _, k := range node.Body.Kids {
-				if k.Kind == NodeCall && g.recvOnEvidence(k.Call, ev) {
-					return true
-				}
-				if k.Kind == NodeRecv {
-					if obj := rootObject(p.Info, k.Recv.X); obj != nil && ev.chans[obj] {
+				ast.Inspect(decl, func(n ast.Node) bool {
+					what := concurrencyConstruct(p, n)
+					if what == "" {
 						return true
 					}
-				}
+					used[site] = true
+					if _, listed := concurrencySites[site]; !listed {
+						u.Reportf(n.Pos(),
+							"%s in %s, which is not a listed concurrency site: keep the code sequential, or add the site to concurrencySites with the test that shows its goroutines are gone when the run returns",
+							what, site)
+					}
+					return true
+				})
 			}
 		}
-		return false
-	case NodeSwitch, NodeSelect:
-		if len(node.Cases) == 0 || !node.HasDefault {
-			return false
-		}
-		for _, k := range node.Cases {
-			if !g.guaranteedJoin(k, ev) {
-				return false
+		for site := range concurrencySites {
+			if strings.HasPrefix(site, p.ImportPath+".") && !used[site] {
+				u.Reportf(p.Files[0].Package,
+					"concurrency site %s contains no go statement or channel operation any more: delete its concurrencySites entry", site)
 			}
 		}
-		return true
 	}
-	return false
 }
 
-// recvOnEvidence reports whether expr contains a receive from an
-// evidence channel.
-func (g *goDiscChecker) recvOnEvidence(call *ast.CallExpr, ev joinObjects) bool {
-	p := g.fi.Pkg
-	found := false
-	ast.Inspect(call, func(c ast.Node) bool {
-		if u, ok := c.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			if obj := rootObject(p.Info, u.X); obj != nil && ev.chans[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// returnInside returns the position of a return statement anywhere in
-// the node's synchronous extent (goroutine bodies excluded), or NoPos.
-func returnInside(node *Node) token.Pos {
-	if node == nil {
-		return token.NoPos
-	}
-	if node.Kind == NodeReturn {
-		return node.Pos
-	}
-	if node.Kind == NodeGo {
-		return token.NoPos
-	}
-	for _, k := range node.Kids {
-		if pos := returnInside(k); pos != token.NoPos {
-			return pos
-		}
-	}
-	for _, sub := range []*Node{node.Then, node.Else, node.Body} {
-		if pos := returnInside(sub); pos != token.NoPos {
-			return pos
-		}
-	}
-	for _, k := range node.Cases {
-		if pos := returnInside(k); pos != token.NoPos {
-			return pos
-		}
-	}
-	return token.NoPos
-}
-
-// checkLoopSend enforces the bounded-send rule for channel sends inside
-// loops: the send must be select-guarded, or the channel's capacity must
-// provably cover the loop's trip count.
-func (g *goDiscChecker) checkLoopSend(n *Node) {
-	send := n.Stmt.(*ast.SendStmt)
-	if g.sendGuarded(send) || g.sendBounded(send) || g.justified(n.Pos) {
-		return
-	}
-	g.u.Reportf(n.Pos,
-		"channel send on %s inside a loop is neither select-guarded nor provably bounded by the channel's capacity: a full channel blocks the loop forever (guard with select, size the channel to the loop bound, or justify with //lint:godisc)",
-		types.ExprString(send.Chan))
-}
-
-// sendGuarded reports whether the send statement is the communication
-// clause of a select.
-func (g *goDiscChecker) sendGuarded(send *ast.SendStmt) bool {
-	guarded := false
-	ast.Inspect(g.fi.Body, func(c ast.Node) bool {
-		sel, ok := c.(*ast.SelectStmt)
-		if !ok {
-			return !guarded
-		}
-		for _, cl := range sel.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == send {
-				guarded = true
-			}
-		}
-		return !guarded
-	})
-	return guarded
-}
-
-// sendBounded proves capacity ≥ trip count for the innermost loop: the
-// channel's make() capacity is a constant at least the loop's constant
-// bound, or the capacity is len(X) (possibly plus a constant) and the
-// loop ranges over the same X.
-func (g *goDiscChecker) sendBounded(send *ast.SendStmt) bool {
-	p := g.fi.Pkg
-	chObj := rootObject(p.Info, send.Chan)
-	if chObj == nil {
-		return false
-	}
-	capConst, capLenOf, ok := g.channelCapacity(chObj)
-	if !ok {
-		return false
-	}
-	loop := g.innermostLoop(send)
-	if loop == nil {
-		return false
-	}
-	switch s := loop.(type) {
-	case *ast.ForStmt:
-		if bound, ok := forTripCount(p.Info, s); ok && capLenOf == nil && bound <= capConst {
-			return true
+// concurrencyConstruct names the fenced construct n is, or "".
+func concurrencyConstruct(p *Package, n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		return "go statement"
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.SelectStmt:
+		return "select statement"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "channel receive"
 		}
 	case *ast.RangeStmt:
-		if capLenOf != nil {
-			if obj := rootObject(p.Info, s.X); obj != nil && obj == capLenOf {
-				return true
+		if tv, ok := p.Info.Types[n.X]; ok && tv.Type != nil {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				return "range over a channel"
 			}
 		}
-	}
-	return false
-}
-
-// channelCapacity finds the make() call that created the channel within
-// the enclosing function and extracts its capacity: a constant, or
-// len(X) + optional non-negative constant (returned as X's object).
-func (g *goDiscChecker) channelCapacity(chObj types.Object) (capConst int64, capLenOf types.Object, ok bool) {
-	p := g.fi.Pkg
-	ast.Inspect(g.fi.Body, func(c ast.Node) bool {
-		if ok {
-			return false
-		}
-		assign, isAssign := c.(*ast.AssignStmt)
-		if !isAssign {
-			return true
-		}
-		for i, lhs := range assign.Lhs {
-			id, isIdent := lhs.(*ast.Ident)
-			if !isIdent || i >= len(assign.Rhs) {
-				continue
-			}
-			obj := p.Info.Defs[id]
-			if obj == nil {
-				obj = p.Info.Uses[id]
-			}
-			if obj != chObj {
-				continue
-			}
-			call, isCall := assign.Rhs[i].(*ast.CallExpr)
-			if !isCall || len(call.Args) < 2 {
-				continue
-			}
-			fn, isIdent2 := call.Fun.(*ast.Ident)
-			if !isIdent2 {
-				continue
-			}
-			if b, isBuiltin := p.Info.Uses[fn].(*types.Builtin); !isBuiltin || b.Name() != "make" {
-				continue
-			}
-			capExpr := call.Args[1]
-			if v, isConst := constInt(p.Info, capExpr); isConst {
-				capConst, ok = v, true
-				return false
-			}
-			if lenOf := lenArgObject(p.Info, capExpr); lenOf != nil {
-				capLenOf, ok = lenOf, true
-				return false
-			}
-		}
-		return true
-	})
-	return capConst, capLenOf, ok
-}
-
-// lenArgObject matches len(X) or len(X)+c (c a non-negative constant)
-// and returns X's root object.
-func lenArgObject(info *types.Info, e ast.Expr) types.Object {
-	if bin, ok := e.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
-		if v, ok := constInt(info, bin.Y); ok && v >= 0 {
-			e = bin.X
+	case *ast.CallExpr:
+		if isBuiltinCall(p, n, "close") {
+			return "channel close"
 		}
 	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return nil
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "len" {
-		return nil
-	}
-	return rootObject(info, call.Args[0])
-}
-
-// forTripCount extracts the constant trip count of `for i := 0; i < N;
-// i++` style loops.
-func forTripCount(info *types.Info, s *ast.ForStmt) (int64, bool) {
-	cond, ok := s.Cond.(*ast.BinaryExpr)
-	if !ok {
-		return 0, false
-	}
-	var bound ast.Expr
-	switch cond.Op {
-	case token.LSS, token.LEQ:
-		bound = cond.Y
-	default:
-		return 0, false
-	}
-	n, ok := constInt(info, bound)
-	if !ok {
-		return 0, false
-	}
-	if cond.Op == token.LEQ {
-		n++
-	}
-	// Require the canonical zero-start init so the count is exact.
-	if init, ok := s.Init.(*ast.AssignStmt); ok && len(init.Rhs) == 1 {
-		if v, ok := constInt(info, init.Rhs[0]); ok {
-			return n - v, true
-		}
-	}
-	return 0, false
-}
-
-// innermostLoop finds the innermost for/range statement containing the
-// send.
-func (g *goDiscChecker) innermostLoop(send *ast.SendStmt) ast.Stmt {
-	var innermost ast.Stmt
-	var walk func(n ast.Node, cur ast.Stmt)
-	walk = func(n ast.Node, cur ast.Stmt) {
-		ast.Inspect(n, func(c ast.Node) bool {
-			switch c := c.(type) {
-			case *ast.ForStmt:
-				walk(c.Body, c)
-				return false
-			case *ast.RangeStmt:
-				walk(c.Body, c)
-				return false
-			case *ast.FuncLit:
-				walk(c.Body, nil)
-				return false
-			case *ast.SendStmt:
-				if c == send {
-					innermost = cur
-				}
-			}
-			return true
-		})
-	}
-	walk(g.fi.Body, nil)
-	return innermost
-}
-
-// rootObject resolves an expression to the object anchoring it: the
-// variable of a plain identifier, or the field object of a selector
-// chain (mb.wg → the wg field).
-func rootObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		if f := fieldObj(info, e); f != nil {
-			return f
-		}
-		return info.Uses[e.Sel]
-	case *ast.UnaryExpr:
-		return rootObject(info, e.X)
-	case *ast.StarExpr:
-		return rootObject(info, e.X)
-	}
-	return nil
-}
-
-// isWaitGroup reports whether the expression's type is sync.WaitGroup
-// (or a pointer to it).
-func isWaitGroup(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-func (g *goDiscChecker) justified(pos token.Pos) bool {
-	text, ok := g.fi.Pkg.Directive(g.u.Fset, pos)
-	if !ok || !strings.HasPrefix(text, "godisc") {
-		return false
-	}
-	if strings.TrimSpace(strings.TrimPrefix(text, "godisc")) == "" {
-		g.u.Reportf(pos, "//lint:godisc needs a justification: say why this goroutine or send cannot leak or block")
-	}
-	return true
+	return ""
 }

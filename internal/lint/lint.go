@@ -12,24 +12,22 @@
 //
 // The framework loads packages with `go list -json`, type-checks them
 // with go/types, runs a registry of analyzers, and emits deterministic
-// (file, line, analyzer, message) diagnostics with optional JSON output
-// and a checked-in baseline for triage. cmd/parblastlint is the CLI.
+// (file, line, analyzer, message) diagnostics as text or JSON. There is
+// one way to run it (Analyze: the asked packages against the whole
+// module) and one way to accept a finding: a "//lint:<name> <reason>"
+// directive at the site. cmd/parblastlint is the CLI.
 package lint
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
-	"os"
 	"sort"
 	"strings"
 )
 
-// Diagnostic is one finding. The quadruple (File, Line, Analyzer,
-// Message) is the identity used for ordering, deduplication, and baseline
-// matching; Col refines the position for display.
+// Diagnostic is one finding, ordered and deduplicated by all five fields.
 type Diagnostic struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -38,16 +36,9 @@ type Diagnostic struct {
 	Message  string `json:"message"`
 }
 
-// String renders the canonical single-line form, which is also the
-// baseline file format.
+// String renders the canonical single-line form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-}
-
-// key is the baseline identity: everything except the column (column
-// drift should not invalidate a triaged baseline entry).
-func (d Diagnostic) key() string {
-	return fmt.Sprintf("%s:%d:%s:%s", d.File, d.Line, d.Analyzer, d.Message)
 }
 
 // Analyzer is one invariant checker. Run receives every loaded package at
@@ -63,6 +54,9 @@ type Analyzer struct {
 type Unit struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// Facts are the API markers of every package the loader has checked,
+	// the unit's own and the ones they import (facts.go).
+	Facts Facts
 
 	rel      func(string) string
 	analyzer string
@@ -96,23 +90,50 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("wallclock,maporder").
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
+// Justified reports whether a "//lint:<name> <reason>" directive covers
+// pos: the one way to accept a finding. A bare directive covers it too but
+// is itself reported — the reason is the review record.
+func (u *Unit) Justified(p *Package, pos token.Pos, name string) bool {
+	text, _ := p.Directive(u.Fset, pos)
+	reason, ok := strings.CutPrefix(text, name)
+	if !ok {
+		return false
 	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
+	if strings.TrimSpace(reason) == "" {
+		u.Reportf(pos, "//lint:%s needs a justification: say why the invariant holds here anyway", name)
 	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
+	return true
+}
+
+// Analyze lints the packages matching patterns (default ./...) with every
+// analyzer. The analysis always runs over the whole module plus whatever
+// else was asked for, and only the findings located in the asked packages
+// are returned — so a subset run reports exactly what ./... reports there,
+// however far a protocol's other half lives from the subset.
+func Analyze(l *Loader, patterns ...string) ([]Diagnostic, error) {
+	all, err := l.Load(append([]string{"./..."}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	diags := Run(l, all, All())
+	if len(patterns) == 0 {
+		return diags, nil
+	}
+	asked, err := l.Load(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	files := make(map[string]bool)
+	for _, p := range asked {
+		for _, f := range p.Files {
+			files[l.Rel(l.Fset.Position(f.Pos()).Filename)] = true
 		}
-		out = append(out, a)
+	}
+	var out []Diagnostic
+	for _, d := range diags {
+		if files[d.File] {
+			out = append(out, d)
+		}
 	}
 	return out, nil
 }
@@ -122,7 +143,7 @@ func ByName(names string) ([]*Analyzer, error) {
 func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		u := &Unit{Fset: l.Fset, Pkgs: pkgs, rel: l.Rel, analyzer: a.Name}
+		u := &Unit{Fset: l.Fset, Pkgs: pkgs, Facts: l.facts, rel: l.Rel, analyzer: a.Name}
 		a.Run(u)
 		diags = append(diags, u.diags...)
 	}
@@ -173,86 +194,4 @@ func WriteText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d.String())
 	}
-}
-
-// Baseline is a set of triaged findings that do not fail the gate. The
-// file format is the canonical diagnostic line form; blank lines and
-// #-comments are ignored.
-type Baseline struct {
-	keys map[string]bool
-}
-
-// LoadBaseline reads a baseline file. A missing file is an empty baseline.
-func LoadBaseline(path string) (*Baseline, error) {
-	b := &Baseline{keys: make(map[string]bool)}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return b, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		d, err := parseDiagnosticLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("lint: baseline %s: %w", path, err)
-		}
-		b.keys[d.key()] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	return b, nil
-}
-
-// parseDiagnosticLine inverts Diagnostic.String.
-func parseDiagnosticLine(line string) (Diagnostic, error) {
-	var d Diagnostic
-	// file:line:col: analyzer: message — file may not contain ':' (the
-	// tree's paths are plain relative paths).
-	parts := strings.SplitN(line, ":", 5)
-	if len(parts) != 5 {
-		return d, fmt.Errorf("malformed line %q", line)
-	}
-	d.File = parts[0]
-	if _, err := fmt.Sscanf(parts[1], "%d", &d.Line); err != nil {
-		return d, fmt.Errorf("malformed line number in %q", line)
-	}
-	if _, err := fmt.Sscanf(parts[2], "%d", &d.Col); err != nil {
-		return d, fmt.Errorf("malformed column in %q", line)
-	}
-	d.Analyzer = strings.TrimSpace(parts[3])
-	d.Message = strings.TrimSpace(parts[4])
-	return d, nil
-}
-
-// Filter splits diagnostics into baselined (already triaged) and fresh
-// (gate-failing) findings.
-func (b *Baseline) Filter(diags []Diagnostic) (fresh, baselined []Diagnostic) {
-	for _, d := range diags {
-		if b.keys[d.key()] {
-			baselined = append(baselined, d)
-		} else {
-			fresh = append(fresh, d)
-		}
-	}
-	return fresh, baselined
-}
-
-// WriteBaseline writes the diagnostics in baseline file form.
-func WriteBaseline(w io.Writer, diags []Diagnostic) error {
-	fmt.Fprintln(w, "# parblastlint baseline: triaged findings that do not fail the gate.")
-	fmt.Fprintln(w, "# Prefer fixing or //lint:-justifying findings over baselining them.")
-	for _, d := range diags {
-		if _, err := fmt.Fprintln(w, d.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

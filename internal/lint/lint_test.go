@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -184,76 +185,6 @@ func TestJSONEmpty(t *testing.T) {
 	}
 }
 
-func TestBaselineFilter(t *testing.T) {
-	diags := []Diagnostic{
-		{File: "a.go", Line: 3, Col: 2, Analyzer: "wallclock", Message: "time.Now reads the wall clock"},
-		{File: "b.go", Line: 9, Col: 5, Analyzer: "maporder", Message: "range over m sends"},
-	}
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, diags[:1]); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "lint.baseline")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	// Column drift must not invalidate a triaged entry.
-	shifted := diags[0]
-	shifted.Col = 40
-	fresh, baselined := b.Filter([]Diagnostic{shifted, diags[1]})
-	if len(baselined) != 1 || baselined[0].Message != diags[0].Message {
-		t.Errorf("baselined = %v, want the a.go finding", baselined)
-	}
-	if len(fresh) != 1 || fresh[0].File != "b.go" {
-		t.Errorf("fresh = %v, want the b.go finding", fresh)
-	}
-}
-
-// A baselined finding from one analyzer must never mask a fresh finding
-// from a different analyzer at the same file and line: the analyzer name
-// is part of the baseline identity, so triaging a collorder divergence
-// cannot grandfather in a later godisc leak on the same statement.
-func TestBaselinePerAnalyzer(t *testing.T) {
-	coll := Diagnostic{File: "a.go", Line: 3, Col: 2, Analyzer: "collorder",
-		Message: "rank-dependent branch diverges on collectives"}
-	disc := Diagnostic{File: "a.go", Line: 3, Col: 2, Analyzer: "godisc",
-		Message: "goroutine has no join protocol"}
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, []Diagnostic{coll}); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "lint.baseline")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	fresh, baselined := b.Filter([]Diagnostic{coll, disc})
-	if len(baselined) != 1 || baselined[0].Analyzer != "collorder" {
-		t.Errorf("baselined = %v, want only the collorder finding", baselined)
-	}
-	if len(fresh) != 1 || fresh[0].Analyzer != "godisc" {
-		t.Errorf("fresh = %v, want the godisc finding to stay gate-failing", fresh)
-	}
-}
-
-func TestLoadBaselineMissing(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope"))
-	if err != nil {
-		t.Fatalf("missing baseline must be empty, got error: %v", err)
-	}
-	fresh, baselined := b.Filter([]Diagnostic{{File: "a.go", Line: 1, Analyzer: "x", Message: "m"}})
-	if len(fresh) != 1 || len(baselined) != 0 {
-		t.Errorf("empty baseline filtered wrong: fresh=%v baselined=%v", fresh, baselined)
-	}
-}
-
 // TestCommandExitCodes proves the CLI gate end to end: exit 0 on a clean
 // package, exit 1 the moment a fixture violation enters the load.
 func TestCommandExitCodes(t *testing.T) {
@@ -283,6 +214,75 @@ func TestCommandExitCodes(t *testing.T) {
 	}
 	if !bytes.Contains(out, []byte("wallclock")) {
 		t.Errorf("violating fixture output missing wallclock finding:\n%s", out)
+	}
+}
+
+// TestSubsetEqualsWhole: a run over named packages reports exactly what the
+// run over the whole module (plus whatever else was named) reports in those
+// packages, because that is what it is analysed against. At the parent a
+// core-only run saw a send whose receive lives in engine, and reported tag
+// 11 as never received.
+func TestSubsetEqualsWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	l := testLoader(t)
+	const fixtures = "./internal/lint/testdata/src/..."
+	wholes := make(map[bool][]Diagnostic) // with and without the fixtures
+	for _, list := range [][]string{
+		{"./internal/core"},
+		{"./internal/engine", "./internal/mpiblast"},
+		{fixtures},
+		{"./internal/core", fixtures},
+	} {
+		got, err := Analyze(l, list...)
+		if err != nil {
+			t.Fatalf("Analyze(%v): %v", list, err)
+		}
+		hasFixtures := list[len(list)-1] == fixtures
+		whole, ok := wholes[hasFixtures]
+		if !ok {
+			everything := []string{"./..."}
+			if hasFixtures {
+				everything = append(everything, fixtures)
+			}
+			if whole, err = Analyze(l, everything...); err != nil {
+				t.Fatalf("Analyze(%v): %v", everything, err)
+			}
+			wholes[hasFixtures] = whole
+		}
+		var want []Diagnostic
+		for _, d := range whole {
+			for _, pattern := range list {
+				if strings.HasPrefix(d.File, strings.TrimSuffix(strings.TrimPrefix(pattern, "./"), "...")) {
+					want = append(want, d)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Analyze(%v) = %d findings, the whole run has %d there\n got: %v\nwant: %v", list, len(got), len(want), got, want)
+		}
+		if hasFixtures == (len(got) == 0) {
+			t.Errorf("Analyze(%v) = %d findings: the fixtures are findings on purpose and the shipped tree has none", list, len(got))
+		}
+	}
+}
+
+// A marker the vocabulary does not have, or one naming a parameter the
+// function does not have, fails the load: a typo must not switch a check off.
+func TestBadMarkerIsALoadError(t *testing.T) {
+	for name, src := range map[string]string{
+		"unknown marker":    "package p\n\n//lint:colective\nfunc Barrier() {}\n",
+		"unknown parameter": "package p\n\n//lint:sends tga\nfunc Send(dst, tag int) {}\n",
+		"unknown field":     "package p\n\n//lint:trace-context batch\ntype message struct{ data []byte }\n",
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := testLoader(t).LoadDir(dir); err == nil {
+			t.Errorf("%s: the package loaded", name)
+		}
 	}
 }
 

@@ -80,6 +80,7 @@ type Loader struct {
 	Fset *token.FileSet
 
 	pkgs   map[string]*Package       // by import path, fully checked
+	facts  Facts                     // //lint: markers of every checked package
 	metas  map[string]*listedPackage // go list results, by import path
 	std    map[string]*types.Package // stdlib import cache
 	gcImp  types.Importer
@@ -105,6 +106,7 @@ func NewLoader() (*Loader, error) {
 		ModulePath: mod.Path,
 		Fset:       fset,
 		pkgs:       make(map[string]*Package),
+		facts:      make(Facts),
 		metas:      make(map[string]*listedPackage),
 		std:        make(map[string]*types.Package),
 		gcImp:      importer.Default(),
@@ -252,6 +254,9 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
 	}
 	p.Types = tpkg
+	if err := l.facts.scan(l, p); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -303,7 +308,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // Rel makes a file path relative to the module root (slash-separated), the
-// canonical form diagnostics and baselines use.
+// canonical form diagnostics use.
 func (l *Loader) Rel(file string) string {
 	if rel, err := filepath.Rel(l.ModuleDir, file); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)

@@ -54,10 +54,7 @@ func checkMapRanges(u *Unit, p *Package, fn *ast.FuncDecl) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if text, justified := p.Directive(u.Fset, rs.Pos()); justified && strings.HasPrefix(text, "sorted") {
-			if strings.TrimSpace(strings.TrimPrefix(text, "sorted")) == "" {
-				u.Reportf(rs.Pos(), "//lint:sorted needs a justification: say why this map iteration order cannot leak into output")
-			}
+		if u.Justified(p, rs.Pos(), "sorted") {
 			return true
 		}
 		checkMapRangeBody(u, p, fn, rs)
@@ -66,8 +63,12 @@ func checkMapRanges(u *Unit, p *Package, fn *ast.FuncDecl) {
 }
 
 // orderSensitiveCall classifies a call inside a map-range body. The
-// returned description is empty for order-insensitive calls.
-func orderSensitiveCall(p *Package, call *ast.CallExpr) string {
+// returned description is empty for order-insensitive calls. Foreign
+// writers are recognized by naming convention (fmt.Print*, Write*,
+// Encode*, Marshal*, and anything called like one of our //lint:sends
+// operations); our own wire-format primitives by their //lint:encodes
+// marker.
+func orderSensitiveCall(facts Facts, p *Package, call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		name := fun.Sel.Name
@@ -78,14 +79,17 @@ func orderSensitiveCall(p *Package, call *ast.CallExpr) string {
 			return ""
 		}
 		switch {
-		case name == "Send":
+		case facts.Named(name, factSends):
 			return "sends a message"
 		case strings.HasPrefix(name, "Write"):
 			return fmt.Sprintf("writes output via %s", name)
 		case strings.HasPrefix(name, "Encode") || strings.HasPrefix(name, "Marshal"):
 			return fmt.Sprintf("feeds serialization via %s", name)
-		case isCodecWriterMethod(p, fun):
-			return fmt.Sprintf("feeds the wire codec via Writer.%s", name)
+		case facts.Has(p.Info.Uses[fun.Sel], factEncodes):
+			if s, ok := p.Info.Selections[fun]; ok {
+				name = namedType(s.Recv()) + "." + name
+			}
+			return fmt.Sprintf("feeds the wire codec via %s", name)
 		}
 	case *ast.Ident:
 		if strings.HasPrefix(fun.Name, "Encode") || strings.HasPrefix(fun.Name, "Marshal") {
@@ -95,32 +99,15 @@ func orderSensitiveCall(p *Package, call *ast.CallExpr) string {
 	return ""
 }
 
-// codecWriterMethods are the appenders of the engine package's
-// hand-rolled wire codec: field order IS the wire format, so feeding them
-// from a map walk serializes in randomized order.
-var codecWriterMethods = map[string]bool{
-	"Int": true, "Uint": true, "Float": true, "String": true, "Blob": true,
-}
-
-// isCodecWriterMethod reports whether sel calls a method of the engine
-// codec's Writer type.
-func isCodecWriterMethod(p *Package, sel *ast.SelectorExpr) bool {
-	if !codecWriterMethods[sel.Sel.Name] {
-		return false
-	}
-	s, ok := p.Info.Selections[sel]
-	if !ok {
-		return false
-	}
-	t := s.Recv()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
+// namedType names a method receiver's type without package or pointer.
+func namedType(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
 	}
-	return named.Obj().Name() == "Writer" && hasPathSuffix(named.Obj().Pkg().Path(), "internal/engine")
+	return t.String()
 }
 
 func checkMapRangeBody(u *Unit, p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt) {
@@ -141,7 +128,7 @@ func checkMapRangeBody(u *Unit, p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt)
 			reported = true
 			return false
 		case *ast.CallExpr:
-			if desc := orderSensitiveCall(p, n); desc != "" {
+			if desc := orderSensitiveCall(u.Facts, p, n); desc != "" {
 				u.Reportf(rs.Pos(), "range over %s iterates a map in randomized order and its body %s: sort the keys first or justify with //lint:sorted",
 					types.ExprString(rs.X), desc)
 				reported = true

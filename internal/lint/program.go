@@ -7,12 +7,11 @@ import (
 )
 
 // This file is the interprocedural layer shared by the structural
-// analyzers (collorder, godisc, sideband): a module-wide call graph over
-// every declared function, method, and variable-bound function literal,
-// with a per-function control-flow summary that preserves exactly the
-// structure those analyzers reason about — branches, loops, switches,
-// go/defer statements, channel operations, returns, and the call sites
-// hoisted out of expressions. Everything below the summary (arithmetic,
+// analyzers (collorder, sideband): a module-wide call graph over every
+// declared function, method, and variable-bound function literal, with a
+// per-function control-flow summary that preserves exactly the structure
+// collorder reasons about — branches, loops, switches, go/defer
+// statements, returns, and the call sites hoisted out of expressions. Everything below the summary (arithmetic,
 // plain data flow) is deliberately erased; the taint engine in taint.go
 // recovers value-level facts on demand.
 
@@ -61,12 +60,10 @@ const (
 	NodeLoop                   // Body; Stmt is *ast.ForStmt or *ast.RangeStmt
 	NodeSwitch                 // Cases (each a NodeSeq); HasDefault
 	NodeSelect                 // Cases
-	NodeGo                     // Call; GoBody when the callee is a literal
+	NodeGo                     // Call: runs on its own control path
 	NodeDefer                  // Call
 	NodeCall                   // Call: one call site, hoisted in source order
 	NodeReturn                 // Results
-	NodeSend                   // Stmt is *ast.SendStmt
-	NodeRecv                   // Recv: a channel receive, hoisted like a call
 	NodeBranch                 // Tok: BREAK / CONTINUE / GOTO / FALLTHROUGH
 	NodePanic                  // call to the panic builtin
 )
@@ -84,12 +81,10 @@ type Node struct {
 	Cases      []*Node  // Switch/Select case bodies, in source order
 	CaseConds  []ast.Expr
 	HasDefault bool
-	Call       *ast.CallExpr  // Go, Defer, Call, Panic
-	GoBody     *Node          // Go: summary of a literal goroutine body
-	Stmt       ast.Stmt       // Loop (for/range), Send
-	Recv       *ast.UnaryExpr // Recv: the <-ch expression
-	Results    []ast.Expr     // Return
-	Tok        token.Token    // Branch
+	Call       *ast.CallExpr // Go, Defer, Call, Panic
+	Stmt       ast.Stmt      // Loop (for/range)
+	Results    []ast.Expr    // Return
+	Tok        token.Token   // Branch
 }
 
 // BuildProgram summarizes every function in the unit's packages and links
@@ -110,8 +105,8 @@ func BuildProgram(u *Unit) *Program {
 
 // addFile summarizes the declared functions of one file, plus every
 // function literal (bound literals become addressable call-graph nodes,
-// anonymous ones are still summarized so go statements can see their
-// bodies).
+// anonymous ones are still summarized: they are checked as functions of
+// their own and spliced in where they are passed as callbacks).
 func (prog *Program) addFile(p *Package, f *ast.File) {
 	litObjs := boundLiterals(p, f)
 	// Literals are collected during the declaration walk so each literal's
@@ -156,8 +151,8 @@ func (prog *Program) addFile(p *Package, f *ast.File) {
 }
 
 // boundLiterals maps each function literal assigned to a variable or
-// declared value to that variable's object, mirroring tagmatch's closure
-// binding so `recvWorker := func(...)` participates in the call graph.
+// declared value to that variable's object, so `recvWorker := func(...)`
+// participates in the call graph and in tagmatch's tag forwarding.
 func boundLiterals(p *Package, f *ast.File) map[*ast.FuncLit]types.Object {
 	litObj := make(map[*ast.FuncLit]types.Object)
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -279,15 +274,11 @@ func (prog *Program) summarizeStmt(p *Package, s ast.Stmt, seq *Node) {
 		}
 		seq.Kids = append(seq.Kids, n)
 	case *ast.GoStmt:
-		n := &Node{Kind: NodeGo, Pos: s.Pos(), Call: s.Call}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			n.GoBody = prog.summarizeBlock(p, lit.Body)
-		}
 		// Argument evaluation happens synchronously at the go statement.
 		for _, a := range s.Call.Args {
 			prog.hoistCalls(p, a, seq)
 		}
-		seq.Kids = append(seq.Kids, n)
+		seq.Kids = append(seq.Kids, &Node{Kind: NodeGo, Pos: s.Pos(), Call: s.Call})
 	case *ast.DeferStmt:
 		for _, a := range s.Call.Args {
 			prog.hoistCalls(p, a, seq)
@@ -301,7 +292,6 @@ func (prog *Program) summarizeStmt(p *Package, s ast.Stmt, seq *Node) {
 	case *ast.SendStmt:
 		prog.hoistCalls(p, s.Chan, seq)
 		prog.hoistCalls(p, s.Value, seq)
-		seq.Kids = append(seq.Kids, &Node{Kind: NodeSend, Pos: s.Pos(), Stmt: s})
 	case *ast.BranchStmt:
 		seq.Kids = append(seq.Kids, &Node{Kind: NodeBranch, Pos: s.Pos(), Tok: s.Tok})
 	case *ast.ExprStmt:
@@ -365,31 +355,24 @@ func (prog *Program) hoistCalls(p *Package, e ast.Expr, seq *Node) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if isPanicCall(p, n) {
+			if isBuiltinCall(p, n, "panic") {
 				seq.Kids = append(seq.Kids, &Node{Kind: NodePanic, Pos: n.Pos(), Call: n})
 			} else if !isConversion(p, n) {
 				seq.Kids = append(seq.Kids, &Node{Kind: NodeCall, Pos: n.Pos(), Call: n})
-			}
-		case *ast.UnaryExpr:
-			// Channel receives are control-flow-relevant (they are the
-			// join half of a done-channel protocol), so hoist them like
-			// calls — `<-done` alone on a line must not vanish.
-			if n.Op == token.ARROW {
-				seq.Kids = append(seq.Kids, &Node{Kind: NodeRecv, Pos: n.Pos(), Recv: n})
 			}
 		}
 		return true
 	})
 }
 
-// isPanicCall reports whether call invokes the panic builtin.
-func isPanicCall(p *Package, call *ast.CallExpr) bool {
+// isBuiltinCall reports whether call invokes the named builtin.
+func isBuiltinCall(p *Package, call *ast.CallExpr, name string) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return false
 	}
 	b, ok := p.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
+	return ok && b.Name() == name
 }
 
 // isConversion reports whether call is a type conversion, not a call.

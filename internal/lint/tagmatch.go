@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // TagMatchAnalyzer enforces the protocol-discipline invariant: every MPI
@@ -15,6 +14,10 @@ import (
 // (and the reviewer) cannot reason about. PR 2's collective-traffic
 // bucket bug and PR 4's rendezvous-wait misattribution were both slips in
 // exactly this tag/protocol discipline.
+//
+// Which operations carry a tag, in which parameter and in which direction,
+// is declared on the mpi declarations themselves (//lint:sends <param>,
+// //lint:receives <param>; facts.go).
 //
 // Helper functions that forward a tag parameter into a send/receive
 // (recvShuffle(src, tag), recvWorker(w, tag)) are resolved at their call
@@ -27,17 +30,6 @@ const (
 	dirSend = 1 << iota
 	dirRecv
 )
-
-// mpiTagCalls maps the mpi.Rank methods that carry a tag to the argument
-// index of the tag and the call's direction.
-var mpiTagCalls = map[string]struct {
-	argIndex int
-	dir      int
-}{
-	"Send":        {1, dirSend},
-	"Recv":        {1, dirRecv},
-	"RecvTimeout": {1, dirRecv},
-}
 
 // anyTag mirrors mpi.AnyTag: a wildcard receive that matches every tag
 // sent within its package's protocol.
@@ -68,7 +60,7 @@ type tagOccurrence struct {
 
 var TagMatchAnalyzer = &Analyzer{
 	Name: "tagmatch",
-	Doc: "collect every mpi Send/Recv tag constant across the module and report " +
+	Doc: "collect every tag constant passed to a //lint:sends or //lint:receives operation across the module and report " +
 		"tags sent but never received, received but never sent, or passed as non-constant expressions",
 	Run: runTagMatch,
 }
@@ -87,7 +79,7 @@ func runTagMatch(u *Unit) {
 	for changed := true; changed; {
 		changed = false
 		for _, s := range sites {
-			for _, use := range tagUsesAt(s, forwarders) {
+			for _, use := range tagUsesAt(u.Facts, s, forwarders) {
 				if ent, idx, ok := paramOf(s, use.arg); ok && ent.obj != nil {
 					if forwarders[ent.obj] == nil {
 						forwarders[ent.obj] = make(map[int]int)
@@ -106,7 +98,7 @@ func runTagMatch(u *Unit) {
 	recvs := make(map[int64][]tagOccurrence)
 	wildcardPkgs := make(map[*Package]bool)
 	for _, s := range sites {
-		for _, use := range tagUsesAt(s, forwarders) {
+		for _, use := range tagUsesAt(u.Facts, s, forwarders) {
 			if v, ok := constInt(s.pkg.Info, use.arg); ok {
 				occ := tagOccurrence{pkg: s.pkg, pos: use.arg, dir: use.dir}
 				if use.dir&dirRecv != 0 {
@@ -124,7 +116,7 @@ func runTagMatch(u *Unit) {
 			if _, _, isParam := paramOf(s, use.arg); isParam {
 				continue // resolved at this helper's own call sites
 			}
-			if text, ok := s.pkg.Directive(u.Fset, use.arg.Pos()); ok && strings.HasPrefix(text, "tagmatch") {
+			if u.Justified(s.pkg, use.arg.Pos(), "tagmatch") {
 				continue
 			}
 			u.Reportf(use.arg.Pos(),
@@ -157,38 +149,9 @@ func runTagMatch(u *Unit) {
 // collectCallSites walks one file recording every CallExpr together with
 // its stack of enclosing function entities.
 func collectCallSites(p *Package, f *ast.File) []tagCallSite {
-	// Bind function literals to the variables they are assigned to, so
-	// recvWorker := func(w, tag int) {...} is addressable as a forwarder.
-	litObj := make(map[*ast.FuncLit]types.Object)
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				lit, ok := rhs.(*ast.FuncLit)
-				if !ok || i >= len(n.Lhs) {
-					continue
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok {
-					if obj := p.Info.Defs[id]; obj != nil {
-						litObj[lit] = obj
-					} else if obj := p.Info.Uses[id]; obj != nil {
-						litObj[lit] = obj
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, rhs := range n.Values {
-				lit, ok := rhs.(*ast.FuncLit)
-				if !ok || i >= len(n.Names) {
-					continue
-				}
-				if obj := p.Info.Defs[n.Names[i]]; obj != nil {
-					litObj[lit] = obj
-				}
-			}
-		}
-		return true
-	})
+	// Function literals are addressable as forwarders through the variables
+	// they are bound to: recvWorker := func(w, tag int) {...}.
+	litObj := boundLiterals(p, f)
 
 	var sites []tagCallSite
 	var stack []tagEntity
@@ -247,25 +210,27 @@ type tagUse struct {
 }
 
 // tagUsesAt returns the tag-position arguments of a call: the tag of a
-// direct mpi.Rank send/receive, or the forwarded parameters of a known
-// helper.
-func tagUsesAt(s tagCallSite, forwarders map[types.Object]map[int]int) []tagUse {
+// marked send/receive, or the forwarded parameters of a known helper.
+func tagUsesAt(facts Facts, s tagCallSite, forwarders map[types.Object]map[int]int) []tagUse {
+	op := calleeObj(s.pkg.Info, s.call)
 	var uses []tagUse
+	for _, arg := range facts.Args(op, s.call, factSends) {
+		uses = append(uses, tagUse{arg: arg, dir: dirSend})
+	}
+	for _, arg := range facts.Args(op, s.call, factReceives) {
+		uses = append(uses, tagUse{arg: arg, dir: dirRecv})
+	}
+	if len(uses) > 0 {
+		return uses
+	}
 	switch fun := s.call.Fun.(type) {
 	case *ast.SelectorExpr:
-		pkgPath, name := methodPkgPath(s.pkg.Info, fun)
-		if m, ok := mpiTagCalls[name]; ok && hasPathSuffix(pkgPath, "internal/mpi") {
-			if m.argIndex < len(s.call.Args) {
-				uses = append(uses, tagUse{arg: s.call.Args[m.argIndex], dir: m.dir})
-			}
-			return uses
-		}
 		if obj, ok := s.pkg.Info.Uses[fun.Sel]; ok {
-			uses = append(uses, forwardedUses(s.call, forwarders[obj])...)
+			uses = forwardedUses(s.call, forwarders[obj])
 		}
 	case *ast.Ident:
 		if obj, ok := s.pkg.Info.Uses[fun]; ok {
-			uses = append(uses, forwardedUses(s.call, forwarders[obj])...)
+			uses = forwardedUses(s.call, forwarders[obj])
 		}
 	}
 	return uses

@@ -14,7 +14,7 @@ import (
 // their types.Object, which is unique module-wide, so captured closure
 // variables and cross-package flows need no special casing.
 //
-// Deliberate soundness limits (documented in DESIGN.md §17): writes
+// Deliberate soundness limits (documented in DESIGN.md §12): writes
 // through struct fields, slices, and maps are not tracked as definitions
 // (reading a source *field* can itself be a source, which is how sideband
 // models trace context), and taint does not flow through interfaces or

@@ -1,141 +1,63 @@
-// Fixture for the godisc analyzer. The package is deliberately named
-// engine, which places it inside the goroutine-discipline set: every go
-// statement needs a provable join and every loop send needs a guard or a
-// capacity bound.
-package engine
+// Fixture for the godisc analyzer: go statements and channel operations
+// are allowed only in the listed concurrency sites, and nothing in a
+// fixture package is listed — so every fenced construct here is a finding,
+// however carefully it is joined. The negative case is the module itself
+// (TestModuleClean): its four listed sites pass.
+package godisc
 
 import "sync"
 
 func work() {}
 
-// No join protocol at all: the body neither signals a WaitGroup nor
-// touches a done channel.
-func leak() {
-	go func() { // want "no join protocol"
-		work()
-	}()
-}
-
-// The canonical WaitGroup join: Done in the body, Wait on the spawning
-// path.
-func joined() {
+// A perfectly joined goroutine is still outside the list: the join is
+// shown by the site's goroutine-count test, not argued for here.
+func spawn() {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() {
+	go func() { // want "go statement in fixture/godisc.spawn, which is not a listed concurrency site"
 		defer wg.Done()
 		work()
 	}()
 	wg.Wait()
 }
 
-// A done-channel join: the goroutine closes, the spawner receives.
-func doneJoined() {
-	done := make(chan struct{})
-	go func() {
-		work()
-		close(done)
-	}()
-	<-done
+func send(ch chan int) {
+	ch <- 1 // want "channel send in fixture/godisc.send"
 }
 
-// The Wait exists, but an early return can leave before it: the
-// goroutine leaks on exactly the error paths serve mode cares about.
-func earlyReturn(fail bool) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	if fail {
-		return // want "can return before the goroutine started at line"
-	}
-	wg.Wait()
+func receive(ch chan int) int {
+	return <-ch // want "channel receive in fixture/godisc.receive"
 }
 
-// A deferred Wait registered before the spawn is immune to every return
-// path, early errors included.
-func deferredWait(fail bool) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	if fail {
-		return
-	}
-	work()
-}
-
-// A function value cannot be resolved statically, so no join can be
-// proven.
-func dynamic(f func()) {
-	go f() // want "cannot be resolved statically"
-}
-
-func helperBody(done chan struct{}) {
-	work()
-	close(done)
-}
-
-// A named goroutine body whose join object is its own parameter: the
-// join is the owner's contract, and the spawner receives on it here.
-func namedJoined() {
-	done := make(chan struct{})
-	go helperBody(done)
-	<-done
-}
-
-// An unguarded, unbounded send inside a loop: one slow consumer and the
-// admission loop blocks forever.
-func unboundedSend(ch chan int, xs []int) {
-	for _, x := range xs {
-		ch <- x // want "neither select-guarded nor provably bounded"
+func drain(ch chan int) {
+	for range ch { // want "range over a channel in fixture/godisc.drain"
 	}
 }
 
-// Select-guarded sends shed load instead of blocking.
-func guardedSend(ch chan int, xs []int) {
-	for _, x := range xs {
-		select {
-		case ch <- x:
-		default:
-		}
+type pool struct{ done chan struct{} }
+
+// Methods are named with their receiver as the source spells it.
+func (p *pool) stop() {
+	close(p.done) // want "channel close in fixture/godisc.\(\*pool\).stop"
+}
+
+func poll(ch chan int) {
+	select { // want "select statement in fixture/godisc.poll"
+	case v := <-ch: // want "channel receive in fixture/godisc.poll"
+		_ = v
+	default:
 	}
 }
 
-// Capacity provably covers the trip count: len(xs) slots, len(xs)
-// iterations.
-func boundedSend(xs []int) chan int {
-	ch := make(chan int, len(xs))
-	for _, x := range xs {
-		ch <- x
-	}
+// A literal at package level belongs to no declaration that could be
+// listed.
+var background = func() {
+	go work() // want "go statement in a package-level initializer"
+}
+
+// Making a channel and passing it around are not channel operations.
+func quiet() chan int {
+	ch := make(chan int, 1)
+	_ = cap(ch)
 	return ch
-}
-
-// A constant capacity covering a constant trip count also proves the
-// bound.
-func constBoundedSend() chan int {
-	ch := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		ch <- i
-	}
-	return ch
-}
-
-// A justified detached goroutine: the reason is the review record.
-func justifiedLeak() {
-	//lint:godisc process-lifetime logger, reaped by the harness at exit
-	go work()
-}
-
-// A justified loop send.
-func justifiedSend(ch chan int, xs []int) {
-	for _, x := range xs {
-		//lint:godisc the paired collector goroutine drains continuously
-		ch <- x
-	}
 }

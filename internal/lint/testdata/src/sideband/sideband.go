@@ -14,6 +14,8 @@ import (
 func leakCost(r *mpi.Rank) {
 	b := r.TraceBatch()
 	r.Compute(int64(b)) // want "virtual-time cost mpi.Compute"
+	// A timeout becomes the deadline the clock advances to.
+	r.RecvTimeout(1, 9, float64(b)) // want "virtual-time cost mpi.RecvTimeout"
 }
 
 // The batch tag leaks into message payload bytes.
@@ -27,9 +29,9 @@ func leakWriter(w *engine.Writer, evs []mpi.FlowEvent) {
 	w.Int(int64(len(evs))) // want "payload encoder engine.Int"
 }
 
-// Flow events gob-encoded straight into a payload.
-func leakGob(evs []mpi.FlowEvent) []byte {
-	return engine.EncodeGob(evs) // want "payload encoder engine.EncodeGob"
+// The batch tag encoded straight into an assignment payload.
+func leakEncoder(r *mpi.Rank) []byte {
+	return engine.EncodeInt(r.TraceBatch()) // want "payload encoder engine.EncodeInt"
 }
 
 // Reading the batch tag for logging is fine; the payload is untouched.

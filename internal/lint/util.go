@@ -40,17 +40,6 @@ func constInt(info *types.Info, e ast.Expr) (int64, bool) {
 	return constant.Int64Val(tv.Value)
 }
 
-// methodPkgPath returns the defining package path and method name of a
-// method-call selector (resolving through Info.Uses), or "" when sel does
-// not resolve to a function or method.
-func methodPkgPath(info *types.Info, sel *ast.SelectorExpr) (pkgPath, name string) {
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", ""
-	}
-	return fn.Pkg().Path(), fn.Name()
-}
-
 // hasPathSuffix reports whether an import path is exactly suffix or ends
 // with "/"+suffix — how analyzers recognize the simulator's own packages
 // both in the real tree ("parblast/internal/mpi") and when fixtures

@@ -99,6 +99,7 @@ func (s rankState) String() string {
 	return "?"
 }
 
+//lint:trace-context batch sendAt
 type message struct {
 	src, tag int
 	data     []byte
@@ -112,6 +113,7 @@ type message struct {
 	sendAt float64
 }
 
+//lint:trace-context batches
 type collective struct {
 	op        string
 	datas     [][]byte
@@ -210,6 +212,9 @@ type World struct {
 }
 
 // Rank is one simulated MPI process.
+//
+//lint:rank-identity id
+//lint:trace-context traceBatch
 type Rank struct {
 	id           int
 	world        *World
@@ -229,8 +234,8 @@ type Rank struct {
 type abortPanic struct{ msg string }
 
 // Flow kinds reported through Config.OnFlow. The strings match the trace
-// package's flow constants (mpi deliberately does not import trace — the
-// façade adapts, mirroring the Observer/OnFault wiring).
+// package's flow constants (mpi deliberately does not import trace —
+// engine.RecordFlows adapts, mirroring the Observer/OnFault wiring).
 const (
 	FlowMsg     = "msg"     // point-to-point message delivery
 	FlowContrib = "contrib" // collective participant entry → fold site
@@ -242,6 +247,8 @@ const (
 // within a run (drawn from the world's message sequence). Batch is the
 // sender's query-batch trace context (-1 = none). SendAt/RecvAt are
 // virtual times; emitting a flow never advances any clock.
+//
+//lint:trace-context
 type FlowEvent struct {
 	Kind   string
 	Op     string
@@ -814,6 +821,8 @@ func (w *World) dead(rank int) bool {
 }
 
 // ID returns the rank number (0-based).
+//
+//lint:rank-identity
 func (r *Rank) ID() int { return r.id }
 
 // Metrics exposes the world's telemetry registry (nil when the run is not
@@ -829,6 +838,8 @@ func (r *Rank) SetTraceBatch(batch int) { r.traceBatch = batch }
 
 // TraceBatch returns the rank's current query-batch trace context (-1 =
 // none) — either set locally or adopted from the last stamped delivery.
+//
+//lint:trace-context
 func (r *Rank) TraceBatch() int { return r.traceBatch }
 
 // flowOp names a message tag for flow edges: protocol tags keep their
@@ -916,6 +927,8 @@ func (r *Rank) Cost() simtime.CostModel { return r.world.cost }
 func (r *Rank) SetPhase(phase string) { r.clock.SetPhase(phase) }
 
 // Advance charges d virtual seconds of local work.
+//
+//lint:clock d
 func (r *Rank) Advance(d float64) {
 	r.maybeCrash()
 	r.clock.Advance(d)
@@ -923,6 +936,8 @@ func (r *Rank) Advance(d float64) {
 
 // Compute charges work units at the model's search-unit cost, scaled by
 // the rank's node-speed factor and any active degrade fault.
+//
+//lint:clock units
 func (r *Rank) Compute(units int64) {
 	r.maybeCrash()
 	r.clock.Advance(float64(units) * r.world.cost.SearchUnitCost * r.effSpeed())
@@ -946,17 +961,23 @@ func (r *Rank) effSpeed() float64 {
 }
 
 // FormatCost charges the per-byte report-rendering cost for n bytes.
+//
+//lint:clock n
 func (r *Rank) FormatCost(n int64) {
 	r.clock.Advance(float64(n) * r.world.cost.FormatByteCost)
 }
 
 // MemCopy charges an in-memory copy of n bytes.
+//
+//lint:clock n
 func (r *Rank) MemCopy(n int64) {
 	r.clock.Advance(float64(n) / r.world.cost.MemCopyBandwidth)
 }
 
 // IO charges a storage access of n bytes against fs, including queueing
 // behind other ranks' concurrent accesses.
+//
+//lint:clock n
 func (r *Rank) IO(fs *vfs.FS, n int64) {
 	r.maybeCrash()
 	r.block(stateReady)
@@ -978,6 +999,8 @@ type IOHandle struct {
 // accesses) and settle the bill with Wait, paying max(io, compute) instead
 // of their sum. Deterministic: issue order follows the discrete-event
 // schedule, so the booked completion time is reproducible.
+//
+//lint:clock n
 func (r *Rank) StartIO(fs *vfs.FS, n int64) *IOHandle {
 	r.maybeCrash()
 	r.block(stateReady)
@@ -1015,6 +1038,9 @@ func (r *Rank) FaultsScheduled() bool { return len(r.world.config.Faults) > 0 }
 // Send transmits data to dst with the given tag. It is buffered and does
 // not block. The payload is NOT copied; callers must not mutate it after
 // sending.
+//
+//lint:sends tag
+//lint:payload data
 func (r *Rank) Send(dst, tag int, data []byte) {
 	w := r.world
 	if dst < 0 || dst >= w.n {
@@ -1043,6 +1069,8 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload, source, and tag. Use AnySource / AnyTag as wildcards.
+//
+//lint:receives tag
 func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	r.maybeCrash()
 	w := r.world
@@ -1066,6 +1094,9 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 // Determinism: the wake-up time is min(match delivery, deadline, the
 // source's crash), resolved by the same earliest-event scheduler as
 // everything else.
+//
+//lint:receives tag
+//lint:clock timeout
 func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, gotTag int, err error) {
 	r.maybeCrash()
 	w := r.world
@@ -1158,6 +1189,8 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 
 // Barrier synchronizes all ranks; everyone leaves at the latest entry time
 // plus a tree-latency term.
+//
+//lint:collective
 func (r *Rank) Barrier() {
 	w := r.world
 	r.runCollective("barrier", nil, func(_ [][]byte, maxClock float64) float64 {
@@ -1166,6 +1199,9 @@ func (r *Rank) Barrier() {
 }
 
 // Bcast distributes root's payload to every rank and returns it.
+//
+//lint:collective
+//lint:payload data
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	w := r.world
 	var payload []byte
@@ -1180,6 +1216,9 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 }
 
 // AllGather collects every rank's payload everywhere.
+//
+//lint:collective
+//lint:payload data
 func (r *Rank) AllGather(data []byte) [][]byte {
 	w := r.world
 	return r.runCollective("allgather", data, func(datas [][]byte, maxClock float64) float64 {

@@ -312,6 +312,9 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 // own contribution is lost — reported by its absence from contributors —
 // but live members' contributions always survive, even when their
 // forwarding ancestors die mid-protocol.
+//
+//lint:collective
+//lint:payload data
 func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
 	t := newTreeTopo(root, fanout, members)
 	myPos, ok := t.pos[r.id]
@@ -578,6 +581,9 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 // (each edge pays its own latency and bandwidth); worlds with scheduled
 // faults delegate to the crash-safe flat Bcast, which completes over the
 // survivors (members must then include every live rank).
+//
+//lint:collective
+//lint:payload data
 func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 	t := newTreeTopo(root, fanout, members)
 	myPos, ok := t.pos[r.id]

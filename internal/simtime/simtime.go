@@ -51,6 +51,8 @@ func (c *Clock) Now() float64 { return c.now }
 func (c *Clock) Phase() string { return c.phase }
 
 // SetPhase switches the bucket that subsequent time is charged to.
+//
+//lint:clock
 func (c *Clock) SetPhase(phase string) { c.phase = phase }
 
 // SetObserver installs a callback invoked for every advance with the
@@ -60,6 +62,8 @@ func (c *Clock) SetObserver(fn func(phase string, from, to float64)) { c.observe
 
 // Advance adds d seconds to the clock, charged to the current phase.
 // Negative d panics: virtual time is monotone.
+//
+//lint:clock d
 func (c *Clock) Advance(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative advance %g", d))
@@ -75,6 +79,8 @@ func (c *Clock) Advance(d float64) {
 // AdvanceTo moves the clock forward to t if t is in the future; waiting
 // time is charged to the current phase (a rank stalled in the output
 // protocol is spending output time, exactly as the paper accounts it).
+//
+//lint:clock t
 func (c *Clock) AdvanceTo(t float64) {
 	if t > c.now {
 		c.Advance(t - c.now)

@@ -306,14 +306,21 @@ func (c *Cluster) SharedFS() *vfs.FS { return c.nodes[0].Shared }
 // FormatDB formats sequences into a named database on the shared file
 // system (the formatdb step users run once per database).
 func (c *Cluster) FormatDB(name string, seqs []*Sequence, title string) (*DB, error) {
-	return formatdb.Format(c.nodes[0].Shared, name, seqs, formatdb.Config{
-		Title: title, Kind: seqs[0].Alpha.Kind(),
-	})
+	return c.FormatDBVolumes(name, seqs, title, 0)
 }
 
 // FormatDBVolumes formats with a maximum volume size, producing a
-// multi-volume database as formatdb does for very large inputs.
+// multi-volume database as formatdb does for very large inputs (0 = one
+// volume). The database takes its molecule kind from the first sequence.
 func (c *Cluster) FormatDBVolumes(name string, seqs []*Sequence, title string, volumeMaxResidues int64) (*DB, error) {
+	if len(seqs) == 0 {
+		return nil, fmt.Errorf("parblast: database %q needs at least one sequence", name)
+	}
+	for i, s := range seqs {
+		if s == nil || s.Alpha == nil {
+			return nil, fmt.Errorf("parblast: database %q: sequence %d is nil or has no alphabet", name, i)
+		}
+	}
 	return formatdb.Format(c.nodes[0].Shared, name, seqs, formatdb.Config{
 		Title: title, Kind: seqs[0].Alpha.Kind(), VolumeMaxResidues: volumeMaxResidues,
 	})
@@ -391,18 +398,7 @@ func (c *Cluster) mpiConfig(s Search) mpi.Config {
 				map[string]string{"kind": kind.String(), "rank": fmt.Sprintf("%d", rank)})
 		}
 		if c.flows {
-			// Adapter, not an import: mpi reports plain FlowEvents and the
-			// façade maps them onto trace.Flow — mirroring Observer/OnFault.
-			// The callback runs on whichever rank goroutine holds the
-			// scheduler token, so calls never overlap; RecordFlow takes
-			// the collector's own mutex for readers outside the run.
-			cfg.OnFlow = func(f mpi.FlowEvent) {
-				tr.RecordFlow(trace.Flow{
-					Kind: f.Kind, Op: f.Op, ID: f.ID, Batch: f.Batch,
-					Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
-					SendAt: f.SendAt, RecvAt: f.RecvAt,
-				})
-			}
+			cfg.OnFlow = engine.RecordFlows(tr)
 		}
 	}
 	return cfg

@@ -370,3 +370,58 @@ func TestIllegalCapsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNilAndEmptyInputRejected: input a caller can build by hand — an empty
+// database, a nil sequence, one with no alphabet — is refused with a named
+// error before anything runs, by the façade for the database and by every
+// engine for the queries. Each of these used to panic the process: an index
+// out of range in FormatDB, a nil dereference in engine.PackQueries.
+func TestNilAndEmptyInputRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &parblast.Sequence{ID: "bare", Residues: queries[0].Residues}
+	for _, tc := range []struct {
+		name, want string
+		seqs       []*parblast.Sequence
+	}{
+		{"no sequences", "needs at least one sequence", nil},
+		{"nil first sequence", "sequence 0 is nil", []*parblast.Sequence{nil, seqs[0]}},
+		{"nil later sequence", "sequence 1 is nil", []*parblast.Sequence{seqs[0], nil}},
+		{"sequence without alphabet", "sequence 0 is nil or has no alphabet", []*parblast.Sequence{bare}},
+	} {
+		for name, format := range map[string]func() (*parblast.DB, error){
+			"FormatDB":        func() (*parblast.DB, error) { return cluster.FormatDB("bad", tc.seqs, "t") },
+			"FormatDBVolumes": func() (*parblast.DB, error) { return cluster.FormatDBVolumes("bad", tc.seqs, "t", 1000) },
+		} {
+			if _, err := format(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: error %v, want one saying %q", name, tc.name, err, tc.want)
+			}
+		}
+	}
+
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		queries    []*parblast.Sequence
+	}{
+		{"nil first query", "query 0 is nil", []*parblast.Sequence{nil, queries[0]}},
+		{"nil later query", "query 1 is nil", []*parblast.Sequence{queries[0], nil}},
+		{"query without alphabet", "query 0 is nil or has no alphabet", []*parblast.Sequence{bare}},
+	} {
+		for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast, parblast.EngineSequential} {
+			_, err := cluster.Run(eng, parblast.Search{DB: db, Queries: tc.queries, Output: "out"})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s on %v: error %v, want one saying %q", tc.name, eng, err, tc.want)
+			}
+		}
+	}
+}

@@ -22,13 +22,6 @@ if [ "${1:-}" = "nogob" ]; then
     exit 0
 fi
 
-# `check.sh lint-fast` is the seconds-fast pre-push path: lint only the
-# packages whose .go files changed since origin/main (falling back to
-# HEAD when that ref does not exist), instead of the whole module.
-if [ "${1:-}" = "lint-fast" ]; then
-    exec go run ./cmd/parblastlint -changed
-fi
-
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
@@ -48,14 +41,23 @@ go vet ./...
 
 # Invariant lint gate: the analyzers in internal/lint enforce the
 # determinism contract (no wall clock, seeded randomness, no map-order
-# leaks, matched MPI tags, clock-neutral telemetry). Fresh findings —
-# anything not triaged into lint.baseline — fail the build.
+# leaks, matched MPI tags, clock-neutral telemetry, uniform collectives,
+# concurrency only at the listed sites, sideband out of band). Any finding
+# fails the build; the one way to accept one is a //lint:<name> <reason>
+# directive at the site.
 go run ./cmd/parblastlint ./...
+# A subset run is analysed against the whole module: core sends a tag whose
+# receive is forwarded through engine, and a core-only run used to report it
+# as never received.
+go run ./cmd/parblastlint ./internal/core
 
 # The experiments package runs whole simulated-cluster sweeps per test
 # and sits near go test's default 10m per-package limit under -race;
 # give it explicit headroom rather than flaking on loaded machines.
 go test -race -timeout 20m ./...
+# No goroutine outlives a run: the dynamic half of the godisc site list,
+# repeated so a straggler that only sometimes outlives its run shows.
+go test -race -count=3 -run TestNoGoroutineOutlivesARun .
 # The kernel's worker pool claims subjects from a shared counter: race it
 # oversubscribed (four Ps on however many cores there are) and repeatedly,
 # so that claim orders the default run never produces are exercised.
