@@ -59,9 +59,8 @@ func main() {
 	arrivalBatch := flag.Int("arrival-batch", 1, "with -serve: mean queries per arrival batch")
 	arrivalDist := flag.String("arrival-dist", "", "with -serve: batch-size distribution: fixed, uniform, or geometric (default fixed)")
 	arrivalSeed := flag.Int64("arrival-seed", 1, "with -serve: arrival-stream RNG seed")
-	reportPath := flag.String("report", "", "write a machine-readable JSON run report to this path")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable) to this path")
-	traceFlows := flag.Bool("trace-flows", false, "record causal message flows: Perfetto flow arrows in -trace-out and an exact wait-for critical path in -report")
+	reportPath := flag.String("report", "", "write a machine-readable JSON run report (carries the exact critical path) to this path")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable, with message-flow arrows) to this path")
 	flag.Parse()
 
 	if (*dbPath == "" && *dbDir == "") || *queryPath == "" {
@@ -110,11 +109,8 @@ func main() {
 		fail(err)
 	}
 	var collector *parblast.TraceCollector
-	if *timeline || *traceOut != "" || *traceFlows {
+	if *timeline || *traceOut != "" || *reportPath != "" {
 		collector = cluster.Trace()
-	}
-	if *traceFlows {
-		collector = cluster.TraceFlows()
 	}
 	var registry *parblast.MetricsRegistry
 	if *reportPath != "" {
@@ -160,7 +156,7 @@ func main() {
 		if n == 0 {
 			n = *procs - 1
 		}
-		if err := cluster.PrepareFragments("db", n); err != nil {
+		if err := cluster.PrepareFragments(db.Base, n); err != nil {
 			fail(err)
 		}
 	}
@@ -308,9 +304,7 @@ func main() {
 			}
 		}
 		doc := runreport.Build(info, res, registry)
-		if *traceFlows {
-			doc.ExactPath = runreport.ExactCriticalPath(collector)
-		}
+		doc.ExactPath = runreport.ExactCriticalPath(collector)
 		f, err := os.Create(*reportPath)
 		if err != nil {
 			fail(err)

@@ -3,61 +3,146 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parblast/internal/core"
+	"parblast/internal/engine"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
-	"parblast/internal/report"
 	"parblast/internal/trace"
 	"parblast/internal/vfs"
+	"parblast/internal/workload"
 )
 
-// tracedConfig wires a collector's span observer and flow adapter into an
-// mpi config, the way the parblast CLI's -trace-flows does.
-func tracedConfig(col *trace.Collector) mpi.Config {
-	return mpi.Config{
-		Cost:     testCost(),
-		Observer: col.Observer,
-		OnFlow: func(f mpi.FlowEvent) {
-			col.RecordFlow(trace.Flow{
-				Kind: f.Kind, Op: f.Op, ID: f.ID, Batch: f.Batch,
-				Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
-				SendAt: f.SendAt, RecvAt: f.RecvAt,
-			})
-		},
-	}
-}
-
-// TestTracingZeroVirtualTimeCost is the observability contract: enabling
-// span and flow tracing must not move a single virtual clock — output
-// bytes, wall time, per-rank finish times, and per-query latencies are all
-// byte-identical with tracing on and off.
+// TestTracingZeroVirtualTimeCost is the observability contract: setting
+// mpi.Config.Trace must not move a single virtual clock. For both engines,
+// one-shot and serving, fault-free and with one worker crashing mid-search
+// (mpiBLAST rejects fault schedules in serve mode), output bytes, wall time,
+// every rank's finish time and every query latency are identical with the
+// collector set and nil.
 func TestTracingZeroVirtualTimeCost(t *testing.T) {
+	const nprocs = 4
 	fx := makeFixture(t, 2000)
-	opts := core.Options{QueryBatch: 2}
+	batches := serveArrivals(t, fx, workload.ArrivalConfig{Rate: 0.2, BatchMean: 2, Seed: 31})
 
-	plain, plainOut := runPio(t, fx, 4, mpi.Config{Cost: testCost()}, opts)
-	col := trace.NewCollector()
-	traced, tracedOut := runPio(t, fx, 4, tracedConfig(col), opts)
-
-	if !bytes.Equal(plainOut, tracedOut) {
-		t.Fatal("tracing changed output bytes")
+	type outcome struct {
+		res   engine.RunResult
+		stats engine.ServeStats
+		out   []byte
 	}
-	if plain.Wall != traced.Wall {
-		t.Fatalf("tracing changed wall: %g vs %g", plain.Wall, traced.Wall)
+	stand := func(fragments bool) []*vfs.Node {
+		nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
+		if fragments {
+			if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nodes
 	}
-	for rank := range plain.Clocks {
-		if a, b := plain.Clocks[rank].Now(), traced.Clocks[rank].Now(); a != b {
-			t.Fatalf("rank %d finish moved: %g vs %g", rank, a, b)
+	finish := func(nodes []*vfs.Node, o outcome, err error) (outcome, error) {
+		if err != nil {
+			return o, err
+		}
+		o.out, err = nodes[0].Shared.ReadFile(fx.job.OutputPath)
+		return o, err
+	}
+	modes := []struct {
+		name      string
+		serve     bool
+		crashable bool
+		run       func(cfg mpi.Config) (outcome, error)
+	}{
+		{"pio/one-shot", false, true, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(false), *fx.job
+			o.res, err = core.RunConfig(nodes, nprocs, cfg, &job, core.Options{QueryBatch: 2})
+			return finish(nodes, o, err)
+		}},
+		{"pio/serve", true, true, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(false), *fx.job
+			o.res, o.stats, err = core.Serve(nodes, nprocs, cfg, &job, core.Options{}, batches, 0)
+			return finish(nodes, o, err)
+		}},
+		{"mpi/one-shot", false, true, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(true), *fx.job
+			o.res, err = mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
+			return finish(nodes, o, err)
+		}},
+		{"mpi/serve", true, false, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(true), *fx.job
+			o.res, o.stats, err = mpiblast.Serve(nodes, nprocs, cfg, &job, mpiblast.Options{}, batches, 0)
+			return finish(nodes, o, err)
+		}},
+	}
+	same := func(name string, plain, traced outcome) {
+		t.Helper()
+		if !bytes.Equal(plain.out, traced.out) {
+			t.Fatalf("%s: tracing changed output bytes", name)
+		}
+		if plain.res.Wall != traced.res.Wall {
+			t.Fatalf("%s: tracing changed wall: %g vs %g", name, plain.res.Wall, traced.res.Wall)
+		}
+		for rank := range plain.res.Clocks {
+			if a, b := plain.res.Clocks[rank].Now(), traced.res.Clocks[rank].Now(); a != b {
+				t.Fatalf("%s: rank %d finish moved: %g vs %g", name, rank, a, b)
+			}
+		}
+		if !reflect.DeepEqual(plain.res.QueryLatencies, traced.res.QueryLatencies) {
+			t.Fatalf("%s: tracing changed query latencies:\n%v\n%v",
+				name, plain.res.QueryLatencies, traced.res.QueryLatencies)
 		}
 	}
-	if !reflect.DeepEqual(plain.QueryLatencies, traced.QueryLatencies) {
-		t.Fatalf("tracing changed query latencies:\n%v\n%v",
-			plain.QueryLatencies, traced.QueryLatencies)
-	}
-	if len(col.Flows()) == 0 {
-		t.Fatal("traced run recorded no flows")
+	for _, m := range modes {
+		free, err := m.run(mpi.Config{Cost: testCost()})
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		col := trace.NewCollector()
+		traced, err := m.run(mpi.Config{Cost: testCost(), Trace: col})
+		if err != nil {
+			t.Fatalf("%s traced: %v", m.name, err)
+		}
+		same(m.name, free, traced)
+		if len(col.Flows()) == 0 {
+			t.Fatalf("%s: traced run recorded no flows", m.name)
+		}
+		if !m.crashable {
+			continue
+		}
+
+		// Aim the crash of the last worker at the search window — the whole
+		// pre-output run, or the middle batch of the stream — and take the
+		// first probe that does not land in an (unrecoverable) output window.
+		from, to := 0.0, free.res.Wall-free.res.Phase.Output
+		if m.serve {
+			mid := len(free.stats.BatchStart) / 2
+			from, to = free.stats.BatchStart[mid], free.stats.BatchDone[mid]
+		}
+		name, hit := m.name+"/crash", false
+		for _, frac := range []float64{0.5, 0.3, 0.7, 0.1} {
+			faults := []mpi.Fault{{Rank: nprocs - 1, At: from + frac*(to-from), Kind: mpi.FaultCrash}}
+			crashed, err := m.run(mpi.Config{Cost: testCost(), Faults: faults})
+			if err != nil {
+				if strings.Contains(err.Error(), "output phase") {
+					continue
+				}
+				t.Fatalf("%s at frac %g: %v", name, frac, err)
+			}
+			col := trace.NewCollector()
+			traced, err := m.run(mpi.Config{Cost: testCost(), Faults: faults, Trace: col})
+			if err != nil {
+				t.Fatalf("%s traced: %v", name, err)
+			}
+			same(name, crashed, traced)
+			if evs := col.Events(nprocs - 1); len(evs) != 1 || evs[0].Name != "crash" {
+				t.Fatalf("%s: victim's timeline carries %v, want one crash mark", name, evs)
+			}
+			hit = true
+			break
+		}
+		if !hit {
+			t.Fatalf("%s: every probed crash time landed in an output window", name)
+		}
 	}
 }
 
@@ -120,40 +205,5 @@ func TestMpiblastQueryLatencies(t *testing.T) {
 					tree, q, res.QueryLatencies)
 			}
 		}
-	}
-}
-
-// TestExactPathAgreesWithHeuristic: on a straggler-free run the wait-for
-// walk must anchor exactly where the per-rank heuristic attribution does —
-// same finish rank, same finish time — and tile it completely with blame.
-func TestExactPathAgreesWithHeuristic(t *testing.T) {
-	fx := makeFixture(t, 2000)
-	col := trace.NewCollector()
-	res, _ := runPio(t, fx, 4, tracedConfig(col), core.Options{QueryBatch: 2})
-
-	doc := report.Build(report.RunInfo{Engine: "pio"}, res, nil)
-	if doc.CriticalPath == nil {
-		t.Fatal("heuristic critical path missing")
-	}
-	exact := report.ExactCriticalPath(col)
-	if exact == nil {
-		t.Fatal("exact critical path missing")
-	}
-	if exact.FinishRank != doc.CriticalPath.Rank {
-		t.Fatalf("finish rank disagrees: exact %d vs heuristic %d",
-			exact.FinishRank, doc.CriticalPath.Rank)
-	}
-	if exact.Finish != doc.CriticalPath.Finish {
-		t.Fatalf("finish time disagrees: exact %g vs heuristic %g",
-			exact.Finish, doc.CriticalPath.Finish)
-	}
-	if total := exact.Blame.Total(); total <= 0 ||
-		total > exact.Finish-exact.Unexplained+1e-9 ||
-		total < exact.Finish-exact.Unexplained-1e-9 {
-		t.Fatalf("blame %g does not tile finish %g (unexplained %g)",
-			total, exact.Finish, exact.Unexplained)
-	}
-	if exact.DroppedFlows != 0 {
-		t.Fatalf("run produced %d malformed flows", exact.DroppedFlows)
 	}
 }

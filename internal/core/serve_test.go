@@ -371,8 +371,7 @@ func TestServeFlowsSplitByBatch(t *testing.T) {
 	fx := makeFixture(t, 1200)
 	batches := serveArrivals(t, fx, workload.ArrivalConfig{Rate: 5, BatchMean: 2, Seed: 3})
 	col := trace.NewCollector()
-	cfg := tracedConfig(col)
-	_, stats, _ := runServePio(t, fx, nprocs, cfg, core.Options{}, batches, 0)
+	_, stats, _ := runServePio(t, fx, nprocs, mpi.Config{Cost: testCost(), Trace: col}, core.Options{}, batches, 0)
 	if stats.Admitted != len(batches) {
 		t.Fatalf("admitted %d of %d", stats.Admitted, len(batches))
 	}

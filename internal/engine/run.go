@@ -9,7 +9,6 @@ import (
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/stats"
-	"parblast/internal/trace"
 	"parblast/internal/vfs"
 )
 
@@ -59,23 +58,6 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 		return Boot{}, fmt.Errorf("%s: merge fan-out %d < 2", pkg, mergeFanout)
 	}
 	return b, nil
-}
-
-// RecordFlows returns the mpi.Config.OnFlow callback that records every
-// causal edge of a run into col. mpi reports plain FlowEvents and never
-// imports trace, and trace must stay free of mpi (the clockneutral
-// analyzer holds it to that), so this adapter is where the two meet. The
-// callback runs on whichever rank goroutine holds the scheduler token, so
-// calls never overlap; RecordFlow takes the collector's own mutex for
-// readers outside the run.
-func RecordFlows(col *trace.Collector) func(mpi.FlowEvent) {
-	return func(f mpi.FlowEvent) {
-		col.RecordFlow(trace.Flow{
-			Kind: f.Kind, Op: f.Op, ID: f.ID, Batch: f.Batch,
-			Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
-			SendAt: f.SendAt, RecvAt: f.RecvAt,
-		})
-	}
 }
 
 // Execute runs body on nprocs ranks and summarizes the run: wall and phase

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"parblast/internal/core"
-	"parblast/internal/engine"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
 	"parblast/internal/report"
@@ -69,9 +68,9 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 	return rows, nil
 }
 
-// runLatencySpec executes one protocol on a fresh cluster with the trace
-// collector and flow recording attached (the generic execute() runs
-// untraced), then folds the collector into the latency/critical-path row.
+// runLatencySpec executes one protocol on a fresh cluster with a trace
+// collector attached (the generic execute() runs untraced), then folds the
+// collector into the latency/critical-path row.
 func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyRow, error) {
 	row := LatencyRow{Protocol: proto, Engine: eng, Procs: procs}
 	queries, err := lab.queries(lab.QuerySizes[1])
@@ -83,7 +82,7 @@ func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyR
 		return row, err
 	}
 	col := trace.NewCollector()
-	res, _, err := r.run(mpi.Config{Cost: lab.Cost, Observer: col.Observer, OnFlow: engine.RecordFlows(col)},
+	res, _, err := r.run(mpi.Config{Cost: lab.Cost, Trace: col},
 		variant{
 			pio: core.Options{TreeMerge: tree, QueryBatch: 2},
 			mpi: mpiblast.Options{TreeMerge: tree},

@@ -7,13 +7,13 @@ import (
 
 // SidebandAnalyzer upgrades clockneutral's import-level rule to a
 // value-level guarantee: trace context — the batch tag and send clock
-// that ride *outside* every message payload (PR 8), and the FlowEvent
-// records built from them — must never flow into payload bytes or into
+// that ride *outside* every message payload, and the trace.Flow records
+// built from them — must never flow into payload bytes or into
 // virtual-clock arithmetic. Either flow breaks a core determinism
 // theorem: payload contamination makes traced and untraced runs produce
 // different output bytes; clock contamination makes them produce
 // different timings. Both would silently invalidate every byte-identity
-// pin in the test suite the moment someone enables -trace-flows.
+// pin in the test suite the moment someone sets mpi.Config.Trace.
 //
 // Sources and sinks are declared on the declarations themselves
 // (facts.go). Sources, //lint:trace-context: the result of a marked

@@ -1,12 +1,13 @@
 // Fixture for the sideband analyzer. The package is deliberately named
 // core, which places it inside the runtime set: trace-context sideband
-// (TraceBatch, FlowEvent records) must never flow into payload bytes or
+// (TraceBatch, trace.Flow records) must never flow into payload bytes or
 // virtual-clock arithmetic.
 package core
 
 import (
 	"parblast/internal/engine"
 	"parblast/internal/mpi"
+	"parblast/internal/trace"
 )
 
 // The batch tag leaks into a compute cost: traced and untraced runs
@@ -24,8 +25,8 @@ func leakPayload(r *mpi.Rank, raw []byte) {
 	r.Send(1, 9, stamp) // want "payload of mpi.Send"
 }
 
-// Flow-event state leaks into the deterministic output encoder.
-func leakWriter(w *engine.Writer, evs []mpi.FlowEvent) {
+// Flow state leaks into the deterministic output encoder.
+func leakWriter(w *engine.Writer, evs []trace.Flow) {
 	w.Int(int64(len(evs))) // want "payload encoder engine.Int"
 }
 

@@ -3,9 +3,11 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"parblast/internal/trace"
 	"parblast/internal/vfs"
 )
 
@@ -214,23 +216,23 @@ func TestRecvFromCrashedAborts(t *testing.T) {
 	}
 }
 
-// TestOnFaultHook: every scheduled fault fires the hook exactly once with
-// its kind and a time at or after the scheduled At.
-func TestOnFaultHook(t *testing.T) {
-	var fired []string
+// TestFaultMarksOnTrace: every scheduled fault marks the victim's timeline on
+// Config.Trace exactly once, named by its kind, at a time at or after the
+// scheduled At.
+func TestFaultMarksOnTrace(t *testing.T) {
+	col := trace.NewCollector()
 	cfg := Config{
 		Cost: testCost(),
 		Faults: []Fault{
 			{Rank: 1, At: 0.5, Kind: FaultCrash},
 			{Rank: 2, At: 0.25, Kind: FaultDegrade, Slow: 4},
 		},
-		OnFault: func(rank int, kind FaultKind, at float64) {
-			fired = append(fired, fmt.Sprintf("%d:%s@%.2f", rank, kind, at))
-		},
+		Trace: col,
 	}
 	_, err := RunConfig(3, cfg, func(r *Rank) error {
 		r.Advance(1)
 		r.Compute(1000)
+		r.Compute(1000) // a degrade is marked once, not per slowed call
 		if r.ID() == 1 {
 			r.Barrier() // crash fires here
 		}
@@ -239,9 +241,17 @@ func TestOnFaultHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{"1:crash@1.00": true, "2:degrade@1.00": true}
-	if len(fired) != 2 || !want[fired[0]] || !want[fired[1]] || fired[0] == fired[1] {
-		t.Fatalf("OnFault fired %v, want one crash and one degrade at t=1", fired)
+	if evs := col.Events(0); len(evs) != 0 {
+		t.Fatalf("rank 0 has no fault but carries %v", evs)
+	}
+	// Both fire at the victim's first operation at or after At: the t=1
+	// compute.
+	for rank, want := range map[int]string{1: "crash", 2: "degrade"} {
+		evs := col.Events(rank)
+		if len(evs) != 1 || evs[0].Name != want || evs[0].At != 1 ||
+			evs[0].Attrs["kind"] != want || evs[0].Attrs["rank"] != fmt.Sprint(rank) {
+			t.Fatalf("rank %d events %+v, want one %s mark at t=1", rank, evs, want)
+		}
 	}
 }
 
@@ -278,12 +288,20 @@ func TestFaultValidation(t *testing.T) {
 		{"negative time", []Fault{{Rank: 1, At: -1, Kind: FaultCrash}}},
 		{"double crash", []Fault{{Rank: 1, At: 1, Kind: FaultCrash}, {Rank: 1, At: 2, Kind: FaultCrash}}},
 		{"degrade without slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade}}},
+		{"NaN slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade, Slow: math.NaN()}}},
+		{"infinite slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade, Slow: math.Inf(1)}}},
+		{"NaN time", []Fault{{Rank: 1, At: math.NaN(), Kind: FaultCrash}}},
 		{"unknown kind", []Fault{{Rank: 1, At: 1, Kind: FaultKind(99)}}},
 	} {
 		cfg := Config{Cost: testCost(), Faults: tc.faults}
 		if _, err := RunConfig(2, cfg, body); err == nil {
 			t.Errorf("%s: schedule accepted", tc.name)
 		}
+	}
+	// A fault at +Inf means "never" and stays legal.
+	never := Config{Cost: testCost(), Faults: []Fault{{Rank: 1, At: math.Inf(1), Kind: FaultCrash}}}
+	if _, err := RunConfig(2, never, body); err != nil {
+		t.Errorf("fault at +Inf rejected: %v", err)
 	}
 }
 

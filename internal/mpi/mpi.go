@@ -59,11 +59,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
 	"parblast/internal/metrics"
 	"parblast/internal/simtime"
+	"parblast/internal/trace"
 	"parblast/internal/vfs"
 )
 
@@ -163,7 +165,7 @@ type Fault struct {
 	// Kind selects crash vs degrade.
 	Kind FaultKind
 	// Slow is the compute slowdown factor for FaultDegrade (2 = half
-	// speed). Ignored for crashes.
+	// speed): finite and > 0. Ignored for crashes.
 	Slow float64
 }
 
@@ -219,7 +221,7 @@ type Rank struct {
 	id           int
 	world        *World
 	clock        *simtime.Clock
-	degradeFired bool // OnFault for this rank's degrade already reported
+	degradeFired bool // this rank's degrade is already marked on the trace
 	// treeRound numbers this rank's tree-collective invocations per op tag,
 	// so the crash-aware protocol can drop stale retransmissions from
 	// earlier rounds. Only touched by the rank's own goroutine.
@@ -233,68 +235,34 @@ type Rank struct {
 
 type abortPanic struct{ msg string }
 
-// Flow kinds reported through Config.OnFlow. The strings match the trace
-// package's flow constants (mpi deliberately does not import trace —
-// engine.RecordFlows adapts, mirroring the Observer/OnFault wiring).
-const (
-	FlowMsg     = "msg"     // point-to-point message delivery
-	FlowContrib = "contrib" // collective participant entry → fold site
-	FlowRelease = "release" // fold site → participant resume point
-)
-
-// FlowEvent is one causal edge between two rank timelines, reported at
-// delivery (or collective release) time. ID is unique and deterministic
-// within a run (drawn from the world's message sequence). Batch is the
-// sender's query-batch trace context (-1 = none). SendAt/RecvAt are
-// virtual times; emitting a flow never advances any clock.
-//
-//lint:trace-context
-type FlowEvent struct {
-	Kind   string
-	Op     string
-	ID     int64
-	Batch  int
-	Src    int
-	Dst    int
-	Bytes  int
-	SendAt float64
-	RecvAt float64
-}
-
 // Config bundles a cost model with optional per-rank heterogeneity.
 type Config struct {
 	Cost simtime.CostModel
 	// Speeds scales each rank's compute cost: 1 is the baseline node,
-	// 2 runs compute twice as slowly. nil or missing entries mean 1.
-	// Models the heterogeneous clusters the paper's §5 load-balancing
-	// discussion targets.
+	// 2 runs compute twice as slowly. nil, missing or zero entries mean 1;
+	// negative and non-finite ones are rejected. Models the heterogeneous
+	// clusters the paper's §5 load-balancing discussion targets.
 	Speeds []float64
-	// Observer, when non-nil, returns a per-rank phase-span callback that
-	// is installed on each rank's clock (see internal/trace).
-	Observer func(rank int) func(phase string, from, to float64)
 	// Comm, when non-nil, accumulates per-rank communication volume —
 	// the metric behind the paper's §3.2 message-volume-reduction claim.
 	Comm *CommStats
 	// Faults schedules deterministic rank failures (see Fault). At most one
 	// crash and one degrade per rank.
 	Faults []Fault
-	// OnFault, when non-nil, is called once per fired fault, from the
-	// victim's goroutine while it holds the scheduler token — the hook the
-	// trace layer uses to put fault marks on the Gantt timeline.
-	OnFault func(rank int, kind FaultKind, at float64)
-	// OnFlow, when non-nil, receives one FlowEvent per causal edge:
-	// point-to-point deliveries from the receiver's goroutine, collective
-	// contribution/release edges from the completing rank's goroutine. The
-	// caller holds the scheduler token, so calls never overlap and arrive in
-	// the schedule's deterministic order. Flow reporting never advances
-	// virtual clocks, so enabling it cannot change any simulated time.
-	OnFlow func(FlowEvent)
 	// Metrics, when non-nil, receives the run's unified telemetry: per-tag
 	// message counts and bytes, collective-operation counts, and
 	// receive-timeout waits, all labelled by sending/acting rank. Metrics
 	// never advance virtual clocks, so enabling them cannot change any
 	// reported phase time.
 	Metrics *metrics.Registry
+	// Trace, when non-nil, receives the run's timelines: every rank's phase
+	// spans (its clock's observer), one event per fired fault, and one flow
+	// per causal edge — point-to-point deliveries recorded by the receiver,
+	// collective contribution/release edges by the completing rank. The
+	// recording rank holds the scheduler token, so records arrive in the
+	// schedule's deterministic order. Tracing reads clocks and never
+	// advances one, so enabling it cannot change any simulated time.
+	Trace *trace.Collector
 }
 
 // ShuffleTagBase splits the tag space: tags at or above it belong to the
@@ -420,6 +388,9 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		if s < 0 {
 			return nil, fmt.Errorf("mpi: negative speed factor %g for rank %d", s, i)
 		}
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("mpi: non-finite speed factor %g for rank %d", s, i)
+		}
 	}
 	w := &World{
 		n:            n,
@@ -463,6 +434,9 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 			if f.Slow <= 0 {
 				return nil, fmt.Errorf("mpi: degrade for rank %d needs Slow > 0, got %g", f.Rank, f.Slow)
 			}
+			if math.IsNaN(f.Slow) || math.IsInf(f.Slow, 0) {
+				return nil, fmt.Errorf("mpi: degrade for rank %d has non-finite Slow %g", f.Rank, f.Slow)
+			}
 			if !math.IsInf(w.degradeAt[f.Rank], 1) {
 				return nil, fmt.Errorf("mpi: rank %d has more than one scheduled degrade", f.Rank)
 			}
@@ -476,8 +450,8 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		r := &Rank{id: i, world: w, clock: simtime.NewClock(), traceBatch: -1}
-		if cfg.Observer != nil {
-			r.clock.SetObserver(cfg.Observer(i))
+		if cfg.Trace != nil {
+			r.clock.SetObserver(cfg.Trace.Observer(i))
 		}
 		clocks[i] = r.clock
 		w.ranks = append(w.ranks, r)
@@ -704,10 +678,17 @@ func (r *Rank) maybeCrash() {
 	w.crashed[r.id] = true
 	w.crashTime[r.id] = now
 	w.maybeCompleteCollective()
-	if w.config.OnFault != nil {
-		w.config.OnFault(r.id, FaultCrash, now)
-	}
+	w.traceFault(r.id, FaultCrash, now)
 	panic(crashPanic{r.id})
+}
+
+// traceFault marks a fired fault on the victim's timeline. Called once per
+// fault, from the victim's goroutine while it holds the scheduler token.
+func (w *World) traceFault(rank int, kind FaultKind, at float64) {
+	if tr := w.config.Trace; tr != nil {
+		tr.RecordEventAttrs(rank, kind.String(), at,
+			map[string]string{"kind": kind.String(), "rank": strconv.Itoa(rank)})
+	}
 }
 
 // liveCount counts ranks that have not crashed.
@@ -759,8 +740,8 @@ func (w *World) completeCollective(c *collective) {
 // participant's resume point at releaseAt. Emission never touches any
 // clock.
 func (w *World) emitCollectiveFlows(c *collective) {
-	onFlow := w.config.OnFlow
-	if onFlow == nil {
+	tr := w.config.Trace
+	if tr == nil {
 		return
 	}
 	releaser := -1
@@ -780,8 +761,8 @@ func (w *World) emitCollectiveFlows(c *collective) {
 			continue
 		}
 		w.seq++
-		onFlow(FlowEvent{
-			Kind:   FlowContrib,
+		tr.RecordFlow(trace.Flow{
+			Kind:   trace.FlowContrib,
 			Op:     c.op,
 			ID:     w.seq,
 			Batch:  c.batches[i],
@@ -792,8 +773,8 @@ func (w *World) emitCollectiveFlows(c *collective) {
 			RecvAt: c.releaseAt,
 		})
 		w.seq++
-		onFlow(FlowEvent{
-			Kind:   FlowRelease,
+		tr.RecordFlow(trace.Flow{
+			Kind:   trace.FlowRelease,
 			Op:     c.op,
 			ID:     w.seq,
 			Batch:  c.batches[releaser],
@@ -870,12 +851,12 @@ func (r *Rank) deliverFlow(m message) {
 	if m.batch > r.traceBatch {
 		r.traceBatch = m.batch
 	}
-	onFlow := r.world.config.OnFlow
-	if onFlow == nil {
+	tr := r.world.config.Trace
+	if tr == nil {
 		return
 	}
-	onFlow(FlowEvent{
-		Kind:   FlowMsg,
+	tr.RecordFlow(trace.Flow{
+		Kind:   trace.FlowMsg,
 		Op:     flowOp(m.tag),
 		ID:     m.seq,
 		Batch:  m.batch,
@@ -951,9 +932,7 @@ func (r *Rank) effSpeed() float64 {
 	if r.clock.Now() >= w.degradeAt[r.id] {
 		if !r.degradeFired {
 			r.degradeFired = true
-			if w.config.OnFault != nil {
-				w.config.OnFault(r.id, FaultDegrade, r.clock.Now())
-			}
+			w.traceFault(r.id, FaultDegrade, r.clock.Now())
 		}
 		s *= w.degradeSlow[r.id]
 	}

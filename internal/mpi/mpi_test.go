@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -636,10 +637,14 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 	if !near(clocks[1].Now(), 3e-3) {
 		t.Fatalf("slow rank clock %g, want 3ms", clocks[1].Now())
 	}
-	// Negative speeds rejected.
-	bad := Config{Cost: testCost(), Speeds: []float64{-1}}
-	if _, err := RunConfig(1, bad, func(*Rank) error { return nil }); err == nil {
-		t.Fatal("negative speed accepted")
+	// Negative and non-finite speeds are rejected: NaN used to run at speed
+	// 1 silently and +Inf to end as a crash nobody scheduled.
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := Config{Cost: testCost(), Speeds: []float64{1, s}}
+		_, err := RunConfig(2, bad, func(r *Rank) error { r.Compute(1000); return nil })
+		if err == nil || !strings.Contains(err.Error(), "speed factor") {
+			t.Fatalf("speed %g: error %v, want one naming the speed factor", s, err)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"testing"
+
+	"parblast/internal/trace"
 )
 
 // TestTraceBatchMonotoneAdoption is the two-batch stale-sideband
@@ -15,14 +16,8 @@ import (
 // stamped with the stale batch and the flow graph's per-batch split
 // would attribute batch-1 traffic to batch 0.
 func TestTraceBatchMonotoneAdoption(t *testing.T) {
-	var mu sync.Mutex
-	var flows []FlowEvent
-	cfg := Config{Cost: testCost(), OnFlow: func(f FlowEvent) {
-		mu.Lock()
-		flows = append(flows, f)
-		mu.Unlock()
-	}}
-	_, err := RunConfig(2, cfg, func(r *Rank) error {
+	col := trace.NewCollector()
+	_, err := RunConfig(2, Config{Cost: testCost(), Trace: col}, func(r *Rank) error {
 		if r.ID() == 0 {
 			// Master: dispatch batch 0, then batch 1, then receive the
 			// worker's batch-0 reply — which arrives after the context
@@ -64,7 +59,7 @@ func TestTraceBatchMonotoneAdoption(t *testing.T) {
 	// reply stays in batch 0 while the follow-up lands in batch 1.
 	wantBatch := map[string]int{"tag05": 0, "tag06": 1, "tag07": 0, "tag08": 1}
 	seen := map[string]bool{}
-	for _, f := range flows {
+	for _, f := range col.Flows() {
 		want, ok := wantBatch[f.Op]
 		if !ok {
 			t.Fatalf("unexpected flow op %q", f.Op)

@@ -1,6 +1,7 @@
 package mpiblast_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -88,6 +89,22 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	bad.DBBase = "nope"
 	if _, err := mpiblast.Run(nodes, 4, simtime.DefaultCostModel(), &bad); err == nil {
 		t.Fatal("missing database accepted")
+	}
+	// Non-finite speeds and slow-downs: NaN used to run at speed 1 silently,
+	// +Inf to end as "rank N crashed at t=+Inf" with no crash scheduled.
+	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for want, cfg := range map[string]mpi.Config{
+			"non-finite speed": {Speeds: []float64{1, v}},
+			"non-finite Slow":  {Faults: []mpi.Fault{{Rank: 1, At: 0.1, Kind: mpi.FaultDegrade, Slow: v}}},
+		} {
+			cfg.Cost = simtime.DefaultCostModel()
+			if _, err := mpiblast.RunOpts(nodes, 4, cfg, job, mpiblast.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %g: error %v", want, v, err)
+			}
+		}
 	}
 }
 

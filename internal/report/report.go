@@ -1,7 +1,7 @@
 // Package report serializes one simulated run (or a suite of runs) into a
 // single versioned, machine-readable JSON artifact: the run configuration,
-// the virtual-time result, a per-rank phase breakdown with critical-path
-// and straggler attribution, and the full unified-telemetry snapshot.
+// the virtual-time result, a per-rank phase breakdown, the exact critical
+// path when the run was traced, and the full unified-telemetry snapshot.
 //
 // The artifact is the tool-facing counterpart of the CLI's human-readable
 // phase table: every experiment emits a comparable document, so regression
@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"parblast/internal/engine"
 	"parblast/internal/metrics"
@@ -24,7 +23,9 @@ import (
 
 // Version is the artifact schema version. Bump on any field removal or
 // meaning change; additions are backward-compatible and don't bump.
-const Version = 1
+// Version 2 dropped the run artifact's per-rank-heuristic critical_path
+// block; a version-1 artifact still parses, the block ignored.
+const Version = 2
 
 // Kind discriminators let a reader reject the wrong artifact flavour.
 const (
@@ -136,38 +137,23 @@ type RankBreakdown struct {
 	IdleFraction float64            `json:"idle_fraction"`
 }
 
-// CriticalPath attributes the run's wall time: which rank finished last
-// (and therefore bounds the wall), which phase dominates that rank's time,
-// how far ahead of the second-slowest it finished (the straggler's lead),
-// and where the worst idling happened.
-type CriticalPath struct {
-	Rank            int     `json:"rank"`
-	Finish          float64 `json:"finish_s"`
-	DominantPhase   string  `json:"dominant_phase"`
-	DominantShare   float64 `json:"dominant_share"`
-	StragglerLead   float64 `json:"straggler_lead_s"`
-	MaxIdleRank     int     `json:"max_idle_rank"`
-	MaxIdleFraction float64 `json:"max_idle_fraction"`
-}
-
 // Run is the single-run artifact.
 type Run struct {
-	Version      int             `json:"version"`
-	Kind         string          `json:"kind"`
-	Info         RunInfo         `json:"info"`
-	Summary      RunSummary      `json:"summary"`
-	Ranks        []RankBreakdown `json:"ranks"`
-	CriticalPath *CriticalPath   `json:"critical_path,omitempty"`
-	// ExactPath is the flow-graph wait-for analysis (see waitfor.go),
-	// attached by callers that collected causal flows; the heuristic
-	// CriticalPath above is always present for comparison.
+	Version int             `json:"version"`
+	Kind    string          `json:"kind"`
+	Info    RunInfo         `json:"info"`
+	Summary RunSummary      `json:"summary"`
+	Ranks   []RankBreakdown `json:"ranks"`
+	// ExactPath is the wait-for analysis of the run's trace (see
+	// waitfor.go): the run's one critical-path attribution. Build leaves it
+	// nil; a caller that traced the run sets it from ExactCriticalPath.
 	ExactPath *ExactPath       `json:"exact_critical_path,omitempty"`
 	Metrics   metrics.Snapshot `json:"metrics"`
 }
 
 // Build assembles the artifact for one finished run. reg may be nil (the
 // metrics block is then empty); res.Clocks may be empty (sequential engine),
-// in which case the per-rank and critical-path blocks are omitted.
+// in which case the per-rank block is empty.
 func Build(info RunInfo, res engine.RunResult, reg *metrics.Registry) Run {
 	r := Run{
 		Version: Version,
@@ -188,60 +174,7 @@ func Build(info RunInfo, res engine.RunResult, reg *metrics.Registry) Run {
 		}
 		r.Ranks = append(r.Ranks, rb)
 	}
-	if cp := criticalPath(r.Ranks); cp != nil {
-		r.CriticalPath = cp
-	}
 	return r
-}
-
-// criticalPath derives the wall-time attribution from per-rank breakdowns.
-func criticalPath(ranks []RankBreakdown) *CriticalPath {
-	if len(ranks) == 0 {
-		return nil
-	}
-	cp := &CriticalPath{Rank: -1, MaxIdleRank: -1}
-	var secondFinish float64
-	for _, rb := range ranks {
-		if cp.Rank < 0 || rb.Finish > cp.Finish {
-			if cp.Rank >= 0 {
-				secondFinish = cp.Finish
-			}
-			cp.Rank, cp.Finish = rb.Rank, rb.Finish
-		} else if rb.Finish > secondFinish {
-			secondFinish = rb.Finish
-		}
-		if cp.MaxIdleRank < 0 || rb.IdleFraction > cp.MaxIdleFraction {
-			cp.MaxIdleRank, cp.MaxIdleFraction = rb.Rank, rb.IdleFraction
-		}
-	}
-	if len(ranks) > 1 {
-		cp.StragglerLead = cp.Finish - secondFinish
-	}
-	// Dominant phase of the critical rank: largest non-idle bucket,
-	// name-ordered for a deterministic tie-break.
-	for _, rb := range ranks {
-		if rb.Rank != cp.Rank {
-			continue
-		}
-		names := make([]string, 0, len(rb.Phases))
-		for name := range rb.Phases {
-			if name != simtime.PhaseIdle {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		var best float64
-		for _, name := range names {
-			if rb.Phases[name] > best {
-				best = rb.Phases[name]
-				cp.DominantPhase = name
-			}
-		}
-		if cp.Finish > 0 {
-			cp.DominantShare = best / cp.Finish
-		}
-	}
-	return cp
 }
 
 // WriteJSON writes the artifact, indented, with a trailing newline.

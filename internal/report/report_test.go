@@ -6,18 +6,17 @@ import (
 
 	"parblast"
 	"parblast/internal/report"
-	"parblast/internal/simtime"
 )
 
-// runOnce executes a small pioBLAST run with telemetry enabled and returns
-// the built artifact bytes.
+// runOnce executes a small pioBLAST run with metrics and tracing enabled
+// and returns the built artifact bytes, exact critical path attached.
 func runOnce(t *testing.T) []byte {
 	t.Helper()
 	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := cluster.Metrics()
+	reg, col := cluster.Metrics(), cluster.Trace()
 	seqs, err := parblast.SynthesizeDB(parblast.DBConfig{
 		Kind: parblast.Protein, NumSeqs: 60, MeanLen: 120, Seed: 7,
 	})
@@ -47,6 +46,7 @@ func runOnce(t *testing.T) []byte {
 		Queries:  len(queries),
 		DBSeqs:   db.NumSeqs,
 	}, res, reg)
+	r.ExactPath = report.ExactCriticalPath(col)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -81,15 +81,15 @@ func TestFiveLayerCoverage(t *testing.T) {
 	if len(r.Ranks) != 4 {
 		t.Fatalf("ranks = %d, want 4", len(r.Ranks))
 	}
-	cp := r.CriticalPath
+	cp := r.ExactPath
 	if cp == nil {
-		t.Fatal("critical path missing")
+		t.Fatal("exact critical path missing")
 	}
 	if cp.Finish != r.Summary.Wall {
-		t.Fatalf("critical rank finish %g != wall %g", cp.Finish, r.Summary.Wall)
+		t.Fatalf("critical path finish %g != wall %g", cp.Finish, r.Summary.Wall)
 	}
-	if cp.DominantPhase == "" {
-		t.Fatal("dominant phase empty")
+	if cp.Dominant == "" {
+		t.Fatal("dominant blame category empty")
 	}
 	if r.Summary.Wall <= 0 || r.Summary.SearchFraction <= 0 {
 		t.Fatalf("summary implausible: %+v", r.Summary)
@@ -105,53 +105,13 @@ func TestArtifactDeterministic(t *testing.T) {
 	}
 }
 
-// TestCriticalPathAttribution exercises the straggler analysis on a
-// hand-built result: rank 2 finishes last with search dominating, rank 1
-// idles most.
-func TestCriticalPathAttribution(t *testing.T) {
-	mkClock := func(phases map[string]float64) *simtime.Clock {
-		c := simtime.NewClock()
-		for _, p := range []string{"search", "output", "idle"} {
-			if d, ok := phases[p]; ok {
-				c.SetPhase(p)
-				c.Advance(d)
-			}
-		}
-		return c
-	}
-	clocks := []*simtime.Clock{
-		mkClock(map[string]float64{"search": 4, "output": 1}),
-		mkClock(map[string]float64{"search": 1, "idle": 5}),
-		mkClock(map[string]float64{"search": 7, "output": 2}),
-	}
-	var res parblast.Result
-	res.Clocks = clocks
-	res.Wall = 9
-	r := report.Build(report.RunInfo{Engine: "test", Procs: 3}, res, nil)
-	cp := r.CriticalPath
-	if cp == nil {
-		t.Fatal("no critical path")
-	}
-	if cp.Rank != 2 || cp.Finish != 9 {
-		t.Fatalf("critical rank = %d@%g, want 2@9", cp.Rank, cp.Finish)
-	}
-	if cp.DominantPhase != "search" || cp.DominantShare < 0.7 {
-		t.Fatalf("dominant = %s (%.2f), want search ≥0.7", cp.DominantPhase, cp.DominantShare)
-	}
-	// Second-slowest finishes at 6 → straggler lead 3.
-	if cp.StragglerLead != 3 {
-		t.Fatalf("straggler lead = %g, want 3", cp.StragglerLead)
-	}
-	if cp.MaxIdleRank != 1 {
-		t.Fatalf("max idle rank = %d, want 1", cp.MaxIdleRank)
-	}
-	if got := r.Ranks[1].IdleFraction; got < 0.8 {
-		t.Fatalf("rank 1 idle fraction = %g, want ≥0.8", got)
-	}
-}
-
-// TestParseRejects: wrong kind and future versions are refused.
+// TestParseRejects: wrong kind and future versions are refused; a version-1
+// artifact still parses, its dropped critical_path block ignored.
 func TestParseRejects(t *testing.T) {
+	old := `{"kind":"parblast-run","version":1,"summary":{"wall_s":2},"critical_path":{"rank":3,"finish_s":2}}`
+	if r, err := report.ParseRun([]byte(old)); err != nil || r.Version != 1 || r.Summary.Wall != 2 {
+		t.Fatalf("version-1 artifact: %+v, %v", r, err)
+	}
 	if _, err := report.ParseRun([]byte(`{"kind":"other","version":1}`)); err == nil {
 		t.Fatal("wrong kind accepted")
 	}

@@ -8,11 +8,11 @@ import (
 // Causal message-flow recording: every delivered MPI message (and every
 // collective contribution/release) becomes one Flow edge linking a send
 // point on the source rank's timeline to a delivery point on the
-// destination rank's. The mpi layer emits these through its OnFlow hook
-// (this package never imports mpi — the clock-neutrality contract), the
-// Chrome exporter serializes them as flow-event pairs, and the report
-// package's wait-for analyzer walks them backward to compute the exact
-// cross-rank critical path.
+// destination rank's. The mpi layer records them straight into the
+// collector on its Config (mpi imports this package, never the reverse —
+// the clock-neutrality contract), the Chrome exporter serializes them as
+// flow-event pairs, and the report package's wait-for analyzer walks them
+// backward to compute the exact cross-rank critical path.
 
 // Flow kinds. A "msg" edge is one point-to-point message delivery; a
 // "contrib" edge links one collective participant's entry to the
@@ -29,7 +29,11 @@ const (
 // source's virtual time when the payload left it; RecvAt is the
 // destination's virtual time when delivery (or collective release)
 // completed. Batch is the query-batch trace context stamped at send time
-// (-1 = none). ID is unique and deterministic within one run.
+// (-1 = none). ID is unique and deterministic within one run (mpi draws it
+// from the world's message sequence). Recording a flow reads clocks and
+// never advances one.
+//
+//lint:trace-context
 type Flow struct {
 	Kind   string
 	Op     string // "tagNN" for messages, the collective op name otherwise

@@ -239,24 +239,6 @@ func TestChromeTraceFlowGolden(t *testing.T) {
 	}
 }
 
-// TestSummaryPercentilesGolden pins the summary's per-phase percentile
-// columns: exact nearest-rank p50/p95/p99 over each phase's span durations.
-func TestSummaryPercentilesGolden(t *testing.T) {
-	c := NewCollector()
-	c.Record(0, "search", 0, 1)
-	c.Record(0, "output", 1, 1.5)
-	c.Record(0, "search", 2, 4) // gap prevents coalescing: two search spans
-	c.Record(1, "idle", 0, 2)
-	c.RecordEvent(1, "crash", 1)
-	var buf bytes.Buffer
-	c.Summary(&buf)
-	const want = "rank   0: search=3.000(p50=1.000 p95=2.000 p99=2.000) output=0.500(p50=0.500 p95=0.500 p99=0.500)\n" +
-		"rank   1: idle=2.000(p50=2.000 p95=2.000 p99=2.000) crash@1.000\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("summary golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 // TestFlowsDeterministicOrder: Flows() sorts by (ID, Src, Dst) no matter the
 // recording interleave.
 func TestFlowsDeterministicOrder(t *testing.T) {

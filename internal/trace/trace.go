@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
-
-	"parblast/internal/metrics"
 )
 
 // Span is one contiguous interval a rank spent in one phase. Attrs
@@ -46,7 +43,7 @@ func NewCollector() *Collector {
 }
 
 // RecordEvent adds a point event to a rank's timeline (rendered as an 'X'
-// on the Gantt chart). The mpi layer's OnFault hook feeds this.
+// on the Gantt chart). The mpi layer marks every fired fault with one.
 func (c *Collector) RecordEvent(rank int, name string, at float64) {
 	c.RecordEventAttrs(rank, name, at, nil)
 }
@@ -217,37 +214,5 @@ func (c *Collector) Render(w io.Writer, width int) {
 			row[i] = 'X'
 		}
 		fmt.Fprintf(w, "rank %3d |%s|\n", rank, string(row))
-	}
-}
-
-// Summary prints, per rank and phase, the total time plus the exact
-// p50/p95/p99 of that phase's span durations (nearest-rank over the
-// recorded spans), then the rank's point events:
-//
-//	rank   0: search=0.500(p50=0.250 p95=0.450 p99=0.450) ...
-func (c *Collector) Summary(w io.Writer) {
-	for _, rank := range c.Ranks() {
-		totals := map[string]float64{}
-		durs := map[string][]float64{}
-		var order []string
-		for _, s := range c.Spans(rank) {
-			if _, seen := totals[s.Phase]; !seen {
-				order = append(order, s.Phase)
-			}
-			totals[s.Phase] += s.To - s.From
-			durs[s.Phase] = append(durs[s.Phase], s.To-s.From)
-		}
-		var parts []string
-		for _, p := range order {
-			parts = append(parts, fmt.Sprintf("%s=%.3f(p50=%.3f p95=%.3f p99=%.3f)",
-				p, totals[p],
-				metrics.ExactQuantile(durs[p], 0.50),
-				metrics.ExactQuantile(durs[p], 0.95),
-				metrics.ExactQuantile(durs[p], 0.99)))
-		}
-		for _, e := range c.Events(rank) {
-			parts = append(parts, fmt.Sprintf("%s@%.3f", e.Name, e.At))
-		}
-		fmt.Fprintf(w, "rank %3d: %s\n", rank, strings.Join(parts, " "))
 	}
 }

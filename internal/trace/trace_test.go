@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"parblast/internal/mpi"
 	"parblast/internal/simtime"
 )
 
@@ -48,7 +47,7 @@ func TestObserverViaClock(t *testing.T) {
 	}
 }
 
-func TestRenderAndSummary(t *testing.T) {
+func TestRender(t *testing.T) {
 	c := NewCollector()
 	c.Record(0, "search", 0, 8)
 	c.Record(0, "output", 8, 10)
@@ -63,47 +62,11 @@ func TestRenderAndSummary(t *testing.T) {
 	if !strings.Contains(out, "SSS") || !strings.Contains(out, "OO") {
 		t.Fatalf("render missing glyphs:\n%s", out)
 	}
-	buf.Reset()
-	c.Summary(&buf)
-	if !strings.Contains(buf.String(), "search=8.000") {
-		t.Fatalf("summary wrong:\n%s", buf.String())
-	}
 	// Empty collector renders a notice, not a panic.
 	buf.Reset()
 	NewCollector().Render(&buf, 40)
 	if !strings.Contains(buf.String(), "empty") {
 		t.Fatal("empty render missing notice")
-	}
-}
-
-func TestTraceThroughMPIRun(t *testing.T) {
-	c := NewCollector()
-	cfg := mpi.Config{
-		Cost:     simtime.DefaultCostModel(),
-		Observer: c.Observer,
-	}
-	_, err := mpi.RunConfig(2, cfg, func(r *mpi.Rank) error {
-		r.SetPhase(simtime.PhaseSearch)
-		r.Advance(0.5)
-		r.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Ranks()) != 2 {
-		t.Fatalf("traced %d ranks", len(c.Ranks()))
-	}
-	for _, rank := range c.Ranks() {
-		found := false
-		for _, s := range c.Spans(rank) {
-			if s.Phase == simtime.PhaseSearch && s.To-s.From >= 0.5 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("rank %d search span missing: %v", rank, c.Spans(rank))
-		}
 	}
 }
 
@@ -145,8 +108,7 @@ func TestGlyphs(t *testing.T) {
 }
 
 // TestEventsOnTimeline: point events (fault marks) render as 'X' over the
-// phase glyphs, appear in the summary, and extend Ranks/End when a rank has
-// only events.
+// phase glyphs and extend Ranks/End when a rank has only events.
 func TestEventsOnTimeline(t *testing.T) {
 	c := NewCollector()
 	c.Record(0, "search", 0, 10)
@@ -172,11 +134,5 @@ func TestEventsOnTimeline(t *testing.T) {
 	}
 	if !strings.Contains(out, "X=event") {
 		t.Fatalf("legend missing event glyph:\n%s", out)
-	}
-
-	buf.Reset()
-	c.Summary(&buf)
-	if !strings.Contains(buf.String(), "crash@5.000") {
-		t.Fatalf("summary missing event:\n%s", buf.String())
 	}
 }

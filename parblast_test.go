@@ -2,10 +2,12 @@ package parblast_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"parblast"
+	"parblast/internal/report"
 )
 
 func buildWorkload(t *testing.T) ([]*parblast.Sequence, []*parblast.Sequence) {
@@ -332,6 +334,83 @@ func TestNodeSpeedsThroughPublicAPI(t *testing.T) {
 		}
 		if skewed.Wall <= even.Wall {
 			t.Fatalf("%v: a 3x-slow worker did not slow the run: %g vs %g", eng, skewed.Wall, even.Wall)
+		}
+	}
+}
+
+// TestNonFiniteSpeedsRejected: a NaN or infinite node speed or degrade
+// slow-down is refused with a named error by both engines. NaN used to run
+// at speed 1 silently; +Inf ended as "rank N crashed at t=+Inf" although no
+// crash was scheduled.
+func TestNonFiniteSpeedsRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, tc := range []struct {
+			want string
+			set  func(*parblast.Search)
+		}{
+			{"non-finite speed factor", func(s *parblast.Search) { s.NodeSpeeds = []float64{1, v} }},
+			{"non-finite Slow", func(s *parblast.Search) {
+				s.Faults = []parblast.Fault{{Rank: 1, At: 0.1, Kind: parblast.FaultDegrade, Slow: v}}
+			}},
+		} {
+			for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+				s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+				tc.set(&s)
+				if _, err := cluster.Run(eng, s); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%g on %v: error %v, want one saying %q", v, eng, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestExactCriticalPathOfEachEngine: a traced run of either engine yields
+// the one critical-path attribution a report carries — anchored at the
+// run's wall time, built from well-formed flows only, and blamed completely
+// (the categories tile finish − unexplained).
+func TestExactCriticalPathOfEachEngine(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+		cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := cluster.Trace()
+		db, err := cluster.FormatDB("nr", seqs, "api nr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.PrepareFragments("nr", 3); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cluster.Run(eng, parblast.Search{DB: db, Queries: queries, Output: "out"})
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		p := report.ExactCriticalPath(col)
+		if p == nil {
+			t.Fatalf("%v: traced run has no exact critical path", eng)
+		}
+		if p.Finish != res.Wall {
+			t.Errorf("%v: path finishes at %g, run at %g", eng, p.Finish, res.Wall)
+		}
+		if got, want := p.Blame.Total(), p.Finish-p.Unexplained; got <= 0 || math.Abs(got-want) > 1e-9 {
+			t.Errorf("%v: blame %g does not tile finish %g − unexplained %g", eng, got, p.Finish, p.Unexplained)
+		}
+		if p.Hops == 0 || p.DroppedFlows != 0 {
+			t.Errorf("%v: %d cross-rank hops, %d malformed flows", eng, p.Hops, p.DroppedFlows)
 		}
 	}
 }

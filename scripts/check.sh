@@ -55,6 +55,9 @@ go run ./cmd/parblastlint ./internal/core
 # and sits near go test's default 10m per-package limit under -race;
 # give it explicit headroom rather than flaking on loaded machines.
 go test -race -timeout 20m ./...
+# The scheduler hands one token between rank goroutines: repeat its package
+# so a handoff that only sometimes races shows.
+go test -race -count=10 ./internal/mpi
 # No goroutine outlives a run: the dynamic half of the godisc site list,
 # repeated so a straggler that only sometimes outlives its run shows.
 go test -race -count=3 -run TestNoGoroutineOutlivesARun .
@@ -71,8 +74,12 @@ go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
 go test -run=- -bench='SearchFragment|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
 go run ./examples/quickstart >/dev/null
 
-# Telemetry smoke: a tiny end-to-end run must produce a parseable run
-# report (metrics from all five layers) and a loadable Chrome trace.
+# Telemetry smoke: a tiny end-to-end run with no telemetry flag but -report
+# and -trace-out must produce a parseable run report (metrics from all five
+# layers, the exact critical path with its blame tiling it, the per-query
+# percentile block) and a loadable Chrome trace with balanced flow-event
+# pairs; a repeated run reproduces the latency block byte for byte (the
+# determinism gate).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/makedb -o "$tmp/db.fasta" -seqs 60 -meanlen 120 -seed 7
@@ -80,7 +87,11 @@ go run ./cmd/makedb -o "$tmp/q.fasta" -seqs 6 -meanlen 80 -seed 3 -prefix qry
 go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -engine pio -procs 4 -out "$tmp/results.txt" \
     -report "$tmp/run.json" -trace-out "$tmp/trace.json" >/dev/null
-go run ./scripts/validatereport -run "$tmp/run.json" -trace "$tmp/trace.json"
+go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine pio -procs 4 -out "$tmp/results2.txt" \
+    -report "$tmp/run2.json" >/dev/null
+go run ./scripts/validatereport -run "$tmp/run.json" -trace "$tmp/trace.json" \
+    -latency -latency-second "$tmp/run2.json"
 # An illegal option is rejected with its reason, not run: a negative thread
 # count used to mean GOMAXPROCS silently.
 if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
@@ -89,19 +100,6 @@ if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     exit 1
 fi
 grep -q 'SearchThreads=-1 must not be negative' "$tmp/rejected.err"
-
-# Latency/flow smoke: with -trace-flows the report carries the per-query
-# percentile block and the exact critical path, the Chrome trace carries
-# balanced flow-event pairs, and a repeated run reproduces the latency
-# block byte for byte (the determinism gate).
-go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
-    -engine pio -procs 4 -batch 2 -out "$tmp/results_lat.txt" -trace-flows \
-    -report "$tmp/lat1.json" -trace-out "$tmp/flows.json" >/dev/null
-go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
-    -engine pio -procs 4 -batch 2 -out "$tmp/results_lat2.txt" -trace-flows \
-    -report "$tmp/lat2.json" >/dev/null
-go run ./scripts/validatereport -run "$tmp/lat1.json" -trace "$tmp/flows.json" \
-    -latency -latency-second "$tmp/lat2.json"
 
 # Read-path smoke: the collective-read / prefetch experiment row must run
 # end to end on a scaled-down workload.
@@ -127,6 +125,16 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -engine mpi -procs 4 -serve -arrival-rate 2 -arrival-seed 9 \
     -out "$tmp/served_mpi.txt" >/dev/null
 cmp "$tmp/results_mpi.txt" "$tmp/served_mpi.txt"
+
+# Pre-formatted database smoke: a database formatted under a name of the
+# user's choosing runs on both engines (mpiBLAST used to fragment the literal
+# name "db" whatever -dbname said) and each writes a non-empty report.
+go run ./cmd/formatdb -in "$tmp/db.fasta" -db nr -outdir "$tmp/nr" >/dev/null
+for eng in pio mpi; do
+    go run ./cmd/parblast -dbdir "$tmp/nr" -dbname nr -query "$tmp/q.fasta" \
+        -engine "$eng" -procs 4 -out "$tmp/results_nr_$eng.txt" >/dev/null
+    test -s "$tmp/results_nr_$eng.txt"
+done
 
 # SLA smoke: the serving sweep (both engines, rate/batch/shed) must run end
 # to end on a scaled-down workload — every row byte-identity-gated inside

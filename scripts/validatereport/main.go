@@ -2,7 +2,8 @@
 // a run report produced by `parblast -report` and (optionally) a Chrome
 // trace produced by `-trace-out`, and fails loudly when either is not the
 // document the tooling expects — wrong kind/version, missing metrics
-// layers, or a trace Perfetto would refuse.
+// layers, an exact critical path whose blame does not tile it, or a trace
+// Perfetto would refuse.
 //
 // Usage:
 //
@@ -56,8 +57,15 @@ func validateRun(path string) report.Run {
 	if r.Summary.Wall <= 0 {
 		fail("%s: wall time %g is not positive", path, r.Summary.Wall)
 	}
-	if len(r.Ranks) == 0 || r.CriticalPath == nil {
-		fail("%s: missing per-rank breakdown or critical-path attribution", path)
+	p := r.ExactPath
+	if len(r.Ranks) == 0 || p == nil {
+		fail("%s: missing per-rank breakdown or exact_critical_path", path)
+	}
+	if p.Finish <= 0 {
+		fail("%s: exact_critical_path finish %g is not positive", path, p.Finish)
+	}
+	if got, want := p.Blame.Total(), p.Finish-p.Unexplained; math.Abs(got-want) > 1e-6 {
+		fail("%s: exact_critical_path blame does not tile the path: total=%g want=%g", path, got, want)
 	}
 	for _, layer := range []string{"mpi.", "vfs.", "mpiio.", "blast.", "engine."} {
 		if !r.Metrics.HasPrefix(layer) {
@@ -91,15 +99,6 @@ func validateLatency(path string, r report.Run) {
 	if !(ls.P50 <= ls.P95 && ls.P95 <= ls.P99 && ls.P99 <= ls.Max) {
 		fail("%s: query_latency percentiles not monotone: p50=%g p95=%g p99=%g max=%g",
 			path, ls.P50, ls.P95, ls.P99, ls.Max)
-	}
-	if r.ExactPath != nil {
-		p := r.ExactPath
-		if p.Finish <= 0 {
-			fail("%s: exact_critical_path finish %g is not positive", path, p.Finish)
-		}
-		if got, want := p.Blame.Total(), p.Finish-p.Unexplained; math.Abs(got-want) > 1e-6 {
-			fail("%s: exact_critical_path blame does not tile the path: total=%g want=%g", path, got, want)
-		}
 	}
 	fmt.Printf("%s: latency ok (n=%d p50=%.3fs p95=%.3fs p99=%.3fs max=%.3fs)\n",
 		path, ls.Count, ls.P50, ls.P95, ls.P99, ls.Max)
