@@ -45,7 +45,7 @@ func main() {
 	batch := flag.Int("batch", 0, "pioBLAST: queries per collective write (§5 query batching)")
 	treeMerge := flag.Bool("tree-merge", false, "hierarchical tree merge of result metadata (both engines): group pre-merges on worker clocks, one bundle per subtree to the master")
 	mergeFanout := flag.Int("merge-fanout", 0, "tree-merge fan-out (children per node, ≥2; 0 = default 4)")
-	memBudget := flag.Int64("membudget", 0, "pioBLAST: adaptive batching memory budget in bytes (§5)")
+	memBudget := flag.Int64("membudget", 0, "pioBLAST: adaptive batching memory budget in bytes (§5); not together with -batch N>1")
 	searchThreads := flag.Int("search-threads", 0, "intra-rank search worker goroutines (0 = GOMAXPROCS, 1 = sequential, negative is rejected); output is identical for every value")
 	timeline := flag.Bool("timeline", false, "print a per-rank phase timeline after the run")
 	ioStrategy := flag.String("io-strategy", "", "pioBLAST: collective-read strategy: two-phase, list-io, or independent (default two-phase)")

@@ -45,7 +45,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -107,7 +106,8 @@ type Options struct {
 	// "adjust to the amount of available memory"): after the search phase
 	// the ranks exchange per-query cached-output volumes and every rank
 	// derives the same batch boundaries, packing as many queries per
-	// collective write as fit the budget. Overrides QueryBatch.
+	// collective write as fit the budget. Set it or QueryBatch > 1, not
+	// both: two rules for one boundary are rejected.
 	MemoryBudgetBytes int64
 	// FaultTolerant enables the worker-failure recovery protocol: a
 	// ready/go rendezvous after the search phase in which the master
@@ -470,27 +470,26 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	if err != nil {
 		return masterPlan{}, err
 	}
-	if opts.QueryBatch < 0 {
-		return masterPlan{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
-	}
-	if opts.PrefetchDepth < 0 {
-		return masterPlan{}, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
-	}
 	if err := opts.IOHints.Validate(); err != nil {
 		return masterPlan{}, err
 	}
-	if opts.CollectiveRead && opts.DynamicAssignment {
+	switch {
+	case opts.QueryBatch < 0:
+		return masterPlan{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+	case opts.PrefetchDepth < 0:
+		return masterPlan{}, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
+	case opts.MemoryBudgetBytes < 0:
+		return masterPlan{}, fmt.Errorf("core: negative memory budget %d", opts.MemoryBudgetBytes)
+	case opts.MemoryBudgetBytes > 0 && opts.QueryBatch > 1:
+		return masterPlan{}, fmt.Errorf("core: memory budget %d and query batch %d both set the batch boundaries; choose one", opts.MemoryBudgetBytes, opts.QueryBatch)
+	case opts.CollectiveRead && opts.DynamicAssignment:
 		return masterPlan{}, fmt.Errorf("core: collective read requires static assignment (the partition→worker map must be known before the read)")
-	}
-	if serve {
-		switch {
-		case opts.DynamicAssignment:
-			return masterPlan{}, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
-		case opts.MemoryBudgetBytes > 0:
-			return masterPlan{}, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
-		case opts.QueryBatch > 1:
-			return masterPlan{}, fmt.Errorf("core: serve mode does not support query batch %d (batch boundaries come from the arrival stream)", opts.QueryBatch)
-		}
+	case serve && opts.DynamicAssignment:
+		return masterPlan{}, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
+	case serve && opts.MemoryBudgetBytes > 0:
+		return masterPlan{}, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
+	case serve && opts.QueryBatch > 1:
+		return masterPlan{}, fmt.Errorf("core: serve mode does not support query batch %d (batch boundaries come from the arrival stream)", opts.QueryBatch)
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
@@ -972,19 +971,12 @@ func (mb *masterBatch) syncWorkers(pending []int) error {
 	for {
 		var survivors []int
 		for _, w := range mb.alive {
-			for {
-				_, _, _, err := r.RecvTimeout(w, tagReady, r.Cost().FaultDetectInterval())
-				if err == nil {
-					survivors = append(survivors, w)
-					break
-				}
-				if errors.Is(err, mpi.ErrRankFailed) {
-					pending = append(pending, mb.partsOf[w]...)
-					mb.partsOf[w] = nil
-					break
-				}
-				// Timed out: the worker is alive but still searching.
+			if _, err := r.RecvCrashAware(w, tagReady); err != nil {
+				pending = append(pending, mb.partsOf[w]...)
+				mb.partsOf[w] = nil
+				continue
 			}
+			survivors = append(survivors, w)
 		}
 		mb.alive = survivors
 		if len(mb.alive) == 0 {

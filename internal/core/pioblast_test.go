@@ -343,6 +343,9 @@ func TestOptionPlan(t *testing.T) {
 		{"negative query batch", core.Options{QueryBatch: -1}, nil, "negative query batch"},
 		{"negative prefetch depth", core.Options{PrefetchDepth: -1}, nil, "negative prefetch depth"},
 		{"collective read with dynamic assignment", core.Options{CollectiveRead: true, DynamicAssignment: true}, nil, "collective read requires static assignment"},
+		{"negative memory budget", core.Options{MemoryBudgetBytes: -1}, nil, "negative memory budget"},
+		{"memory budget with query batch", core.Options{MemoryBudgetBytes: 64 << 10, QueryBatch: 4}, nil, "both set the batch boundaries"},
+		{"negative merge fan-out without tree merge", core.Options{MergeFanout: -1}, nil, "negative merge fan-out"},
 		{"config speeds alone", core.Options{}, slow, ""},
 		{"homogeneous", core.Options{}, nil, ""},
 	}

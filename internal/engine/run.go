@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 
 	"parblast/internal/blast"
@@ -49,6 +48,9 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
 			return Boot{}, fmt.Errorf("%s: cannot inject a crash into rank 0 (the master)", pkg)
 		}
+	}
+	if mergeFanout < 0 {
+		return Boot{}, fmt.Errorf("%s: negative merge fan-out %d", pkg, mergeFanout)
 	}
 	b := Boot{FT: len(cfg.Faults) > 0, Fanout: mergeFanout}
 	if b.Fanout == 0 {
@@ -107,16 +109,11 @@ func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int, ft bool) ([]byte, erro
 		data, _, _ := r.Recv(w, tag)
 		return data, nil
 	}
-	for {
-		data, _, _, err := r.RecvTimeout(w, tag, r.Cost().FaultDetectInterval())
-		if err == nil {
-			return data, nil
-		}
-		if errors.Is(err, mpi.ErrRankFailed) {
-			return nil, fmt.Errorf("%s: worker %d crashed during the output phase; recovery only covers the search phase: %w", pkg, w, err)
-		}
-		// Timed out: the worker is alive but busy; poll again.
+	data, err := r.RecvCrashAware(w, tag)
+	if err != nil {
+		return nil, fmt.Errorf("%s: worker %d crashed during the output phase; recovery only covers the search phase: %w", pkg, w, err)
 	}
+	return data, nil
 }
 
 // WorkerRanks lists the worker ranks 1..workers — everyone alive, before

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"parblast/internal/blast"
 	"parblast/internal/mpi"
@@ -135,6 +136,9 @@ func (s *Stream) Validate(pkg string, nQueries int) error {
 	for _, b := range s.Batches {
 		if b.First != next || len(b.Queries) == 0 {
 			return fmt.Errorf("%s: batch %d is not a contiguous in-order partition of the query set", pkg, b.Seq)
+		}
+		if math.IsNaN(b.Arrival) || math.IsInf(b.Arrival, 0) {
+			return fmt.Errorf("%s: batch %d has non-finite arrival %g", pkg, b.Seq, b.Arrival)
 		}
 		if b.Arrival < prevArrival {
 			return fmt.Errorf("%s: batch %d arrives before its predecessor", pkg, b.Seq)

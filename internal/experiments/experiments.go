@@ -3,6 +3,7 @@
 // (Figure 1a/1b), the Table 1 phase breakdown, the query→output size map
 // (Table 2), the Altix scalability studies (Figure 3a/3b), the NFS-cluster
 // study (Figure 4), and the design-choice ablations DESIGN.md calls out.
+// Specs (catalogue.go) is the one list of them and of this repo's extensions.
 //
 // The workload is the paper's, scaled to laptop size: a redundant
 // ("family"-structured) protein database standing in for GenBank nr, and
@@ -24,6 +25,7 @@ import (
 	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
+	"parblast/internal/report"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
@@ -43,6 +45,9 @@ type Lab struct {
 	Cost simtime.CostModel
 	// Options configures the kernel.
 	Options blast.Options
+	// MergeRanks lists the rank counts of the mergescale sweep
+	// (nil = MergeScaleRanks).
+	MergeRanks []int
 }
 
 // DefaultLab returns the standard scaled workload: ~180 K residues of
@@ -172,8 +177,13 @@ func (r *rig) output() ([]byte, error) {
 	return r.nodes[0].Shared.ReadFile(r.job.OutputPath)
 }
 
-// runSpec is one engine execution.
+// runSpec is one engine execution: a point of the option space, as a value.
+// An experiment is the list of them it sweeps.
 type runSpec struct {
+	// variant names the design choice this run measures. It labels the
+	// row, in the engine column too; the paper's figures leave it empty
+	// and their rows carry the experiment's label and the engine's name.
+	variant     string
 	lab         *Lab
 	plat        platform
 	engineName  string // "mpi" or "pio"
@@ -194,6 +204,18 @@ type Row struct {
 	QueryBytes  int
 	OutputBytes int64
 	Result      engine.RunResult
+}
+
+// SuiteRow flattens the row into the suite artifact's row shape.
+func (r Row) SuiteRow() report.SuiteRow {
+	return report.SuiteRow{
+		Label:      r.Label,
+		Engine:     r.Engine,
+		Procs:      r.Procs,
+		Fragments:  r.Fragments,
+		QueryBytes: r.QueryBytes,
+		Summary:    report.SummaryOf(r.Result),
+	}
 }
 
 // execute runs one spec on a fresh cluster.
@@ -222,6 +244,58 @@ func execute(spec runSpec) (Row, error) {
 	return row, nil
 }
 
+// sweep executes the runs in order, each on a fresh cluster, and labels the
+// rows: with label, or with the run's variant name where it has one.
+func sweep(label string, runs []runSpec) ([]Row, error) {
+	rows := make([]Row, 0, len(runs))
+	for _, spec := range runs {
+		row, err := execute(spec)
+		row.Label = label
+		if spec.variant != "" {
+			row.Label, row.Engine = spec.variant, spec.variant
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s %s p=%d frags=%d q=%d: %w", label, row.Engine,
+				spec.procs, spec.fragments, spec.queryBytes, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// grid lists the runs on plat at every point of procs × fragments ×
+// queryBytes × engines, engines innermost: the shape of every table and
+// figure of §4.
+func grid(lab *Lab, plat platform, engines []string, procs, fragments, queryBytes []int) []runSpec {
+	var runs []runSpec
+	for _, p := range procs {
+		for _, f := range fragments {
+			for _, qb := range queryBytes {
+				for _, eng := range engines {
+					runs = append(runs, runSpec{
+						lab: lab, plat: plat, engineName: eng,
+						procs: p, fragments: f, queryBytes: qb,
+					})
+				}
+			}
+		}
+	}
+	return runs
+}
+
+// The axes the paper's experiments share: which engines run, natural
+// partitioning (one fragment per worker), and the default "150 KB" query set.
+var (
+	mpiOnly     = []string{"mpi"}
+	pioOnly     = []string{"pio"}
+	bothEngines = []string{"mpi", "pio"}
+	natural     = []int{0}
+)
+
+// defaultQueries is the query-volume axis of an experiment that does not
+// vary it.
+func (l *Lab) defaultQueries() []int { return l.QuerySizes[2:3] }
+
 // --- Figure 1(a): mpiBLAST search vs non-search time by process count ----
 
 // Fig1a reproduces the paper's Figure 1(a): the distribution of mpiBLAST
@@ -235,134 +309,44 @@ func Fig1a(lab *Lab) ([]Row, error) {
 	ntLab.DB.NumSeqs = 1800
 	ntLab.DB.FamilySize = 3
 	ntLab.DB.IDPrefix = "nt"
-	var rows []Row
-	for _, p := range []int{16, 32, 64} {
-		row, err := execute(runSpec{
-			lab: &ntLab, plat: altix(), engineName: "mpi",
-			procs: p, queryBytes: lab.QuerySizes[2],
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig1a p=%d: %w", p, err)
-		}
-		row.Label = "fig1a"
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("fig1a", grid(&ntLab, altix(), mpiOnly, []int{16, 32, 64}, natural, lab.defaultQueries()))
 }
 
 // Fig1b reproduces Figure 1(b): mpiBLAST's sensitivity to the number of
 // pre-generated fragments at 32 processes (paper: 31/61/96/167 fragments;
 // both search and non-search time rise with fragment count).
 func Fig1b(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, f := range []int{31, 61, 96, 167} {
-		row, err := execute(runSpec{
-			lab: lab, plat: altix(), engineName: "mpi",
-			procs: 32, fragments: f, queryBytes: lab.QuerySizes[2],
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig1b f=%d: %w", f, err)
-		}
-		row.Label = "fig1b"
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("fig1b", grid(lab, altix(), mpiOnly, []int{32}, []int{31, 61, 96, 167}, lab.defaultQueries()))
 }
 
 // Table1 reproduces the phase breakdown of both engines at 32 processes
 // with the "150 KB" query set and natural partitioning.
 func Table1(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, eng := range []string{"mpi", "pio"} {
-		row, err := execute(runSpec{
-			lab: lab, plat: altix(), engineName: eng,
-			procs: 32, queryBytes: lab.QuerySizes[2],
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", eng, err)
-		}
-		row.Label = "table1"
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("table1", grid(lab, altix(), bothEngines, []int{32}, natural, lab.defaultQueries()))
 }
 
 // Table2 reproduces the query-size → output-size map by running the
 // pipeline for each query set (the paper reports 26K→11M … 289K→153M).
 func Table2(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, qb := range lab.QuerySizes {
-		row, err := execute(runSpec{
-			lab: lab, plat: altix(), engineName: "pio",
-			procs: 8, queryBytes: qb,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table2 q=%d: %w", qb, err)
-		}
-		row.Label = "table2"
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("table2", grid(lab, altix(), pioOnly, []int{8}, natural, lab.QuerySizes[:]))
 }
 
 // Fig3a reproduces Figure 3(a): node scalability of both engines on the
 // Altix, 4 → 62 processes.
 func Fig3a(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, p := range []int{4, 8, 16, 32, 62} {
-		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
-				lab: lab, plat: altix(), engineName: eng,
-				procs: p, queryBytes: lab.QuerySizes[2],
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig3a %s p=%d: %w", eng, p, err)
-			}
-			row.Label = "fig3a"
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return sweep("fig3a", grid(lab, altix(), bothEngines, []int{4, 8, 16, 32, 62}, natural, lab.defaultQueries()))
 }
 
 // Fig3b reproduces Figure 3(b): output scalability at 62 processes across
 // the four query/output sizes.
 func Fig3b(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, qb := range lab.QuerySizes {
-		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
-				lab: lab, plat: altix(), engineName: eng,
-				procs: 62, queryBytes: qb,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig3b %s q=%d: %w", eng, qb, err)
-			}
-			row.Label = "fig3b"
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return sweep("fig3b", grid(lab, altix(), bothEngines, []int{62}, natural, lab.QuerySizes[:]))
 }
 
 // Fig4 reproduces Figure 4: the same process-scalability study on the
 // NFS-based blade cluster, 4 → 32 processes.
 func Fig4(lab *Lab) ([]Row, error) {
-	var rows []Row
-	for _, p := range []int{4, 8, 16, 32} {
-		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
-				lab: lab, plat: blade(), engineName: eng,
-				procs: p, queryBytes: lab.QuerySizes[2],
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig4 %s p=%d: %w", eng, p, err)
-			}
-			row.Label = "fig4"
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return sweep("fig4", grid(lab, blade(), bothEngines, []int{4, 8, 16, 32}, natural, lab.defaultQueries()))
 }
 
 // Ablations measures the design choices DESIGN.md calls out:
@@ -372,56 +356,40 @@ func Fig4(lab *Lab) ([]Row, error) {
 //     help when workers hold more candidates than can qualify globally);
 //   - virtual-partition granularity (the §5 load-balancing trade-off).
 func Ablations(lab *Lab) ([]Row, error) {
-	var rows []Row
-	type variant struct {
-		name  string
-		plat  platform
-		frag  int
-		pio   core.Options
-		opts  func(*blast.Options)
-		mpi   bool
-		fetch int
+	cap10 := *lab
+	cap10.Options.MaxTargetSeqs = 10
+	runs := []runSpec{
+		{variant: "pio-collective"},
+		{variant: "pio-independent", pio: core.Options{IndependentOutput: true}},
+		{variant: "pio-coll-nfs", plat: blade()},
+		{variant: "pio-indep-nfs", plat: blade(), pio: core.Options{IndependentOutput: true}},
+		{variant: "pio-cap10", lab: &cap10},
+		{variant: "pio-cap10-prune", lab: &cap10, pio: core.Options{EarlyPrune: true}},
+		{variant: "pio-batch4", pio: core.Options{QueryBatch: 4}},
+		{variant: "pio-batch16", pio: core.Options{QueryBatch: 16}},
+		{variant: "pio-adaptive64K", pio: core.Options{MemoryBudgetBytes: 64 << 10}},
+		{variant: "pio-frag62", fragments: 62},
+		{variant: "pio-frag124", fragments: 124},
+		{variant: "pio-frag248", fragments: 248},
+		{variant: "pio-frag124-dyn", fragments: 124, pio: core.Options{DynamicAssignment: true}},
+		{variant: "mpi-serial-fetch", engineName: "mpi", fetchWindow: 1},
+		{variant: "mpi-fetch-win16", engineName: "mpi", fetchWindow: 16},
 	}
-	variants := []variant{
-		{name: "pio-collective", plat: altix()},
-		{name: "pio-independent", plat: altix(), pio: core.Options{IndependentOutput: true}},
-		{name: "pio-coll-nfs", plat: blade()},
-		{name: "pio-indep-nfs", plat: blade(), pio: core.Options{IndependentOutput: true}},
-		{name: "pio-cap10", plat: altix(), opts: func(o *blast.Options) { o.MaxTargetSeqs = 10 }},
-		{name: "pio-cap10-prune", plat: altix(), pio: core.Options{EarlyPrune: true},
-			opts: func(o *blast.Options) { o.MaxTargetSeqs = 10 }},
-		{name: "pio-batch4", plat: altix(), pio: core.Options{QueryBatch: 4}},
-		{name: "pio-batch16", plat: altix(), pio: core.Options{QueryBatch: 16}},
-		{name: "pio-adaptive64K", plat: altix(), pio: core.Options{MemoryBudgetBytes: 64 << 10}},
-		{name: "pio-frag62", plat: altix(), frag: 62},
-		{name: "pio-frag124", plat: altix(), frag: 124},
-		{name: "pio-frag248", plat: altix(), frag: 248},
-		{name: "pio-frag124-dyn", plat: altix(), frag: 124, pio: core.Options{DynamicAssignment: true}},
-		{name: "mpi-serial-fetch", plat: altix(), mpi: true, fetch: 1},
-		{name: "mpi-fetch-win16", plat: altix(), mpi: true, fetch: 16},
+	// What a variant leaves unsaid is the Table 1 configuration of pioBLAST.
+	for i := range runs {
+		r := &runs[i]
+		r.procs, r.queryBytes = 32, lab.QuerySizes[2]
+		if r.lab == nil {
+			r.lab = lab
+		}
+		if r.plat.name == "" {
+			r.plat = altix()
+		}
+		if r.engineName == "" {
+			r.engineName = "pio"
+		}
 	}
-	for _, v := range variants {
-		vlab := *lab
-		if v.opts != nil {
-			v.opts(&vlab.Options)
-		}
-		eng := "pio"
-		if v.mpi {
-			eng = "mpi"
-		}
-		row, err := execute(runSpec{
-			lab: &vlab, plat: v.plat, engineName: eng,
-			procs: 32, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio,
-			fetchWindow: v.fetch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
-		}
-		row.Label = v.name
-		row.Engine = v.name
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("ablation", runs)
 }
 
 // ReadPath quantifies the input-stage redesign. The blade/NFS pair is the
@@ -435,34 +403,20 @@ func Ablations(lab *Lab) ([]Row, error) {
 // pipelines the greedy assignment protocol the same way.
 func ReadPath(lab *Lab) ([]Row, error) {
 	const procs = 8
-	frags := 8 * (procs - 1)
-	type variant struct {
-		name string
-		plat platform
-		pio  core.Options
+	runs := []runSpec{
+		{variant: "pio-indep-read", plat: blade()},
+		{variant: "pio-coll-read", plat: blade(), pio: core.Options{CollectiveRead: true}},
+		{variant: "pio-sync-read", plat: altix()},
+		{variant: "pio-prefetch2", plat: altix(), pio: core.Options{PrefetchDepth: 2}},
+		{variant: "pio-dyn", plat: altix(), pio: core.Options{DynamicAssignment: true}},
+		{variant: "pio-dyn-prefetch", plat: altix(), pio: core.Options{DynamicAssignment: true, PrefetchDepth: 1}},
 	}
-	variants := []variant{
-		{name: "pio-indep-read", plat: blade()},
-		{name: "pio-coll-read", plat: blade(), pio: core.Options{CollectiveRead: true}},
-		{name: "pio-sync-read", plat: altix()},
-		{name: "pio-prefetch2", plat: altix(), pio: core.Options{PrefetchDepth: 2}},
-		{name: "pio-dyn", plat: altix(), pio: core.Options{DynamicAssignment: true}},
-		{name: "pio-dyn-prefetch", plat: altix(), pio: core.Options{DynamicAssignment: true, PrefetchDepth: 1}},
+	for i := range runs {
+		r := &runs[i]
+		r.lab, r.engineName, r.queryBytes = lab, "pio", lab.QuerySizes[2]
+		r.procs, r.fragments = procs, 8*(procs-1)
 	}
-	var rows []Row
-	for _, v := range variants {
-		row, err := execute(runSpec{
-			lab: lab, plat: v.plat, engineName: "pio",
-			procs: procs, fragments: frags, queryBytes: lab.QuerySizes[2], pio: v.pio,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("readpath %s: %w", v.name, err)
-		}
-		row.Label = v.name
-		row.Engine = v.name
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("readpath", runs)
 }
 
 // Hetero measures the §5 load-balancing extension on a heterogeneous
@@ -478,29 +432,16 @@ func Hetero(lab *Lab) ([]Row, error) {
 	for i := procs - procs/4; i < procs; i++ {
 		speeds[i] = 3
 	}
-	type variant struct {
-		name string
-		frag int
-		pio  core.Options
+	runs := []runSpec{
+		{variant: "pio-static-hetero"},
+		{variant: "pio-dynamic-hetero", fragments: 2 * (procs - 1), pio: core.Options{DynamicAssignment: true}},
 	}
-	variants := []variant{
-		{name: "pio-static-hetero"},
-		{name: "pio-dynamic-hetero", frag: 2 * (procs - 1), pio: core.Options{DynamicAssignment: true}},
+	for i := range runs {
+		r := &runs[i]
+		r.lab, r.plat, r.engineName = lab, altix(), "pio"
+		r.procs, r.queryBytes, r.speeds = procs, lab.QuerySizes[2], speeds
 	}
-	var rows []Row
-	for _, v := range variants {
-		row, err := execute(runSpec{
-			lab: lab, plat: altix(), engineName: "pio",
-			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio, speeds: speeds,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("hetero %s: %w", v.name, err)
-		}
-		row.Label = v.name
-		row.Engine = v.name
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep("hetero", runs)
 }
 
 // FaultRow is one engine's fault-tolerance measurement: either a worker
@@ -516,6 +457,17 @@ type FaultRow struct {
 	// Result is the faulted run's full result; the vfs transient-fault
 	// stats (IOFaultedOps/IORetries/IOBackoff) surface through it.
 	Result engine.RunResult
+}
+
+// SuiteRow flattens the row into the suite artifact's row shape; the
+// faulted run's summary carries the I/O retry/backoff stats.
+func (r FaultRow) SuiteRow() report.SuiteRow {
+	return report.SuiteRow{
+		Label:   r.Engine,
+		Engine:  r.Engine,
+		Procs:   r.Procs,
+		Summary: report.SummaryOf(r.Result),
+	}
 }
 
 // faultQueryBytes is the query volume of the recovery scenario: small on
@@ -614,7 +566,7 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 	}
 
 	var rows []FaultRow
-	for _, eng := range []string{"mpi", "pio"} {
+	for _, eng := range bothEngines {
 		free, freeOut, err := lab.runFaultSpec(eng, procs, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s baseline: %w", eng, err)
@@ -667,10 +619,10 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 	return rows, nil
 }
 
-// PrintFaultRows renders the fault-tolerance comparison: worker crashes
-// and transient-I/O schedules, with the vfs retry/backoff stats surfaced.
+// PrintFaultRows renders the body of the fault-tolerance comparison: worker
+// crashes and transient-I/O schedules, with the vfs retry/backoff stats
+// surfaced.
 func PrintFaultRows(w io.Writer, rows []FaultRow) {
-	fmt.Fprintf(w, "\n== Fault tolerance: worker crash at mid-search + transient I/O errors ==\n")
 	fmt.Fprintf(w, "%-8s %5s %10s %10s %10s %10s %10s %9s %9s %9s\n",
 		"engine", "procs", "crashAt", "faultfree", "faulted", "overhead", "identical",
 		"ioFaults", "ioRetries", "backoff")
@@ -746,9 +698,8 @@ func PrepCost(lab *Lab) ([]PrepRow, error) {
 	return rows, nil
 }
 
-// PrintPrepRows renders the operational-overhead table.
+// PrintPrepRows renders the body of the operational-overhead table.
 func PrintPrepRows(w io.Writer, rows []PrepRow) {
-	fmt.Fprintf(w, "\n== Operational overhead (§3.1): pre-partitioning vs global files ==\n")
 	fmt.Fprintf(w, "%-18s %8s %7s %10s %s\n", "scheme", "workers", "files", "bytes", "re-run needed when workers grow?")
 	for _, r := range rows {
 		workers := "any"
@@ -765,10 +716,21 @@ func PrintPrepRows(w io.Writer, rows []PrepRow) {
 
 // --- printing ---------------------------------------------------------------
 
+// printTitle writes the header line every table starts with.
+func printTitle(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
+}
+
 // PrintRows renders rows as the paper-style table: one line per run with
 // the phase split, total, and search share.
 func PrintRows(w io.Writer, title string, rows []Row) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
+	printTitle(w, title)
+	printRowBody(w, rows)
+}
+
+// printRowBody is PrintRows below the title: what the catalogue prints under
+// the entry's own.
+func printRowBody(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "%-16s %5s %5s %8s | %8s %8s %8s %8s %8s | %8s %7s %10s %9s\n",
 		"engine", "procs", "frags", "queryB",
 		"copy", "input", "search", "output", "other", "total", "srch%", "outBytes", "commKB")
@@ -780,51 +742,4 @@ func PrintRows(w io.Writer, title string, rows []Row) {
 			r.Result.Wall, r.Result.SearchFraction()*100, r.OutputBytes,
 			float64(r.Result.CommBytes)/1024)
 	}
-}
-
-// Spec names one row-shaped experiment. The catalogue lives in Specs so
-// every consumer (All, cmd/benchsuite, suite artifacts) iterates the same
-// list in the same presentation order.
-type Spec struct {
-	Name  string
-	Title string
-	Run   func(*Lab) ([]Row, error)
-}
-
-// Specs returns the row-shaped experiment catalogue in presentation order.
-func Specs() []Spec {
-	return []Spec{
-		{"fig1a", "Figure 1(a): mpiBLAST time distribution", Fig1a},
-		{"fig1b", "Figure 1(b): fragment-count sensitivity (32 procs)", Fig1b},
-		{"table1", "Table 1: phase breakdown at 32 processes", Table1},
-		{"table2", "Table 2: query size vs output size", Table2},
-		{"fig3a", "Figure 3(a): node scalability (Altix/XFS)", Fig3a},
-		{"fig3b", "Figure 3(b): output scalability at 62 processes", Fig3b},
-		{"fig4", "Figure 4: node scalability (blade/NFS)", Fig4},
-		{"ablations", "Ablations: output mode, pruning, batching, granularity", Ablations},
-		{"readpath", "Read path: collective input reads + input/search overlap", ReadPath},
-		{"hetero", "Heterogeneous cluster: static vs dynamic partitioning", Hetero},
-	}
-}
-
-// All runs every experiment and prints them — the benchsuite entry point.
-func All(w io.Writer, lab *Lab) error {
-	for _, exp := range Specs() {
-		rows, err := exp.Run(lab)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.Title, err)
-		}
-		PrintRows(w, exp.Title, rows)
-	}
-	prep, err := PrepCost(lab)
-	if err != nil {
-		return fmt.Errorf("prep cost: %w", err)
-	}
-	PrintPrepRows(w, prep)
-	faults, err := Faults(lab)
-	if err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	PrintFaultRows(w, faults)
-	return nil
 }

@@ -6,8 +6,10 @@ import (
 	"io"
 	"sync"
 
+	"parblast/internal/engine"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiio"
+	"parblast/internal/report"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
 )
@@ -57,6 +59,18 @@ type IOTuneRow struct {
 	// Identical reports byte-identity against the requested views for
 	// every run of the cell — fixed, every exploration op, and tuned.
 	Identical bool
+}
+
+// SuiteRow flattens the cell into the suite artifact's row shape: the
+// tuned wall, labelled with the learned strategy.
+func (r IOTuneRow) SuiteRow() report.SuiteRow {
+	return report.SuiteRow{
+		Label:  fmt.Sprintf("%s/%s %s", r.Profile, r.Pattern, r.Strategy),
+		Engine: "iotune",
+		Summary: report.RunSummary{
+			Wall: r.TunedS,
+		},
+	}
 }
 
 // ioTuneViews builds the per-rank views, expected bytes, and file
@@ -140,13 +154,7 @@ func ioTuneRun(cost simtime.CostModel, prof vfs.Profile, pattern string, ops int
 	if verifyErr != nil {
 		return 0, verifyErr
 	}
-	var wall float64
-	for _, c := range clocks {
-		if c.Now() > wall {
-			wall = c.Now()
-		}
-	}
-	return wall, nil
+	return engine.Summarize(clocks, 0).Wall, nil
 }
 
 // IOTune runs the tuned-vs-fixed study and returns the rows plus the
@@ -243,9 +251,8 @@ func IOTune(lab *Lab) ([]IOTuneRow, *mpiio.HintsArtifact, error) {
 	return rows, artifact, nil
 }
 
-// PrintIOTuneRows renders the tuned-vs-fixed table.
+// PrintIOTuneRows renders the body of the tuned-vs-fixed table.
 func PrintIOTuneRows(w io.Writer, rows []IOTuneRow) {
-	fmt.Fprintf(w, "\n== I/O auto-tuning: learned hints vs fixed heuristics ==\n")
 	fmt.Fprintf(w, "%8s %8s %11s %11s %12s %10s %8s %10s\n",
 		"fs", "pattern", "fixed", "tuned", "strategy", "sieveGap", "speedup", "identical")
 	for _, r := range rows {

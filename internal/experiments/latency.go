@@ -34,30 +34,43 @@ type LatencyRow struct {
 	Path *report.ExactPath
 }
 
+// SuiteRow flattens the row into the suite artifact's row shape: the
+// percentile block rides the summary's query_latency field, and the
+// critical path's dominant blame labels the row.
+func (r LatencyRow) SuiteRow() report.SuiteRow {
+	label := r.Protocol
+	if r.Path != nil {
+		label = fmt.Sprintf("%s dominant=%s", r.Protocol, r.Path.Dominant)
+	}
+	return report.SuiteRow{
+		Label:  label,
+		Engine: r.Engine,
+		Procs:  r.Procs,
+		Summary: report.RunSummary{
+			Wall:         r.Wall,
+			QueryLatency: r.Latency,
+		},
+	}
+}
+
 // latencyProtocols is the protocol sweep: both engines, flat and
 // hierarchical merge.
-func latencyProtocols() []struct {
+var latencyProtocols = []struct {
 	name string
 	eng  string
 	tree bool
-} {
-	return []struct {
-		name string
-		eng  string
-		tree bool
-	}{
-		{"mpi-flat", "mpi", false},
-		{"mpi-tree", "mpi", true},
-		{"pio-flat", "pio", false},
-		{"pio-tree", "pio", true},
-	}
+}{
+	{"mpi-flat", "mpi", false},
+	{"mpi-tree", "mpi", true},
+	{"pio-flat", "pio", false},
+	{"pio-tree", "pio", true},
 }
 
 // Latency sweeps ranks × protocols with flow tracing enabled.
 func Latency(lab *Lab) ([]LatencyRow, error) {
 	var rows []LatencyRow
 	for _, procs := range []int{8, 16} {
-		for _, p := range latencyProtocols() {
+		for _, p := range latencyProtocols {
 			row, err := runLatencySpec(lab, p.eng, p.name, procs, p.tree)
 			if err != nil {
 				return nil, fmt.Errorf("latency %s p=%d: %w", p.name, procs, err)
@@ -96,10 +109,9 @@ func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyR
 	return row, nil
 }
 
-// PrintLatencyRows renders the latency sweep: the percentile table plus
-// the critical-path blame breakdown per run.
+// PrintLatencyRows renders the body of the latency sweep: the percentile
+// table plus the critical-path blame breakdown per run.
 func PrintLatencyRows(w io.Writer, rows []LatencyRow) {
-	fmt.Fprintf(w, "\n== Per-query latency and exact critical path (ranks × protocols) ==\n")
 	fmt.Fprintf(w, "%-10s %5s %5s | %8s %8s %8s %8s | %-14s %8s %8s %8s %8s %8s\n",
 		"protocol", "procs", "n",
 		"p50", "p95", "p99", "max",

@@ -8,6 +8,7 @@ import (
 
 	"parblast/internal/engine"
 	"parblast/internal/mpi"
+	"parblast/internal/report"
 	"parblast/internal/simtime"
 )
 
@@ -46,6 +47,24 @@ type MergeScaleRow struct {
 	// Identical reports whether the merged layout is byte-identical to
 	// the flat baseline's at the same rank count.
 	Identical bool
+}
+
+// SuiteRow flattens the row into the suite artifact's row shape: one row
+// per (ranks, fanout) cell, phase-free.
+func (r MergeScaleRow) SuiteRow() report.SuiteRow {
+	label := "flat"
+	if r.Fanout > 0 {
+		label = fmt.Sprintf("fanout=%d", r.Fanout)
+	}
+	return report.SuiteRow{
+		Label:  label,
+		Engine: "mergescale",
+		Procs:  r.Ranks,
+		Summary: report.RunSummary{
+			Wall:        r.WallS,
+			OutputBytes: r.OutputBytes,
+		},
+	}
 }
 
 // Synthetic workload shape. Hit counts vary per (worker, query) so the
@@ -188,16 +207,12 @@ func msRun(cost simtime.CostModel, ranks, fanout int) (layout []byte, mergeS, wa
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	for _, c := range clocks {
-		if c.Now() > wallS {
-			wallS = c.Now()
-		}
-	}
-	return layout, mergeS, wallS, nil
+	return layout, mergeS, engine.Summarize(clocks, 0).Wall, nil
 }
 
 // MergeScale sweeps rank count × merge fan-out. A nil rankCounts runs the
-// default sweep; check.sh passes a shrunk list for the smoke run.
+// default sweep; the catalogue passes Lab.MergeRanks, which check.sh shrinks
+// for the smoke run.
 func MergeScale(lab *Lab, rankCounts []int) ([]MergeScaleRow, error) {
 	if rankCounts == nil {
 		rankCounts = MergeScaleRanks
@@ -254,10 +269,9 @@ func MergeSpeedup(rows []MergeScaleRow) map[int]float64 {
 	return out
 }
 
-// PrintMergeScaleRows renders the scaling table with per-rank-count
-// speedup of the best tree fan-out over flat.
+// PrintMergeScaleRows renders the body of the scaling table with
+// per-rank-count speedup of the best tree fan-out over flat.
 func PrintMergeScaleRows(w io.Writer, rows []MergeScaleRow) {
-	fmt.Fprintf(w, "\n== Merge scalability: flat master-ingest vs hierarchical tree merge ==\n")
 	fmt.Fprintf(w, "%6s %8s %14s %10s %12s %10s %9s\n",
 		"ranks", "fanout", "masterMerge", "wall", "outBytes", "identical", "speedup")
 	speedup := MergeSpeedup(rows)

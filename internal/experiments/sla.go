@@ -47,51 +47,66 @@ type SLARow struct {
 	Result  engine.RunResult
 }
 
+// SuiteRow flattens the row into the suite artifact's row shape: the
+// percentile block rides the summary's query_latency field and the
+// admission accounting rides the dedicated sla block.
+func (r SLARow) SuiteRow() report.SuiteRow {
+	return report.SuiteRow{
+		Label:   r.Label,
+		Engine:  r.Engine,
+		Procs:   r.Procs,
+		Summary: report.SummaryOf(r.Result),
+		SLA: &report.SLAInfo{
+			Sweep:       r.Sweep,
+			ArrivalRate: r.Rate,
+			Burst:       r.Burst,
+			BatchMean:   r.BatchMean,
+			AdmitCap:    r.AdmitCap,
+			Arrivals:    r.Arrivals,
+			Admitted:    r.Admitted,
+			Shed:        r.Shed,
+			Saturated:   r.Shed > 0,
+		},
+	}
+}
+
 // slaProcs is the serving cluster size.
 const slaProcs = 6
 
 // SLA runs the serving-mode sweeps on both engines.
 func SLA(lab *Lab) ([]SLARow, error) {
-	var rows []SLARow
-	for _, eng := range []string{"mpi", "pio"} {
-		// Rate sweep: identical batch sequence, arrival clock compressed 10×
-		// per step. Seed and batch config MUST stay fixed across rates —
-		// that is what makes the p99 ordering deterministic.
-		for _, rate := range []float64{0.05, 0.5, 5, 50} {
-			row, err := runSLASpec(lab, eng, "rate", workload.ArrivalConfig{
-				Rate: rate, BatchMean: 2, Seed: 41,
-			}, 0)
-			if err != nil {
-				return nil, fmt.Errorf("sla %s rate=%g: %w", eng, rate, err)
-			}
-			rows = append(rows, row)
-		}
+	type stream struct {
+		sweep    string
+		acfg     workload.ArrivalConfig
+		admitCap int
+	}
+	var streams []stream
+	// Rate sweep: identical batch sequence, arrival clock compressed 10×
+	// per step. Seed and batch config MUST stay fixed across rates —
+	// that is what makes the p99 ordering deterministic.
+	for _, rate := range []float64{0.05, 0.5, 5, 50} {
+		streams = append(streams, stream{"rate", workload.ArrivalConfig{Rate: rate, BatchMean: 2, Seed: 41}, 0})
+	}
+	streams = append(streams,
 		// Batch-size sweep at the mid rate: per-query admission versus
 		// coarse geometric batches.
-		for _, bm := range []struct {
-			mean int
-			dist string
-		}{{1, workload.BatchFixed}, {4, workload.BatchGeometric}} {
-			row, err := runSLASpec(lab, eng, "batch", workload.ArrivalConfig{
-				Rate: 5, BatchMean: bm.mean, BatchDist: bm.dist, Seed: 41,
-			}, 0)
+		stream{"batch", workload.ArrivalConfig{Rate: 5, BatchMean: 1, BatchDist: workload.BatchFixed, Seed: 41}, 0},
+		stream{"batch", workload.ArrivalConfig{Rate: 5, BatchMean: 4, BatchDist: workload.BatchGeometric, Seed: 41}, 0},
+		// Saturation row: a tight admission queue under a bursty overload
+		// must shed deterministically.
+		stream{"shed", workload.ArrivalConfig{Rate: 50, Burst: 4, BatchMean: 2, Seed: 41}, 1})
+	var rows []SLARow
+	for _, eng := range bothEngines {
+		for _, s := range streams {
+			row, err := runSLASpec(lab, eng, s.sweep, s.acfg, s.admitCap)
 			if err != nil {
-				return nil, fmt.Errorf("sla %s batchmean=%d: %w", eng, bm.mean, err)
+				return nil, fmt.Errorf("sla %s %s rate=%g batchmean=%d: %w", eng, s.sweep, s.acfg.Rate, s.acfg.BatchMean, err)
+			}
+			if s.sweep == "shed" && row.Shed == 0 {
+				return nil, fmt.Errorf("sla %s shed: overload row shed nothing (rate %g, cap %d)", eng, s.acfg.Rate, s.admitCap)
 			}
 			rows = append(rows, row)
 		}
-		// Saturation row: a tight admission queue under a bursty overload
-		// must shed deterministically.
-		row, err := runSLASpec(lab, eng, "shed", workload.ArrivalConfig{
-			Rate: 50, Burst: 4, BatchMean: 2, Seed: 41,
-		}, 1)
-		if err != nil {
-			return nil, fmt.Errorf("sla %s shed: %w", eng, err)
-		}
-		if row.Shed == 0 {
-			return nil, fmt.Errorf("sla %s shed: overload row shed nothing (rate 50, cap 1)", eng)
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -160,9 +175,8 @@ func slaRun(lab *Lab, eng string, queries []*seq.Sequence, stream *engine.Stream
 	return res, stats, out, err
 }
 
-// PrintSLARows renders the serving-mode sweeps.
+// PrintSLARows renders the body of the serving-mode sweeps.
 func PrintSLARows(w io.Writer, rows []SLARow) {
-	fmt.Fprintf(w, "\n== Online serving: latency vs arrival rate (open-loop streams) ==\n")
 	fmt.Fprintf(w, "%-18s %-6s %8s %6s %4s | %5s %5s %4s | %8s %8s %8s %8s\n",
 		"label", "sweep", "rate", "bmean", "cap",
 		"arr", "adm", "shed",

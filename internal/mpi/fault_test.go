@@ -188,6 +188,49 @@ func TestRecvTimeoutFromCrashed(t *testing.T) {
 	}
 }
 
+// TestRecvCrashAware: the polling receive completes at exactly the clock a
+// blocking Recv of the same message completes at, however many detection
+// intervals pass first, and a source that is dead surfaces as ErrRankFailed
+// instead of the world-abort a plain Recv ends in.
+func TestRecvCrashAware(t *testing.T) {
+	cfg := Config{
+		Cost:   testCost(),
+		Faults: []Fault{{Rank: 2, At: 0.5, Kind: FaultCrash}},
+	}
+	world := func(recv func(r *Rank) ([]byte, error)) float64 {
+		var got float64
+		_, err := RunConfig(3, cfg, func(r *Rank) error {
+			switch r.ID() {
+			case 1:
+				r.Advance(0.9) // more than three detection intervals
+				r.Send(0, 9, []byte("late"))
+			case 2:
+				r.Advance(1)
+				r.Barrier() // dies here
+			case 0:
+				data, err := recv(r)
+				if err != nil || string(data) != "late" {
+					return fmt.Errorf("recv = %q, %v", data, err)
+				}
+				got = r.Clock().Now()
+				if _, err := r.RecvCrashAware(2, 9); !errors.Is(err, ErrRankFailed) {
+					return fmt.Errorf("dead source: err = %v, want ErrRankFailed", err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	blocking := world(func(r *Rank) ([]byte, error) { data, _, _ := r.Recv(1, 9); return data, nil })
+	polling := world(func(r *Rank) ([]byte, error) { return r.RecvCrashAware(1, 9) })
+	if polling != blocking || polling < 0.9 {
+		t.Fatalf("polling receive completed at %g, blocking at %g", polling, blocking)
+	}
+}
+
 // TestRecvFromCrashedAborts: a plain (deadline-free) Recv on a dead peer is
 // an unrecoverable stall; the abort must say WHO crashed, not "deadlock".
 func TestRecvFromCrashedAborts(t *testing.T) {

@@ -1108,6 +1108,24 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 	return nil, 0, 0, ErrTimeout
 }
 
+// RecvCrashAware is Recv from a named source that cannot deadlock on a dead
+// one: it polls RecvTimeout every FaultDetectInterval until the message
+// arrives or src is known to have crashed (ErrRankFailed, wrapped). A
+// message that arrives within any polling window still completes at exactly
+// its arrival time, so where no source dies the schedule is the blocking
+// receive's; callers decide when a crash is possible and what it means.
+//
+//lint:receives tag
+func (r *Rank) RecvCrashAware(src, tag int) ([]byte, error) {
+	for {
+		data, _, _, err := r.RecvTimeout(src, tag, r.world.cost.FaultDetectInterval())
+		if err == nil || errors.Is(err, ErrRankFailed) {
+			return data, err
+		}
+		// Timed out: the source is alive but not ready yet; poll again.
+	}
+}
+
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.
 // A single rank (or none) needs no tree and pays no latency.
 func logSteps(n int) float64 {

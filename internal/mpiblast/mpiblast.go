@@ -248,6 +248,9 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	if err != nil {
 		return masterPlan{}, err
 	}
+	if opts.FetchWindow < 0 {
+		return masterPlan{}, fmt.Errorf("mpiblast: negative fetch window %d", opts.FetchWindow)
+	}
 	if serve && boot.FT {
 		return masterPlan{}, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
 	}

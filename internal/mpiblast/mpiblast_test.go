@@ -95,6 +95,17 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 3); err != nil {
 		t.Fatal(err)
 	}
+	// Option values that used to be reinterpreted silently: a negative fetch
+	// window ran as the serial fetch, a negative fan-out rode along unused.
+	for want, opts := range map[string]mpiblast.Options{
+		"negative fetch window":  {FetchWindow: -1},
+		"negative merge fan-out": {MergeFanout: -1},
+	} {
+		cfg := mpi.Config{Cost: simtime.DefaultCostModel()}
+		if _, err := mpiblast.RunOpts(nodes, 4, cfg, job, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v", want, err)
+		}
+	}
 	for _, v := range []float64{math.NaN(), math.Inf(1)} {
 		for want, cfg := range map[string]mpi.Config{
 			"non-finite speed": {Speeds: []float64{1, v}},

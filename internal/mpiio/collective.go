@@ -5,11 +5,8 @@ package mpiio
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
-
-	"parblast/internal/mpi"
 )
 
 // le is the byte order of every int64 the shuffle puts on the wire: plan
@@ -213,7 +210,7 @@ func (f *File) splitView(p collPlan, fn func(a int, off, length int64)) {
 }
 
 // recvShuffle receives one shuffle-phase message. When the world schedules
-// faults it uses a crash-aware timeout loop so a dead peer surfaces as
+// faults it uses the crash-aware receive so a dead peer surfaces as
 // mpi.ErrRankFailed instead of a deadlock; a message that arrives within
 // any polling window still completes at exactly its arrival time, so the
 // fault-free schedule is unchanged.
@@ -223,17 +220,7 @@ func (f *File) recvShuffle(src, tag int) ([]byte, error) {
 		data, _, _ := r.Recv(src, tag)
 		return data, nil
 	}
-	timeout := r.Cost().FaultDetectInterval()
-	for {
-		data, _, _, err := r.RecvTimeout(src, tag, timeout)
-		if err == nil {
-			return data, nil
-		}
-		if errors.Is(err, mpi.ErrRankFailed) {
-			return nil, err
-		}
-		// Timed out: the peer is alive but not ready yet.
-	}
+	return r.RecvCrashAware(src, tag)
 }
 
 // aggSpan is a covered interval inside an aggregator's domain.

@@ -3,6 +3,7 @@ package parblast_test
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -371,6 +372,63 @@ func TestNonFiniteSpeedsRejected(t *testing.T) {
 				if _, err := cluster.Run(eng, s); err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("%g on %v: error %v, want one saying %q", v, eng, err, tc.want)
 				}
+			}
+		}
+	}
+}
+
+// TestReinterpretedInputRejected: values the engines used to accept and
+// quietly turn into something else are refused with a named error before a
+// rank starts. A NaN batch arrival served to the end with a NaN latency and
+// +Inf died inside a rank as a codec error; a negative memory budget meant
+// "off", a budget beside a query batch silently won, a negative merge
+// fan-out rode along unused, a negative fetch window ran as the serial fetch.
+func TestReinterpretedInputRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	engines := []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		batches, err := parblast.Arrivals(queries, parblast.ArrivalConfig{Rate: 5, BatchMean: 1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(batches) - 1
+		batches[last].Arrival = v
+		want := "batch " + strconv.Itoa(batches[last].Seq) + " has non-finite arrival"
+		for _, eng := range engines {
+			s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+			if _, _, err := cluster.Serve(eng, s, batches, 0); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("arrival %g on %v: error %v, want one saying %q", v, eng, err, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		want    string
+		engines []parblast.Engine
+		set     func(*parblast.Search)
+	}{
+		{"negative memory budget", engines[:1], func(s *parblast.Search) { s.Pio.MemoryBudgetBytes = -1 }},
+		{"both set the batch boundaries", engines[:1], func(s *parblast.Search) {
+			s.Pio.MemoryBudgetBytes, s.Pio.QueryBatch = 32<<10, 2
+		}},
+		{"negative merge fan-out", engines, func(s *parblast.Search) { s.Pio.MergeFanout, s.Mpi.MergeFanout = -1, -1 }},
+		{"negative fetch window", engines[1:], func(s *parblast.Search) { s.Mpi.FetchWindow = -1 }},
+	} {
+		for _, eng := range tc.engines {
+			s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+			tc.set(&s)
+			if _, err := cluster.Run(eng, s); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: error %v, want one saying %q", eng, err, tc.want)
 			}
 		}
 	}

@@ -101,6 +101,17 @@ if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
 fi
 grep -q 'SearchThreads=-1 must not be negative' "$tmp/rejected.err"
 
+# Catalogue smoke: an -exp name outside experiments.Specs() exits 2 and is
+# told the names the catalogue holds (built, not `go run`, which reports
+# every failure as 1), and prepcost — printed by "all" but unreachable by
+# name until the catalogue owned every name — runs alone.
+go build -o "$tmp/benchsuite" ./cmd/benchsuite
+status=0
+"$tmp/benchsuite" -exp nosuch 2>"$tmp/nosuch.err" || status=$?
+test "$status" -eq 2
+grep -q 'want all, fig1a, .*, prepcost, .*, sla)' "$tmp/nosuch.err"
+"$tmp/benchsuite" -exp prepcost -dbseqs 120 | grep -q '^== Operational overhead'
+
 # Read-path smoke: the collective-read / prefetch experiment row must run
 # end to end on a scaled-down workload.
 go run ./cmd/benchsuite -exp readpath -dbseqs 120 -querybytes 1500 >/dev/null
