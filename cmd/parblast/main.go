@@ -14,10 +14,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"parblast"
 	"parblast/internal/fasta"
@@ -83,6 +86,11 @@ func main() {
 		eng = parblast.EngineSequential
 	default:
 		fail(fmt.Errorf("unknown engine %q", *engineName))
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := ignoredFlag(set, *engineName, *treeMerge, *serve); err != nil {
+		fail(err)
 	}
 	var platform parblast.Platform
 	switch *platformName {
@@ -210,10 +218,9 @@ func main() {
 	search.Options.FilterLowComplexity = *filter
 	search.Options.SearchThreads = *searchThreads
 	if *crash != "" {
-		var rank int
-		var at float64
-		if _, err := fmt.Sscanf(*crash, "%d@%f", &rank, &at); err != nil {
-			fail(fmt.Errorf("bad -crash %q (want RANK@TIME, e.g. 3@0.2): %w", *crash, err))
+		rank, at, err := parseCrash(*crash)
+		if err != nil {
+			fail(err)
 		}
 		search.Faults = []parblast.Fault{{Rank: rank, At: at, Kind: parblast.FaultCrash}}
 	}
@@ -347,4 +354,63 @@ func main() {
 		fmt.Println()
 		collector.Render(os.Stdout, 100)
 	}
+}
+
+// Flags that only some engines or modes read. Setting one where nothing reads
+// it is an error, not a no-op: the run would otherwise report success for an
+// option it dropped.
+var (
+	pioOnlyFlags = []string{"early-prune", "independent-output", "dynamic", "collective-read",
+		"prefetch", "batch", "membudget", "io-strategy", "io-hints", "io-tune"}
+	parallelOnlyFlags = []string{"tree-merge", "merge-fanout", "crash", "fragments"}
+	serveOnlyFlags    = []string{"arrival-rate", "arrival-burst", "arrival-batch", "arrival-dist",
+		"arrival-seed", "admit-cap"}
+)
+
+// ignoredFlag names the first flag the user set (set is flag.Visit's set)
+// that the chosen engine or mode would silently ignore, and why.
+func ignoredFlag(set map[string]bool, engine string, treeMerge, serve bool) error {
+	first := func(names []string) string {
+		for _, n := range names {
+			if set[n] {
+				return n
+			}
+		}
+		return ""
+	}
+	if engine != "pio" {
+		if f := first(pioOnlyFlags); f != "" {
+			return fmt.Errorf("-%s is a pioBLAST option: -engine %s would ignore it", f, engine)
+		}
+	}
+	if engine == "seq" {
+		if f := first(parallelOnlyFlags); f != "" {
+			return fmt.Errorf("-%s needs a parallel engine: -engine seq is one process with nothing to partition, merge or crash", f)
+		}
+	}
+	if set["merge-fanout"] && !treeMerge {
+		return fmt.Errorf("-merge-fanout is the tree merge's fan-out: it needs -tree-merge")
+	}
+	if !serve {
+		if f := first(serveOnlyFlags); f != "" {
+			return fmt.Errorf("-%s is a serving-mode option: it needs -serve", f)
+		}
+	}
+	return nil
+}
+
+// parseCrash reads -crash's RANK@TIME and accepts nothing after the time.
+// Whether the pair is a legal fault (a worker rank, a finite time) is the
+// engine's call.
+func parseCrash(s string) (rank int, at float64, err error) {
+	rankText, atText, ok := strings.Cut(s, "@")
+	if !ok {
+		err = errors.New("no @")
+	} else if rank, err = strconv.Atoi(rankText); err == nil {
+		at, err = strconv.ParseFloat(atText, 64)
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad -crash %q (want RANK@TIME, e.g. 3@0.2): %w", s, err)
+	}
+	return rank, at, nil
 }

@@ -159,8 +159,8 @@ func (k FaultKind) String() string {
 type Fault struct {
 	// Rank is the victim.
 	Rank int
-	// At is the virtual time the fault takes effect. A crash fires at the
-	// victim's first MPI operation at or after At.
+	// At is the virtual time the fault takes effect: finite and >= 0. A
+	// crash fires at the victim's first MPI operation at or after At.
 	At float64
 	// Kind selects crash vs degrade.
 	Kind FaultKind
@@ -222,10 +222,9 @@ type Rank struct {
 	world        *World
 	clock        *simtime.Clock
 	degradeFired bool // this rank's degrade is already marked on the trace
-	// treeRound numbers this rank's tree-collective invocations per op tag,
-	// so the crash-aware protocol can drop stale retransmissions from
-	// earlier rounds. Only touched by the rank's own goroutine.
-	treeRound map[int]int64
+	// treeRound numbers this rank's tree reductions; the count is stamped on
+	// every bundle it sends. Only touched by the rank's own goroutine.
+	treeRound int64
 	// traceBatch is the rank's current query-batch trace context (-1 =
 	// none). Stamped on every outgoing envelope; adopted from incoming
 	// envelopes at delivery, so context propagates causally across ranks.
@@ -421,7 +420,8 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		if f.Rank < 0 || f.Rank >= n {
 			return nil, fmt.Errorf("mpi: fault targets invalid rank %d (world size %d)", f.Rank, n)
 		}
-		if f.At < 0 || math.IsNaN(f.At) {
+		// A time that can never come would still arm every recovery protocol.
+		if f.At < 0 || math.IsNaN(f.At) || math.IsInf(f.At, 0) {
 			return nil, fmt.Errorf("mpi: fault for rank %d has invalid time %g", f.Rank, f.At)
 		}
 		switch f.Kind {
@@ -1009,9 +1009,9 @@ func (r *Rank) Wait(h *IOHandle) {
 }
 
 // FaultsScheduled reports whether this world's configuration schedules any
-// faults. Protocols use it to choose between tight blocking receives
-// (exact timing) and crash-aware timeout loops (survivable, but each poll
-// rounds the wait up to the next timeout boundary).
+// faults. Protocols use it to choose between plain blocking receives, which
+// a dead sender would deadlock, and crash-aware ones (RecvCrashAware, the
+// flat collectives), which learn of a crash at the crash time.
 func (r *Rank) FaultsScheduled() bool { return len(r.world.config.Faults) > 0 }
 
 // Send transmits data to dst with the given tag. It is buffered and does

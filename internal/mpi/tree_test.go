@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"parblast/internal/metrics"
+	"parblast/internal/simtime"
 )
 
 func encI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
@@ -174,6 +177,166 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 	if fmt.Sprint(combined2, contributors2) != fmt.Sprint(combined, contributors) {
 		t.Fatalf("crash run not deterministic: %v/%v vs %v/%v", combined, contributors, combined2, contributors2)
 	}
+}
+
+// runWatched is RunConfig behind a host-time watchdog, so a fault schedule
+// that hangs the world fails its test by name. The runtime carries no such
+// timer.
+func runWatched(t *testing.T, n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, error) {
+	t.Helper()
+	type result struct {
+		clocks []*simtime.Clock
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		clocks, err := RunConfig(n, cfg, body)
+		done <- result{clocks, err}
+	}()
+	select {
+	case res := <-done:
+		return res.clocks, res.err
+	case <-time.After(time.Minute):
+		t.Fatalf("world of %d ranks still running after a minute", n)
+		return nil, nil
+	}
+}
+
+// TestTreeReduceUnderFaultSchedule is the contract of TreeReduce when any
+// fault is scheduled, whatever the tree would have looked like: the root
+// folds exactly the members that were alive when they made the call — a
+// zero-length payload included —, names exactly those as contributors, and a
+// crash of the root itself leaves every survivor returning empty-handed
+// instead of waiting. Every case runs twice and must repeat itself to the
+// last clock bit.
+func TestTreeReduceUnderFaultSchedule(t *testing.T) {
+	const width = 2
+	// Every third rank is alive with nothing to say.
+	payload := func(id int) []byte {
+		if id%3 == 1 {
+			return nil
+		}
+		return rankPayload(id, width)
+	}
+	combine := func(a, b []byte) []byte {
+		if len(a) == 0 {
+			return b
+		}
+		if len(b) == 0 {
+			return a
+		}
+		return sumCombine(a, b)
+	}
+	// Rank id computes for busy(id) before the call, so entry clocks differ.
+	busy := func(id int) float64 { return 1e-3 * float64(id+1) }
+	// Crash times relative to the victim's own schedule. The victim's first
+	// operation is its compute, its second the reduce, and after the reduce
+	// everybody idles past t=2 and meets in a barrier.
+	type when struct {
+		name        string
+		at          func(victim int) float64
+		aliveAtCall bool // the victim still makes its TreeReduce call
+	}
+	whens := []when{
+		{"at=0", func(int) float64 { return 0 }, false},
+		{"at=computed", func(v int) float64 { return busy(v) / 2 }, false},
+		{"at=reduced", func(int) float64 { return 1 }, true},
+	}
+
+	for _, n := range []int{2, 13, 64} {
+		for _, fanout := range []int{2, 3, 8} {
+			root := n / 3
+			topo := newTreeTopo(root, fanout, allRanks(n))
+			type victim struct {
+				kind string
+				rank int
+			}
+			victims := []victim{{"leaf", topo.members[n-1]}, {"root", root}}
+			if len(topo.children(1)) > 0 {
+				victims = append(victims, victim{"interior", topo.members[1]})
+			}
+			check := func(name string, faults []Fault, dead int) {
+				t.Run(fmt.Sprintf("n=%d/fanout=%d/%s", n, fanout, name), func(t *testing.T) {
+					var want []byte
+					var alive []int
+					for id := 0; id < n; id++ {
+						if id != dead {
+							alive = append(alive, id)
+							want = combine(want, payload(id))
+						}
+					}
+					run := func() string {
+						var fold []byte
+						var contributors []int
+						returned := make([]bool, n)
+						clocks, err := runWatched(t, n, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
+							r.Advance(busy(r.ID()))
+							out, contrib, err := r.TreeReduce(root, fanout, allRanks(n), payload(r.ID()), combine)
+							if err != nil {
+								return err
+							}
+							returned[r.ID()] = true
+							if r.ID() == root {
+								fold, contributors = out, contrib
+							} else if out != nil || contrib != nil {
+								return fmt.Errorf("non-root rank %d got a result", r.ID())
+							}
+							r.Advance(2)
+							r.Barrier()
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, id := range alive {
+							if !returned[id] {
+								t.Fatalf("rank %d was alive at the call and never returned from it", id)
+							}
+						}
+						if dead == root {
+							if fold != nil || contributors != nil {
+								t.Fatalf("dead root folded %v from %v", fold, contributors)
+							}
+						} else {
+							if !slices.Equal(contributors, alive) {
+								t.Fatalf("contributors = %v, want %v", contributors, alive)
+							}
+							if !bytes.Equal(fold, want) {
+								t.Fatalf("fold = %v, want %v", fold, want)
+							}
+						}
+						state := fmt.Sprint(fold, contributors)
+						for _, c := range clocks {
+							state += fmt.Sprintf(" %x", c.Now())
+						}
+						return state
+					}
+					if first, second := run(), run(); first != second {
+						t.Fatalf("two runs differ:\n%s\n%s", first, second)
+					}
+				})
+			}
+			// A schedule that kills nobody still selects the flat path.
+			check("nobody", []Fault{{Rank: n - 1, At: 0, Kind: FaultDegrade, Slow: 2}}, -1)
+			for _, v := range victims {
+				for _, w := range whens {
+					dead := v.rank
+					if w.aliveAtCall {
+						dead = -1
+					}
+					check(v.kind+"/"+w.name, []Fault{{Rank: v.rank, At: w.at(v.rank), Kind: FaultCrash}}, dead)
+				}
+			}
+		}
+	}
+}
+
+func allRanks(n int) []int {
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	return members
 }
 
 // TestCollectiveOpAccounting checks the per-op metric series (satellite:

@@ -137,6 +137,21 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -out "$tmp/served_mpi.txt" >/dev/null
 cmp "$tmp/results_mpi.txt" "$tmp/served_mpi.txt"
 
+# Fault smoke: a worker that is dead before it searches anything is recovered
+# from on both engines, under the flat merge and under the tree merge (whose
+# collectives go flat over the survivors once a fault is scheduled), and the
+# report is the fault-free one byte for byte.
+for eng in pio mpi; do
+    go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+        -engine "$eng" -procs 6 -out "$tmp/free_$eng.txt" >/dev/null
+    for tree in "" -tree-merge; do
+        go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+            -engine "$eng" -procs 6 $tree -crash 3@0 \
+            -out "$tmp/crash_$eng$tree.txt" >/dev/null
+        cmp "$tmp/free_$eng.txt" "$tmp/crash_$eng$tree.txt"
+    done
+done
+
 # Pre-formatted database smoke: a database formatted under a name of the
 # user's choosing runs on both engines (mpiBLAST used to fragment the literal
 # name "db" whatever -dbname said) and each writes a non-empty report.
