@@ -52,16 +52,25 @@ func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
 // QueryBank is one job's set of prepared queries, shared by every rank
 // goroutine of the run so that each distinct query is indexed once per job
 // instead of once per rank × fragment × query. Entries are keyed by residue
-// content, not by *seq.Sequence or ID: every rank decodes its own copies of
-// the broadcast queries, and two queries with equal residues share one index
-// while each context reports its own ID. Entries build lazily on first
-// request. A bank is safe for concurrent use and is never reused across
-// jobs.
+// content, not by *seq.Sequence or ID: the master and the workers hold
+// different copies of the query set, and two queries with equal residues
+// share one index while each context reports its own ID. Entries build
+// lazily on first request.
+//
+// The bank also owns the job's kernel scratch. A rank holds a Context — its
+// diagonal array, DP rows, traceback arena and pool clones — only while it is
+// inside the kernel, so the bank lends one for the duration of a search
+// (Lend, TakeBack) and a job keeps one per concurrent searcher, not one per
+// rank. Results own their bytes: nothing a search returns points into the
+// scratch.
+//
+// A bank is safe for concurrent use and is never reused across jobs.
 type QueryBank struct {
 	s *Searcher
 
 	mu      sync.Mutex
 	entries map[string]*bankEntry
+	idle    []*Context // lent out and taken back, no query loaded
 	stats   BankStats
 }
 
@@ -79,6 +88,8 @@ type BankStats struct {
 	Reuses      int64 // requests served from an existing entry
 	Entries     int   // entries held now
 	PeakEntries int   // most entries held at once
+	Contexts    int64 // scratch contexts created: the most ever lent at once
+	Lends       int64 // searches that borrowed one
 }
 
 // NewQueryBank creates the empty bank of one job searching with opts.
@@ -117,6 +128,31 @@ func (b *QueryBank) Get(q *seq.Sequence) (*PreparedQuery, error) {
 	b.mu.Unlock()
 	e.once.Do(e.build)
 	return e.p, e.err
+}
+
+// Lend hands out a scratch context of the bank's searcher with no query
+// loaded, creating one only when every existing one is out. The borrower
+// gives it back with TakeBack when its search returns or unwinds.
+func (b *QueryBank) Lend() *Context {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.stats.Lends++
+	if n := len(b.idle); n > 0 {
+		c := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		return c
+	}
+	b.stats.Contexts++
+	return b.s.NewContext()
+}
+
+// TakeBack ends a loan: the context is unloaded, so an idle one pins no
+// query and no released index, and becomes the next Lend's.
+func (b *QueryBank) TakeBack(c *Context) {
+	c.unload()
+	b.mu.Lock()
+	b.idle = append(b.idle, c)
+	b.mu.Unlock()
 }
 
 // Release drops the entries for the given queries: a serving run calls it

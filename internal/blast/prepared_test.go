@@ -176,3 +176,63 @@ func TestQueryBankRelease(t *testing.T) {
 		t.Fatalf("after rebuild: %+v, want 3 builds, 2 entries, peak 2", st)
 	}
 }
+
+// TestQueryBankLendsScratch: the bank creates a scratch context only when
+// every one it has is out, takes a context back unloaded — clones included,
+// so an idle one pins no query — and lends that same context next; loans from
+// many goroutines at once are safe.
+func TestQueryBankLendsScratch(t *testing.T) {
+	frag, queries := bankFixture(29, 2)
+	opts := DefaultProteinOptions()
+	opts.SearchThreads = 4
+	bank, err := NewQueryBank(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := bank.Lend()
+	first := searchVia(t, bank, ctx, queries[0], frag)
+	if len(ctx.pool.workers) < 2 {
+		t.Fatal("fixture did not engage the clone pool")
+	}
+	bank.TakeBack(ctx)
+	for i, cl := range ctx.pool.workers {
+		if cl.query != nil || cl.prep != nil {
+			t.Errorf("worker %d of a context taken back still holds a query", i)
+		}
+	}
+	again := bank.Lend()
+	if again != ctx {
+		t.Fatal("an idle context existed and a new one was created")
+	}
+	if searchVia(t, bank, again, queries[0], frag) != first {
+		t.Error("a search in a re-lent context differs")
+	}
+	second := bank.Lend() // the first is still out
+	if second == again {
+		t.Fatal("one context lent twice at once")
+	}
+	bank.TakeBack(again)
+	bank.TakeBack(second)
+	if st := bank.Stats(); st.Contexts != 2 || st.Lends != 3 {
+		t.Fatalf("stats %+v, want 2 contexts created over 3 loans", st)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				c := bank.Lend()
+				if got := searchVia(t, bank, c, queries[g%2], frag); g%2 == 0 && got != first {
+					t.Error("a concurrent borrower's search differs")
+				}
+				bank.TakeBack(c)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := bank.Stats(); st.Contexts > 8 || st.Lends != 3+8*20 {
+		t.Fatalf("stats %+v, want at most 8 contexts over %d loans", st, 3+8*20)
+	}
+}

@@ -49,3 +49,48 @@ func TestJobMetaCodec(t *testing.T) {
 		t.Fatal("a part count with no parts behind it was accepted")
 	}
 }
+
+// TestSelectionBundleSkipsWithoutCopying: every worker finds its own selection
+// in the layout broadcast, a truncated bundle is an error, and what a worker
+// allocates does not depend on how many other workers' selections it passes
+// over on the way — n workers would otherwise make n²/2 copies per batch.
+func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
+	bundle := func(workers int) ([]byte, []selection) {
+		sel := make([]selection, workers+1)
+		alive := make([]int, 0, workers)
+		for w := 1; w <= workers; w++ {
+			alive = append(alive, w)
+			sel[w] = selection{Queries: []int{0, 1}, OIDs: []int{w, 2 * w}, Offsets: []int64{int64(100 * w), int64(100*w + 40)}, Lengths: []int64{40, 60}}
+		}
+		return encodeSelectionBundle(true, sel, alive), sel
+	}
+	data, sel := bundle(5)
+	for w := 1; w <= 5; w++ {
+		got, ok, err := decodeSelectionBundle(data, w)
+		if err != nil || !ok || !reflect.DeepEqual(got, sel[w]) {
+			t.Fatalf("worker %d: got %+v ok=%v err=%v, want %+v", w, got, ok, err, sel[w])
+		}
+	}
+	if _, _, err := decodeSelectionBundle(data, 6); err == nil {
+		t.Fatal("a worker the bundle does not name was served")
+	}
+	for cut := 0; cut < len(data); cut++ {
+		if _, _, err := decodeSelectionBundle(data[:cut], 5); err == nil {
+			t.Fatalf("truncation at %d of %d undetected", cut, len(data))
+		}
+	}
+	if _, ok, err := decodeSelectionBundle(encodeSelectionBundle(false, nil, nil), 1); ok || err != nil {
+		t.Fatalf("abort marker: ok=%v err=%v", ok, err)
+	}
+	allocs := func(workers int) float64 {
+		data, _ := bundle(workers)
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := decodeSelectionBundle(data, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(2), allocs(200); many != few {
+		t.Fatalf("the last of 200 workers allocates %v times, the last of 2 %v: skipped selections are being copied", many, few)
+	}
+}

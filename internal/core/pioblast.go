@@ -400,7 +400,8 @@ func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
 }
 
 // decodeSelectionBundle extracts this worker's selection from the layout
-// broadcast. ok=false reports the master's abort marker.
+// broadcast, passing over the other workers' without copying them. ok=false
+// reports the master's abort marker.
 func decodeSelectionBundle(data []byte, worker int) (sel selection, ok bool, err error) {
 	r := engine.NewReader(data)
 	if !r.Bool() {
@@ -408,12 +409,12 @@ func decodeSelectionBundle(data []byte, worker int) (sel selection, ok bool, err
 	}
 	n := int(r.Uint())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		wk := int(r.Int())
-		blob := r.Blob()
-		if wk == worker {
-			s, err := decodeSelection(blob)
-			return s, true, err
+		if wk := int(r.Int()); wk != worker {
+			r.SkipBlob()
+			continue
 		}
+		s, err := decodeSelection(r.Blob())
+		return s, true, err
 	}
 	if r.Err() != nil {
 		return selection{}, false, r.Err()
@@ -1029,11 +1030,12 @@ type worker struct {
 	hits    [][]*blast.SubjectResult
 	work    []blast.WorkCounters
 	collect func(qi int, res *blast.QueryResult) // record, bound once
-	// alive is this worker's view of the surviving worker set — the
-	// tree-merge membership. Without fault tolerance nobody can die; with
-	// it, the final go message of each rendezvous carries the master's
-	// survivor list.
-	alive []int
+	// members is this worker's view of the tree-merge membership: the master
+	// and the surviving workers. Without fault tolerance nobody can die and
+	// it is the job broadcast's shared list; with it, the final go message of
+	// each rendezvous carries the master's survivor list and the worker builds
+	// its own.
+	members []int
 }
 
 // runWorker is the one worker body: boot from the job broadcast, acquire and
@@ -1046,26 +1048,25 @@ type worker struct {
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.QueryBank, tuner *mpiio.Tuner) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
-	meta, err := decodeJobMeta(r.Bcast(0, nil))
-	if err != nil {
-		return err
+	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
+		m, err := decodeJobMeta(data)
+		return m, m.Queries, err
+	})
+	if boot.Err != nil {
+		return boot.Err
 	}
-	workers := r.Size() - 1
+	meta, workers := boot.Meta, r.Size()-1
 	w := &worker{
 		r: r, meta: meta, opts: opts,
-		loop:  engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
-		files: newFileCache(r, node.Shared, meta.IOHints, tuner),
-		byOID: make(map[int]int),
-		alive: engine.WorkerRanks(workers),
+		loop:    engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
+		files:   newFileCache(r, node.Shared, meta.IOHints, tuner),
+		byOID:   make(map[int]int),
+		members: boot.Members,
 	}
 	w.collect = w.record
 	onFrag, reissuePrefetch := w.retain, 0
 	if !meta.Serve {
-		wq, err := engine.DecodeWireQueries(meta.Queries)
-		if err != nil {
-			return err
-		}
-		w.begin(wq.Unpack())
+		w.begin(boot.Queries)
 		// Re-issued partitions go through the static path too (prefetched
 		// when enabled). A serving worker reads them independently: at a
 		// rendezvous it has no search to overlap the reads with.
@@ -1094,6 +1095,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 	if err := w.out.SetHints(meta.IOHints); err != nil {
 		return err
 	}
+	var err error
 	if meta.Serve {
 		err = w.serveStream()
 	} else {
@@ -1314,7 +1316,7 @@ func (w *worker) rendezvous(onExtras func(extras []int) error) error {
 			return err
 		}
 		if done {
-			w.alive = alive
+			w.members = engine.TreeMembers(alive)
 			return nil
 		}
 	}
@@ -1406,16 +1408,15 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		// Hierarchical merge: fold this worker's metadata into the
 		// k-ary reduction (pre-merging the group's bundles locally)
 		// and take the layout from the down-tree broadcast.
-		members := engine.TreeMembers(w.alive)
 		var combErr error
-		if _, _, err := r.TreeReduce(0, meta.TreeFanout, members, bm.encode(), treeCombiner(r, maxTargets, &combErr)); err != nil {
+		if _, _, err := r.TreeReduce(0, meta.TreeFanout, w.members, bm.encode(), treeCombiner(r, maxTargets, &combErr)); err != nil {
 			return err
 		}
 		if combErr != nil {
 			return combErr
 		}
 		r.SetPhase(simtime.PhaseIdle)
-		layout := r.TreeBcast(0, meta.TreeFanout, members, nil)
+		layout := r.TreeBcast(0, meta.TreeFanout, w.members, nil)
 		s, ok, err := decodeSelectionBundle(layout, r.ID())
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"parblast/internal/blast"
 	"parblast/internal/seq"
@@ -158,7 +159,16 @@ func (r *Reader) String() string {
 }
 
 // Blob reads a length-prefixed byte slice (copied).
-func (r *Reader) Blob() []byte {
+func (r *Reader) Blob() []byte { return slices.Clone(r.blobView()) }
+
+// SkipBlob passes over a length-prefixed byte slice without materialising
+// it. Safe because nothing escapes: the bounds check is Blob's, and the bytes
+// stay in the reader's buffer, which the caller already holds.
+func (r *Reader) SkipBlob() { r.blobView() }
+
+// blobView bounds-checks a length-prefixed byte slice and returns it as a
+// view of the reader's buffer (nil on error).
+func (r *Reader) blobView() []byte {
 	n := int(r.Uint())
 	if r.err != nil {
 		return nil
@@ -167,10 +177,8 @@ func (r *Reader) Blob() []byte {
 		r.fail("blob")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.data[r.off:r.off+n])
 	r.off += n
-	return out
+	return r.data[r.off-n : r.off]
 }
 
 // --- message codecs ---------------------------------------------------------

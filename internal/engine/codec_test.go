@@ -73,6 +73,19 @@ func TestCodecTruncation(t *testing.T) {
 			_ = r.String()
 			return r.Err()
 		}},
+		{"skipped blob", func() []byte {
+			var w Writer
+			w.Blob([]byte("passed over"))
+			w.Blob([]byte("read"))
+			return w.Bytes()
+		}(), func(data []byte) error {
+			r := NewReader(data)
+			r.SkipBlob()
+			if got := r.Blob(); r.Err() == nil && string(got) != "read" {
+				t.Errorf("after a skip the next blob reads %q", got)
+			}
+			return r.Err()
+		}},
 		{"serve batch", batch.encode(), decodeBatch},
 		{"serve sentinel", serveBatchMsg{Seq: -1}.encode(), decodeBatch},
 	}
@@ -92,6 +105,7 @@ func TestCodecTruncation(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("empty input accepted")
 	}
+	r.SkipBlob()
 	if r.Uint() != 0 || r.Float() != 0 || r.String() != "" || r.Blob() != nil {
 		t.Fatal("post-error reads not zero")
 	}

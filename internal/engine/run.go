@@ -127,21 +127,51 @@ func WorkerRanks(workers int) []int {
 }
 
 // TreeMembers is the reduction-tree membership: the master plus every live
-// worker. The crash-aware tree protocol requires the membership to cover
-// all live ranks, which this is by construction.
+// worker — all live ranks, which is what the flat collectives the tree ones
+// become under a fault schedule synchronize over.
 func TreeMembers(alive []int) []int {
 	members := make([]int, 0, len(alive)+1)
 	members = append(members, 0)
 	return append(members, alive...)
 }
 
-// SearchLoop is a worker's search stage: the kernel, its scratch context,
-// the job's shared query bank, and the database-global statistics every rank
-// must agree on for E-values to be comparable across fragments.
+// Broadcast is a job or batch broadcast as its receivers read it: the sender's
+// metadata, the query set it carried (nil when it carried none) and the
+// fault-free tree membership, every rank. It is the same on every receiver,
+// so the host decodes it once per broadcast (mpi.Once) and the receivers
+// share it read-only: a worker told of a new survivor set replaces its
+// membership, it never edits this one.
+type Broadcast[M any] struct {
+	Meta    M
+	Queries []*seq.Sequence
+	Members []int
+	Err     error
+}
+
+// ReadBroadcast decodes data, the payload of the Bcast r just left; split
+// yields the metadata and the packed query set inside it.
+func ReadBroadcast[M any](r *mpi.Rank, data []byte, split func([]byte) (M, []byte, error)) *Broadcast[M] {
+	workers := r.Size() - 1
+	return mpi.Once(r, "engine.bcast_decode", func() *Broadcast[M] {
+		b := &Broadcast[M]{Members: TreeMembers(WorkerRanks(workers))}
+		var packed []byte
+		if b.Meta, packed, b.Err = split(data); b.Err == nil && len(packed) > 0 {
+			var wq WireQueries
+			if wq, b.Err = DecodeWireQueries(packed); b.Err == nil {
+				b.Queries = wq.Unpack()
+			}
+		}
+		return b
+	})
+}
+
+// SearchLoop is a worker's search stage: the kernel, the job's shared query
+// bank — which also lends the scratch context each Search runs in — and the
+// database-global statistics every rank must agree on for E-values to be
+// comparable across fragments.
 type SearchLoop struct {
 	r          *mpi.Rank
 	bank       *blast.QueryBank
-	ctx        *blast.Context
 	dbResidues int64
 	dbSeqs     int
 	// queries is the current query set; spaces[i] is queries[i]'s search
@@ -154,7 +184,7 @@ type SearchLoop struct {
 // NewSearchLoop builds the search stage of one worker rank over the job's
 // query bank, which every rank of the run shares host-side.
 func NewSearchLoop(r *mpi.Rank, bank *blast.QueryBank, dbResidues int64, dbSeqs int) *SearchLoop {
-	return &SearchLoop{r: r, bank: bank, ctx: bank.Searcher().NewContext(), dbResidues: dbResidues, dbSeqs: dbSeqs}
+	return &SearchLoop{r: r, bank: bank, dbResidues: dbResidues, dbSeqs: dbSeqs}
 }
 
 // MaxTargets is the per-query cap of the global selection rule.
@@ -173,8 +203,10 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 // Search runs every query against one fragment, in query order: load the
 // query's index from the job's bank, search, charge the kernel's work units
 // to the rank's clock, book the work counters, and hand the result to emit.
-// Only the host shares the index. The result's work still includes the
-// build, so the modelled rank is charged for indexing the query at every
+// The scratch context is the bank's, borrowed for this call and handed back
+// unloaded when it returns — or when a crash unwinds through r.Compute. Only
+// the host shares the index and the scratch. The result's work still includes
+// the build, so the modelled rank is charged for indexing the query at every
 // (fragment, query) step, as a real worker would be. Both engines' one-shot
 // and serving workers search through this loop, which is what keeps their
 // per-(query, fragment) work counters — and so the report footers —
@@ -183,15 +215,17 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
 	r := l.r
 	r.SetPhase(simtime.PhaseSearch)
+	ctx := l.bank.Lend()
+	defer l.bank.TakeBack(ctx)
 	for qi, q := range l.queries {
 		p, err := l.bank.Get(q)
 		if err != nil {
 			return err
 		}
-		if err := l.ctx.UsePrepared(q, p); err != nil {
+		if err := ctx.UsePrepared(q, p); err != nil {
 			return err
 		}
-		res, err := l.ctx.SearchFragment(frag, l.spaces[qi])
+		res, err := ctx.SearchFragment(frag, l.spaces[qi])
 		if err != nil {
 			return err
 		}

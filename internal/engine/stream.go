@@ -230,21 +230,17 @@ func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStat
 }
 
 // NextBatch is the worker side of ServeStream: wait (idle) for the next
-// batch broadcast, adopt its Seq as the trace context, and unpack its
-// queries. ok is false on the end-of-stream sentinel.
+// batch broadcast, adopt its Seq as the trace context, and take its queries.
+// ok is false on the end-of-stream sentinel.
 func NextBatch(r *mpi.Rank) (queries []*seq.Sequence, ok bool, err error) {
 	r.SetPhase(simtime.PhaseIdle)
-	msg, err := decodeServeBatchMsg(r.Bcast(0, nil))
-	if err != nil {
-		return nil, false, err
+	b := ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (int, []byte, error) {
+		msg, err := decodeServeBatchMsg(data)
+		return msg.Seq, msg.Queries, err
+	})
+	if b.Err != nil || b.Meta < 0 {
+		return nil, false, b.Err
 	}
-	if msg.Seq < 0 {
-		return nil, false, nil
-	}
-	r.SetTraceBatch(msg.Seq)
-	wq, err := DecodeWireQueries(msg.Queries)
-	if err != nil {
-		return nil, false, err
-	}
-	return wq.Unpack(), true, nil
+	r.SetTraceBatch(b.Meta)
+	return b.Queries, true, nil
 }

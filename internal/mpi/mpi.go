@@ -46,6 +46,17 @@
 // handoff, one at a time: each resumes into a panic that its goroutine
 // recovers, and its exit passes the token to the next unfinished rank.
 //
+// # Built once per world, charged once per rank
+//
+// All ranks live in one address space, so a value that is the same on every
+// rank — what the participants of a collective derive from its gathered
+// payloads (Once), the tree collectives' layout of a member list
+// (World.layout) — is built by the host once and read by the rest, under the
+// token and therefore without a lock. Neither outlives what it was built
+// from: a derived value its collective's record, a layout the next call with
+// another root, fan-out or member list. Every clock charge, message and
+// collective byte stays per rank, so the model cannot tell.
+//
 // # Cost model
 //
 // Send charges the sender size/bandwidth (its NIC is busy), and the message
@@ -127,6 +138,10 @@ type collective struct {
 	entries []float64
 	batches []int
 	joined  []bool
+	// derived is the one value the participants compute from datas after the
+	// release (Once): built by the first of them to ask, read by the rest.
+	derived    any
+	hasDerived bool
 }
 
 // FaultKind classifies a scheduled fault.
@@ -198,7 +213,7 @@ type World struct {
 	recvDeadline []float64 // virtual-time deadline, +Inf for plain Recv
 	inbox        [][]message
 	coll         *collective
-	collOf       []*collective
+	topo         treeTopo // the last tree layout built (layout)
 	seq          int64
 	doneCount    int
 	aborted      bool
@@ -221,7 +236,8 @@ type Rank struct {
 	id           int
 	world        *World
 	clock        *simtime.Clock
-	degradeFired bool // this rank's degrade is already marked on the trace
+	coll         *collective // the collective this rank last joined
+	degradeFired bool        // this rank's degrade is already marked on the trace
 	// treeRound numbers this rank's tree reductions; the count is stamped on
 	// every bundle it sends. Only touched by the rank's own goroutine.
 	treeRound int64
@@ -400,7 +416,6 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		recvTag:      make([]int, n),
 		recvDeadline: make([]float64, n),
 		inbox:        make([][]message, n),
-		collOf:       make([]*collective, n),
 		wake:         make([]chan struct{}, n),
 		crashAt:      make([]float64, n),
 		degradeAt:    make([]float64, n),
@@ -726,7 +741,7 @@ func (w *World) completeCollective(c *collective) {
 	c.releaseAt = c.releaseFn(c.datas, maxClock)
 	w.coll = nil
 	for i := 0; i < w.n; i++ {
-		if w.states[i] == stateBlockedColl && w.collOf[i] == c {
+		if w.states[i] == stateBlockedColl && w.ranks[i].coll == c {
 			w.states[i] = stateReady
 		}
 	}
@@ -1126,6 +1141,37 @@ func (r *Rank) RecvCrashAware(src, tag int) ([]byte, error) {
 	}
 }
 
+// Once returns the value every participant of the collective r last left
+// derives from its gathered payloads: the I/O plan from a bounds AllGather,
+// the decoded job from its Bcast. A real MPI process computes it from its own
+// copy of the bytes; runCollective hands every rank the same slice, so the
+// first participant to ask runs build and the rest read its result. build
+// must be a function of the payloads alone, never of the asking rank, and its
+// result is shared read-only. Ask directly after the Bcast or AllGather
+// returns: the value lives and dies with that collective's record, so it
+// cannot cross a membership change, a batch or a run. series names the
+// host-side built/reused counters, booked under rank 0 because which rank
+// asks first is a scheduling artifact.
+func Once[T any](r *Rank, series string, build func() T) T {
+	c := r.coll
+	if c == nil {
+		panic(fmt.Sprintf("mpi: rank %d asked Once before its first collective", r.id))
+	}
+	reg := r.world.config.Metrics
+	if c.hasDerived {
+		if reg != nil {
+			reg.Counter(series+"_reuses", 0).Inc()
+		}
+		return c.derived.(T)
+	}
+	v := build()
+	c.derived, c.hasDerived = v, true
+	if reg != nil {
+		reg.Counter(series+"_builds", 0).Inc()
+	}
+	return v
+}
+
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.
 // A single rank (or none) needs no tree and pays no latency.
 func logSteps(n int) float64 {
@@ -1173,7 +1219,7 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 	c.batches[r.id] = r.traceBatch
 	c.joined[r.id] = true
 	c.count++
-	w.collOf[r.id] = c
+	r.coll = c
 	if c.count < w.liveCount() {
 		r.block(stateBlockedColl)
 	} else {

@@ -11,7 +11,9 @@
 //
 // Members are sorted ascending and the root rotated to position 0; the
 // node at position p has parent (p-1)/fanout and children fanout·p+1 …
-// fanout·p+fanout. Every rank derives the identical topology locally.
+// fanout·p+fanout. Every member would derive the identical topology from its
+// own copy of the list; the world builds it once per (root, fan-out, member
+// list) and the members read it (World.layout).
 //
 // # Faults
 //
@@ -46,6 +48,22 @@ const DefaultTreeFanout = 4
 type treeTopo struct {
 	fanout  int
 	members []int // position-ordered: members[0] is the root rank
+	key     []int // the member list as the caller gave it (World.layout)
+}
+
+// layout returns the k-ary layout of (root, fanout, members). Every member of
+// a tree collective asks for the same one, call after call, so the world
+// keeps the last layout built and rebuilds it only when root, fan-out or
+// member list differs — in the engines, when the membership changes. Only
+// the token holder gets here, so the slot needs no lock; the built/reused
+// counters are host-side and booked under rank 0 (see Once).
+func (w *World) layout(root, fanout int, members []int) treeTopo {
+	t, series := &w.topo, "mpi.tree_layout_reuses"
+	if len(t.members) == 0 || t.members[0] != root || t.fanout != fanout || !slices.Equal(t.key, members) {
+		*t, series = newTreeTopo(root, fanout, members), "mpi.tree_layout_builds"
+	}
+	w.config.Metrics.Counter(series, 0).Inc()
+	return *t
 }
 
 func newTreeTopo(root, fanout int, members []int) treeTopo {
@@ -74,7 +92,7 @@ func newTreeTopo(root, fanout int, members []int) treeTopo {
 	ordered = append(ordered, root)
 	ordered = append(ordered, ms[:ri]...)
 	ordered = append(ordered, ms[ri+1:]...)
-	return treeTopo{fanout: fanout, members: ordered}
+	return treeTopo{fanout: fanout, members: ordered, key: slices.Clone(members)}
 }
 
 // position returns the caller's place in the layout; calling a tree
@@ -221,9 +239,11 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 // receives the combined payload and the ascending list of members whose
 // data it folded; every other member receives (nil, nil, nil).
 //
-// With no fault scheduled the fold climbs the k-ary message tree. With one
-// scheduled it goes flat over the survivors (members must then be every live
-// rank): a member that is alive when it makes the call contributes, even an
+// With no fault scheduled the fold climbs the k-ary message tree, whose
+// layout the members share (World.layout): pass the same member list call
+// after call and nothing is copied or sorted again. With one scheduled it
+// goes flat over the survivors (members must then be every live rank): a
+// member that is alive when it makes the call contributes, even an
 // empty payload, and a member that crashed earlier is reported by its
 // absence from contributors. If the root is the one that crashed nobody
 // receives the fold, and every survivor still returns.
@@ -231,7 +251,7 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 //lint:collective
 //lint:payload data
 func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
-	t := newTreeTopo(root, fanout, members)
+	t := r.world.layout(root, fanout, members)
 	myPos := t.position("TreeReduce", r.id)
 	r.maybeCrash()
 	r.recordTreeOp("treereduce", int64(len(data)))
@@ -313,12 +333,12 @@ func (r *Rank) treeReduceFlat(t treeTopo, data []byte, combine func(a, b []byte)
 // everywhere. With no fault scheduled it forwards hop by hop along the k-ary
 // tree (each edge pays its own latency and bandwidth); with one scheduled it
 // is the flat Bcast over the survivors (members must then be every live
-// rank) — the same rule as TreeReduce.
+// rank) — the same rule as TreeReduce, and the same shared layout.
 //
 //lint:collective
 //lint:payload data
 func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
-	t := newTreeTopo(root, fanout, members)
+	t := r.world.layout(root, fanout, members)
 	myPos := t.position("TreeBcast", r.id)
 	r.maybeCrash()
 	var own int64

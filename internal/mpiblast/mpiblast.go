@@ -263,6 +263,8 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	if nFrags == 0 {
 		nFrags = nprocs - 1 // natural partitioning
 	}
+	// PhysicalFragment never cuts more fragments than there are sequences.
+	nFrags = min(nFrags, db.NumSeqs)
 	fragBases := make([]string, nFrags)
 	for i := range fragBases {
 		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
@@ -364,10 +366,14 @@ type worker struct {
 func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
-	meta, err := decodeJobMeta(r.Bcast(0, nil))
-	if err != nil {
-		return err
+	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
+		m, err := decodeJobMeta(data)
+		return m, m.Queries, err
+	})
+	if boot.Err != nil {
+		return boot.Err
 	}
+	meta := boot.Meta
 	// Local staging target: node-local disk, or shared scratch when the
 	// platform has none (the paper's Altix configuration).
 	w := &worker{
@@ -380,10 +386,11 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	}
 	w.submit = w.emit
 
+	var err error
 	if meta.Serve {
-		err = w.serveStream()
+		err = w.serveStream(boot.Members)
 	} else {
-		err = w.oneShot()
+		err = w.oneShot(boot.Queries)
 	}
 	if err != nil {
 		return err
@@ -396,14 +403,11 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 // oneShot is the worker's driver for a one-shot run: search greedily
 // assigned fragments until released, fold the tree (tree protocol), serve
 // fetches.
-func (w *worker) oneShot() error {
+func (w *worker) oneShot(queries []*seq.Sequence) error {
 	r, meta := w.r, w.meta
-	wq, err := engine.DecodeWireQueries(meta.Queries)
-	if err != nil {
-		return err
-	}
-	w.begin(wq.Unpack())
+	w.begin(queries)
 	var alive []int
+	var err error
 	searchedAny := false
 	for {
 		// Waiting for an assignment is startup time before the first
@@ -456,12 +460,11 @@ func (w *worker) oneShot() error {
 // baseline that cost is paid inside the timed run per assignment; here it
 // is amortized over the whole stream — and every batch then searches the
 // resident fragments with no copy and no load: the warm-cluster payoff.
-func (w *worker) serveStream() error {
+// members is the tree membership, fixed for the stream (no faults in serve
+// mode).
+func (w *worker) serveStream(members []int) error {
 	r, meta := w.r, w.meta
-	workers := r.Size() - 1
-	mine := serveOwners(len(meta.FragBases), workers, r.ID())
-	// Membership is fixed (no faults in serve mode).
-	members := engine.TreeMembers(engine.WorkerRanks(workers))
+	mine := serveOwners(len(meta.FragBases), r.Size()-1, r.ID())
 	resident := make([]*blast.Fragment, 0, len(mine))
 	for _, fragID := range mine {
 		frag, err := w.stageFragment(meta.FragBases[fragID])

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"parblast/internal/mpi"
 )
 
 // le is the byte order of every int64 the shuffle puts on the wire: plan
@@ -26,8 +28,10 @@ type bound struct {
 // collPlan is the agreed outcome of a collective operation's bounds
 // exchange: the live participants in ascending rank order, this rank's
 // position among them, the aggregator count, and the aggregate extent.
-// Every participant computes an identical plan from the AllGather result,
-// so the message pattern needs no further coordination.
+// Every participant holds an identical plan but for selfIdx, so the message
+// pattern needs no further coordination. parts, gLo and gHi are the one
+// value the host derives per collective (mpi.Once) and are shared read-only;
+// selfIdx and numAgg belong to the rank's own copy of the struct.
 type collPlan struct {
 	parts    []bound
 	selfIdx  int
@@ -37,9 +41,11 @@ type collPlan struct {
 
 // planCollective runs phase 0 of the two-phase algorithm: exchange view
 // bounds and agree on participants. Crashed ranks contribute nil to the
-// AllGather; everyone skips them identically, so the survivors still
-// agree on domains and messages. chooseAggregators completes the plan
-// (phase 1) once the effective hints are known.
+// AllGather and are skipped, so the survivors still agree on domains and
+// messages. The gathered bounds are decoded once per collective, by the
+// first participant released, and every rank finds its own position in the
+// result by one search. chooseAggregators completes the plan (phase 1) once
+// the effective hints are known.
 func (f *File) planCollective() collPlan {
 	var lo, hi, total, segs int64 = 1<<62 - 1, -1, 0, 0
 	for _, s := range f.view.Segments {
@@ -61,31 +67,31 @@ func (f *File) planCollective() collPlan {
 	le.PutUint64(bounds[16:], uint64(total))
 	le.PutUint64(bounds[24:], uint64(segs))
 	all := f.rank.AllGather(bounds)
-	p := collPlan{selfIdx: -1, gLo: 1<<62 - 1, gHi: -1}
-	for i, b := range all {
-		if len(b) < 32 {
-			continue // crashed rank: no bounds
+	p := mpi.Once(f.rank, "mpiio.plan", func() collPlan {
+		p := collPlan{parts: make([]bound, 0, len(all)), gLo: 1<<62 - 1, gHi: -1}
+		for i, b := range all {
+			if len(b) < 32 {
+				continue // crashed rank: no bounds
+			}
+			h := bound{
+				rank:  i,
+				lo:    int64(le.Uint64(b[0:])),
+				hi:    int64(le.Uint64(b[8:])),
+				total: int64(le.Uint64(b[16:])),
+				segs:  int64(le.Uint64(b[24:])),
+			}
+			p.parts = append(p.parts, h)
+			if h.hi < 0 {
+				continue // that rank moves nothing
+			}
+			p.gLo, p.gHi = min(p.gLo, h.lo), max(p.gHi, h.hi)
 		}
-		if i == f.rank.ID() {
-			p.selfIdx = len(p.parts)
-		}
-		p.parts = append(p.parts, bound{
-			rank:  i,
-			lo:    int64(le.Uint64(b[0:])),
-			hi:    int64(le.Uint64(b[8:])),
-			total: int64(le.Uint64(b[16:])),
-			segs:  int64(le.Uint64(b[24:])),
-		})
-		h := p.parts[len(p.parts)-1]
-		if h.hi < 0 {
-			continue // that rank moves nothing
-		}
-		if h.lo < p.gLo {
-			p.gLo = h.lo
-		}
-		if h.hi > p.gHi {
-			p.gHi = h.hi
-		}
+		return p
+	})
+	id := f.rank.ID()
+	p.selfIdx = sort.Search(len(p.parts), func(i int) bool { return p.parts[i].rank >= id })
+	if p.selfIdx == len(p.parts) || p.parts[p.selfIdx].rank != id {
+		p.selfIdx = -1
 	}
 	return p
 }

@@ -152,6 +152,16 @@ for eng in pio mpi; do
     done
 done
 
+# Width smoke: the north star's 1024-rank merge, end to end. What is the same
+# on every rank is built once per world, so this is half a second and some
+# 30 MB; the report is the sequential one byte for byte.
+go run ./cmd/makedb -o "$tmp/wide.fasta" -seqs 2400 -family 12
+go run ./cmd/parblast -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
+    -engine seq -out "$tmp/wide_seq.txt" >/dev/null
+go run ./cmd/parblast -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
+    -engine pio -tree-merge -procs 1024 -out "$tmp/wide_pio.txt" >/dev/null
+cmp "$tmp/wide_seq.txt" "$tmp/wide_pio.txt"
+
 # Pre-formatted database smoke: a database formatted under a name of the
 # user's choosing runs on both engines (mpiBLAST used to fragment the literal
 # name "db" whatever -dbname said) and each writes a non-empty report.
@@ -184,7 +194,9 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -out "$tmp/results_hinted.txt" >/dev/null
 cmp "$tmp/results_tune.txt" "$tmp/results_hinted.txt"
 
-# Perf-trajectory guard: the newest checked-in benchmark record must not be
-# worse than the PR-11 baseline beyond the BENCHMARK.json bounds.
+# Perf-trajectory guard: each checked-in benchmark record must not be worse
+# than its predecessor beyond the BENCHMARK.json bounds, back to the PR-11
+# baseline.
 bash bench/run.sh -compare bench/baseline.json BENCH_3.json
 bash bench/run.sh -compare BENCH_3.json BENCH_4.json
+bash bench/run.sh -compare BENCH_4.json BENCH_5.json
