@@ -2,6 +2,7 @@ package blast
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"parblast/internal/seq"
@@ -60,18 +61,20 @@ func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
 // The bank also owns the job's kernel scratch. A rank holds a Context — its
 // diagonal array, DP rows, traceback arena and pool clones — only while it is
 // inside the kernel, so the bank lends one for the duration of a search
-// (Lend, TakeBack) and a job keeps one per concurrent searcher, not one per
-// rank. Results own their bytes: nothing a search returns points into the
-// scratch.
+// (Lend, TakeBack). Ranks search concurrently, off the simulator's token, but
+// no more of them than the host has cores (GOMAXPROCS) hold a context at
+// once, so a job keeps at most that many, not one per rank. Results own their
+// bytes: nothing a search returns points into the scratch.
 //
 // A bank is safe for concurrent use and is never reused across jobs.
 type QueryBank struct {
 	s *Searcher
 
-	mu      sync.Mutex
-	entries map[string]*bankEntry
-	idle    []*Context // lent out and taken back, no query loaded
-	stats   BankStats
+	mu       sync.Mutex
+	entries  map[string]*bankEntry
+	idle     []*Context // lent out and taken back, no query loaded
+	returned sync.Cond  // on mu: a context came back
+	stats    BankStats
 }
 
 type bankEntry struct {
@@ -88,8 +91,10 @@ type BankStats struct {
 	Reuses      int64 // requests served from an existing entry
 	Entries     int   // entries held now
 	PeakEntries int   // most entries held at once
-	Contexts    int64 // scratch contexts created: the most ever lent at once
-	Lends       int64 // searches that borrowed one
+	// Contexts counts the scratch contexts created: the most ever lent at
+	// once, at most GOMAXPROCS. Host timing sets it, so it varies run to run.
+	Contexts int64
+	Lends    int64 // searches that borrowed one
 }
 
 // NewQueryBank creates the empty bank of one job searching with opts.
@@ -98,7 +103,9 @@ func NewQueryBank(opts Options) (*QueryBank, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QueryBank{s: s, entries: make(map[string]*bankEntry)}, nil
+	b := &QueryBank{s: s, entries: make(map[string]*bankEntry)}
+	b.returned.L = &b.mu
+	return b, nil
 }
 
 // Searcher returns the searcher the bank prepares with; contexts that load
@@ -131,11 +138,18 @@ func (b *QueryBank) Get(q *seq.Sequence) (*PreparedQuery, error) {
 }
 
 // Lend hands out a scratch context of the bank's searcher with no query
-// loaded, creating one only when every existing one is out. The borrower
-// gives it back with TakeBack when its search returns or unwinds.
+// loaded, creating one only when every existing one is out. While
+// GOMAXPROCS contexts are out it waits for one to come back, so every
+// borrower must give its context back with TakeBack without waiting on
+// anything a waiting lender could hold: a simulated rank borrows inside
+// mpi.Rank.Aside and returns the context before it asks for the scheduler
+// token again.
 func (b *QueryBank) Lend() *Context {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for int(b.stats.Contexts)-len(b.idle) >= runtime.GOMAXPROCS(0) {
+		b.returned.Wait()
+	}
 	b.stats.Lends++
 	if n := len(b.idle); n > 0 {
 		c := b.idle[n-1]
@@ -153,6 +167,7 @@ func (b *QueryBank) TakeBack(c *Context) {
 	b.mu.Lock()
 	b.idle = append(b.idle, c)
 	b.mu.Unlock()
+	b.returned.Signal()
 }
 
 // Release drops the entries for the given queries: a serving run calls it

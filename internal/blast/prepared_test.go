@@ -3,7 +3,9 @@ package blast
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"parblast/internal/seq"
@@ -180,8 +182,11 @@ func TestQueryBankRelease(t *testing.T) {
 // TestQueryBankLendsScratch: the bank creates a scratch context only when
 // every one it has is out, takes a context back unloaded — clones included,
 // so an idle one pins no query — and lends that same context next; loans from
-// many goroutines at once are safe.
+// many goroutines at once are safe, and however many borrowers ask, no more
+// than GOMAXPROCS contexts are ever out or created.
 func TestQueryBankLendsScratch(t *testing.T) {
+	const procs, lenders = 4, 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	frag, queries := bankFixture(29, 2)
 	opts := DefaultProteinOptions()
 	opts.SearchThreads = 4
@@ -218,21 +223,30 @@ func TestQueryBankLendsScratch(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	var out, peak atomic.Int64
+	for g := 0; g < lenders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < 10; i++ {
 				c := bank.Lend()
+				n := out.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
 				if got := searchVia(t, bank, c, queries[g%2], frag); g%2 == 0 && got != first {
 					t.Error("a concurrent borrower's search differs")
 				}
+				out.Add(-1)
 				bank.TakeBack(c)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := bank.Stats(); st.Contexts > 8 || st.Lends != 3+8*20 {
-		t.Fatalf("stats %+v, want at most 8 contexts over %d loans", st, 3+8*20)
+	loans := int64(3 + lenders*10)
+	if st := bank.Stats(); st.Contexts > procs || st.Lends != loans {
+		t.Fatalf("stats %+v, want at most %d contexts over %d loans", st, procs, loans)
+	}
+	if p := peak.Load(); p > procs {
+		t.Fatalf("%d contexts out at once, want at most GOMAXPROCS = %d", p, procs)
 	}
 }

@@ -43,16 +43,20 @@ var fpPhases = []string{
 // output stage records the master's final selection exactly where a merge
 // cost is charged, which moves the two hsps series (and nothing else) on the
 // mpiBLAST tree paths; the built-versus-reused series count what the host
-// built once per world and shared — query indexes, kernel contexts, collective
-// plans, tree layouts, broadcast decodes — which describes the simulator, not
-// the modelled cluster.
+// built once per world and shared — query indexes, kernel context loans,
+// collective plans, tree layouts, broadcast decodes, gathered volumes and
+// thresholds — and the aside series count how often and how widely ranks
+// searched off the scheduler token, which describes the simulator, not the
+// modelled cluster.
 var fpSkippedSeries = map[string]bool{
 	"blast.hsps_kept": true, "blast.hsps_dropped": true,
-	"blast.index_builds": true, "blast.index_reuses": true,
-	"blast.context_creates": true, "blast.context_lends": true,
+	"blast.index_builds": true, "blast.index_reuses": true, "blast.context_lends": true,
 	"mpiio.plan_builds": true, "mpiio.plan_reuses": true,
 	"mpi.tree_layout_builds": true, "mpi.tree_layout_reuses": true,
 	"engine.bcast_decode_builds": true, "engine.bcast_decode_reuses": true,
+	"core.batch_volumes_builds": true, "core.batch_volumes_reuses": true,
+	"core.prune_threshold_builds": true, "core.prune_threshold_reuses": true,
+	"mpi.asides": true, "mpi.aside_peak": true,
 }
 
 // fpOrderSeries is the suffix of each file system's order-inversion counter.

@@ -617,24 +617,28 @@ func adaptiveBounds(volumes []int64, budget int64) []int {
 
 // exchangeVolumes AllGathers each rank's per-query cached-output volume
 // estimates and returns the global per-query totals — the consensus input
-// to adaptive batching. The master participates with zeros.
+// to adaptive batching. The master participates with zeros. Every rank holds
+// the same number of queries, and the totals are decoded once per gather and
+// shared read-only.
 func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 	var w engine.Writer
 	for _, v := range local {
 		w.Int(v)
 	}
 	all := r.AllGather(w.Bytes())
-	total := make([]int64, len(local))
-	for _, data := range all {
-		if len(data) == 0 {
-			continue // crashed rank: contributes nothing
+	return mpi.Once(r, "core.batch_volumes", func() []int64 {
+		total := make([]int64, len(local))
+		for _, data := range all {
+			if len(data) == 0 {
+				continue // crashed rank: contributes nothing
+			}
+			rd := engine.NewReader(data)
+			for q := range total {
+				total[q] += rd.Int()
+			}
 		}
-		rd := engine.NewReader(data)
-		for q := range total {
-			total[q] += rd.Int()
-		}
-	}
-	return total
+		return total
+	})
 }
 
 // bootMaster brings the master up to the point where batches can be merged:
@@ -1762,24 +1766,27 @@ func readPartsCollective(r *mpi.Rank, files *fileCache, meta jobMeta, mine []int
 // exchangeThreshold implements early score communication: ranks gather
 // everyone's candidate scores and return the global k-th best (or a
 // sentinel minimum when fewer than k hits exist anywhere). Deterministic
-// and identical on every rank.
+// and identical on every rank (k is the job's cap everywhere), so the host
+// decodes and sorts the gathered scores once per gather.
 func exchangeThreshold(r *mpi.Rank, scores []int64, k int) int64 {
 	buf := make([]byte, 8*len(scores))
 	for i, s := range scores {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(s))
 	}
 	all := r.AllGather(buf)
-	var flat []int64
-	for _, d := range all {
-		for i := 0; i+8 <= len(d); i += 8 {
-			flat = append(flat, int64(binary.LittleEndian.Uint64(d[i:])))
+	return mpi.Once(r, "core.prune_threshold", func() int64 {
+		var flat []int64
+		for _, d := range all {
+			for i := 0; i+8 <= len(d); i += 8 {
+				flat = append(flat, int64(binary.LittleEndian.Uint64(d[i:])))
+			}
 		}
-	}
-	if len(flat) < k {
-		return -1 << 62
-	}
-	sort.Slice(flat, func(a, b int) bool { return flat[a] > flat[b] })
-	return flat[k-1]
+		if len(flat) < k {
+			return -1 << 62
+		}
+		sort.Slice(flat, func(a, b int) bool { return flat[a] > flat[b] })
+		return flat[k-1]
+	})
 }
 
 // AdaptiveBoundsForTest exposes the batch-boundary computation to tests.

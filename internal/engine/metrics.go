@@ -23,19 +23,20 @@ func RecordWork(reg *metrics.Registry, rank int, w blast.WorkCounters) {
 }
 
 // RecordIndexSharing books a finished job's query-bank totals: how many word
-// indexes the host really built and how many requests reused one, how many
-// kernel scratch contexts it created and how many searches borrowed one. These
-// describe the simulator, not the modelled cluster — the virtual cost of
-// indexing is blast.index_words, charged per (rank, fragment, query) — so
-// they are booked once, after the run, under rank 0: which rank's goroutine
-// happened to build an entry is a host scheduling artifact.
+// indexes the host really built and how many requests reused one, and how
+// many searches borrowed a kernel scratch context. These describe the
+// simulator, not the modelled cluster — the virtual cost of indexing is
+// blast.index_words, charged per (rank, fragment, query) — so they are booked
+// once, after the run, under rank 0: which rank's goroutine happened to build
+// an entry is a host scheduling artifact. How many contexts the bank created
+// is host concurrency, different from run to run, so it stays in BankStats
+// and out of the registry, whose snapshots repeat exactly.
 func RecordIndexSharing(reg *metrics.Registry, st blast.BankStats) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("blast.index_builds", 0).Add(st.Builds)
 	reg.Counter("blast.index_reuses", 0).Add(st.Reuses)
-	reg.Counter("blast.context_creates", 0).Add(st.Contexts)
 	reg.Counter("blast.context_lends", 0).Add(st.Lends)
 }
 

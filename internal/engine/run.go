@@ -179,12 +179,20 @@ type SearchLoop struct {
 	// fragment, so Begin computes it once.
 	queries []*seq.Sequence
 	spaces  []stats.SearchSpace
+	// The search in flight: kernel, bound once, fills results (and err, after
+	// the queries before it) for frag while the rank is aside.
+	kernel  func()
+	frag    *blast.Fragment
+	results []*blast.QueryResult
+	err     error
 }
 
 // NewSearchLoop builds the search stage of one worker rank over the job's
 // query bank, which every rank of the run shares host-side.
 func NewSearchLoop(r *mpi.Rank, bank *blast.QueryBank, dbResidues int64, dbSeqs int) *SearchLoop {
-	return &SearchLoop{r: r, bank: bank, dbResidues: dbResidues, dbSeqs: dbSeqs}
+	l := &SearchLoop{r: r, bank: bank, dbResidues: dbResidues, dbSeqs: dbSeqs}
+	l.kernel = l.searchAll
+	return l
 }
 
 // MaxTargets is the per-query cap of the global selection rule.
@@ -200,38 +208,58 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 	}
 }
 
-// Search runs every query against one fragment, in query order: load the
-// query's index from the job's bank, search, charge the kernel's work units
-// to the rank's clock, book the work counters, and hand the result to emit.
-// The scratch context is the bank's, borrowed for this call and handed back
-// unloaded when it returns — or when a crash unwinds through r.Compute. Only
-// the host shares the index and the scratch. The result's work still includes
-// the build, so the modelled rank is charged for indexing the query at every
-// (fragment, query) step, as a real worker would be. Both engines' one-shot
-// and serving workers search through this loop, which is what keeps their
-// per-(query, fragment) work counters — and so the report footers —
-// identical. Pass emit as a func value built once per worker: the loop
-// itself allocates nothing per (fragment, query).
+// Search runs every query against one fragment in two phases. The kernel
+// phase runs aside (mpi.Rank.Aside), off the scheduler token and beside
+// every other rank's: in a scratch context borrowed from the job's bank, load
+// each query's index from the bank and search, then hand the context back
+// unloaded. The charge phase runs on the token, in query order: charge the
+// kernel's work units to the rank's clock, book the work counters, and hand
+// the result to emit. A kernel error stops the search; the queries before it
+// are still charged. Only the host shares the index and the scratch. The
+// result's work still includes the build, so the modelled rank is charged
+// for indexing the query at every (fragment, query) step, as a real worker
+// would be. Both engines' one-shot and serving workers search through this
+// loop, which is what keeps their per-(query, fragment) work counters — and
+// so the report footers — identical. Pass emit as a func value built once
+// per worker: the loop itself allocates nothing per (fragment, query).
 func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
 	r := l.r
 	r.SetPhase(simtime.PhaseSearch)
-	ctx := l.bank.Lend()
-	defer l.bank.TakeBack(ctx)
-	for qi, q := range l.queries {
-		p, err := l.bank.Get(q)
-		if err != nil {
-			return err
-		}
-		if err := ctx.UsePrepared(q, p); err != nil {
-			return err
-		}
-		res, err := ctx.SearchFragment(frag, l.spaces[qi])
-		if err != nil {
-			return err
-		}
+	l.frag = frag
+	r.Aside(l.kernel)
+	for qi, res := range l.results {
 		r.Compute(res.Work.Units())
 		RecordWork(r.Metrics(), r.ID(), res.Work)
 		emit(qi, res)
 	}
-	return nil
+	return l.err
+}
+
+// searchAll is Search's kernel phase. It touches no clock and no world state,
+// only the bank, the borrowed context and the loop's own fields.
+func (l *SearchLoop) searchAll() {
+	l.results, l.err = l.results[:0], nil
+	ctx := l.bank.Lend()
+	defer l.bank.TakeBack(ctx)
+	for qi := range l.queries {
+		res, err := l.searchOne(ctx, qi)
+		if err != nil {
+			l.err = err
+			return
+		}
+		l.results = append(l.results, res)
+	}
+}
+
+// searchOne searches query qi against the fragment in flight.
+func (l *SearchLoop) searchOne(ctx *blast.Context, qi int) (*blast.QueryResult, error) {
+	q := l.queries[qi]
+	p, err := l.bank.Get(q)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.UsePrepared(q, p); err != nil {
+		return nil, err
+	}
+	return ctx.SearchFragment(l.frag, l.spaces[qi])
 }

@@ -5,7 +5,8 @@
 // # Execution model
 //
 // The world runs as a sequential discrete-event simulation: at any moment
-// exactly one rank executes (it holds the scheduler token). There is one
+// one rank holds the scheduler token; a rank in Aside computes without it
+// (below), everyone else is parked. There is one
 // ordering rule: every operation that observes or books state another rank
 // can change — Recv, RecvTimeout, IO, StartIO, Failed — first parks its rank,
 // and the scheduler hands the token to the eligible rank with the smallest
@@ -45,6 +46,14 @@
 // marked aborted and the remaining ranks are unwound through the same
 // handoff, one at a time: each resumes into a panic that its goroutine
 // recovers, and its exit passes the token to the next unfinished rank.
+//
+// Pure compute need not hold the token. Aside parks its rank ready at its own
+// clock — one more scheduling point, which moves no clock — runs its function
+// while parked, and then waits for the token like any parked rank. Every rank
+// whose event comes earlier runs meanwhile, so the search kernels of ranks
+// that reach it at nearby virtual times run on as many cores as the host has,
+// and the schedule — every grant, every clock — is the one a token-held
+// search would give.
 //
 // # Built once per world, charged once per rank
 //
@@ -219,6 +228,10 @@ type World struct {
 	aborted      bool
 	abortMsg     string
 	firstErr     error
+
+	// Host-side accounting of Aside: ranks computing without the token now,
+	// and the most at once.
+	away, awayPeak int
 
 	// Fault plane: per-rank schedule (immutable after setup) and outcome.
 	crashAt     []float64 // scheduled crash time, +Inf = never
@@ -497,6 +510,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 	// token, so the first grant needs no handshake.
 	w.schedule()
 	wg.Wait()
+	cfg.Metrics.Counter("mpi.aside_peak", 0).Add(int64(w.awayPeak))
 	if w.firstErr != nil {
 		return clocks, w.firstErr
 	}
@@ -673,6 +687,34 @@ func (r *Rank) block(s rankState) {
 	r.world.states[r.id] = s
 	r.world.schedule()
 	r.awaitToken()
+}
+
+// Aside runs f — host work that touches no world state and no clock, such as
+// the search kernel — without the scheduler token. The rank parks ready at
+// its own clock, which is one more scheduling point and so moves no clock;
+// every rank whose event is earlier runs while f does, and if none is, the
+// token waits in the rank's wake channel until f returns. A rank whose own
+// crash is still pending runs f on the token instead: parked, it would let a
+// peer at an earlier clock ask Failed first, and the peer would miss the crash
+// it sees when this rank runs on to it.
+func (r *Rank) Aside(f func()) {
+	r.maybeCrash()
+	w := r.world
+	if !math.IsInf(w.crashAt[r.id], 1) {
+		f()
+		return
+	}
+	w.away++
+	w.awayPeak = max(w.awayPeak, w.away)
+	w.config.Metrics.Counter("mpi.asides", 0).Inc()
+	w.states[r.id] = stateReady
+	w.schedule()
+	// Even if f panics, the rank unwinds holding the token.
+	defer func() {
+		r.awaitToken()
+		w.away--
+	}()
+	f()
 }
 
 // maybeCrash fires this rank's scheduled crash if its clock has reached

@@ -614,10 +614,22 @@ func TestExtraSchedulingPointsAreNeutral(t *testing.T) {
 		return out
 	}
 	plain := run(func(*Rank) {})
-	parked := run(func(r *Rank) { r.block(stateReady) })
-	for i := range plain {
-		if plain[i] != parked[i] {
-			t.Fatalf("rank %d clock %x with extra scheduling points, %x without", i, parked[i], plain[i])
+	// Aside is such a point with host work in it: the rank computes while
+	// parked, and the world goes on around it for as long as that takes.
+	busy := func() {
+		for i := 0; i < 3; i++ {
+			runtime.Gosched()
+		}
+	}
+	for name, point := range map[string]func(*Rank){
+		"parked": func(r *Rank) { r.block(stateReady) },
+		"aside":  func(r *Rank) { r.Aside(busy) },
+	} {
+		got := run(point)
+		for i := range plain {
+			if plain[i] != got[i] {
+				t.Fatalf("%s: rank %d clock %x with extra scheduling points, %x without", name, i, got[i], plain[i])
+			}
 		}
 	}
 }

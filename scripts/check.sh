@@ -56,8 +56,16 @@ go run ./cmd/parblastlint ./internal/core
 # give it explicit headroom rather than flaking on loaded machines.
 go test -race -timeout 20m ./...
 # The scheduler hands one token between rank goroutines: repeat its package
-# so a handoff that only sometimes races shows.
+# so a handoff that only sometimes races shows, once more with four Ps, so
+# that ranks computing aside (mpi.Rank.Aside) really overlap the holder.
 go test -race -count=10 ./internal/mpi
+GOMAXPROCS=4 go test -race -count=10 ./internal/mpi
+# Searching on every core moves no clock and no artifact byte: the golden and
+# the report's determinism hold with one P and with four.
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -count=1 -run 'TestClockFingerprint|TestArtifactDeterministic' \
+        ./internal/core ./internal/report
+done
 # No goroutine outlives a run: the dynamic half of the godisc site list,
 # repeated so a straggler that only sometimes outlives its run shows.
 go test -race -count=3 -run TestNoGoroutineOutlivesARun .
@@ -200,3 +208,4 @@ cmp "$tmp/results_tune.txt" "$tmp/results_hinted.txt"
 bash bench/run.sh -compare bench/baseline.json BENCH_3.json
 bash bench/run.sh -compare BENCH_3.json BENCH_4.json
 bash bench/run.sh -compare BENCH_4.json BENCH_5.json
+bash bench/run.sh -compare BENCH_5.json BENCH_6.json

@@ -22,16 +22,22 @@ type sharedJob struct {
 	crash bool
 	// layouts is the number of distinct tree memberships the run merges over.
 	layouts int64
+	// prune marks the early-prune, memory-budget row: one threshold gather
+	// per query and one volume gather per job.
+	prune bool
 }
 
 var pioOnly = []parblast.Engine{parblast.EnginePioBLAST}
 
 // TestBuiltOncePerWorld: what is the same on every rank — the collective I/O
-// plan, the tree layout, the decoded broadcast, the kernel scratch — is built
-// by the host once per world, however many ranks read it, and the output is
-// still the sequential oracle's. The counters are the simulator's, booked
-// under rank 0; what the modelled ranks are charged is pinned elsewhere
-// (TestClockFingerprint).
+// plan, the tree layout, the decoded broadcast, the gathered early-prune
+// scores and batch volumes — is built by the host once per world, however
+// many ranks read it, the kernel scratch is lent once per fragment search,
+// and the output is still the sequential oracle's. The counters are the
+// simulator's, booked under rank 0; what the modelled ranks are charged is
+// pinned elsewhere (TestClockFingerprint). How many scratch contexts a job
+// created is host concurrency and no counter: blast.TestQueryBankLendsScratch
+// bounds it.
 func TestBuiltOncePerWorld(t *testing.T) {
 	const procs = 6
 	seqs, queries := buildWorkload(t)
@@ -48,6 +54,9 @@ func TestBuiltOncePerWorld(t *testing.T) {
 		{name: "serve, tree merge", engines: bothEngines, frags: 5, serve: true, configure: tree, layouts: 1},
 		{name: "collective read", engines: pioOnly, frags: 10, configure: func(s *parblast.Search) {
 			s.Pio.CollectiveRead = true
+		}},
+		{name: "early prune, memory budget", engines: pioOnly, frags: 5, prune: true, configure: func(s *parblast.Search) {
+			s.Pio.EarlyPrune, s.Pio.MemoryBudgetBytes = true, 6<<10
 		}},
 		{name: "mid-search crash", engines: bothEngines, frags: 10, crash: true},
 		{name: "mid-search crash, tree merge", engines: bothEngines, frags: 10, crash: true, configure: tree, layouts: 1},
@@ -122,7 +131,7 @@ func TestBuiltOncePerWorld(t *testing.T) {
 						atMaster[c.Name] += c.Value
 					}
 				}
-				for _, stem := range []string{"mpiio.plan", "mpi.tree_layout", "engine.bcast_decode"} {
+				for _, stem := range []string{"mpiio.plan", "mpi.tree_layout", "engine.bcast_decode", "core.prune_threshold", "core.batch_volumes"} {
 					for _, name := range []string{stem + "_builds", stem + "_reuses"} {
 						if total[name] != atMaster[name] {
 							t.Errorf("%s booked under a worker rank: who built it is a host artifact", name)
@@ -157,10 +166,23 @@ func TestBuiltOncePerWorld(t *testing.T) {
 				if job.layouts > 0 && total["mpi.tree_layout_reuses"] < int64(procs-1) {
 					t.Errorf("tree layouts reused = %d: the members do not share one", total["mpi.tree_layout_reuses"])
 				}
-				// One rank is inside the kernel at a time, so the job needs
-				// one owning context (its pool clones are its own business).
-				if got := total["blast.context_creates"]; got != 1 {
-					t.Errorf("kernel contexts created = %d, want 1 per job", got)
+				// Every participant of a gather reads the one decode of it.
+				for _, g := range []struct {
+					stem    string
+					gathers int64
+				}{
+					{"core.prune_threshold", int64(len(searched))},
+					{"core.batch_volumes", 1},
+				} {
+					if !job.prune {
+						g.gathers = 0
+					}
+					if got := total[g.stem+"_builds"]; got != g.gathers {
+						t.Errorf("%s built %d times, want %d: one per gather", g.stem, got, g.gathers)
+					}
+					if got, want := total[g.stem+"_reuses"], g.gathers*(procs-1); got != want {
+						t.Errorf("%s reused %d times, want %d: every other rank reads the first one's", g.stem, got, want)
+					}
 				}
 				if got := total["blast.context_lends"]; got != searches && !job.crash {
 					t.Errorf("kernel contexts lent = %d, want %d: one per fragment search", got, searches)
