@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,20 +305,36 @@ func TestDNASearch(t *testing.T) {
 	}
 }
 
+// TestSearcherRejectsBadOptions: an illegal option is rejected up front; a
+// non-finite cutoff, which every "<= 0" test lets through, by its name.
 func TestSearcherRejectsBadOptions(t *testing.T) {
-	cases := []func(*Options){
-		func(o *Options) { o.Matrix = nil },
-		func(o *Options) { o.WordSize = 0 },
-		func(o *Options) { o.WordSize = 9 }, // too large for protein
-		func(o *Options) { o.EValue = 0 },
-		func(o *Options) { o.Gaps.Extend = 0 },
-		func(o *Options) { o.XDropGapped = -1 },
+	cases := []struct {
+		mod  func(*Options)
+		name string // the field the error must name ("" = any error)
+	}{
+		{func(o *Options) { o.Matrix = nil }, ""},
+		{func(o *Options) { o.WordSize = 0 }, ""},
+		{func(o *Options) { o.WordSize = 9 }, ""}, // too large for protein
+		{func(o *Options) { o.EValue = 0 }, ""},
+		{func(o *Options) { o.Gaps.Extend = 0 }, ""},
+		{func(o *Options) { o.XDropGapped = -1 }, ""},
+		{func(o *Options) { o.EValue = math.NaN() }, "EValue"},
+		{func(o *Options) { o.EValue = math.Inf(1) }, "EValue"},
+		{func(o *Options) { o.XDropUngapped = math.NaN() }, "XDropUngapped"},
+		{func(o *Options) { o.XDropGapped = math.NaN() }, "XDropGapped"},
+		{func(o *Options) { o.XDropFinal = math.Inf(1) }, "XDropFinal"},
+		{func(o *Options) { o.GapTriggerBits = math.NaN() }, "GapTriggerBits"},
+		{func(o *Options) { o.GapTriggerBits = math.Inf(-1) }, "GapTriggerBits"},
 	}
-	for i, mod := range cases {
+	for i, tc := range cases {
 		o := DefaultProteinOptions()
-		mod(&o)
-		if _, err := NewSearcher(o); err == nil {
+		tc.mod(&o)
+		_, err := NewSearcher(o)
+		if err == nil {
 			t.Fatalf("case %d: bad options accepted", i)
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("case %d: error %q does not name %s", i, err, tc.name)
 		}
 	}
 }

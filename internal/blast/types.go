@@ -15,6 +15,7 @@ package blast
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -389,6 +390,17 @@ func (o *Options) Validate() error {
 	}
 	if o.Matrix.Alphabet().Kind() == seq.Protein && o.WordSize > 5 {
 		return fmt.Errorf("blast: protein word size %d too large", o.WordSize)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EValue", o.EValue}, {"XDropUngapped", o.XDropUngapped}, {"XDropGapped", o.XDropGapped},
+		{"XDropFinal", o.XDropFinal}, {"GapTriggerBits", o.GapTriggerBits},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("blast: %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	if o.EValue <= 0 {
 		return fmt.Errorf("blast: E-value cutoff must be positive, got %g", o.EValue)

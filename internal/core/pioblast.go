@@ -114,9 +114,11 @@ type Options struct {
 	// detects dead workers and re-issues their VIRTUAL partitions (offset
 	// ranges — no data movement) to survivors. Enabled automatically when
 	// the MPI config schedules faults; can be forced on to measure the
-	// protocol's fault-free overhead. Detection is paced by
-	// simtime.CostModel.FaultDetectInterval but never wrong: a timeout only
-	// triggers a ground-truth liveness check.
+	// protocol's fault-free overhead. How often detection polls is the
+	// world's call (mpi.Rank.DetectInterval): with a fault scheduled it is
+	// paced by the cost model and never wrong, since a timeout only triggers
+	// a ground-truth liveness check; forced on without one, the rendezvous
+	// receives simply block.
 	FaultTolerant bool
 	// TreeMerge replaces the flat worker→master metadata streams with the
 	// hierarchical group merge: workers pre-merge their batch metadata up
@@ -706,25 +708,12 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tun
 }
 
 // assignParts is the master half of greedy run-time assignment (§5): serve
-// part requests until every worker has been told "done". Returns the
+// part requests until every live worker has been told "done". Returns the
 // partitions reclaimed from workers that crashed meanwhile.
 func (mb *masterBatch) assignParts() (pending []int) {
 	r, meta := mb.r, mb.meta
 	r.SetPhase(simtime.PhaseIdle)
 	next := 0
-	if !meta.FT {
-		for done := 0; done < r.Size()-1; {
-			_, from, _ := r.Recv(mpi.AnySource, tagPartReq)
-			if next < len(meta.Parts) {
-				r.Send(from, tagPartAssign, engine.EncodeInt(next))
-				next++
-			} else {
-				r.Send(from, tagPartAssign, engine.EncodeInt(-1))
-				done++
-			}
-		}
-		return nil
-	}
 	served := make(map[int]bool)
 	allServed := func() bool {
 		for _, w := range mb.alive {
@@ -735,7 +724,7 @@ func (mb *masterBatch) assignParts() (pending []int) {
 		return true
 	}
 	for !allServed() {
-		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, r.Cost().FaultDetectInterval())
+		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, r.DetectInterval())
 		if err != nil {
 			// Timeout (AnySource never reports a specific failure):
 			// check ground truth for crashed workers and reclaim
@@ -862,7 +851,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		treeMerged = bm.PerQuery
 	} else {
 		for _, w := range alive {
-			data, err := engine.RecvOutputPhase(r, "core", w, tagResults, meta.FT)
+			data, err := engine.RecvOutputPhase(r, "core", w, tagResults)
 			if err != nil {
 				return err
 			}

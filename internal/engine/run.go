@@ -101,14 +101,10 @@ func SettleQuery(r *mpi.Rank, since float64, qlat *[]float64) {
 
 // RecvOutputPhase is the master's receive from one worker once the output
 // phase has begun. Recovery only covers the search phase — what the dead
-// worker cached is gone and the output is already partly laid out — so
-// under fault tolerance a crash here surfaces as a clean error wrapping
-// mpi.ErrRankFailed instead of a deadlock.
-func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int, ft bool) ([]byte, error) {
-	if !ft {
-		data, _, _ := r.Recv(w, tag)
-		return data, nil
-	}
+// worker cached is gone and the output is already partly laid out — so a
+// crash here surfaces as a clean error wrapping mpi.ErrRankFailed instead of
+// a deadlock. Where no fault is scheduled it is a blocking receive.
+func RecvOutputPhase(r *mpi.Rank, pkg string, w, tag int) ([]byte, error) {
 	data, err := r.RecvCrashAware(w, tag)
 	if err != nil {
 		return nil, fmt.Errorf("%s: worker %d crashed during the output phase; recovery only covers the search phase: %w", pkg, w, err)

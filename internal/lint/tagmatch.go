@@ -20,11 +20,11 @@ import (
 // //lint:receives <param>; facts.go).
 //
 // Helper functions that forward a tag parameter into a send/receive
-// (recvShuffle(src, tag), recvWorker(w, tag)) are resolved at their call
-// sites, transitively, so wrapping a receive in a fault-tolerance loop
-// does not demand an annotation. A call whose tag is neither a constant
-// nor a forwarded parameter is reported, unless it carries a
-// //lint:tagmatch <reason> justification.
+// (engine.RecvOutputPhase(r, pkg, w, tag), recvWorker(w, tag)) are resolved
+// at their call sites, transitively, so wrapping a receive in a
+// fault-tolerance loop does not demand an annotation. A call whose tag is
+// neither a constant nor a forwarded parameter is reported, unless it
+// carries a //lint:tagmatch <reason> justification.
 
 const (
 	dirSend = 1 << iota

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"parblast/internal/metrics"
 	"parblast/internal/trace"
 	"parblast/internal/vfs"
 )
@@ -228,6 +229,70 @@ func TestRecvCrashAware(t *testing.T) {
 	polling := world(func(r *Rank) ([]byte, error) { return r.RecvCrashAware(1, 9) })
 	if polling != blocking || polling < 0.9 {
 		t.Fatalf("polling receive completed at %g, blocking at %g", polling, blocking)
+	}
+}
+
+// TestDetectIntervalIsTheWorldsCall: whether a receive can see a crash is
+// decided inside the package. In a fault-free world DetectInterval is +Inf,
+// so a detection loop written once is one blocking receive — no timeout
+// however late the message, none booked — and Failed is false for everyone.
+// The same program under a degrade-only schedule polls and ends at the
+// bit-equal clock.
+func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
+	late := 1000 * testCost().FaultDetectInterval()
+	world := func(faults []Fault) (float64, int, int64) {
+		reg := metrics.NewRegistry()
+		var end float64
+		polls := 0
+		cfg := Config{Cost: testCost(), Faults: faults, Metrics: reg}
+		_, err := RunConfig(3, cfg, func(r *Rank) error {
+			if r.ID() == 1 {
+				r.Advance(late)
+				r.Send(0, 9, []byte("late"))
+				return nil
+			}
+			if r.ID() == 2 {
+				return nil
+			}
+			for {
+				data, _, _, err := r.RecvTimeout(1, 9, r.DetectInterval())
+				if err == nil {
+					if string(data) != "late" {
+						return fmt.Errorf("received %q", data)
+					}
+					break
+				}
+				if !errors.Is(err, ErrTimeout) {
+					return err
+				}
+				polls++
+			}
+			for id := 0; id < r.Size(); id++ {
+				if r.Failed(id) {
+					return fmt.Errorf("Failed(%d) with no crash scheduled", id)
+				}
+			}
+			end = r.Clock().Now()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end, polls, reg.Snapshot().CounterTotal("mpi.recv_timeouts")
+	}
+	free, freePolls, freeTimeouts := world(nil)
+	if freePolls != 0 || freeTimeouts != 0 {
+		t.Fatalf("fault-free world: %d ErrTimeouts, mpi.recv_timeouts = %d; want 0 and 0", freePolls, freeTimeouts)
+	}
+	if free < late {
+		t.Fatalf("fault-free receive completed at %g, before the message was sent at %g", free, late)
+	}
+	degraded, polls, timeouts := world([]Fault{{Rank: 2, At: 0, Kind: FaultDegrade, Slow: 2}})
+	if polls < 1000 || timeouts != int64(polls) {
+		t.Fatalf("degrade-only world: %d ErrTimeouts, mpi.recv_timeouts = %d; want ≥ 1000 and equal", polls, timeouts)
+	}
+	if degraded != free {
+		t.Fatalf("degrade-only world ends at %x, fault-free at %x", degraded, free)
 	}
 }
 

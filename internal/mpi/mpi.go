@@ -55,6 +55,17 @@
 // and the schedule — every grant, every clock — is the one a token-held
 // search would give.
 //
+// # Faults
+//
+// Whether a crash can be seen is decided here, once. Where no fault is
+// scheduled, Failed is false without a scheduling point, DetectInterval is
+// +Inf — so RecvCrashAware, and RecvTimeout at that interval, block like Recv
+// — and the tree collectives run hop by hop, one bare payload per edge.
+// Where one is, detectors poll every FaultDetectInterval and TreeReduce and
+// TreeBcast go flat (one AllGather, one Bcast) over the survivors, so their
+// members must be every live rank. The engines write each detection loop
+// once, for every world.
+//
 // # Built once per world, charged once per rank
 //
 // All ranks live in one address space, so a value that is the same on every
@@ -251,9 +262,6 @@ type Rank struct {
 	clock        *simtime.Clock
 	coll         *collective // the collective this rank last joined
 	degradeFired bool        // this rank's degrade is already marked on the trace
-	// treeRound numbers this rank's tree reductions; the count is stamped on
-	// every bundle it sends. Only touched by the rank's own goroutine.
-	treeRound int64
 	// traceBatch is the rank's current query-batch trace context (-1 =
 	// none). Stamped on every outgoing envelope; adopted from incoming
 	// envelopes at delivery, so context propagates causally across ranks.
@@ -848,7 +856,11 @@ func (w *World) emitCollectiveFlows(c *collective) {
 // failure detector's ground truth: detection protocols use timeouts to
 // decide WHEN to ask, but the answer itself is never wrong — the caller
 // parks first, so every crash earlier than its clock has already fired.
+// With no fault scheduled nobody can crash: false, without parking.
 func (r *Rank) Failed(rank int) bool {
+	if !r.faultsScheduled() {
+		return false
+	}
 	r.block(stateReady)
 	return r.world.dead(rank)
 }
@@ -1065,11 +1077,19 @@ func (r *Rank) Wait(h *IOHandle) {
 	reg.Gauge("mpi.async_io_exposed_s", r.id).Add(exposed)
 }
 
-// FaultsScheduled reports whether this world's configuration schedules any
-// faults. Protocols use it to choose between plain blocking receives, which
-// a dead sender would deadlock, and crash-aware ones (RecvCrashAware, the
-// flat collectives), which learn of a crash at the crash time.
-func (r *Rank) FaultsScheduled() bool { return len(r.world.config.Faults) > 0 }
+// faultsScheduled is the package's one answer to "can a crash be seen?"
+// (the package comment's # Faults).
+func (r *Rank) faultsScheduled() bool { return len(r.world.config.Faults) > 0 }
+
+// DetectInterval is the failure detectors' polling interval: the cost
+// model's FaultDetectInterval where a fault is scheduled, +Inf where none is
+// — and a RecvTimeout with an infinite deadline is a plain Recv.
+func (r *Rank) DetectInterval() float64 {
+	if !r.faultsScheduled() {
+		return math.Inf(1)
+	}
+	return r.world.cost.FaultDetectInterval()
+}
 
 // Send transmits data to dst with the given tag. It is buffered and does
 // not block. The payload is NOT copied; callers must not mutate it after
@@ -1166,16 +1186,17 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 }
 
 // RecvCrashAware is Recv from a named source that cannot deadlock on a dead
-// one: it polls RecvTimeout every FaultDetectInterval until the message
-// arrives or src is known to have crashed (ErrRankFailed, wrapped). A
-// message that arrives within any polling window still completes at exactly
-// its arrival time, so where no source dies the schedule is the blocking
-// receive's; callers decide when a crash is possible and what it means.
+// one: it polls RecvTimeout every DetectInterval until the message arrives or
+// src is known to have crashed (ErrRankFailed, wrapped). A message that
+// arrives within any polling window still completes at exactly its arrival
+// time, so where no source dies the schedule is the blocking receive's, and
+// where no fault is scheduled it is one blocking receive; callers decide what
+// a crash means.
 //
 //lint:receives tag
 func (r *Rank) RecvCrashAware(src, tag int) ([]byte, error) {
 	for {
-		data, _, _, err := r.RecvTimeout(src, tag, r.world.cost.FaultDetectInterval())
+		data, _, _, err := r.RecvTimeout(src, tag, r.DetectInterval())
 		if err == nil || errors.Is(err, ErrRankFailed) {
 			return data, err
 		}

@@ -3,9 +3,10 @@
 // volume are charged where they really land. The flat AllGather models the
 // root link as the bottleneck — completion pays the total inbound volume —
 // which is exactly the paper's §3.2 master-serialization problem. A k-ary
-// tree spreads that cost: each node receives at most `fanout` bundles, so
-// the root's critical path shrinks from O(N) message ingests to
-// O(k·log_k N).
+// tree spreads that cost: each node receives at most `fanout` partial folds,
+// so the root's critical path shrinks from O(N) message ingests to
+// O(k·log_k N). An edge carries its subtree's fold as the bare payload and
+// nothing else.
 //
 // # Topology
 //
@@ -13,23 +14,13 @@
 // node at position p has parent (p-1)/fanout and children fanout·p+1 …
 // fanout·p+fanout. Every member would derive the identical topology from its
 // own copy of the list; the world builds it once per (root, fan-out, member
-// list) and the members read it (World.layout).
-//
-// # Faults
-//
-// One rule for both collectives: the tree runs when no fault is scheduled
-// (blocking receives from exact children, one message per edge); when one
-// is, TreeReduce and TreeBcast go flat — one AllGather, one Bcast — which
-// complete over the survivors by construction. Members must then be every
-// live rank, because the flat collectives synchronize world-wide; the
-// engines always call them that way.
+// list) and the members read it (World.layout). Under a fault schedule both
+// collectives go flat (the package comment's # Faults).
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Tree-collective message tags, inside the dedicated CollTagBase region so
@@ -71,7 +62,7 @@ func newTreeTopo(root, fanout int, members []int) treeTopo {
 		panic(fmt.Sprintf("mpi: tree fanout %d < 2", fanout))
 	}
 	ms := append([]int(nil), members...)
-	sort.Ints(ms)
+	slices.Sort(ms)
 	for i := 1; i < len(ms); i++ {
 		if ms[i] == ms[i-1] {
 			panic(fmt.Sprintf("mpi: duplicate tree member %d", ms[i]))
@@ -133,85 +124,6 @@ func (t treeTopo) maxDepth() int {
 	return t.depth(len(t.members) - 1)
 }
 
-// treeBundle is one up-phase message: the combined payload of a subtree and
-// the members it covers. The wire form also carries the sender's round stamp
-// and the covered list a second time; nothing reads either, but every encoded
-// byte is charged to the clocks, so dropping them is a model change.
-type treeBundle struct {
-	round   int64
-	covered []int // ranks whose data is folded into payload, ascending
-	payload []byte
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func appendRankList(b []byte, ranks []int) []byte {
-	b = appendUvarint(b, uint64(len(ranks)))
-	for _, r := range ranks {
-		b = appendUvarint(b, uint64(r))
-	}
-	return b
-}
-
-type treeDecoder struct {
-	buf []byte
-	bad bool
-}
-
-func (d *treeDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *treeDecoder) rankList() []int {
-	n := int(d.uvarint())
-	if d.bad || n > len(d.buf) {
-		d.bad = true
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, int(d.uvarint()))
-	}
-	return out
-}
-
-func (d *treeDecoder) blob() []byte {
-	n := int(d.uvarint())
-	if d.bad || n > len(d.buf) {
-		d.bad = true
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (b treeBundle) encode() []byte {
-	out := appendUvarint(nil, uint64(b.round))
-	out = appendRankList(out, b.covered)
-	out = appendRankList(out, b.covered) // the wire's second copy
-	out = appendUvarint(out, uint64(len(b.payload)))
-	return append(out, b.payload...)
-}
-
-func decodeTreeBundle(data []byte) (treeBundle, bool) {
-	d := treeDecoder{buf: data}
-	b := treeBundle{round: int64(d.uvarint())}
-	b.covered = d.rankList()
-	d.rankList() // the wire's second copy
-	b.payload = d.blob()
-	return b, !d.bad
-}
-
 // recordTreeOp books one member's entry into a tree collective, mirroring
 // the flat runCollective accounting (per-op count and byte series).
 func (r *Rank) recordTreeOp(op string, size int64) {
@@ -241,7 +153,9 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 //
 // With no fault scheduled the fold climbs the k-ary message tree, whose
 // layout the members share (World.layout): pass the same member list call
-// after call and nothing is copied or sorted again. With one scheduled it
+// after call and nothing is copied or sorted again. Each edge carries the
+// sender's partial fold and nothing else, the fold is a pre-order walk of the
+// layout, and the root's contributors are every member. With one scheduled it
 // goes flat over the survivors (members must then be every live rank): a
 // member that is alive when it makes the call contributes, even an
 // empty payload, and a member that crashed earlier is reported by its
@@ -264,48 +178,30 @@ func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine 
 	if len(t.members) == 1 {
 		return data, []int{r.id}, nil
 	}
-	if r.FaultsScheduled() {
+	if r.faultsScheduled() {
 		return r.treeReduceFlat(t, data, combine)
 	}
 	return r.treeReduceFast(t, myPos, data, combine)
 }
 
-// foldBundles combines own data with the stashed bundles in deterministic
-// order (ascending minimum covered rank) and returns the fold plus the
-// ascending union of covered ranks.
-func foldBundles(self int, data []byte, stash []treeBundle, combine func(a, b []byte) []byte) ([]byte, []int) {
-	sort.Slice(stash, func(i, j int) bool { return stash[i].covered[0] < stash[j].covered[0] })
-	combined := data
-	covered := []int{self}
-	for _, b := range stash {
-		combined = combine(combined, b.payload)
-		covered = append(covered, b.covered...)
-	}
-	sort.Ints(covered)
-	return combined, covered
-}
-
 // treeReduceFast is the fault-free up phase: exact blocking receives from
-// every child, one bundle per edge.
+// every child, each carrying its subtree's fold as the bare payload, folded in
+// child-position order. Every subtree's members follow its root in the
+// layout, so that is ascending order of each subtree's smallest rank.
 func (r *Rank) treeReduceFast(t treeTopo, myPos int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
-	r.treeRound++
-	var stash []treeBundle
+	combined := data
 	for _, c := range t.children(myPos) {
 		raw, _, _ := r.Recv(t.members[c], tagTreeReduce)
-		b, ok := decodeTreeBundle(raw)
-		if !ok {
-			return nil, nil, fmt.Errorf("mpi: rank %d received corrupt tree bundle", r.id)
-		}
-		stash = append(stash, b)
+		combined = combine(combined, raw)
 	}
-	combined, covered := foldBundles(r.id, data, stash, combine)
 	if myPos == 0 {
-		return combined, covered, nil
+		// Nobody can crash here, so every member contributed.
+		contributors := slices.Clone(t.members)
+		slices.Sort(contributors)
+		return combined, contributors, nil
 	}
-	b := treeBundle{round: r.treeRound, covered: covered, payload: combined}
-	raw := b.encode()
-	r.recordTreeEdge(t.depth(myPos), int64(len(raw)))
-	r.Send(t.members[t.parent(myPos)], tagTreeReduce, raw)
+	r.recordTreeEdge(t.depth(myPos), int64(len(combined)))
+	r.Send(t.members[t.parent(myPos)], tagTreeReduce, combined)
 	return nil, nil, nil
 }
 
@@ -319,14 +215,16 @@ func (r *Rank) treeReduceFlat(t treeTopo, data []byte, combine func(a, b []byte)
 	if r.id != t.members[0] {
 		return nil, nil, nil
 	}
-	var stash []treeBundle
+	// The root folds its own payload first, then the others in member order.
+	combined, contributors := data, []int{r.id}
 	for _, m := range t.members[1:] {
 		if framed := gathered[m]; len(framed) > 0 {
-			stash = append(stash, treeBundle{covered: []int{m}, payload: framed[1:]})
+			combined = combine(combined, framed[1:])
+			contributors = append(contributors, m)
 		}
 	}
-	combined, covered := foldBundles(r.id, data, stash, combine)
-	return combined, covered, nil
+	slices.Sort(contributors)
+	return combined, contributors, nil
 }
 
 // TreeBcast distributes root's payload to every member and returns it
@@ -349,7 +247,7 @@ func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 	if len(t.members) == 1 {
 		return data
 	}
-	if r.FaultsScheduled() {
+	if r.faultsScheduled() {
 		return r.Bcast(root, data)
 	}
 	payload := data

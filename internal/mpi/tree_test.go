@@ -331,6 +331,61 @@ func TestTreeReduceUnderFaultSchedule(t *testing.T) {
 	}
 }
 
+// TestTreeReduceBarePayloads pins the fault-free wire: with a concatenating
+// combiner, which reveals the fold order, the root's fold is a pre-order walk
+// of the layout, its contributors are the sorted members, and every tree edge
+// carries the sender's partial fold and not one byte more.
+func TestTreeReduceBarePayloads(t *testing.T) {
+	concat := func(a, b []byte) []byte { return append(slices.Clone(a), b...) }
+	for _, n := range []int{2, 13, 64} {
+		for _, fanout := range []int{2, 3, 8} {
+			for _, root := range []int{0, n / 2, n - 1} {
+				topo := newTreeTopo(root, fanout, allRanks(n))
+				var walk func(p int) []byte
+				walk = func(p int) []byte {
+					out := []byte{byte(topo.members[p])}
+					for _, c := range topo.children(p) {
+						out = append(out, walk(c)...)
+					}
+					return out
+				}
+				var edgeBytes int64
+				for p := 1; p < n; p++ {
+					edgeBytes += int64(len(walk(p)))
+				}
+				reg := metrics.NewRegistry()
+				var fold []byte
+				var contributors []int
+				_, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
+					out, contrib, err := r.TreeReduce(root, fanout, allRanks(n), []byte{byte(r.ID())}, concat)
+					if r.ID() == root {
+						fold, contributors = out, contrib
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("n=%d fanout=%d root=%d", n, fanout, root)
+				if want := walk(0); !bytes.Equal(fold, want) {
+					t.Errorf("%s: fold %v, want the pre-order walk %v", name, fold, want)
+				}
+				if !slices.Equal(contributors, allRanks(n)) {
+					t.Errorf("%s: contributors %v, want every member", name, contributors)
+				}
+				snap := reg.Snapshot()
+				var got int64
+				for level := 1; level <= topo.maxDepth(); level++ {
+					got += snap.CounterTotal(fmt.Sprintf("mpi.tree.level%02d.bytes", level))
+				}
+				if got != edgeBytes {
+					t.Errorf("%s: tree edges carried %d bytes, the forwarded folds are %d", name, got, edgeBytes)
+				}
+			}
+		}
+	}
+}
+
 func allRanks(n int) []int {
 	members := make([]int, n)
 	for i := range members {

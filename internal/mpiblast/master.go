@@ -87,12 +87,8 @@ func newAssigner(r *mpi.Rank, nFrags int, tree bool) *assigner {
 // handle — a detection timeout (dead workers purged via purge) or a stale
 // message from a crashed worker — and the caller should re-check its loop
 // condition.
-func (a *assigner) recv(ft bool, purge func()) (data []byte, from, tag int, ok bool, err error) {
-	if !ft {
-		data, from, tag = a.r.Recv(mpi.AnySource, mpi.AnyTag)
-		return data, from, tag, true, nil
-	}
-	data, from, tag, err = a.r.RecvTimeout(mpi.AnySource, mpi.AnyTag, a.r.Cost().FaultDetectInterval())
+func (a *assigner) recv(purge func()) (data []byte, from, tag int, ok bool, err error) {
+	data, from, tag, err = a.r.RecvTimeout(mpi.AnySource, mpi.AnyTag, a.r.DetectInterval())
 	if err != nil {
 		// Timed out: check ground truth for crashed workers.
 		purge()
@@ -269,7 +265,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 		})
 	}
 	for remaining > 0 || len(released) < len(a.alive) {
-		data, from, tag, ok, err := a.recv(m.ft, purge)
+		data, from, tag, ok, err := a.recv(purge)
 		if err != nil {
 			return err
 		}
@@ -353,7 +349,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 	// everything it completed or had in flight is re-searched.
 	purge := func() { a.purgeDead(nil, nil) }
 	for !(idle() && len(a.parked) == len(a.alive)) {
-		_, from, tag, ok, err := a.recv(m.ft, purge)
+		_, from, tag, ok, err := a.recv(purge)
 		if err != nil {
 			return err
 		}
@@ -554,7 +550,7 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 		h := merged[done]
 		// The hit data lives only in its worker's memory, so a crash at
 		// this point is unrecoverable.
-		residues, err := engine.RecvOutputPhase(r, "mpiblast", h.Worker, tagHitData, m.ft)
+		residues, err := engine.RecvOutputPhase(r, "mpiblast", h.Worker, tagHitData)
 		if err != nil {
 			return err
 		}

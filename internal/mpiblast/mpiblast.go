@@ -236,8 +236,9 @@ type masterPlan struct {
 	meta   jobMeta
 	kind   seq.Kind
 	dbInfo blast.DBInfo
-	// ft enables the crash-aware receive loops and fragment requeueing: set
-	// when the MPI config schedules faults.
+	// ft parks a requester the empty queue cannot serve while results are
+	// outstanding, so a crashed peer's fragment can still find it: set when
+	// the MPI config schedules faults.
 	ft bool
 }
 

@@ -12,7 +12,6 @@ package mpiblast
 
 import (
 	"fmt"
-	"sort"
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
@@ -67,38 +66,20 @@ func decodeTreeResults(data []byte) (treeResults, error) {
 	return t, r.Err()
 }
 
-// sortCapTreeHits applies the global selection rule — (E-value asc, score
-// desc, OID asc), capped at maxTargets — to one query's hit list. It is
-// the same strict total order MergeHits imposes, so nested application up
-// the tree equals the flat merge exactly.
+// sortCapTreeHits applies the global selection rule, engine.MergeHits, to
+// one query's hit list: each hit is keyed by its best (first) HSP, with its
+// slot in hits as the key's Worker. Nested application up the tree therefore
+// equals the flat merge exactly.
 func sortCapTreeHits(hits []treeHit, maxTargets int) []treeHit {
-	type keyed struct {
-		th     treeHit
-		eValue float64
-		score  int
-		oid    int
-	}
-	ks := make([]keyed, len(hits))
+	keys := make([]engine.HitMeta, len(hits))
 	for i, th := range hits {
-		res, _ := th.Hit.Unpack()
-		ks[i] = keyed{th: th, eValue: res.BestEValue(), score: res.BestScore(), oid: res.OID}
+		best := th.Hit.HSPs[0] // the kernel reports no subject without an HSP
+		keys[i] = engine.HitMeta{OID: th.Hit.OID, Worker: i, Score: best.Score, EValue: best.EValue}
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.eValue != b.eValue {
-			return a.eValue < b.eValue
-		}
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.oid < b.oid
-	})
-	if maxTargets > 0 && len(ks) > maxTargets {
-		ks = ks[:maxTargets]
-	}
-	out := make([]treeHit, len(ks))
-	for i := range ks {
-		out[i] = ks[i].th
+	keys = engine.MergeHits(keys, maxTargets)
+	out := make([]treeHit, len(keys))
+	for i, k := range keys {
+		out[i] = hits[k.Worker]
 	}
 	return out
 }

@@ -215,20 +215,6 @@ func (f *File) splitView(p collPlan, fn func(a int, off, length int64)) {
 	}
 }
 
-// recvShuffle receives one shuffle-phase message. When the world schedules
-// faults it uses the crash-aware receive so a dead peer surfaces as
-// mpi.ErrRankFailed instead of a deadlock; a message that arrives within
-// any polling window still completes at exactly its arrival time, so the
-// fault-free schedule is unchanged.
-func (f *File) recvShuffle(src, tag int) ([]byte, error) {
-	r := f.rank
-	if !r.FaultsScheduled() {
-		data, _, _ := r.Recv(src, tag)
-		return data, nil
-	}
-	return r.RecvCrashAware(src, tag)
-}
-
 // aggSpan is a covered interval inside an aggregator's domain.
 type aggSpan struct {
 	off  int64
@@ -458,7 +444,7 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 			if p.rank == r.ID() || !plan.overlaps(p.lo, p.hi, a) {
 				continue
 			}
-			buf, err := f.recvShuffle(p.rank, tagBase+2)
+			buf, err := r.RecvCrashAware(p.rank, tagBase+2)
 			if err != nil {
 				continue // requester died before asking; nothing to serve
 			}
@@ -564,7 +550,7 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 			addPieces(localPieces)
 			continue
 		}
-		buf, err := f.recvShuffle(plan.parts[a].rank, tagBase+3)
+		buf, err := r.RecvCrashAware(plan.parts[a].rank, tagBase+3)
 		if err != nil {
 			failed[a] = true
 			continue

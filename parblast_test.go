@@ -508,6 +508,43 @@ func TestIllegalCapsRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCutoffsRejected: a NaN or infinite E-value, X-drop or gap
+// trigger is rejected by name by both engines and the sequential oracle. Each
+// used to pass the "<= 0" checks (the gap trigger had none) and run to a
+// report.
+func TestNonFiniteCutoffsRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(o *parblast.SearchOptions, v float64)
+	}{
+		{"EValue", func(o *parblast.SearchOptions, v float64) { o.EValue = v }},
+		{"XDropUngapped", func(o *parblast.SearchOptions, v float64) { o.XDropUngapped = v }},
+		{"XDropGapped", func(o *parblast.SearchOptions, v float64) { o.XDropGapped = v }},
+		{"XDropFinal", func(o *parblast.SearchOptions, v float64) { o.XDropFinal = v }},
+		{"GapTriggerBits", func(o *parblast.SearchOptions, v float64) { o.GapTriggerBits = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast, parblast.EngineSequential} {
+				opts := parblast.DefaultProteinOptions()
+				tc.set(&opts, v)
+				_, err := cluster.Run(eng, parblast.Search{DB: db, Queries: queries, Output: "out", Options: opts})
+				if err == nil || !strings.Contains(err.Error(), tc.name+" must be finite") {
+					t.Errorf("%s = %g on %v: error %v, want one naming %s", tc.name, v, eng, err, tc.name)
+				}
+			}
+		}
+	}
+}
+
 // TestNilAndEmptyInputRejected: input a caller can build by hand — an empty
 // database, a nil sequence, one with no alphabet — is refused with a named
 // error before anything runs, by the façade for the database and by every

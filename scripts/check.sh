@@ -22,6 +22,17 @@ if [ "${1:-}" = "nogob" ]; then
     exit 0
 fi
 
+# Whether a receive can see a crash is internal/mpi's call (mpi.Rank.
+# DetectInterval, Failed, RecvCrashAware): no engine or I/O layer asks whether
+# faults are scheduled or reads the detection interval itself.
+detect=$(grep -rnE 'FaultDetectInterval|FaultsScheduled' --include='*.go' --exclude='*_test.go' \
+    internal/core internal/mpiblast internal/engine internal/mpiio || true)
+if [ -n "$detect" ]; then
+    echo "the crash-detection rule is read outside internal/mpi:" >&2
+    echo "$detect" >&2
+    exit 1
+fi
+
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
@@ -147,8 +158,9 @@ cmp "$tmp/results_mpi.txt" "$tmp/served_mpi.txt"
 
 # Fault smoke: a worker that is dead before it searches anything is recovered
 # from on both engines, under the flat merge and under the tree merge (whose
-# collectives go flat over the survivors once a fault is scheduled), and the
-# report is the fault-free one byte for byte.
+# collectives go flat over the survivors once a fault is scheduled), and under
+# pioBLAST's greedy assignment, with and without prefetch (one assignment loop
+# serves every world); the report is the fault-free one byte for byte.
 for eng in pio mpi; do
     go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
         -engine "$eng" -procs 6 -out "$tmp/free_$eng.txt" >/dev/null
@@ -158,6 +170,11 @@ for eng in pio mpi; do
             -out "$tmp/crash_$eng$tree.txt" >/dev/null
         cmp "$tmp/free_$eng.txt" "$tmp/crash_$eng$tree.txt"
     done
+done
+for mode in "-dynamic" "-dynamic -prefetch 1"; do
+    go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+        -engine pio -procs 6 $mode -crash 3@0 -out "$tmp/crash_dynamic.txt" >/dev/null
+    cmp "$tmp/free_pio.txt" "$tmp/crash_dynamic.txt"
 done
 
 # Width smoke: the north star's 1024-rank merge, end to end. What is the same
