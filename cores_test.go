@@ -27,15 +27,19 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The last worker crashes halfway through the fault-free run's search, with
+	// recovery armed; up to its crash it searches aside like every other rank.
+	mid := midSearch(t, procs, seqs, queries)
 	for _, job := range []struct {
-		name        string
-		eng         parblast.Engine
-		tree, serve bool
+		name               string
+		eng                parblast.Engine
+		tree, serve, crash bool
 	}{
-		{"pio one-shot", parblast.EnginePioBLAST, false, false},
-		{"pio tree", parblast.EnginePioBLAST, true, false},
-		{"mpi flat", parblast.EngineMPIBlast, false, false},
-		{"pio serve, shedding", parblast.EnginePioBLAST, false, true},
+		{"pio one-shot", parblast.EnginePioBLAST, false, false, false},
+		{"pio tree", parblast.EnginePioBLAST, true, false, false},
+		{"mpi flat", parblast.EngineMPIBlast, false, false, false},
+		{"pio serve, shedding", parblast.EnginePioBLAST, false, true, false},
+		{"pio crash", parblast.EnginePioBLAST, false, false, true},
 	} {
 		t.Run(job.name, func(t *testing.T) {
 			var want []byte
@@ -57,6 +61,10 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 				}
 				s := parblast.Search{DB: db, Queries: queries, Output: "out"}
 				s.Pio.TreeMerge = job.tree
+				if job.crash {
+					s.Faults = []parblast.Fault{{Rank: procs - 1, At: mid, Kind: parblast.FaultCrash}}
+					s.Pio.FaultTolerant = true
+				}
 				info := report.RunInfo{Engine: job.eng.String(), Procs: procs}
 				res, searched := parblast.Result{}, queries
 				if job.serve {
@@ -87,6 +95,9 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 				if doc.Metrics.CounterTotal("mpi.asides") == 0 {
 					t.Fatalf("GOMAXPROCS %d: no rank searched aside, so the relation says nothing", cores)
 				}
+				if job.crash && doc.Metrics.CounterTotal("engine.parts_reissued") == 0 {
+					t.Fatalf("GOMAXPROCS %d: fixture: the crash reissued no partition", cores)
+				}
 				doc.ExactPath = report.ExactCriticalPath(col)
 				var art bytes.Buffer
 				if err := doc.WriteJSON(&art); err != nil {
@@ -102,12 +113,31 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 	}
 }
 
+// midSearch is the virtual time halfway through a fault-free pioBLAST run's
+// search: a crash then is recoverable.
+func midSearch(t *testing.T, procs int, seqs, queries []*parblast.Sequence) float64 {
+	t.Helper()
+	cluster, err := parblast.NewCluster(procs, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{DB: db, Queries: queries, Output: "out"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0.5 * (free.Wall - free.Phase.Output)
+}
+
 // TestRanksSearchAside: on a job shaped like the benchmark's pio_wide_62 —
 // 62 ranks, one fragment each, a handful of queries — more than one rank is
 // inside the kernel at once (mpi.aside_peak > 1). With a crash scheduled for
-// every worker after the job's end, no rank leaves the scheduler token to
-// search (a rank with a crash to come keeps it), and the output is still the
-// sequential oracle's.
+// every worker after the job's end, every worker still searches aside — a
+// crash is seen at its time, so a rank with one to come parks like any other
+// — and the output is still the sequential oracle's.
 func TestRanksSearchAside(t *testing.T) {
 	const procs = 62
 	seqs, err := parblast.SynthesizeDB(parblast.DBConfig{
@@ -158,7 +188,7 @@ func TestRanksSearchAside(t *testing.T) {
 	for w := 1; w < procs; w++ {
 		late = append(late, parblast.Fault{Rank: w, At: 100 * free.Wall, Kind: parblast.FaultCrash})
 	}
-	if _, asides, peak := run(late); asides != 0 || peak != 0 {
-		t.Errorf("every worker's crash pending: %d asides, peak %d; want none", asides, peak)
+	if _, asides, peak := run(late); asides != procs-1 || peak <= 1 {
+		t.Errorf("every worker's crash pending: %d asides, peak %d; want one per worker and more than one at once", asides, peak)
 	}
 }

@@ -325,6 +325,11 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 		{func(o *Options) { o.XDropFinal = math.Inf(1) }, "XDropFinal"},
 		{func(o *Options) { o.GapTriggerBits = math.NaN() }, "GapTriggerBits"},
 		{func(o *Options) { o.GapTriggerBits = math.Inf(-1) }, "GapTriggerBits"},
+		// Each used to run: a negative window as one-hit seeding, an unknown
+		// format as the pairwise report.
+		{func(o *Options) { o.TwoHitWindow = -5 }, "TwoHitWindow"},
+		{func(o *Options) { o.OutFormat = 7 }, "OutFormat"},
+		{func(o *Options) { o.OutFormat = -1 }, "OutFormat"},
 	}
 	for i, tc := range cases {
 		o := DefaultProteinOptions()

@@ -415,6 +415,12 @@ func (o *Options) Validate() error {
 	if o.SearchThreads < 0 {
 		return fmt.Errorf("blast: SearchThreads=%d must not be negative (0 selects GOMAXPROCS)", o.SearchThreads)
 	}
+	if o.TwoHitWindow < 0 {
+		return fmt.Errorf("blast: TwoHitWindow=%d must not be negative (0 selects one-hit seeding)", o.TwoHitWindow)
+	}
+	if o.OutFormat != FormatPairwise && o.OutFormat != FormatTabular {
+		return fmt.Errorf("blast: OutFormat=%d names no report format", int(o.OutFormat))
+	}
 	return nil
 }
 

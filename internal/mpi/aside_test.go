@@ -25,8 +25,9 @@ func awaitClosed(ch chan struct{}) bool {
 
 // TestAsideContract pins mpi.Rank.Aside beside TestExtraSchedulingPointsAreNeutral,
 // which holds that an Aside moves no clock: what runs aside really runs beside
-// the rest of the world, a rank with a crash still to come keeps the token, and
-// an error elsewhere while ranks are aside still unwinds everyone.
+// the rest of the world, a crash is seen at its time whether its victim parked
+// aside or not, and an error elsewhere while ranks are aside still unwinds
+// everyone.
 func TestAsideContract(t *testing.T) {
 	t.Run("two ranks compute at once", func(t *testing.T) {
 		// Rank 0 parks at 100 units, so rank 1 (at 0) runs and parks too:
@@ -57,14 +58,15 @@ func TestAsideContract(t *testing.T) {
 		}
 	})
 
-	t.Run("a pending crash keeps the token", func(t *testing.T) {
+	t.Run("a crash is invisible before its time", func(t *testing.T) {
 		// Rank 1 crashes at its second 10-unit charge, at 110 units; rank 2
-		// asks at 99. Run in place, the crash has fired by then, as without
-		// an Aside; parked at 100, rank 1 would let rank 2 ask first.
+		// asks at 99 and again at 111. Without an Aside rank 1 runs on the
+		// token through its crash before rank 2 asks; with one it parks at 100
+		// and rank 2 asks first. Either way the crash is seen after 110 only.
 		for _, aside := range []bool{false, true} {
 			reg := metrics.NewRegistry()
 			faults := []Fault{{Rank: 1, At: 105 * testCost().SearchUnitCost, Kind: FaultCrash}}
-			failed := false
+			var early, late bool
 			_, err := RunConfig(3, Config{Cost: testCost(), Faults: faults, Metrics: reg}, func(r *Rank) error {
 				switch r.ID() {
 				case 1:
@@ -76,18 +78,24 @@ func TestAsideContract(t *testing.T) {
 					r.Compute(10)
 				case 2:
 					r.Compute(99)
-					failed = r.Failed(1)
+					early = r.Failed(1)
+					r.Compute(12)
+					late = r.Failed(1)
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !failed {
-				t.Errorf("aside=%v: rank 2 did not see rank 1's crash", aside)
+			if early || !late {
+				t.Errorf("aside=%v: Failed(1) = %v at 99 units and %v at 111; want false, then true", aside, early, late)
 			}
-			if n := reg.Snapshot().CounterTotal("mpi.asides"); n != 0 {
-				t.Errorf("aside=%v: %d Asides left the token with a crash pending", aside, n)
+			want := int64(0)
+			if aside {
+				want = 1
+			}
+			if n := reg.Snapshot().CounterTotal("mpi.asides"); n != want {
+				t.Errorf("aside=%v: mpi.asides = %d, want %d", aside, n, want)
 			}
 		}
 	})

@@ -92,29 +92,42 @@ func TestCollectiveBytesBucket(t *testing.T) {
 }
 
 // TestCrashExcludedFromCollectives: survivors' Barrier completes even when
-// a scheduled crash removes a participant before it joins.
+// a scheduled crash removes a participant before it joins — the victim
+// crashes at its door at t=2, the survivors leave at 2 ms and see the crash
+// only from t=2 on.
 func TestCrashExcludedFromCollectives(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
 		Faults: []Fault{{Rank: 2, At: 1.0, Kind: FaultCrash}},
+	}
+	failed := func(r *Rank, victim bool) error {
+		for id := 0; id < 3; id++ {
+			if got, want := r.Failed(id), victim && id == 2; got != want {
+				return fmt.Errorf("Failed(%d) = %v at t=%g, want %v", id, got, r.Clock().Now(), want)
+			}
+		}
+		return nil
 	}
 	clocks, err := RunConfig(3, cfg, func(r *Rank) error {
 		if r.ID() == 2 {
 			r.Advance(2) // sails past At=1; the next op crashes
 		}
 		r.Barrier()
-		// The detector's ground truth: exactly the victim is failed, and a
-		// receive from it names when it died.
-		for id := 0; id < 3; id++ {
-			if got, want := r.Failed(id), id == 2; got != want {
-				return fmt.Errorf("Failed(%d) = %v, want %v", id, got, want)
-			}
+		// The detector's ground truth: nobody has failed yet, a receive that
+		// ends before t=2 times out, and one whose deadline spans it names
+		// when the victim died and resumes then.
+		if err := failed(r, false); err != nil {
+			return err
 		}
-		_, _, _, err := r.RecvTimeout(2, 9, 1)
-		if !errors.Is(err, ErrRankFailed) || !strings.Contains(err.Error(), "crashed at t=2.000000") {
-			return fmt.Errorf("recv from the victim: %v, want ErrRankFailed naming t=2", err)
+		if _, _, _, err := r.RecvTimeout(2, 9, 1); !errors.Is(err, ErrTimeout) {
+			return fmt.Errorf("recv from the victim ending at t=%g: %v, want ErrTimeout", r.Clock().Now(), err)
 		}
-		return nil
+		_, _, _, err := r.RecvTimeout(2, 9, 1.5)
+		if !errors.Is(err, ErrRankFailed) || !strings.Contains(err.Error(), "crashed at t=2.000000") || r.Clock().Now() != 2 {
+			return fmt.Errorf("recv from the victim spanning t=2: %v at t=%g, want ErrRankFailed naming t=2 at t=2", err, r.Clock().Now())
+		}
+		r.Advance(1e-3)
+		return failed(r, true)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +135,43 @@ func TestCrashExcludedFromCollectives(t *testing.T) {
 	// The dead rank's clock froze at its crash; survivors moved on.
 	if got := clocks[2].Now(); got != 2.0 {
 		t.Fatalf("victim clock = %g, want 2 (frozen at crash)", got)
+	}
+}
+
+// TestCrashTieGoesToTheLowerID: a crash and a question at the same virtual
+// time are ordered as the scheduler orders them — time, then rank id — so the
+// asker sees the crash only if the victim's id is lower than its own, through
+// Failed at its clock and RecvTimeout at its deadline alike, whether or not the
+// victim parks aside on the way to its crash.
+func TestCrashTieGoesToTheLowerID(t *testing.T) {
+	const at = 0.25
+	for _, aside := range []bool{false, true} {
+		seen := make([]bool, 3)
+		recvErr := make([]error, 3)
+		cfg := Config{Cost: testCost(), Faults: []Fault{{Rank: 1, At: at, Kind: FaultCrash}}}
+		_, err := RunConfig(3, cfg, func(r *Rank) error {
+			id := r.ID()
+			if id == 1 {
+				r.Advance(at)
+				if aside {
+					r.Aside(func() {}) // parks at t=at with the crash due
+				}
+				r.Advance(0) // the crash fires here, at t=at
+				return nil
+			}
+			_, _, _, recvErr[id] = r.RecvTimeout(1, 9, at)
+			seen[id] = r.Failed(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[0] || !seen[2] {
+			t.Errorf("aside=%v: at t=%g rank 0 sees the crash %v, rank 2 %v; want false and true", aside, at, seen[0], seen[2])
+		}
+		if !errors.Is(recvErr[0], ErrTimeout) || !errors.Is(recvErr[2], ErrRankFailed) {
+			t.Errorf("aside=%v: receives with deadline t=%g: rank 0 %v, rank 2 %v; want ErrTimeout and ErrRankFailed", aside, at, recvErr[0], recvErr[2])
+		}
 	}
 }
 

@@ -21,8 +21,8 @@
 //   - a rank that is ready to run is eligible at its own clock;
 //   - a rank parked in a receive is eligible at max(clock, earliest matching
 //     arrival) — or at its deadline, or the crash time of the specific source
-//     a RecvTimeout awaits, when that comes first — and ineligible while none
-//     of those exists;
+//     a RecvTimeout awaits if that crash is seen at the deadline, when that
+//     comes first — and ineligible while none of those exists;
 //   - a rank inside a collective is ineligible until the last participant
 //     arrives, which releases everyone at the collective's completion time.
 //
@@ -64,7 +64,10 @@
 // Where one is, detectors poll every FaultDetectInterval and TreeReduce and
 // TreeBcast go flat (one AllGather, one Bcast) over the survivors, so their
 // members must be every live rank. The engines write each detection loop
-// once, for every world.
+// once, for every world. A crash is an event at its virtual time: Failed (at
+// the caller's clock) and RecvTimeout (at its deadline) see it only after it
+// in the scheduler's order — time, then rank id — never because the victim
+// ran first on the host, so a victim may park and compute Aside like any rank.
 //
 // # Built once per world, charged once per rank
 //
@@ -274,9 +277,9 @@ type abortPanic struct{ msg string }
 // Config bundles a cost model with optional per-rank heterogeneity.
 type Config struct {
 	Cost simtime.CostModel
-	// Speeds scales each rank's compute cost: 1 is the baseline node,
-	// 2 runs compute twice as slowly. nil, missing or zero entries mean 1;
-	// negative and non-finite ones are rejected. Models the heterogeneous
+	// Speeds scales each rank's compute cost: 1 is the baseline node, 2 runs
+	// compute twice as slowly. nil, missing or zero entries mean 1; negative,
+	// non-finite and surplus ones are rejected. Models the heterogeneous
 	// clusters the paper's §5 load-balancing discussion targets.
 	Speeds []float64
 	// Comm, when non-nil, accumulates per-rank communication volume —
@@ -421,11 +424,11 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		return nil, err
 	}
 	for i, s := range cfg.Speeds {
-		if s < 0 {
-			return nil, fmt.Errorf("mpi: negative speed factor %g for rank %d", s, i)
-		}
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("mpi: non-finite speed factor %g for rank %d", s, i)
+		switch {
+		case i >= n: // a factor for a rank that does not exist would be ignored
+			return nil, fmt.Errorf("mpi: %d speed factors for world size %d", len(cfg.Speeds), n)
+		case s < 0 || math.IsNaN(s) || math.IsInf(s, 0):
+			return nil, fmt.Errorf("mpi: negative or non-finite speed factor %g for rank %d", s, i)
 		}
 	}
 	w := &World{
@@ -592,13 +595,13 @@ func (w *World) earliestEligible() int {
 		case stateBlockedRecv:
 			// A receive with a deadline is always eligible: it wakes at the
 			// earliest of the match, the timeout and — so that ErrRankFailed
-			// is reported at the time it became true — its source's crash.
+			// is reported at the time it became true — a source crash it sees.
 			dl := w.recvDeadline[i]
 			t = dl
 			if k := w.earliestMatch(i); k >= 0 {
 				t = math.Min(t, w.inbox[i][k].arrival)
 			}
-			if src := w.recvSrc[i]; !math.IsInf(dl, 1) && w.dead(src) {
+			if src := w.recvSrc[i]; !math.IsInf(dl, 1) && w.crashSeen(src, dl, i) {
 				t = math.Min(t, w.crashTime[src])
 			}
 			if math.IsInf(t, 1) {
@@ -701,17 +704,11 @@ func (r *Rank) block(s rankState) {
 // the search kernel — without the scheduler token. The rank parks ready at
 // its own clock, which is one more scheduling point and so moves no clock;
 // every rank whose event is earlier runs while f does, and if none is, the
-// token waits in the rank's wake channel until f returns. A rank whose own
-// crash is still pending runs f on the token instead: parked, it would let a
-// peer at an earlier clock ask Failed first, and the peer would miss the crash
-// it sees when this rank runs on to it.
+// token waits in the rank's wake channel until f returns. Aside is no MPI
+// operation and fires no crash; a rank whose crash is due parks like any
+// other, since nobody sees a crash before its time (crashSeen).
 func (r *Rank) Aside(f func()) {
-	r.maybeCrash()
 	w := r.world
-	if !math.IsInf(w.crashAt[r.id], 1) {
-		f()
-		return
-	}
 	w.away++
 	w.awayPeak = max(w.awayPeak, w.away)
 	w.config.Metrics.Counter("mpi.asides", 0).Inc()
@@ -852,22 +849,25 @@ func (w *World) emitCollectiveFlows(c *collective) {
 	}
 }
 
-// Failed reports whether the given rank has crashed. This is the simulated
-// failure detector's ground truth: detection protocols use timeouts to
-// decide WHEN to ask, but the answer itself is never wrong — the caller
-// parks first, so every crash earlier than its clock has already fired.
+// Failed reports whether the given rank has crashed, seen at the caller's
+// clock. This is the simulated failure detector's ground truth: detection
+// protocols use timeouts to decide WHEN to ask, but the answer itself is never
+// wrong — the caller parks first, so every crash it can see has fired.
 // With no fault scheduled nobody can crash: false, without parking.
 func (r *Rank) Failed(rank int) bool {
 	if !r.faultsScheduled() {
 		return false
 	}
 	r.block(stateReady)
-	return r.world.dead(rank)
+	return r.world.crashSeen(rank, r.clock.Now(), r.id)
 }
 
-// dead reports whether rank names a crashed rank (AnySource names none).
-func (w *World) dead(rank int) bool {
-	return rank >= 0 && rank < w.n && w.crashed[rank]
+// crashSeen reports whether asker, at virtual time t, sees rank v crashed: the
+// crash has fired and (crash time, v) precedes (t, asker) in the scheduler's
+// order, however early it fired on the host. AnySource names none.
+func (w *World) crashSeen(v int, t float64, asker int) bool {
+	return v >= 0 && v < w.n && w.crashed[v] &&
+		(w.crashTime[v] < t || w.crashTime[v] == t && v < asker)
 }
 
 // ID returns the rank number (0-based).
@@ -1143,7 +1143,7 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 //   - (data, from, tag, nil) when a matching message can be delivered no
 //     later than now+timeout;
 //   - ErrRankFailed (wrapped, with the crash time) when src is a specific
-//     rank that has crashed and no deliverable match is queued;
+//     rank whose crash is seen at the deadline and no match is deliverable;
 //   - ErrTimeout when the deadline passes first — the clock advances to
 //     the deadline, so repeated polling makes forward progress.
 //
@@ -1169,14 +1169,14 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 		m := r.deliver(k)
 		return m.data, m.src, m.tag, nil
 	}
-	if w.dead(src) {
+	if w.crashSeen(src, deadline, r.id) {
 		at := w.crashTime[src]
 		r.clock.AdvanceTo(at) // no-op when the crash is in our past
 		w.config.Metrics.Counter("mpi.recv_failed_peer", r.id).Inc()
 		return nil, 0, 0, fmt.Errorf("mpi: recv from rank %d: %w (crashed at t=%.6f)", src, ErrRankFailed, at)
 	}
-	// Resumed with neither a deliverable match nor a dead source: the
-	// deadline was the earliest event.
+	// Resumed with neither a deliverable match nor a crash seen by the
+	// deadline: the deadline was the earliest event.
 	r.clock.AdvanceTo(deadline)
 	if reg := w.config.Metrics; reg != nil {
 		reg.Counter("mpi.recv_timeouts", r.id).Inc()

@@ -550,9 +550,27 @@ func TestRecvDoesNotJumpToFutureMessage(t *testing.T) {
 
 // TestExtraSchedulingPointsAreNeutral: the ordering rule lives in the
 // operations themselves, so parking a rank at any other point — here before
-// every single operation of a mixed send/recv/I-O/tree-reduce body — must
-// not move any clock.
+// every single operation — must not move any clock: fault-free, over a mixed
+// send/recv/I-O/tree-reduce body, and under every crash schedule of a grid,
+// over a crash-tolerant body, where no Failed answer or receive outcome may
+// move either.
 func TestExtraSchedulingPointsAreNeutral(t *testing.T) {
+	// Aside is such a point with host work in it: the rank computes while
+	// parked, and the world goes on around it for as long as that takes.
+	busy := func() {
+		for i := 0; i < 3; i++ {
+			runtime.Gosched()
+		}
+	}
+	points := map[string]func(*Rank){
+		"parked": func(r *Rank) { r.block(stateReady) },
+		"aside":  func(r *Rank) { r.Aside(busy) },
+	}
+	t.Run("fault-free", func(t *testing.T) { extraPointsFaultFree(t, points) })
+	t.Run("crash schedules", func(t *testing.T) { extraPointsUnderCrashes(t, points) })
+}
+
+func extraPointsFaultFree(t *testing.T, points map[string]func(*Rank)) {
 	const n = 7
 	members := make([]int, n)
 	for i := range members {
@@ -614,23 +632,121 @@ func TestExtraSchedulingPointsAreNeutral(t *testing.T) {
 		return out
 	}
 	plain := run(func(*Rank) {})
-	// Aside is such a point with host work in it: the rank computes while
-	// parked, and the world goes on around it for as long as that takes.
-	busy := func() {
-		for i := 0; i < 3; i++ {
-			runtime.Gosched()
-		}
-	}
-	for name, point := range map[string]func(*Rank){
-		"parked": func(r *Rank) { r.block(stateReady) },
-		"aside":  func(r *Rank) { r.Aside(busy) },
-	} {
+	for name, point := range points {
 		got := run(point)
 		for i := range plain {
 			if plain[i] != got[i] {
 				t.Fatalf("%s: rank %d clock %x with extra scheduling points, %x without", name, i, got[i], plain[i])
 			}
 		}
+	}
+}
+
+// extraPointsUnderCrashes runs a crash-tolerant master/worker body under one
+// crash of each worker at each of forty times across the run. A victim runs
+// on without parking between its scheduling points, so it may fire its crash
+// long before a peer at an earlier clock asks about it: what the peer is told
+// must not depend on that.
+func extraPointsUnderCrashes(t *testing.T, points map[string]func(*Rank)) {
+	const n, poll, times = 7, 2e-3, 40
+	// run returns, per rank, every Failed answer and receive outcome with the
+	// clock it came at, then the rank's final clock; and the latest clock.
+	run := func(faults []Fault, point func(*Rank)) ([]string, float64) {
+		notes := make([]strings.Builder, n)
+		clocks, err := RunConfig(n, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
+			id := r.ID()
+			note := func(format string, args ...any) {
+				fmt.Fprintf(&notes[id], "%x "+format+"; ", append([]any{r.Clock().Now()}, args...)...)
+			}
+			point(r)
+			r.Compute(int64(1000 * (n - id)))
+			if id == 0 {
+				// Serve two requests per worker in arrival order; when none
+				// comes in time, ask Failed about every open worker.
+				served, dead := make([]int, n), make([]bool, n)
+				for open := n - 1; open > 0; {
+					point(r)
+					_, from, _, err := r.RecvTimeout(AnySource, 1, poll)
+					note("request from %d: %v", from, err)
+					if err != nil {
+						for w := 1; w < n; w++ {
+							if served[w] < 2 && !dead[w] {
+								point(r)
+								dead[w] = r.Failed(w)
+								note("Failed(%d) = %v", w, dead[w])
+								if dead[w] {
+									open--
+								}
+							}
+						}
+						continue
+					}
+					point(r)
+					r.Advance(1e-4)
+					point(r)
+					r.Send(from, 2, make([]byte, 100*from))
+					if served[from]++; served[from] == 2 && !dead[from] {
+						open--
+					}
+				}
+			} else {
+				for i := 0; i < 2; i++ {
+					point(r)
+					r.Send(0, 1, make([]byte, 300))
+					point(r)
+					_, err := r.RecvCrashAware(0, 2)
+					note("reply: %v", err)
+					point(r)
+					r.Compute(int64(700 * id))
+				}
+				// Pass a token round the workers' ring: a dead predecessor
+				// is detected instead.
+				point(r)
+				r.Send(id%(n-1)+1, 3, nil)
+				point(r)
+				_, err := r.RecvCrashAware((id+n-3)%(n-1)+1, 3)
+				note("ring: %v", err)
+			}
+			point(r)
+			r.AllGather(rankPayload(id, 1))
+			for w := 1; w < n; w++ {
+				point(r)
+				note("Failed(%d) = %v", w, r.Failed(w))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, end := make([]string, n), 0.0
+		for i, c := range clocks {
+			out[i] = fmt.Sprintf("%send %x", notes[i].String(), c.Now())
+			end = max(end, c.Now())
+		}
+		return out, end
+	}
+	_, wall := run(nil, func(*Rank) {})
+	moved := 0
+	for victim := 1; victim < n; victim++ {
+		for k := 0; k < times; k++ {
+			faults := []Fault{{Rank: victim, At: wall * float64(k) / times, Kind: FaultCrash}}
+			plain, _ := run(faults, func(*Rank) {})
+			for name, point := range points {
+				got, _ := run(faults, point)
+				for i := range plain {
+					if got[i] != plain[i] {
+						if moved++; moved <= 3 {
+							t.Errorf("%s, rank %d crashing at %d/%d of the run: rank %d saw\n%s\nwith extra scheduling points, without\n%s",
+								name, victim, k, times, i, got[i], plain[i])
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	if moved > 0 {
+		t.Errorf("extra scheduling points moved a clock or an answer in %d of %d cases", moved, 2*(n-1)*times)
 	}
 }
 
@@ -657,6 +773,12 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "speed factor") {
 			t.Fatalf("speed %g: error %v, want one naming the speed factor", s, err)
 		}
+	}
+	// More factors than ranks used to run, the surplus ignored.
+	surplus := Config{Cost: testCost(), Speeds: []float64{1, 3, 1}}
+	_, err = RunConfig(2, surplus, func(r *Rank) error { r.Compute(1000); return nil })
+	if err == nil || !strings.Contains(err.Error(), "3 speed factors for world size 2") {
+		t.Fatalf("3 speeds on 2 ranks: error %v, want one naming the surplus", err)
 	}
 }
 

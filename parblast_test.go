@@ -508,6 +508,47 @@ func TestIllegalCapsRejected(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeInputRejected: an unknown report format, a negative two-hit
+// window and more node speeds than ranks are rejected by name. Each used to
+// run: the format as the pairwise report, the window as one-hit seeding, the
+// surplus speeds ignored. The sequential engine runs on no ranks, so speeds
+// are the parallel engines' to reject.
+func TestOutOfRangeInputRejected(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	all := []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast, parblast.EngineSequential}
+	for _, tc := range []struct {
+		want    string
+		engines []parblast.Engine
+		set     func(*parblast.Search)
+	}{
+		{"OutFormat=7", all, func(s *parblast.Search) { s.Options.OutFormat = 7 }},
+		{"OutFormat=-1", all, func(s *parblast.Search) { s.Options.OutFormat = -1 }},
+		{"TwoHitWindow=-5", all, func(s *parblast.Search) { s.Options.TwoHitWindow = -5 }},
+		{"9 speed factors for world size 4", all[:2], func(s *parblast.Search) {
+			s.NodeSpeeds = []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+		}},
+	} {
+		for _, eng := range tc.engines {
+			s := parblast.Search{DB: db, Queries: queries, Output: "out", Options: parblast.DefaultProteinOptions()}
+			tc.set(&s)
+			if _, err := cluster.Run(eng, s); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: error %v, want one saying %q", eng, err, tc.want)
+			}
+		}
+	}
+}
+
 // TestNonFiniteCutoffsRejected: a NaN or infinite E-value, X-drop or gap
 // trigger is rejected by name by both engines and the sequential oracle. Each
 // used to pass the "<= 0" checks (the gap trigger had none) and run to a

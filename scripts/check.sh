@@ -22,6 +22,21 @@ if [ "${1:-}" = "nogob" ]; then
     exit 0
 fi
 
+# Prose the size of what it describes: no line of the repo's documents is
+# longer than 500 characters (UTF-8 code points), except a table row, which
+# cannot wrap. `check.sh mdwidth` runs this gate alone.
+wide=$(LC_ALL=C awk '{ s = $0; gsub(/[\200-\277]/, "", s) }
+    length(s) > 500 && s !~ /^[ \t]*\|/ { print FILENAME ":" FNR ": " length(s) " characters" }' \
+    README.md DESIGN.md EXPERIMENTS.md CHANGES.md ROADMAP.md PAPER.md PAPERS.md SNIPPETS.md bench/README.md)
+if [ -n "$wide" ]; then
+    echo "Markdown lines over 500 characters outside tables:" >&2
+    echo "$wide" >&2
+    exit 1
+fi
+if [ "${1:-}" = "mdwidth" ]; then
+    exit 0
+fi
+
 # Whether a receive can see a crash is internal/mpi's call (mpi.Rank.
 # DetectInterval, Failed, RecvCrashAware): no engine or I/O layer asks whether
 # faults are scheduled or reads the detection interval itself.
