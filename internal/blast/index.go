@@ -24,10 +24,9 @@ type wordIndex struct {
 	alpha  *seq.Alphabet
 	w      int
 	strict int
-	roll   wordRoll // how a scan of this index's alphabet and word size rolls its ids
 
 	dense     bool
-	offsets   []int32         // protein: len 20^w + 1, CSR row offsets
+	offsets   []int32         // protein: len 20^w + 2, CSR row offsets; row 20^w (none) is empty
 	sparse    map[uint64]span // DNA: wordID -> span into positions
 	positions []int32         // flat arena of query positions
 
@@ -37,12 +36,16 @@ type wordIndex struct {
 
 // wordRoll rolls the id of the word ending at each position of a sequence:
 // the last w residues read as a base-strict number. The index build (DNA)
-// and both subject scans step through it, so a scanned word and an indexed
-// one get the same id by construction.
+// and the subject encoding (Context.encode) step through it, so a scanned
+// word and an indexed one get the same id by construction.
 type wordRoll struct {
 	w      int
 	strict uint64
 	lead   uint64 // strict^(w-1), the weight of a full window's oldest residue
+	// none is strict^w, one past the last id: what a position where no word
+	// ends is encoded as. Every index maps it to no query position, and at
+	// DNA w = 16 it still differs from the top word's id, 4^16 - 1.
+	none uint64
 }
 
 func newWordRoll(w, strict int) wordRoll {
@@ -50,7 +53,7 @@ func newWordRoll(w, strict int) wordRoll {
 	for i := 1; i < w; i++ {
 		lead *= uint64(strict)
 	}
-	return wordRoll{w: w, strict: uint64(strict), lead: lead}
+	return wordRoll{w: w, strict: uint64(strict), lead: lead, none: lead * uint64(strict)}
 }
 
 // next feeds residue s[j] to a window that holds id over the run residues
@@ -75,10 +78,9 @@ type span struct {
 }
 
 // buildIndex constructs the lookup table for one query.
-func buildIndex(query []byte, o *Options) (*wordIndex, error) {
+func buildIndex(query []byte, o *Options, roll wordRoll) (*wordIndex, error) {
 	alpha := o.Matrix.Alphabet()
 	idx := &wordIndex{alpha: alpha, w: o.WordSize, strict: alpha.StrictSize(), queryLen: len(query)}
-	idx.roll = newWordRoll(idx.w, idx.strict)
 	if len(query) < o.WordSize {
 		if alpha.Kind() == seq.Protein {
 			idx.dense = true
@@ -97,7 +99,7 @@ func buildIndex(query []byte, o *Options) (*wordIndex, error) {
 		idx.dense = true
 		idx.buildProtein(query, o, size)
 	} else {
-		idx.buildDNA(query)
+		idx.buildDNA(query, roll)
 	}
 	return idx, nil
 }
@@ -161,12 +163,12 @@ func (idx *wordIndex) buildProtein(query []byte, o *Options, size int) {
 	idx.neighbors = int64(len(pairs))
 
 	// Pass 1 (count): offsets[id+1] holds id's registration count.
-	idx.offsets = make([]int32, size+1)
+	idx.offsets = make([]int32, size+2)
 	for _, p := range pairs {
 		idx.offsets[p>>32+1]++
 	}
 	// Prefix-sum into row offsets.
-	for i := 1; i <= size; i++ {
+	for i := 1; i <= size+1; i++ {
 		idx.offsets[i] += idx.offsets[i-1]
 	}
 	// Pass 2 (fill): place positions with per-row cursors; restore offsets.
@@ -184,7 +186,7 @@ func (idx *wordIndex) buildProtein(query []byte, o *Options, size int) {
 
 // buildDNA registers exact query words with a rolling word ID, packing each
 // word's positions into the flat arena in two passes (count, fill).
-func (idx *wordIndex) buildDNA(query []byte) {
+func (idx *wordIndex) buildDNA(query []byte, roll wordRoll) {
 	w := idx.w
 	idx.sparse = make(map[uint64]span, len(query))
 	// scan drives fn over every valid word of the query.
@@ -192,7 +194,7 @@ func (idx *wordIndex) buildDNA(query []byte) {
 		var id uint64
 		run := 0 // length of current run of strict residues
 		for i := range query {
-			if id, run = idx.roll.next(id, run, query, i); run >= w {
+			if id, run = roll.next(id, run, query, i); run >= w {
 				fn(id, int32(i-w+1))
 			}
 		}

@@ -7,10 +7,64 @@ import (
 	"parblast/internal/seq"
 )
 
+// TestDNATopWordSeeds: at DNA w = 16 there are 2^32 word ids, the last of
+// them all T. A subject whose only full word is that one, surrounded by
+// ambiguity residues that leave every other position wordless, must seed
+// exactly one hit, there, and report the homology around it.
+func TestDNATopWordSeeds(t *testing.T) {
+	const w, tee, n = 16, 3, 4 // T's code and N's in DNALetters
+	rng := rand.New(rand.NewSource(31))
+	strict := func(k int) []byte {
+		out := make([]byte, k)
+		for i := range out {
+			out[i] = byte(rng.Intn(4))
+		}
+		return out
+	}
+	run := make([]byte, w)
+	for i := range run {
+		run[i] = tee
+	}
+	left, right := strict(40), strict(40)
+	query := &seq.Sequence{ID: "top", Residues: append(append(append([]byte{}, left...), run...), right...), Alpha: seq.DNAAlphabet}
+	// In the subject's copy of the flanks an N every 12 residues, and next to
+	// the run, leaves no 16 strict residues in a row but the run itself.
+	leftN, rightN := append([]byte{}, left...), append([]byte{}, right...)
+	for i := 0; i < len(left); i += 12 {
+		leftN[len(left)-1-i], rightN[i] = n, n
+	}
+	subj := append(append(append(leftN, run...), rightN...), n)
+	opts := DefaultDNAOptions()
+	opts.WordSize = w
+	s, err := NewSearcher(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := s.NewContext()
+	if err := ctx.SetQuery(query); err != nil {
+		t.Fatal(err)
+	}
+	frag := &Fragment{Subjects: []Subject{{OID: 0, ID: "s", Residues: subj}}}
+	res, err := ctx.SearchFragment(frag, spaceFor(s, query.Len(), frag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Work.SeedHits != 1 {
+		t.Fatalf("%d seed hits, want exactly the top word's one", res.Work.SeedHits)
+	}
+	if len(res.Hits) != 1 {
+		t.Fatalf("%d hits, want the subject", len(res.Hits))
+	}
+	if h := res.Hits[0].HSPs[0]; h.SubjFrom > len(left) || h.SubjTo < len(left)+w {
+		t.Fatalf("HSP [%d,%d) does not cover the run at [%d,%d)", h.SubjFrom, h.SubjTo, len(left), len(left)+w)
+	}
+}
+
 // TestWordRollMatchesWindow: at every position of a sequence, the id rolled
 // forward by subtraction equals the id computed from scratch over the
 // residues in the window — through ambiguity residues, which empty it, and
-// for every word size either alphabet allows.
+// for every word size either alphabet allows — and no full word's id is the
+// roll's none.
 func TestWordRollMatchesWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, tc := range []struct {
@@ -18,7 +72,7 @@ func TestWordRollMatchesWindow(t *testing.T) {
 		wLo, wHi int
 	}{
 		{seq.ProteinAlphabet, 2, 5},
-		{seq.DNAAlphabet, 4, 12},
+		{seq.DNAAlphabet, 4, 16},
 	} {
 		strict := tc.alpha.StrictSize()
 		for w := tc.wLo; w <= tc.wHi; w++ {
@@ -49,6 +103,9 @@ func TestWordRollMatchesWindow(t *testing.T) {
 					}
 					if run >= w {
 						words++
+						if id >= roll.none {
+							t.Fatalf("%s w=%d: word id %d is not below none = %d", tc.alpha.Kind(), w, id, roll.none)
+						}
 					}
 				}
 				if len(s) > 100 && words == 0 {

@@ -31,7 +31,7 @@ func (s *Searcher) Prepare(q *seq.Sequence) (*PreparedQuery, error) {
 	if s.opts.FilterLowComplexity {
 		seeding, _ = MaskForSeeding(q.Residues, q.Alpha, DefaultFilterParams(q.Alpha.Kind()))
 	}
-	idx, err := buildIndex(seeding, &s.opts)
+	idx, err := buildIndex(seeding, &s.opts, s.roll)
 	if err != nil {
 		return nil, err
 	}
@@ -160,10 +160,11 @@ func (b *QueryBank) Lend() *Context {
 	return b.s.NewContext()
 }
 
-// TakeBack ends a loan: the context is unloaded, so an idle one pins no
-// query and no released index, and becomes the next Lend's.
+// TakeBack ends a loan: the context drops its query and its fragment, not the
+// encoding's arena, so an idle one pins neither and becomes the next Lend's.
 func (b *QueryBank) TakeBack(c *Context) {
 	c.unload()
+	c.wordsOf = nil
 	b.mu.Lock()
 	b.idle = append(b.idle, c)
 	b.mu.Unlock()

@@ -19,6 +19,7 @@ type Searcher struct {
 	opts Options
 	up   stats.Params // ungapped Karlin–Altschul parameters
 	gp   stats.Params // gapped parameters (final statistics)
+	roll wordRoll     // how word ids are read off a sequence
 
 	xdropUngapped int // raw scores
 	xdropGapped   int
@@ -37,7 +38,8 @@ func NewSearcher(opts Options) (*Searcher, error) {
 	if opts.MaxHSPsPerSubject == 0 {
 		opts.MaxHSPsPerSubject = 25
 	}
-	s := &Searcher{opts: opts, up: opts.ungappedParams(), gp: opts.gappedParams()}
+	s := &Searcher{opts: opts, up: opts.ungappedParams(), gp: opts.gappedParams(),
+		roll: newWordRoll(opts.WordSize, opts.Matrix.Alphabet().StrictSize())}
 	bitsToRaw := func(bits float64, p stats.Params) int {
 		r := int(math.Ceil(bits * math.Ln2 / p.Lambda))
 		if r < 1 {
@@ -71,10 +73,16 @@ type Context struct {
 	query *seq.Sequence
 	prep  *PreparedQuery
 
-	// Diagonal bookkeeping, epoch-stamped so it needs no clearing between
-	// subjects. Index: (sPos - qPos) + queryLen.
-	diag  []diagState
-	epoch int32
+	// Diagonal bookkeeping, index (sPos - qPos) + queryLen, stored past a
+	// per-subject base (ensureDiag), never above diagEnd: nothing is cleared.
+	diag    []diagState
+	diagEnd int32
+
+	// The word ids of wordsOf, the Subjects of the fragment last searched
+	// (encode): subject i's are words[starts[i]:starts[i+1]].
+	wordsOf []Subject
+	words   []uint64
+	starts  []int
 
 	// dp is the gapped-extension scratch, reused across all seeds.
 	dp dpScratch
@@ -107,11 +115,10 @@ type searchPool struct {
 
 // diagState is what seeding remembers about one diagonal, kept in one place
 // so that a seed hit — almost always one that only updates lastHit — touches
-// one cache line.
+// one cache line. Both are subject offsets plus the subject's diagonal base.
 type diagState struct {
-	lastHit  int32 // subject offset of the hit a second one must pair with
-	extLevel int32 // subject offset the last extension on the diagonal reached
-	stamp    int32 // epoch the two fields above belong to
+	lastHit  int32 // the hit a second one must pair with
+	extLevel int32 // where the last extension on the diagonal reached
 }
 
 // hspBox is the query/subject bounding box of an already-found gapped HSP,
@@ -165,18 +172,56 @@ func (c *Context) unload() {
 // Query returns the query currently loaded in the context.
 func (c *Context) Query() *seq.Sequence { return c.query }
 
-// ensureDiag makes room for n diagonals (at least doubling, so a run of
-// ever-longer subjects costs O(longest) allocation) and starts a new epoch.
-func (c *Context) ensureDiag(n int) {
+// ensureDiag makes room for n diagonals (at least doubling) and returns the
+// base a subject of length subjLen stores offsets from: past every value
+// stored before by more than the two-hit window, so an older entry reads as a
+// hit out of range and an extension level behind every position. Past the
+// int32 range the array is cleared and the bases start again.
+func (c *Context) ensureDiag(n, subjLen int) int {
 	if len(c.diag) < n {
 		c.diag = make([]diagState, max(n, 2*len(c.diag)))
-		c.epoch = 0
 	}
-	c.epoch++
-	if c.epoch == math.MaxInt32 {
+	base := int(c.diagEnd) + c.s.opts.TwoHitWindow + 1
+	if base+subjLen > math.MaxInt32 {
 		clear(c.diag)
-		c.epoch = 1
+		base = c.s.opts.TwoHitWindow + 1
 	}
+	c.diagEnd = int32(base + subjLen)
+	return base
+}
+
+// encode makes words hold the id of the word ending at each residue of frag's
+// subjects (roll.none where none ends) unless it already does: keyed by the
+// Subjects slice (first element, length), one encoding serves every query
+// searched against the fragment. A search treats subjects as read-only.
+func (c *Context) encode(frag *Fragment) {
+	subs := frag.Subjects
+	if len(subs) == len(c.wordsOf) && (len(subs) == 0 || &subs[0] == &c.wordsOf[0]) {
+		return
+	}
+	n, longest := 0, 0
+	for i := range subs {
+		n, longest = n+len(subs[i].Residues), max(longest, len(subs[i].Residues))
+	}
+	if cap(c.words) < n {
+		// Fragments cut by residue count differ by about a subject: room for two.
+		c.words = make([]uint64, 0, n+2*longest)
+	}
+	c.words, c.starts = c.words[:0], append(c.starts[:0], 0)
+	roll := c.s.roll
+	for i := range subs {
+		var id uint64
+		run, s := 0, subs[i].Residues
+		for j := range s {
+			if id, run = roll.next(id, run, s, j); run >= roll.w {
+				c.words = append(c.words, id)
+			} else {
+				c.words = append(c.words, roll.none)
+			}
+		}
+		c.starts = append(c.starts, len(c.words))
+	}
+	c.wordsOf = subs
 }
 
 // searchThreads resolves the worker count for one fragment.
@@ -212,12 +257,13 @@ func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*Quer
 	res := &QueryResult{QueryID: c.query.ID}
 	res.Work.Add(c.prep.work)
 	cutoffRaw := c.s.gp.ScoreForEValue(c.s.opts.EValue, space)
+	c.encode(frag)
 
 	if nw := c.searchThreads(len(frag.Subjects)); nw > 1 {
 		c.searchParallel(frag, cutoffRaw, space, nw, res)
 	} else {
 		for i := range frag.Subjects {
-			if r := c.searchOneSubject(&frag.Subjects[i], cutoffRaw, space, &res.Work); r != nil {
+			if r := c.searchOneSubject(&frag.Subjects[i], c.subjectWords(i), cutoffRaw, space, &res.Work); r != nil {
 				res.Hits = append(res.Hits, r)
 			}
 		}
@@ -230,12 +276,15 @@ func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*Quer
 	return res, nil
 }
 
+// subjectWords returns subject i's word ids in the current encoding.
+func (c *Context) subjectWords(i int) []uint64 { return c.words[c.starts[i]:c.starts[i+1]] }
+
 // searchOneSubject runs the full per-subject pipeline — scan, extend,
 // statistics, HSP cap — and returns the subject's result (nil when it has
-// no surviving HSPs). It touches only this context's scratch, so distinct
+// no surviving HSPs). It writes only this context's scratch, so distinct
 // contexts may run it concurrently on distinct subjects.
-func (c *Context) searchOneSubject(sub *Subject, cutoffRaw int, space stats.SearchSpace, work *WorkCounters) *SubjectResult {
-	hsps := c.searchSubject(sub.Residues, cutoffRaw, work)
+func (c *Context) searchOneSubject(sub *Subject, words []uint64, cutoffRaw int, space stats.SearchSpace, work *WorkCounters) *SubjectResult {
+	hsps := c.searchSubject(sub.Residues, words, cutoffRaw, work)
 	if len(hsps) == 0 {
 		return nil
 	}
@@ -307,21 +356,23 @@ func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.Sear
 }
 
 // drain is worker w's share of the call in flight: whatever subjects it is
-// first to claim.
+// first to claim, scanned through the owning context's encoding.
 func (p *searchPool) drain(w int) {
-	ctx, work := p.workers[w], &p.works[w]
+	ctx, owner, work := p.workers[w], p.workers[0], &p.works[w]
 	for i := int(p.next.Add(1)) - 1; i < len(p.slots); i = int(p.next.Add(1)) - 1 {
-		p.slots[i] = ctx.searchOneSubject(&p.frag.Subjects[i], p.cutoffRaw, p.space, work)
+		p.slots[i] = ctx.searchOneSubject(&p.frag.Subjects[i], owner.subjectWords(i), p.cutoffRaw, p.space, work)
 	}
 }
 
-// searchSubject scans one subject for seeds and extends them.
+// searchSubject scans one subject, whose word ids are words, for seeds and
+// extends them.
 //
 // The model charges one SeedHit per (query position, subject position) word
-// match; the host pays per hit only what the two-hit rule needs, which for
-// nearly every hit is one diagState read and one store. Only a hit that
+// match; the host pays per position only the index probe (where no word ends
+// it probes an empty row), and per hit only what the two-hit rule needs, for
+// nearly every hit one diagState read and one store. Only a hit that
 // qualifies for extension leaves the loop, through subjectScan.extend.
-func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) []*HSP {
+func (c *Context) searchSubject(subj []byte, words []uint64, cutoffRaw int, work *WorkCounters) []*HSP {
 	query := c.query.Residues
 	idx := c.prep.idx
 	w := c.s.opts.WordSize
@@ -329,18 +380,15 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 	if len(subj) < w || len(query) < w {
 		return nil
 	}
-	c.ensureDiag(len(query) + len(subj) + 1)
+	base := c.ensureDiag(len(query)+len(subj)+1, len(subj))
 	scan := subjectScan{c: c, subj: subj, cutoffRaw: cutoffRaw, work: work, boxes: c.boxes[:0]}
 
-	diag, epoch := c.diag, c.epoch
+	diag, qLen := c.diag, len(query)
 	twoHit := c.s.opts.TwoHitWindow
 	offsets, positions := idx.offsets, idx.positions
-	var id uint64
-	run, hits := 0, 0
-	for j := range subj {
-		if id, run = idx.roll.next(id, run, subj, j); run < w {
-			continue
-		}
+	hits := 0
+	// words[j] ends the word that starts at sPos = j-w+1.
+	for sPos, id := range words[w-1:] {
 		var seeds []int32
 		if idx.dense {
 			seeds = positions[offsets[id]:offsets[id+1]]
@@ -348,21 +396,18 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 			seeds = idx.lookupSparse(id)
 		}
 		hits += len(seeds)
-		sPos := j - w + 1
+		at := sPos + base
 		for _, qPos := range seeds {
-			ds := &diag[sPos-int(qPos)+len(query)]
-			if ds.stamp != epoch {
-				*ds = diagState{lastHit: -1 << 30, stamp: epoch}
-			}
-			if int32(sPos) < ds.extLevel {
+			ds := &diag[sPos-int(qPos)+qLen]
+			if at < int(ds.extLevel) {
 				continue // inside a region already covered by an extension
 			}
 			if twoHit > 0 {
-				gap := sPos - int(ds.lastHit)
+				gap := at - int(ds.lastHit)
 				if gap > twoHit {
 					// First hit on this diagonal (or the previous one is out of
 					// range): remember it and wait for a second hit.
-					ds.lastHit = int32(sPos)
+					ds.lastHit = int32(at)
 					continue
 				}
 				if gap < w {
@@ -372,9 +417,9 @@ func (c *Context) searchSubject(subj []byte, cutoffRaw int, work *WorkCounters) 
 					// qualify. This mirrors the NCBI diagonal array.
 					continue
 				}
-				ds.lastHit = int32(sPos)
+				ds.lastHit = int32(at)
 			}
-			scan.extend(ds, int(qPos), sPos)
+			ds.extLevel = int32(scan.extend(int(qPos), sPos) + base)
 		}
 	}
 	work.SeedHits += int64(hits)
@@ -396,17 +441,17 @@ type subjectScan struct {
 	boxes []hspBox
 }
 
-// extend grows the qualifying seed hit at (qPos, sPos) on diagonal ds: without
-// gaps first, then with gaps if that scored high enough.
-func (ss *subjectScan) extend(ds *diagState, qPos, sPos int) {
+// extend grows the qualifying seed hit at (qPos, sPos): without gaps first,
+// then with gaps if that scored high enough. It returns the subject offset
+// the ungapped extension reached, the diagonal's new extension level.
+func (ss *subjectScan) extend(qPos, sPos int) int {
 	c, query := ss.c, ss.c.query.Residues
 	seg := extendUngapped(query, ss.subj, qPos, sPos, c.s.opts.Matrix, c.s.xdropUngapped, ss.work)
-	ds.extLevel = int32(seg.sTo)
 	if seg.score >= c.s.gapTrigger {
 		// Skip if the seed midpoint is inside an HSP we already have.
 		for _, b := range ss.boxes {
 			if seg.seedQ >= b.q0 && seg.seedQ < b.q1 && seg.seedS >= b.s0 && seg.seedS < b.s1 {
-				return
+				return seg.sTo
 			}
 		}
 		h := c.gappedFromSeed(query, ss.subj, seg.seedQ, seg.seedS, ss.work)
@@ -424,6 +469,7 @@ func (ss *subjectScan) extend(ds *diagState, qPos, sPos int) {
 			Score: seg.score,
 		})
 	}
+	return seg.sTo
 }
 
 // gappedFromSeed runs the two-directional gapped extension around a seed

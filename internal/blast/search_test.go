@@ -328,6 +328,7 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 		// Each used to run: a negative window as one-hit seeding, an unknown
 		// format as the pairwise report.
 		{func(o *Options) { o.TwoHitWindow = -5 }, "TwoHitWindow"},
+		{func(o *Options) { o.TwoHitWindow = 1<<20 + 1 }, "TwoHitWindow"},
 		{func(o *Options) { o.OutFormat = 7 }, "OutFormat"},
 		{func(o *Options) { o.OutFormat = -1 }, "OutFormat"},
 	}

@@ -314,8 +314,8 @@ type Options struct {
 	// ≥ T against a query word enter the lookup table. Ignored for DNA,
 	// which uses exact words.
 	Threshold int
-	// TwoHit enables the two-hit seeding heuristic with the given window;
-	// 0 disables it (every seed hit triggers extension, the blastn mode).
+	// TwoHitWindow enables two-hit seeding with the given window, at most
+	// 1<<20; 0 disables it (every seed hit is extended: the blastn mode).
 	TwoHitWindow int
 	// XDropUngapped, XDropGapped, XDropFinal are X-drop cutoffs in bits.
 	XDropUngapped float64
@@ -415,8 +415,9 @@ func (o *Options) Validate() error {
 	if o.SearchThreads < 0 {
 		return fmt.Errorf("blast: SearchThreads=%d must not be negative (0 selects GOMAXPROCS)", o.SearchThreads)
 	}
-	if o.TwoHitWindow < 0 {
-		return fmt.Errorf("blast: TwoHitWindow=%d must not be negative (0 selects one-hit seeding)", o.TwoHitWindow)
+	// The ceiling keeps Context.ensureDiag's bases in int32.
+	if o.TwoHitWindow < 0 || o.TwoHitWindow > 1<<20 {
+		return fmt.Errorf("blast: TwoHitWindow=%d must be in [0, %d] (0 selects one-hit seeding)", o.TwoHitWindow, 1<<20)
 	}
 	if o.OutFormat != FormatPairwise && o.OutFormat != FormatTabular {
 		return fmt.Errorf("blast: OutFormat=%d names no report format", int(o.OutFormat))

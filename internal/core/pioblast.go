@@ -44,8 +44,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parblast/internal/blast"
@@ -1382,13 +1384,13 @@ func (w *worker) outputBatch(q0, q1 int) error {
 	}
 	// Result caching (§3.2): render candidate blocks into memory and
 	// submit metadata only.
-	blocks := make(map[[2]int][]byte)
-	bm := batchMetas{FirstQuery: q0}
+	blocks := make(map[[2]int]string)
+	bm := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
 	for q := q0; q < q1; q++ {
 		qm := engine.QueryMeta{QueryIndex: q, Work: w.work[q]}
 		for _, hit := range w.hits[q] {
 			subj := w.pool.Subjects[w.byOID[hit.OID]].Residues
-			block := []byte(blast.RenderHit(opts.OutFormat, queries[q], subj, hit, opts.Matrix))
+			block := blast.RenderHit(opts.OutFormat, queries[q], subj, hit, opts.Matrix)
 			r.FormatCost(int64(len(block)))
 			blocks[[2]int{q, hit.OID}] = block
 			qm.Hits = append(qm.Hits, engine.MetaFromResult(r.ID(), hit, int64(len(block))))
@@ -1435,9 +1437,13 @@ func (w *worker) outputBatch(q0, q1 int) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return sel.Offsets[idx[a]] < sel.Offsets[idx[b]] })
-	var view mpiio.View
-	var buf []byte
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(sel.Offsets[a], sel.Offsets[b]) })
+	view := mpiio.View{Segments: make([]mpiio.Segment, 0, len(idx))}
+	var size int64
+	for _, n := range sel.Lengths {
+		size += n
+	}
+	buf := make([]byte, 0, size)
 	for _, i := range idx {
 		key := [2]int{sel.Queries[i], sel.OIDs[i]}
 		block, ok := blocks[key]

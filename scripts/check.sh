@@ -105,7 +105,7 @@ GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 go test -run=- -fuzz=FuzzWireQueries -fuzztime=5s ./internal/engine
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
-go test -run=- -bench='SearchFragment|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
+go test -run=- -bench='SearchFragment|SearchQueries|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
 go run ./examples/quickstart >/dev/null
 
 # Telemetry smoke: a tiny end-to-end run with no telemetry flag but -report
