@@ -44,7 +44,7 @@ func main() {
 	filter := flag.Bool("filter", false, "mask low-complexity query regions for seeding (-F)")
 	dynamic := flag.Bool("dynamic", false, "pioBLAST: greedy run-time fragment assignment (§5)")
 	collectiveRead := flag.Bool("collective-read", false, "pioBLAST: two-phase collective input reads (§3; static assignment only: rejected with -dynamic)")
-	prefetch := flag.Int("prefetch", 0, "pioBLAST: partitions to prefetch asynchronously while searching (0 = synchronous reads)")
+	prefetch := flag.Int("prefetch", 0, "pioBLAST: partitions to prefetch asynchronously while searching (0 = synchronous reads; at most 1 with -dynamic, which assigns one partition per request)")
 	batch := flag.Int("batch", 0, "pioBLAST: queries per collective write (§5 query batching)")
 	treeMerge := flag.Bool("tree-merge", false, "hierarchical tree merge of result metadata (both engines): group pre-merges on worker clocks, one bundle per subtree to the master")
 	mergeFanout := flag.Int("merge-fanout", 0, "tree-merge fan-out (children per node, ≥2; 0 = default 4)")

@@ -61,6 +61,13 @@ func SearchTranslatedQuery(s *Searcher, dnaQuery *seq.Sequence, frag *Fragment, 
 			out.Hits = append(out.Hits, FrameHit{Frame: frame, Hit: hit})
 		}
 	}
+	out.rankHits(s.Options().MaxTargetSeqs)
+	return out, nil
+}
+
+// rankHits sorts the hits from every frame by (EValue, Score, OID, Frame)
+// and keeps the best max.
+func (out *TranslatedResult) rankHits(max int) {
 	sort.Slice(out.Hits, func(i, j int) bool {
 		a, b := out.Hits[i], out.Hits[j]
 		if a.Hit.BestEValue() != b.Hit.BestEValue() {
@@ -74,10 +81,9 @@ func SearchTranslatedQuery(s *Searcher, dnaQuery *seq.Sequence, frag *Fragment, 
 		}
 		return frameRank(a.Frame) < frameRank(b.Frame)
 	})
-	if max := s.Options().MaxTargetSeqs; len(out.Hits) > max {
+	if len(out.Hits) > max {
 		out.Hits = out.Hits[:max]
 	}
-	return out, nil
 }
 
 // frameRank orders frames +1,+2,+3,-1,-2,-3 deterministically.
@@ -135,21 +141,6 @@ func SearchTranslatedDB(s *Searcher, query *seq.Sequence, dnaFrag *Fragment, spa
 			out.Hits = append(out.Hits, FrameHit{Frame: frame, Hit: hit})
 		}
 	}
-	sort.Slice(out.Hits, func(i, j int) bool {
-		a, b := out.Hits[i], out.Hits[j]
-		if a.Hit.BestEValue() != b.Hit.BestEValue() {
-			return a.Hit.BestEValue() < b.Hit.BestEValue()
-		}
-		if a.Hit.BestScore() != b.Hit.BestScore() {
-			return a.Hit.BestScore() > b.Hit.BestScore()
-		}
-		if a.Hit.OID != b.Hit.OID {
-			return a.Hit.OID < b.Hit.OID
-		}
-		return frameRank(a.Frame) < frameRank(b.Frame)
-	})
-	if max := s.Options().MaxTargetSeqs; len(out.Hits) > max {
-		out.Hits = out.Hits[:max]
-	}
+	out.rankHits(s.Options().MaxTargetSeqs)
 	return out, nil
 }

@@ -101,8 +101,8 @@ type Options struct {
 	// PrefetchDepth > 0 overlaps input with search: a worker starts the
 	// asynchronous reads of up to this many upcoming partitions before
 	// searching the current one, paying max(io, compute) instead of
-	// their sum. With DynamicAssignment the pipeline is one partition
-	// deep (the greedy protocol assigns one at a time).
+	// their sum. With DynamicAssignment the depth is at most 1: the master
+	// assigns one partition per request, so a deeper plan is rejected.
 	PrefetchDepth int
 	// MemoryBudgetBytes, when positive, enables ADAPTIVE batching (§5's
 	// "adjust to the amount of available memory"): after the search phase
@@ -166,8 +166,8 @@ type jobMeta struct {
 	NumSeqs  int
 	TotalLen int64
 	// Parts lists every virtual fragment's extents. With static
-	// assignment, part p belongs to worker (p mod workers)+1; with
-	// dynamic assignment, parts are handed out greedily at run time.
+	// assignment, each worker owns its engine.StaticShare; with dynamic
+	// assignment, parts are handed out greedily at run time.
 	Parts       [][]wireExtent
 	OutputPath  string
 	EarlyPrune  bool
@@ -489,6 +489,8 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 		return masterPlan{}, fmt.Errorf("core: memory budget %d and query batch %d both set the batch boundaries; choose one", opts.MemoryBudgetBytes, opts.QueryBatch)
 	case opts.CollectiveRead && opts.DynamicAssignment:
 		return masterPlan{}, fmt.Errorf("core: collective read requires static assignment (the partition→worker map must be known before the read)")
+	case opts.DynamicAssignment && opts.PrefetchDepth > 1:
+		return masterPlan{}, fmt.Errorf("core: dynamic assignment prefetches at most one partition (the master assigns one per request); prefetch depth %d", opts.PrefetchDepth)
 	case serve && opts.DynamicAssignment:
 		return masterPlan{}, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
 	case serve && opts.MemoryBudgetBytes > 0:
@@ -673,8 +675,8 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tun
 	if meta.Dynamic {
 		pending = mb.assignParts()
 	} else {
-		for pi := range meta.Parts {
-			mb.partsOf[pi%workers+1] = append(mb.partsOf[pi%workers+1], pi)
+		for w := 1; w <= workers; w++ {
+			mb.partsOf[w] = engine.StaticShare(len(meta.Parts), workers, w)
 		}
 		if meta.Collective {
 			// Participate (with empty views) in the workers' collective
@@ -1050,7 +1052,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 	if boot.Err != nil {
 		return boot.Err
 	}
-	meta, workers := boot.Meta, r.Size()-1
+	meta := boot.Meta
 	w := &worker{
 		r: r, meta: meta, opts: opts,
 		loop:    engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
@@ -1059,27 +1061,21 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 		members: boot.Members,
 	}
 	w.collect = w.record
-	onFrag, reissuePrefetch := w.retain, 0
+	onFrag, reissueDepth := w.retain, 0
 	if !meta.Serve {
 		w.begin(boot.Queries)
-		// Re-issued partitions go through the static path too (prefetched
-		// when enabled). A serving worker reads them independently: at a
-		// rendezvous it has no search to overlap the reads with.
-		onFrag, reissuePrefetch = w.retainAndSearch, meta.Prefetch
+		// Re-issued partitions go through the pipeline as a static list
+		// (prefetched when enabled). A serving worker reads them
+		// synchronously: at a rendezvous it has no search to overlap with.
+		onFrag, reissueDepth = w.retainAndSearch, meta.Prefetch
 	}
 
-	var mine []int
-	for pi := range meta.Parts {
-		if pi%workers == r.ID()-1 {
-			mine = append(mine, pi)
-		}
-	}
-	if err := w.acquire(mine, onFrag); err != nil {
+	if err := w.acquire(onFrag); err != nil {
 		return err
 	}
 	if meta.FT {
 		err := w.rendezvous(func(extras []int) error {
-			return w.acquireStatic(extras, reissuePrefetch, onFrag)
+			return w.pipeline(partSource{list: extras}, reissueDepth, onFrag)
 		})
 		if err != nil {
 			return err
@@ -1150,147 +1146,106 @@ func (w *worker) record(qi int, res *blast.QueryResult) {
 	w.work[qi].Add(res.Work)
 }
 
-// acquire is the acquisition stage: obtain this worker's virtual fragments
-// — the fixed list mine, read independently, through the prefetch pipeline,
-// or with collective reads; or, under dynamic assignment, whatever the
-// master hands out at run time, optionally pipelined one deep — and deliver
-// each to onFrag in acquisition order.
-func (w *worker) acquire(mine []int, onFrag func(*blast.Fragment) error) error {
+// acquire is the acquisition stage: deliver this worker's virtual fragments
+// to onFrag in acquisition order — its static share read collectively, or
+// the pipeline over its static share or, under dynamic assignment, over the
+// master's greedy answers.
+func (w *worker) acquire(onFrag func(*blast.Fragment) error) error {
 	r, meta := w.r, w.meta
-	switch {
-	case meta.Dynamic && meta.Prefetch > 0:
-		// Pipeline the greedy protocol one partition deep: the next
-		// assignment is requested — and its reads started — before the
-		// current partition is delivered (and, one-shot, searched), so both
-		// the master round trip and the input I/O hide behind the search.
-		reqPart := func() {
-			r.SetPhase(simtime.PhaseIdle)
-			r.Send(0, tagPartReq, nil)
-		}
-		recvAssign := func() (int, error) {
-			r.SetPhase(simtime.PhaseIdle)
-			data, _, _ := r.Recv(0, tagPartAssign)
-			return engine.DecodeInt(data)
-		}
-		startFetch := func(pi int) (*partFetch, error) {
-			reqPart()
-			r.SetPhase(simtime.PhaseInput)
-			return startPartFetch(w.files, meta.Parts[pi])
-		}
-		reqPart()
-		cur, err := recvAssign()
-		if err != nil {
-			return err
-		}
-		var curFetch *partFetch
-		if cur >= 0 {
-			if curFetch, err = startFetch(cur); err != nil {
-				return err
-			}
-		}
-		for cur >= 0 {
-			nxt, err := recvAssign()
-			if err != nil {
-				return err
-			}
-			var nxtFetch *partFetch
-			if nxt >= 0 {
-				if nxtFetch, err = startFetch(nxt); err != nil {
-					return err
-				}
-			}
-			r.SetPhase(simtime.PhaseInput)
-			frag, err := curFetch.finish()
-			if err != nil {
-				return err
-			}
-			if err := onFrag(frag); err != nil {
-				return err
-			}
-			cur, curFetch = nxt, nxtFetch
-		}
-		return nil
-	case meta.Dynamic:
-		for {
-			// The request/assign rendezvous is queueing, not search: the
-			// master may be busy serving other workers.
-			r.SetPhase(simtime.PhaseIdle)
-			r.Send(0, tagPartReq, nil)
-			data, _, _ := r.Recv(0, tagPartAssign)
-			part, err := engine.DecodeInt(data)
-			if err != nil {
-				return err
-			}
-			if part < 0 {
-				return nil
-			}
-			if err := w.readOne(part, onFrag); err != nil {
-				return err
-			}
-		}
-	case meta.Collective:
-		r.SetPhase(simtime.PhaseInput)
-		frags, err := readPartsCollective(r, w.files, meta, mine)
-		if err != nil {
-			return err
-		}
-		for _, pi := range mine {
-			if err := onFrag(frags[pi]); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return w.acquireStatic(mine, meta.Prefetch, onFrag)
+	mine := engine.StaticShare(len(meta.Parts), r.Size()-1, r.ID())
+	if !meta.Collective {
+		return w.pipeline(partSource{list: mine, greedy: meta.Dynamic}, meta.Prefetch, onFrag)
 	}
-}
-
-// readOne delivers one partition through an independent read of its
-// extents.
-func (w *worker) readOne(pi int, onFrag func(*blast.Fragment) error) error {
-	w.r.SetPhase(simtime.PhaseInput)
-	frag, err := readPart(w.files, w.meta.Parts[pi])
+	r.SetPhase(simtime.PhaseInput)
+	frags, err := readPartsCollective(r, w.files, meta, mine)
 	if err != nil {
 		return err
 	}
-	return onFrag(frag)
-}
-
-// acquireStatic delivers a known list of partitions: one independent read
-// each, or — with prefetch > 0 — a pipeline keeping the asynchronous reads
-// of up to prefetch upcoming partitions in flight while the current one is
-// delivered.
-func (w *worker) acquireStatic(parts []int, prefetch int, onFrag func(*blast.Fragment) error) error {
-	if prefetch == 0 {
-		for _, pi := range parts {
-			if err := w.readOne(pi, onFrag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fetches := make([]*partFetch, len(parts))
-	next := 0
-	for cur := range parts {
-		w.r.SetPhase(simtime.PhaseInput)
-		for next <= cur+prefetch && next < len(parts) {
-			pf, err := startPartFetch(w.files, w.meta.Parts[parts[next]])
-			if err != nil {
-				return err
-			}
-			fetches[next] = pf
-			next++
-		}
-		frag, err := fetches[cur].finish()
-		fetches[cur] = nil
-		if err != nil {
-			return err
-		}
-		if err := onFrag(frag); err != nil {
+	for _, pi := range mine {
+		if err := onFrag(frags[pi]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// partSource yields the partitions a worker acquires, in order: a fixed list
+// (its static share, or the partitions re-issued at a rendezvous), or, when
+// greedy, the master's run-time answers (§5).
+type partSource struct {
+	list   []int
+	greedy bool
+	asked  int // greedy requests sent and not yet answered
+}
+
+// next returns the next partition, or -1 once the source is exhausted. A
+// greedy source keeps at most depth requests outstanding beyond the answer
+// it waits for: at depth 0 it asks and then waits; at depth 1 it asks again
+// as soon as an answer arrives, before that partition's reads start, so the
+// master round trip hides behind the search too.
+func (s *partSource) next(r *mpi.Rank, depth int) (int, error) {
+	if !s.greedy {
+		if len(s.list) == 0 {
+			return -1, nil
+		}
+		pi := s.list[0]
+		s.list = s.list[1:]
+		return pi, nil
+	}
+	// The request/assign rendezvous is queueing, not search: the master may
+	// be busy serving other workers.
+	r.SetPhase(simtime.PhaseIdle)
+	if s.asked == 0 {
+		r.Send(0, tagPartReq, nil)
+		s.asked++
+	}
+	data, _, _ := r.Recv(0, tagPartAssign)
+	s.asked--
+	pi, err := engine.DecodeInt(data)
+	if err != nil || pi < 0 {
+		return -1, err
+	}
+	for ; s.asked < depth; s.asked++ {
+		r.Send(0, tagPartReq, nil)
+	}
+	return pi, nil
+}
+
+// pipeline delivers the partitions src yields to onFrag in order. At depth
+// 0 each is read synchronously; at depth d ≥ 1 the asynchronous reads of up
+// to d upcoming partitions stay in flight while the current one is delivered
+// (and, one-shot, searched), paying max(io, compute) instead of their sum.
+func (w *worker) pipeline(src partSource, depth int, onFrag func(*blast.Fragment) error) error {
+	r := w.r
+	inflight := make([]partFetch, 0, depth+1)
+	for more := true; ; {
+		for more && len(inflight) <= depth {
+			pi, err := src.next(r, depth)
+			if err != nil {
+				return err
+			}
+			if more = pi >= 0; more {
+				r.SetPhase(simtime.PhaseInput)
+				pf, err := w.fetchPart(pi, depth > 0)
+				if err != nil {
+					return err
+				}
+				inflight = append(inflight, pf)
+			}
+		}
+		if len(inflight) == 0 {
+			return nil
+		}
+		r.SetPhase(simtime.PhaseInput)
+		frag, err := inflight[0].finish()
+		if err != nil {
+			return err
+		}
+		inflight = append(inflight[:0], inflight[1:]...)
+		if err := onFrag(frag); err != nil {
+			return err
+		}
+	}
 }
 
 // rendezvous is the worker side of the ready/go rendezvous (fault
@@ -1523,104 +1478,85 @@ func (c *fileCache) file(path string) (*mpiio.File, error) {
 	return f, nil
 }
 
-// readPart reads one virtual fragment's extents from the global shared
-// files — contiguous independent reads of the index slices, header range,
-// and sequence range; no staging copy.
-func readPart(files *fileCache, part []wireExtent) (*blast.Fragment, error) {
-	frag := &blast.Fragment{}
+// partFetch is one partition's reads, four per extent (header-offset array,
+// sequence-offset array, header range, sequence range): their data when read
+// synchronously, or the reads still in flight.
+type partFetch struct {
+	part  []wireExtent
+	data  [][]byte
+	async []*mpiio.AsyncRead
+}
+
+// fetchPart issues partition pi's reads from the global shared files —
+// contiguous independent reads, no staging copy. A synchronous read charges
+// the worker's clock now; an asynchronous one is booked from the current
+// virtual time and charged when finish waits for it.
+func (w *worker) fetchPart(pi int, async bool) (partFetch, error) {
+	part := w.meta.Parts[pi]
+	pf := partFetch{part: part, data: make([][]byte, 0, 4*len(part))}
+	if async {
+		pf.async = make([]*mpiio.AsyncRead, 0, 4*len(part))
+	}
 	for _, e := range part {
-		idx, err := files.file(formatdb.IndexPath(e.VolBase))
+		idx, err := w.files.file(formatdb.IndexPath(e.VolBase))
 		if err != nil {
+			return pf, err
+		}
+		hdr, err := w.files.file(formatdb.HeaderPath(e.VolBase))
+		if err != nil {
+			return pf, err
+		}
+		seqs, err := w.files.file(formatdb.SeqPath(e.VolBase))
+		if err != nil {
+			return pf, err
+		}
+		arr := 8 * int64(e.To-e.From+1)
+		for _, rd := range [...]struct {
+			f      *mpiio.File
+			off, n int64
+		}{{idx, e.HdrArrayPos, arr}, {idx, e.SeqArrayPos, arr}, {hdr, e.HdrOff, e.HdrLen}, {seqs, e.SeqOff, e.SeqLen}} {
+			if async {
+				pf.async = append(pf.async, rd.f.StartReadAt(rd.off, rd.n))
+			} else {
+				pf.data = append(pf.data, rd.f.ReadAt(rd.off, rd.n))
+			}
+		}
+	}
+	return pf, nil
+}
+
+// finish waits out the reads still in flight and decodes the fragment.
+func (pf *partFetch) finish() (*blast.Fragment, error) {
+	for _, rd := range pf.async {
+		pf.data = append(pf.data, rd.Wait())
+	}
+	n := 0
+	for _, e := range pf.part {
+		n += e.To - e.From
+	}
+	frag := &blast.Fragment{Subjects: make([]blast.Subject, 0, n)}
+	for i, e := range pf.part {
+		d := pf.data[4*i:]
+		if err := decodeExtent(frag, e, d[0], d[1], d[2], d[3]); err != nil {
 			return nil, err
 		}
-		count := e.To - e.From
-		hdrOffs := formatdb.DecodeOffsets(idx.ReadAt(e.HdrArrayPos, 8*int64(count+1)))
-		seqOffs := formatdb.DecodeOffsets(idx.ReadAt(e.SeqArrayPos, 8*int64(count+1)))
-		hdrFile, err := files.file(formatdb.HeaderPath(e.VolBase))
-		if err != nil {
-			return nil, err
-		}
-		seqFile, err := files.file(formatdb.SeqPath(e.VolBase))
-		if err != nil {
-			return nil, err
-		}
-		hdrBuf := hdrFile.ReadContiguous(e.HdrOff, e.HdrLen)
-		seqBuf := seqFile.ReadContiguous(e.SeqOff, e.SeqLen)
-		recs, err := formatdb.DecodeWithOffsets(e.OIDFrom, hdrOffs, seqOffs, hdrBuf, seqBuf)
-		if err != nil {
-			return nil, err
-		}
-		appendRecords(frag, recs)
 	}
 	return frag, nil
 }
 
-func appendRecords(frag *blast.Fragment, recs []formatdb.Record) {
+// decodeExtent decodes one extent from its four reads and appends its
+// subjects to frag.
+func decodeExtent(frag *blast.Fragment, e wireExtent, hdrArr, seqArr, hdr, seqs []byte) error {
+	recs, err := formatdb.DecodeWithOffsets(e.OIDFrom, formatdb.DecodeOffsets(hdrArr), formatdb.DecodeOffsets(seqArr), hdr, seqs)
+	if err != nil {
+		return err
+	}
 	for _, rec := range recs {
 		frag.Subjects = append(frag.Subjects, blast.Subject{
 			OID: rec.OID, ID: rec.ID, Defline: rec.Defline, Residues: rec.Residues,
 		})
 	}
-}
-
-// partFetch holds one partition's in-flight asynchronous extent reads:
-// four per extent (header-offset array, sequence-offset array, header
-// range, sequence range), issued in readPart's order.
-type partFetch struct {
-	part  []wireExtent
-	reads []*mpiio.AsyncRead
-}
-
-// startPartFetch issues the asynchronous reads for one partition without
-// advancing the worker's clock — the prefetch half of the input/search
-// overlap pipeline.
-func startPartFetch(files *fileCache, part []wireExtent) (*partFetch, error) {
-	pf := &partFetch{part: part}
-	for _, e := range part {
-		idx, err := files.file(formatdb.IndexPath(e.VolBase))
-		if err != nil {
-			return nil, err
-		}
-		hdrFile, err := files.file(formatdb.HeaderPath(e.VolBase))
-		if err != nil {
-			return nil, err
-		}
-		seqFile, err := files.file(formatdb.SeqPath(e.VolBase))
-		if err != nil {
-			return nil, err
-		}
-		count := int64(e.To - e.From)
-		pf.reads = append(pf.reads,
-			idx.StartReadAt(e.HdrArrayPos, 8*(count+1)),
-			idx.StartReadAt(e.SeqArrayPos, 8*(count+1)),
-			hdrFile.StartReadAt(e.HdrOff, e.HdrLen),
-			seqFile.StartReadAt(e.SeqOff, e.SeqLen))
-	}
-	return pf, nil
-}
-
-// finish waits out the partition's reads and decodes the fragment —
-// byte-for-byte the same result as readPart.
-func (pf *partFetch) finish() (*blast.Fragment, error) {
-	frag := &blast.Fragment{}
-	ri := 0
-	next := func() []byte {
-		buf := pf.reads[ri].Wait()
-		ri++
-		return buf
-	}
-	for _, e := range pf.part {
-		hdrOffs := formatdb.DecodeOffsets(next())
-		seqOffs := formatdb.DecodeOffsets(next())
-		hdrBuf := next()
-		seqBuf := next()
-		recs, err := formatdb.DecodeWithOffsets(e.OIDFrom, hdrOffs, seqOffs, hdrBuf, seqBuf)
-		if err != nil {
-			return nil, err
-		}
-		appendRecords(frag, recs)
-	}
-	return frag, nil
+	return nil
 }
 
 // packRequests merges possibly overlapping or out-of-order byte ranges
@@ -1680,7 +1616,7 @@ func packRequests(reqs []mpiio.Segment) (mpiio.View, func(buf []byte, i int) []b
 // arrays, header ranges, and sequence ranges of everyone's extents. Ranks
 // with no extents in a volume — the master always — participate with empty
 // views. Returns one fragment per requested partition, identical to what
-// readPart produces.
+// fetchPart reads.
 func readPartsCollective(r *mpi.Rank, files *fileCache, meta jobMeta, mine []int) (map[int]*blast.Fragment, error) {
 	var vols []string
 	seen := make(map[string]bool)
@@ -1696,7 +1632,6 @@ func readPartsCollective(r *mpi.Rank, files *fileCache, meta jobMeta, mine []int
 	type pending struct {
 		part int
 		e    wireExtent
-		recs []formatdb.Record
 	}
 	for _, pi := range mine {
 		frags[pi] = &blast.Fragment{}
@@ -1745,14 +1680,10 @@ func readPartsCollective(r *mpi.Rank, files *fileCache, meta jobMeta, mine []int
 			return nil, err
 		}
 		for i, x := range exts {
-			hdrOffs := formatdb.DecodeOffsets(idxAt(idxBuf, 2*i))
-			seqOffs := formatdb.DecodeOffsets(idxAt(idxBuf, 2*i+1))
-			recs, err := formatdb.DecodeWithOffsets(x.e.OIDFrom, hdrOffs, seqOffs,
-				hdrAt(hdrBuf, i), seqAt(seqBuf, i))
+			err := decodeExtent(frags[x.part], x.e, idxAt(idxBuf, 2*i), idxAt(idxBuf, 2*i+1), hdrAt(hdrBuf, i), seqAt(seqBuf, i))
 			if err != nil {
 				return nil, err
 			}
-			appendRecords(frags[x.part], recs)
 		}
 	}
 	return frags, nil

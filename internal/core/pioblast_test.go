@@ -269,42 +269,50 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestMultiVolumeDatabase(t *testing.T) {
-	// Format with small volumes so the global DB spans several files; the
-	// engines must read across volume boundaries correctly.
+	// Format with small volumes so the global DB spans several files; every
+	// read path must read partitions that cross volume boundaries correctly.
 	fx := makeFixture(t, 300)
-
-	seqNodes, err := vfs.Cluster(1, vfs.RAMDisk(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seqs, _ := workload.SynthesizeDB(workload.DBConfig{Kind: seq.Protein, NumSeqs: 60, MeanLen: 150, Seed: 101})
-	if _, err := formatdb.Format(seqNodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: seq.Protein, VolumeMaxResidues: workload.TotalResidues(seqs) / 4,
-	}); err != nil {
-		t.Fatal(err)
+	format := func(n int) []*vfs.Node {
+		nodes, err := vfs.Cluster(n, vfs.XFSLike(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
+			Title: "synthetic nr", Kind: seq.Protein, VolumeMaxResidues: workload.TotalResidues(seqs) / 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return nodes
 	}
+
+	seqNodes := format(1)
 	seqJob := *fx.job
 	if err := engine.RunSequential(seqNodes[0].Shared, &seqJob); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := seqNodes[0].Shared.ReadFile(fx.job.OutputPath)
 
-	nodes, err := vfs.Cluster(4, vfs.XFSLike(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: seq.Protein, VolumeMaxResidues: workload.TotalResidues(seqs) / 4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	job := *fx.job
-	if _, err := core.Run(nodes, 4, testCost(), &job, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := nodes[0].Shared.ReadFile(job.OutputPath)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("multi-volume pioBLAST output differs (%d vs %d bytes)", len(got), len(want))
+	for _, opts := range []core.Options{
+		{},
+		{PrefetchDepth: 2},
+		{DynamicAssignment: true},
+		{DynamicAssignment: true, PrefetchDepth: 1},
+		{CollectiveRead: true},
+	} {
+		for _, fragments := range []int{0, 3, 7} {
+			nodes := format(4)
+			job := *fx.job
+			job.Fragments = fragments
+			if _, err := core.Run(nodes, 4, testCost(), &job, opts); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := nodes[0].Shared.ReadFile(job.OutputPath)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%d fragments, opts %+v: multi-volume output differs (%d vs %d bytes)",
+					fragments, opts, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -343,6 +351,7 @@ func TestOptionPlan(t *testing.T) {
 		{"negative query batch", core.Options{QueryBatch: -1}, nil, "negative query batch"},
 		{"negative prefetch depth", core.Options{PrefetchDepth: -1}, nil, "negative prefetch depth"},
 		{"collective read with dynamic assignment", core.Options{CollectiveRead: true, DynamicAssignment: true}, nil, "collective read requires static assignment"},
+		{"dynamic assignment two deep", core.Options{DynamicAssignment: true, PrefetchDepth: 2}, nil, "prefetches at most one partition"},
 		{"negative memory budget", core.Options{MemoryBudgetBytes: -1}, nil, "negative memory budget"},
 		{"memory budget with query batch", core.Options{MemoryBudgetBytes: 64 << 10, QueryBatch: 4}, nil, "both set the batch boundaries"},
 		{"negative merge fan-out without tree merge", core.Options{MergeFanout: -1}, nil, "negative merge fan-out"},
@@ -576,24 +585,29 @@ func TestPrefetchPreservesOutput(t *testing.T) {
 
 // TestReadPathCombosPreserveOutput sweeps every legal combination of
 // collective reads, prefetch, and dynamic assignment (under dynamic
-// assignment the prefetch pipelines the greedy protocol).
+// assignment the prefetch pipelines the greedy protocol one deep), with more
+// partitions than workers and with fewer: at 2 partitions on 4 workers a
+// static worker has an empty share and a greedy worker's first answer is
+// "none".
 func TestReadPathCombosPreserveOutput(t *testing.T) {
 	fx := makeFixture(t, 300)
-	for _, dynamic := range []bool{false, true} {
-		for _, collective := range []bool{false, true} {
-			if dynamic && collective {
-				continue // rejected by the plan (TestOptionPlan)
-			}
-			for _, depth := range []int{0, 1, 2} {
-				opts := core.Options{
-					DynamicAssignment: dynamic,
-					CollectiveRead:    collective,
-					PrefetchDepth:     depth,
-				}
-				seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 12, vfs.XFSLike(), nil, opts)
-				if !bytes.Equal(seqOut, pioOut) {
-					t.Fatalf("opts %+v changed the output (first diff %d)",
-						opts, firstDiff(seqOut, pioOut))
+	for _, fragments := range []int{12, 2} {
+		for _, dynamic := range []bool{false, true} {
+			for _, collective := range []bool{false, true} {
+				for _, depth := range []int{0, 1, 2} {
+					if dynamic && (collective || depth > 1) {
+						continue // rejected by the plan (TestOptionPlan)
+					}
+					opts := core.Options{
+						DynamicAssignment: dynamic,
+						CollectiveRead:    collective,
+						PrefetchDepth:     depth,
+					}
+					seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, fragments, vfs.XFSLike(), nil, opts)
+					if !bytes.Equal(seqOut, pioOut) {
+						t.Fatalf("%d fragments, opts %+v changed the output (first diff %d)",
+							fragments, opts, firstDiff(seqOut, pioOut))
+					}
 				}
 			}
 		}

@@ -89,7 +89,7 @@ func (w *worker) serveStream() error {
 			// and search them for THIS batch before the merge.
 			err := w.rendezvous(func(extras []int) error {
 				from := len(w.resident)
-				if err := w.acquireStatic(extras, 0, w.retain); err != nil {
+				if err := w.pipeline(partSource{list: extras}, 0, w.retain); err != nil {
 					return err
 				}
 				return w.searchFrags(from)

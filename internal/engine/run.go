@@ -122,6 +122,17 @@ func WorkerRanks(workers int) []int {
 	return all
 }
 
+// StaticShare is the static assignment rule of both engines: of parts
+// partitions (or fragments), worker w of workers owns every part p with
+// p mod workers = w-1, in increasing order.
+func StaticShare(parts, workers, w int) []int {
+	var share []int
+	for p := w - 1; p < parts; p += workers {
+		share = append(share, p)
+	}
+	return share
+}
+
 // TreeMembers is the reduction-tree membership: the master plus every live
 // worker — all live ranks, which is what the flat collectives the tree ones
 // become under a fault schedule synchronize over.

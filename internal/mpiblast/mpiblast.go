@@ -465,7 +465,7 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 // mode).
 func (w *worker) serveStream(members []int) error {
 	r, meta := w.r, w.meta
-	mine := serveOwners(len(meta.FragBases), r.Size()-1, r.ID())
+	mine := engine.StaticShare(len(meta.FragBases), r.Size()-1, r.ID())
 	resident := make([]*blast.Fragment, 0, len(mine))
 	for _, fragID := range mine {
 		frag, err := w.stageFragment(meta.FragBases[fragID])
@@ -496,18 +496,6 @@ func (w *worker) serveStream(members []int) error {
 			return err
 		}
 	}
-}
-
-// serveOwners is the static fragment ownership of the serving mode:
-// fragment f belongs to worker (f mod workers)+1.
-func serveOwners(nFrags, workers, worker int) []int {
-	var mine []int
-	for f := 0; f < nFrags; f++ {
-		if f%workers == worker-1 {
-			mine = append(mine, f)
-		}
-	}
-	return mine
 }
 
 // begin installs the query set and clears what the previous one produced.

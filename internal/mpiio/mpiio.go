@@ -167,13 +167,6 @@ func (f *File) ReadIndependent() []byte {
 	return out
 }
 
-// ReadContiguous reads the rank's contiguous range [off, off+n) with one
-// independent read — pioBLAST's input-stage pattern ("each worker reads one
-// contiguous range from every shared database file").
-func (f *File) ReadContiguous(off, n int64) []byte {
-	return f.ReadAt(off, n)
-}
-
 // AsyncRead is an in-flight independent read started with StartReadAt: the
 // data is already captured, but the storage time has not been charged —
 // Wait settles it, letting callers overlap the access with compute.

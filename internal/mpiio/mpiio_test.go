@@ -53,7 +53,7 @@ func TestIndependentReadWrite(t *testing.T) {
 		}
 		// Each rank reads its half.
 		off := int64(r.ID() * 8)
-		data := f.ReadContiguous(off, 8)
+		data := f.ReadAt(off, 8)
 		want := "0123456789abcdef"[off : off+8]
 		if string(data) != want {
 			return fmt.Errorf("rank %d read %q, want %q", r.ID(), data, want)

@@ -335,7 +335,9 @@ func (c *Cluster) PrepareFragments(dbName string, n int) error {
 	return err
 }
 
-// Search describes one search run.
+// Search describes one search run. The sequential engine runs on no ranks and
+// cuts no partitions, so it rejects non-zero Fragments, Pio, Mpi, Faults and
+// NodeSpeeds by name.
 type Search struct {
 	// DB is the formatted database (from FormatDB).
 	DB *DB
@@ -349,9 +351,9 @@ type Search struct {
 	// Fragments overrides the partition granularity (0 = natural:
 	// one fragment per worker).
 	Fragments int
-	// Pio selects pioBLAST variants; ignored by other engines.
+	// Pio selects pioBLAST variants; the mpiBLAST engine ignores them.
 	Pio PioOptions
-	// Mpi selects mpiBLAST-baseline variants; ignored by other engines.
+	// Mpi selects mpiBLAST-baseline variants; pioBLAST ignores them.
 	Mpi MpiOptions
 	// Faults schedules deterministic rank failures (crashes, degrades).
 	// Scheduling any fault arms the engines' failure-recovery protocols;
@@ -360,6 +362,24 @@ type Search struct {
 	// NodeSpeeds optionally declares per-rank compute-speed factors
 	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes.
 	NodeSpeeds []float64
+}
+
+// sequentialRejects names the first field of s the sequential engine would
+// otherwise drop.
+func sequentialRejects(s Search) error {
+	switch {
+	case len(s.Faults) > 0:
+		return fmt.Errorf("parblast: the sequential engine has no ranks to fail: Faults must be empty")
+	case len(s.NodeSpeeds) > 0:
+		return fmt.Errorf("parblast: the sequential engine has no ranks to slow: NodeSpeeds must be empty")
+	case s.Fragments != 0:
+		return fmt.Errorf("parblast: the sequential engine searches the database whole: Fragments must be 0, got %d", s.Fragments)
+	case s.Pio != PioOptions{}:
+		return fmt.Errorf("parblast: the sequential engine reads no Pio options")
+	case s.Mpi != MpiOptions{}:
+		return fmt.Errorf("parblast: the sequential engine reads no Mpi options")
+	}
+	return nil
 }
 
 // job builds the engine job for a search, defaulting kernel options to the
@@ -398,6 +418,9 @@ func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
 	cfg := c.mpiConfig(s)
 	switch eng {
 	case EngineSequential:
+		if err := sequentialRejects(s); err != nil {
+			return Result{}, err
+		}
 		if err := engine.RunSequential(c.nodes[0].Shared, job); err != nil {
 			return Result{}, err
 		}

@@ -511,8 +511,9 @@ func TestIllegalCapsRejected(t *testing.T) {
 // TestOutOfRangeInputRejected: an unknown report format, a negative two-hit
 // window and more node speeds than ranks are rejected by name. Each used to
 // run: the format as the pairwise report, the window as one-hit seeding, the
-// surplus speeds ignored. The sequential engine runs on no ranks, so speeds
-// are the parallel engines' to reject.
+// surplus speeds ignored. The sequential engine runs on no ranks and cuts no
+// partitions, so it rejects faults, speeds, fragments and engine options by
+// name; it used to drop each of them and return the plain report.
 func TestOutOfRangeInputRejected(t *testing.T) {
 	seqs, queries := buildWorkload(t)
 	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
@@ -527,6 +528,7 @@ func TestOutOfRangeInputRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast, parblast.EngineSequential}
+	seqOnly := all[2:]
 	for _, tc := range []struct {
 		want    string
 		engines []parblast.Engine
@@ -538,6 +540,15 @@ func TestOutOfRangeInputRejected(t *testing.T) {
 		{"9 speed factors for world size 4", all[:2], func(s *parblast.Search) {
 			s.NodeSpeeds = []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
 		}},
+		{"Faults must be empty", seqOnly, func(s *parblast.Search) {
+			s.Faults = []parblast.Fault{{Rank: 2, At: 0, Kind: parblast.FaultCrash}}
+		}},
+		{"NodeSpeeds must be empty", seqOnly, func(s *parblast.Search) {
+			s.NodeSpeeds = []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+		}},
+		{"Fragments must be 0, got 7", seqOnly, func(s *parblast.Search) { s.Fragments = 7 }},
+		{"reads no Pio options", seqOnly, func(s *parblast.Search) { s.Pio.EarlyPrune = true }},
+		{"reads no Mpi options", seqOnly, func(s *parblast.Search) { s.Mpi.FetchWindow = 4 }},
 	} {
 		for _, eng := range tc.engines {
 			s := parblast.Search{DB: db, Queries: queries, Output: "out", Options: parblast.DefaultProteinOptions()}

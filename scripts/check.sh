@@ -48,6 +48,16 @@ if [ -n "$detect" ]; then
     exit 1
 fi
 
+# pioBLAST reads its partitions through one pipeline: internal/core has one
+# asynchronous read, one synchronous read and one extent decoder.
+for call in '.StartReadAt(' '.ReadAt(' '.DecodeWithOffsets('; do
+    n=$(grep -rF --include='*.go' --exclude='*_test.go' -o "$call" internal/core | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "internal/core calls $call $n times; the partition pipeline has one" >&2
+        exit 1
+    fi
+done
+
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
@@ -134,6 +144,14 @@ if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     exit 1
 fi
 grep -q 'SearchThreads=-1 must not be negative' "$tmp/rejected.err"
+# A plan is honoured or rejected, never downgraded: the master assigns one
+# partition per request, so greedy assignment prefetches one deep at most.
+if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine pio -procs 4 -out "$tmp/rejected.txt" -dynamic -prefetch 2 2>"$tmp/rejected.err"; then
+    echo "parblast -dynamic -prefetch 2 was accepted" >&2
+    exit 1
+fi
+grep -q 'prefetches at most one partition' "$tmp/rejected.err"
 
 # Catalogue smoke: an -exp name outside experiments.Specs() exits 2 and is
 # told the names the catalogue holds (built, not `go run`, which reports
