@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"parblast"
+	"parblast/internal/engine"
 	"parblast/internal/fasta"
 	runreport "parblast/internal/report"
 )
@@ -51,9 +52,9 @@ func main() {
 	memBudget := flag.Int64("membudget", 0, "pioBLAST: adaptive batching memory budget in bytes (§5); not together with -batch N>1")
 	searchThreads := flag.Int("search-threads", 0, "intra-rank search worker goroutines (0 = GOMAXPROCS, 1 = sequential, negative is rejected); output is identical for every value")
 	timeline := flag.Bool("timeline", false, "print a per-rank phase timeline after the run")
-	ioStrategy := flag.String("io-strategy", "", "pioBLAST: collective-read strategy: two-phase, list-io, or independent (default two-phase)")
-	ioHints := flag.String("io-hints", "", "pioBLAST: load a learned-hints artifact (from -io-tune) and exploit it")
-	ioTune := flag.String("io-tune", "", "pioBLAST: run with the I/O auto-tuner and write the learned-hints artifact to this path")
+	ioStrategy := flag.String("io-strategy", "", "pioBLAST: collective-read strategy: two-phase, list-io, or independent (default two-phase); needs -collective-read")
+	ioHints := flag.String("io-hints", "", "pioBLAST: load a learned-hints artifact (from -io-tune) and exploit it; needs -collective-read")
+	ioTune := flag.String("io-tune", "", "pioBLAST: run with the I/O auto-tuner and write the learned-hints artifact to this path; needs -collective-read")
 	crash := flag.String("crash", "", "inject a worker crash as RANK@TIME (e.g. 3@0.2); arms failure recovery")
 	serve := flag.Bool("serve", false, "streaming mode: keep the cluster warm and admit queries as an open-loop arrival stream (output byte-identical to a one-shot run over the admitted queries)")
 	arrivalRate := flag.Float64("arrival-rate", 1, "with -serve: mean batch arrivals per virtual second")
@@ -89,7 +90,7 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := ignoredFlag(set, *engineName, *treeMerge, *serve); err != nil {
+	if err := ignoredFlag(set, *serve); err != nil {
 		fail(err)
 	}
 	var platform parblast.Platform
@@ -160,11 +161,7 @@ func main() {
 		}
 	}
 	if eng == parblast.EngineMPIBlast {
-		n := *fragments
-		if n == 0 {
-			n = *procs - 1
-		}
-		if err := cluster.PrepareFragments(db.Base, n); err != nil {
+		if err := cluster.PrepareFragments(db.Base, engine.PartCount(*fragments, *procs)); err != nil {
 			fail(err)
 		}
 	}
@@ -200,15 +197,16 @@ func main() {
 			PrefetchDepth:     *prefetch,
 			QueryBatch:        *batch,
 			MemoryBudgetBytes: *memBudget,
-			TreeMerge:         *treeMerge,
-			MergeFanout:       *mergeFanout,
 			IOHints:           parblast.IOHints{ReadStrategy: strategy},
 			IOTuner:           tuner,
 		},
-		Mpi: parblast.MpiOptions{
-			TreeMerge:   *treeMerge,
-			MergeFanout: *mergeFanout,
-		},
+	}
+	// The tree merge is both engines' option: set it in the block the chosen
+	// engine reads. The engine rejects, by name, what it would not read.
+	if eng == parblast.EngineMPIBlast {
+		search.Mpi.TreeMerge, search.Mpi.MergeFanout = *treeMerge, *mergeFanout
+	} else {
+		search.Pio.TreeMerge, search.Pio.MergeFanout = *treeMerge, *mergeFanout
 	}
 	if db.Kind == parblast.DNA {
 		search.Options = parblast.DefaultDNAOptions()
@@ -356,43 +354,18 @@ func main() {
 	}
 }
 
-// Flags that only some engines or modes read. Setting one where nothing reads
-// it is an error, not a no-op: the run would otherwise report success for an
-// option it dropped.
-var (
-	pioOnlyFlags = []string{"early-prune", "independent-output", "dynamic", "collective-read",
-		"prefetch", "batch", "membudget", "io-strategy", "io-hints", "io-tune"}
-	parallelOnlyFlags = []string{"tree-merge", "merge-fanout", "crash", "fragments"}
-	serveOnlyFlags    = []string{"arrival-rate", "arrival-burst", "arrival-batch", "arrival-dist",
-		"arrival-seed", "admit-cap"}
-)
+// serveOnlyFlags shape the arrival stream, which only -serve builds. Setting
+// one without it is an error, not a no-op: the run would otherwise report
+// success for an option it dropped. What an engine would not read it rejects
+// itself, by name.
+var serveOnlyFlags = []string{"arrival-rate", "arrival-burst", "arrival-batch", "arrival-dist",
+	"arrival-seed", "admit-cap"}
 
-// ignoredFlag names the first flag the user set (set is flag.Visit's set)
-// that the chosen engine or mode would silently ignore, and why.
-func ignoredFlag(set map[string]bool, engine string, treeMerge, serve bool) error {
-	first := func(names []string) string {
-		for _, n := range names {
-			if set[n] {
-				return n
-			}
-		}
-		return ""
-	}
-	if engine != "pio" {
-		if f := first(pioOnlyFlags); f != "" {
-			return fmt.Errorf("-%s is a pioBLAST option: -engine %s would ignore it", f, engine)
-		}
-	}
-	if engine == "seq" {
-		if f := first(parallelOnlyFlags); f != "" {
-			return fmt.Errorf("-%s needs a parallel engine: -engine seq is one process with nothing to partition, merge or crash", f)
-		}
-	}
-	if set["merge-fanout"] && !treeMerge {
-		return fmt.Errorf("-merge-fanout is the tree merge's fan-out: it needs -tree-merge")
-	}
-	if !serve {
-		if f := first(serveOnlyFlags); f != "" {
+// ignoredFlag names the first arrival flag the user set (set is flag.Visit's
+// set) without -serve.
+func ignoredFlag(set map[string]bool, serve bool) error {
+	for _, f := range serveOnlyFlags {
+		if set[f] && !serve {
 			return fmt.Errorf("-%s is a serving-mode option: it needs -serve", f)
 		}
 	}

@@ -8,45 +8,31 @@ import (
 	"testing"
 )
 
-// TestIgnoredFlag: a flag set where nothing reads it is rejected, naming the
-// flag and the reason. `-engine mpi -early-prune -collective-read -io-tune
-// h.json -arrival-rate 7` used to exit 0 having dropped all four.
+// TestIgnoredFlag: an arrival flag set without -serve is rejected, naming the
+// flag and the reason. `-arrival-rate 7` used to exit 0 having dropped it.
+// What an engine would not read the façade rejects by name
+// (parblast.TestFacadeRejectsWhatAnEngineWouldDrop).
 func TestIgnoredFlag(t *testing.T) {
 	type tcase struct {
-		set              string // space-separated flag names, as flag.Visit reports them
-		engine           string
-		treeMerge, serve bool
-		want             string // substring of the error; "" = accepted
+		set   string // space-separated flag names, as flag.Visit reports them
+		serve bool
+		want  string // substring of the error; "" = accepted
 	}
 	cases := []tcase{
-		{"", "pio", false, false, ""},
-		{"engine procs out db query report timeline search-threads filter", "seq", false, false, ""},
-		{strings.Join(pioOnlyFlags, " ") + " tree-merge merge-fanout crash fragments", "pio", true, false, ""},
-		{"tree-merge merge-fanout crash fragments", "mpi", true, false, ""},
-		{strings.Join(serveOnlyFlags, " "), "pio", false, true, ""},
-		{strings.Join(serveOnlyFlags, " "), "mpi", false, true, ""},
-
-		{"early-prune collective-read io-tune arrival-rate", "mpi", false, false, "-early-prune is a pioBLAST option: -engine mpi"},
-		{"merge-fanout", "pio", false, false, "-merge-fanout is the tree merge's fan-out"},
-		{"merge-fanout tree-merge", "mpi", false, false, "-merge-fanout is the tree merge's fan-out"}, // -tree-merge=false
-	}
-	for _, f := range pioOnlyFlags {
-		for _, eng := range []string{"mpi", "seq"} {
-			cases = append(cases, tcase{f, eng, false, false, "-" + f + " is a pioBLAST option: -engine " + eng})
-		}
-	}
-	for _, f := range parallelOnlyFlags {
-		cases = append(cases, tcase{f, "seq", true, false, "-" + f + " needs a parallel engine"})
+		{"", false, ""},
+		{"engine procs out db query report timeline search-threads filter tree-merge crash", false, ""},
+		{strings.Join(serveOnlyFlags, " "), true, ""},
+		{"early-prune collective-read io-tune arrival-rate", false, "-arrival-rate is a serving-mode option: it needs -serve"},
 	}
 	for _, f := range serveOnlyFlags {
-		cases = append(cases, tcase{f, "pio", false, false, "-" + f + " is a serving-mode option: it needs -serve"})
+		cases = append(cases, tcase{f, false, "-" + f + " is a serving-mode option: it needs -serve"})
 	}
 	for _, tc := range cases {
 		set := map[string]bool{}
 		for _, name := range strings.Fields(tc.set) {
 			set[name] = true
 		}
-		err := ignoredFlag(set, tc.engine, tc.treeMerge, tc.serve)
+		err := ignoredFlag(set, tc.serve)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%+v: rejected: %v", tc, err)
@@ -56,8 +42,8 @@ func TestIgnoredFlag(t *testing.T) {
 	}
 }
 
-// TestFlagListsNameRealFlags: a misspelt name in one of the lists would never
-// match and so never reject. Also holds the flag count the README states.
+// TestFlagListsNameRealFlags: a misspelt name in the list would never match
+// and so never reject. Also holds the flag count the README states.
 func TestFlagListsNameRealFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -70,11 +56,9 @@ func TestFlagListsNameRealFlags(t *testing.T) {
 	if len(defined) != 36 {
 		t.Errorf("main.go defines %d flags, README says 36", len(defined))
 	}
-	for _, list := range [][]string{pioOnlyFlags, parallelOnlyFlags, serveOnlyFlags} {
-		for _, name := range list {
-			if !defined[name] {
-				t.Errorf("-%s is listed but not defined", name)
-			}
+	for _, name := range serveOnlyFlags {
+		if !defined[name] {
+			t.Errorf("-%s is listed but not defined", name)
 		}
 	}
 }

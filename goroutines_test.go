@@ -68,7 +68,7 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 				call := func(scenario string, edit func(*parblast.Search), batches []parblast.Batch, admitCap int) outcome {
 					t.Helper()
 					s := parblast.Search{DB: db, Queries: queries, Output: "out", Options: opts}
-					s.Pio.TreeMerge, s.Mpi.TreeMerge = tree, tree
+					withTreeMerge(eng, &s, tree)
 					if edit != nil {
 						edit(&s)
 					}

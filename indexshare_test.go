@@ -18,6 +18,7 @@ type indexJob struct {
 	// frags is the fragment count: the pio engine's virtual partitions, the
 	// baseline's physical fragments.
 	frags     int
+	tree      bool // the tree merge, in the engine's own options block
 	configure func(*parblast.Search)
 	serve     bool
 	// crashIndexWords makes the row crash the last worker mid-search. It is
@@ -53,9 +54,7 @@ func TestIndexBuiltOncePerJob(t *testing.T) {
 
 	jobs := []indexJob{
 		{name: "one-shot", engines: bothEngines, frags: 4},
-		{name: "tree merge", engines: bothEngines, frags: 6, configure: func(s *parblast.Search) {
-			s.Pio.TreeMerge, s.Mpi.TreeMerge = true, true
-		}},
+		{name: "tree merge", engines: bothEngines, frags: 6, tree: true},
 		{name: "serve", engines: bothEngines, frags: 4, serve: true},
 		{name: "dynamic+prefetch", engines: []parblast.Engine{parblast.EnginePioBLAST}, frags: 9, configure: func(s *parblast.Search) {
 			s.Pio.DynamicAssignment, s.Pio.PrefetchDepth = true, 1
@@ -84,6 +83,7 @@ func TestIndexBuiltOncePerJob(t *testing.T) {
 						}
 					}
 					s := parblast.Search{DB: db, Queries: queries, Output: "out", Fragments: job.frags, Faults: faults}
+					withTreeMerge(eng, &s, job.tree)
 					if job.configure != nil {
 						job.configure(&s)
 					}

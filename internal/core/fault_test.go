@@ -27,9 +27,9 @@ func crashSpec(t *testing.T, fx *fixture, eng string, nprocs int, faults []mpi.F
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
 			t.Fatal(err)
 		}
-		res, err = mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
+		res, _, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{}, nil)
 	case "pio":
-		res, err = core.RunConfig(nodes, nprocs, cfg, &job, core.Options{FaultTolerant: true})
+		res, _, err = core.Run(nodes, nprocs, cfg, &job, core.Options{FaultTolerant: true}, nil)
 	}
 	if err != nil {
 		t.Fatalf("%s crashed run failed: %v", eng, err)
@@ -94,7 +94,7 @@ func TestCrashRankZeroRejected(t *testing.T) {
 
 	nodes := fx.newCluster(t, 3, vfs.XFSLike(), nil, 0)
 	job := *fx.job
-	if _, err := core.RunConfig(nodes, 3, cfg, &job, core.Options{}); err == nil ||
+	if _, _, err := core.Run(nodes, 3, cfg, &job, core.Options{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("core accepted a master crash: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestCrashRankZeroRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	job2 := *fx.job
-	if _, err := mpiblast.RunOpts(nodes2, 3, cfg, &job2, mpiblast.Options{}); err == nil ||
+	if _, _, err := mpiblast.Run(nodes2, 3, cfg, &job2, mpiblast.Options{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("mpiblast accepted a master crash: %v", err)
 	}
@@ -125,7 +125,8 @@ func TestCrashDuringOutputUnrecoverable(t *testing.T) {
 				t.Fatal(err)
 			}
 			job := *fx.job
-			return mpiblast.RunOpts(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts)
+			res, _, err := mpiblast.Run(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts, nil)
+			return res, err
 		}
 		free, err := run(nil)
 		if err != nil {
@@ -168,7 +169,7 @@ func TestCrashRecoveryWithReadPathModes(t *testing.T) {
 		job := *fx.job
 		job.Fragments = 9
 		cfg := mpi.Config{Cost: testCost(), Faults: faults}
-		res, err := core.RunConfig(nodes, nprocs, cfg, &job, opts)
+		res, _, err := core.Run(nodes, nprocs, cfg, &job, opts, nil)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}

@@ -177,7 +177,7 @@ func fpPio(t *testing.T, fx *fixture, opts core.Options, volMax int64, faults []
 	nodes := fpCluster(t, fx, fpPioProcs, volMax, reg)
 	job := *fx.job
 	job.Fragments = fpPioParts
-	res, err := core.RunConfig(nodes, fpPioProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts)
+	res, _, err := core.Run(nodes, fpPioProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts, nil)
 	if err != nil {
 		t.Fatalf("pio %+v: %v", opts, err)
 	}
@@ -197,7 +197,7 @@ func fpMpi(t *testing.T, fx *fixture, opts mpiblast.Options, faults []mpi.Fault)
 	}
 	job := *fx.job
 	job.Fragments = fpMpiFrags
-	res, err := mpiblast.RunOpts(nodes, fpMpiProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts)
+	res, _, err := mpiblast.Run(nodes, fpMpiProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts, nil)
 	if err != nil {
 		t.Fatalf("mpi %+v: %v", opts, err)
 	}
@@ -220,7 +220,7 @@ func fpServePio(t *testing.T, fx *fixture, opts core.Options, batches []workload
 	nodes := fpCluster(t, fx, fpPioProcs, 0, reg)
 	job := *fx.job
 	job.Fragments = fpPioParts
-	res, stats, err := core.Serve(nodes, fpPioProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts, batches, admitCap)
+	res, stats, err := core.Run(nodes, fpPioProcs, mpi.Config{Cost: testCost(), Faults: faults, Metrics: reg}, &job, opts, &engine.Stream{Batches: batches, AdmitCap: admitCap})
 	if err != nil {
 		return fpRun{}, err
 	}
@@ -240,7 +240,7 @@ func fpServeMpi(t *testing.T, fx *fixture, opts mpiblast.Options, batches []work
 	}
 	job := *fx.job
 	job.Fragments = fpMpiFrags
-	res, stats, err := mpiblast.Serve(nodes, fpMpiProcs, mpi.Config{Cost: testCost(), Metrics: reg}, &job, opts, batches, 0)
+	res, stats, err := mpiblast.Run(nodes, fpMpiProcs, mpi.Config{Cost: testCost(), Metrics: reg}, &job, opts, &engine.Stream{Batches: batches})
 	if err != nil {
 		t.Fatalf("mpi serve %+v: %v", opts, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parblast/internal/core"
+	"parblast/internal/mpi"
 	"parblast/internal/mpiio"
 	"parblast/internal/vfs"
 )
@@ -50,9 +51,9 @@ func TestIOHintsValidatedUpFront(t *testing.T) {
 	fx := makeFixture(t, 200)
 	nodes := fx.newCluster(t, 2, vfs.XFSLike(), nil, 0)
 	job := *fx.job
-	_, err := core.Run(nodes, 2, testCost(), &job, core.Options{
+	_, _, err := core.Run(nodes, 2, mpi.Config{Cost: testCost()}, &job, core.Options{
 		IOHints: mpiio.Hints{SieveGap: -1},
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("core.Run accepted a negative sieve gap")
 	}

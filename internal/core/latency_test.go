@@ -55,22 +55,22 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 	}{
 		{"pio/one-shot", false, true, func(cfg mpi.Config) (o outcome, err error) {
 			nodes, job := stand(false), *fx.job
-			o.res, err = core.RunConfig(nodes, nprocs, cfg, &job, core.Options{QueryBatch: 2})
+			o.res, _, err = core.Run(nodes, nprocs, cfg, &job, core.Options{QueryBatch: 2}, nil)
 			return finish(nodes, o, err)
 		}},
 		{"pio/serve", true, true, func(cfg mpi.Config) (o outcome, err error) {
 			nodes, job := stand(false), *fx.job
-			o.res, o.stats, err = core.Serve(nodes, nprocs, cfg, &job, core.Options{}, batches, 0)
+			o.res, o.stats, err = core.Run(nodes, nprocs, cfg, &job, core.Options{}, &engine.Stream{Batches: batches})
 			return finish(nodes, o, err)
 		}},
 		{"mpi/one-shot", false, true, func(cfg mpi.Config) (o outcome, err error) {
 			nodes, job := stand(true), *fx.job
-			o.res, err = mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
+			o.res, _, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{}, nil)
 			return finish(nodes, o, err)
 		}},
 		{"mpi/serve", true, false, func(cfg mpi.Config) (o outcome, err error) {
 			nodes, job := stand(true), *fx.job
-			o.res, o.stats, err = mpiblast.Serve(nodes, nprocs, cfg, &job, mpiblast.Options{}, batches, 0)
+			o.res, o.stats, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{}, &engine.Stream{Batches: batches})
 			return finish(nodes, o, err)
 		}},
 	}
@@ -190,8 +190,7 @@ func TestMpiblastQueryLatencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := *fx.job
-		res, err := mpiblast.RunOpts(nodes, 4, mpi.Config{Cost: testCost()}, &job,
-			mpiblast.Options{TreeMerge: tree})
+		res, _, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, mpiblast.Options{TreeMerge: tree}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,13 +135,16 @@ type Options struct {
 	// IOHints carries MPI-IO hints applied to every shared-file handle
 	// the run opens (database volumes and the output file): aggregator
 	// count, collective buffer size, sieve gap, and read strategy. The
-	// zero value reproduces the layer's built-in heuristics.
+	// zero value reproduces the layer's built-in heuristics. Only collective
+	// reads read the last three, so they need CollectiveRead; the aggregator
+	// count needs a collective read or write (no IndependentOutput).
 	IOHints mpiio.Hints
 	// IOTuner, when non-nil, attaches the shared I/O auto-tuner to every
 	// input-file handle: collective reads consult it for the strategy/gap
-	// decision and feed their measured virtual cost back. The tuner is an
-	// in-process object shared by all ranks (like the file system itself),
-	// so it rides alongside the job rather than through the broadcast.
+	// decision and feed their measured virtual cost back, so it needs
+	// CollectiveRead. The tuner is an in-process object shared by all ranks
+	// (like the file system itself), so it rides alongside the job rather
+	// than through the broadcast.
 	IOTuner *mpiio.Tuner
 }
 
@@ -439,21 +442,33 @@ func decodeSelection(data []byte) (selection, error) {
 	return s, r.Err()
 }
 
-// Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1).
-// The database is the ONE global formatted database — no fragments needed.
-func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job, opts Options) (engine.RunResult, error) {
-	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost}, job, opts)
-}
-
-// RunConfig is Run with an explicit MPI configuration (heterogeneity, faults,
-// telemetry, tracing).
-func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	mp, err := plan(nodes, nprocs, cfg, job, opts, false)
+// Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1)
+// under the MPI configuration cfg (cost model, heterogeneity, faults,
+// telemetry, tracing). The database is the ONE global formatted database —
+// no fragments needed. A nil stream is a one-shot run; otherwise the cluster
+// serves the stream (serve.go) and ServeStats carries its per-batch
+// accounting and shed set. Rank 0 boots the master and runs its batch driver;
+// every other rank runs the worker, which takes its mode from the broadcast.
+func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+	var stats engine.ServeStats
+	mp, err := plan(nodes, nprocs, cfg, job, opts, stream)
 	if err != nil {
-		return engine.RunResult{}, err
+		return engine.RunResult{}, stats, err
 	}
-	res, _, err := launch(nodes, nprocs, cfg, job, opts.IOTuner, mp, nil)
-	return res, err
+	res, err := engine.Launch(nodes, nprocs, cfg, job, func(r *mpi.Rank, bank *blast.QueryBank, qlat *[]float64) error {
+		if r.ID() != 0 {
+			return runWorker(r, nodes[r.ID()], job.Options, bank, opts.IOTuner)
+		}
+		mb, err := bootMaster(r, nodes[0], job, mp, opts.IOTuner)
+		if err != nil {
+			return err
+		}
+		if stream != nil {
+			return mb.serveStream(stream, bank, &stats, qlat)
+		}
+		return mb.oneShot(job.Queries, qlat)
+	})
+	return res, stats, err
 }
 
 // masterPlan is a validated run as the master holds it: the broadcast that
@@ -467,18 +482,32 @@ type masterPlan struct {
 	indexBytes int64
 }
 
-// plan validates the options for the run mode and builds the master's plan —
-// for RunConfig and Serve alike, so an option one mode cannot honour is
-// rejected with a reason instead of being dropped.
-func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (masterPlan, error) {
-	boot, err := engine.PlanRun("core", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout)
+// plan validates the options for the run mode (serving when stream is
+// non-nil) and builds the master's plan, so an option the run cannot honour —
+// or would not read — is rejected with a reason instead of being dropped.
+func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, stream *engine.Stream) (masterPlan, error) {
+	boot, err := engine.PlanRun("core", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout, stream)
 	if err != nil {
 		return masterPlan{}, err
 	}
 	if err := opts.IOHints.Validate(); err != nil {
 		return masterPlan{}, err
 	}
+	serve, h, coll := stream != nil, opts.IOHints, opts.CollectiveRead
+	// Only ReadCollective reads the strategy, the sieve gap, the buffer size
+	// (which caps the gap) and the tuner; WriteCollective also reads CbNodes.
+	const readOnlyCollective = "core: %s is read only by collective reads: it needs CollectiveRead"
 	switch {
+	case !coll && h.ReadStrategy != 0:
+		return masterPlan{}, fmt.Errorf(readOnlyCollective, "IOHints.ReadStrategy")
+	case !coll && h.SieveGap != 0:
+		return masterPlan{}, fmt.Errorf(readOnlyCollective, "IOHints.SieveGap")
+	case !coll && h.CbBufferSize != 0:
+		return masterPlan{}, fmt.Errorf(readOnlyCollective, "IOHints.CbBufferSize")
+	case !coll && opts.IOTuner != nil:
+		return masterPlan{}, fmt.Errorf(readOnlyCollective, "IOTuner")
+	case !coll && h.CbNodes != 0 && opts.IndependentOutput:
+		return masterPlan{}, fmt.Errorf("core: IOHints.CbNodes caps the aggregators of collective reads and writes: with IndependentOutput and no CollectiveRead none runs")
 	case opts.QueryBatch < 0:
 		return masterPlan{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
 	case opts.PrefetchDepth < 0:
@@ -503,11 +532,7 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	if err != nil {
 		return masterPlan{}, err
 	}
-	nParts := job.Fragments
-	if nParts == 0 {
-		nParts = nprocs - 1 // natural partitioning: one per worker
-	}
-	parts, err := db.Partition(nParts)
+	parts, err := db.Partition(engine.PartCount(job.Fragments, nprocs))
 	if err != nil {
 		return masterPlan{}, err
 	}
@@ -566,41 +591,6 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	}, nil
 }
 
-// launch runs the planned job: rank 0 boots the master and runs its batch
-// driver — the serving stream when there is one, else the one-shot batch
-// loop — and every other rank runs the worker, which takes its mode from
-// the broadcast.
-func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, tuner *mpiio.Tuner, mp masterPlan, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
-	var stats engine.ServeStats
-	bank, err := blast.NewQueryBank(job.Options)
-	if err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	qlat := make([]float64, 0, len(job.Queries))
-	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
-		if r.ID() != 0 {
-			return runWorker(r, nodes[r.ID()], job.Options, bank, tuner)
-		}
-		mb, err := bootMaster(r, nodes[0], job, mp, tuner)
-		if err != nil {
-			return err
-		}
-		if stream != nil {
-			err = mb.serveStream(stream, bank, &stats, &qlat)
-		} else {
-			err = mb.oneShot(job.Queries, &qlat)
-		}
-		if err != nil {
-			return err
-		}
-		r.SetPhase(simtime.PhaseOther)
-		r.Barrier()
-		return nil
-	})
-	engine.RecordIndexSharing(cfg.Metrics, bank.Stats())
-	return res, stats, err
-}
-
 // adaptiveBounds packs queries into batches whose summed cached-output
 // volume stays within the budget (every batch holds at least one query).
 // All ranks compute this from identical global volumes, so the boundaries
@@ -648,15 +638,13 @@ func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 }
 
 // bootMaster brings the master up to the point where batches can be merged:
-// setup, the index read, the job broadcast, the acquisition stage's master
-// half (serving greedy part requests, or joining the workers' collective
-// reads with empty views), the post-acquisition recovery rendezvous, and the
+// the index read, the job broadcast, the acquisition stage's master half
+// (serving greedy part requests, or joining the workers' collective reads
+// with empty views), the post-acquisition recovery rendezvous, and the
 // output file. One-shot and serving runs boot identically; serving is
 // static-only, so the dynamic branch never runs for it.
 func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tuner *mpiio.Tuner) (*masterBatch, error) {
 	meta := mp.meta
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
 	r.SetPhase(simtime.PhaseInput)
 	r.IO(node.Shared, mp.indexBytes) // read the global index files for partitioning
 	r.SetPhase(simtime.PhaseOther)
@@ -1043,8 +1031,6 @@ type worker struct {
 // is retained; a serving worker only retains, and searches everything
 // resident once per stream batch.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.QueryBank, tuner *mpiio.Tuner) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
 	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
 		m, err := decodeJobMeta(data)
 		return m, m.Queries, err
@@ -1086,18 +1072,10 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 	if err := w.out.SetHints(meta.IOHints); err != nil {
 		return err
 	}
-	var err error
 	if meta.Serve {
-		err = w.serveStream()
-	} else {
-		err = w.oneShot()
+		return w.serveStream()
 	}
-	if err != nil {
-		return err
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
+	return w.oneShot()
 }
 
 // begin installs the query set the following searches and output batches

@@ -12,6 +12,7 @@ import (
 	"parblast/internal/metrics"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
+	"parblast/internal/mpiio"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
@@ -100,16 +101,12 @@ func runAllThree(t *testing.T, fx *fixture, nprocs, fragments int, shared vfs.Pr
 
 	// Baseline.
 	mpiNodes := fx.newCluster(t, nprocs, shared, local, 0)
-	nFrags := fragments
-	if nFrags == 0 {
-		nFrags = nprocs - 1
-	}
-	if _, err := mpiblast.PrepareFragments(mpiNodes[0].Shared, "nr", nFrags); err != nil {
+	if _, err := mpiblast.PrepareFragments(mpiNodes[0].Shared, "nr", engine.PartCount(fragments, nprocs)); err != nil {
 		t.Fatal(err)
 	}
 	mpiJob := *fx.job
 	mpiJob.Fragments = fragments
-	mpiRes, err = mpiblast.Run(mpiNodes, nprocs, testCost(), &mpiJob)
+	mpiRes, _, err = mpiblast.Run(mpiNodes, nprocs, mpi.Config{Cost: testCost()}, &mpiJob, mpiblast.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func runAllThree(t *testing.T, fx *fixture, nprocs, fragments int, shared vfs.Pr
 	pioNodes := fx.newCluster(t, nprocs, shared, local, 0)
 	pioJob := *fx.job
 	pioJob.Fragments = fragments
-	pioRes, err = core.Run(pioNodes, nprocs, testCost(), &pioJob, opts)
+	pioRes, _, err = core.Run(pioNodes, nprocs, mpi.Config{Cost: testCost()}, &pioJob, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +248,7 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (engine.RunResult, []byte) {
 		nodes := fx.newCluster(t, 4, vfs.XFSLike(), localDisk(), 0)
 		job := *fx.job
-		res, err := core.Run(nodes, 4, testCost(), &job, core.Options{})
+		res, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, core.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +301,7 @@ func TestMultiVolumeDatabase(t *testing.T) {
 			nodes := format(4)
 			job := *fx.job
 			job.Fragments = fragments
-			if _, err := core.Run(nodes, 4, testCost(), &job, opts); err != nil {
+			if _, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 			got, _ := nodes[0].Shared.ReadFile(job.OutputPath)
@@ -319,26 +316,28 @@ func TestMultiVolumeDatabase(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	fx := makeFixture(t, 300)
 	nodes := fx.newCluster(t, 2, vfs.XFSLike(), nil, 0)
-	if _, err := core.Run(nodes, 1, testCost(), fx.job, core.Options{}); err == nil {
+	if _, _, err := core.Run(nodes, 1, mpi.Config{Cost: testCost()}, fx.job, core.Options{}, nil); err == nil {
 		t.Fatal("1-rank pioBLAST accepted")
 	}
 	bad := *fx.job
 	bad.DBBase = "missing"
-	if _, err := core.Run(nodes, 2, testCost(), &bad, core.Options{}); err == nil {
+	if _, _, err := core.Run(nodes, 2, mpi.Config{Cost: testCost()}, &bad, core.Options{}, nil); err == nil {
 		t.Fatal("missing database accepted by pioBLAST")
 	}
-	if _, err := mpiblast.Run(nodes, 2, testCost(), &bad); err == nil {
+	if _, _, err := mpiblast.Run(nodes, 2, mpi.Config{Cost: testCost()}, &bad, mpiblast.Options{}, nil); err == nil {
 		t.Fatal("missing database accepted by baseline")
 	}
 	// Baseline without prepared fragments must fail with a clear error.
-	if _, err := mpiblast.Run(nodes, 2, testCost(), fx.job); err == nil ||
+	if _, _, err := mpiblast.Run(nodes, 2, mpi.Config{Cost: testCost()}, fx.job, mpiblast.Options{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "fragment") {
 		t.Fatalf("missing fragments not diagnosed: %v", err)
 	}
 }
 
-// TestOptionPlan: the one plan() behind RunConfig and Serve either honours
-// an option or rejects it with a reason — it never drops one silently.
+// TestOptionPlan: the one plan() behind one-shot and serving runs either
+// honours an option or rejects it with a reason — it never drops one
+// silently. The I/O hints only collective reads read, and the tuner, used to
+// run without CollectiveRead as if unset.
 func TestOptionPlan(t *testing.T) {
 	fx := makeFixture(t, 600)
 	slow := []float64{1, 1, 3}
@@ -355,6 +354,14 @@ func TestOptionPlan(t *testing.T) {
 		{"negative memory budget", core.Options{MemoryBudgetBytes: -1}, nil, "negative memory budget"},
 		{"memory budget with query batch", core.Options{MemoryBudgetBytes: 64 << 10, QueryBatch: 4}, nil, "both set the batch boundaries"},
 		{"negative merge fan-out without tree merge", core.Options{MergeFanout: -1}, nil, "negative merge fan-out"},
+		{"merge fan-out without tree merge", core.Options{MergeFanout: 4}, nil, "MergeFanout 4 is the tree merge's fan-out: it needs TreeMerge"},
+		{"read strategy without collective read", core.Options{IOHints: mpiio.Hints{ReadStrategy: mpiio.StrategyListIO}}, nil, "IOHints.ReadStrategy is read only by collective reads"},
+		{"sieve gap without collective read", core.Options{IOHints: mpiio.Hints{SieveGap: 4096}}, nil, "IOHints.SieveGap is read only by collective reads"},
+		{"buffer size without collective read", core.Options{IOHints: mpiio.Hints{CbBufferSize: 1 << 20}}, nil, "IOHints.CbBufferSize is read only by collective reads"},
+		{"tuner without collective read", core.Options{IOTuner: mpiio.NewTuner()}, nil, "IOTuner is read only by collective reads"},
+		{"aggregators with no collective", core.Options{IndependentOutput: true, IOHints: mpiio.Hints{CbNodes: 2}}, nil, "IOHints.CbNodes caps the aggregators"},
+		{"aggregators for the collective write", core.Options{IOHints: mpiio.Hints{CbNodes: 2}}, nil, ""},
+		{"aggregators for the collective read", core.Options{IndependentOutput: true, CollectiveRead: true, IOHints: mpiio.Hints{CbNodes: 2}}, nil, ""},
 		{"config speeds alone", core.Options{}, slow, ""},
 		{"homogeneous", core.Options{}, nil, ""},
 	}
@@ -362,7 +369,7 @@ func TestOptionPlan(t *testing.T) {
 	for _, row := range rows {
 		nodes := fx.newCluster(t, 3, vfs.XFSLike(), nil, 0)
 		job := *fx.job
-		res, err := core.RunConfig(nodes, 3, mpiCfg(row.speeds), &job, row.opts)
+		res, _, err := core.Run(nodes, 3, mpiCfg(row.speeds), &job, row.opts, nil)
 		if row.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), row.wantErr) {
 				t.Errorf("%s: want error containing %q, got %v", row.name, row.wantErr, err)
@@ -446,7 +453,7 @@ func TestHeterogeneousDynamicBeatsStatic(t *testing.T) {
 			DBBase: "nr", Queries: hq, Options: blast.DefaultProteinOptions(),
 			OutputPath: "out", Fragments: fragments,
 		}
-		res, err := core.RunConfig(nodes, 9, mpiCfg(speeds), job, opts)
+		res, _, err := core.Run(nodes, 9, mpiCfg(speeds), job, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +474,7 @@ func TestQueryBatchingReducesOutputTime(t *testing.T) {
 	run := func(batch int) engine.RunResult {
 		nodes := fx.newCluster(t, 6, vfs.XFSLike(), nil, 0)
 		job := *fx.job
-		res, err := core.Run(nodes, 6, testCost(), &job, core.Options{QueryBatch: batch})
+		res, _, err := core.Run(nodes, 6, mpi.Config{Cost: testCost()}, &job, core.Options{QueryBatch: batch}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +631,7 @@ func TestCollectiveReadReducesInputTime(t *testing.T) {
 		nodes := fx.newCluster(t, 5, vfs.NFSLike(), nil, 0)
 		job := *fx.job
 		job.Fragments = 16
-		res, err := core.Run(nodes, 5, testCost(), &job, opts)
+		res, _, err := core.Run(nodes, 5, mpi.Config{Cost: testCost()}, &job, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +656,7 @@ func TestPrefetchReducesWall(t *testing.T) {
 		nodes := fx.newCluster(t, n, prof, nil, 0)
 		job := *fx.job
 		job.Fragments = 12
-		res, err := core.Run(nodes, n, testCost(), &job, opts)
+		res, _, err := core.Run(nodes, n, mpi.Config{Cost: testCost()}, &job, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -691,7 +698,7 @@ func TestSearchPhaseExcludesQueueing(t *testing.T) {
 		job.Fragments = 9
 		cost := testCost()
 		cost.NetLatency = lat
-		res, err := core.Run(nodes, 4, cost, &job, core.Options{DynamicAssignment: true})
+		res, _, err := core.Run(nodes, 4, mpi.Config{Cost: cost}, &job, core.Options{DynamicAssignment: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -720,7 +727,7 @@ func TestFileOpenCacheBoundsOpens(t *testing.T) {
 	job := *fx.job
 	job.Fragments = 18
 	cfg := mpi.Config{Cost: testCost(), Metrics: reg}
-	if _, err := core.RunConfig(nodes, 4, cfg, &job, core.Options{}); err != nil {
+	if _, _, err := core.Run(nodes, 4, cfg, &job, core.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var opens int64
@@ -846,7 +853,7 @@ func TestReadPathSurvivesTransientIOFaults(t *testing.T) {
 		}
 		job := *fx.job
 		job.Fragments = 9
-		if _, err := core.Run(nodes, 4, testCost(), &job, opts); err != nil {
+		if _, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, opts, nil); err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
 		out, err := nodes[0].Shared.ReadFile(job.OutputPath)

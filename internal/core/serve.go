@@ -3,20 +3,25 @@ package core
 import (
 	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/mpi"
-	"parblast/internal/vfs"
 	"parblast/internal/workload"
 )
 
-// Serving mode: the cluster boots once — database opened, virtual
-// partitions read and RETAINED by the workers — and then processes an
-// open-loop stream of query batches (workload.Arrivals) one at a time.
-// The master runs the admission queue (engine.ServeStream): it idles until
-// the next admitted batch's arrival, stamps the batch's Seq as the trace
-// context, broadcasts the batch's queries, and runs exactly the same
-// per-batch merge/layout/write code as the one-shot path (masterBatch.
-// mergeBatch / worker.outputBatch) — which is why the streamed output file
-// is byte-identical to a one-shot run over the admitted queries.
+// Serving mode (Run with a stream): the cluster boots once — database
+// opened, virtual partitions read and RETAINED by the workers — and then
+// processes an open-loop stream of query batches (workload.Arrivals) one at a
+// time. The master runs the admission queue (engine.ServeStream): batches
+// arriving while the queue holds AdmitCap are deterministically shed
+// (drop-newest); otherwise it idles until the next admitted batch's arrival,
+// stamps the batch's Seq as the trace context, broadcasts the batch's
+// queries, and runs exactly the same per-batch merge/layout/write code as the
+// one-shot path (masterBatch.mergeBatch / worker.outputBatch) — which is why
+// the streamed output file is byte-identical to a one-shot run over the
+// admitted queries. Batch boundaries come from the stream, so the options
+// that set them (QueryBatch > 1, MemoryBudgetBytes) are rejected, as is
+// DynamicAssignment: partitions must stay resident across batches. The
+// RunResult's QueryLatencies hold one entry per ADMITTED query in dispatch
+// order, measured from the batch's open-loop arrival to the query's merge
+// completion.
 //
 // Fault tolerance reuses the ready/go rendezvous per batch: a worker
 // crash is detected at the next batch's rendezvous, its partitions are
@@ -25,31 +30,6 @@ import (
 // one. The batch's latency baseline is its ARRIVAL time, recorded before
 // dispatch and never reset by recovery, so percentiles include the full
 // recovery cost.
-
-// Serve runs the persistent-cluster serving mode over an arrival stream.
-// batches must come from workload.Arrivals (non-decreasing arrival times,
-// contiguous in-order partition of job.Queries). admitCap bounds the
-// admission queue (0 = unbounded); batches arriving while the queue is
-// full are deterministically shed (drop-newest) and never dispatched.
-// Batch boundaries come from the stream, so the options that set them
-// (QueryBatch > 1, MemoryBudgetBytes) are rejected, as is
-// DynamicAssignment: partitions must stay resident across batches.
-//
-// The returned RunResult's QueryLatencies hold one entry per ADMITTED
-// query in dispatch order, measured from the batch's open-loop arrival to
-// the query's merge completion. ServeStats carries per-batch accounting
-// and the shed set.
-func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
-	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
-	mp, err := plan(nodes, nprocs, cfg, job, opts, true)
-	if err == nil {
-		err = stream.Validate("core", len(job.Queries))
-	}
-	if err != nil {
-		return engine.RunResult{}, engine.ServeStats{}, err
-	}
-	return launch(nodes, nprocs, cfg, job, opts.IOTuner, mp, stream)
-}
 
 // serveStream is the master's batch driver for a serving run: one merge per
 // admitted stream batch, each query's latency counted from the batch's

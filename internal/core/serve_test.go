@@ -31,7 +31,7 @@ func runServePio(t *testing.T, fx *fixture, nprocs int, cfg mpi.Config, opts cor
 	t.Helper()
 	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
-	res, stats, err := core.Serve(nodes, nprocs, cfg, &job, opts, batches, admitCap)
+	res, stats, err := core.Run(nodes, nprocs, cfg, &job, opts, &engine.Stream{Batches: batches, AdmitCap: admitCap})
 	if err != nil {
 		t.Fatalf("serve run failed: %v", err)
 	}
@@ -50,7 +50,7 @@ func runServeMpi(t *testing.T, fx *fixture, nprocs int, cfg mpi.Config, opts mpi
 		t.Fatal(err)
 	}
 	job := *fx.job
-	res, stats, err := mpiblast.Serve(nodes, nprocs, cfg, &job, opts, batches, admitCap)
+	res, stats, err := mpiblast.Run(nodes, nprocs, cfg, &job, opts, &engine.Stream{Batches: batches, AdmitCap: admitCap})
 	if err != nil {
 		t.Fatalf("mpiblast serve run failed: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestServeMatchesOneShotMpiblast(t *testing.T) {
 			t.Fatal(err)
 		}
 		oneJob := *fx.job
-		oneShot, err := mpiblast.RunOpts(oneNodes, nprocs, mpi.Config{Cost: testCost()}, &oneJob, opts)
+		oneShot, _, err := mpiblast.Run(oneNodes, nprocs, mpi.Config{Cost: testCost()}, &oneJob, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestBaselineMergeSeriesMatchAcrossModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := *fx.job
-		if _, err := mpiblast.RunOpts(nodes, nprocs, mpi.Config{Cost: testCost(), Metrics: oneReg}, &job, opts); err != nil {
+		if _, _, err := mpiblast.Run(nodes, nprocs, mpi.Config{Cost: testCost(), Metrics: oneReg}, &job, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		serveReg := metrics.NewRegistry()
@@ -199,7 +199,7 @@ func TestServeMpiblastRejectsFaults(t *testing.T) {
 	}
 	job := *fx.job
 	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 2, At: 0.5, Kind: mpi.FaultCrash}}}
-	if _, _, err := mpiblast.Serve(nodes, 3, cfg, &job, mpiblast.Options{}, batches, 0); err == nil ||
+	if _, _, err := mpiblast.Run(nodes, 3, cfg, &job, mpiblast.Options{}, &engine.Stream{Batches: batches}); err == nil ||
 		!strings.Contains(err.Error(), "fault injection") {
 		t.Errorf("mpiblast serve accepted a fault schedule: %v", err)
 	}
@@ -311,7 +311,7 @@ func TestServeCrashKeepsAdmissionClock(t *testing.T) {
 		faults = []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
 		nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 		job := *fx.job
-		res, _, err := core.Serve(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts, batches, 0)
+		res, _, err := core.Run(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts, &engine.Stream{Batches: batches})
 		if err != nil {
 			if strings.Contains(err.Error(), "output phase") {
 				continue
@@ -400,7 +400,7 @@ func TestServeValidation(t *testing.T) {
 		t.Helper()
 		nodes := fx.newCluster(t, nprocs, vfs.RAMDisk(), nil, 0)
 		job := *fx.job
-		_, _, err := core.Serve(nodes, nprocs, cfg, &job, opts, b, cap)
+		_, _, err := core.Run(nodes, nprocs, cfg, &job, opts, &engine.Stream{Batches: b, AdmitCap: cap})
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("want error containing %q, got %v", wantSub, err)
 		}
@@ -418,7 +418,7 @@ func TestServeValidation(t *testing.T) {
 	nodes := fx.newCluster(t, nprocs, vfs.RAMDisk(), nil, 0)
 	job := *fx.job
 	crashMaster := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 0, At: 0.1, Kind: mpi.FaultCrash}}}
-	if _, _, err := core.Serve(nodes, nprocs, crashMaster, &job, core.Options{}, batches, 0); err == nil ||
+	if _, _, err := core.Run(nodes, nprocs, crashMaster, &job, core.Options{}, &engine.Stream{Batches: batches}); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("serve accepted a master crash: %v", err)
 	}

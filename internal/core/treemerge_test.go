@@ -33,7 +33,7 @@ func runPio(t *testing.T, fx *fixture, nprocs int, cfg mpi.Config, opts core.Opt
 	t.Helper()
 	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
-	res, err := core.RunConfig(nodes, nprocs, cfg, &job, opts)
+	res, _, err := core.Run(nodes, nprocs, cfg, &job, opts, nil)
 	if err != nil {
 		t.Fatalf("pio run failed: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestTreeMergeCrashDuringMergeCleanError(t *testing.T) {
 	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
 	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}}
-	_, err := core.RunConfig(nodes, nprocs, cfg, &job, opts)
+	_, _, err := core.Run(nodes, nprocs, cfg, &job, opts, nil)
 	if err == nil {
 		t.Fatal("crash inside the merge window reported no error")
 	}
@@ -144,7 +144,7 @@ func TestTreeMergeRejectsBadFanout(t *testing.T) {
 	fx := makeFixture(t, 400)
 	nodes := fx.newCluster(t, 3, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
-	_, err := core.RunConfig(nodes, 3, mpi.Config{Cost: testCost()}, &job, core.Options{TreeMerge: true, MergeFanout: 1})
+	_, _, err := core.Run(nodes, 3, mpi.Config{Cost: testCost()}, &job, core.Options{TreeMerge: true, MergeFanout: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "fan-out") {
 		t.Errorf("fan-out 1 accepted: %v", err)
 	}

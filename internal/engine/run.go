@@ -29,10 +29,11 @@ type Boot struct {
 
 // PlanRun validates what every run needs regardless of engine — a usable
 // job, a master plus at least one worker, a storage view per rank, a fault
-// schedule that spares the master, a tree fan-out that can form a tree — and
-// fills the default (fan-out 0 = mpi.DefaultTreeFanout). pkg prefixes the
-// errors with the calling engine.
-func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, treeMerge bool, mergeFanout int) (Boot, error) {
+// schedule that spares the master, a tree fan-out only with a tree merge and
+// one that can form a tree, and, for a serving run (non-nil stream), the
+// stream — and fills the default (fan-out 0 = mpi.DefaultTreeFanout). pkg
+// prefixes the errors with the calling engine.
+func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, treeMerge bool, mergeFanout int, stream *Stream) (Boot, error) {
 	if err := job.Validate(); err != nil {
 		return Boot{}, err
 	}
@@ -52,6 +53,9 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 	if mergeFanout < 0 {
 		return Boot{}, fmt.Errorf("%s: negative merge fan-out %d", pkg, mergeFanout)
 	}
+	if mergeFanout != 0 && !treeMerge {
+		return Boot{}, fmt.Errorf("%s: MergeFanout %d is the tree merge's fan-out: it needs TreeMerge", pkg, mergeFanout)
+	}
 	b := Boot{FT: len(cfg.Faults) > 0, Fanout: mergeFanout}
 	if b.Fanout == 0 {
 		b.Fanout = mpi.DefaultTreeFanout
@@ -59,30 +63,60 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 	if treeMerge && b.Fanout < 2 {
 		return Boot{}, fmt.Errorf("%s: merge fan-out %d < 2", pkg, mergeFanout)
 	}
+	if stream != nil {
+		return b, stream.Validate(pkg, len(job.Queries))
+	}
 	return b, nil
 }
 
-// Execute runs body on nprocs ranks and summarizes the run: wall and phase
-// maxima, output size, traffic totals, and I/O fault statistics. qlat is
-// the per-query latency sink the master goroutine appends to (SettleQuery);
-// it is read only after mpi.RunConfig returns — the run's WaitGroup is the
-// barrier.
-func Execute(nodes []*vfs.Node, nprocs int, cfg mpi.Config, outputPath string, qlat *[]float64, body func(*mpi.Rank) error) (RunResult, error) {
+// PartCount is both engines' natural-partition rule: the job's Fragments,
+// or 0 meaning one part per worker of nprocs ranks.
+func PartCount(fragments, nprocs int) int {
+	if fragments == 0 {
+		return nprocs - 1
+	}
+	return fragments
+}
+
+// Launch is the one rank lifecycle of both engines, one-shot and serving:
+// build the job's query bank and the master's per-query latency sink, charge
+// every rank the set-up cost, run body, close with a barrier, and summarize
+// the run — wall and phase maxima, output size, traffic totals, I/O fault
+// statistics — and the bank's index sharing. body is the rank's engine
+// stages: the master appends to qlat (SettleQuery), which is read only after
+// mpi.RunConfig returns — the run's WaitGroup is the barrier. A rank whose
+// body fails skips the closing barrier.
+func Launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, body func(r *mpi.Rank, bank *blast.QueryBank, qlat *[]float64) error) (RunResult, error) {
+	bank, err := blast.NewQueryBank(job.Options)
+	if err != nil {
+		return RunResult{}, err
+	}
 	if cfg.Comm == nil {
 		cfg.Comm = mpi.NewCommStats(nprocs)
 	}
+	qlat := make([]float64, 0, len(job.Queries))
 	// The world's clocks start at zero, so the storage it queues on must too.
 	eachFS(nodes, (*vfs.FS).BeginRun)
-	clocks, err := mpi.RunConfig(nprocs, cfg, body)
+	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
+		r.SetPhase(simtime.PhaseOther)
+		r.Advance(r.Cost().SetupCost)
+		if err := body(r, bank, &qlat); err != nil {
+			return err
+		}
+		r.SetPhase(simtime.PhaseOther)
+		r.Barrier()
+		return nil
+	})
+	RecordIndexSharing(cfg.Metrics, bank.Stats())
 	if err != nil {
 		return RunResult{}, err
 	}
 	var outBytes int64
-	if f, err := nodes[0].Shared.Open(outputPath); err == nil {
+	if f, err := nodes[0].Shared.Open(job.OutputPath); err == nil {
 		outBytes = f.Size()
 	}
 	res := Summarize(clocks, outBytes)
-	res.QueryLatencies = *qlat
+	res.QueryLatencies = qlat
 	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
 	res.AddIOFaults(nodes)
 	return res, nil

@@ -136,11 +136,7 @@ func (l *Lab) standUp(eng string, procs int, plat platform, fragments int, queri
 		return nil, err
 	}
 	if eng == "mpi" {
-		nFrags := fragments
-		if nFrags == 0 {
-			nFrags = procs - 1
-		}
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
+		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", engine.PartCount(fragments, procs)); err != nil {
 			return nil, err
 		}
 	}
@@ -156,20 +152,10 @@ func (l *Lab) standUp(eng string, procs int, plat platform, fragments int, queri
 // run executes the rig's job on its engine: one-shot, or serving the
 // stream when there is one.
 func (r *rig) run(cfg mpi.Config, v variant, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
-	var res engine.RunResult
-	var stats engine.ServeStats
-	var err error
-	switch {
-	case r.eng == "mpi" && stream != nil:
-		res, stats, err = mpiblast.Serve(r.nodes, r.procs, cfg, r.job, v.mpi, stream.Batches, stream.AdmitCap)
-	case r.eng == "mpi":
-		res, err = mpiblast.RunOpts(r.nodes, r.procs, cfg, r.job, v.mpi)
-	case stream != nil:
-		res, stats, err = core.Serve(r.nodes, r.procs, cfg, r.job, v.pio, stream.Batches, stream.AdmitCap)
-	default:
-		res, err = core.RunConfig(r.nodes, r.procs, cfg, r.job, v.pio)
+	if r.eng == "mpi" {
+		return mpiblast.Run(r.nodes, r.procs, cfg, r.job, v.mpi, stream)
 	}
-	return res, stats, err
+	return core.Run(r.nodes, r.procs, cfg, r.job, v.pio, stream)
 }
 
 // output returns the result file the run produced.

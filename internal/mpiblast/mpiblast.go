@@ -29,7 +29,6 @@ import (
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
-	"parblast/internal/workload"
 )
 
 // Message tags (all below the mpiio-reserved space).
@@ -188,46 +187,51 @@ type Options struct {
 }
 
 // Run executes the baseline engine on nprocs ranks (rank 0 is the master;
-// workers are 1..nprocs-1). nodes[i] is rank i's storage view. The physical
-// fragments must already exist (PrepareFragments).
-func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job) (engine.RunResult, error) {
-	return RunOpts(nodes, nprocs, mpi.Config{Cost: cost}, job, Options{})
-}
-
-// RunOpts is Run with an explicit MPI configuration (heterogeneity, faults,
-// tracing) and baseline variant options.
-func RunOpts(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	mp, err := plan(nodes, nprocs, cfg, job, opts, false)
-	if err != nil {
-		return engine.RunResult{}, err
-	}
-	res, _, err := launch(nodes, nprocs, cfg, job, opts, mp, nil)
-	return res, err
-}
-
-// Serve runs the baseline engine in serving mode over an arrival stream: the
-// cluster boots once — every worker COPIES its fragments to local staging
-// and loads them exactly once — and then drains the stream. The stream
-// semantics (admission queue, drop-newest shedding, arrival-anchored
-// latencies) match core.Serve exactly; see that function. Because each
-// batch runs the one-shot merge and output stages at a running offset, the
-// streamed output file is byte-identical to a one-shot run over the admitted
-// queries.
+// workers are 1..nprocs-1) under the MPI configuration cfg (cost model,
+// heterogeneity, faults, tracing). nodes[i] is rank i's storage view. The
+// physical fragments must already exist (PrepareFragments). Rank 0 boots the
+// master — the job broadcast — and runs its driver; every other rank runs
+// the worker, which takes its protocol from the broadcast.
 //
-// Fault schedules are rejected up front: the baseline's recovery story is
+// A nil stream is a one-shot run. Otherwise the cluster serves the stream:
+// it boots once — every worker COPIES its fragments to local staging and
+// loads them exactly once — and then drains the stream with the same stream
+// semantics as core.Run (admission queue, drop-newest shedding,
+// arrival-anchored latencies). Because each batch runs the one-shot merge
+// and output stages at a running offset, the streamed output file is
+// byte-identical to a one-shot run over the admitted queries. A serving run
+// rejects fault schedules up front: the baseline's recovery story is
 // re-copying whole physical fragments, which interacts with a persistent
 // stream in ways mpiBLAST 1.2.1 never defined. The pio engine is the one
 // that demonstrates mid-stream recovery.
-func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
-	stream := &engine.Stream{Batches: batches, AdmitCap: admitCap}
-	mp, err := plan(nodes, nprocs, cfg, job, opts, true)
-	if err == nil {
-		err = stream.Validate("mpiblast", len(job.Queries))
-	}
+func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
+	var stats engine.ServeStats
+	mp, err := plan(nodes, nprocs, cfg, job, opts, stream)
 	if err != nil {
-		return engine.RunResult{}, engine.ServeStats{}, err
+		return engine.RunResult{}, stats, err
 	}
-	return launch(nodes, nprocs, cfg, job, opts, mp, stream)
+	res, err := engine.Launch(nodes, nprocs, cfg, job, func(r *mpi.Rank, bank *blast.QueryBank, qlat *[]float64) error {
+		if r.ID() != 0 {
+			return runWorker(r, nodes[r.ID()], bank)
+		}
+		r.Bcast(0, mp.meta.encode())
+		m := &master{
+			r: r, node: nodes[0], job: job, masterPlan: mp,
+			window: max(opts.FetchWindow, 1),
+			// Admission: every query of a one-shot run is "in the system"
+			// once the job metadata broadcast completes.
+			admit: r.Clock().Now(),
+		}
+		switch {
+		case stream != nil:
+			return m.serveStream(stream, bank, &stats, qlat)
+		case mp.meta.Tree:
+			return m.oneShotTree(qlat)
+		default:
+			return m.oneShotFlat(qlat)
+		}
+	})
+	return res, stats, err
 }
 
 // masterPlan is a validated run as the master holds it: the broadcast that
@@ -243,15 +247,16 @@ type masterPlan struct {
 }
 
 // plan validates the run and builds the master's plan, for one-shot and
-// serving runs alike.
-func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (masterPlan, error) {
-	boot, err := engine.PlanRun("mpiblast", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout)
+// serving (non-nil stream) runs alike.
+func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, stream *engine.Stream) (masterPlan, error) {
+	boot, err := engine.PlanRun("mpiblast", nodes, nprocs, cfg, job, opts.TreeMerge, opts.MergeFanout, stream)
 	if err != nil {
 		return masterPlan{}, err
 	}
 	if opts.FetchWindow < 0 {
 		return masterPlan{}, fmt.Errorf("mpiblast: negative fetch window %d", opts.FetchWindow)
 	}
+	serve := stream != nil
 	if serve && boot.FT {
 		return masterPlan{}, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
 	}
@@ -260,12 +265,8 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	if err != nil {
 		return masterPlan{}, err
 	}
-	nFrags := job.Fragments
-	if nFrags == 0 {
-		nFrags = nprocs - 1 // natural partitioning
-	}
 	// PhysicalFragment never cuts more fragments than there are sequences.
-	nFrags = min(nFrags, db.NumSeqs)
+	nFrags := min(engine.PartCount(job.Fragments, nprocs), db.NumSeqs)
 	fragBases := make([]string, nFrags)
 	for i := range fragBases {
 		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
@@ -291,51 +292,6 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 		dbInfo: blast.DBInfo{Title: db.Title, NumSeqs: db.NumSeqs, TotalLen: db.TotalResidues},
 		ft:     boot.FT,
 	}, nil
-}
-
-// launch runs the planned job: rank 0 boots the master — setup and the job
-// broadcast — and runs its driver (the serving stream when there is one,
-// else the flat or tree one-shot protocol); every other rank runs the
-// worker, which takes its protocol from the broadcast.
-func launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, mp masterPlan, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
-	var stats engine.ServeStats
-	bank, err := blast.NewQueryBank(job.Options)
-	if err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	qlat := make([]float64, 0, len(job.Queries))
-	res, err := engine.Execute(nodes, nprocs, cfg, job.OutputPath, &qlat, func(r *mpi.Rank) error {
-		if r.ID() != 0 {
-			return runWorker(r, nodes[r.ID()], bank)
-		}
-		r.SetPhase(simtime.PhaseOther)
-		r.Advance(r.Cost().SetupCost)
-		r.Bcast(0, mp.meta.encode())
-		m := &master{
-			r: r, node: nodes[0], job: job, masterPlan: mp,
-			window: max(opts.FetchWindow, 1),
-			// Admission: every query of a one-shot run is "in the system"
-			// once the job metadata broadcast completes.
-			admit: r.Clock().Now(),
-		}
-		var err error
-		switch {
-		case stream != nil:
-			err = m.serveStream(stream, bank, &stats, &qlat)
-		case mp.meta.Tree:
-			err = m.oneShotTree(&qlat)
-		default:
-			err = m.oneShotFlat(&qlat)
-		}
-		if err != nil {
-			return err
-		}
-		r.SetPhase(simtime.PhaseOther)
-		r.Barrier()
-		return nil
-	})
-	engine.RecordIndexSharing(cfg.Metrics, bank.Stats())
-	return res, stats, err
 }
 
 // worker is the baseline worker's state: where fragments are staged, and
@@ -365,8 +321,6 @@ type worker struct {
 // during the search). Either way the worker then serves the master's
 // per-hit residue fetches until released.
 func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
 	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
 		m, err := decodeJobMeta(data)
 		return m, m.Queries, err
@@ -387,18 +341,10 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	}
 	w.submit = w.emit
 
-	var err error
 	if meta.Serve {
-		err = w.serveStream(boot.Members)
-	} else {
-		err = w.oneShot(boot.Queries)
+		return w.serveStream(boot.Members)
 	}
-	if err != nil {
-		return err
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
+	return w.oneShot(boot.Queries)
 }
 
 // oneShot is the worker's driver for a one-shot run: search greedily

@@ -74,20 +74,20 @@ func TestPrepareFragments(t *testing.T) {
 
 func TestRunRejectsBadConfigs(t *testing.T) {
 	nodes, job, _ := setup(t, 4)
-	if _, err := mpiblast.Run(nodes, 1, simtime.DefaultCostModel(), job); err == nil {
+	if _, _, err := mpiblast.Run(nodes, 1, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err == nil {
 		t.Fatal("single-rank baseline accepted")
 	}
-	if _, err := mpiblast.Run(nodes[:2], 4, simtime.DefaultCostModel(), job); err == nil {
+	if _, _, err := mpiblast.Run(nodes[:2], 4, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err == nil {
 		t.Fatal("too few nodes accepted")
 	}
 	// No fragments prepared yet.
-	if _, err := mpiblast.Run(nodes, 4, simtime.DefaultCostModel(), job); err == nil ||
+	if _, _, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "fragment") {
 		t.Fatalf("missing fragments not diagnosed: %v", err)
 	}
 	bad := *job
 	bad.DBBase = "nope"
-	if _, err := mpiblast.Run(nodes, 4, simtime.DefaultCostModel(), &bad); err == nil {
+	if _, _, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: simtime.DefaultCostModel()}, &bad, mpiblast.Options{}, nil); err == nil {
 		t.Fatal("missing database accepted")
 	}
 	// Non-finite speeds and slow-downs: NaN used to run at speed 1 silently,
@@ -102,7 +102,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		"negative merge fan-out": {MergeFanout: -1},
 	} {
 		cfg := mpi.Config{Cost: simtime.DefaultCostModel()}
-		if _, err := mpiblast.RunOpts(nodes, 4, cfg, job, opts); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := mpiblast.Run(nodes, 4, cfg, job, opts, nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v", want, err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			"non-finite Slow":  {Faults: []mpi.Fault{{Rank: 1, At: 0.1, Kind: mpi.FaultDegrade, Slow: v}}},
 		} {
 			cfg.Cost = simtime.DefaultCostModel()
-			if _, err := mpiblast.RunOpts(nodes, 4, cfg, job, mpiblast.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			if _, _, err := mpiblast.Run(nodes, 4, cfg, job, mpiblast.Options{}, nil); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %g: error %v", want, v, err)
 			}
 		}
@@ -127,7 +127,7 @@ func TestGreedySchedulingCoversAllFragments(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpiblast.Run(nodes, 3, simtime.DefaultCostModel(), job)
+	res, _, err := mpiblast.Run(nodes, 3, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMoreWorkersThanFragments(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpiblast.Run(nodes, 6, simtime.DefaultCostModel(), job); err != nil {
+	if _, _, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out, err := nodes[0].Shared.ReadFile("out")
@@ -185,7 +185,7 @@ func TestCopyUsesLocalDiskWhenAvailable(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpiblast.Run(nodes, 3, simtime.DefaultCostModel(), job); err != nil {
+	if _, _, err := mpiblast.Run(nodes, 3, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Fragment files must have landed on the workers' local disks, not in
@@ -207,7 +207,7 @@ func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 5); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := mpiblast.Run(nodes, 6, simtime.DefaultCostModel(), job)
+	serial, _, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,7 @@ func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes2[0].Shared, "nr", 5); err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := mpiblast.RunOpts(nodes2, 6, mpi.Config{Cost: simtime.DefaultCostModel()},
-		job2, mpiblast.Options{FetchWindow: 8})
+	pipelined, _, err := mpiblast.Run(nodes2, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job2, mpiblast.Options{FetchWindow: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

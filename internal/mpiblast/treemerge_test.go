@@ -68,7 +68,7 @@ func runTree(t *testing.T, job *engine.Job, nprocs, nFrags int, cfg mpi.Config, 
 	nodes := treeCluster(t, job, nprocs, nFrags)
 	j := *job
 	j.Fragments = nFrags
-	res, err := mpiblast.RunOpts(nodes, nprocs, cfg, &j, opts)
+	res, _, err := mpiblast.Run(nodes, nprocs, cfg, &j, opts, nil)
 	if err != nil {
 		return res, nil, err
 	}

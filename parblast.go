@@ -22,6 +22,7 @@ package parblast
 
 import (
 	"fmt"
+	"reflect"
 
 	"parblast/internal/blast"
 	"parblast/internal/core"
@@ -335,9 +336,10 @@ func (c *Cluster) PrepareFragments(dbName string, n int) error {
 	return err
 }
 
-// Search describes one search run. The sequential engine runs on no ranks and
-// cuts no partitions, so it rejects non-zero Fragments, Pio, Mpi, Faults and
-// NodeSpeeds by name.
+// Search describes one search run. Each parallel engine reads its own options
+// block only, so it rejects a non-zero field of the other's by name; the
+// sequential engine runs on no ranks and cuts no partitions, so it rejects
+// non-zero Fragments, Pio, Mpi, Faults and NodeSpeeds by name.
 type Search struct {
 	// DB is the formatted database (from FormatDB).
 	DB *DB
@@ -351,9 +353,9 @@ type Search struct {
 	// Fragments overrides the partition granularity (0 = natural:
 	// one fragment per worker).
 	Fragments int
-	// Pio selects pioBLAST variants; the mpiBLAST engine ignores them.
+	// Pio selects pioBLAST variants; the mpiBLAST engine rejects them.
 	Pio PioOptions
-	// Mpi selects mpiBLAST-baseline variants; pioBLAST ignores them.
+	// Mpi selects mpiBLAST-baseline variants; pioBLAST rejects them.
 	Mpi MpiOptions
 	// Faults schedules deterministic rank failures (crashes, degrades).
 	// Scheduling any fault arms the engines' failure-recovery protocols;
@@ -364,22 +366,34 @@ type Search struct {
 	NodeSpeeds []float64
 }
 
-// sequentialRejects names the first field of s the sequential engine would
-// otherwise drop.
-func sequentialRejects(s Search) error {
-	switch {
-	case len(s.Faults) > 0:
+// rejects names the first field of s the engine would otherwise drop.
+func rejects(eng Engine, s Search) error {
+	pioSet, mpiSet := firstSet(s.Pio), firstSet(s.Mpi)
+	switch sequential := eng == EngineSequential; {
+	case sequential && len(s.Faults) > 0:
 		return fmt.Errorf("parblast: the sequential engine has no ranks to fail: Faults must be empty")
-	case len(s.NodeSpeeds) > 0:
+	case sequential && len(s.NodeSpeeds) > 0:
 		return fmt.Errorf("parblast: the sequential engine has no ranks to slow: NodeSpeeds must be empty")
-	case s.Fragments != 0:
+	case sequential && s.Fragments != 0:
 		return fmt.Errorf("parblast: the sequential engine searches the database whole: Fragments must be 0, got %d", s.Fragments)
-	case s.Pio != PioOptions{}:
-		return fmt.Errorf("parblast: the sequential engine reads no Pio options")
-	case s.Mpi != MpiOptions{}:
-		return fmt.Errorf("parblast: the sequential engine reads no Mpi options")
+	case pioSet != "" && eng != EnginePioBLAST:
+		return fmt.Errorf("parblast: the %v engine reads no Pio options: Pio.%s must be unset", eng, pioSet)
+	case mpiSet != "" && eng != EngineMPIBlast:
+		return fmt.Errorf("parblast: the %v engine reads no Mpi options: Mpi.%s must be unset", eng, mpiSet)
 	}
 	return nil
+}
+
+// firstSet names the first field of the options struct block that is not
+// its zero value, or returns "".
+func firstSet(block any) string {
+	v := reflect.ValueOf(block)
+	for i := range v.NumField() {
+		if !v.Field(i).IsZero() {
+			return v.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 // job builds the engine job for a search, defaulting kernel options to the
@@ -411,31 +425,8 @@ func (c *Cluster) mpiConfig(s Search) mpi.Config {
 // Run executes the search with the chosen engine and returns the timing
 // summary. The result file is written to s.Output on the shared FS.
 func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
-	if s.DB == nil {
-		return Result{}, fmt.Errorf("parblast: search needs a database")
-	}
-	job := c.job(s)
-	cfg := c.mpiConfig(s)
-	switch eng {
-	case EngineSequential:
-		if err := sequentialRejects(s); err != nil {
-			return Result{}, err
-		}
-		if err := engine.RunSequential(c.nodes[0].Shared, job); err != nil {
-			return Result{}, err
-		}
-		var out int64
-		if f, err := c.nodes[0].Shared.Open(s.Output); err == nil {
-			out = f.Size()
-		}
-		return Result{OutputBytes: out}, nil
-	case EngineMPIBlast:
-		return mpiblast.RunOpts(c.nodes, c.procs, cfg, job, s.Mpi)
-	case EnginePioBLAST:
-		return core.RunConfig(c.nodes, c.procs, cfg, job, s.Pio)
-	default:
-		return Result{}, fmt.Errorf("parblast: unknown engine %v", eng)
-	}
+	res, _, err := c.run(eng, s, nil)
+	return res, err
 }
 
 // Serve executes the search in streaming mode: the cluster warms up once
@@ -447,19 +438,37 @@ func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
 // order, and per-query latencies are measured from each batch's open-loop
 // arrival time.
 func (c *Cluster) Serve(eng Engine, s Search, batches []Batch, admitCap int) (Result, ServeStats, error) {
+	return c.run(eng, s, &engine.Stream{Batches: batches, AdmitCap: admitCap})
+}
+
+// run is Run and Serve: reject what the engine would drop, then run the
+// search one-shot (nil stream) or serving the stream.
+func (c *Cluster) run(eng Engine, s Search, stream *engine.Stream) (Result, ServeStats, error) {
 	if s.DB == nil {
 		return Result{}, ServeStats{}, fmt.Errorf("parblast: search needs a database")
 	}
-	job := c.job(s)
-	cfg := c.mpiConfig(s)
-	switch eng {
-	case EngineMPIBlast:
-		return mpiblast.Serve(c.nodes, c.procs, cfg, job, s.Mpi, batches, admitCap)
-	case EnginePioBLAST:
-		return core.Serve(c.nodes, c.procs, cfg, job, s.Pio, batches, admitCap)
-	default:
+	if err := rejects(eng, s); err != nil {
+		return Result{}, ServeStats{}, err
+	}
+	job, cfg := c.job(s), c.mpiConfig(s)
+	switch {
+	case eng == EngineMPIBlast:
+		return mpiblast.Run(c.nodes, c.procs, cfg, job, s.Mpi, stream)
+	case eng == EnginePioBLAST:
+		return core.Run(c.nodes, c.procs, cfg, job, s.Pio, stream)
+	case eng != EngineSequential:
+		return Result{}, ServeStats{}, fmt.Errorf("parblast: unknown engine %v", eng)
+	case stream != nil:
 		return Result{}, ServeStats{}, fmt.Errorf("parblast: engine %v cannot serve (streaming needs a warm cluster)", eng)
 	}
+	if err := engine.RunSequential(c.nodes[0].Shared, job); err != nil {
+		return Result{}, ServeStats{}, err
+	}
+	var out int64
+	if f, err := c.nodes[0].Shared.Open(s.Output); err == nil {
+		out = f.Size()
+	}
+	return Result{OutputBytes: out}, ServeStats{}, nil
 }
 
 // ReadOutput returns the produced result file.

@@ -3,6 +3,7 @@ package parblast_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +27,101 @@ func buildWorkload(t *testing.T) ([]*parblast.Sequence, []*parblast.Sequence) {
 		t.Fatal(err)
 	}
 	return seqs, queries
+}
+
+// withTreeMerge sets the tree merge in eng's options block, the only one eng
+// reads: the façade rejects a set field of the other engine's block.
+func withTreeMerge(eng parblast.Engine, s *parblast.Search, on bool) {
+	if eng == parblast.EngineMPIBlast {
+		s.Mpi.TreeMerge = on
+	} else {
+		s.Pio.TreeMerge = on
+	}
+}
+
+// TestFacadeRejectsWhatAnEngineWouldDrop: every field of one engine's options
+// block is rejected by name on the other engine and on the sequential one, as
+// is a merge fan-out without the tree merge on either engine, through Run and
+// Serve alike. Each used to run: the parallel engines dropped the other block
+// and the fan-out, the sequential engine named no field, and Serve on it
+// answered only that it cannot serve.
+func TestFacadeRejectsWhatAnEngineWouldDrop(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	batches, err := parblast.Arrivals(queries, parblast.ArrivalConfig{Rate: 5, BatchMean: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type field struct {
+		name string
+		set  func(*parblast.Search)
+	}
+	pio := []field{
+		{"EarlyPrune", func(s *parblast.Search) { s.Pio.EarlyPrune = true }},
+		{"IndependentOutput", func(s *parblast.Search) { s.Pio.IndependentOutput = true }},
+		{"DynamicAssignment", func(s *parblast.Search) { s.Pio.DynamicAssignment = true }},
+		{"QueryBatch", func(s *parblast.Search) { s.Pio.QueryBatch = 2 }},
+		{"CollectiveRead", func(s *parblast.Search) { s.Pio.CollectiveRead = true }},
+		{"PrefetchDepth", func(s *parblast.Search) { s.Pio.PrefetchDepth = 1 }},
+		{"MemoryBudgetBytes", func(s *parblast.Search) { s.Pio.MemoryBudgetBytes = 1 << 20 }},
+		{"FaultTolerant", func(s *parblast.Search) { s.Pio.FaultTolerant = true }},
+		{"TreeMerge", func(s *parblast.Search) { s.Pio.TreeMerge = true }},
+		{"MergeFanout", func(s *parblast.Search) { s.Pio.MergeFanout = 4 }},
+		{"IOHints", func(s *parblast.Search) { s.Pio.IOHints.CbNodes = 2 }},
+		{"IOTuner", func(s *parblast.Search) { s.Pio.IOTuner = parblast.NewIOTuner() }},
+	}
+	mpi := []field{
+		{"FetchWindow", func(s *parblast.Search) { s.Mpi.FetchWindow = 4 }},
+		{"TreeMerge", func(s *parblast.Search) { s.Mpi.TreeMerge = true }},
+		{"MergeFanout", func(s *parblast.Search) { s.Mpi.MergeFanout = 4 }},
+	}
+	if n := reflect.TypeOf(parblast.PioOptions{}).NumField(); n != len(pio) {
+		t.Fatalf("PioOptions has %d fields, the table %d", n, len(pio))
+	}
+	if n := reflect.TypeOf(parblast.MpiOptions{}).NumField(); n != len(mpi) {
+		t.Fatalf("MpiOptions has %d fields, the table %d", n, len(mpi))
+	}
+	type row struct {
+		eng  parblast.Engine
+		want string
+		set  func(*parblast.Search)
+	}
+	var rows []row
+	for _, f := range pio {
+		for _, eng := range []parblast.Engine{parblast.EngineMPIBlast, parblast.EngineSequential} {
+			rows = append(rows, row{eng, "reads no Pio options: Pio." + f.name + " must be unset", f.set})
+		}
+	}
+	for _, f := range mpi {
+		for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineSequential} {
+			rows = append(rows, row{eng, "reads no Mpi options: Mpi." + f.name + " must be unset", f.set})
+		}
+	}
+	const fanoutAlone = "MergeFanout 4 is the tree merge's fan-out: it needs TreeMerge"
+	rows = append(rows,
+		row{parblast.EnginePioBLAST, fanoutAlone, func(s *parblast.Search) { s.Pio.MergeFanout = 4 }},
+		row{parblast.EngineMPIBlast, fanoutAlone, func(s *parblast.Search) { s.Mpi.MergeFanout = 4 }})
+	for _, r := range rows {
+		s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+		r.set(&s)
+		_, runErr := cluster.Run(r.eng, s)
+		_, _, serveErr := cluster.Serve(r.eng, s, batches, 0)
+		for call, err := range []error{runErr, serveErr} {
+			if err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Errorf("%v %s: error %v, want one saying %q", r.eng, [...]string{"Run", "Serve"}[call], err, r.want)
+			}
+		}
+	}
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -421,7 +517,8 @@ func TestReinterpretedInputRejected(t *testing.T) {
 		{"both set the batch boundaries", engines[:1], func(s *parblast.Search) {
 			s.Pio.MemoryBudgetBytes, s.Pio.QueryBatch = 32<<10, 2
 		}},
-		{"negative merge fan-out", engines, func(s *parblast.Search) { s.Pio.MergeFanout, s.Mpi.MergeFanout = -1, -1 }},
+		{"negative merge fan-out", engines[:1], func(s *parblast.Search) { s.Pio.MergeFanout = -1 }},
+		{"negative merge fan-out", engines[1:], func(s *parblast.Search) { s.Mpi.MergeFanout = -1 }},
 		{"negative fetch window", engines[1:], func(s *parblast.Search) { s.Mpi.FetchWindow = -1 }},
 	} {
 		for _, eng := range tc.engines {

@@ -58,6 +58,26 @@ for call in '.StartReadAt(' '.ReadAt(' '.DecodeWithOffsets('; do
     fi
 done
 
+# A run is one call: each engine declares one entry point, Run(nodes, nprocs,
+# cfg, job, opts, stream), and engine.Launch is the one rank lifecycle, so the
+# set-up cost is charged in one place.
+for pkg in internal/core internal/mpiblast; do
+    n=$(grep -rh --include='*.go' --exclude='*_test.go' '^func Run(' "$pkg" | wc -l)
+    old=$(grep -rnE --include='*.go' --exclude='*_test.go' 'RunConfig|RunOpts|func Serve\(' "$pkg" || true)
+    if [ "$n" -ne 1 ] || [ -n "$old" ]; then
+        echo "$pkg declares $n func Run( and must declare one, with no RunConfig, RunOpts or Serve:" >&2
+        echo "$old" >&2
+        exit 1
+    fi
+done
+setup=$(grep -rnF --include='*.go' --exclude='*_test.go' 'SetupCost' \
+    internal/core internal/mpiblast internal/engine || true)
+if [ "$(echo "$setup" | wc -l)" -ne 1 ] || ! echo "$setup" | grep -q '^internal/engine/run.go:'; then
+    echo "SetupCost must be charged once, in engine.Launch:" >&2
+    echo "$setup" >&2
+    exit 1
+fi
+
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
@@ -152,6 +172,24 @@ if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     exit 1
 fi
 grep -q 'prefetches at most one partition' "$tmp/rejected.err"
+# What an engine would not read is rejected by name: a pioBLAST option on
+# mpiBLAST, and the I/O tuner without the collective reads that consult it
+# (it used to learn nothing and exit 0). With them, it learns.
+if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine mpi -procs 4 -out "$tmp/rejected.txt" -dynamic 2>"$tmp/rejected.err"; then
+    echo "parblast -engine mpi -dynamic was accepted" >&2
+    exit 1
+fi
+grep -q 'Pio.DynamicAssignment' "$tmp/rejected.err"
+if go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine pio -procs 4 -out "$tmp/rejected.txt" -io-tune "$tmp/untuned.json" 2>"$tmp/rejected.err"; then
+    echo "parblast -io-tune without -collective-read was accepted" >&2
+    exit 1
+fi
+grep -q 'IOTuner is read only by collective reads' "$tmp/rejected.err"
+go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
+    -engine pio -procs 4 -out "$tmp/tuned.txt" -collective-read -io-tune "$tmp/tuned.json" |
+    grep -q 'learned I/O hints: [1-9][0-9]* keys'
 
 # Catalogue smoke: an -exp name outside experiments.Specs() exits 2 and is
 # told the names the catalogue holds (built, not `go run`, which reports

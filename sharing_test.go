@@ -14,6 +14,7 @@ type sharedJob struct {
 	name      string
 	engines   []parblast.Engine
 	frags     int
+	tree      bool // the tree merge, in the engine's own options block
 	configure func(*parblast.Search)
 	serve     bool
 	// crash kills the last worker: halfway through the fault-free run's
@@ -45,13 +46,11 @@ func TestBuiltOncePerWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := func(s *parblast.Search) { s.Pio.TreeMerge, s.Mpi.TreeMerge = true, true }
-
 	jobs := []sharedJob{
 		{name: "one-shot", engines: bothEngines, frags: 5},
-		{name: "tree merge", engines: bothEngines, frags: 5, configure: tree, layouts: 1},
+		{name: "tree merge", engines: bothEngines, frags: 5, tree: true, layouts: 1},
 		{name: "serve", engines: bothEngines, frags: 5, serve: true},
-		{name: "serve, tree merge", engines: bothEngines, frags: 5, serve: true, configure: tree, layouts: 1},
+		{name: "serve, tree merge", engines: bothEngines, frags: 5, serve: true, tree: true, layouts: 1},
 		{name: "collective read", engines: pioOnly, frags: 10, configure: func(s *parblast.Search) {
 			s.Pio.CollectiveRead = true
 		}},
@@ -59,8 +58,8 @@ func TestBuiltOncePerWorld(t *testing.T) {
 			s.Pio.EarlyPrune, s.Pio.MemoryBudgetBytes = true, 6<<10
 		}},
 		{name: "mid-search crash", engines: bothEngines, frags: 10, crash: true},
-		{name: "mid-search crash, tree merge", engines: bothEngines, frags: 10, crash: true, configure: tree, layouts: 1},
-		{name: "serve, tree merge, crash between batches", engines: pioOnly, frags: 5, serve: true, crash: true, configure: tree, layouts: 2},
+		{name: "mid-search crash, tree merge", engines: bothEngines, frags: 10, crash: true, tree: true, layouts: 1},
+		{name: "serve, tree merge, crash between batches", engines: pioOnly, frags: 5, serve: true, crash: true, tree: true, layouts: 2},
 	}
 	for _, job := range jobs {
 		for _, eng := range job.engines {
@@ -80,6 +79,7 @@ func TestBuiltOncePerWorld(t *testing.T) {
 						}
 					}
 					s := parblast.Search{DB: db, Queries: queries, Output: "out", Fragments: job.frags, Faults: faults}
+					withTreeMerge(eng, &s, job.tree)
 					if job.configure != nil {
 						job.configure(&s)
 					}
