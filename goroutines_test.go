@@ -124,7 +124,7 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 					}
 				}
 				// mpiBLAST's serve mode refuses every fault schedule (ROADMAP
-				// item 5d), so there the whole sweep is plan rejections.
+				// item 7d), so there the whole sweep is plan rejections.
 				if canRecover := !(serve && eng == parblast.EngineMPIBlast); canRecover && recovered == 0 {
 					t.Errorf("%s: no crash time of the sweep was recovered from (%d runs lost)", name, lost)
 				}

@@ -78,53 +78,80 @@ func BenchmarkSearchFragmentSkewed(b *testing.B) {
 	}
 }
 
+// benchQueries draws n queries of 250–350 residues from rng, each with a
+// homolog planted in frag when it has room for one.
+func benchQueries(rng *rand.Rand, frag *Fragment, n int) []*seq.Sequence {
+	queries := make([]*seq.Sequence, n)
+	for i := range queries {
+		queries[i] = proteinSeq("q"+itoa(i), randomProtein(rng, 250+rng.Intn(100)))
+		if 3*i < len(frag.Subjects) {
+			hom := mutate(rng, queries[i].Residues, 0.2)
+			sub := frag.Subjects[3*i].Residues
+			copy(sub[5:], hom[:min(len(hom), len(sub)-10)])
+		}
+	}
+	return queries
+}
+
 // BenchmarkSearchQueries is the shape SearchLoop.searchAll runs: one context
-// searches a batch of 18 queries against one 64 × 400 fragment, so the
-// fragment's word ids are encoded once per batch and read by every query.
+// searches 18 queries against one 64 × 400 fragment, in batches of 1 (the
+// sequential oracle's shape), 2 (a served batch) or 18 (the one-shot
+// pio_narrow_8 batch). The fragment's word ids are encoded once; each batch
+// scans every subject once. ns/residue is per (query, subject residue), so
+// the rows compare directly.
 func BenchmarkSearchQueries(b *testing.B) {
 	frag, _ := benchFixture(64, 400)
-	rng := rand.New(rand.NewSource(43))
+	queries := benchQueries(rand.New(rand.NewSource(43)), frag, 18)
 	opts := DefaultProteinOptions()
 	opts.SearchThreads = 1
 	s, err := NewSearcher(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([]*seq.Sequence, 18)
-	prepared := make([]*PreparedQuery, len(queries))
-	for i := range queries {
-		queries[i] = proteinSeq("q"+itoa(i), randomProtein(rng, 250+rng.Intn(100)))
-		hom := mutate(rng, queries[i].Residues, 0.2)
-		copy(frag.Subjects[3*i].Residues[5:], hom[:min(len(hom), 390)])
-		if prepared[i], err = s.Prepare(queries[i]); err != nil {
-			b.Fatal(err)
-		}
+	spaces := make([]stats.SearchSpace, len(queries))
+	for i, q := range queries {
+		spaces[i] = spaceFor(s, q.Len(), frag)
 	}
-	residues := int64(len(queries)) * frag.TotalResidues()
-	ctx := s.NewContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for qi, q := range queries {
-			if err := ctx.UsePrepared(q, prepared[qi]); err != nil {
-				b.Fatal(err)
+	for _, size := range []int{1, 2, 18} {
+		b.Run("batch="+itoa(size), func(b *testing.B) {
+			prepared := make([]*PreparedBatch, 0, len(queries)/size)
+			for lo := 0; lo < len(queries); lo += size {
+				p, err := s.prepareBatch(queries[lo : lo+size])
+				if err != nil {
+					b.Fatal(err)
+				}
+				prepared = append(prepared, p)
 			}
-			if _, err := ctx.SearchFragment(frag, spaceFor(s, q.Len(), frag)); err != nil {
-				b.Fatal(err)
+			residues := int64(len(queries)) * frag.TotalResidues()
+			ctx := s.NewContext()
+			var results []*QueryResult
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, p := range prepared {
+					lo := k * size
+					if err := ctx.UseBatch(queries[lo:lo+size], p); err != nil {
+						b.Fatal(err)
+					}
+					if results, err = ctx.SearchBatch(results[:0], frag, spaces[lo:lo+size]); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(residues), "ns/residue")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(residues), "ns/residue")
 }
 
-// BenchmarkScanSubject times the seed scan alone: with a two-hit window
-// shorter than a word no pair of hits ever qualifies, so nothing is extended
-// and the cost is the lookup probe per position and the per-hit two-hit
-// bookkeeping (the word ids are encoded once, on the first call).
+// BenchmarkScanSubject times the seed scan alone, for a batch of 18 queries:
+// with a two-hit window shorter than a word no pair of hits ever qualifies,
+// so nothing is extended and the cost is the lookup probe per position and
+// the per-hit two-hit bookkeeping (the word ids are encoded once, on the
+// first call).
 func BenchmarkScanSubject(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	frag := testFragment(rng, 32, 400)
-	query := proteinSeq("scan-query", randomProtein(rng, 300))
+	queries := benchQueries(rng, &Fragment{}, 18)
 	opts := DefaultProteinOptions()
 	opts.TwoHitWindow = opts.WordSize - 1
 	opts.SearchThreads = 1
@@ -132,24 +159,35 @@ func BenchmarkScanSubject(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := s.NewContext()
-	if err := ctx.SetQuery(query); err != nil {
+	p, err := s.prepareBatch(queries)
+	if err != nil {
 		b.Fatal(err)
 	}
-	space := spaceFor(s, query.Len(), frag)
+	ctx := s.NewContext()
+	if err := ctx.UseBatch(queries, p); err != nil {
+		b.Fatal(err)
+	}
+	spaces := make([]stats.SearchSpace, len(queries))
+	for i, q := range queries {
+		spaces[i] = spaceFor(s, q.Len(), frag)
+	}
+	var results []*QueryResult
 	var work WorkCounters
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ctx.SearchFragment(frag, space)
-		if err != nil {
+		if results, err = ctx.SearchBatch(results[:0], frag, spaces); err != nil {
 			b.Fatal(err)
 		}
-		work = res.Work
+		work = WorkCounters{}
+		for _, res := range results {
+			work.Add(res.Work)
+		}
 	}
 	if work.UngappedExtensions != 0 {
 		b.Fatalf("fixture triggered %d extensions", work.UngappedExtensions)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work.SeedHits), "ns/hit")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(int64(len(queries))*frag.TotalResidues()), "ns/residue")
 	b.ReportMetric(float64(work.SeedHits)/float64(frag.TotalResidues()), "hits/residue")
 }
 
@@ -167,7 +205,7 @@ func BenchmarkBuildIndexProtein(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if p.work.IndexWords == 0 {
+		if p.work[0].IndexWords == 0 {
 			b.Fatal("empty index")
 		}
 	}

@@ -1,43 +1,48 @@
 package blast
 
 import (
-	"fmt"
+	"math"
+	"math/bits"
 
 	"parblast/internal/seq"
 )
 
-// wordIndex maps subject words to the query positions they seed.
+// batchIndex maps subject words to the (query, query position) pairs they
+// seed, for a run of consecutive queries of one batch at once, so that a
+// subject is scanned once for all of them: one probe per subject position
+// yields every query's seeds.
 //
 // For protein, the table is dense over the 20^w strict-residue word space
 // and is populated with *neighbourhood* words: every word scoring ≥ T
-// against some query word registers that query position. For DNA the table
-// is a sparse map over exact 4^w words.
+// against some query word registers that (query, position). For DNA the
+// table is a sparse map over exact 4^w words.
 //
-// Both layouts store all query positions in ONE flat arena (positions) in
-// CSR style: the protein table keeps a dense offsets array (positions of
-// word ID w live at positions[offsets[w]:offsets[w+1]]), the DNA table maps
-// word IDs to (offset, count) spans into the same arena. Compared to the
-// former [][]int32 / map[uint64][]int32 layouts this removes one slice
-// header plus repeated append growth per populated word, and keeps the
-// subject-scan loop's probe targets contiguous in memory.
-type wordIndex struct {
-	alpha  *seq.Alphabet
-	w      int
-	strict int
+// Both layouts store all registrations in ONE flat arena (entries) in CSR
+// style: the protein table keeps a dense offsets array (word w's entries live
+// at entries[offsets[w]:offsets[w+1]]), the DNA table maps word IDs to
+// (offset, count) spans into the same arena. An entry packs the query's
+// position in the group above shift bits and its query position below; a
+// row lists its entries by query, then by position.
+type batchIndex struct {
+	first, n int // the group's queries: batch positions [first, first+n)
+	shift    uint
+	mask     uint32 // 1<<shift - 1: an entry's query position
 
-	dense     bool
-	offsets   []int32         // protein: len 20^w + 2, CSR row offsets; row 20^w (none) is empty
-	sparse    map[uint64]span // DNA: wordID -> span into positions
-	positions []int32         // flat arena of query positions
-
-	queryLen  int
-	neighbors int64 // total (word, position) registrations, for work accounting
+	dense   bool
+	offsets []int32         // protein: len 20^w + 2, CSR row offsets; row 20^w (none) is empty
+	sparse  map[uint64]span // DNA: wordID -> span into entries
+	entries []uint32
 }
 
+// maxGroupOffset bounds a group's arena and its packed entries: a batch
+// whose offsets would pass it is cut into several groups, never wrapped.
+// Tests lower it to cut small batches.
+var maxGroupOffset = math.MaxInt32
+
 // wordRoll rolls the id of the word ending at each position of a sequence:
-// the last w residues read as a base-strict number. The index build (DNA)
-// and the subject encoding (Context.encode) step through it, so a scanned
-// word and an indexed one get the same id by construction.
+// the last w residues read as a base-strict number. The index build and the
+// subject encoding (Context.encode) step through it, so a scanned word and an
+// indexed one get the same id by construction.
 type wordRoll struct {
 	w      int
 	strict uint64
@@ -71,77 +76,51 @@ func (r wordRoll) next(id uint64, run int, s []byte, j int) (uint64, int) {
 	return id*r.strict + c, run + 1
 }
 
-// span is one word's slice of the positions arena.
+// span is one word's slice of the entries arena.
 type span struct {
 	off int32
 	n   int32
 }
 
-// buildIndex constructs the lookup table for one query.
-func buildIndex(query []byte, o *Options, roll wordRoll) (*wordIndex, error) {
-	alpha := o.Matrix.Alphabet()
-	idx := &wordIndex{alpha: alpha, w: o.WordSize, strict: alpha.StrictSize(), queryLen: len(query)}
-	if len(query) < o.WordSize {
-		if alpha.Kind() == seq.Protein {
-			idx.dense = true
-			idx.offsets = make([]int32, 2) // empty table; lookups see empty spans
-		}
-		return idx, nil
+// enumerate lists one query's registrations, each packed as wordID<<32 |
+// query position: for protein the neighbourhood words of every query word,
+// for DNA the exact word ending at each position. Every DNA id, up to 4^16 -
+// 1, fits the upper half.
+func (s *Searcher) enumerate(query []byte) []uint64 {
+	w := s.opts.WordSize
+	if len(query) < w {
+		return nil
 	}
-	if alpha.Kind() == seq.Protein {
-		size := 1
-		for i := 0; i < idx.w; i++ {
-			size *= idx.strict
-			if size > 1<<26 {
-				return nil, fmt.Errorf("blast: protein word table for w=%d too large", idx.w)
-			}
-		}
-		idx.dense = true
-		idx.buildProtein(query, o, size)
-	} else {
-		idx.buildDNA(query, roll)
-	}
-	return idx, nil
-}
-
-// buildProtein registers neighbourhood words for every query word. The
-// recursion enumerates candidate words position by position, pruning with
-// the maximum achievable remaining score. Registrations are collected once
-// as flat (wordID, qPos) pairs, then counting-sorted into the CSR layout in
-// two passes (count, fill) — no per-word slices, no append churn.
-func (idx *wordIndex) buildProtein(query []byte, o *Options, size int) {
-	w := idx.w
-	m := o.Matrix
-	// rowMax[c] is the best score residue c can achieve against any strict
-	// residue: the pruning bound.
-	rowMax := make([]int, idx.strict)
-	for c := 0; c < idx.strict; c++ {
-		best := m.Score(byte(c), 0)
-		for d := 1; d < idx.strict; d++ {
-			if s := m.Score(byte(c), byte(d)); s > best {
-				best = s
-			}
-		}
-		rowMax[c] = best
-	}
-	// Pass 0: enumerate once, packing each registration as wordID<<32|qPos.
 	var pairs []uint64
-	var rec func(qWord []byte, pos, wordID, score, maxRest int, qPos int32)
-	rec = func(qWord []byte, pos, wordID, score, maxRest int, qPos int32) {
+	if s.opts.Matrix.Alphabet().Kind() != seq.Protein {
+		var id uint64
+		run := 0 // length of current run of strict residues
+		for i := range query {
+			if id, run = s.roll.next(id, run, query, i); run >= w {
+				pairs = append(pairs, id<<32|uint64(i-w+1))
+			}
+		}
+		return pairs
+	}
+	// The recursion enumerates candidate words position by position, pruning
+	// with the maximum achievable remaining score.
+	m, strict, threshold, rowMax := s.opts.Matrix, int(s.roll.strict), s.opts.Threshold, s.rowMax
+	var rec func(qWord []byte, pos, wordID, score, maxRest int, qPos uint64)
+	rec = func(qWord []byte, pos, wordID, score, maxRest int, qPos uint64) {
 		if pos == w {
-			if score >= o.Threshold {
-				pairs = append(pairs, uint64(wordID)<<32|uint64(uint32(qPos)))
+			if score >= threshold {
+				pairs = append(pairs, uint64(wordID)<<32|qPos)
 			}
 			return
 		}
 		rest := maxRest - rowMax[qWord[pos]]
 		row := m.Row(qWord[pos])
-		for c := 0; c < idx.strict; c++ {
-			s := int(row[c])
-			if score+s+rest < o.Threshold {
+		for c := 0; c < strict; c++ {
+			sc := int(row[c])
+			if score+sc+rest < threshold {
 				continue
 			}
-			rec(qWord, pos+1, wordID*idx.strict+c, score+s, rest, qPos)
+			rec(qWord, pos+1, wordID*strict+c, score+sc, rest, qPos)
 		}
 	}
 	for i := 0; i+w <= len(query); i++ {
@@ -149,86 +128,117 @@ func (idx *wordIndex) buildProtein(query []byte, o *Options, size int) {
 		ok := true
 		maxTotal := 0
 		for _, c := range qWord {
-			if int(c) >= idx.strict {
+			if int(c) >= strict {
 				ok = false
 				break
 			}
 			maxTotal += rowMax[c]
 		}
-		if !ok || maxTotal < o.Threshold {
+		if !ok || maxTotal < threshold {
 			continue
 		}
-		rec(qWord, 0, 0, 0, maxTotal, int32(i))
+		rec(qWord, 0, 0, 0, maxTotal, uint64(i))
 	}
-	idx.neighbors = int64(len(pairs))
+	return pairs
+}
 
+// groupEnd returns where the group of queries starting at batch position lo
+// ends: at the first query whose registrations or packed position would take
+// the group's offsets past maxGroupOffset. A group holds at least one query.
+func groupEnd(lens []int, pairs [][]uint64, lo int) (hi int, shift uint) {
+	total := 0
+	for hi = lo; hi < len(lens); hi++ {
+		sh := max(shift, uint(bits.Len(uint(lens[hi]))))
+		t := total + len(pairs[hi])
+		if hi > lo && ((hi-lo+1)<<sh-1 > maxGroupOffset || t > maxGroupOffset) {
+			break
+		}
+		shift, total = sh, t
+	}
+	return hi, shift
+}
+
+// buildGroup lays out the registrations of queries [lo, hi) — pairs[k] being
+// query k's — as one index, counting-sorting them into the CSR layout in two
+// passes (count, fill): no per-word slices, no append churn.
+func (s *Searcher) buildGroup(pairs [][]uint64, lo, hi int, shift uint) batchIndex {
+	g := batchIndex{first: lo, n: hi - lo, shift: shift, mask: 1<<shift - 1}
+	total := 0
+	for _, p := range pairs[lo:hi] {
+		total += len(p)
+	}
+	if total == 0 {
+		return g // no row to probe: the scan skips the group
+	}
+	g.entries = make([]uint32, total)
+	if s.opts.Matrix.Alphabet().Kind() != seq.Protein {
+		g.buildSparse(pairs[lo:hi], total)
+		return g
+	}
+	g.dense = true
+	size := int(s.roll.none)
 	// Pass 1 (count): offsets[id+1] holds id's registration count.
-	idx.offsets = make([]int32, size+2)
-	for _, p := range pairs {
-		idx.offsets[p>>32+1]++
+	g.offsets = make([]int32, size+2)
+	for _, qp := range pairs[lo:hi] {
+		for _, p := range qp {
+			g.offsets[p>>32+1]++
+		}
 	}
 	// Prefix-sum into row offsets.
 	for i := 1; i <= size+1; i++ {
-		idx.offsets[i] += idx.offsets[i-1]
+		g.offsets[i] += g.offsets[i-1]
 	}
-	// Pass 2 (fill): place positions with per-row cursors; restore offsets.
-	idx.positions = make([]int32, len(pairs))
-	for _, p := range pairs {
-		id := p >> 32
-		idx.positions[idx.offsets[id]] = int32(uint32(p))
-		idx.offsets[id]++
-	}
-	for i := size; i > 0; i-- {
-		idx.offsets[i] = idx.offsets[i-1]
-	}
-	idx.offsets[0] = 0
-}
-
-// buildDNA registers exact query words with a rolling word ID, packing each
-// word's positions into the flat arena in two passes (count, fill).
-func (idx *wordIndex) buildDNA(query []byte, roll wordRoll) {
-	w := idx.w
-	idx.sparse = make(map[uint64]span, len(query))
-	// scan drives fn over every valid word of the query.
-	scan := func(fn func(id uint64, start int32)) {
-		var id uint64
-		run := 0 // length of current run of strict residues
-		for i := range query {
-			if id, run = roll.next(id, run, query, i); run >= w {
-				fn(id, int32(i-w+1))
-			}
+	// Pass 2 (fill): place entries with per-row cursors; restore offsets.
+	for k, qp := range pairs[lo:hi] {
+		tag := uint32(k) << shift
+		for _, p := range qp {
+			id := p >> 32
+			g.entries[g.offsets[id]] = tag | uint32(p)
+			g.offsets[id]++
 		}
 	}
-	// Pass 1: count occurrences per word.
-	scan(func(id uint64, start int32) {
-		sp := idx.sparse[id]
-		sp.n++
-		idx.sparse[id] = sp
-		idx.neighbors++
-	})
+	for i := size; i > 0; i-- {
+		g.offsets[i] = g.offsets[i-1]
+	}
+	g.offsets[0] = 0
+	return g
+}
+
+// buildSparse is buildGroup's DNA layout: the same two passes over a map.
+func (g *batchIndex) buildSparse(pairs [][]uint64, total int) {
+	g.sparse = make(map[uint64]span, total)
+	for _, qp := range pairs {
+		for _, p := range qp {
+			sp := g.sparse[p>>32]
+			sp.n++
+			g.sparse[p>>32] = sp
+		}
+	}
 	// Assign arena offsets (iteration order is irrelevant: spans only need
 	// to tile the arena, and each word's fill below is query-ordered).
 	var off int32
-	for id, sp := range idx.sparse {
-		idx.sparse[id] = span{off: off, n: 0} // n doubles as the fill cursor
+	for id, sp := range g.sparse {
+		g.sparse[id] = span{off: off, n: 0} // n doubles as the fill cursor
 		off += sp.n
 	}
-	idx.positions = make([]int32, off)
-	// Pass 2: fill, restoring each span's count via the cursor.
-	scan(func(id uint64, start int32) {
-		sp := idx.sparse[id]
-		idx.positions[sp.off+sp.n] = start
-		sp.n++
-		idx.sparse[id] = sp
-	})
+	// Fill, restoring each span's count via the cursor.
+	for k, qp := range pairs {
+		tag := uint32(k) << g.shift
+		for _, p := range qp {
+			sp := g.sparse[p>>32]
+			g.entries[sp.off+sp.n] = tag | uint32(p)
+			sp.n++
+			g.sparse[p>>32] = sp
+		}
+	}
 }
 
-// lookupSparse returns the query positions seeded by a DNA word; nil when
-// the word does not occur in the query.
-func (idx *wordIndex) lookupSparse(wordID uint64) []int32 {
-	sp, ok := idx.sparse[wordID]
+// lookupSparse returns the entries seeded by a DNA word; nil when the word
+// occurs in no query of the group.
+func (g *batchIndex) lookupSparse(wordID uint64) []uint32 {
+	sp, ok := g.sparse[wordID]
 	if !ok {
 		return nil
 	}
-	return idx.positions[sp.off : sp.off+sp.n]
+	return g.entries[sp.off : sp.off+sp.n]
 }

@@ -1,45 +1,48 @@
 package blast
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"parblast/internal/seq"
 )
 
-// PreparedQuery is the immutable part of a loaded query: everything that
-// depends only on the query's residues and the searcher's options, and so
-// can be built once and read by any number of Contexts at the same time.
-// The sequence itself (its ID) and all search scratch stay in the Context.
-type PreparedQuery struct {
-	seeding []byte     // residues the index was built from, low-complexity masked
-	idx     *wordIndex // read-only after Prepare
-	// work is what the build cost. SearchFragment adds it to every result:
-	// the modelled worker rebuilds the index for each (fragment, query) it
-	// searches, however often the host really did.
-	work WorkCounters
+// PreparedBatch is the immutable part of a loaded query set: everything that
+// depends only on the queries' residues and the searcher's options — one
+// word index over all of them, cut into groups only where its offsets would
+// pass int32 — and so can be built once and read by any number of Contexts
+// at the same time. The sequences themselves (their IDs) and all search
+// scratch stay in the Context.
+type PreparedBatch struct {
+	lens   []int // each query's length, to check a load against
+	groups []batchIndex
+	// work[i] is what query i's build cost. The search adds it to query i's
+	// result: the modelled worker rebuilds the index for each (fragment,
+	// query) it searches, however often the host really did.
+	work []WorkCounters
 }
 
-// Prepare builds the word lookup table for the query. It is the one build
-// path: Context.SetQuery and QueryBank.Get both end here.
+// PreparedQuery is a PreparedBatch of one query: what Prepare builds and
+// UsePrepared loads.
+type PreparedQuery = PreparedBatch
+
+// Prepare builds the word index of one query. It and the query bank build
+// through one path, prepareBatch.
 func (s *Searcher) Prepare(q *seq.Sequence) (*PreparedQuery, error) {
-	if err := s.checkAlphabet(q); err != nil {
-		return nil, err
+	return s.prepareBatch([]*seq.Sequence{q})
+}
+
+// prepareBatch builds the word index of a query set on the calling goroutine.
+func (s *Searcher) prepareBatch(queries []*seq.Sequence) (*PreparedBatch, error) {
+	for _, q := range queries {
+		if err := s.checkAlphabet(q); err != nil {
+			return nil, err
+		}
 	}
-	seeding := q.Residues
-	if s.opts.FilterLowComplexity {
-		seeding, _ = MaskForSeeding(q.Residues, q.Alpha, DefaultFilterParams(q.Alpha.Kind()))
-	}
-	idx, err := buildIndex(seeding, &s.opts, s.roll)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{
-		seeding: seeding,
-		idx:     idx,
-		work:    WorkCounters{ResiduesScanned: int64(q.Len()), IndexWords: idx.neighbors},
-	}, nil
+	return s.newBatchBuild(queries).get(), nil
 }
 
 func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
@@ -50,13 +53,98 @@ func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
 	return nil
 }
 
-// QueryBank is one job's set of prepared queries, shared by every rank
-// goroutine of the run so that each distinct query is indexed once per job
-// instead of once per rank × fragment × query. Entries are keyed by residue
-// content, not by *seq.Sequence or ID: the master and the workers hold
-// different copies of the query set, and two queries with equal residues
-// share one index while each context reports its own ID. Entries build
-// lazily on first request.
+// batchBuild is a batch index under construction. Every caller that needs it
+// helps: it claims the next query nobody has enumerated yet, enumerates it,
+// and repeats until none is left; whoever finishes the last enumeration
+// merges, and everyone else waits for that. Equal residues are enumerated
+// once, at their first position in the batch.
+type batchBuild struct {
+	s       *Searcher
+	queries []*seq.Sequence
+	src     []int      // src[i]: the first batch position with query i's residues
+	todo    []int      // the positions to enumerate: every src[i] == i
+	pairs   [][]uint64 // pairs[i]: query i's registrations (Searcher.enumerate)
+	next    atomic.Int64
+	done    atomic.Int64
+	ready   sync.WaitGroup
+	p       *PreparedBatch
+}
+
+// newBatchBuild starts the build of queries' index; nothing is enumerated yet.
+func (s *Searcher) newBatchBuild(queries []*seq.Sequence) *batchBuild {
+	b := &batchBuild{s: s, queries: queries, src: make([]int, len(queries)), pairs: make([][]uint64, len(queries))}
+	var seen map[string]int
+	if len(queries) > 1 {
+		seen = make(map[string]int, len(queries))
+	}
+	for i, q := range queries {
+		j, dup := seen[string(q.Residues)]
+		if !dup {
+			j = i
+			b.todo = append(b.todo, i)
+			if seen != nil {
+				seen[string(q.Residues)] = i
+			}
+		}
+		b.src[i] = j
+	}
+	b.ready.Add(1)
+	if len(b.todo) == 0 {
+		b.merge()
+	}
+	return b
+}
+
+// distinct is how many residue contents the batch holds.
+func (b *batchBuild) distinct() int { return len(b.todo) }
+
+// get helps with the build until nothing is left to claim and returns the
+// index once it is merged.
+func (b *batchBuild) get() *PreparedBatch {
+	n := int64(len(b.todo))
+	for k := b.next.Add(1) - 1; k < n; k = b.next.Add(1) - 1 {
+		i := b.todo[k]
+		seeding := b.queries[i].Residues
+		if b.s.opts.FilterLowComplexity {
+			seeding, _ = MaskForSeeding(seeding, b.queries[i].Alpha, DefaultFilterParams(b.queries[i].Alpha.Kind()))
+		}
+		b.pairs[i] = b.s.enumerate(seeding)
+		if b.done.Add(1) == n {
+			b.merge()
+		}
+	}
+	b.ready.Wait()
+	return b.p
+}
+
+// merge lays the enumerated registrations out as the batch's groups and lets
+// the waiters go. It drops the enumeration scratch: the entry keeps only the
+// index.
+func (b *batchBuild) merge() {
+	p := &PreparedBatch{lens: make([]int, len(b.queries)), work: make([]WorkCounters, len(b.queries))}
+	for i, q := range b.queries {
+		b.pairs[i] = b.pairs[b.src[i]]
+		p.lens[i] = q.Len()
+		p.work[i] = WorkCounters{ResiduesScanned: int64(q.Len()), IndexWords: int64(len(b.pairs[i]))}
+	}
+	for lo := 0; lo < len(b.queries); {
+		hi, shift := groupEnd(p.lens, b.pairs, lo)
+		p.groups = append(p.groups, b.s.buildGroup(b.pairs, lo, hi, shift))
+		lo = hi
+	}
+	b.p, b.pairs = p, nil
+	b.ready.Done()
+}
+
+// QueryBank is one job's set of prepared query batches, shared by every rank
+// goroutine of the run so that each batch is indexed once per job instead of
+// once per rank × fragment. A batch is the query set a worker searches every
+// fragment against — the job's queries in a one-shot run, one admitted batch
+// when serving. Entries are keyed by residue content, not by *seq.Sequence or
+// ID: the master and the workers hold different copies of the query set, and
+// a query set with equal residues shares one index while each context
+// reports its own IDs. Entries build on first request, by every requester
+// that arrives while the build is open (batchBuild).
 //
 // The bank also owns the job's kernel scratch. A rank holds a Context — its
 // diagonal array, DP rows, traceback arena and pool clones — only while it is
@@ -71,26 +159,22 @@ type QueryBank struct {
 	s *Searcher
 
 	mu       sync.Mutex
-	entries  map[string]*bankEntry
+	entries  map[string]*batchBuild
+	key      []byte     // batchKey scratch
+	held     int        // distinct residue contents over the entries
 	idle     []*Context // lent out and taken back, no query loaded
 	returned sync.Cond  // on mu: a context came back
 	stats    BankStats
 }
 
-type bankEntry struct {
-	once  sync.Once
-	build func() // bound at insertion, so a hit allocates nothing
-	p     *PreparedQuery
-	err   error
-}
-
-// BankStats is a bank's host-side accounting. Which goroutine happened to
-// build an entry is a scheduling artifact, so there is no per-rank split.
+// BankStats is a bank's host-side accounting, per query: a batch of n
+// queries is n lookups. Which goroutine happened to enumerate a query is a
+// scheduling artifact, so there is no per-rank split.
 type BankStats struct {
-	Builds      int64 // indexes built
-	Reuses      int64 // requests served from an existing entry
-	Entries     int   // entries held now
-	PeakEntries int   // most entries held at once
+	Builds      int64 // distinct residue contents indexed, once per batch entry
+	Reuses      int64 // lookups served without a build: every other one
+	Entries     int   // distinct residue contents held now
+	PeakEntries int   // most held at once
 	// Contexts counts the scratch contexts created: the most ever lent at
 	// once, at most GOMAXPROCS. Host timing sets it, so it varies run to run.
 	Contexts int64
@@ -103,7 +187,7 @@ func NewQueryBank(opts Options) (*QueryBank, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &QueryBank{s: s, entries: make(map[string]*bankEntry)}
+	b := &QueryBank{s: s, entries: make(map[string]*batchBuild)}
 	b.returned.L = &b.mu
 	return b, nil
 }
@@ -112,29 +196,41 @@ func NewQueryBank(opts Options) (*QueryBank, error) {
 // the bank's entries must come from it.
 func (b *QueryBank) Searcher() *Searcher { return b.s }
 
-// Get returns the prepared form of q, building it if no entry with q's
-// residues exists. Concurrent requests for one entry wait for a single
-// build.
-func (b *QueryBank) Get(q *seq.Sequence) (*PreparedQuery, error) {
+// batchKey appends the residue content of queries to dst, each query's
+// length first, so that no two query sets share a key.
+func batchKey(dst []byte, queries []*seq.Sequence) []byte {
+	for _, q := range queries {
+		dst = binary.AppendUvarint(dst, uint64(q.Len()))
+		dst = append(dst, q.Residues...)
+	}
+	return dst
+}
+
+// Get returns the prepared form of queries, building it if no entry with
+// their residues, in their order, exists. Concurrent requests for an entry
+// still being built share the build's work, then wait for its merge.
+func (b *QueryBank) Get(queries []*seq.Sequence) (*PreparedBatch, error) {
 	// Residue codes mean nothing without their alphabet; reject a foreign
 	// one before it can claim the key of a legitimate query.
-	if err := b.s.checkAlphabet(q); err != nil {
-		return nil, err
+	for _, q := range queries {
+		if err := b.s.checkAlphabet(q); err != nil {
+			return nil, err
+		}
 	}
 	b.mu.Lock()
-	e, hit := b.entries[string(q.Residues)]
-	if hit {
-		b.stats.Reuses++
-	} else {
-		e = &bankEntry{}
-		e.build = func() { e.p, e.err = b.s.Prepare(q) }
-		b.entries[string(q.Residues)] = e
-		b.stats.Builds++
-		b.stats.PeakEntries = max(b.stats.PeakEntries, len(b.entries))
+	b.key = batchKey(b.key[:0], queries)
+	e, hit := b.entries[string(b.key)]
+	b.stats.Reuses += int64(len(queries))
+	if !hit {
+		e = b.s.newBatchBuild(queries)
+		b.entries[string(b.key)] = e
+		b.stats.Builds += int64(e.distinct())
+		b.stats.Reuses -= int64(e.distinct())
+		b.held += e.distinct()
+		b.stats.PeakEntries = max(b.stats.PeakEntries, b.held)
 	}
 	b.mu.Unlock()
-	e.once.Do(e.build)
-	return e.p, e.err
+	return e.get(), nil
 }
 
 // Lend hands out a scratch context of the bank's searcher with no query
@@ -160,8 +256,9 @@ func (b *QueryBank) Lend() *Context {
 	return b.s.NewContext()
 }
 
-// TakeBack ends a loan: the context drops its query and its fragment, not the
-// encoding's arena, so an idle one pins neither and becomes the next Lend's.
+// TakeBack ends a loan: the context drops its queries and its fragment, not
+// the encoding's arena, so an idle one pins neither and becomes the next
+// Lend's.
 func (b *QueryBank) TakeBack(c *Context) {
 	c.unload()
 	c.wordsOf = nil
@@ -171,14 +268,16 @@ func (b *QueryBank) TakeBack(c *Context) {
 	b.returned.Signal()
 }
 
-// Release drops the entries for the given queries: a serving run calls it
+// Release drops the entry for the given query set: a serving run calls it
 // once a batch is settled, which bounds the bank by the batch rather than
 // the stream. Contexts still holding a released index keep it alive until
-// they load their next query; a later Get for the same residues rebuilds.
+// they load their next queries; a later Get for the same residues rebuilds.
 func (b *QueryBank) Release(queries []*seq.Sequence) {
 	b.mu.Lock()
-	for _, q := range queries {
-		delete(b.entries, string(q.Residues))
+	b.key = batchKey(b.key[:0], queries)
+	if e, ok := b.entries[string(b.key)]; ok {
+		b.held -= e.distinct()
+		delete(b.entries, string(b.key))
 	}
 	b.mu.Unlock()
 }
@@ -188,6 +287,6 @@ func (b *QueryBank) Stats() BankStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.stats
-	st.Entries = len(b.entries)
+	st.Entries = b.held
 	return st
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"parblast/internal/seq"
+	"parblast/internal/stats"
 )
 
 // bankFixture is a fragment with a homolog of every query planted in it, so
@@ -28,7 +29,7 @@ func bankFixture(seed int64, nQueries int) (*Fragment, []*seq.Sequence) {
 // searchVia loads q from the bank into ctx and renders the search's output.
 func searchVia(t *testing.T, bank *QueryBank, ctx *Context, q *seq.Sequence, frag *Fragment) string {
 	t.Helper()
-	p, err := bank.Get(q)
+	p, err := bank.Get([]*seq.Sequence{q})
 	if err != nil {
 		t.Error(err)
 		return ""
@@ -42,7 +43,12 @@ func searchVia(t *testing.T, bank *QueryBank, ctx *Context, q *seq.Sequence, fra
 		t.Error(err)
 		return ""
 	}
-	return fmt.Sprintf("%s %+v\n", res.QueryID, res.Work) + renderAll(t, bank.Searcher(), q, frag, res)
+	return render(t, bank.Searcher(), q, frag, res)
+}
+
+// render is a result as text: ID, work counters and every hit's block.
+func render(t *testing.T, s *Searcher, q *seq.Sequence, frag *Fragment, res *QueryResult) string {
+	return fmt.Sprintf("%s %+v\n", res.QueryID, res.Work) + renderAll(t, s, q, frag, res)
 }
 
 // TestQueryBankKeyedByContent: two sequences with equal residues and
@@ -56,8 +62,9 @@ func TestQueryBankKeyedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, _ := bank.Get(q)
-	pt, _ := bank.Get(twin)
+	twins := []*seq.Sequence{twin}
+	pq, _ := bank.Get([]*seq.Sequence{q})
+	pt, _ := bank.Get(twins)
 	if pq == nil || pq != pt {
 		t.Fatalf("equal residues got separate indexes (%p, %p)", pq, pt)
 	}
@@ -74,11 +81,11 @@ func TestQueryBankKeyedByContent(t *testing.T) {
 	}
 	// A hit costs no allocation: the bank sits inside the engines'
 	// allocation-free (fragment, query) loop.
-	if n := testing.AllocsPerRun(100, func() { bank.Get(twin) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { bank.Get(twins) }); n != 0 {
 		t.Errorf("bank hit allocates %v times", n)
 	}
 	dna := &seq.Sequence{ID: "d", Residues: q.Residues, Alpha: seq.DNAAlphabet}
-	if _, err := bank.Get(dna); err == nil {
+	if _, err := bank.Get([]*seq.Sequence{dna}); err == nil {
 		t.Error("bank served a protein index to a DNA sequence with the same residue codes")
 	}
 }
@@ -86,7 +93,9 @@ func TestQueryBankKeyedByContent(t *testing.T) {
 // TestQueryBankConcurrent is the -race hammer: many goroutines, each with
 // its own context and SearchThreads clone pool, request the same and
 // different queries from one bank at once. Every query is built exactly once
-// and every search matches the single-goroutine reference.
+// and every search matches the single-goroutine reference. Then as many
+// goroutines request one whole batch, a twin included, at the same moment:
+// they build it together, each distinct query enumerated exactly once.
 func TestQueryBankConcurrent(t *testing.T) {
 	const goroutines, rounds = 8, 3
 	frag, queries := bankFixture(22, 5)
@@ -131,6 +140,61 @@ func TestQueryBankConcurrent(t *testing.T) {
 	if st.Builds != int64(len(queries)) || st.Reuses != lookups-st.Builds {
 		t.Fatalf("stats %+v, want %d builds and %d reuses", st, len(queries), lookups-int64(len(queries)))
 	}
+
+	twin := proteinSeq("twin", queries[2].Residues)
+	batch := append(append([]*seq.Sequence(nil), queries...), twin)
+	want = append(want, searchVia(t, ref, ref.Searcher().NewContext(), twin, frag))
+	spaces := make([]stats.SearchSpace, len(batch))
+	for i, q := range batch {
+		spaces[i] = spaceFor(ref.Searcher(), q.Len(), frag)
+	}
+	bank, err = NewQueryBank(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := make([]*seq.Sequence, len(batch))
+			for i, q := range batch {
+				mine[i] = proteinSeq(q.ID, append([]byte(nil), q.Residues...))
+			}
+			start.Wait()
+			p, err := bank.Get(mine)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ctx := bank.Searcher().NewContext()
+			if err := ctx.UseBatch(mine, p); err != nil {
+				t.Error(err)
+				return
+			}
+			results, err := ctx.SearchBatch(nil, frag, spaces)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, res := range results {
+				if render(t, bank.Searcher(), mine[i], frag, res) != want[i] {
+					t.Errorf("batch search of %s differs from the reference", mine[i].ID)
+				}
+			}
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	e := bank.entries[string(batchKey(nil, batch))]
+	if n := e.done.Load(); n != int64(len(queries)) {
+		t.Errorf("%d enumerations for %d distinct queries", n, len(queries))
+	}
+	lookups = int64(goroutines * len(batch))
+	if st := bank.Stats(); st.Builds != int64(len(queries)) || st.Reuses != lookups-st.Builds || st.Entries != len(queries) {
+		t.Fatalf("batch stats %+v, want %d builds and entries, %d reuses", st, len(queries), lookups-int64(len(queries)))
+	}
 }
 
 // TestQueryBankRelease: released entries leave the bank, a later request
@@ -149,29 +213,34 @@ func TestQueryBankRelease(t *testing.T) {
 	if len(ctx.pool.workers) < 2 {
 		t.Fatal("fixture did not engage the clone pool")
 	}
-	released, _ := bank.Get(queries[0])
+	released, _ := bank.Get(queries[:1])
 	bank.Release(queries[:1])
 	if st := bank.Stats(); st.Entries != 0 || st.PeakEntries != 1 {
 		t.Fatalf("after release: %+v, want 0 entries, peak 1", st)
 	}
 
-	if _, err := bank.Get(queries[1]); err != nil {
+	if _, err := bank.Get(queries[1:]); err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := bank.Get(queries[1])
+	p1, _ := bank.Get(queries[1:])
 	if err := ctx.UsePrepared(queries[1], p1); err != nil {
 		t.Fatal(err)
 	}
 	for i, cl := range ctx.pool.workers[1:] {
-		if cl.prep == released || cl.query == queries[0] {
+		if cl.prep == released || len(cl.queries) != 0 {
 			t.Errorf("clone %d still pins the released query", i)
+		}
+		for _, sc := range cl.scans {
+			if sc.query != nil || sc.subj != nil {
+				t.Errorf("clone %d's scans still point at a query or subject", i)
+			}
 		}
 	}
 
 	if again := searchVia(t, bank, ctx, queries[0], frag); again != first {
 		t.Error("search after release and rebuild differs")
 	}
-	if p, _ := bank.Get(queries[0]); p == released {
+	if p, _ := bank.Get(queries[:1]); p == released {
 		t.Error("released entry was served again")
 	}
 	if st := bank.Stats(); st.Builds != 3 || st.Entries != 2 || st.PeakEntries != 2 {
@@ -201,7 +270,7 @@ func TestQueryBankLendsScratch(t *testing.T) {
 	}
 	bank.TakeBack(ctx)
 	for i, cl := range ctx.pool.workers {
-		if cl.query != nil || cl.prep != nil {
+		if len(cl.queries) != 0 || cl.prep != nil {
 			t.Errorf("worker %d of a context taken back still holds a query", i)
 		}
 	}

@@ -3,6 +3,7 @@ package blast
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,6 +21,9 @@ type Searcher struct {
 	up   stats.Params // ungapped Karlin–Altschul parameters
 	gp   stats.Params // gapped parameters (final statistics)
 	roll wordRoll     // how word ids are read off a sequence
+	// rowMax[c] is the best score residue c achieves against any strict
+	// residue: the neighbourhood enumeration's pruning bound.
+	rowMax []int
 
 	xdropUngapped int // raw scores
 	xdropGapped   int
@@ -47,6 +51,14 @@ func NewSearcher(opts Options) (*Searcher, error) {
 		}
 		return r
 	}
+	m, strict := opts.Matrix, opts.Matrix.Alphabet().StrictSize()
+	s.rowMax = make([]int, strict)
+	for c := range s.rowMax {
+		s.rowMax[c] = m.Score(byte(c), 0)
+		for d := 1; d < strict; d++ {
+			s.rowMax[c] = max(s.rowMax[c], m.Score(byte(c), byte(d)))
+		}
+	}
 	s.xdropUngapped = bitsToRaw(opts.XDropUngapped, s.up)
 	s.xdropGapped = bitsToRaw(opts.XDropGapped, s.gp)
 	s.xdropFinal = bitsToRaw(opts.XDropFinal, s.gp)
@@ -60,21 +72,26 @@ func (s *Searcher) Options() Options { return s.opts }
 // GappedParams exposes the statistics used for final scores.
 func (s *Searcher) GappedParams() stats.Params { return s.gp }
 
-// Context carries the loaded query and reusable scratch buffers. The query's
-// word index is not the context's own: it lives in the shared, immutable
-// PreparedQuery the context points at. A Context belongs to one goroutine;
-// SearchFragment may internally fan subjects out to clone Contexts (one per
-// worker goroutine), which it owns and reuses across calls.
+// Context carries the loaded queries and reusable scratch buffers. The
+// queries' word index is not the context's own: it lives in the shared,
+// immutable PreparedBatch the context points at. A Context belongs to one
+// goroutine; SearchBatch may internally fan subjects out to clone Contexts
+// (one per worker goroutine), which it owns and reuses across calls.
 type Context struct {
 	s *Searcher
-	// query is this context's own sequence — the ID results are reported
-	// under and the unmasked residues extensions run over; prep is the
-	// index built from residues equal to its.
-	query *seq.Sequence
-	prep  *PreparedQuery
+	// queries is the loaded batch — the IDs results are reported under and
+	// the unmasked residues extensions run over; prep is the index built
+	// from residues equal to theirs. A clone shares its owner's slice.
+	queries []*seq.Sequence
+	prep    *PreparedBatch
+	// scans[i] is query i's part of the subject being searched, lanes[i]
+	// the part of it the seed scan touches per hit.
+	scans []subjectScan
+	lanes []lane
 
-	// Diagonal bookkeeping, index (sPos - qPos) + queryLen, stored past a
-	// per-subject base (ensureDiag), never above diagEnd: nothing is cleared.
+	// Diagonal bookkeeping: one region per query (lane.origin), values stored
+	// past a per-subject base (ensureDiag), never above diagEnd: nothing is
+	// cleared.
 	diag    []diagState
 	diagEnd int32
 
@@ -86,15 +103,13 @@ type Context struct {
 
 	// dp is the gapped-extension scratch, reused across all seeds.
 	dp dpScratch
-	// boxes is the per-subject seed-containment scratch.
-	boxes []hspBox
 
 	// pool is the intra-rank search pool this context drives when it is the
-	// one SearchFragment was called on; a pool's clones leave theirs empty.
+	// one SearchBatch was called on; a pool's clones leave theirs empty.
 	pool searchPool
 }
 
-// searchPool is the state of searchParallel, kept across SearchFragment calls
+// searchPool is the state of searchParallel, kept across SearchBatch calls
 // so that a call allocates nothing for the pool: not its arrays and, because
 // each worker's goroutine body is bound once, not its go statements either.
 type searchPool struct {
@@ -105,17 +120,27 @@ type searchPool struct {
 	wg      sync.WaitGroup
 
 	// The call in flight.
-	frag      *Fragment
-	cutoffRaw int
-	space     stats.SearchSpace
-	next      atomic.Int64     // the next subject nobody has claimed yet
-	slots     []*SubjectResult // per-subject outcomes, in fragment order
-	works     []WorkCounters   // per-worker tallies
+	frag    *Fragment
+	cutoffs []int               // per query, raw
+	spaces  []stats.SearchSpace // per query
+	next    atomic.Int64        // the next subject nobody has claimed yet
+	// slots[qi*len(frag.Subjects)+i] is query qi's outcome on subject i;
+	// works[w*len(queries)+qi] worker w's tally for query qi.
+	slots []*SubjectResult
+	works []WorkCounters
 }
 
 // diagState is what seeding remembers about one diagonal, kept in one place
 // so that a seed hit — almost always one that only updates lastHit — touches
 // one cache line. Both are subject offsets plus the subject's diagonal base.
+//
+// A query's region has fewer slots than a long subject has diagonals, so
+// diagonal d shares its slot with d ± k·(region size). That is safe because
+// a region holds more than the query's length plus the two-hit window: d is
+// hit only at subject offsets [d, d+len(query)), and its extensions end by
+// d+len(query), so by the first hit on d + region size the hit d remembers
+// is more than a window behind and its extension level is behind the hit,
+// exactly as a fresh diagonal's would be.
 type diagState struct {
 	lastHit  int32 // the hit a second one must pair with
 	extLevel int32 // where the last extension on the diagonal reached
@@ -131,9 +156,9 @@ func (s *Searcher) NewContext() *Context {
 }
 
 // SetQuery prepares the query (see Searcher.Prepare) and loads it. One of
-// SetQuery and UsePrepared must succeed before SearchFragment; both may be
-// called repeatedly to reuse the context. On error the context is left with
-// no query loaded.
+// SetQuery, UsePrepared and UseBatch must succeed before a search; each may
+// be called repeatedly to reuse the context. On error the context is left
+// with no query loaded.
 func (c *Context) SetQuery(q *seq.Sequence) error {
 	c.unload()
 	p, err := c.s.Prepare(q)
@@ -143,34 +168,59 @@ func (c *Context) SetQuery(q *seq.Sequence) error {
 	return c.UsePrepared(q, p)
 }
 
-// UsePrepared loads q with an index prepared earlier — by this searcher,
-// from a sequence with the same residues (a QueryBank guarantees both).
-// Results are reported under q's own ID. On error the context is left with
-// no query loaded.
+// UsePrepared loads q, a batch of one, with an index prepared earlier (see
+// UseBatch).
 func (c *Context) UsePrepared(q *seq.Sequence, p *PreparedQuery) error {
+	return c.UseBatch([]*seq.Sequence{q}, p)
+}
+
+// UseBatch loads queries with an index prepared earlier — by this searcher,
+// from sequences with the same residues in the same order (a QueryBank
+// guarantees both). Results are reported under the queries' own IDs. On
+// error the context is left with no query loaded.
+func (c *Context) UseBatch(queries []*seq.Sequence, p *PreparedBatch) error {
 	c.unload()
-	if err := c.s.checkAlphabet(q); err != nil {
-		return err
+	if len(queries) != len(p.lens) {
+		return fmt.Errorf("blast: %d queries, their prepared index has %d", len(queries), len(p.lens))
 	}
-	if len(p.seeding) != q.Len() {
-		return fmt.Errorf("blast: query %q has %d residues, its prepared index %d", q.ID, q.Len(), len(p.seeding))
+	for i, q := range queries {
+		if err := c.s.checkAlphabet(q); err != nil {
+			return err
+		}
+		if q.Len() != p.lens[i] {
+			return fmt.Errorf("blast: query %q has %d residues, its prepared index %d", q.ID, q.Len(), p.lens[i])
+		}
 	}
-	c.query, c.prep = q, p
+	c.queries, c.prep = append(c.queries, queries...), p
 	return nil
 }
 
-// unload drops the loaded query. The pool clones let go of it here too,
-// rather than keeping the last query's index reachable after its bank has
+// unload drops the loaded queries. The pool clones let go of them here too,
+// rather than keeping the last batch's index reachable after its bank has
 // released it.
 func (c *Context) unload() {
-	c.query, c.prep = nil, nil
+	clear(c.queries)
+	c.queries = c.queries[:0]
+	c.release()
 	for _, cl := range c.pool.workers {
-		cl.query, cl.prep = nil, nil
+		if cl != c {
+			cl.queries = nil
+			cl.release()
+		}
 	}
 }
 
-// Query returns the query currently loaded in the context.
-func (c *Context) Query() *seq.Sequence { return c.query }
+// release drops the index and what the scans point at, keeping their
+// scratch.
+func (c *Context) release() {
+	c.prep = nil
+	for i := range c.scans {
+		c.scans[i] = subjectScan{boxes: c.scans[i].boxes[:0]}
+	}
+}
+
+// Queries returns the queries currently loaded in the context.
+func (c *Context) Queries() []*seq.Sequence { return c.queries }
 
 // ensureDiag makes room for n diagonals (at least doubling) and returns the
 // base a subject of length subjLen stores offsets from: past every value
@@ -192,8 +242,8 @@ func (c *Context) ensureDiag(n, subjLen int) int {
 
 // encode makes words hold the id of the word ending at each residue of frag's
 // subjects (roll.none where none ends) unless it already does: keyed by the
-// Subjects slice (first element, length), one encoding serves every query
-// searched against the fragment. A search treats subjects as read-only.
+// Subjects slice (first element, length), one encoding serves every search
+// against the fragment. A search treats subjects as read-only.
 func (c *Context) encode(frag *Fragment) {
 	subs := frag.Subjects
 	if len(subs) == len(c.wordsOf) && (len(subs) == 0 || &subs[0] == &c.wordsOf[0]) {
@@ -239,82 +289,84 @@ func (c *Context) searchThreads(nSubjects int) int {
 	return n
 }
 
-// SearchFragment runs the loaded query against every subject in the
-// fragment. The search space must describe the WHOLE database (not the
-// fragment) so that scores and E-values are identical no matter how the
-// database is partitioned — the property the parallel engines' merging
-// relies on.
+// SearchFragment runs the one loaded query against every subject in the
+// fragment: SearchBatch over a batch of one.
+func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*QueryResult, error) {
+	if len(c.queries) != 1 {
+		return nil, fmt.Errorf("blast: SearchFragment needs one loaded query, not %d", len(c.queries))
+	}
+	var one [1]*QueryResult
+	res, err := c.SearchBatch(one[:0], frag, []stats.SearchSpace{space})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// SearchBatch runs every loaded query against every subject in the fragment,
+// scanning each subject once for all of them, and appends one result per
+// query, in load order, to dst. spaces[i] is query i's search space; it must
+// describe the WHOLE database (not the fragment) so that scores and E-values
+// are identical no matter how the database is partitioned — the property the
+// parallel engines' merging relies on.
 //
 // With Options.SearchThreads != 1 a bounded pool of worker goroutines (clone
 // Contexts) claims the subjects one at a time. Each subject's search is
 // independent and deterministic, and results are reassembled in subject
-// order before the canonical sort, so the output is byte-identical to the
-// sequential path for every thread count and every claim order.
-func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*QueryResult, error) {
-	if c.query == nil {
-		return nil, fmt.Errorf("blast: SearchFragment before SetQuery")
+// order before the canonical sort, so the output is byte-identical for every
+// thread count and every claim order, and each query's result is the one a
+// batch of that query alone gives.
+func (c *Context) SearchBatch(dst []*QueryResult, frag *Fragment, spaces []stats.SearchSpace) ([]*QueryResult, error) {
+	if c.prep == nil {
+		return dst, fmt.Errorf("blast: search before a query is loaded")
 	}
-	res := &QueryResult{QueryID: c.query.ID}
-	res.Work.Add(c.prep.work)
-	cutoffRaw := c.s.gp.ScoreForEValue(c.s.opts.EValue, space)
+	if len(spaces) != len(c.queries) {
+		return dst, fmt.Errorf("blast: %d search spaces for %d queries", len(spaces), len(c.queries))
+	}
 	c.encode(frag)
+	p := &c.pool
+	p.cutoffs, p.spaces = p.cutoffs[:0], append(p.spaces[:0], spaces...)
+	for _, space := range spaces {
+		p.cutoffs = append(p.cutoffs, c.s.gp.ScoreForEValue(c.s.opts.EValue, space))
+	}
+	nw := c.searchThreads(len(frag.Subjects))
+	c.searchParallel(frag, nw)
 
-	if nw := c.searchThreads(len(frag.Subjects)); nw > 1 {
-		c.searchParallel(frag, cutoffRaw, space, nw, res)
-	} else {
-		for i := range frag.Subjects {
-			if r := c.searchOneSubject(&frag.Subjects[i], c.subjectWords(i), cutoffRaw, space, &res.Work); r != nil {
+	nq, ns := len(c.queries), len(frag.Subjects)
+	for qi, q := range c.queries {
+		res := &QueryResult{QueryID: q.ID, Work: c.prep.work[qi]}
+		for w := 0; w < nw; w++ {
+			res.Work.Add(p.works[w*nq+qi])
+		}
+		for _, r := range p.slots[qi*ns : (qi+1)*ns] {
+			if r != nil {
 				res.Hits = append(res.Hits, r)
 			}
 		}
+		SortHits(res.Hits)
+		if len(res.Hits) > c.s.opts.MaxTargetSeqs {
+			res.Hits = res.Hits[:c.s.opts.MaxTargetSeqs]
+		}
+		dst = append(dst, res)
 	}
-
-	SortHits(res.Hits)
-	if len(res.Hits) > c.s.opts.MaxTargetSeqs {
-		res.Hits = res.Hits[:c.s.opts.MaxTargetSeqs]
-	}
-	return res, nil
+	// The results are the caller's now, the fragment always was.
+	clear(p.slots)
+	p.frag = nil
+	return dst, nil
 }
 
 // subjectWords returns subject i's word ids in the current encoding.
 func (c *Context) subjectWords(i int) []uint64 { return c.words[c.starts[i]:c.starts[i+1]] }
 
-// searchOneSubject runs the full per-subject pipeline — scan, extend,
-// statistics, HSP cap — and returns the subject's result (nil when it has
-// no surviving HSPs). It writes only this context's scratch, so distinct
-// contexts may run it concurrently on distinct subjects.
-func (c *Context) searchOneSubject(sub *Subject, words []uint64, cutoffRaw int, space stats.SearchSpace, work *WorkCounters) *SubjectResult {
-	hsps := c.searchSubject(sub.Residues, words, cutoffRaw, work)
-	if len(hsps) == 0 {
-		return nil
-	}
-	for _, h := range hsps {
-		h.BitScore = c.s.gp.BitScore(h.Score)
-		h.EValue = c.s.gp.EValue(h.Score, space)
-	}
-	work.HSPsFound += int64(len(hsps))
-	SortHSPs(hsps)
-	if len(hsps) > c.s.opts.MaxHSPsPerSubject {
-		hsps = hsps[:c.s.opts.MaxHSPsPerSubject]
-	}
-	return &SubjectResult{
-		OID:     sub.OID,
-		ID:      sub.ID,
-		Defline: sub.Defline,
-		SubjLen: len(sub.Residues),
-		HSPs:    hsps,
-	}
-}
-
-// searchParallel spreads the fragment's subjects over nw worker contexts.
-// Workers claim the next unsearched subject from one shared counter, so a
-// fragment whose expensive subjects cluster (a family's members sit at a
-// fixed stride in a synthesized database) still keeps every worker busy.
-// Which worker searched which subject is host scheduling and shows nowhere:
-// slot i of the result array is subject i's outcome, so reassembly preserves
-// the sequential append order exactly, and the counters are a sum of
-// per-subject int64 tallies, which no grouping or order can change.
-func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.SearchSpace, nw int, res *QueryResult) {
+// searchParallel spreads the fragment's subjects over nw worker contexts, the
+// owner being worker 0. Workers claim the next unsearched subject from one
+// shared counter, so a fragment whose expensive subjects cluster (a family's
+// members sit at a fixed stride in a synthesized database) still keeps every
+// worker busy. Which worker searched which subject is host scheduling and
+// shows nowhere: slot (query, i) of the result array is subject i's outcome,
+// so reassembly preserves the subject order exactly, and the counters are a
+// sum of per-subject int64 tallies, which no grouping or order can change.
+func (c *Context) searchParallel(frag *Fragment, nw int) {
 	p := &c.pool
 	for w := len(p.workers); w < nw; w++ {
 		cl := c
@@ -328,11 +380,12 @@ func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.Sear
 		})
 	}
 	for _, cl := range p.workers[1:nw] {
-		cl.query, cl.prep = c.query, c.prep
+		cl.queries, cl.prep = c.queries, c.prep
 	}
-	p.slots = slices.Grow(p.slots[:0], len(frag.Subjects))[:len(frag.Subjects)]
-	p.works = append(p.works[:0], make([]WorkCounters, nw)...)
-	p.frag, p.cutoffRaw, p.space = frag, cutoffRaw, space
+	nq, ns := len(c.queries), len(frag.Subjects)
+	p.slots = slices.Grow(p.slots[:0], nq*ns)[:nq*ns]
+	p.works = append(p.works[:0], make([]WorkCounters, nw*nq)...)
+	p.frag = frag
 	p.next.Store(0)
 
 	p.wg.Add(nw - 1)
@@ -341,64 +394,89 @@ func (c *Context) searchParallel(frag *Fragment, cutoffRaw int, space stats.Sear
 	}
 	p.drain(0)
 	p.wg.Wait()
-
-	for w := range p.works {
-		res.Work.Add(p.works[w])
-	}
-	for _, r := range p.slots {
-		if r != nil {
-			res.Hits = append(res.Hits, r)
-		}
-	}
-	// The results are the caller's now, the fragment always was.
-	clear(p.slots)
-	p.frag = nil
 }
 
 // drain is worker w's share of the call in flight: whatever subjects it is
 // first to claim, scanned through the owning context's encoding.
 func (p *searchPool) drain(w int) {
-	ctx, owner, work := p.workers[w], p.workers[0], &p.works[w]
-	for i := int(p.next.Add(1)) - 1; i < len(p.slots); i = int(p.next.Add(1)) - 1 {
-		p.slots[i] = ctx.searchOneSubject(&p.frag.Subjects[i], owner.subjectWords(i), p.cutoffRaw, p.space, work)
+	ctx, owner := p.workers[w], p.workers[0]
+	nq, ns := len(owner.queries), len(p.frag.Subjects)
+	ctx.beginScans(p.works[w*nq:(w+1)*nq], p.cutoffs)
+	for i := int(p.next.Add(1)) - 1; i < ns; i = int(p.next.Add(1)) - 1 {
+		sub := &p.frag.Subjects[i]
+		ctx.searchSubject(sub.Residues, owner.subjectWords(i))
+		for qi := range ctx.scans {
+			p.slots[qi*ns+i] = ctx.scans[qi].result(sub, p.spaces[qi])
+		}
 	}
 }
 
-// searchSubject scans one subject, whose word ids are words, for seeds and
-// extends them.
-//
-// The model charges one SeedHit per (query position, subject position) word
-// match; the host pays per position only the index probe (where no word ends
-// it probes an empty row), and per hit only what the two-hit rule needs, for
-// nearly every hit one diagState read and one store. Only a hit that
-// qualifies for extension leaves the loop, through subjectScan.extend.
-func (c *Context) searchSubject(subj []byte, words []uint64, cutoffRaw int, work *WorkCounters) []*HSP {
-	query := c.query.Residues
-	idx := c.prep.idx
-	w := c.s.opts.WordSize
-	work.ResiduesScanned += int64(len(subj))
-	if len(subj) < w || len(query) < w {
-		return nil
+// beginScans points query i's scan at its residues, its cutoff and its
+// tally, works[i], and gives it a lane.
+func (c *Context) beginScans(works []WorkCounters, cutoffs []int) {
+	c.scans = slices.Grow(c.scans[:0], len(c.queries))[:len(c.queries)]
+	c.lanes = slices.Grow(c.lanes[:0], len(c.queries))[:len(c.queries)]
+	for i, q := range c.queries {
+		sc := &c.scans[i]
+		*sc = subjectScan{c: c, query: q.Residues, cutoffRaw: cutoffs[i], work: &works[i], boxes: sc.boxes[:0]}
 	}
-	base := c.ensureDiag(len(query)+len(subj)+1, len(subj))
-	scan := subjectScan{c: c, subj: subj, cutoffRaw: cutoffRaw, work: work, boxes: c.boxes[:0]}
+}
 
-	diag, qLen := c.diag, len(query)
+// searchSubject searches one subject, whose word ids are words, for every
+// loaded query: it lays out each query's diagonal region, scans the subject
+// once per index group and leaves each query's HSPs in its scan.
+func (c *Context) searchSubject(subj []byte, words []uint64) {
 	twoHit := c.s.opts.TwoHitWindow
-	offsets, positions := idx.offsets, idx.positions
-	hits := 0
+	n := 0
+	for i := range c.scans {
+		sc := &c.scans[i]
+		sc.work.ResiduesScanned += int64(len(subj))
+		sc.subj, sc.hsps, sc.boxes = subj, nil, sc.boxes[:0]
+		// More slots than the query's length plus the window (diagState), or
+		// than its diagonals when the subject is shorter than the window.
+		size := 1 << bits.Len(uint(len(sc.query)+min(twoHit, len(subj))))
+		c.lanes[i] = lane{origin: n, mask: size - 1}
+		n += size
+	}
+	if len(subj) < c.s.opts.WordSize {
+		return
+	}
+	base := c.ensureDiag(n, len(subj))
+	for gi := range c.prep.groups {
+		if g := &c.prep.groups[gi]; len(g.entries) > 0 {
+			c.scanGroup(g, words, base)
+		}
+	}
+}
+
+// scanGroup is the seed scan: one index probe per subject position for all
+// of the group's queries, each hit fanned out to its query's diagonals.
+//
+// The model charges one SeedHit per (query, query position, subject
+// position) word match; the host pays per position one probe for the whole
+// group (where no word ends it probes an empty row), and per hit only what
+// the two-hit rule needs, for nearly every hit one diagState read and one
+// store. Only a hit that qualifies for extension leaves the loop, through
+// subjectScan.extend.
+func (c *Context) scanGroup(g *batchIndex, words []uint64, base int) {
+	w := c.s.opts.WordSize
+	scans, lanes := c.scans[g.first:g.first+g.n], c.lanes[g.first:g.first+g.n]
+	diag, twoHit := c.diag, c.s.opts.TwoHitWindow
+	offsets, entries, shift, mask := g.offsets, g.entries, g.shift, g.mask
 	// words[j] ends the word that starts at sPos = j-w+1.
 	for sPos, id := range words[w-1:] {
-		var seeds []int32
-		if idx.dense {
-			seeds = positions[offsets[id]:offsets[id+1]]
+		var seeds []uint32
+		if g.dense {
+			seeds = entries[offsets[id]:offsets[id+1]]
 		} else {
-			seeds = idx.lookupSparse(id)
+			seeds = g.lookupSparse(id)
 		}
-		hits += len(seeds)
 		at := sPos + base
-		for _, qPos := range seeds {
-			ds := &diag[sPos-int(qPos)+qLen]
+		for _, e := range seeds {
+			ln := &lanes[e>>shift]
+			qPos := int(e & mask)
+			ln.hits++
+			ds := &diag[ln.origin+((sPos-qPos)&ln.mask)]
 			if at < int(ds.extLevel) {
 				continue // inside a region already covered by an extension
 			}
@@ -419,19 +497,19 @@ func (c *Context) searchSubject(subj []byte, words []uint64, cutoffRaw int, work
 				}
 				ds.lastHit = int32(at)
 			}
-			ds.extLevel = int32(scan.extend(int(qPos), sPos) + base)
+			ds.extLevel = int32(scans[e>>shift].extend(qPos, sPos) + base)
 		}
 	}
-	work.SeedHits += int64(hits)
-
-	c.boxes = scan.boxes[:0]
-	return cullContained(scan.hsps)
+	for i := range scans {
+		scans[i].work.SeedHits += lanes[i].hits
+	}
 }
 
-// subjectScan is the part of one subject's scan that outlives a seed hit:
-// what the extensions read and what they have found so far.
+// subjectScan is one query's part of one subject's search: where its
+// diagonals are, what the extensions read and what they have found so far.
 type subjectScan struct {
 	c         *Context
+	query     []byte
 	subj      []byte
 	cutoffRaw int
 	work      *WorkCounters
@@ -441,11 +519,19 @@ type subjectScan struct {
 	boxes []hspBox
 }
 
+// lane is what the seed scan reads and writes of a query at every hit: the
+// query's diagonal region, diag[origin:origin+mask+1], and its seed hits in
+// the subject.
+type lane struct {
+	origin, mask int
+	hits         int64
+}
+
 // extend grows the qualifying seed hit at (qPos, sPos): without gaps first,
 // then with gaps if that scored high enough. It returns the subject offset
 // the ungapped extension reached, the diagonal's new extension level.
 func (ss *subjectScan) extend(qPos, sPos int) int {
-	c, query := ss.c, ss.c.query.Residues
+	c, query := ss.c, ss.query
 	seg := extendUngapped(query, ss.subj, qPos, sPos, c.s.opts.Matrix, c.s.xdropUngapped, ss.work)
 	if seg.score >= c.s.gapTrigger {
 		// Skip if the seed midpoint is inside an HSP we already have.
@@ -470,6 +556,33 @@ func (ss *subjectScan) extend(qPos, sPos int) int {
 		})
 	}
 	return seg.sTo
+}
+
+// result is the query's outcome on sub, the subject just scanned: its HSPs
+// culled, scored against space, sorted and capped — nil when none survives.
+func (ss *subjectScan) result(sub *Subject, space stats.SearchSpace) *SubjectResult {
+	hsps := cullContained(ss.hsps)
+	ss.hsps = nil
+	if len(hsps) == 0 {
+		return nil
+	}
+	s := ss.c.s
+	for _, h := range hsps {
+		h.BitScore = s.gp.BitScore(h.Score)
+		h.EValue = s.gp.EValue(h.Score, space)
+	}
+	ss.work.HSPsFound += int64(len(hsps))
+	SortHSPs(hsps)
+	if len(hsps) > s.opts.MaxHSPsPerSubject {
+		hsps = hsps[:s.opts.MaxHSPsPerSubject]
+	}
+	return &SubjectResult{
+		OID:     sub.OID,
+		ID:      sub.ID,
+		Defline: sub.Defline,
+		SubjLen: len(sub.Residues),
+		HSPs:    hsps,
+	}
 }
 
 // gappedFromSeed runs the two-directional gapped extension around a seed

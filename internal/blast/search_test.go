@@ -375,8 +375,8 @@ func TestSearchQueryAlphabetMismatch(t *testing.T) {
 		if err := tc.load(ctx); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if q := ctx.Query(); q != nil {
-			t.Errorf("%s: query %q still loaded after the failed load", tc.name, q.ID)
+		if qs := ctx.Queries(); len(qs) != 0 {
+			t.Errorf("%s: query %q still loaded after the failed load", tc.name, qs[0].ID)
 		}
 		if _, err := ctx.SearchFragment(&Fragment{}, stats.SearchSpace{}); err == nil {
 			t.Errorf("%s: SearchFragment ran after the failed load", tc.name)

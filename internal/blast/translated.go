@@ -28,41 +28,60 @@ type TranslatedResult struct {
 }
 
 // SearchTranslatedQuery runs a blastx-style search: the DNA query's six
-// frame translations against a protein fragment. The searcher must be a
+// frame translations against a protein fragment, searched as one batch so
+// that the fragment is scanned once for all of them. The searcher must be a
 // protein searcher; the search space should describe the protein database
 // with the translated query length (callers typically pass len/3).
 func SearchTranslatedQuery(s *Searcher, dnaQuery *seq.Sequence, frag *Fragment, space stats.SearchSpace) (*TranslatedResult, error) {
-	if s.Options().Matrix.Alphabet().Kind() != seq.Protein {
-		return nil, fmt.Errorf("blast: translated search needs a protein searcher")
-	}
-	if dnaQuery.Alpha.Kind() != seq.DNA {
-		return nil, fmt.Errorf("blast: translated search needs a DNA query, got %s", dnaQuery.Alpha.Kind())
-	}
-	frames, err := seq.TranslateAll(dnaQuery)
+	frames, results, err := searchFrames(s, dnaQuery, frag, space)
 	if err != nil {
 		return nil, err
 	}
 	out := &TranslatedResult{QueryID: dnaQuery.ID}
-	ctx := s.NewContext()
-	for _, frame := range seq.Frames {
-		q, ok := frames[frame]
-		if !ok {
-			continue
-		}
-		if err := ctx.SetQuery(q); err != nil {
-			return nil, err
-		}
-		res, err := ctx.SearchFragment(frag, space)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		out.Work.Add(res.Work)
 		for _, hit := range res.Hits {
-			out.Hits = append(out.Hits, FrameHit{Frame: frame, Hit: hit})
+			out.Hits = append(out.Hits, FrameHit{Frame: frames[i], Hit: hit})
 		}
 	}
 	out.rankHits(s.Options().MaxTargetSeqs)
 	return out, nil
+}
+
+// searchFrames searches the translations of the DNA query in every frame
+// long enough to have one, in seq.Frames order, as one batch: results[i] is
+// frames[i]'s.
+func searchFrames(s *Searcher, dnaQuery *seq.Sequence, frag *Fragment, space stats.SearchSpace) (frames []int, results []*QueryResult, err error) {
+	if s.Options().Matrix.Alphabet().Kind() != seq.Protein {
+		return nil, nil, fmt.Errorf("blast: translated search needs a protein searcher")
+	}
+	if dnaQuery.Alpha.Kind() != seq.DNA {
+		return nil, nil, fmt.Errorf("blast: translated search needs a DNA query, got %s", dnaQuery.Alpha.Kind())
+	}
+	translations, err := seq.TranslateAll(dnaQuery)
+	if err != nil {
+		return nil, nil, err
+	}
+	var queries []*seq.Sequence
+	var spaces []stats.SearchSpace
+	for _, frame := range seq.Frames {
+		if q, ok := translations[frame]; ok {
+			frames, queries, spaces = append(frames, frame), append(queries, q), append(spaces, space)
+		}
+	}
+	if len(queries) == 0 {
+		return nil, nil, nil
+	}
+	p, err := s.prepareBatch(queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := s.NewContext()
+	if err := ctx.UseBatch(queries, p); err != nil {
+		return nil, nil, err
+	}
+	results, err = ctx.SearchBatch(nil, frag, spaces)
+	return frames, results, err
 }
 
 // rankHits sorts the hits from every frame by (EValue, Score, OID, Frame)

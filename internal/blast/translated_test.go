@@ -2,6 +2,7 @@ package blast
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parblast/internal/seq"
@@ -164,5 +165,52 @@ func TestTranslatedDBValidation(t *testing.T) {
 	prot := proteinSeq("p", []byte{0, 1, 2})
 	if _, err := SearchTranslatedDB(dnaSearcher, prot, &Fragment{}, stats.SearchSpace{}); err == nil {
 		t.Fatal("DNA searcher accepted by tblastn")
+	}
+}
+
+// TestTranslatedFramesSearchedAsOneBatch: searching the six frame
+// translations as one batch gives each frame exactly the hits and work
+// counters a search of that frame alone gives, on both strands.
+func TestTranslatedFramesSearchedAsOneBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	frag := testFragment(rng, 16, 300)
+	forward := backTranslate(t, frag.Subjects[4].Residues[30:120])
+	reverse := seq.ReverseComplement(backTranslate(t, frag.Subjects[11].Residues[100:170]))
+	s, err := NewSearcher(DefaultProteinOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	for _, dna := range [][]byte{append(forward, reverse...), forward[1:], reverse[:len(reverse)-2]} {
+		query := &seq.Sequence{ID: "dq", Residues: dna, Alpha: seq.DNAAlphabet}
+		space := stats.NewSearchSpace(s.GappedParams(), len(dna)/3, frag.TotalResidues(), len(frag.Subjects))
+		frames, results, err := searchFrames(s, query, frag, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		translations, err := seq.TranslateAll(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) != len(seq.Frames) {
+			t.Fatalf("%d frames searched, want %d", len(frames), len(seq.Frames))
+		}
+		for i, frame := range frames {
+			ctx := s.NewContext()
+			if err := ctx.SetQuery(translations[frame]); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ctx.SearchFragment(frag, space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(results[i], want) {
+				t.Fatalf("frame %+d: batch result differs from the frame alone\n got work %+v\nwant work %+v", frame, results[i].Work, want.Work)
+			}
+			hits += len(want.Hits)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no frame found a hit; the comparison is vacuous")
 	}
 }

@@ -22,13 +22,14 @@ func RecordWork(reg *metrics.Registry, rank int, w blast.WorkCounters) {
 	reg.Counter("blast.index_words", rank).Add(w.IndexWords)
 }
 
-// RecordIndexSharing books a finished job's query-bank totals: how many word
-// indexes the host really built and how many requests reused one, and how
-// many searches borrowed a kernel scratch context. These describe the
-// simulator, not the modelled cluster — the virtual cost of indexing is
-// blast.index_words, charged per (rank, fragment, query) — so they are booked
-// once, after the run, under rank 0: which rank's goroutine happened to build
-// an entry is a host scheduling artifact. How many contexts the bank created
+// RecordIndexSharing books a finished job's query-bank totals: how many query
+// residue contents the host really indexed and how many (fragment, query)
+// lookups found theirs indexed already, and how many searches borrowed a
+// kernel scratch context. These describe the simulator, not the modelled
+// cluster — the virtual cost of indexing is blast.index_words, charged per
+// (rank, fragment, query) — so they are booked once, after the run, under
+// rank 0: which ranks' goroutines happened to build a batch's index is a
+// host scheduling artifact. How many contexts the bank created
 // is host concurrency, different from run to run, so it stays in BankStats
 // and out of the registry, whose snapshots repeat exactly.
 func RecordIndexSharing(reg *metrics.Registry, st blast.BankStats) {

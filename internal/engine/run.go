@@ -220,8 +220,8 @@ type SearchLoop struct {
 	// fragment, so Begin computes it once.
 	queries []*seq.Sequence
 	spaces  []stats.SearchSpace
-	// The search in flight: kernel, bound once, fills results (and err, after
-	// the queries before it) for frag while the rank is aside.
+	// The search in flight: kernel, bound once, fills results (or err) for
+	// frag while the rank is aside.
 	kernel  func()
 	frag    *blast.Fragment
 	results []*blast.QueryResult
@@ -252,17 +252,18 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 // Search runs every query against one fragment in two phases. The kernel
 // phase runs aside (mpi.Rank.Aside), off the scheduler token and beside
 // every other rank's: in a scratch context borrowed from the job's bank, load
-// each query's index from the bank and search, then hand the context back
-// unloaded. The charge phase runs on the token, in query order: charge the
-// kernel's work units to the rank's clock, book the work counters, and hand
-// the result to emit. A kernel error stops the search; the queries before it
-// are still charged. Only the host shares the index and the scratch. The
-// result's work still includes the build, so the modelled rank is charged
-// for indexing the query at every (fragment, query) step, as a real worker
-// would be. Both engines' one-shot and serving workers search through this
-// loop, which is what keeps their per-(query, fragment) work counters — and
-// so the report footers — identical. Pass emit as a func value built once
-// per worker: the loop itself allocates nothing per (fragment, query).
+// the query set's batch index from the bank, scan each subject once for every
+// query, then hand the context back unloaded. The charge phase runs on the
+// token, in query order: charge the kernel's work units to the rank's clock,
+// book the work counters, and hand the result to emit. A kernel error stops
+// the search before anything is charged. Only the host shares the index, the
+// scan and the scratch. Each result's work still includes its query's build
+// and its own scan, so the modelled rank is charged for indexing and scanning
+// at every (fragment, query) step, as a real worker would be. Both engines'
+// one-shot and serving workers search through this loop, which is what keeps
+// their per-(query, fragment) work counters — and so the report footers —
+// identical. Pass emit as a func value built once per worker: the loop itself
+// allocates nothing per (fragment, query).
 func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.QueryResult)) error {
 	r := l.r
 	r.SetPhase(simtime.PhaseSearch)
@@ -279,28 +280,15 @@ func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.Q
 // searchAll is Search's kernel phase. It touches no clock and no world state,
 // only the bank, the borrowed context and the loop's own fields.
 func (l *SearchLoop) searchAll() {
-	l.results, l.err = l.results[:0], nil
+	l.results = l.results[:0]
 	ctx := l.bank.Lend()
 	defer l.bank.TakeBack(ctx)
-	for qi := range l.queries {
-		res, err := l.searchOne(ctx, qi)
-		if err != nil {
-			l.err = err
-			return
-		}
-		l.results = append(l.results, res)
+	p, err := l.bank.Get(l.queries)
+	if err == nil {
+		err = ctx.UseBatch(l.queries, p)
 	}
-}
-
-// searchOne searches query qi against the fragment in flight.
-func (l *SearchLoop) searchOne(ctx *blast.Context, qi int) (*blast.QueryResult, error) {
-	q := l.queries[qi]
-	p, err := l.bank.Get(q)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		l.results, err = ctx.SearchBatch(l.results, l.frag, l.spaces)
 	}
-	if err := ctx.UsePrepared(q, p); err != nil {
-		return nil, err
-	}
-	return ctx.SearchFragment(l.frag, l.spaces[qi])
+	l.err = err
 }

@@ -58,6 +58,16 @@ for call in '.StartReadAt(' '.ReadAt(' '.DecodeWithOffsets('; do
     fi
 done
 
+# A subject is scanned once per query batch: internal/blast has one word
+# index type and one seed-scan loop over a subject's word ids, so a per-query
+# scan cannot come back beside the batch scan.
+scans=$(grep -rhF --include='*.go' --exclude='*_test.go' 'range words[' internal/blast | wc -l)
+indexes=$(grep -rhE --include='*.go' --exclude='*_test.go' '^type [A-Za-z]*[Ii]ndex struct' internal/blast | wc -l)
+if [ "$scans" -ne 1 ] || [ "$indexes" -ne 1 ]; then
+    echo "internal/blast has $scans seed-scan loops and $indexes index types; the batch scan is the one of each" >&2
+    exit 1
+fi
+
 # A run is one call: each engine declares one entry point, Run(nodes, nprocs,
 # cfg, job, opts, stream), and engine.Launch is the one rank lifecycle, so the
 # set-up cost is charged in one place.
