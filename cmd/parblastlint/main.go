@@ -1,9 +1,10 @@
 // Command parblastlint runs the project's invariant-lint suite: typed
-// static analyzers that mechanically enforce the simulator's determinism
-// contract (no wall clock, seeded randomness only, no map-order leaks into
-// output, matched MPI tag protocols, clock-neutral telemetry, uniform
-// collectives, fenced concurrency, sideband that stays out of band). See
-// internal/lint and DESIGN.md §12.
+// static analyzers that mechanically enforce the part of the simulator's
+// determinism contract no single run can show (no wall clock, seeded
+// randomness only, no map-order leaks into output, clock-neutral telemetry,
+// fenced concurrency, sideband that stays out of band). Unmatched
+// collectives and unreceived messages fail the run that reaches them,
+// named by internal/mpi. See internal/lint and DESIGN.md §12.
 //
 // Usage:
 //

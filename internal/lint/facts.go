@@ -18,23 +18,15 @@ import (
 // with one of ours matches nothing (maporder's naming conventions aside:
 // see Named).
 const (
-	// Every participant must make this call (collorder).
-	factCollective = "collective"
-	// The named parameter is a message tag, sent / received (tagmatch;
-	// maporder treats a sender as order-sensitive).
-	factSends    = "sends"
-	factReceives = "receives"
 	// The call moves or re-buckets virtual time (clockneutral); the named
 	// parameters are the amounts (sideband sinks).
 	factClock = "clock"
-	// The named parameter is message data handed to the runtime
-	// (sideband sink).
+	// The named parameter is message data handed to the runtime (sideband
+	// sink; maporder treats the call as a send).
 	factPayload = "payload"
 	// The named parameter is appended to the wire format (sideband sink;
 	// maporder treats the call as order-sensitive).
 	factEncodes = "encodes"
-	// The value names the calling rank (collorder's taint source).
-	factRankIdentity = "rank-identity"
 	// The value is trace context that rides outside every payload: a
 	// method's result, a field, or any value of a marked type (sideband's
 	// taint source).
@@ -42,8 +34,7 @@ const (
 )
 
 var factMarkers = map[string]bool{
-	factCollective: true, factSends: true, factReceives: true, factClock: true,
-	factPayload: true, factEncodes: true, factRankIdentity: true, factTraceContext: true,
+	factClock: true, factPayload: true, factEncodes: true, factTraceContext: true,
 }
 
 // Facts is the fact set: object → marker → indices of the parameters the

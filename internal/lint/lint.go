@@ -1,14 +1,15 @@
 // Package lint is a stdlib-only static-analysis framework that enforces
-// the simulator's determinism contract mechanically. Every result this
-// reproduction reports rests on invariants that used to be held only by
-// convention — virtual time never touches the wall clock, metrics never
-// advance clocks, map iteration never leaks nondeterminism into
-// byte-identity-pinned output, and the MPI tag protocols stay matched.
-// The analyzers in this package encode those invariants over the typed
-// ASTs of every package, so a violation fails CI instead of waiting for a
-// reviewer to notice (PR 2's collective-traffic-in-the-wrong-bucket bug
-// and PR 4's rendezvous-wait misattribution were both slips of exactly
-// this kind).
+// the part of the simulator's determinism contract no single run can show.
+// A run is one schedule: it cannot see that a wall-clock read, a global
+// random draw or a map walk would come out differently next time, that
+// metrics advance a clock only when they are on, that trace context leaks
+// into bytes or time the same way traced or not, or that a goroutine the
+// test happened to join is fenced. The analyzers in this package encode
+// those invariants over the typed ASTs of every package, so a violation
+// fails CI instead of waiting for a reviewer to notice. What one run does
+// show — a collective some rank never reaches, a message nobody receives —
+// is internal/mpi's to report, naming the rank and the collective or the
+// source and the tag.
 //
 // The framework loads packages with `go list -json`, type-checks them
 // with go/types, runs a registry of analyzers, and emits deterministic
@@ -42,8 +43,8 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one invariant checker. Run receives every loaded package at
-// once: most analyzers iterate per package, but cross-package checks
-// (tagmatch) see the whole module.
+// once: most analyzers iterate per package, but sideband's taint follows
+// values across the whole module.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -82,9 +83,7 @@ func All() []*Analyzer {
 		WallclockAnalyzer,
 		SeededRandAnalyzer,
 		MapOrderAnalyzer,
-		TagMatchAnalyzer,
 		ClockNeutralAnalyzer,
-		CollOrderAnalyzer,
 		GoDiscAnalyzer,
 		SidebandAnalyzer,
 	}
@@ -109,7 +108,7 @@ func (u *Unit) Justified(p *Package, pos token.Pos, name string) bool {
 // analyzer. The analysis always runs over the whole module plus whatever
 // else was asked for, and only the findings located in the asked packages
 // are returned — so a subset run reports exactly what ./... reports there,
-// however far a protocol's other half lives from the subset.
+// however far from the subset a tainted value comes from.
 func Analyze(l *Loader, patterns ...string) ([]Diagnostic, error) {
 	all, err := l.Load(append([]string{"./..."}, patterns...)...)
 	if err != nil {

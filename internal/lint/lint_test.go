@@ -12,12 +12,15 @@ import (
 	"testing"
 )
 
-// The loader shells out to `go list` and type-checks half the module, so
-// every test shares one instance (and its stdlib/package caches).
+// The loader shells out to `go list` and type-checks the whole module, so
+// every test shares one instance (and its stdlib/package caches), and each
+// pattern list is analysed once per test binary: the tree does not change
+// while the tests run.
 var (
 	loaderOnce sync.Once
 	testLdr    *Loader
 	testLdrErr error
+	analyses   = make(map[string][]Diagnostic)
 )
 
 func testLoader(t *testing.T) *Loader {
@@ -27,6 +30,21 @@ func testLoader(t *testing.T) *Loader {
 		t.Fatalf("NewLoader: %v", testLdrErr)
 	}
 	return testLdr
+}
+
+// analyze is Analyze(patterns...), memoised.
+func analyze(t *testing.T, patterns ...string) []Diagnostic {
+	t.Helper()
+	key := strings.Join(patterns, " ")
+	diags, ok := analyses[key]
+	if !ok {
+		var err error
+		if diags, err = Analyze(testLoader(t), patterns...); err != nil {
+			t.Fatalf("Analyze(%v): %v", patterns, err)
+		}
+		analyses[key] = diags
+	}
+	return diags
 }
 
 // fixtureDir returns the absolute path of a testdata fixture package, so
@@ -131,24 +149,17 @@ func checkWants(t *testing.T, a *Analyzer, names ...string) {
 func TestWallclockFixture(t *testing.T)  { checkWants(t, WallclockAnalyzer, "wallclock") }
 func TestSeededRandFixture(t *testing.T) { checkWants(t, SeededRandAnalyzer, "seededrand") }
 func TestMapOrderFixture(t *testing.T)   { checkWants(t, MapOrderAnalyzer, "maporder") }
-func TestTagMatchFixture(t *testing.T)   { checkWants(t, TagMatchAnalyzer, "tagmatch") }
 
-// The wildcard fixture must stay clean: an AnyTag receive covers the
-// package's sent tags.
-func TestTagMatchWildcardFixture(t *testing.T) { checkWants(t, TagMatchAnalyzer, "tagmatchwild") }
-
-// Three fixtures: violations in packages named metrics and trace, plus a
-// package outside the telemetry set that may advance clocks freely.
+// Two fixtures: violations in a package named metrics, plus a package
+// outside the telemetry set that may advance clocks freely.
 func TestClockNeutralFixture(t *testing.T) {
-	checkWants(t, ClockNeutralAnalyzer, "clockneutral", "clockneutralimp", "clockneutralok")
+	checkWants(t, ClockNeutralAnalyzer, "clockneutral", "clockneutralok")
 }
 
-// The interprocedural analyzers: collective-protocol divergence,
-// goroutine discipline, and sideband taint. Each fixture mixes positive
+// Goroutine discipline and sideband taint. Each fixture mixes positive
 // cases, negative cases, and justification directives.
-func TestCollOrderFixture(t *testing.T) { checkWants(t, CollOrderAnalyzer, "collorder") }
-func TestGoDiscFixture(t *testing.T)    { checkWants(t, GoDiscAnalyzer, "godisc") }
-func TestSidebandFixture(t *testing.T)  { checkWants(t, SidebandAnalyzer, "sideband") }
+func TestGoDiscFixture(t *testing.T)   { checkWants(t, GoDiscAnalyzer, "godisc") }
+func TestSidebandFixture(t *testing.T) { checkWants(t, SidebandAnalyzer, "sideband") }
 
 // TestJSONGolden pins the -json output: field order, indentation, and the
 // deterministic (file, line, col, analyzer, message) diagnostic ordering.
@@ -219,37 +230,23 @@ func TestCommandExitCodes(t *testing.T) {
 
 // TestSubsetEqualsWhole: a run over named packages reports exactly what the
 // run over the whole module (plus whatever else was named) reports in those
-// packages, because that is what it is analysed against. At the parent a
-// core-only run saw a send whose receive lives in engine, and reported tag
-// 11 as never received.
+// packages, because that is what it is analysed against.
 func TestSubsetEqualsWhole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	l := testLoader(t)
 	const fixtures = "./internal/lint/testdata/src/..."
-	wholes := make(map[bool][]Diagnostic) // with and without the fixtures
 	for _, list := range [][]string{
 		{"./internal/core"},
 		{"./internal/engine", "./internal/mpiblast"},
 		{fixtures},
 		{"./internal/core", fixtures},
 	} {
-		got, err := Analyze(l, list...)
-		if err != nil {
-			t.Fatalf("Analyze(%v): %v", list, err)
-		}
+		got := analyze(t, list...)
 		hasFixtures := list[len(list)-1] == fixtures
-		whole, ok := wholes[hasFixtures]
-		if !ok {
-			everything := []string{"./..."}
-			if hasFixtures {
-				everything = append(everything, fixtures)
-			}
-			if whole, err = Analyze(l, everything...); err != nil {
-				t.Fatalf("Analyze(%v): %v", everything, err)
-			}
-			wholes[hasFixtures] = whole
+		whole := analyze(t) // ./...
+		if hasFixtures {
+			whole = analyze(t, "./...", fixtures)
 		}
 		var want []Diagnostic
 		for _, d := range whole {
@@ -272,8 +269,8 @@ func TestSubsetEqualsWhole(t *testing.T) {
 // function does not have, fails the load: a typo must not switch a check off.
 func TestBadMarkerIsALoadError(t *testing.T) {
 	for name, src := range map[string]string{
-		"unknown marker":    "package p\n\n//lint:colective\nfunc Barrier() {}\n",
-		"unknown parameter": "package p\n\n//lint:sends tga\nfunc Send(dst, tag int) {}\n",
+		"unknown marker":    "package p\n\n//lint:clok d\nfunc Advance(d float64) {}\n",
+		"unknown parameter": "package p\n\n//lint:payload dta\nfunc Send(dst, tag int, data []byte) {}\n",
 		"unknown field":     "package p\n\n//lint:trace-context batch\ntype message struct{ data []byte }\n",
 	} {
 		dir := t.TempDir()
@@ -292,13 +289,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	l := testLoader(t)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("Load(./...): %v", err)
-	}
-	diags := Run(l, pkgs, All())
-	for _, d := range diags {
+	for _, d := range analyze(t) {
 		t.Errorf("finding in shipped tree: %s", d)
 	}
 }

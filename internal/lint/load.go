@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,8 +70,9 @@ type listedPackage struct {
 // Loader loads and type-checks packages for analysis. It shells out to
 // `go list -json` for package discovery (the stdlib-only counterpart of
 // golang.org/x/tools/go/packages) and type-checks with go/types, resolving
-// stdlib imports through importer.Default with a from-source fallback and
-// module-local imports by recursively loading them.
+// stdlib imports through their export data (located by one `go list -export`
+// per batch of new imports) with a from-source fallback and module-local
+// imports by recursively loading them.
 type Loader struct {
 	// ModuleDir is the module root (where go.mod lives).
 	ModuleDir string
@@ -79,12 +81,13 @@ type Loader struct {
 
 	Fset *token.FileSet
 
-	pkgs   map[string]*Package       // by import path, fully checked
-	facts  Facts                     // //lint: markers of every checked package
-	metas  map[string]*listedPackage // go list results, by import path
-	std    map[string]*types.Package // stdlib import cache
-	gcImp  types.Importer
-	srcImp types.Importer
+	pkgs    map[string]*Package       // by import path, fully checked
+	facts   Facts                     // //lint: markers of every checked package
+	metas   map[string]*listedPackage // go list results, by import path
+	std     map[string]*types.Package // stdlib import cache
+	exports map[string]string         // stdlib export data file, "" when unknown
+	gcImp   types.Importer
+	srcImp  types.Importer
 }
 
 // NewLoader locates the enclosing module and returns an empty loader.
@@ -101,7 +104,7 @@ func NewLoader() (*Loader, error) {
 		return nil, fmt.Errorf("lint: parsing go list -m output: %w", err)
 	}
 	fset := token.NewFileSet()
-	return &Loader{
+	l := &Loader{
 		ModuleDir:  mod.Dir,
 		ModulePath: mod.Path,
 		Fset:       fset,
@@ -109,9 +112,42 @@ func NewLoader() (*Loader, error) {
 		facts:      make(Facts),
 		metas:      make(map[string]*listedPackage),
 		std:        make(map[string]*types.Package),
-		gcImp:      importer.Default(),
+		exports:    make(map[string]string),
 		srcImp:     importer.ForCompiler(fset, "source", nil),
-	}, nil
+	}
+	l.gcImp = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(l.exports[path])
+	})
+	return l, nil
+}
+
+// resolveStd locates, in one go command, the export data of the stdlib
+// packages among paths that no earlier call asked about (importer.Default
+// runs a go command per package). A path it cannot locate is type-checked
+// from source by Import, which reports any real error.
+func (l *Loader) resolveStd(paths []string) {
+	var ask []string
+	for _, path := range paths {
+		if _, asked := l.exports[path]; asked || l.local(path) || path == "C" || path == "unsafe" {
+			continue
+		}
+		l.exports[path] = ""
+		ask = append(ask, path)
+	}
+	if len(ask) == 0 {
+		return
+	}
+	out, _ := goTool(l.ModuleDir, append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, ask...)...)
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			l.exports[path] = file
+		}
+	}
+}
+
+// local reports whether an import path belongs to the module.
+func (l *Loader) local(path string) bool {
+	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
 }
 
 // goTool runs the go command in dir (module root when empty) and returns
@@ -163,6 +199,7 @@ func (l *Loader) list(patterns []string) ([]*listedPackage, error) {
 	}
 	dec := json.NewDecoder(strings.NewReader(string(out)))
 	var metas []*listedPackage
+	var imports []string
 	for dec.More() {
 		m := new(listedPackage)
 		if err := dec.Decode(m); err != nil {
@@ -170,7 +207,9 @@ func (l *Loader) list(patterns []string) ([]*listedPackage, error) {
 		}
 		l.metas[m.ImportPath] = m
 		metas = append(metas, m)
+		imports = append(imports, m.Imports...)
 	}
+	l.resolveStd(imports)
 	return metas, nil
 }
 
@@ -234,6 +273,7 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 		Dir:        dir,
 		directives: make(map[string]map[int]string),
 	}
+	var imports []string
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -241,7 +281,11 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 		}
 		p.Files = append(p.Files, f)
 		l.scanDirectives(p, f)
+		for _, imp := range f.Imports {
+			imports = append(imports, strings.Trim(imp.Path.Value, `"`))
+		}
 	}
+	l.resolveStd(imports)
 	p.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -279,14 +323,14 @@ func (l *Loader) scanDirectives(p *Package, f *ast.File) {
 
 // Import implements types.Importer: module-local packages load recursively
 // through the go list cache, everything else resolves as stdlib — first
-// through the toolchain's export data, then by type-checking the stdlib
-// package from source (toolchains past Go 1.20 no longer ship export data
-// for every platform, so the fallback keeps the tool self-contained).
+// through the export data resolveStd located, then by type-checking the
+// stdlib package from source, which keeps the tool working where the go
+// command cannot build export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "C" {
 		return nil, fmt.Errorf("lint: cgo is not supported")
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
+	if l.local(path) {
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err

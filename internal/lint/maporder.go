@@ -65,9 +65,9 @@ func checkMapRanges(u *Unit, p *Package, fn *ast.FuncDecl) {
 // orderSensitiveCall classifies a call inside a map-range body. The
 // returned description is empty for order-insensitive calls. Foreign
 // writers are recognized by naming convention (fmt.Print*, Write*,
-// Encode*, Marshal*, and anything called like one of our //lint:sends
-// operations); our own wire-format primitives by their //lint:encodes
-// marker.
+// Encode*, Marshal*, and anything called like one of our //lint:payload
+// operations, which hand message data to the runtime); our own wire-format
+// primitives by their //lint:encodes marker.
 func orderSensitiveCall(facts Facts, p *Package, call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -79,7 +79,7 @@ func orderSensitiveCall(facts Facts, p *Package, call *ast.CallExpr) string {
 			return ""
 		}
 		switch {
-		case facts.Named(name, factSends):
+		case facts.Named(name, factPayload):
 			return "sends a message"
 		case strings.HasPrefix(name, "Write"):
 			return fmt.Sprintf("writes output via %s", name)

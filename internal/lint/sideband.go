@@ -20,7 +20,7 @@ import (
 // method, a read of a marked field (field-sensitive, so the mpi core that
 // legitimately carries sideband next to payload data stays clean), any
 // value of a marked type. Taint flows through assignments, parameters, and
-// returns via the shared engine in taint.go; struct writes are not tracked
+// returns via the engine in taint.go; struct writes are not tracked
 // (DESIGN.md §12), so stamping sideband INTO a message literal is fine —
 // reading it back out and handing it to an encoder is not.
 //
@@ -53,14 +53,28 @@ var sidebandSinks = []struct{ marker, what string }{
 
 func runSideband(u *Unit) {
 	prog := BuildProgram(u)
-	taint := RunTaint(prog, TaintSpec{ExprSource: func(p *Package, e ast.Expr) bool {
-		return isTraceContextType(u.Facts, p.Info, e) || sourceObj(u.Facts, p, e, factTraceContext)
-	}})
+	taint := RunTaint(prog, func(p *Package, e ast.Expr) bool {
+		return isTraceContextType(u.Facts, p.Info, e) || isTraceContext(u.Facts, p, e)
+	})
 	for _, fi := range prog.Funcs {
 		if sidebandPackages[fi.Pkg.Types.Name()] {
 			checkSideband(u, taint, fi)
 		}
 	}
+}
+
+// isTraceContext reports whether e is a call of a method, or a read of a
+// struct field, marked //lint:trace-context.
+func isTraceContext(facts Facts, p *Package, e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		return facts.Has(calleeObj(p.Info, e), factTraceContext)
+	case *ast.SelectorExpr:
+		if s, ok := p.Info.Selections[e]; ok && s.Kind() == types.FieldVal {
+			return facts.Has(s.Obj(), factTraceContext)
+		}
+	}
+	return false
 }
 
 // isTraceContextType reports whether the expression's static type is a

@@ -5,9 +5,8 @@ import (
 	"go/types"
 )
 
-// A taint analysis parameterized by its source predicate, shared by
-// collorder (values derived from the rank identity) and sideband (values
-// derived from trace context). The engine is interprocedural and
+// A taint analysis parameterized by its source predicate: sideband's values
+// derived from trace context. The engine is interprocedural and
 // context-insensitive: a module-wide fixpoint propagates taint through
 // assignments, range bindings, call arguments into parameters, and
 // tainted returns back into call results. Variables are identified by
@@ -20,33 +19,28 @@ import (
 // models trace context), and taint does not flow through interfaces or
 // function values.
 
-// TaintSpec configures one analysis.
-type TaintSpec struct {
-	// ExprSource reports whether e is a taint source by itself
-	// (independent of its operands): a call like r.ID(), a selector of a
-	// trace-context field, a value of a trace-context type.
-	ExprSource func(p *Package, e ast.Expr) bool
-}
-
 // Taint is the fixpoint result.
 type Taint struct {
 	prog *Program
-	spec TaintSpec
-	vars map[types.Object]bool // tainted variables (incl. parameters)
+	// source reports whether e is a taint source by itself (independent of
+	// its operands): a call like r.TraceBatch(), a selector of a
+	// trace-context field, a value of a trace-context type.
+	source func(p *Package, e ast.Expr) bool
+	vars   map[types.Object]bool // tainted variables (incl. parameters)
 	// rets records, per function, which result positions carry taint.
-	// Tracking positions separately matters: `res, err := runMaster(r)`
-	// must not taint err just because res carries rank-derived data —
-	// otherwise every later `if err != nil` would look rank-dependent.
+	// Tracking positions separately matters: `res, err := f(r)` must not
+	// taint err just because res carries trace context — otherwise every
+	// error the caller hands on would carry it too.
 	rets map[*FuncInfo][]bool
 }
 
 // RunTaint computes the module-wide fixpoint over the program.
-func RunTaint(prog *Program, spec TaintSpec) *Taint {
+func RunTaint(prog *Program, source func(p *Package, e ast.Expr) bool) *Taint {
 	t := &Taint{
-		prog: prog,
-		spec: spec,
-		vars: make(map[types.Object]bool),
-		rets: make(map[*FuncInfo][]bool),
+		prog:   prog,
+		source: source,
+		vars:   make(map[types.Object]bool),
+		rets:   make(map[*FuncInfo][]bool),
 	}
 	for changed := true; changed; {
 		changed = false
@@ -65,7 +59,7 @@ func (t *Taint) Tainted(p *Package, e ast.Expr) bool {
 	if e == nil {
 		return false
 	}
-	if t.spec.ExprSource(p, e) {
+	if t.source(p, e) {
 		return true
 	}
 	switch e := e.(type) {
@@ -184,8 +178,8 @@ func (t *Taint) propagate(fi *FuncInfo) bool {
 				rhs := ast.Unparen(n.Rhs[0])
 				if call, ok := rhs.(*ast.CallExpr); ok {
 					// res, err := f(): taint each binding from its own
-					// result position, so a rank-carrying result does not
-					// smear taint onto the error binding beside it.
+					// result position, so a tainted result does not smear
+					// taint onto the error binding beside it.
 					if callee := t.prog.Callee(p, call); callee != nil {
 						for i, lhs := range n.Lhs {
 							if t.retTainted(callee, i) {
@@ -231,11 +225,10 @@ func (t *Taint) propagate(fi *FuncInfo) bool {
 					taintVar(params.At(i))
 				}
 			}
-			// Deliberately no receiver-taint rule: taining a method's
+			// Deliberately no receiver-taint rule: tainting a method's
 			// receiver parameter from one call site would poison every
 			// other call of that method module-wide (context
-			// insensitivity), turning e.g. every error guard after a
-			// Rank method into a "rank-dependent" branch.
+			// insensitivity).
 		case *ast.ReturnStmt:
 			if fi.Sig == nil {
 				return true

@@ -10,7 +10,9 @@ import "sync"
 func work() {}
 
 // A perfectly joined goroutine is still outside the list: the join is
-// shown by the site's goroutine-count test, not argued for here.
+// shown by the site's goroutine-count test, not argued for here. This is the
+// audited mutant of engine.MergeHits sorting on a joined goroutine, which
+// no run can tell from the sequential sort.
 func spawn() {
 	var wg sync.WaitGroup
 	wg.Add(1)

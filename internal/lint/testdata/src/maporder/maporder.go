@@ -21,6 +21,8 @@ type kv struct {
 	v int
 }
 
+// The audited mutant of cmd/formatdb printing per-extension byte counts in
+// map order: nothing compares that output, so only this check sees it.
 func badPrint(m map[string]int) {
 	for k, v := range m { // want "writes output via fmt.Printf"
 		fmt.Printf("%s=%d\n", k, v)

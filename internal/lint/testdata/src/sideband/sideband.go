@@ -19,7 +19,9 @@ func leakCost(r *mpi.Rank) {
 	r.RecvTimeout(1, 9, float64(b)) // want "virtual-time cost mpi.RecvTimeout"
 }
 
-// The batch tag leaks into message payload bytes.
+// The batch tag leaks into message payload bytes: the audited mutant of
+// pioBLAST's worker appending it to its batchMetas message. Runs show only
+// that a length, and so a clock, moved; this check names the call.
 func leakPayload(r *mpi.Rank, raw []byte) {
 	stamp := append(raw, byte(r.TraceBatch()))
 	r.Send(1, 9, stamp) // want "payload of mpi.Send"

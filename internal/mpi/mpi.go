@@ -68,6 +68,8 @@
 // the caller's clock) and RecvTimeout (at its deadline) see it only after it
 // in the scheduler's order — time, then rank id — never because the victim
 // ran first on the host, so a victim may park and compute Aside like any rank.
+// Only a crash strands a message: a fault-free world that finishes with one
+// still queued fails, naming its destination, source and tag.
 //
 // # Built once per world, charged once per rank
 //
@@ -257,7 +259,6 @@ type World struct {
 
 // Rank is one simulated MPI process.
 //
-//lint:rank-identity id
 //lint:trace-context traceBatch
 type Rank struct {
 	id           int
@@ -528,6 +529,14 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 	if w.aborted {
 		return clocks, fmt.Errorf("mpi: %s", w.abortMsg)
 	}
+	// Where no rank can crash, every message sent is received: one still
+	// queued is a send whose receive was dropped or given another tag.
+	for dst, q := range w.inbox {
+		if len(q) > 0 && len(cfg.Faults) == 0 {
+			return clocks, fmt.Errorf("mpi: %d message(s) to rank %d never received, the first from rank %d tag %d",
+				len(q), dst, q[0].src, q[0].tag)
+		}
+	}
 	return clocks, nil
 }
 
@@ -650,7 +659,13 @@ func (w *World) crashDump() string {
 func (w *World) stateDump() string {
 	var b strings.Builder
 	for i := 0; i < w.n; i++ {
-		fmt.Fprintf(&b, "rank %d %s t=%.3f", i, w.states[i], w.ranks[i].clock.Now())
+		fmt.Fprintf(&b, "rank %d %s", i, w.states[i])
+		if c := w.ranks[i].coll; w.states[i] == stateBlockedColl {
+			// The op and how many live ranks joined name the collective the
+			// others never reached.
+			fmt.Fprintf(&b, " %s %d/%d", c.op, c.count, w.liveCount())
+		}
+		fmt.Fprintf(&b, " t=%.3f", w.ranks[i].clock.Now())
 		if w.states[i] == stateBlockedRecv {
 			fmt.Fprintf(&b, " (waiting src=%d tag=%d, %d queued)",
 				w.recvSrc[i], w.recvTag[i], len(w.inbox[i]))
@@ -871,8 +886,6 @@ func (w *World) crashSeen(v int, t float64, asker int) bool {
 }
 
 // ID returns the rank number (0-based).
-//
-//lint:rank-identity
 func (r *Rank) ID() int { return r.id }
 
 // Metrics exposes the world's telemetry registry (nil when the run is not
@@ -1095,7 +1108,6 @@ func (r *Rank) DetectInterval() float64 {
 // not block. The payload is NOT copied; callers must not mutate it after
 // sending.
 //
-//lint:sends tag
 //lint:payload data
 func (r *Rank) Send(dst, tag int, data []byte) {
 	w := r.world
@@ -1125,8 +1137,6 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload, source, and tag. Use AnySource / AnyTag as wildcards.
-//
-//lint:receives tag
 func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	r.maybeCrash()
 	w := r.world
@@ -1151,7 +1161,6 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 // source's crash), resolved by the same earliest-event scheduler as
 // everything else.
 //
-//lint:receives tag
 //lint:clock timeout
 func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, gotTag int, err error) {
 	r.maybeCrash()
@@ -1192,8 +1201,6 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 // time, so where no source dies the schedule is the blocking receive's, and
 // where no fault is scheduled it is one blocking receive; callers decide what
 // a crash means.
-//
-//lint:receives tag
 func (r *Rank) RecvCrashAware(src, tag int) ([]byte, error) {
 	for {
 		data, _, _, err := r.RecvTimeout(src, tag, r.DetectInterval())
@@ -1295,8 +1302,6 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 
 // Barrier synchronizes all ranks; everyone leaves at the latest entry time
 // plus a tree-latency term.
-//
-//lint:collective
 func (r *Rank) Barrier() {
 	w := r.world
 	r.runCollective("barrier", nil, func(_ [][]byte, maxClock float64) float64 {
@@ -1306,7 +1311,6 @@ func (r *Rank) Barrier() {
 
 // Bcast distributes root's payload to every rank and returns it.
 //
-//lint:collective
 //lint:payload data
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	w := r.world
@@ -1323,7 +1327,6 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 
 // AllGather collects every rank's payload everywhere.
 //
-//lint:collective
 //lint:payload data
 func (r *Rank) AllGather(data []byte) [][]byte {
 	w := r.world

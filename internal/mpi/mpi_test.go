@@ -278,6 +278,17 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
 	}
+	// A master-only Barrier: the dump names the collective and how many of
+	// the live ranks reached it.
+	_, err = Run(4, testCost(), func(r *Rank) error {
+		if r.ID() == 0 {
+			r.Barrier()
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock: rank 0 blocked-collective barrier 1/4 ") {
+		t.Fatalf("master-only barrier: error %v, want one naming the barrier and 1/4 joined", err)
+	}
 }
 
 func TestBodyErrorPropagates(t *testing.T) {
@@ -791,7 +802,37 @@ func TestCollectiveOpMismatchPanics(t *testing.T) {
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("mismatched collectives not diagnosed")
+	if err == nil || !strings.Contains(err.Error(), `"bcast" while "barrier"`) {
+		t.Fatalf("mismatched collectives: error %v, want one naming both ops", err)
+	}
+}
+
+// TestUnreceivedMessageFails: a fault-free world that finishes with a
+// message still queued fails naming its destination, source and tag. A world
+// with a fault schedule strands messages legitimately and succeeds.
+func TestUnreceivedMessageFails(t *testing.T) {
+	_, err := Run(3, testCost(), func(r *Rank) error {
+		if r.ID() == 2 {
+			r.Send(0, 7, []byte("lost"))
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "to rank 0 never received, the first from rank 2 tag 7") {
+		t.Fatalf("fault-free unreceived message: error %v, want one naming (dst 0, src 2, tag 7)", err)
+	}
+	faults := []Fault{{Rank: 2, At: 1, Kind: FaultCrash}}
+	_, err = RunConfig(3, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
+		switch r.ID() {
+		case 1:
+			r.Send(2, 7, []byte("stranded by the crash"))
+			r.Send(0, 8, []byte("never asked for"))
+		case 2:
+			r.Advance(2)
+			r.Advance(0) // crashes here with the message queued
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("faulted world with stranded messages: %v", err)
 	}
 }

@@ -105,17 +105,14 @@ go vet ./...
 # internal/engine breaks it only when the benchmark pipeline next runs.
 (cd bench && go vet ./... && go test ./...)
 
-# Invariant lint gate: the analyzers in internal/lint enforce the
-# determinism contract (no wall clock, seeded randomness, no map-order
-# leaks, matched MPI tags, clock-neutral telemetry, uniform collectives,
-# concurrency only at the listed sites, sideband out of band). Any finding
-# fails the build; the one way to accept one is a //lint:<name> <reason>
-# directive at the site.
+# Invariant lint gate: the analyzers in internal/lint enforce the part of
+# the determinism contract no single run shows (no wall clock, seeded
+# randomness, no map-order leaks, clock-neutral telemetry, concurrency only
+# at the listed sites, sideband out of band). Unmatched collectives and
+# unreceived messages fail the tests below, named by internal/mpi. Any
+# finding fails the build; the one way to accept one is a //lint:<name>
+# <reason> directive at the site.
 go run ./cmd/parblastlint ./...
-# A subset run is analysed against the whole module: core sends a tag whose
-# receive is forwarded through engine, and a core-only run used to report it
-# as never received.
-go run ./cmd/parblastlint ./internal/core
 
 # The experiments package runs whole simulated-cluster sweeps per test
 # and sits near go test's default 10m per-package limit under -race;
