@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parblast"
+	"parblast/internal/blast"
 	"parblast/internal/report"
 )
 
@@ -133,11 +134,15 @@ func midSearch(t *testing.T, procs int, seqs, queries []*parblast.Sequence) floa
 }
 
 // TestRanksSearchAside: on a job shaped like the benchmark's pio_wide_62 —
-// 62 ranks, one fragment each, a handful of queries — more than one rank is
-// inside the kernel at once (mpi.aside_peak > 1). With a crash scheduled for
-// every worker after the job's end, every worker still searches aside — a
-// crash is seen at its time, so a rank with one to come parks like any other
-// — and the output is still the sequential oracle's.
+// 62 ranks, one fragment each, a handful of queries, one query per batch —
+// every worker searches aside once and renders aside once per batch in which
+// it has a block to render, and more than one rank is aside at once
+// (mpi.aside_peak > 1). The render count is taken from the sequential
+// oracle: a (worker, batch) pair renders when the oracle reports a hit of
+// that query inside that worker's fragment. With a crash scheduled for every
+// worker after the job's end, the count is the same — a crash is seen at its
+// time, so a rank with one to come parks like any other — and the output is
+// still the sequential oracle's.
 func TestRanksSearchAside(t *testing.T) {
 	const procs = 62
 	seqs, err := parblast.SynthesizeDB(parblast.DBConfig{
@@ -151,6 +156,8 @@ func TestRanksSearchAside(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := sequentialOracle(t, seqs, queries)
+	renders := renderingWorkers(t, seqs, oracle, procs-1)
+	want := int64(procs-1) + renders
 	run := func(faults []parblast.Fault) (parblast.Result, int64, int64) {
 		t.Helper()
 		cluster, err := parblast.NewCluster(procs, parblast.PlatformAltix)
@@ -180,15 +187,60 @@ func TestRanksSearchAside(t *testing.T) {
 	}
 
 	free, asides, peak := run(nil)
-	t.Logf("fault-free: %d asides, peak %d", asides, peak)
-	if asides != procs-1 || peak <= 1 {
-		t.Errorf("fault-free: %d asides, peak %d; want one per worker and more than one at once", asides, peak)
+	t.Logf("fault-free: %d asides (%d renders), peak %d", asides, renders, peak)
+	if asides != want || peak <= 1 {
+		t.Errorf("fault-free: %d asides, peak %d; want %d (one search per worker, %d renders) and more than one at once", asides, peak, want, renders)
 	}
 	var late []parblast.Fault
 	for w := 1; w < procs; w++ {
 		late = append(late, parblast.Fault{Rank: w, At: 100 * free.Wall, Kind: parblast.FaultCrash})
 	}
-	if _, asides, peak := run(late); asides != procs-1 || peak <= 1 {
-		t.Errorf("every worker's crash pending: %d asides, peak %d; want one per worker and more than one at once", asides, peak)
+	if _, asides, peak := run(late); asides != want || peak <= 1 {
+		t.Errorf("every worker's crash pending: %d asides, peak %d; want %d and more than one at once", asides, peak, want)
 	}
+}
+
+// renderingWorkers counts the (fragment, query) pairs in which the fragment
+// holds a hit the sequential report lists for the query: with one fragment
+// per worker and one query per batch, the render asides of a pioBLAST run.
+// Every candidate hit is in the report, as no query has more than
+// MaxTargetSeqs of them.
+func renderingWorkers(t *testing.T, seqs []*parblast.Sequence, oracle []byte, fragments int) int64 {
+	t.Helper()
+	cluster, err := parblast.NewCluster(1, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := db.Partition(fragments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partOf := make(map[string]int, len(seqs))
+	for p, part := range parts {
+		for _, e := range part.Extents {
+			for oid := e.OIDFrom; oid < e.OIDFrom+e.To-e.From; oid++ {
+				partOf[seqs[oid].ID] = p
+			}
+		}
+	}
+	var n int64
+	for _, report := range bytes.Split(oracle, []byte(blast.ReportVersion))[1:] {
+		hit := make(map[int]bool)
+		for _, line := range bytes.Split(report, []byte("\n")) {
+			if id, ok := bytes.CutPrefix(line, []byte(">")); ok {
+				id, _, _ = bytes.Cut(id, []byte(" "))
+				p, ok := partOf[string(id)]
+				if !ok {
+					t.Fatalf("the oracle reports a hit on %q, which no fragment holds", id)
+				}
+				hit[p] = true
+			}
+		}
+		n += int64(len(hit))
+	}
+	return n
 }

@@ -2,7 +2,10 @@ package blast
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"parblast/internal/matrix"
 	"parblast/internal/seq"
@@ -50,13 +53,11 @@ func FormatHeader(kind seq.Kind, query *seq.Sequence, db DBInfo) string {
 // FormatSummary renders the "Sequences producing significant alignments"
 // table from hit metadata only (no residue data needed).
 func FormatSummary(hits []*SubjectResult) string {
-	var b strings.Builder
 	if len(hits) == 0 {
-		b.WriteString(" ***** No hits found ******\n\n")
-		return b.String()
+		return " ***** No hits found ******\n\n"
 	}
-	b.WriteString("                                                                 Score    E\n")
-	b.WriteString("Sequences producing significant alignments:                      (bits) Value\n\n")
+	b := []byte("                                                                 Score    E\n" +
+		"Sequences producing significant alignments:                      (bits) Value\n\n")
 	for _, h := range hits {
 		name := h.ID
 		if h.Defline != "" {
@@ -65,112 +66,157 @@ func FormatSummary(hits []*SubjectResult) string {
 		if len(name) > 63 {
 			name = name[:63]
 		}
-		fmt.Fprintf(&b, "%-63s  %6.0f  %s\n", name, h.BestBitScore(), stats.FormatEValue(h.BestEValue()))
+		var num [24]byte
+		bits := strconv.AppendFloat(num[:0], h.BestBitScore(), 'f', 0, 64)
+		b = pad(append(b, name...), utf8.RuneCountInString(name), 63)
+		b = append(pad(append(b, "  "...), len(bits), 6), bits...)
+		b = append(b, "  "...)
+		b = append(stats.AppendEValue(b, h.BestEValue()), '\n')
 	}
-	b.WriteString("\n")
-	return b.String()
+	return string(append(b, '\n'))
 }
 
 // FormatHit renders the full alignment block for one subject: defline,
 // length, and every HSP's score lines and 60-column alignment panels.
 // The query and the subject residues must be in the matrix's alphabet.
 func FormatHit(query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, ">%s", r.ID)
-	if r.Defline != "" {
-		fmt.Fprintf(&b, " %s", r.Defline)
-	}
-	fmt.Fprintf(&b, "\n          Length = %d\n\n", r.SubjLen)
-	for _, h := range r.HSPs {
-		formatHSP(&b, query, subjResidues, h, m)
-	}
-	return b.String()
+	return string(appendPairwise(nil, query, subjResidues, r, m))
 }
 
-func formatHSP(b *strings.Builder, query *seq.Sequence, subj []byte, h *HSP, m *matrix.Matrix) {
+func appendPairwise(dst []byte, query *seq.Sequence, subj []byte, r *SubjectResult, m *matrix.Matrix) []byte {
+	dst = append(append(dst, '>'), r.ID...)
+	if r.Defline != "" {
+		dst = append(append(dst, ' '), r.Defline...)
+	}
+	dst = append(dst, "\n          Length = "...)
+	dst = append(strconv.AppendInt(dst, int64(r.SubjLen), 10), "\n\n"...)
+	for _, h := range r.HSPs {
+		dst = appendHSP(dst, query, subj, h, m)
+	}
+	return dst
+}
+
+// appendHSP appends one HSP's score lines and its alignment panels, 60
+// columns to a panel, walking the trace once per panel line.
+func appendHSP(dst []byte, query *seq.Sequence, subj []byte, h *HSP, m *matrix.Matrix) []byte {
 	ident, positive, gaps := h.Identity(query.Residues, subj, m)
 	alen := h.AlignLen()
-	fmt.Fprintf(b, " Score = %.1f bits (%d), Expect = %s\n", h.BitScore, h.Score, stats.FormatEValue(h.EValue))
-	fmt.Fprintf(b, " Identities = %d/%d (%d%%)", ident, alen, pct(ident, alen))
-	if m.Alphabet().Kind() == seq.Protein {
-		fmt.Fprintf(b, ", Positives = %d/%d (%d%%)", positive, alen, pct(positive, alen))
+	// Room for the whole HSP up front: its three panel lines take about four
+	// bytes a column, and the score lines and coordinates fit in 256.
+	dst = slices.Grow(dst, 4*alen+256)
+	alpha := m.Alphabet()
+	protein := alpha.Kind() == seq.Protein
+	dst = append(dst, " Score = "...)
+	dst = strconv.AppendFloat(dst, h.BitScore, 'f', 1, 64)
+	dst = append(dst, " bits ("...)
+	dst = strconv.AppendInt(dst, int64(h.Score), 10)
+	dst = stats.AppendEValue(append(dst, "), Expect = "...), h.EValue)
+	dst = appendRatio(append(dst, "\n Identities = "...), ident, alen)
+	if protein {
+		dst = appendRatio(append(dst, ", Positives = "...), positive, alen)
 	}
 	if gaps > 0 {
-		fmt.Fprintf(b, ", Gaps = %d/%d (%d%%)", gaps, alen, pct(gaps, alen))
+		dst = appendRatio(append(dst, ", Gaps = "...), gaps, alen)
 	}
-	b.WriteString("\n\n")
-
-	alpha := m.Alphabet()
-	qLine := make([]byte, 0, alen)
-	mLine := make([]byte, 0, alen)
-	sLine := make([]byte, 0, alen)
-	q, s := h.QueryFrom, h.SubjFrom
-	for _, op := range h.Ops() {
-		switch op {
-		case OpSub:
-			qc, sc := query.Residues[q], subj[s]
-			qLine = append(qLine, alpha.Letter(qc))
-			sLine = append(sLine, alpha.Letter(sc))
-			switch {
-			case qc == sc:
-				if alpha.Kind() == seq.Protein {
-					mLine = append(mLine, alpha.Letter(qc))
-				} else {
-					mLine = append(mLine, '|')
-				}
-			case m.Score(qc, sc) > 0:
-				mLine = append(mLine, '+')
-			default:
-				mLine = append(mLine, ' ')
-			}
-			q++
-			s++
-		case OpIns:
-			qLine = append(qLine, '-')
-			mLine = append(mLine, ' ')
-			sLine = append(sLine, alpha.Letter(subj[s]))
-			s++
-		case OpDel:
-			qLine = append(qLine, alpha.Letter(query.Residues[q]))
-			mLine = append(mLine, ' ')
-			sLine = append(sLine, '-')
-			q++
-		}
-	}
+	dst = append(dst, "\n\n"...)
 
 	const width = 60
+	ops := h.Ops()
 	qPos, sPos := h.QueryFrom, h.SubjFrom
 	for off := 0; off < alen; off += width {
-		end := off + width
-		if end > alen {
-			end = alen
+		panel := ops[off:min(off+width, alen)]
+		qConsumed, sConsumed := 0, 0
+		for _, op := range panel {
+			if op != OpIns {
+				qConsumed++
+			}
+			if op != OpDel {
+				sConsumed++
+			}
 		}
-		qChunk, mChunk, sChunk := qLine[off:end], mLine[off:end], sLine[off:end]
-		qConsumed := countConsumed(qChunk)
-		sConsumed := countConsumed(sChunk)
-		qStart, sStart := qPos+1, sPos+1
-		if qConsumed == 0 {
-			qStart = qPos // all-gap line: NCBI prints the previous position
+		dst = appendPanelStart(dst, "Query: ", qPos, qConsumed)
+		q := qPos
+		for _, op := range panel {
+			if op == OpIns {
+				dst = append(dst, '-')
+			} else {
+				dst = append(dst, alpha.Letter(query.Residues[q]))
+				q++
+			}
 		}
-		if sConsumed == 0 {
-			sStart = sPos
+		dst = append(strconv.AppendInt(append(dst, ' '), int64(q), 10), '\n')
+		dst = append(dst, "             "...)
+		q, s := qPos, sPos
+		for _, op := range panel {
+			switch op {
+			case OpSub:
+				qc, sc := query.Residues[q], subj[s]
+				switch {
+				case qc == sc && protein:
+					dst = append(dst, alpha.Letter(qc))
+				case qc == sc:
+					dst = append(dst, '|')
+				case m.Score(qc, sc) > 0:
+					dst = append(dst, '+')
+				default:
+					dst = append(dst, ' ')
+				}
+				q++
+				s++
+			case OpIns:
+				dst = append(dst, ' ')
+				s++
+			case OpDel:
+				dst = append(dst, ' ')
+				q++
+			}
 		}
-		fmt.Fprintf(b, "Query: %-5d %s %d\n", qStart, qChunk, qPos+qConsumed)
-		fmt.Fprintf(b, "             %s\n", mChunk)
-		fmt.Fprintf(b, "Sbjct: %-5d %s %d\n\n", sStart, sChunk, sPos+sConsumed)
+		dst = append(dst, '\n')
+		dst = appendPanelStart(dst, "Sbjct: ", sPos, sConsumed)
+		s = sPos
+		for _, op := range panel {
+			if op == OpDel {
+				dst = append(dst, '-')
+			} else {
+				dst = append(dst, alpha.Letter(subj[s]))
+				s++
+			}
+		}
+		dst = append(strconv.AppendInt(append(dst, ' '), int64(s), 10), "\n\n"...)
 		qPos += qConsumed
 		sPos += sConsumed
 	}
+	return dst
 }
 
-func countConsumed(line []byte) int {
-	n := 0
-	for _, c := range line {
-		if c != '-' {
-			n++
-		}
+// appendPanelStart appends a panel line's label and its left-aligned,
+// five-column start coordinate: one past pos, or pos itself on an all-gap
+// line, as NCBI prints the previous position there.
+func appendPanelStart(dst []byte, label string, pos, consumed int) []byte {
+	if consumed > 0 {
+		pos++
 	}
-	return n
+	start := len(dst) + len(label)
+	dst = strconv.AppendInt(append(dst, label...), int64(pos), 10)
+	return append(pad(dst, len(dst)-start, 5), ' ')
+}
+
+// appendRatio appends "n/d (p%)".
+func appendRatio(dst []byte, n, d int) []byte {
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = strconv.AppendInt(append(dst, '/'), int64(d), 10)
+	dst = strconv.AppendInt(append(dst, " ("...), int64(pct(n, d)), 10)
+	return append(dst, "%)"...)
+}
+
+// pad appends the spaces that widen a field of width columns to to columns:
+// after the field, it left-aligns it as fmt's %-Nd and %-Ns do; before, it
+// right-aligns it as %Nf does.
+func pad(dst []byte, width, to int) []byte {
+	for ; width < to; width++ {
+		dst = append(dst, ' ')
+	}
+	return dst
 }
 
 // FormatFooter renders the per-query statistics trailer.
@@ -192,7 +238,9 @@ func pct(n, d int) int {
 	if d == 0 {
 		return 0
 	}
-	return int(float64(n)/float64(d)*100 + 0.5)
+	// The explicit conversion rounds the product before the addition, so no
+	// target may fuse the two into one multiply-add and round differently.
+	return int(float64(float64(n)/float64(d)*100) + 0.5)
 }
 
 // comma renders an integer with thousands separators, as NCBI headers do.

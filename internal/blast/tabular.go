@@ -2,6 +2,7 @@ package blast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"parblast/internal/matrix"
@@ -66,10 +67,15 @@ func RenderSummary(f ReportFormat, hits []*SubjectResult) string {
 // RenderHit renders one subject's block: the pairwise alignment panels, or
 // one tab-separated line per HSP.
 func RenderHit(f ReportFormat, query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) string {
+	return string(AppendHit(nil, f, query, subjResidues, r, m))
+}
+
+// AppendHit appends RenderHit's block to dst and returns the extended
+// slice, so a caller renders many blocks into one buffer.
+func AppendHit(dst []byte, f ReportFormat, query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) []byte {
 	if f == FormatTabular {
-		var b strings.Builder
 		for _, h := range r.HSPs {
-			ident, _, gaps := h.Identity(query.Residues, subjResidues, m)
+			ident, _, _ := h.Identity(query.Residues, subjResidues, m)
 			alen := h.AlignLen()
 			mismatches := 0
 			gapOpens := 0
@@ -100,15 +106,18 @@ func RenderHit(f ReportFormat, query *seq.Sequence, subjResidues []byte, r *Subj
 			if alen > 0 {
 				pctIdent = 100 * float64(ident) / float64(alen)
 			}
-			_ = gaps
-			fmt.Fprintf(&b, "%s\t%s\t%.2f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%.1f\n",
-				query.ID, r.ID, pctIdent, alen, mismatches, gapOpens,
-				h.QueryFrom+1, h.QueryTo, h.SubjFrom+1, h.SubjTo,
-				stats.FormatEValue(h.EValue), h.BitScore)
+			dst = append(append(dst, query.ID...), '\t')
+			dst = append(append(dst, r.ID...), '\t')
+			dst = append(strconv.AppendFloat(dst, pctIdent, 'f', 2, 64), '\t')
+			for _, n := range [...]int{alen, mismatches, gapOpens, h.QueryFrom + 1, h.QueryTo, h.SubjFrom + 1, h.SubjTo} {
+				dst = append(strconv.AppendInt(dst, int64(n), 10), '\t')
+			}
+			dst = append(stats.AppendEValue(dst, h.EValue), '\t')
+			dst = append(strconv.AppendFloat(dst, h.BitScore, 'f', 1, 64), '\n')
 		}
-		return b.String()
+		return dst
 	}
-	return FormatHit(query, subjResidues, r, m)
+	return appendPairwise(dst, query, subjResidues, r, m)
 }
 
 // RenderFooter renders the statistics trailer (empty in tabular mode).

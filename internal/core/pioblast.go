@@ -1021,6 +1021,10 @@ type worker struct {
 	// each rendezvous carries the master's survivor list and the worker builds
 	// its own.
 	members []int
+	// arena holds the current batch's rendered blocks back to back, in
+	// (query, hit) order; ends[i] is where block i ends in it.
+	arena []byte
+	ends  []int
 }
 
 // runWorker is the one worker body: boot from the job broadcast, acquire and
@@ -1285,11 +1289,12 @@ func (w *worker) oneShot() error {
 
 // outputBatch runs the worker side of one batch's merge/output over
 // queries[q0:q1]: local hit consolidation, optional early-prune exchange,
-// result-caching block rendering (§3.2), metadata submission (flat or
-// tree), and the selection-ordered collective write (§3.3). Shared
-// verbatim by the one-shot run and the serving loop.
+// result-caching block rendering (§3.2) — aside into the worker's arena,
+// then charged on the token block by block in (query, hit) order —,
+// metadata submission (flat or tree), and the selection-ordered collective
+// write (§3.3). Shared verbatim by the one-shot run and the serving loop.
 func (w *worker) outputBatch(q0, q1 int) error {
-	r, meta, opts, queries, outFile := w.r, w.meta, w.opts, w.queries, w.out
+	r, meta, outFile := w.r, w.meta, w.out
 	maxTargets := w.loop.MaxTargets()
 	r.SetPhase(simtime.PhaseOutput)
 	// Consolidate each query's hits across this worker's parts.
@@ -1315,22 +1320,28 @@ func (w *worker) outputBatch(q0, q1 int) error {
 			w.hits[q] = kept
 		}
 	}
-	// Result caching (§3.2): render candidate blocks into memory and
-	// submit metadata only.
-	blocks := make(map[[2]int]string)
+	// Result caching (§3.2): render every candidate block into memory and
+	// submit metadata only. A worker with no block to render does not park.
+	w.arena, w.ends = w.arena[:0], w.ends[:0]
+	if hasHits(w.hits[q0:q1]) {
+		r.Aside(func() { w.renderBlocks(q0, q1) })
+	}
+	spans := make(map[[2]int][2]int, len(w.ends))
 	bm := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
+	start, b := 0, 0
 	for q := q0; q < q1; q++ {
 		qm := engine.QueryMeta{QueryIndex: q, Work: w.work[q]}
 		for _, hit := range w.hits[q] {
-			subj := w.pool.Subjects[w.byOID[hit.OID]].Residues
-			block := blast.RenderHit(opts.OutFormat, queries[q], subj, hit, opts.Matrix)
-			r.FormatCost(int64(len(block)))
-			blocks[[2]int{q, hit.OID}] = block
-			qm.Hits = append(qm.Hits, engine.MetaFromResult(r.ID(), hit, int64(len(block))))
+			end := w.ends[b]
+			b++
+			r.FormatCost(int64(end - start))
+			spans[[2]int{q, hit.OID}] = [2]int{start, end}
+			qm.Hits = append(qm.Hits, engine.MetaFromResult(r.ID(), hit, int64(end-start)))
+			start = end
 		}
 		bm.PerQuery = append(bm.PerQuery, qm)
 	}
-	r.Metrics().Counter("engine.blocks_rendered", r.ID()).Add(int64(len(blocks)))
+	r.Metrics().Counter("engine.blocks_rendered", r.ID()).Add(int64(len(w.ends)))
 	var sel selection
 	if meta.Tree {
 		// Hierarchical merge: fold this worker's metadata into the
@@ -1379,12 +1390,13 @@ func (w *worker) outputBatch(q0, q1 int) error {
 	buf := make([]byte, 0, size)
 	for _, i := range idx {
 		key := [2]int{sel.Queries[i], sel.OIDs[i]}
-		block, ok := blocks[key]
+		span, ok := spans[key]
 		if !ok {
 			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
 			return fmt.Errorf("core: master selected unknown hit q=%d OID=%d", key[0], key[1])
 		}
 		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
+		block := w.arena[span[0]:span[1]]
 		if int64(len(block)) != sel.Lengths[i] {
 			return fmt.Errorf("core: block size mismatch for q=%d OID=%d: %d vs %d",
 				key[0], key[1], len(block), sel.Lengths[i])
@@ -1393,7 +1405,7 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		buf = append(buf, block...)
 		r.MemCopy(int64(len(block)))
 	}
-	r.Metrics().Counter("engine.blocks_dropped", r.ID()).Add(int64(len(blocks) - len(idx)))
+	r.Metrics().Counter("engine.blocks_dropped", r.ID()).Add(int64(len(w.ends) - len(idx)))
 	if err := outFile.SetView(view); err != nil {
 		return err
 	}
@@ -1405,6 +1417,31 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		return nil
 	}
 	return outFile.WriteCollective(buf)
+}
+
+// hasHits reports whether any query of a batch has a candidate hit, that is
+// whether the batch has a block to render.
+func hasHits(hits [][]*blast.SubjectResult) bool {
+	for _, h := range hits {
+		if len(h) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// renderBlocks is outputBatch's render phase, run aside: it appends every
+// candidate block of queries[q0:q1] to the arena in (query, hit) order and
+// records where each ends. It touches no clock and no world state, only the
+// worker's own hits, subjects and arena and the job's read-only queries.
+func (w *worker) renderBlocks(q0, q1 int) {
+	for q := q0; q < q1; q++ {
+		for _, hit := range w.hits[q] {
+			subj := w.pool.Subjects[w.byOID[hit.OID]].Residues
+			w.arena = blast.AppendHit(w.arena, w.opts.OutFormat, w.queries[q], subj, hit, w.opts.Matrix)
+			w.ends = append(w.ends, len(w.arena))
+		}
+	}
 }
 
 // fixedBounds builds the boundary list for fixed-size batches. Zero

@@ -11,7 +11,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -305,15 +304,14 @@ func RunSequential(fs *vfs.FS, job *Job) error {
 		if err != nil {
 			return err
 		}
-		var text bytes.Buffer
-		text.WriteString(blast.RenderHeader(job.Options.OutFormat, db.Kind, q, dbInfo))
-		text.WriteString(blast.RenderSummary(job.Options.OutFormat, res.Hits))
+		text := append([]byte(blast.RenderHeader(job.Options.OutFormat, db.Kind, q, dbInfo)),
+			blast.RenderSummary(job.Options.OutFormat, res.Hits)...)
 		for _, hit := range res.Hits {
-			text.WriteString(blast.RenderHit(job.Options.OutFormat, q, frag.Subjects[IndexByOID(frag, hit.OID)].Residues, hit, job.Options.Matrix))
+			text = blast.AppendHit(text, job.Options.OutFormat, q, frag.Subjects[IndexByOID(frag, hit.OID)].Residues, hit, job.Options.Matrix)
 		}
-		text.WriteString(blast.RenderFooter(job.Options.OutFormat, searcher.GappedParams(), space, res.Work))
-		out.WriteAt(text.Bytes(), off)
-		off += int64(text.Len())
+		text = append(text, blast.RenderFooter(job.Options.OutFormat, searcher.GappedParams(), space, res.Work)...)
+		out.WriteAt(text, off)
+		off += int64(len(text))
 	}
 	return nil
 }

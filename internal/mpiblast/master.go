@@ -1,7 +1,6 @@
 package mpiblast
 
 import (
-	"bytes"
 	"fmt"
 
 	"parblast/internal/blast"
@@ -533,9 +532,8 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 		engine.RecordMerge(r.Metrics(), r.ID(), len(metas), len(merged))
 	}
 
-	var text bytes.Buffer
-	text.WriteString(blast.RenderHeader(opts.OutFormat, m.kind, q, m.dbInfo))
-	text.WriteString(blast.RenderSummary(opts.OutFormat, engine.SummaryResults(merged)))
+	text := append([]byte(blast.RenderHeader(opts.OutFormat, m.kind, q, m.dbInfo)),
+		blast.RenderSummary(opts.OutFormat, engine.SummaryResults(merged))...)
 	// Fetch every selected hit's sequence information from its worker —
 	// one serial request/reply per hit in faithful mode (the bottleneck
 	// the paper measured at >40% of mpiBLAST's output time), or with a
@@ -554,16 +552,16 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 		if err != nil {
 			return err
 		}
-		block := blast.RenderHit(opts.OutFormat, q, residues, byOID[h.OID].res, opts.Matrix)
-		r.FormatCost(int64(len(block)))
+		start := len(text)
+		text = blast.AppendHit(text, opts.OutFormat, q, residues, byOID[h.OID].res, opts.Matrix)
+		r.FormatCost(int64(len(text) - start))
 		r.Advance(r.Cost().FetchItemCost)
-		text.WriteString(block)
 	}
 	space := engine.SearchSpaceFor(m.searcher, q.Len(), m.meta.TotalLen, m.meta.NumSeqs)
-	text.WriteString(blast.RenderFooter(opts.OutFormat, m.searcher.GappedParams(), space, work))
-	r.FormatCost(int64(text.Len()) / 8) // header/summary/footer rendering
-	m.out.WriteAt(text.Bytes(), m.off)
-	m.off += int64(text.Len())
+	text = append(text, blast.RenderFooter(opts.OutFormat, m.searcher.GappedParams(), space, work)...)
+	r.FormatCost(int64(len(text)) / 8) // header/summary/footer rendering
+	m.out.WriteAt(text, m.off)
+	m.off += int64(len(text))
 	return nil
 }
 

@@ -215,6 +215,41 @@ func (f *File) splitView(p collPlan, fn func(a int, off, length int64)) {
 	}
 }
 
+// shufflePayloads builds the shuffle message for each aggregator from the
+// rank's data: repeated records of (offset int64, length int64, bytes), one
+// per piece. One splitView pass sizes each aggregator's message and a second
+// appends the records to it, so each message is allocated once. splitView
+// hands out pieces in view order, so a running cursor locates each piece's
+// bytes inside data.
+func (f *File) shufflePayloads(p collPlan, data []byte) [][]byte {
+	sizes := make([]int64, p.numAgg)
+	f.splitView(p, func(a int, _, length int64) { sizes[a] += 16 + length })
+	payloads := make([][]byte, p.numAgg)
+	for a, n := range sizes {
+		if n > 0 {
+			payloads[a] = make([]byte, 0, n)
+		}
+	}
+	var dataPos int64
+	f.splitView(p, func(a int, off, length int64) {
+		rec := le.AppendUint64(le.AppendUint64(payloads[a], uint64(off)), uint64(length))
+		payloads[a] = append(rec, data[dataPos:dataPos+length]...)
+		dataPos += length
+	})
+	return payloads
+}
+
+// eachRecord hands every (offset, bytes) record of a shuffle message to fn,
+// in message order.
+func eachRecord(buf []byte, fn func(off int64, data []byte)) {
+	for len(buf) >= 16 {
+		off := int64(le.Uint64(buf[0:]))
+		length := int64(le.Uint64(buf[8:]))
+		fn(off, buf[16:16+length])
+		buf = buf[16+length:]
+	}
+}
+
 // aggSpan is a covered interval inside an aggregator's domain.
 type aggSpan struct {
 	off  int64
@@ -246,20 +281,8 @@ func (f *File) WriteCollective(data []byte) error {
 	}
 	plan.chooseAggregators(f.fs.Profile().Channels, f.hints)
 
-	// Phase 2: ship my data to each aggregator. Message layout:
-	// repeated records of (offset int64, length int64, bytes). splitView
-	// hands out pieces in view order, so a running cursor locates each
-	// piece's bytes inside data.
-	myPieces := make([][]byte, plan.numAgg)
-	var dataPos int64
-	f.splitView(plan, func(a int, off, length int64) {
-		rec := make([]byte, 16+length)
-		le.PutUint64(rec[0:], uint64(off))
-		le.PutUint64(rec[8:], uint64(length))
-		copy(rec[16:], data[dataPos:dataPos+length])
-		dataPos += length
-		myPieces[a] = append(myPieces[a], rec...)
-	})
+	// Phase 2: ship my data to each aggregator.
+	myPieces := f.shufflePayloads(plan, data)
 
 	for a := 0; a < plan.numAgg; a++ {
 		dst := plan.parts[a].rank
@@ -277,35 +300,37 @@ func (f *File) WriteCollective(data []byte) error {
 	// mirrors the send rule: only participants whose extent overlaps my
 	// domain will ship anything.
 	if plan.isAggregator() {
-		var spans []aggSpan
-		addRecords := func(buf []byte) {
-			for len(buf) > 0 {
-				off := int64(le.Uint64(buf[0:]))
-				length := int64(le.Uint64(buf[8:]))
-				spans = append(spans, aggSpan{off: off, data: buf[16 : 16+length]})
-				buf = buf[16+length:]
-			}
-		}
-		addRecords(myPieces[plan.selfIdx])
+		msgs := [][]byte{myPieces[plan.selfIdx]}
 		for _, p := range plan.parts {
 			if p.rank == r.ID() || !plan.overlaps(p.lo, p.hi, plan.selfIdx) {
 				continue
 			}
 			buf, _, _ := r.Recv(p.rank, tagBase+1)
-			addRecords(buf)
+			msgs = append(msgs, buf)
 		}
-		// Coalesce into maximal contiguous runs.
+		// Count the records first, so the span list is allocated once.
+		n := 0
+		for _, buf := range msgs {
+			eachRecord(buf, func(int64, []byte) { n++ })
+		}
+		spans := make([]aggSpan, 0, n)
+		for _, buf := range msgs {
+			eachRecord(buf, func(off int64, data []byte) { spans = append(spans, aggSpan{off: off, data: data}) })
+		}
+		// Coalesce into maximal contiguous runs, each allocated at its
+		// final length.
 		sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-		i := 0
-		for i < len(spans) {
+		for i := 0; i < len(spans); {
 			runStart := spans[i].off
-			var runData []byte
-			expected := runStart
-			for i < len(spans) && spans[i].off == expected {
+			end, runLen := i, int64(0)
+			for end < len(spans) && spans[end].off == runStart+runLen {
+				runLen += int64(len(spans[end].data))
+				end++
+			}
+			runData := make([]byte, 0, runLen)
+			for ; i < end; i++ {
 				runData = append(runData, spans[i].data...)
-				expected += int64(len(spans[i].data))
 				r.MemCopy(int64(len(spans[i].data)))
-				i++
 			}
 			f.f.WriteAt(runData, runStart)
 			r.IO(f.fs, int64(len(runData)))
@@ -535,12 +560,7 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 	pieces := make(map[int64][]byte)
 	failed := make(map[int]bool)
 	addPieces := func(buf []byte) {
-		for len(buf) >= 16 {
-			off := int64(le.Uint64(buf[0:]))
-			length := int64(le.Uint64(buf[8:]))
-			pieces[off] = buf[16 : 16+length]
-			buf = buf[16+length:]
-		}
+		eachRecord(buf, func(off int64, data []byte) { pieces[off] = data })
 	}
 	for a := 0; a < plan.numAgg; a++ {
 		if !plan.overlaps(self.lo, self.hi, a) {

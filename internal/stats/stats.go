@@ -15,6 +15,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"parblast/internal/matrix"
 )
@@ -171,17 +172,20 @@ func (p Params) Validate() error {
 // FormatEValue renders an E-value the way NCBI BLAST reports do:
 // scientific notation below 1e-2 ("3e-42"), otherwise fixed point.
 // Very small values are clamped to "0.0".
-func FormatEValue(e float64) string {
+func FormatEValue(e float64) string { return string(AppendEValue(nil, e)) }
+
+// AppendEValue appends FormatEValue's rendering of e to dst.
+func AppendEValue(dst []byte, e float64) []byte {
 	switch {
 	case e < 1e-180:
-		return "0.0"
+		return append(dst, "0.0"...)
 	case e < 1e-2:
-		return fmt.Sprintf("%.0e", e)
+		return strconv.AppendFloat(dst, e, 'e', 0, 64)
 	case e < 1:
-		return fmt.Sprintf("%.2f", e)
+		return strconv.AppendFloat(dst, e, 'f', 2, 64)
 	case e < 10:
-		return fmt.Sprintf("%.1f", e)
+		return strconv.AppendFloat(dst, e, 'f', 1, 64)
 	default:
-		return fmt.Sprintf("%.0f", e)
+		return strconv.AppendFloat(dst, e, 'f', 0, 64)
 	}
 }

@@ -68,6 +68,18 @@ if [ "$scans" -ne 1 ] || [ "$indexes" -ne 1 ]; then
     exit 1
 fi
 
+# One renderer: the engines append every block into their own buffers with
+# blast.AppendHit, so a string-per-block path cannot come back beside the
+# workers' render arena.
+for pkg in internal/core internal/mpiblast internal/engine; do
+    old=$(grep -rnE --include='*.go' --exclude='*_test.go' '(RenderHit|FormatHit)\(' "$pkg" || true)
+    if [ -n "$old" ] || ! grep -rqF --include='*.go' --exclude='*_test.go' 'blast.AppendHit(' "$pkg"; then
+        echo "$pkg must render blocks with blast.AppendHit, never RenderHit or FormatHit:" >&2
+        echo "$old" >&2
+        exit 1
+    fi
+done
+
 # A run is one call: each engine declares one entry point, Run(nodes, nprocs,
 # cfg, job, opts, stream), and engine.Launch is the one rank lifecycle, so the
 # set-up cost is charged in one place.
@@ -99,6 +111,24 @@ fi
 
 go build ./...
 go vet ./...
+
+# A report renders alike on every target: no multiply-add is fused in
+# internal/blast's renderers (pct rounds its quotient explicitly), which the
+# compiler would otherwise do on arm64, riscv64 and ppc64le, rounding once
+# where amd64 rounds twice.
+xbuild=$(mktemp -d)
+for arch in arm64 riscv64 ppc64le; do
+    GOOS=linux GOARCH=$arch go build -o "$xbuild/parblast" ./cmd/parblast
+    fused=$(go tool objdump -s '^parblast/internal/blast\.([Aa]ppend|Render|Format|format|pct)' "$xbuild/parblast" |
+        grep -E '\bF(N)?M(ADD|SUB)' || true)
+    if [ -n "$fused" ]; then
+        rm -rf "$xbuild"
+        echo "fused multiply-adds in internal/blast's renderers on $arch:" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
+rm -rf "$xbuild"
 
 # The benchmark is a nested module (bench/go.mod, replaced onto ../), so
 # `./...` above does not see it: without this step a rename in
