@@ -2,9 +2,11 @@
 // static analyzers that mechanically enforce the part of the simulator's
 // determinism contract no single run can show (no wall clock, seeded
 // randomness only, no map-order leaks into output, clock-neutral telemetry,
-// fenced concurrency, sideband that stays out of band). Unmatched
-// collectives and unreceived messages fail the run that reaches them,
-// named by internal/mpi. See internal/lint and DESIGN.md §12.
+// fenced concurrency). Unmatched collectives and unreceived messages fail
+// the run that reaches them, named by internal/mpi, and trace context,
+// which exists only while traced, is held to bytes and clocks by
+// internal/mpi's traced-vs-untraced test. See internal/lint and DESIGN.md
+// §12.
 //
 // Usage:
 //

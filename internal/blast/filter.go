@@ -60,7 +60,7 @@ func LowComplexityIntervals(residues []byte, alpha *seq.Alphabet, p FilterParams
 		for _, n := range counts {
 			if n > 0 {
 				pr := float64(n) / float64(w)
-				h -= pr * math.Log2(pr)
+				h -= float64(pr * math.Log2(pr))
 			}
 		}
 		return h

@@ -134,7 +134,7 @@ func TestCrashDuringOutputUnrecoverable(t *testing.T) {
 		}
 		// Fire just inside the output window: the victim has reported results
 		// and is now serving the master's fetch protocol.
-		at := free.Wall - 0.5*free.Phase.Output
+		at := free.Wall - float64(0.5*free.Phase.Output)
 		_, err = run([]mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}})
 		if err == nil {
 			t.Skip("crash window missed the output phase on this cost model")

@@ -17,9 +17,10 @@ import (
 
 // TestTracingZeroVirtualTimeCost is the observability contract: setting
 // mpi.Config.Trace must not move a single virtual clock. For both engines,
-// one-shot and serving, fault-free and with one worker crashing mid-search
-// (mpiBLAST rejects fault schedules in serve mode), output bytes, wall time,
-// every rank's finish time and every query latency are identical with the
+// one-shot (flat and tree merge) and serving, fault-free and with one worker
+// crashing mid-search (mpiBLAST rejects fault schedules in serve mode),
+// output bytes, wall time, every rank's finish time, the protocol and
+// collective traffic and every query latency are identical with the
 // collector set and nil.
 func TestTracingZeroVirtualTimeCost(t *testing.T) {
 	const nprocs = 4
@@ -63,9 +64,19 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 			o.res, o.stats, err = core.Run(nodes, nprocs, cfg, &job, core.Options{}, &engine.Stream{Batches: batches})
 			return finish(nodes, o, err)
 		}},
+		{"pio/tree", false, true, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(false), *fx.job
+			o.res, _, err = core.Run(nodes, nprocs, cfg, &job, core.Options{QueryBatch: 2, TreeMerge: true}, nil)
+			return finish(nodes, o, err)
+		}},
 		{"mpi/one-shot", false, true, func(cfg mpi.Config) (o outcome, err error) {
 			nodes, job := stand(true), *fx.job
 			o.res, _, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{}, nil)
+			return finish(nodes, o, err)
+		}},
+		{"mpi/tree", false, true, func(cfg mpi.Config) (o outcome, err error) {
+			nodes, job := stand(true), *fx.job
+			o.res, _, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{TreeMerge: true}, nil)
 			return finish(nodes, o, err)
 		}},
 		{"mpi/serve", true, false, func(cfg mpi.Config) (o outcome, err error) {
@@ -86,6 +97,10 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 			if a, b := plain.res.Clocks[rank].Now(), traced.res.Clocks[rank].Now(); a != b {
 				t.Fatalf("%s: rank %d finish moved: %g vs %g", name, rank, a, b)
 			}
+		}
+		if a, b := plain.res, traced.res; a.CommBytes != b.CommBytes || a.CollectiveBytes != b.CollectiveBytes || a.CommMessages != b.CommMessages {
+			t.Fatalf("%s: tracing changed traffic: %d/%d/%d vs %d/%d/%d protocol/collective bytes/messages",
+				name, a.CommBytes, a.CollectiveBytes, a.CommMessages, b.CommBytes, b.CollectiveBytes, b.CommMessages)
 		}
 		if !reflect.DeepEqual(plain.res.QueryLatencies, traced.res.QueryLatencies) {
 			t.Fatalf("%s: tracing changed query latencies:\n%v\n%v",
@@ -120,7 +135,7 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 		}
 		name, hit := m.name+"/crash", false
 		for _, frac := range []float64{0.5, 0.3, 0.7, 0.1} {
-			faults := []mpi.Fault{{Rank: nprocs - 1, At: from + frac*(to-from), Kind: mpi.FaultCrash}}
+			faults := []mpi.Fault{{Rank: nprocs - 1, At: from + float64(frac*(to-from)), Kind: mpi.FaultCrash}}
 			crashed, err := m.run(mpi.Config{Cost: testCost(), Faults: faults})
 			if err != nil {
 				if strings.Contains(err.Error(), "output phase") {

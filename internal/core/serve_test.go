@@ -307,7 +307,7 @@ func TestServeCrashKeepsAdmissionClock(t *testing.T) {
 	mid := len(freeStats.BatchStart) / 2
 	hit := false
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7} {
-		at := freeStats.BatchStart[mid] + frac*(freeStats.BatchDone[mid]-freeStats.BatchStart[mid])
+		at := freeStats.BatchStart[mid] + float64(frac*(freeStats.BatchDone[mid]-freeStats.BatchStart[mid]))
 		faults = []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
 		nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 		job := *fx.job

@@ -126,7 +126,7 @@ func TestTreeMergeCrashDuringMergeCleanError(t *testing.T) {
 	fx := makeFixture(t, 1600)
 	opts := core.Options{TreeMerge: true, MergeFanout: 2, FaultTolerant: true}
 	free, _ := runPio(t, fx, nprocs, mpi.Config{Cost: testCost()}, opts)
-	at := free.Wall - 0.9*free.Phase.Output
+	at := free.Wall - float64(0.9*free.Phase.Output)
 	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
 	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}}

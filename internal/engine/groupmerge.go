@@ -15,7 +15,7 @@ import "sort"
 // EncodeQueryMetas serializes a per-query metadata set for one tree-merge
 // bundle payload.
 //
-//lint:encodes metas
+//lint:encodes
 func EncodeQueryMetas(metas []QueryMeta) []byte {
 	w := &Writer{}
 	w.Uint(uint64(len(metas)))

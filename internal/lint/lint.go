@@ -2,14 +2,15 @@
 // the part of the simulator's determinism contract no single run can show.
 // A run is one schedule: it cannot see that a wall-clock read, a global
 // random draw or a map walk would come out differently next time, that
-// metrics advance a clock only when they are on, that trace context leaks
-// into bytes or time the same way traced or not, or that a goroutine the
+// metrics advance a clock only when they are on, or that a goroutine the
 // test happened to join is fenced. The analyzers in this package encode
 // those invariants over the typed ASTs of every package, so a violation
 // fails CI instead of waiting for a reviewer to notice. What one run does
 // show — a collective some rank never reaches, a message nobody receives —
 // is internal/mpi's to report, naming the rank and the collective or the
-// source and the tag.
+// source and the tag; trace context exists only while traced, so a leak of
+// it into bytes or time shows in internal/mpi's traced-vs-untraced test,
+// naming the operation and the rank.
 //
 // The framework loads packages with `go list -json`, type-checks them
 // with go/types, runs a registry of analyzers, and emits deterministic
@@ -43,8 +44,8 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one invariant checker. Run receives every loaded package at
-// once: most analyzers iterate per package, but sideband's taint follows
-// values across the whole module.
+// once and iterates them; what an analyzer knows of other packages comes
+// through the unit's Facts.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -85,7 +86,6 @@ func All() []*Analyzer {
 		MapOrderAnalyzer,
 		ClockNeutralAnalyzer,
 		GoDiscAnalyzer,
-		SidebandAnalyzer,
 	}
 }
 
@@ -108,7 +108,9 @@ func (u *Unit) Justified(p *Package, pos token.Pos, name string) bool {
 // analyzer. The analysis always runs over the whole module plus whatever
 // else was asked for, and only the findings located in the asked packages
 // are returned — so a subset run reports exactly what ./... reports there,
-// however far from the subset a tainted value comes from.
+// even where a finding depends on a marker declared outside the subset
+// (maporder's Facts.Named matches marker names across every loaded
+// package).
 func Analyze(l *Loader, patterns ...string) ([]Diagnostic, error) {
 	all, err := l.Load(append([]string{"./..."}, patterns...)...)
 	if err != nil {

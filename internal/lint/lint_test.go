@@ -156,10 +156,9 @@ func TestClockNeutralFixture(t *testing.T) {
 	checkWants(t, ClockNeutralAnalyzer, "clockneutral", "clockneutralok")
 }
 
-// Goroutine discipline and sideband taint. Each fixture mixes positive
-// cases, negative cases, and justification directives.
-func TestGoDiscFixture(t *testing.T)   { checkWants(t, GoDiscAnalyzer, "godisc") }
-func TestSidebandFixture(t *testing.T) { checkWants(t, SidebandAnalyzer, "sideband") }
+// Goroutine discipline: listed and unlisted sites, and a listed site that
+// no longer needs its entry.
+func TestGoDiscFixture(t *testing.T) { checkWants(t, GoDiscAnalyzer, "godisc") }
 
 // TestJSONGolden pins the -json output: field order, indentation, and the
 // deterministic (file, line, col, analyzer, message) diagnostic ordering.
@@ -265,20 +264,23 @@ func TestSubsetEqualsWhole(t *testing.T) {
 	}
 }
 
-// A marker the vocabulary does not have, or one naming a parameter the
-// function does not have, fails the load: a typo must not switch a check off.
+// A marker the vocabulary does not have, a marker followed by a name, or a
+// marker on a type fails the load: a typo must not switch a check off. The
+// bare marker on a function loads, so the errors are the markers'.
 func TestBadMarkerIsALoadError(t *testing.T) {
 	for name, src := range map[string]string{
-		"unknown marker":    "package p\n\n//lint:clok d\nfunc Advance(d float64) {}\n",
-		"unknown parameter": "package p\n\n//lint:payload dta\nfunc Send(dst, tag int, data []byte) {}\n",
-		"unknown field":     "package p\n\n//lint:trace-context batch\ntype message struct{ data []byte }\n",
+		"a bare marker on a function": "package p\n\n//lint:payload\nfunc Send(dst, tag int, data []byte) {}\n",
+		"unknown marker":              "package p\n\n//lint:clok\nfunc Advance(d float64) {}\n",
+		"a marker followed by a name": "package p\n\n//lint:payload data\nfunc Send(dst, tag int, data []byte) {}\n",
+		"a marker on a type":          "package p\n\n//lint:clock\ntype Clock struct{ now float64 }\n",
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := testLoader(t).LoadDir(dir); err == nil {
-			t.Errorf("%s: the package loaded", name)
+		_, err := testLoader(t).LoadDir(dir)
+		if good := strings.HasPrefix(name, "a bare"); good != (err == nil) {
+			t.Errorf("%s: load error %v", name, err)
 		}
 	}
 }

@@ -134,11 +134,9 @@ func checkMapRangeBody(u *Unit, p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt)
 				reported = true
 				return false
 			}
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
-				if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
-					if target, escapes := escapesRange(p, n.Args[0], rs); escapes {
-						appends = append(appends, escapingAppend{expr: target, pos: n})
-					}
+			if isBuiltinCall(p, n, "append") && len(n.Args) > 0 {
+				if target, escapes := escapesRange(p, n.Args[0], rs); escapes {
+					appends = append(appends, escapingAppend{expr: target, pos: n})
 				}
 			}
 		}

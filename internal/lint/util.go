@@ -26,3 +26,13 @@ func selectorFromPkg(info *types.Info, sel *ast.SelectorExpr, path string) (name
 	}
 	return sel.Sel.Name, true
 }
+
+// isBuiltinCall reports whether call invokes the named builtin.
+func isBuiltinCall(p *Package, call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := p.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}

@@ -318,7 +318,7 @@ func ExactQuantile(samples []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	rank := int(math.Ceil(q*float64(len(s)) - 1e-9))
+	rank := int(math.Ceil(float64(q*float64(len(s))) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

@@ -137,29 +137,28 @@ func (s rankState) String() string {
 	return "?"
 }
 
-//lint:trace-context batch sendAt
 type message struct {
 	src, tag int
 	data     []byte
 	arrival  float64
 	seq      int64
-	// Trace-context sideband: the sender's query-batch id and the virtual
-	// time the payload left its NIC. These ride OUTSIDE data so the
-	// bandwidth charge (len(data)/NetBandwidth) is byte-identical with
-	// tracing on or off.
+	// Trace context, stamped only while a collector is attached: the
+	// sender's query-batch id and the virtual time the payload left its NIC.
+	// They ride outside data, and untraced they stay zero, so a leak into
+	// bytes or time shows in any traced-vs-untraced comparison.
 	batch  int
 	sendAt float64
 }
 
-//lint:trace-context batches
 type collective struct {
 	op        string
 	datas     [][]byte
 	count     int
 	releaseFn func(datas [][]byte, maxClock float64) float64
 	releaseAt float64
-	// Per-rank causal context for flow emission: entry clock, trace batch,
-	// and whether the rank joined at all (crashed ranks never do).
+	// Per-rank causal context for flow emission: entry clock, trace batch
+	// (nil untraced), and whether the rank joined at all (crashed ranks never
+	// do).
 	entries []float64
 	batches []int
 	joined  []bool
@@ -258,8 +257,6 @@ type World struct {
 }
 
 // Rank is one simulated MPI process.
-//
-//lint:trace-context traceBatch
 type Rank struct {
 	id           int
 	world        *World
@@ -267,9 +264,10 @@ type Rank struct {
 	coll         *collective // the collective this rank last joined
 	degradeFired bool        // this rank's degrade is already marked on the trace
 	// traceBatch is the rank's current query-batch trace context (-1 =
-	// none). Stamped on every outgoing envelope; adopted from incoming
-	// envelopes at delivery, so context propagates causally across ranks.
-	// Only touched by the rank's own goroutine.
+	// none), kept only while a collector is attached. Stamped on every
+	// outgoing envelope; adopted from incoming envelopes at delivery, so
+	// context propagates causally across ranks. Only touched by the rank's
+	// own goroutine.
 	traceBatch int
 }
 
@@ -895,15 +893,14 @@ func (r *Rank) Metrics() *metrics.Registry { return r.world.config.Metrics }
 
 // SetTraceBatch sets the rank's query-batch trace context (-1 clears it).
 // Subsequent sends and collective entries are stamped with it; delivery of
-// a stamped envelope propagates the context to the receiver. Purely
-// observational: never advances any clock.
-func (r *Rank) SetTraceBatch(batch int) { r.traceBatch = batch }
-
-// TraceBatch returns the rank's current query-batch trace context (-1 =
-// none) — either set locally or adopted from the last stamped delivery.
-//
-//lint:trace-context
-func (r *Rank) TraceBatch() int { return r.traceBatch }
+// a stamped envelope propagates the context to the receiver. Untraced it
+// does nothing: the context exists only for the collector, and nothing
+// outside this package can read it.
+func (r *Rank) SetTraceBatch(batch int) {
+	if r.world.config.Trace != nil {
+		r.traceBatch = batch
+	}
+}
 
 // flowOp names a message tag for flow edges: protocol tags keep their
 // number, the shuffle and tree-collective tag spaces collapse.
@@ -918,8 +915,8 @@ func flowOp(tag int) string {
 }
 
 // deliverFlow adopts the envelope's trace context and reports the causal
-// edge for one delivered message. Called from the receiver's goroutine
-// after the delivery clock charges.
+// edge for one delivered message; untraced it does neither. Called from the
+// receiver's goroutine after the delivery clock charges.
 //
 // Adoption is monotone: a delivered envelope only advances the receiver's
 // batch context, never rewinds it. Batch ids are assigned in admission
@@ -930,12 +927,12 @@ func flowOp(tag int) string {
 // EDGE below still reports the envelope's own batch, so per-batch flow
 // splits stay exact.
 func (r *Rank) deliverFlow(m message) {
-	if m.batch > r.traceBatch {
-		r.traceBatch = m.batch
-	}
 	tr := r.world.config.Trace
 	if tr == nil {
 		return
+	}
+	if m.batch > r.traceBatch {
+		r.traceBatch = m.batch
 	}
 	tr.RecordFlow(trace.Flow{
 		Kind:   trace.FlowMsg,
@@ -991,7 +988,7 @@ func (r *Rank) SetPhase(phase string) { r.clock.SetPhase(phase) }
 
 // Advance charges d virtual seconds of local work.
 //
-//lint:clock d
+//lint:clock
 func (r *Rank) Advance(d float64) {
 	r.maybeCrash()
 	r.clock.Advance(d)
@@ -1000,7 +997,7 @@ func (r *Rank) Advance(d float64) {
 // Compute charges work units at the model's search-unit cost, scaled by
 // the rank's node-speed factor and any active degrade fault.
 //
-//lint:clock units
+//lint:clock
 func (r *Rank) Compute(units int64) {
 	r.maybeCrash()
 	r.clock.Advance(float64(units) * r.world.cost.SearchUnitCost * r.effSpeed())
@@ -1023,14 +1020,14 @@ func (r *Rank) effSpeed() float64 {
 
 // FormatCost charges the per-byte report-rendering cost for n bytes.
 //
-//lint:clock n
+//lint:clock
 func (r *Rank) FormatCost(n int64) {
 	r.clock.Advance(float64(n) * r.world.cost.FormatByteCost)
 }
 
 // MemCopy charges an in-memory copy of n bytes.
 //
-//lint:clock n
+//lint:clock
 func (r *Rank) MemCopy(n int64) {
 	r.clock.Advance(float64(n) / r.world.cost.MemCopyBandwidth)
 }
@@ -1038,7 +1035,7 @@ func (r *Rank) MemCopy(n int64) {
 // IO charges a storage access of n bytes against fs, including queueing
 // behind other ranks' concurrent accesses.
 //
-//lint:clock n
+//lint:clock
 func (r *Rank) IO(fs *vfs.FS, n int64) {
 	r.maybeCrash()
 	r.block(stateReady)
@@ -1061,7 +1058,7 @@ type IOHandle struct {
 // of their sum. Deterministic: issue order follows the discrete-event
 // schedule, so the booked completion time is reproducible.
 //
-//lint:clock n
+//lint:clock
 func (r *Rank) StartIO(fs *vfs.FS, n int64) *IOHandle {
 	r.maybeCrash()
 	r.block(stateReady)
@@ -1108,7 +1105,7 @@ func (r *Rank) DetectInterval() float64 {
 // not block. The payload is NOT copied; callers must not mutate it after
 // sending.
 //
-//lint:payload data
+//lint:payload
 func (r *Rank) Send(dst, tag int, data []byte) {
 	w := r.world
 	if dst < 0 || dst >= w.n {
@@ -1124,15 +1121,11 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		return
 	}
 	w.seq++
-	w.inbox[dst] = append(w.inbox[dst], message{
-		src:     r.id,
-		tag:     tag,
-		data:    data,
-		arrival: r.clock.Now() + w.cost.NetLatency,
-		seq:     w.seq,
-		batch:   r.traceBatch,
-		sendAt:  r.clock.Now(),
-	})
+	m := message{src: r.id, tag: tag, data: data, arrival: r.clock.Now() + w.cost.NetLatency, seq: w.seq}
+	if w.config.Trace != nil {
+		m.batch, m.sendAt = r.traceBatch, r.clock.Now()
+	}
+	w.inbox[dst] = append(w.inbox[dst], m)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -1161,7 +1154,7 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 // source's crash), resolved by the same earliest-event scheduler as
 // everything else.
 //
-//lint:clock timeout
+//lint:clock
 func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, gotTag int, err error) {
 	r.maybeCrash()
 	w := r.world
@@ -1276,8 +1269,10 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 			datas:     make([][]byte, w.n),
 			releaseFn: release,
 			entries:   make([]float64, w.n),
-			batches:   make([]int, w.n),
 			joined:    make([]bool, w.n),
+		}
+		if w.config.Trace != nil {
+			c.batches = make([]int, w.n)
 		}
 		w.coll = c
 	}
@@ -1286,7 +1281,9 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 	}
 	c.datas[r.id] = data
 	c.entries[r.id] = r.clock.Now()
-	c.batches[r.id] = r.traceBatch
+	if c.batches != nil {
+		c.batches[r.id] = r.traceBatch
+	}
 	c.joined[r.id] = true
 	c.count++
 	r.coll = c
@@ -1305,13 +1302,13 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 func (r *Rank) Barrier() {
 	w := r.world
 	r.runCollective("barrier", nil, func(_ [][]byte, maxClock float64) float64 {
-		return maxClock + w.cost.NetLatency*logSteps(w.n)
+		return maxClock + float64(w.cost.NetLatency*logSteps(w.n))
 	})
 }
 
 // Bcast distributes root's payload to every rank and returns it.
 //
-//lint:payload data
+//lint:payload
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	w := r.world
 	var payload []byte
@@ -1320,14 +1317,14 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 	}
 	datas := r.runCollective("bcast", payload, func(datas [][]byte, maxClock float64) float64 {
 		size := float64(len(datas[root]))
-		return maxClock + w.cost.NetLatency*logSteps(w.n) + size/w.cost.NetBandwidth
+		return maxClock + float64(w.cost.NetLatency*logSteps(w.n)) + size/w.cost.NetBandwidth
 	})
 	return datas[root]
 }
 
 // AllGather collects every rank's payload everywhere.
 //
-//lint:payload data
+//lint:payload
 func (r *Rank) AllGather(data []byte) [][]byte {
 	w := r.world
 	return r.runCollective("allgather", data, func(datas [][]byte, maxClock float64) float64 {
@@ -1335,6 +1332,6 @@ func (r *Rank) AllGather(data []byte) [][]byte {
 		for _, d := range datas {
 			total += int64(len(d))
 		}
-		return maxClock + w.cost.NetLatency*logSteps(w.n) + float64(total)/w.cost.NetBandwidth
+		return maxClock + float64(w.cost.NetLatency*logSteps(w.n)) + float64(total)/w.cost.NetBandwidth
 	})
 }

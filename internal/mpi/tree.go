@@ -162,7 +162,7 @@ func (r *Rank) recordTreeEdge(level int, size int64) {
 // absence from contributors. If the root is the one that crashed nobody
 // receives the fold, and every survivor still returns.
 //
-//lint:payload data
+//lint:payload
 func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
 	t := r.world.layout(root, fanout, members)
 	myPos := t.position("TreeReduce", r.id)
@@ -232,7 +232,7 @@ func (r *Rank) treeReduceFlat(t treeTopo, data []byte, combine func(a, b []byte)
 // is the flat Bcast over the survivors (members must then be every live
 // rank) — the same rule as TreeReduce, and the same shared layout.
 //
-//lint:payload data
+//lint:payload
 func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 	t := r.world.layout(root, fanout, members)
 	myPos := t.position("TreeBcast", r.id)

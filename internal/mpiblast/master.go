@@ -194,7 +194,7 @@ func newFragResults(nFrags, nQueries int) *fragResults {
 // on the master's critical path, charged to the output phase.
 func (fr *fragResults) ingest(r *mpi.Rank, msg resultsMsg) {
 	r.SetPhase(simtime.PhaseOutput)
-	r.Advance(r.Cost().ResultMsgCost + float64(len(msg.Hits))*r.Cost().MergeItemCost)
+	r.Advance(r.Cost().ResultMsgCost + float64(float64(len(msg.Hits))*r.Cost().MergeItemCost))
 	hits := make([]masterHit, 0, len(msg.Hits))
 	for _, wh := range msg.Hits {
 		res, _ := wh.Unpack()

@@ -116,7 +116,7 @@ func treeResultsCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []b
 		}
 		// One bundle ingest plus per-item merge work, charged where the
 		// combine actually runs.
-		r.Advance(r.Cost().ResultMsgCost + float64(items)*r.Cost().MergeItemCost)
+		r.Advance(r.Cost().ResultMsgCost + float64(float64(items)*r.Cost().MergeItemCost))
 		engine.RecordMerge(r.Metrics(), r.ID(), items, kept)
 		return out.encode()
 	}

@@ -63,7 +63,7 @@ func (c *Clock) SetObserver(fn func(phase string, from, to float64)) { c.observe
 // Advance adds d seconds to the clock, charged to the current phase.
 // Negative d panics: virtual time is monotone.
 //
-//lint:clock d
+//lint:clock
 func (c *Clock) Advance(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative advance %g", d))
@@ -80,7 +80,7 @@ func (c *Clock) Advance(d float64) {
 // time is charged to the current phase (a rank stalled in the output
 // protocol is spending output time, exactly as the paper accounts it).
 //
-//lint:clock t
+//lint:clock
 func (c *Clock) AdvanceTo(t float64) {
 	if t > c.now {
 		c.Advance(t - c.now)

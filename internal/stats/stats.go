@@ -101,7 +101,7 @@ func NewSearchSpace(p Params, queryLen int, dbLen int64, dbSeqs int) SearchSpace
 	l := 0.0
 	for i := 0; i < 20; i++ {
 		mm := m - l
-		nn := n - N*l
+		nn := n - float64(N*l)
 		if mm < 1 {
 			mm = 1
 		}
@@ -122,7 +122,7 @@ func NewSearchSpace(p Params, queryLen int, dbLen int64, dbSeqs int) SearchSpace
 	if effM < 1 {
 		effM = 1
 	}
-	effN := n - N*l
+	effN := n - float64(N*l)
 	if effN < 1 {
 		effN = 1
 	}
@@ -133,7 +133,7 @@ func NewSearchSpace(p Params, queryLen int, dbLen int64, dbSeqs int) SearchSpace
 
 // BitScore converts a raw score to a bit score.
 func (p Params) BitScore(raw int) float64 {
-	return (p.Lambda*float64(raw) - math.Log(p.K)) / math.Ln2
+	return (float64(p.Lambda*float64(raw)) - math.Log(p.K)) / math.Ln2
 }
 
 // RawScore converts a bit score back to the smallest raw score achieving it.

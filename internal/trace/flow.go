@@ -32,8 +32,6 @@ const (
 // (-1 = none). ID is unique and deterministic within one run (mpi draws it
 // from the world's message sequence). Recording a flow reads clocks and
 // never advances one.
-//
-//lint:trace-context
 type Flow struct {
 	Kind   string
 	Op     string // "tagNN" for messages, the collective op name otherwise

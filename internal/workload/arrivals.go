@@ -129,7 +129,7 @@ func Arrivals(queries []*seq.Sequence, cfg ArrivalConfig) ([]Batch, error) {
 	nextDwell := func() int {
 		// Geometric dwell with mean BurstDwell, support {1,2,...}.
 		p := 1 / float64(cfg.BurstDwell)
-		d := 1 + int(math.Floor(math.Log(1-rng.Float64())/math.Log(1-p)))
+		d := 1 + int(math.Floor(math.Log(1-float64(rng.Float64()))/math.Log(1-p)))
 		if d < 1 {
 			d = 1
 		}
@@ -141,7 +141,7 @@ func Arrivals(queries []*seq.Sequence, cfg ArrivalConfig) ([]Batch, error) {
 			return 1 + rng.Intn(2*cfg.BatchMean-1)
 		case BatchGeometric:
 			p := 1 / float64(cfg.BatchMean)
-			n := 1 + int(math.Floor(math.Log(1-rng.Float64())/math.Log(1-p)))
+			n := 1 + int(math.Floor(math.Log(1-float64(rng.Float64()))/math.Log(1-p)))
 			if n < 1 {
 				n = 1
 			}

@@ -48,6 +48,19 @@ if [ -n "$detect" ]; then
     exit 1
 fi
 
+# Trace context lives in internal/mpi: a rank's batch stamp, the batch and
+# send clock on every envelope and the flows built from them exist only while
+# a collector is attached, and nothing outside mpi can read them. So no
+# kernel, engine or I/O layer imports internal/trace, reads the collector
+# (cfg.Trace, Config.Trace) or asks it for its flows mid-run.
+tracectx=$(grep -rnE '"parblast/internal/trace"|\.Flows\(|\b(cfg|Config)\.Trace\b' --include='*.go' --exclude='*_test.go' \
+    internal/blast internal/engine internal/core internal/mpiblast internal/mpiio || true)
+if [ -n "$tracectx" ]; then
+    echo "trace context is read outside internal/mpi:" >&2
+    echo "$tracectx" >&2
+    exit 1
+fi
+
 # pioBLAST reads its partitions through one pipeline: internal/core has one
 # asynchronous read, one synchronous read and one extent decoder.
 for call in '.StartReadAt(' '.ReadAt(' '.DecodeWithOffsets('; do
@@ -112,18 +125,20 @@ fi
 go build ./...
 go vet ./...
 
-# A report renders alike on every target: no multiply-add is fused in
-# internal/blast's renderers (pct rounds its quotient explicitly), which the
-# compiler would otherwise do on arm64, riscv64 and ppc64le, rounding once
-# where amd64 rounds twice.
+# Bits that do not depend on the architecture: no parblast/ function of the
+# CLI or of the internal/core test binary (the clock fingerprint's runs) fuses
+# a multiply-add, which the compiler would otherwise do on arm64, riscv64 and
+# ppc64le, rounding once where amd64 rounds twice. Each such site rounds its
+# product with an explicit float64(...) conversion instead.
 xbuild=$(mktemp -d)
 for arch in arm64 riscv64 ppc64le; do
     GOOS=linux GOARCH=$arch go build -o "$xbuild/parblast" ./cmd/parblast
-    fused=$(go tool objdump -s '^parblast/internal/blast\.([Aa]ppend|Render|Format|format|pct)' "$xbuild/parblast" |
-        grep -E '\bF(N)?M(ADD|SUB)' || true)
+    GOOS=linux GOARCH=$arch go test -c -o "$xbuild/core.test" ./internal/core
+    fused=$(for bin in parblast core.test; do go tool objdump -s '^parblast/' "$xbuild/$bin"; done |
+        awk '/^TEXT/ { fn = $2 } /[[:space:]]F(N)?M(ADD|SUB)/ { print fn ": " $0 }')
     if [ -n "$fused" ]; then
         rm -rf "$xbuild"
-        echo "fused multiply-adds in internal/blast's renderers on $arch:" >&2
+        echo "fused multiply-adds in parblast/ functions on $arch:" >&2
         echo "$fused" >&2
         exit 1
     fi
@@ -136,12 +151,14 @@ rm -rf "$xbuild"
 (cd bench && go vet ./... && go test ./...)
 
 # Invariant lint gate: the analyzers in internal/lint enforce the part of
-# the determinism contract no single run shows (no wall clock, seeded
-# randomness, no map-order leaks, clock-neutral telemetry, concurrency only
-# at the listed sites, sideband out of band). Unmatched collectives and
-# unreceived messages fail the tests below, named by internal/mpi. Any
-# finding fails the build; the one way to accept one is a //lint:<name>
-# <reason> directive at the site.
+# the determinism contract no single run shows: no wall clock, seeded
+# randomness, no map-order leaks, clock-neutral metrics and trace packages,
+# and concurrency only at the listed sites. What a run does show is named by
+# the tests below: unmatched collectives and unreceived messages by
+# internal/mpi, a trace-context leak into bytes or time by
+# TestTraceContextIsInert and TestTracingZeroVirtualTimeCost. Any finding
+# fails the build; the one way to accept one is a //lint:<name> <reason>
+# directive at the site.
 go run ./cmd/parblastlint ./...
 
 # The experiments package runs whole simulated-cluster sweeps per test
