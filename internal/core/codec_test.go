@@ -94,3 +94,6 @@ func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
 		t.Fatalf("the last of 200 workers allocates %v times, the last of 2 %v: skipped selections are being copied", many, few)
 	}
 }
+
+// wireBytes encodes a sample of a layout that has no type of its own.
+func wireBytes(v goSample) []byte { return encodeGo(v.done, v.extras, v.alive) }

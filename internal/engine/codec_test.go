@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -222,4 +223,32 @@ func TestWireQueriesCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeWireQueries([]byte{0xff}); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+// wireBytes encodes one sample of a layout for TestWireBytesPinned.
+func wireBytes(v any) []byte {
+	var w Writer
+	switch v := v.(type) {
+	case blast.WorkCounters:
+		EncodeWork(&w, v)
+	case HitMeta:
+		EncodeHitMeta(&w, v)
+	case QueryMeta:
+		EncodeQueryMeta(&w, v)
+	case WireHSP:
+		EncodeWireHSP(&w, v)
+	case WireHit:
+		EncodeWireHit(&w, v)
+	case WireQueries:
+		return EncodeWireQueries(v)
+	case int:
+		return EncodeInt(v)
+	case []QueryMeta:
+		return EncodeQueryMetas(v)
+	case serveBatchMsg:
+		return v.encode()
+	default:
+		panic(fmt.Sprintf("no layout for %T", v))
+	}
+	return w.Bytes()
 }

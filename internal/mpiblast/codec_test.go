@@ -33,3 +33,6 @@ func TestJobMetaCodec(t *testing.T) {
 		t.Fatal("a fragment count with no fragments behind it was accepted")
 	}
 }
+
+// wireBytes encodes a sample of a layout that has no type of its own.
+func wireBytes(v assignSample) []byte { return encodeTreeAssign(v.frag, v.alive) }
