@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"parblast/internal/engine"
 	"parblast/internal/mpiio"
+	"parblast/internal/wiretest"
 )
 
 // TestJobMetaCodec: the job broadcast round-trips, and every strict prefix of
@@ -25,9 +27,14 @@ func TestJobMetaCodec(t *testing.T) {
 	}
 	serve := jobMeta{NumSeqs: 1, TotalLen: 40, Parts: [][]wireExtent{{{VolBase: "nr", To: 1}}},
 		OutputPath: "o", Independent: true, Collective: true, QueryBatch: 1, Serve: true}
+	decode := func(data []byte) (m jobMeta, err error) {
+		c := engine.Decoder(data)
+		err = m.code(&c).Err()
+		return m, err
+	}
 	for _, in := range []jobMeta{full, serve, {}} {
 		data := in.encode()
-		got, err := decodeJobMeta(data)
+		got, err := decode(data)
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
@@ -35,17 +42,17 @@ func TestJobMetaCodec(t *testing.T) {
 			t.Fatalf("round trip changed the encoding of %+v: got %+v", in, got)
 		}
 		for cut := 0; cut < len(data); cut++ {
-			if _, err := decodeJobMeta(data[:cut]); err == nil {
+			if _, err := decode(data[:cut]); err == nil {
 				t.Fatalf("truncation at %d of %d undetected", cut, len(data))
 			}
 		}
 	}
-	if got, _ := decodeJobMeta(full.encode()); !reflect.DeepEqual(got, full) {
+	if got, _ := decode(full.encode()); !reflect.DeepEqual(got, full) {
 		t.Fatalf("round trip changed the value:\n got %+v\nwant %+v", got, full)
 	}
 	// Empty queries, NumSeqs 0, TotalLen 0, then 2^62 parts and no bytes.
 	hostile := []byte{0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
-	if _, err := decodeJobMeta(hostile); err == nil {
+	if _, err := decode(hostile); err == nil {
 		t.Fatal("a part count with no parts behind it was accepted")
 	}
 }
@@ -96,4 +103,34 @@ func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
 }
 
 // wireBytes encodes a sample of a layout that has no type of its own.
-func wireBytes(v goSample) []byte { return encodeGo(v.done, v.extras, v.alive) }
+func wireBytes(v goSample) []byte {
+	return goMsg{Done: v.done, Extras: v.extras, Alive: v.alive}.encode()
+}
+
+// codeLayout adapts a layout whose code fills a *T.
+func codeLayout[T any](name string, sample T, code func(*T, *engine.Codec) *engine.Codec) wiretest.Layout {
+	enc := func(v *T) []byte { return code(v, new(engine.Codec)).Bytes() }
+	return wiretest.Layout{Name: name, Sample: enc(&sample), Decode: func(data []byte) (any, []byte, error) {
+		var v T
+		c := engine.Decoder(data)
+		err := code(&v, &c).Err()
+		return v, enc(&v), err
+	}}
+}
+
+// FuzzWire hardens every wire layout of this package against corrupt or
+// malicious payloads (wiretest.Fuzz has the rules). The selection bundle is
+// read as worker 1 sees it.
+func FuzzWire(f *testing.F) {
+	sel := selection{Queries: []int{0, 1}, OIDs: []int{4, 9}, Offsets: []int64{0, 120}, Lengths: []int64{120, 33}}
+	wiretest.Fuzz(f, []wiretest.Layout{
+		codeLayout("job meta", jobMeta{Queries: []byte{1}, NumSeqs: 3, Parts: [][]wireExtent{{{VolBase: "nr", To: 3, SeqLen: 90}}}, Tree: true, TreeFanout: 2}, (*jobMeta).code),
+		codeLayout("batch metas", batchMetas{FirstQuery: 1, PerQuery: []engine.QueryMeta{{QueryIndex: 1, Hits: []engine.HitMeta{{OID: 4, ID: "s4"}}}}}, (*batchMetas).code),
+		codeLayout("selection", sel, (*selection).code),
+		codeLayout("go", goMsg{Done: true, Extras: []int{3}, Alive: []int{1, 2}}, (*goMsg).code),
+		{Name: "selection bundle", Sample: encodeSelectionBundle(true, []selection{{}, sel, {}}, []int{2, 1}), Decode: func(data []byte) (any, []byte, error) {
+			s, ok, err := decodeSelectionBundle(data, 1)
+			return []any{s, ok}, encodeSelectionBundle(ok, []selection{{}, s}, []int{1}), err
+		}},
+	})
+}

@@ -196,89 +196,46 @@ type jobMeta struct {
 	Serve bool
 }
 
-func (m *jobMeta) encode() []byte {
-	var w engine.Writer
-	w.Blob(m.Queries)
-	w.Int(int64(m.NumSeqs))
-	w.Int(m.TotalLen)
-	w.Uint(uint64(len(m.Parts)))
-	for _, part := range m.Parts {
-		w.Uint(uint64(len(part)))
-		for _, e := range part {
-			w.String(e.VolBase)
-			w.Int(int64(e.From))
-			w.Int(int64(e.To))
-			w.Int(int64(e.OIDFrom))
-			w.Int(e.HdrOff)
-			w.Int(e.HdrLen)
-			w.Int(e.SeqOff)
-			w.Int(e.SeqLen)
-			w.Int(e.HdrArrayPos)
-			w.Int(e.SeqArrayPos)
+func (m *jobMeta) code(c *engine.Codec) *engine.Codec {
+	c.Blob(&m.Queries)
+	c.Int(&m.NumSeqs)
+	c.Int64(&m.TotalLen)
+	for i := range engine.Len(c, &m.Parts) {
+		part := &m.Parts[i]
+		for j := range engine.Len(c, part) {
+			e := &(*part)[j]
+			c.String(&e.VolBase)
+			c.Int(&e.From)
+			c.Int(&e.To)
+			c.Int(&e.OIDFrom)
+			c.Int64(&e.HdrOff)
+			c.Int64(&e.HdrLen)
+			c.Int64(&e.SeqOff)
+			c.Int64(&e.SeqLen)
+			c.Int64(&e.HdrArrayPos)
+			c.Int64(&e.SeqArrayPos)
 		}
 	}
-	w.String(m.OutputPath)
-	w.Bool(m.EarlyPrune)
-	w.Bool(m.Independent)
-	w.Bool(m.Dynamic)
-	w.Bool(m.Collective)
-	w.Int(int64(m.Prefetch))
-	w.Int(int64(m.QueryBatch))
-	w.Int(m.MemBudget)
-	w.Bool(m.FT)
-	w.Bool(m.Tree)
-	w.Int(int64(m.TreeFanout))
-	w.Int(int64(m.IOHints.CbNodes))
-	w.Int(m.IOHints.CbBufferSize)
-	w.Int(m.IOHints.SieveGap)
-	w.Int(int64(m.IOHints.ReadStrategy))
-	w.Bool(m.Serve)
-	return w.Bytes()
+	c.String(&m.OutputPath)
+	c.Bool(&m.EarlyPrune)
+	c.Bool(&m.Independent)
+	c.Bool(&m.Dynamic)
+	c.Bool(&m.Collective)
+	c.Int(&m.Prefetch)
+	c.Int(&m.QueryBatch)
+	c.Int64(&m.MemBudget)
+	c.Bool(&m.FT)
+	c.Bool(&m.Tree)
+	c.Int(&m.TreeFanout)
+	c.Int(&m.IOHints.CbNodes)
+	c.Int64(&m.IOHints.CbBufferSize)
+	c.Int64(&m.IOHints.SieveGap)
+	c.Int((*int)(&m.IOHints.ReadStrategy))
+	c.Bool(&m.Serve)
+	return c
 }
 
-func decodeJobMeta(data []byte) (jobMeta, error) {
-	r := engine.NewReader(data)
-	m := jobMeta{Queries: r.Blob(), NumSeqs: int(r.Int()), TotalLen: r.Int()}
-	nParts := int(r.Uint())
-	for pi := 0; pi < nParts && r.Err() == nil; pi++ {
-		var part []wireExtent
-		n := int(r.Uint())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			part = append(part, wireExtent{
-				VolBase:     r.String(),
-				From:        int(r.Int()),
-				To:          int(r.Int()),
-				OIDFrom:     int(r.Int()),
-				HdrOff:      r.Int(),
-				HdrLen:      r.Int(),
-				SeqOff:      r.Int(),
-				SeqLen:      r.Int(),
-				HdrArrayPos: r.Int(),
-				SeqArrayPos: r.Int(),
-			})
-		}
-		m.Parts = append(m.Parts, part)
-	}
-	m.OutputPath = r.String()
-	m.EarlyPrune = r.Bool()
-	m.Independent = r.Bool()
-	m.Dynamic = r.Bool()
-	m.Collective = r.Bool()
-	m.Prefetch = int(r.Int())
-	m.QueryBatch = int(r.Int())
-	m.MemBudget = r.Int()
-	m.FT = r.Bool()
-	m.Tree = r.Bool()
-	m.TreeFanout = int(r.Int())
-	m.IOHints = mpiio.Hints{
-		CbNodes:      int(r.Int()),
-		CbBufferSize: r.Int(),
-		SieveGap:     r.Int(),
-		ReadStrategy: mpiio.Strategy(r.Int()),
-	}
-	m.Serve = r.Bool()
-	return m, r.Err()
-}
+func (m *jobMeta) encode() []byte { return m.code(new(engine.Codec)).Bytes() }
 
 // batchMetas is one worker's result metadata for a batch of queries.
 type batchMetas struct {
@@ -286,25 +243,13 @@ type batchMetas struct {
 	PerQuery   []engine.QueryMeta
 }
 
-func (b *batchMetas) encode() []byte {
-	var w engine.Writer
-	w.Int(int64(b.FirstQuery))
-	w.Uint(uint64(len(b.PerQuery)))
-	for _, qm := range b.PerQuery {
-		engine.EncodeQueryMeta(&w, qm)
-	}
-	return w.Bytes()
+func (b *batchMetas) code(c *engine.Codec) *engine.Codec {
+	c.Int(&b.FirstQuery)
+	engine.CodeQueryMetas(c, &b.PerQuery)
+	return c
 }
 
-func decodeBatchMetas(data []byte) (batchMetas, error) {
-	r := engine.NewReader(data)
-	b := batchMetas{FirstQuery: int(r.Int())}
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		b.PerQuery = append(b.PerQuery, engine.DecodeQueryMeta(r))
-	}
-	return b, r.Err()
-}
+func (b *batchMetas) encode() []byte { return b.code(new(engine.Codec)).Bytes() }
 
 // selection tells a worker where its chosen blocks land in the output file.
 type selection struct {
@@ -314,49 +259,39 @@ type selection struct {
 	Lengths []int64
 }
 
-func (s *selection) encode() []byte {
-	var w engine.Writer
-	w.Uint(uint64(len(s.OIDs)))
-	for i := range s.OIDs {
-		w.Int(int64(s.Queries[i]))
-		w.Int(int64(s.OIDs[i]))
-		w.Int(s.Offsets[i])
-		w.Int(s.Lengths[i])
+func (s *selection) code(c *engine.Codec) *engine.Codec {
+	n := engine.Len(c, &s.OIDs)
+	engine.Size(c, &s.Queries, n)
+	engine.Size(c, &s.Offsets, n)
+	engine.Size(c, &s.Lengths, n)
+	for i := range n {
+		c.Int(&s.Queries[i])
+		c.Int(&s.OIDs[i])
+		c.Int64(&s.Offsets[i])
+		c.Int64(&s.Lengths[i])
 	}
-	return w.Bytes()
+	return c
 }
 
-// encodeGo packs a master→worker go message: done flag plus the part
-// indices (if any) the worker must re-search on behalf of dead peers. The
-// final (done) message also carries the surviving worker list, so every
-// rank derives the identical reduction-tree membership for the merge.
-func encodeGo(done bool, extras, alive []int) []byte {
-	var w engine.Writer
-	w.Bool(done)
-	w.Uint(uint64(len(extras)))
-	for _, pi := range extras {
-		w.Int(int64(pi))
-	}
-	w.Uint(uint64(len(alive)))
-	for _, a := range alive {
-		w.Int(int64(a))
-	}
-	return w.Bytes()
+func (s *selection) encode() []byte { return s.code(new(engine.Codec)).Bytes() }
+
+// goMsg is a master→worker go message: the done flag plus the part indices
+// (if any) the worker must re-search on behalf of dead peers. The final
+// (done) message also carries the surviving worker list, so every rank
+// derives the identical reduction-tree membership for the merge.
+type goMsg struct {
+	Done          bool
+	Extras, Alive []int
 }
 
-func decodeGo(data []byte) (done bool, extras, alive []int, err error) {
-	r := engine.NewReader(data)
-	done = r.Bool()
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		extras = append(extras, int(r.Int()))
-	}
-	n = int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		alive = append(alive, int(r.Int()))
-	}
-	return done, extras, alive, r.Err()
+func (m *goMsg) code(c *engine.Codec) *engine.Codec {
+	c.Bool(&m.Done)
+	c.Ints(&m.Extras)
+	c.Ints(&m.Alive)
+	return c
 }
+
+func (m goMsg) encode() []byte { return m.code(new(engine.Codec)).Bytes() }
 
 // treeCombiner builds the TreeReduce combiner for batch metadata: decode
 // both bundles, merge per query with the master's exact selection rule,
@@ -366,13 +301,13 @@ func decodeGo(data []byte) (done bool, extras, alive []int, err error) {
 // combiner signature has no error path).
 func treeCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []byte {
 	return func(a, b []byte) []byte {
-		ba, err := decodeBatchMetas(a)
-		if err != nil {
+		var ba, bb batchMetas
+		ca, cb := engine.Decoder(a), engine.Decoder(b)
+		if err := ba.code(&ca).Err(); err != nil {
 			*errp = err
 			return nil
 		}
-		bb, err := decodeBatchMetas(b)
-		if err != nil {
+		if err := bb.code(&cb).Err(); err != nil {
 			*errp = err
 			return nil
 		}
@@ -393,53 +328,41 @@ func treeCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []
 // payload the layout broadcast carries down the tree. ok=false is the
 // abort marker: a member crashed mid-merge and the batch cannot complete.
 func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
-	var w engine.Writer
-	w.Bool(ok)
-	if !ok {
-		return w.Bytes()
+	var c engine.Codec
+	if c.Bool(&ok); !ok {
+		return c.Bytes()
 	}
-	w.Uint(uint64(len(workers)))
-	for _, wk := range workers {
-		w.Int(int64(wk))
-		w.Blob(sel[wk].encode())
+	for i := range engine.Len(&c, &workers) {
+		own := sel[workers[i]].encode()
+		c.Int(&workers[i])
+		c.Blob(&own)
 	}
-	return w.Bytes()
+	return c.Bytes()
 }
 
 // decodeSelectionBundle extracts this worker's selection from the layout
 // broadcast, passing over the other workers' without copying them. ok=false
 // reports the master's abort marker.
 func decodeSelectionBundle(data []byte, worker int) (sel selection, ok bool, err error) {
-	r := engine.NewReader(data)
-	if !r.Bool() {
-		return selection{}, false, r.Err()
+	c := engine.Decoder(data)
+	if c.Bool(&ok); !ok {
+		return selection{}, false, c.Err()
 	}
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		if wk := int(r.Int()); wk != worker {
-			r.SkipBlob()
+	for range c.Count(0) {
+		var wk int
+		if c.Int(&wk); wk != worker {
+			c.SkipBlob()
 			continue
 		}
-		s, err := decodeSelection(r.Blob())
-		return s, true, err
+		var own []byte
+		c.Blob(&own)
+		d := engine.Decoder(own)
+		return sel, true, sel.code(&d).Err()
 	}
-	if r.Err() != nil {
-		return selection{}, false, r.Err()
+	if c.Err() != nil {
+		return selection{}, false, c.Err()
 	}
 	return selection{}, true, fmt.Errorf("core: layout broadcast misses worker %d", worker)
-}
-
-func decodeSelection(data []byte) (selection, error) {
-	r := engine.NewReader(data)
-	n := int(r.Uint())
-	var s selection
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Queries = append(s.Queries, int(r.Int()))
-		s.OIDs = append(s.OIDs, int(r.Int()))
-		s.Offsets = append(s.Offsets, r.Int())
-		s.Lengths = append(s.Lengths, r.Int())
-	}
-	return s, r.Err()
 }
 
 // Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1)
@@ -617,20 +540,22 @@ func adaptiveBounds(volumes []int64, budget int64) []int {
 // the same number of queries, and the totals are decoded once per gather and
 // shared read-only.
 func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
-	var w engine.Writer
-	for _, v := range local {
-		w.Int(v)
+	var c engine.Codec
+	for q := range local {
+		c.Int64(&local[q])
 	}
-	all := r.AllGather(w.Bytes())
+	all := r.AllGather(c.Bytes())
 	return mpi.Once(r, "core.batch_volumes", func() []int64 {
 		total := make([]int64, len(local))
 		for _, data := range all {
 			if len(data) == 0 {
 				continue // crashed rank: contributes nothing
 			}
-			rd := engine.NewReader(data)
+			d := engine.Decoder(data)
 			for q := range total {
-				total[q] += rd.Int()
+				var v int64
+				d.Int64(&v)
+				total[q] += v
 			}
 		}
 		return total
@@ -833,8 +758,9 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 			r.TreeBcast(0, meta.TreeFanout, members, encodeSelectionBundle(false, nil, nil))
 			return fmt.Errorf("core: worker crashed during the hierarchical merge; recovery only covers the search phase")
 		}
-		bm, err := decodeBatchMetas(combined)
-		if err != nil {
+		var bm batchMetas
+		c := engine.Decoder(combined)
+		if err := bm.code(&c).Err(); err != nil {
 			return err
 		}
 		if len(bm.PerQuery) != q1-q0 {
@@ -847,11 +773,10 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 			if err != nil {
 				return err
 			}
-			bm, err := decodeBatchMetas(data)
-			if err != nil {
+			c := engine.Decoder(data)
+			if err := perWorker[w].code(&c).Err(); err != nil {
 				return err
 			}
-			perWorker[w] = bm
 		}
 	}
 
@@ -970,7 +895,7 @@ func (mb *masterBatch) syncWorkers(pending []int) error {
 		}
 		if len(pending) == 0 {
 			for _, w := range mb.alive {
-				r.Send(w, tagGo, encodeGo(true, nil, mb.alive))
+				r.Send(w, tagGo, goMsg{Done: true, Alive: mb.alive}.encode())
 			}
 			return nil
 		}
@@ -987,7 +912,7 @@ func (mb *masterBatch) syncWorkers(pending []int) error {
 		}
 		pending = nil
 		for _, w := range mb.alive {
-			r.Send(w, tagGo, encodeGo(false, extra[w], nil))
+			r.Send(w, tagGo, goMsg{Extras: extra[w]}.encode())
 		}
 	}
 }
@@ -1036,7 +961,9 @@ type worker struct {
 // resident once per stream batch.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.QueryBank, tuner *mpiio.Tuner) error {
 	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
-		m, err := decodeJobMeta(data)
+		var m jobMeta
+		c := engine.Decoder(data)
+		err := m.code(&c).Err()
 		return m, m.Queries, err
 	})
 	if boot.Err != nil {
@@ -1240,15 +1167,16 @@ func (w *worker) rendezvous(onExtras func(extras []int) error) error {
 		r.SetPhase(simtime.PhaseIdle)
 		r.Send(0, tagReady, nil)
 		data, _, _ := r.Recv(0, tagGo)
-		done, extras, alive, err := decodeGo(data)
-		if err != nil {
+		var msg goMsg
+		c := engine.Decoder(data)
+		if err := msg.code(&c).Err(); err != nil {
 			return err
 		}
-		if err := onExtras(extras); err != nil {
+		if err := onExtras(msg.Extras); err != nil {
 			return err
 		}
-		if done {
-			w.members = engine.TreeMembers(alive)
+		if msg.Done {
+			w.members = engine.TreeMembers(msg.Alive)
 			return nil
 		}
 	}
@@ -1371,11 +1299,10 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		// Selection: assemble the chosen blocks in offset order and
 		// write.
 		data, _, _ := r.Recv(0, tagSelect)
-		s, err := decodeSelection(data)
-		if err != nil {
+		c := engine.Decoder(data)
+		if err := sel.code(&c).Err(); err != nil {
 			return err
 		}
-		sel = s
 	}
 	idx := make([]int, len(sel.OIDs))
 	for i := range idx {

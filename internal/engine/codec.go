@@ -21,363 +21,307 @@ import (
 // what the process encoded before. Every message, the job and batch
 // broadcasts included, therefore uses a hand-rolled varint codec: a few bytes
 // per field, zero framing, and a length that is a pure function of the value.
+//
+// Each layout is written down once, as a code function that hands the
+// address of every field, in wire order, to a Codec: an encoding Codec reads
+// the fields and appends them, a decoding one fills them from its buffer. A
+// top-level message's code returns its Codec, so that coding and finishing
+// is one expression.
 
-// Writer appends varint-framed primitives to a buffer.
-type Writer struct {
-	buf []byte
+// Codec writes or reads one message. Its direction is fixed when it is built:
+// the zero Codec appends to a fresh buffer, one from Decoder consumes data.
+// While decoding, the first error sticks, later reads leave their fields
+// zero, and Err must be checked after the last field. A Codec is a value
+// held by the caller, so coding a message allocates no Codec whether or not
+// a call is inlined.
+type Codec struct {
+	buf     []byte
+	off     int
+	err     error
+	reading bool
 }
+
+// Decoder returns a Codec that fills what it is given from data.
+func Decoder(data []byte) Codec { return Codec{buf: data, reading: true} }
 
 // Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Int appends a zig-zag varint.
-//
-//lint:encodes
-func (w *Writer) Int(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-// Uint appends a uvarint.
-//
-//lint:encodes
-func (w *Writer) Uint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-// Bool appends a flag as one byte.
-//
-//lint:encodes
-func (w *Writer) Bool(v bool) {
-	var b uint64
-	if v {
-		b = 1
-	}
-	w.Uint(b)
-}
-
-// Float appends a float64 as its IEEE bits.
-//
-//lint:encodes
-func (w *Writer) Float(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-// String appends a length-prefixed string.
-//
-//lint:encodes
-func (w *Writer) String(s string) {
-	w.Uint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-//
-//lint:encodes
-func (w *Writer) Blob(b []byte) {
-	w.Uint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// Reader consumes what Writer produced. The first decode error sticks; Err
-// must be checked after the last field.
-type Reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-// NewReader wraps an encoded buffer.
-func NewReader(data []byte) *Reader { return &Reader{data: data} }
+func (c *Codec) Bytes() []byte { return c.buf }
 
 // Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (c *Codec) Err() error { return c.err }
 
-func (r *Reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("engine: codec: truncated %s at offset %d", what, r.off)
+func (c *Codec) fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("engine: codec: truncated %s at offset %d", what, c.off)
 	}
 }
 
-// Int reads a zig-zag varint.
-func (r *Reader) Int() int64 {
-	if r.err != nil {
+// uvarint codes one uvarint and returns the value written or read.
+func (c *Codec) uvarint(v uint64, what string) uint64 {
+	if !c.reading {
+		c.buf = binary.AppendUvarint(c.buf, v)
+		return v
+	}
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.data[r.off:])
+	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		r.fail("varint")
+		c.fail(what)
 		return 0
 	}
-	r.off += n
+	c.off += n
 	return v
 }
 
-// Uint reads a uvarint.
-func (r *Reader) Uint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Bool reads a flag.
-func (r *Reader) Bool() bool { return r.Uint() != 0 }
-
-// Float reads a float64.
-func (r *Reader) Float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := int(r.Uint())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// Blob reads a length-prefixed byte slice (copied).
-func (r *Reader) Blob() []byte { return slices.Clone(r.blobView()) }
-
-// SkipBlob passes over a length-prefixed byte slice without materialising
-// it. Safe because nothing escapes: the bounds check is Blob's, and the bytes
-// stay in the reader's buffer, which the caller already holds.
-func (r *Reader) SkipBlob() { r.blobView() }
-
-// blobView bounds-checks a length-prefixed byte slice and returns it as a
-// view of the reader's buffer (nil on error).
-func (r *Reader) blobView() []byte {
-	n := int(r.Uint())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.fail("blob")
-		return nil
-	}
-	r.off += n
-	return r.data[r.off-n : r.off]
-}
-
-// --- message codecs ---------------------------------------------------------
-
-// EncodeWork appends work counters.
-func EncodeWork(w *Writer, wc blast.WorkCounters) {
-	w.Int(wc.ResiduesScanned)
-	w.Int(wc.SeedHits)
-	w.Int(wc.UngappedExtensions)
-	w.Int(wc.UngappedCells)
-	w.Int(wc.GappedExtensions)
-	w.Int(wc.GappedCells)
-	w.Int(wc.TracebackCells)
-	w.Int(wc.HSPsFound)
-	w.Int(wc.IndexWords)
-}
-
-// DecodeWork reads work counters.
-func DecodeWork(r *Reader) blast.WorkCounters {
-	return blast.WorkCounters{
-		ResiduesScanned:    r.Int(),
-		SeedHits:           r.Int(),
-		UngappedExtensions: r.Int(),
-		UngappedCells:      r.Int(),
-		GappedExtensions:   r.Int(),
-		GappedCells:        r.Int(),
-		TracebackCells:     r.Int(),
-		HSPsFound:          r.Int(),
-		IndexWords:         r.Int(),
-	}
-}
-
-// EncodeHitMeta appends one metadata record.
-func EncodeHitMeta(w *Writer, h HitMeta) {
-	w.Int(int64(h.OID))
-	w.Int(int64(h.Worker))
-	w.String(h.ID)
-	w.String(h.Defline)
-	w.Int(int64(h.SubjLen))
-	w.Int(int64(h.Score))
-	w.Float(h.BitScore)
-	w.Float(h.EValue)
-	w.Int(int64(h.NumHSPs))
-	w.Int(h.BlockSize)
-}
-
-// DecodeHitMeta reads one metadata record.
-func DecodeHitMeta(r *Reader) HitMeta {
-	return HitMeta{
-		OID:       int(r.Int()),
-		Worker:    int(r.Int()),
-		ID:        r.String(),
-		Defline:   r.String(),
-		SubjLen:   int(r.Int()),
-		Score:     int(r.Int()),
-		BitScore:  r.Float(),
-		EValue:    r.Float(),
-		NumHSPs:   int(r.Int()),
-		BlockSize: r.Int(),
-	}
-}
-
-// EncodeQueryMeta appends one per-query submission.
-func EncodeQueryMeta(w *Writer, qm QueryMeta) {
-	w.Int(int64(qm.QueryIndex))
-	w.Int(int64(qm.Fragment))
-	EncodeWork(w, qm.Work)
-	w.Uint(uint64(len(qm.Hits)))
-	for _, h := range qm.Hits {
-		EncodeHitMeta(w, h)
-	}
-}
-
-// DecodeQueryMeta reads one per-query submission.
-func DecodeQueryMeta(r *Reader) QueryMeta {
-	qm := QueryMeta{
-		QueryIndex: int(r.Int()),
-		Fragment:   int(r.Int()),
-		Work:       DecodeWork(r),
-	}
-	n := int(r.Uint())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		return qm
-	}
-	qm.Hits = make([]HitMeta, 0, n)
-	for i := 0; i < n; i++ {
-		qm.Hits = append(qm.Hits, DecodeHitMeta(r))
-	}
-	return qm
-}
-
-// EncodeWireHSP appends one HSP.
-func EncodeWireHSP(w *Writer, h WireHSP) {
-	w.Int(int64(h.QueryFrom))
-	w.Int(int64(h.QueryTo))
-	w.Int(int64(h.SubjFrom))
-	w.Int(int64(h.SubjTo))
-	w.Int(int64(h.Score))
-	w.Float(h.BitScore)
-	w.Float(h.EValue)
-	w.Blob(h.Trace)
-}
-
-// DecodeWireHSP reads one HSP.
-func DecodeWireHSP(r *Reader) WireHSP {
-	return WireHSP{
-		QueryFrom: int(r.Int()),
-		QueryTo:   int(r.Int()),
-		SubjFrom:  int(r.Int()),
-		SubjTo:    int(r.Int()),
-		Score:     int(r.Int()),
-		BitScore:  r.Float(),
-		EValue:    r.Float(),
-		Trace:     r.Blob(),
-	}
-}
-
-// EncodeWireHit appends one full hit (alignment data; residues optional).
-func EncodeWireHit(w *Writer, h WireHit) {
-	w.Int(int64(h.OID))
-	w.String(h.ID)
-	w.String(h.Defline)
-	w.Int(int64(h.SubjLen))
-	w.Blob(h.Residues)
-	w.Uint(uint64(len(h.HSPs)))
-	for _, hsp := range h.HSPs {
-		EncodeWireHSP(w, hsp)
-	}
-}
-
-// DecodeWireHit reads one full hit.
-func DecodeWireHit(r *Reader) WireHit {
-	h := WireHit{
-		OID:      int(r.Int()),
-		ID:       r.String(),
-		Defline:  r.String(),
-		SubjLen:  int(r.Int()),
-		Residues: r.Blob(),
-	}
-	n := int(r.Uint())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		return h
-	}
-	h.HSPs = make([]WireHSP, 0, n)
-	for i := 0; i < n; i++ {
-		h.HSPs = append(h.HSPs, DecodeWireHSP(r))
-	}
-	return h
-}
-
-// EncodeWireQueries serializes the query set a job or batch broadcast
-// carries; it dominates the broadcast bytes.
+// Count writes the length n, or reads one and ignores n, as a uvarint under
+// the count rule: a decoded count larger than the bytes left is an error.
+// Every element and every byte takes at least one byte on the wire, so no
+// input sizes an allocation beyond its own length.
 //
 //lint:encodes
-func EncodeWireQueries(q WireQueries) []byte {
-	var w Writer
-	w.Uint(uint64(q.Kind))
-	w.Uint(uint64(len(q.IDs)))
-	for i := range q.IDs {
-		w.String(q.IDs[i])
-		w.String(q.Descriptions[i])
-		w.Blob(q.Residues[i])
+func (c *Codec) Count(n int) int {
+	v := c.uvarint(uint64(n), "count")
+	if c.reading && v > uint64(len(c.buf)-c.off) {
+		c.fail("count")
+		return 0
 	}
-	return w.Bytes()
+	return int(v)
 }
 
+// Len codes len(*s) under the count rule and, when decoding, sizes *s to the
+// count read, so the caller's loop codes each element in place.
+//
+//lint:encodes
+func Len[T any](c *Codec, s *[]T) int { return Size(c, s, c.Count(len(*s))) }
+
+// Size sizes *s to n when decoding, for a slice that runs parallel to one
+// whose length Len coded, and returns n.
+func Size[T any](c *Codec, s *[]T, n int) int {
+	if c.reading && n > 0 {
+		*s = make([]T, n)
+	}
+	return n
+}
+
+// Int64 codes a zig-zag varint.
+//
+//lint:encodes
+func (c *Codec) Int64(v *int64) {
+	if !c.reading {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Varint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail("varint")
+		return
+	}
+	c.off += n
+	*v = x
+}
+
+// Int codes an int as a zig-zag varint.
+//
+//lint:encodes
+func (c *Codec) Int(v *int) {
+	x := int64(*v)
+	if c.Int64(&x); c.reading {
+		*v = int(x)
+	}
+}
+
+// Ints codes a counted list of ints.
+//
+//lint:encodes
+func (c *Codec) Ints(s *[]int) {
+	for i := range Len(c, s) {
+		c.Int(&(*s)[i])
+	}
+}
+
+// Uint codes a uvarint.
+//
+//lint:encodes
+func (c *Codec) Uint(v *uint64) {
+	if x := c.uvarint(*v, "uvarint"); c.reading {
+		*v = x
+	}
+}
+
+// Bool codes a flag as a one-byte uvarint.
+//
+//lint:encodes
+func (c *Codec) Bool(v *bool) {
+	var b uint64
+	if *v {
+		b = 1
+	}
+	if b = c.uvarint(b, "uvarint"); c.reading {
+		*v = b != 0
+	}
+}
+
+// Float codes a float64 as its IEEE bits.
+//
+//lint:encodes
+func (c *Codec) Float(v *float64) {
+	if !c.reading {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	if len(c.buf)-c.off < 8 {
+		c.fail("float64")
+		return
+	}
+	*v = math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
+	c.off += 8
+}
+
+// String codes a length-prefixed string.
+//
+//lint:encodes
+func (c *Codec) String(s *string) {
+	if !c.reading {
+		c.Count(len(*s))
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	*s = string(c.view())
+}
+
+// Blob codes a length-prefixed byte slice; a decoded one is a copy.
+//
+//lint:encodes
+func (c *Codec) Blob(b *[]byte) {
+	if !c.reading {
+		c.Count(len(*b))
+		c.buf = append(c.buf, *b...)
+		return
+	}
+	*b = slices.Clone(c.view())
+}
+
+// SkipBlob passes over a length-prefixed byte slice while decoding, without
+// materialising it.
+func (c *Codec) SkipBlob() { c.view() }
+
+// view reads a length-prefixed byte slice as a view of the buffer (nil on
+// error).
+func (c *Codec) view() []byte {
+	n := c.Count(0)
+	if c.err != nil {
+		return nil
+	}
+	c.off += n
+	return c.buf[c.off-n : c.off]
+}
+
+// --- message layouts --------------------------------------------------------
+
+// CodeWork codes work counters.
+func CodeWork(c *Codec, wc *blast.WorkCounters) {
+	c.Int64(&wc.ResiduesScanned)
+	c.Int64(&wc.SeedHits)
+	c.Int64(&wc.UngappedExtensions)
+	c.Int64(&wc.UngappedCells)
+	c.Int64(&wc.GappedExtensions)
+	c.Int64(&wc.GappedCells)
+	c.Int64(&wc.TracebackCells)
+	c.Int64(&wc.HSPsFound)
+	c.Int64(&wc.IndexWords)
+}
+
+// Code codes one metadata record.
+func (h *HitMeta) Code(c *Codec) {
+	c.Int(&h.OID)
+	c.Int(&h.Worker)
+	c.String(&h.ID)
+	c.String(&h.Defline)
+	c.Int(&h.SubjLen)
+	c.Int(&h.Score)
+	c.Float(&h.BitScore)
+	c.Float(&h.EValue)
+	c.Int(&h.NumHSPs)
+	c.Int64(&h.BlockSize)
+}
+
+// Code codes one per-query submission.
+func (qm *QueryMeta) Code(c *Codec) {
+	c.Int(&qm.QueryIndex)
+	c.Int(&qm.Fragment)
+	CodeWork(c, &qm.Work)
+	for i := range Len(c, &qm.Hits) {
+		qm.Hits[i].Code(c)
+	}
+}
+
+func (h *WireHSP) code(c *Codec) {
+	c.Int(&h.QueryFrom)
+	c.Int(&h.QueryTo)
+	c.Int(&h.SubjFrom)
+	c.Int(&h.SubjTo)
+	c.Int(&h.Score)
+	c.Float(&h.BitScore)
+	c.Float(&h.EValue)
+	c.Blob(&h.Trace)
+}
+
+// Code codes one full hit (alignment data; residues optional).
+func (h *WireHit) Code(c *Codec) {
+	c.Int(&h.OID)
+	c.String(&h.ID)
+	c.String(&h.Defline)
+	c.Int(&h.SubjLen)
+	c.Blob(&h.Residues)
+	for i := range Len(c, &h.HSPs) {
+		h.HSPs[i].code(c)
+	}
+}
+
+// code codes the query set a job or batch broadcast carries; it dominates
+// the broadcast bytes.
+func (q *WireQueries) code(c *Codec) *Codec {
+	kind := uint64(q.Kind)
+	c.Uint(&kind)
+	q.Kind = seq.Kind(kind)
+	n := Len(c, &q.IDs)
+	Size(c, &q.Descriptions, n)
+	Size(c, &q.Residues, n)
+	for i := range n {
+		c.String(&q.IDs[i])
+		c.String(&q.Descriptions[i])
+		c.Blob(&q.Residues[i])
+	}
+	return c
+}
+
+// EncodeWireQueries serializes a query broadcast payload.
+func EncodeWireQueries(q WireQueries) []byte { return q.code(new(Codec)).Bytes() }
+
 // DecodeWireQueries reads a query broadcast payload.
-func DecodeWireQueries(data []byte) (WireQueries, error) {
-	r := NewReader(data)
-	var q WireQueries
-	q.Kind = seq.Kind(r.Uint())
-	n := int(r.Uint())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		r.fail("query count")
-		return q, r.Err()
-	}
-	q.IDs = make([]string, 0, n)
-	q.Descriptions = make([]string, 0, n)
-	q.Residues = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		q.IDs = append(q.IDs, r.String())
-		q.Descriptions = append(q.Descriptions, r.String())
-		q.Residues = append(q.Residues, r.Blob())
-	}
-	return q, r.Err()
+func DecodeWireQueries(data []byte) (q WireQueries, err error) {
+	c := Decoder(data)
+	q.code(&c)
+	return q, c.Err()
 }
 
 // EncodeInt encodes a single integer (assignment messages).
-//
-//lint:encodes
 func EncodeInt(v int) []byte {
-	var w Writer
-	w.Int(int64(v))
-	return w.Bytes()
+	var c Codec
+	c.Int(&v)
+	return c.Bytes()
 }
 
 // DecodeInt decodes a single integer.
-func DecodeInt(data []byte) (int, error) {
-	r := NewReader(data)
-	v := int(r.Int())
-	return v, r.Err()
+func DecodeInt(data []byte) (v int, err error) {
+	c := Decoder(data)
+	c.Int(&v)
+	return v, c.Err()
 }

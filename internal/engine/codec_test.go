@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,54 +13,66 @@ import (
 	"parblast/internal/seq"
 )
 
-func TestCodecPrimitivesRoundTrip(t *testing.T) {
-	var w Writer
-	w.Int(-42)
-	w.Int(0)
-	w.Int(1 << 40)
-	w.Uint(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.Float(3.14159)
-	w.Float(math.Inf(1))
-	w.String("hello world")
-	w.String("")
-	w.Blob([]byte{1, 2, 3})
-	w.Blob(nil)
+// primitives codes one value of every primitive, in a fixed order.
+type primitives struct {
+	ints   [3]int64
+	n      int
+	u      uint64
+	flags  [2]bool
+	floats [2]float64
+	strs   [2]string
+	blobs  [2][]byte
+	list   []int
+}
 
-	r := NewReader(w.Bytes())
-	if r.Int() != -42 || r.Int() != 0 || r.Int() != 1<<40 {
-		t.Fatal("int round trip failed")
+func (p *primitives) code(c *Codec) *Codec {
+	for i := range p.ints {
+		c.Int64(&p.ints[i])
 	}
-	if r.Uint() != 7 {
-		t.Fatal("uint round trip failed")
+	c.Int(&p.n)
+	c.Uint(&p.u)
+	c.Bool(&p.flags[0])
+	c.Bool(&p.flags[1])
+	c.Float(&p.floats[0])
+	c.Float(&p.floats[1])
+	c.String(&p.strs[0])
+	c.String(&p.strs[1])
+	c.Blob(&p.blobs[0])
+	c.Blob(&p.blobs[1])
+	c.Ints(&p.list)
+	return c
+}
+
+func TestCodecPrimitivesRoundTrip(t *testing.T) {
+	in := primitives{
+		ints: [3]int64{-42, 0, 1 << 40}, n: -7, u: 7, flags: [2]bool{true, false},
+		floats: [2]float64{3.14159, math.Inf(1)}, strs: [2]string{"hello world", ""},
+		blobs: [2][]byte{{1, 2, 3}, nil}, list: []int{5, -1, 1 << 33},
 	}
-	if !r.Bool() || r.Bool() {
-		t.Fatal("bool round trip failed")
+	var out primitives
+	c := Decoder(in.code(new(Codec)).Bytes())
+	if err := out.code(&c).Err(); err != nil {
+		t.Fatal(err)
 	}
-	if r.Float() != 3.14159 || !math.IsInf(r.Float(), 1) {
-		t.Fatal("float round trip failed")
+	if out.ints != in.ints || out.n != in.n || out.u != in.u || out.flags != in.flags ||
+		out.floats != in.floats || out.strs != in.strs {
+		t.Fatalf("scalars differ: %+v", out)
 	}
-	if r.String() != "hello world" || r.String() != "" {
-		t.Fatal("string round trip failed")
-	}
-	if !bytes.Equal(r.Blob(), []byte{1, 2, 3}) || len(r.Blob()) != 0 {
-		t.Fatal("blob round trip failed")
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	if !bytes.Equal(out.blobs[0], in.blobs[0]) || len(out.blobs[1]) != 0 || !slices.Equal(out.list, in.list) {
+		t.Fatalf("blobs or list differ: %+v", out)
 	}
 }
 
 func TestCodecTruncation(t *testing.T) {
-	var w Writer
-	w.String("a long enough string")
+	str := "a long enough string"
 	batch := serveBatchMsg{Seq: 3, Queries: EncodeWireQueries(WireQueries{
 		Kind: seq.Protein, IDs: []string{"q1"}, Descriptions: []string{"d"}, Residues: [][]byte{{1, 2, 3}},
 	})}
 	// What decodes must encode back to the bytes it came from: the round trip.
 	decodeBatch := func(data []byte) error {
-		m, err := decodeServeBatchMsg(data)
+		var m serveBatchMsg
+		c := Decoder(data)
+		err := m.code(&c).Err()
 		if err == nil && !bytes.Equal(m.encode(), data) {
 			t.Errorf("serve batch %+v does not encode back to its %d input bytes", m, len(data))
 		}
@@ -69,23 +83,31 @@ func TestCodecTruncation(t *testing.T) {
 		data   []byte
 		decode func([]byte) error
 	}{
-		{"string", w.Bytes(), func(data []byte) error {
-			r := NewReader(data)
-			_ = r.String()
-			return r.Err()
+		{"string", func() []byte {
+			var c Codec
+			c.String(&str)
+			return c.Bytes()
+		}(), func(data []byte) error {
+			var s string
+			c := Decoder(data)
+			c.String(&s)
+			return c.Err()
 		}},
 		{"skipped blob", func() []byte {
-			var w Writer
-			w.Blob([]byte("passed over"))
-			w.Blob([]byte("read"))
-			return w.Bytes()
+			var c Codec
+			for _, s := range []string{"passed over", "read"} {
+				b := []byte(s)
+				c.Blob(&b)
+			}
+			return c.Bytes()
 		}(), func(data []byte) error {
-			r := NewReader(data)
-			r.SkipBlob()
-			if got := r.Blob(); r.Err() == nil && string(got) != "read" {
+			var got []byte
+			c := Decoder(data)
+			c.SkipBlob()
+			if c.Blob(&got); c.Err() == nil && string(got) != "read" {
 				t.Errorf("after a skip the next blob reads %q", got)
 			}
-			return r.Err()
+			return c.Err()
 		}},
 		{"serve batch", batch.encode(), decodeBatch},
 		{"serve sentinel", serveBatchMsg{Seq: -1}.encode(), decodeBatch},
@@ -100,15 +122,13 @@ func TestCodecTruncation(t *testing.T) {
 			}
 		}
 	}
-	// Reads after an error return zero values, never panic.
-	r := NewReader(nil)
-	_ = r.Int()
-	if r.Err() == nil {
+	// Reads after an error leave their fields zero, never panic.
+	var p primitives
+	if c := Decoder(nil); p.code(&c).Err() == nil {
 		t.Fatal("empty input accepted")
 	}
-	r.SkipBlob()
-	if r.Uint() != 0 || r.Float() != 0 || r.String() != "" || r.Blob() != nil {
-		t.Fatal("post-error reads not zero")
+	if !reflect.DeepEqual(p, primitives{}) {
+		t.Fatalf("post-error reads not zero: %+v", p)
 	}
 }
 
@@ -124,12 +144,12 @@ func TestQueryMetaCodecRoundTrip(t *testing.T) {
 				BitScore: 12.1, EValue: 3.3, NumHSPs: 1, BlockSize: 200},
 		},
 	}
-	var w Writer
-	EncodeQueryMeta(&w, in)
-	r := NewReader(w.Bytes())
-	out := DecodeQueryMeta(r)
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	var c Codec
+	in.Code(&c)
+	var out QueryMeta
+	c = Decoder(c.Bytes())
+	if out.Code(&c); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	if out.QueryIndex != in.QueryIndex || out.Fragment != in.Fragment || out.Work != in.Work {
 		t.Fatalf("meta fields differ: %+v", out)
@@ -148,12 +168,12 @@ func TestWireHitCodecRoundTrip(t *testing.T) {
 				BitScore: 33.2, EValue: 2e-6, Trace: []byte{0, 0, 1, 2, 0}},
 		},
 	}
-	var w Writer
-	EncodeWireHit(&w, in)
-	r := NewReader(w.Bytes())
-	out := DecodeWireHit(r)
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	var c Codec
+	in.Code(&c)
+	var out WireHit
+	c = Decoder(c.Bytes())
+	if out.Code(&c); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	if out.OID != in.OID || out.ID != in.ID || !bytes.Equal(out.Residues, in.Residues) {
 		t.Fatalf("hit differs: %+v", out)
@@ -170,11 +190,11 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 			OID: int(oid), Worker: 1, ID: id, Defline: defline,
 			Score: int(score), EValue: ev, BlockSize: block,
 		}
-		var w Writer
-		EncodeHitMeta(&w, in)
-		r := NewReader(w.Bytes())
-		out := DecodeHitMeta(r)
-		if r.Err() != nil {
+		var c Codec
+		in.Code(&c)
+		var out HitMeta
+		c = Decoder(c.Bytes())
+		if out.Code(&c); c.Err() != nil {
 			return false
 		}
 		// NaN never compares equal; normalize.
@@ -227,18 +247,18 @@ func TestWireQueriesCodecRoundTrip(t *testing.T) {
 
 // wireBytes encodes one sample of a layout for TestWireBytesPinned.
 func wireBytes(v any) []byte {
-	var w Writer
+	var c Codec
 	switch v := v.(type) {
 	case blast.WorkCounters:
-		EncodeWork(&w, v)
+		CodeWork(&c, &v)
 	case HitMeta:
-		EncodeHitMeta(&w, v)
+		v.Code(&c)
 	case QueryMeta:
-		EncodeQueryMeta(&w, v)
+		v.Code(&c)
 	case WireHSP:
-		EncodeWireHSP(&w, v)
+		v.code(&c)
 	case WireHit:
-		EncodeWireHit(&w, v)
+		v.Code(&c)
 	case WireQueries:
 		return EncodeWireQueries(v)
 	case int:
@@ -250,5 +270,5 @@ func wireBytes(v any) []byte {
 	default:
 		panic(fmt.Sprintf("no layout for %T", v))
 	}
-	return w.Bytes()
+	return c.Bytes()
 }

@@ -123,12 +123,13 @@ func TestWireHitRoundTrip(t *testing.T) {
 		}},
 	}
 	residues := []byte{1, 2, 3, 4, 5}
-	var w Writer
-	EncodeWireHit(&w, PackHit(res, residues))
-	r := NewReader(w.Bytes())
-	back := DecodeWireHit(r)
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	var c Codec
+	hit := PackHit(res, residues)
+	hit.Code(&c)
+	var back WireHit
+	c = Decoder(c.Bytes())
+	if back.Code(&c); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	got, gotRes := back.Unpack()
 	if got.OID != 7 || got.ID != "s7" || got.SubjLen != 50 || !bytes.Equal(gotRes, residues) {

@@ -2,41 +2,36 @@ package engine
 
 import "sort"
 
-// Hierarchical group merge: the shared building block behind both
-// engines' tree-structured metadata merge. A group of workers pre-merges
-// its members' per-query metadata with the SAME selection rule the master
+// Hierarchical group merge: pioBLAST's tree-structured metadata merge folds
+// per-query metadata sets with these. A group of workers pre-merges its
+// members' per-query metadata with the SAME selection rule the master
 // applies (MergeHits), so one aggregated message per group travels up the
 // tree instead of one stream per worker. Because MergeHits is a strict
 // total order over hits — (E-value asc, score desc, OID asc) with unique
 // OIDs — nested top-k selection is exactly equal to flat top-k selection,
 // which is what makes the hierarchical merge byte-identical to the
-// master's flat merge at any fan-out and grouping.
+// master's flat merge at any fan-out and grouping. mpiBLAST folds its own
+// alignment bundles (mpiblast.treeResults) under the same rule.
 
-// EncodeQueryMetas serializes a per-query metadata set for one tree-merge
-// bundle payload.
-//
-//lint:encodes
-func EncodeQueryMetas(metas []QueryMeta) []byte {
-	w := &Writer{}
-	w.Uint(uint64(len(metas)))
-	for _, qm := range metas {
-		EncodeQueryMeta(w, qm)
+// CodeQueryMetas codes a counted per-query metadata set.
+func CodeQueryMetas(c *Codec, metas *[]QueryMeta) {
+	for i := range Len(c, metas) {
+		(*metas)[i].Code(c)
 	}
-	return w.Bytes()
+}
+
+// EncodeQueryMetas serializes a per-query metadata set.
+func EncodeQueryMetas(metas []QueryMeta) []byte {
+	var c Codec
+	CodeQueryMetas(&c, &metas)
+	return c.Bytes()
 }
 
 // DecodeQueryMetas reverses EncodeQueryMetas.
-func DecodeQueryMetas(data []byte) ([]QueryMeta, error) {
-	r := NewReader(data)
-	n := int(r.Uint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	out := make([]QueryMeta, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, DecodeQueryMeta(r))
-	}
-	return out, r.Err()
+func DecodeQueryMetas(data []byte) (metas []QueryMeta, err error) {
+	c := Decoder(data)
+	CodeQueryMetas(&c, &metas)
+	return metas, c.Err()
 }
 
 // CombineQueryMetas merges two per-query metadata sets: entries with the

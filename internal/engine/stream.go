@@ -160,18 +160,13 @@ type serveBatchMsg struct {
 	Queries []byte // EncodeWireQueries payload; nil on the sentinel
 }
 
-func (m serveBatchMsg) encode() []byte {
-	var w Writer
-	w.Int(int64(m.Seq))
-	w.Blob(m.Queries)
-	return w.Bytes()
+func (m *serveBatchMsg) code(c *Codec) *Codec {
+	c.Int(&m.Seq)
+	c.Blob(&m.Queries)
+	return c
 }
 
-func decodeServeBatchMsg(data []byte) (serveBatchMsg, error) {
-	r := NewReader(data)
-	m := serveBatchMsg{Seq: int(r.Int()), Queries: r.Blob()}
-	return m, r.Err()
-}
+func (m serveBatchMsg) encode() []byte { return m.code(new(Codec)).Bytes() }
 
 // ServeStream is the master side of a serving run, after the cluster is
 // warm: run the admission queue over the arrival stream, idle on the
@@ -235,7 +230,9 @@ func ServeStream(r *mpi.Rank, s *Stream, bank *blast.QueryBank, stats *ServeStat
 func NextBatch(r *mpi.Rank) (queries []*seq.Sequence, ok bool, err error) {
 	r.SetPhase(simtime.PhaseIdle)
 	b := ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (int, []byte, error) {
-		msg, err := decodeServeBatchMsg(data)
+		var msg serveBatchMsg
+		c := Decoder(data)
+		err := msg.code(&c).Err()
 		return msg.Seq, msg.Queries, err
 	})
 	if b.Err != nil || b.Meta < 0 {

@@ -66,9 +66,9 @@ func badMarshal(m map[string]int) [][]byte {
 	return out
 }
 
-func badCodec(w *engine.Writer, m map[string]int64) {
-	for _, v := range m { // want "feeds the wire codec via Writer.Int"
-		w.Int(v)
+func badCodec(c *engine.Codec, m map[string]int64) {
+	for _, v := range m { // want "feeds the wire codec via Codec.Int64"
+		c.Int64(&v)
 	}
 }
 

@@ -56,7 +56,7 @@ type masterHit struct {
 // requesters parked while the queue is empty.
 type assigner struct {
 	r       *mpi.Rank
-	tree    bool // assignment payload format (encodeTreeAssign vs a bare int)
+	tree    bool // assignment payload format (treeAssign vs a bare int)
 	queue   []int
 	alive   []int
 	current []int   // fragment in flight per worker (-1 none)
@@ -122,7 +122,7 @@ func (a *assigner) assign(w int) bool {
 	a.queue = a.queue[1:]
 	a.current[w] = f
 	if a.tree {
-		a.r.Send(w, tagAssign, encodeTreeAssign(f, nil))
+		a.r.Send(w, tagAssign, treeAssign{Frag: f}.encode())
 	} else {
 		a.r.Send(w, tagAssign, engine.EncodeInt(f))
 	}
@@ -284,8 +284,9 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 			}
 			release(from)
 		case tagResults:
-			msg, err := decodeResultsMsg(data)
-			if err != nil {
+			var msg resultsMsg
+			c := engine.Decoder(data)
+			if err := msg.code(&c).Err(); err != nil {
 				return err
 			}
 			if results.got[msg.Fragment][msg.Query] {
@@ -364,7 +365,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 	}
 	// Sweep release: everyone learns the final membership at once.
 	for _, w := range a.alive {
-		r.Send(w, tagAssign, encodeTreeAssign(-1, a.alive))
+		r.Send(w, tagAssign, treeAssign{Frag: -1, Alive: a.alive}.encode())
 	}
 
 	if err := m.openOutput(); err != nil {
@@ -431,8 +432,9 @@ func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats
 			results := newFragResults(nFrags, nQueries)
 			for remaining := nFrags * nQueries; remaining > 0; remaining-- {
 				data, _, _ := r.Recv(mpi.AnySource, tagResults)
-				msg, err := decodeResultsMsg(data)
-				if err != nil {
+				var msg resultsMsg
+				c := engine.Decoder(data)
+				if err := msg.code(&c).Err(); err != nil {
 					return err
 				}
 				results.ingest(r, msg)
@@ -490,7 +492,8 @@ func (m *master) foldTree(members []int, nQueries int) (res treeResults, complet
 	if len(contributors) != len(members) {
 		return res, false, nil
 	}
-	if res, err = decodeTreeResults(combined); err != nil {
+	c := engine.Decoder(combined)
+	if err = res.code(&c).Err(); err != nil {
 		return res, false, err
 	}
 	if len(res.Hits) != nQueries {

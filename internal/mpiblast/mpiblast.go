@@ -57,33 +57,20 @@ type jobMeta struct {
 	Serve bool
 }
 
-func (m *jobMeta) encode() []byte {
-	var w engine.Writer
-	w.Blob(m.Queries)
-	w.Int(int64(m.NumSeqs))
-	w.Int(m.TotalLen)
-	w.Uint(uint64(len(m.FragBases)))
-	for _, base := range m.FragBases {
-		w.String(base)
+func (m *jobMeta) code(c *engine.Codec) *engine.Codec {
+	c.Blob(&m.Queries)
+	c.Int(&m.NumSeqs)
+	c.Int64(&m.TotalLen)
+	for i := range engine.Len(c, &m.FragBases) {
+		c.String(&m.FragBases[i])
 	}
-	w.Bool(m.Tree)
-	w.Int(int64(m.TreeFanout))
-	w.Bool(m.Serve)
-	return w.Bytes()
+	c.Bool(&m.Tree)
+	c.Int(&m.TreeFanout)
+	c.Bool(&m.Serve)
+	return c
 }
 
-func decodeJobMeta(data []byte) (jobMeta, error) {
-	r := engine.NewReader(data)
-	m := jobMeta{Queries: r.Blob(), NumSeqs: int(r.Int()), TotalLen: r.Int()}
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.FragBases = append(m.FragBases, r.String())
-	}
-	m.Tree = r.Bool()
-	m.TreeFanout = int(r.Int())
-	m.Serve = r.Bool()
-	return m, r.Err()
-}
+func (m *jobMeta) encode() []byte { return m.code(new(engine.Codec)).Bytes() }
 
 type fetchKey struct {
 	Query int
@@ -104,46 +91,26 @@ type resultsMsg struct {
 	Hits     []engine.WireHit // residues stripped
 }
 
-func (m *resultsMsg) encode() []byte {
-	var w engine.Writer
-	w.Int(int64(m.Query))
-	w.Int(int64(m.Fragment))
-	w.Int(int64(m.Worker))
-	engine.EncodeWork(&w, m.Work)
-	w.Uint(uint64(len(m.Hits)))
-	for _, h := range m.Hits {
-		engine.EncodeWireHit(&w, h)
+func (m *resultsMsg) code(c *engine.Codec) *engine.Codec {
+	c.Int(&m.Query)
+	c.Int(&m.Fragment)
+	c.Int(&m.Worker)
+	engine.CodeWork(c, &m.Work)
+	for i := range engine.Len(c, &m.Hits) {
+		m.Hits[i].Code(c)
 	}
-	return w.Bytes()
+	return c
 }
 
-func decodeResultsMsg(data []byte) (resultsMsg, error) {
-	r := engine.NewReader(data)
-	m := resultsMsg{
-		Query:    int(r.Int()),
-		Fragment: int(r.Int()),
-		Worker:   int(r.Int()),
-		Work:     engine.DecodeWork(r),
-	}
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.Hits = append(m.Hits, engine.DecodeWireHit(r))
-	}
-	return m, r.Err()
+func (m *resultsMsg) encode() []byte { return m.code(new(engine.Codec)).Bytes() }
+
+func (k *fetchKey) code(c *engine.Codec) *engine.Codec {
+	c.Int(&k.Query)
+	c.Int(&k.OID)
+	return c
 }
 
-func (k fetchKey) encode() []byte {
-	var w engine.Writer
-	w.Int(int64(k.Query))
-	w.Int(int64(k.OID))
-	return w.Bytes()
-}
-
-func decodeFetchKey(data []byte) (fetchKey, error) {
-	r := engine.NewReader(data)
-	k := fetchKey{Query: int(r.Int()), OID: int(r.Int())}
-	return k, r.Err()
-}
+func (k fetchKey) encode() []byte { return k.code(new(engine.Codec)).Bytes() }
 
 // PrepareFragments runs the mpiformatdb step: it physically fragments the
 // formatted database into n standalone fragment databases on the shared
@@ -322,7 +289,9 @@ type worker struct {
 // per-hit residue fetches until released.
 func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	boot := engine.ReadBroadcast(r, r.Bcast(0, nil), func(data []byte) (jobMeta, []byte, error) {
-		m, err := decodeJobMeta(data)
+		var m jobMeta
+		c := engine.Decoder(data)
+		err := m.code(&c).Err()
 		return m, m.Queries, err
 	})
 	if boot.Err != nil {
@@ -370,7 +339,10 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 		var fragID int
 		if meta.Tree {
 			// The tree protocol's release also carries the survivor list.
-			fragID, alive, err = decodeTreeAssign(data)
+			var a treeAssign
+			c := engine.Decoder(data)
+			err = a.code(&c).Err()
+			fragID, alive = a.Frag, a.Alive
 		} else {
 			fragID, err = engine.DecodeInt(data)
 		}
@@ -532,8 +504,9 @@ func (w *worker) serveFetches() error {
 		if tag == tagRelease {
 			return nil
 		}
-		key, err := decodeFetchKey(data)
-		if err != nil {
+		var key fetchKey
+		c := engine.Decoder(data)
+		if err := key.code(&c).Err(); err != nil {
 			return err
 		}
 		residues, ok := w.residues[key]

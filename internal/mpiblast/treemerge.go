@@ -33,38 +33,20 @@ type treeResults struct {
 	Hits [][]treeHit
 }
 
-func (t *treeResults) encode() []byte {
-	var w engine.Writer
-	w.Uint(uint64(len(t.Hits)))
+func (t *treeResults) code(c *engine.Codec) *engine.Codec {
+	engine.Size(c, &t.Work, engine.Len(c, &t.Hits))
 	for q := range t.Hits {
-		engine.EncodeWork(&w, t.Work[q])
-		w.Uint(uint64(len(t.Hits[q])))
-		for _, th := range t.Hits[q] {
-			w.Int(int64(th.Worker))
-			engine.EncodeWireHit(&w, th.Hit)
+		engine.CodeWork(c, &t.Work[q])
+		for i := range engine.Len(c, &t.Hits[q]) {
+			th := &t.Hits[q][i]
+			c.Int(&th.Worker)
+			th.Hit.Code(c)
 		}
 	}
-	return w.Bytes()
+	return c
 }
 
-func decodeTreeResults(data []byte) (treeResults, error) {
-	r := engine.NewReader(data)
-	n := int(r.Uint())
-	if r.Err() != nil || n < 0 || n > 1<<24 {
-		return treeResults{}, fmt.Errorf("mpiblast: corrupt tree results header")
-	}
-	t := treeResults{Work: make([]blast.WorkCounters, n), Hits: make([][]treeHit, n)}
-	for q := 0; q < n && r.Err() == nil; q++ {
-		t.Work[q] = engine.DecodeWork(r)
-		nh := int(r.Uint())
-		for i := 0; i < nh && r.Err() == nil; i++ {
-			th := treeHit{Worker: int(r.Int())}
-			th.Hit = engine.DecodeWireHit(r)
-			t.Hits[q] = append(t.Hits[q], th)
-		}
-	}
-	return t, r.Err()
-}
+func (t *treeResults) encode() []byte { return t.code(new(engine.Codec)).Bytes() }
 
 // sortCapTreeHits applies the global selection rule, engine.MergeHits, to
 // one query's hit list: each hit is keyed by its best (first) HSP, with its
@@ -89,13 +71,13 @@ func sortCapTreeHits(hits []treeHit, maxTargets int) []treeHit {
 // distribution that takes the merge off the master's critical path.
 func treeResultsCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []byte {
 	return func(a, b []byte) []byte {
-		ra, err := decodeTreeResults(a)
-		if err != nil {
+		var ra, rb treeResults
+		ca, cb := engine.Decoder(a), engine.Decoder(b)
+		if err := ra.code(&ca).Err(); err != nil {
 			*errp = err
 			return nil
 		}
-		rb, err := decodeTreeResults(b)
-		if err != nil {
+		if err := rb.code(&cb).Err(); err != nil {
 			*errp = err
 			return nil
 		}
@@ -122,25 +104,18 @@ func treeResultsCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []b
 	}
 }
 
-// encodeTreeAssign packs a tree-mode assignment: the fragment id, or -1
-// for the release, which also carries the final survivor list so every
-// rank derives the identical tree membership for the merge.
-func encodeTreeAssign(frag int, alive []int) []byte {
-	var w engine.Writer
-	w.Int(int64(frag))
-	w.Uint(uint64(len(alive)))
-	for _, a := range alive {
-		w.Int(int64(a))
-	}
-	return w.Bytes()
+// treeAssign is a tree-mode assignment: the fragment id, or -1 for the
+// release, which also carries the final survivor list so every rank derives
+// the identical tree membership for the merge.
+type treeAssign struct {
+	Frag  int
+	Alive []int
 }
 
-func decodeTreeAssign(data []byte) (frag int, alive []int, err error) {
-	r := engine.NewReader(data)
-	frag = int(r.Int())
-	n := int(r.Uint())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		alive = append(alive, int(r.Int()))
-	}
-	return frag, alive, r.Err()
+func (a *treeAssign) code(c *engine.Codec) *engine.Codec {
+	c.Int(&a.Frag)
+	c.Ints(&a.Alive)
+	return c
 }
+
+func (a treeAssign) encode() []byte { return a.code(new(engine.Codec)).Bytes() }

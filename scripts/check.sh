@@ -185,8 +185,12 @@ go test -race -count=3 -run TestNoGoroutineOutlivesARun .
 GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 
 # Fuzz smoke: a few seconds per codec hardening target. Finds shallow
-# panics in the wire codec and artifact reader without a long campaign.
-go test -run=- -fuzz=FuzzWireQueries -fuzztime=5s ./internal/engine
+# panics, count-sized allocations and lossy round trips in the wire layouts
+# (one FuzzWire per package that owns some) and the artifact reader without
+# a long campaign.
+for pkg in engine core mpiblast; do
+    go test -run=- -fuzz=FuzzWire -fuzztime=5s ./internal/$pkg
+done
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
 go test -run=- -bench='SearchFragment|SearchQueries|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
