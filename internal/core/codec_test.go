@@ -119,7 +119,7 @@ func codeLayout[T any](name string, sample T, code func(*T, *engine.Codec) *engi
 }
 
 // FuzzWire hardens every wire layout of this package against corrupt or
-// malicious payloads (wiretest.Fuzz has the rules). The selection bundle is
+// malicious payloads (wiretest.Check has the rules). The selection bundle is
 // read as worker 1 sees it.
 func FuzzWire(f *testing.F) {
 	sel := selection{Queries: []int{0, 1}, OIDs: []int{4, 9}, Offsets: []int64{0, 120}, Lengths: []int64{120, 33}}

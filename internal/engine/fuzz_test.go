@@ -42,9 +42,52 @@ func engineLayouts() []wiretest.Layout {
 	}
 }
 
+// engineLayout returns the layout of engineLayouts named name.
+func engineLayout(name string) wiretest.Layout {
+	for _, l := range engineLayouts() {
+		if l.Name == name {
+			return l
+		}
+	}
+	panic("no wire layout " + name)
+}
+
 // FuzzWire hardens every wire layout of this package against corrupt or
-// malicious payloads (wiretest.Fuzz has the rules).
+// malicious payloads (wiretest.Check has the rules).
 func FuzzWire(f *testing.F) { wiretest.Fuzz(f, engineLayouts()) }
+
+// FuzzDecodeQueryMeta holds the query-meta layout to wiretest.Check, and an
+// empty payload must not decode.
+func FuzzDecodeQueryMeta(f *testing.F) {
+	l := engineLayout("query meta")
+	f.Add(l.Sample)
+	f.Add([]byte{})
+	f.Add(wiretest.MaxVarint)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if wiretest.Check(t, l, data) == nil && len(data) == 0 {
+			t.Fatal("empty buffer decoded without error")
+		}
+	})
+}
+
+// FuzzWireQueries holds the query-broadcast layout to wiretest.Check: its
+// encoding is canonical, which the byte-identity pins depend on.
+func FuzzWireQueries(f *testing.F) {
+	l := engineLayout("wire queries")
+	f.Add(l.Sample)
+	f.Add(EncodeWireQueries(WireQueries{}))
+	f.Add([]byte{})
+	f.Add(wiretest.MaxVarint)
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, l, data) })
+}
+
+// FuzzDecodeWireHit holds the full-hit layout to wiretest.Check.
+func FuzzDecodeWireHit(f *testing.F) {
+	l := engineLayout("wire hit")
+	f.Add(l.Sample)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, l, data) })
+}
 
 // TestHostileCountsAreErrors: a count with nothing behind it is an error,
 // and no decoder sizes an allocation by it.

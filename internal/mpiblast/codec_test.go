@@ -58,7 +58,7 @@ func codeLayout[T any](name string, sample T, code func(*T, *engine.Codec) *engi
 }
 
 // FuzzWire hardens every wire layout of this package against corrupt or
-// malicious payloads (wiretest.Fuzz has the rules).
+// malicious payloads (wiretest.Check has the rules).
 func FuzzWire(f *testing.F) {
 	hit := engine.WireHit{OID: 9, ID: "s9", HSPs: []engine.WireHSP{{Score: 7, EValue: 0.5, Trace: []byte{0, 1}}}}
 	wiretest.Fuzz(f, []wiretest.Layout{

@@ -189,7 +189,7 @@ GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 # (one FuzzWire per package that owns some) and the artifact reader without
 # a long campaign.
 for pkg in engine core mpiblast; do
-    go test -run=- -fuzz=FuzzWire -fuzztime=5s ./internal/$pkg
+    go test -run=- -fuzz='^FuzzWire$' -fuzztime=5s ./internal/$pkg
 done
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
