@@ -19,12 +19,10 @@ import (
 	"io"
 	"strings"
 
+	"parblast"
 	"parblast/internal/blast"
-	"parblast/internal/core"
 	"parblast/internal/engine"
 	"parblast/internal/formatdb"
-	"parblast/internal/mpi"
-	"parblast/internal/mpiblast"
 	"parblast/internal/report"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
@@ -84,83 +82,43 @@ func (l *Lab) queries(bytes int) ([]*seq.Sequence, error) {
 	})
 }
 
-// platform describes a storage configuration.
-type platform struct {
-	name   string
-	shared vfs.Profile
-	local  *vfs.Profile
+// engines maps a row's engine name to the façade's engine; "seq" is the
+// sequential oracle's.
+var engines = map[string]parblast.Engine{
+	"seq": parblast.EngineSequential,
+	"mpi": parblast.EngineMPIBlast,
+	"pio": parblast.EnginePioBLAST,
 }
 
-func altix() platform { return platform{name: "altix-xfs", shared: vfs.XFSLike()} }
-
-func blade() platform {
-	l := vfs.LocalDisk()
-	return platform{name: "blade-nfs", shared: vfs.NFSLike(), local: &l}
-}
-
-// rig is one stood-up experiment: a fresh cluster with the lab's database
-// formatted on it as "nr" — and pre-partitioned, for the baseline — plus the
-// job to run there. Every experiment that runs an engine stands up through
-// here and dispatches through run.
-type rig struct {
-	eng   string // "mpi" or "pio"
-	procs int
-	nodes []*vfs.Node
-	job   *engine.Job
-}
-
-// variant carries each engine's options; a run reads its own engine's.
-type variant struct {
-	pio core.Options
-	mpi mpiblast.Options
-}
-
-// standUp builds the rig. fragments is the job's partition granularity
-// (0 = natural: one per worker), which for the baseline is also the number
-// of physical fragments prepared.
-func (l *Lab) standUp(eng string, procs int, plat platform, fragments int, queries []*seq.Sequence) (*rig, error) {
-	if eng != "mpi" && eng != "pio" {
-		return nil, fmt.Errorf("experiments: unknown engine %q", eng)
+// standUp builds a fresh cluster of procs ranks on plat with the lab's
+// database formatted on it as "nr" — and pre-partitioned, for the baseline —
+// and returns it with the search of queries there. fragments is the search's
+// partition granularity (0 = natural: one per worker), which for the
+// baseline is also the number of physical fragments prepared. Every
+// experiment that runs an engine stands up through here and dispatches
+// through the cluster's Run or Serve.
+func (l *Lab) standUp(eng string, procs int, plat parblast.Platform, fragments int, queries []*seq.Sequence) (*parblast.Cluster, parblast.Search, error) {
+	if _, ok := engines[eng]; !ok {
+		return nil, parblast.Search{}, fmt.Errorf("experiments: unknown engine %q", eng)
 	}
-	nodes, err := vfs.Cluster(procs, plat.shared, plat.local)
+	c, err := parblast.NewClusterWithCost(procs, plat, l.Cost)
 	if err != nil {
-		return nil, err
+		return nil, parblast.Search{}, err
 	}
 	seqs, err := workload.SynthesizeDB(l.DB)
 	if err != nil {
-		return nil, err
+		return nil, parblast.Search{}, err
 	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: l.DB.Kind,
-	}); err != nil {
-		return nil, err
+	db, err := c.FormatDB("nr", seqs, "synthetic nr")
+	if err != nil {
+		return nil, parblast.Search{}, err
 	}
 	if eng == "mpi" {
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", engine.PartCount(fragments, procs)); err != nil {
-			return nil, err
+		if err := c.PrepareFragments("nr", engine.PartCount(fragments, procs)); err != nil {
+			return nil, parblast.Search{}, err
 		}
 	}
-	return &rig{eng: eng, procs: procs, nodes: nodes, job: &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    l.Options,
-		OutputPath: "results.out",
-		Fragments:  fragments,
-	}}, nil
-}
-
-// run executes the rig's job on its engine: one-shot, or serving the
-// stream when there is one.
-func (r *rig) run(cfg mpi.Config, v variant, stream *engine.Stream) (engine.RunResult, engine.ServeStats, error) {
-	if r.eng == "mpi" {
-		return mpiblast.Run(r.nodes, r.procs, cfg, r.job, v.mpi, stream)
-	}
-	return core.Run(r.nodes, r.procs, cfg, r.job, v.pio, stream)
-}
-
-// output returns the result file the run produced.
-func (r *rig) output() ([]byte, error) {
-	return r.nodes[0].Shared.ReadFile(r.job.OutputPath)
+	return c, parblast.Search{DB: db, Queries: queries, Output: "results.out", Options: l.Options, Fragments: fragments}, nil
 }
 
 // runSpec is one engine execution: a point of the option space, as a value.
@@ -169,16 +127,16 @@ type runSpec struct {
 	// variant names the design choice this run measures. It labels the
 	// row, in the engine column too; the paper's figures leave it empty
 	// and their rows carry the experiment's label and the engine's name.
-	variant     string
-	lab         *Lab
-	plat        platform
-	engineName  string // "mpi" or "pio"
-	procs       int
-	fragments   int // 0 = natural
-	queryBytes  int
-	pio         core.Options
-	fetchWindow int
-	speeds      []float64 // per-rank compute slowdowns; nil = homogeneous
+	variant    string
+	lab        *Lab
+	plat       parblast.Platform
+	engineName string // "mpi" or "pio"
+	procs      int
+	fragments  int // 0 = natural
+	queryBytes int
+	pio        parblast.PioOptions // the façade rejects a set block of the other engine
+	mpi        parblast.MpiOptions
+	speeds     []float64 // per-rank compute slowdowns; nil = homogeneous
 }
 
 // Row is one measured experiment data point.
@@ -216,12 +174,12 @@ func execute(spec runSpec) (Row, error) {
 	if err != nil {
 		return row, err
 	}
-	r, err := spec.lab.standUp(spec.engineName, spec.procs, spec.plat, spec.fragments, queries)
+	c, s, err := spec.lab.standUp(spec.engineName, spec.procs, spec.plat, spec.fragments, queries)
 	if err != nil {
 		return row, err
 	}
-	res, _, err := r.run(mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds},
-		variant{pio: spec.pio, mpi: mpiblast.Options{FetchWindow: spec.fetchWindow}}, nil)
+	s.Pio, s.Mpi, s.NodeSpeeds = spec.pio, spec.mpi, spec.speeds
+	res, err := c.Run(engines[spec.engineName], s)
 	if err != nil {
 		return row, err
 	}
@@ -252,7 +210,7 @@ func sweep(label string, runs []runSpec) ([]Row, error) {
 // grid lists the runs on plat at every point of procs × fragments ×
 // queryBytes × engines, engines innermost: the shape of every table and
 // figure of §4.
-func grid(lab *Lab, plat platform, engines []string, procs, fragments, queryBytes []int) []runSpec {
+func grid(lab *Lab, plat parblast.Platform, engines []string, procs, fragments, queryBytes []int) []runSpec {
 	var runs []runSpec
 	for _, p := range procs {
 		for _, f := range fragments {
@@ -295,44 +253,44 @@ func Fig1a(lab *Lab) ([]Row, error) {
 	ntLab.DB.NumSeqs = 1800
 	ntLab.DB.FamilySize = 3
 	ntLab.DB.IDPrefix = "nt"
-	return sweep("fig1a", grid(&ntLab, altix(), mpiOnly, []int{16, 32, 64}, natural, lab.defaultQueries()))
+	return sweep("fig1a", grid(&ntLab, parblast.PlatformAltix, mpiOnly, []int{16, 32, 64}, natural, lab.defaultQueries()))
 }
 
 // Fig1b reproduces Figure 1(b): mpiBLAST's sensitivity to the number of
 // pre-generated fragments at 32 processes (paper: 31/61/96/167 fragments;
 // both search and non-search time rise with fragment count).
 func Fig1b(lab *Lab) ([]Row, error) {
-	return sweep("fig1b", grid(lab, altix(), mpiOnly, []int{32}, []int{31, 61, 96, 167}, lab.defaultQueries()))
+	return sweep("fig1b", grid(lab, parblast.PlatformAltix, mpiOnly, []int{32}, []int{31, 61, 96, 167}, lab.defaultQueries()))
 }
 
 // Table1 reproduces the phase breakdown of both engines at 32 processes
 // with the "150 KB" query set and natural partitioning.
 func Table1(lab *Lab) ([]Row, error) {
-	return sweep("table1", grid(lab, altix(), bothEngines, []int{32}, natural, lab.defaultQueries()))
+	return sweep("table1", grid(lab, parblast.PlatformAltix, bothEngines, []int{32}, natural, lab.defaultQueries()))
 }
 
 // Table2 reproduces the query-size → output-size map by running the
 // pipeline for each query set (the paper reports 26K→11M … 289K→153M).
 func Table2(lab *Lab) ([]Row, error) {
-	return sweep("table2", grid(lab, altix(), pioOnly, []int{8}, natural, lab.QuerySizes[:]))
+	return sweep("table2", grid(lab, parblast.PlatformAltix, pioOnly, []int{8}, natural, lab.QuerySizes[:]))
 }
 
 // Fig3a reproduces Figure 3(a): node scalability of both engines on the
 // Altix, 4 → 62 processes.
 func Fig3a(lab *Lab) ([]Row, error) {
-	return sweep("fig3a", grid(lab, altix(), bothEngines, []int{4, 8, 16, 32, 62}, natural, lab.defaultQueries()))
+	return sweep("fig3a", grid(lab, parblast.PlatformAltix, bothEngines, []int{4, 8, 16, 32, 62}, natural, lab.defaultQueries()))
 }
 
 // Fig3b reproduces Figure 3(b): output scalability at 62 processes across
 // the four query/output sizes.
 func Fig3b(lab *Lab) ([]Row, error) {
-	return sweep("fig3b", grid(lab, altix(), bothEngines, []int{62}, natural, lab.QuerySizes[:]))
+	return sweep("fig3b", grid(lab, parblast.PlatformAltix, bothEngines, []int{62}, natural, lab.QuerySizes[:]))
 }
 
 // Fig4 reproduces Figure 4: the same process-scalability study on the
 // NFS-based blade cluster, 4 → 32 processes.
 func Fig4(lab *Lab) ([]Row, error) {
-	return sweep("fig4", grid(lab, blade(), bothEngines, []int{4, 8, 16, 32}, natural, lab.defaultQueries()))
+	return sweep("fig4", grid(lab, parblast.PlatformBladeCluster, bothEngines, []int{4, 8, 16, 32}, natural, lab.defaultQueries()))
 }
 
 // Ablations measures the design choices DESIGN.md calls out:
@@ -346,30 +304,28 @@ func Ablations(lab *Lab) ([]Row, error) {
 	cap10.Options.MaxTargetSeqs = 10
 	runs := []runSpec{
 		{variant: "pio-collective"},
-		{variant: "pio-independent", pio: core.Options{IndependentOutput: true}},
-		{variant: "pio-coll-nfs", plat: blade()},
-		{variant: "pio-indep-nfs", plat: blade(), pio: core.Options{IndependentOutput: true}},
+		{variant: "pio-independent", pio: parblast.PioOptions{IndependentOutput: true}},
+		{variant: "pio-coll-nfs", plat: parblast.PlatformBladeCluster},
+		{variant: "pio-indep-nfs", plat: parblast.PlatformBladeCluster, pio: parblast.PioOptions{IndependentOutput: true}},
 		{variant: "pio-cap10", lab: &cap10},
-		{variant: "pio-cap10-prune", lab: &cap10, pio: core.Options{EarlyPrune: true}},
-		{variant: "pio-batch4", pio: core.Options{QueryBatch: 4}},
-		{variant: "pio-batch16", pio: core.Options{QueryBatch: 16}},
-		{variant: "pio-adaptive64K", pio: core.Options{MemoryBudgetBytes: 64 << 10}},
+		{variant: "pio-cap10-prune", lab: &cap10, pio: parblast.PioOptions{EarlyPrune: true}},
+		{variant: "pio-batch4", pio: parblast.PioOptions{QueryBatch: 4}},
+		{variant: "pio-batch16", pio: parblast.PioOptions{QueryBatch: 16}},
+		{variant: "pio-adaptive64K", pio: parblast.PioOptions{MemoryBudgetBytes: 64 << 10}},
 		{variant: "pio-frag62", fragments: 62},
 		{variant: "pio-frag124", fragments: 124},
 		{variant: "pio-frag248", fragments: 248},
-		{variant: "pio-frag124-dyn", fragments: 124, pio: core.Options{DynamicAssignment: true}},
-		{variant: "mpi-serial-fetch", engineName: "mpi", fetchWindow: 1},
-		{variant: "mpi-fetch-win16", engineName: "mpi", fetchWindow: 16},
+		{variant: "pio-frag124-dyn", fragments: 124, pio: parblast.PioOptions{DynamicAssignment: true}},
+		{variant: "mpi-serial-fetch", engineName: "mpi", mpi: parblast.MpiOptions{FetchWindow: 1}},
+		{variant: "mpi-fetch-win16", engineName: "mpi", mpi: parblast.MpiOptions{FetchWindow: 16}},
 	}
-	// What a variant leaves unsaid is the Table 1 configuration of pioBLAST.
+	// What a variant leaves unsaid is the Table 1 configuration of pioBLAST
+	// (the zero platform is the Altix).
 	for i := range runs {
 		r := &runs[i]
 		r.procs, r.queryBytes = 32, lab.QuerySizes[2]
 		if r.lab == nil {
 			r.lab = lab
-		}
-		if r.plat.name == "" {
-			r.plat = altix()
 		}
 		if r.engineName == "" {
 			r.engineName = "pio"
@@ -390,12 +346,12 @@ func Ablations(lab *Lab) ([]Row, error) {
 func ReadPath(lab *Lab) ([]Row, error) {
 	const procs = 8
 	runs := []runSpec{
-		{variant: "pio-indep-read", plat: blade()},
-		{variant: "pio-coll-read", plat: blade(), pio: core.Options{CollectiveRead: true}},
-		{variant: "pio-sync-read", plat: altix()},
-		{variant: "pio-prefetch2", plat: altix(), pio: core.Options{PrefetchDepth: 2}},
-		{variant: "pio-dyn", plat: altix(), pio: core.Options{DynamicAssignment: true}},
-		{variant: "pio-dyn-prefetch", plat: altix(), pio: core.Options{DynamicAssignment: true, PrefetchDepth: 1}},
+		{variant: "pio-indep-read", plat: parblast.PlatformBladeCluster},
+		{variant: "pio-coll-read", plat: parblast.PlatformBladeCluster, pio: parblast.PioOptions{CollectiveRead: true}},
+		{variant: "pio-sync-read", plat: parblast.PlatformAltix},
+		{variant: "pio-prefetch2", plat: parblast.PlatformAltix, pio: parblast.PioOptions{PrefetchDepth: 2}},
+		{variant: "pio-dyn", plat: parblast.PlatformAltix, pio: parblast.PioOptions{DynamicAssignment: true}},
+		{variant: "pio-dyn-prefetch", plat: parblast.PlatformAltix, pio: parblast.PioOptions{DynamicAssignment: true, PrefetchDepth: 1}},
 	}
 	for i := range runs {
 		r := &runs[i]
@@ -420,11 +376,11 @@ func Hetero(lab *Lab) ([]Row, error) {
 	}
 	runs := []runSpec{
 		{variant: "pio-static-hetero"},
-		{variant: "pio-dynamic-hetero", fragments: 2 * (procs - 1), pio: core.Options{DynamicAssignment: true}},
+		{variant: "pio-dynamic-hetero", fragments: 2 * (procs - 1), pio: parblast.PioOptions{DynamicAssignment: true}},
 	}
 	for i := range runs {
 		r := &runs[i]
-		r.lab, r.plat, r.engineName = lab, altix(), "pio"
+		r.lab, r.plat, r.engineName = lab, parblast.PlatformAltix, "pio"
 		r.procs, r.queryBytes, r.speeds = procs, lab.QuerySizes[2], speeds
 	}
 	return sweep("hetero", runs)
@@ -463,20 +419,11 @@ func (r FaultRow) SuiteRow() report.SuiteRow {
 // offsets).
 const faultQueryBytes = 500
 
-// runFaultSpec executes one engine on a fresh cluster with the given fault
-// schedule — crashes (mpi layer) and/or transient I/O errors on the shared
-// store (vfs layer) — and returns the result plus the produced output bytes.
-func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vfs.FaultPlan) (engine.RunResult, []byte, error) {
-	// A dedicated platform for the recovery scenario: a SAN-class shared
-	// store with enough channels that all workers acquire data in
-	// parallel. On the serialized blade NFS the copy phase staggers the
-	// workers so much that a victim's recovery work hides in the
-	// stragglers' shadow; in lockstep, recovery always lands on the
-	// critical path and the wall-time delta is the recovery cost itself.
-	// Staging goes to IDE-class node-local disks (the paper's era), which
-	// is exactly the medium mpiBLAST must re-write during recovery.
-	shared := vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32}
-	staging := vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
+// runFaultSpec executes one engine on a fresh PlatformSAN cluster with the
+// given fault schedule — crashes (mpi layer) and/or transient I/O errors on
+// the shared store (vfs layer) — and returns the result plus the produced
+// output bytes.
+func (l *Lab) runFaultSpec(eng string, procs int, faults []parblast.Fault, ioPlan *vfs.FaultPlan) (engine.RunResult, []byte, error) {
 	queries, err := l.queries(faultQueryBytes)
 	if err != nil {
 		return engine.RunResult{}, nil, err
@@ -484,7 +431,7 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 	// Natural partitioning, spelled out: one fragment per worker, so the
 	// victim loses exactly one partition and the recovery cost is a single
 	// clean re-acquire + re-search in both engines.
-	r, err := l.standUp(eng, procs, platform{name: "san-ide", shared: shared, local: &staging}, procs-1, queries)
+	c, s, err := l.standUp(eng, procs, parblast.PlatformSAN, procs-1, queries)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
@@ -494,19 +441,20 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 		// setup (formatdb, fragment prep) already charged. Injection after
 		// setup keeps every faulted ordinal inside the measured run.
 		p := *ioPlan
-		ops, _, _ := r.nodes[0].Shared.Stats()
+		ops, _, _ := c.SharedFS().Stats()
 		p.FirstOp += ops
-		if err := r.nodes[0].Shared.InjectFaults(p); err != nil {
+		if err := c.SharedFS().InjectFaults(p); err != nil {
 			return engine.RunResult{}, nil, err
 		}
 	}
 	// Arm the recovery protocol in pioBLAST's baseline too, so the overhead
 	// isolates recovery work rather than protocol presence.
-	res, _, err := r.run(mpi.Config{Cost: l.Cost, Faults: faults}, variant{pio: core.Options{FaultTolerant: true}}, nil)
+	s.Faults, s.Pio.FaultTolerant = faults, eng == "pio"
+	res, err := c.Run(engines[eng], s)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
-	out, err := r.output()
+	out, err := c.ReadOutput(s.Output)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
@@ -525,28 +473,20 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 // byte-identical output, and the retry totals surface in the row.
 func Faults(lab *Lab) ([]FaultRow, error) {
 	const procs = 8
-	// The oracle: the sequential engine's output on the same job.
-	oracleFS := vfs.MustNew(vfs.RAMDisk())
-	seqs, err := workload.SynthesizeDB(lab.DB)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := formatdb.Format(oracleFS, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: lab.DB.Kind,
-	}); err != nil {
-		return nil, err
-	}
+	// The oracle: the sequential engine's output on the same job, on one
+	// rank of near-free storage.
 	queries, err := lab.queries(faultQueryBytes)
 	if err != nil {
 		return nil, err
 	}
-	oracleJob := &engine.Job{
-		DBBase: "nr", Queries: queries, Options: lab.Options, OutputPath: "results.out",
-	}
-	if err := engine.RunSequential(oracleFS, oracleJob); err != nil {
+	oc, s, err := lab.standUp("seq", 1, parblast.PlatformIdeal, 0, queries)
+	if err != nil {
 		return nil, err
 	}
-	oracle, err := oracleFS.ReadFile(oracleJob.OutputPath)
+	if _, err := oc.Run(parblast.EngineSequential, s); err != nil {
+		return nil, err
+	}
+	oracle, err := oc.ReadOutput(s.Output)
 	if err != nil {
 		return nil, err
 	}
@@ -566,8 +506,8 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 		// storage contention to the survivors and mask the recovery cost —
 		// but still inside its search work.
 		at := 0.75 * (free.Wall - free.Phase.Output)
-		crashed, crashedOut, err := lab.runFaultSpec(eng, procs, []mpi.Fault{
-			{Rank: procs - 1, At: at, Kind: mpi.FaultCrash},
+		crashed, crashedOut, err := lab.runFaultSpec(eng, procs, []parblast.Fault{
+			{Rank: procs - 1, At: at, Kind: parblast.FaultCrash},
 		}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s crash: %w", eng, err)

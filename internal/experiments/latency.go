@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"parblast/internal/core"
-	"parblast/internal/mpi"
-	"parblast/internal/mpiblast"
+	"parblast"
 	"parblast/internal/report"
-	"parblast/internal/trace"
 )
 
 // The latency experiment: the per-query accounting view of the paper's
@@ -81,25 +78,25 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 	return rows, nil
 }
 
-// runLatencySpec executes one protocol on a fresh cluster with a trace
-// collector attached (the generic execute() runs untraced), then folds the
-// collector into the latency/critical-path row.
+// runLatencySpec executes one protocol on a fresh, traced cluster, then
+// folds the trace into the latency/critical-path row.
 func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyRow, error) {
 	row := LatencyRow{Protocol: proto, Engine: eng, Procs: procs}
 	queries, err := lab.queries(lab.QuerySizes[1])
 	if err != nil {
 		return row, err
 	}
-	r, err := lab.standUp(eng, procs, altix(), 0, queries)
+	c, s, err := lab.standUp(eng, procs, parblast.PlatformAltix, 0, queries)
 	if err != nil {
 		return row, err
 	}
-	col := trace.NewCollector()
-	res, _, err := r.run(mpi.Config{Cost: lab.Cost, Trace: col},
-		variant{
-			pio: core.Options{TreeMerge: tree, QueryBatch: 2},
-			mpi: mpiblast.Options{TreeMerge: tree},
-		}, nil)
+	if eng == "pio" {
+		s.Pio = parblast.PioOptions{TreeMerge: tree, QueryBatch: 2}
+	} else {
+		s.Mpi.TreeMerge = tree
+	}
+	col := c.Trace()
+	res, err := c.Run(engines[eng], s)
 	if err != nil {
 		return row, err
 	}

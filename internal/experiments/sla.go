@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"parblast"
 	"parblast/internal/engine"
-	"parblast/internal/mpi"
 	"parblast/internal/report"
 	"parblast/internal/seq"
 	"parblast/internal/workload"
@@ -127,7 +127,7 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 	if err != nil {
 		return row, err
 	}
-	res, stats, out, err := slaRun(lab, eng, queries, &engine.Stream{Batches: batches, AdmitCap: admitCap})
+	res, stats, out, err := slaRun(lab, eng, queries, batches, admitCap)
 	if err != nil {
 		return row, err
 	}
@@ -147,7 +147,7 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 			oracleQueries = append(oracleQueries, b.Queries...)
 		}
 	}
-	_, _, oracleOut, err := slaRun(lab, eng, oracleQueries, nil)
+	_, _, oracleOut, err := slaRun(lab, eng, oracleQueries, nil, 0)
 	if err != nil {
 		return row, err
 	}
@@ -161,17 +161,23 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 }
 
 // slaRun stands up a fresh cluster and runs the queries on it — served as
-// the stream, or one-shot when there is none — and returns the output file.
-func slaRun(lab *Lab, eng string, queries []*seq.Sequence, stream *engine.Stream) (engine.RunResult, engine.ServeStats, []byte, error) {
-	r, err := lab.standUp(eng, slaProcs, altix(), 0, queries)
+// the batches, or one-shot when there are none — and returns the output file.
+func slaRun(lab *Lab, eng string, queries []*seq.Sequence, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, []byte, error) {
+	c, s, err := lab.standUp(eng, slaProcs, parblast.PlatformAltix, 0, queries)
 	if err != nil {
 		return engine.RunResult{}, engine.ServeStats{}, nil, err
 	}
-	res, stats, err := r.run(mpi.Config{Cost: lab.Cost}, variant{}, stream)
+	var res engine.RunResult
+	var stats engine.ServeStats
+	if batches != nil {
+		res, stats, err = c.Serve(engines[eng], s, batches, admitCap)
+	} else {
+		res, err = c.Run(engines[eng], s)
+	}
 	if err != nil {
 		return engine.RunResult{}, stats, nil, err
 	}
-	out, err := r.output()
+	out, err := c.ReadOutput(s.Output)
 	return res, stats, out, err
 }
 

@@ -246,9 +246,15 @@ func decodeIndex(data []byte) (title string, kind seq.Kind, info *VolumeInfo, er
 	if version != Version {
 		return "", 0, nil, fmt.Errorf("formatdb: unsupported index version %d", version)
 	}
+	// A count is checked against the bytes left before it sizes anything.
+	if int64(titleLen) > int64(r.Len()) {
+		return "", 0, nil, fmt.Errorf("formatdb: truncated title: %d bytes, %d left", titleLen, r.Len())
+	}
 	tbuf := make([]byte, titleLen)
-	if _, err = r.Read(tbuf); err != nil && titleLen > 0 {
-		return "", 0, nil, fmt.Errorf("formatdb: truncated title: %w", err)
+	rd(tbuf)
+	n := int64(numSeqs) + 1
+	if 2*8*n > int64(r.Len()) {
+		return "", 0, nil, fmt.Errorf("formatdb: truncated offset arrays: 2×%d offsets, %d bytes left", n, r.Len())
 	}
 	info = &VolumeInfo{
 		NumSeqs:       int(numSeqs),
@@ -256,18 +262,17 @@ func decodeIndex(data []byte) (title string, kind seq.Kind, info *VolumeInfo, er
 		MaxSeqLen:     int(maxLen),
 		FirstOID:      int(firstOID),
 		arrayBase:     headerSize(int(titleLen)),
-		hdrOffsets:    make([]int64, numSeqs+1),
-		seqOffsets:    make([]int64, numSeqs+1),
+		hdrOffsets:    make([]int64, n),
+		seqOffsets:    make([]int64, n),
 	}
-	err = nil
-	for i := range info.hdrOffsets {
-		rd(&info.hdrOffsets[i])
-	}
-	for i := range info.seqOffsets {
-		rd(&info.seqOffsets[i])
-	}
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("formatdb: truncated offset arrays: %w", err)
+	rd(info.hdrOffsets)
+	rd(info.seqOffsets)
+	for _, offs := range [][]int64{info.hdrOffsets, info.seqOffsets} {
+		for i, o := range offs {
+			if o < 0 || i > 0 && o < offs[i-1] {
+				return "", 0, nil, fmt.Errorf("formatdb: offset array negative or decreasing at entry %d (%d)", i, o)
+			}
+		}
 	}
 	info.HdrSize = info.hdrOffsets[numSeqs]
 	info.SeqSize = info.seqOffsets[numSeqs]

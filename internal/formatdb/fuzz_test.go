@@ -1,36 +1,92 @@
 package formatdb
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"parblast/internal/seq"
 	"parblast/internal/vfs"
+	"parblast/internal/wiretest"
 )
 
-// FuzzDecodeIndex hardens the on-disk index parser: arbitrary (possibly
-// truncated or corrupted) index bytes must produce an error, never a panic.
-func FuzzDecodeIndex(f *testing.F) {
+// indexLayout holds decodeIndex to the wire rules: arbitrary (possibly
+// truncated or corrupted) index bytes produce an error, never a panic; no
+// count sizes an allocation beyond what the bytes can back; and a clean
+// decode survives encodeIndex→decodeIndex unchanged.
+func indexLayout(sample []byte) wiretest.Layout {
+	return wiretest.Layout{Name: "formatdb index", Sample: sample, Decode: func(data []byte) (any, []byte, error) {
+		title, kind, info, err := decodeIndex(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		return []any{title, kind, *info}, encodeIndex(title, kind, info), nil
+	}}
+}
+
+// formatSample formats three sequences as "ok" on a fresh store and returns
+// the store and the index bytes.
+func formatSample(tb testing.TB) (*vfs.FS, []byte) {
+	tb.Helper()
 	fs := vfs.MustNew(vfs.RAMDisk())
 	seqs := []*seq.Sequence{
 		seq.New(seq.ProteinAlphabet, "a", "first", "MKVLAW"),
 		seq.New(seq.ProteinAlphabet, "b", "", "WWYV"),
+		seq.New(seq.ProteinAlphabet, "c", "third", "PLKR"),
 	}
-	if _, err := Format(fs, "fz", seqs, Config{Kind: seq.Protein, Title: "fuzz"}); err != nil {
-		f.Fatal(err)
+	if _, err := Format(fs, "ok", seqs, Config{Kind: seq.Protein, Title: "fuzz"}); err != nil {
+		tb.Fatal(err)
 	}
-	good, _ := fs.ReadFile("fz.pin")
+	good, err := fs.ReadFile(indexPath("ok"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs, good
+}
+
+func FuzzDecodeIndex(f *testing.F) {
+	_, good := formatSample(f)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(good[:8])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		title, kind, info, err := decodeIndex(data)
-		if err != nil {
-			return
+	layout := indexLayout(good)
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, layout, data) })
+}
+
+// TestHostileIndexIsAnError: a count the index bytes cannot back, or an
+// offset array that decreases, is an error from Open, and no count sizes an
+// allocation.
+func TestHostileIndexIsAnError(t *testing.T) {
+	fs, good := formatSample(t)
+	// header is a 36-byte index header with nothing behind it.
+	header := func(numSeqs, titleLen uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, Magic)
+		b = binary.LittleEndian.AppendUint32(b, Version)
+		b = binary.LittleEndian.AppendUint32(b, uint32(seq.Protein))
+		b = binary.LittleEndian.AppendUint32(b, numSeqs)
+		b = binary.LittleEndian.AppendUint64(b, 0)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		return binary.LittleEndian.AppendUint32(b, titleLen)
+	}
+	// A real index whose hdrOffsets[1] points 2^40 bytes into the header file.
+	far := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(far[headerSize(len("fuzz"))+8:], 1<<40)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"title2p31", header(0, 1<<31)},
+		{"seqs2p28", header(1<<28, 0)},
+		{"seqsmax", header(^uint32(0), 0)},
+		{"offset2p40", far},
+	} {
+		fs.WriteFile(indexPath(c.name), c.data)
+		var err error
+		if n := wiretest.Allocated(func() { _, err = Open(fs, c.name) }); n >= 64<<10 {
+			t.Errorf("%s: opening a %d-byte index allocated %d", c.name, len(c.data), n)
 		}
-		_ = title
-		_ = kind
-		if info.NumSeqs < 0 {
-			t.Fatal("negative NumSeqs decoded")
+		if err == nil {
+			t.Errorf("%s: a hostile index opened", c.name)
 		}
-	})
+	}
 }

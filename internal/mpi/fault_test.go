@@ -39,9 +39,15 @@ func TestLogSteps(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		want float64
-	}{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}} {
+	}{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11}, {4096, 12}} {
 		if got := logSteps(tc.n); got != tc.want {
 			t.Errorf("logSteps(%d) = %g, want %g", tc.n, got, tc.want)
+		}
+	}
+	// The math oracle the integer rule replaced.
+	for n := 2; n <= 1<<16; n++ {
+		if got, want := logSteps(n), math.Ceil(math.Log2(float64(n))); got != want {
+			t.Fatalf("logSteps(%d) = %g, want %g", n, got, want)
 		}
 	}
 }

@@ -95,6 +95,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -1241,7 +1242,7 @@ func logSteps(n int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	return math.Ceil(math.Log2(float64(n)))
+	return float64(bits.Len(uint(n - 1)))
 }
 
 // runCollective synchronizes all LIVE ranks; release receives the gathered

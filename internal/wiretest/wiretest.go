@@ -1,6 +1,7 @@
 // Package wiretest is the fuzz harness behind the FuzzWire target of each
-// package that owns wire layouts (engine, core, mpiblast): one harness, so
-// every layout is held to the same three rules.
+// package that owns wire layouts (engine, core, mpiblast) and behind
+// formatdb's FuzzDecodeIndex: one harness, so every layout, on the wire or
+// on disk, is held to the same three rules.
 package wiretest
 
 import (

@@ -167,6 +167,15 @@ const (
 	// PlatformIdeal has near-free storage; useful to isolate protocol
 	// costs in ablations.
 	PlatformIdeal
+	// PlatformSAN is the failure-recovery testbed: a SAN-class shared
+	// store with enough channels that all workers acquire data in
+	// parallel. On the serialized blade NFS the copy phase staggers the
+	// workers so much that a victim's recovery work hides in the
+	// stragglers' shadow; in lockstep, recovery always lands on the
+	// critical path and the wall-time delta is the recovery cost itself.
+	// Staging goes to IDE-class node-local disks (the paper's era), which
+	// is exactly the medium mpiBLAST must re-write during recovery.
+	PlatformSAN
 )
 
 // String names the platform.
@@ -178,6 +187,8 @@ func (p Platform) String() string {
 		return "blade-nfs"
 	case PlatformIdeal:
 		return "ideal"
+	case PlatformSAN:
+		return "san-ide"
 	default:
 		return fmt.Sprintf("Platform(%d)", int(p))
 	}
@@ -244,6 +255,9 @@ func NewClusterWithCost(procs int, platform Platform, cost CostModel) (*Cluster,
 		local = &l
 	case PlatformIdeal:
 		shared = vfs.RAMDisk()
+	case PlatformSAN:
+		shared = vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32}
+		local = &vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
 	default:
 		return nil, fmt.Errorf("parblast: unknown platform %v", platform)
 	}

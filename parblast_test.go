@@ -167,8 +167,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPlatformAndEngineNames(t *testing.T) {
 	if parblast.PlatformAltix.String() != "altix-xfs" ||
 		parblast.PlatformBladeCluster.String() != "blade-nfs" ||
-		parblast.PlatformIdeal.String() != "ideal" {
+		parblast.PlatformIdeal.String() != "ideal" ||
+		parblast.PlatformSAN.String() != "san-ide" {
 		t.Fatal("platform names wrong")
+	}
+	san, err := parblast.NewCluster(2, parblast.PlatformSAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := san.SharedFS().Profile().Name; name != "san" {
+		t.Fatalf("PlatformSAN's shared store is %q, want san", name)
 	}
 	if parblast.EnginePioBLAST.String() != "pioBLAST" ||
 		parblast.EngineMPIBlast.String() != "mpiBLAST" ||

@@ -113,6 +113,18 @@ if [ "$(echo "$setup" | wc -l)" -ne 1 ] || ! echo "$setup" | grep -q '^internal/
     exit 1
 fi
 
+# One runner: the façade's Cluster.Run/Serve is the one place an engine is
+# dispatched, so the experiments, the CLI and the examples build a run the
+# same way and pass the same rejections. No other non-test file calls an
+# engine's entry point (bench/ is its own module).
+runners=$(grep -rnE --include='*.go' --exclude='*_test.go' 'core\.Run\(|mpiblast\.Run\(|engine\.RunSequential\(' . |
+    grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./parblast\.go:' || true)
+if [ -n "$runners" ]; then
+    echo "an engine is run outside the façade (parblast.go's Cluster.Run/Serve):" >&2
+    echo "$runners" >&2
+    exit 1
+fi
+
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
@@ -186,11 +198,12 @@ GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 
 # Fuzz smoke: a few seconds per codec hardening target. Finds shallow
 # panics, count-sized allocations and lossy round trips in the wire layouts
-# (one FuzzWire per package that owns some) and the artifact reader without
-# a long campaign.
+# (one FuzzWire per package that owns some), the formatdb index and the
+# artifact reader without a long campaign.
 for pkg in engine core mpiblast; do
     go test -run=- -fuzz='^FuzzWire$' -fuzztime=5s ./internal/$pkg
 done
+go test -run=- -fuzz='^FuzzDecodeIndex$' -fuzztime=5s ./internal/formatdb
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
 go test -run=- -bench='SearchFragment|SearchQueries|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
