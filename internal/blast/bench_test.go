@@ -2,11 +2,13 @@ package blast
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"parblast/internal/matrix"
 	"parblast/internal/seq"
 	"parblast/internal/stats"
+	"parblast/internal/workload"
 )
 
 // benchFixture builds a mid-sized fragment with planted homologs.
@@ -237,12 +239,151 @@ func BenchmarkExtendUngapped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		work = WorkCounters{}
-		seg := extendUngapped(q, subj, 50, 150, matrix.BLOSUM62, 40, &work)
+		seg := extendUngapped(q, subj, 50, 150, blosum62Table, 40, &work)
 		if seg.score <= 0 {
 			b.Fatal("ungapped extension failed")
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work.UngappedCells), "ns/cell")
+}
+
+// jobSeed is one ungapped extension of a search: a hit of query q at
+// (qPos, sPos) on subject s.
+type jobSeed struct {
+	q, s       []byte
+	qPos, sPos int
+}
+
+// jobSeeds replays the two-hit rule of a pio_narrow_8-shaped batch — a
+// database of 600 proteins of mean length 300 in families of 12, and about
+// 18 queries of mean length 300 cut from it with 5 % mutations, the
+// benchmark's inputs — and returns the seeds it extends, in scan order. Each
+// diagonal's extension level comes from the real extension, so the mix of
+// short random extensions and long homologous ones is the search's.
+func jobSeeds(tb testing.TB, s *Searcher) []jobSeed {
+	db, err := workload.SynthesizeDB(workload.DBConfig{Kind: seq.Protein, NumSeqs: 600, MeanLen: 300, Seed: 1, FamilySize: 12})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	queries, err := workload.SampleQueries(db, workload.QueryConfig{TargetBytes: 4500, MeanLen: 300, MutationRate: 0.05, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frag := &Fragment{Subjects: make([]Subject, len(db))}
+	for i, d := range db {
+		frag.Subjects[i] = Subject{OID: i, ID: d.ID, Residues: d.Residues}
+	}
+	w, window := s.opts.WordSize, s.opts.TwoHitWindow
+	var seeds []jobSeed
+	var work WorkCounters
+	for _, q := range queries {
+		p, err := s.Prepare(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		g := &p.groups[0] // one query: its entries are bare positions
+		for _, sub := range frag.Subjects {
+			subj := sub.Residues
+			// Per diagonal sPos-qPos+len(q): the last hit and the extension level.
+			last, level := make([]int, len(q.Residues)+len(subj)), make([]int, len(q.Residues)+len(subj))
+			for d := range last {
+				last[d] = -window - 1
+			}
+			var id uint64
+			run := 0
+			for j := range subj {
+				if id, run = s.roll.next(id, run, subj, j); run < w {
+					continue
+				}
+				sPos := j - w + 1
+				for _, qPos := range g.entries[g.offsets[id]:g.offsets[id+1]] {
+					d := sPos - int(qPos) + len(q.Residues)
+					gap := sPos - last[d]
+					if sPos < level[d] || gap < w {
+						continue
+					}
+					last[d] = sPos
+					if gap <= window {
+						seeds = append(seeds, jobSeed{q.Residues, subj, int(qPos), sPos})
+						level[d] = extendUngapped(q.Residues, subj, int(qPos), sPos, &s.tab.scores, s.xdropUngapped, &work).sTo
+					}
+				}
+			}
+		}
+	}
+	return seeds
+}
+
+// BenchmarkExtendUngappedMix times the ungapped extensions of jobSeeds under
+// the searcher's X-drop: a pio_narrow_8 batch runs about 73 k of them,
+// averaging 39 cells, and so do jobSeeds' inputs, scanned once. One
+// iteration extends every seed once.
+func BenchmarkExtendUngappedMix(b *testing.B) {
+	s, err := NewSearcher(DefaultProteinOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds := jobSeeds(b, s)
+	var work WorkCounters
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work = WorkCounters{}
+		for _, sd := range seeds {
+			extendUngapped(sd.q, sd.s, sd.qPos, sd.sPos, &s.tab.scores, s.xdropUngapped, &work)
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/float64(work.UngappedExtensions), "ns/ext")
+	b.ReportMetric(float64(work.UngappedCells)/float64(work.UngappedExtensions), "cells/ext")
+	b.ReportMetric(ns/float64(work.UngappedCells), "ns/cell")
+}
+
+// BenchmarkExtendGappedBanded times the gapped extensions the seeds of
+// jobSeeds trigger, both halves of each as gappedFromSeed runs them, under
+// the searcher's X-drop: a pio_narrow_8 batch runs about 456, averaging
+// 11.5 k cells. One iteration runs every extension once.
+func BenchmarkExtendGappedBanded(b *testing.B) {
+	s, err := NewSearcher(DefaultProteinOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// As subjectScan.extend does, a seed inside the box of an HSP already
+	// found on its (query, subject) pair is not extended again.
+	type half struct{ q, s []byte }
+	var halves []half
+	var boxes []hspBox
+	var work WorkCounters
+	var sc dpScratch
+	seeds := jobSeeds(b, s)
+	for i, sd := range seeds {
+		if i > 0 && (&sd.q[0] != &seeds[i-1].q[0] || &sd.s[0] != &seeds[i-1].s[0]) {
+			boxes = boxes[:0]
+		}
+		seg := extendUngapped(sd.q, sd.s, sd.qPos, sd.sPos, &s.tab.scores, s.xdropUngapped, &work)
+		if seg.score < s.gapTrigger || slices.ContainsFunc(boxes, func(b hspBox) bool {
+			return seg.seedQ >= b.q0 && seg.seedQ < b.q1 && seg.seedS >= b.s0 && seg.seedS < b.s1
+		}) {
+			continue
+		}
+		right := half{sd.q[seg.seedQ:], sd.s[seg.seedS:]}
+		left := half{reverseInto(nil, sd.q[:seg.seedQ]), reverseInto(nil, sd.s[:seg.seedS])}
+		halves = append(halves, right, left)
+		r := extendGapped(&sc, right.q, right.s, s.opts.Matrix, s.opts.Gaps, s.xdropGapped, &work)
+		l := extendGapped(&sc, left.q, left.s, s.opts.Matrix, s.opts.Gaps, s.xdropGapped, &work)
+		boxes = append(boxes, hspBox{seg.seedQ - l.qEnd, seg.seedQ + r.qEnd, seg.seedS - l.sEnd, seg.seedS + r.sEnd})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work = WorkCounters{}
+		for _, h := range halves {
+			extendGapped(&sc, h.q, h.s, s.opts.Matrix, s.opts.Gaps, s.xdropGapped, &work)
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/float64(work.GappedExtensions), "ns/ext")
+	b.ReportMetric(float64(work.GappedCells)/float64(work.GappedExtensions), "cells/ext")
+	b.ReportMetric(ns/float64(work.GappedCells), "ns/cell")
 }
 
 func BenchmarkFormatHit(b *testing.B) {

@@ -18,55 +18,70 @@ type ungappedSegment struct {
 	seedQ, seedS int
 }
 
+// scoreTable is a substitution matrix laid out flat: entry a<<5|b scores
+// codes a and b. Both alphabets have fewer than 32 codes (protein 24, DNA
+// 5), and score's mask keeps every read in bounds without a check.
+type scoreTable [32 * 32]int16
+
+func (t *scoreTable) score(a, b byte) int { return int(t[(uint(a)<<5|uint(b))&(32*32-1)]) }
+
 // extendUngapped grows a word hit at (qPos, sPos) in both directions with an
 // X-drop cutoff, returning the maximal-scoring segment. The word itself is
 // part of the right extension, so scores are never double counted.
-func extendUngapped(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop int, work *WorkCounters) ungappedSegment {
-	// Right extension: from the word start onward.
+func extendUngapped(query, subj []byte, qPos, sPos int, t *scoreTable, xdrop int, work *WorkCounters) ungappedSegment {
+	n := min(len(query)-qPos, len(subj)-sPos)
+	best, right, cells := xdropRight(query[qPos:qPos+n], subj[sPos:sPos+n], t, xdrop)
+	n = min(qPos, sPos)
+	bestL, left, cellsL := xdropLeft(query[qPos-n:qPos], subj[sPos-n:sPos], t, xdrop)
+	work.UngappedExtensions++
+	work.UngappedCells += int64(cells + cellsL) // one per residue pair compared
+	mid := (qPos - left + qPos + right) / 2
+	return ungappedSegment{qFrom: qPos - left, qTo: qPos + right, sFrom: sPos - left, sTo: sPos + right,
+		score: best + bestL, seedQ: mid, seedS: sPos + mid - qPos}
+}
+
+// xdropRight scores q[i] against s[i] for i = 0, 1, … until the score falls
+// more than xdrop below its best; it returns the best, the residues reaching
+// it and the pairs compared. With max and a conditional length the X-drop
+// test is the only branch per cell. Out of line, like xdropLeft, its loop
+// has the registers to itself: inlined, the score spills on every cell.
+//
+//go:noinline
+func xdropRight(q, s []byte, t *scoreTable, xdrop int) (best, length, cells int) {
+	s = s[:len(q)]
 	score := 0
-	best := 0
-	q, s := qPos, sPos
-	bq, bs := qPos, sPos
-	for q < len(query) && s < len(subj) {
-		score += m.Score(query[q], subj[s])
-		q++
-		s++
+	for cells < len(q) {
+		score += t.score(q[cells], s[cells])
+		cells++
 		if score > best {
-			best = score
-			bq, bs = q, s
+			length = cells
 		}
+		best = max(best, score)
 		if best-score > xdrop {
 			break
 		}
 	}
-	cells := q - qPos // one per residue pair compared, either direction
-	seg := ungappedSegment{qFrom: qPos, qTo: bq, sFrom: sPos, sTo: bs, score: best}
-	// Left extension: before the word start.
-	score = 0
-	bestL := 0
-	q, s = qPos, sPos
-	lq, ls := qPos, sPos
-	for q > 0 && s > 0 {
-		q--
-		s--
-		score += m.Score(query[q], subj[s])
-		if score > bestL {
-			bestL = score
-			lq, ls = q, s
+	return best, length, cells
+}
+
+// xdropLeft is xdropRight from the end of q and s down.
+//
+//go:noinline
+func xdropLeft(q, s []byte, t *scoreTable, xdrop int) (best, length, cells int) {
+	s = s[:len(q)]
+	score := 0
+	for i := len(q) - 1; i >= 0; i-- {
+		score += t.score(q[i], s[i])
+		cells++
+		if score > best {
+			length = cells
 		}
-		if bestL-score > xdrop {
+		best = max(best, score)
+		if best-score > xdrop {
 			break
 		}
 	}
-	cells += qPos - q
-	work.UngappedExtensions++
-	work.UngappedCells += int64(cells)
-	seg.qFrom, seg.sFrom = lq, ls
-	seg.score += bestL
-	mid := (seg.qFrom + seg.qTo) / 2
-	seg.seedQ = mid
-	seg.seedS = seg.sFrom + (mid - seg.qFrom)
-	return seg
+	return best, length, cells
 }
 
 // gappedResult carries one direction of a gapped X-drop extension.

@@ -235,3 +235,128 @@ func TestExtendGappedDifferential(t *testing.T) {
 		t.Fatalf("only %d of %d pairs aligned at all; the comparison is close to vacuous", live, pairs)
 	}
 }
+
+// extendUngappedRef is extendUngapped as it stood before it read a flat
+// score table: every cell calls Matrix.Score and branches on a new best. It
+// is kept verbatim as the oracle of TestExtendUngappedDifferential.
+func extendUngappedRef(query, subj []byte, qPos, sPos int, m *matrix.Matrix, xdrop int, work *WorkCounters) ungappedSegment {
+	// Right extension: from the word start onward.
+	score := 0
+	best := 0
+	q, s := qPos, sPos
+	bq, bs := qPos, sPos
+	for q < len(query) && s < len(subj) {
+		score += m.Score(query[q], subj[s])
+		q++
+		s++
+		if score > best {
+			best = score
+			bq, bs = q, s
+		}
+		if best-score > xdrop {
+			break
+		}
+	}
+	cells := q - qPos // one per residue pair compared, either direction
+	seg := ungappedSegment{qFrom: qPos, qTo: bq, sFrom: sPos, sTo: bs, score: best}
+	// Left extension: before the word start.
+	score = 0
+	bestL := 0
+	q, s = qPos, sPos
+	lq, ls := qPos, sPos
+	for q > 0 && s > 0 {
+		q--
+		s--
+		score += m.Score(query[q], subj[s])
+		if score > bestL {
+			bestL = score
+			lq, ls = q, s
+		}
+		if bestL-score > xdrop {
+			break
+		}
+	}
+	cells += qPos - q
+	work.UngappedExtensions++
+	work.UngappedCells += int64(cells)
+	seg.qFrom, seg.sFrom = lq, ls
+	seg.score += bestL
+	mid := (seg.qFrom + seg.qTo) / 2
+	seg.seedQ = mid
+	seg.seedS = seg.sFrom + (mid - seg.qFrom)
+	return seg
+}
+
+// blosum62Table is BLOSUM62 as the searcher's flat table.
+var blosum62Table = &tablesFor(matrix.BLOSUM62).scores
+
+// TestExtendUngappedDifferential pins the flat-table, branch-free
+// extendUngapped to the per-cell reference: the same segment and the same
+// WorkCounters on 10^5 seeds per alphabet. Sequences are random or
+// homologous, with ambiguity codes; seeds sit anywhere including both ends
+// of both sequences, and X-drops run from 1 to past any segment's score.
+func TestExtendUngappedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, m := range []*matrix.Matrix{matrix.BLOSUM62, matrix.DNADefault, matrix.NewDNA(2, -3)} {
+		tab := &tablesFor(m).scores
+		alpha := m.Alphabet()
+		residues := func(n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				out[i] = byte(rng.Intn(alpha.StrictSize()))
+				if rng.Intn(25) == 0 {
+					out[i] = byte(rng.Intn(alpha.Size()))
+				}
+			}
+			return out
+		}
+		const seeds = 100000
+		long := 0
+		for trial := 0; trial < seeds; trial++ {
+			pick := func(n int) int {
+				switch rng.Intn(6) {
+				case 0:
+					return 0
+				case 1:
+					return n
+				case 2:
+					return max(n-1, 0)
+				}
+				return rng.Intn(n + 1)
+			}
+			q := residues(1 + rng.Intn(120))
+			s := residues(1 + rng.Intn(120))
+			qPos, sPos := pick(len(q)), pick(len(s))
+			if trial%2 == 1 {
+				// A homolog of the query's tail from at on, after a random
+				// prefix of the subject, seeded on its diagonal.
+				at, pre := rng.Intn(len(q)), rng.Intn(20)
+				s = append(residues(pre), q[at:]...)
+				for i := range s {
+					if rng.Intn(8) == 0 {
+						s[i] = byte(rng.Intn(alpha.Size()))
+					}
+				}
+				qPos = at + pick(len(q)-at)
+				sPos = pre + qPos - at
+			}
+			xdrop := 1 + rng.Intn(40)
+			if trial%10 == 0 {
+				xdrop = 1 << 20
+			}
+			var work, workRef WorkCounters
+			got := extendUngapped(q, s, qPos, sPos, tab, xdrop, &work)
+			want := extendUngappedRef(q, s, qPos, sPos, m, xdrop, &workRef)
+			if got != want || work != workRef {
+				t.Fatalf("%s trial %d (seed %d,%d, xdrop %d): segment %+v work %+v, reference %+v work %+v\nq=%v\ns=%v",
+					m.Name(), trial, qPos, sPos, xdrop, got, work, want, workRef, q, s)
+			}
+			if want.qTo-want.qFrom > 20 {
+				long++
+			}
+		}
+		if long < seeds/20 {
+			t.Fatalf("%s: only %d of %d segments longer than 20; the comparison is close to vacuous", m.Name(), long, seeds)
+		}
+	}
+}

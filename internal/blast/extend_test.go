@@ -115,7 +115,7 @@ func TestExtendUngappedExactMatch(t *testing.T) {
 	// Subject embeds the query exactly with junk around it.
 	subj := append(append(randomProtein(rng, 30), q...), randomProtein(rng, 30)...)
 	var work WorkCounters
-	seg := extendUngapped(q, subj, 10, 40, matrix.BLOSUM62, 1000, &work)
+	seg := extendUngapped(q, subj, 10, 40, blosum62Table, 1000, &work)
 	if seg.qFrom != 0 || seg.qTo != 50 {
 		t.Fatalf("expected full query span [0,50), got [%d,%d)", seg.qFrom, seg.qTo)
 	}
@@ -143,7 +143,7 @@ func TestExtendUngappedXDropStops(t *testing.T) {
 		subj[i] = byte(rng.Intn(20))
 	}
 	var work WorkCounters
-	seg := extendUngapped(q, subj, 0, 0, matrix.BLOSUM62, 10, &work)
+	seg := extendUngapped(q, subj, 0, 0, blosum62Table, 10, &work)
 	if seg.qTo > 60 {
 		t.Fatalf("X-drop failed to stop extension: qTo=%d", seg.qTo)
 	}

@@ -25,6 +25,7 @@ import (
 // row lists its entries by query, then by position.
 type batchIndex struct {
 	first, n int // the group's queries: batch positions [first, first+n)
+	longest  int // the group's longest query: what its diagonal regions fit
 	shift    uint
 	mask     uint32 // 1<<shift - 1: an entry's query position
 
@@ -82,16 +83,24 @@ type span struct {
 	n   int32
 }
 
-// enumerate lists one query's registrations, each packed as wordID<<32 |
-// query position: for protein the neighbourhood words of every query word,
-// for DNA the exact word ending at each position. Every DNA id, up to 4^16 -
-// 1, fits the upper half.
-func (s *Searcher) enumerate(query []byte) []uint64 {
+// maxStrict bounds an alphabet's strict residues: protein's 20, DNA's 4.
+const maxStrict = 20
+
+// scoredResidue is a sorted matrix row's entry: a residue and its score.
+type scoredResidue struct {
+	score int16
+	code  byte
+}
+
+// enumerate appends one query's registrations to pairs, each packed as
+// wordID<<32 | query position: for protein the neighbourhood words of every
+// query word, for DNA the exact word ending at each position (every DNA id,
+// up to 4^16 - 1, fits the upper half), positions ascending.
+func (s *Searcher) enumerate(pairs []uint64, query []byte) []uint64 {
 	w := s.opts.WordSize
 	if len(query) < w {
-		return nil
+		return pairs
 	}
-	var pairs []uint64
 	if s.opts.Matrix.Alphabet().Kind() != seq.Protein {
 		var id uint64
 		run := 0 // length of current run of strict residues
@@ -102,67 +111,77 @@ func (s *Searcher) enumerate(query []byte) []uint64 {
 		}
 		return pairs
 	}
-	// The recursion enumerates candidate words position by position, pruning
-	// with the maximum achievable remaining score.
-	m, strict, threshold, rowMax := s.opts.Matrix, int(s.roll.strict), s.opts.Threshold, s.rowMax
-	var rec func(qWord []byte, pos, wordID, score, maxRest int, qPos uint64)
-	rec = func(qWord []byte, pos, wordID, score, maxRest int, qPos uint64) {
-		if pos == w {
-			if score >= threshold {
-				pairs = append(pairs, uint64(wordID)<<32|qPos)
+	e := neighbourhood{rows: &s.tab.rows, strict: int(s.roll.strict), threshold: s.opts.Threshold, pairs: pairs}
+words:
+	for i := 0; i+w <= len(query); i++ {
+		maxTotal := 0
+		for _, c := range query[i : i+w] {
+			if int(c) >= e.strict {
+				continue words
 			}
+			maxTotal += int(e.rows[c][0].score)
+		}
+		if maxTotal >= e.threshold {
+			e.word, e.pos = query[i:i+w], uint64(i)
+			e.walk(0, 0, 0, maxTotal)
+		}
+	}
+	return e.pairs
+}
+
+// neighbourhood is the state of one query's protein enumeration: the words
+// scoring at least threshold against word, registered at query position pos.
+type neighbourhood struct {
+	rows              *[maxStrict][maxStrict]scoredResidue
+	strict, threshold int
+	word              []byte
+	pos               uint64
+	pairs             []uint64
+}
+
+// walk extends the prefix wordID, scoring score over the word's first at
+// residues, by each residue that can still reach the threshold when the rest
+// scores its best, maxRest. Rows are sorted best first, so the first that
+// cannot ends the row; the last position emits its words in the loop.
+func (e *neighbourhood) walk(at, wordID, score, maxRest int) {
+	row := e.rows[e.word[at]][:e.strict]
+	rest := maxRest - int(row[0].score)
+	last := at == len(e.word)-1
+	for _, r := range row {
+		if score+int(r.score)+rest < e.threshold {
 			return
 		}
-		rest := maxRest - rowMax[qWord[pos]]
-		row := m.Row(qWord[pos])
-		for c := 0; c < strict; c++ {
-			sc := int(row[c])
-			if score+sc+rest < threshold {
-				continue
-			}
-			rec(qWord, pos+1, wordID*strict+c, score+sc, rest, qPos)
+		if id := wordID*e.strict + int(r.code); last {
+			e.pairs = append(e.pairs, uint64(id)<<32|e.pos)
+		} else {
+			e.walk(at+1, id, score+int(r.score), rest)
 		}
 	}
-	for i := 0; i+w <= len(query); i++ {
-		qWord := query[i : i+w]
-		ok := true
-		maxTotal := 0
-		for _, c := range qWord {
-			if int(c) >= strict {
-				ok = false
-				break
-			}
-			maxTotal += rowMax[c]
-		}
-		if !ok || maxTotal < threshold {
-			continue
-		}
-		rec(qWord, 0, 0, 0, maxTotal, uint64(i))
-	}
-	return pairs
 }
 
 // groupEnd returns where the group of queries starting at batch position lo
-// ends: at the first query whose registrations or packed position would take
-// the group's offsets past maxGroupOffset. A group holds at least one query.
-func groupEnd(lens []int, pairs [][]uint64, lo int) (hi int, shift uint) {
+// ends, and its longest query: the group ends at the first query whose
+// registrations or packed position would take its offsets past
+// maxGroupOffset. A group holds at least one query.
+func groupEnd(lens []int, pairs [][]uint64, lo int) (hi, longest int) {
 	total := 0
 	for hi = lo; hi < len(lens); hi++ {
-		sh := max(shift, uint(bits.Len(uint(lens[hi]))))
-		t := total + len(pairs[hi])
-		if hi > lo && ((hi-lo+1)<<sh-1 > maxGroupOffset || t > maxGroupOffset) {
+		l, t := max(longest, lens[hi]), total+len(pairs[hi])
+		if hi > lo && ((hi-lo+1)<<bits.Len(uint(l))-1 > maxGroupOffset || t > maxGroupOffset) {
 			break
 		}
-		shift, total = sh, t
+		longest, total = l, t
 	}
-	return hi, shift
+	return hi, longest
 }
 
 // buildGroup lays out the registrations of queries [lo, hi) — pairs[k] being
-// query k's — as one index, counting-sorting them into the CSR layout in two
-// passes (count, fill): no per-word slices, no append churn.
-func (s *Searcher) buildGroup(pairs [][]uint64, lo, hi int, shift uint) batchIndex {
-	g := batchIndex{first: lo, n: hi - lo, shift: shift, mask: 1<<shift - 1}
+// query k's, the longest of them longest residues — as one index,
+// counting-sorting them into the CSR layout in two passes (count, fill): no
+// per-word slices, no append churn.
+func (s *Searcher) buildGroup(pairs [][]uint64, lo, hi, longest int) batchIndex {
+	shift := uint(bits.Len(uint(longest)))
+	g := batchIndex{first: lo, n: hi - lo, longest: longest, shift: shift, mask: 1<<shift - 1}
 	total := 0
 	for _, p := range pairs[lo:hi] {
 		total += len(p)

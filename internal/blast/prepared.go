@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,16 +100,22 @@ func (s *Searcher) newBatchBuild(queries []*seq.Sequence) *batchBuild {
 func (b *batchBuild) distinct() int { return len(b.todo) }
 
 // get helps with the build until nothing is left to claim and returns the
-// index once it is merged.
+// index once it is merged. A helper reuses one buffer: it copies a query's
+// registrations out only when it goes on to another.
 func (b *batchBuild) get() *PreparedBatch {
 	n := int64(len(b.todo))
+	last := -1 // the query whose registrations are in this helper's buffer
 	for k := b.next.Add(1) - 1; k < n; k = b.next.Add(1) - 1 {
 		i := b.todo[k]
 		seeding := b.queries[i].Residues
 		if b.s.opts.FilterLowComplexity {
 			seeding, _ = MaskForSeeding(seeding, b.queries[i].Alpha, DefaultFilterParams(b.queries[i].Alpha.Kind()))
 		}
-		b.pairs[i] = b.s.enumerate(seeding)
+		var buf []uint64
+		if last >= 0 { // last is not merged yet: i is not done
+			buf, b.pairs[last] = b.pairs[last][:0], slices.Clone(b.pairs[last])
+		}
+		b.pairs[i], last = b.s.enumerate(buf, seeding), i
 		if b.done.Add(1) == n {
 			b.merge()
 		}
@@ -128,8 +135,8 @@ func (b *batchBuild) merge() {
 		p.work[i] = WorkCounters{ResiduesScanned: int64(q.Len()), IndexWords: int64(len(b.pairs[i]))}
 	}
 	for lo := 0; lo < len(b.queries); {
-		hi, shift := groupEnd(p.lens, b.pairs, lo)
-		p.groups = append(p.groups, b.s.buildGroup(b.pairs, lo, hi, shift))
+		hi, longest := groupEnd(p.lens, b.pairs, lo)
+		p.groups = append(p.groups, b.s.buildGroup(b.pairs, lo, hi, longest))
 		lo = hi
 	}
 	b.p, b.pairs = p, nil

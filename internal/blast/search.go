@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"parblast/internal/matrix"
 	"parblast/internal/seq"
 	"parblast/internal/stats"
 )
@@ -21,9 +22,7 @@ type Searcher struct {
 	up   stats.Params // ungapped Karlin–Altschul parameters
 	gp   stats.Params // gapped parameters (final statistics)
 	roll wordRoll     // how word ids are read off a sequence
-	// rowMax[c] is the best score residue c achieves against any strict
-	// residue: the neighbourhood enumeration's pruning bound.
-	rowMax []int
+	tab  *matrixTables
 
 	xdropUngapped int // raw scores
 	xdropGapped   int
@@ -51,19 +50,43 @@ func NewSearcher(opts Options) (*Searcher, error) {
 		}
 		return r
 	}
-	m, strict := opts.Matrix, opts.Matrix.Alphabet().StrictSize()
-	s.rowMax = make([]int, strict)
-	for c := range s.rowMax {
-		s.rowMax[c] = m.Score(byte(c), 0)
-		for d := 1; d < strict; d++ {
-			s.rowMax[c] = max(s.rowMax[c], m.Score(byte(c), byte(d)))
-		}
-	}
+	s.tab = tablesFor(opts.Matrix)
 	s.xdropUngapped = bitsToRaw(opts.XDropUngapped, s.up)
 	s.xdropGapped = bitsToRaw(opts.XDropGapped, s.gp)
 	s.xdropFinal = bitsToRaw(opts.XDropFinal, s.gp)
 	s.gapTrigger = bitsToRaw(opts.GapTriggerBits, s.up)
 	return s, nil
+}
+
+// matrixTables is what the kernel reads of a matrix: rows[c], the strict
+// residues by descending score against c (ties by code), is the order the
+// enumeration walks; scores is the matrix flat, read per ungapped cell.
+type matrixTables struct {
+	rows   [maxStrict][maxStrict]scoredResidue
+	scores scoreTable
+}
+
+// tables holds one matrixTables per matrix, built on first use: a matrix
+// never changes, so its searchers share them and allocate nothing for them.
+var tables sync.Map // *matrix.Matrix -> *matrixTables
+
+func tablesFor(m *matrix.Matrix) *matrixTables {
+	if t, ok := tables.Load(m); ok {
+		return t.(*matrixTables)
+	}
+	t, strict := &matrixTables{}, m.Alphabet().StrictSize()
+	for a := 0; a < m.Size(); a++ {
+		copy(t.scores[a<<5:], m.Row(byte(a)))
+	}
+	for c := 0; c < strict; c++ {
+		row := t.rows[c][:strict]
+		for d := range row {
+			row[d] = scoredResidue{score: t.scores[c<<5|d], code: byte(d)}
+		}
+		slices.SortStableFunc(row, func(a, b scoredResidue) int { return int(b.score) - int(a.score) })
+	}
+	shared, _ := tables.LoadOrStore(m, t)
+	return shared.(*matrixTables)
 }
 
 // Options returns a copy of the searcher's configuration.
@@ -84,14 +107,13 @@ type Context struct {
 	// from residues equal to theirs. A clone shares its owner's slice.
 	queries []*seq.Sequence
 	prep    *PreparedBatch
-	// scans[i] is query i's part of the subject being searched, lanes[i]
-	// the part of it the seed scan touches per hit.
+	// scans[i] is query i's part of the subject being searched, hits[i] its
+	// seed hits in the index group being scanned.
 	scans []subjectScan
-	lanes []lane
+	hits  []int64
 
-	// Diagonal bookkeeping: one region per query (lane.origin), values stored
-	// past a per-subject base (ensureDiag), never above diagEnd: nothing is
-	// cleared.
+	// Diagonal bookkeeping (scanGroup): values stored past a per-group base
+	// (ensureDiag), never above diagEnd, so nothing is cleared.
 	diag    []diagState
 	diagEnd int32
 
@@ -136,7 +158,8 @@ type searchPool struct {
 //
 // A query's region has fewer slots than a long subject has diagonals, so
 // diagonal d shares its slot with d ± k·(region size). That is safe because
-// a region holds more than the query's length plus the two-hit window: d is
+// a region holds more than the query's length plus the two-hit window (one
+// sized from a longer query of its group only shares less): d is
 // hit only at subject offsets [d, d+len(query)), and its extensions end by
 // d+len(query), so by the first hit on d + region size the hit d remembers
 // is more than a window behind and its extension level is behind the hit,
@@ -412,10 +435,10 @@ func (p *searchPool) drain(w int) {
 }
 
 // beginScans points query i's scan at its residues, its cutoff and its
-// tally, works[i], and gives it a lane.
+// tally, works[i].
 func (c *Context) beginScans(works []WorkCounters, cutoffs []int) {
 	c.scans = slices.Grow(c.scans[:0], len(c.queries))[:len(c.queries)]
-	c.lanes = slices.Grow(c.lanes[:0], len(c.queries))[:len(c.queries)]
+	c.hits = slices.Grow(c.hits[:0], len(c.queries))[:len(c.queries)]
 	for i, q := range c.queries {
 		sc := &c.scans[i]
 		*sc = subjectScan{c: c, query: q.Residues, cutoffRaw: cutoffs[i], work: &works[i], boxes: sc.boxes[:0]}
@@ -423,28 +446,20 @@ func (c *Context) beginScans(works []WorkCounters, cutoffs []int) {
 }
 
 // searchSubject searches one subject, whose word ids are words, for every
-// loaded query: it lays out each query's diagonal region, scans the subject
-// once per index group and leaves each query's HSPs in its scan.
+// loaded query: it scans the subject once per index group and leaves each
+// query's HSPs in its scan.
 func (c *Context) searchSubject(subj []byte, words []uint64) {
-	twoHit := c.s.opts.TwoHitWindow
-	n := 0
 	for i := range c.scans {
 		sc := &c.scans[i]
 		sc.work.ResiduesScanned += int64(len(subj))
 		sc.subj, sc.hsps, sc.boxes = subj, nil, sc.boxes[:0]
-		// More slots than the query's length plus the window (diagState), or
-		// than its diagonals when the subject is shorter than the window.
-		size := 1 << bits.Len(uint(len(sc.query)+min(twoHit, len(subj))))
-		c.lanes[i] = lane{origin: n, mask: size - 1}
-		n += size
 	}
 	if len(subj) < c.s.opts.WordSize {
 		return
 	}
-	base := c.ensureDiag(n, len(subj))
 	for gi := range c.prep.groups {
 		if g := &c.prep.groups[gi]; len(g.entries) > 0 {
-			c.scanGroup(g, words, base)
+			c.scanGroup(g, words, len(subj))
 		}
 	}
 }
@@ -452,17 +467,26 @@ func (c *Context) searchSubject(subj []byte, words []uint64) {
 // scanGroup is the seed scan: one index probe per subject position for all
 // of the group's queries, each hit fanned out to its query's diagonals.
 //
+// Each query of the group has a region of 1<<rs slots, more than the longest
+// one plus the window (diagState) or its diagonals: an entry alone addresses
+// its slot, k<<rs | (sPos-qPos)&(1<<rs-1) for the group's query k.
+//
 // The model charges one SeedHit per (query, query position, subject
 // position) word match; the host pays per position one probe for the whole
 // group (where no word ends it probes an empty row), and per hit only what
 // the two-hit rule needs, for nearly every hit one diagState read and one
 // store. Only a hit that qualifies for extension leaves the loop, through
 // subjectScan.extend.
-func (c *Context) scanGroup(g *batchIndex, words []uint64, base int) {
-	w := c.s.opts.WordSize
-	scans, lanes := c.scans[g.first:g.first+g.n], c.lanes[g.first:g.first+g.n]
-	diag, twoHit := c.diag, c.s.opts.TwoHitWindow
-	offsets, entries, shift, mask := g.offsets, g.entries, g.shift, g.mask
+func (c *Context) scanGroup(g *batchIndex, words []uint64, subjLen int) {
+	w, twoHit := c.s.opts.WordSize, c.s.opts.TwoHitWindow
+	// An entry has 32 bits, so shift < 32, and so is rs for any region the
+	// diagonal array can hold: the masks spare each hit a longer-shift check.
+	rs := uint(bits.Len(uint(g.longest+min(twoHit, subjLen)))) & 31
+	base := c.ensureDiag(g.n<<rs, subjLen)
+	scans, hits := c.scans[g.first:g.first+g.n], c.hits[g.first:g.first+g.n]
+	clear(hits)
+	diag, region := c.diag, 1<<rs-1
+	offsets, entries, shift, mask := g.offsets, g.entries, g.shift&31, g.mask
 	// words[j] ends the word that starts at sPos = j-w+1.
 	for sPos, id := range words[w-1:] {
 		var seeds []uint32
@@ -473,10 +497,9 @@ func (c *Context) scanGroup(g *batchIndex, words []uint64, base int) {
 		}
 		at := sPos + base
 		for _, e := range seeds {
-			ln := &lanes[e>>shift]
-			qPos := int(e & mask)
-			ln.hits++
-			ds := &diag[ln.origin+((sPos-qPos)&ln.mask)]
+			k, qPos := int(e>>shift), int(e&mask)
+			hits[k]++
+			ds := &diag[k<<rs|(sPos-qPos)&region]
 			if at < int(ds.extLevel) {
 				continue // inside a region already covered by an extension
 			}
@@ -497,11 +520,11 @@ func (c *Context) scanGroup(g *batchIndex, words []uint64, base int) {
 				}
 				ds.lastHit = int32(at)
 			}
-			ds.extLevel = int32(scans[e>>shift].extend(qPos, sPos) + base)
+			ds.extLevel = int32(scans[k].extend(qPos, sPos) + base)
 		}
 	}
 	for i := range scans {
-		scans[i].work.SeedHits += lanes[i].hits
+		scans[i].work.SeedHits += hits[i]
 	}
 }
 
@@ -519,20 +542,12 @@ type subjectScan struct {
 	boxes []hspBox
 }
 
-// lane is what the seed scan reads and writes of a query at every hit: the
-// query's diagonal region, diag[origin:origin+mask+1], and its seed hits in
-// the subject.
-type lane struct {
-	origin, mask int
-	hits         int64
-}
-
 // extend grows the qualifying seed hit at (qPos, sPos): without gaps first,
 // then with gaps if that scored high enough. It returns the subject offset
 // the ungapped extension reached, the diagonal's new extension level.
 func (ss *subjectScan) extend(qPos, sPos int) int {
 	c, query := ss.c, ss.query
-	seg := extendUngapped(query, ss.subj, qPos, sPos, c.s.opts.Matrix, c.s.xdropUngapped, ss.work)
+	seg := extendUngapped(query, ss.subj, qPos, sPos, &c.s.tab.scores, c.s.xdropUngapped, ss.work)
 	if seg.score >= c.s.gapTrigger {
 		// Skip if the seed midpoint is inside an HSP we already have.
 		for _, b := range ss.boxes {

@@ -381,11 +381,11 @@ func DecodeWithOffsets(oidFrom int, hdrOffs, seqOffs []int64, hdrBuf, seqBuf []b
 		return nil, fmt.Errorf("formatdb: offset arrays have %d/%d entries", len(hdrOffs), len(seqOffs))
 	}
 	count := len(hdrOffs) - 1
-	if want := hdrOffs[count] - hdrOffs[0]; int64(len(hdrBuf)) < want {
-		return nil, fmt.Errorf("formatdb: header buffer %d bytes, need %d", len(hdrBuf), want)
+	if err := checkOffsets("header", oidFrom, hdrOffs, len(hdrBuf)); err != nil {
+		return nil, err
 	}
-	if want := seqOffs[count] - seqOffs[0]; int64(len(seqBuf)) < want {
-		return nil, fmt.Errorf("formatdb: sequence buffer %d bytes, need %d", len(seqBuf), want)
+	if err := checkOffsets("sequence", oidFrom, seqOffs, len(seqBuf)); err != nil {
+		return nil, err
 	}
 	out := make([]Record, 0, count)
 	for i := 0; i < count; i++ {
@@ -399,6 +399,19 @@ func DecodeWithOffsets(oidFrom int, hdrOffs, seqOffs []int64, hdrBuf, seqBuf []b
 		})
 	}
 	return out, nil
+}
+
+// checkOffsets rejects an offset slice that is negative, decreases or
+// reaches past the n bytes read from its first offset, naming the ordinal of
+// the first bad one.
+func checkOffsets(what string, oidFrom int, offs []int64, n int) error {
+	for i, o := range offs {
+		if o < 0 || (i > 0 && o < offs[i-1]) || o-offs[0] > int64(n) {
+			return fmt.Errorf("formatdb: %s offset %d of ordinal %d is negative, decreasing or past the %d bytes read",
+				what, o, oidFrom+i, n)
+		}
+	}
+	return nil
 }
 
 // Record is one decoded database sequence with its global ordinal.

@@ -2,6 +2,7 @@ package formatdb
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"parblast/internal/seq"
@@ -88,5 +89,32 @@ func TestHostileIndexIsAnError(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: a hostile index opened", c.name)
 		}
+	}
+}
+
+// TestHostileOffsetsAreErrors: DecodeWithOffsets checks every offset, not
+// only the first and last, against its buffer. An offset past the buffer,
+// below its predecessor or below zero is an error naming the ordinal, never
+// a slice panic.
+func TestHostileOffsetsAreErrors(t *testing.T) {
+	seqOffs, seqBuf := []int64{0, 4, 8}, make([]byte, 8)
+	for _, c := range []struct {
+		name    string
+		hdrOffs []int64
+		ordinal string
+	}{
+		{"past the buffer", []int64{0, 100, 10}, "ordinal 8"},
+		{"decreasing", []int64{5, 0, 5}, "ordinal 8"},
+		{"negative", []int64{-1 << 62, 1 << 62, 1 << 62}, "ordinal 7"},
+	} {
+		recs, err := DecodeWithOffsets(7, c.hdrOffs, seqOffs, make([]byte, 10), seqBuf)
+		if err == nil {
+			t.Errorf("%s: header offsets %v decoded %d records", c.name, c.hdrOffs, len(recs))
+		} else if !strings.Contains(err.Error(), c.ordinal) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.ordinal)
+		}
+	}
+	if _, err := DecodeWithOffsets(0, []int64{0, 5, 10}, seqOffs, make([]byte, 10), seqBuf); err != nil {
+		t.Errorf("consistent offsets: %v", err)
 	}
 }

@@ -196,16 +196,17 @@ go test -race -count=3 -run TestNoGoroutineOutlivesARun .
 # so that claim orders the default run never produces are exercised.
 GOMAXPROCS=4 go test -race -count=3 ./internal/blast
 
-# Fuzz smoke: a few seconds per codec hardening target. Finds shallow
-# panics, count-sized allocations and lossy round trips in the wire layouts
-# (one FuzzWire per package that owns some), the formatdb index and the
-# artifact reader without a long campaign.
-for pkg in engine core mpiblast; do
-    go test -run=- -fuzz='^FuzzWire$' -fuzztime=5s ./internal/$pkg
+# Fuzz smoke: five seconds for every Fuzz* target of the module, listed per
+# package, so a new target joins without an edit here. Finds shallow panics,
+# count-sized allocations and lossy round trips in the wire layouts, the
+# on-disk formats and the artifact reader, and kernel differentials, without
+# a long campaign.
+for pkg in $(go list ./...); do
+    listed=$(go test -list '^Fuzz' "$pkg")
+    for target in $(printf '%s\n' "$listed" | grep '^Fuzz' || true); do
+        go test -run=- -fuzz="^$target\$" -fuzztime=5s "$pkg"
+    done
 done
-go test -run=- -fuzz='^FuzzDecodeIndex$' -fuzztime=5s ./internal/formatdb
-go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
-go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
 go test -run=- -bench='SearchFragment|SearchQueries|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
 go run ./examples/quickstart >/dev/null
 
