@@ -5,8 +5,9 @@
 //
 // Usage:
 //
-//	parblast -db nr.fasta -query queries.fasta -out results.txt \
-//	         [-engine pio|mpi|seq] [-procs 32] [-platform altix|blade|ideal] \
+//	parblast (-db nr.fasta [-title T] | -dbdir DIR [-dbname NAME]) \
+//	         -query queries.fasta -out results.txt \
+//	         [-engine pio|mpi|seq] [-procs 32] [-platform altix|blade|ideal|san] \
 //	         [-fragments N] [-early-prune] [-independent-output] \
 //	         [-collective-read] [-prefetch N] [-dynamic] \
 //	         [-serve -arrival-rate R [-arrival-burst B] [-admit-cap N]] \
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"parblast"
-	"parblast/internal/engine"
 	"parblast/internal/fasta"
 	runreport "parblast/internal/report"
 )
@@ -36,11 +36,11 @@ func main() {
 	outPath := flag.String("out", "results.txt", "output report path")
 	engineName := flag.String("engine", "pio", "engine: pio, mpi, or seq")
 	procs := flag.Int("procs", 8, "number of simulated MPI processes")
-	platformName := flag.String("platform", "altix", "cluster platform: altix, blade, or ideal")
+	platformName := flag.String("platform", "altix", "cluster platform: altix, blade, ideal, or san")
 	fragments := flag.Int("fragments", 0, "partition granularity (0 = one fragment per worker)")
 	earlyPrune := flag.Bool("early-prune", false, "pioBLAST: early score communication (§5)")
 	independent := flag.Bool("independent-output", false, "pioBLAST: independent instead of collective writes (ablation)")
-	title := flag.String("title", "database", "database title for report headers")
+	title := flag.String("title", "database", "database title for report headers (with -db)")
 	outfmt := flag.String("outfmt", "pairwise", "report format: pairwise or tabular")
 	filter := flag.Bool("filter", false, "mask low-complexity query regions for seeding (-F)")
 	dynamic := flag.Bool("dynamic", false, "pioBLAST: greedy run-time fragment assignment (§5)")
@@ -77,93 +77,25 @@ func main() {
 		os.Exit(1)
 	}
 
-	var eng parblast.Engine
-	switch *engineName {
-	case "pio":
-		eng = parblast.EnginePioBLAST
-	case "mpi":
-		eng = parblast.EngineMPIBlast
-	case "seq":
-		eng = parblast.EngineSequential
-	default:
-		fail(fmt.Errorf("unknown engine %q", *engineName))
-	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := ignoredFlag(set, *serve); err != nil {
 		fail(err)
 	}
-	var platform parblast.Platform
-	switch *platformName {
-	case "altix":
-		platform = parblast.PlatformAltix
-	case "blade":
-		platform = parblast.PlatformBladeCluster
-	case "ideal":
-		platform = parblast.PlatformIdeal
-	default:
-		fail(fmt.Errorf("unknown platform %q", *platformName))
+	spec := parblast.RunSpec{Procs: *procs, Serve: *serve, AdmitCap: *admitCap}
+	var err error
+	if spec.Engine, err = parblast.ParseEngine(*engineName); err != nil {
+		fail(err)
 	}
-
+	if spec.Platform, err = parblast.ParsePlatform(*platformName); err != nil {
+		fail(err)
+	}
 	queries, err := fasta.ReadFile(*queryPath, nil)
 	if err != nil {
 		fail(err)
 	}
 	if len(queries) == 0 {
 		fail(fmt.Errorf("empty query set"))
-	}
-
-	cluster, err := parblast.NewCluster(*procs, platform)
-	if err != nil {
-		fail(err)
-	}
-	var collector *parblast.TraceCollector
-	if *timeline || *traceOut != "" || *reportPath != "" {
-		collector = cluster.Trace()
-	}
-	var registry *parblast.MetricsRegistry
-	if *reportPath != "" {
-		registry = cluster.Metrics()
-	}
-	var db *parblast.DB
-	if *dbDir != "" {
-		// Import a pre-formatted database (cmd/formatdb output) onto the
-		// cluster's shared file system — no re-formatting.
-		entries, err := os.ReadDir(*dbDir)
-		if err != nil {
-			fail(err)
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(*dbDir, e.Name()))
-			if err != nil {
-				fail(err)
-			}
-			cluster.SharedFS().WriteFile(e.Name(), data)
-		}
-		db, err = cluster.OpenDB(*dbName)
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		dbSeqs, err := fasta.ReadFile(*dbPath, nil)
-		if err != nil {
-			fail(err)
-		}
-		if len(dbSeqs) == 0 {
-			fail(fmt.Errorf("empty database"))
-		}
-		db, err = cluster.FormatDB("db", dbSeqs, *title)
-		if err != nil {
-			fail(err)
-		}
-	}
-	if eng == parblast.EngineMPIBlast {
-		if err := cluster.PrepareFragments(db.Base, engine.PartCount(*fragments, *procs)); err != nil {
-			fail(err)
-		}
 	}
 	strategy, err := parblast.ParseIOStrategy(*ioStrategy)
 	if err != nil {
@@ -184,8 +116,7 @@ func main() {
 	} else if *ioTune != "" {
 		tuner = parblast.NewIOTuner()
 	}
-	search := parblast.Search{
-		DB:        db,
+	spec.Search = parblast.Search{
 		Queries:   queries,
 		Output:    "results.out",
 		Fragments: *fragments,
@@ -203,36 +134,20 @@ func main() {
 	}
 	// The tree merge is both engines' option: set it in the block the chosen
 	// engine reads. The engine rejects, by name, what it would not read.
-	if eng == parblast.EngineMPIBlast {
-		search.Mpi.TreeMerge, search.Mpi.MergeFanout = *treeMerge, *mergeFanout
+	if spec.Engine == parblast.EngineMPIBlast {
+		spec.Search.Mpi.TreeMerge, spec.Search.Mpi.MergeFanout = *treeMerge, *mergeFanout
 	} else {
-		search.Pio.TreeMerge, search.Pio.MergeFanout = *treeMerge, *mergeFanout
+		spec.Search.Pio.TreeMerge, spec.Search.Pio.MergeFanout = *treeMerge, *mergeFanout
 	}
-	if db.Kind == parblast.DNA {
-		search.Options = parblast.DefaultDNAOptions()
-	} else {
-		search.Options = parblast.DefaultProteinOptions()
-	}
-	search.Options.FilterLowComplexity = *filter
-	search.Options.SearchThreads = *searchThreads
 	if *crash != "" {
 		rank, at, err := parseCrash(*crash)
 		if err != nil {
 			fail(err)
 		}
-		search.Faults = []parblast.Fault{{Rank: rank, At: at, Kind: parblast.FaultCrash}}
+		spec.Search.Faults = []parblast.Fault{{Rank: rank, At: at, Kind: parblast.FaultCrash}}
 	}
-	switch *outfmt {
-	case "pairwise":
-	case "tabular":
-		search.Options.OutFormat = parblast.FormatTabular
-	default:
-		fail(fmt.Errorf("unknown output format %q", *outfmt))
-	}
-	var res parblast.Result
-	var serveStats parblast.ServeStats
 	if *serve {
-		batches, err := parblast.Arrivals(queries, parblast.ArrivalConfig{
+		spec.Batches, err = parblast.Arrivals(queries, parblast.ArrivalConfig{
 			Rate:      *arrivalRate,
 			Burst:     *arrivalBurst,
 			BatchMean: *arrivalBatch,
@@ -242,18 +157,66 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res, serveStats, err = cluster.Serve(eng, search, batches, *admitCap)
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		var err error
-		res, err = cluster.Run(eng, search)
-		if err != nil {
-			fail(err)
-		}
 	}
-	report, err := cluster.ReadOutput("results.out")
+
+	// Telemetry attaches before the database is formatted, so the vfs
+	// series include the format's accesses.
+	var collector *parblast.TraceCollector
+	var registry *parblast.MetricsRegistry
+	cluster, spec, err := parblast.Stage(spec, parblast.DefaultCostModel(), func(c *parblast.Cluster) (*parblast.DB, error) {
+		if *timeline || *traceOut != "" || *reportPath != "" {
+			collector = c.Trace()
+		}
+		if *reportPath != "" {
+			registry = c.Metrics()
+		}
+		if *dbDir == "" {
+			dbSeqs, err := fasta.ReadFile(*dbPath, nil)
+			if err != nil {
+				return nil, err
+			}
+			if len(dbSeqs) == 0 {
+				return nil, fmt.Errorf("empty database")
+			}
+			return c.FormatDB("db", dbSeqs, *title)
+		}
+		// Import a pre-formatted database (cmd/formatdb output) onto the
+		// cluster's shared file system — no re-formatting.
+		entries, err := os.ReadDir(*dbDir)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(*dbDir, e.Name()))
+			if err != nil {
+				return nil, err
+			}
+			c.SharedFS().WriteFile(e.Name(), data)
+		}
+		return c.OpenDB(*dbName)
+	})
+	if err != nil {
+		fail(err)
+	}
+	db := spec.Search.DB
+	if db.Kind == parblast.DNA {
+		spec.Search.Options = parblast.DefaultDNAOptions()
+	} else {
+		spec.Search.Options = parblast.DefaultProteinOptions()
+	}
+	spec.Search.Options.FilterLowComplexity = *filter
+	spec.Search.Options.SearchThreads = *searchThreads
+	switch *outfmt {
+	case "pairwise":
+	case "tabular":
+		spec.Search.Options.OutFormat = parblast.FormatTabular
+	default:
+		fail(fmt.Errorf("unknown output format %q", *outfmt))
+	}
+	res, serveStats, report, err := cluster.Exec(spec)
 	if err != nil {
 		fail(err)
 	}
@@ -262,8 +225,8 @@ func main() {
 	}
 
 	fmt.Printf("engine=%s platform=%s procs=%d queries=%d db=%d seqs/%d residues\n",
-		eng, platform, *procs, len(queries), db.NumSeqs, db.TotalResidues)
-	if eng != parblast.EngineSequential {
+		spec.Engine, spec.Platform, *procs, len(queries), db.NumSeqs, db.TotalResidues)
+	if spec.Engine != parblast.EngineSequential {
 		b := res.Phase
 		fmt.Printf("virtual time:  copy=%.2fs input=%.2fs search=%.2fs output=%.2fs other=%.2fs\n",
 			b.Copy, b.Input, b.Search, b.Output, b.Other)
@@ -292,8 +255,8 @@ func main() {
 	}
 	if *reportPath != "" {
 		info := runreport.RunInfo{
-			Engine:     eng.String(),
-			Platform:   platform.String(),
+			Engine:     spec.Engine.String(),
+			Platform:   spec.Platform.String(),
 			Procs:      *procs,
 			Queries:    len(queries),
 			DBSeqs:     db.NumSeqs,
@@ -328,8 +291,8 @@ func main() {
 			fail(err)
 		}
 		meta := map[string]string{
-			"engine":   eng.String(),
-			"platform": platform.String(),
+			"engine":   spec.Engine.String(),
+			"platform": spec.Platform.String(),
 			"procs":    fmt.Sprintf("%d", *procs),
 		}
 		// With a metrics registry attached, export histogram/distribution
@@ -361,12 +324,29 @@ func main() {
 var serveOnlyFlags = []string{"arrival-rate", "arrival-burst", "arrival-batch", "arrival-dist",
 	"arrival-seed", "admit-cap"}
 
-// ignoredFlag names the first arrival flag the user set (set is flag.Visit's
-// set) without -serve.
+// dbFlags pairs a flag with the one it needs (needs) or excludes: -db and
+// -title format a FASTA file, which -dbdir replaces with a formatted
+// database, and -dbname names the database inside -dbdir.
+var dbFlags = []struct {
+	flag, other string
+	needs       bool
+}{{"db", "dbdir", false}, {"title", "dbdir", false}, {"dbname", "dbdir", true}}
+
+// ignoredFlag names the first flag the user set (set is flag.Visit's set)
+// that the run would not read: an arrival flag without -serve, or a
+// database flag beside the wrong source.
 func ignoredFlag(set map[string]bool, serve bool) error {
 	for _, f := range serveOnlyFlags {
 		if set[f] && !serve {
 			return fmt.Errorf("-%s is a serving-mode option: it needs -serve", f)
+		}
+	}
+	for _, r := range dbFlags {
+		if set[r.flag] && set[r.other] != r.needs {
+			if r.needs {
+				return fmt.Errorf("-%s is read only with -%s: it needs -%s", r.flag, r.other, r.other)
+			}
+			return fmt.Errorf("-%s is not read with -%s: set one of them", r.flag, r.other)
 		}
 	}
 	return nil

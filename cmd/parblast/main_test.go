@@ -9,9 +9,11 @@ import (
 )
 
 // TestIgnoredFlag: an arrival flag set without -serve is rejected, naming the
-// flag and the reason. `-arrival-rate 7` used to exit 0 having dropped it.
-// What an engine would not read the façade rejects by name
-// (parblast.TestFacadeRejectsWhatAnEngineWouldDrop).
+// flag and the reason, and so is a database flag beside the wrong source:
+// -db or -title with -dbdir, -dbname without it. `-arrival-rate 7` used to
+// exit 0 having dropped it, and so did `-db x -dbdir d -title t` and
+// `-db x -dbname n`. What an engine would not read the façade rejects by
+// name (parblast.TestFacadeRejectsWhatAnEngineWouldDrop).
 func TestIgnoredFlag(t *testing.T) {
 	type tcase struct {
 		set   string // space-separated flag names, as flag.Visit reports them
@@ -23,6 +25,11 @@ func TestIgnoredFlag(t *testing.T) {
 		{"engine procs out db query report timeline search-threads filter tree-merge crash", false, ""},
 		{strings.Join(serveOnlyFlags, " "), true, ""},
 		{"early-prune collective-read io-tune arrival-rate", false, "-arrival-rate is a serving-mode option: it needs -serve"},
+		{"db title query", false, ""},
+		{"dbdir dbname query", false, ""},
+		{"db dbdir dbname title", false, "-db is not read with -dbdir: set one of them"},
+		{"dbdir title", false, "-title is not read with -dbdir: set one of them"},
+		{"db dbname", false, "-dbname is read only with -dbdir: it needs -dbdir"},
 	}
 	for _, f := range serveOnlyFlags {
 		cases = append(cases, tcase{f, false, "-" + f + " is a serving-mode option: it needs -serve"})
@@ -56,7 +63,11 @@ func TestFlagListsNameRealFlags(t *testing.T) {
 	if len(defined) != 36 {
 		t.Errorf("main.go defines %d flags, README says 36", len(defined))
 	}
-	for _, name := range serveOnlyFlags {
+	names := append([]string{}, serveOnlyFlags...)
+	for _, r := range dbFlags {
+		names = append(names, r.flag, r.other)
+	}
+	for _, name := range names {
 		if !defined[name] {
 			t.Errorf("-%s is listed but not defined", name)
 		}

@@ -43,26 +43,16 @@ func main() {
 		for _, procs := range []int{4, 16, 32} {
 			var outputs [][]byte
 			for _, eng := range engines {
-				cluster, err := parblast.NewCluster(procs, platform)
-				if err != nil {
-					log.Fatal(err)
-				}
-				db, err := cluster.FormatDB("nr", seqs, "clustersim nr")
-				if err != nil {
-					log.Fatal(err)
-				}
-				if eng == parblast.EngineMPIBlast {
-					if err := cluster.PrepareFragments("nr", procs-1); err != nil {
-						log.Fatal(err)
-					}
-				}
-				res, err := cluster.Run(eng, parblast.Search{
-					DB: db, Queries: queries, Output: "results.out",
+				cluster, spec, err := parblast.Stage(parblast.RunSpec{
+					Engine: eng, Procs: procs, Platform: platform,
+					Search: parblast.Search{Queries: queries, Output: "results.out"},
+				}, parblast.DefaultCostModel(), func(c *parblast.Cluster) (*parblast.DB, error) {
+					return c.FormatDB("nr", seqs, "clustersim nr")
 				})
 				if err != nil {
 					log.Fatal(err)
 				}
-				out, err := cluster.ReadOutput("results.out")
+				res, _, out, err := cluster.Exec(spec)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -73,7 +63,7 @@ func main() {
 					res.Wall, res.SearchFraction()*100)
 			}
 			if !bytes.Equal(outputs[0], outputs[1]) {
-				log.Fatalf("ENGINE OUTPUTS DIFFER at %s/%d procs", platforms, procs)
+				log.Fatalf("ENGINE OUTPUTS DIFFER at %s/%d procs", platform, procs)
 			}
 		}
 	}

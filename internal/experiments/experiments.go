@@ -22,7 +22,6 @@ import (
 	"parblast"
 	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/report"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
@@ -82,61 +81,41 @@ func (l *Lab) queries(bytes int) ([]*seq.Sequence, error) {
 	})
 }
 
-// engines maps a row's engine name to the façade's engine; "seq" is the
-// sequential oracle's.
-var engines = map[string]parblast.Engine{
-	"seq": parblast.EngineSequential,
-	"mpi": parblast.EngineMPIBlast,
-	"pio": parblast.EnginePioBLAST,
-}
-
-// standUp builds a fresh cluster of procs ranks on plat with the lab's
-// database formatted on it as "nr" — and pre-partitioned, for the baseline —
-// and returns it with the search of queries there. fragments is the search's
-// partition granularity (0 = natural: one per worker), which for the
-// baseline is also the number of physical fragments prepared. Every
-// experiment that runs an engine stands up through here and dispatches
-// through the cluster's Run or Serve.
-func (l *Lab) standUp(eng string, procs int, plat parblast.Platform, fragments int, queries []*seq.Sequence) (*parblast.Cluster, parblast.Search, error) {
-	if _, ok := engines[eng]; !ok {
-		return nil, parblast.Search{}, fmt.Errorf("experiments: unknown engine %q", eng)
-	}
-	c, err := parblast.NewClusterWithCost(procs, plat, l.Cost)
-	if err != nil {
-		return nil, parblast.Search{}, err
-	}
-	seqs, err := workload.SynthesizeDB(l.DB)
-	if err != nil {
-		return nil, parblast.Search{}, err
-	}
-	db, err := c.FormatDB("nr", seqs, "synthetic nr")
-	if err != nil {
-		return nil, parblast.Search{}, err
-	}
-	if eng == "mpi" {
-		if err := c.PrepareFragments("nr", engine.PartCount(fragments, procs)); err != nil {
-			return nil, parblast.Search{}, err
+// stage stands spec up on a fresh cluster under the lab's cost model, with
+// the lab's database formatted on it as "nr", to search queries with the
+// lab's kernel options. Every experiment that runs an engine stages through
+// here and runs the spec with the cluster's Exec.
+func (l *Lab) stage(spec parblast.RunSpec, queries []*seq.Sequence) (*parblast.Cluster, parblast.RunSpec, error) {
+	spec.Search.Queries, spec.Search.Output, spec.Search.Options = queries, "results.out", l.Options
+	return parblast.Stage(spec, l.Cost, func(c *parblast.Cluster) (*parblast.DB, error) {
+		seqs, err := workload.SynthesizeDB(l.DB)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return c, parblast.Search{DB: db, Queries: queries, Output: "results.out", Options: l.Options, Fragments: fragments}, nil
+		return c.FormatDB("nr", seqs, "synthetic nr")
+	})
 }
 
-// runSpec is one engine execution: a point of the option space, as a value.
-// An experiment is the list of them it sweeps.
+// exec stages spec and runs it: the result, a served run's admission
+// accounting, and the output file.
+func (l *Lab) exec(spec parblast.RunSpec, queries []*seq.Sequence) (engine.RunResult, engine.ServeStats, []byte, error) {
+	c, spec, err := l.stage(spec, queries)
+	if err != nil {
+		return engine.RunResult{}, engine.ServeStats{}, nil, err
+	}
+	return c.Exec(spec)
+}
+
+// runSpec is one engine run of a lab's workload: the run itself, and the
+// query volume it searches. An experiment is the list of them it sweeps.
 type runSpec struct {
 	// variant names the design choice this run measures. It labels the
 	// row, in the engine column too; the paper's figures leave it empty
 	// and their rows carry the experiment's label and the engine's name.
 	variant    string
 	lab        *Lab
-	plat       parblast.Platform
-	engineName string // "mpi" or "pio"
-	procs      int
-	fragments  int // 0 = natural
 	queryBytes int
-	pio        parblast.PioOptions // the façade rejects a set block of the other engine
-	mpi        parblast.MpiOptions
-	speeds     []float64 // per-rank compute slowdowns; nil = homogeneous
+	run        parblast.RunSpec
 }
 
 // Row is one measured experiment data point.
@@ -162,46 +141,25 @@ func (r Row) SuiteRow() report.SuiteRow {
 	}
 }
 
-// execute runs one spec on a fresh cluster.
-func execute(spec runSpec) (Row, error) {
-	row := Row{
-		Engine:     spec.engineName,
-		Procs:      spec.procs,
-		Fragments:  spec.fragments,
-		QueryBytes: spec.queryBytes,
-	}
-	queries, err := spec.lab.queries(spec.queryBytes)
-	if err != nil {
-		return row, err
-	}
-	c, s, err := spec.lab.standUp(spec.engineName, spec.procs, spec.plat, spec.fragments, queries)
-	if err != nil {
-		return row, err
-	}
-	s.Pio, s.Mpi, s.NodeSpeeds = spec.pio, spec.mpi, spec.speeds
-	res, err := c.Run(engines[spec.engineName], s)
-	if err != nil {
-		return row, err
-	}
-	row.Result = res
-	row.OutputBytes = res.OutputBytes
-	return row, nil
-}
-
 // sweep executes the runs in order, each on a fresh cluster, and labels the
 // rows: with label, or with the run's variant name where it has one.
 func sweep(label string, runs []runSpec) ([]Row, error) {
 	rows := make([]Row, 0, len(runs))
 	for _, spec := range runs {
-		row, err := execute(spec)
-		row.Label = label
+		r := spec.run
+		row := Row{Label: label, Engine: r.Engine.Short(), Procs: r.Procs, Fragments: r.Search.Fragments, QueryBytes: spec.queryBytes}
 		if spec.variant != "" {
 			row.Label, row.Engine = spec.variant, spec.variant
 		}
+		queries, err := spec.lab.queries(spec.queryBytes)
+		if err == nil {
+			row.Result, _, _, err = spec.lab.exec(r, queries)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s %s p=%d frags=%d q=%d: %w", label, row.Engine,
-				spec.procs, spec.fragments, spec.queryBytes, err)
+				row.Procs, row.Fragments, spec.queryBytes, err)
 		}
+		row.OutputBytes = row.Result.OutputBytes
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -210,16 +168,15 @@ func sweep(label string, runs []runSpec) ([]Row, error) {
 // grid lists the runs on plat at every point of procs × fragments ×
 // queryBytes × engines, engines innermost: the shape of every table and
 // figure of §4.
-func grid(lab *Lab, plat parblast.Platform, engines []string, procs, fragments, queryBytes []int) []runSpec {
+func grid(lab *Lab, plat parblast.Platform, engines []parblast.Engine, procs, fragments, queryBytes []int) []runSpec {
 	var runs []runSpec
 	for _, p := range procs {
 		for _, f := range fragments {
 			for _, qb := range queryBytes {
 				for _, eng := range engines {
-					runs = append(runs, runSpec{
-						lab: lab, plat: plat, engineName: eng,
-						procs: p, fragments: f, queryBytes: qb,
-					})
+					runs = append(runs, runSpec{lab: lab, queryBytes: qb, run: parblast.RunSpec{
+						Engine: eng, Procs: p, Platform: plat, Search: parblast.Search{Fragments: f},
+					}})
 				}
 			}
 		}
@@ -230,9 +187,9 @@ func grid(lab *Lab, plat parblast.Platform, engines []string, procs, fragments, 
 // The axes the paper's experiments share: which engines run, natural
 // partitioning (one fragment per worker), and the default "150 KB" query set.
 var (
-	mpiOnly     = []string{"mpi"}
-	pioOnly     = []string{"pio"}
-	bothEngines = []string{"mpi", "pio"}
+	mpiOnly     = []parblast.Engine{parblast.EngineMPIBlast}
+	pioOnly     = []parblast.Engine{parblast.EnginePioBLAST}
+	bothEngines = []parblast.Engine{parblast.EngineMPIBlast, parblast.EnginePioBLAST}
 	natural     = []int{0}
 )
 
@@ -302,33 +259,39 @@ func Fig4(lab *Lab) ([]Row, error) {
 func Ablations(lab *Lab) ([]Row, error) {
 	cap10 := *lab
 	cap10.Options.MaxTargetSeqs = 10
+	type (
+		run    = parblast.RunSpec
+		search = parblast.Search
+		pio    = parblast.PioOptions
+		mpi    = parblast.MpiOptions
+	)
 	runs := []runSpec{
 		{variant: "pio-collective"},
-		{variant: "pio-independent", pio: parblast.PioOptions{IndependentOutput: true}},
-		{variant: "pio-coll-nfs", plat: parblast.PlatformBladeCluster},
-		{variant: "pio-indep-nfs", plat: parblast.PlatformBladeCluster, pio: parblast.PioOptions{IndependentOutput: true}},
+		{variant: "pio-independent", run: run{Search: search{Pio: pio{IndependentOutput: true}}}},
+		{variant: "pio-coll-nfs", run: run{Platform: parblast.PlatformBladeCluster}},
+		{variant: "pio-indep-nfs", run: run{Platform: parblast.PlatformBladeCluster, Search: search{Pio: pio{IndependentOutput: true}}}},
 		{variant: "pio-cap10", lab: &cap10},
-		{variant: "pio-cap10-prune", lab: &cap10, pio: parblast.PioOptions{EarlyPrune: true}},
-		{variant: "pio-batch4", pio: parblast.PioOptions{QueryBatch: 4}},
-		{variant: "pio-batch16", pio: parblast.PioOptions{QueryBatch: 16}},
-		{variant: "pio-adaptive64K", pio: parblast.PioOptions{MemoryBudgetBytes: 64 << 10}},
-		{variant: "pio-frag62", fragments: 62},
-		{variant: "pio-frag124", fragments: 124},
-		{variant: "pio-frag248", fragments: 248},
-		{variant: "pio-frag124-dyn", fragments: 124, pio: parblast.PioOptions{DynamicAssignment: true}},
-		{variant: "mpi-serial-fetch", engineName: "mpi", mpi: parblast.MpiOptions{FetchWindow: 1}},
-		{variant: "mpi-fetch-win16", engineName: "mpi", mpi: parblast.MpiOptions{FetchWindow: 16}},
+		{variant: "pio-cap10-prune", lab: &cap10, run: run{Search: search{Pio: pio{EarlyPrune: true}}}},
+		{variant: "pio-batch4", run: run{Search: search{Pio: pio{QueryBatch: 4}}}},
+		{variant: "pio-batch16", run: run{Search: search{Pio: pio{QueryBatch: 16}}}},
+		{variant: "pio-adaptive64K", run: run{Search: search{Pio: pio{MemoryBudgetBytes: 64 << 10}}}},
+		{variant: "pio-frag62", run: run{Search: search{Fragments: 62}}},
+		{variant: "pio-frag124", run: run{Search: search{Fragments: 124}}},
+		{variant: "pio-frag248", run: run{Search: search{Fragments: 248}}},
+		{variant: "pio-frag124-dyn", run: run{Search: search{Fragments: 124, Pio: pio{DynamicAssignment: true}}}},
+		{variant: "mpi-serial-fetch", run: run{Engine: parblast.EngineMPIBlast, Search: search{Mpi: mpi{FetchWindow: 1}}}},
+		{variant: "mpi-fetch-win16", run: run{Engine: parblast.EngineMPIBlast, Search: search{Mpi: mpi{FetchWindow: 16}}}},
 	}
 	// What a variant leaves unsaid is the Table 1 configuration of pioBLAST
-	// (the zero platform is the Altix).
+	// (the zero platform is the Altix, the zero engine the sequential one).
 	for i := range runs {
 		r := &runs[i]
-		r.procs, r.queryBytes = 32, lab.QuerySizes[2]
+		r.run.Procs, r.queryBytes = 32, lab.QuerySizes[2]
 		if r.lab == nil {
 			r.lab = lab
 		}
-		if r.engineName == "" {
-			r.engineName = "pio"
+		if r.run.Engine == parblast.EngineSequential {
+			r.run.Engine = parblast.EnginePioBLAST
 		}
 	}
 	return sweep("ablation", runs)
@@ -345,18 +308,20 @@ func Ablations(lab *Lab) ([]Row, error) {
 // pipelines the greedy assignment protocol the same way.
 func ReadPath(lab *Lab) ([]Row, error) {
 	const procs = 8
+	type pio = parblast.PioOptions
+	// A run that names no platform is on the Altix, the zero one.
 	runs := []runSpec{
-		{variant: "pio-indep-read", plat: parblast.PlatformBladeCluster},
-		{variant: "pio-coll-read", plat: parblast.PlatformBladeCluster, pio: parblast.PioOptions{CollectiveRead: true}},
-		{variant: "pio-sync-read", plat: parblast.PlatformAltix},
-		{variant: "pio-prefetch2", plat: parblast.PlatformAltix, pio: parblast.PioOptions{PrefetchDepth: 2}},
-		{variant: "pio-dyn", plat: parblast.PlatformAltix, pio: parblast.PioOptions{DynamicAssignment: true}},
-		{variant: "pio-dyn-prefetch", plat: parblast.PlatformAltix, pio: parblast.PioOptions{DynamicAssignment: true, PrefetchDepth: 1}},
+		{variant: "pio-indep-read", run: parblast.RunSpec{Platform: parblast.PlatformBladeCluster}},
+		{variant: "pio-coll-read", run: parblast.RunSpec{Platform: parblast.PlatformBladeCluster, Search: parblast.Search{Pio: pio{CollectiveRead: true}}}},
+		{variant: "pio-sync-read"},
+		{variant: "pio-prefetch2", run: parblast.RunSpec{Search: parblast.Search{Pio: pio{PrefetchDepth: 2}}}},
+		{variant: "pio-dyn", run: parblast.RunSpec{Search: parblast.Search{Pio: pio{DynamicAssignment: true}}}},
+		{variant: "pio-dyn-prefetch", run: parblast.RunSpec{Search: parblast.Search{Pio: pio{DynamicAssignment: true, PrefetchDepth: 1}}}},
 	}
 	for i := range runs {
 		r := &runs[i]
-		r.lab, r.engineName, r.queryBytes = lab, "pio", lab.QuerySizes[2]
-		r.procs, r.fragments = procs, 8*(procs-1)
+		r.lab, r.run.Engine, r.queryBytes = lab, parblast.EnginePioBLAST, lab.QuerySizes[2]
+		r.run.Procs, r.run.Search.Fragments = procs, 8*(procs-1)
 	}
 	return sweep("readpath", runs)
 }
@@ -376,12 +341,13 @@ func Hetero(lab *Lab) ([]Row, error) {
 	}
 	runs := []runSpec{
 		{variant: "pio-static-hetero"},
-		{variant: "pio-dynamic-hetero", fragments: 2 * (procs - 1), pio: parblast.PioOptions{DynamicAssignment: true}},
+		{variant: "pio-dynamic-hetero", run: parblast.RunSpec{Search: parblast.Search{
+			Fragments: 2 * (procs - 1), Pio: parblast.PioOptions{DynamicAssignment: true}}}},
 	}
 	for i := range runs {
 		r := &runs[i]
-		r.lab, r.plat, r.engineName = lab, parblast.PlatformAltix, "pio"
-		r.procs, r.queryBytes, r.speeds = procs, lab.QuerySizes[2], speeds
+		r.lab, r.run.Platform, r.run.Engine = lab, parblast.PlatformAltix, parblast.EnginePioBLAST
+		r.run.Procs, r.queryBytes, r.run.Search.NodeSpeeds = procs, lab.QuerySizes[2], speeds
 	}
 	return sweep("hetero", runs)
 }
@@ -423,15 +389,19 @@ const faultQueryBytes = 500
 // given fault schedule — crashes (mpi layer) and/or transient I/O errors on
 // the shared store (vfs layer) — and returns the result plus the produced
 // output bytes.
-func (l *Lab) runFaultSpec(eng string, procs int, faults []parblast.Fault, ioPlan *vfs.FaultPlan) (engine.RunResult, []byte, error) {
+func (l *Lab) runFaultSpec(eng parblast.Engine, procs int, faults []parblast.Fault, ioPlan *vfs.FaultPlan) (engine.RunResult, []byte, error) {
 	queries, err := l.queries(faultQueryBytes)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
 	// Natural partitioning, spelled out: one fragment per worker, so the
 	// victim loses exactly one partition and the recovery cost is a single
-	// clean re-acquire + re-search in both engines.
-	c, s, err := l.standUp(eng, procs, parblast.PlatformSAN, procs-1, queries)
+	// clean re-acquire + re-search in both engines. The recovery protocol
+	// is armed in pioBLAST's baseline too, so the overhead isolates
+	// recovery work rather than protocol presence.
+	c, spec, err := l.stage(parblast.RunSpec{Engine: eng, Procs: procs, Platform: parblast.PlatformSAN, Search: parblast.Search{
+		Fragments: procs - 1, Faults: faults, Pio: parblast.PioOptions{FaultTolerant: eng == parblast.EnginePioBLAST},
+	}}, queries)
 	if err != nil {
 		return engine.RunResult{}, nil, err
 	}
@@ -447,18 +417,8 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []parblast.Fault, ioPla
 			return engine.RunResult{}, nil, err
 		}
 	}
-	// Arm the recovery protocol in pioBLAST's baseline too, so the overhead
-	// isolates recovery work rather than protocol presence.
-	s.Faults, s.Pio.FaultTolerant = faults, eng == "pio"
-	res, err := c.Run(engines[eng], s)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	out, err := c.ReadOutput(s.Output)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	return res, out, nil
+	res, _, out, err := c.Exec(spec)
+	return res, out, err
 }
 
 // Faults measures failure recovery on both engines (§3.1's operational
@@ -479,26 +439,25 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	oc, s, err := lab.standUp("seq", 1, parblast.PlatformIdeal, 0, queries)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := oc.Run(parblast.EngineSequential, s); err != nil {
-		return nil, err
-	}
-	oracle, err := oc.ReadOutput(s.Output)
+	_, _, oracle, err := lab.exec(parblast.RunSpec{Engine: parblast.EngineSequential, Procs: 1, Platform: parblast.PlatformIdeal}, queries)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []FaultRow
 	for _, eng := range bothEngines {
+		name := eng.Short()
 		free, freeOut, err := lab.runFaultSpec(eng, procs, nil, nil)
 		if err != nil {
-			return nil, fmt.Errorf("faults %s baseline: %w", eng, err)
+			return nil, fmt.Errorf("faults %s baseline: %w", name, err)
 		}
 		if !bytes.Equal(freeOut, oracle) {
-			return nil, fmt.Errorf("faults %s baseline: output differs from the sequential oracle", eng)
+			return nil, fmt.Errorf("faults %s baseline: output differs from the sequential oracle", name)
+		}
+		// row is a faulted run of eng, measured against the fault-free one.
+		row := func(label string, at float64, res engine.RunResult, out []byte) FaultRow {
+			return FaultRow{Engine: label, Procs: procs, CrashAt: at, FaultFree: free.Wall, Faulted: res.Wall,
+				Overhead: res.Wall - free.Wall, Identical: bytes.Equal(out, oracle), Result: res}
 		}
 		// Crash the last worker at 75% of the pre-output span (copy + input
 		// + search): late enough that its data acquisition is sunk cost —
@@ -510,18 +469,9 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 			{Rank: procs - 1, At: at, Kind: parblast.FaultCrash},
 		}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("faults %s crash: %w", eng, err)
+			return nil, fmt.Errorf("faults %s crash: %w", name, err)
 		}
-		rows = append(rows, FaultRow{
-			Engine:    eng,
-			Procs:     procs,
-			CrashAt:   at,
-			FaultFree: free.Wall,
-			Faulted:   crashed.Wall,
-			Overhead:  crashed.Wall - free.Wall,
-			Identical: bytes.Equal(crashedOut, oracle),
-			Result:    crashed,
-		})
+		rows = append(rows, row(name, at, crashed, crashedOut))
 		// Transient I/O errors on the shared store (retry + exponential
 		// backoff in the vfs layer): output must be unchanged, the cost is
 		// pure latency, and the retry/backoff totals surface through
@@ -530,17 +480,9 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 			FirstOp: 3, Every: 5, Count: 4, Failures: 2, Backoff: 0.002,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("faults %s io: %w", eng, err)
+			return nil, fmt.Errorf("faults %s io: %w", name, err)
 		}
-		rows = append(rows, FaultRow{
-			Engine:    eng + "+io",
-			Procs:     procs,
-			FaultFree: free.Wall,
-			Faulted:   ioFaulted.Wall,
-			Overhead:  ioFaulted.Wall - free.Wall,
-			Identical: bytes.Equal(ioOut, oracle),
-			Result:    ioFaulted,
-		})
+		rows = append(rows, row(name+"+io", 0, ioFaulted, ioOut))
 	}
 	return rows, nil
 }
@@ -585,42 +527,28 @@ func PrepCost(lab *Lab) ([]PrepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	countFiles := func(fs *vfs.FS, prefix string) (int, int64) {
-		files, bytes := 0, int64(0)
-		for _, path := range fs.List() {
-			if !strings.HasPrefix(path, prefix) {
-				continue
-			}
-			data, err := fs.ReadFile(path)
-			if err == nil {
-				files++
-				bytes += int64(len(data))
-			}
-		}
-		return files, bytes
-	}
+	load := func(c *parblast.Cluster) (*parblast.DB, error) { return c.FormatDB("nr", seqs, "prep") }
+	// What Stage leaves on the shared store: mpiBLAST's fragments for each
+	// worker count (plus the master's rank), then pioBLAST's global files.
 	var rows []PrepRow
-	for _, workers := range []int{15, 31, 61} {
-		fs := vfs.MustNew(vfs.RAMDisk())
-		db, err := formatdb.Format(fs, "nr", seqs, formatdb.Config{Kind: lab.DB.Kind, Title: "prep"})
+	for _, workers := range []int{15, 31, 61, 0} {
+		row := PrepRow{Label: "mpiformatdb", Workers: workers, NeedsRun: true}
+		spec, prefix := parblast.RunSpec{Engine: parblast.EngineMPIBlast, Procs: workers + 1, Platform: parblast.PlatformIdeal}, "nr.frag"
+		if workers == 0 {
+			row, spec.Engine, prefix = PrepRow{Label: "pioBLAST-global"}, parblast.EnginePioBLAST, "nr"
+		}
+		c, _, err := parblast.Stage(spec, lab.Cost, load)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := db.PhysicalFragment(fs, workers); err != nil {
-			return nil, err
+		for _, path := range c.SharedFS().List() {
+			if f, err := c.SharedFS().Open(path); err == nil && strings.HasPrefix(path, prefix) {
+				row.Files++
+				row.Bytes += f.Size()
+			}
 		}
-		files, bytes := countFiles(fs, "nr.frag")
-		rows = append(rows, PrepRow{
-			Label: "mpiformatdb", Workers: workers, Files: files, Bytes: bytes, NeedsRun: true,
-		})
+		rows = append(rows, row)
 	}
-	// pioBLAST: one global set, any worker count.
-	fs := vfs.MustNew(vfs.RAMDisk())
-	if _, err := formatdb.Format(fs, "nr", seqs, formatdb.Config{Kind: lab.DB.Kind, Title: "prep"}); err != nil {
-		return nil, err
-	}
-	files, bytes := countFiles(fs, "nr")
-	rows = append(rows, PrepRow{Label: "pioBLAST-global", Workers: 0, Files: files, Bytes: bytes})
 	return rows, nil
 }
 

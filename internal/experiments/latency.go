@@ -51,16 +51,15 @@ func (r LatencyRow) SuiteRow() report.SuiteRow {
 }
 
 // latencyProtocols is the protocol sweep: both engines, flat and
-// hierarchical merge.
+// hierarchical merge (pioBLAST writes two queries per collective write).
 var latencyProtocols = []struct {
 	name string
-	eng  string
-	tree bool
+	run  parblast.RunSpec
 }{
-	{"mpi-flat", "mpi", false},
-	{"mpi-tree", "mpi", true},
-	{"pio-flat", "pio", false},
-	{"pio-tree", "pio", true},
+	{"mpi-flat", parblast.RunSpec{Engine: parblast.EngineMPIBlast}},
+	{"mpi-tree", parblast.RunSpec{Engine: parblast.EngineMPIBlast, Search: parblast.Search{Mpi: parblast.MpiOptions{TreeMerge: true}}}},
+	{"pio-flat", parblast.RunSpec{Engine: parblast.EnginePioBLAST, Search: parblast.Search{Pio: parblast.PioOptions{QueryBatch: 2}}}},
+	{"pio-tree", parblast.RunSpec{Engine: parblast.EnginePioBLAST, Search: parblast.Search{Pio: parblast.PioOptions{TreeMerge: true, QueryBatch: 2}}}},
 }
 
 // Latency sweeps ranks × protocols with flow tracing enabled.
@@ -68,7 +67,9 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 	var rows []LatencyRow
 	for _, procs := range []int{8, 16} {
 		for _, p := range latencyProtocols {
-			row, err := runLatencySpec(lab, p.eng, p.name, procs, p.tree)
+			spec := p.run
+			spec.Procs = procs
+			row, err := runLatencySpec(lab, p.name, spec)
 			if err != nil {
 				return nil, fmt.Errorf("latency %s p=%d: %w", p.name, procs, err)
 			}
@@ -80,23 +81,18 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 
 // runLatencySpec executes one protocol on a fresh, traced cluster, then
 // folds the trace into the latency/critical-path row.
-func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyRow, error) {
-	row := LatencyRow{Protocol: proto, Engine: eng, Procs: procs}
+func runLatencySpec(lab *Lab, proto string, spec parblast.RunSpec) (LatencyRow, error) {
+	row := LatencyRow{Protocol: proto, Engine: spec.Engine.Short(), Procs: spec.Procs}
 	queries, err := lab.queries(lab.QuerySizes[1])
 	if err != nil {
 		return row, err
 	}
-	c, s, err := lab.standUp(eng, procs, parblast.PlatformAltix, 0, queries)
+	c, spec, err := lab.stage(spec, queries)
 	if err != nil {
 		return row, err
 	}
-	if eng == "pio" {
-		s.Pio = parblast.PioOptions{TreeMerge: tree, QueryBatch: 2}
-	} else {
-		s.Mpi.TreeMerge = tree
-	}
 	col := c.Trace()
-	res, err := c.Run(engines[eng], s)
+	res, _, _, err := c.Exec(spec)
 	if err != nil {
 		return row, err
 	}

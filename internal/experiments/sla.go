@@ -8,7 +8,6 @@ import (
 	"parblast"
 	"parblast/internal/engine"
 	"parblast/internal/report"
-	"parblast/internal/seq"
 	"parblast/internal/workload"
 )
 
@@ -100,10 +99,10 @@ func SLA(lab *Lab) ([]SLARow, error) {
 		for _, s := range streams {
 			row, err := runSLASpec(lab, eng, s.sweep, s.acfg, s.admitCap)
 			if err != nil {
-				return nil, fmt.Errorf("sla %s %s rate=%g batchmean=%d: %w", eng, s.sweep, s.acfg.Rate, s.acfg.BatchMean, err)
+				return nil, fmt.Errorf("sla %s %s rate=%g batchmean=%d: %w", row.Engine, s.sweep, s.acfg.Rate, s.acfg.BatchMean, err)
 			}
 			if s.sweep == "shed" && row.Shed == 0 {
-				return nil, fmt.Errorf("sla %s shed: overload row shed nothing (rate %g, cap %d)", eng, s.acfg.Rate, s.admitCap)
+				return nil, fmt.Errorf("sla %s shed: overload row shed nothing (rate %g, cap %d)", row.Engine, s.acfg.Rate, s.admitCap)
 			}
 			rows = append(rows, row)
 		}
@@ -113,11 +112,11 @@ func SLA(lab *Lab) ([]SLARow, error) {
 
 // runSLASpec executes one streamed run and verifies it byte-identical to a
 // one-shot run over its admitted queries.
-func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitCap int) (SLARow, error) {
+func runSLASpec(lab *Lab, eng parblast.Engine, sweep string, acfg workload.ArrivalConfig, admitCap int) (SLARow, error) {
 	row := SLARow{
-		Engine: eng, Procs: slaProcs, Sweep: sweep,
+		Engine: eng.Short(), Procs: slaProcs, Sweep: sweep,
 		Rate: acfg.Rate, Burst: acfg.Burst, BatchMean: acfg.BatchMean, AdmitCap: admitCap,
-		Label: fmt.Sprintf("%s-%s-r%g", eng, sweep, acfg.Rate),
+		Label: fmt.Sprintf("%s-%s-r%g", eng.Short(), sweep, acfg.Rate),
 	}
 	queries, err := lab.queries(lab.QuerySizes[1])
 	if err != nil {
@@ -127,7 +126,8 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 	if err != nil {
 		return row, err
 	}
-	res, stats, out, err := slaRun(lab, eng, queries, batches, admitCap)
+	spec := parblast.RunSpec{Engine: eng, Procs: slaProcs, Serve: true, Batches: batches, AdmitCap: admitCap}
+	res, stats, out, err := lab.exec(spec, queries)
 	if err != nil {
 		return row, err
 	}
@@ -147,7 +147,8 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 			oracleQueries = append(oracleQueries, b.Queries...)
 		}
 	}
-	_, _, oracleOut, err := slaRun(lab, eng, oracleQueries, nil, 0)
+	spec.Serve, spec.Batches, spec.AdmitCap = false, nil, 0
+	_, _, oracleOut, err := lab.exec(spec, oracleQueries)
 	if err != nil {
 		return row, err
 	}
@@ -158,27 +159,6 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 		return row, fmt.Errorf("%d latencies for %d admitted queries", len(res.QueryLatencies), len(oracleQueries))
 	}
 	return row, nil
-}
-
-// slaRun stands up a fresh cluster and runs the queries on it — served as
-// the batches, or one-shot when there are none — and returns the output file.
-func slaRun(lab *Lab, eng string, queries []*seq.Sequence, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, []byte, error) {
-	c, s, err := lab.standUp(eng, slaProcs, parblast.PlatformAltix, 0, queries)
-	if err != nil {
-		return engine.RunResult{}, engine.ServeStats{}, nil, err
-	}
-	var res engine.RunResult
-	var stats engine.ServeStats
-	if batches != nil {
-		res, stats, err = c.Serve(engines[eng], s, batches, admitCap)
-	} else {
-		res, err = c.Run(engines[eng], s)
-	}
-	if err != nil {
-		return engine.RunResult{}, stats, nil, err
-	}
-	out, err := c.ReadOutput(s.Output)
-	return res, stats, out, err
 }
 
 // PrintSLARows renders the body of the serving-mode sweeps.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,14 +152,23 @@ func (ix *Index) Fetch(ra io.ReaderAt, name string, from, to int) ([]byte, error
 	// Byte span covering the residue range, including embedded newlines.
 	startByte := e.Offset + int64(from/e.LineBases)*int64(e.LineBytes) + int64(from%e.LineBases)
 	endByte := e.Offset + int64((to-1)/e.LineBases)*int64(e.LineBytes) + int64((to-1)%e.LineBases) + 1
-	buf := make([]byte, endByte-startByte)
-	if _, err := ra.ReadAt(buf, startByte); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("fasta: fetch %q: %w", name, err)
-	}
-	out := make([]byte, 0, to-from)
-	for _, c := range buf {
-		if c != '\n' && c != '\r' {
-			out = append(out, c)
+	// Read the span a chunk at a time: what is allocated is what the file
+	// holds, never what the index claims.
+	span := io.NewSectionReader(ra, startByte, endByte-startByte)
+	buf := make([]byte, min(endByte-startByte, 64<<10))
+	out := make([]byte, 0, min(to-from, len(buf)))
+	for {
+		n, err := span.Read(buf)
+		for _, c := range buf[:n] {
+			if c != '\n' && c != '\r' {
+				out = append(out, c)
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fasta: fetch %q: %w", name, err)
 		}
 	}
 	if len(out) != to-from {
@@ -183,6 +193,9 @@ func (ix *Index) WriteFai(w io.Writer) error {
 func ReadFai(r io.Reader) (*Index, error) {
 	ix := &Index{byName: make(map[string]int)}
 	sc := bufio.NewScanner(r)
+	// A record's line is short: start the buffer there, not at the
+	// scanner's 4 KB, so that a small index costs little.
+	sc.Buffer(make([]byte, 0, 256), bufio.MaxScanTokenSize)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -211,6 +224,18 @@ func ReadFai(r io.Reader) (*Index, error) {
 		}
 		if e.LineBases <= 0 || e.LineBytes <= e.LineBases-1 {
 			return nil, fmt.Errorf("fasta: .fai line %d: implausible layout %d/%d", lineNo, e.LineBases, e.LineBytes)
+		}
+		if e.Length < 0 {
+			return nil, fmt.Errorf("fasta: .fai line %d: negative length %d", lineNo, e.Length)
+		}
+		if e.Offset < 0 {
+			return nil, fmt.Errorf("fasta: .fai line %d: negative offset %d", lineNo, e.Offset)
+		}
+		// Fetch computes the record's byte span, which ends before Offset +
+		// (Length/LineBases)·LineBytes + LineBases: that must be a file offset.
+		room := math.MaxInt64 - e.Offset - int64(e.LineBases)
+		if lines := int64(e.Length / e.LineBases); room < 0 || lines > 0 && int64(e.LineBytes) > room/lines {
+			return nil, fmt.Errorf("fasta: .fai line %d: %d residues at %d bytes a line pass the largest file offset", lineNo, e.Length, e.LineBytes)
 		}
 		if _, dup := ix.byName[e.Name]; dup {
 			return nil, fmt.Errorf("fasta: .fai duplicate record %q", e.Name)

@@ -178,3 +178,55 @@ func TestIndexAgainstWriterQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHostileFaiIsAnError: a .fai record with a negative length or offset,
+// or whose byte span would end past the largest file offset, is refused by
+// line number. Each used to read cleanly; the first then made Fetch panic in
+// makeslice.
+func TestHostileFaiIsAnError(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{"x\t10\t0\t1\t9223372036854775807\n", "line 1: 10 residues at 9223372036854775807 bytes a line"},
+		{"ok\t4\t0\t4\t5\nx\t-5\t0\t1\t2\n", "line 2: negative length -5"},
+		{"x\t5\t-100\t1\t2\n", "line 1: negative offset -100"},
+		{"x\t3\t9223372036854775807\t5\t6\n", "line 1: 3 residues at 6 bytes a line"},
+	} {
+		ix, err := ReadFai(strings.NewReader(tc.text))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want one saying %q", tc.text, err, tc.want)
+		}
+		if err == nil {
+			for _, e := range ix.Entries() {
+				ix.Fetch(bytes.NewReader([]byte(indexedSample)), e.Name, 0, e.Length)
+			}
+		}
+	}
+}
+
+// TestFaiBytesPinned: the .fai of a fixed FASTA file — a record with a short
+// last line, a CRLF record and a one-line record — byte for byte, so neither
+// the layout BuildIndex measures nor the columns WriteFai prints can drift.
+func TestFaiBytesPinned(t *testing.T) {
+	const fasta = ">a short last line\nMKVLA\nWFQ\n>b\r\nMKVL\r\nAW\r\n>c\nMK\n"
+	const want = "a\t8\t19\t5\t6\nb\t6\t33\t4\t6\nc\t2\t46\t2\t3\n"
+	ix, err := BuildIndex(strings.NewReader(fasta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := ix.WriteFai(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Fatalf(".fai bytes moved:\ngot  %q\nwant %q", got.String(), want)
+	}
+	back, err := ReadFai(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range back.Entries() {
+		res, err := back.Fetch(strings.NewReader(fasta), e.Name, 0, e.Length)
+		if err != nil || len(res) != e.Length {
+			t.Fatalf("%s: fetched %q, %v", e.Name, res, err)
+		}
+	}
+}

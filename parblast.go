@@ -8,7 +8,9 @@
 //
 // The package is the public façade: it wires the internal substrates into
 // three operations — build a cluster, format a database onto it, and run a
-// search with either engine — and re-exports the types callers need.
+// search with either engine — and re-exports the types callers need. A run
+// is also one value, RunSpec: Stage builds its cluster and database, and
+// Cluster.Exec runs it.
 //
 // Quick start:
 //
@@ -23,6 +25,7 @@ package parblast
 import (
 	"fmt"
 	"reflect"
+	"strings"
 
 	"parblast/internal/blast"
 	"parblast/internal/core"
@@ -178,20 +181,43 @@ const (
 	PlatformSAN
 )
 
+// names is a row of the name tables: the short name the parsers read (the
+// CLI's flag values, the experiments' engine column) and the long one
+// String prints.
+type names struct{ short, long string }
+
+// platforms is the one table of platforms: their names and their storage,
+// a shared store plus, unless zero, a local disk on every node.
+var platforms = [...]struct {
+	names
+	shared, local vfs.Profile
+}{
+	PlatformAltix:        {names{"altix", "altix-xfs"}, vfs.XFSLike(), vfs.Profile{}},
+	PlatformBladeCluster: {names{"blade", "blade-nfs"}, vfs.NFSLike(), vfs.LocalDisk()},
+	PlatformIdeal:        {names{"ideal", "ideal"}, vfs.RAMDisk(), vfs.Profile{}},
+	PlatformSAN: {names{"san", "san-ide"},
+		vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32},
+		vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}},
+}
+
 // String names the platform.
 func (p Platform) String() string {
-	switch p {
-	case PlatformAltix:
-		return "altix-xfs"
-	case PlatformBladeCluster:
-		return "blade-nfs"
-	case PlatformIdeal:
-		return "ideal"
-	case PlatformSAN:
-		return "san-ide"
-	default:
+	if p < 0 || int(p) >= len(platforms) {
 		return fmt.Sprintf("Platform(%d)", int(p))
 	}
+	return platforms[p].long
+}
+
+// ParsePlatform reads a platform's short name: altix, blade, ideal or san.
+func ParsePlatform(name string) (Platform, error) {
+	var want []string
+	for p, row := range platforms {
+		if row.short == name {
+			return Platform(p), nil
+		}
+		want = append(want, row.short)
+	}
+	return 0, fmt.Errorf("parblast: unknown platform %q (want %s)", name, strings.Join(want, ", "))
 }
 
 // Engine selects the search implementation.
@@ -207,27 +233,48 @@ const (
 	EnginePioBLAST
 )
 
+// engines is the one table of engine names.
+var engines = [...]names{
+	EngineSequential: {"seq", "sequential"},
+	EngineMPIBlast:   {"mpi", "mpiBLAST"},
+	EnginePioBLAST:   {"pio", "pioBLAST"},
+}
+
 // String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineSequential:
-		return "sequential"
-	case EngineMPIBlast:
-		return "mpiBLAST"
-	case EnginePioBLAST:
-		return "pioBLAST"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
+func (e Engine) String() string { return e.row().long }
+
+// Short is the name ParseEngine reads: seq, mpi or pio.
+func (e Engine) Short() string { return e.row().short }
+
+// row is e's row of the table, or its number for both names.
+func (e Engine) row() names {
+	if e < 0 || int(e) >= len(engines) {
+		n := fmt.Sprintf("Engine(%d)", int(e))
+		return names{n, n}
 	}
+	return engines[e]
+}
+
+// ParseEngine reads an engine's short name: seq, mpi or pio.
+func ParseEngine(name string) (Engine, error) {
+	var want []string
+	for e, row := range engines {
+		if row.short == name {
+			return Engine(e), nil
+		}
+		want = append(want, row.short)
+	}
+	return 0, fmt.Errorf("parblast: unknown engine %q (want %s)", name, strings.Join(want, ", "))
 }
 
 // Cluster is a simulated parallel machine: ranks, storage, cost model.
 type Cluster struct {
-	procs   int
-	nodes   []*vfs.Node
-	cost    simtime.CostModel
-	trace   *trace.Collector
-	metrics *metrics.Registry
+	procs    int
+	platform Platform
+	nodes    []*vfs.Node
+	cost     simtime.CostModel
+	trace    *trace.Collector
+	metrics  *metrics.Registry
 }
 
 // NewCluster builds a cluster of procs ranks on the given platform with
@@ -238,34 +285,34 @@ func NewCluster(procs int, platform Platform) (*Cluster, error) {
 
 // NewClusterWithCost builds a cluster with an explicit cost model.
 func NewClusterWithCost(procs int, platform Platform, cost CostModel) (*Cluster, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("parblast: cluster needs ≥1 process, got %d", procs)
+	if err := checkCluster(procs, platform); err != nil {
+		return nil, err
 	}
 	if err := cost.Validate(); err != nil {
 		return nil, err
 	}
-	var shared vfs.Profile
+	p := platforms[platform]
 	var local *vfs.Profile
-	switch platform {
-	case PlatformAltix:
-		shared = vfs.XFSLike()
-	case PlatformBladeCluster:
-		shared = vfs.NFSLike()
-		l := vfs.LocalDisk()
-		local = &l
-	case PlatformIdeal:
-		shared = vfs.RAMDisk()
-	case PlatformSAN:
-		shared = vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32}
-		local = &vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
-	default:
-		return nil, fmt.Errorf("parblast: unknown platform %v", platform)
+	if p.local != (vfs.Profile{}) {
+		local = &p.local
 	}
-	nodes, err := vfs.Cluster(procs, shared, local)
+	nodes, err := vfs.Cluster(procs, p.shared, local)
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{procs: procs, nodes: nodes, cost: cost}, nil
+	return &Cluster{procs: procs, platform: platform, nodes: nodes, cost: cost}, nil
+}
+
+// checkCluster names what no cluster can be built with: fewer than one
+// rank, or a platform outside the table.
+func checkCluster(procs int, platform Platform) error {
+	if procs < 1 {
+		return fmt.Errorf("parblast: cluster needs ≥1 process, got Procs %d", procs)
+	}
+	if platform < 0 || int(platform) >= len(platforms) {
+		return fmt.Errorf("parblast: unknown platform %v", platform)
+	}
+	return nil
 }
 
 // Procs returns the rank count.
@@ -380,22 +427,51 @@ type Search struct {
 	NodeSpeeds []float64
 }
 
-// rejects names the first field of s the engine would otherwise drop.
-func rejects(eng Engine, s Search) error {
+// RunSpec is one run, as a value: an engine on Procs ranks of a platform,
+// the search, and for a served run its arrival stream and admission cap.
+// Stage builds the cluster a spec runs on and Cluster.Exec runs it; Run and
+// Serve are the same dispatch on a cluster the caller built.
+type RunSpec struct {
+	Engine   Engine
+	Procs    int
+	Platform Platform
+	Search   Search
+	// Serve runs the search in streaming mode over Batches under AdmitCap
+	// (see Cluster.Serve). Without it the run is one-shot and Batches and
+	// AdmitCap must be unset; with it, an empty stream is an error.
+	Serve    bool
+	Batches  []Batch
+	AdmitCap int
+}
+
+// Validate names the first field of r the façade refuses: a missing
+// database, a field the engine would drop, an unknown engine or platform, a
+// stream where none is read, fewer than one rank. It builds no cluster; what
+// needs the database's contents the engines' plans reject.
+func (r RunSpec) Validate() error {
+	s := r.Search
 	pioSet, mpiSet := firstSet(s.Pio), firstSet(s.Mpi)
-	switch sequential := eng == EngineSequential; {
+	switch sequential := r.Engine == EngineSequential; {
+	case s.DB == nil:
+		return fmt.Errorf("parblast: search needs a database: Search.DB is nil")
 	case sequential && len(s.Faults) > 0:
 		return fmt.Errorf("parblast: the sequential engine has no ranks to fail: Faults must be empty")
 	case sequential && len(s.NodeSpeeds) > 0:
 		return fmt.Errorf("parblast: the sequential engine has no ranks to slow: NodeSpeeds must be empty")
 	case sequential && s.Fragments != 0:
 		return fmt.Errorf("parblast: the sequential engine searches the database whole: Fragments must be 0, got %d", s.Fragments)
-	case pioSet != "" && eng != EnginePioBLAST:
-		return fmt.Errorf("parblast: the %v engine reads no Pio options: Pio.%s must be unset", eng, pioSet)
-	case mpiSet != "" && eng != EngineMPIBlast:
-		return fmt.Errorf("parblast: the %v engine reads no Mpi options: Mpi.%s must be unset", eng, mpiSet)
+	case pioSet != "" && r.Engine != EnginePioBLAST:
+		return fmt.Errorf("parblast: the %v engine reads no Pio options: Pio.%s must be unset", r.Engine, pioSet)
+	case mpiSet != "" && r.Engine != EngineMPIBlast:
+		return fmt.Errorf("parblast: the %v engine reads no Mpi options: Mpi.%s must be unset", r.Engine, mpiSet)
+	case r.Engine < 0 || int(r.Engine) >= len(engines):
+		return fmt.Errorf("parblast: unknown engine %v", r.Engine)
+	case r.Serve && sequential:
+		return fmt.Errorf("parblast: engine %v cannot serve (streaming needs a warm cluster): Serve must be false", r.Engine)
+	case !r.Serve && (r.Batches != nil || r.AdmitCap != 0):
+		return fmt.Errorf("parblast: Batches and AdmitCap are a served run's: they need Serve")
 	}
-	return nil
+	return checkCluster(r.Procs, r.Platform)
 }
 
 // firstSet names the first field of the options struct block that is not
@@ -430,16 +506,46 @@ func (c *Cluster) job(s Search) *engine.Job {
 	}
 }
 
-// mpiConfig is the runtime config of one run: the cluster's cost model,
-// registry and collector, the search's speeds and faults.
-func (c *Cluster) mpiConfig(s Search) mpi.Config {
-	return mpi.Config{Cost: c.cost, Speeds: s.NodeSpeeds, Faults: s.Faults, Metrics: c.metrics, Trace: c.trace}
+// Stage builds the cluster spec runs on, puts the database on it through
+// load, and returns both, spec's Search.DB set to what load returned. For
+// mpiBLAST it then cuts the fragments the run reads: Fragments, or one per
+// worker (pioBLAST reads the one set of global files). A spec Validate
+// refuses is refused before any fragment is cut.
+func Stage(spec RunSpec, cost CostModel, load func(*Cluster) (*DB, error)) (*Cluster, RunSpec, error) {
+	c, err := NewClusterWithCost(spec.Procs, spec.Platform, cost)
+	if err != nil {
+		return nil, spec, err
+	}
+	if spec.Search.DB, err = load(c); err != nil {
+		return nil, spec, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, spec, err
+	}
+	if spec.Engine == EngineMPIBlast {
+		if err := c.PrepareFragments(spec.Search.DB.Base, engine.PartCount(spec.Search.Fragments, spec.Procs)); err != nil {
+			return nil, spec, err
+		}
+	}
+	return c, spec, nil
+}
+
+// Exec runs spec on the cluster, one-shot or served, and returns the
+// result, a served run's admission accounting, and the output file. The
+// spec's Procs and Platform must be the cluster's.
+func (c *Cluster) Exec(spec RunSpec) (Result, ServeStats, []byte, error) {
+	res, stats, err := c.run(spec)
+	if err != nil {
+		return res, stats, nil, err
+	}
+	out, err := c.ReadOutput(spec.Search.Output)
+	return res, stats, out, err
 }
 
 // Run executes the search with the chosen engine and returns the timing
 // summary. The result file is written to s.Output on the shared FS.
 func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
-	res, _, err := c.run(eng, s, nil)
+	res, _, err := c.run(RunSpec{Engine: eng, Procs: c.procs, Platform: c.platform, Search: s})
 	return res, err
 }
 
@@ -452,28 +558,31 @@ func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
 // order, and per-query latencies are measured from each batch's open-loop
 // arrival time.
 func (c *Cluster) Serve(eng Engine, s Search, batches []Batch, admitCap int) (Result, ServeStats, error) {
-	return c.run(eng, s, &engine.Stream{Batches: batches, AdmitCap: admitCap})
+	return c.run(RunSpec{Engine: eng, Procs: c.procs, Platform: c.platform, Search: s,
+		Serve: true, Batches: batches, AdmitCap: admitCap})
 }
 
-// run is Run and Serve: reject what the engine would drop, then run the
-// search one-shot (nil stream) or serving the stream.
-func (c *Cluster) run(eng Engine, s Search, stream *engine.Stream) (Result, ServeStats, error) {
-	if s.DB == nil {
-		return Result{}, ServeStats{}, fmt.Errorf("parblast: search needs a database")
-	}
-	if err := rejects(eng, s); err != nil {
+// run is Exec, Run and Serve: validate the spec, then dispatch it to its
+// engine, one-shot or serving its stream.
+func (c *Cluster) run(r RunSpec) (Result, ServeStats, error) {
+	if err := r.Validate(); err != nil {
 		return Result{}, ServeStats{}, err
 	}
-	job, cfg := c.job(s), c.mpiConfig(s)
-	switch {
-	case eng == EngineMPIBlast:
+	if r.Procs != c.procs || r.Platform != c.platform {
+		return Result{}, ServeStats{}, fmt.Errorf("parblast: the spec is Procs %d on %v, the cluster %d on %v",
+			r.Procs, r.Platform, c.procs, c.platform)
+	}
+	var stream *engine.Stream
+	if r.Serve {
+		stream = &engine.Stream{Batches: r.Batches, AdmitCap: r.AdmitCap}
+	}
+	s, job := r.Search, c.job(r.Search)
+	cfg := mpi.Config{Cost: c.cost, Speeds: s.NodeSpeeds, Faults: s.Faults, Metrics: c.metrics, Trace: c.trace}
+	switch r.Engine {
+	case EngineMPIBlast:
 		return mpiblast.Run(c.nodes, c.procs, cfg, job, s.Mpi, stream)
-	case eng == EnginePioBLAST:
+	case EnginePioBLAST:
 		return core.Run(c.nodes, c.procs, cfg, job, s.Pio, stream)
-	case eng != EngineSequential:
-		return Result{}, ServeStats{}, fmt.Errorf("parblast: unknown engine %v", eng)
-	case stream != nil:
-		return Result{}, ServeStats{}, fmt.Errorf("parblast: engine %v cannot serve (streaming needs a warm cluster)", eng)
 	}
 	if err := engine.RunSequential(c.nodes[0].Shared, job); err != nil {
 		return Result{}, ServeStats{}, err

@@ -2,6 +2,7 @@ package parblast_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -124,6 +125,108 @@ func TestFacadeRejectsWhatAnEngineWouldDrop(t *testing.T) {
 	}
 }
 
+// TestRunSpecValidate: each rejection of the façade is reachable from
+// RunSpec.Validate with no cluster built, and names the field; a field the
+// engine would drop is named before a stream it cannot serve.
+func TestRunSpecValidate(t *testing.T) {
+	valid := parblast.RunSpec{Engine: parblast.EnginePioBLAST, Procs: 4, Search: parblast.Search{DB: &parblast.DB{}}}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+	seq := func(r *parblast.RunSpec) { r.Engine = parblast.EngineSequential }
+	for _, tc := range []struct {
+		want string
+		set  func(*parblast.RunSpec)
+	}{
+		{"Search.DB is nil", func(r *parblast.RunSpec) { r.Search.DB = nil }},
+		{"Faults must be empty", func(r *parblast.RunSpec) { seq(r); r.Search.Faults = []parblast.Fault{{Rank: 1}} }},
+		{"NodeSpeeds must be empty", func(r *parblast.RunSpec) { seq(r); r.Search.NodeSpeeds = []float64{1} }},
+		{"Fragments must be 0, got 3", func(r *parblast.RunSpec) { seq(r); r.Search.Fragments = 3 }},
+		{"Pio.EarlyPrune must be unset", func(r *parblast.RunSpec) { r.Engine = parblast.EngineMPIBlast; r.Search.Pio.EarlyPrune = true }},
+		{"Pio.EarlyPrune must be unset", func(r *parblast.RunSpec) { seq(r); r.Serve = true; r.Search.Pio.EarlyPrune = true }},
+		{"Mpi.FetchWindow must be unset", func(r *parblast.RunSpec) { r.Search.Mpi.FetchWindow = 2 }},
+		{"unknown engine Engine(7)", func(r *parblast.RunSpec) { r.Engine = 7 }},
+		{"Serve must be false", func(r *parblast.RunSpec) { seq(r); r.Serve = true }},
+		{"Batches and AdmitCap are a served run's", func(r *parblast.RunSpec) { r.Batches = []parblast.Batch{} }},
+		{"Batches and AdmitCap are a served run's", func(r *parblast.RunSpec) { r.AdmitCap = 2 }},
+		{"got Procs 0", func(r *parblast.RunSpec) { r.Procs = 0 }},
+		{"unknown platform Platform(9)", func(r *parblast.RunSpec) { r.Platform = 9 }},
+	} {
+		r := valid
+		tc.set(&r)
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("error %v, want one saying %q", err, tc.want)
+		}
+	}
+}
+
+// TestStagePreparesFragments: Stage cuts mpiBLAST's physical fragments, one
+// per worker or Fragments of them, and none for pioBLAST, and the staged
+// spec runs on the staged cluster.
+func TestStagePreparesFragments(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	for _, tc := range []struct {
+		eng             parblast.Engine
+		fragments, want int
+	}{
+		{parblast.EngineMPIBlast, 0, 4},
+		{parblast.EngineMPIBlast, 7, 7},
+		{parblast.EnginePioBLAST, 0, 0},
+		{parblast.EnginePioBLAST, 7, 0},
+	} {
+		spec := parblast.RunSpec{Engine: tc.eng, Procs: 5, Search: parblast.Search{
+			Queries: queries, Output: "out", Fragments: tc.fragments}}
+		c, staged, err := parblast.Stage(spec, parblast.DefaultCostModel(), func(c *parblast.Cluster) (*parblast.DB, error) {
+			return c.FormatDB("nr", seqs, "api nr")
+		})
+		if err != nil {
+			t.Fatalf("%v fragments %d: %v", tc.eng, tc.fragments, err)
+		}
+		frags := map[string]bool{}
+		for _, path := range c.SharedFS().List() {
+			if rest, ok := strings.CutPrefix(path, "nr.frag"); ok {
+				frags[strings.SplitN(rest, ".", 2)[0]] = true
+			}
+		}
+		if len(frags) != tc.want {
+			t.Errorf("%v fragments %d: %d prepared, want %d", tc.eng, tc.fragments, len(frags), tc.want)
+		}
+		res, _, out, err := c.Exec(staged)
+		if err != nil || int64(len(out)) != res.OutputBytes || len(out) == 0 {
+			t.Errorf("%v fragments %d: ran to %d bytes (%d reported), %v", tc.eng, tc.fragments, len(out), res.OutputBytes, err)
+		}
+	}
+}
+
+// TestServeEmptyStreamIsAnError: serving no batches is an error naming the
+// uncovered queries, not a one-shot run, whatever the admission cap.
+func TestServeEmptyStreamIsAnError(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cluster.FormatDB("nr", seqs, "api nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PrepareFragments("nr", 3); err != nil {
+		t.Fatal(err)
+	}
+	s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+		for _, call := range []struct {
+			batches  []parblast.Batch
+			admitCap int
+		}{{nil, 0}, {[]parblast.Batch{}, 0}, {nil, 3}} {
+			want := fmt.Sprintf("stream covers 0 queries, job has %d", len(queries))
+			if _, _, err := cluster.Serve(eng, s, call.batches, call.admitCap); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v Serve(%#v, %d): error %v, want one saying %q", eng, call.batches, call.admitCap, err, want)
+			}
+		}
+	}
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	seqs, queries := buildWorkload(t)
 	var outputs [][]byte
@@ -185,6 +288,26 @@ func TestPlatformAndEngineNames(t *testing.T) {
 	}
 	if !strings.Contains(parblast.Platform(99).String(), "99") {
 		t.Fatal("unknown platform should render its number")
+	}
+	// The short names the CLI's flags and the experiments' rows use come
+	// from the same table, and parse back.
+	for short, want := range map[string]parblast.Platform{"altix": parblast.PlatformAltix,
+		"blade": parblast.PlatformBladeCluster, "ideal": parblast.PlatformIdeal, "san": parblast.PlatformSAN} {
+		if p, err := parblast.ParsePlatform(short); err != nil || p != want {
+			t.Errorf("ParsePlatform(%q) = %v, %v; want %v", short, p, err, want)
+		}
+	}
+	for short, want := range map[string]parblast.Engine{"seq": parblast.EngineSequential,
+		"mpi": parblast.EngineMPIBlast, "pio": parblast.EnginePioBLAST} {
+		if e, err := parblast.ParseEngine(short); err != nil || e != want || e.Short() != short {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, named %q", short, e, err, want, short)
+		}
+	}
+	if _, err := parblast.ParsePlatform("altix-xfs"); err == nil || !strings.Contains(err.Error(), "want altix, blade, ideal, san") {
+		t.Errorf("a long platform name parsed: %v", err)
+	}
+	if _, err := parblast.ParseEngine("pioBLAST"); err == nil || !strings.Contains(err.Error(), "want seq, mpi, pio") {
+		t.Errorf("a long engine name parsed: %v", err)
 	}
 }
 

@@ -125,6 +125,20 @@ if [ -n "$runners" ]; then
     exit 1
 fi
 
+# One stand-up: parblast.Stage builds a run's cluster and stages its
+# database, and only it cuts mpiBLAST's physical fragments, one per worker or
+# Fragments of them, so the CLI, the experiments and the examples pre-partition
+# by the same rule. No other non-test file outside the façade and the engines
+# calls engine.PartCount or PrepareFragments (bench/ is its own module).
+staging=$(grep -rnE --include='*.go' --exclude='*_test.go' 'engine\.PartCount\(|\.PrepareFragments\(' . |
+    grep -v -e '^\./bench/' -e '^\./\.bench_build/' -e '^\./parblast\.go:' \
+        -e '^\./internal/core/' -e '^\./internal/mpiblast/' -e '^\./internal/engine/' || true)
+if [ -n "$staging" ]; then
+    echo "a run is staged outside the façade (parblast.go's Stage):" >&2
+    echo "$staging" >&2
+    exit 1
+fi
+
 # gofmt produces no output when everything is formatted; any path printed
 # is a failure.
 unformatted=$(gofmt -l .)
