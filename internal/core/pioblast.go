@@ -580,16 +580,15 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tun
 		r: r, masterPlan: mp, renderOpts: job.Options,
 		// Admission: every query of a one-shot run is "in the system" once
 		// the job metadata broadcast completes.
-		admit:   r.Clock().Now(),
-		alive:   engine.WorkerRanks(workers),
-		partsOf: make([][]int, workers+1),
+		admit: r.Clock().Now(),
+		own:   engine.NewLedger(workers),
 	}
 	var pending []int
 	if meta.Dynamic {
 		pending = mb.assignParts()
 	} else {
 		for w := 1; w <= workers; w++ {
-			mb.partsOf[w] = engine.StaticShare(len(meta.Parts), workers, w)
+			mb.own.Give(w, engine.StaticShare(len(meta.Parts), workers, w)...)
 		}
 		if meta.Collective {
 			// Participate (with empty views) in the workers' collective
@@ -631,29 +630,24 @@ func (mb *masterBatch) assignParts() (pending []int) {
 	r, meta := mb.r, mb.meta
 	r.SetPhase(simtime.PhaseIdle)
 	next := 0
-	served := make(map[int]bool)
-	allServed := func() bool {
-		for _, w := range mb.alive {
-			if !served[w] {
-				return false
-			}
-		}
-		return true
-	}
-	for !allServed() {
+	served := make(map[int]bool) // live workers told "done"
+	for len(served) < len(mb.own.Alive()) {
 		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, r.DetectInterval())
 		if err != nil {
 			// Timeout (AnySource never reports a specific failure):
 			// check ground truth for crashed workers and reclaim
 			// their assignments.
-			pending = mb.reapDead(pending)
+			mb.own.Reap(r.Failed, func(w int, parts []int) {
+				pending = append(pending, parts...)
+				delete(served, w)
+			})
 			continue
 		}
 		if r.Failed(from) {
 			continue // the requester crashed after sending
 		}
 		if next < len(meta.Parts) {
-			mb.partsOf[from] = append(mb.partsOf[from], next)
+			mb.own.Give(from, next)
 			r.Send(from, tagPartAssign, engine.EncodeInt(next))
 			next++
 		} else {
@@ -691,8 +685,9 @@ func (mb *masterBatch) oneShot(queries []*seq.Sequence, qlat *[]float64) error {
 
 // masterBatch carries the master's cross-batch state: the open output file
 // and the running layout offset persist across batches (and, in the serving
-// mode, across admitted stream batches), as does the failure detector's
-// view of the workers.
+// mode, across admitted stream batches), as does the ownership ledger — the
+// surviving workers and the virtual partitions each is responsible for, so a
+// crashed worker's can be reclaimed and re-issued.
 type masterBatch struct {
 	r *mpi.Rank
 	masterPlan
@@ -702,11 +697,7 @@ type masterBatch struct {
 	out        *mpiio.File
 	off        int64
 	admit      float64 // master clock when the job broadcast completed
-	// alive lists the surviving workers; partsOf records which virtual
-	// partitions each is responsible for, so a crashed worker's can be
-	// reclaimed and re-issued.
-	alive   []int
-	partsOf [][]int
+	own        *engine.Ledger
 }
 
 // mergeBatch runs the master side of one batch over queries[q0:q1]:
@@ -719,7 +710,7 @@ type masterBatch struct {
 // loop, which is what makes streamed output byte-identical to the one-shot
 // oracle.
 func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDone func()) error {
-	r, meta, alive := mb.r, mb.meta, mb.alive
+	r, meta, alive := mb.r, mb.meta, mb.own.Alive()
 	workers := r.Size() - 1
 	// While the workers finish this batch, the master is parked.
 	r.SetPhase(simtime.PhaseIdle)
@@ -853,49 +844,28 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 	return mb.out.WriteCollective(masterData)
 }
 
-// reapDead removes crashed workers from the alive list, reclaiming their
-// virtual partitions into pending. Safe to call repeatedly: a reclaimed
-// worker's partsOf entry is cleared.
-func (mb *masterBatch) reapDead(pending []int) []int {
-	live := mb.alive[:0]
-	for _, w := range mb.alive {
-		if mb.r.Failed(w) {
-			pending = append(pending, mb.partsOf[w]...)
-			mb.partsOf[w] = nil
-			continue
-		}
-		live = append(live, w)
-	}
-	mb.alive = live
-	return pending
-}
-
 // syncWorkers runs the master side of the ready/go rendezvous: collect a
 // ready message from every live worker (crashes detected by timeout plus
 // ground-truth liveness check), re-issue dead workers' virtual partitions
 // (pending holds any already reclaimed) to survivors — offsets only, no
 // data movement — and repeat until a round completes with nothing left to
-// recover. Leaves the final survivor set in mb.alive.
+// recover. Leaves the final survivor set in the ledger.
 func (mb *masterBatch) syncWorkers(pending []int) error {
 	r := mb.r
 	r.SetPhase(simtime.PhaseIdle)
+	notReady := func(w int) bool {
+		_, err := r.RecvCrashAware(w, tagReady)
+		return err != nil
+	}
 	for {
-		var survivors []int
-		for _, w := range mb.alive {
-			if _, err := r.RecvCrashAware(w, tagReady); err != nil {
-				pending = append(pending, mb.partsOf[w]...)
-				mb.partsOf[w] = nil
-				continue
-			}
-			survivors = append(survivors, w)
-		}
-		mb.alive = survivors
-		if len(mb.alive) == 0 {
+		mb.own.Reap(notReady, func(_ int, parts []int) { pending = append(pending, parts...) })
+		alive := mb.own.Alive()
+		if len(alive) == 0 {
 			return fmt.Errorf("core: all workers failed; cannot recover")
 		}
 		if len(pending) == 0 {
-			for _, w := range mb.alive {
-				r.Send(w, tagGo, goMsg{Done: true, Alive: mb.alive}.encode())
+			for _, w := range alive {
+				r.Send(w, tagGo, goMsg{Done: true, Alive: alive}.encode())
 			}
 			return nil
 		}
@@ -906,12 +876,12 @@ func (mb *masterBatch) syncWorkers(pending []int) error {
 		r.Metrics().Counter("engine.parts_reissued", r.ID()).Add(int64(len(pending)))
 		extra := make(map[int][]int)
 		for i, pi := range pending {
-			w := mb.alive[i%len(mb.alive)]
+			w := alive[i%len(alive)]
 			extra[w] = append(extra[w], pi)
-			mb.partsOf[w] = append(mb.partsOf[w], pi)
+			mb.own.Give(w, pi)
 		}
 		pending = nil
-		for _, w := range mb.alive {
+		for _, w := range alive {
 			r.Send(w, tagGo, goMsg{Extras: extra[w]}.encode())
 		}
 	}

@@ -167,6 +167,49 @@ func StaticShare(parts, workers, w int) []int {
 	return share
 }
 
+// Ledger is both masters' record of who owns which part: the live workers in
+// rank order and every part each was given, in order. A crashed worker loses
+// every part it was given, so Reap hands them all back; only re-acquiring
+// them differs: mpiBLAST re-copies fragments, pioBLAST re-reads offsets.
+type Ledger struct {
+	alive []int
+	parts [][]int
+}
+
+// NewLedger starts a ledger with workers 1..workers alive, owning nothing.
+func NewLedger(workers int) *Ledger {
+	return &Ledger{alive: WorkerRanks(workers), parts: make([][]int, workers+1)}
+}
+
+// Alive lists the live workers in rank order, until the next Reap.
+func (l *Ledger) Alive() []int { return l.alive }
+
+// Give adds parts to what worker w owns, keeping (not copying) the first
+// slice it is given.
+func (l *Ledger) Give(w int, parts ...int) {
+	if l.parts[w] == nil {
+		l.parts[w] = parts
+		return
+	}
+	l.parts[w] = append(l.parts[w], parts...)
+}
+
+// Reap asks dead about every live worker in rank order, drops each it names,
+// and hands lost that worker's parts in the order it was given them.
+func (l *Ledger) Reap(dead func(w int) bool, lost func(w int, parts []int)) {
+	live := l.alive[:0]
+	for _, w := range l.alive {
+		if !dead(w) {
+			live = append(live, w)
+			continue
+		}
+		parts := l.parts[w]
+		l.parts[w] = nil
+		lost(w, parts)
+	}
+	l.alive = live
+}
+
 // TreeMembers is the reduction-tree membership: the master plus every live
 // worker — all live ranks, which is what the flat collectives the tree ones
 // become under a fault schedule synchronize over.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"parblast/internal/blast"
@@ -127,5 +128,34 @@ func TestServeStreamBoundsQueryBank(t *testing.T) {
 	lookups := int64((nprocs - 1) * admitted)
 	if st.Builds != wantBuilds || st.Reuses != lookups-wantBuilds {
 		t.Errorf("bank %+v, want %d builds (distinct queries per admitted batch) and %d reuses", st, wantBuilds, lookups-wantBuilds)
+	}
+}
+
+// TestLedgerReapHandsBackEveryPart: a reaped worker's parts come back in the
+// order it was given them, live workers keep theirs and their rank order,
+// a worker reaped once is never asked about again, and the first slice a
+// worker is given is kept, not copied.
+func TestLedgerReapHandsBackEveryPart(t *testing.T) {
+	l := NewLedger(4)
+	l.Give(2, StaticShare(10, 4, 2)...) // 1 5 9
+	l.Give(2, 11)
+	l.Give(3, 2)
+	share := []int{7, 8}
+	l.Give(4, share...)
+	var order []int
+	lost := map[int][]int{}
+	l.Reap(func(w int) bool { order = append(order, w); return w == 2 || w == 4 },
+		func(w int, parts []int) { lost[w] = parts })
+	if got := fmt.Sprint(order, l.Alive(), lost); got != "[1 2 3 4] [1 3] map[2:[1 5 9 11] 4:[7 8]]" {
+		t.Fatalf("asked, alive, lost = %s", got)
+	}
+	if &lost[4][0] != &share[0] {
+		t.Error("the first slice worker 4 was given was copied")
+	}
+	order, lost = nil, map[int][]int{}
+	l.Reap(func(w int) bool { order = append(order, w); return w == 3 },
+		func(w int, parts []int) { lost[w] = parts })
+	if got := fmt.Sprint(order, l.Alive(), lost); got != "[1 3] [1] map[3:[2]]" {
+		t.Fatalf("second reap: asked, alive, lost = %s", got)
 	}
 }

@@ -136,7 +136,7 @@ func (db *DB) PhysicalFragment(fs *vfs.FS, n int) ([]*DB, error) {
 			})
 			oid++
 		}
-		base := fmt.Sprintf("%s.frag%03d", db.Base, p.Index)
+		base := FragmentBase(db.Base, p.Index)
 		// FirstOID keeps fragment ordinals database-global so merged
 		// results are unambiguous across fragments.
 		frag, err := Format(fs, base, seqs, Config{Title: db.Title, Kind: db.Kind, FirstOID: oid - count})
@@ -147,6 +147,10 @@ func (db *DB) PhysicalFragment(fs *vfs.FS, n int) ([]*DB, error) {
 	}
 	return frags, nil
 }
+
+// FragmentBase names fragment i of the database at base: the one name
+// PhysicalFragment writes it under and the baseline's master opens.
+func FragmentBase(base string, i int) string { return fmt.Sprintf("%s.frag%03d", base, i) }
 
 // FragmentFiles lists the file paths of one single-volume database — what
 // the baseline copies to local disks.

@@ -15,15 +15,15 @@ import (
 
 // The master side of the baseline. Three short drivers — the flat one-shot
 // protocol, the tree one-shot protocol, and the serving stream — run over
-// the same stages: the assignment bookkeeper (assigner), the flat result
-// store (fragResults), the tree fold (foldTree), and the serialized
-// render/fetch/write output stage (writeQuery). The drivers stay separate
-// because they are different protocols, not copies: the flat master ingests
-// results WHILE workers search and releases each requester as the queue
-// drains; the tree master only tracks completion, parks every idle
-// requester, and releases them in one sweep carrying the survivor list; a
-// serving master has no assignment at all (ownership is static) and merges
-// once per stream batch.
+// the same stages: the assignment bookkeeper (assigner, over the engines'
+// shared ownership ledger), the flat result store (fragResults), the tree
+// fold (foldTree), and one output loop (writeQueries) over the serialized
+// render/fetch/write stage (writeQuery). The drivers stay separate because
+// they are different protocols, not copies: the flat master ingests results
+// WHILE workers search and releases each requester as the queue drains; the
+// tree master parks every idle requester and releases them in one sweep
+// carrying the survivor list; a serving master has no assignment at all
+// (ownership is static) and merges once per stream batch.
 
 // master is the baseline master's state after the job broadcast.
 type master struct {
@@ -49,35 +49,23 @@ type masterHit struct {
 	worker int
 }
 
-// assigner is the greedy fragment-assignment bookkeeping under both
-// one-shot receive loops: the queue of unsearched fragments, which fragment
-// each worker has in flight and which it has finished (so a crashed
-// worker's whole contribution can be requeued), the live set, and the
-// requesters parked while the queue is empty.
+// assigner is the greedy fragment-assignment bookkeeping under both one-shot
+// receive loops: the queue of unsearched fragments, the requesters parked
+// while it is empty — a worker asks again only once its fragment is searched
+// (flat protocol: and submitted), so a parked one has nothing in flight —
+// and the ledger of what each was given, requeued whole on a crash.
 type assigner struct {
-	r       *mpi.Rank
-	tree    bool // assignment payload format (treeAssign vs a bare int)
-	queue   []int
-	alive   []int
-	current []int   // fragment in flight per worker (-1 none)
-	doneBy  [][]int // fragments completed per worker
-	parked  []int
+	r      *mpi.Rank
+	tree   bool // assignment payload format (treeAssign vs a bare int)
+	queue  []int
+	parked []int
+	own    *engine.Ledger
 }
 
 func newAssigner(r *mpi.Rank, nFrags int, tree bool) *assigner {
-	workers := r.Size() - 1
-	a := &assigner{
-		r: r, tree: tree,
-		queue:   make([]int, 0, nFrags),
-		alive:   engine.WorkerRanks(workers),
-		current: make([]int, workers+1),
-		doneBy:  make([][]int, workers+1),
-	}
+	a := &assigner{r: r, tree: tree, queue: make([]int, 0, nFrags), own: engine.NewLedger(r.Size() - 1)}
 	for f := 0; f < nFrags; f++ {
 		a.queue = append(a.queue, f)
-	}
-	for w := range a.current {
-		a.current[w] = -1
 	}
 	return a
 }
@@ -91,7 +79,7 @@ func (a *assigner) recv(purge func()) (data []byte, from, tag int, ok bool, err 
 	if err != nil {
 		// Timed out: check ground truth for crashed workers.
 		purge()
-		if len(a.alive) == 0 {
+		if len(a.own.Alive()) == 0 {
 			return nil, 0, 0, false, fmt.Errorf("mpiblast: all workers failed; cannot recover")
 		}
 		return nil, 0, 0, false, nil
@@ -102,25 +90,14 @@ func (a *assigner) recv(purge func()) (data []byte, from, tag int, ok bool, err 
 	return data, from, tag, true, nil
 }
 
-// request books a work request from w — which acknowledges its previous
-// fragment: a worker only asks again once that fragment is fully searched
-// (and, flat protocol, its results submitted) — and assigns the next queued
-// fragment if there is one.
-func (a *assigner) request(w int) bool {
-	if cur := a.current[w]; cur >= 0 {
-		a.doneBy[w] = append(a.doneBy[w], cur)
-		a.current[w] = -1
-	}
-	return a.assign(w)
-}
-
+// assign gives w the next queued fragment, if there is one.
 func (a *assigner) assign(w int) bool {
 	if len(a.queue) == 0 {
 		return false
 	}
 	f := a.queue[0]
 	a.queue = a.queue[1:]
-	a.current[w] = f
+	a.own.Give(w, f)
 	if a.tree {
 		a.r.Send(w, tagAssign, treeAssign{Frag: f}.encode())
 	} else {
@@ -129,33 +106,22 @@ func (a *assigner) assign(w int) bool {
 	return true
 }
 
-// purgeDead removes crashed workers and requeues every fragment they
-// searched or were searching — recovery is expensive here by construction:
-// the replacement worker must re-COPY the physical fragment files before
-// searching (contrast with pioBLAST, which only re-issues offset ranges).
+// purgeDead reaps crashed workers from the ledger and requeues every
+// fragment they searched or were searching — recovery is expensive here by
+// construction: the replacement worker must re-COPY the physical fragment
+// files before searching (contrast with pioBLAST, which only re-issues
+// offset ranges).
 // onDead, if set, is told of each dead worker and its lost fragments before
 // they are requeued. Parked requesters are then served from the replenished
 // queue; one the queue cannot serve stays parked unless settle takes it.
 func (a *assigner) purgeDead(onDead func(w int, lost []int), settle func(w int) bool) {
-	live := a.alive[:0]
-	for _, w := range a.alive {
-		if !a.r.Failed(w) {
-			live = append(live, w)
-			continue
-		}
-		lost := append([]int(nil), a.doneBy[w]...)
-		if a.current[w] >= 0 {
-			lost = append(lost, a.current[w])
-		}
+	a.own.Reap(a.r.Failed, func(w int, lost []int) {
 		if onDead != nil {
 			onDead(w, lost)
 		}
 		a.queue = append(a.queue, lost...)
 		a.r.Metrics().Counter("engine.frags_requeued", a.r.ID()).Add(int64(len(lost)))
-		a.doneBy[w] = nil
-		a.current[w] = -1
-	}
-	a.alive = live
+	})
 	keep := a.parked[:0]
 	for _, w := range a.parked {
 		if a.r.Failed(w) || a.assign(w) || (settle != nil && settle(w)) {
@@ -263,7 +229,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 			return remaining == 0
 		})
 	}
-	for remaining > 0 || len(released) < len(a.alive) {
+	for remaining > 0 || len(released) < len(a.own.Alive()) {
 		data, from, tag, ok, err := a.recv(purge)
 		if err != nil {
 			return err
@@ -273,7 +239,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 		}
 		switch tag {
 		case tagWorkReq:
-			if a.request(from) {
+			if a.assign(from) {
 				break
 			}
 			if m.ft && remaining > 0 {
@@ -311,44 +277,28 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 	if err := m.openOutput(); err != nil {
 		return err
 	}
-	for qi, q := range m.job.Queries {
+	return m.writeQueries(m.job.Queries, m.admit, qlat, a.own.Alive(), func(qi int) ([]masterHit, blast.WorkCounters) {
 		// The serialized merge handles one query at a time: stamp it as the
 		// trace context so the fetch round-trips it triggers carry it.
 		r.SetTraceBatch(qi)
-		hits, work := results.query(r, qi)
-		if err := m.writeQuery(qi, q, hits, work); err != nil {
-			return err
-		}
-		engine.SettleQuery(r, m.admit, qlat)
-	}
-	m.releaseFetchService(a.alive)
-	return nil
+		return results.query(r, qi)
+	})
 }
 
-// oneShotTree is the tree one-shot protocol: greedy assignment tracked by
-// COMPLETION (a work request acknowledges the prior fragment — results
+// oneShotTree is the tree one-shot protocol: greedy assignment (results
 // never travel during search), one sweep release carrying the survivor
-// membership, the tree reduction, and then the same output stage over the
+// membership, the tree reduction, and then the same output loop over the
 // merged selection.
 func (m *master) oneShotTree(qlat *[]float64) error {
 	r := m.r
 	r.SetPhase(simtime.PhaseIdle)
 	a := newAssigner(r, len(m.meta.FragBases), true)
-	idle := func() bool {
-		if len(a.queue) > 0 {
-			return false
-		}
-		for _, w := range a.alive {
-			if a.current[w] >= 0 {
-				return false
-			}
-		}
-		return true
-	}
 	// A crashed worker's results only ever existed in its memory, so
 	// everything it completed or had in flight is re-searched.
 	purge := func() { a.purgeDead(nil, nil) }
-	for !(idle() && len(a.parked) == len(a.alive)) {
+	// A parked worker has nothing in flight: the search is over once the
+	// queue is empty and every live worker is parked.
+	for len(a.queue) > 0 || len(a.parked) < len(a.own.Alive()) {
 		_, from, tag, ok, err := a.recv(purge)
 		if err != nil {
 			return err
@@ -359,19 +309,20 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 		if tag != tagWorkReq {
 			return fmt.Errorf("mpiblast: tree master got unexpected tag %d from %d", tag, from)
 		}
-		if !a.request(from) {
+		if !a.assign(from) {
 			a.parked = append(a.parked, from) // idle, awaiting the sweep release
 		}
 	}
 	// Sweep release: everyone learns the final membership at once.
-	for _, w := range a.alive {
-		r.Send(w, tagAssign, treeAssign{Frag: -1, Alive: a.alive}.encode())
+	alive := a.own.Alive()
+	for _, w := range alive {
+		r.Send(w, tagAssign, treeAssign{Frag: -1, Alive: alive}.encode())
 	}
 
 	if err := m.openOutput(); err != nil {
 		return err
 	}
-	members := engine.TreeMembers(a.alive)
+	members := engine.TreeMembers(alive)
 	res, complete, err := m.foldTree(members, len(m.job.Queries))
 	if err != nil {
 		return err
@@ -384,17 +335,12 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 		return fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
 	}
 	r.TreeBcast(0, m.meta.TreeFanout, members, []byte{1})
-	for qi, q := range m.job.Queries {
+	return m.writeQueries(m.job.Queries, m.admit, qlat, alive, func(qi int) ([]masterHit, blast.WorkCounters) {
 		// One query at a time through the output loop: stamp it as the
 		// trace context so its fetch round-trips carry it.
 		r.SetTraceBatch(qi)
-		if err := m.writeQuery(qi, q, unpackTreeHits(res.Hits[qi]), res.Work[qi]); err != nil {
-			return err
-		}
-		engine.SettleQuery(r, m.admit, qlat)
-	}
-	m.releaseFetchService(a.alive)
-	return nil
+		return unpackTreeHits(res.Hits[qi]), res.Work[qi]
+	})
 }
 
 // serveStream is the serving driver: ownership is static and the fragments
@@ -445,18 +391,11 @@ func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats
 				r.SetPhase(simtime.PhaseIdle)
 			}
 		}
-		r.SetPhase(simtime.PhaseOutput)
-		for qi, q := range b.Queries {
-			if err := m.writeQuery(qi, q, hits[qi], work[qi]); err != nil {
-				return err
-			}
-			// The admission clock is the batch's arrival, never its dispatch.
-			engine.SettleQuery(r, arrival, qlat)
-		}
-		// Release the workers' fetch service; they loop back to the next
-		// batch broadcast.
-		m.releaseFetchService(workers)
-		return nil
+		// The admission clock is the batch's arrival, never its dispatch;
+		// released, the workers loop back to the next batch broadcast.
+		return m.writeQueries(b.Queries, arrival, qlat, workers, func(qi int) ([]masterHit, blast.WorkCounters) {
+			return hits[qi], work[qi]
+		})
 	})
 }
 
@@ -568,9 +507,23 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 	return nil
 }
 
-// releaseFetchService ends the workers' fetch service.
-func (m *master) releaseFetchService(workers []int) {
-	for _, w := range workers {
-		m.r.Send(w, tagRelease, nil)
+// writeQueries is the output loop of all three drivers: query by query, take
+// the candidates from next, write the report and settle the latency from
+// since; then end the workers' fetch service. Each driver's next keeps its
+// own merge charge and trace context: the one-shot drivers stamp the query
+// and (flat) merge it as it is written, the serving one merged the batch.
+func (m *master) writeQueries(queries []*seq.Sequence, since float64, qlat *[]float64, workers []int, next func(qi int) ([]masterHit, blast.WorkCounters)) error {
+	r := m.r
+	r.SetPhase(simtime.PhaseOutput)
+	for qi, q := range queries {
+		hits, work := next(qi)
+		if err := m.writeQuery(qi, q, hits, work); err != nil {
+			return err
+		}
+		engine.SettleQuery(r, since, qlat)
 	}
+	for _, w := range workers {
+		r.Send(w, tagRelease, nil)
+	}
+	return nil
 }

@@ -236,7 +236,7 @@ func plan(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts O
 	nFrags := min(engine.PartCount(job.Fragments, nprocs), db.NumSeqs)
 	fragBases := make([]string, nFrags)
 	for i := range fragBases {
-		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
+		fragBases[i] = formatdb.FragmentBase(job.DBBase, i)
 		if _, err := shared.Open(formatdb.IndexPath(fragBases[i])); err != nil {
 			return masterPlan{}, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
 		}

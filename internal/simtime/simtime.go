@@ -10,10 +10,7 @@
 // noise.
 package simtime
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Phase names match the paper's execution-time breakdown (Table 1).
 const (
@@ -143,20 +140,6 @@ func BreakdownOf(c *Clock) Breakdown {
 	return b
 }
 
-// MaxBreakdown merges per-rank breakdowns the way the paper reports a run:
-// the run's wall time is the slowest rank's total, and the phase split is
-// taken from that critical rank.
-func MaxBreakdown(clocks []*Clock) Breakdown {
-	var worst Breakdown
-	for _, c := range clocks {
-		b := BreakdownOf(c)
-		if b.Total > worst.Total {
-			worst = b
-		}
-	}
-	return worst
-}
-
 // NonSearch returns everything except the search bucket ("other" time in
 // the paper's Figure 1(a) sense).
 func (b Breakdown) NonSearch() float64 { return b.Total - b.Search }
@@ -216,12 +199,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// MessageCost returns the virtual duration of moving size bytes between
-// two ranks.
-func (m CostModel) MessageCost(size int64) float64 {
-	return m.NetLatency + float64(size)/m.NetBandwidth
-}
-
 // FaultDetectInterval is the failure detectors' polling interval in virtual
 // seconds: how long a crash-aware receive waits before it checks ground-truth
 // liveness. Detection is timeout-paced but never wrong — a timeout only
@@ -237,15 +214,4 @@ func (m CostModel) Validate() error {
 		return fmt.Errorf("simtime: invalid cost model %+v", m)
 	}
 	return nil
-}
-
-// SortedPhases returns the bucket names of a clock in deterministic order,
-// for stable printing.
-func SortedPhases(c *Clock) []string {
-	names := make([]string, 0, len(c.buckets))
-	for k := range c.buckets {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

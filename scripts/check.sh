@@ -196,10 +196,11 @@ go test -race -timeout 20m ./...
 # that ranks computing aside (mpi.Rank.Aside) really overlap the holder.
 go test -race -count=10 ./internal/mpi
 GOMAXPROCS=4 go test -race -count=10 ./internal/mpi
-# Searching on every core moves no clock and no artifact byte: the golden and
-# the report's determinism hold with one P and with four.
+# Searching on every core moves no clock and no artifact byte: the golden, the
+# report's determinism and every recovery protocol's crash sweep hold with one
+# P and with four.
 for procs in 1 4; do
-    GOMAXPROCS=$procs go test -count=1 -run 'TestClockFingerprint|TestArtifactDeterministic' \
+    GOMAXPROCS=$procs go test -count=1 -run 'TestClockFingerprint|TestArtifactDeterministic|TestCrashSweepEveryProtocol' \
         ./internal/core ./internal/report
 done
 # No goroutine outlives a run: the dynamic half of the godisc site list,
