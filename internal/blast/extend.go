@@ -161,6 +161,16 @@ func (sc *dpScratch) storeOps(ops []EditOp) {
 	}
 }
 
+// growCells returns cells with room for n more bytes. The arena at least
+// doubles, so a context's arena reaches its peak in a few steps (slices.Grow
+// adds a quarter at a time past 256 bytes) and is then reused by every later
+// extension.
+func growCells(cells []byte, n int) []byte {
+	grown := make([]byte, len(cells), max(len(cells)+n, 2*cap(cells), 1<<12))
+	copy(grown, cells)
+	return grown
+}
+
 // reverseInto fills dst (grown from buf) with the bytes of b reversed.
 func reverseInto(buf []byte, b []byte) []byte {
 	buf = slices.Grow(buf[:0], len(b))[:len(b)]
@@ -294,7 +304,10 @@ func extendGapped(sc *dpScratch, query, subj []byte, m *matrix.Matrix, gaps matr
 		// row can run to column n: reserve its traceback bytes once.
 		startJ := prevLo
 		rowStart := len(cells)
-		cells = slices.Grow(cells, n-startJ+1)[:rowStart+n-startJ+1]
+		if cap(cells)-rowStart < n-startJ+1 {
+			cells = growCells(cells, n-startJ+1)
+		}
+		cells = cells[:rowStart+n-startJ+1]
 		tb := cells[rowStart:] // tb[j-startJ] is column j
 		newLo, newHi := -1, -1
 

@@ -95,7 +95,9 @@ type scoredResidue struct {
 // enumerate appends one query's registrations to pairs, each packed as
 // wordID<<32 | query position: for protein the neighbourhood words of every
 // query word, for DNA the exact word ending at each position (every DNA id,
-// up to 4^16 - 1, fits the upper half), positions ascending.
+// up to 4^16 - 1, fits the upper half), positions ascending. The index build
+// passes pairs with room for registrations(query) more, so that each
+// registration is written once, into a buffer of its final size.
 func (s *Searcher) enumerate(pairs []uint64, query []byte) []uint64 {
 	w := s.opts.WordSize
 	if len(query) < w {
@@ -111,7 +113,51 @@ func (s *Searcher) enumerate(pairs []uint64, query []byte) []uint64 {
 		}
 		return pairs
 	}
-	e := neighbourhood{rows: &s.tab.rows, strict: int(s.roll.strict), threshold: s.opts.Threshold, pairs: pairs}
+	e := s.neighbourhood(pairs)
+	e.words(query, w, func(maxTotal int) { e.walk(0, 0, 0, maxTotal) })
+	return e.pairs
+}
+
+// registrations returns how many registrations enumerate appends for query,
+// without making them.
+func (s *Searcher) registrations(query []byte) int {
+	w := s.opts.WordSize
+	if len(query) < w {
+		return 0
+	}
+	n := 0
+	if s.opts.Matrix.Alphabet().Kind() != seq.Protein {
+		var id uint64
+		run := 0
+		for i := range query {
+			if id, run = s.roll.next(id, run, query, i); run >= w {
+				n++
+			}
+		}
+		return n
+	}
+	e := s.neighbourhood(nil)
+	e.words(query, w, func(maxTotal int) { n += e.count(0, 0, maxTotal) })
+	return n
+}
+
+// neighbourhood is the state of one query's protein enumeration: the words
+// scoring at least threshold against word, registered at query position pos.
+type neighbourhood struct {
+	tab               *matrixTables
+	strict, threshold int
+	word              []byte
+	pos               uint64
+	pairs             []uint64
+}
+
+func (s *Searcher) neighbourhood(pairs []uint64) neighbourhood {
+	return neighbourhood{tab: s.tab, strict: int(s.roll.strict), threshold: s.opts.Threshold, pairs: pairs}
+}
+
+// words hands visit every word of query that can reach the threshold, as
+// e.word and e.pos, with its best possible score.
+func (e *neighbourhood) words(query []byte, w int, visit func(maxTotal int)) {
 words:
 	for i := 0; i+w <= len(query); i++ {
 		maxTotal := 0
@@ -119,24 +165,13 @@ words:
 			if int(c) >= e.strict {
 				continue words
 			}
-			maxTotal += int(e.rows[c][0].score)
+			maxTotal += int(e.tab.rows[c][0].score)
 		}
 		if maxTotal >= e.threshold {
 			e.word, e.pos = query[i:i+w], uint64(i)
-			e.walk(0, 0, 0, maxTotal)
+			visit(maxTotal)
 		}
 	}
-	return e.pairs
-}
-
-// neighbourhood is the state of one query's protein enumeration: the words
-// scoring at least threshold against word, registered at query position pos.
-type neighbourhood struct {
-	rows              *[maxStrict][maxStrict]scoredResidue
-	strict, threshold int
-	word              []byte
-	pos               uint64
-	pairs             []uint64
 }
 
 // walk extends the prefix wordID, scoring score over the word's first at
@@ -144,7 +179,7 @@ type neighbourhood struct {
 // scores its best, maxRest. Rows are sorted best first, so the first that
 // cannot ends the row; the last position emits its words in the loop.
 func (e *neighbourhood) walk(at, wordID, score, maxRest int) {
-	row := e.rows[e.word[at]][:e.strict]
+	row := e.tab.rows[e.word[at]][:e.strict]
 	rest := maxRest - int(row[0].score)
 	last := at == len(e.word)-1
 	for _, r := range row {
@@ -157,6 +192,25 @@ func (e *neighbourhood) walk(at, wordID, score, maxRest int) {
 			e.walk(at+1, id, score+int(r.score), rest)
 		}
 	}
+}
+
+// count is walk's number of words, found by the same pruning down to the
+// word's last position, whose residues it counts by table: at the last
+// position walk emits every residue scoring at least threshold - score.
+func (e *neighbourhood) count(at, score, maxRest int) int {
+	if at == len(e.word)-1 {
+		return e.tab.countAtLeast(e.word[at], e.threshold-score)
+	}
+	row := e.tab.rows[e.word[at]][:e.strict]
+	rest := maxRest - int(row[0].score)
+	n := 0
+	for _, r := range row {
+		if score+int(r.score)+rest < e.threshold {
+			break
+		}
+		n += e.count(at+1, score+int(r.score), rest)
+	}
+	return n
 }
 
 // groupEnd returns where the group of queries starting at batch position lo
@@ -178,8 +232,8 @@ func groupEnd(lens []int, pairs [][]uint64, lo int) (hi, longest int) {
 // buildGroup lays out the registrations of queries [lo, hi) — pairs[k] being
 // query k's, the longest of them longest residues — as one index,
 // counting-sorting them into the CSR layout in two passes (count, fill): no
-// per-word slices, no append churn.
-func (s *Searcher) buildGroup(pairs [][]uint64, lo, hi, longest int) batchIndex {
+// per-word slices, no append churn. Its arrays come from spare.
+func (s *Searcher) buildGroup(spare *spares, pairs [][]uint64, lo, hi, longest int) batchIndex {
 	shift := uint(bits.Len(uint(longest)))
 	g := batchIndex{first: lo, n: hi - lo, longest: longest, shift: shift, mask: 1<<shift - 1}
 	total := 0
@@ -189,15 +243,15 @@ func (s *Searcher) buildGroup(pairs [][]uint64, lo, hi, longest int) batchIndex 
 	if total == 0 {
 		return g // no row to probe: the scan skips the group
 	}
-	g.entries = make([]uint32, total)
 	if s.opts.Matrix.Alphabet().Kind() != seq.Protein {
+		g.entries, _ = spare.csr(total, 0)
 		g.buildSparse(pairs[lo:hi], total)
 		return g
 	}
 	g.dense = true
 	size := int(s.roll.none)
 	// Pass 1 (count): offsets[id+1] holds id's registration count.
-	g.offsets = make([]int32, size+2)
+	g.entries, g.offsets = spare.csr(total, size+2)
 	for _, qp := range pairs[lo:hi] {
 		for _, p := range qp {
 			g.offsets[p>>32+1]++

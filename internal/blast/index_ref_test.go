@@ -114,7 +114,8 @@ func sameRegistrations(got, want []uint64) string {
 // around the default (11 at w = 3, four more per residue), on queries with
 // ambiguity codes, every query registers the same (word, position) set, and
 // a batch's index groups built from either list have byte-identical offsets
-// and entries.
+// and entries. The count the build sizes each query's buffer by is the
+// reference's number of registrations.
 func TestEnumerateDifferential(t *testing.T) {
 	alpha := seq.ProteinAlphabet
 	for w := 2; w <= 5; w++ {
@@ -138,6 +139,9 @@ func TestEnumerateDifferential(t *testing.T) {
 				if diff := sameRegistrations(pairs[i], ref[i]); diff != "" {
 					t.Fatalf("w=%d T=%d query %d: %s", w, threshold, i, diff)
 				}
+				if n := s.registrations(q.Residues); n != len(ref[i]) {
+					t.Fatalf("w=%d T=%d query %d: counted %d registrations, enumerated %d", w, threshold, i, n, len(ref[i]))
+				}
 				words += len(ref[i])
 			}
 			if threshold <= def && words == 0 {
@@ -149,7 +153,7 @@ func TestEnumerateDifferential(t *testing.T) {
 			}
 			for lo := 0; lo < len(queries); {
 				hi, longest := groupEnd(lens, ref, lo)
-				g, gRef := s.buildGroup(pairs, lo, hi, longest), s.buildGroup(ref, lo, hi, longest)
+				g, gRef := s.buildGroup(nil, pairs, lo, hi, longest), s.buildGroup(nil, ref, lo, hi, longest)
 				if !slices.Equal(g.offsets, gRef.offsets) || !slices.Equal(g.entries, gRef.entries) {
 					t.Fatalf("w=%d T=%d: the index group of queries [%d, %d) differs from the reference's", w, threshold, lo, hi)
 				}
@@ -161,7 +165,7 @@ func TestEnumerateDifferential(t *testing.T) {
 
 // FuzzEnumerate holds the enumeration to enumerateRef on arbitrary queries
 // (every residue code, ambiguity included), word sizes 2–5 and thresholds
-// within seven of the default.
+// within seven of the default, and the count to the enumeration's length.
 func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte("ARNDCQEGHILKMFPSTWYV"), uint8(1), int8(0))
 	f.Add([]byte{0, 1, 22, 3, 4, 5, 6, 23, 8, 9, 10, 20}, uint8(0), int8(-7))
@@ -178,8 +182,12 @@ func FuzzEnumerate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := sameRegistrations(s.enumerate(nil, query), enumerateRef(s, query)); diff != "" {
+		ref := enumerateRef(s, query)
+		if diff := sameRegistrations(s.enumerate(nil, query), ref); diff != "" {
 			t.Fatalf("w=%d T=%d query %v: %s", w, opts.Threshold, query, diff)
+		}
+		if n := s.registrations(query); n != len(ref) {
+			t.Fatalf("w=%d T=%d query %v: counted %d registrations, enumerated %d", w, opts.Threshold, query, n, len(ref))
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +42,7 @@ func (s *Searcher) prepareBatch(queries []*seq.Sequence) (*PreparedBatch, error)
 			return nil, err
 		}
 	}
-	return s.newBatchBuild(queries).get(), nil
+	return s.newBatchBuild(queries, nil).get(), nil
 }
 
 func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
@@ -61,6 +60,7 @@ func (s *Searcher) checkAlphabet(q *seq.Sequence) error {
 // once, at their first position in the batch.
 type batchBuild struct {
 	s       *Searcher
+	spare   *spares // the bank's, or nil outside a bank
 	queries []*seq.Sequence
 	src     []int      // src[i]: the first batch position with query i's residues
 	todo    []int      // the positions to enumerate: every src[i] == i
@@ -71,9 +71,11 @@ type batchBuild struct {
 	p       *PreparedBatch
 }
 
-// newBatchBuild starts the build of queries' index; nothing is enumerated yet.
-func (s *Searcher) newBatchBuild(queries []*seq.Sequence) *batchBuild {
-	b := &batchBuild{s: s, queries: queries, src: make([]int, len(queries)), pairs: make([][]uint64, len(queries))}
+// newBatchBuild starts the build of queries' index, drawing its buffers from
+// spare (nil: allocate them); nothing is enumerated yet.
+func (s *Searcher) newBatchBuild(queries []*seq.Sequence, spare *spares) *batchBuild {
+	b := &batchBuild{s: s, spare: spare, queries: queries, src: make([]int, len(queries)),
+		todo: make([]int, 0, len(queries)), pairs: make([][]uint64, len(queries))}
 	var seen map[string]int
 	if len(queries) > 1 {
 		seen = make(map[string]int, len(queries))
@@ -100,22 +102,17 @@ func (s *Searcher) newBatchBuild(queries []*seq.Sequence) *batchBuild {
 func (b *batchBuild) distinct() int { return len(b.todo) }
 
 // get helps with the build until nothing is left to claim and returns the
-// index once it is merged. A helper reuses one buffer: it copies a query's
-// registrations out only when it goes on to another.
+// index once it is merged. Each query's registrations are counted first and
+// then written once, into a buffer of exactly that size.
 func (b *batchBuild) get() *PreparedBatch {
 	n := int64(len(b.todo))
-	last := -1 // the query whose registrations are in this helper's buffer
 	for k := b.next.Add(1) - 1; k < n; k = b.next.Add(1) - 1 {
 		i := b.todo[k]
 		seeding := b.queries[i].Residues
 		if b.s.opts.FilterLowComplexity {
 			seeding, _ = MaskForSeeding(seeding, b.queries[i].Alpha, DefaultFilterParams(b.queries[i].Alpha.Kind()))
 		}
-		var buf []uint64
-		if last >= 0 { // last is not merged yet: i is not done
-			buf, b.pairs[last] = b.pairs[last][:0], slices.Clone(b.pairs[last])
-		}
-		b.pairs[i], last = b.s.enumerate(buf, seeding), i
+		b.pairs[i] = b.s.enumerate(b.spare.pairs(b.s.registrations(seeding)), seeding)
 		if b.done.Add(1) == n {
 			b.merge()
 		}
@@ -125,8 +122,8 @@ func (b *batchBuild) get() *PreparedBatch {
 }
 
 // merge lays the enumerated registrations out as the batch's groups and lets
-// the waiters go. It drops the enumeration scratch: the entry keeps only the
-// index.
+// the waiters go. It hands the enumeration scratch back to the spares: the
+// entry keeps only the index.
 func (b *batchBuild) merge() {
 	p := &PreparedBatch{lens: make([]int, len(b.queries)), work: make([]WorkCounters, len(b.queries))}
 	for i, q := range b.queries {
@@ -136,11 +133,106 @@ func (b *batchBuild) merge() {
 	}
 	for lo := 0; lo < len(b.queries); {
 		hi, longest := groupEnd(p.lens, b.pairs, lo)
-		p.groups = append(p.groups, b.s.buildGroup(b.pairs, lo, hi, longest))
+		p.groups = append(p.groups, b.s.buildGroup(b.spare, b.pairs, lo, hi, longest))
 		lo = hi
+	}
+	for _, i := range b.todo {
+		b.spare.putPairs(b.pairs[i])
 	}
 	b.p, b.pairs = p, nil
 	b.ready.Done()
+}
+
+// spares is what a bank's builds have dropped, kept for the bank's next
+// builds: the enumeration buffers of every finished build, and the CSR arrays
+// of released entries. A nil *spares keeps nothing, and its takers allocate.
+type spares struct {
+	mu      sync.Mutex
+	regs    [][]uint64
+	offsets [][]int32
+	entries [][]uint32
+}
+
+// pairs returns an empty enumeration buffer with room for n registrations.
+func (sp *spares) pairs(n int) []uint64 {
+	if sp == nil {
+		return make([]uint64, 0, n)
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return takeSpare(&sp.regs, n)
+}
+
+func (sp *spares) putPairs(buf []uint64) {
+	if sp != nil && cap(buf) > 0 {
+		sp.mu.Lock()
+		sp.regs = append(sp.regs, buf)
+		sp.mu.Unlock()
+	}
+}
+
+// csr returns a group's arrays: n entries and, when dense, size zeroed row
+// offsets.
+func (sp *spares) csr(n, size int) (entries []uint32, offsets []int32) {
+	if sp == nil {
+		if size > 0 {
+			offsets = make([]int32, size)
+		}
+		return make([]uint32, n), offsets
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if size > 0 {
+		offsets = takeSpare(&sp.offsets, size)[:size]
+		clear(offsets)
+	}
+	return takeSpare(&sp.entries, n)[:n], offsets
+}
+
+// putIndex keeps a released index's arrays. The caller guarantees nothing
+// can read the index any more.
+func (sp *spares) putIndex(p *PreparedBatch) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for _, g := range p.groups {
+		if cap(g.entries) > 0 {
+			sp.entries = append(sp.entries, g.entries)
+		}
+		if cap(g.offsets) > 0 {
+			sp.offsets = append(sp.offsets, g.offsets)
+		}
+	}
+}
+
+// takeSpare removes and returns, emptied, the smallest buffer of spare with
+// room for n; with none, it returns a new one of exactly n and drops the
+// largest spare, too small for this build and so likely for the next, which
+// keeps the list within one build's worth of buffers.
+func takeSpare[T any](spare *[][]T, n int) []T {
+	best, largest := -1, -1
+	for i, buf := range *spare {
+		if cap(buf) >= n && (best < 0 || cap(buf) < cap((*spare)[best])) {
+			best = i
+		}
+		if largest < 0 || cap(buf) > cap((*spare)[largest]) {
+			largest = i
+		}
+	}
+	if best < 0 {
+		if largest >= 0 {
+			removeSpare(spare, largest)
+		}
+		return make([]T, 0, n)
+	}
+	buf := (*spare)[best]
+	removeSpare(spare, best)
+	return buf[:0]
+}
+
+func removeSpare[T any](spare *[][]T, i int) {
+	last := len(*spare) - 1
+	(*spare)[i], (*spare)[last] = (*spare)[last], nil
+	*spare = (*spare)[:last]
 }
 
 // QueryBank is one job's set of prepared query batches, shared by every rank
@@ -158,8 +250,16 @@ func (b *batchBuild) merge() {
 // inside the kernel, so the bank lends one for the duration of a search
 // (Lend, TakeBack). Ranks search concurrently, off the simulator's token, but
 // no more of them than the host has cores (GOMAXPROCS) hold a context at
-// once, so a job keeps at most that many, not one per rank. Results own their
-// bytes: nothing a search returns points into the scratch.
+// once, so a job keeps at most that many contexts, not one per rank. Each
+// lent context drives its own search pool of up to GOMAXPROCS − 1 clones
+// (searchParallel), each with scratch of its own, so a job holds up to
+// GOMAXPROCS² scratch sets: one job-wide kernel executor would bound them by
+// GOMAXPROCS (ROADMAP item 12). Results own their bytes: nothing a search
+// returns points into the scratch.
+//
+// Builds draw their buffers from the bank's spares: the enumeration buffers
+// every finished build dropped, and the CSR arrays of entries released while
+// no context was lent. Nothing is kept across jobs.
 //
 // A bank is safe for concurrent use and is never reused across jobs.
 type QueryBank struct {
@@ -172,6 +272,7 @@ type QueryBank struct {
 	idle     []*Context // lent out and taken back, no query loaded
 	returned sync.Cond  // on mu: a context came back
 	stats    BankStats
+	spare    spares // what the bank's builds dropped, for its next builds
 }
 
 // BankStats is a bank's host-side accounting, per query: a batch of n
@@ -183,7 +284,8 @@ type BankStats struct {
 	Entries     int   // distinct residue contents held now
 	PeakEntries int   // most held at once
 	// Contexts counts the scratch contexts created: the most ever lent at
-	// once, at most GOMAXPROCS. Host timing sets it, so it varies run to run.
+	// once, at most GOMAXPROCS (each with up to GOMAXPROCS − 1 pool clones).
+	// Host timing sets it, so it varies run to run.
 	Contexts int64
 	Lends    int64 // searches that borrowed one
 }
@@ -229,7 +331,7 @@ func (b *QueryBank) Get(queries []*seq.Sequence) (*PreparedBatch, error) {
 	e, hit := b.entries[string(b.key)]
 	b.stats.Reuses += int64(len(queries))
 	if !hit {
-		e = b.s.newBatchBuild(queries)
+		e = b.s.newBatchBuild(queries, &b.spare)
 		b.entries[string(b.key)] = e
 		b.stats.Builds += int64(e.distinct())
 		b.stats.Reuses -= int64(e.distinct())
@@ -277,14 +379,22 @@ func (b *QueryBank) TakeBack(c *Context) {
 
 // Release drops the entry for the given query set: a serving run calls it
 // once a batch is settled, which bounds the bank by the batch rather than
-// the stream. Contexts still holding a released index keep it alive until
-// they load their next queries; a later Get for the same residues rebuilds.
+// the stream. When no context is lent out, nothing can hold the released
+// index (a context drops it when taken back), and its arrays go to the
+// bank's next builds; otherwise a context still holding it keeps it alive
+// until it loads its next queries. A later Get for the same residues
+// rebuilds. An index Get returned is read only while the context it was
+// loaded into is lent.
 func (b *QueryBank) Release(queries []*seq.Sequence) {
 	b.mu.Lock()
 	b.key = batchKey(b.key[:0], queries)
 	if e, ok := b.entries[string(b.key)]; ok {
 		b.held -= e.distinct()
 		delete(b.entries, string(b.key))
+		if int(b.stats.Contexts) == len(b.idle) && e.done.Load() == int64(e.distinct()) {
+			e.ready.Wait() // the last enumeration is merging: a moment
+			b.spare.putIndex(e.p)
+		}
 	}
 	b.mu.Unlock()
 }

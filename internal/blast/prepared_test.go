@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"parblast/internal/seq"
 	"parblast/internal/stats"
+	"parblast/internal/wiretest"
 )
 
 // bankFixture is a fragment with a homolog of every query planted in it, so
@@ -195,6 +197,89 @@ func TestQueryBankConcurrent(t *testing.T) {
 	if st := bank.Stats(); st.Builds != int64(len(queries)) || st.Reuses != lookups-st.Builds || st.Entries != len(queries) {
 		t.Fatalf("batch stats %+v, want %d builds and entries, %d reuses", st, len(queries), lookups-int64(len(queries)))
 	}
+}
+
+// TestIndexBuildAllocatesItsIndex: on BenchmarkBuildIndexProtein's shape,
+// building a query's index allocates at most 1.15 times what the build ends
+// with — each registration written once into a buffer of its final size (8
+// bytes), the CSR entries (4 bytes each) and row offsets — not the doubling
+// growth of an append and a copy per query on top.
+func TestIndexBuildAllocatesItsIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	query := &seq.Sequence{ID: "bench-query", Residues: randomProtein(rng, 300), Alpha: seq.AlphabetFor(seq.Protein)}
+	s, err := NewSearcher(DefaultProteinOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p *PreparedQuery
+	allocated := wiretest.Allocated(func() {
+		if p, err = s.Prepare(query); err != nil {
+			t.Fatal(err)
+		}
+	})
+	n := p.work[0].IndexWords
+	final := 8*n + 4*n + 4*int64(len(p.groups[0].offsets))
+	t.Logf("%d registrations: %d B allocated, %d B kept", n, allocated, final)
+	if n == 0 || float64(allocated) > 1.15*float64(final) {
+		t.Errorf("building %d registrations allocated %d B, over 1.15 × the %d B of its registrations, entries and offsets", n, allocated, final)
+	}
+}
+
+// TestQueryBankRecyclesBuildScratch: a bank's next build reuses what its
+// earlier builds dropped — every enumeration buffer, and a released entry's
+// CSR arrays when no context is lent — and builds the same rows as a fresh
+// Prepare. An index released while a context is lent keeps its arrays.
+func TestQueryBankRecyclesBuildScratch(t *testing.T) {
+	_, queries := bankFixture(31, 3)
+	bank, err := NewQueryBank(DefaultProteinOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(p *PreparedBatch, q *seq.Sequence) bool {
+		fresh, err := bank.Searcher().Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Equal(p.groups[0].offsets, fresh.groups[0].offsets) && slices.Equal(p.groups[0].entries, fresh.groups[0].entries)
+	}
+	one := queries[2:]
+	fresh := wiretest.Allocated(func() {
+		if _, err := bank.Searcher().Prepare(one[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := bank.Get(one); err != nil {
+		t.Fatal(err)
+	}
+	bank.Release(one) // nothing lent: the arrays go to the next build
+	var p *PreparedBatch
+	rebuilt := wiretest.Allocated(func() {
+		p, _ = bank.Get(one)
+		bank.Release(one)
+	})
+	if rebuilt*4 > fresh {
+		t.Errorf("a rebuild after release allocated %d B, a fresh build %d B: want under a quarter", rebuilt, fresh)
+	}
+	if p, _ = bank.Get(one); !same(p, one[0]) {
+		t.Fatal("an index built from recycled arrays differs from a fresh one")
+	}
+
+	// Released while lent: the index stays intact through later builds.
+	ctx := bank.Lend()
+	if err := ctx.UseBatch(one, p); err != nil {
+		t.Fatal(err)
+	}
+	bank.Release(one)
+	for _, q := range queries[:2] {
+		if _, err := bank.Get([]*seq.Sequence{q}); err != nil {
+			t.Fatal(err)
+		}
+		bank.Release([]*seq.Sequence{q})
+	}
+	if !same(p, one[0]) {
+		t.Error("an index released while a context was lent was overwritten by a later build")
+	}
+	bank.TakeBack(ctx)
 }
 
 // TestQueryBankRelease: released entries leave the bank, a later request

@@ -61,9 +61,27 @@ func NewSearcher(opts Options) (*Searcher, error) {
 // matrixTables is what the kernel reads of a matrix: rows[c], the strict
 // residues by descending score against c (ties by code), is the order the
 // enumeration walks; scores is the matrix flat, read per ungapped cell.
+// atLeast[c][k] counts the strict residues scoring at least lowest+k against
+// c, for k up to the best score above lowest: what the enumeration's count
+// reads instead of walking a word's last position.
 type matrixTables struct {
-	rows   [maxStrict][maxStrict]scoredResidue
-	scores scoreTable
+	rows    [maxStrict][maxStrict]scoredResidue
+	scores  scoreTable
+	strict  int
+	lowest  int
+	atLeast [maxStrict][]uint8
+}
+
+// countAtLeast is how many strict residues score at least need against c.
+func (t *matrixTables) countAtLeast(c byte, need int) int {
+	k := need - t.lowest
+	if k <= 0 {
+		return t.strict
+	}
+	if k >= len(t.atLeast[c]) {
+		return 0
+	}
+	return int(t.atLeast[c][k])
 }
 
 // tables holds one matrixTables per matrix, built on first use: a matrix
@@ -84,6 +102,21 @@ func tablesFor(m *matrix.Matrix) *matrixTables {
 			row[d] = scoredResidue{score: t.scores[c<<5|d], code: byte(d)}
 		}
 		slices.SortStableFunc(row, func(a, b scoredResidue) int { return int(b.score) - int(a.score) })
+	}
+	t.strict, t.lowest = strict, math.MaxInt
+	for c := 0; c < strict; c++ {
+		t.lowest = min(t.lowest, int(t.rows[c][strict-1].score))
+	}
+	for c := 0; c < strict; c++ {
+		row := t.rows[c][:strict]
+		t.atLeast[c] = make([]uint8, int(row[0].score)-t.lowest+1)
+		for k := range t.atLeast[c] {
+			for _, r := range row {
+				if int(r.score) >= t.lowest+k {
+					t.atLeast[c][k]++
+				}
+			}
+		}
 	}
 	shared, _ := tables.LoadOrStore(m, t)
 	return shared.(*matrixTables)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -99,6 +100,44 @@ func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
 	}
 	if few, many := allocs(2), allocs(200); many != few {
 		t.Fatalf("the last of 200 workers allocates %v times, the last of 2 %v: skipped selections are being copied", many, few)
+	}
+}
+
+// TestBatchMetasDecodeSharesOneString: decoding a worker's submission costs
+// the same number of allocations whatever the hit count — one string copy of
+// the message that every ID and defline shares, the per-query slices — not
+// two strings per hit. The decoded strings are the encoded ones.
+func TestBatchMetasDecodeSharesOneString(t *testing.T) {
+	bundle := func(hitsPerQuery int) []byte {
+		bm := batchMetas{FirstQuery: 4}
+		for q := 4; q < 7; q++ {
+			qm := engine.QueryMeta{QueryIndex: q}
+			for h := range hitsPerQuery {
+				qm.Hits = append(qm.Hits, engine.HitMeta{OID: 100*q + h, Worker: 3, ID: fmt.Sprintf("nr|%d", h),
+					Defline: fmt.Sprintf("nr|%d synthetic family member %d", h, q), Score: h, BlockSize: 700})
+			}
+			bm.PerQuery = append(bm.PerQuery, qm)
+		}
+		return bm.encode()
+	}
+	data := bundle(2)
+	var back batchMetas
+	c := engine.Decoder(data)
+	if err := back.code(&c).Err(); err != nil || !bytes.Equal(back.encode(), data) || back.PerQuery[2].Hits[1].Defline != "nr|1 synthetic family member 6" {
+		t.Fatalf("round trip: err %v, %+v", err, back)
+	}
+	allocs := func(hitsPerQuery int) float64 {
+		data := bundle(hitsPerQuery)
+		return testing.AllocsPerRun(20, func() {
+			var bm batchMetas
+			c := engine.Decoder(data)
+			if err := bm.code(&c).Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(100); many != few {
+		t.Fatalf("decoding 300 hits allocates %v times, 30 hits %v: strings are being copied one by one", many, few)
 	}
 }
 

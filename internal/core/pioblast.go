@@ -319,8 +319,10 @@ func treeCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []
 			kept += len(qm.Hits)
 		}
 		engine.RecordMerge(r.Metrics(), r.ID(), items, kept)
+		// The fold is no longer than its two inputs together.
 		out := batchMetas{FirstQuery: ba.FirstQuery, PerQuery: merged}
-		return out.encode()
+		c := engine.Encoder(len(a) + len(b))
+		return out.code(&c).Bytes()
 	}
 }
 
@@ -698,6 +700,11 @@ type masterBatch struct {
 	off        int64
 	admit      float64 // master clock when the job broadcast completed
 	own        *engine.Ledger
+	// sel, data and segs are a batch's selections and the master's own
+	// write, reused batch to batch: each is sent or written before the next.
+	sel  []selection
+	data []byte
+	segs []mpiio.Segment
 }
 
 // mergeBatch runs the master side of one batch over queries[q0:q1]:
@@ -723,12 +730,12 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 	// streams (baseline) or one hierarchical tree reduction whose
 	// result is already the globally merged selection.
 	var treeMerged []engine.QueryMeta
-	perWorker := make([]batchMetas, workers+1)
+	var perWorker []batchMetas
 	if meta.Tree {
 		members := engine.TreeMembers(alive)
 		// The master contributes an identity bundle covering every
 		// query, so the fold always yields the full batch range.
-		id := batchMetas{FirstQuery: q0}
+		id := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
 		for q := q0; q < q1; q++ {
 			id.PerQuery = append(id.PerQuery, engine.QueryMeta{QueryIndex: q})
 		}
@@ -759,6 +766,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		}
 		treeMerged = bm.PerQuery
 	} else {
+		perWorker = make([]batchMetas, workers+1)
 		for _, w := range alive {
 			data, err := engine.RecvOutputPhase(r, "core", w, tagResults)
 			if err != nil {
@@ -773,9 +781,12 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 
 	// Merge metadata and lay out the output file (§3.3, Figure 2).
 	r.SetPhase(simtime.PhaseOutput)
-	sel := make([]selection, workers+1)
-	var masterData []byte
-	var view mpiio.View
+	mb.sel = slices.Grow(mb.sel[:0], workers+1)[:workers+1]
+	for i := range mb.sel {
+		s := &mb.sel[i]
+		*s = selection{Queries: s.Queries[:0], OIDs: s.OIDs[:0], Offsets: s.Offsets[:0], Lengths: s.Lengths[:0]}
+	}
+	sel, masterData, segs := mb.sel, mb.data[:0], mb.segs[:0]
 	for q := q0; q < q1; q++ {
 		var merged []engine.HitMeta
 		var work blast.WorkCounters
@@ -816,7 +827,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		masterData = append(masterData, header...)
 		masterData = append(masterData, summary...)
 		masterData = append(masterData, footer...)
-		view.Segments = append(view.Segments,
+		segs = append(segs,
 			mpiio.Segment{Offset: headOff, Length: int64(len(header) + len(summary))},
 			mpiio.Segment{Offset: cur, Length: int64(len(footer))})
 		mb.off = cur + int64(len(footer))
@@ -831,7 +842,8 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 			r.Send(w, tagSelect, sel[w].encode())
 		}
 	}
-	if err := mb.out.SetView(view); err != nil {
+	mb.data, mb.segs = masterData, segs
+	if err := mb.out.SetView(mpiio.View{Segments: segs}); err != nil {
 		return err
 	}
 	if meta.Independent {
@@ -920,6 +932,16 @@ type worker struct {
 	// (query, hit) order; ends[i] is where block i ends in it.
 	arena []byte
 	ends  []int
+	// The output path's other buffers, reused batch to batch: block maps
+	// (query, OID) to the block index; metas and hitMetas back the metadata
+	// submission, encoded before they are reused; order, segs and data are
+	// the selection's write, done before the next batch.
+	block    map[[2]int]int
+	metas    []engine.QueryMeta
+	hitMetas []engine.HitMeta
+	order    []int
+	segs     []mpiio.Segment
+	data     []byte
 }
 
 // runWorker is the one worker body: boot from the job broadcast, acquire and
@@ -1221,24 +1243,37 @@ func (w *worker) outputBatch(q0, q1 int) error {
 	// Result caching (§3.2): render every candidate block into memory and
 	// submit metadata only. A worker with no block to render does not park.
 	w.arena, w.ends = w.arena[:0], w.ends[:0]
-	if hasHits(w.hits[q0:q1]) {
+	nHits := 0
+	for q := q0; q < q1; q++ {
+		nHits += len(w.hits[q])
+	}
+	if nHits > 0 {
 		r.Aside(func() { w.renderBlocks(q0, q1) })
 	}
-	spans := make(map[[2]int][2]int, len(w.ends))
-	bm := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
+	if w.block == nil {
+		w.block = make(map[[2]int]int, nHits)
+	}
+	clear(w.block)
+	w.metas, w.hitMetas = w.metas[:0], slices.Grow(w.hitMetas[:0], nHits)
+	size := 0 // about the submission's encoded length
 	start, b := 0, 0
 	for q := q0; q < q1; q++ {
-		qm := engine.QueryMeta{QueryIndex: q, Work: w.work[q]}
+		from := len(w.hitMetas)
 		for _, hit := range w.hits[q] {
 			end := w.ends[b]
-			b++
 			r.FormatCost(int64(end - start))
-			spans[[2]int{q, hit.OID}] = [2]int{start, end}
-			qm.Hits = append(qm.Hits, engine.MetaFromResult(r.ID(), hit, int64(end-start)))
+			w.block[[2]int{q, hit.OID}] = b
+			w.hitMetas = append(w.hitMetas, engine.MetaFromResult(r.ID(), hit, int64(end-start)))
+			size += len(hit.ID) + len(hit.Defline) + 40
 			start = end
+			b++
 		}
-		bm.PerQuery = append(bm.PerQuery, qm)
+		w.metas = append(w.metas, engine.QueryMeta{QueryIndex: q, Work: w.work[q], Hits: w.hitMetas[from:len(w.hitMetas):len(w.hitMetas)]})
+		size += 64
 	}
+	bm := batchMetas{FirstQuery: q0, PerQuery: w.metas}
+	c := engine.Encoder(size)
+	submission := bm.code(&c).Bytes()
 	r.Metrics().Counter("engine.blocks_rendered", r.ID()).Add(int64(len(w.ends)))
 	var sel selection
 	if meta.Tree {
@@ -1246,7 +1281,7 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		// k-ary reduction (pre-merging the group's bundles locally)
 		// and take the layout from the down-tree broadcast.
 		var combErr error
-		if _, _, err := r.TreeReduce(0, meta.TreeFanout, w.members, bm.encode(), treeCombiner(r, maxTargets, &combErr)); err != nil {
+		if _, _, err := r.TreeReduce(0, meta.TreeFanout, w.members, submission, treeCombiner(r, maxTargets, &combErr)); err != nil {
 			return err
 		}
 		if combErr != nil {
@@ -1264,7 +1299,7 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		sel = s
 		r.SetPhase(simtime.PhaseOutput)
 	} else {
-		r.Send(0, tagResults, bm.encode())
+		r.Send(0, tagResults, submission)
 
 		// Selection: assemble the chosen blocks in offset order and
 		// write.
@@ -1274,57 +1309,49 @@ func (w *worker) outputBatch(q0, q1 int) error {
 			return err
 		}
 	}
-	idx := make([]int, len(sel.OIDs))
-	for i := range idx {
-		idx[i] = i
+	w.order = w.order[:0]
+	for i := range sel.OIDs {
+		w.order = append(w.order, i)
 	}
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(sel.Offsets[a], sel.Offsets[b]) })
-	view := mpiio.View{Segments: make([]mpiio.Segment, 0, len(idx))}
-	var size int64
+	slices.SortFunc(w.order, func(a, b int) int { return cmp.Compare(sel.Offsets[a], sel.Offsets[b]) })
+	var total int64
 	for _, n := range sel.Lengths {
-		size += n
+		total += n
 	}
-	buf := make([]byte, 0, size)
-	for _, i := range idx {
+	w.segs, w.data = w.segs[:0], slices.Grow(w.data[:0], int(total))
+	for _, i := range w.order {
 		key := [2]int{sel.Queries[i], sel.OIDs[i]}
-		span, ok := spans[key]
+		b, ok := w.block[key]
 		if !ok {
 			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
 			return fmt.Errorf("core: master selected unknown hit q=%d OID=%d", key[0], key[1])
 		}
 		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
-		block := w.arena[span[0]:span[1]]
+		start := 0
+		if b > 0 {
+			start = w.ends[b-1]
+		}
+		block := w.arena[start:w.ends[b]]
 		if int64(len(block)) != sel.Lengths[i] {
 			return fmt.Errorf("core: block size mismatch for q=%d OID=%d: %d vs %d",
 				key[0], key[1], len(block), sel.Lengths[i])
 		}
-		view.Segments = append(view.Segments, mpiio.Segment{Offset: sel.Offsets[i], Length: sel.Lengths[i]})
-		buf = append(buf, block...)
+		w.segs = append(w.segs, mpiio.Segment{Offset: sel.Offsets[i], Length: sel.Lengths[i]})
+		w.data = append(w.data, block...)
 		r.MemCopy(int64(len(block)))
 	}
-	r.Metrics().Counter("engine.blocks_dropped", r.ID()).Add(int64(len(w.ends) - len(idx)))
-	if err := outFile.SetView(view); err != nil {
+	r.Metrics().Counter("engine.blocks_dropped", r.ID()).Add(int64(len(w.ends) - len(w.order)))
+	if err := outFile.SetView(mpiio.View{Segments: w.segs}); err != nil {
 		return err
 	}
 	if meta.Independent {
-		if err := outFile.WriteIndependent(buf); err != nil {
+		if err := outFile.WriteIndependent(w.data); err != nil {
 			return err
 		}
 		r.Barrier()
 		return nil
 	}
-	return outFile.WriteCollective(buf)
-}
-
-// hasHits reports whether any query of a batch has a candidate hit, that is
-// whether the batch has a block to render.
-func hasHits(hits [][]*blast.SubjectResult) bool {
-	for _, h := range hits {
-		if len(h) > 0 {
-			return true
-		}
-	}
-	return false
+	return outFile.WriteCollective(w.data)
 }
 
 // renderBlocks is outputBatch's render phase, run aside: it appends every

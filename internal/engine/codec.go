@@ -39,10 +39,18 @@ type Codec struct {
 	off     int
 	err     error
 	reading bool
+	// text is one string copy of buf, made by the first non-empty String a
+	// decoder reads: every decoded string is a substring of it, so a message
+	// costs one string allocation however many strings it holds.
+	text string
 }
 
 // Decoder returns a Codec that fills what it is given from data.
 func Decoder(data []byte) Codec { return Codec{buf: data, reading: true} }
+
+// Encoder returns a Codec that appends to a fresh buffer of capacity n: a
+// caller that knows about how long its message will be sizes it once.
+func Encoder(n int) Codec { return Codec{buf: make([]byte, 0, n)} }
 
 // Bytes returns the encoded buffer.
 func (c *Codec) Bytes() []byte { return c.buf }
@@ -184,7 +192,8 @@ func (c *Codec) Float(v *float64) {
 	c.off += 8
 }
 
-// String codes a length-prefixed string.
+// String codes a length-prefixed string. A decoded one shares the message's
+// one string copy, so it keeps that copy alive as long as it lives.
 //
 //lint:encodes
 func (c *Codec) String(s *string) {
@@ -193,7 +202,14 @@ func (c *Codec) String(s *string) {
 		c.buf = append(c.buf, *s...)
 		return
 	}
-	*s = string(c.view())
+	if n := len(c.view()); n > 0 {
+		if len(c.text) != len(c.buf) {
+			c.text = string(c.buf)
+		}
+		*s = c.text[c.off-n : c.off]
+		return
+	}
+	*s = ""
 }
 
 // Blob codes a length-prefixed byte slice; a decoded one is a copy.

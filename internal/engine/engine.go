@@ -11,8 +11,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parblast/internal/blast"
 	"parblast/internal/formatdb"
@@ -89,20 +90,27 @@ type QueryMeta struct {
 // desc, OID asc) and cap at maxTargets. Both engines and the sequential
 // reference share this exact rule, which is what makes outputs identical.
 func MergeHits(hits []HitMeta, maxTargets int) []HitMeta {
-	sort.Slice(hits, func(i, j int) bool {
-		a, b := hits[i], hits[j]
-		if a.EValue != b.EValue {
-			return a.EValue < b.EValue
+	slices.SortFunc(hits, func(a, b HitMeta) int {
+		switch {
+		case a.EValue != b.EValue:
+			return lessAsCmp(a.EValue < b.EValue)
+		case a.Score != b.Score:
+			return lessAsCmp(a.Score > b.Score)
 		}
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.OID < b.OID
+		return cmp.Compare(a.OID, b.OID)
 	})
 	if maxTargets > 0 && len(hits) > maxTargets {
 		hits = hits[:maxTargets]
 	}
 	return hits
+}
+
+// lessAsCmp turns a strict "a before b" into a comparison result.
+func lessAsCmp(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // SummaryResults converts merged metadata into the SubjectResult skeletons

@@ -1,6 +1,9 @@
 package engine
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Hierarchical group merge: pioBLAST's tree-structured metadata merge folds
 // per-query metadata sets with these. A group of workers pre-merges its
@@ -42,32 +45,41 @@ func DecodeQueryMetas(data []byte) (metas []QueryMeta, err error) {
 // commutative, so any tree of pairwise combines yields the flat merge's
 // exact result.
 func CombineQueryMetas(a, b []QueryMeta, maxTargets int) []QueryMeta {
-	byQuery := make(map[int]int, len(a)+len(b))
-	out := make([]QueryMeta, 0, len(a)+len(b))
+	// Both inputs' entries in query order (stably, so one query's hits meet
+	// in input order), then one output entry per query, whose hit list is
+	// allocated once at its final length: the inputs are read, never copied
+	// twice.
+	all := make([]*QueryMeta, 0, len(a)+len(b))
 	for _, src := range [2][]QueryMeta{a, b} {
-		for _, qm := range src {
-			i, seen := byQuery[qm.QueryIndex]
-			if !seen {
-				byQuery[qm.QueryIndex] = len(out)
-				out = append(out, QueryMeta{
-					QueryIndex: qm.QueryIndex,
-					Fragment:   qm.Fragment,
-					Hits:       append([]HitMeta(nil), qm.Hits...),
-					Work:       qm.Work,
-				})
-				continue
-			}
-			out[i].Hits = append(out[i].Hits, qm.Hits...)
-			out[i].Work.Add(qm.Work)
-			if out[i].Fragment != qm.Fragment {
-				out[i].Fragment = -1 // mixed fragments: no single origin
-			}
+		for i := range src {
+			all = append(all, &src[i])
 		}
 	}
-	for i := range out {
-		out[i].Hits = MergeHits(out[i].Hits, maxTargets)
+	slices.SortStableFunc(all, func(x, y *QueryMeta) int { return cmp.Compare(x.QueryIndex, y.QueryIndex) })
+	queries := 0
+	for i := range all {
+		if i == 0 || all[i].QueryIndex != all[i-1].QueryIndex {
+			queries++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].QueryIndex < out[j].QueryIndex })
+	out := make([]QueryMeta, 0, queries)
+	for i := 0; i < len(all); {
+		j, n := i, 0
+		for ; j < len(all) && all[j].QueryIndex == all[i].QueryIndex; j++ {
+			n += len(all[j].Hits)
+		}
+		qm := QueryMeta{QueryIndex: all[i].QueryIndex, Fragment: all[i].Fragment, Hits: make([]HitMeta, 0, n)}
+		for _, src := range all[i:j] {
+			qm.Hits = append(qm.Hits, src.Hits...)
+			qm.Work.Add(src.Work)
+			if qm.Fragment != src.Fragment {
+				qm.Fragment = -1 // mixed fragments: no single origin
+			}
+		}
+		qm.Hits = MergeHits(qm.Hits, maxTargets)
+		out = append(out, qm)
+		i = j
+	}
 	return out
 }
 

@@ -29,10 +29,24 @@ type Reader struct {
 	strict  bool
 }
 
+// maxBuffer is the buffer the package reads and writes text through, unless
+// the text is known to be shorter.
+const maxBuffer = 1 << 16
+
+// readBuffer is the read buffer size for r: what r has left when it says so
+// (a bytes or strings reader), so that a short text is not read through a
+// 64 KiB buffer.
+func readBuffer(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return min(l.Len(), maxBuffer)
+	}
+	return maxBuffer
+}
+
 // NewReader wraps r. If alpha is nil the alphabet is guessed from the first
 // record's residues and then fixed for the rest of the stream.
 func NewReader(r io.Reader, alpha *seq.Alphabet) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16), alpha: alpha}
+	return &Reader{br: bufio.NewReaderSize(r, readBuffer(r)), alpha: alpha}
 }
 
 // SetStrict makes Read return an error on invalid residue letters instead of
@@ -148,11 +162,14 @@ type Writer struct {
 }
 
 // NewWriter wraps w; width ≤ 0 selects the conventional 60 columns.
-func NewWriter(w io.Writer, width int) *Writer {
+func NewWriter(w io.Writer, width int) *Writer { return newWriter(w, width, maxBuffer) }
+
+// newWriter is NewWriter through a buffer of size bytes.
+func newWriter(w io.Writer, width, size int) *Writer {
 	if width <= 0 {
 		width = 60
 	}
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16), width: width}
+	return &Writer{w: bufio.NewWriterSize(w, size), width: width}
 }
 
 // Write emits one record.
@@ -213,10 +230,19 @@ func WriteFile(path string, seqs []*seq.Sequence, width int) error {
 	return f.Close()
 }
 
-// Bytes renders sequences as FASTA text in memory.
+// Bytes renders sequences as FASTA text in memory, into a buffer sized to
+// the text.
 func Bytes(seqs []*seq.Sequence, width int) ([]byte, error) {
+	if width <= 0 {
+		width = 60
+	}
+	size := 0
+	for _, s := range seqs {
+		size += len(s.ID) + len(s.Description) + 3 + len(s.Residues) + len(s.Residues)/width + 1
+	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf, width)
+	buf.Grow(size)
+	w := newWriter(&buf, width, max(min(size, maxBuffer), 16)) // bufio reads 0 as 4 KiB
 	for _, s := range seqs {
 		if err := w.Write(s); err != nil {
 			return nil, err

@@ -9,54 +9,51 @@ import (
 	"parblast/internal/wiretest"
 )
 
-// FuzzParse hardens the FASTA reader against arbitrary input: it must
-// never panic, and whatever parses successfully must survive a write/parse
-// round trip.
+// FuzzParse holds the FASTA reader to wiretest's three rules: no panic,
+// allocation linear in the input, and whatever parses survives a write/parse
+// round trip unchanged. Parsed records can carry IDs the writer rejects;
+// that is an error, not a panic, and acceptable.
 func FuzzParse(f *testing.F) {
+	layout := wiretest.Layout{Name: "FASTA", Sample: []byte(sample), Decode: func(data []byte) (any, []byte, error) {
+		seqs, err := Parse(data, seq.ProteinAlphabet)
+		if err != nil {
+			return nil, nil, err
+		}
+		again, err := Bytes(seqs, 60)
+		values := make([]seq.Sequence, len(seqs))
+		for i, s := range seqs {
+			values[i] = *s
+		}
+		return values, again, err
+	}}
 	f.Add([]byte(sample))
 	f.Add([]byte(">x\nMK\n"))
 	f.Add([]byte(">only defline\n"))
 	f.Add([]byte("no defline at all"))
 	f.Add([]byte(">crlf\r\nMKVL\r\n"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		seqs, err := Parse(data, seq.ProteinAlphabet)
-		if err != nil {
-			return
-		}
-		out, err := Bytes(seqs, 60)
-		if err != nil {
-			// Parsed records can carry IDs the writer rejects (e.g. a
-			// record that failed validation); that is an error, not a
-			// panic, and acceptable.
-			return
-		}
-		back, err := Parse(out, seq.ProteinAlphabet)
-		if err != nil {
-			t.Fatalf("re-parse of own output failed: %v", err)
-		}
-		if len(back) != len(seqs) {
-			t.Fatalf("round trip changed record count: %d → %d", len(seqs), len(back))
-		}
-		for i := range seqs {
-			if !bytes.Equal(seqs[i].Residues, back[i].Residues) {
-				t.Fatalf("record %d residues changed in round trip", i)
-			}
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, layout, data) })
 }
 
-// FuzzBuildIndex hardens the faidx builder: no panics, and indexes built
-// from valid input must agree with a full parse.
+// FuzzBuildIndex holds the faidx builder to wiretest's three rules. An index
+// has no encoding of its own: its text is the FASTA it was built from, so the
+// round trip rebuilds it from the same bytes and must find the same entries.
 func FuzzBuildIndex(f *testing.F) {
+	layout := wiretest.Layout{Name: "FASTA index", Sample: []byte(indexedSample), Decode: func(data []byte) (any, []byte, error) {
+		ix, err := BuildIndex(bytes.NewReader(data))
+		if err != nil {
+			return nil, nil, err
+		}
+		return ix.Entries(), data, nil
+	}}
 	f.Add([]byte(indexedSample))
 	f.Add([]byte(">a\nMK\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := BuildIndex(bytes.NewReader(data))
-		if err != nil {
+		if wiretest.Check(t, layout, data) != nil {
 			return
 		}
+		ix, _ := BuildIndex(bytes.NewReader(data))
 		for _, e := range ix.Entries() {
 			if e.Length < 0 || e.Offset < 0 {
 				t.Fatalf("negative layout: %+v", e)

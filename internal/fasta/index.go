@@ -62,7 +62,7 @@ func (ix *Index) Names() []string {
 
 // BuildIndex scans FASTA text once and produces the index.
 func BuildIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, readBuffer(r))
 	ix := &Index{byName: make(map[string]int)}
 	var offset int64
 

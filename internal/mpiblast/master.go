@@ -40,6 +40,7 @@ type master struct {
 	maxTargets int
 	out        *mpiio.File
 	off        int64
+	text       []byte // the query report being rendered, reused query to query
 }
 
 // masterHit is one candidate on the master: the alignment, and the worker
@@ -474,7 +475,7 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 		engine.RecordMerge(r.Metrics(), r.ID(), len(metas), len(merged))
 	}
 
-	text := append([]byte(blast.RenderHeader(opts.OutFormat, m.kind, q, m.dbInfo)),
+	text := append(append(m.text[:0], blast.RenderHeader(opts.OutFormat, m.kind, q, m.dbInfo)...),
 		blast.RenderSummary(opts.OutFormat, engine.SummaryResults(merged))...)
 	// Fetch every selected hit's sequence information from its worker —
 	// one serial request/reply per hit in faithful mode (the bottleneck
@@ -502,8 +503,10 @@ func (m *master) writeQuery(qi int, q *seq.Sequence, hits []masterHit, work blas
 	space := engine.SearchSpaceFor(m.searcher, q.Len(), m.meta.TotalLen, m.meta.NumSeqs)
 	text = append(text, blast.RenderFooter(opts.OutFormat, m.searcher.GappedParams(), space, work)...)
 	r.FormatCost(int64(len(text)) / 8) // header/summary/footer rendering
+	m.out.Reserve(m.off + int64(len(text)))
 	m.out.WriteAt(text, m.off)
 	m.off += int64(len(text))
+	m.text = text
 	return nil
 }
 

@@ -4,8 +4,10 @@
 package mpiio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"parblast/internal/mpi"
@@ -215,28 +217,46 @@ func (f *File) splitView(p collPlan, fn func(a int, off, length int64)) {
 	}
 }
 
-// shufflePayloads builds the shuffle message for each aggregator from the
-// rank's data: repeated records of (offset int64, length int64, bytes), one
-// per piece. One splitView pass sizes each aggregator's message and a second
-// appends the records to it, so each message is allocated once. splitView
-// hands out pieces in view order, so a running cursor locates each piece's
-// bytes inside data.
-func (f *File) shufflePayloads(p collPlan, data []byte) [][]byte {
-	sizes := make([]int64, p.numAgg)
-	f.splitView(p, func(a int, _, length int64) { sizes[a] += 16 + length })
-	payloads := make([][]byte, p.numAgg)
-	for a, n := range sizes {
-		if n > 0 {
-			payloads[a] = make([]byte, 0, n)
+// touched returns the aggregators a participant extent [lo, hi) overlaps:
+// first, and how many from there. Domains tile the extent without gaps, so
+// they are the ones from the domain holding lo to the one holding hi-1, and
+// exactly those that overlaps accepts. An empty view touches none.
+func (p collPlan) touched(b bound) (first, n int) {
+	if b.hi < 0 {
+		return 0, 0
+	}
+	first = p.aggAt(b.lo)
+	return first, p.aggAt(b.hi-1) - first + 1
+}
+
+// shufflePayloads builds the shuffle message for each aggregator the rank's
+// extent touches from the rank's data: repeated records of (offset int64,
+// length int64, bytes), one per piece. payloads[i] goes to aggregator
+// first+i, so the arrays are sized by the aggregators the extent touches,
+// not by the aggregator count. One splitView pass sizes each message and a
+// second appends the records to it, so each message is allocated once.
+// splitView hands out pieces in view order, so a running cursor locates each
+// piece's bytes inside data.
+func (f *File) shufflePayloads(p collPlan, data []byte) (first int, payloads [][]byte) {
+	first, n := p.touched(p.parts[p.selfIdx])
+	if n == 0 {
+		return 0, nil
+	}
+	payloads = make([][]byte, n)
+	sizes := make([]int64, n)
+	f.splitView(p, func(a int, _, length int64) { sizes[a-first] += 16 + length })
+	for i, size := range sizes {
+		if size > 0 {
+			payloads[i] = make([]byte, 0, size)
 		}
 	}
 	var dataPos int64
 	f.splitView(p, func(a int, off, length int64) {
-		rec := le.AppendUint64(le.AppendUint64(payloads[a], uint64(off)), uint64(length))
-		payloads[a] = append(rec, data[dataPos:dataPos+length]...)
+		rec := le.AppendUint64(le.AppendUint64(payloads[a-first], uint64(off)), uint64(length))
+		payloads[a-first] = append(rec, data[dataPos:dataPos+length]...)
 		dataPos += length
 	})
-	return payloads
+	return first, payloads
 }
 
 // eachRecord hands every (offset, bytes) record of a shuffle message to fn,
@@ -281,28 +301,34 @@ func (f *File) WriteCollective(data []byte) error {
 	}
 	plan.chooseAggregators(f.fs.Profile().Channels, f.hints)
 
-	// Phase 2: ship my data to each aggregator.
-	myPieces := f.shufflePayloads(plan, data)
-
-	for a := 0; a < plan.numAgg; a++ {
-		dst := plan.parts[a].rank
+	// Phase 2: ship my data to each aggregator my extent touches.
+	first, myPieces := f.shufflePayloads(plan, data)
+	for i, piece := range myPieces {
+		dst := plan.parts[first+i].rank
 		if dst == r.ID() {
 			continue // keep local pieces local (no self-message cost)
 		}
-		if !plan.overlaps(plan.parts[plan.selfIdx].lo, plan.parts[plan.selfIdx].hi, a) {
-			continue // none of my data can land in this domain
-		}
-		reg.Counter("mpiio.shuffle_bytes", r.ID()).Add(int64(len(myPieces[a])))
-		r.Send(dst, tagBase+1, myPieces[a])
+		reg.Counter("mpiio.shuffle_bytes", r.ID()).Add(int64(len(piece)))
+		r.Send(dst, tagBase+1, piece)
 	}
 
 	// Phase 3: aggregators collect, coalesce, and write. The receive set
 	// mirrors the send rule: only participants whose extent overlaps my
 	// domain will ship anything.
 	if plan.isAggregator() {
-		msgs := [][]byte{myPieces[plan.selfIdx]}
+		a := plan.selfIdx
+		senders := 1
 		for _, p := range plan.parts {
-			if p.rank == r.ID() || !plan.overlaps(p.lo, p.hi, plan.selfIdx) {
+			if p.rank != r.ID() && plan.overlaps(p.lo, p.hi, a) {
+				senders++
+			}
+		}
+		msgs := make([][]byte, 1, senders)
+		if i := a - first; i >= 0 && i < len(myPieces) {
+			msgs[0] = myPieces[i]
+		}
+		for _, p := range plan.parts {
+			if p.rank == r.ID() || !plan.overlaps(p.lo, p.hi, a) {
 				continue
 			}
 			buf, _, _ := r.Recv(p.rank, tagBase+1)
@@ -317,25 +343,23 @@ func (f *File) WriteCollective(data []byte) error {
 		for _, buf := range msgs {
 			eachRecord(buf, func(off int64, data []byte) { spans = append(spans, aggSpan{off: off, data: data}) })
 		}
-		// Coalesce into maximal contiguous runs, each allocated at its
-		// final length.
-		sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+		// Coalesce into maximal contiguous runs. A run is one write of the
+		// model; on the host its pieces go straight from the messages into
+		// the file, which the first aggregator grows once, to the end of the
+		// whole write.
+		slices.SortFunc(spans, func(x, y aggSpan) int { return cmp.Compare(x.off, y.off) })
+		f.f.Reserve(plan.gHi)
 		for i := 0; i < len(spans); {
 			runStart := spans[i].off
-			end, runLen := i, int64(0)
-			for end < len(spans) && spans[end].off == runStart+runLen {
-				runLen += int64(len(spans[end].data))
-				end++
-			}
-			runData := make([]byte, 0, runLen)
-			for ; i < end; i++ {
-				runData = append(runData, spans[i].data...)
+			runLen := int64(0)
+			for ; i < len(spans) && spans[i].off == runStart+runLen; i++ {
+				f.f.WriteAt(spans[i].data, spans[i].off)
+				runLen += int64(len(spans[i].data))
 				r.MemCopy(int64(len(spans[i].data)))
 			}
-			f.f.WriteAt(runData, runStart)
-			r.IO(f.fs, int64(len(runData)))
+			r.IO(f.fs, runLen)
 			reg.Counter("mpiio.agg_writes", r.ID()).Inc()
-			reg.Counter("mpiio.agg_write_bytes", r.ID()).Add(int64(len(runData)))
+			reg.Counter("mpiio.agg_write_bytes", r.ID()).Add(runLen)
 		}
 	}
 
@@ -432,22 +456,20 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 	reg := r.Metrics()
 	self := plan.parts[plan.selfIdx]
 
-	// Phase 2: ship request records (offset, length) to each overlapping
-	// aggregator; keep the local aggregator's requests local.
-	myReqs := make([][]byte, plan.numAgg)
+	// Phase 2: ship request records (offset, length) to each aggregator my
+	// extent touches; keep the local aggregator's requests local.
+	first, n := plan.touched(self)
+	myReqs := make([][]byte, n)
 	f.splitView(plan, func(a int, off, length int64) {
-		rec := make([]byte, 16)
-		le.PutUint64(rec[0:], uint64(off))
-		le.PutUint64(rec[8:], uint64(length))
-		myReqs[a] = append(myReqs[a], rec...)
+		myReqs[a-first] = le.AppendUint64(le.AppendUint64(myReqs[a-first], uint64(off)), uint64(length))
 	})
-	for a := 0; a < plan.numAgg; a++ {
-		dst := plan.parts[a].rank
-		if dst == r.ID() || !plan.overlaps(self.lo, self.hi, a) {
+	for i, req := range myReqs {
+		dst := plan.parts[first+i].rank
+		if dst == r.ID() {
 			continue
 		}
 		reg.Counter("mpiio.read_requests", r.ID()).Inc()
-		r.Send(dst, tagBase+2, myReqs[a])
+		r.Send(dst, tagBase+2, req)
 	}
 
 	// Phase 3: aggregators gather requests, read their domains with data
@@ -463,7 +485,9 @@ func (f *File) readAggregated(plan collPlan, h Hints) ([]byte, error) {
 				buf = buf[16:]
 			}
 		}
-		addReqs(r.ID(), myReqs[a])
+		if i := a - first; i >= 0 && i < n {
+			addReqs(r.ID(), myReqs[i])
+		}
 		live := make(map[int]bool)
 		for _, p := range plan.parts {
 			if p.rank == r.ID() || !plan.overlaps(p.lo, p.hi, a) {

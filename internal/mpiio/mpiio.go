@@ -95,6 +95,10 @@ func OpenOrCreate(rank *mpi.Rank, fs *vfs.FS, path string) *File {
 // Size reports the current file size (metadata only, no time charged).
 func (f *File) Size() int64 { return f.f.Size() }
 
+// Reserve makes room for the file to reach n bytes without copying what it
+// holds (vfs.File.Reserve); host memory only, no time charged.
+func (f *File) Reserve(n int64) { f.f.Reserve(n) }
+
 // SetView installs the rank's file view for subsequent collective writes.
 func (f *File) SetView(v View) error {
 	if err := v.Validate(); err != nil {

@@ -7,13 +7,28 @@ import (
 
 	"parblast/internal/mpi"
 	"parblast/internal/vfs"
+	"parblast/internal/wiretest"
 )
 
 // shufflePayloadsRef is the shuffle encoder as it stood before messages were
 // sized first: a make, a copy and an append for every piece. It is kept as
-// the reference of the record layout aggregators decode.
-func shufflePayloadsRef(f *File, plan collPlan, data []byte) [][]byte {
-	myPieces := make([][]byte, plan.numAgg)
+// the reference of the record layout aggregators decode, with the encoder's
+// signature: payloads[i] goes to aggregator first+i, for every aggregator the
+// rank's extent overlaps.
+func shufflePayloadsRef(f *File, plan collPlan, data []byte) (first int, payloads [][]byte) {
+	self := plan.parts[plan.selfIdx]
+	first = -1
+	for a := 0; a < plan.numAgg; a++ {
+		if plan.overlaps(self.lo, self.hi, a) {
+			if first < 0 {
+				first = a
+			}
+			payloads = append(payloads, nil)
+		}
+	}
+	if first < 0 {
+		return 0, nil
+	}
 	var dataPos int64
 	f.splitView(plan, func(a int, off, length int64) {
 		rec := make([]byte, 16+length)
@@ -21,9 +36,9 @@ func shufflePayloadsRef(f *File, plan collPlan, data []byte) [][]byte {
 		le.PutUint64(rec[8:], uint64(length))
 		copy(rec[16:], data[dataPos:dataPos+length])
 		dataPos += length
-		myPieces[a] = append(myPieces[a], rec...)
+		payloads[a-first] = append(payloads[a-first], rec...)
 	})
-	return myPieces
+	return first, payloads
 }
 
 // stridedViews gives each of n ranks segs segments of segLen bytes,
@@ -64,10 +79,14 @@ func TestShufflePayloadsMatchRecordLayout(t *testing.T) {
 				}
 				plan := f.planCollective()
 				plan.chooseAggregators(fs.Profile().Channels, Hints{CbNodes: cb})
-				got, want := f.shufflePayloads(plan, datas[r.ID()]), shufflePayloadsRef(f, plan, datas[r.ID()])
-				for a := range want {
-					if !bytes.Equal(got[a], want[a]) {
-						return fmt.Errorf("rank %d → aggregator %d: %d payload bytes, reference %d", r.ID(), a, len(got[a]), len(want[a]))
+				first, got := f.shufflePayloads(plan, datas[r.ID()])
+				wantFirst, want := shufflePayloadsRef(f, plan, datas[r.ID()])
+				if first != wantFirst || len(got) != len(want) {
+					return fmt.Errorf("rank %d: aggregators [%d, +%d), reference [%d, +%d)", r.ID(), first, len(got), wantFirst, len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						return fmt.Errorf("rank %d → aggregator %d: %d payload bytes, reference %d", r.ID(), first+i, len(got[i]), len(want[i]))
 					}
 				}
 				return nil
@@ -110,5 +129,38 @@ func TestWriteCollectiveAllocatesPerAggregator(t *testing.T) {
 	t.Logf("8 segments: %.0f allocations, 512: %.0f", few, many)
 	if many-few > aggs {
 		t.Errorf("512 segments a rank allocate %.0f more times than 8 (%.0f vs %.0f); want at most %d more", many-few, many, few, aggs)
+	}
+}
+
+// TestShuffleSizedByTouchedAggregators: a rank whose extent lies inside one
+// aggregator domain allocates the same count and the same bytes for its
+// shuffle messages at 4 aggregators as at 64 — the per-call arrays are sized
+// by the aggregators the extent touches, not by cb_nodes.
+func TestShuffleSizedByTouchedAggregators(t *testing.T) {
+	const ranks, per, self = 64, 96, 37
+	parts := make([]bound, ranks)
+	for k := range parts {
+		parts[k] = bound{rank: k, lo: int64(k * per), hi: int64((k + 1) * per), total: per, segs: 1}
+	}
+	f := &File{view: View{Segments: []Segment{{Offset: self * per, Length: per}}}}
+	data := make([]byte, per)
+	cost := func(aggs int) (allocs float64, bytes uint64) {
+		p := collPlan{parts: parts, selfIdx: self, numAgg: aggs, gLo: 0, gHi: ranks * per}
+		if first, msgs := f.shufflePayloads(p, data); len(msgs) != 1 || len(msgs[0]) != 16+per {
+			t.Fatalf("%d aggregators: %d messages from aggregator %d, want one of %d bytes", aggs, len(msgs), first, 16+per)
+		}
+		const runs = 200
+		return testing.AllocsPerRun(runs, func() { f.shufflePayloads(p, data) }),
+			wiretest.Allocated(func() {
+				for range runs {
+					f.shufflePayloads(p, data)
+				}
+			}) / runs
+	}
+	fewA, fewB := cost(4)
+	manyA, manyB := cost(64)
+	t.Logf("4 aggregators: %.0f allocations, %d B; 64: %.0f, %d B", fewA, fewB, manyA, manyB)
+	if manyA != fewA || manyB != fewB {
+		t.Errorf("64 aggregators cost %.0f allocations and %d B, 4 cost %.0f and %d B; want the same", manyA, manyB, fewA, fewB)
 	}
 }

@@ -377,13 +377,17 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	return f.Snapshot(), nil
 }
 
-// File is an in-memory file with positional access.
+// File is an in-memory file with positional access. Its contents are its
+// chunks laid end to end: one, grown by doubling, unless Reserve added more.
+// Every chunk but the last is full (len == cap), so the file only ever grows
+// at its last chunk.
 type File struct {
 	name string
 	fs   *FS
 
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	chunks [][]byte
+	size   int64
 }
 
 // Name returns the path the file was created with.
@@ -393,7 +397,19 @@ func (f *File) Name() string { return f.name }
 func (f *File) Size() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return int64(len(f.data))
+	return f.size
+}
+
+// at returns the chunk holding offset off ≤ size and off's position in it,
+// searching from the end: writes land at the file's tail.
+func (f *File) at(off int64) (chunk, pos int) {
+	start := f.size
+	for i := len(f.chunks) - 1; i > 0; i-- {
+		if start -= int64(len(f.chunks[i])); off >= start {
+			return i, int(off - start)
+		}
+	}
+	return 0, int(off)
 }
 
 // ReadAt copies len(p) bytes from offset off. Short reads at EOF return the
@@ -401,10 +417,13 @@ func (f *File) Size() int64 {
 func (f *File) ReadAt(p []byte, off int64) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off >= int64(len(f.data)) {
+	if off >= f.size {
 		return 0
 	}
-	n := copy(p, f.data[off:])
+	n := 0
+	for i, pos := f.at(off); n < len(p) && i < len(f.chunks); i, pos = i+1, 0 {
+		n += copy(p[n:], f.chunks[i][pos:])
+	}
 	f.fs.mu.Lock()
 	f.fs.bytesRead += int64(n)
 	inst := f.fs.inst
@@ -417,11 +436,13 @@ func (f *File) ReadAt(p []byte, off int64) int {
 func (f *File) WriteAt(p []byte, off int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.data)) {
+	if end := off + int64(len(p)); end > f.size {
 		f.extendLocked(end)
 	}
-	copy(f.data[off:end], p)
+	i, pos := f.at(off)
+	for n := 0; n < len(p); i, pos = i+1, 0 {
+		n += copy(f.chunks[i][pos:], p[n:])
+	}
 	f.fs.mu.Lock()
 	f.fs.bytesWritten += int64(len(p))
 	inst := f.fs.inst
@@ -433,40 +454,77 @@ func (f *File) WriteAt(p []byte, off int64) {
 func (f *File) Truncate(n int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n <= int64(len(f.data)) {
-		f.data = f.data[:n]
+	if n > f.size {
+		f.extendLocked(n)
 		return
 	}
-	f.extendLocked(n)
+	for f.size > n {
+		last := &f.chunks[len(f.chunks)-1]
+		if l := int64(len(*last)); f.size-l >= n && len(f.chunks) > 1 {
+			f.chunks, f.size = f.chunks[:len(f.chunks)-1], f.size-l
+			continue
+		}
+		*last = (*last)[:int64(len(*last))-(f.size-n)]
+		f.size = n
+	}
 }
 
-// extendLocked grows the file to n > len bytes, the new tail zeroed. Capacity
-// at least doubles when it runs out, so a file extended piecewise — in
-// whatever order its writers happen to run — costs O(final size) allocation,
-// not one whole-file copy per extension. Bytes that a Truncate cut off and
-// the spare capacity still holds are cleared before they are exposed again.
-func (f *File) extendLocked(n int64) {
-	old := len(f.data)
-	if n <= int64(cap(f.data)) {
-		f.data = f.data[:n]
-		clear(f.data[old:])
+// Reserve makes room for the file to reach n bytes without copying what it
+// holds: when the last chunk's spare capacity is short, a chunk of exactly
+// the missing length follows it. Length and contents do not change. A
+// collective write reserves its end once, so the shared output file grows
+// once per write, by what the write adds.
+func (f *File) Reserve(n int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k, spare := len(f.chunks), int64(0)
+	if k > 0 {
+		spare = int64(cap(f.chunks[k-1]) - len(f.chunks[k-1]))
+	}
+	if n <= f.size+spare {
 		return
 	}
-	c := 2 * int64(cap(f.data))
-	if c < n {
-		c = n
+	switch {
+	case k > 0 && len(f.chunks[k-1]) == 0:
+		f.chunks = f.chunks[:k-1] // an empty last chunk is replaced
+	case k > 0:
+		f.chunks[k-1] = f.chunks[k-1][:len(f.chunks[k-1]):len(f.chunks[k-1])]
 	}
-	grown := make([]byte, n, c)
-	copy(grown, f.data)
-	f.data = grown
+	f.chunks = append(f.chunks, make([]byte, 0, n-f.size))
+}
+
+// extendLocked grows the file to n > size bytes, the new tail zeroed. A last
+// chunk out of capacity at least doubles, so a file extended piecewise — in
+// whatever order its writers happen to run — costs O(final size) allocation,
+// not one whole-file copy per extension. Bytes that a Truncate cut off and
+// the spare capacity still holds are cleared before they are exposed again;
+// fresh capacity is zero already.
+func (f *File) extendLocked(n int64) {
+	if len(f.chunks) == 0 {
+		f.chunks = [][]byte{nil}
+	}
+	last := &f.chunks[len(f.chunks)-1]
+	old := len(*last)
+	want := old + int(n-f.size)
+	if want > cap(*last) {
+		grown := make([]byte, want, max(want, 2*cap(*last)))
+		copy(grown, *last)
+		*last = grown
+	} else {
+		*last = (*last)[:want]
+		clear((*last)[old:])
+	}
+	f.size = n
 }
 
 // Snapshot returns a copy of the contents.
 func (f *File) Snapshot() []byte {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	out := make([]byte, 0, f.size)
+	for _, c := range f.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 

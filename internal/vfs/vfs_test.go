@@ -104,7 +104,7 @@ func TestPiecewiseExtensionAllocatesLinearly(t *testing.T) {
 	grows, lastCap := 0, 0
 	for i := 0; i < pieces; i++ {
 		g.WriteAt(p, int64(i*piece))
-		if c := cap(g.data); c != lastCap {
+		if c := cap(g.chunks[len(g.chunks)-1]); c != lastCap {
 			grows, lastCap = grows+1, c
 		}
 	}
@@ -270,3 +270,55 @@ func TestCluster(t *testing.T) {
 }
 
 func ptr(p Profile) *Profile { return &p }
+
+// TestReserveAddsAChunk: a reserved file grows by exactly what is reserved,
+// without copying what it holds, and reads, writes, truncates and snapshots
+// across the chunk boundary as one contiguous file.
+func TestReserveAddsAChunk(t *testing.T) {
+	fs := MustNew(RAMDisk())
+	f := fs.Create("out")
+	want := make([]byte, 0, 3000)
+	write := func(p []byte, off int64) {
+		f.WriteAt(p, off)
+		if end := int(off) + len(p); end > len(want) {
+			want = append(want, make([]byte, end-len(want))...)
+		}
+		copy(want[off:], p)
+	}
+	write(bytes.Repeat([]byte{1}, 1000), 0)
+	allocs := testing.AllocsPerRun(1, func() { f.Reserve(f.Size()) })
+	if allocs != 0 || len(f.chunks) != 1 {
+		t.Fatalf("reserving the current size: %.0f allocations, %d chunks", allocs, len(f.chunks))
+	}
+	f.Reserve(2500)
+	if len(f.chunks) != 2 || cap(f.chunks[1]) != 2500-1000 {
+		t.Fatalf("Reserve(2500) of a 1000-byte file: %d chunks, the last of capacity %d", len(f.chunks), cap(f.chunks[1]))
+	}
+	// Writes inside the reservation, in any order, allocate nothing.
+	if allocs := testing.AllocsPerRun(1, func() {
+		f.WriteAt(bytes.Repeat([]byte{3}, 500), 2000)
+		f.WriteAt(bytes.Repeat([]byte{2}, 200), 990)
+	}); allocs != 2 { // the two argument slices
+		t.Errorf("writes inside the reservation: %.0f allocations, want only their 2 arguments", allocs)
+	}
+	write(bytes.Repeat([]byte{3}, 500), 2000)
+	write(bytes.Repeat([]byte{2}, 200), 990)
+	write([]byte("tail"), 2800) // past the reservation: the last chunk grows
+	if got := f.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot differs from the bytes written")
+	}
+	buf := make([]byte, 40)
+	if n := f.ReadAt(buf, 980); n != 40 || !bytes.Equal(buf, want[980:1020]) {
+		t.Fatalf("read across the chunk boundary: %d bytes %v", n, buf[:n])
+	}
+	f.Truncate(1100)
+	f.Truncate(1200)
+	want = append(want[:1100], make([]byte, 100)...)
+	if got := f.Snapshot(); !bytes.Equal(got, want) || f.Size() != 1200 {
+		t.Fatalf("truncate across chunks: %d bytes, stale or wrong content", len(got))
+	}
+	f.Truncate(500)
+	if got := f.Snapshot(); len(f.chunks) != 1 || !bytes.Equal(got, want[:500]) {
+		t.Fatalf("truncate into the first chunk: %d chunks, %d bytes", len(f.chunks), len(got))
+	}
+}

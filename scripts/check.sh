@@ -199,9 +199,14 @@ GOMAXPROCS=4 go test -race -count=10 ./internal/mpi
 # Searching on every core moves no clock and no artifact byte: the golden, the
 # report's determinism and every recovery protocol's crash sweep hold with one
 # P and with four.
+# The allocation pins run at both too: how many scratch contexts a job's query
+# bank creates depends on GOMAXPROCS.
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestClockFingerprint|TestArtifactDeterministic|TestCrashSweepEveryProtocol' \
         ./internal/core ./internal/report
+    GOMAXPROCS=$procs go test -count=1 \
+        -run 'TestJobAllocationBudget|TestShuffleSizedByTouchedAggregators|TestIndexBuildAllocatesItsIndex|TestBatchMetasDecodeSharesOneString' \
+        . ./internal/mpiio ./internal/blast ./internal/core
 done
 # No goroutine outlives a run: the dynamic half of the godisc site list,
 # repeated so a straggler that only sometimes outlives its run shows.

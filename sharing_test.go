@@ -3,6 +3,7 @@ package parblast_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -300,5 +301,82 @@ func TestHostAllocationScalesWithRanks(t *testing.T) {
 	}
 	if wide >= 64 {
 		t.Errorf("1024 ranks allocate %.1f MB, want < 64 MB", wide)
+	}
+}
+
+// jobAllocBudget is TotalAlloc of one job, in MB, at GOMAXPROCS 1, 2 and 4:
+// the most that the least of three jobs reached in eight runs, plus ten per
+// cent for host-timing variance. How many scratch contexts a job's bank
+// creates depends on GOMAXPROCS and on host timing. Before the shuffle, the
+// index build, the kernel's arenas and the output path were sized to what a
+// job keeps, the two jobs took 3.5 and 5.6 MB at GOMAXPROCS 2.
+var jobAllocBudget = map[string]map[int]float64{
+	"tree96":  {1: 2.55, 2: 2.67, 4: 3.04},
+	"serve16": {1: 2.95, 2: 3.41, 4: 4.33},
+}
+
+// TestJobAllocationBudget holds the two job shapes that allocate most per
+// byte of report — a 96-rank tree-merge job over three short queries and a
+// 16-rank served stream of small batches, each on the benchmark's 600 × 300
+// database — to their recorded TotalAlloc: a job allocates what it keeps,
+// and a regression shows here before it shows as collector time.
+func TestJobAllocationBudget(t *testing.T) {
+	seqs, err := parblast.SynthesizeDB(parblast.DBConfig{
+		Kind: parblast.Protein, NumSeqs: 600, MeanLen: 300, Seed: 9001, FamilySize: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if _, ok := jobAllocBudget["tree96"][procs]; !ok {
+		t.Skipf("no budget recorded at GOMAXPROCS %d", procs)
+	}
+	for _, job := range []struct {
+		name  string
+		ranks int
+		qcfg  parblast.QueryConfig
+		serve bool
+	}{
+		{"tree96", 96, parblast.QueryConfig{TargetBytes: 600, MeanLen: 200, MutationRate: 0.05, Seed: 11}, false},
+		{"serve16", 16, parblast.QueryConfig{TargetBytes: 3200, MeanLen: 300, MutationRate: 0.05, Seed: 12}, true},
+	} {
+		queries, err := parblast.SampleQueries(seqs, job.qcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, err := parblast.Arrivals(queries, parblast.ArrivalConfig{Rate: 16, BatchMean: 2, Seed: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := math.Inf(1)
+		for range 3 {
+			cluster, err := parblast.NewCluster(job.ranks, parblast.PlatformAltix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := cluster.FormatDB("nr", seqs, "nr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := parblast.Search{DB: db, Queries: queries, Output: "out"}
+			s.Pio.TreeMerge = !job.serve
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if job.serve {
+				_, _, err = cluster.Serve(parblast.EnginePioBLAST, s, batches, 8)
+			} else {
+				_, err = cluster.Run(parblast.EnginePioBLAST, s)
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+		}
+		budget := jobAllocBudget[job.name][procs]
+		t.Logf("%s at GOMAXPROCS %d: %.3f MB, budget %.3f MB", job.name, procs, least, budget)
+		if least > budget {
+			t.Errorf("%s at GOMAXPROCS %d allocated %.3f MB, over its %.3f MB budget", job.name, procs, least, budget)
+		}
 	}
 }
