@@ -203,7 +203,7 @@ func BenchmarkBuildIndexProtein(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := s.Prepare(query)
+		p, err := s.prepareBatch([]*seq.Sequence{query})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func jobSeeds(tb testing.TB, s *Searcher) []jobSeed {
 	var seeds []jobSeed
 	var work WorkCounters
 	for _, q := range queries {
-		p, err := s.Prepare(q)
+		p, err := s.prepareBatch([]*seq.Sequence{q})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func BenchmarkFormatHit(b *testing.B) {
 	subj := frag.Subjects[hit.OID].Residues
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := FormatHit(query, subj, hit, matrix.BLOSUM62)
+		out := RenderHit(FormatPairwise, query, subj, hit, matrix.BLOSUM62)
 		if len(out) == 0 {
 			b.Fatal("empty block")
 		}

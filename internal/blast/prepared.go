@@ -25,16 +25,6 @@ type PreparedBatch struct {
 	work []WorkCounters
 }
 
-// PreparedQuery is a PreparedBatch of one query: what Prepare builds and
-// UsePrepared loads.
-type PreparedQuery = PreparedBatch
-
-// Prepare builds the word index of one query. It and the query bank build
-// through one path, prepareBatch.
-func (s *Searcher) Prepare(q *seq.Sequence) (*PreparedQuery, error) {
-	return s.prepareBatch([]*seq.Sequence{q})
-}
-
 // prepareBatch builds the word index of a query set on the calling goroutine.
 func (s *Searcher) prepareBatch(queries []*seq.Sequence) (*PreparedBatch, error) {
 	for _, q := range queries {

@@ -36,7 +36,7 @@ func searchVia(t *testing.T, bank *QueryBank, ctx *Context, q *seq.Sequence, fra
 		t.Error(err)
 		return ""
 	}
-	if err := ctx.UsePrepared(q, p); err != nil {
+	if err := ctx.UseBatch([]*seq.Sequence{q}, p); err != nil {
 		t.Error(err)
 		return ""
 	}
@@ -211,9 +211,9 @@ func TestIndexBuildAllocatesItsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p *PreparedQuery
+	var p *PreparedBatch
 	allocated := wiretest.Allocated(func() {
-		if p, err = s.Prepare(query); err != nil {
+		if p, err = s.prepareBatch([]*seq.Sequence{query}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -236,7 +236,7 @@ func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := func(p *PreparedBatch, q *seq.Sequence) bool {
-		fresh, err := bank.Searcher().Prepare(q)
+		fresh, err := bank.Searcher().prepareBatch([]*seq.Sequence{q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 	}
 	one := queries[2:]
 	fresh := wiretest.Allocated(func() {
-		if _, err := bank.Searcher().Prepare(one[0]); err != nil {
+		if _, err := bank.Searcher().prepareBatch([]*seq.Sequence{one[0]}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -308,7 +308,7 @@ func TestQueryBankRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1, _ := bank.Get(queries[1:])
-	if err := ctx.UsePrepared(queries[1], p1); err != nil {
+	if err := ctx.UseBatch([]*seq.Sequence{queries[1]}, p1); err != nil {
 		t.Fatal(err)
 	}
 	for i, cl := range ctx.pool.workers[1:] {

@@ -14,8 +14,8 @@ import (
 
 // formatHitRef, formatHSPRef, renderTabularRef, formatSummaryRef and
 // formatEValueRef are the fmt-based renderers as they stood before blocks
-// were appended with strconv: FormatHit, the tabular half of RenderHit,
-// FormatSummary's rows and stats.FormatEValue. They are kept verbatim (pct
+// were appended with strconv: the two halves of RenderHit, RenderSummary's
+// pairwise rows and stats.FormatEValue. They are kept verbatim (pct
 // as pctRef) as the oracle of TestAppendHitDifferential.
 func formatHitRef(query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) string {
 	var b strings.Builder
@@ -326,8 +326,8 @@ func randomRenderCase(rng *rand.Rand, query *seq.Sequence, subj []byte, m *matri
 	return renderCase{query: query, subj: subj, res: res, m: m}
 }
 
-// TestAppendHitDifferential holds AppendHit, FormatHit, RenderHit,
-// FormatSummary and stats.FormatEValue byte for byte to the fmt-based
+// TestAppendHitDifferential holds AppendHit, RenderHit, RenderSummary and
+// stats.FormatEValue byte for byte to the fmt-based
 // renderers over seeded random subjects: protein and DNA, both formats,
 // gapped and implicit-trace HSPs, empty, long and non-ASCII deflines,
 // coordinates past the five-column start field, all-gap panel lines and
@@ -343,7 +343,7 @@ func TestAppendHitDifferential(t *testing.T) {
 		} else {
 			kind, c = seq.DNA, randomRenderCase(rng, dq, ds, matrix.DNADefault)
 		}
-		if want, got := formatHitRef(c.query, c.subj, c.res, c.m), FormatHit(c.query, c.subj, c.res, c.m); got != want {
+		if want, got := formatHitRef(c.query, c.subj, c.res, c.m), RenderHit(FormatPairwise, c.query, c.subj, c.res, c.m); got != want {
 			t.Fatalf("case %d (%v): pairwise block differs from the fmt oracle\n--- got ---\n%s--- want ---\n%s", i, kind, got, want)
 		}
 		if want, got := renderTabularRef(c.query, c.subj, c.res, c.m), RenderHit(FormatTabular, c.query, c.subj, c.res, c.m); got != want {
@@ -364,11 +364,11 @@ func TestAppendHitDifferential(t *testing.T) {
 			}
 		}
 		hits := []*SubjectResult{c.res}
-		if want, got := formatSummaryRef(hits), FormatSummary(hits); got != want {
+		if want, got := formatSummaryRef(hits), RenderSummary(FormatPairwise, hits); got != want {
 			t.Fatalf("case %d: summary rows differ from the fmt oracle\n got %q\nwant %q", i, got, want)
 		}
 	}
-	if got, want := FormatSummary(nil), formatSummaryRef(nil); got != want {
+	if got, want := RenderSummary(FormatPairwise, nil), formatSummaryRef(nil); got != want {
 		t.Fatalf("empty summary = %q, want %q", got, want)
 	}
 }

@@ -38,8 +38,8 @@ func programName(k seq.Kind) string {
 	return "BLASTP"
 }
 
-// FormatHeader renders the per-query report header.
-func FormatHeader(kind seq.Kind, query *seq.Sequence, db DBInfo) string {
+// pairwiseHeader renders the per-query report header.
+func pairwiseHeader(kind seq.Kind, query *seq.Sequence, db DBInfo) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s\n\n\n", programName(kind), ReportVersion)
 	fmt.Fprintf(&b, "Query= %s\n", query.Defline())
@@ -50,9 +50,9 @@ func FormatHeader(kind seq.Kind, query *seq.Sequence, db DBInfo) string {
 	return b.String()
 }
 
-// FormatSummary renders the "Sequences producing significant alignments"
+// pairwiseSummary renders the "Sequences producing significant alignments"
 // table from hit metadata only (no residue data needed).
-func FormatSummary(hits []*SubjectResult) string {
+func pairwiseSummary(hits []*SubjectResult) string {
 	if len(hits) == 0 {
 		return " ***** No hits found ******\n\n"
 	}
@@ -76,13 +76,9 @@ func FormatSummary(hits []*SubjectResult) string {
 	return string(append(b, '\n'))
 }
 
-// FormatHit renders the full alignment block for one subject: defline,
-// length, and every HSP's score lines and 60-column alignment panels.
-// The query and the subject residues must be in the matrix's alphabet.
-func FormatHit(query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) string {
-	return string(appendPairwise(nil, query, subjResidues, r, m))
-}
-
+// appendPairwise appends the full alignment block for one subject: defline,
+// length, and every HSP's score lines and 60-column alignment panels. The
+// query and the subject residues must be in the matrix's alphabet.
 func appendPairwise(dst []byte, query *seq.Sequence, subj []byte, r *SubjectResult, m *matrix.Matrix) []byte {
 	dst = append(append(dst, '>'), r.ID...)
 	if r.Defline != "" {
@@ -219,8 +215,8 @@ func pad(dst []byte, width, to int) []byte {
 	return dst
 }
 
-// FormatFooter renders the per-query statistics trailer.
-func FormatFooter(p stats.Params, space stats.SearchSpace, work WorkCounters) string {
+// pairwiseFooter renders the per-query statistics trailer.
+func pairwiseFooter(p stats.Params, space stats.SearchSpace, work WorkCounters) string {
 	var b strings.Builder
 	b.WriteString("\nLambda     K      H\n")
 	fmt.Fprintf(&b, " %7.3f %7.3f %7.3f\n\n", p.Lambda, p.K, p.H)

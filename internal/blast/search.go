@@ -211,23 +211,18 @@ func (s *Searcher) NewContext() *Context {
 	return &Context{s: s}
 }
 
-// SetQuery prepares the query (see Searcher.Prepare) and loads it. One of
-// SetQuery, UsePrepared and UseBatch must succeed before a search; each may
-// be called repeatedly to reuse the context. On error the context is left
-// with no query loaded.
+// SetQuery builds the query's word index and loads it, a batch of one. One
+// of SetQuery and UseBatch must succeed before a search; each may be called
+// repeatedly to reuse the context. On error the context is left with no
+// query loaded.
 func (c *Context) SetQuery(q *seq.Sequence) error {
 	c.unload()
-	p, err := c.s.Prepare(q)
+	one := []*seq.Sequence{q}
+	p, err := c.s.prepareBatch(one)
 	if err != nil {
 		return err
 	}
-	return c.UsePrepared(q, p)
-}
-
-// UsePrepared loads q, a batch of one, with an index prepared earlier (see
-// UseBatch).
-func (c *Context) UsePrepared(q *seq.Sequence, p *PreparedQuery) error {
-	return c.UseBatch([]*seq.Sequence{q}, p)
+	return c.UseBatch(one, p)
 }
 
 // UseBatch loads queries with an index prepared earlier — by this searcher,

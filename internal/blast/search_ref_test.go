@@ -244,9 +244,9 @@ func testDifferentialGrid(t *testing.T, name string, opts Options, queries []*se
 		t.Fatal(err)
 	}
 	refCtx, scanner := ref.NewContext(), &refScanner{}
-	prepared := make([]*PreparedQuery, len(queries))
+	prepared := make([]*PreparedBatch, len(queries))
 	for i, q := range queries {
-		if prepared[i], err = ref.Prepare(q); err != nil {
+		if prepared[i], err = ref.prepareBatch([]*seq.Sequence{q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,11 +255,11 @@ func testDifferentialGrid(t *testing.T, name string, opts Options, queries []*se
 		t.Helper()
 		for i, q := range queries {
 			space := spaceFor(ref, q.Len(), frag)
-			if err := refCtx.UsePrepared(q, prepared[i]); err != nil {
+			if err := refCtx.UseBatch([]*seq.Sequence{q}, prepared[i]); err != nil {
 				t.Fatal(err)
 			}
 			want := scanner.searchFragmentRef(refCtx, frag, space)
-			if err := ctx.UsePrepared(q, prepared[i]); err != nil {
+			if err := ctx.UseBatch([]*seq.Sequence{q}, prepared[i]); err != nil {
 				t.Fatal(err)
 			}
 			got, err := ctx.SearchFragment(frag, space)
@@ -387,7 +387,7 @@ func TestSearchBatchDifferential(t *testing.T) {
 // the batch's, and the batch's cut into groups. No two-hit window or thread
 // count changes an index, so every option set of the grid shares them.
 type gridIndexes struct {
-	each       []*PreparedQuery
+	each       []*PreparedBatch
 	whole, cut *PreparedBatch
 }
 
@@ -397,9 +397,9 @@ func prepareGrid(t *testing.T, opts Options, queries []*seq.Sequence) gridIndexe
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := gridIndexes{each: make([]*PreparedQuery, len(queries))}
+	ix := gridIndexes{each: make([]*PreparedBatch, len(queries))}
 	for i, q := range queries {
-		if ix.each[i], err = s.Prepare(q); err != nil {
+		if ix.each[i], err = s.prepareBatch([]*seq.Sequence{q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,11 +427,11 @@ func testBatchGrid(t *testing.T, name string, opts Options, queries []*seq.Seque
 	for fi, frag := range frags {
 		for i, q := range queries {
 			space := spaceFor(ref, q.Len(), frag)
-			if err := refCtx.UsePrepared(q, ix.each[i]); err != nil {
+			if err := refCtx.UseBatch([]*seq.Sequence{q}, ix.each[i]); err != nil {
 				t.Fatal(err)
 			}
 			w := scanner.searchFragmentRef(refCtx, frag, space)
-			if err := one.UsePrepared(q, ix.each[i]); err != nil {
+			if err := one.UseBatch([]*seq.Sequence{q}, ix.each[i]); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := one.SearchFragment(frag, space); err != nil || !reflect.DeepEqual(got, w) {

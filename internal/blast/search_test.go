@@ -352,7 +352,7 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 func TestSearchQueryAlphabetMismatch(t *testing.T) {
 	s, _ := NewSearcher(DefaultProteinOptions())
 	good := proteinSeq("good", randomProtein(rand.New(rand.NewSource(3)), 60))
-	prepared, err := s.Prepare(good)
+	prepared, err := s.prepareBatch([]*seq.Sequence{good})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,9 +362,9 @@ func TestSearchQueryAlphabetMismatch(t *testing.T) {
 		load func(*Context) error
 	}{
 		{"SetQuery alphabet mismatch", func(c *Context) error { return c.SetQuery(dna) }},
-		{"UsePrepared alphabet mismatch", func(c *Context) error { return c.UsePrepared(dna, prepared) }},
-		{"UsePrepared index of another length", func(c *Context) error {
-			return c.UsePrepared(proteinSeq("short", good.Residues[:30]), prepared)
+		{"UseBatch alphabet mismatch", func(c *Context) error { return c.UseBatch([]*seq.Sequence{dna}, prepared) }},
+		{"UseBatch index of another length", func(c *Context) error {
+			return c.UseBatch([]*seq.Sequence{proteinSeq("short", good.Residues[:30])}, prepared)
 		}},
 	}
 	for _, tc := range cases {
@@ -433,36 +433,36 @@ func TestReportFormatting(t *testing.T) {
 	}
 
 	db := DBInfo{Title: "testdb", NumSeqs: 6, TotalLen: frag.TotalResidues()}
-	header := FormatHeader(seq.Protein, query, db)
+	header := RenderHeader(FormatPairwise, seq.Protein, query, db)
 	for _, want := range []string{"BLASTP", "Query= QRY1 test query", "(80 letters)", "Database: testdb"} {
 		if !strings.Contains(header, want) {
 			t.Fatalf("header missing %q:\n%s", want, header)
 		}
 	}
-	summary := FormatSummary(res.Hits)
+	summary := RenderSummary(FormatPairwise, res.Hits)
 	if !strings.Contains(summary, "Sequences producing significant alignments") {
 		t.Fatalf("summary missing banner:\n%s", summary)
 	}
-	hit := FormatHit(query, frag.Subjects[res.Hits[0].OID].Residues, res.Hits[0], matrix.BLOSUM62)
+	hit := RenderHit(FormatPairwise, query, frag.Subjects[res.Hits[0].OID].Residues, res.Hits[0], matrix.BLOSUM62)
 	for _, want := range []string{"Score =", "Expect =", "Identities =", "Query: 1", "Sbjct:"} {
 		if !strings.Contains(hit, want) {
 			t.Fatalf("hit block missing %q:\n%s", want, hit)
 		}
 	}
-	footer := FormatFooter(s.GappedParams(), space, res.Work)
+	footer := RenderFooter(FormatPairwise, s.GappedParams(), space, res.Work)
 	if !strings.Contains(footer, "Lambda") || !strings.Contains(footer, "Effective search space") {
 		t.Fatalf("footer malformed:\n%s", footer)
 	}
 
 	// Rendering must be deterministic: pioBLAST's offset computation
 	// depends on sizes being reproducible.
-	if again := FormatHit(query, frag.Subjects[res.Hits[0].OID].Residues, res.Hits[0], matrix.BLOSUM62); again != hit {
-		t.Fatal("FormatHit is not deterministic")
+	if again := RenderHit(FormatPairwise, query, frag.Subjects[res.Hits[0].OID].Residues, res.Hits[0], matrix.BLOSUM62); again != hit {
+		t.Fatal("RenderHit is not deterministic")
 	}
 }
 
 func TestFormatSummaryNoHits(t *testing.T) {
-	out := FormatSummary(nil)
+	out := RenderSummary(FormatPairwise, nil)
 	if !strings.Contains(out, "No hits found") {
 		t.Fatalf("empty summary missing marker: %q", out)
 	}

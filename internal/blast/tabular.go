@@ -48,7 +48,7 @@ func RenderHeader(f ReportFormat, kind seq.Kind, query *seq.Sequence, db DBInfo)
 		fmt.Fprintf(&b, "# Fields: %s\n", tabularFields)
 		return b.String()
 	}
-	return FormatHeader(kind, query, db)
+	return pairwiseHeader(kind, query, db)
 }
 
 // RenderSummary renders the hit-overview section (the "N hits found" line
@@ -61,7 +61,7 @@ func RenderSummary(f ReportFormat, hits []*SubjectResult) string {
 		}
 		return fmt.Sprintf("# %d hits found\n", n)
 	}
-	return FormatSummary(hits)
+	return pairwiseSummary(hits)
 }
 
 // RenderHit renders one subject's block: the pairwise alignment panels, or
@@ -125,5 +125,5 @@ func RenderFooter(f ReportFormat, p stats.Params, space stats.SearchSpace, work 
 	if f == FormatTabular {
 		return ""
 	}
-	return FormatFooter(p, space, work)
+	return pairwiseFooter(p, space, work)
 }

@@ -34,7 +34,7 @@ var updateFingerprint = flag.Bool("update-fingerprint", false, "rewrite testdata
 
 const fingerprintGolden = "testdata/clock_fingerprint.golden"
 
-var fpPhases = []string{
+var fpPhases = []simtime.Phase{
 	simtime.PhaseCopy, simtime.PhaseInput, simtime.PhaseSearch,
 	simtime.PhaseOutput, simtime.PhaseOther, simtime.PhaseIdle,
 }

@@ -91,13 +91,10 @@ func Launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, body func(r
 	if err != nil {
 		return RunResult{}, err
 	}
-	if cfg.Comm == nil {
-		cfg.Comm = mpi.NewCommStats(nprocs)
-	}
 	qlat := make([]float64, 0, len(job.Queries))
 	// The world's clocks start at zero, so the storage it queues on must too.
 	eachFS(nodes, (*vfs.FS).BeginRun)
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
+	clocks, sent, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
 		r.SetPhase(simtime.PhaseOther)
 		r.Advance(r.Cost().SetupCost)
 		if err := body(r, bank, &qlat); err != nil {
@@ -117,7 +114,8 @@ func Launch(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job, body func(r
 	}
 	res := Summarize(clocks, outBytes)
 	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
+	sum := mpi.TotalTraffic(sent)
+	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = sum.Protocol, sum.Shuffle, sum.Collective, sum.Messages
 	res.AddIOFaults(nodes)
 	return res, nil
 }

@@ -60,7 +60,7 @@ func TestServeStreamBoundsQueryBank(t *testing.T) {
 
 	var stats ServeStats
 	steps := 0 // (fragment, query) searches, counted by rank 1 alone
-	_, err = mpi.RunConfig(nprocs, mpi.Config{Cost: simtime.DefaultCostModel()}, func(r *mpi.Rank) error {
+	_, _, err = mpi.RunConfig(nprocs, mpi.Config{Cost: simtime.DefaultCostModel()}, func(r *mpi.Rank) error {
 		if r.ID() == 0 {
 			return ServeStream(r, stream, bank, &stats, func(b workload.Batch, arrival float64) error {
 				for w := 1; w < nprocs; w++ {

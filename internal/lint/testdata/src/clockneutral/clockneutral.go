@@ -5,14 +5,14 @@ package metrics
 import "parblast/internal/simtime"
 
 func bad(c *simtime.Clock) {
-	c.Advance(1)          // want "simtime Advance advances a virtual clock"
-	c.AdvanceTo(2)        // want "simtime AdvanceTo advances a virtual clock"
-	c.SetPhase("shuffle") // want "simtime SetPhase advances a virtual clock"
+	c.Advance(1)                  // want "simtime Advance advances a virtual clock"
+	c.AdvanceTo(2)                // want "simtime AdvanceTo advances a virtual clock"
+	c.SetPhase(simtime.PhaseIdle) // want "simtime SetPhase advances a virtual clock"
 }
 
 func good(c *simtime.Clock) float64 {
-	_ = c.Phase()          // read-only accessors are allowed:
-	_ = c.Bucket("search") // exporters read clocks they must never drive
+	_ = c.Phase()                     // read-only accessors are allowed:
+	_ = c.Bucket(simtime.PhaseSearch) // exporters read clocks they must never drive
 	return c.Now()
 }
 

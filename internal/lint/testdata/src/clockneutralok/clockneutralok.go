@@ -6,5 +6,5 @@ import "parblast/internal/simtime"
 
 func tick(c *simtime.Clock) {
 	c.Advance(0.5)
-	c.SetPhase("search")
+	c.SetPhase(simtime.PhaseSearch)
 }

@@ -14,7 +14,7 @@
 //     byte-identical snapshots.
 //  3. Nil-safety. A nil *Registry hands out nil instrument handles whose
 //     methods are no-ops, so instrumented code paths never branch on
-//     "is telemetry enabled" (the same convention mpi.CommStats uses).
+//     "is telemetry enabled".
 //
 // Instrument names are dotted paths whose first component is the layer
 // that owns them ("mpi.", "vfs.", "mpiio.", "blast.", "engine."); the

@@ -34,7 +34,7 @@ func TestAsideContract(t *testing.T) {
 		// each body waits for the other's to start.
 		started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 		reg := metrics.NewRegistry()
-		_, err := RunConfig(2, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
+		_, _, err := RunConfig(2, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
 			id := r.ID()
 			if id == 0 {
 				r.Compute(100)
@@ -67,7 +67,7 @@ func TestAsideContract(t *testing.T) {
 			reg := metrics.NewRegistry()
 			faults := []Fault{{Rank: 1, At: 105 * testCost().SearchUnitCost, Kind: FaultCrash}}
 			var early, late bool
-			_, err := RunConfig(3, Config{Cost: testCost(), Faults: faults, Metrics: reg}, func(r *Rank) error {
+			_, _, err := RunConfig(3, Config{Cost: testCost(), Faults: faults, Metrics: reg}, func(r *Rank) error {
 				switch r.ID() {
 				case 1:
 					r.Compute(100)
@@ -109,7 +109,7 @@ func TestAsideContract(t *testing.T) {
 		errored := make(chan struct{})
 		reg := metrics.NewRegistry()
 		before := runtime.NumGoroutine()
-		_, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
+		_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
 			if r.ID() == 0 {
 				r.Compute(50)
 				r.block(stateReady)

@@ -53,11 +53,9 @@ func TestLogSteps(t *testing.T) {
 }
 
 // TestCollectiveBytesBucket: collective payloads must land in their own
-// CommStats bucket, not in the protocol bucket the §3.2 metric reads.
+// Traffic bucket, not in the protocol bucket the §3.2 metric reads.
 func TestCollectiveBytesBucket(t *testing.T) {
-	comm := NewCommStats(2)
-	cfg := Config{Cost: testCost(), Comm: comm}
-	_, err := RunConfig(2, cfg, func(r *Rank) error {
+	_, sent, err := RunConfig(2, Config{Cost: testCost()}, func(r *Rank) error {
 		r.Bcast(0, []byte("0123456789")) // 10 collective bytes from root
 		if r.ID() == 0 {
 			r.Send(1, 3, make([]byte, 100))                 // protocol
@@ -73,7 +71,8 @@ func TestCollectiveBytesBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protocol, shuffle, collective, messages := comm.Totals()
+	total := TotalTraffic(sent)
+	protocol, shuffle, collective, messages := total.Protocol, total.Shuffle, total.Collective, total.Messages
 	if protocol != 100 {
 		t.Errorf("protocol bytes = %d, want 100 (collective payloads leaked in?)", protocol)
 	}
@@ -87,8 +86,8 @@ func TestCollectiveBytesBucket(t *testing.T) {
 	if messages != 5 {
 		t.Errorf("messages = %d, want 5", messages)
 	}
-	p0, _, c0, _ := comm.Rank(0)
-	p1, _, c1, _ := comm.Rank(1)
+	p0, c0 := sent[0].Protocol, sent[0].Collective
+	p1, c1 := sent[1].Protocol, sent[1].Collective
 	if p0 != 100 || p1 != 0 {
 		t.Errorf("per-rank protocol = %d/%d, want 100/0", p0, p1)
 	}
@@ -114,7 +113,7 @@ func TestCrashExcludedFromCollectives(t *testing.T) {
 		}
 		return nil
 	}
-	clocks, err := RunConfig(3, cfg, func(r *Rank) error {
+	clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
 		if r.ID() == 2 {
 			r.Advance(2) // sails past At=1; the next op crashes
 		}
@@ -155,7 +154,7 @@ func TestCrashTieGoesToTheLowerID(t *testing.T) {
 		seen := make([]bool, 3)
 		recvErr := make([]error, 3)
 		cfg := Config{Cost: testCost(), Faults: []Fault{{Rank: 1, At: at, Kind: FaultCrash}}}
-		_, err := RunConfig(3, cfg, func(r *Rank) error {
+		_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			id := r.ID()
 			if id == 1 {
 				r.Advance(at)
@@ -216,7 +215,7 @@ func TestRecvTimeoutFromCrashed(t *testing.T) {
 		Faults: []Fault{{Rank: 1, At: 0.5, Kind: FaultCrash}},
 	}
 	fs := vfs.MustNew(vfs.Profile{Name: "t", Latency: 1, Bandwidth: 1e9, Channels: 1})
-	clocks, err := RunConfig(3, cfg, func(r *Rank) error {
+	clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
 		switch r.ID() {
 		case 1:
 			r.Advance(1) // dies at the next op
@@ -256,7 +255,7 @@ func TestRecvCrashAware(t *testing.T) {
 	}
 	world := func(recv func(r *Rank) ([]byte, error)) float64 {
 		var got float64
-		_, err := RunConfig(3, cfg, func(r *Rank) error {
+		_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			switch r.ID() {
 			case 1:
 				r.Advance(0.9) // more than three detection intervals
@@ -301,7 +300,7 @@ func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
 		var end float64
 		polls := 0
 		cfg := Config{Cost: testCost(), Faults: faults, Metrics: reg}
-		_, err := RunConfig(3, cfg, func(r *Rank) error {
+		_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			if r.ID() == 1 {
 				r.Advance(late)
 				r.Send(0, 9, []byte("late"))
@@ -359,7 +358,7 @@ func TestRecvFromCrashedAborts(t *testing.T) {
 		Cost:   testCost(),
 		Faults: []Fault{{Rank: 1, At: 0.5, Kind: FaultCrash}},
 	}
-	_, err := RunConfig(2, cfg, func(r *Rank) error {
+	_, _, err := RunConfig(2, cfg, func(r *Rank) error {
 		if r.ID() == 1 {
 			r.Advance(1)
 			r.Barrier() // dies here
@@ -393,7 +392,7 @@ func TestFaultMarksOnTrace(t *testing.T) {
 		},
 		Trace: col,
 	}
-	_, err := RunConfig(3, cfg, func(r *Rank) error {
+	_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 		r.Advance(1)
 		r.Compute(1000)
 		r.Compute(1000) // a degrade is marked once, not per slowed call
@@ -426,7 +425,7 @@ func TestDegradeSlowsCompute(t *testing.T) {
 		Cost:   testCost(),
 		Faults: []Fault{{Rank: 1, At: 0.0, Kind: FaultDegrade, Slow: 3}},
 	}
-	clocks, err := RunConfig(2, cfg, func(r *Rank) error {
+	clocks, _, err := RunConfig(2, cfg, func(r *Rank) error {
 		r.Compute(1_000_000) // 1s at baseline speed
 		return nil
 	})
@@ -462,7 +461,7 @@ func TestFaultValidation(t *testing.T) {
 		{"unknown kind", []Fault{{Rank: 1, At: 1, Kind: FaultKind(99)}}, "unknown fault kind 99"},
 	} {
 		cfg := Config{Cost: testCost(), Faults: tc.faults}
-		if _, err := RunConfig(2, cfg, body); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := RunConfig(2, cfg, body); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -477,7 +476,7 @@ func TestRecvTimeoutDeterminism(t *testing.T) {
 			Cost:   testCost(),
 			Faults: []Fault{{Rank: 2, At: 0.12, Kind: FaultCrash}},
 		}
-		clocks, err := RunConfig(3, cfg, func(r *Rank) error {
+		clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			switch r.ID() {
 			case 1:
 				r.Advance(0.07)

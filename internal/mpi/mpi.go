@@ -220,55 +220,53 @@ var ErrRankFailed = errors.New("mpi: peer rank failed")
 // crashPanic unwinds a crashing rank's goroutine; it is not an error.
 type crashPanic struct{ rank int }
 
-// World is the shared state of one simulated MPI job.
+// World is the shared state of one simulated MPI job. Everything in it and
+// in its ranks' records belongs to the token holder.
 type World struct {
-	n      int
-	cost   simtime.CostModel
-	config Config
-
-	// wake[i] carries the scheduler token to rank i. Capacity one: the
-	// holder deposits the token without waiting for the receiver to park,
-	// and may hand it to itself. Everything below belongs to the holder.
-	wake []chan struct{}
-
-	ranks        []*Rank
-	states       []rankState
-	recvSrc      []int // per rank, when blocked on recv
-	recvTag      []int
-	recvDeadline []float64 // virtual-time deadline, +Inf for plain Recv
-	inbox        [][]message
-	coll         *collective
-	topo         treeTopo // the last tree layout built (layout)
-	seq          int64
-	doneCount    int
-	aborted      bool
-	abortMsg     string
-	firstErr     error
+	n         int
+	cost      simtime.CostModel
+	config    Config
+	ranks     []Rank
+	coll      *collective
+	topo      treeTopo // the last tree layout built (layout)
+	seq       int64
+	doneCount int
+	aborted   bool
+	abortMsg  string
+	firstErr  error
 
 	// Host-side accounting of Aside: ranks computing without the token now,
 	// and the most at once.
 	away, awayPeak int
-
-	// Fault plane: per-rank schedule (immutable after setup) and outcome.
-	crashAt     []float64 // scheduled crash time, +Inf = never
-	degradeAt   []float64 // scheduled degrade time, +Inf = never
-	degradeSlow []float64
-	crashed     []bool
-	crashTime   []float64 // actual crash time (first op at/after crashAt)
 }
 
-// Rank is one simulated MPI process.
+// Rank is one simulated MPI process: its clock, its scheduler state, its
+// fault schedule and the traffic it sent, in one record.
 type Rank struct {
-	id           int
-	world        *World
-	clock        *simtime.Clock
-	coll         *collective // the collective this rank last joined
-	degradeFired bool        // this rank's degrade is already marked on the trace
+	id    int
+	world *World
+	clock *simtime.Clock
+	speed float64 // node-speed factor (Config.Speeds)
+	// wake carries the scheduler token to this rank. Capacity one: the
+	// holder deposits the token without waiting for the receiver to park,
+	// and may hand it to itself.
+	wake             chan struct{}
+	state            rankState
+	recvSrc, recvTag int     // when blocked on recv
+	recvDeadline     float64 // virtual-time deadline, +Inf for plain Recv
+	inbox            []message
+	coll             *collective // the collective this rank last joined
+	sent             Traffic
+
+	// Fault plane: the schedule (fixed at setup, +Inf = never) and outcome.
+	crashAt, degradeAt, degradeSlow float64
+	crashTime                       float64 // actual crash time (first op at/after crashAt)
+	crashed                         bool
+	degradeFired                    bool // the degrade is already marked on the trace
 	// traceBatch is the rank's current query-batch trace context (-1 =
 	// none), kept only while a collector is attached. Stamped on every
 	// outgoing envelope; adopted from incoming envelopes at delivery, so
-	// context propagates causally across ranks. Only touched by the rank's
-	// own goroutine.
+	// context propagates causally across ranks.
 	traceBatch int
 }
 
@@ -278,13 +276,11 @@ type abortPanic struct{ msg string }
 type Config struct {
 	Cost simtime.CostModel
 	// Speeds scales each rank's compute cost: 1 is the baseline node, 2 runs
-	// compute twice as slowly. nil, missing or zero entries mean 1; negative,
-	// non-finite and surplus ones are rejected. Models the heterogeneous
-	// clusters the paper's §5 load-balancing discussion targets.
+	// compute twice as slowly. A nil or short slice means 1 for the ranks it
+	// misses; zero, negative, non-finite and surplus factors are rejected.
+	// Models the heterogeneous clusters the paper's §5 load-balancing
+	// discussion targets.
 	Speeds []float64
-	// Comm, when non-nil, accumulates per-rank communication volume —
-	// the metric behind the paper's §3.2 message-volume-reduction claim.
-	Comm *CommStats
 	// Faults schedules deterministic rank failures (see Fault). At most one
 	// crash and one degrade per rank.
 	Faults []Fault
@@ -315,187 +311,155 @@ const ShuffleTagBase = 1 << 20
 // CollTagBase opens a third tag region, below the shuffle space, for the
 // point-to-point messages that implement TREE collectives (TreeReduce,
 // TreeBcast). Their bytes are collective-operation traffic —
-// synchronization and aggregation, not merging protocol — so CommStats
-// books them in the collective bucket even though they travel as ordinary
+// synchronization and aggregation, not merging protocol — so they are
+// booked in the collective bucket even though they travel as ordinary
 // sends.
 const CollTagBase = 1 << 19
 
-// CommStats tallies communication per rank, split into protocol traffic,
-// collective-I/O shuffle traffic, and collective-operation payloads
-// (Barrier/Bcast/AllGather contributions, plus the point-to-point
-// hops of the tree collectives). The split keeps the paper's §3.2
-// protocol-volume metric clean: collective synchronization is neither
-// merging protocol nor shuffle data. Safe for concurrent use.
-type CommStats struct {
-	mu         sync.Mutex
-	protocol   []int64
-	shuffle    []int64
-	collective []int64
-	messages   []int64
+// Traffic is what one rank sent, split into protocol traffic, collective-I/O
+// shuffle traffic, and collective-operation payloads (Barrier/Bcast/AllGather
+// contributions, plus the point-to-point hops of the tree collectives). The
+// split keeps the paper's §3.2 protocol-volume metric clean: collective
+// synchronization is neither merging protocol nor shuffle data.
+type Traffic struct {
+	Protocol, Shuffle, Collective, Messages int64
 }
 
-// NewCommStats sizes a collector for n ranks.
-func NewCommStats(n int) *CommStats {
-	return &CommStats{
-		protocol:   make([]int64, n),
-		shuffle:    make([]int64, n),
-		collective: make([]int64, n),
-		messages:   make([]int64, n),
+// TotalTraffic sums what the ranks sent.
+func TotalTraffic(sent []Traffic) (total Traffic) {
+	for _, t := range sent {
+		total.Protocol += t.Protocol
+		total.Shuffle += t.Shuffle
+		total.Collective += t.Collective
+		total.Messages += t.Messages
 	}
+	return total
 }
 
-func (c *CommStats) add(rank, tag int, bytes int64) {
-	if c == nil {
-		return
+// tagSpace is the region of the tag space a message belongs to.
+type tagSpace uint8
+
+const (
+	protocolSpace tagSpace = iota
+	collSpace
+	shuffleSpace
+)
+
+// tagClass is the package's one tag rule: the space a tag belongs to.
+func tagClass(tag int) tagSpace {
+	switch {
+	case tag >= ShuffleTagBase:
+		return shuffleSpace
+	case tag >= CollTagBase:
+		return collSpace
 	}
-	c.mu.Lock()
-	if rank < len(c.protocol) {
-		switch {
-		case tag >= ShuffleTagBase:
-			c.shuffle[rank] += bytes
-		case tag >= CollTagBase:
-			c.collective[rank] += bytes
-		default:
-			c.protocol[rank] += bytes
-		}
-		c.messages[rank]++
-	}
-	c.mu.Unlock()
+	return protocolSpace
 }
 
-// addCollective books a collective-operation contribution in its own
-// bucket, so Barrier/AllGather payloads never pollute the protocol metric.
-func (c *CommStats) addCollective(rank int, bytes int64) {
-	if c == nil {
-		return
+// book counts one message of n bytes sent in space sp.
+func (t *Traffic) book(sp tagSpace, n int64) {
+	switch sp {
+	case shuffleSpace:
+		t.Shuffle += n
+	case collSpace:
+		t.Collective += n
+	default:
+		t.Protocol += n
 	}
-	c.mu.Lock()
-	if rank < len(c.collective) {
-		c.collective[rank] += bytes
-		c.messages[rank]++
-	}
-	c.mu.Unlock()
+	t.Messages++
 }
 
-// Rank returns one rank's sent protocol bytes, shuffle bytes, collective
-// bytes, and message count.
-func (c *CommStats) Rank(rank int) (protocol, shuffle, collective, messages int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rank >= len(c.protocol) {
-		return 0, 0, 0, 0
-	}
-	return c.protocol[rank], c.shuffle[rank], c.collective[rank], c.messages[rank]
-}
+// The names of each space in flow ops and in the mpi.send.* series.
+// Protocol tags are small engine constants and keep their number in both;
+// the shuffle space collapses into one name (internal/mpiio does its own
+// finer accounting), and the tree-collective space into another (the tree
+// code books per-level series itself).
+var (
+	flowOps    = [...]string{protocolSpace: "tag", collSpace: "coll", shuffleSpace: "shuffle"}
+	sendSeries = [...]string{protocolSpace: "mpi.send.tag", collSpace: "mpi.send.collective", shuffleSpace: "mpi.send.shuffle"}
+)
 
-// Totals sums across ranks.
-func (c *CommStats) Totals() (protocol, shuffle, collective, messages int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.protocol {
-		protocol += c.protocol[i]
-		shuffle += c.shuffle[i]
-		collective += c.collective[i]
-		messages += c.messages[i]
+// tagName names tag from one of those tables.
+func tagName(names *[3]string, tag int) string {
+	sp := tagClass(tag)
+	if sp == protocolSpace {
+		return fmt.Sprintf("%s%02d", names[sp], tag)
 	}
-	return protocol, shuffle, collective, messages
-}
-
-func (c Config) speed(rank int) float64 {
-	if rank < len(c.Speeds) && c.Speeds[rank] > 0 {
-		return c.Speeds[rank]
-	}
-	return 1
+	return names[sp]
 }
 
 // Run executes body on n ranks and returns their clocks. It returns an
 // error if any body returns an error, panics, or the job deadlocks.
 func Run(n int, cost simtime.CostModel, body func(*Rank) error) ([]*simtime.Clock, error) {
-	return RunConfig(n, Config{Cost: cost}, body)
+	clocks, _, err := RunConfig(n, Config{Cost: cost}, body)
+	return clocks, err
 }
 
-// RunConfig is Run with per-rank heterogeneity.
-func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, error) {
-	cost := cfg.Cost
+// RunConfig is Run with per-rank heterogeneity, faults and telemetry. It also
+// returns what each rank sent — the volume behind the paper's §3.2
+// message-volume-reduction claim.
+func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []Traffic, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("mpi: world size %d < 1", n)
+		return nil, nil, fmt.Errorf("mpi: world size %d < 1", n)
 	}
-	if err := cost.Validate(); err != nil {
-		return nil, err
+	if err := cfg.Cost.Validate(); err != nil {
+		return nil, nil, err
 	}
-	for i, s := range cfg.Speeds {
-		switch {
-		case i >= n: // a factor for a rank that does not exist would be ignored
-			return nil, fmt.Errorf("mpi: %d speed factors for world size %d", len(cfg.Speeds), n)
-		case s < 0 || math.IsNaN(s) || math.IsInf(s, 0):
-			return nil, fmt.Errorf("mpi: negative or non-finite speed factor %g for rank %d", s, i)
+	if len(cfg.Speeds) > n { // a factor for a rank that does not exist would be ignored
+		return nil, nil, fmt.Errorf("mpi: %d speed factors for world size %d", len(cfg.Speeds), n)
+	}
+	w := &World{n: n, cost: cfg.Cost, config: cfg, ranks: make([]Rank, n)}
+	inf := math.Inf(1)
+	for i := range w.ranks {
+		speed := 1.0
+		if i < len(cfg.Speeds) {
+			speed = cfg.Speeds[i]
+			if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+				return nil, nil, fmt.Errorf("mpi: zero, negative or non-finite speed factor %g for rank %d", speed, i)
+			}
 		}
-	}
-	w := &World{
-		n:            n,
-		cost:         cost,
-		config:       cfg,
-		states:       make([]rankState, n),
-		recvSrc:      make([]int, n),
-		recvTag:      make([]int, n),
-		recvDeadline: make([]float64, n),
-		inbox:        make([][]message, n),
-		wake:         make([]chan struct{}, n),
-		crashAt:      make([]float64, n),
-		degradeAt:    make([]float64, n),
-		degradeSlow:  make([]float64, n),
-		crashed:      make([]bool, n),
-		crashTime:    make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		w.recvDeadline[i] = math.Inf(1)
-		w.crashAt[i] = math.Inf(1)
-		w.degradeAt[i] = math.Inf(1)
-		w.degradeSlow[i] = 1
-		w.crashTime[i] = math.Inf(1)
-		w.wake[i] = make(chan struct{}, 1)
+		w.ranks[i] = Rank{id: i, world: w, clock: simtime.NewClock(), speed: speed,
+			wake: make(chan struct{}, 1), recvDeadline: inf,
+			crashAt: inf, degradeAt: inf, degradeSlow: 1, crashTime: inf, traceBatch: -1}
 	}
 	for _, f := range cfg.Faults {
 		if f.Rank < 0 || f.Rank >= n {
-			return nil, fmt.Errorf("mpi: fault targets invalid rank %d (world size %d)", f.Rank, n)
+			return nil, nil, fmt.Errorf("mpi: fault targets invalid rank %d (world size %d)", f.Rank, n)
 		}
 		// A time that can never come would still arm every recovery protocol.
 		if f.At < 0 || math.IsNaN(f.At) || math.IsInf(f.At, 0) {
-			return nil, fmt.Errorf("mpi: fault for rank %d has invalid time %g", f.Rank, f.At)
+			return nil, nil, fmt.Errorf("mpi: fault for rank %d has invalid time %g", f.Rank, f.At)
 		}
+		r := &w.ranks[f.Rank]
 		switch f.Kind {
 		case FaultCrash:
-			if !math.IsInf(w.crashAt[f.Rank], 1) {
-				return nil, fmt.Errorf("mpi: rank %d has more than one scheduled crash", f.Rank)
+			if !math.IsInf(r.crashAt, 1) {
+				return nil, nil, fmt.Errorf("mpi: rank %d has more than one scheduled crash", f.Rank)
 			}
-			w.crashAt[f.Rank] = f.At
+			r.crashAt = f.At
 		case FaultDegrade:
 			if f.Slow <= 0 {
-				return nil, fmt.Errorf("mpi: degrade for rank %d needs Slow > 0, got %g", f.Rank, f.Slow)
+				return nil, nil, fmt.Errorf("mpi: degrade for rank %d needs Slow > 0, got %g", f.Rank, f.Slow)
 			}
 			if math.IsNaN(f.Slow) || math.IsInf(f.Slow, 0) {
-				return nil, fmt.Errorf("mpi: degrade for rank %d has non-finite Slow %g", f.Rank, f.Slow)
+				return nil, nil, fmt.Errorf("mpi: degrade for rank %d has non-finite Slow %g", f.Rank, f.Slow)
 			}
-			if !math.IsInf(w.degradeAt[f.Rank], 1) {
-				return nil, fmt.Errorf("mpi: rank %d has more than one scheduled degrade", f.Rank)
+			if !math.IsInf(r.degradeAt, 1) {
+				return nil, nil, fmt.Errorf("mpi: rank %d has more than one scheduled degrade", f.Rank)
 			}
-			w.degradeAt[f.Rank] = f.At
-			w.degradeSlow[f.Rank] = f.Slow
+			r.degradeAt, r.degradeSlow = f.At, f.Slow
 		default:
-			return nil, fmt.Errorf("mpi: unknown fault kind %d for rank %d", int(f.Kind), f.Rank)
+			return nil, nil, fmt.Errorf("mpi: unknown fault kind %d for rank %d", int(f.Kind), f.Rank)
 		}
 	}
 	clocks := make([]*simtime.Clock, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		r := &Rank{id: i, world: w, clock: simtime.NewClock(), traceBatch: -1}
+	for i := range w.ranks {
+		r := &w.ranks[i]
 		if cfg.Trace != nil {
 			r.clock.SetObserver(cfg.Trace.Observer(i))
 		}
 		clocks[i] = r.clock
-		w.ranks = append(w.ranks, r)
-	}
-	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(r *Rank) {
 			defer wg.Done()
@@ -509,34 +473,38 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 						w.fail(fmt.Errorf("mpi: rank %d panicked: %v", r.id, rec))
 					}
 				}
-				w.finishRank(r.id)
+				w.finishRank(r)
 			}()
 			r.awaitToken()
 			if err := body(r); err != nil {
 				w.fail(fmt.Errorf("mpi: rank %d: %w", r.id, err))
 			}
-		}(w.ranks[i])
+		}(r)
 	}
 	// Every rank starts parked in the zero (ready) state and Run holds the
 	// token, so the first grant needs no handshake.
 	w.schedule()
 	wg.Wait()
+	sent := make([]Traffic, n)
+	for i := range w.ranks {
+		sent[i] = w.ranks[i].sent
+	}
 	cfg.Metrics.Counter("mpi.aside_peak", 0).Add(int64(w.awayPeak))
 	if w.firstErr != nil {
-		return clocks, w.firstErr
+		return clocks, sent, w.firstErr
 	}
 	if w.aborted {
-		return clocks, fmt.Errorf("mpi: %s", w.abortMsg)
+		return clocks, sent, fmt.Errorf("mpi: %s", w.abortMsg)
 	}
 	// Where no rank can crash, every message sent is received: one still
 	// queued is a send whose receive was dropped or given another tag.
-	for dst, q := range w.inbox {
-		if len(q) > 0 && len(cfg.Faults) == 0 {
-			return clocks, fmt.Errorf("mpi: %d message(s) to rank %d never received, the first from rank %d tag %d",
+	for dst := range w.ranks {
+		if q := w.ranks[dst].inbox; len(q) > 0 && len(cfg.Faults) == 0 {
+			return clocks, sent, fmt.Errorf("mpi: %d message(s) to rank %d never received, the first from rank %d tag %d",
 				len(q), dst, q[0].src, q[0].tag)
 		}
 	}
-	return clocks, nil
+	return clocks, sent, nil
 }
 
 // fail records the first error a rank body returned or panicked with.
@@ -550,16 +518,16 @@ func (w *World) fail(err error) {
 // woken into an aborted world unwinds instead of running.
 func (r *Rank) awaitToken() {
 	w := r.world
-	<-w.wake[r.id]
+	<-r.wake
 	if w.aborted {
 		panic(abortPanic{w.abortMsg})
 	}
-	w.states[r.id] = stateRunning
+	r.state = stateRunning
 }
 
 // finishRank marks the rank done and hands the token onward.
-func (w *World) finishRank(id int) {
-	w.states[id] = stateDone
+func (w *World) finishRank(r *Rank) {
+	r.state = stateDone
 	w.doneCount++
 	w.schedule()
 }
@@ -580,13 +548,13 @@ func (w *World) schedule() {
 	}
 	if w.aborted {
 		for i := 0; i < w.n && next < 0; i++ {
-			if w.states[i] != stateDone {
+			if w.ranks[i].state != stateDone {
 				next = i
 			}
 		}
 	}
 	if next >= 0 {
-		w.wake[next] <- struct{}{}
+		w.ranks[next].wake <- struct{}{}
 	}
 }
 
@@ -595,27 +563,28 @@ func (w *World) schedule() {
 func (w *World) earliestEligible() int {
 	bestRank := -1
 	bestTime := math.Inf(1)
-	for i := 0; i < w.n; i++ {
+	for i := range w.ranks {
+		r := &w.ranks[i]
 		var t float64
-		switch w.states[i] {
+		switch r.state {
 		case stateReady:
-			t = w.ranks[i].clock.Now()
+			t = r.clock.Now()
 		case stateBlockedRecv:
 			// A receive with a deadline is always eligible: it wakes at the
 			// earliest of the match, the timeout and — so that ErrRankFailed
 			// is reported at the time it became true — a source crash it sees.
-			dl := w.recvDeadline[i]
+			dl := r.recvDeadline
 			t = dl
-			if k := w.earliestMatch(i); k >= 0 {
-				t = math.Min(t, w.inbox[i][k].arrival)
+			if k := r.earliestMatch(); k >= 0 {
+				t = math.Min(t, r.inbox[k].arrival)
 			}
-			if src := w.recvSrc[i]; !math.IsInf(dl, 1) && w.crashSeen(src, dl, i) {
-				t = math.Min(t, w.crashTime[src])
+			if src := r.recvSrc; !math.IsInf(dl, 1) && w.crashSeen(src, dl, i) {
+				t = math.Min(t, w.ranks[src].crashTime)
 			}
 			if math.IsInf(t, 1) {
 				continue
 			}
-			t = math.Max(t, w.ranks[i].clock.Now())
+			t = math.Max(t, r.clock.Now())
 		default:
 			continue
 		}
@@ -644,12 +613,12 @@ func (w *World) stallReason() string {
 // crashDump lists crashed ranks, or "" when none crashed.
 func (w *World) crashDump() string {
 	var b strings.Builder
-	for i := 0; i < w.n; i++ {
-		if w.crashed[i] {
+	for i := range w.ranks {
+		if r := &w.ranks[i]; r.crashed {
 			if b.Len() > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "rank %d crashed at t=%.6f", i, w.crashTime[i])
+			fmt.Fprintf(&b, "rank %d crashed at t=%.6f", i, r.crashTime)
 		}
 	}
 	return b.String()
@@ -657,31 +626,30 @@ func (w *World) crashDump() string {
 
 func (w *World) stateDump() string {
 	var b strings.Builder
-	for i := 0; i < w.n; i++ {
-		fmt.Fprintf(&b, "rank %d %s", i, w.states[i])
-		if c := w.ranks[i].coll; w.states[i] == stateBlockedColl {
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		fmt.Fprintf(&b, "rank %d %s", i, r.state)
+		if c := r.coll; r.state == stateBlockedColl {
 			// The op and how many live ranks joined name the collective the
 			// others never reached.
 			fmt.Fprintf(&b, " %s %d/%d", c.op, c.count, w.liveCount())
 		}
-		fmt.Fprintf(&b, " t=%.3f", w.ranks[i].clock.Now())
-		if w.states[i] == stateBlockedRecv {
-			fmt.Fprintf(&b, " (waiting src=%d tag=%d, %d queued)",
-				w.recvSrc[i], w.recvTag[i], len(w.inbox[i]))
+		fmt.Fprintf(&b, " t=%.3f", r.clock.Now())
+		if r.state == stateBlockedRecv {
+			fmt.Fprintf(&b, " (waiting src=%d tag=%d, %d queued)", r.recvSrc, r.recvTag, len(r.inbox))
 		}
 		b.WriteString("; ")
 	}
 	return b.String()
 }
 
-// earliestMatch returns the inbox index of the message rank i's pending
+// earliestMatch returns the inbox index of the message the rank's pending
 // receive takes next, or -1 when none is queued: the smallest arrival, ties
 // to the lowest source. One source's messages are queued in send order with
 // non-decreasing arrivals, so keeping the first of equals orders them too —
 // and none of it depends on the host order in which senders ran.
-func (w *World) earliestMatch(i int) int {
-	src, tag := w.recvSrc[i], w.recvTag[i]
-	q := w.inbox[i]
+func (r *Rank) earliestMatch() int {
+	src, tag, q := r.recvSrc, r.recvTag, r.inbox
 	best := -1
 	for k, m := range q {
 		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
@@ -697,11 +665,10 @@ func (w *World) earliestMatch(i int) int {
 // deliver takes message k out of the rank's inbox and charges its delivery:
 // wait for the arrival, then the receiver's share of the transfer.
 func (r *Rank) deliver(k int) message {
-	w := r.world
-	m := w.inbox[r.id][k]
-	w.inbox[r.id] = append(w.inbox[r.id][:k], w.inbox[r.id][k+1:]...)
+	m := r.inbox[k]
+	r.inbox = append(r.inbox[:k], r.inbox[k+1:]...)
 	r.clock.AdvanceTo(m.arrival)
-	r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
+	r.clock.Advance(float64(len(m.data)) / r.world.cost.NetBandwidth)
 	r.deliverFlow(m)
 	return m
 }
@@ -709,7 +676,7 @@ func (r *Rank) deliver(k int) message {
 // block parks the calling rank (the token holder) in the given state, hands
 // the token on, and returns when the rank is granted it again.
 func (r *Rank) block(s rankState) {
-	r.world.states[r.id] = s
+	r.state = s
 	r.world.schedule()
 	r.awaitToken()
 }
@@ -726,7 +693,7 @@ func (r *Rank) Aside(f func()) {
 	w.away++
 	w.awayPeak = max(w.awayPeak, w.away)
 	w.config.Metrics.Counter("mpi.asides", 0).Inc()
-	w.states[r.id] = stateReady
+	r.state = stateReady
 	w.schedule()
 	// Even if f panics, the rank unwinds holding the token.
 	defer func() {
@@ -744,15 +711,14 @@ func (r *Rank) Aside(f func()) {
 // wait for the dead) and unwinds its goroutine via crashPanic.
 func (r *Rank) maybeCrash() {
 	w := r.world
-	if r.clock.Now() < w.crashAt[r.id] {
+	now := r.clock.Now()
+	if now < r.crashAt {
 		return
 	}
-	now := r.clock.Now()
-	if w.crashed[r.id] { // already unwinding
+	if r.crashed { // already unwinding
 		panic(crashPanic{r.id})
 	}
-	w.crashed[r.id] = true
-	w.crashTime[r.id] = now
+	r.crashed, r.crashTime = true, now
 	w.maybeCompleteCollective()
 	w.traceFault(r.id, FaultCrash, now)
 	panic(crashPanic{r.id})
@@ -770,8 +736,8 @@ func (w *World) traceFault(rank int, kind FaultKind, at float64) {
 // liveCount counts ranks that have not crashed.
 func (w *World) liveCount() int {
 	live := w.n
-	for _, c := range w.crashed {
-		if c {
+	for i := range w.ranks {
+		if w.ranks[i].crashed {
 			live--
 		}
 	}
@@ -791,19 +757,17 @@ func (w *World) maybeCompleteCollective() {
 // and readies every rank parked in c.
 func (w *World) completeCollective(c *collective) {
 	maxClock := 0.0
-	for i, rk := range w.ranks {
-		if w.crashed[i] {
-			continue
-		}
-		if t := rk.clock.Now(); t > maxClock {
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		if t := r.clock.Now(); !r.crashed && t > maxClock {
 			maxClock = t
 		}
 	}
 	c.releaseAt = c.releaseFn(c.datas, maxClock)
 	w.coll = nil
-	for i := 0; i < w.n; i++ {
-		if w.states[i] == stateBlockedColl && w.ranks[i].coll == c {
-			w.states[i] = stateReady
+	for i := range w.ranks {
+		if r := &w.ranks[i]; r.state == stateBlockedColl && r.coll == c {
+			r.state = stateReady
 		}
 	}
 	w.emitCollectiveFlows(c)
@@ -822,7 +786,7 @@ func (w *World) emitCollectiveFlows(c *collective) {
 	}
 	releaser := -1
 	for i := 0; i < w.n; i++ {
-		if !c.joined[i] || w.crashed[i] {
+		if !c.joined[i] || w.ranks[i].crashed {
 			continue
 		}
 		if releaser < 0 || c.entries[i] > c.entries[releaser] {
@@ -833,7 +797,7 @@ func (w *World) emitCollectiveFlows(c *collective) {
 		return
 	}
 	for i := 0; i < w.n; i++ {
-		if !c.joined[i] || w.crashed[i] || i == releaser {
+		if !c.joined[i] || w.ranks[i].crashed || i == releaser {
 			continue
 		}
 		w.seq++
@@ -880,8 +844,8 @@ func (r *Rank) Failed(rank int) bool {
 // crash has fired and (crash time, v) precedes (t, asker) in the scheduler's
 // order, however early it fired on the host. AnySource names none.
 func (w *World) crashSeen(v int, t float64, asker int) bool {
-	return v >= 0 && v < w.n && w.crashed[v] &&
-		(w.crashTime[v] < t || w.crashTime[v] == t && v < asker)
+	return v >= 0 && v < w.n && w.ranks[v].crashed &&
+		(w.ranks[v].crashTime < t || w.ranks[v].crashTime == t && v < asker)
 }
 
 // ID returns the rank number (0-based).
@@ -901,18 +865,6 @@ func (r *Rank) SetTraceBatch(batch int) {
 	if r.world.config.Trace != nil {
 		r.traceBatch = batch
 	}
-}
-
-// flowOp names a message tag for flow edges: protocol tags keep their
-// number, the shuffle and tree-collective tag spaces collapse.
-func flowOp(tag int) string {
-	if tag >= ShuffleTagBase {
-		return "shuffle"
-	}
-	if tag >= CollTagBase {
-		return "coll"
-	}
-	return fmt.Sprintf("tag%02d", tag)
 }
 
 // deliverFlow adopts the envelope's trace context and reports the causal
@@ -937,7 +889,7 @@ func (r *Rank) deliverFlow(m message) {
 	}
 	tr.RecordFlow(trace.Flow{
 		Kind:   trace.FlowMsg,
-		Op:     flowOp(m.tag),
+		Op:     tagName(&flowOps, m.tag),
 		ID:     m.seq,
 		Batch:  m.batch,
 		Src:    m.src,
@@ -948,28 +900,13 @@ func (r *Rank) deliverFlow(m message) {
 	})
 }
 
-// tagSeries maps a message tag to its metric series stem. Protocol tags
-// are small engine constants and keep their number; the collective-I/O
-// shuffle space collapses into one series (internal/mpiio does its own
-// finer accounting), and the tree-collective space into another (the tree
-// code books per-level series itself).
-func tagSeries(tag int) string {
-	if tag >= ShuffleTagBase {
-		return "mpi.send.shuffle"
-	}
-	if tag >= CollTagBase {
-		return "mpi.send.collective"
-	}
-	return fmt.Sprintf("mpi.send.tag%02d", tag)
-}
-
 // recordSend books one outgoing message in the telemetry registry.
 func (r *Rank) recordSend(tag int, size int64) {
 	reg := r.world.config.Metrics
 	if reg == nil {
 		return
 	}
-	series := tagSeries(tag)
+	series := tagName(&sendSeries, tag)
 	reg.Counter(series+".msgs", r.id).Inc()
 	reg.Counter(series+".bytes", r.id).Add(size)
 	reg.Histogram("mpi.msg_bytes", r.id, metrics.SizeBuckets()).Observe(float64(size))
@@ -985,7 +922,7 @@ func (r *Rank) Clock() *simtime.Clock { return r.clock }
 func (r *Rank) Cost() simtime.CostModel { return r.world.cost }
 
 // SetPhase switches the phase bucket charged for subsequent time.
-func (r *Rank) SetPhase(phase string) { r.clock.SetPhase(phase) }
+func (r *Rank) SetPhase(phase simtime.Phase) { r.clock.SetPhase(phase) }
 
 // Advance charges d virtual seconds of local work.
 //
@@ -1007,14 +944,13 @@ func (r *Rank) Compute(units int64) {
 // effSpeed is the rank's current compute-cost factor: the configured node
 // speed, multiplied by the degrade slowdown once its fault time passes.
 func (r *Rank) effSpeed() float64 {
-	w := r.world
-	s := w.config.speed(r.id)
-	if r.clock.Now() >= w.degradeAt[r.id] {
+	s := r.speed
+	if r.clock.Now() >= r.degradeAt {
 		if !r.degradeFired {
 			r.degradeFired = true
-			w.traceFault(r.id, FaultDegrade, r.clock.Now())
+			r.world.traceFault(r.id, FaultDegrade, r.clock.Now())
 		}
-		s *= w.degradeSlow[r.id]
+		s *= r.degradeSlow
 	}
 	return s
 }
@@ -1113,10 +1049,11 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	r.maybeCrash()
-	w.config.Comm.add(r.id, tag, int64(len(data)))
+	r.sent.book(tagClass(tag), int64(len(data)))
 	r.recordSend(tag, int64(len(data)))
 	r.clock.Advance(float64(len(data)) / w.cost.NetBandwidth)
-	if w.crashed[dst] {
+	to := &w.ranks[dst]
+	if to.crashed {
 		// The destination is dead: the sender still pays its NIC
 		// occupancy (charged above), but the bytes land nowhere.
 		return
@@ -1126,18 +1063,17 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	if w.config.Trace != nil {
 		m.batch, m.sendAt = r.traceBatch, r.clock.Now()
 	}
-	w.inbox[dst] = append(w.inbox[dst], m)
+	to.inbox = append(to.inbox, m)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload, source, and tag. Use AnySource / AnyTag as wildcards.
 func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	r.maybeCrash()
-	w := r.world
-	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
+	r.recvSrc, r.recvTag = src, tag
 	// The scheduler resumes a deadline-free receive only at a queued match.
 	r.block(stateBlockedRecv)
-	m := r.deliver(w.earliestMatch(r.id))
+	m := r.deliver(r.earliestMatch())
 	return m.data, m.src, m.tag
 }
 
@@ -1164,16 +1100,15 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 	}
 	entered := r.clock.Now()
 	deadline := entered + timeout
-	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
-	w.recvDeadline[r.id] = deadline
+	r.recvSrc, r.recvTag, r.recvDeadline = src, tag, deadline
 	r.block(stateBlockedRecv)
-	w.recvDeadline[r.id] = math.Inf(1)
-	if k := w.earliestMatch(r.id); k >= 0 && w.inbox[r.id][k].arrival <= deadline {
+	r.recvDeadline = math.Inf(1)
+	if k := r.earliestMatch(); k >= 0 && r.inbox[k].arrival <= deadline {
 		m := r.deliver(k)
 		return m.data, m.src, m.tag, nil
 	}
 	if w.crashSeen(src, deadline, r.id) {
-		at := w.crashTime[src]
+		at := w.ranks[src].crashTime
 		r.clock.AdvanceTo(at) // no-op when the crash is in our past
 		w.config.Metrics.Counter("mpi.recv_failed_peer", r.id).Inc()
 		return nil, 0, 0, fmt.Errorf("mpi: recv from rank %d: %w (crashed at t=%.6f)", src, ErrRankFailed, at)
@@ -1254,7 +1189,7 @@ func logSteps(n int) float64 {
 func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte, maxClock float64) float64) [][]byte {
 	r.maybeCrash()
 	w := r.world
-	w.config.Comm.addCollective(r.id, int64(len(data)))
+	r.sent.book(collSpace, int64(len(data)))
 	if reg := w.config.Metrics; reg != nil {
 		reg.Counter("mpi.collective."+op, r.id).Inc()
 		// Per-op byte series alongside the undifferentiated total, so

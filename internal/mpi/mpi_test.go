@@ -664,7 +664,7 @@ func extraPointsUnderCrashes(t *testing.T, points map[string]func(*Rank)) {
 	// clock it came at, then the rank's final clock; and the latest clock.
 	run := func(faults []Fault, point func(*Rank)) ([]string, float64) {
 		notes := make([]strings.Builder, n)
-		clocks, err := RunConfig(n, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
+		clocks, _, err := RunConfig(n, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
 			id := r.ID()
 			note := func(format string, args ...any) {
 				fmt.Fprintf(&notes[id], "%x "+format+"; ", append([]any{r.Clock().Now()}, args...)...)
@@ -763,7 +763,7 @@ func extraPointsUnderCrashes(t *testing.T, points map[string]func(*Rank)) {
 
 func TestHeterogeneousSpeeds(t *testing.T) {
 	cfg := Config{Cost: testCost(), Speeds: []float64{1, 3}}
-	clocks, err := RunConfig(2, cfg, func(r *Rank) error {
+	clocks, _, err := RunConfig(2, cfg, func(r *Rank) error {
 		r.Compute(1000) // 1ms at baseline speed
 		return nil
 	})
@@ -776,18 +776,18 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 	if !near(clocks[1].Now(), 3e-3) {
 		t.Fatalf("slow rank clock %g, want 3ms", clocks[1].Now())
 	}
-	// Negative and non-finite speeds are rejected: NaN used to run at speed
-	// 1 silently and +Inf to end as a crash nobody scheduled.
-	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+	// Zero, negative and non-finite speeds are rejected: 0 and NaN used to
+	// run at speed 1 silently and +Inf to end as a crash nobody scheduled.
+	for _, s := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		bad := Config{Cost: testCost(), Speeds: []float64{1, s}}
-		_, err := RunConfig(2, bad, func(r *Rank) error { r.Compute(1000); return nil })
-		if err == nil || !strings.Contains(err.Error(), "speed factor") {
-			t.Fatalf("speed %g: error %v, want one naming the speed factor", s, err)
+		_, _, err := RunConfig(2, bad, func(r *Rank) error { r.Compute(1000); return nil })
+		if err == nil || !strings.Contains(err.Error(), "speed factor") || !strings.Contains(err.Error(), "rank 1") {
+			t.Fatalf("speed %g: error %v, want one naming the speed factor and rank 1", s, err)
 		}
 	}
 	// More factors than ranks used to run, the surplus ignored.
 	surplus := Config{Cost: testCost(), Speeds: []float64{1, 3, 1}}
-	_, err = RunConfig(2, surplus, func(r *Rank) error { r.Compute(1000); return nil })
+	_, _, err = RunConfig(2, surplus, func(r *Rank) error { r.Compute(1000); return nil })
 	if err == nil || !strings.Contains(err.Error(), "3 speed factors for world size 2") {
 		t.Fatalf("3 speeds on 2 ranks: error %v, want one naming the surplus", err)
 	}
@@ -821,7 +821,7 @@ func TestUnreceivedMessageFails(t *testing.T) {
 		t.Fatalf("fault-free unreceived message: error %v, want one naming (dst 0, src 2, tag 7)", err)
 	}
 	faults := []Fault{{Rank: 2, At: 1, Kind: FaultCrash}}
-	_, err = RunConfig(3, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
+	_, _, err = RunConfig(3, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
 		switch r.ID() {
 		case 1:
 			r.Send(2, 7, []byte("stranded by the crash"))

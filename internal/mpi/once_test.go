@@ -62,7 +62,7 @@ func TestOnceContract(t *testing.T) {
 			for i := range seen {
 				seen[i] = make([]*liveSet, n)
 			}
-			_, err := RunConfig(n, Config{Cost: testCost(), Faults: tc.faults, Metrics: reg}, func(r *Rank) error {
+			_, _, err := RunConfig(n, Config{Cost: testCost(), Faults: tc.faults, Metrics: reg}, func(r *Rank) error {
 				for round := 0; round < tc.rounds; round++ {
 					gathered := r.AllGather([]byte{byte(round)})
 					if tc.dawdle != nil && tc.dawdle(r.ID()) {
@@ -156,7 +156,7 @@ func TestTreeLayoutRebuiltOnlyOnKeyChange(t *testing.T) {
 		}
 	}
 	reg := metrics.NewRegistry()
-	_, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
+	_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
 		mine := make([]int, 0, n) // this rank's own list, edited in place between calls
 		for i, c := range calls {
 			// In step, as the engines' batches are: a rank running calls

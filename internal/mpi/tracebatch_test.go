@@ -19,7 +19,7 @@ import (
 // would attribute batch-1 traffic to batch 0.
 func TestTraceBatchMonotoneAdoption(t *testing.T) {
 	col := trace.NewCollector()
-	_, err := RunConfig(2, Config{Cost: testCost(), Trace: col}, func(r *Rank) error {
+	_, _, err := RunConfig(2, Config{Cost: testCost(), Trace: col}, func(r *Rank) error {
 		if r.ID() == 0 {
 			// Master: dispatch batch 0, then batch 1, then receive the
 			// worker's batch-0 reply — which arrives after the context
@@ -111,7 +111,7 @@ func TestTraceContextIsInert(t *testing.T) {
 			cfg.Trace = trace.NewCollector()
 		}
 		logs := make([][]inertEntry, n)
-		_, err := RunConfig(n, cfg, func(r *Rank) error {
+		_, _, err := RunConfig(n, cfg, func(r *Rank) error {
 			id := r.ID()
 			do := func(op string, f func() uint64) {
 				r.SetTraceBatch(len(logs[id])*n + id)

@@ -24,7 +24,7 @@ import (
 )
 
 // Tree-collective message tags, inside the dedicated CollTagBase region so
-// CommStats books the traffic as collective-operation volume.
+// their traffic is booked as collective-operation volume.
 const (
 	tagTreeReduce = CollTagBase + 1
 	tagTreeBcast  = CollTagBase + 2

@@ -121,7 +121,7 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 			Cost:   testCost(),
 			Faults: []Fault{{Rank: victim, At: 0, Kind: FaultCrash}},
 		}
-		_, err := RunConfig(n, cfg, func(r *Rank) error {
+		_, _, err := RunConfig(n, cfg, func(r *Rank) error {
 			members := make([]int, n)
 			for i := range members {
 				members[i] = i
@@ -190,7 +190,7 @@ func runWatched(t *testing.T, n int, cfg Config, body func(*Rank) error) ([]*sim
 	}
 	done := make(chan result, 1)
 	go func() {
-		clocks, err := RunConfig(n, cfg, body)
+		clocks, _, err := RunConfig(n, cfg, body)
 		done <- result{clocks, err}
 	}()
 	select {
@@ -356,7 +356,7 @@ func TestTreeReduceBarePayloads(t *testing.T) {
 				reg := metrics.NewRegistry()
 				var fold []byte
 				var contributors []int
-				_, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
+				_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
 					out, contrib, err := r.TreeReduce(root, fanout, allRanks(n), []byte{byte(r.ID())}, concat)
 					if r.ID() == root {
 						fold, contributors = out, contrib
@@ -401,7 +401,7 @@ func TestCollectiveOpAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	const n = 8
 	cfg := Config{Cost: testCost(), Metrics: reg}
-	_, err := RunConfig(n, cfg, func(r *Rank) error {
+	_, _, err := RunConfig(n, cfg, func(r *Rank) error {
 		r.AllGather([]byte("abcd"))
 		var b []byte
 		if r.ID() == 0 {

@@ -310,9 +310,7 @@ func TestCollectiveDeterministicTiming(t *testing.T) {
 func TestWriteCollectiveSkipsEmptyShuffleMessages(t *testing.T) {
 	const n = 3
 	fs := vfs.MustNew(vfs.XFSLike()) // 32 channels: every rank aggregates
-	comm := mpi.NewCommStats(n)
-	cfg := mpi.Config{Cost: testCost(), Comm: comm}
-	_, err := mpi.RunConfig(n, cfg, func(r *mpi.Rank) error {
+	_, sent, err := mpi.RunConfig(n, mpi.Config{Cost: testCost()}, func(r *mpi.Rank) error {
 		f := OpenOrCreate(r, fs, "aligned")
 		off := int64(r.ID() * 4)
 		if err := f.SetView(ContiguousView(off, 4)); err != nil {
@@ -328,7 +326,8 @@ func TestWriteCollectiveSkipsEmptyShuffleMessages(t *testing.T) {
 	if string(got) != "aaaabbbbcccc" {
 		t.Fatalf("file = %q", got)
 	}
-	_, shuffle, _, messages := comm.Totals()
+	total := mpi.TotalTraffic(sent)
+	shuffle, messages := total.Shuffle, total.Messages
 	if shuffle != 0 {
 		t.Fatalf("aligned views shuffled %d bytes, want 0", shuffle)
 	}

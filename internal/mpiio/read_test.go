@@ -23,7 +23,7 @@ func runReaders(t *testing.T, n int, profile vfs.Profile, total []byte,
 	if cfg.Cost.NetBandwidth == 0 {
 		cfg.Cost = testCost()
 	}
-	_, err := mpi.RunConfig(n, cfg, func(r *mpi.Rank) error {
+	_, _, err := mpi.RunConfig(n, cfg, func(r *mpi.Rank) error {
 		f, err := Open(r, fs, "db")
 		if err != nil {
 			return err

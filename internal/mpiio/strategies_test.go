@@ -288,7 +288,7 @@ func TestCollectivesSkipZeroLengthSegments(t *testing.T) {
 			reg := metrics.NewRegistry()
 			fs := vfs.MustNew(vfs.XFSLike())
 			fs.WriteFile("out", make([]byte, len(total)))
-			_, err := mpi.RunConfig(n, mpi.Config{Cost: testCost(), Metrics: reg}, func(r *mpi.Rank) error {
+			_, _, err := mpi.RunConfig(n, mpi.Config{Cost: testCost(), Metrics: reg}, func(r *mpi.Rank) error {
 				f := OpenOrCreate(r, fs, "out")
 				if err := f.SetView(views[r.ID()]); err != nil {
 					return err

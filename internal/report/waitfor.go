@@ -112,9 +112,9 @@ type ExactPath struct {
 // phaseCategory maps a span phase to a blame category.
 func phaseCategory(phase string) string {
 	switch phase {
-	case simtime.PhaseCopy, simtime.PhaseInput, simtime.PhaseOutput:
+	case simtime.PhaseCopy.String(), simtime.PhaseInput.String(), simtime.PhaseOutput.String():
 		return "io"
-	case simtime.PhaseSearch:
+	case simtime.PhaseSearch.String():
 		return "search"
 	default:
 		return "other"
@@ -183,7 +183,7 @@ func ExactCriticalPath(col *trace.Collector) *ExactPath {
 			t = s.To
 			continue
 		}
-		if s.Phase != simtime.PhaseIdle {
+		if s.Phase != simtime.PhaseIdle.String() {
 			blame(batch, phaseCategory(s.Phase), t-s.From)
 			t = s.From
 			continue

@@ -12,48 +12,55 @@ package simtime
 
 import "fmt"
 
-// Phase names match the paper's execution-time breakdown (Table 1).
+// Phase is a bucket of the paper's execution-time breakdown (Table 1).
+type Phase uint8
+
 const (
-	PhaseCopy   = "copy"   // mpiBLAST: fragment copy to local storage
-	PhaseInput  = "input"  // pioBLAST: parallel read of the shared database
-	PhaseSearch = "search" // BLAST kernel compute
-	PhaseOutput = "output" // result merging and result-file writing
-	PhaseOther  = "other"  // broadcast, setup, cleanup
+	PhaseCopy   Phase = iota // mpiBLAST: fragment copy to local storage
+	PhaseInput               // pioBLAST: parallel read of the shared database
+	PhaseSearch              // BLAST kernel compute
+	PhaseOutput              // result merging and result-file writing
+	PhaseOther               // broadcast, setup, cleanup
 	// PhaseIdle marks a rank waiting for work that other ranks are doing
 	// (the master parked while workers search). It is excluded from the
 	// reported per-phase maxima: the paper's stacked bars attribute each
 	// wall-clock interval to the phase the busy ranks are in.
-	PhaseIdle = "idle"
+	PhaseIdle
+	numPhases
 )
+
+var phaseNames = [numPhases]string{"copy", "input", "search", "output", "other", "idle"}
+
+// String is the phase's name in reports and traces.
+func (p Phase) String() string { return phaseNames[p] }
 
 // Clock is one rank's virtual clock. It is not safe for concurrent use;
 // under the sequential discrete-event scheduler only the owning rank
 // touches it.
 type Clock struct {
 	now      float64
-	phase    string
-	buckets  map[string]float64
+	phase    Phase
+	entered  uint8 // bit p set once phase p has been advanced in
+	buckets  [numPhases]float64
 	observer func(phase string, from, to float64)
 }
 
 // NewClock returns a clock at time zero charging PhaseOther.
-func NewClock() *Clock {
-	return &Clock{phase: PhaseOther, buckets: make(map[string]float64)}
-}
+func NewClock() *Clock { return &Clock{phase: PhaseOther} }
 
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
 // Phase returns the currently charged phase.
-func (c *Clock) Phase() string { return c.phase }
+func (c *Clock) Phase() Phase { return c.phase }
 
 // SetPhase switches the bucket that subsequent time is charged to.
 //
 //lint:clock
-func (c *Clock) SetPhase(phase string) { c.phase = phase }
+func (c *Clock) SetPhase(phase Phase) { c.phase = phase }
 
-// SetObserver installs a callback invoked for every advance with the
-// charged phase and the covered interval — the hook the trace collector
+// SetObserver installs a callback invoked for every nonzero advance with the
+// charged phase's name and the covered interval — the hook the trace collector
 // uses to build timelines. Pass nil to disable.
 func (c *Clock) SetObserver(fn func(phase string, from, to float64)) { c.observer = fn }
 
@@ -68,8 +75,9 @@ func (c *Clock) Advance(d float64) {
 	from := c.now
 	c.now += d
 	c.buckets[c.phase] += d
+	c.entered |= 1 << c.phase
 	if c.observer != nil && d > 0 {
-		c.observer(c.phase, from, c.now)
+		c.observer(c.phase.String(), from, c.now)
 	}
 }
 
@@ -106,13 +114,16 @@ func OverlapSplit(start, end, now float64) (hidden, exposed float64) {
 }
 
 // Bucket returns the accumulated seconds of one phase.
-func (c *Clock) Bucket(phase string) float64 { return c.buckets[phase] }
+func (c *Clock) Bucket(phase Phase) float64 { return c.buckets[phase] }
 
-// Buckets returns a copy of all phase accumulations.
+// Buckets returns the accumulations of every phase the clock was advanced
+// in, by name, zero-length advances included.
 func (c *Clock) Buckets() map[string]float64 {
-	out := make(map[string]float64, len(c.buckets))
-	for k, v := range c.buckets {
-		out[k] = v
+	out := make(map[string]float64, numPhases)
+	for p, v := range c.buckets {
+		if c.entered&(1<<p) != 0 {
+			out[Phase(p).String()] = v
+		}
 	}
 	return out
 }

@@ -20,6 +20,25 @@ func TestClockAdvance(t *testing.T) {
 	if c.Bucket(PhaseSearch) != 2.5 || c.Bucket(PhaseOutput) != 1.5 {
 		t.Fatalf("buckets wrong: %v", c.Buckets())
 	}
+	// Buckets lists exactly the phases advanced in — the key set of each
+	// rank's report JSON: one entered by a zero advance is listed, one set
+	// but never advanced in and one never entered are not.
+	c.SetPhase(PhaseIdle)
+	c.Advance(0)
+	c.SetPhase(PhaseCopy)
+	got := c.Buckets()
+	want := map[string]float64{"search": 2.5, "output": 1.5, "idle": 0}
+	if len(got) != len(want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if b, ok := got[k]; !ok || b != v {
+			t.Fatalf("buckets = %v, want %v", got, want)
+		}
+	}
+	if PhaseIdle.String() != "idle" || c.Phase() != PhaseCopy {
+		t.Fatalf("phase %v, idle named %q", c.Phase(), PhaseIdle.String())
+	}
 }
 
 func TestClockAdvanceTo(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 func TestTraceThroughMPIRun(t *testing.T) {
 	c := trace.NewCollector()
 	cfg := mpi.Config{Cost: simtime.DefaultCostModel(), Trace: c}
-	_, err := mpi.RunConfig(2, cfg, func(r *mpi.Rank) error {
+	_, _, err := mpi.RunConfig(2, cfg, func(r *mpi.Rank) error {
 		r.SetPhase(simtime.PhaseSearch)
 		r.Advance(0.5)
 		r.Barrier()
@@ -28,7 +28,7 @@ func TestTraceThroughMPIRun(t *testing.T) {
 	for _, rank := range c.Ranks() {
 		found := false
 		for _, s := range c.Spans(rank) {
-			if s.Phase == simtime.PhaseSearch && s.To-s.From >= 0.5 {
+			if s.Phase == simtime.PhaseSearch.String() && s.To-s.From >= 0.5 {
 				found = true
 			}
 		}

@@ -39,7 +39,7 @@ func TestObserverViaClock(t *testing.T) {
 	clock.SetPhase(simtime.PhaseOutput)
 	clock.Advance(1)
 	spans := c.Spans(4)
-	if len(spans) != 2 || spans[1].Phase != simtime.PhaseOutput {
+	if len(spans) != 2 || spans[1].Phase != simtime.PhaseOutput.String() {
 		t.Fatalf("spans: %v", spans)
 	}
 	if got := c.Ranks(); len(got) != 1 || got[0] != 4 {

@@ -423,7 +423,9 @@ type Search struct {
 	// fault firings land on the trace timeline as events.
 	Faults []Fault
 	// NodeSpeeds optionally declares per-rank compute-speed factors
-	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes.
+	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes. A
+	// short slice leaves the remaining ranks at 1; a zero, negative,
+	// non-finite or surplus factor is rejected.
 	NodeSpeeds []float64
 }
 

@@ -567,9 +567,9 @@ func TestNodeSpeedsThroughPublicAPI(t *testing.T) {
 }
 
 // TestNonFiniteSpeedsRejected: a NaN or infinite node speed or degrade
-// slow-down is refused with a named error by both engines. NaN used to run
-// at speed 1 silently; +Inf ended as "rank N crashed at t=+Inf" although no
-// crash was scheduled.
+// slow-down, and a zero node speed, are refused with a named error by both
+// engines. NaN and 0 used to run at speed 1 silently; +Inf ended as "rank N
+// crashed at t=+Inf" although no crash was scheduled.
 func TestNonFiniteSpeedsRejected(t *testing.T) {
 	seqs, queries := buildWorkload(t)
 	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
@@ -600,6 +600,12 @@ func TestNonFiniteSpeedsRejected(t *testing.T) {
 					t.Errorf("%g on %v: error %v, want one saying %q", v, eng, err, tc.want)
 				}
 			}
+		}
+	}
+	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
+		s := parblast.Search{DB: db, Queries: queries, Output: "out", NodeSpeeds: []float64{1, 0}}
+		if _, err := cluster.Run(eng, s); err == nil || !strings.Contains(err.Error(), "speed factor 0 for rank 1") {
+			t.Errorf("zero speed on %v: error %v, want one naming the factor and the rank", eng, err)
 		}
 	}
 }

@@ -61,6 +61,16 @@ if [ -n "$tracectx" ]; then
     exit 1
 fi
 
+# The world needs no lock: the world's state and every rank's record belong
+# to the scheduler token's holder, so no non-test file of internal/mpi
+# declares a mutex.
+locks=$(grep -rnE --include='*.go' --exclude='*_test.go' 'sync\.(RW)?Mutex\b' internal/mpi || true)
+if [ -n "$locks" ]; then
+    echo "internal/mpi declares a lock; its state belongs to the token holder:" >&2
+    echo "$locks" >&2
+    exit 1
+fi
+
 # pioBLAST reads its partitions through one pipeline: internal/core has one
 # asynchronous read, one synchronous read and one extent decoder.
 for call in '.StartReadAt(' '.ReadAt(' '.DecodeWithOffsets('; do
@@ -85,9 +95,9 @@ fi
 # blast.AppendHit, so a string-per-block path cannot come back beside the
 # workers' render arena.
 for pkg in internal/core internal/mpiblast internal/engine; do
-    old=$(grep -rnE --include='*.go' --exclude='*_test.go' '(RenderHit|FormatHit)\(' "$pkg" || true)
+    old=$(grep -rnE --include='*.go' --exclude='*_test.go' 'RenderHit\(' "$pkg" || true)
     if [ -n "$old" ] || ! grep -rqF --include='*.go' --exclude='*_test.go' 'blast.AppendHit(' "$pkg"; then
-        echo "$pkg must render blocks with blast.AppendHit, never RenderHit or FormatHit:" >&2
+        echo "$pkg must render blocks with blast.AppendHit, never RenderHit:" >&2
         echo "$old" >&2
         exit 1
     fi
