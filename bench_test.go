@@ -13,7 +13,6 @@ package parblast_test
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -34,7 +33,10 @@ func runExperiment(b *testing.B, name string, fn func(*experiments.Lab) ([]exper
 		}
 	}
 	if _, done := printOnce.LoadOrStore(name, true); !done {
-		experiments.PrintRows(os.Stdout, name, rows)
+		fmt.Printf("\n== %s ==\n", name)
+		for _, r := range rows {
+			fmt.Printf("%-16s %5d %5d  %v\n", r.Engine, r.Procs, r.Fragments, r.Result)
+		}
 	}
 	return rows
 }

@@ -108,15 +108,3 @@ func MaskForSeeding(residues []byte, alpha *seq.Alphabet, p FilterParams) ([]byt
 	}
 	return masked, ivs
 }
-
-// MaskedFraction reports the share of residues inside intervals.
-func MaskedFraction(length int, ivs []Interval) float64 {
-	if length == 0 {
-		return 0
-	}
-	n := 0
-	for _, iv := range ivs {
-		n += iv.To - iv.From
-	}
-	return float64(n) / float64(length)
-}

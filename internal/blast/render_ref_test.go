@@ -15,7 +15,7 @@ import (
 // formatHitRef, formatHSPRef, renderTabularRef, formatSummaryRef and
 // formatEValueRef are the fmt-based renderers as they stood before blocks
 // were appended with strconv: the two halves of RenderHit, RenderSummary's
-// pairwise rows and stats.FormatEValue. They are kept verbatim (pct
+// pairwise rows and stats.AppendEValue. They are kept verbatim (pct
 // as pctRef) as the oracle of TestAppendHitDifferential.
 func formatHitRef(query *seq.Sequence, subjResidues []byte, r *SubjectResult, m *matrix.Matrix) string {
 	var b strings.Builder
@@ -212,7 +212,7 @@ type renderCase struct {
 	m     *matrix.Matrix
 }
 
-// randomEValue draws an E-value at or beside one of FormatEValue's
+// randomEValue draws an E-value at or beside one of AppendEValue's
 // boundaries, or anywhere from 1e-300 to 1e6.
 func randomEValue(rng *rand.Rand) float64 {
 	bounds := []float64{1e-180, 1e-2, 1, 10}
@@ -327,11 +327,11 @@ func randomRenderCase(rng *rand.Rand, query *seq.Sequence, subj []byte, m *matri
 }
 
 // TestAppendHitDifferential holds AppendHit, RenderHit, RenderSummary and
-// stats.FormatEValue byte for byte to the fmt-based
+// stats.AppendEValue byte for byte to the fmt-based
 // renderers over seeded random subjects: protein and DNA, both formats,
 // gapped and implicit-trace HSPs, empty, long and non-ASCII deflines,
 // coordinates past the five-column start field, all-gap panel lines and
-// E-values on both sides of every FormatEValue boundary.
+// E-values on both sides of every AppendEValue boundary.
 func TestAppendHitDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2033))
 	pq, ps := renderSequences(rng, seq.ProteinAlphabet)
@@ -359,8 +359,8 @@ func TestAppendHitDifferential(t *testing.T) {
 			}
 		}
 		for _, h := range c.res.HSPs {
-			if got, want := stats.FormatEValue(h.EValue), formatEValueRef(h.EValue); got != want {
-				t.Fatalf("FormatEValue(%g) = %q, want %q", h.EValue, got, want)
+			if got, want := string(stats.AppendEValue(nil, h.EValue)), formatEValueRef(h.EValue); got != want {
+				t.Fatalf("AppendEValue(%g) = %q, want %q", h.EValue, got, want)
 			}
 		}
 		hits := []*SubjectResult{c.res}

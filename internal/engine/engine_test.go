@@ -240,9 +240,6 @@ func TestSummarize(t *testing.T) {
 	if r.SearchFraction() != 0.5 {
 		t.Fatalf("search fraction = %g", r.SearchFraction())
 	}
-	if r.NonSearch() != 4 {
-		t.Fatalf("non-search = %g", r.NonSearch())
-	}
 	if r.OutputBytes != 500 {
 		t.Fatalf("output bytes = %d", r.OutputBytes)
 	}

@@ -84,9 +84,6 @@ func (r RunResult) SearchFraction() float64 {
 	return r.Phase.Search / r.Wall
 }
 
-// NonSearch returns wall time not attributable to the search phase.
-func (r RunResult) NonSearch() float64 { return r.Wall - r.Phase.Search }
-
 // String renders a Table-1-style row.
 func (r RunResult) String() string {
 	return fmt.Sprintf("copy=%.1f input=%.1f search=%.1f output=%.1f other=%.1f wall=%.1f out=%dB",

@@ -79,10 +79,6 @@ func (a *Admission) Next(now float64) (batch int, arrival float64, ok bool) {
 	return 0, 0, false
 }
 
-// Depth returns the current number of waiting batches (for tests and
-// queue-depth telemetry).
-func (a *Admission) Depth() int { return len(a.queue) }
-
 // ShedSeqs returns the arrival indices shed so far, in arrival order. The
 // list is complete once Next has returned ok=false.
 func (a *Admission) ShedSeqs() []int { return append([]int(nil), a.shed...) }

@@ -20,8 +20,8 @@ func TestAdmissionFIFO(t *testing.T) {
 	if !ok || b != 1 || at != 2 {
 		t.Fatalf("second dispatch = (%d, %g, %v), want (1, 2, true)", b, at, ok)
 	}
-	if a.Depth() != 0 {
-		t.Fatalf("queue depth = %d, want 0", a.Depth())
+	if len(a.queue) != 0 {
+		t.Fatalf("queue depth = %d, want 0", len(a.queue))
 	}
 	b, at, ok = a.Next(6)
 	if !ok || b != 2 || at != 10 {

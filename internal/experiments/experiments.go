@@ -575,15 +575,9 @@ func printTitle(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 }
 
-// PrintRows renders rows as the paper-style table: one line per run with
-// the phase split, total, and search share.
-func PrintRows(w io.Writer, title string, rows []Row) {
-	printTitle(w, title)
-	printRowBody(w, rows)
-}
-
-// printRowBody is PrintRows below the title: what the catalogue prints under
-// the entry's own.
+// printRowBody renders rows as the paper-style table, one line per run with
+// the phase split, total and search share: what the catalogue prints under
+// the entry's own title.
 func printRowBody(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "%-16s %5s %5s %8s | %8s %8s %8s %8s %8s | %8s %7s %10s %9s\n",
 		"engine", "procs", "frags", "queryB",

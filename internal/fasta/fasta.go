@@ -26,7 +26,6 @@ type Reader struct {
 	pending []byte
 	line    int
 	eof     bool
-	strict  bool
 }
 
 // maxBuffer is the buffer the package reads and writes text through, unless
@@ -48,10 +47,6 @@ func readBuffer(r io.Reader) int {
 func NewReader(r io.Reader, alpha *seq.Alphabet) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, readBuffer(r)), alpha: alpha}
 }
-
-// SetStrict makes Read return an error on invalid residue letters instead of
-// silently mapping them to the wildcard.
-func (r *Reader) SetStrict(strict bool) { r.strict = strict }
 
 // Alphabet returns the alphabet in use, which is nil until the first record
 // has been read when auto-detection is active.
@@ -87,10 +82,7 @@ func (r *Reader) Read() (*seq.Sequence, error) {
 		r.alpha = seq.AlphabetFor(seq.GuessKind(residueText))
 	}
 	id, desc := SplitDefline(string(defline))
-	codes, encErr := r.alpha.Encode(residueText)
-	if encErr != nil && r.strict {
-		return nil, fmt.Errorf("fasta: record %q: %w", id, encErr)
-	}
+	codes, _ := r.alpha.Encode(residueText) // an invalid letter reads as the wildcard
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("fasta: record %q near line %d has no residues", id, r.line)
 	}
@@ -162,14 +154,11 @@ type Writer struct {
 }
 
 // NewWriter wraps w; width ≤ 0 selects the conventional 60 columns.
-func NewWriter(w io.Writer, width int) *Writer { return newWriter(w, width, maxBuffer) }
-
-// newWriter is NewWriter through a buffer of size bytes.
-func newWriter(w io.Writer, width, size int) *Writer {
+func NewWriter(w io.Writer, width int) *Writer {
 	if width <= 0 {
 		width = 60
 	}
-	return &Writer{w: bufio.NewWriterSize(w, size), width: width}
+	return &Writer{w: bufio.NewWriterSize(w, maxBuffer), width: width}
 }
 
 // Write emits one record.
@@ -228,33 +217,4 @@ func WriteFile(path string, seqs []*seq.Sequence, width int) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Bytes renders sequences as FASTA text in memory, into a buffer sized to
-// the text.
-func Bytes(seqs []*seq.Sequence, width int) ([]byte, error) {
-	if width <= 0 {
-		width = 60
-	}
-	size := 0
-	for _, s := range seqs {
-		size += len(s.ID) + len(s.Description) + 3 + len(s.Residues) + len(s.Residues)/width + 1
-	}
-	var buf bytes.Buffer
-	buf.Grow(size)
-	w := newWriter(&buf, width, max(min(size, maxBuffer), 16)) // bufio reads 0 as 4 KiB
-	for _, s := range seqs {
-		if err := w.Write(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Parse parses FASTA text held in memory.
-func Parse(data []byte, alpha *seq.Alphabet) ([]*seq.Sequence, error) {
-	return NewReader(bytes.NewReader(data), alpha).ReadAll()
 }

@@ -1,6 +1,7 @@
 package fasta
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"os"
@@ -21,6 +22,35 @@ NIKLMMKV
 MK
 `
 
+// Bytes renders sequences as FASTA text in memory, width residues a line,
+// through buffers sized to the text.
+func Bytes(seqs []*seq.Sequence, width int) ([]byte, error) {
+	size := 0
+	for _, s := range seqs {
+		size += len(s.ID) + len(s.Description) + 3 + len(s.Residues) + len(s.Residues)/width + 1
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	w := &Writer{w: bufio.NewWriterSize(&buf, max(min(size, maxBuffer), 16)), width: width} // bufio reads 0 as 4 KiB
+	for _, s := range seqs {
+		if err := w.Write(s); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// letters returns a record's residues as letter text.
+func letters(s *seq.Sequence) string { return string(s.Alpha.Decode(s.Residues)) }
+
+// Parse parses FASTA text held in memory.
+func Parse(data []byte, alpha *seq.Alphabet) ([]*seq.Sequence, error) {
+	return NewReader(bytes.NewReader(data), alpha).ReadAll()
+}
+
 func TestReaderBasic(t *testing.T) {
 	seqs, err := Parse([]byte(sample), seq.ProteinAlphabet)
 	if err != nil {
@@ -32,14 +62,14 @@ func TestReaderBasic(t *testing.T) {
 	if seqs[0].ID != "sp|P12345" || seqs[0].Description != "first protein" {
 		t.Fatalf("defline parsed wrong: %q / %q", seqs[0].ID, seqs[0].Description)
 	}
-	if seqs[0].Letters() != "MKVLAWFQERTYHPSD" {
-		t.Fatalf("residues: %q", seqs[0].Letters())
+	if letters(seqs[0]) != "MKVLAWFQERTYHPSD" {
+		t.Fatalf("residues: %q", letters(seqs[0]))
 	}
 	if seqs[1].ID != "second" || seqs[1].Description != "" {
 		t.Fatalf("bare defline parsed wrong: %+v", seqs[1])
 	}
-	if seqs[2].Letters() != "MK" {
-		t.Fatalf("last record: %q", seqs[2].Letters())
+	if letters(seqs[2]) != "MK" {
+		t.Fatalf("last record: %q", letters(seqs[2]))
 	}
 }
 
@@ -49,7 +79,7 @@ func TestReaderCRLFAndBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 2 || seqs[0].Letters() != "MKVLAWFQ" {
+	if len(seqs) != 2 || letters(seqs[0]) != "MKVLAWFQ" {
 		t.Fatalf("CRLF parse wrong: %+v", seqs)
 	}
 }
@@ -72,15 +102,13 @@ func TestReaderErrors(t *testing.T) {
 	if _, err := Parse([]byte(">empty\n>next\nMK\n"), seq.ProteinAlphabet); err == nil {
 		t.Fatal("record without residues accepted")
 	}
-	r := NewReader(strings.NewReader(">x\nMK?L\n"), seq.ProteinAlphabet)
-	r.SetStrict(true)
-	if _, err := r.Read(); err == nil {
-		t.Fatal("strict mode accepted invalid residue")
-	}
-	// Non-strict: wildcarded, no error.
+	// An invalid letter reads as the wildcard, with no error.
 	seqs, err := Parse([]byte(">x\nMK?L\n"), seq.ProteinAlphabet)
 	if err != nil || len(seqs) != 1 {
-		t.Fatalf("lenient mode failed: %v", err)
+		t.Fatalf("invalid letter not wildcarded: %v", err)
+	}
+	if got := seqs[0].Residues[2]; got != seq.ProteinAlphabet.Wildcard() {
+		t.Fatalf("invalid letter read as code %d, want the wildcard", got)
 	}
 }
 
@@ -116,7 +144,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost records: %d vs %d", len(back), len(in))
 	}
 	for i := range in {
-		if in[i].ID != back[i].ID || in[i].Letters() != back[i].Letters() ||
+		if in[i].ID != back[i].ID || letters(in[i]) != letters(back[i]) ||
 			in[i].Description != back[i].Description {
 			t.Fatalf("record %d mutated in round trip", i)
 		}

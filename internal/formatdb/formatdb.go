@@ -333,14 +333,6 @@ func loadVolume(fs *vfs.FS, vbase string) (string, seq.Kind, *VolumeInfo, error)
 	return decodeIndex(data)
 }
 
-// HdrOffset returns the byte offset of sequence i's defline in the volume's
-// header file; i may equal NumSeqs (the end sentinel).
-func (v *VolumeInfo) HdrOffset(i int) int64 { return v.hdrOffsets[i] }
-
-// SeqOffset returns the byte offset of sequence i's residues in the
-// volume's sequence file; i may equal NumSeqs.
-func (v *VolumeInfo) SeqOffset(i int) int64 { return v.seqOffsets[i] }
-
 // SeqLen returns the residue count of sequence i in the volume.
 func (v *VolumeInfo) SeqLen(i int) int { return int(v.seqOffsets[i+1] - v.seqOffsets[i]) }
 

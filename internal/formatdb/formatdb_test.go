@@ -145,11 +145,11 @@ func TestOffsetsConsistent(t *testing.T) {
 		if v.SeqLen(i) != seqs[i].Len() {
 			t.Fatalf("seq %d length %d != %d", i, v.SeqLen(i), seqs[i].Len())
 		}
-		if v.HdrOffset(i+1) < v.HdrOffset(i) || v.SeqOffset(i+1) < v.SeqOffset(i) {
+		if v.hdrOffsets[i+1] < v.hdrOffsets[i] || v.seqOffsets[i+1] < v.seqOffsets[i] {
 			t.Fatalf("offsets not monotone at %d", i)
 		}
 	}
-	if v.SeqOffset(v.NumSeqs) != v.SeqSize || v.HdrOffset(v.NumSeqs) != v.HdrSize {
+	if v.seqOffsets[v.NumSeqs] != v.SeqSize || v.hdrOffsets[v.NumSeqs] != v.HdrSize {
 		t.Fatal("end sentinels disagree with file sizes")
 	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,14 +60,36 @@ func fixtureDir(t *testing.T, name string) string {
 	return dir
 }
 
+// loadDir parses and type-checks a single directory outside the go list
+// universe (an internal/lint/testdata fixture package). Module-local
+// imports inside the fixture resolve against the real module.
+func (l *Loader) loadDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	var files []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		files = append(files, filepath.Join(dir, name))
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	return l.check("fixture/"+filepath.Base(dir), dir, files)
+}
+
 func loadFixtures(t *testing.T, names ...string) []*Package {
 	t.Helper()
 	l := testLoader(t)
 	var pkgs []*Package
 	for _, name := range names {
-		p, err := l.LoadDir(fixtureDir(t, name))
+		p, err := l.loadDir(fixtureDir(t, name))
 		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", name, err)
+			t.Fatalf("loadDir(%s): %v", name, err)
 		}
 		pkgs = append(pkgs, p)
 	}
@@ -278,7 +301,7 @@ func TestBadMarkerIsALoadError(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := testLoader(t).LoadDir(dir)
+		_, err := testLoader(t).loadDir(dir)
 		if good := strings.HasPrefix(name, "a bare"); good != (err == nil) {
 			t.Errorf("%s: load error %v", name, err)
 		}

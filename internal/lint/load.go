@@ -22,8 +22,8 @@ import (
 // found in its comments.
 type Package struct {
 	// ImportPath is the package's import path ("parblast/internal/mpi"),
-	// or a synthetic "fixture/<name>" path for testdata packages loaded
-	// with LoadDir.
+	// or a synthetic "fixture/<name>" path for the testdata packages the
+	// tests load.
 	ImportPath string
 	// Dir is the package's source directory.
 	Dir string
@@ -241,29 +241,6 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	l.pkgs[path] = p
 	return p, nil
-}
-
-// LoadDir parses and type-checks a single directory outside the go list
-// universe (an internal/lint/testdata fixture package). Module-local
-// imports inside the fixture resolve against the real module.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, filepath.Join(dir, name))
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	return l.check("fixture/"+filepath.Base(dir), dir, files)
 }
 
 // check parses and type-checks one package from explicit file paths.

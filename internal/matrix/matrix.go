@@ -20,8 +20,6 @@ type Matrix struct {
 	alpha  *seq.Alphabet
 	n      int
 	scores []int16 // n*n row-major
-	maxSc  int
-	minSc  int
 }
 
 // Name returns the conventional matrix name (e.g. "BLOSUM62").
@@ -41,12 +39,6 @@ func (m *Matrix) Row(a byte) []int16 {
 	return m.scores[int(a)*m.n : (int(a)+1)*m.n]
 }
 
-// MaxScore returns the largest entry in the matrix.
-func (m *Matrix) MaxScore() int { return m.maxSc }
-
-// MinScore returns the smallest entry in the matrix.
-func (m *Matrix) MinScore() int { return m.minSc }
-
 // Size returns the matrix dimension (alphabet size).
 func (m *Matrix) Size() int { return m.n }
 
@@ -56,19 +48,12 @@ func build(name string, alpha *seq.Alphabet, rows [][]int16) *Matrix {
 		panic(fmt.Sprintf("matrix %s: %d rows for alphabet size %d", name, len(rows), n))
 	}
 	m := &Matrix{name: name, alpha: alpha, n: n, scores: make([]int16, n*n)}
-	m.maxSc, m.minSc = int(rows[0][0]), int(rows[0][0])
 	for i, row := range rows {
 		if len(row) != n {
 			panic(fmt.Sprintf("matrix %s: row %d has %d entries", name, i, len(row)))
 		}
 		for j, s := range row {
 			m.scores[i*n+j] = s
-			if int(s) > m.maxSc {
-				m.maxSc = int(s)
-			}
-			if int(s) < m.minSc {
-				m.minSc = int(s)
-			}
 		}
 	}
 	return m
@@ -128,18 +113,6 @@ func NewDNA(match, mismatch int) *Matrix {
 
 // DNADefault is the blastn default reward/penalty pair (+1/-3).
 var DNADefault = NewDNA(1, -3)
-
-// ByName looks up a shipped matrix by its conventional name.
-func ByName(name string) (*Matrix, error) {
-	switch name {
-	case "BLOSUM62", "blosum62", "":
-		return BLOSUM62, nil
-	case "DNA", "dna":
-		return DNADefault, nil
-	default:
-		return nil, fmt.Errorf("matrix: unknown matrix %q (have BLOSUM62, DNA)", name)
-	}
-}
 
 // GapPenalties holds affine gap costs: opening a gap of length L costs
 // Open + L*Extend. Both are positive numbers (costs).

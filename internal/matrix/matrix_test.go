@@ -67,12 +67,18 @@ func TestBlosum62ExpectedScoreNegative(t *testing.T) {
 	}
 }
 
+// TestMinMaxScore pins the extremes of the BLOSUM62 table.
 func TestMinMaxScore(t *testing.T) {
-	if BLOSUM62.MaxScore() != 11 {
-		t.Fatalf("max = %d, want 11 (W/W)", BLOSUM62.MaxScore())
+	n := BLOSUM62.Size()
+	hi, lo := BLOSUM62.Score(0, 0), BLOSUM62.Score(0, 0)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			hi = max(hi, BLOSUM62.Score(byte(i), byte(j)))
+			lo = min(lo, BLOSUM62.Score(byte(i), byte(j)))
+		}
 	}
-	if BLOSUM62.MinScore() != -4 {
-		t.Fatalf("min = %d, want -4", BLOSUM62.MinScore())
+	if hi != 11 || lo != -4 {
+		t.Fatalf("max, min = %d, %d, want 11 (W/W), -4", hi, lo)
 	}
 }
 
@@ -100,18 +106,6 @@ func TestNewDNA(t *testing.T) {
 	}
 	if m.Alphabet() != seq.DNAAlphabet {
 		t.Fatal("alphabet wrong")
-	}
-}
-
-func TestByName(t *testing.T) {
-	if m, err := ByName("BLOSUM62"); err != nil || m != BLOSUM62 {
-		t.Fatal("BLOSUM62 lookup failed")
-	}
-	if m, err := ByName(""); err != nil || m != BLOSUM62 {
-		t.Fatal("default lookup failed")
-	}
-	if _, err := ByName("PAM1000"); err == nil {
-		t.Fatal("unknown matrix accepted")
 	}
 }
 

@@ -483,24 +483,3 @@ func (s Snapshot) HasPrefix(prefix string) bool {
 	}
 	return false
 }
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1)
-// of a histogram point: the smallest bucket bound with cumulative count
-// >= q*total, or +Inf when the overflow bucket holds the quantile.
-func (p HistogramPoint) Quantile(q float64) float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	need := int64(math.Ceil(q * float64(p.Total)))
-	var cum int64
-	for i, c := range p.Counts {
-		cum += c
-		if cum >= need {
-			if i < len(p.Bounds) {
-				return p.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"testing"
 )
@@ -40,12 +39,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if p.Sum != 5+10+50+1e6 {
 		t.Fatalf("histogram sum = %g", p.Sum)
-	}
-	if q := p.Quantile(0.5); q != 10 {
-		t.Fatalf("p50 = %g, want 10", q)
-	}
-	if q := p.Quantile(1); !math.IsInf(q, 1) {
-		t.Fatalf("p100 = %g, want +Inf (overflow bucket)", q)
 	}
 }
 

@@ -418,12 +418,11 @@ func TestPhaseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := simtime.BreakdownOf(clocks[0])
-	if !near(b.Search, 1e-3) {
-		t.Fatalf("search bucket = %g", b.Search)
+	if s := clocks[0].Bucket(simtime.PhaseSearch); !near(s, 1e-3) {
+		t.Fatalf("search bucket = %g", s)
 	}
-	if !near(b.Output, 11e-3) {
-		t.Fatalf("output bucket = %g", b.Output)
+	if o := clocks[0].Bucket(simtime.PhaseOutput); !near(o, 11e-3) {
+		t.Fatalf("output bucket = %g", o)
 	}
 }
 

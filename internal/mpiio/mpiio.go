@@ -60,11 +60,6 @@ func (v View) Validate() error {
 	return nil
 }
 
-// ContiguousView is the common special case: one extent.
-func ContiguousView(off, length int64) View {
-	return View{Segments: []Segment{{Offset: off, Length: length}}}
-}
-
 // File is a per-rank handle on a shared file.
 type File struct {
 	rank  *mpi.Rank

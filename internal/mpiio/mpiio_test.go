@@ -21,6 +21,11 @@ func testCost() simtime.CostModel {
 	}
 }
 
+// contiguousView is the common special case: one extent.
+func contiguousView(off, length int64) View {
+	return View{Segments: []Segment{{Offset: off, Length: length}}}
+}
+
 func TestViewValidate(t *testing.T) {
 	good := View{Segments: []Segment{{0, 10}, {10, 5}, {100, 1}}}
 	if err := good.Validate(); err != nil {
@@ -151,12 +156,12 @@ func TestWriteCollectiveWithHoles(t *testing.T) {
 	_, err := mpi.Run(2, testCost(), func(r *mpi.Rank) error {
 		f := OpenOrCreate(r, fs, "holes")
 		if r.ID() == 0 {
-			if err := f.SetView(ContiguousView(0, 4)); err != nil {
+			if err := f.SetView(contiguousView(0, 4)); err != nil {
 				return err
 			}
 			return f.WriteCollective([]byte("AAAA"))
 		}
-		if err := f.SetView(ContiguousView(10, 4)); err != nil {
+		if err := f.SetView(contiguousView(10, 4)); err != nil {
 			return err
 		}
 		return f.WriteCollective([]byte("BBBB"))
@@ -182,7 +187,7 @@ func TestWriteCollectiveEmptyParticipants(t *testing.T) {
 			return f.WriteCollective(nil) // empty view
 		}
 		off := int64((r.ID() - 1) * 3)
-		if err := f.SetView(ContiguousView(off, 3)); err != nil {
+		if err := f.SetView(contiguousView(off, 3)); err != nil {
 			return err
 		}
 		return f.WriteCollective([]byte{byte('0' + r.ID()), byte('0' + r.ID()), byte('0' + r.ID())})
@@ -214,7 +219,7 @@ func TestWriteLengthMismatch(t *testing.T) {
 	fs := vfs.MustNew(vfs.RAMDisk())
 	_, err := mpi.Run(1, testCost(), func(r *mpi.Rank) error {
 		f := OpenOrCreate(r, fs, "o")
-		if err := f.SetView(ContiguousView(0, 10)); err != nil {
+		if err := f.SetView(contiguousView(0, 10)); err != nil {
 			return err
 		}
 		if err := f.WriteCollective([]byte("short")); err == nil {
@@ -313,7 +318,7 @@ func TestWriteCollectiveSkipsEmptyShuffleMessages(t *testing.T) {
 	_, sent, err := mpi.RunConfig(n, mpi.Config{Cost: testCost()}, func(r *mpi.Rank) error {
 		f := OpenOrCreate(r, fs, "aligned")
 		off := int64(r.ID() * 4)
-		if err := f.SetView(ContiguousView(off, 4)); err != nil {
+		if err := f.SetView(contiguousView(off, 4)); err != nil {
 			return err
 		}
 		payload := bytes.Repeat([]byte{byte('a' + r.ID())}, 4)

@@ -103,7 +103,7 @@ func TestReadCollectiveEmptyParticipants(t *testing.T) {
 			return f.ReadCollective()
 		}
 		off := int64((r.ID() - 1) / 2 * 18)
-		if err := f.SetView(ContiguousView(off, 18)); err != nil {
+		if err := f.SetView(contiguousView(off, 18)); err != nil {
 			return nil, err
 		}
 		return f.ReadCollective()

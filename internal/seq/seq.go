@@ -6,10 +6,7 @@
 // indexes can be addressed by code arithmetic instead of byte lookups.
 package seq
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind identifies the molecule type of an alphabet or sequence.
 type Kind uint8
@@ -191,11 +188,6 @@ func (s *Sequence) Defline() string {
 	return s.ID + " " + s.Description
 }
 
-// Letters returns the residues as canonical letter text.
-func (s *Sequence) Letters() string {
-	return string(s.Alpha.Decode(s.Residues))
-}
-
 // Validate checks internal consistency: a non-empty ID, a known alphabet,
 // and all residue codes within the alphabet.
 func (s *Sequence) Validate() error {
@@ -253,40 +245,4 @@ func AlphabetFor(k Kind) *Alphabet {
 		return DNAAlphabet
 	}
 	return ProteinAlphabet
-}
-
-// Concat joins several residue slices with a single wildcard separator
-// between them, the layout the BLAST kernel uses for a packed DB partition.
-// It returns the packed residues and the start offset of each input within
-// the packed slice.
-func Concat(alpha *Alphabet, parts [][]byte) (packed []byte, starts []int) {
-	total := 0
-	for _, p := range parts {
-		total += len(p) + 1
-	}
-	packed = make([]byte, 0, total)
-	starts = make([]int, len(parts))
-	for i, p := range parts {
-		starts[i] = len(packed)
-		packed = append(packed, p...)
-		if i != len(parts)-1 {
-			packed = append(packed, alpha.Wildcard())
-		}
-	}
-	return packed, starts
-}
-
-// FormatResidues wraps letters at width columns for FASTA output.
-func FormatResidues(letters string, width int) string {
-	if width <= 0 {
-		width = 60
-	}
-	var b strings.Builder
-	for len(letters) > width {
-		b.WriteString(letters[:width])
-		b.WriteByte('\n')
-		letters = letters[width:]
-	}
-	b.WriteString(letters)
-	return b.String()
 }

@@ -115,30 +115,6 @@ func TestGuessKind(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := ProteinAlphabet
-	packed, starts := Concat(a, [][]byte{{1, 2}, {3}, {4, 5, 6}})
-	if len(starts) != 3 || starts[0] != 0 || starts[1] != 3 || starts[2] != 5 {
-		t.Fatalf("starts = %v", starts)
-	}
-	if packed[2] != a.Wildcard() || packed[4] != a.Wildcard() {
-		t.Fatalf("separators missing: %v", packed)
-	}
-	if len(packed) != 8 {
-		t.Fatalf("packed len = %d", len(packed))
-	}
-}
-
-func TestFormatResidues(t *testing.T) {
-	out := FormatResidues("AAAAABBBBBCC", 5)
-	if out != "AAAAA\nBBBBB\nCC" {
-		t.Fatalf("wrapped = %q", out)
-	}
-	if FormatResidues("ABC", 0) != "ABC" {
-		t.Fatal("default width mangles short input")
-	}
-}
-
 func TestEncodeDecodeQuick(t *testing.T) {
 	// Property: decode(encode(x)) is stable under re-encoding for any
 	// letters drawn from the alphabet.

@@ -138,23 +138,6 @@ type Breakdown struct {
 	Total  float64
 }
 
-// BreakdownOf converts a clock's buckets into a Breakdown.
-func BreakdownOf(c *Clock) Breakdown {
-	b := Breakdown{
-		Copy:   c.Bucket(PhaseCopy),
-		Input:  c.Bucket(PhaseInput),
-		Search: c.Bucket(PhaseSearch),
-		Output: c.Bucket(PhaseOutput),
-		Other:  c.Bucket(PhaseOther),
-	}
-	b.Total = b.Copy + b.Input + b.Search + b.Output + b.Other
-	return b
-}
-
-// NonSearch returns everything except the search bucket ("other" time in
-// the paper's Figure 1(a) sense).
-func (b Breakdown) NonSearch() float64 { return b.Total - b.Search }
-
 // String renders the breakdown as a Table-1-style row.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("copy/input=%.1f search=%.1f output=%.1f other=%.1f total=%.1f",

@@ -136,13 +136,6 @@ func (p Params) BitScore(raw int) float64 {
 	return (float64(p.Lambda*float64(raw)) - math.Log(p.K)) / math.Ln2
 }
 
-// RawScore converts a bit score back to the smallest raw score achieving it.
-// A small epsilon absorbs floating-point noise so that
-// RawScore(BitScore(s)) == s for integer s.
-func (p Params) RawScore(bits float64) int {
-	return int(math.Ceil((bits*math.Ln2+math.Log(p.K))/p.Lambda - 1e-9))
-}
-
 // EValue computes the expected number of chance alignments with score ≥ raw
 // in the given search space.
 func (p Params) EValue(raw int, ss SearchSpace) float64 {
@@ -169,12 +162,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// FormatEValue renders an E-value the way NCBI BLAST reports do:
-// scientific notation below 1e-2 ("3e-42"), otherwise fixed point.
-// Very small values are clamped to "0.0".
-func FormatEValue(e float64) string { return string(AppendEValue(nil, e)) }
-
-// AppendEValue appends FormatEValue's rendering of e to dst.
+// AppendEValue appends e to dst rendered the way NCBI BLAST reports do:
+// scientific notation below 1e-2 ("3e-42"), otherwise fixed point. Very
+// small values are clamped to "0.0".
 func AppendEValue(dst []byte, e float64) []byte {
 	switch {
 	case e < 1e-180:

@@ -57,9 +57,9 @@ func TestBitScoreRoundTrip(t *testing.T) {
 	p := Blosum62Gapped11_1
 	for raw := 30; raw < 400; raw += 17 {
 		bits := p.BitScore(raw)
-		back := p.RawScore(bits)
+		back := int(math.Ceil((bits*math.Ln2+math.Log(p.K))/p.Lambda - 1e-9))
 		if back != raw {
-			t.Fatalf("RawScore(BitScore(%d)) = %d", raw, back)
+			t.Fatalf("BitScore(%d) = %g inverts to %d", raw, bits, back)
 		}
 	}
 }
@@ -125,8 +125,8 @@ func TestFormatEValue(t *testing.T) {
 		{42.7, "43"},
 	}
 	for _, c := range cases {
-		if got := FormatEValue(c.in); got != c.want {
-			t.Fatalf("FormatEValue(%g) = %q, want %q", c.in, got, c.want)
+		if got := string(AppendEValue(nil, c.in)); got != c.want {
+			t.Fatalf("AppendEValue(%g) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestEValuePositiveQuick(t *testing.T) {
 
 func TestFormatEValueNeverEmpty(t *testing.T) {
 	for _, e := range []float64{0, 1e-300, 1e-5, 0.01, 0.99, 1, 9.9, 10, 1e6} {
-		if s := FormatEValue(e); strings.TrimSpace(s) == "" {
+		if s := string(AppendEValue(nil, e)); strings.TrimSpace(s) == "" {
 			t.Fatalf("empty format for %g", e)
 		}
 	}

@@ -155,7 +155,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 				c.Record(rank, "search", from, from+0.5)
 				c.Record(rank, "output", from+0.5, from+1)
 				if i%50 == 0 {
-					c.RecordEvent(rank, "mark", from)
+					c.RecordEventAttrs(rank, "mark", from, nil)
 				}
 				reg.Counter("mpi.send.tag01.msgs", rank).Inc()
 				reg.Histogram("mpi.msg_bytes", rank, metrics.SizeBuckets()).Observe(float64(i))

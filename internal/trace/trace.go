@@ -42,14 +42,10 @@ func NewCollector() *Collector {
 	return &Collector{ranks: make(map[int][]Span), events: make(map[int][]Event)}
 }
 
-// RecordEvent adds a point event to a rank's timeline (rendered as an 'X'
-// on the Gantt chart). The mpi layer marks every fired fault with one.
-func (c *Collector) RecordEvent(rank int, name string, at float64) {
-	c.RecordEventAttrs(rank, name, at, nil)
-}
-
-// RecordEventAttrs is RecordEvent with key/value annotations that trace
-// exporters surface (Chrome trace args, Perfetto's argument panel).
+// RecordEventAttrs adds a point event to a rank's timeline (rendered as an
+// 'X' on the Gantt chart), with key/value annotations that trace exporters
+// surface (Chrome trace args, Perfetto's argument panel); attrs may be nil.
+// The mpi layer marks every fired fault with one.
 func (c *Collector) RecordEventAttrs(rank int, name string, at float64, attrs map[string]string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -112,8 +112,8 @@ func TestGlyphs(t *testing.T) {
 func TestEventsOnTimeline(t *testing.T) {
 	c := NewCollector()
 	c.Record(0, "search", 0, 10)
-	c.RecordEvent(0, "crash", 5)
-	c.RecordEvent(2, "degrade", 12) // rank with no spans at all
+	c.RecordEventAttrs(0, "crash", 5, nil)
+	c.RecordEventAttrs(2, "degrade", 12, nil) // rank with no spans at all
 
 	if got := c.Ranks(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("Ranks() = %v, want [0 2]", got)

@@ -338,17 +338,6 @@ func (fs *FS) OpenOrCreate(path string) *File {
 	return f
 }
 
-// Remove deletes a file.
-func (fs *FS) Remove(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; !ok {
-		return fmt.Errorf("vfs: %s: remove %q: no such file", fs.profile.Name, path)
-	}
-	delete(fs.files, path)
-	return nil
-}
-
 // List returns all paths in sorted order.
 func (fs *FS) List() []string {
 	fs.mu.Lock()

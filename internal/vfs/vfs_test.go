@@ -128,12 +128,6 @@ func TestNamespace(t *testing.T) {
 	if err != nil || string(data) != "1" {
 		t.Fatalf("readfile: %q %v", data, err)
 	}
-	if err := fs.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("a"); err == nil {
-		t.Fatal("double remove succeeded")
-	}
 	f := fs.OpenOrCreate("c")
 	if f == nil || fs.OpenOrCreate("c") != f {
 		t.Fatal("OpenOrCreate not idempotent")

@@ -73,6 +73,11 @@ func (c ArrivalConfig) validated() (ArrivalConfig, error) {
 	if c.Burst < 1 {
 		return c, fmt.Errorf("workload: burst factor must be ≥ 1, got %g", c.Burst)
 	}
+	// NaN fails every comparison above; NaN, +Inf and a factor whose
+	// 2·Burst−1 overflows give a NaN or zero rate factor here.
+	if calm, burst := c.rateFactors(); !(calm > 0 && burst > 0) {
+		return c, fmt.Errorf("workload: burst factor must be finite with positive calm and burst rate factors, got %g (factors %g and %g)", c.Burst, calm, burst)
+	}
 	if c.BurstDwell < 0 {
 		return c, fmt.Errorf("workload: burst dwell must be ≥ 1 batches, got %d", c.BurstDwell)
 	}
@@ -94,6 +99,12 @@ func (c ArrivalConfig) validated() (ArrivalConfig, error) {
 			c.BatchDist, BatchFixed, BatchUniform, BatchGeometric)
 	}
 	return c, nil
+}
+
+// rateFactors returns the calm and burst phases' rate factors (see Burst).
+func (c ArrivalConfig) rateFactors() (calm, burst float64) {
+	calm = c.Burst / (2*c.Burst - 1)
+	return calm, c.Burst * calm
 }
 
 // Batch is one admitted unit of work: a contiguous slice of the query set
@@ -122,8 +133,7 @@ func Arrivals(queries []*seq.Sequence, cfg ArrivalConfig) ([]Batch, error) {
 	// Two-state MMPP phase machine. rateFactor multiplies the base rate
 	// in the current phase; phasesLeft counts batches until the next
 	// switch. Plain Poisson is the degenerate single phase (factor 1).
-	calm := cfg.Burst / (2*cfg.Burst - 1)
-	burst := cfg.Burst * calm
+	calm, burst := cfg.rateFactors()
 	inBurst := false
 	phaseLeft := 0
 	nextDwell := func() int {

@@ -172,6 +172,9 @@ func TestArrivalsValidation(t *testing.T) {
 		{Rate: -1},
 		{Rate: math.Inf(1)},
 		{Rate: 1, Burst: 0.5},
+		{Rate: 1, Burst: math.NaN()},
+		{Rate: 1, Burst: math.Inf(1)},
+		{Rate: 1, Burst: 1e308},
 		{Rate: 1, BatchMean: -2},
 		{Rate: 1, BatchDist: "zipf"},
 		{Rate: 1, BurstDwell: -1},

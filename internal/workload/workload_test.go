@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"parblast/internal/seq"
@@ -17,7 +18,7 @@ func TestSynthesizeDBDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Letters() != b[i].Letters() {
+		if a[i].ID != b[i].ID || !bytes.Equal(a[i].Residues, b[i].Residues) {
 			t.Fatalf("sequence %d differs between runs", i)
 		}
 	}
@@ -25,7 +26,7 @@ func TestSynthesizeDBDeterministic(t *testing.T) {
 	c, _ := SynthesizeDB(cfg)
 	same := true
 	for i := range a {
-		if a[i].Letters() != c[i].Letters() {
+		if !bytes.Equal(a[i].Residues, c[i].Residues) {
 			same = false
 			break
 		}

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full verification gate: formatting, build, vet, race-enabled tests, a
 # smoke run of the kernel benchmarks (one iteration — checks they still
-# execute, not perf), an examples build + quickstart smoke run, and a
+# execute, not perf), an examples build + a smoke run of each example, and a
 # telemetry smoke run (parblast -report/-trace-out + artifact validation).
 set -eu
 cd "$(dirname "$0")/.."
@@ -239,6 +239,8 @@ for pkg in $(go list ./...); do
 done
 go test -run=- -bench='SearchFragment|SearchQueries|ScanSubject|ExtendGapped|ExtendUngapped' -benchtime=1x ./internal/blast
 go run ./examples/quickstart >/dev/null
+go run ./examples/clustersim >/dev/null
+go run ./examples/dbcompare >/dev/null
 
 # Telemetry smoke: a tiny end-to-end run with no telemetry flag but -report
 # and -trace-out must produce a parseable run report (metrics from all five
