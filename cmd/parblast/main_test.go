@@ -3,10 +3,43 @@ package main
 import (
 	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
+
+// TestMain runs the command itself when a test starts this binary with
+// PARBLAST_RUN_MAIN=1, so a test can check what the CLI prints and how it exits.
+func TestMain(m *testing.M) {
+	if os.Getenv("PARBLAST_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestArrivalMeanOverflowRejected: a uniform batch mean whose bound
+// 2·mean−1 overflows used to panic in rand.Intn. The command now exits 1
+// naming the limit.
+func TestArrivalMeanOverflowRejected(t *testing.T) {
+	query := filepath.Join(t.TempDir(), "q.fa")
+	if err := os.WriteFile(query, []byte(">q1\nMKVLAAGIVGLLLAQ\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-db", query, "-query", query, "-serve",
+		"-arrival-dist", "uniform", "-arrival-batch", "4611686018427387905")
+	cmd.Env = append(os.Environ(), "PARBLAST_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	exit, ok := err.(*exec.ExitError)
+	if !ok || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1; output:\n%s", err, out)
+	}
+	if want := "parblast: workload: batch mean must be ≤ 2^52, got 4611686018427387905"; !strings.Contains(string(out), want) {
+		t.Fatalf("output %q does not name the limit (%q)", out, want)
+	}
+}
 
 // TestIgnoredFlag: an arrival flag set without -serve is rejected, naming the
 // flag and the reason, and so is a database flag beside the wrong source:

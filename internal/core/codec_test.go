@@ -59,9 +59,11 @@ func TestJobMetaCodec(t *testing.T) {
 }
 
 // TestSelectionBundleSkipsWithoutCopying: every worker finds its own selection
-// in the layout broadcast, a truncated bundle is an error, and what a worker
-// allocates does not depend on how many other workers' selections it passes
-// over on the way — n workers would otherwise make n²/2 copies per batch.
+// through the layout broadcast's directory, a truncated bundle or a worker
+// outside the world is an error, and neither indexing the bundle nor reading
+// one worker's entry allocates more for more workers — a worker that decoded
+// its way past the others' selections would make the n workers of a batch do
+// O(n²) work.
 func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
 	bundle := func(workers int) ([]byte, []selection) {
 		sel := make([]selection, workers+1)
@@ -73,33 +75,45 @@ func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
 		return encodeSelectionBundle(true, sel, alive), sel
 	}
 	data, sel := bundle(5)
+	dir := readSelectionDir(data, 8)
 	for w := 1; w <= 5; w++ {
-		got, ok, err := decodeSelectionBundle(data, w)
+		got, ok, err := dir.selection(w)
 		if err != nil || !ok || !reflect.DeepEqual(got, sel[w]) {
 			t.Fatalf("worker %d: got %+v ok=%v err=%v, want %+v", w, got, ok, err, sel[w])
 		}
 	}
-	if _, _, err := decodeSelectionBundle(data, 6); err == nil {
-		t.Fatal("a worker the bundle does not name was served")
+	for _, w := range []int{6, 8, -1} {
+		if _, _, err := dir.selection(w); err == nil {
+			t.Fatalf("worker %d, whom the bundle does not name, was served", w)
+		}
+	}
+	if _, _, err := readSelectionDir(data, 5).selection(1); err == nil {
+		t.Fatal("a bundle naming worker 5 was read in a world of 5 ranks")
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := decodeSelectionBundle(data[:cut], 5); err == nil {
+		if _, _, err := readSelectionDir(data[:cut], 8).selection(1); err == nil {
 			t.Fatalf("truncation at %d of %d undetected", cut, len(data))
 		}
 	}
-	if _, ok, err := decodeSelectionBundle(encodeSelectionBundle(false, nil, nil), 1); ok || err != nil {
+	if _, ok, err := readSelectionDir(encodeSelectionBundle(false, nil, nil), 8).selection(1); ok || err != nil {
 		t.Fatalf("abort marker: ok=%v err=%v", ok, err)
 	}
-	allocs := func(workers int) float64 {
+	allocs := func(workers int) (index, read float64) {
 		data, _ := bundle(workers)
-		return testing.AllocsPerRun(20, func() {
-			if _, _, err := decodeSelectionBundle(data, workers); err != nil {
+		dir := readSelectionDir(data, workers+1)
+		index = testing.AllocsPerRun(20, func() { readSelectionDir(data, workers+1) })
+		read = testing.AllocsPerRun(20, func() {
+			if _, _, err := dir.selection(workers); err != nil {
 				t.Fatal(err)
 			}
 		})
+		return index, read
 	}
-	if few, many := allocs(2), allocs(200); many != few {
-		t.Fatalf("the last of 200 workers allocates %v times, the last of 2 %v: skipped selections are being copied", many, few)
+	fewIndex, fewRead := allocs(2)
+	manyIndex, manyRead := allocs(200)
+	if manyIndex != fewIndex || manyRead != fewRead {
+		t.Fatalf("200 workers: %v allocations to index, %v to read the last; 2 workers: %v and %v — selections are being copied",
+			manyIndex, manyRead, fewIndex, fewRead)
 	}
 }
 
@@ -168,7 +182,7 @@ func FuzzWire(f *testing.F) {
 		codeLayout("selection", sel, (*selection).code),
 		codeLayout("go", goMsg{Done: true, Extras: []int{3}, Alive: []int{1, 2}}, (*goMsg).code),
 		{Name: "selection bundle", Sample: encodeSelectionBundle(true, []selection{{}, sel, {}}, []int{2, 1}), Decode: func(data []byte) (any, []byte, error) {
-			s, ok, err := decodeSelectionBundle(data, 1)
+			s, ok, err := readSelectionDir(data, 3).selection(1)
 			return []any{s, ok}, encodeSelectionBundle(ok, []selection{{}, s}, []int{1}), err
 		}},
 	})

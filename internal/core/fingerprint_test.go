@@ -44,10 +44,11 @@ var fpPhases = []simtime.Phase{
 // cost is charged, which moves the two hsps series (and nothing else) on the
 // mpiBLAST tree paths; the built-versus-reused series count what the host
 // built once per world and shared — query indexes, kernel context loans,
-// collective plans, tree layouts, broadcast decodes, gathered volumes and
-// thresholds — and the aside series count how often and how widely ranks
-// searched off the scheduler token, which describes the simulator, not the
-// modelled cluster.
+// collective plans, tree layouts, broadcast decodes, selection directories,
+// gathered volumes and thresholds —, the aside series count how often and
+// how widely ranks searched off the scheduler token, and the grant and
+// re-key series count the scheduler's own work, which describes the
+// simulator, not the modelled cluster.
 var fpSkippedSeries = map[string]bool{
 	"blast.hsps_kept": true, "blast.hsps_dropped": true,
 	"blast.index_builds": true, "blast.index_reuses": true, "blast.context_lends": true,
@@ -56,7 +57,9 @@ var fpSkippedSeries = map[string]bool{
 	"engine.bcast_decode_builds": true, "engine.bcast_decode_reuses": true,
 	"core.batch_volumes_builds": true, "core.batch_volumes_reuses": true,
 	"core.prune_threshold_builds": true, "core.prune_threshold_reuses": true,
+	"core.selection_dir_builds": true, "core.selection_dir_reuses": true,
 	"mpi.asides": true, "mpi.aside_peak": true,
+	"mpi.grants": true, "mpi.eligibility_updates": true,
 }
 
 // fpOrderSeries is the suffix of each file system's order-inversion counter.

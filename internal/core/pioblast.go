@@ -342,29 +342,58 @@ func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
 	return c.Bytes()
 }
 
-// decodeSelectionBundle extracts this worker's selection from the layout
-// broadcast, passing over the other workers' without copying them. ok=false
-// reports the master's abort marker.
-func decodeSelectionBundle(data []byte, worker int) (sel selection, ok bool, err error) {
+// selectionDir is the layout broadcast as its workers read it: the abort
+// marker, or where in the bundle each worker's encoded selection lies. Every
+// worker holds the same bundle slice, so the host builds the directory once
+// per broadcast (mpi.OnceFor) and each worker decodes only its own entry.
+type selectionDir struct {
+	ok bool
+	// views[w] is worker w's encoded selection, a view of the bundle; nil
+	// when the bundle names no such worker.
+	views [][]byte
+	err   error
+}
+
+// readSelectionDir indexes a layout broadcast for a world of size ranks,
+// without copying any selection. A worker named twice keeps its first entry.
+func readSelectionDir(data []byte, size int) *selectionDir {
+	d := &selectionDir{}
 	c := engine.Decoder(data)
-	if c.Bool(&ok); !ok {
-		return selection{}, false, c.Err()
+	if c.Bool(&d.ok); !d.ok {
+		d.err = c.Err()
+		return d
 	}
+	d.views = make([][]byte, size)
 	for range c.Count(0) {
 		var wk int
-		if c.Int(&wk); wk != worker {
-			c.SkipBlob()
-			continue
+		c.Int(&wk)
+		view := c.BlobView()
+		if c.Err() != nil {
+			break
 		}
-		var own []byte
-		c.Blob(&own)
-		d := engine.Decoder(own)
-		return sel, true, sel.code(&d).Err()
+		if wk < 0 || wk >= size {
+			d.err = fmt.Errorf("core: layout broadcast names worker %d in a world of %d", wk, size)
+			return d
+		}
+		if d.views[wk] == nil {
+			d.views[wk] = view
+		}
 	}
-	if c.Err() != nil {
-		return selection{}, false, c.Err()
+	d.err = c.Err()
+	return d
+}
+
+// selection decodes worker's own selection. ok=false reports the master's
+// abort marker.
+func (d *selectionDir) selection(worker int) (sel selection, ok bool, err error) {
+	if d.err != nil || !d.ok {
+		return selection{}, false, d.err
 	}
-	return selection{}, true, fmt.Errorf("core: layout broadcast misses worker %d", worker)
+	if worker < 0 || worker >= len(d.views) || d.views[worker] == nil {
+		return selection{}, true, fmt.Errorf("core: layout broadcast misses worker %d", worker)
+	}
+	c := engine.Decoder(d.views[worker])
+	return sel, true, sel.code(&c).Err()
 }
 
 // Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1)
@@ -732,7 +761,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 	var treeMerged []engine.QueryMeta
 	var perWorker []batchMetas
 	if meta.Tree {
-		members := engine.TreeMembers(alive)
+		members := mb.own.Members()
 		// The master contributes an identity bundle covering every
 		// query, so the fold always yields the full batch range.
 		id := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
@@ -836,7 +865,7 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 	if meta.Tree {
 		// Layout broadcast down the tree (§3.3): one bundle holding
 		// every worker's selection instead of N point-to-point sends.
-		r.TreeBcast(0, meta.TreeFanout, engine.TreeMembers(alive), encodeSelectionBundle(true, sel, alive))
+		r.TreeBcast(0, meta.TreeFanout, mb.own.Members(), encodeSelectionBundle(true, sel, alive))
 	} else {
 		for _, w := range alive {
 			r.Send(w, tagSelect, sel[w].encode())
@@ -1289,7 +1318,8 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		}
 		r.SetPhase(simtime.PhaseIdle)
 		layout := r.TreeBcast(0, meta.TreeFanout, w.members, nil)
-		s, ok, err := decodeSelectionBundle(layout, r.ID())
+		dir := mpi.OnceFor(r, "core.selection_dir", layout, func() *selectionDir { return readSelectionDir(layout, r.Size()) })
+		s, ok, err := dir.selection(r.ID())
 		if err != nil {
 			return err
 		}

@@ -224,9 +224,10 @@ func (c *Codec) Blob(b *[]byte) {
 	*b = slices.Clone(c.view())
 }
 
-// SkipBlob passes over a length-prefixed byte slice while decoding, without
-// materialising it.
-func (c *Codec) SkipBlob() { c.view() }
+// BlobView reads a length-prefixed byte slice while decoding as a view of the
+// message, without copying it; the view is empty, not nil, for an empty blob,
+// and nil on error.
+func (c *Codec) BlobView() []byte { return c.view() }
 
 // view reads a length-prefixed byte slice as a view of the buffer (nil on
 // error).

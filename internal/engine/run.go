@@ -172,6 +172,8 @@ func StaticShare(parts, workers, w int) []int {
 type Ledger struct {
 	alive []int
 	parts [][]int
+	// members is TreeMembers(alive), built on first ask after a change.
+	members []int
 }
 
 // NewLedger starts a ledger with workers 1..workers alive, owning nothing.
@@ -181,6 +183,16 @@ func NewLedger(workers int) *Ledger {
 
 // Alive lists the live workers in rank order, until the next Reap.
 func (l *Ledger) Alive() []int { return l.alive }
+
+// Members is the reduction-tree membership of the live workers
+// (TreeMembers). It is one slice until a Reap drops a worker, and never
+// edited, so a tree collective that meets it again need not compare it.
+func (l *Ledger) Members() []int {
+	if l.members == nil {
+		l.members = TreeMembers(l.alive)
+	}
+	return l.members
+}
 
 // Give adds parts to what worker w owns, keeping (not copying) the first
 // slice it is given.
@@ -203,6 +215,7 @@ func (l *Ledger) Reap(dead func(w int) bool, lost func(w int, parts []int)) {
 		}
 		parts := l.parts[w]
 		l.parts[w] = nil
+		l.members = nil
 		lost(w, parts)
 	}
 	l.alive = live

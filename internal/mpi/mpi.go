@@ -36,11 +36,12 @@
 // happened to run first.
 //
 // The token is a value on a channel. Every rank owns one wake channel of
-// capacity one; the holder parks itself, scans for the earliest event, and
-// sends the token to exactly that rank (possibly itself), then receives on
-// its own channel. World state is only ever touched by the token holder, and
-// the send/receive pair is the happens-before edge between consecutive
-// holders, so the world needs no lock and a handoff wakes one goroutine.
+// capacity one; the holder parks itself, takes the earliest event from the
+// world's eligibility heap, and sends the token to exactly that rank
+// (possibly itself), then receives on its own channel. World state is only
+// ever touched by the token holder, and the send/receive pair is the
+// happens-before edge between consecutive holders, so the world needs no lock
+// and a handoff wakes one goroutine.
 // Ranks start parked in the ready state; Run makes the first grant. When the
 // job stalls (deadlock, an unrecovered crash, a body error) the world is
 // marked aborted and the remaining ranks are unwound through the same
@@ -228,16 +229,23 @@ type World struct {
 	config    Config
 	ranks     []Rank
 	coll      *collective
-	topo      treeTopo // the last tree layout built (layout)
+	topo      treeTopo    // the last tree layout built (layout)
+	shared    payloadSlot // the last value derived from a payload (OnceFor)
 	seq       int64
 	doneCount int
+	live      int // ranks that have not crashed
 	aborted   bool
 	abortMsg  string
 	firstErr  error
 
-	// Host-side accounting of Aside: ranks computing without the token now,
-	// and the most at once.
+	// eligible is the grant order: every rank that has an event, as an
+	// indexed min-heap on (eligibleAt, id). See rekey.
+	eligible []event
+
+	// Host-side accounting: ranks computing Aside now and the most at once,
+	// token handoffs, and heap re-keys.
 	away, awayPeak int
+	grants, rekeys int64
 }
 
 // Rank is one simulated MPI process: its clock, its scheduler state, its
@@ -257,6 +265,10 @@ type Rank struct {
 	inbox            []message
 	coll             *collective // the collective this rank last joined
 	sent             Traffic
+
+	// slot is the rank's index in the world's eligibility heap, -1 while
+	// it has no event (rekey).
+	slot int
 
 	// Fault plane: the schedule (fixed at setup, +Inf = never) and outcome.
 	crashAt, degradeAt, degradeSlow float64
@@ -298,6 +310,10 @@ type Config struct {
 	// schedule's deterministic order. Tracing reads clocks and never
 	// advances one, so enabling it cannot change any simulated time.
 	Trace *trace.Collector
+
+	// grantCheck, set only by this package's tests, sees the world and the
+	// rank chosen at every grant (-1: none can run), before the handoff.
+	grantCheck func(w *World, next int)
 }
 
 // ShuffleTagBase splits the tag space: tags at or above it belong to the
@@ -408,7 +424,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []T
 	if len(cfg.Speeds) > n { // a factor for a rank that does not exist would be ignored
 		return nil, nil, fmt.Errorf("mpi: %d speed factors for world size %d", len(cfg.Speeds), n)
 	}
-	w := &World{n: n, cost: cfg.Cost, config: cfg, ranks: make([]Rank, n)}
+	w := &World{n: n, cost: cfg.Cost, config: cfg, ranks: make([]Rank, n), live: n, eligible: make([]event, n)}
 	inf := math.Inf(1)
 	for i := range w.ranks {
 		speed := 1.0
@@ -418,9 +434,11 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []T
 				return nil, nil, fmt.Errorf("mpi: zero, negative or non-finite speed factor %g for rank %d", speed, i)
 			}
 		}
+		// Every rank starts ready at time 0, so ascending ids are a heap.
 		w.ranks[i] = Rank{id: i, world: w, clock: simtime.NewClock(), speed: speed,
-			wake: make(chan struct{}, 1), recvDeadline: inf,
+			wake: make(chan struct{}, 1), slot: i, recvDeadline: inf,
 			crashAt: inf, degradeAt: inf, degradeSlow: 1, crashTime: inf, traceBatch: -1}
+		w.eligible[i] = event{id: i}
 	}
 	for _, f := range cfg.Faults {
 		if f.Rank < 0 || f.Rank >= n {
@@ -490,6 +508,8 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []T
 		sent[i] = w.ranks[i].sent
 	}
 	cfg.Metrics.Counter("mpi.aside_peak", 0).Add(int64(w.awayPeak))
+	cfg.Metrics.Counter("mpi.grants", 0).Add(w.grants)
+	cfg.Metrics.Counter("mpi.eligibility_updates", 0).Add(w.rekeys)
 	if w.firstErr != nil {
 		return clocks, sent, w.firstErr
 	}
@@ -528,21 +548,30 @@ func (r *Rank) awaitToken() {
 // finishRank marks the rank done and hands the token onward.
 func (w *World) finishRank(r *Rank) {
 	r.state = stateDone
+	w.unqueue(r)
 	w.doneCount++
 	w.schedule()
 }
 
 // schedule hands the token to the eligible rank with the smallest virtual
-// time. The caller holds the token and has already parked itself. A stall
-// with unfinished ranks aborts the world, and an aborted world hands the
-// token to its lowest unfinished rank instead: that rank resumes into
-// abortPanic and its finishRank calls schedule again, so the survivors
+// time, ties to the lowest id: the eligibility heap's minimum, which leaves
+// the heap with the token. The caller holds the token and has already parked
+// itself. A stall with unfinished ranks aborts the world, and an aborted world
+// hands the token to its lowest unfinished rank instead: that rank resumes
+// into abortPanic and its finishRank calls schedule again, so the survivors
 // unwind one at a time through the same handoff.
 func (w *World) schedule() {
 	next := -1
 	if !w.aborted {
-		next = w.earliestEligible()
-		if next < 0 && w.doneCount < w.n {
+		if len(w.eligible) > 0 {
+			next = w.eligible[0].id
+		}
+		if check := w.config.grantCheck; check != nil {
+			check(w, next)
+		}
+		if next >= 0 {
+			w.unqueue(&w.ranks[next])
+		} else if w.doneCount < w.n {
 			w.aborted, w.abortMsg = true, w.stallReason()
 		}
 	}
@@ -554,46 +583,129 @@ func (w *World) schedule() {
 		}
 	}
 	if next >= 0 {
+		w.grants++
 		w.ranks[next].wake <- struct{}{}
 	}
 }
 
-// earliestEligible returns the rank whose next event is earliest in virtual
-// time (ties to the lowest id), or -1 when no rank can run.
-func (w *World) earliestEligible() int {
-	bestRank := -1
-	bestTime := math.Inf(1)
-	for i := range w.ranks {
-		r := &w.ranks[i]
-		var t float64
-		switch r.state {
-		case stateReady:
-			t = r.clock.Now()
-		case stateBlockedRecv:
-			// A receive with a deadline is always eligible: it wakes at the
-			// earliest of the match, the timeout and — so that ErrRankFailed
-			// is reported at the time it became true — a source crash it sees.
-			dl := r.recvDeadline
-			t = dl
-			if k := r.earliestMatch(); k >= 0 {
-				t = math.Min(t, r.inbox[k].arrival)
-			}
-			if src := r.recvSrc; !math.IsInf(dl, 1) && w.crashSeen(src, dl, i) {
-				t = math.Min(t, w.ranks[src].crashTime)
-			}
-			if math.IsInf(t, 1) {
-				continue
-			}
-			t = math.Max(t, r.clock.Now())
-		default:
-			continue
+// eligibleAt is the virtual time of the rank's next event, or +Inf when it
+// has none:
+//   - a ready rank's event is at its own clock;
+//   - a receive wakes at the earliest of its queued match, its deadline and
+//     — so that ErrRankFailed is reported at the time it became true — a
+//     crash of its source seen at the deadline, but never before its clock;
+//   - a running, finished or collective-parked rank has none.
+func (w *World) eligibleAt(r *Rank) float64 {
+	switch r.state {
+	case stateReady:
+		return r.clock.Now()
+	case stateBlockedRecv:
+		dl := r.recvDeadline
+		t := dl
+		if k := r.earliestMatch(); k >= 0 {
+			t = math.Min(t, r.inbox[k].arrival)
 		}
-		if t < bestTime || (t == bestTime && i < bestRank) {
-			bestTime = t
-			bestRank = i
+		if src := r.recvSrc; !math.IsInf(dl, 1) && w.crashSeen(src, dl, r.id) {
+			t = math.Min(t, w.ranks[src].crashTime)
 		}
+		if math.IsInf(t, 1) {
+			return t
+		}
+		return math.Max(t, r.clock.Now())
 	}
-	return bestRank
+	return math.Inf(1)
+}
+
+// rekey files the rank in the eligibility heap at eligibleAt. It is called at
+// every transition that can move that time: a park (block, Aside), a
+// collective's release, and a crash the receive can see; a message for a
+// parked receive files its new time directly (Send). A grant takes the
+// rank off the heap, and until it parks again it holds the token, so what only
+// the token holder changes — its own clock, its own inbox's delivery — needs
+// no re-key.
+func (w *World) rekey(r *Rank) { w.file(r, w.eligibleAt(r)) }
+
+// event is one entry of the eligibility heap: a rank and the time of its
+// next event.
+type event struct {
+	at float64
+	id int
+}
+
+// before orders the heap: earlier time first, ties to the lower id.
+func (e event) before(f event) bool { return e.at < f.at || e.at == f.at && e.id < f.id }
+
+// file sets the rank's heap key to t; a time that is not finite (no event, or
+// a clock at +Inf) takes it off the heap, as the scheduler can never choose it.
+func (w *World) file(r *Rank, t float64) {
+	w.rekeys++
+	if !(t < math.Inf(1)) {
+		w.unqueue(r)
+		return
+	}
+	if r.slot < 0 {
+		r.slot = len(w.eligible)
+		w.eligible = append(w.eligible, event{id: r.id})
+	}
+	w.eligible[r.slot].at = t
+	w.siftDown(w.siftUp(r.slot))
+}
+
+// unqueue takes the rank off the eligibility heap, if it is on it.
+func (w *World) unqueue(r *Rank) {
+	i := r.slot
+	if i < 0 {
+		return
+	}
+	r.slot = -1
+	last := len(w.eligible) - 1
+	if i != last {
+		w.eligible[i] = w.eligible[last]
+		w.ranks[w.eligible[i].id].slot = i
+	}
+	w.eligible = w.eligible[:last]
+	if i != last {
+		w.siftDown(w.siftUp(i))
+	}
+}
+
+func (w *World) swap(i, j int) {
+	h := w.eligible
+	h[i], h[j] = h[j], h[i]
+	w.ranks[h[i].id].slot, w.ranks[h[j].id].slot = i, j
+}
+
+// siftUp moves the entry at i towards the root while it comes first, and
+// returns where it stopped.
+func (w *World) siftUp(i int) int {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !w.eligible[i].before(w.eligible[p]) {
+			break
+		}
+		w.swap(i, p)
+		i = p
+	}
+	return i
+}
+
+// siftDown moves the entry at i towards the leaves while a child comes first.
+func (w *World) siftDown(i int) {
+	h := w.eligible
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		w.swap(i, c)
+		i = c
+	}
 }
 
 // stallReason names why no unfinished rank can run.
@@ -632,7 +744,7 @@ func (w *World) stateDump() string {
 		if c := r.coll; r.state == stateBlockedColl {
 			// The op and how many live ranks joined name the collective the
 			// others never reached.
-			fmt.Fprintf(&b, " %s %d/%d", c.op, c.count, w.liveCount())
+			fmt.Fprintf(&b, " %s %d/%d", c.op, c.count, w.live)
 		}
 		fmt.Fprintf(&b, " t=%.3f", r.clock.Now())
 		if r.state == stateBlockedRecv {
@@ -649,10 +761,10 @@ func (w *World) stateDump() string {
 // non-decreasing arrivals, so keeping the first of equals orders them too —
 // and none of it depends on the host order in which senders ran.
 func (r *Rank) earliestMatch() int {
-	src, tag, q := r.recvSrc, r.recvTag, r.inbox
+	q := r.inbox
 	best := -1
 	for k, m := range q {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+		if r.awaits(m) {
 			if best < 0 || m.arrival < q[best].arrival ||
 				(m.arrival == q[best].arrival && m.src < q[best].src) {
 				best = k
@@ -660,6 +772,11 @@ func (r *Rank) earliestMatch() int {
 		}
 	}
 	return best
+}
+
+// awaits reports whether m matches the rank's pending receive.
+func (r *Rank) awaits(m message) bool {
+	return (r.recvSrc == AnySource || m.src == r.recvSrc) && (r.recvTag == AnyTag || m.tag == r.recvTag)
 }
 
 // deliver takes message k out of the rank's inbox and charges its delivery:
@@ -677,6 +794,7 @@ func (r *Rank) deliver(k int) message {
 // the token on, and returns when the rank is granted it again.
 func (r *Rank) block(s rankState) {
 	r.state = s
+	r.world.rekey(r)
 	r.world.schedule()
 	r.awaitToken()
 }
@@ -694,6 +812,7 @@ func (r *Rank) Aside(f func()) {
 	w.awayPeak = max(w.awayPeak, w.away)
 	w.config.Metrics.Counter("mpi.asides", 0).Inc()
 	r.state = stateReady
+	w.rekey(r)
 	w.schedule()
 	// Even if f panics, the rank unwinds holding the token.
 	defer func() {
@@ -719,6 +838,13 @@ func (r *Rank) maybeCrash() {
 		panic(crashPanic{r.id})
 	}
 	r.crashed, r.crashTime = true, now
+	w.live--
+	// A receive from r with a deadline may now wake at the crash (eligibleAt).
+	for i := range w.ranks {
+		if p := &w.ranks[i]; p.state == stateBlockedRecv && p.recvSrc == r.id && !math.IsInf(p.recvDeadline, 1) {
+			w.rekey(p)
+		}
+	}
 	w.maybeCompleteCollective()
 	w.traceFault(r.id, FaultCrash, now)
 	panic(crashPanic{r.id})
@@ -733,22 +859,11 @@ func (w *World) traceFault(rank int, kind FaultKind, at float64) {
 	}
 }
 
-// liveCount counts ranks that have not crashed.
-func (w *World) liveCount() int {
-	live := w.n
-	for i := range w.ranks {
-		if w.ranks[i].crashed {
-			live--
-		}
-	}
-	return live
-}
-
 // maybeCompleteCollective finishes an in-progress collective when
 // every live rank has already joined — the path a crash takes so survivors
 // are not stranded waiting for the dead.
 func (w *World) maybeCompleteCollective() {
-	if c := w.coll; c != nil && c.count >= w.liveCount() {
+	if c := w.coll; c != nil && c.count >= w.live {
 		w.completeCollective(c)
 	}
 }
@@ -768,6 +883,7 @@ func (w *World) completeCollective(c *collective) {
 	for i := range w.ranks {
 		if r := &w.ranks[i]; r.state == stateBlockedColl && r.coll == c {
 			r.state = stateReady
+			w.rekey(r)
 		}
 	}
 	w.emitCollectiveFlows(c)
@@ -1064,6 +1180,13 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		m.batch, m.sendAt = r.traceBatch, r.clock.Now()
 	}
 	to.inbox = append(to.inbox, m)
+	// A match can only bring a parked receive's event forward, to its arrival
+	// but not before the receiver's clock (eligibleAt).
+	if to.state == stateBlockedRecv && to.awaits(m) {
+		if t := math.Max(m.arrival, to.clock.Now()); to.slot < 0 || t < w.eligible[to.slot].at {
+			w.file(to, t)
+		}
+	}
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -1171,6 +1294,45 @@ func Once[T any](r *Rank, series string, build func() T) T {
 	return v
 }
 
+// payloadSlot is the world's one value derived from a payload (OnceFor): the
+// payload it was built from and the value.
+type payloadSlot struct {
+	payload []byte
+	value   any
+}
+
+// OnceFor is Once for a value derived from a payload that reached every reader
+// as the same slice — a Bcast's, or a TreeBcast's, whose hops forward the
+// root's bytes unchanged — rather than from the collective r last left, which
+// a tree broadcast does not have. The world keeps one such value, keyed by the
+// payload's identity: the first rank to ask with a payload runs build, the
+// rest read its result until a rank asks with another. build must be a
+// function of the payload alone, and the payload, like every one sent, is
+// never changed after it was sent. An empty payload has no identity: every
+// ask builds. series names the host-side built/reused counters, under rank 0.
+func OnceFor[T any](r *Rank, series string, payload []byte, build func() T) T {
+	w := r.world
+	reg := w.config.Metrics
+	if s := w.shared; len(payload) > 0 && sameSlice(s.payload, payload) {
+		if reg != nil {
+			reg.Counter(series+"_reuses", 0).Inc()
+		}
+		return s.value.(T)
+	}
+	v := build()
+	w.shared = payloadSlot{payload: payload, value: v}
+	if reg != nil {
+		reg.Counter(series+"_builds", 0).Inc()
+	}
+	return v
+}
+
+// sameSlice reports whether a and b are the same memory: one length, one
+// first element.
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.
 // A single rank (or none) needs no tree and pays no latency.
 func logSteps(n int) float64 {
@@ -1223,7 +1385,7 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 	c.joined[r.id] = true
 	c.count++
 	r.coll = c
-	if c.count < w.liveCount() {
+	if c.count < w.live {
 		r.block(stateBlockedColl)
 	} else {
 		// Last live participant: compute release time and free everyone.

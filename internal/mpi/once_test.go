@@ -128,9 +128,11 @@ func TestOnceBeforeAnyCollective(t *testing.T) {
 
 // TestTreeLayoutRebuiltOnlyOnKeyChange: the world keeps the last tree layout
 // and rebuilds it exactly when root, fan-out or member list differs from the
-// previous call's — including a caller that edits its own list in place, as
-// the masters do when they reap — and every reduction still folds the members
-// it was given.
+// previous call's — an equal list in other memory is reused, a list of the
+// same length with other members is not — and every reduction still folds the
+// members it was given. A member list is never edited after a call (tree.go),
+// so the ranks pass the one slice each call names, as the engines' ranks share
+// one.
 func TestTreeLayoutRebuiltOnlyOnKeyChange(t *testing.T) {
 	const n = 7
 	type call struct {
@@ -147,7 +149,8 @@ func TestTreeLayoutRebuiltOnlyOnKeyChange(t *testing.T) {
 		{3, 4, everyone, true},                // fan-out
 		{3, 4, []int{0, 1, 3, 4, 5, 6}, true}, // membership
 		{3, 4, []int{0, 1, 3, 4, 5, 6}, false},
-		{0, 2, everyone, true}, // only the last layout is kept
+		{3, 4, []int{0, 1, 2, 3, 5, 6}, true}, // same length, other members
+		{0, 2, everyone, true},                // only the last layout is kept
 	}
 	var builds int64
 	for _, c := range calls {
@@ -157,16 +160,14 @@ func TestTreeLayoutRebuiltOnlyOnKeyChange(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
-		mine := make([]int, 0, n) // this rank's own list, edited in place between calls
 		for i, c := range calls {
 			// In step, as the engines' batches are: a rank running calls
 			// ahead of the rest would switch the one slot back and forth.
 			r.Barrier()
-			mine = append(mine[:0], c.members...)
-			if !slices.Contains(mine, r.ID()) {
+			if !slices.Contains(c.members, r.ID()) {
 				continue
 			}
-			sum, covered, err := r.TreeReduce(c.root, c.fanout, mine, rankPayload(r.ID(), 1), sumCombine)
+			sum, covered, err := r.TreeReduce(c.root, c.fanout, c.members, rankPayload(r.ID(), 1), sumCombine)
 			if err != nil {
 				return err
 			}

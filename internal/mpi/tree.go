@@ -14,8 +14,10 @@
 // node at position p has parent (p-1)/fanout and children fanout·p+1 …
 // fanout·p+fanout. Every member would derive the identical topology from its
 // own copy of the list; the world builds it once per (root, fan-out, member
-// list) and the members read it (World.layout). Under a fault schedule both
-// collectives go flat (the package comment's # Faults).
+// list) and the members read it (World.layout). Like a sent payload, a member
+// list is read and not copied on the fast path, so a caller must not change
+// it after the call: a new membership is a new slice. Under a fault schedule
+// both collectives go flat (the package comment's # Faults).
 package mpi
 
 import (
@@ -39,18 +41,28 @@ const DefaultTreeFanout = 4
 type treeTopo struct {
 	fanout  int
 	members []int // position-ordered: members[0] is the root rank
-	key     []int // the member list as the caller gave it (World.layout)
+	pos     []int // pos[rank] is rank's position, -1 for a non-member
+	// key is the member list as a caller last gave it: the slice the layout
+	// was built from, or the last one found equal to it.
+	key []int
 }
 
 // layout returns the k-ary layout of (root, fanout, members). Every member of
 // a tree collective asks for the same one, call after call, so the world
 // keeps the last layout built and rebuilds it only when root, fan-out or
-// member list differs — in the engines, when the membership changes. Only
-// the token holder gets here, so the slot needs no lock; the built/reused
-// counters are host-side and booked under rank 0 (see Once).
+// member list differs — in the engines, when the membership changes. A
+// caller that passes the very slice the layout last met (the engines' ranks
+// share one) costs no comparison. Only the token holder gets here, so the
+// slot needs no lock; the built/reused counters are host-side and booked
+// under rank 0 (see Once).
 func (w *World) layout(root, fanout int, members []int) treeTopo {
 	t, series := &w.topo, "mpi.tree_layout_reuses"
-	if len(t.members) == 0 || t.members[0] != root || t.fanout != fanout || !slices.Equal(t.key, members) {
+	same := len(t.members) > 0 && t.members[0] == root && t.fanout == fanout
+	switch {
+	case same && sameSlice(t.key, members):
+	case same && slices.Equal(t.key, members):
+		t.key = members
+	default:
 		*t, series = newTreeTopo(root, fanout, members), "mpi.tree_layout_builds"
 	}
 	w.config.Metrics.Counter(series, 0).Inc()
@@ -83,17 +95,25 @@ func newTreeTopo(root, fanout int, members []int) treeTopo {
 	ordered = append(ordered, root)
 	ordered = append(ordered, ms[:ri]...)
 	ordered = append(ordered, ms[ri+1:]...)
-	return treeTopo{fanout: fanout, members: ordered, key: slices.Clone(members)}
+	pos := make([]int, max(ms[len(ms)-1]+1, 0))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p, m := range ordered {
+		if m >= 0 {
+			pos[m] = p
+		}
+	}
+	return treeTopo{fanout: fanout, members: ordered, pos: pos, key: members}
 }
 
 // position returns the caller's place in the layout; calling a tree
 // collective without being a member is a bug in the caller.
 func (t treeTopo) position(op string, rank int) int {
-	p := slices.Index(t.members, rank)
-	if p < 0 {
+	if rank < 0 || rank >= len(t.pos) || t.pos[rank] < 0 {
 		panic(fmt.Sprintf("mpi: rank %d called %s without being a member", rank, op))
 	}
-	return p
+	return t.pos[rank]
 }
 
 func (t treeTopo) parent(p int) int { return (p - 1) / t.fanout }

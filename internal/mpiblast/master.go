@@ -323,7 +323,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 	if err := m.openOutput(); err != nil {
 		return err
 	}
-	members := engine.TreeMembers(alive)
+	members := a.own.Members()
 	res, complete, err := m.foldTree(members, len(m.job.Queries))
 	if err != nil {
 		return err

@@ -59,6 +59,12 @@ type ArrivalConfig struct {
 	Seed int64
 }
 
+// maxMean bounds BatchMean and BurstDwell. Above it the uniform draw's bound
+// 2·BatchMean−1 can overflow, and 1−1/mean rounds to 1, so every geometric
+// draw would divide by log(1) = 0 and clamp to 1. At or below it every draw
+// is the one the configuration asks for.
+const maxMean = 1 << 52
+
 // Validate rejects unusable configurations and fills defaults into a copy.
 func (c ArrivalConfig) validated() (ArrivalConfig, error) {
 	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
@@ -84,11 +90,17 @@ func (c ArrivalConfig) validated() (ArrivalConfig, error) {
 	if c.BurstDwell == 0 {
 		c.BurstDwell = 8
 	}
+	if c.BurstDwell > maxMean {
+		return c, fmt.Errorf("workload: burst dwell must be ≤ 2^52 batches, got %d", c.BurstDwell)
+	}
 	if c.BatchMean < 0 {
 		return c, fmt.Errorf("workload: batch mean must be ≥ 1, got %d", c.BatchMean)
 	}
 	if c.BatchMean == 0 {
 		c.BatchMean = 1
+	}
+	if c.BatchMean > maxMean {
+		return c, fmt.Errorf("workload: batch mean must be ≤ 2^52, got %d", c.BatchMean)
 	}
 	switch c.BatchDist {
 	case "":

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parblast/internal/seq"
@@ -181,6 +182,27 @@ func TestArrivalsValidation(t *testing.T) {
 	} {
 		if _, err := Arrivals(qs, cfg); err == nil {
 			t.Fatalf("config %+v accepted, want error", cfg)
+		}
+	}
+	// Means above 2^52 overflow the uniform bound or round the geometric
+	// draws to 1; they are rejected by name, and 2^52 itself is accepted.
+	for _, tc := range []struct {
+		cfg  ArrivalConfig
+		want string // "" = accepted
+	}{
+		{ArrivalConfig{Rate: 1, BatchMean: 1<<62 + 1, BatchDist: BatchUniform}, "batch mean must be ≤ 2^52"},
+		{ArrivalConfig{Rate: 1, BatchMean: 1 << 62, BatchDist: BatchGeometric}, "batch mean must be ≤ 2^52"},
+		{ArrivalConfig{Rate: 1, Burst: 2, BurstDwell: 1 << 62}, "burst dwell must be ≤ 2^52"},
+		{ArrivalConfig{Rate: 1, BatchMean: 1 << 52, BatchDist: BatchUniform}, ""},
+		{ArrivalConfig{Rate: 1, BatchMean: 1 << 52, BatchDist: BatchGeometric}, ""},
+		{ArrivalConfig{Rate: 1, Burst: 2, BurstDwell: 1 << 52}, ""},
+	} {
+		_, err := Arrivals(qs, tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("config %+v rejected: %v", tc.cfg, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("config %+v: error %v, want %q", tc.cfg, err, tc.want)
 		}
 	}
 	empty, err := Arrivals(nil, ArrivalConfig{Rate: 1})

@@ -352,15 +352,28 @@ for mode in "-dynamic" "-dynamic -prefetch 1"; do
     cmp "$tmp/free_pio.txt" "$tmp/crash_dynamic.txt"
 done
 
-# Width smoke: the north star's 1024-rank merge, end to end. What is the same
-# on every rank is built once per world, so this is half a second and some
-# 30 MB; the report is the sequential one byte for byte.
+# Width smoke: the north star's 1024- and 4096-rank merges, end to end, each
+# report the sequential one byte for byte. What is the same on every rank is
+# built once per world and a grant costs no scan of the ranks, so host time
+# grows about as the rank count does (×3.4 from 1024 to 4096 ranks). Both
+# jobs run at GOMAXPROCS=2: the job holds one token at a time, and on a wider
+# machine idle Ps spend CPU time (GC mark workers, spinning Ms) that grows with
+# the core count, not with the scheduler's work. At GOMAXPROCS=2 on the 2-core
+# reference box the 4096-rank job took 0.41–0.92 s of CPU (0.56–0.66 s wall;
+# CPU time varies with the box's other load) and 72–81 MB peak RSS, against
+# 3.8–5.9 s of CPU (4.1–5.6 s wall) before the eligibility heap; the bounds
+# are twice the highest readings.
 go run ./cmd/makedb -o "$tmp/wide.fasta" -seqs 2400 -family 12
-go run ./cmd/parblast -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
+go build -o "$tmp/parblast" ./cmd/parblast
+"$tmp/parblast" -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
     -engine seq -out "$tmp/wide_seq.txt" >/dev/null
-go run ./cmd/parblast -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
-    -engine pio -tree-merge -procs 1024 -out "$tmp/wide_pio.txt" >/dev/null
-cmp "$tmp/wide_seq.txt" "$tmp/wide_pio.txt"
+for procs in 1024 4096; do
+    bound=""
+    if [ "$procs" = 4096 ]; then bound="-max-s 1.8 -max-mb 165"; fi
+    GOMAXPROCS=2 go run ./scripts/hostbound $bound -- "$tmp/parblast" -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
+        -engine pio -tree-merge -procs "$procs" -out "$tmp/wide_pio.txt" >/dev/null
+    cmp "$tmp/wide_seq.txt" "$tmp/wide_pio.txt"
+done
 
 # Pre-formatted database smoke: a database formatted under a name of the
 # user's choosing runs on both engines (mpiBLAST used to fragment the literal
