@@ -93,7 +93,7 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 					t.Errorf("GOMAXPROCS %d: output differs from the sequential oracle (%d vs %d bytes)", cores, len(out), len(oracle))
 				}
 				doc := report.Build(info, res, reg)
-				if doc.Metrics.CounterTotal("mpi.asides") == 0 {
+				if reg.Snapshot().CounterTotal("mpi.asides") == 0 {
 					t.Fatalf("GOMAXPROCS %d: no rank searched aside, so the relation says nothing", cores)
 				}
 				if job.crash && doc.Metrics.CounterTotal("engine.parts_reissued") == 0 {

@@ -39,27 +39,15 @@ var fpPhases = []simtime.Phase{
 	simtime.PhaseOutput, simtime.PhaseOther, simtime.PhaseIdle,
 }
 
-// fpSkippedSeries are left out of the fingerprint: the merged baseline
+// fpSkippedSeries are left out of the fingerprint, with every host-side
+// series (metrics.HostSide: what the host built once per world and shared,
+// searches off the scheduler token, the scheduler's own grants), which
+// describes the simulator, not the modelled cluster. The merged baseline
 // output stage records the master's final selection exactly where a merge
-// cost is charged, which moves the two hsps series (and nothing else) on the
-// mpiBLAST tree paths; the built-versus-reused series count what the host
-// built once per world and shared — query indexes, kernel context loans,
-// collective plans, tree layouts, broadcast decodes, selection directories,
-// gathered volumes and thresholds —, the aside series count how often and
-// how widely ranks searched off the scheduler token, and the grant and
-// re-key series count the scheduler's own work, which describes the
-// simulator, not the modelled cluster.
+// cost is charged, which moves the two hsps series (and nothing else) on
+// the mpiBLAST tree paths.
 var fpSkippedSeries = map[string]bool{
 	"blast.hsps_kept": true, "blast.hsps_dropped": true,
-	"blast.index_builds": true, "blast.index_reuses": true, "blast.context_lends": true,
-	"mpiio.plan_builds": true, "mpiio.plan_reuses": true,
-	"mpi.tree_layout_builds": true, "mpi.tree_layout_reuses": true,
-	"engine.bcast_decode_builds": true, "engine.bcast_decode_reuses": true,
-	"core.batch_volumes_builds": true, "core.batch_volumes_reuses": true,
-	"core.prune_threshold_builds": true, "core.prune_threshold_reuses": true,
-	"core.selection_dir_builds": true, "core.selection_dir_reuses": true,
-	"mpi.asides": true, "mpi.aside_peak": true,
-	"mpi.grants": true, "mpi.eligibility_updates": true,
 }
 
 // fpOrderSeries is the suffix of each file system's order-inversion counter.
@@ -154,7 +142,7 @@ func (r fpRun) render(name string) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if fpSkippedSeries[n] || strings.HasSuffix(n, fpOrderSeries) {
+		if fpSkippedSeries[n] || metrics.HostSide(n) || strings.HasSuffix(n, fpOrderSeries) {
 			continue
 		}
 		if v, ok := counters[n]; ok {

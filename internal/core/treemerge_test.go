@@ -74,7 +74,7 @@ func TestTreeMergeByteIdentical(t *testing.T) {
 }
 
 // TestTreeMergeRecordsTreeMetrics: the run must expose the tree-shape
-// gauges and per-level edge volume the mergescale experiment attributes.
+// gauges and per-level edge volume of its tree collectives.
 func TestTreeMergeRecordsTreeMetrics(t *testing.T) {
 	fx := makeFixture(t, 800)
 	reg := metrics.NewRegistry()

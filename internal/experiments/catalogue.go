@@ -41,7 +41,7 @@ func Specs() []Spec {
 		rowTable("readpath", "Read path: collective input reads + input/search overlap", ReadPath),
 		rowTable("hetero", "Heterogeneous cluster: static vs dynamic partitioning", Hetero),
 		// The experiments below have their own row shapes (recovery
-		// overheads, master-clock merge spans, fixed vs tuned walls,
+		// overheads, the master's output bucket, fixed vs tuned walls,
 		// percentile blocks, admission accounting — not phase breakdowns),
 		// so each brings its own table body and flattener.
 		table("prepcost", "Operational overhead (§3.1): pre-partitioning vs global files",

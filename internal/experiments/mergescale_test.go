@@ -6,9 +6,9 @@ import (
 )
 
 // TestMergeScaleShape: every (ranks, fanout) cell produces a row, every
-// tree layout is byte-identical to the flat baseline at the same rank
-// count, and the hierarchical merge already beats the flat master-ingest
-// at a modest rank count.
+// tree run's output file is byte-identical to the flat run's at the same
+// rank count, and the hierarchical merge already shrinks the master's
+// output bucket at a modest rank count.
 func TestMergeScaleShape(t *testing.T) {
 	lab := DefaultLab()
 	ranks := []int{9, 64}
@@ -21,9 +21,9 @@ func TestMergeScaleShape(t *testing.T) {
 	}
 	for _, r := range rows {
 		if !r.Identical {
-			t.Errorf("n=%d fanout=%d: layout differs from flat baseline", r.Ranks, r.Fanout)
+			t.Errorf("n=%d fanout=%d: output differs from flat baseline", r.Ranks, r.Fanout)
 		}
-		if r.MasterMergeS <= 0 || r.WallS <= 0 || r.OutputBytes <= 0 {
+		if r.MasterOutputS <= 0 || r.WallS <= 0 || r.OutputBytes <= 0 {
 			t.Errorf("n=%d fanout=%d: degenerate row %+v", r.Ranks, r.Fanout, r)
 		}
 	}
@@ -38,8 +38,8 @@ func TestMergeScaleShape(t *testing.T) {
 	}
 }
 
-// TestMergeScaleDeterministic: the synthetic harness is fully seeded; two
-// runs of the same cell must agree exactly.
+// TestMergeScaleDeterministic: the engine runs in virtual time; two runs of
+// the same cell must agree exactly.
 func TestMergeScaleDeterministic(t *testing.T) {
 	lab := DefaultLab()
 	a, err := MergeScale(&lab, []int{17})

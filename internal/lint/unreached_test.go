@@ -17,6 +17,8 @@ var unreachedAllowed = map[string]string{
 	"blast.RenderHit":               "the frozen bench calls it",
 	"engine.EncodeGob":              "the frozen bench calls it",
 	"engine.DecodeGob":              "the frozen bench calls it",
+	"engine.EncodeQueryMetas":       "the frozen bench calls it",
+	"engine.DecodeQueryMetas":       "the frozen bench calls it",
 	"metrics.Snapshot.CounterTotal": "tests of more than one package read it",
 	"metrics.Snapshot.GaugeTotal":   "tests of more than one package read it",
 	"seq.New":                       "tests of more than one package read it",

@@ -24,6 +24,7 @@ package metrics
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -482,4 +483,41 @@ func (s Snapshot) HasPrefix(prefix string) bool {
 		}
 	}
 	return false
+}
+
+// HostSide reports whether the named series counts the simulator's own work
+// rather than the modelled cluster's: what the host built once per world and
+// shared (every *_builds/*_reuses pair, and blast.context_lends), how often
+// and how widely ranks searched off the scheduler token (mpi.asides,
+// mpi.aside_peak), and the scheduler's grants and re-keys (mpi.grants,
+// mpi.eligibility_updates). A host-only change may move these and no virtual
+// clock, so the run report and the clock fingerprint leave them out.
+func HostSide(name string) bool {
+	switch name {
+	case "blast.context_lends", "mpi.asides", "mpi.aside_peak", "mpi.grants", "mpi.eligibility_updates":
+		return true
+	}
+	return strings.HasSuffix(name, "_builds") || strings.HasSuffix(name, "_reuses")
+}
+
+// Model returns the snapshot without its host-side series (HostSide): the
+// modelled cluster's account alone.
+func (s Snapshot) Model() Snapshot {
+	return Snapshot{
+		Counters:      model(s.Counters, func(p *CounterPoint) string { return p.Name }),
+		Gauges:        model(s.Gauges, func(p *GaugePoint) string { return p.Name }),
+		Histograms:    model(s.Histograms, func(p *HistogramPoint) string { return p.Name }),
+		Distributions: model(s.Distributions, func(p *DistributionPoint) string { return p.Name }),
+	}
+}
+
+// model keeps the points whose series is not host-side, in order.
+func model[P any](points []P, name func(*P) string) []P {
+	out := make([]P, 0, len(points))
+	for i := range points {
+		if !HostSide(name(&points[i])) {
+			out = append(out, points[i])
+		}
+	}
+	return out
 }

@@ -155,8 +155,8 @@ func (r *Rank) recordTreeOp(op string, size int64) {
 }
 
 // recordTreeEdge books one tree-edge message at the sender's tree level
-// (the root is level 0), giving the per-level latency/volume attribution
-// the mergescale experiment reads.
+// (the root is level 0), giving the per-level message and byte attribution
+// of a run's metrics (TestTreeReduceBarePayloads sums it).
 func (r *Rank) recordTreeEdge(level int, size int64) {
 	if reg := r.world.config.Metrics; reg != nil {
 		series := fmt.Sprintf("mpi.tree.level%02d", level)

@@ -1,7 +1,7 @@
 // Hierarchical tree merge for the baseline engine: instead of streaming
 // every (query, fragment) result through the master during the search
-// phase — the §3.2 serialization this repo's mergescale experiment
-// measures — workers hold their results locally, pre-merge them to the
+// phase — the §3.2 serialization the mergescale experiment measures on
+// this engine — workers hold their results locally, pre-merge them to the
 // per-query top-k with the master's exact selection rule, and fold them
 // up a k-ary reduction tree. The master ingests O(fanout·log N) bundles
 // on its clock instead of O(fragments·queries) messages, then renders and

@@ -153,7 +153,9 @@ type Run struct {
 
 // Build assembles the artifact for one finished run. reg may be nil (the
 // metrics block is then empty); res.Clocks may be empty (sequential engine),
-// in which case the per-rank block is empty.
+// in which case the per-rank block is empty. The metrics block is the
+// registry without its host-side series (metrics.HostSide), so a change to
+// the simulator alone leaves the artifact's bytes where they were.
 func Build(info RunInfo, res engine.RunResult, reg *metrics.Registry) Run {
 	r := Run{
 		Version: Version,
@@ -161,7 +163,7 @@ func Build(info RunInfo, res engine.RunResult, reg *metrics.Registry) Run {
 		Info:    info,
 		Summary: SummaryOf(res),
 		Ranks:   []RankBreakdown{},
-		Metrics: reg.Snapshot(),
+		Metrics: reg.Snapshot().Model(),
 	}
 	for rank, clock := range res.Clocks {
 		rb := RankBreakdown{

@@ -2,15 +2,19 @@ package report_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"parblast"
+	"parblast/internal/engine"
+	"parblast/internal/metrics"
 	"parblast/internal/report"
 )
 
 // runOnce executes a small pioBLAST run with metrics and tracing enabled
-// and returns the built artifact bytes, exact critical path attached.
-func runOnce(t *testing.T) []byte {
+// and returns the built artifact bytes, exact critical path attached, and
+// the run's registry.
+func runOnce(t *testing.T) ([]byte, *parblast.MetricsRegistry) {
 	t.Helper()
 	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
 	if err != nil {
@@ -51,13 +55,13 @@ func runOnce(t *testing.T) []byte {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), reg
 }
 
 // TestFiveLayerCoverage: a real pio run must surface metrics from every
 // instrumented layer — the tentpole's acceptance criterion.
 func TestFiveLayerCoverage(t *testing.T) {
-	data := runOnce(t)
+	data, reg := runOnce(t)
 	r, err := report.ParseRun(data)
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +74,20 @@ func TestFiveLayerCoverage(t *testing.T) {
 			t.Errorf("no metrics from layer %q in the report", layer)
 		}
 	}
-	// The simulator's own cost shows too: how many word indexes the host
-	// built for the job — at most one per query — against how many of the
-	// (fragment, query) searches, one fragment per worker, reused one.
-	builds, reuses := r.Metrics.CounterTotal("blast.index_builds"), r.Metrics.CounterTotal("blast.index_reuses")
+	// The simulator's own cost is in the registry, not the report: how many
+	// word indexes the host built for the job — at most one per query —
+	// against how many of the (fragment, query) searches, one fragment per
+	// worker, reused one.
+	snap := reg.Snapshot()
+	builds, reuses := snap.CounterTotal("blast.index_builds"), snap.CounterTotal("blast.index_reuses")
 	steps := int64(r.Info.Queries * (r.Info.Procs - 1))
 	if builds < 1 || builds > int64(r.Info.Queries) || builds+reuses != steps {
-		t.Errorf("report shows %d index builds and %d reuses for %d queries in %d searches", builds, reuses, r.Info.Queries, steps)
+		t.Errorf("registry shows %d index builds and %d reuses for %d queries in %d searches", builds, reuses, r.Info.Queries, steps)
+	}
+	for _, c := range r.Metrics.Counters {
+		if metrics.HostSide(c.Name) {
+			t.Errorf("report carries host-side series %s", c.Name)
+		}
 	}
 	if len(r.Ranks) != 4 {
 		t.Fatalf("ranks = %d, want 4", len(r.Ranks))
@@ -99,9 +110,39 @@ func TestFiveLayerCoverage(t *testing.T) {
 // TestArtifactDeterministic: two runs of the same seed/config produce
 // byte-identical artifacts (the ISSUE's determinism acceptance criterion).
 func TestArtifactDeterministic(t *testing.T) {
-	a, b := runOnce(t), runOnce(t)
+	a, _ := runOnce(t)
+	b, _ := runOnce(t)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("artifacts differ across identical runs:\n%d vs %d bytes", len(a), len(b))
+	}
+}
+
+// TestHostSideSeriesLeaveMetricsUnchanged: counting more of the simulator's
+// own work — a new built-once series, more grants, asides or context loans —
+// leaves the report's metrics block byte for byte where it was, while a
+// series of the modelled cluster still moves it.
+func TestHostSideSeriesLeaveMetricsUnchanged(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("mpi.messages", 1).Add(3)
+	reg.Counter("mpi.grants", 0).Add(7)
+	block := func() string {
+		data, err := json.Marshal(report.Build(report.RunInfo{}, engine.RunResult{}, reg).Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	want := block()
+	for _, name := range []string{"mpi.grants", "mpi.eligibility_updates", "mpi.asides", "mpi.aside_peak",
+		"blast.context_lends", "blast.index_builds", "core.novel_reuses"} {
+		reg.Counter(name, 0).Add(5)
+		if got := block(); got != want {
+			t.Errorf("host-side %s moved the metrics block:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	reg.Counter("mpi.messages", 2).Inc()
+	if block() == want {
+		t.Error("a model series left the metrics block unchanged")
 	}
 }
 

@@ -13,10 +13,12 @@
 //
 // Usage, from the repository root:
 //
-//	go run ./scripts/benchpair -base HEAD -pairs pio_tree_96=10,4 -seed 7001 -out BENCH_7.json
+//	go run ./scripts/benchpair -base HEAD -seed 7001 -out BENCH_7.json
 //
 // -pairs is a comma list of workload=N entries and one bare N for every
-// other workload of BENCHMARK.json (0 skips them). For every end-to-end metric
+// other workload of BENCHMARK.json (0 skips them); it defaults to ten pairs
+// everywhere, the fewest that can carry a gain claim (nine of ten won) and
+// resolve a few per cent on serve_pio_16. For every end-to-end metric
 // it prints, and writes, each side's median and quartiles and how many pairs
 // the working tree won, lost and tied under the metric's direction.
 package main
@@ -114,7 +116,7 @@ func main() {
 
 func run() error {
 	base := flag.String("base", "HEAD", "git ref of the base side; the head side is the working tree")
-	pairsFlag := flag.String("pairs", "4", "pairs per workload: workload=N entries and one bare N for the rest")
+	pairsFlag := flag.String("pairs", "10", "pairs per workload: workload=N entries and one bare N for the rest")
 	seed := flag.Int64("seed", 7001, "first seed; pair i runs on seed+i")
 	out := flag.String("out", "", "write the record to this file")
 	flag.Parse()

@@ -135,6 +135,20 @@ if [ -n "$runners" ]; then
     exit 1
 fi
 
+# One world per engine run: engine.Launch starts every rank of an engine run,
+# and the mpiio-layer I/O tuning study is the one experiment that drives the
+# MPI layer directly, so no second model of an engine (its own protocol,
+# combiner or cost charges) can stand beside the engines it would imitate
+# (bench/ is its own module).
+worlds=$(grep -rnE --include='*.go' --exclude='*_test.go' 'mpi\.Run(Config)?\(' . |
+    grep -v -e '^\./bench/' -e '^\./\.bench_build/' \
+        -e '^\./internal/engine/run\.go:' -e '^\./internal/experiments/iotune\.go:' || true)
+if [ -n "$worlds" ]; then
+    echo "mpi.Run/mpi.RunConfig called outside engine.Launch and the iotune study; run an engine through the façade instead:" >&2
+    echo "$worlds" >&2
+    exit 1
+fi
+
 # One stand-up: parblast.Stage builds a run's cluster and stages its
 # database, and only it cuts mpiBLAST's physical fragments, one per worker or
 # Fragments of them, so the CLI, the experiments and the examples pre-partition
