@@ -144,7 +144,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		spec.Search.Faults = []parblast.Fault{{Rank: rank, At: at, Kind: parblast.FaultCrash}}
+		spec.Search.Faults = []parblast.Fault{{Rank: rank, At: at}}
 	}
 	if *serve {
 		spec.Batches, err = parblast.Arrivals(queries, parblast.ArrivalConfig{

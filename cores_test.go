@@ -63,7 +63,7 @@ func TestGOMAXPROCSMovesNoByte(t *testing.T) {
 				s := parblast.Search{DB: db, Queries: queries, Output: "out"}
 				s.Pio.TreeMerge = job.tree
 				if job.crash {
-					s.Faults = []parblast.Fault{{Rank: procs - 1, At: mid, Kind: parblast.FaultCrash}}
+					s.Faults = []parblast.Fault{{Rank: procs - 1, At: mid}}
 					s.Pio.FaultTolerant = true
 				}
 				info := report.RunInfo{Engine: job.eng.String(), Procs: procs}
@@ -193,7 +193,7 @@ func TestRanksSearchAside(t *testing.T) {
 	}
 	var late []parblast.Fault
 	for w := 1; w < procs; w++ {
-		late = append(late, parblast.Fault{Rank: w, At: 100 * free.Wall, Kind: parblast.FaultCrash})
+		late = append(late, parblast.Fault{Rank: w, At: 100 * free.Wall})
 	}
 	if _, asides, peak := run(late); asides != want || peak <= 1 {
 		t.Errorf("every worker's crash pending: %d asides, peak %d; want %d and more than one at once", asides, peak, want)

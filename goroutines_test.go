@@ -94,7 +94,7 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 				crash := func(at float64, ranks ...int) func(*parblast.Search) {
 					return func(s *parblast.Search) {
 						for _, r := range ranks {
-							s.Faults = append(s.Faults, parblast.Fault{Rank: r, At: at, Kind: parblast.FaultCrash})
+							s.Faults = append(s.Faults, parblast.Fault{Rank: r, At: at})
 						}
 					}
 				}

@@ -118,7 +118,7 @@ func TestIndexBuiltOncePerJob(t *testing.T) {
 					// Crash the last worker halfway through the search
 					// phase of the fault-free run.
 					at := 0.5 * (res.Wall - res.Phase.Output)
-					_, _, totals, out = run([]parblast.Fault{{Rank: procs - 1, At: at, Kind: parblast.FaultCrash}})
+					_, _, totals, out = run([]parblast.Fault{{Rank: procs - 1, At: at}})
 				}
 
 				// What was searched: everything, or the admitted batches.

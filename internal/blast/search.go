@@ -14,6 +14,9 @@ import (
 	"parblast/internal/stats"
 )
 
+// maxHSPsPerSubject caps the HSPs kept per subject.
+const maxHSPsPerSubject = 25
+
 // Searcher holds the immutable configuration of a search: options plus the
 // raw-score conversions of the bit-valued heuristics. Searchers are safe to
 // share; per-goroutine scratch state lives in Context.
@@ -37,9 +40,6 @@ func NewSearcher(opts Options) (*Searcher, error) {
 	}
 	if opts.MaxTargetSeqs == 0 {
 		opts.MaxTargetSeqs = 500
-	}
-	if opts.MaxHSPsPerSubject == 0 {
-		opts.MaxHSPsPerSubject = 25
 	}
 	s := &Searcher{opts: opts, up: opts.ungappedParams(), gp: opts.gappedParams(),
 		roll: newWordRoll(opts.WordSize, opts.Matrix.Alphabet().StrictSize())}
@@ -616,8 +616,8 @@ func (ss *subjectScan) result(sub *Subject, space stats.SearchSpace) *SubjectRes
 	}
 	ss.work.HSPsFound += int64(len(hsps))
 	SortHSPs(hsps)
-	if len(hsps) > s.opts.MaxHSPsPerSubject {
-		hsps = hsps[:s.opts.MaxHSPsPerSubject]
+	if len(hsps) > maxHSPsPerSubject {
+		hsps = hsps[:maxHSPsPerSubject]
 	}
 	return &SubjectResult{
 		OID:     sub.OID,

@@ -123,8 +123,8 @@ func (r *refScanner) searchFragmentRef(c *Context, frag *Fragment, space stats.S
 		}
 		res.Work.HSPsFound += int64(len(hsps))
 		SortHSPs(hsps)
-		if len(hsps) > c.s.opts.MaxHSPsPerSubject {
-			hsps = hsps[:c.s.opts.MaxHSPsPerSubject]
+		if len(hsps) > maxHSPsPerSubject {
+			hsps = hsps[:maxHSPsPerSubject]
 		}
 		res.Hits = append(res.Hits, &SubjectResult{OID: sub.OID, ID: sub.ID, Defline: sub.Defline, SubjLen: len(sub.Residues), HSPs: hsps})
 	}

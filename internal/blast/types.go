@@ -328,8 +328,6 @@ type Options struct {
 	EValue float64
 	// MaxTargetSeqs caps reported subjects per query (0 = NCBI default 500).
 	MaxTargetSeqs int
-	// MaxHSPsPerSubject caps HSPs kept per subject (0 = 25).
-	MaxHSPsPerSubject int
 	// FilterLowComplexity masks low-complexity query regions for the
 	// seeding stage (BLAST's -F option; soft masking — extensions still
 	// use the unmasked residues).
@@ -408,9 +406,8 @@ func (o *Options) Validate() error {
 	if o.XDropUngapped <= 0 || o.XDropGapped <= 0 || o.XDropFinal <= 0 {
 		return fmt.Errorf("blast: X-drop cutoffs must be positive")
 	}
-	if o.MaxTargetSeqs < 0 || o.MaxHSPsPerSubject < 0 {
-		return fmt.Errorf("blast: caps MaxTargetSeqs=%d MaxHSPsPerSubject=%d must not be negative (0 selects the default)",
-			o.MaxTargetSeqs, o.MaxHSPsPerSubject)
+	if o.MaxTargetSeqs < 0 {
+		return fmt.Errorf("blast: MaxTargetSeqs=%d must not be negative (0 selects the default)", o.MaxTargetSeqs)
 	}
 	if o.SearchThreads < 0 {
 		return fmt.Errorf("blast: SearchThreads=%d must not be negative (0 selects GOMAXPROCS)", o.SearchThreads)

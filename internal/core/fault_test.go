@@ -71,7 +71,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		// Crash the last worker mid-search (before the output phase, which
 		// recovery deliberately does not cover).
 		at := 0.5 * (free.Wall - free.Phase.Output)
-		faults := []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+		faults := []mpi.Fault{{Rank: nprocs - 1, At: at}}
 		crashed, out1 := crashSpec(t, fx, eng, nprocs, faults)
 		if !bytes.Equal(out1, oracle) {
 			t.Errorf("%s output after crash differs from oracle at byte %d",
@@ -186,7 +186,7 @@ func TestCrashSweepEveryProtocol(t *testing.T) {
 		for _, victim := range []int{1, sweepProcs - 1} {
 			for i := range times {
 				at := float64(i) * 1.2 * free.wall / (times - 1)
-				faults := []mpi.Fault{{Rank: victim, At: at, Kind: mpi.FaultCrash}}
+				faults := []mpi.Fault{{Rank: victim, At: at}}
 				pt := sweepRun(t, fx, p, faults)
 				t.Logf("%-11s rank %d at %.6f: %v", proto.name, victim, at, pt)
 				switch {
@@ -215,7 +215,7 @@ func TestCrashSweepEveryProtocol(t *testing.T) {
 // engines must refuse the schedule up front instead of hanging.
 func TestCrashRankZeroRejected(t *testing.T) {
 	fx := makeFixture(t, 600)
-	faults := []mpi.Fault{{Rank: 0, At: 0.1, Kind: mpi.FaultCrash}}
+	faults := []mpi.Fault{{Rank: 0, At: 0.1}}
 	cfg := mpi.Config{Cost: testCost(), Faults: faults}
 
 	nodes := fx.newCluster(t, 3, vfs.XFSLike(), nil, 0)
@@ -261,7 +261,7 @@ func TestCrashDuringOutputUnrecoverable(t *testing.T) {
 		// Fire just inside the output window: the victim has reported results
 		// and is now serving the master's fetch protocol.
 		at := free.Wall - float64(0.5*free.Phase.Output)
-		_, err = run([]mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}})
+		_, err = run([]mpi.Fault{{Rank: nprocs - 1, At: at}})
 		if err == nil {
 			t.Skip("crash window missed the output phase on this cost model")
 		}
@@ -317,7 +317,7 @@ func TestCrashRecoveryWithReadPathModes(t *testing.T) {
 				opts, firstDiff(freeOut, oracle))
 		}
 		at := 0.5 * (free.Wall - free.Phase.Output)
-		faults := []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+		faults := []mpi.Fault{{Rank: nprocs - 1, At: at}}
 		_, out1 := runPio(opts, faults)
 		if !bytes.Equal(out1, oracle) {
 			t.Errorf("opts %+v output after crash differs at byte %d",

@@ -202,7 +202,7 @@ func fpMpi(t *testing.T, fx *fixture, opts mpiblast.Options, faults []mpi.Fault)
 // midSearch places a crash of the last worker halfway through the
 // fault-free run's pre-output window.
 func midSearch(free engine.RunResult, nprocs int) []mpi.Fault {
-	return []mpi.Fault{{Rank: nprocs - 1, At: 0.5 * (free.Wall - free.Phase.Output), Kind: mpi.FaultCrash}}
+	return []mpi.Fault{{Rank: nprocs - 1, At: 0.5 * (free.Wall - free.Phase.Output)}}
 }
 
 func fpServePio(t *testing.T, fx *fixture, opts core.Options, batches []workload.Batch, admitCap int, faults []mpi.Fault) (fpRun, error) {
@@ -359,7 +359,7 @@ func TestClockFingerprint(t *testing.T) {
 		hit := false
 		for _, frac := range []float64{0.1, 0.3, 0.5, 0.7} {
 			at := free.stats.BatchStart[mid] + float64(frac*(free.stats.BatchDone[mid]-free.stats.BatchStart[mid]))
-			faults := []mpi.Fault{{Rank: fpPioProcs - 1, At: at, Kind: mpi.FaultCrash}}
+			faults := []mpi.Fault{{Rank: fpPioProcs - 1, At: at}}
 			r, err := fpServePio(t, fx, opts, trickle, 0, faults)
 			if err != nil {
 				fmt.Fprintf(&blob, "== %s probe %g\nerror %v\n", name, frac, err)

@@ -135,7 +135,7 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 		}
 		name, hit := m.name+"/crash", false
 		for _, frac := range []float64{0.5, 0.3, 0.7, 0.1} {
-			faults := []mpi.Fault{{Rank: nprocs - 1, At: from + float64(frac*(to-from)), Kind: mpi.FaultCrash}}
+			faults := []mpi.Fault{{Rank: nprocs - 1, At: from + float64(frac*(to-from))}}
 			crashed, err := m.run(mpi.Config{Cost: testCost(), Faults: faults})
 			if err != nil {
 				if strings.Contains(err.Error(), "output phase") {

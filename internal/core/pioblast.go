@@ -413,7 +413,7 @@ func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Op
 		if r.ID() != 0 {
 			return runWorker(r, nodes[r.ID()], job.Options, bank, opts.IOTuner)
 		}
-		mb, err := bootMaster(r, nodes[0], job, mp, opts.IOTuner)
+		mb, err := bootMaster(r, nodes[0], job, mp, opts.IOTuner, bank.Searcher())
 		if err != nil {
 			return err
 		}
@@ -598,8 +598,9 @@ func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 // (serving greedy part requests, or joining the workers' collective reads
 // with empty views), the post-acquisition recovery rendezvous, and the
 // output file. One-shot and serving runs boot identically; serving is
-// static-only, so the dynamic branch never runs for it.
-func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tuner *mpiio.Tuner) (*masterBatch, error) {
+// static-only, so the dynamic branch never runs for it. searcher is the
+// job's kernel, which renders the report.
+func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tuner *mpiio.Tuner, searcher *blast.Searcher) (*masterBatch, error) {
 	meta := mp.meta
 	r.SetPhase(simtime.PhaseInput)
 	r.IO(node.Shared, mp.indexBytes) // read the global index files for partitioning
@@ -641,10 +642,6 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tun
 		}
 	}
 
-	searcher, err := blast.NewSearcher(job.Options)
-	if err != nil {
-		return nil, err
-	}
 	mb.searcher = searcher
 	mb.maxTargets = searcher.Options().MaxTargetSeqs
 	mb.out = mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)

@@ -198,7 +198,7 @@ func TestServeMpiblastRejectsFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := *fx.job
-	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 2, At: 0.5, Kind: mpi.FaultCrash}}}
+	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 2, At: 0.5}}}
 	if _, _, err := mpiblast.Run(nodes, 3, cfg, &job, mpiblast.Options{}, &engine.Stream{Batches: batches}); err == nil ||
 		!strings.Contains(err.Error(), "fault injection") {
 		t.Errorf("mpiblast serve accepted a fault schedule: %v", err)
@@ -308,7 +308,7 @@ func TestServeCrashKeepsAdmissionClock(t *testing.T) {
 	hit := false
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7} {
 		at := freeStats.BatchStart[mid] + float64(frac*(freeStats.BatchDone[mid]-freeStats.BatchStart[mid]))
-		faults = []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+		faults = []mpi.Fault{{Rank: nprocs - 1, At: at}}
 		nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 		job := *fx.job
 		res, _, err := core.Run(nodes, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, &job, opts, &engine.Stream{Batches: batches})
@@ -417,7 +417,7 @@ func TestServeValidation(t *testing.T) {
 
 	nodes := fx.newCluster(t, nprocs, vfs.RAMDisk(), nil, 0)
 	job := *fx.job
-	crashMaster := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 0, At: 0.1, Kind: mpi.FaultCrash}}}
+	crashMaster := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: 0, At: 0.1}}}
 	if _, _, err := core.Run(nodes, nprocs, crashMaster, &job, core.Options{}, &engine.Stream{Batches: batches}); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("serve accepted a master crash: %v", err)

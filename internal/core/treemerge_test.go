@@ -106,7 +106,7 @@ func TestTreeMergeCrashMidSearchByteIdentical(t *testing.T) {
 		t.Fatalf("fault-free tree-merge output differs from oracle at byte %d", firstDiff(freeOut, oracle))
 	}
 	at := 0.5 * (free.Wall - free.Phase.Output)
-	faults := []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+	faults := []mpi.Fault{{Rank: nprocs - 1, At: at}}
 	crashed, out1 := runPio(t, fx, nprocs, mpi.Config{Cost: testCost(), Faults: faults}, opts)
 	if !bytes.Equal(out1, oracle) {
 		t.Errorf("crashed tree-merge output differs from oracle at byte %d", firstDiff(out1, oracle))
@@ -129,7 +129,7 @@ func TestTreeMergeCrashDuringMergeCleanError(t *testing.T) {
 	at := free.Wall - float64(0.9*free.Phase.Output)
 	nodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
 	job := *fx.job
-	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}}
+	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at}}}
 	_, _, err := core.Run(nodes, nprocs, cfg, &job, opts, nil)
 	if err == nil {
 		t.Fatal("crash inside the merge window reported no error")

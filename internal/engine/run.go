@@ -46,7 +46,7 @@ func PlanRun(pkg string, nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *Job
 	// Failure recovery only covers workers: the master holds the merged
 	// results, the output layout, and the failure detector itself.
 	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
+		if f.Rank == 0 {
 			return Boot{}, fmt.Errorf("%s: cannot inject a crash into rank 0 (the master)", pkg)
 		}
 	}

@@ -466,7 +466,7 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 		// but still inside its search work.
 		at := 0.75 * (free.Wall - free.Phase.Output)
 		crashed, crashedOut, err := lab.runFaultSpec(eng, procs, []parblast.Fault{
-			{Rank: procs - 1, At: at, Kind: parblast.FaultCrash},
+			{Rank: procs - 1, At: at},
 		}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s crash: %w", name, err)

@@ -369,7 +369,7 @@ func DecodeOffsets(buf []byte) []int64 {
 // have count+1 entries covering ordinals [oidFrom, oidFrom+count]; the
 // buffers must start at hdrOffs[0] / seqOffs[0] in the global files.
 func DecodeWithOffsets(oidFrom int, hdrOffs, seqOffs []int64, hdrBuf, seqBuf []byte) ([]Record, error) {
-	if len(hdrOffs) < 2 || len(hdrOffs) != len(seqOffs) {
+	if len(hdrOffs) == 0 || len(hdrOffs) != len(seqOffs) {
 		return nil, fmt.Errorf("formatdb: offset arrays have %d/%d entries", len(hdrOffs), len(seqOffs))
 	}
 	count := len(hdrOffs) - 1
@@ -415,37 +415,6 @@ type Record struct {
 	Residues []byte
 }
 
-// DecodeRange extracts records [from, to) (volume-local ordinals) from raw
-// header/sequence buffers that were read starting at the byte offsets of
-// sequence 'from'. This is the worker-side decode of pioBLAST's input
-// stage: the buffers come straight from parallel reads of the shared
-// global files.
-func (v *VolumeInfo) DecodeRange(from, to int, hdrBuf, seqBuf []byte) ([]Record, error) {
-	if from < 0 || to > v.NumSeqs || from > to {
-		return nil, fmt.Errorf("formatdb: decode range [%d,%d) outside volume of %d", from, to, v.NumSeqs)
-	}
-	hdrBase := v.hdrOffsets[from]
-	seqBase := v.seqOffsets[from]
-	if want := v.hdrOffsets[to] - hdrBase; int64(len(hdrBuf)) < want {
-		return nil, fmt.Errorf("formatdb: header buffer %d bytes, need %d", len(hdrBuf), want)
-	}
-	if want := v.seqOffsets[to] - seqBase; int64(len(seqBuf)) < want {
-		return nil, fmt.Errorf("formatdb: sequence buffer %d bytes, need %d", len(seqBuf), want)
-	}
-	out := make([]Record, 0, to-from)
-	for i := from; i < to; i++ {
-		defline := string(hdrBuf[v.hdrOffsets[i]-hdrBase : v.hdrOffsets[i+1]-hdrBase])
-		id, desc := fasta.SplitDefline(defline)
-		out = append(out, Record{
-			OID:      v.FirstOID + i,
-			ID:       id,
-			Defline:  desc,
-			Residues: seqBuf[v.seqOffsets[i]-seqBase : v.seqOffsets[i+1]-seqBase],
-		})
-	}
-	return out, nil
-}
-
 // ReadAll loads every record of the database (the sequential-search path
 // and test helper).
 func (db *DB) ReadAll(fs *vfs.FS) ([]Record, error) {
@@ -460,7 +429,7 @@ func (db *DB) ReadAll(fs *vfs.FS) ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs, err := v.DecodeRange(0, v.NumSeqs, hdr, body)
+		recs, err := DecodeWithOffsets(v.FirstOID, v.hdrOffsets, v.seqOffsets, hdr, body)
 		if err != nil {
 			return nil, err
 		}

@@ -240,7 +240,7 @@ func TestPartitionMultiVolumeSpansBoundaries(t *testing.T) {
 	}
 }
 
-func TestDecodeRangeMatchesReadAll(t *testing.T) {
+func TestDecodeWithOffsetsMatchesReadAll(t *testing.T) {
 	fs := vfs.MustNew(vfs.RAMDisk())
 	seqs := testSeqs(t, 64, 70)
 	db, err := Format(fs, "d", seqs, Config{Kind: seq.Protein})
@@ -254,7 +254,7 @@ func TestDecodeRangeMatchesReadAll(t *testing.T) {
 	var all []Record
 	for _, p := range parts {
 		for _, e := range p.Extents {
-			recs, err := v.DecodeRange(e.From, e.To,
+			recs, err := DecodeWithOffsets(e.OIDFrom, v.hdrOffsets[e.From:e.To+1], v.seqOffsets[e.From:e.To+1],
 				hdr[e.HdrOff:e.HdrOff+e.HdrLen], body[e.SeqOff:e.SeqOff+e.SeqLen])
 			if err != nil {
 				t.Fatal(err)
@@ -274,15 +274,15 @@ func TestDecodeRangeMatchesReadAll(t *testing.T) {
 	}
 }
 
-func TestDecodeRangeErrors(t *testing.T) {
+func TestDecodeWithOffsetsErrors(t *testing.T) {
 	fs := vfs.MustNew(vfs.RAMDisk())
 	seqs := testSeqs(t, 5, 40)
 	db, _ := Format(fs, "e", seqs, Config{Kind: seq.Protein})
 	v := &db.Volumes[0]
-	if _, err := v.DecodeRange(0, 99, nil, nil); err == nil {
-		t.Fatal("out-of-range decode accepted")
+	if _, err := DecodeWithOffsets(0, v.hdrOffsets, v.seqOffsets[:3], nil, nil); err == nil {
+		t.Fatal("offset slices of different ranges accepted")
 	}
-	if _, err := v.DecodeRange(0, 2, []byte{1}, []byte{1}); err == nil {
+	if _, err := DecodeWithOffsets(0, v.hdrOffsets[:3], v.seqOffsets[:3], []byte{1}, []byte{1}); err == nil {
 		t.Fatal("short buffers accepted")
 	}
 }

@@ -65,7 +65,7 @@ func TestAsideContract(t *testing.T) {
 		// and rank 2 asks first. Either way the crash is seen after 110 only.
 		for _, aside := range []bool{false, true} {
 			reg := metrics.NewRegistry()
-			faults := []Fault{{Rank: 1, At: 105 * testCost().SearchUnitCost, Kind: FaultCrash}}
+			faults := []Fault{{Rank: 1, At: 105 * testCost().SearchUnitCost}}
 			var early, late bool
 			_, _, err := RunConfig(3, Config{Cost: testCost(), Faults: faults, Metrics: reg}, func(r *Rank) error {
 				switch r.ID() {

@@ -105,7 +105,7 @@ func TestEngineGrantsMatchScan(t *testing.T) {
 				// Crashing runs may fail by design (a crash in an output
 				// window); every grant they make is still checked.
 				for _, at := range c.crashTimes(res, stats) {
-					faults := []mpi.Fault{{Rank: c.procs() - 1, At: at, Kind: mpi.FaultCrash}}
+					faults := []mpi.Fault{{Rank: c.procs() - 1, At: at}}
 					c.run(t, seqs, queries, faults, &grants)
 				}
 			}

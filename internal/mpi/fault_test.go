@@ -103,7 +103,7 @@ func TestCollectiveBytesBucket(t *testing.T) {
 func TestCrashExcludedFromCollectives(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
-		Faults: []Fault{{Rank: 2, At: 1.0, Kind: FaultCrash}},
+		Faults: []Fault{{Rank: 2, At: 1.0}},
 	}
 	failed := func(r *Rank, victim bool) error {
 		for id := 0; id < 3; id++ {
@@ -153,7 +153,7 @@ func TestCrashTieGoesToTheLowerID(t *testing.T) {
 	for _, aside := range []bool{false, true} {
 		seen := make([]bool, 3)
 		recvErr := make([]error, 3)
-		cfg := Config{Cost: testCost(), Faults: []Fault{{Rank: 1, At: at, Kind: FaultCrash}}}
+		cfg := Config{Cost: testCost(), Faults: []Fault{{Rank: 1, At: at}}}
 		_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			id := r.ID()
 			if id == 1 {
@@ -212,7 +212,7 @@ func TestRecvTimeoutExpires(t *testing.T) {
 func TestRecvTimeoutFromCrashed(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
-		Faults: []Fault{{Rank: 1, At: 0.5, Kind: FaultCrash}},
+		Faults: []Fault{{Rank: 1, At: 0.5}},
 	}
 	fs := vfs.MustNew(vfs.Profile{Name: "t", Latency: 1, Bandwidth: 1e9, Channels: 1})
 	clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
@@ -251,7 +251,7 @@ func TestRecvTimeoutFromCrashed(t *testing.T) {
 func TestRecvCrashAware(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
-		Faults: []Fault{{Rank: 2, At: 0.5, Kind: FaultCrash}},
+		Faults: []Fault{{Rank: 2, At: 0.5}},
 	}
 	world := func(recv func(r *Rank) ([]byte, error)) float64 {
 		var got float64
@@ -291,8 +291,8 @@ func TestRecvCrashAware(t *testing.T) {
 // decided inside the package. In a fault-free world DetectInterval is +Inf,
 // so a detection loop written once is one blocking receive — no timeout
 // however late the message, none booked — and Failed is false for everyone.
-// The same program under a degrade-only schedule polls and ends at the
-// bit-equal clock.
+// The same program under a schedule whose one crash never fires (its victim
+// makes no MPI call) polls and ends at the bit-equal clock.
 func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
 	late := 1000 * testCost().FaultDetectInterval()
 	world := func(faults []Fault) (float64, int, int64) {
@@ -342,12 +342,12 @@ func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
 	if free < late {
 		t.Fatalf("fault-free receive completed at %g, before the message was sent at %g", free, late)
 	}
-	degraded, polls, timeouts := world([]Fault{{Rank: 2, At: 0, Kind: FaultDegrade, Slow: 2}})
+	unfired, polls, timeouts := world([]Fault{{Rank: 2, At: 2 * late}})
 	if polls < 1000 || timeouts != int64(polls) {
-		t.Fatalf("degrade-only world: %d ErrTimeouts, mpi.recv_timeouts = %d; want ≥ 1000 and equal", polls, timeouts)
+		t.Fatalf("unfired-crash world: %d ErrTimeouts, mpi.recv_timeouts = %d; want ≥ 1000 and equal", polls, timeouts)
 	}
-	if degraded != free {
-		t.Fatalf("degrade-only world ends at %x, fault-free at %x", degraded, free)
+	if unfired != free {
+		t.Fatalf("unfired-crash world ends at %x, fault-free at %x", unfired, free)
 	}
 }
 
@@ -356,7 +356,7 @@ func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
 func TestRecvFromCrashedAborts(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
-		Faults: []Fault{{Rank: 1, At: 0.5, Kind: FaultCrash}},
+		Faults: []Fault{{Rank: 1, At: 0.5}},
 	}
 	_, _, err := RunConfig(2, cfg, func(r *Rank) error {
 		if r.ID() == 1 {
@@ -379,26 +379,22 @@ func TestRecvFromCrashedAborts(t *testing.T) {
 	}
 }
 
-// TestFaultMarksOnTrace: every scheduled fault marks the victim's timeline on
-// Config.Trace exactly once, named by its kind, at a time at or after the
+// TestFaultMarksOnTrace: every fired crash marks the victim's timeline on
+// Config.Trace exactly once, named "crash", at a time at or after the
 // scheduled At.
 func TestFaultMarksOnTrace(t *testing.T) {
 	col := trace.NewCollector()
 	cfg := Config{
 		Cost: testCost(),
 		Faults: []Fault{
-			{Rank: 1, At: 0.5, Kind: FaultCrash},
-			{Rank: 2, At: 0.25, Kind: FaultDegrade, Slow: 4},
+			{Rank: 1, At: 0.5},
+			{Rank: 2, At: 0.25},
 		},
 		Trace: col,
 	}
 	_, _, err := RunConfig(3, cfg, func(r *Rank) error {
 		r.Advance(1)
 		r.Compute(1000)
-		r.Compute(1000) // a degrade is marked once, not per slowed call
-		if r.ID() == 1 {
-			r.Barrier() // crash fires here
-		}
 		return nil
 	})
 	if err != nil {
@@ -409,34 +405,13 @@ func TestFaultMarksOnTrace(t *testing.T) {
 	}
 	// Both fire at the victim's first operation at or after At: the t=1
 	// compute.
-	for rank, want := range map[int]string{1: "crash", 2: "degrade"} {
+	for rank := 1; rank <= 2; rank++ {
+		const want = "crash"
 		evs := col.Events(rank)
 		if len(evs) != 1 || evs[0].Name != want || evs[0].At != 1 ||
 			evs[0].Attrs["kind"] != want || evs[0].Attrs["rank"] != fmt.Sprint(rank) {
 			t.Fatalf("rank %d events %+v, want one %s mark at t=1", rank, evs, want)
 		}
-	}
-}
-
-// TestDegradeSlowsCompute: past At, compute costs Slow× more; work done
-// before At is unaffected.
-func TestDegradeSlowsCompute(t *testing.T) {
-	cfg := Config{
-		Cost:   testCost(),
-		Faults: []Fault{{Rank: 1, At: 0.0, Kind: FaultDegrade, Slow: 3}},
-	}
-	clocks, _, err := RunConfig(2, cfg, func(r *Rank) error {
-		r.Compute(1_000_000) // 1s at baseline speed
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := clocks[0].Now(); !near(got, 1.0) {
-		t.Fatalf("healthy rank clock = %g, want 1", got)
-	}
-	if got := clocks[1].Now(); !near(got, 3.0) {
-		t.Fatalf("degraded rank clock = %g, want 3", got)
 	}
 }
 
@@ -449,16 +424,12 @@ func TestFaultValidation(t *testing.T) {
 		faults []Fault
 		want   string
 	}{
-		{"bad rank", []Fault{{Rank: 7, At: 1, Kind: FaultCrash}}, "invalid rank 7"},
-		{"negative time", []Fault{{Rank: 1, At: -1, Kind: FaultCrash}}, "invalid time -1"},
-		{"double crash", []Fault{{Rank: 1, At: 1, Kind: FaultCrash}, {Rank: 1, At: 2, Kind: FaultCrash}}, "more than one scheduled crash"},
-		{"degrade without slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade}}, "needs Slow > 0"},
-		{"NaN slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade, Slow: math.NaN()}}, "non-finite Slow"},
-		{"infinite slow", []Fault{{Rank: 1, At: 1, Kind: FaultDegrade, Slow: math.Inf(1)}}, "non-finite Slow"},
-		{"NaN time", []Fault{{Rank: 1, At: math.NaN(), Kind: FaultCrash}}, "invalid time NaN"},
+		{"bad rank", []Fault{{Rank: 7, At: 1}}, "invalid rank 7"},
+		{"negative time", []Fault{{Rank: 1, At: -1}}, "invalid time -1"},
+		{"double crash", []Fault{{Rank: 1, At: 1}, {Rank: 1, At: 2}}, "more than one scheduled crash"},
+		{"NaN time", []Fault{{Rank: 1, At: math.NaN()}}, "invalid time NaN"},
 		// Used to mean "never" while arming FaultsScheduled for the whole run.
-		{"infinite time", []Fault{{Rank: 1, At: math.Inf(1), Kind: FaultCrash}}, "invalid time +Inf"},
-		{"unknown kind", []Fault{{Rank: 1, At: 1, Kind: FaultKind(99)}}, "unknown fault kind 99"},
+		{"infinite time", []Fault{{Rank: 1, At: math.Inf(1)}}, "invalid time +Inf"},
 	} {
 		cfg := Config{Cost: testCost(), Faults: tc.faults}
 		if _, _, err := RunConfig(2, cfg, body); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -474,7 +445,7 @@ func TestRecvTimeoutDeterminism(t *testing.T) {
 		var log strings.Builder
 		cfg := Config{
 			Cost:   testCost(),
-			Faults: []Fault{{Rank: 2, At: 0.12, Kind: FaultCrash}},
+			Faults: []Fault{{Rank: 2, At: 0.12}},
 		}
 		clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
 			switch r.ID() {

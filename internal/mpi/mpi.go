@@ -170,44 +170,17 @@ type collective struct {
 	hasDerived bool
 }
 
-// FaultKind classifies a scheduled fault.
-type FaultKind int
-
-const (
-	// FaultCrash fail-stops the rank: at the first MPI operation after its
-	// clock reaches At, the rank dies. Pending messages to it are dropped,
-	// collectives complete over the surviving ranks, and peers observe the
-	// failure through RecvTimeout/Failed or a crash-aware abort.
-	FaultCrash FaultKind = iota
-	// FaultDegrade slows the rank's compute by the Slow factor from At on
-	// (a sick-but-alive node: thermal throttling, a competing job).
-	FaultDegrade
-)
-
-// String names the kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultCrash:
-		return "crash"
-	case FaultDegrade:
-		return "degrade"
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
-// Fault schedules one deterministic fault. Faults are part of the Config,
-// so a given schedule always reproduces the same failure history.
+// Fault schedules one deterministic crash. Faults are part of the Config,
+// so a given schedule always reproduces the same failure history. The
+// victim fail-stops at its first MPI operation at or after At: pending
+// messages to it are dropped, collectives complete over the surviving
+// ranks, and peers observe the failure through RecvTimeout/Failed or a
+// crash-aware abort.
 type Fault struct {
 	// Rank is the victim.
 	Rank int
-	// At is the virtual time the fault takes effect: finite and >= 0. A
-	// crash fires at the victim's first MPI operation at or after At.
+	// At is the virtual time the crash takes effect: finite and >= 0.
 	At float64
-	// Kind selects crash vs degrade.
-	Kind FaultKind
-	// Slow is the compute slowdown factor for FaultDegrade (2 = half
-	// speed): finite and > 0. Ignored for crashes.
-	Slow float64
 }
 
 // ErrTimeout is returned by RecvTimeout when the virtual-time deadline
@@ -271,10 +244,9 @@ type Rank struct {
 	slot int
 
 	// Fault plane: the schedule (fixed at setup, +Inf = never) and outcome.
-	crashAt, degradeAt, degradeSlow float64
-	crashTime                       float64 // actual crash time (first op at/after crashAt)
-	crashed                         bool
-	degradeFired                    bool // the degrade is already marked on the trace
+	crashAt   float64
+	crashTime float64 // actual crash time (first op at/after crashAt)
+	crashed   bool
 	// traceBatch is the rank's current query-batch trace context (-1 =
 	// none), kept only while a collector is attached. Stamped on every
 	// outgoing envelope; adopted from incoming envelopes at delivery, so
@@ -293,8 +265,8 @@ type Config struct {
 	// Models the heterogeneous clusters the paper's §5 load-balancing
 	// discussion targets.
 	Speeds []float64
-	// Faults schedules deterministic rank failures (see Fault). At most one
-	// crash and one degrade per rank.
+	// Faults schedules deterministic rank crashes (see Fault). At most one
+	// per rank.
 	Faults []Fault
 	// Metrics, when non-nil, receives the run's unified telemetry: per-tag
 	// message counts and bytes, collective-operation counts, and
@@ -437,7 +409,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []T
 		// Every rank starts ready at time 0, so ascending ids are a heap.
 		w.ranks[i] = Rank{id: i, world: w, clock: simtime.NewClock(), speed: speed,
 			wake: make(chan struct{}, 1), slot: i, recvDeadline: inf,
-			crashAt: inf, degradeAt: inf, degradeSlow: 1, crashTime: inf, traceBatch: -1}
+			crashAt: inf, crashTime: inf, traceBatch: -1}
 		w.eligible[i] = event{id: i}
 	}
 	for _, f := range cfg.Faults {
@@ -449,26 +421,10 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, []T
 			return nil, nil, fmt.Errorf("mpi: fault for rank %d has invalid time %g", f.Rank, f.At)
 		}
 		r := &w.ranks[f.Rank]
-		switch f.Kind {
-		case FaultCrash:
-			if !math.IsInf(r.crashAt, 1) {
-				return nil, nil, fmt.Errorf("mpi: rank %d has more than one scheduled crash", f.Rank)
-			}
-			r.crashAt = f.At
-		case FaultDegrade:
-			if f.Slow <= 0 {
-				return nil, nil, fmt.Errorf("mpi: degrade for rank %d needs Slow > 0, got %g", f.Rank, f.Slow)
-			}
-			if math.IsNaN(f.Slow) || math.IsInf(f.Slow, 0) {
-				return nil, nil, fmt.Errorf("mpi: degrade for rank %d has non-finite Slow %g", f.Rank, f.Slow)
-			}
-			if !math.IsInf(r.degradeAt, 1) {
-				return nil, nil, fmt.Errorf("mpi: rank %d has more than one scheduled degrade", f.Rank)
-			}
-			r.degradeAt, r.degradeSlow = f.At, f.Slow
-		default:
-			return nil, nil, fmt.Errorf("mpi: unknown fault kind %d for rank %d", int(f.Kind), f.Rank)
+		if !math.IsInf(r.crashAt, 1) {
+			return nil, nil, fmt.Errorf("mpi: rank %d has more than one scheduled crash", f.Rank)
 		}
+		r.crashAt = f.At
 	}
 	clocks := make([]*simtime.Clock, n)
 	var wg sync.WaitGroup
@@ -846,17 +802,10 @@ func (r *Rank) maybeCrash() {
 		}
 	}
 	w.maybeCompleteCollective()
-	w.traceFault(r.id, FaultCrash, now)
-	panic(crashPanic{r.id})
-}
-
-// traceFault marks a fired fault on the victim's timeline. Called once per
-// fault, from the victim's goroutine while it holds the scheduler token.
-func (w *World) traceFault(rank int, kind FaultKind, at float64) {
-	if tr := w.config.Trace; tr != nil {
-		tr.RecordEventAttrs(rank, kind.String(), at,
-			map[string]string{"kind": kind.String(), "rank": strconv.Itoa(rank)})
+	if tr := w.config.Trace; tr != nil { // mark the crash on the victim's timeline
+		tr.RecordEventAttrs(r.id, "crash", now, map[string]string{"kind": "crash", "rank": strconv.Itoa(r.id)})
 	}
+	panic(crashPanic{r.id})
 }
 
 // maybeCompleteCollective finishes an in-progress collective when
@@ -1049,26 +998,12 @@ func (r *Rank) Advance(d float64) {
 }
 
 // Compute charges work units at the model's search-unit cost, scaled by
-// the rank's node-speed factor and any active degrade fault.
+// the rank's node-speed factor.
 //
 //lint:clock
 func (r *Rank) Compute(units int64) {
 	r.maybeCrash()
-	r.clock.Advance(float64(units) * r.world.cost.SearchUnitCost * r.effSpeed())
-}
-
-// effSpeed is the rank's current compute-cost factor: the configured node
-// speed, multiplied by the degrade slowdown once its fault time passes.
-func (r *Rank) effSpeed() float64 {
-	s := r.speed
-	if r.clock.Now() >= r.degradeAt {
-		if !r.degradeFired {
-			r.degradeFired = true
-			r.world.traceFault(r.id, FaultDegrade, r.clock.Now())
-		}
-		s *= r.degradeSlow
-	}
-	return s
+	r.clock.Advance(float64(units) * r.world.cost.SearchUnitCost * r.speed)
 }
 
 // FormatCost charges the per-byte report-rendering cost for n bytes.

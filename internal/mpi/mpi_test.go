@@ -739,7 +739,7 @@ func extraPointsUnderCrashes(t *testing.T, points map[string]func(*Rank)) {
 	moved := 0
 	for victim := 1; victim < n; victim++ {
 		for k := 0; k < times; k++ {
-			faults := []Fault{{Rank: victim, At: wall * float64(k) / times, Kind: FaultCrash}}
+			faults := []Fault{{Rank: victim, At: wall * float64(k) / times}}
 			plain, _ := run(faults, func(*Rank) {})
 			for name, point := range points {
 				got, _ := run(faults, point)
@@ -819,7 +819,7 @@ func TestUnreceivedMessageFails(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "to rank 0 never received, the first from rank 2 tag 7") {
 		t.Fatalf("fault-free unreceived message: error %v, want one naming (dst 0, src 2, tag 7)", err)
 	}
-	faults := []Fault{{Rank: 2, At: 1, Kind: FaultCrash}}
+	faults := []Fault{{Rank: 2, At: 1}}
 	_, _, err = RunConfig(3, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
 		switch r.ID() {
 		case 1:

@@ -53,7 +53,7 @@ func TestOnceContract(t *testing.T) {
 			dawdle: func(id int) bool { return id == 1 },
 			want:   [][]int{{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}}, builds: 2, reuses: 2 * (n - 1)},
 		{name: "a crash between two gathers", rounds: 2, asks: all,
-			faults: []Fault{{Rank: 2, At: 0.5, Kind: FaultCrash}},
+			faults: []Fault{{Rank: 2, At: 0.5}},
 			want:   [][]int{{0, 1, 2, 3, 4}, {0, 1, 3, 4}}, builds: 2, reuses: (n - 1) + (n - 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

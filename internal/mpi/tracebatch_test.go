@@ -215,7 +215,7 @@ func TestTraceContextIsInert(t *testing.T) {
 		for k := 0; k < times; k++ {
 			at := wall * float64(k) / times
 			compare(fmt.Sprintf("rank %d crashing at %d/%d of the run", victim, k, times),
-				[]Fault{{Rank: victim, At: at, Kind: FaultCrash}})
+				[]Fault{{Rank: victim, At: at}})
 		}
 	}
 }

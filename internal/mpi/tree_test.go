@@ -119,7 +119,7 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 		var contributors []int
 		cfg := Config{
 			Cost:   testCost(),
-			Faults: []Fault{{Rank: victim, At: 0, Kind: FaultCrash}},
+			Faults: []Fault{{Rank: victim, At: 0}},
 		}
 		_, _, err := RunConfig(n, cfg, func(r *Rank) error {
 			members := make([]int, n)
@@ -316,15 +316,16 @@ func TestTreeReduceUnderFaultSchedule(t *testing.T) {
 					}
 				})
 			}
-			// A schedule that kills nobody still selects the flat path.
-			check("nobody", []Fault{{Rank: n - 1, At: 0, Kind: FaultDegrade, Slow: 2}}, -1)
+			// A schedule that kills nobody still selects the flat path: its
+			// one crash is due after the run ends (the barrier past t=2).
+			check("nobody", []Fault{{Rank: n - 1, At: 10}}, -1)
 			for _, v := range victims {
 				for _, w := range whens {
 					dead := v.rank
 					if w.aliveAtCall {
 						dead = -1
 					}
-					check(v.kind+"/"+w.name, []Fault{{Rank: v.rank, At: w.at(v.rank), Kind: FaultCrash}}, dead)
+					check(v.kind+"/"+w.name, []Fault{{Rank: v.rank, At: w.at(v.rank)}}, dead)
 				}
 			}
 		}

@@ -34,8 +34,9 @@ type master struct {
 	window int     // outstanding fetch requests (Options.FetchWindow, ≥ 1)
 	admit  float64 // master clock when the job broadcast completed
 
-	// The output stage, opened by openOutput; off is the running offset in
-	// the single result file.
+	// The output stage: the job's kernel (for the selection cap and the
+	// statistics the header and footer print), the single result file,
+	// opened by openOutput, and off, the running offset in it.
 	searcher   *blast.Searcher
 	maxTargets int
 	out        *mpiio.File
@@ -275,9 +276,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 
 	// Serialized result merging and output (§2.2 / Figure 2 right side).
 	r.SetPhase(simtime.PhaseOutput)
-	if err := m.openOutput(); err != nil {
-		return err
-	}
+	m.openOutput()
 	return m.writeQueries(m.job.Queries, m.admit, qlat, a.own.Alive(), func(qi int) ([]masterHit, blast.WorkCounters) {
 		// The serialized merge handles one query at a time: stamp it as the
 		// trace context so the fetch round-trips it triggers carry it.
@@ -320,9 +319,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 		r.Send(w, tagAssign, treeAssign{Frag: -1, Alive: alive}.encode())
 	}
 
-	if err := m.openOutput(); err != nil {
-		return err
-	}
+	m.openOutput()
 	members := a.own.Members()
 	res, complete, err := m.foldTree(members, len(m.job.Queries))
 	if err != nil {
@@ -353,9 +350,7 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats *engine.ServeStats, qlat *[]float64) error {
 	r := m.r
 	nFrags := len(m.meta.FragBases)
-	if err := m.openOutput(); err != nil {
-		return err
-	}
+	m.openOutput()
 	// Membership is fixed (no faults in serve mode), so the tree fold needs
 	// no abort protocol.
 	workers := engine.WorkerRanks(r.Size() - 1)
@@ -400,17 +395,9 @@ func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats
 	})
 }
 
-// openOutput prepares the output stage: the kernel (for the selection cap
-// and the statistics the header and footer print) and the result file.
-func (m *master) openOutput() error {
-	searcher, err := blast.NewSearcher(m.job.Options)
-	if err != nil {
-		return err
-	}
-	m.searcher = searcher
-	m.maxTargets = searcher.Options().MaxTargetSeqs
+// openOutput opens the result file for the output stage.
+func (m *master) openOutput() {
 	m.out = mpiio.OpenOrCreate(m.r, m.node.Shared, m.job.OutputPath)
-	return nil
 }
 
 // foldTree is the master's half of the hierarchical merge: contribute an

@@ -184,6 +184,7 @@ func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Op
 		r.Bcast(0, mp.meta.encode())
 		m := &master{
 			r: r, node: nodes[0], job: job, masterPlan: mp,
+			searcher: bank.Searcher(), maxTargets: bank.Searcher().Options().MaxTargetSeqs,
 			window: max(opts.FetchWindow, 1),
 			// Admission: every query of a one-shot run is "in the system"
 			// once the job metadata broadcast completes.

@@ -117,7 +117,7 @@ func TestBaselineTreeMergeCrashMidSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := 0.5 * (free.Wall - free.Phase.Output)
-	faults := []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+	faults := []mpi.Fault{{Rank: nprocs - 1, At: at}}
 	crashed, out1, err := runTree(t, job, nprocs, nFrags, mpi.Config{Cost: cost, Faults: faults}, opts)
 	if err != nil {
 		t.Fatalf("crashed run failed: %v", err)
@@ -149,7 +149,7 @@ func TestBaselineTreeMergeCrashDuringMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := free.Wall - 0.9*free.Phase.Output
-	faults := []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}
+	faults := []mpi.Fault{{Rank: nprocs - 1, At: at}}
 	_, _, err = runTree(t, job, nprocs, nFrags, mpi.Config{Cost: cost, Faults: faults}, opts)
 	if err == nil {
 		t.Fatal("crash inside the merge window reported no error")

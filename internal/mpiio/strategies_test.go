@@ -71,7 +71,7 @@ func TestReadCollectiveStrategiesSurviveCrashes(t *testing.T) {
 				views, want, total := interleavedViews(n, 4*n, 97)
 				cfg := mpi.Config{
 					Cost:   testCost(),
-					Faults: []mpi.Fault{{Rank: victim, At: at, Kind: mpi.FaultCrash}},
+					Faults: []mpi.Fault{{Rank: victim, At: at}},
 				}
 				got := runReaders(t, n, vfs.XFSLike(), total, cfg, func(r *mpi.Rank, f *File) ([]byte, error) {
 					if err := f.SetHints(Hints{ReadStrategy: strat}); err != nil {

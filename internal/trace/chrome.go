@@ -133,7 +133,6 @@ func (c *Collector) WriteChromeTraceMetrics(w io.Writer, meta map[string]string,
 				Dur:  &dur,
 				Pid:  0,
 				Tid:  rank,
-				Args: attrArgs(s.Attrs),
 			})
 		}
 		for _, e := range c.Events(rank) {

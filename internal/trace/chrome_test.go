@@ -10,12 +10,12 @@ import (
 )
 
 // goldenCollector builds a small fixed timeline: two ranks, abutting spans,
-// one annotated span, one fault event.
+// one fault event.
 func goldenCollector() *Collector {
 	c := NewCollector()
 	c.Record(0, "search", 0, 0.5)
 	c.Record(0, "output", 0.5, 0.75)
-	c.RecordAttrs(1, "search", 0, 0.6, map[string]string{"part": "3"})
+	c.Record(1, "search", 0, 0.6)
 	c.RecordEventAttrs(1, "crash", 0.6, map[string]string{"kind": "crash"})
 	return c
 }
@@ -83,10 +83,7 @@ func TestChromeTraceGolden(t *testing.T) {
    "ts": 0,
    "dur": 600000,
    "pid": 0,
-   "tid": 1,
-   "args": {
-    "part": "3"
-   }
+   "tid": 1
   },
   {
    "name": "crash",

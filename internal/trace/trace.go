@@ -11,13 +11,10 @@ import (
 	"sync"
 )
 
-// Span is one contiguous interval a rank spent in one phase. Attrs
-// optionally annotates the span (exported to trace viewers as args);
-// spans recorded through the clock observer carry no attributes.
+// Span is one contiguous interval a rank spent in one phase.
 type Span struct {
 	Phase    string
 	From, To float64
-	Attrs    map[string]string
 }
 
 // Event is an instantaneous occurrence on a rank's timeline (a fault
@@ -62,26 +59,20 @@ func (c *Collector) Events(rank int) []Event {
 // Record adds one interval to a rank's timeline, coalescing it with the
 // previous span when the phase continues.
 func (c *Collector) Record(rank int, phase string, from, to float64) {
-	c.RecordAttrs(rank, phase, from, to, nil)
-}
-
-// RecordAttrs is Record with key/value annotations. An annotated span is
-// never coalesced into its predecessor (the annotation marks it distinct).
-func (c *Collector) RecordAttrs(rank int, phase string, from, to float64, attrs map[string]string) {
 	if to <= from {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	spans := c.ranks[rank]
-	if n := len(spans); attrs == nil && n > 0 && spans[n-1].Phase == phase && spans[n-1].Attrs == nil && spans[n-1].To >= from {
+	if n := len(spans); n > 0 && spans[n-1].Phase == phase && spans[n-1].To >= from {
 		if to > spans[n-1].To {
 			spans[n-1].To = to
 		}
 		c.ranks[rank] = spans
 		return
 	}
-	c.ranks[rank] = append(spans, Span{Phase: phase, From: from, To: to, Attrs: attrs})
+	c.ranks[rank] = append(spans, Span{Phase: phase, From: from, To: to})
 }
 
 // Observer returns a recording function bound to one rank, in the shape

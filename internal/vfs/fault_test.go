@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -82,19 +83,42 @@ func TestFaultPlanEveryAndCount(t *testing.T) {
 	}
 }
 
-// TestInjectFaultsValidate rejects malformed plans and lets a zero-Failures
-// plan disable injection.
+// TestInjectFaultsValidate rejects malformed plans, naming the field where
+// a plan's backoff is not finite or its doubling overflows (each of those
+// used to be accepted and made Access return NaN or +Inf), accepts the
+// largest plans that stay finite, and lets a zero-Failures plan disable
+// injection.
 func TestInjectFaultsValidate(t *testing.T) {
 	fs := MustNew(RAMDisk())
-	for _, p := range []FaultPlan{
-		{FirstOp: 0, Failures: 1},
-		{FirstOp: 1, Every: -1, Failures: 1},
-		{FirstOp: 1, Count: -1, Failures: 1},
-		{FirstOp: 1, Failures: -1},
-		{FirstOp: 1, Failures: 1, Backoff: -0.1},
+	for _, tc := range []struct {
+		plan FaultPlan
+		want string
+	}{
+		{FaultPlan{FirstOp: 0, Failures: 1}, "invalid fault plan"},
+		{FaultPlan{FirstOp: 1, Every: -1, Failures: 1}, "invalid fault plan"},
+		{FaultPlan{FirstOp: 1, Count: -1, Failures: 1}, "invalid fault plan"},
+		{FaultPlan{FirstOp: 1, Failures: -1}, "invalid fault plan"},
+		{FaultPlan{FirstOp: 1, Failures: 1, Backoff: -0.1}, "invalid fault plan"},
+		{FaultPlan{FirstOp: 1, Failures: 1, Backoff: math.NaN()}, "Backoff must be finite"},
+		{FaultPlan{FirstOp: 1, Failures: 1, Backoff: math.Inf(1)}, "Backoff must be finite"},
+		{FaultPlan{FirstOp: 1, Failures: 2000, Backoff: 1e-3}, "Failures=2000"},
+		{FaultPlan{FirstOp: 1, Failures: 2, Backoff: 0.6 * math.MaxFloat64}, "Failures=2"},
 	} {
-		if err := fs.InjectFaults(p); err == nil {
-			t.Errorf("plan %+v accepted", p)
+		if err := fs.InjectFaults(tc.plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("plan %+v: error %v, want one saying %q", tc.plan, err, tc.want)
+		}
+	}
+	for _, p := range []FaultPlan{
+		{FirstOp: 1, Failures: 1000, Backoff: 1e-3},
+		{FirstOp: 1, Failures: 5000},
+		{FirstOp: 1, Failures: 1, Backoff: 0.5 * math.MaxFloat64},
+	} {
+		fs := MustNew(RAMDisk())
+		if err := fs.InjectFaults(p); err != nil {
+			t.Fatalf("plan %+v: %v", p, err)
+		}
+		if end := fs.Access(0, 100); math.IsNaN(end) || math.IsInf(end, 0) {
+			t.Errorf("plan %+v: access ends at %g", p, end)
 		}
 	}
 	if err := fs.InjectFaults(FaultPlan{FirstOp: 1, Failures: 2, Backoff: 0.01}); err != nil {

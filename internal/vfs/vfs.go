@@ -12,6 +12,7 @@ package vfs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -92,10 +93,18 @@ type FaultPlan struct {
 	Backoff float64
 }
 
-// Validate rejects unusable plans.
+// Validate rejects unusable plans. A faulted access waits
+// Backoff·(2^Failures − 1) in all, its last retry Backoff·2^(Failures−1):
+// both must be finite, or the access would end at +Inf or NaN.
 func (p FaultPlan) Validate() error {
 	if p.FirstOp < 1 || p.Every < 0 || p.Count < 0 || p.Failures < 0 || p.Backoff < 0 {
 		return fmt.Errorf("vfs: invalid fault plan %+v", p)
+	}
+	if math.IsNaN(p.Backoff) || math.IsInf(p.Backoff, 0) {
+		return fmt.Errorf("vfs: fault plan Backoff must be finite, got %g", p.Backoff)
+	}
+	if last := math.Ldexp(p.Backoff, p.Failures-1); p.Failures > 0 && math.IsInf(last+(last-p.Backoff), 0) {
+		return fmt.Errorf("vfs: fault plan Failures=%d doubles Backoff=%g past the largest finite wait", p.Failures, p.Backoff)
 	}
 	return nil
 }

@@ -40,16 +40,13 @@ type ArrivalConfig struct {
 	Rate float64
 	// Burst, when > 1, turns the plain Poisson process into a two-state
 	// MMPP: phases alternate between a calm state and a burst state whose
-	// instantaneous rate is Burst× the calm one. The two factors are
-	// normalized so the LONG-RUN MEAN GAP stays 1/Rate (dwell is counted
-	// in batches, so the factors' harmonic mean must be 1: calm =
-	// Burst/(2·Burst−1), burst = Burst²/(2·Burst−1)). 0 or 1 selects
-	// plain Poisson.
+	// instantaneous rate is Burst× the calm one. A phase lasts a geometric
+	// number of batches with mean burstDwell, so the phase pattern is
+	// rate-independent. The two factors are normalized so the LONG-RUN
+	// MEAN GAP stays 1/Rate (dwell is counted in batches, so the factors'
+	// harmonic mean must be 1: calm = Burst/(2·Burst−1), burst =
+	// Burst²/(2·Burst−1)). 0 or 1 selects plain Poisson.
 	Burst float64
-	// BurstDwell is the mean number of consecutive batches per MMPP
-	// phase (geometric dwell; default 8). Dwell is counted in batches,
-	// not seconds, so the phase pattern is rate-independent.
-	BurstDwell int
 	// BatchMean is the mean queries per batch (default 1).
 	BatchMean int
 	// BatchDist selects the batch-size distribution: BatchFixed (default),
@@ -59,7 +56,10 @@ type ArrivalConfig struct {
 	Seed int64
 }
 
-// maxMean bounds BatchMean and BurstDwell. Above it the uniform draw's bound
+// burstDwell is the mean number of consecutive batches per MMPP phase.
+const burstDwell = 8
+
+// maxMean bounds BatchMean. Above it the uniform draw's bound
 // 2·BatchMean−1 can overflow, and 1−1/mean rounds to 1, so every geometric
 // draw would divide by log(1) = 0 and clamp to 1. At or below it every draw
 // is the one the configuration asks for.
@@ -83,15 +83,6 @@ func (c ArrivalConfig) validated() (ArrivalConfig, error) {
 	// 2·Burst−1 overflows give a NaN or zero rate factor here.
 	if calm, burst := c.rateFactors(); !(calm > 0 && burst > 0) {
 		return c, fmt.Errorf("workload: burst factor must be finite with positive calm and burst rate factors, got %g (factors %g and %g)", c.Burst, calm, burst)
-	}
-	if c.BurstDwell < 0 {
-		return c, fmt.Errorf("workload: burst dwell must be ≥ 1 batches, got %d", c.BurstDwell)
-	}
-	if c.BurstDwell == 0 {
-		c.BurstDwell = 8
-	}
-	if c.BurstDwell > maxMean {
-		return c, fmt.Errorf("workload: burst dwell must be ≤ 2^52 batches, got %d", c.BurstDwell)
 	}
 	if c.BatchMean < 0 {
 		return c, fmt.Errorf("workload: batch mean must be ≥ 1, got %d", c.BatchMean)
@@ -149,8 +140,8 @@ func Arrivals(queries []*seq.Sequence, cfg ArrivalConfig) ([]Batch, error) {
 	inBurst := false
 	phaseLeft := 0
 	nextDwell := func() int {
-		// Geometric dwell with mean BurstDwell, support {1,2,...}.
-		p := 1 / float64(cfg.BurstDwell)
+		// Geometric dwell with mean burstDwell, support {1,2,...}.
+		p := 1 / float64(burstDwell)
 		d := 1 + int(math.Floor(math.Log(1-float64(rng.Float64()))/math.Log(1-p)))
 		if d < 1 {
 			d = 1

@@ -117,7 +117,7 @@ func TestArrivalsMMPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := Arrivals(qs, ArrivalConfig{Rate: 10, Burst: 8, BurstDwell: 6, BatchMean: 1, Seed: 9})
+	bursty, err := Arrivals(qs, ArrivalConfig{Rate: 10, Burst: 8, BatchMean: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,6 @@ func TestArrivalsValidation(t *testing.T) {
 		{Rate: 1, Burst: 1e308},
 		{Rate: 1, BatchMean: -2},
 		{Rate: 1, BatchDist: "zipf"},
-		{Rate: 1, BurstDwell: -1},
 	} {
 		if _, err := Arrivals(qs, cfg); err == nil {
 			t.Fatalf("config %+v accepted, want error", cfg)
@@ -192,10 +191,8 @@ func TestArrivalsValidation(t *testing.T) {
 	}{
 		{ArrivalConfig{Rate: 1, BatchMean: 1<<62 + 1, BatchDist: BatchUniform}, "batch mean must be ≤ 2^52"},
 		{ArrivalConfig{Rate: 1, BatchMean: 1 << 62, BatchDist: BatchGeometric}, "batch mean must be ≤ 2^52"},
-		{ArrivalConfig{Rate: 1, Burst: 2, BurstDwell: 1 << 62}, "burst dwell must be ≤ 2^52"},
 		{ArrivalConfig{Rate: 1, BatchMean: 1 << 52, BatchDist: BatchUniform}, ""},
 		{ArrivalConfig{Rate: 1, BatchMean: 1 << 52, BatchDist: BatchGeometric}, ""},
-		{ArrivalConfig{Rate: 1, Burst: 2, BurstDwell: 1 << 52}, ""},
 	} {
 		_, err := Arrivals(qs, tc.cfg)
 		switch {

@@ -43,10 +43,11 @@ type DBConfig struct {
 	// many subjects — the regime the paper's result-merging optimizations
 	// target. 0 or 1 disables grouping.
 	FamilySize int
-	// FamilyMutation is the per-residue mutation rate between family
-	// members (default 0.15 when FamilySize > 1).
-	FamilyMutation float64
 }
+
+// familyMutation is the per-residue mutation rate between a family's
+// founder and each of its members.
+const familyMutation = 0.15
 
 // Validate rejects empty configurations.
 func (c DBConfig) Validate() error {
@@ -72,10 +73,6 @@ func SynthesizeDB(cfg DBConfig) ([]*seq.Sequence, error) {
 	if family < 1 {
 		family = 1
 	}
-	mut := cfg.FamilyMutation
-	if family > 1 && mut == 0 {
-		mut = 0.15
-	}
 	out := make([]*seq.Sequence, cfg.NumSeqs)
 	var founder []byte
 	for i := range out {
@@ -85,7 +82,7 @@ func SynthesizeDB(cfg DBConfig) ([]*seq.Sequence, error) {
 			res = make([]byte, len(founder))
 			copy(res, founder)
 			for j := range res {
-				if rng.Float64() < mut {
+				if rng.Float64() < familyMutation {
 					res[j] = sampler.draw(rng)
 				}
 			}

@@ -73,10 +73,8 @@ type (
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is a deterministic point-in-time metrics copy.
 	MetricsSnapshot = metrics.Snapshot
-	// Fault schedules one deterministic rank failure (see Search.Faults).
+	// Fault schedules one deterministic rank crash (see Search.Faults).
 	Fault = mpi.Fault
-	// FaultKind selects crash vs degrade.
-	FaultKind = mpi.FaultKind
 	// IOHints is the MPI-IO info object (read strategy, aggregator count,
 	// collective buffer size, sieve gap) applied to every shared-file
 	// handle of a pioBLAST run — see PioOptions.IOHints.
@@ -117,16 +115,6 @@ const (
 	BatchSizeUniform = workload.BatchUniform
 	// BatchSizeGeometric: geometric on {1,2,...}, mean BatchMean.
 	BatchSizeGeometric = workload.BatchGeometric
-)
-
-// Fault kinds.
-const (
-	// FaultCrash fail-stops the victim at its first MPI operation at or
-	// after the scheduled time.
-	FaultCrash = mpi.FaultCrash
-	// FaultDegrade slows the victim's compute by the Slow factor from the
-	// scheduled time on.
-	FaultDegrade = mpi.FaultDegrade
 )
 
 // Re-exported constructors.
@@ -418,7 +406,7 @@ type Search struct {
 	Pio PioOptions
 	// Mpi selects mpiBLAST-baseline variants; pioBLAST rejects them.
 	Mpi MpiOptions
-	// Faults schedules deterministic rank failures (crashes, degrades).
+	// Faults schedules deterministic rank crashes.
 	// Scheduling any fault arms the engines' failure-recovery protocols;
 	// fault firings land on the trace timeline as events.
 	Faults []Fault

@@ -109,7 +109,7 @@ func TestBuiltOncePerWorld(t *testing.T) {
 					if job.serve {
 						at = st.BatchDone[0] + 1e-9
 					}
-					_, st, snap, out = run([]parblast.Fault{{Rank: procs - 1, At: at, Kind: parblast.FaultCrash}})
+					_, st, snap, out = run([]parblast.Fault{{Rank: procs - 1, At: at}})
 				}
 				searched, bcasts, searches := queries, int64(1), int64(job.frags)
 				if job.serve {
