@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -44,11 +45,16 @@ func TestLowComplexityLeavesNormalSequenceAlone(t *testing.T) {
 	}
 }
 
+// TestLowComplexityMergesOverlaps: a homopolymer, of a strict residue ('A')
+// or of the ambiguity code (counted in the last bucket), is one merged
+// interval.
 func TestLowComplexityMergesOverlaps(t *testing.T) {
-	res := make([]byte, 40) // all 'A'
-	ivs := LowComplexityIntervals(res, seq.ProteinAlphabet, DefaultFilterParams(seq.Protein))
-	if len(ivs) != 1 || ivs[0].From != 0 || ivs[0].To != 40 {
-		t.Fatalf("expected one merged interval covering everything, got %v", ivs)
+	for _, c := range []byte{0, seq.ProteinAlphabet.Wildcard()} {
+		res := bytes.Repeat([]byte{c}, 40)
+		ivs := LowComplexityIntervals(res, seq.ProteinAlphabet, DefaultFilterParams(seq.Protein))
+		if len(ivs) != 1 || ivs[0].From != 0 || ivs[0].To != 40 {
+			t.Fatalf("code %d: expected one merged interval covering everything, got %v", c, ivs)
+		}
 	}
 }
 

@@ -404,3 +404,12 @@ func TestQueryBankLendsScratch(t *testing.T) {
 		t.Fatalf("%d contexts out at once, want at most GOMAXPROCS = %d", p, procs)
 	}
 }
+
+// TestTakeSpareSmallestFit: a build reuses the smallest spare buffer with
+// room for it and leaves the others spare.
+func TestTakeSpareSmallestFit(t *testing.T) {
+	spare := [][]int{make([]int, 0, 4), make([]int, 0, 8)}
+	if got := takeSpare(&spare, 3); cap(got) != 4 || len(spare) != 1 || cap(spare[0]) != 8 {
+		t.Fatalf("took a buffer of cap %d, left %d spares", cap(got), len(spare))
+	}
+}

@@ -45,72 +45,77 @@ func searchWithThreads(t *testing.T, opts Options, query *seq.Sequence, frag *Fr
 	return s, res
 }
 
-// TestSearchThreadsByteIdenticalProtein is the golden-equivalence contract:
-// the intra-rank pool must not change a single output byte.
-func TestSearchThreadsByteIdenticalProtein(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	frag := testFragment(rng, 48, 350)
-	query := proteinSeq("tq", randomProtein(rng, 200))
-	// Plant homologs so the comparison covers real alignments, not just
-	// empty reports.
-	for _, oid := range []int{2, 11, 30} {
-		hom := mutate(rng, query.Residues, 0.2)
-		if len(hom) > 340 {
-			hom = hom[:340]
+// threadRows is the golden-equivalence contract's table, one row per
+// fixture, each named after its test: the intra-rank pool must not change a
+// single output byte or work counter at any of the row's thread counts.
+var threadRows = []struct {
+	name    string
+	threads []int
+	fixture func() (Options, *seq.Sequence, *Fragment)
+}{
+	{"TestSearchThreadsByteIdenticalProtein", []int{2, 3, 8}, func() (Options, *seq.Sequence, *Fragment) {
+		rng := rand.New(rand.NewSource(77))
+		frag := testFragment(rng, 48, 350)
+		query := proteinSeq("tq", randomProtein(rng, 200))
+		// Plant homologs so the comparison covers real alignments, not
+		// just empty reports.
+		for _, oid := range []int{2, 11, 30} {
+			hom := mutate(rng, query.Residues, 0.2)
+			if len(hom) > 340 {
+				hom = hom[:340]
+			}
+			copy(frag.Subjects[oid].Residues[4:], hom)
 		}
-		copy(frag.Subjects[oid].Residues[4:], hom)
-	}
-	opts := DefaultProteinOptions()
-
-	s1, r1 := searchWithThreads(t, opts, query, frag, 1)
-	out1 := renderAll(t, s1, query, frag, r1)
-	for _, threads := range []int{2, 3, 8} {
-		s8, r8 := searchWithThreads(t, opts, query, frag, threads)
-		out8 := renderAll(t, s8, query, frag, r8)
-		if out1 != out8 {
-			t.Fatalf("threads=%d output differs from sequential (%d vs %d bytes)", threads, len(out1), len(out8))
+		return DefaultProteinOptions(), query, frag
+	}},
+	{"TestSearchThreadsByteIdenticalDNA", []int{8}, func() (Options, *seq.Sequence, *Fragment) {
+		rng := rand.New(rand.NewSource(78))
+		randDNA := func(n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				out[i] = byte(rng.Intn(4))
+			}
+			return out
 		}
-		if r1.Work != r8.Work {
-			t.Fatalf("threads=%d work counters differ:\nseq: %+v\npar: %+v", threads, r1.Work, r8.Work)
+		frag := &Fragment{}
+		for i := 0; i < 24; i++ {
+			frag.Subjects = append(frag.Subjects, Subject{OID: i, ID: "d" + itoa(i), Residues: randDNA(1500)})
 		}
-	}
-	if len(r1.Hits) == 0 {
-		t.Fatal("fixture produced no hits; equivalence test is vacuous")
-	}
+		query := &seq.Sequence{ID: "dq", Residues: randDNA(260), Alpha: seq.DNAAlphabet}
+		copy(frag.Subjects[7].Residues[300:], query.Residues)
+		copy(frag.Subjects[19].Residues[900:], query.Residues[:200])
+		return DefaultDNAOptions(), query, frag
+	}},
 }
 
-func TestSearchThreadsByteIdenticalDNA(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	randDNA := func(n int) []byte {
-		out := make([]byte, n)
-		for i := range out {
-			out[i] = byte(rng.Intn(4))
+// searchThreadsByteIdentical runs the row named after t's test.
+func searchThreadsByteIdentical(t *testing.T) {
+	for _, row := range threadRows {
+		if row.name != t.Name() {
+			continue
 		}
-		return out
+		opts, query, frag := row.fixture()
+		s1, r1 := searchWithThreads(t, opts, query, frag, 1)
+		out1 := renderAll(t, s1, query, frag, r1)
+		if len(r1.Hits) == 0 {
+			t.Fatal("fixture produced no hits; equivalence test is vacuous")
+		}
+		for _, threads := range row.threads {
+			sN, rN := searchWithThreads(t, opts, query, frag, threads)
+			if outN := renderAll(t, sN, query, frag, rN); out1 != outN {
+				t.Fatalf("threads=%d output differs from sequential (%d vs %d bytes)", threads, len(out1), len(outN))
+			}
+			if r1.Work != rN.Work {
+				t.Fatalf("threads=%d work counters differ:\nseq: %+v\npar: %+v", threads, r1.Work, rN.Work)
+			}
+		}
+		return
 	}
-	frag := &Fragment{}
-	for i := 0; i < 24; i++ {
-		frag.Subjects = append(frag.Subjects, Subject{OID: i, ID: "d" + itoa(i), Residues: randDNA(1500)})
-	}
-	query := &seq.Sequence{ID: "dq", Residues: randDNA(260), Alpha: seq.DNAAlphabet}
-	copy(frag.Subjects[7].Residues[300:], query.Residues)
-	copy(frag.Subjects[19].Residues[900:], query.Residues[:200])
-	opts := DefaultDNAOptions()
-
-	s1, r1 := searchWithThreads(t, opts, query, frag, 1)
-	out1 := renderAll(t, s1, query, frag, r1)
-	s8, r8 := searchWithThreads(t, opts, query, frag, 8)
-	out8 := renderAll(t, s8, query, frag, r8)
-	if out1 != out8 {
-		t.Fatalf("DNA output differs: %d vs %d bytes", len(out1), len(out8))
-	}
-	if r1.Work != r8.Work {
-		t.Fatalf("DNA work counters differ:\nseq: %+v\npar: %+v", r1.Work, r8.Work)
-	}
-	if len(r1.Hits) == 0 {
-		t.Fatal("fixture produced no hits; equivalence test is vacuous")
-	}
+	t.Fatal("no row is named after this test")
 }
+
+func TestSearchThreadsByteIdenticalProtein(t *testing.T) { searchThreadsByteIdentical(t) }
+func TestSearchThreadsByteIdenticalDNA(t *testing.T)     { searchThreadsByteIdentical(t) }
 
 // TestSearchThreadsPoolReuse runs many fragments through one context with
 // the pool on, exercising clone reuse and (under -race) the pool's memory

@@ -8,6 +8,7 @@ import (
 
 	"parblast/internal/core"
 	"parblast/internal/engine"
+	"parblast/internal/metrics"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
 	"parblast/internal/trace"
@@ -163,12 +164,23 @@ func TestTracingZeroVirtualTimeCost(t *testing.T) {
 
 // TestQueryLatenciesDeterministic: repeated identical runs and runs with
 // different SearchThreads settings yield bit-identical per-query latencies
-// (master-clock accounting is independent of host parallelism).
+// (master-clock accounting is independent of host parallelism), and the
+// engine.query_latency_s distribution books one sample per query.
 func TestQueryLatenciesDeterministic(t *testing.T) {
 	fx := makeFixture(t, 2000)
 	opts := core.Options{QueryBatch: 2}
 
-	first, _ := runPio(t, fx, 4, mpi.Config{Cost: testCost()}, opts)
+	reg := metrics.NewRegistry()
+	first, _ := runPio(t, fx, 4, mpi.Config{Cost: testCost(), Metrics: reg}, opts)
+	var booked int64
+	for _, d := range reg.Snapshot().Distributions {
+		if d.Name == "engine.query_latency_s" {
+			booked += d.Total
+		}
+	}
+	if booked != int64(len(fx.queries)) {
+		t.Fatalf("engine.query_latency_s booked %d samples for %d queries", booked, len(fx.queries))
+	}
 	second, _ := runPio(t, fx, 4, mpi.Config{Cost: testCost()}, opts)
 	if !reflect.DeepEqual(first.QueryLatencies, second.QueryLatencies) {
 		t.Fatalf("latencies differ across identical runs:\n%v\n%v",

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -24,11 +23,13 @@ type fixture struct {
 	job     *engine.Job
 	db      *formatdb.DB
 	queries []*seq.Sequence
+	// volMax, when set, is the largest volume, in residues, the oracle
+	// tables format the database in.
+	volMax int64
 }
 
-// makeFixture samples queries from the same synthetic DB that newCluster
-// formats (identical seed/config), so queries are guaranteed homologs.
-func makeFixture(t *testing.T, queryBytes int) *fixture {
+// fixtureDB synthesizes the database every fixture formats.
+func fixtureDB(t *testing.T) []*seq.Sequence {
 	t.Helper()
 	seqs, err := workload.SynthesizeDB(workload.DBConfig{
 		Kind: seq.Protein, NumSeqs: 60, MeanLen: 150, Seed: 101,
@@ -36,7 +37,14 @@ func makeFixture(t *testing.T, queryBytes int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries, err := workload.SampleQueries(seqs, workload.QueryConfig{
+	return seqs
+}
+
+// makeFixture samples queries from the same synthetic DB that newCluster
+// formats, so queries are guaranteed homologs.
+func makeFixture(t *testing.T, queryBytes int) *fixture {
+	t.Helper()
+	queries, err := workload.SampleQueries(fixtureDB(t), workload.QueryConfig{
 		TargetBytes: queryBytes, MeanLen: 100, MutationRate: 0.05, Seed: 202,
 	})
 	if err != nil {
@@ -60,13 +68,7 @@ func (fx *fixture) newCluster(t *testing.T, n int, shared vfs.Profile, local *vf
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := workload.SynthesizeDB(workload.DBConfig{
-		Kind: seq.Protein, NumSeqs: 60, MeanLen: 150, Seed: 101,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
+	db, err := formatdb.Format(nodes[0].Shared, "nr", fixtureDB(t), formatdb.Config{
 		Title: "synthetic nr", Kind: seq.Protein, VolumeMaxResidues: volMax,
 	})
 	if err != nil {
@@ -83,72 +85,6 @@ func localDisk() *vfs.Profile {
 	return &p
 }
 
-// runAllThree executes the sequential oracle, the baseline, and pioBLAST on
-// identical inputs and returns the three output files.
-func runAllThree(t *testing.T, fx *fixture, nprocs, fragments int, shared vfs.Profile, local *vfs.Profile, opts core.Options) (seqOut, mpiOut, pioOut []byte, mpiRes, pioRes engine.RunResult) {
-	t.Helper()
-
-	// Sequential oracle.
-	seqNodes := fx.newCluster(t, 1, vfs.RAMDisk(), nil, 0)
-	seqJob := *fx.job
-	if err := engine.RunSequential(seqNodes[0].Shared, &seqJob); err != nil {
-		t.Fatal(err)
-	}
-	seqOut, err := seqNodes[0].Shared.ReadFile(fx.job.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Baseline.
-	mpiNodes := fx.newCluster(t, nprocs, shared, local, 0)
-	if _, err := mpiblast.PrepareFragments(mpiNodes[0].Shared, "nr", engine.PartCount(fragments, nprocs)); err != nil {
-		t.Fatal(err)
-	}
-	mpiJob := *fx.job
-	mpiJob.Fragments = fragments
-	mpiRes, _, err = mpiblast.Run(mpiNodes, nprocs, mpi.Config{Cost: testCost()}, &mpiJob, mpiblast.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpiOut, err = mpiNodes[0].Shared.ReadFile(fx.job.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// pioBLAST.
-	pioNodes := fx.newCluster(t, nprocs, shared, local, 0)
-	pioJob := *fx.job
-	pioJob.Fragments = fragments
-	pioRes, _, err = core.Run(pioNodes, nprocs, mpi.Config{Cost: testCost()}, &pioJob, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pioOut, err = pioNodes[0].Shared.ReadFile(fx.job.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seqOut, mpiOut, pioOut, mpiRes, pioRes
-}
-
-func TestEnginesProduceIdenticalOutput(t *testing.T) {
-	fx := makeFixture(t, 400)
-	seqOut, mpiOut, pioOut, _, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), localDisk(), core.Options{})
-	if len(seqOut) == 0 {
-		t.Fatal("sequential output empty")
-	}
-	if !bytes.Equal(seqOut, mpiOut) {
-		t.Fatalf("mpiBLAST output differs from sequential (len %d vs %d)\nfirst divergence: %d",
-			len(mpiOut), len(seqOut), firstDiff(seqOut, mpiOut))
-	}
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatalf("pioBLAST output differs from sequential (len %d vs %d)\nfirst divergence: %d",
-			len(pioOut), len(seqOut), firstDiff(seqOut, pioOut))
-	}
-	if !strings.Contains(string(seqOut), "Sequences producing significant alignments") {
-		t.Fatal("output has no hit summaries — workload produced no hits")
-	}
-}
-
 func firstDiff(a, b []byte) int {
 	n := len(a)
 	if len(b) < n {
@@ -162,63 +98,10 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-func TestEquivalenceAcrossProcessCounts(t *testing.T) {
-	fx := makeFixture(t, 300)
-	var ref []byte
-	for _, n := range []int{2, 3, 6} {
-		seqOut, mpiOut, pioOut, _, _ := runAllThree(t, fx, n, 0, vfs.XFSLike(), localDisk(), core.Options{})
-		if ref == nil {
-			ref = seqOut
-		}
-		if !bytes.Equal(ref, mpiOut) || !bytes.Equal(ref, pioOut) {
-			t.Fatalf("n=%d: outputs differ from reference", n)
-		}
-	}
-}
-
-func TestEquivalenceAcrossFragmentCounts(t *testing.T) {
-	fx := makeFixture(t, 300)
-	seqOut, mpiOut, pioOut, _, _ := runAllThree(t, fx, 4, 9, vfs.XFSLike(), localDisk(), core.Options{})
-	if !bytes.Equal(seqOut, mpiOut) {
-		t.Fatal("mpiBLAST with 9 fragments differs")
-	}
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("pioBLAST with 9 virtual fragments differs")
-	}
-}
-
-func TestEarlyPrunePreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 0, vfs.XFSLike(), nil, core.Options{EarlyPrune: true})
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("early-prune changed the output")
-	}
-}
-
-func TestIndependentOutputPreservesBytes(t *testing.T) {
-	fx := makeFixture(t, 300)
-	seqOut, _, pioOut, _, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), nil, core.Options{IndependentOutput: true})
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("independent-output mode changed the bytes")
-	}
-}
-
-func TestNoLocalDiskUsesSharedScratch(t *testing.T) {
-	// The Altix case: no node-local storage; the baseline copies fragments
-	// to shared scratch instead and everything still works.
-	fx := makeFixture(t, 300)
-	seqOut, mpiOut, pioOut, mpiRes, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), nil, core.Options{})
-	if !bytes.Equal(seqOut, mpiOut) || !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("diskless platform broke equivalence")
-	}
-	if mpiRes.Phase.Copy <= 0 {
-		t.Fatal("baseline should still pay a copy phase on shared scratch")
-	}
-}
-
 func TestPioBLASTFasterAndPhaseShapes(t *testing.T) {
 	fx := makeFixture(t, 500)
-	_, _, _, mpiRes, pioRes := runAllThree(t, fx, 6, 0, vfs.XFSLike(), localDisk(), core.Options{})
+	mpiRes, _ := oracleRow{mpi: &mpiblast.Options{}, procs: 6, local: localDisk()}.run(t, fx, nil)
+	pioRes, _ := oracleRow{pio: &core.Options{}, procs: 6, local: localDisk()}.run(t, fx, nil)
 	if pioRes.Wall >= mpiRes.Wall {
 		t.Fatalf("pioBLAST (%.2fs) not faster than mpiBLAST (%.2fs)", pioRes.Wall, mpiRes.Wall)
 	}
@@ -240,76 +123,6 @@ func TestPioBLASTFasterAndPhaseShapes(t *testing.T) {
 	if pioRes.Phase.Output >= mpiRes.Phase.Output {
 		t.Fatalf("pioBLAST output phase (%.2f) not below baseline (%.2f)",
 			pioRes.Phase.Output, mpiRes.Phase.Output)
-	}
-}
-
-func TestRunDeterminism(t *testing.T) {
-	fx := makeFixture(t, 300)
-	run := func() (engine.RunResult, []byte) {
-		nodes := fx.newCluster(t, 4, vfs.XFSLike(), localDisk(), 0)
-		job := *fx.job
-		res, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, core.Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := nodes[0].Shared.ReadFile(job.OutputPath)
-		return res, out
-	}
-	r1, o1 := run()
-	r2, o2 := run()
-	if r1.Wall != r2.Wall {
-		t.Fatalf("wall time nondeterministic: %g vs %g", r1.Wall, r2.Wall)
-	}
-	if !bytes.Equal(o1, o2) {
-		t.Fatal("output nondeterministic")
-	}
-}
-
-func TestMultiVolumeDatabase(t *testing.T) {
-	// Format with small volumes so the global DB spans several files; every
-	// read path must read partitions that cross volume boundaries correctly.
-	fx := makeFixture(t, 300)
-	seqs, _ := workload.SynthesizeDB(workload.DBConfig{Kind: seq.Protein, NumSeqs: 60, MeanLen: 150, Seed: 101})
-	format := func(n int) []*vfs.Node {
-		nodes, err := vfs.Cluster(n, vfs.XFSLike(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-			Title: "synthetic nr", Kind: seq.Protein, VolumeMaxResidues: workload.TotalResidues(seqs) / 4,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return nodes
-	}
-
-	seqNodes := format(1)
-	seqJob := *fx.job
-	if err := engine.RunSequential(seqNodes[0].Shared, &seqJob); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := seqNodes[0].Shared.ReadFile(fx.job.OutputPath)
-
-	for _, opts := range []core.Options{
-		{},
-		{PrefetchDepth: 2},
-		{DynamicAssignment: true},
-		{DynamicAssignment: true, PrefetchDepth: 1},
-		{CollectiveRead: true},
-	} {
-		for _, fragments := range []int{0, 3, 7} {
-			nodes := format(4)
-			job := *fx.job
-			job.Fragments = fragments
-			if _, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, opts, nil); err != nil {
-				t.Fatal(err)
-			}
-			got, _ := nodes[0].Shared.ReadFile(job.OutputPath)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("%d fragments, opts %+v: multi-volume output differs (%d vs %d bytes)",
-					fragments, opts, len(got), len(want))
-			}
-		}
 	}
 }
 
@@ -383,35 +196,6 @@ func TestOptionPlan(t *testing.T) {
 	}
 	if walls["config speeds alone"] <= walls["homogeneous"] {
 		t.Errorf("a 3x-slow worker did not slow the run: walls %v", walls)
-	}
-}
-
-func TestDynamicAssignmentPreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 12, vfs.XFSLike(), nil,
-		core.Options{DynamicAssignment: true})
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("dynamic assignment changed the output")
-	}
-}
-
-func TestQueryBatchingPreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	for _, batch := range []int{2, 3, 100} {
-		seqOut, _, pioOut, _, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), nil,
-			core.Options{QueryBatch: batch})
-		if !bytes.Equal(seqOut, pioOut) {
-			t.Fatalf("query batch %d changed the output", batch)
-		}
-	}
-}
-
-func TestCombinedOptionsPreserveOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 15, vfs.XFSLike(), nil,
-		core.Options{DynamicAssignment: true, EarlyPrune: true, QueryBatch: 4})
-	if !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("combined extension options changed the output")
 	}
 }
 
@@ -492,47 +276,6 @@ func mpiCfg(speeds []float64) mpi.Config {
 	return mpi.Config{Cost: testCost(), Speeds: speeds}
 }
 
-func TestTabularOutputAcrossEngines(t *testing.T) {
-	fx := makeFixture(t, 300)
-	fx.job.Options.OutFormat = blast.FormatTabular
-	seqOut, mpiOut, pioOut, _, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), nil, core.Options{})
-	if !bytes.Equal(seqOut, mpiOut) || !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("tabular outputs differ across engines")
-	}
-	text := string(seqOut)
-	if !strings.Contains(text, "# Fields: query id") {
-		t.Fatalf("tabular header missing:\n%.200s", text)
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if got := strings.Count(line, "\t"); got != 11 {
-			t.Fatalf("data line has %d tabs: %q", got, line)
-		}
-	}
-}
-
-func TestFilteredSearchAcrossEngines(t *testing.T) {
-	fx := makeFixture(t, 300)
-	fx.job.Options.FilterLowComplexity = true
-	seqOut, mpiOut, pioOut, _, _ := runAllThree(t, fx, 4, 0, vfs.XFSLike(), nil, core.Options{})
-	if !bytes.Equal(seqOut, mpiOut) || !bytes.Equal(seqOut, pioOut) {
-		t.Fatal("filtered outputs differ across engines")
-	}
-}
-
-func TestAdaptiveBatchingPreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 500)
-	for _, budget := range []int64{1, 4096, 1 << 20} {
-		seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, 0, vfs.XFSLike(), nil,
-			core.Options{MemoryBudgetBytes: budget})
-		if !bytes.Equal(seqOut, pioOut) {
-			t.Fatalf("budget %d changed the output", budget)
-		}
-	}
-}
-
 func TestAdaptiveBoundsProperties(t *testing.T) {
 	volumes := []int64{100, 900, 50, 50, 50, 2000, 10}
 	bounds := core.AdaptiveBoundsForTest(volumes, 1000)
@@ -566,60 +309,6 @@ func TestAdaptiveBoundsProperties(t *testing.T) {
 }
 
 // --- Read path: collective input reads and input/search overlap ---
-
-func TestCollectiveReadPreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	for _, prof := range []vfs.Profile{vfs.XFSLike(), vfs.NFSLike()} {
-		seqOut, _, pioOut, _, _ := runAllThree(t, fx, 4, 9, prof, nil,
-			core.Options{CollectiveRead: true})
-		if !bytes.Equal(seqOut, pioOut) {
-			t.Fatalf("collective reads changed the output on %s (first diff %d)",
-				prof.Name, firstDiff(seqOut, pioOut))
-		}
-	}
-}
-
-func TestPrefetchPreservesOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	for _, depth := range []int{1, 2, 4} {
-		seqOut, _, pioOut, _, _ := runAllThree(t, fx, 4, 9, vfs.XFSLike(), nil,
-			core.Options{PrefetchDepth: depth})
-		if !bytes.Equal(seqOut, pioOut) {
-			t.Fatalf("prefetch depth %d changed the output", depth)
-		}
-	}
-}
-
-// TestReadPathCombosPreserveOutput sweeps every legal combination of
-// collective reads, prefetch, and dynamic assignment (under dynamic
-// assignment the prefetch pipelines the greedy protocol one deep), with more
-// partitions than workers and with fewer: at 2 partitions on 4 workers a
-// static worker has an empty share and a greedy worker's first answer is
-// "none".
-func TestReadPathCombosPreserveOutput(t *testing.T) {
-	fx := makeFixture(t, 300)
-	for _, fragments := range []int{12, 2} {
-		for _, dynamic := range []bool{false, true} {
-			for _, collective := range []bool{false, true} {
-				for _, depth := range []int{0, 1, 2} {
-					if dynamic && (collective || depth > 1) {
-						continue // rejected by the plan (TestOptionPlan)
-					}
-					opts := core.Options{
-						DynamicAssignment: dynamic,
-						CollectiveRead:    collective,
-						PrefetchDepth:     depth,
-					}
-					seqOut, _, pioOut, _, _ := runAllThree(t, fx, 5, fragments, vfs.XFSLike(), nil, opts)
-					if !bytes.Equal(seqOut, pioOut) {
-						t.Fatalf("%d fragments, opts %+v changed the output (first diff %d)",
-							fragments, opts, firstDiff(seqOut, pioOut))
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestCollectiveReadReducesInputTime is the read-side §3 claim on the
 // strided platform: many workers each reading many small extents from the
@@ -821,48 +510,5 @@ func TestExchangeThresholdBoundary(t *testing.T) {
 	}
 	if got[0] != -1<<62 {
 		t.Fatalf("threshold with k-1 hits = %d, want the no-prune sentinel", got[0])
-	}
-}
-
-// TestReadPathSurvivesTransientIOFaults: deterministic transient storage
-// errors (failed attempts + backoff) delay reads but must never change the
-// output bytes, in any read-path mode.
-func TestReadPathSurvivesTransientIOFaults(t *testing.T) {
-	fx := makeFixture(t, 300)
-
-	seqNodes := fx.newCluster(t, 1, vfs.RAMDisk(), nil, 0)
-	seqJob := *fx.job
-	if err := engine.RunSequential(seqNodes[0].Shared, &seqJob); err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := seqNodes[0].Shared.ReadFile(fx.job.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, opts := range []core.Options{
-		{CollectiveRead: true},
-		{PrefetchDepth: 2},
-		{DynamicAssignment: true, PrefetchDepth: 1},
-	} {
-		nodes := fx.newCluster(t, 4, vfs.NFSLike(), nil, 0)
-		if err := nodes[0].Shared.InjectFaults(vfs.FaultPlan{
-			FirstOp: 2, Every: 3, Failures: 2, Backoff: 1e-3,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		job := *fx.job
-		job.Fragments = 9
-		if _, _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, opts, nil); err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-		out, err := nodes[0].Shared.ReadFile(job.OutputPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, oracle) {
-			t.Fatalf("opts %+v: transient I/O faults changed the output (first diff %d)",
-				opts, firstDiff(out, oracle))
-		}
 	}
 }

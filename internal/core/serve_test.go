@@ -61,94 +61,6 @@ func runServeMpi(t *testing.T, fx *fixture, nprocs int, cfg mpi.Config, opts mpi
 	return res, stats, out
 }
 
-// TestServeMatchesOneShot (satellite: stream-vs-oneshot equivalence): for
-// every read path × merge protocol, and at both a trickle and a saturating
-// arrival rate, the streamed output file must be byte-identical to the
-// one-shot run over the same queries, with the same per-query latency
-// cardinality.
-func TestServeMatchesOneShot(t *testing.T) {
-	const nprocs = 4
-	fx := makeFixture(t, 2000)
-
-	cases := []struct {
-		name string
-		opts core.Options
-	}{
-		{"plain", core.Options{}},
-		{"collective", core.Options{CollectiveRead: true}},
-		{"prefetch", core.Options{PrefetchDepth: 2}},
-		{"tree", core.Options{TreeMerge: true, CollectiveRead: true}},
-	}
-	for _, tc := range cases {
-		oneShot, oneOut := runPio(t, fx, nprocs, mpi.Config{Cost: testCost()}, tc.opts)
-		for _, rate := range []float64{0.05, 50} {
-			batches := serveArrivals(t, fx, workload.ArrivalConfig{
-				Rate: rate, BatchMean: 2, BatchDist: workload.BatchUniform, Seed: 7,
-			})
-			res, stats, out := runServePio(t, fx, nprocs, mpi.Config{Cost: testCost()}, tc.opts, batches, 0)
-			if !bytes.Equal(out, oneOut) {
-				t.Errorf("%s rate=%g: streamed output differs from one-shot at byte %d",
-					tc.name, rate, firstDiff(out, oneOut))
-			}
-			if len(res.QueryLatencies) != len(oneShot.QueryLatencies) {
-				t.Errorf("%s rate=%g: %d streamed latencies, one-shot has %d",
-					tc.name, rate, len(res.QueryLatencies), len(oneShot.QueryLatencies))
-			}
-			if stats.Shed != 0 || stats.Admitted != len(batches) ||
-				stats.Arrivals != stats.Admitted+stats.Shed {
-				t.Errorf("%s rate=%g: unbounded queue accounting wrong: %+v", tc.name, rate, stats)
-			}
-			for i, lat := range res.QueryLatencies {
-				if lat <= 0 {
-					t.Fatalf("%s rate=%g: query %d latency %g not positive", tc.name, rate, i, lat)
-				}
-			}
-		}
-	}
-}
-
-// TestServeMatchesOneShotMpiblast: the baseline engine's serving mode must
-// also be byte-identical to its own one-shot run, in both merge protocols,
-// at a trickle and a saturating rate.
-func TestServeMatchesOneShotMpiblast(t *testing.T) {
-	const nprocs = 4
-	fx := makeFixture(t, 2000)
-
-	for _, tree := range []bool{false, true} {
-		opts := mpiblast.Options{TreeMerge: tree}
-		oneNodes := fx.newCluster(t, nprocs, vfs.XFSLike(), localDisk(), 0)
-		if _, err := mpiblast.PrepareFragments(oneNodes[0].Shared, "nr", nprocs-1); err != nil {
-			t.Fatal(err)
-		}
-		oneJob := *fx.job
-		oneShot, _, err := mpiblast.Run(oneNodes, nprocs, mpi.Config{Cost: testCost()}, &oneJob, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oneOut, err := oneNodes[0].Shared.ReadFile(fx.job.OutputPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rate := range []float64{0.05, 50} {
-			batches := serveArrivals(t, fx, workload.ArrivalConfig{
-				Rate: rate, BatchMean: 2, BatchDist: workload.BatchUniform, Seed: 7,
-			})
-			res, stats, out := runServeMpi(t, fx, nprocs, mpi.Config{Cost: testCost()}, opts, batches, 0)
-			if !bytes.Equal(out, oneOut) {
-				t.Errorf("tree=%v rate=%g: streamed output differs from one-shot at byte %d",
-					tree, rate, firstDiff(out, oneOut))
-			}
-			if len(res.QueryLatencies) != len(oneShot.QueryLatencies) {
-				t.Errorf("tree=%v rate=%g: %d streamed latencies, one-shot has %d",
-					tree, rate, len(res.QueryLatencies), len(oneShot.QueryLatencies))
-			}
-			if stats.Shed != 0 || stats.Admitted != len(batches) {
-				t.Errorf("tree=%v rate=%g: unbounded queue accounting wrong: %+v", tree, rate, stats)
-			}
-		}
-	}
-}
-
 // TestBaselineMergeSeriesMatchAcrossModes: the baseline master's final
 // per-query selection is booked into blast.hsps_kept/dropped exactly where a
 // merge cost is charged — on the flat protocol, never on the tree protocol,

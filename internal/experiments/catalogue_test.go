@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -64,6 +69,73 @@ func TestDocumentedNamesResolve(t *testing.T) {
 	for _, name := range Names() {
 		if !strings.Contains(section, "| `benchsuite -exp "+name+"` |") {
 			t.Errorf(`README.md "Reproducing the paper" has no row for -exp %s`, name)
+		}
+	}
+}
+
+// TestCitedTestsExist: every Test… name the documents or the lint's
+// concurrency-site list cite is a test of the repository: a top-level test,
+// or a row of a table test, whose name is a string literal in a test file. A
+// test folded into a table keeps its name as the row's, so a citation of it
+// still resolves; a test renamed or deleted must take its citations along.
+func TestCitedTestsExist(t *testing.T) {
+	exists := map[string]bool{}
+	row := regexp.MustCompile(`^"(Test[A-Z][A-Za-z0-9_]*)(/|")`)
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir // .git, build caches, fixtures
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil && strings.HasPrefix(n.Name.Name, "Test") {
+					exists[n.Name.Name] = true
+				}
+			case *ast.BasicLit:
+				if m := row.FindStringSubmatch(n.Value); m != nil {
+					exists[m[1]] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	godisc, err := os.ReadFile("../lint/godisc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sites, ok := strings.Cut(string(godisc), "var concurrencySites = map[string]string{")
+	if !ok {
+		t.Fatal("internal/lint/godisc.go declares no concurrencySites")
+	}
+	sites, _, _ = strings.Cut(sites, "\n}\n")
+	sources := map[string]string{"internal/lint/godisc.go concurrencySites": sites}
+	for _, name := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[name] = string(data)
+	}
+	cited := regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
+	for name, text := range sources {
+		for _, c := range cited.FindAllString(text, -1) {
+			if !exists[c] {
+				t.Errorf("%s cites %s, which is no test", name, c)
+			}
 		}
 	}
 }

@@ -96,6 +96,34 @@ func TestCollectiveBytesBucket(t *testing.T) {
 	}
 }
 
+// TestCrashFiresOnce: a rank operation the body defers past its own crash
+// unwinds the rank again without crashing it a second time, so the live
+// count the collectives wait for drops once: rank 0's second barrier still
+// waits for rank 1.
+func TestCrashFiresOnce(t *testing.T) {
+	cfg := Config{Cost: testCost(), Faults: []Fault{{Rank: 2, At: 1}}}
+	clocks, _, err := RunConfig(3, cfg, func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			r.Barrier()
+		case 1:
+			r.Barrier()
+			r.Advance(5)
+		case 2:
+			defer r.Barrier()
+			r.Advance(2)
+		}
+		r.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := clocks[0].Now(); got < 5 {
+		t.Fatalf("rank 0 left its second barrier at t=%g, before rank 1 entered it at t=5", got)
+	}
+}
+
 // TestCrashExcludedFromCollectives: survivors' Barrier completes even when
 // a scheduled crash removes a participant before it joins — the victim
 // crashes at its door at t=2, the survivors leave at 2 ms and see the crash
@@ -352,7 +380,8 @@ func TestDetectIntervalIsTheWorldsCall(t *testing.T) {
 }
 
 // TestRecvFromCrashedAborts: a plain (deadline-free) Recv on a dead peer is
-// an unrecoverable stall; the abort must say WHO crashed, not "deadlock".
+// an unrecoverable stall; the abort must say WHO crashed and when, not
+// "deadlock".
 func TestRecvFromCrashedAborts(t *testing.T) {
 	cfg := Config{
 		Cost:   testCost(),
@@ -370,9 +399,8 @@ func TestRecvFromCrashedAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an abort error")
 	}
-	if !strings.Contains(err.Error(), "unrecovered rank failure") ||
-		!strings.Contains(err.Error(), "rank 1 crashed") {
-		t.Fatalf("abort error %q should name the crashed rank", err)
+	if !strings.Contains(err.Error(), "unrecovered rank failure (rank 1 crashed at t=1.000000): ") {
+		t.Fatalf("abort error %q should name the crashed rank and its crash time", err)
 	}
 	if strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("crash-induced stall misreported as deadlock: %q", err)

@@ -114,55 +114,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestGreedySchedulingCoversAllFragments(t *testing.T) {
-	// More fragments than workers: the greedy master must get every
-	// fragment searched, and the output must equal the sequential oracle.
-	nodes, job, _ := setup(t, 3) // 2 workers
-	job.Fragments = 7
-	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 7); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := mpiblast.Run(nodes, 3, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := nodes[0].Shared.ReadFile("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	refNodes, refJob, _ := setup(t, 1)
-	if err := engine.RunSequential(refNodes[0].Shared, refJob); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := refNodes[0].Shared.ReadFile("out")
-	if string(got) != string(want) {
-		t.Fatal("greedy multi-fragment run differs from sequential oracle")
-	}
-	if res.Phase.Copy <= 0 {
-		t.Fatal("copy phase missing")
-	}
-	if res.OutputBytes != int64(len(got)) {
-		t.Fatalf("OutputBytes %d != %d", res.OutputBytes, len(got))
-	}
-}
-
-func TestMoreWorkersThanFragments(t *testing.T) {
-	// 5 workers, 2 fragments: three workers must idle gracefully.
-	nodes, job, _ := setup(t, 6)
-	job.Fragments = 2
-	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	out, err := nodes[0].Shared.ReadFile("out")
-	if err != nil || len(out) == 0 {
-		t.Fatalf("no output: %v", err)
-	}
-}
-
 func TestCopyUsesLocalDiskWhenAvailable(t *testing.T) {
 	local := vfs.LocalDisk()
 	nodes, err := vfs.Cluster(3, vfs.XFSLike(), &local)
@@ -197,32 +148,89 @@ func TestCopyUsesLocalDiskWhenAvailable(t *testing.T) {
 	}
 }
 
-func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) {
-	nodes, job, _ := setup(t, 6)
-	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 5); err != nil {
-		t.Fatal(err)
-	}
-	serial, _, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := nodes[0].Shared.ReadFile("out")
+// baselineRow is one baseline run on setup's fixture, compared byte for byte
+// with the sequential report; check sees the results of the test's rows run
+// before it.
+type baselineRow struct {
+	name             string
+	procs, fragments int
+	opts             mpiblast.Options
+	check            func(t *testing.T, res engine.RunResult, ran map[string]engine.RunResult)
+}
 
-	nodes2, job2, _ := setup(t, 6)
-	if _, err := mpiblast.PrepareFragments(nodes2[0].Shared, "nr", 5); err != nil {
-		t.Fatal(err)
-	}
-	pipelined, _, err := mpiblast.Run(nodes2, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job2, mpiblast.Options{FetchWindow: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := nodes2[0].Shared.ReadFile("out")
-	if string(got) != string(want) {
-		t.Fatal("pipelined fetch changed the output")
-	}
+// baselineRows is setup's fixture's table, each row named after its test,
+// then its case.
+var baselineRows = []baselineRow{
+	// More fragments than workers: the greedy master gets every fragment
+	// searched.
+	{"TestGreedySchedulingCoversAllFragments", 3, 7, mpiblast.Options{}, func(t *testing.T, res engine.RunResult, _ map[string]engine.RunResult) {
+		if res.Phase.Copy <= 0 {
+			t.Fatal("copy phase missing")
+		}
+	}},
+	// 5 workers, 2 fragments: three workers idle gracefully.
+	{"TestMoreWorkersThanFragments", 6, 2, mpiblast.Options{}, nil},
+	{"TestPipelinedFetchPreservesOutputAndHelps/serial", 6, 5, mpiblast.Options{}, nil},
 	// Pipelining removes round-trip stalls; never slower.
-	if pipelined.Phase.Output > serial.Phase.Output*1.01 {
-		t.Fatalf("pipelined output (%.3f) worse than serial (%.3f)",
-			pipelined.Phase.Output, serial.Phase.Output)
+	{"TestPipelinedFetchPreservesOutputAndHelps/window=8", 6, 5, mpiblast.Options{FetchWindow: 8}, func(t *testing.T, res engine.RunResult, ran map[string]engine.RunResult) {
+		if serial := ran["TestPipelinedFetchPreservesOutputAndHelps/serial"]; res.Phase.Output > serial.Phase.Output*1.01 {
+			t.Fatalf("pipelined output (%.3f) worse than serial (%.3f)", res.Phase.Output, serial.Phase.Output)
+		}
+	}},
+}
+
+// baselineOracle is setup's sequential report, built by the first test that
+// needs it.
+var baselineOracle []byte
+
+// runBaselineRows runs the rows named after t's test against setup's
+// sequential report.
+func runBaselineRows(t *testing.T) {
+	if baselineOracle == nil {
+		refNodes, refJob, _ := setup(t, 1)
+		if err := engine.RunSequential(refNodes[0].Shared, refJob); err != nil {
+			t.Fatal(err)
+		}
+		out, err := refNodes[0].Shared.ReadFile("out")
+		if err != nil || len(out) == 0 {
+			t.Fatalf("sequential output empty: %v", err)
+		}
+		baselineOracle = out
+	}
+	ran := map[string]engine.RunResult{}
+	for _, row := range baselineRows {
+		if test, _, _ := strings.Cut(row.name, "/"); test != t.Name() {
+			continue
+		}
+		nodes, job, _ := setup(t, row.procs)
+		job.Fragments = row.fragments
+		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", row.fragments); err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := mpiblast.Run(nodes, row.procs, mpi.Config{Cost: simtime.DefaultCostModel()}, job, row.opts, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		ran[row.name] = res
+		got, err := nodes[0].Shared.ReadFile("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(baselineOracle) {
+			t.Fatalf("%s: output differs from the sequential oracle", row.name)
+		}
+		if res.OutputBytes != int64(len(got)) {
+			t.Fatalf("%s: OutputBytes %d != %d", row.name, res.OutputBytes, len(got))
+		}
+		if row.check != nil {
+			row.check(t, res, ran)
+		}
+	}
+	if len(ran) == 0 {
+		t.Fatal("no row is named after this test")
 	}
 }
+
+func TestGreedySchedulingCoversAllFragments(t *testing.T)    { runBaselineRows(t) }
+func TestMoreWorkersThanFragments(t *testing.T)              { runBaselineRows(t) }
+func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) { runBaselineRows(t) }

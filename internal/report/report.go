@@ -199,6 +199,17 @@ func ParseRun(data []byte) (Run, error) {
 	if r.Version < 1 || r.Version > Version {
 		return Run{}, fmt.Errorf("report: unsupported artifact version %d (reader supports ≤%d)", r.Version, Version)
 	}
+	// WriteJSON omits an empty extra map, distribution list or batch list,
+	// so each reads back as nil: an artifact read twice is the same value.
+	if len(r.Info.Extra) == 0 {
+		r.Info.Extra = nil
+	}
+	if len(r.Metrics.Distributions) == 0 {
+		r.Metrics.Distributions = nil
+	}
+	if r.ExactPath != nil && len(r.ExactPath.Batches) == 0 {
+		r.ExactPath.Batches = nil
+	}
 	return r, nil
 }
 

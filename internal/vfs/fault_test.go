@@ -85,9 +85,10 @@ func TestFaultPlanEveryAndCount(t *testing.T) {
 
 // TestInjectFaultsValidate rejects malformed plans, naming the field where
 // a plan's backoff is not finite or its doubling overflows (each of those
-// used to be accepted and made Access return NaN or +Inf), accepts the
-// largest plans that stay finite, and lets a zero-Failures plan disable
-// injection.
+// used to be accepted and made Access return NaN or +Inf) and where its
+// failure count is past the cap (with no backoff, a count near MaxInt used to
+// spin Access for good), accepts the largest plans that stay finite, and lets
+// a zero-Failures plan disable injection.
 func TestInjectFaultsValidate(t *testing.T) {
 	fs := MustNew(RAMDisk())
 	for _, tc := range []struct {
@@ -103,6 +104,8 @@ func TestInjectFaultsValidate(t *testing.T) {
 		{FaultPlan{FirstOp: 1, Failures: 1, Backoff: math.Inf(1)}, "Backoff must be finite"},
 		{FaultPlan{FirstOp: 1, Failures: 2000, Backoff: 1e-3}, "Failures=2000"},
 		{FaultPlan{FirstOp: 1, Failures: 2, Backoff: 0.6 * math.MaxFloat64}, "Failures=2"},
+		{FaultPlan{FirstOp: 1, Failures: math.MaxInt}, "exceeds the cap of 65536"},
+		{FaultPlan{FirstOp: 1, Failures: 1<<16 + 1}, "exceeds the cap of 65536"},
 	} {
 		if err := fs.InjectFaults(tc.plan); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("plan %+v: error %v, want one saying %q", tc.plan, err, tc.want)
@@ -111,6 +114,7 @@ func TestInjectFaultsValidate(t *testing.T) {
 	for _, p := range []FaultPlan{
 		{FirstOp: 1, Failures: 1000, Backoff: 1e-3},
 		{FirstOp: 1, Failures: 5000},
+		{FirstOp: 1, Failures: 1 << 16},
 		{FirstOp: 1, Failures: 1, Backoff: 0.5 * math.MaxFloat64},
 	} {
 		fs := MustNew(RAMDisk())

@@ -86,12 +86,18 @@ type FaultPlan struct {
 	Every int64
 	// Count caps the number of faulted accesses (0 = no cap).
 	Count int64
-	// Failures is how many attempts fail before the access succeeds.
+	// Failures is how many attempts fail before the access succeeds, at
+	// most 65 536 (maxFailures).
 	Failures int
 	// Backoff is the wait after the first failed attempt, doubling per
 	// subsequent retry (exponential backoff).
 	Backoff float64
 }
+
+// maxFailures caps FaultPlan.Failures. A faulted access charges its failed
+// attempts one by one, so its host time is linear in the count; a zero
+// Backoff leaves the doubling rule below no bound to apply.
+const maxFailures = 1 << 16
 
 // Validate rejects unusable plans. A faulted access waits
 // Backoff·(2^Failures − 1) in all, its last retry Backoff·2^(Failures−1):
@@ -99,6 +105,9 @@ type FaultPlan struct {
 func (p FaultPlan) Validate() error {
 	if p.FirstOp < 1 || p.Every < 0 || p.Count < 0 || p.Failures < 0 || p.Backoff < 0 {
 		return fmt.Errorf("vfs: invalid fault plan %+v", p)
+	}
+	if p.Failures > maxFailures {
+		return fmt.Errorf("vfs: fault plan Failures=%d exceeds the cap of %d failed attempts per access", p.Failures, maxFailures)
 	}
 	if math.IsNaN(p.Backoff) || math.IsInf(p.Backoff, 0) {
 		return fmt.Errorf("vfs: fault plan Backoff must be finite, got %g", p.Backoff)

@@ -227,46 +227,6 @@ func TestServeEmptyStreamIsAnError(t *testing.T) {
 	}
 }
 
-func TestPublicAPIEndToEnd(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	var outputs [][]byte
-	for _, eng := range []parblast.Engine{
-		parblast.EngineSequential, parblast.EngineMPIBlast, parblast.EnginePioBLAST,
-	} {
-		cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := cluster.FormatDB("nr", seqs, "api nr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eng == parblast.EngineMPIBlast {
-			if err := cluster.PrepareFragments("nr", 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := cluster.Run(eng, parblast.Search{DB: db, Queries: queries, Output: "out"})
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		out, err := cluster.ReadOutput("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.OutputBytes != int64(len(out)) {
-			t.Fatalf("%v: OutputBytes %d != file size %d", eng, res.OutputBytes, len(out))
-		}
-		outputs = append(outputs, out)
-	}
-	if !bytes.Equal(outputs[0], outputs[1]) || !bytes.Equal(outputs[0], outputs[2]) {
-		t.Fatal("engines disagree through the public API")
-	}
-	if !strings.Contains(string(outputs[0]), "BLASTP") {
-		t.Fatal("report missing banner")
-	}
-}
-
 func TestPlatformAndEngineNames(t *testing.T) {
 	if parblast.PlatformAltix.String() != "altix-xfs" ||
 		parblast.PlatformBladeCluster.String() != "blade-nfs" ||
@@ -378,130 +338,6 @@ func TestDNADefaultsSelected(t *testing.T) {
 	}
 }
 
-func TestMultiVolumeViaAPI(t *testing.T) {
-	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, queries := buildWorkload(t)
-	db, err := cluster.FormatDBVolumes("nr", seqs, "volumes", 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Volumes) < 2 {
-		t.Fatalf("expected multiple volumes, got %d", len(db.Volumes))
-	}
-	if _, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{
-		DB: db, Queries: queries, Output: "out",
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTraceThroughPublicAPI(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	cluster, err := parblast.NewCluster(3, parblast.PlatformAltix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector := cluster.Trace()
-	db, err := cluster.FormatDB("nr", seqs, "traced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{
-		DB: db, Queries: queries, Output: "out",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(collector.Ranks()) != 3 {
-		t.Fatalf("traced %d ranks, want 3", len(collector.Ranks()))
-	}
-	var buf strings.Builder
-	collector.Render(&buf, 60)
-	if !strings.Contains(buf.String(), "rank   0") {
-		t.Fatalf("timeline malformed:\n%s", buf.String())
-	}
-}
-
-func TestTabularThroughPublicAPI(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := cluster.FormatDB("nr", seqs, "tab")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := parblast.DefaultProteinOptions()
-	opts.OutFormat = parblast.FormatTabular
-	if _, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{
-		DB: db, Queries: queries, Output: "out", Options: opts,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := cluster.ReadOutput("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "# Fields:") {
-		t.Fatal("tabular output missing through public API")
-	}
-}
-
-func TestAdaptiveBatchingThroughPublicAPI(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := cluster.FormatDB("nr", seqs, "mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{
-		DB: db, Queries: queries, Output: "out",
-		Pio: parblast.PioOptions{MemoryBudgetBytes: 32 << 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OutputBytes == 0 {
-		t.Fatal("no output")
-	}
-}
-
-func TestSearchThreadsInvarianceThroughPublicAPI(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	var outputs [][]byte
-	for _, threads := range []int{1, 8} {
-		cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := cluster.FormatDB("nr", seqs, "api nr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := parblast.DefaultProteinOptions()
-		opts.SearchThreads = threads
-		if _, err := cluster.Run(parblast.EnginePioBLAST, parblast.Search{
-			DB: db, Queries: queries, Output: "out", Options: opts,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		out, err := cluster.ReadOutput("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, out)
-	}
-	if !bytes.Equal(outputs[0], outputs[1]) {
-		t.Fatal("SearchThreads changed engine output bytes")
-	}
-}
-
 // TestClusterReuseSameWall: a world's clocks start at zero, so the storage
 // queues it meets must be empty too — the same job run three times on one
 // cluster takes the same virtual time each time, in both engines.
@@ -530,38 +366,6 @@ func TestClusterReuseSameWall(t *testing.T) {
 			} else if res.Wall != first {
 				t.Fatalf("%v run %d: wall %g, first run %g", eng, i, res.Wall, first)
 			}
-		}
-	}
-}
-
-// TestNodeSpeedsThroughPublicAPI: Search.NodeSpeeds reaches the runtime of
-// both engines — a 3×-slow worker slows either one down.
-func TestNodeSpeedsThroughPublicAPI(t *testing.T) {
-	seqs, queries := buildWorkload(t)
-	for _, eng := range []parblast.Engine{parblast.EnginePioBLAST, parblast.EngineMPIBlast} {
-		cluster, err := parblast.NewCluster(4, parblast.PlatformAltix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := cluster.FormatDB("nr", seqs, "api nr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cluster.PrepareFragments("nr", 3); err != nil {
-			t.Fatal(err)
-		}
-		s := parblast.Search{DB: db, Queries: queries, Output: "out"}
-		even, err := cluster.Run(eng, s)
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		s.NodeSpeeds = []float64{1, 1, 1, 3}
-		skewed, err := cluster.Run(eng, s)
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		if skewed.Wall <= even.Wall {
-			t.Fatalf("%v: a 3x-slow worker did not slow the run: %g vs %g", eng, skewed.Wall, even.Wall)
 		}
 	}
 }
@@ -873,3 +677,186 @@ func TestNilAndEmptyInputRejected(t *testing.T) {
 		}
 	}
 }
+
+// apiRow is one façade run of the buildWorkload fixture, compared byte for
+// byte with the sequential engine's report. Its name is its test's, then its
+// case.
+type apiRow struct {
+	name   string
+	engine parblast.Engine
+	procs  int                    // 4 when unset
+	search func(*parblast.Search) // what the row sets beyond DB, queries and output
+	// volumes formats the database in volumes of 3 000 residues.
+	volumes bool
+	trace   bool
+	check   func(t *testing.T, c *parblast.Cluster, s parblast.Search, res parblast.Result)
+}
+
+// apiFixture is one table of façade runs: the fixture's search, whose
+// options edit sets when not nil (the façade fills them in otherwise), and
+// the sequential report the first test to run builds.
+type apiFixture struct {
+	edit   func(*parblast.SearchOptions)
+	rows   func() []apiRow
+	oracle []byte
+}
+
+// run runs the rows named after t's test: a row named as the test in t, a
+// row named test/case in the subtest case.
+func (f *apiFixture) run(t *testing.T) {
+	t.Helper()
+	seqs, queries := buildWorkload(t)
+	base := parblast.Search{Queries: queries, Output: "out"}
+	if f.edit != nil {
+		base.Options = parblast.DefaultProteinOptions()
+		f.edit(&base.Options)
+	}
+	exec := func(t *testing.T, row apiRow) []byte {
+		t.Helper()
+		procs := row.procs
+		if procs == 0 {
+			procs = 4
+		}
+		c, err := parblast.NewCluster(procs, parblast.PlatformAltix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.trace {
+			c.Trace()
+		}
+		s := base
+		if row.volumes {
+			s.DB, err = c.FormatDBVolumes("nr", seqs, "api nr", 3000)
+		} else {
+			s.DB, err = c.FormatDB("nr", seqs, "api nr")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.engine == parblast.EngineMPIBlast {
+			if err := c.PrepareFragments("nr", procs-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if row.search != nil {
+			row.search(&s)
+		}
+		res, err := c.Run(row.engine, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.ReadOutput("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OutputBytes != int64(len(out)) {
+			t.Fatalf("OutputBytes %d != file size %d", res.OutputBytes, len(out))
+		}
+		if row.check != nil {
+			row.check(t, c, s, res)
+		}
+		return out
+	}
+	if f.oracle == nil {
+		if f.oracle = exec(t, apiRow{engine: parblast.EngineSequential}); len(f.oracle) == 0 {
+			t.Fatal("sequential output empty")
+		}
+	}
+	ran := false
+	for _, row := range f.rows() {
+		test, sub, _ := strings.Cut(row.name, "/")
+		if test != t.Name() {
+			continue
+		}
+		ran = true
+		same := func(t *testing.T) {
+			if out := exec(t, row); !bytes.Equal(out, f.oracle) {
+				t.Fatalf("output differs from the sequential engine's (%d vs %d bytes)", len(out), len(f.oracle))
+			}
+		}
+		if sub == "" {
+			same(t)
+		} else {
+			t.Run(sub, same)
+		}
+	}
+	if !ran {
+		t.Fatal("no row is named after this test")
+	}
+}
+
+var apiOracle = &apiFixture{rows: func() []apiRow {
+	pio, mpi := parblast.EnginePioBLAST, parblast.EngineMPIBlast
+	banner := func(t *testing.T, c *parblast.Cluster, _ parblast.Search, _ parblast.Result) {
+		if out, _ := c.ReadOutput("out"); !strings.Contains(string(out), "BLASTP") {
+			t.Fatal("report missing banner")
+		}
+	}
+	rows := []apiRow{
+		{name: "TestPublicAPIEndToEnd/mpi", engine: mpi, check: banner},
+		{name: "TestPublicAPIEndToEnd/pio", engine: pio, check: banner},
+		{name: "TestMultiVolumeViaAPI", engine: pio, volumes: true,
+			check: func(t *testing.T, _ *parblast.Cluster, s parblast.Search, _ parblast.Result) {
+				if len(s.DB.Volumes) < 2 {
+					t.Fatalf("expected multiple volumes, got %d", len(s.DB.Volumes))
+				}
+			}},
+		{name: "TestTraceThroughPublicAPI", engine: pio, procs: 3, trace: true,
+			check: func(t *testing.T, c *parblast.Cluster, _ parblast.Search, _ parblast.Result) {
+				if len(c.Trace().Ranks()) != 3 {
+					t.Fatalf("traced %d ranks, want 3", len(c.Trace().Ranks()))
+				}
+				var buf strings.Builder
+				c.Trace().Render(&buf, 60)
+				if !strings.Contains(buf.String(), "rank   0") {
+					t.Fatalf("timeline malformed:\n%s", buf.String())
+				}
+			}},
+		{name: "TestAdaptiveBatchingThroughPublicAPI", engine: pio,
+			search: func(s *parblast.Search) { s.Pio.MemoryBudgetBytes = 32 << 10 }},
+	}
+	for _, threads := range []int{1, 8} {
+		rows = append(rows, apiRow{name: fmt.Sprintf("TestSearchThreadsInvarianceThroughPublicAPI/threads=%d", threads),
+			engine: pio, search: func(s *parblast.Search) {
+				s.Options = parblast.DefaultProteinOptions()
+				s.Options.SearchThreads = threads
+			}})
+	}
+	// Search.NodeSpeeds reaches the runtime of both engines: a 3×-slow
+	// worker slows either one down.
+	for _, eng := range []parblast.Engine{pio, mpi} {
+		rows = append(rows, apiRow{name: "TestNodeSpeedsThroughPublicAPI/" + eng.Short(), engine: eng,
+			search: func(s *parblast.Search) { s.NodeSpeeds = []float64{1, 1, 1, 3} },
+			check: func(t *testing.T, c *parblast.Cluster, s parblast.Search, skewed parblast.Result) {
+				s.NodeSpeeds = nil
+				even, err := c.Run(eng, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if skewed.Wall <= even.Wall {
+					t.Fatalf("a 3x-slow worker did not slow the run: %g vs %g", skewed.Wall, even.Wall)
+				}
+			}})
+	}
+	return rows
+}}
+
+func TestPublicAPIEndToEnd(t *testing.T)                       { apiOracle.run(t) }
+func TestMultiVolumeViaAPI(t *testing.T)                       { apiOracle.run(t) }
+func TestTraceThroughPublicAPI(t *testing.T)                   { apiOracle.run(t) }
+func TestAdaptiveBatchingThroughPublicAPI(t *testing.T)        { apiOracle.run(t) }
+func TestSearchThreadsInvarianceThroughPublicAPI(t *testing.T) { apiOracle.run(t) }
+func TestNodeSpeedsThroughPublicAPI(t *testing.T)              { apiOracle.run(t) }
+
+var apiOracleTabular = &apiFixture{
+	edit: func(o *parblast.SearchOptions) { o.OutFormat = parblast.FormatTabular },
+	rows: func() []apiRow {
+		return []apiRow{{name: "TestTabularThroughPublicAPI", engine: parblast.EnginePioBLAST,
+			check: func(t *testing.T, c *parblast.Cluster, _ parblast.Search, _ parblast.Result) {
+				if out, _ := c.ReadOutput("out"); !strings.Contains(string(out), "# Fields:") {
+					t.Fatal("tabular output missing through public API")
+				}
+			}}}
+	}}
+
+func TestTabularThroughPublicAPI(t *testing.T) { apiOracleTabular.run(t) }

@@ -37,6 +37,30 @@ if [ "${1:-}" = "mdwidth" ]; then
     exit 0
 fi
 
+# The -run gates below name their tests: every name of a gate's pattern must
+# be a test of its packages, so a test that is folded or renamed fails the
+# gate instead of dropping out of it. `check.sh runnames` runs this gate
+# alone.
+named() {
+    pattern=$1
+    shift
+    listed=$(go test -list "^($pattern)\$" "$@")
+    for name in $(echo "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$listed" | grep -qx "$name"; then
+            echo "a -run gate names $name, which is no test of $*" >&2
+            exit 1
+        fi
+    done
+}
+golden='TestClockFingerprint|TestArtifactDeterministic|TestCrashSweepEveryProtocol'
+pins='TestJobAllocationBudget|TestShuffleSizedByTouchedAggregators|TestIndexBuildAllocatesItsIndex|TestBatchMetasDecodeSharesOneString'
+named "$golden" ./internal/core ./internal/report
+named "$pins" . ./internal/mpiio ./internal/blast ./internal/core
+named TestNoGoroutineOutlivesARun .
+if [ "${1:-}" = "runnames" ]; then
+    exit 0
+fi
+
 # Whether a receive can see a crash is internal/mpi's call (mpi.Rank.
 # DetectInterval, Failed, RecvCrashAware): no engine or I/O layer asks whether
 # faults are scheduled or reads the detection interval itself.
@@ -226,11 +250,8 @@ GOMAXPROCS=4 go test -race -count=10 ./internal/mpi
 # The allocation pins run at both too: how many scratch contexts a job's query
 # bank creates depends on GOMAXPROCS.
 for procs in 1 4; do
-    GOMAXPROCS=$procs go test -count=1 -run 'TestClockFingerprint|TestArtifactDeterministic|TestCrashSweepEveryProtocol' \
-        ./internal/core ./internal/report
-    GOMAXPROCS=$procs go test -count=1 \
-        -run 'TestJobAllocationBudget|TestShuffleSizedByTouchedAggregators|TestIndexBuildAllocatesItsIndex|TestBatchMetasDecodeSharesOneString' \
-        . ./internal/mpiio ./internal/blast ./internal/core
+    GOMAXPROCS=$procs go test -count=1 -run "$golden" ./internal/core ./internal/report
+    GOMAXPROCS=$procs go test -count=1 -run "$pins" . ./internal/mpiio ./internal/blast ./internal/core
 done
 # No goroutine outlives a run: the dynamic half of the godisc site list,
 # repeated so a straggler that only sometimes outlives its run shows.
