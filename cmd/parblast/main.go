@@ -50,7 +50,7 @@ func main() {
 	treeMerge := flag.Bool("tree-merge", false, "hierarchical tree merge of result metadata (both engines): group pre-merges on worker clocks, one bundle per subtree to the master")
 	mergeFanout := flag.Int("merge-fanout", 0, "tree-merge fan-out (children per node, ≥2; 0 = default 4)")
 	memBudget := flag.Int64("membudget", 0, "pioBLAST: adaptive batching memory budget in bytes (§5); not together with -batch N>1")
-	searchThreads := flag.Int("search-threads", 0, "intra-rank search worker goroutines (0 = GOMAXPROCS, 1 = sequential, negative is rejected); output is identical for every value")
+	searchThreads := flag.Int("search-threads", 0, "job-wide kernel slots: how many subjects search at once across all ranks (0 = GOMAXPROCS, 1 = one at a time, negative is rejected); output is identical for every value")
 	timeline := flag.Bool("timeline", false, "print a per-rank phase timeline after the run")
 	ioStrategy := flag.String("io-strategy", "", "pioBLAST: collective-read strategy: two-phase, list-io, or independent (default two-phase); needs -collective-read")
 	ioHints := flag.String("io-hints", "", "pioBLAST: load a learned-hints artifact (from -io-tune) and exploit it; needs -collective-read")

@@ -11,10 +11,10 @@ import (
 
 // TestNoGoroutineOutlivesARun is the dynamic half of the linter's
 // concurrency-site list (internal/lint/godisc.go): the module spawns
-// goroutines in two places — one per rank in mpi.RunConfig, the kernel's
-// subject pool in blast.searchParallel — and whatever happens to a run, the
-// goroutine count is back at its pre-call value when Cluster.Run or
-// Cluster.Serve returns. mpi.TestAbortHygiene and
+// goroutines in two places — one per rank in mpi.RunConfig, the kernel
+// executor's helpers in blast.(*QueryBank).spawn — and whatever happens to
+// a run, the goroutine count is back at its pre-call value when Cluster.Run
+// or Cluster.Serve returns. mpi.TestAbortHygiene and
 // blast.TestSearchPoolClaimOrderInvisible hold the same property for each
 // site alone; this holds it for both engines end to end, flat and tree
 // merge, when the run is clean, recovers from a worker crash, cannot recover

@@ -33,26 +33,25 @@ func benchFixture(nSubj, subjLen int) (*Fragment, *seq.Sequence) {
 	return frag, query
 }
 
+// benchSearchFragment searches query against frag through a bank with
+// threads kernel slots: the one-query search of the sequential engine.
 func benchSearchFragment(b *testing.B, frag *Fragment, query *seq.Sequence, threads int) {
 	opts := DefaultProteinOptions()
 	opts.SearchThreads = threads
-	s, err := NewSearcher(opts)
+	bank, err := NewQueryBank(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := s.NewContext()
-	if err := ctx.SetQuery(query); err != nil {
-		b.Fatal(err)
-	}
-	space := stats.NewSearchSpace(s.GappedParams(), query.Len(), frag.TotalResidues(), len(frag.Subjects))
+	one := []*seq.Sequence{query}
+	spaces := []stats.SearchSpace{stats.NewSearchSpace(bank.Searcher().GappedParams(), query.Len(), frag.TotalResidues(), len(frag.Subjects))}
+	var res []*QueryResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ctx.SearchFragment(frag, space)
-		if err != nil {
+		if res, err = bank.Search(res[:0], one, frag, spaces); err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Hits) == 0 {
+		if len(res[0].Hits) == 0 {
 			b.Fatal("no hits")
 		}
 	}
@@ -70,9 +69,9 @@ func BenchmarkSearchFragment4Threads(b *testing.B) {
 }
 
 // BenchmarkSearchFragmentSkewed searches the fixture whose hit-rich subjects
-// all have even index with one worker and with two: a pool that splits the
-// subjects by index gains nothing there, one that hands them out as workers
-// come free does (given two cores).
+// all have even index with one kernel slot and with two: slots that split the
+// subjects by index would gain nothing there, slots that claim them as they
+// come free do (given two cores).
 func BenchmarkSearchFragmentSkewed(b *testing.B) {
 	frag, query := skewedFixture(80)
 	for _, threads := range []int{1, 2} {
@@ -98,14 +97,12 @@ func benchQueries(rng *rand.Rand, frag *Fragment, n int) []*seq.Sequence {
 // BenchmarkSearchQueries is the shape SearchLoop.searchAll runs: one context
 // searches 18 queries against one 64 × 400 fragment, in batches of 1 (the
 // sequential oracle's shape), 2 (a served batch) or 18 (the one-shot
-// pio_narrow_8 batch). The fragment's word ids are encoded once; each batch
-// scans every subject once. ns/residue is per (query, subject residue), so
-// the rows compare directly.
+// pio_narrow_8 batch). Each batch encodes and scans every subject once.
+// ns/residue is per (query, subject residue), so the rows compare directly.
 func BenchmarkSearchQueries(b *testing.B) {
 	frag, _ := benchFixture(64, 400)
 	queries := benchQueries(rand.New(rand.NewSource(43)), frag, 18)
 	opts := DefaultProteinOptions()
-	opts.SearchThreads = 1
 	s, err := NewSearcher(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -132,12 +129,7 @@ func BenchmarkSearchQueries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k, p := range prepared {
 					lo := k * size
-					if err := ctx.UseBatch(queries[lo:lo+size], p); err != nil {
-						b.Fatal(err)
-					}
-					if results, err = ctx.SearchBatch(results[:0], frag, spaces[lo:lo+size]); err != nil {
-						b.Fatal(err)
-					}
+					results = ctx.searchBatch(results[:0], queries[lo:lo+size], p, frag, spaces[lo:lo+size])
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(residues), "ns/residue")
@@ -148,15 +140,13 @@ func BenchmarkSearchQueries(b *testing.B) {
 // BenchmarkScanSubject times the seed scan alone, for a batch of 18 queries:
 // with a two-hit window shorter than a word no pair of hits ever qualifies,
 // so nothing is extended and the cost is the lookup probe per position and
-// the per-hit two-hit bookkeeping (the word ids are encoded once, on the
-// first call).
+// the per-hit two-hit bookkeeping, plus encoding each subject's word ids.
 func BenchmarkScanSubject(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	frag := testFragment(rng, 32, 400)
 	queries := benchQueries(rng, &Fragment{}, 18)
 	opts := DefaultProteinOptions()
 	opts.TwoHitWindow = opts.WordSize - 1
-	opts.SearchThreads = 1
 	s, err := NewSearcher(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -166,9 +156,6 @@ func BenchmarkScanSubject(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := s.NewContext()
-	if err := ctx.UseBatch(queries, p); err != nil {
-		b.Fatal(err)
-	}
 	spaces := make([]stats.SearchSpace, len(queries))
 	for i, q := range queries {
 		spaces[i] = spaceFor(s, q.Len(), frag)
@@ -177,9 +164,7 @@ func BenchmarkScanSubject(b *testing.B) {
 	var work WorkCounters
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if results, err = ctx.SearchBatch(results[:0], frag, spaces); err != nil {
-			b.Fatal(err)
-		}
+		results = ctx.searchBatch(results[:0], queries, p, frag, spaces)
 		work = WorkCounters{}
 		for _, res := range results {
 			work.Add(res.Work)

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"parblast/internal/seq"
+	"parblast/internal/stats"
 )
 
 // PreparedBatch is the immutable part of a loaded query set: everything that
@@ -231,53 +233,55 @@ func removeSpare[T any](spare *[][]T, i int) {
 // fragment against — the job's queries in a one-shot run, one admitted batch
 // when serving. Entries are keyed by residue content, not by *seq.Sequence or
 // ID: the master and the workers hold different copies of the query set, and
-// a query set with equal residues shares one index while each context
-// reports its own IDs. Entries build on first request, by every requester
-// that arrives while the build is open (batchBuild).
+// a query set with equal residues shares one index while each search reports
+// its own IDs. Entries build on first request, by every requester that
+// arrives while the build is open (batchBuild).
 //
-// The bank also owns the job's kernel scratch. A rank holds a Context — its
-// diagonal array, DP rows, traceback arena and pool clones — only while it is
-// inside the kernel, so the bank lends one for the duration of a search
-// (Lend, TakeBack). Ranks search concurrently, off the simulator's token, but
-// no more of them than the host has cores (GOMAXPROCS) hold a context at
-// once, so a job keeps at most that many contexts, not one per rank. Each
-// lent context drives its own search pool of up to GOMAXPROCS − 1 clones
-// (searchParallel), each with scratch of its own, so a job holds up to
-// GOMAXPROCS² scratch sets: one job-wide kernel executor would bound them by
-// GOMAXPROCS (ROADMAP item 12). Results own their bytes: nothing a search
-// returns points into the scratch.
+// The bank is also the job's kernel executor (Search): at most W scratch
+// slots, a Context each, W = Options.SearchThreads (0: GOMAXPROCS), claim
+// the subjects of every rank's search one at a time. A lone search runs
+// W-wide, and a job holds W scratch sets however many ranks search. Results
+// own their bytes: nothing a search returns points into a slot.
 //
 // Builds draw their buffers from the bank's spares: the enumeration buffers
 // every finished build dropped, and the CSR arrays of entries released while
-// no context was lent. Nothing is kept across jobs.
+// no search was in flight. Nothing is kept across jobs.
 //
 // A bank is safe for concurrent use and is never reused across jobs.
 type QueryBank struct {
 	s *Searcher
+	w int // kernel slots, at most
 
-	mu       sync.Mutex
-	entries  map[string]*batchBuild
-	key      []byte     // batchKey scratch
-	held     int        // distinct residue contents over the entries
-	idle     []*Context // lent out and taken back, no query loaded
-	returned sync.Cond  // on mu: a context came back
-	stats    BankStats
-	spare    spares // what the bank's builds dropped, for its next builds
+	mu      sync.Mutex
+	entries map[string]*batchBuild
+	key     []byte // batchKey scratch
+	held    int    // distinct residue contents over the entries
+	stats   BankStats
+	spare   spares // what the bank's builds dropped, for its next builds
+
+	// The executor, under mu: the idle slots (stats.Contexts were made), the
+	// requests with subjects unclaimed, oldest first, finished requests kept
+	// for reuse and the helper goroutines alive (at most w−1). searching
+	// counts the searches between their index lookup and their end.
+	free      []*Context
+	open      []*request
+	done      []*request
+	helpers   int
+	searching atomic.Int64
 }
 
 // BankStats is a bank's host-side accounting, per query: a batch of n
-// queries is n lookups. Which goroutine happened to enumerate a query is a
-// scheduling artifact, so there is no per-rank split.
+// queries is n lookups. Which goroutine happened to enumerate a query or
+// search a subject is a scheduling artifact, so there is no per-rank split.
 type BankStats struct {
 	Builds      int64 // distinct residue contents indexed, once per batch entry
 	Reuses      int64 // lookups served without a build: every other one
 	Entries     int   // distinct residue contents held now
 	PeakEntries int   // most held at once
-	// Contexts counts the scratch contexts created: the most ever lent at
-	// once, at most GOMAXPROCS (each with up to GOMAXPROCS − 1 pool clones).
-	// Host timing sets it, so it varies run to run.
+	// Contexts counts the kernel slots made, at most W. Host timing sets
+	// it, so it varies run to run.
 	Contexts int64
-	Lends    int64 // searches that borrowed one
+	Searches int64 // requests the executor ran
 }
 
 // NewQueryBank creates the empty bank of one job searching with opts.
@@ -286,9 +290,11 @@ func NewQueryBank(opts Options) (*QueryBank, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &QueryBank{s: s, entries: make(map[string]*batchBuild)}
-	b.returned.L = &b.mu
-	return b, nil
+	w := opts.SearchThreads
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return &QueryBank{s: s, w: w, entries: make(map[string]*batchBuild)}, nil
 }
 
 // Searcher returns the searcher the bank prepares with; contexts that load
@@ -305,10 +311,10 @@ func batchKey(dst []byte, queries []*seq.Sequence) []byte {
 	return dst
 }
 
-// Get returns the prepared form of queries, building it if no entry with
+// get returns the prepared form of queries, building it if no entry with
 // their residues, in their order, exists. Concurrent requests for an entry
 // still being built share the build's work, then wait for its merge.
-func (b *QueryBank) Get(queries []*seq.Sequence) (*PreparedBatch, error) {
+func (b *QueryBank) get(queries []*seq.Sequence) (*PreparedBatch, error) {
 	// Residue codes mean nothing without their alphabet; reject a foreign
 	// one before it can claim the key of a legitimate query.
 	for _, q := range queries {
@@ -332,56 +338,19 @@ func (b *QueryBank) Get(queries []*seq.Sequence) (*PreparedBatch, error) {
 	return e.get(), nil
 }
 
-// Lend hands out a scratch context of the bank's searcher with no query
-// loaded, creating one only when every existing one is out. While
-// GOMAXPROCS contexts are out it waits for one to come back, so every
-// borrower must give its context back with TakeBack without waiting on
-// anything a waiting lender could hold: a simulated rank borrows inside
-// mpi.Rank.Aside and returns the context before it asks for the scheduler
-// token again.
-func (b *QueryBank) Lend() *Context {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for int(b.stats.Contexts)-len(b.idle) >= runtime.GOMAXPROCS(0) {
-		b.returned.Wait()
-	}
-	b.stats.Lends++
-	if n := len(b.idle); n > 0 {
-		c := b.idle[n-1]
-		b.idle = b.idle[:n-1]
-		return c
-	}
-	b.stats.Contexts++
-	return b.s.NewContext()
-}
-
-// TakeBack ends a loan: the context drops its queries and its fragment, not
-// the encoding's arena, so an idle one pins neither and becomes the next
-// Lend's.
-func (b *QueryBank) TakeBack(c *Context) {
-	c.unload()
-	c.wordsOf = nil
-	b.mu.Lock()
-	b.idle = append(b.idle, c)
-	b.mu.Unlock()
-	b.returned.Signal()
-}
-
 // Release drops the entry for the given query set: a serving run calls it
 // once a batch is settled, which bounds the bank by the batch rather than
-// the stream. When no context is lent out, nothing can hold the released
-// index (a context drops it when taken back), and its arrays go to the
-// bank's next builds; otherwise a context still holding it keeps it alive
-// until it loads its next queries. A later Get for the same residues
-// rebuilds. An index Get returned is read only while the context it was
-// loaded into is lent.
+// the stream. When no search is in flight, nothing can hold the released
+// index (a slot drops it when it leaves a request), and its arrays go to the
+// bank's next builds; otherwise a search still holding it keeps it alive. A
+// later search of the same residues rebuilds.
 func (b *QueryBank) Release(queries []*seq.Sequence) {
 	b.mu.Lock()
 	b.key = batchKey(b.key[:0], queries)
 	if e, ok := b.entries[string(b.key)]; ok {
 		b.held -= e.distinct()
 		delete(b.entries, string(b.key))
-		if int(b.stats.Contexts) == len(b.idle) && e.done.Load() == int64(e.distinct()) {
+		if b.searching.Load() == 0 && e.done.Load() == int64(e.distinct()) {
 			e.ready.Wait() // the last enumeration is merging: a moment
 			b.spare.putIndex(e.p)
 		}
@@ -396,4 +365,227 @@ func (b *QueryBank) Stats() BankStats {
 	st := b.stats
 	st.Entries = b.held
 	return st
+}
+
+// request is one search. Its subjects are claimed through next;
+// slots[qi*len(frag.Subjects)+i] is query qi's outcome on subject i, and
+// work[qi] the sum of its searchers' tallies, which no claim order changes.
+// Under the bank's mu, active counts the slots searching it and its caller
+// sleeps on wake.
+type request struct {
+	queries []*seq.Sequence
+	prep    *PreparedBatch
+	frag    *Fragment
+	spaces  []stats.SearchSpace
+	next    atomic.Int64
+	slots   []*SubjectResult
+	work    []WorkCounters
+	active  int
+	wake    sync.Cond
+}
+
+// load points r at a search with nothing claimed, its slots and tallies
+// empty.
+func (r *request) load(queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) {
+	n := len(queries) * len(frag.Subjects)
+	r.queries, r.prep, r.frag, r.spaces = queries, p, frag, spaces
+	r.slots = slices.Grow(r.slots[:0], n)[:n]
+	r.work = slices.Grow(r.work[:0], len(queries))[:len(queries)]
+	clear(r.work)
+	r.next.Store(0)
+}
+
+// unclaimed reports whether a subject of r is left to claim.
+func (r *request) unclaimed() bool { return r.next.Load() < int64(len(r.frag.Subjects)) }
+
+// results appends r's outcome to dst, one result per query in order: the
+// query's build and scan work, its hits reassembled in subject order — the
+// sequential append order — then sorted canonically and capped. The results
+// are the caller's now: r keeps none of them.
+func (s *Searcher) results(dst []*QueryResult, r *request) []*QueryResult {
+	ns := len(r.frag.Subjects)
+	for qi, q := range r.queries {
+		res := &QueryResult{QueryID: q.ID, Work: r.prep.work[qi]}
+		res.Work.Add(r.work[qi])
+		for _, h := range r.slots[qi*ns : (qi+1)*ns] {
+			if h != nil {
+				res.Hits = append(res.Hits, h)
+			}
+		}
+		SortHits(res.Hits)
+		if len(res.Hits) > s.opts.MaxTargetSeqs {
+			res.Hits = res.Hits[:s.opts.MaxTargetSeqs]
+		}
+		dst = append(dst, res)
+	}
+	clear(r.slots)
+	return dst
+}
+
+// drain searches r's subjects, one claim at a time, until none is left to
+// claim, tallying into c.works.
+func (c *Context) drain(r *request) {
+	c.prep = r.prep
+	c.beginScans(r.queries, r.spaces)
+	ns := len(r.frag.Subjects)
+	for i := int(r.next.Add(1)) - 1; i < ns; i = int(r.next.Add(1)) - 1 {
+		sub := &r.frag.Subjects[i]
+		c.searchSubject(sub.Residues)
+		for qi := range c.scans {
+			r.slots[qi*ns+i] = c.scans[qi].result(sub, r.spaces[qi])
+		}
+	}
+}
+
+// Search runs queries against every subject of frag on the bank's kernel
+// executor and appends one result per query, in order, to dst; spaces[i] is
+// query i's search space. The results are a standalone context's bit for
+// bit. The caller searches on its own goroutine in a slot, once one is free,
+// while idle slots claim its other subjects.
+func (b *QueryBank) Search(dst []*QueryResult, queries []*seq.Sequence, frag *Fragment, spaces []stats.SearchSpace) ([]*QueryResult, error) {
+	if len(spaces) != len(queries) {
+		return dst, fmt.Errorf("blast: %d search spaces for %d queries", len(spaces), len(queries))
+	}
+	b.searching.Add(1) // before get: Release must not recycle the index
+	defer b.searching.Add(-1)
+	p, err := b.get(queries)
+	if err == nil {
+		dst = b.search(dst, queries, p, frag, spaces)
+	}
+	return dst, err
+}
+
+// search is Search with the index given.
+func (b *QueryBank) search(dst []*QueryResult, queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) []*QueryResult {
+	b.mu.Lock()
+	b.stats.Searches++
+	var r *request
+	if n := len(b.done); n > 0 {
+		r, b.done = b.done[n-1], b.done[:n-1]
+	} else {
+		r = &request{}
+		r.wake.L = &b.mu
+	}
+	r.load(queries, p, frag, spaces)
+	if len(frag.Subjects) > 0 {
+		b.open = append(b.open, r)
+		b.spawn(min(len(frag.Subjects), b.idle()) - 1) // one slot is the caller's
+	}
+	b.run(r)
+	b.mu.Unlock()
+	dst = b.s.results(dst, r)
+	r.queries, r.prep, r.frag, r.spaces = nil, nil, nil, nil
+	b.mu.Lock()
+	b.done = append(b.done, r)
+	b.mu.Unlock()
+	return dst
+}
+
+// run is one goroutine's turn on the executor, entered and left with b.mu
+// held: a caller's (own set) until its request is searched, a helper's (own
+// nil) until no request it may join has a subject unclaimed. A helper joins
+// only requests a slot already searches and leaves its slot to a caller
+// waiting for one, so the kernel runs on callers' goroutines where it can
+// (DESIGN §8 says why), and yields its core to a caller it wakes.
+func (b *QueryBank) run(own *request) {
+	var slot *Context
+	yield := false
+	for own == nil || own.unclaimed() || own.active > 0 {
+		r := own
+		if own == nil && b.oldest(true) == nil {
+			r = b.oldest(false)
+		} else if own == nil || !own.unclaimed() {
+			r = nil
+		}
+		if r != nil && slot == nil {
+			slot = b.takeSlot()
+		}
+		if r == nil || slot == nil {
+			if own == nil {
+				break
+			}
+			own.wake.Wait()
+			continue
+		}
+		r.active++
+		b.mu.Unlock()
+		if yield {
+			runtime.Gosched()
+			yield = false
+		}
+		slot.drain(r)
+		b.mu.Lock()
+		r.active--
+		b.open = slices.DeleteFunc(b.open, func(o *request) bool { return o == r })
+		for qi := range r.work {
+			r.work[qi].Add(slot.works[qi])
+		}
+		slot.unload()
+		if r == own { // a caller's only claims are its own
+			b.putSlot(slot)
+			slot = nil
+		} else if r.active == 0 {
+			r.wake.Signal() // r is searched
+			yield = true
+		}
+	}
+	if slot != nil {
+		b.putSlot(slot)
+	}
+}
+
+// oldest returns the oldest request with a subject unclaimed and, if
+// unsearched, no slot searching it — its caller waits for a slot —, or nil.
+func (b *QueryBank) oldest(unsearched bool) *request {
+	for _, r := range b.open {
+		if r.unclaimed() && (!unsearched || r.active == 0) {
+			return r
+		}
+	}
+	return nil
+}
+
+// idle is how many slots are free or can still be made.
+func (b *QueryBank) idle() int { return len(b.free) + b.w - int(b.stats.Contexts) }
+
+// takeSlot returns an idle slot, making one while fewer than w exist, or nil.
+func (b *QueryBank) takeSlot() *Context {
+	if n := len(b.free); n > 0 {
+		c := b.free[n-1]
+		b.free = b.free[:n-1]
+		return c
+	}
+	if b.idle() == 0 {
+		return nil
+	}
+	b.stats.Contexts++
+	return b.s.NewContext()
+}
+
+// putSlot makes slot idle and hands it on: to the caller of the oldest
+// request nobody searches, else to a new helper if a request has a subject
+// unclaimed.
+func (b *QueryBank) putSlot(slot *Context) {
+	b.free = append(b.free, slot)
+	if r := b.oldest(true); r != nil {
+		r.wake.Signal()
+	} else if b.oldest(false) != nil {
+		b.spawn(1)
+	}
+}
+
+// spawn starts up to n helpers, keeping at most w−1 alive.
+func (b *QueryBank) spawn(n int) {
+	for n = min(n, b.w-1-b.helpers); n > 0; n-- {
+		b.helpers++
+		go b.help()
+	}
+}
+
+// help is a helper goroutine's body.
+func (b *QueryBank) help() {
+	b.mu.Lock()
+	b.run(nil)
+	b.helpers--
+	b.mu.Unlock()
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"parblast/internal/seq"
@@ -28,24 +27,15 @@ func bankFixture(seed int64, nQueries int) (*Fragment, []*seq.Sequence) {
 	return frag, queries
 }
 
-// searchVia loads q from the bank into ctx and renders the search's output.
-func searchVia(t *testing.T, bank *QueryBank, ctx *Context, q *seq.Sequence, frag *Fragment) string {
+// searchVia searches q through the bank and renders the search's output.
+func searchVia(t *testing.T, bank *QueryBank, q *seq.Sequence, frag *Fragment) string {
 	t.Helper()
-	p, err := bank.Get([]*seq.Sequence{q})
+	res, err := bank.Search(nil, []*seq.Sequence{q}, frag, []stats.SearchSpace{spaceFor(bank.Searcher(), q.Len(), frag)})
 	if err != nil {
 		t.Error(err)
 		return ""
 	}
-	if err := ctx.UseBatch([]*seq.Sequence{q}, p); err != nil {
-		t.Error(err)
-		return ""
-	}
-	res, err := ctx.SearchFragment(frag, spaceFor(bank.Searcher(), q.Len(), frag))
-	if err != nil {
-		t.Error(err)
-		return ""
-	}
-	return render(t, bank.Searcher(), q, frag, res)
+	return render(t, bank.Searcher(), q, frag, res[0])
 }
 
 // render is a result as text: ID, work counters and every hit's block.
@@ -65,39 +55,38 @@ func TestQueryBankKeyedByContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	twins := []*seq.Sequence{twin}
-	pq, _ := bank.Get([]*seq.Sequence{q})
-	pt, _ := bank.Get(twins)
+	pq, _ := bank.get([]*seq.Sequence{q})
+	pt, _ := bank.get(twins)
 	if pq == nil || pq != pt {
 		t.Fatalf("equal residues got separate indexes (%p, %p)", pq, pt)
 	}
 	if st := bank.Stats(); st.Builds != 1 || st.Reuses != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v, want 1 build, 1 reuse, 1 entry", st)
 	}
-	ctx := bank.Searcher().NewContext()
 	for _, x := range []*seq.Sequence{q, twin} {
-		_, want := searchWithThreads(t, DefaultProteinOptions(), x, frag, 1)
+		_, want := searchAlone(t, DefaultProteinOptions(), x, frag)
 		wantText := fmt.Sprintf("%s %+v\n", x.ID, want.Work) + renderAll(t, bank.Searcher(), x, frag, want)
-		if got := searchVia(t, bank, ctx, x, frag); got != wantText {
+		if got := searchVia(t, bank, x, frag); got != wantText {
 			t.Errorf("%s: search through the bank differs from SetQuery", x.ID)
 		}
 	}
 	// A hit costs no allocation: the bank sits inside the engines'
 	// allocation-free (fragment, query) loop.
-	if n := testing.AllocsPerRun(100, func() { bank.Get(twins) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { bank.get(twins) }); n != 0 {
 		t.Errorf("bank hit allocates %v times", n)
 	}
 	dna := &seq.Sequence{ID: "d", Residues: q.Residues, Alpha: seq.DNAAlphabet}
-	if _, err := bank.Get([]*seq.Sequence{dna}); err == nil {
+	if _, err := bank.get([]*seq.Sequence{dna}); err == nil {
 		t.Error("bank served a protein index to a DNA sequence with the same residue codes")
 	}
 }
 
-// TestQueryBankConcurrent is the -race hammer: many goroutines, each with
-// its own context and SearchThreads clone pool, request the same and
-// different queries from one bank at once. Every query is built exactly once
-// and every search matches the single-goroutine reference. Then as many
-// goroutines request one whole batch, a twin included, at the same moment:
-// they build it together, each distinct query enumerated exactly once.
+// TestQueryBankConcurrent is the -race hammer: many goroutines search the
+// same and different queries through one bank with four kernel slots at
+// once. Every query is built exactly once and every search matches the
+// single-goroutine reference. Then as many goroutines search one whole batch,
+// a twin included, at the same moment: they build it together, each distinct
+// query enumerated exactly once.
 func TestQueryBankConcurrent(t *testing.T) {
 	const goroutines, rounds = 8, 3
 	frag, queries := bankFixture(22, 5)
@@ -109,7 +98,7 @@ func TestQueryBankConcurrent(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		want[i] = searchVia(t, ref, ref.Searcher().NewContext(), q, frag)
+		want[i] = searchVia(t, ref, q, frag)
 	}
 
 	bank, err := NewQueryBank(opts)
@@ -121,7 +110,6 @@ func TestQueryBankConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ctx := bank.Searcher().NewContext()
 			for round := 0; round < rounds; round++ {
 				for k := range queries {
 					// Even goroutines walk the queries in step (same
@@ -129,7 +117,7 @@ func TestQueryBankConcurrent(t *testing.T) {
 					i := (k + g%2*g) % len(queries)
 					// A private copy, as every rank decodes its own.
 					q := proteinSeq(queries[i].ID, append([]byte(nil), queries[i].Residues...))
-					if got := searchVia(t, bank, ctx, q, frag); got != want[i] {
+					if got := searchVia(t, bank, q, frag); got != want[i] {
 						t.Errorf("goroutine %d: %s differs from the reference", g, q.ID)
 					}
 				}
@@ -145,7 +133,7 @@ func TestQueryBankConcurrent(t *testing.T) {
 
 	twin := proteinSeq("twin", queries[2].Residues)
 	batch := append(append([]*seq.Sequence(nil), queries...), twin)
-	want = append(want, searchVia(t, ref, ref.Searcher().NewContext(), twin, frag))
+	want = append(want, searchVia(t, ref, twin, frag))
 	spaces := make([]stats.SearchSpace, len(batch))
 	for i, q := range batch {
 		spaces[i] = spaceFor(ref.Searcher(), q.Len(), frag)
@@ -165,17 +153,7 @@ func TestQueryBankConcurrent(t *testing.T) {
 				mine[i] = proteinSeq(q.ID, append([]byte(nil), q.Residues...))
 			}
 			start.Wait()
-			p, err := bank.Get(mine)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ctx := bank.Searcher().NewContext()
-			if err := ctx.UseBatch(mine, p); err != nil {
-				t.Error(err)
-				return
-			}
-			results, err := ctx.SearchBatch(nil, frag, spaces)
+			results, err := bank.Search(nil, mine, frag, spaces)
 			if err != nil {
 				t.Error(err)
 				return
@@ -227,8 +205,9 @@ func TestIndexBuildAllocatesItsIndex(t *testing.T) {
 
 // TestQueryBankRecyclesBuildScratch: a bank's next build reuses what its
 // earlier builds dropped — every enumeration buffer, and a released entry's
-// CSR arrays when no context is lent — and builds the same rows as a fresh
-// Prepare. An index released while a context is lent keeps its arrays.
+// CSR arrays when no search is in flight — and builds the same rows as a
+// fresh Prepare. An index released while a search is in flight keeps its
+// arrays.
 func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 	_, queries := bankFixture(31, 3)
 	bank, err := NewQueryBank(DefaultProteinOptions())
@@ -248,84 +227,79 @@ func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if _, err := bank.Get(one); err != nil {
+	if _, err := bank.get(one); err != nil {
 		t.Fatal(err)
 	}
-	bank.Release(one) // nothing lent: the arrays go to the next build
+	bank.Release(one) // no search in flight: the arrays go to the next build
 	var p *PreparedBatch
 	rebuilt := wiretest.Allocated(func() {
-		p, _ = bank.Get(one)
+		p, _ = bank.get(one)
 		bank.Release(one)
 	})
 	if rebuilt*4 > fresh {
 		t.Errorf("a rebuild after release allocated %d B, a fresh build %d B: want under a quarter", rebuilt, fresh)
 	}
-	if p, _ = bank.Get(one); !same(p, one[0]) {
+	if p, _ = bank.get(one); !same(p, one[0]) {
 		t.Fatal("an index built from recycled arrays differs from a fresh one")
 	}
 
-	// Released while lent: the index stays intact through later builds.
-	ctx := bank.Lend()
-	if err := ctx.UseBatch(one, p); err != nil {
-		t.Fatal(err)
-	}
+	// Released while a search is in flight (one that has its index and is
+	// searching): the index stays intact through later builds.
+	bank.searching.Add(1)
 	bank.Release(one)
 	for _, q := range queries[:2] {
-		if _, err := bank.Get([]*seq.Sequence{q}); err != nil {
+		if _, err := bank.get([]*seq.Sequence{q}); err != nil {
 			t.Fatal(err)
 		}
 		bank.Release([]*seq.Sequence{q})
 	}
 	if !same(p, one[0]) {
-		t.Error("an index released while a context was lent was overwritten by a later build")
+		t.Error("an index released while a search was in flight was overwritten by a later build")
 	}
-	bank.TakeBack(ctx)
 }
 
 // TestQueryBankRelease: released entries leave the bank, a later request
-// rebuilds, and once the context moves on nothing of the released query
-// stays reachable through it — the clone pool included.
+// rebuilds, and once a search returns nothing of its query stays reachable
+// through the executor — no idle slot and no kept request holds it.
 func TestQueryBankRelease(t *testing.T) {
 	frag, queries := bankFixture(23, 2)
-	opts := DefaultProteinOptions()
-	opts.SearchThreads = 4
-	bank, err := NewQueryBank(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := bank.Searcher().NewContext()
-	first := searchVia(t, bank, ctx, queries[0], frag)
-	if len(ctx.pool.workers) < 2 {
-		t.Fatal("fixture did not engage the clone pool")
-	}
-	released, _ := bank.Get(queries[:1])
+	bank := newBank(t, DefaultProteinOptions(), 4)
+	first := searchVia(t, bank, queries[0], frag)
+	released, _ := bank.get(queries[:1])
 	bank.Release(queries[:1])
 	if st := bank.Stats(); st.Entries != 0 || st.PeakEntries != 1 {
 		t.Fatalf("after release: %+v, want 0 entries, peak 1", st)
 	}
 
-	if _, err := bank.Get(queries[1:]); err != nil {
+	if _, err := bank.get(queries[1:]); err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := bank.Get(queries[1:])
-	if err := ctx.UseBatch([]*seq.Sequence{queries[1]}, p1); err != nil {
-		t.Fatal(err)
+	searchVia(t, bank, queries[1], frag)
+	bank.mu.Lock()
+	if len(bank.free) == 0 || int64(len(bank.free)) != bank.stats.Contexts {
+		t.Errorf("%d of %d slots idle after the searches returned", len(bank.free), bank.stats.Contexts)
 	}
-	for i, cl := range ctx.pool.workers[1:] {
-		if cl.prep == released || len(cl.queries) != 0 {
-			t.Errorf("clone %d still pins the released query", i)
+	for i, sl := range bank.free {
+		if sl.prep != nil || len(sl.queries) != 0 {
+			t.Errorf("idle slot %d still pins a query", i)
 		}
-		for _, sc := range cl.scans {
+		for _, sc := range sl.scans {
 			if sc.query != nil || sc.subj != nil {
-				t.Errorf("clone %d's scans still point at a query or subject", i)
+				t.Errorf("idle slot %d's scans still point at a query or subject", i)
 			}
 		}
 	}
+	for i, r := range bank.done {
+		if r.prep != nil || r.queries != nil || r.frag != nil || slices.ContainsFunc(r.slots, func(h *SubjectResult) bool { return h != nil }) {
+			t.Errorf("kept request %d still pins a query, fragment or result", i)
+		}
+	}
+	bank.mu.Unlock()
 
-	if again := searchVia(t, bank, ctx, queries[0], frag); again != first {
+	if again := searchVia(t, bank, queries[0], frag); again != first {
 		t.Error("search after release and rebuild differs")
 	}
-	if p, _ := bank.Get(queries[:1]); p == released {
+	if p, _ := bank.get(queries[:1]); p == released {
 		t.Error("released entry was served again")
 	}
 	if st := bank.Stats(); st.Builds != 3 || st.Entries != 2 || st.PeakEntries != 2 {
@@ -333,75 +307,51 @@ func TestQueryBankRelease(t *testing.T) {
 	}
 }
 
-// TestQueryBankLendsScratch: the bank creates a scratch context only when
-// every one it has is out, takes a context back unloaded — clones included,
-// so an idle one pins no query — and lends that same context next; loans from
-// many goroutines at once are safe, and however many borrowers ask, no more
-// than GOMAXPROCS contexts are ever out or created.
+// TestQueryBankLendsScratch: the executor makes a kernel slot only when every
+// one it has is busy — one slot serves every search when SearchThreads is 1
+// — and slots idle between searches hold no query; searches from many
+// goroutines at once are safe, and however many ask, no more than W slots
+// are ever made.
 func TestQueryBankLendsScratch(t *testing.T) {
-	const procs, lenders = 4, 16
+	const procs, searchers = 4, 16
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	frag, queries := bankFixture(29, 2)
-	opts := DefaultProteinOptions()
-	opts.SearchThreads = 4
-	bank, err := NewQueryBank(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := bank.Lend()
-	first := searchVia(t, bank, ctx, queries[0], frag)
-	if len(ctx.pool.workers) < 2 {
-		t.Fatal("fixture did not engage the clone pool")
-	}
-	bank.TakeBack(ctx)
-	for i, cl := range ctx.pool.workers {
-		if len(cl.queries) != 0 || cl.prep != nil {
-			t.Errorf("worker %d of a context taken back still holds a query", i)
+	one := newBank(t, DefaultProteinOptions(), 1)
+	first := searchVia(t, one, queries[0], frag)
+	for i := 0; i < 3; i++ {
+		if searchVia(t, one, queries[i%2], frag) == "" {
+			t.Fatal("search failed")
 		}
 	}
-	again := bank.Lend()
-	if again != ctx {
-		t.Fatal("an idle context existed and a new one was created")
-	}
-	if searchVia(t, bank, again, queries[0], frag) != first {
-		t.Error("a search in a re-lent context differs")
-	}
-	second := bank.Lend() // the first is still out
-	if second == again {
-		t.Fatal("one context lent twice at once")
-	}
-	bank.TakeBack(again)
-	bank.TakeBack(second)
-	if st := bank.Stats(); st.Contexts != 2 || st.Lends != 3 {
-		t.Fatalf("stats %+v, want 2 contexts created over 3 loans", st)
+	if st := one.Stats(); st.Contexts != 1 || st.Searches != 4 {
+		t.Fatalf("stats %+v, want 1 slot made over 4 searches", st)
 	}
 
+	bank := newBank(t, DefaultProteinOptions(), 0) // W = GOMAXPROCS
+	if searchVia(t, bank, queries[0], frag) != first {
+		t.Error("a search with GOMAXPROCS slots differs from one with one slot")
+	}
+	bank.mu.Lock()
+	if int64(len(bank.free)) != bank.stats.Contexts {
+		t.Errorf("%d of %d slots idle after the search returned", len(bank.free), bank.stats.Contexts)
+	}
+	bank.mu.Unlock()
 	var wg sync.WaitGroup
-	var out, peak atomic.Int64
-	for g := 0; g < lenders; g++ {
+	for g := 0; g < searchers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				c := bank.Lend()
-				n := out.Add(1)
-				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				if got := searchVia(t, bank, queries[g%2], frag); g%2 == 0 && got != first {
+					t.Error("a concurrent search differs")
 				}
-				if got := searchVia(t, bank, c, queries[g%2], frag); g%2 == 0 && got != first {
-					t.Error("a concurrent borrower's search differs")
-				}
-				out.Add(-1)
-				bank.TakeBack(c)
 			}
 		}(g)
 	}
 	wg.Wait()
-	loans := int64(3 + lenders*10)
-	if st := bank.Stats(); st.Contexts > procs || st.Lends != loans {
-		t.Fatalf("stats %+v, want at most %d contexts over %d loans", st, procs, loans)
-	}
-	if p := peak.Load(); p > procs {
-		t.Fatalf("%d contexts out at once, want at most GOMAXPROCS = %d", p, procs)
+	searches := int64(1 + searchers*10)
+	if st := bank.Stats(); st.Contexts > procs || st.Searches != searches {
+		t.Fatalf("stats %+v, want at most %d slots over %d searches", st, procs, searches)
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"parblast/internal/matrix"
 	"parblast/internal/seq"
@@ -29,7 +27,6 @@ type Searcher struct {
 
 	xdropUngapped int // raw scores
 	xdropGapped   int
-	xdropFinal    int
 	gapTrigger    int
 }
 
@@ -53,7 +50,6 @@ func NewSearcher(opts Options) (*Searcher, error) {
 	s.tab = tablesFor(opts.Matrix)
 	s.xdropUngapped = bitsToRaw(opts.XDropUngapped, s.up)
 	s.xdropGapped = bitsToRaw(opts.XDropGapped, s.gp)
-	s.xdropFinal = bitsToRaw(opts.XDropFinal, s.gp)
 	s.gapTrigger = bitsToRaw(opts.GapTriggerBits, s.up)
 	return s, nil
 }
@@ -131,58 +127,31 @@ func (s *Searcher) GappedParams() stats.Params { return s.gp }
 // Context carries the loaded queries and reusable scratch buffers. The
 // queries' word index is not the context's own: it lives in the shared,
 // immutable PreparedBatch the context points at. A Context belongs to one
-// goroutine; SearchBatch may internally fan subjects out to clone Contexts
-// (one per worker goroutine), which it owns and reuses across calls.
+// goroutine at a time: a standalone one searches on its caller's, one of a
+// bank's kernel slots on whichever goroutine holds the slot (QueryBank.run).
 type Context struct {
 	s *Searcher
-	// queries is the loaded batch — the IDs results are reported under and
-	// the unmasked residues extensions run over; prep is the index built
-	// from residues equal to theirs. A clone shares its owner's slice.
+	// queries is SetQuery's query; prep is the index being searched.
 	queries []*seq.Sequence
 	prep    *PreparedBatch
 	// scans[i] is query i's part of the subject being searched, hits[i] its
-	// seed hits in the index group being scanned.
+	// seed hits in the index group being scanned, works[i] its tally since
+	// beginScans.
 	scans []subjectScan
 	hits  []int64
+	works []WorkCounters
 
 	// Diagonal bookkeeping (scanGroup): values stored past a per-group base
 	// (ensureDiag), never above diagEnd, so nothing is cleared.
 	diag    []diagState
 	diagEnd int32
 
-	// The word ids of wordsOf, the Subjects of the fragment last searched
-	// (encode): subject i's are words[starts[i]:starts[i+1]].
-	wordsOf []Subject
-	words   []uint64
-	starts  []int
+	// words[j] is the id of the word ending at residue j of the subject
+	// being searched (encode).
+	words []uint64
 
 	// dp is the gapped-extension scratch, reused across all seeds.
 	dp dpScratch
-
-	// pool is the intra-rank search pool this context drives when it is the
-	// one SearchBatch was called on; a pool's clones leave theirs empty.
-	pool searchPool
-}
-
-// searchPool is the state of searchParallel, kept across SearchBatch calls
-// so that a call allocates nothing for the pool: not its arrays and, because
-// each worker's goroutine body is bound once, not its go statements either.
-type searchPool struct {
-	// workers[0] is the owning context, the rest its clones, created lazily;
-	// starts[w] is worker w's goroutine body.
-	workers []*Context
-	starts  []func()
-	wg      sync.WaitGroup
-
-	// The call in flight.
-	frag    *Fragment
-	cutoffs []int               // per query, raw
-	spaces  []stats.SearchSpace // per query
-	next    atomic.Int64        // the next subject nobody has claimed yet
-	// slots[qi*len(frag.Subjects)+i] is query qi's outcome on subject i;
-	// works[w*len(queries)+qi] worker w's tally for query qi.
-	slots []*SubjectResult
-	works []WorkCounters
 }
 
 // diagState is what seeding remembers about one diagonal, kept in one place
@@ -211,67 +180,28 @@ func (s *Searcher) NewContext() *Context {
 	return &Context{s: s}
 }
 
-// SetQuery builds the query's word index and loads it, a batch of one. One
-// of SetQuery and UseBatch must succeed before a search; each may be called
-// repeatedly to reuse the context. On error the context is left with no
-// query loaded.
+// SetQuery builds the query's word index and loads it, a batch of one; it
+// must succeed before a search, and may be called repeatedly to reuse the
+// context. On error the context is left with no query loaded.
 func (c *Context) SetQuery(q *seq.Sequence) error {
 	c.unload()
-	one := []*seq.Sequence{q}
-	p, err := c.s.prepareBatch(one)
+	p, err := c.s.prepareBatch([]*seq.Sequence{q})
 	if err != nil {
 		return err
 	}
-	return c.UseBatch(one, p)
-}
-
-// UseBatch loads queries with an index prepared earlier — by this searcher,
-// from sequences with the same residues in the same order (a QueryBank
-// guarantees both). Results are reported under the queries' own IDs. On
-// error the context is left with no query loaded.
-func (c *Context) UseBatch(queries []*seq.Sequence, p *PreparedBatch) error {
-	c.unload()
-	if len(queries) != len(p.lens) {
-		return fmt.Errorf("blast: %d queries, their prepared index has %d", len(queries), len(p.lens))
-	}
-	for i, q := range queries {
-		if err := c.s.checkAlphabet(q); err != nil {
-			return err
-		}
-		if q.Len() != p.lens[i] {
-			return fmt.Errorf("blast: query %q has %d residues, its prepared index %d", q.ID, q.Len(), p.lens[i])
-		}
-	}
-	c.queries, c.prep = append(c.queries, queries...), p
+	c.queries, c.prep = append(c.queries, q), p
 	return nil
 }
 
-// unload drops the loaded queries. The pool clones let go of them here too,
-// rather than keeping the last batch's index reachable after its bank has
-// released it.
+// unload drops the loaded queries, the index and what the scans point at,
+// keeping their scratch.
 func (c *Context) unload() {
 	clear(c.queries)
-	c.queries = c.queries[:0]
-	c.release()
-	for _, cl := range c.pool.workers {
-		if cl != c {
-			cl.queries = nil
-			cl.release()
-		}
-	}
-}
-
-// release drops the index and what the scans point at, keeping their
-// scratch.
-func (c *Context) release() {
-	c.prep = nil
+	c.queries, c.prep = c.queries[:0], nil
 	for i := range c.scans {
 		c.scans[i] = subjectScan{boxes: c.scans[i].boxes[:0]}
 	}
 }
-
-// Queries returns the queries currently loaded in the context.
-func (c *Context) Queries() []*seq.Sequence { return c.queries }
 
 // ensureDiag makes room for n diagonals (at least doubling) and returns the
 // base a subject of length subjLen stores offsets from: past every value
@@ -291,192 +221,68 @@ func (c *Context) ensureDiag(n, subjLen int) int {
 	return base
 }
 
-// encode makes words hold the id of the word ending at each residue of frag's
-// subjects (roll.none where none ends) unless it already does: keyed by the
-// Subjects slice (first element, length), one encoding serves every search
-// against the fragment. A search treats subjects as read-only.
-func (c *Context) encode(frag *Fragment) {
-	subs := frag.Subjects
-	if len(subs) == len(c.wordsOf) && (len(subs) == 0 || &subs[0] == &c.wordsOf[0]) {
-		return
-	}
-	n, longest := 0, 0
-	for i := range subs {
-		n, longest = n+len(subs[i].Residues), max(longest, len(subs[i].Residues))
-	}
-	if cap(c.words) < n {
-		// Fragments cut by residue count differ by about a subject: room for two.
-		c.words = make([]uint64, 0, n+2*longest)
-	}
-	c.words, c.starts = c.words[:0], append(c.starts[:0], 0)
-	roll := c.s.roll
-	for i := range subs {
-		var id uint64
-		run, s := 0, subs[i].Residues
-		for j := range s {
-			if id, run = roll.next(id, run, s, j); run >= roll.w {
-				c.words = append(c.words, id)
-			} else {
-				c.words = append(c.words, roll.none)
-			}
+// encode makes words hold the id of the word ending at each residue of subj
+// (roll.none where none ends) and returns them.
+func (c *Context) encode(subj []byte) []uint64 {
+	roll, words := c.s.roll, slices.Grow(c.words[:0], len(subj))
+	var id uint64
+	run := 0
+	for j := range subj {
+		if id, run = roll.next(id, run, subj, j); run >= roll.w {
+			words = append(words, id)
+		} else {
+			words = append(words, roll.none)
 		}
-		c.starts = append(c.starts, len(c.words))
 	}
-	c.wordsOf = subs
-}
-
-// searchThreads resolves the worker count for one fragment.
-func (c *Context) searchThreads(nSubjects int) int {
-	n := c.s.opts.SearchThreads
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > nSubjects {
-		n = nSubjects
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	c.words = words
+	return words
 }
 
 // SearchFragment runs the one loaded query against every subject in the
-// fragment: SearchBatch over a batch of one.
+// fragment on the caller's goroutine: searchBatch over a batch of one.
 func (c *Context) SearchFragment(frag *Fragment, space stats.SearchSpace) (*QueryResult, error) {
 	if len(c.queries) != 1 {
 		return nil, fmt.Errorf("blast: SearchFragment needs one loaded query, not %d", len(c.queries))
 	}
 	var one [1]*QueryResult
-	res, err := c.SearchBatch(one[:0], frag, []stats.SearchSpace{space})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return c.searchBatch(one[:0], c.queries, c.prep, frag, []stats.SearchSpace{space})[0], nil
 }
 
-// SearchBatch runs every loaded query against every subject in the fragment,
-// scanning each subject once for all of them, and appends one result per
-// query, in load order, to dst. spaces[i] is query i's search space; it must
-// describe the WHOLE database (not the fragment) so that scores and E-values
-// are identical no matter how the database is partitioned — the property the
-// parallel engines' merging relies on.
-//
-// With Options.SearchThreads != 1 a bounded pool of worker goroutines (clone
-// Contexts) claims the subjects one at a time. Each subject's search is
-// independent and deterministic, and results are reassembled in subject
-// order before the canonical sort, so the output is byte-identical for every
-// thread count and every claim order, and each query's result is the one a
-// batch of that query alone gives.
-func (c *Context) SearchBatch(dst []*QueryResult, frag *Fragment, spaces []stats.SearchSpace) ([]*QueryResult, error) {
-	if c.prep == nil {
-		return dst, fmt.Errorf("blast: search before a query is loaded")
-	}
-	if len(spaces) != len(c.queries) {
-		return dst, fmt.Errorf("blast: %d search spaces for %d queries", len(spaces), len(c.queries))
-	}
-	c.encode(frag)
-	p := &c.pool
-	p.cutoffs, p.spaces = p.cutoffs[:0], append(p.spaces[:0], spaces...)
-	for _, space := range spaces {
-		p.cutoffs = append(p.cutoffs, c.s.gp.ScoreForEValue(c.s.opts.EValue, space))
-	}
-	nw := c.searchThreads(len(frag.Subjects))
-	c.searchParallel(frag, nw)
-
-	nq, ns := len(c.queries), len(frag.Subjects)
-	for qi, q := range c.queries {
-		res := &QueryResult{QueryID: q.ID, Work: c.prep.work[qi]}
-		for w := 0; w < nw; w++ {
-			res.Work.Add(p.works[w*nq+qi])
-		}
-		for _, r := range p.slots[qi*ns : (qi+1)*ns] {
-			if r != nil {
-				res.Hits = append(res.Hits, r)
-			}
-		}
-		SortHits(res.Hits)
-		if len(res.Hits) > c.s.opts.MaxTargetSeqs {
-			res.Hits = res.Hits[:c.s.opts.MaxTargetSeqs]
-		}
-		dst = append(dst, res)
-	}
-	// The results are the caller's now, the fragment always was.
-	clear(p.slots)
-	p.frag = nil
-	return dst, nil
+// searchBatch runs queries, whose index is p, against every subject of frag
+// on the caller's goroutine, scanning each subject once for all of them, and
+// appends one result per query, in order, to dst. spaces[i] is query i's
+// search space; it must describe the WHOLE database (not the fragment) so
+// that scores and E-values are identical no matter how the database is
+// partitioned — the property the parallel engines' merging relies on. Each
+// subject's search is independent and deterministic, and each query's
+// result is the one a batch of that query alone gives.
+func (c *Context) searchBatch(dst []*QueryResult, queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) []*QueryResult {
+	var r request
+	r.load(queries, p, frag, spaces)
+	c.drain(&r)
+	copy(r.work, c.works)
+	return c.s.results(dst, &r)
 }
 
-// subjectWords returns subject i's word ids in the current encoding.
-func (c *Context) subjectWords(i int) []uint64 { return c.words[c.starts[i]:c.starts[i+1]] }
-
-// searchParallel spreads the fragment's subjects over nw worker contexts, the
-// owner being worker 0. Workers claim the next unsearched subject from one
-// shared counter, so a fragment whose expensive subjects cluster (a family's
-// members sit at a fixed stride in a synthesized database) still keeps every
-// worker busy. Which worker searched which subject is host scheduling and
-// shows nowhere: slot (query, i) of the result array is subject i's outcome,
-// so reassembly preserves the subject order exactly, and the counters are a
-// sum of per-subject int64 tallies, which no grouping or order can change.
-func (c *Context) searchParallel(frag *Fragment, nw int) {
-	p := &c.pool
-	for w := len(p.workers); w < nw; w++ {
-		cl := c
-		if w > 0 {
-			cl = c.s.NewContext()
-		}
-		p.workers = append(p.workers, cl)
-		p.starts = append(p.starts, func() {
-			defer p.wg.Done()
-			p.drain(w)
-		})
-	}
-	for _, cl := range p.workers[1:nw] {
-		cl.queries, cl.prep = c.queries, c.prep
-	}
-	nq, ns := len(c.queries), len(frag.Subjects)
-	p.slots = slices.Grow(p.slots[:0], nq*ns)[:nq*ns]
-	p.works = append(p.works[:0], make([]WorkCounters, nw*nq)...)
-	p.frag = frag
-	p.next.Store(0)
-
-	p.wg.Add(nw - 1)
-	for _, start := range p.starts[1:nw] {
-		go start()
-	}
-	p.drain(0)
-	p.wg.Wait()
-}
-
-// drain is worker w's share of the call in flight: whatever subjects it is
-// first to claim, scanned through the owning context's encoding.
-func (p *searchPool) drain(w int) {
-	ctx, owner := p.workers[w], p.workers[0]
-	nq, ns := len(owner.queries), len(p.frag.Subjects)
-	ctx.beginScans(p.works[w*nq:(w+1)*nq], p.cutoffs)
-	for i := int(p.next.Add(1)) - 1; i < ns; i = int(p.next.Add(1)) - 1 {
-		sub := &p.frag.Subjects[i]
-		ctx.searchSubject(sub.Residues, owner.subjectWords(i))
-		for qi := range ctx.scans {
-			p.slots[qi*ns+i] = ctx.scans[qi].result(sub, p.spaces[qi])
-		}
-	}
-}
-
-// beginScans points query i's scan at its residues, its cutoff and its
-// tally, works[i].
-func (c *Context) beginScans(works []WorkCounters, cutoffs []int) {
-	c.scans = slices.Grow(c.scans[:0], len(c.queries))[:len(c.queries)]
-	c.hits = slices.Grow(c.hits[:0], len(c.queries))[:len(c.queries)]
-	for i, q := range c.queries {
+// beginScans points the scan of queries[i] at its residues, at the raw
+// cutoff of spaces[i] and at its tally, works[i], which it zeroes.
+func (c *Context) beginScans(queries []*seq.Sequence, spaces []stats.SearchSpace) {
+	n := len(queries)
+	c.scans = slices.Grow(c.scans[:0], n)[:n]
+	c.hits = slices.Grow(c.hits[:0], n)[:n]
+	c.works = slices.Grow(c.works[:0], n)[:n]
+	clear(c.works)
+	for i, q := range queries {
 		sc := &c.scans[i]
-		*sc = subjectScan{c: c, query: q.Residues, cutoffRaw: cutoffs[i], work: &works[i], boxes: sc.boxes[:0]}
+		cutoff := c.s.gp.ScoreForEValue(c.s.opts.EValue, spaces[i])
+		*sc = subjectScan{c: c, query: q.Residues, cutoffRaw: cutoff, work: &c.works[i], boxes: sc.boxes[:0]}
 	}
 }
 
-// searchSubject searches one subject, whose word ids are words, for every
-// loaded query: it scans the subject once per index group and leaves each
-// query's HSPs in its scan.
-func (c *Context) searchSubject(subj []byte, words []uint64) {
+// searchSubject searches one subject for every scanned query: it encodes the
+// subject's words, scans it once per index group and leaves each query's
+// HSPs in its scan.
+func (c *Context) searchSubject(subj []byte) {
 	for i := range c.scans {
 		sc := &c.scans[i]
 		sc.work.ResiduesScanned += int64(len(subj))
@@ -485,6 +291,7 @@ func (c *Context) searchSubject(subj []byte, words []uint64) {
 	if len(subj) < c.s.opts.WordSize {
 		return
 	}
+	words := c.encode(subj)
 	for gi := range c.prep.groups {
 		if g := &c.prep.groups[gi]; len(g.entries) > 0 {
 			c.scanGroup(g, words, len(subj))

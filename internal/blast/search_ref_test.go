@@ -182,23 +182,52 @@ func (f diffFixture) subjects(queries []*seq.Sequence) []Subject {
 	return subs
 }
 
-// forceDiagEnd is the test hook for the diagonal base's wrap: it makes c and
-// its pool's clones believe values up to end are stored in their arrays.
-func forceDiagEnd(c *Context, end int32) {
-	c.diagEnd = end
-	for _, cl := range c.pool.workers {
-		cl.diagEnd = end
+// forceDiagEnd is the test hook for the diagonal base's wrap: it makes each
+// context believe values up to end are stored in its array.
+func forceDiagEnd(end int32, cs ...*Context) {
+	for _, c := range cs {
+		c.diagEnd = end
 	}
+}
+
+// batchSearch is one way to search a batch with its index: a standalone
+// context on the caller's goroutine, or a bank's executor (alone, viaBank).
+type batchSearch func(queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) []*QueryResult
+
+func alone(ctx *Context) batchSearch {
+	return func(queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) []*QueryResult {
+		return ctx.searchBatch(nil, queries, p, frag, spaces)
+	}
+}
+
+func viaBank(bank *QueryBank) batchSearch {
+	return func(queries []*seq.Sequence, p *PreparedBatch, frag *Fragment, spaces []stats.SearchSpace) []*QueryResult {
+		return bank.search(nil, queries, p, frag, spaces)
+	}
+}
+
+// load makes q, whose index is p, the context's loaded query, as SetQuery
+// does: what the reference scan reads.
+func load(c *Context, q *seq.Sequence, p *PreparedBatch) {
+	c.queries, c.prep = append(c.queries[:0], q), p
+}
+
+// wrapSlots forces the diagonal wrap on every slot bank has made.
+func wrapSlots(bank *QueryBank) {
+	bank.mu.Lock()
+	defer bank.mu.Unlock()
+	forceDiagEnd(math.MaxInt32-900, bank.free...)
 }
 
 // TestSearchSubjectDifferential pins the encoded, offset-reset scan to the
 // per-query rolling, epoch-stamped reference: the same hits, HSPs and whole
 // WorkCounters for both alphabets at every word size, one-hit seeding and
-// two-hit windows from 1 to past a word, on every thread count. Each context
-// is reused the way the engines reuse one — across queries, across
-// fragments, across a Fragment whose Subjects slice was replaced, across a
-// bank loan that ended before its fragment was rewritten in place — and its
-// diagonal bases are forced across the int32 wrap mid-fragment.
+// two-hit windows from 1 to past a word, on a standalone context and through
+// a bank with 1 to 4 kernel slots. Each is reused the way the engines reuse
+// one — across queries, across fragments, across a Fragment whose Subjects
+// slice was replaced, across a search that ended before its fragment was
+// rewritten in place — and its diagonal bases are forced across the int32
+// wrap mid-fragment.
 func TestSearchSubjectDifferential(t *testing.T) {
 	type grid struct {
 		opts   Options
@@ -251,65 +280,52 @@ func testDifferentialGrid(t *testing.T, name string, opts Options, queries []*se
 		}
 	}
 	hits, seeds := 0, int64(0)
-	check := func(step string, ctx *Context, frag *Fragment) {
+	check := func(step, how string, search batchSearch, frag *Fragment) {
 		t.Helper()
 		for i, q := range queries {
 			space := spaceFor(ref, q.Len(), frag)
-			if err := refCtx.UseBatch([]*seq.Sequence{q}, prepared[i]); err != nil {
-				t.Fatal(err)
-			}
+			load(refCtx, q, prepared[i])
 			want := scanner.searchFragmentRef(refCtx, frag, space)
-			if err := ctx.UseBatch([]*seq.Sequence{q}, prepared[i]); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s threads=%d, %s, query %d: result differs from the reference\n got work %+v\nwant work %+v",
-					name, ctx.s.opts.SearchThreads, step, i, got.Work, want.Work)
+			got := search([]*seq.Sequence{q}, prepared[i], frag, []stats.SearchSpace{space})
+			if !reflect.DeepEqual(got[0], want) {
+				t.Fatalf("%s %s, %s, query %d: result differs from the reference\n got work %+v\nwant work %+v",
+					name, how, step, i, got[0].Work, want.Work)
 			}
 			hits, seeds = hits+len(want.Hits), seeds+want.Work.SeedHits
 		}
 	}
 	subjectsA := fragA.Subjects
 	defer func() { fragA.Subjects = subjectsA }()
+	steps := func(how string, search batchSearch, wrap func()) {
+		fragA.Subjects = subjectsA
+		check("fragment A", how, search, fragA)
+		check("fragment B", how, search, fragB)
+		check("fragment A again", how, search, fragA)
+		fragA.Subjects = replaced
+		check("fragment A's subjects replaced", how, search, fragA)
+		wrap()
+		check("diagonal base wrapped", how, search, fragB)
+	}
+	ctx := ref.NewContext()
+	steps("standalone", alone(ctx), func() { forceDiagEnd(math.MaxInt32-900, ctx) })
 	for threads := 1; threads <= 4; threads++ {
 		o := opts
 		o.SearchThreads = threads
-		s, err := NewSearcher(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := s.NewContext()
-		fragA.Subjects = subjectsA
-		check("fragment A", ctx, fragA)
-		check("fragment B", ctx, fragB)
-		check("fragment A again", ctx, fragA)
-		fragA.Subjects = replaced
-		check("fragment A's subjects replaced", ctx, fragA)
-		forceDiagEnd(ctx, math.MaxInt32-900)
-		check("diagonal base wrapped", ctx, fragB)
-
-		// A loan ends, the fragment it searched is rewritten in place, and
-		// the same context is lent again.
 		bank, err := NewQueryBank(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lent := bank.Lend()
+		how := fmt.Sprintf("threads=%d", threads)
+		steps(how, viaBank(bank), func() { wrapSlots(bank) })
+
+		// A search ends, the fragment it searched is rewritten in place, and
+		// the same bank searches it again.
 		own := &Fragment{Subjects: f.subjects(queries)}
-		check("lent", lent, own)
-		bank.TakeBack(lent)
+		check("own fragment", how, viaBank(bank), own)
 		for i := range own.Subjects {
 			copy(own.Subjects[i].Residues, f.residues(len(own.Subjects[i].Residues)))
 		}
-		if again := bank.Lend(); again != lent {
-			t.Fatal("the bank lent a new context with an idle one available")
-		}
-		check("lent again after the fragment was rewritten", lent, own)
-		bank.TakeBack(lent)
+		check("own fragment again after it was rewritten", how, viaBank(bank), own)
 	}
 	if seeds == 0 {
 		t.Fatalf("%s: no seed hit anywhere; the comparison is vacuous", name)
@@ -348,9 +364,10 @@ func (f diffFixture) windowSubjects(queries []*seq.Sequence) []Subject {
 // for every query, one diagonal region per query — to one-query searches and
 // to the per-query rolling, epoch-stamped reference: for both alphabets at
 // every word size, one-hit seeding and two-hit windows from 1 to past a
-// word, every query's hits, HSPs and whole WorkCounters are the same, on
-// every thread count, after the diagonal bases wrap, and when the batch's
-// offsets would pass int32 and it is cut into groups.
+// word, every query's hits, HSPs and whole WorkCounters are the same, on a
+// standalone context and through a bank with 1 to 4 kernel slots, after the
+// diagonal bases wrap, and when the batch's offsets would pass int32 and it
+// is cut into groups.
 func TestSearchBatchDifferential(t *testing.T) {
 	type grid struct {
 		opts   Options
@@ -427,13 +444,9 @@ func testBatchGrid(t *testing.T, name string, opts Options, queries []*seq.Seque
 	for fi, frag := range frags {
 		for i, q := range queries {
 			space := spaceFor(ref, q.Len(), frag)
-			if err := refCtx.UseBatch([]*seq.Sequence{q}, ix.each[i]); err != nil {
-				t.Fatal(err)
-			}
+			load(refCtx, q, ix.each[i])
 			w := scanner.searchFragmentRef(refCtx, frag, space)
-			if err := one.UseBatch([]*seq.Sequence{q}, ix.each[i]); err != nil {
-				t.Fatal(err)
-			}
+			load(one, q, ix.each[i])
 			if got, err := one.SearchFragment(frag, space); err != nil || !reflect.DeepEqual(got, w) {
 				t.Fatalf("%s, fragment %d, %s: a one-query search differs from the reference (%v)", name, fi, q.ID, err)
 			}
@@ -445,40 +458,34 @@ func testBatchGrid(t *testing.T, name string, opts Options, queries []*seq.Seque
 		t.Fatalf("%s: no seed hit anywhere; the comparison is vacuous", name)
 	}
 
-	check := func(step string, ctx *Context, fi int) {
+	check := func(step, how string, search batchSearch, p *PreparedBatch, fi int) {
 		t.Helper()
-		got, err := ctx.SearchBatch(nil, frags[fi], spaces[fi])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := search(queries, p, frags[fi], spaces[fi])
 		for qi := range queries {
 			if !reflect.DeepEqual(got[qi], want[fi][qi]) {
-				t.Fatalf("%s threads=%d, %s, fragment %d, %s: batch result differs from the reference\n got work %+v\nwant work %+v",
-					name, ctx.s.opts.SearchThreads, step, fi, queries[qi].ID, got[qi].Work, want[fi][qi].Work)
+				t.Fatalf("%s %s, %s, fragment %d, %s: batch result differs from the reference\n got work %+v\nwant work %+v",
+					name, how, step, fi, queries[qi].ID, got[qi].Work, want[fi][qi].Work)
 			}
 		}
 	}
+	steps := func(how string, search batchSearch, wrap func()) {
+		check("batch", how, search, ix.whole, 0)
+		check("batch", how, search, ix.whole, 1)
+		wrap()
+		check("diagonal base wrapped", how, search, ix.whole, 0)
+		check("cut into groups", how, search, ix.cut, 1)
+		check("cut into groups", how, search, ix.cut, 0)
+	}
+	ctx := ref.NewContext()
+	steps("standalone", alone(ctx), func() { forceDiagEnd(math.MaxInt32-900, ctx) })
 	for threads := 1; threads <= 4; threads++ {
 		o := opts
 		o.SearchThreads = threads
-		s, err := NewSearcher(o)
+		bank, err := NewQueryBank(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := s.NewContext()
-		if err := ctx.UseBatch(queries, ix.whole); err != nil {
-			t.Fatal(err)
-		}
-		check("batch", ctx, 0)
-		check("batch", ctx, 1)
-		forceDiagEnd(ctx, math.MaxInt32-900)
-		check("diagonal base wrapped", ctx, 0)
-
-		if err := ctx.UseBatch(queries, ix.cut); err != nil {
-			t.Fatal(err)
-		}
-		check("cut into groups", ctx, 1)
-		check("cut into groups", ctx, 0)
+		steps(fmt.Sprintf("threads=%d", threads), viaBank(bank), func() { wrapSlots(bank) })
 	}
 	return hits
 }

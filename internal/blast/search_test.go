@@ -322,7 +322,6 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 		{func(o *Options) { o.EValue = math.Inf(1) }, "EValue"},
 		{func(o *Options) { o.XDropUngapped = math.NaN() }, "XDropUngapped"},
 		{func(o *Options) { o.XDropGapped = math.NaN() }, "XDropGapped"},
-		{func(o *Options) { o.XDropFinal = math.Inf(1) }, "XDropFinal"},
 		{func(o *Options) { o.GapTriggerBits = math.NaN() }, "GapTriggerBits"},
 		{func(o *Options) { o.GapTriggerBits = math.Inf(-1) }, "GapTriggerBits"},
 		// Each used to run: a negative window as one-hit seeding, an unknown
@@ -348,24 +347,17 @@ func TestSearcherRejectsBadOptions(t *testing.T) {
 // TestSearchQueryAlphabetMismatch: a query the searcher cannot take is
 // rejected, and a load that fails must not leave the previous query loaded —
 // a caller that dropped the error would otherwise silently search the old
-// query and report it under the old ID.
+// query and report it under the old ID. A bank's search refuses the query
+// too, and search spaces that do not pair with the queries.
 func TestSearchQueryAlphabetMismatch(t *testing.T) {
 	s, _ := NewSearcher(DefaultProteinOptions())
 	good := proteinSeq("good", randomProtein(rand.New(rand.NewSource(3)), 60))
-	prepared, err := s.prepareBatch([]*seq.Sequence{good})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dna := &seq.Sequence{ID: "d", Residues: []byte{0, 1, 2, 3}, Alpha: seq.DNAAlphabet}
 	cases := []struct {
 		name string
 		load func(*Context) error
 	}{
 		{"SetQuery alphabet mismatch", func(c *Context) error { return c.SetQuery(dna) }},
-		{"UseBatch alphabet mismatch", func(c *Context) error { return c.UseBatch([]*seq.Sequence{dna}, prepared) }},
-		{"UseBatch index of another length", func(c *Context) error {
-			return c.UseBatch([]*seq.Sequence{proteinSeq("short", good.Residues[:30])}, prepared)
-		}},
 	}
 	for _, tc := range cases {
 		ctx := s.NewContext()
@@ -375,12 +367,23 @@ func TestSearchQueryAlphabetMismatch(t *testing.T) {
 		if err := tc.load(ctx); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if qs := ctx.Queries(); len(qs) != 0 {
+		if qs := ctx.queries; len(qs) != 0 {
 			t.Errorf("%s: query %q still loaded after the failed load", tc.name, qs[0].ID)
 		}
 		if _, err := ctx.SearchFragment(&Fragment{}, stats.SearchSpace{}); err == nil {
 			t.Errorf("%s: SearchFragment ran after the failed load", tc.name)
 		}
+	}
+	bank, err := NewQueryBank(DefaultProteinOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []stats.SearchSpace{{}}
+	if _, err := bank.Search(nil, []*seq.Sequence{dna}, &Fragment{}, one); err == nil || !strings.Contains(err.Error(), "alphabet") {
+		t.Errorf("a bank searched a DNA query with a protein matrix: %v", err)
+	}
+	if _, err := bank.Search(nil, []*seq.Sequence{good}, &Fragment{}, append(one, one...)); err == nil {
+		t.Error("a bank searched one query with two search spaces")
 	}
 }
 

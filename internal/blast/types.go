@@ -317,10 +317,9 @@ type Options struct {
 	// TwoHitWindow enables two-hit seeding with the given window, at most
 	// 1<<20; 0 disables it (every seed hit is extended: the blastn mode).
 	TwoHitWindow int
-	// XDropUngapped, XDropGapped, XDropFinal are X-drop cutoffs in bits.
+	// XDropUngapped and XDropGapped are X-drop cutoffs in bits.
 	XDropUngapped float64
 	XDropGapped   float64
-	XDropFinal    float64
 	// GapTriggerBits: ungapped HSPs scoring at least this many bits get a
 	// gapped extension.
 	GapTriggerBits float64
@@ -332,9 +331,10 @@ type Options struct {
 	// seeding stage (BLAST's -F option; soft masking — extensions still
 	// use the unmasked residues).
 	FilterLowComplexity bool
-	// SearchThreads bounds the intra-rank worker pool whose goroutines claim
-	// a fragment's subjects one at a time: 0 means GOMAXPROCS, 1 forces the
-	// sequential path. Output is byte-identical for every value.
+	// SearchThreads bounds the job's kernel slots (QueryBank), which claim
+	// the subjects of every rank's search one at a time: 0 means GOMAXPROCS,
+	// 1 searches one subject at a time job-wide. Output is byte-identical
+	// for every value.
 	SearchThreads int
 	// OutFormat selects the report rendering (pairwise text by default,
 	// or the 12-column tabular format).
@@ -351,7 +351,6 @@ func DefaultProteinOptions() Options {
 		TwoHitWindow:   40,
 		XDropUngapped:  7,
 		XDropGapped:    15,
-		XDropFinal:     25,
 		GapTriggerBits: 22,
 		EValue:         10,
 	}
@@ -366,7 +365,6 @@ func DefaultDNAOptions() Options {
 		TwoHitWindow:   0,
 		XDropUngapped:  20,
 		XDropGapped:    30,
-		XDropFinal:     100,
 		GapTriggerBits: 22,
 		EValue:         10,
 	}
@@ -394,7 +392,7 @@ func (o *Options) Validate() error {
 		v    float64
 	}{
 		{"EValue", o.EValue}, {"XDropUngapped", o.XDropUngapped}, {"XDropGapped", o.XDropGapped},
-		{"XDropFinal", o.XDropFinal}, {"GapTriggerBits", o.GapTriggerBits},
+		{"GapTriggerBits", o.GapTriggerBits},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("blast: %s must be finite, got %g", f.name, f.v)
@@ -403,7 +401,7 @@ func (o *Options) Validate() error {
 	if o.EValue <= 0 {
 		return fmt.Errorf("blast: E-value cutoff must be positive, got %g", o.EValue)
 	}
-	if o.XDropUngapped <= 0 || o.XDropGapped <= 0 || o.XDropFinal <= 0 {
+	if o.XDropUngapped <= 0 || o.XDropGapped <= 0 {
 		return fmt.Errorf("blast: X-drop cutoffs must be positive")
 	}
 	if o.MaxTargetSeqs < 0 {

@@ -281,7 +281,9 @@ func (w WireHit) Unpack() (*blast.SubjectResult, []byte) {
 
 // RunSequential searches the whole database with one process and writes the
 // report to job.OutputPath on fs. It is the correctness oracle: both
-// parallel engines must produce byte-identical output.
+// parallel engines must produce byte-identical output. Its queries search
+// one at a time through a query bank, whose kernel slots share each one's
+// subjects.
 func RunSequential(fs *vfs.FS, job *Job) error {
 	if err := job.Validate(); err != nil {
 		return err
@@ -295,23 +297,24 @@ func RunSequential(fs *vfs.FS, job *Job) error {
 		return err
 	}
 	frag := FragmentFromRecords(recs)
-	searcher, err := blast.NewSearcher(job.Options)
+	bank, err := blast.NewQueryBank(job.Options)
 	if err != nil {
 		return err
 	}
-	ctx := searcher.NewContext()
+	searcher := bank.Searcher()
 	out := fs.Create(job.OutputPath)
 	var off int64
 	dbInfo := blast.DBInfo{Title: db.Title, NumSeqs: db.NumSeqs, TotalLen: db.TotalResidues}
+	var results []*blast.QueryResult
 	for _, q := range job.Queries {
-		if err := ctx.SetQuery(q); err != nil {
-			return err
-		}
+		one := []*seq.Sequence{q}
 		space := SearchSpaceFor(searcher, q.Len(), db.TotalResidues, db.NumSeqs)
-		res, err := ctx.SearchFragment(frag, space)
+		results, err = bank.Search(results[:0], one, frag, []stats.SearchSpace{space})
 		if err != nil {
 			return err
 		}
+		bank.Release(one)
+		res := results[0]
 		text := append([]byte(blast.RenderHeader(job.Options.OutFormat, db.Kind, q, dbInfo)),
 			blast.RenderSummary(job.Options.OutFormat, res.Hits)...)
 		for _, hit := range res.Hits {

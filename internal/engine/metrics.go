@@ -24,12 +24,12 @@ func RecordWork(reg *metrics.Registry, rank int, w blast.WorkCounters) {
 
 // RecordIndexSharing books a finished job's query-bank totals: how many query
 // residue contents the host really indexed and how many (fragment, query)
-// lookups found theirs indexed already, and how many searches borrowed a
-// kernel scratch context. These describe the simulator, not the modelled
+// lookups found theirs indexed already, and how many searches the bank's
+// kernel executor ran. These describe the simulator, not the modelled
 // cluster — the virtual cost of indexing is blast.index_words, charged per
 // (rank, fragment, query) — so they are booked once, after the run, under
 // rank 0: which ranks' goroutines happened to build a batch's index is a
-// host scheduling artifact. How many contexts the bank created
+// host scheduling artifact. How many kernel slots the bank made
 // is host concurrency, different from run to run, so it stays in BankStats
 // and out of the registry, whose snapshots repeat exactly.
 func RecordIndexSharing(reg *metrics.Registry, st blast.BankStats) {
@@ -38,7 +38,7 @@ func RecordIndexSharing(reg *metrics.Registry, st blast.BankStats) {
 	}
 	reg.Counter("blast.index_builds", 0).Add(st.Builds)
 	reg.Counter("blast.index_reuses", 0).Add(st.Reuses)
-	reg.Counter("blast.context_lends", 0).Add(st.Lends)
+	reg.Counter("blast.searches", 0).Add(st.Searches)
 }
 
 // RecordMerge counts the hits kept versus dropped by one MergeHits

@@ -260,10 +260,10 @@ func ReadBroadcast[M any](r *mpi.Rank, data []byte, split func([]byte) (M, []byt
 	})
 }
 
-// SearchLoop is a worker's search stage: the kernel, the job's shared query
-// bank — which also lends the scratch context each Search runs in — and the
-// database-global statistics every rank must agree on for E-values to be
-// comparable across fragments.
+// SearchLoop is a worker's search stage: the job's shared query bank — which
+// is also the kernel executor each Search runs on — and the database-global
+// statistics every rank must agree on for E-values to be comparable across
+// fragments.
 type SearchLoop struct {
 	r          *mpi.Rank
 	bank       *blast.QueryBank
@@ -305,9 +305,9 @@ func (l *SearchLoop) Begin(queries []*seq.Sequence) {
 
 // Search runs every query against one fragment in two phases. The kernel
 // phase runs aside (mpi.Rank.Aside), off the scheduler token and beside
-// every other rank's: in a scratch context borrowed from the job's bank, load
-// the query set's batch index from the bank, scan each subject once for every
-// query, then hand the context back unloaded. The charge phase runs on the
+// every other rank's: the job's bank finds the query set's batch index and
+// scans each subject once for every query, in the bank's kernel slots. The
+// charge phase runs on the
 // token, in query order: charge the kernel's work units to the rank's clock,
 // book the work counters, and hand the result to emit. A kernel error stops
 // the search before anything is charged. Only the host shares the index, the
@@ -332,17 +332,7 @@ func (l *SearchLoop) Search(frag *blast.Fragment, emit func(qi int, res *blast.Q
 }
 
 // searchAll is Search's kernel phase. It touches no clock and no world state,
-// only the bank, the borrowed context and the loop's own fields.
+// only the bank and the loop's own fields.
 func (l *SearchLoop) searchAll() {
-	l.results = l.results[:0]
-	ctx := l.bank.Lend()
-	defer l.bank.TakeBack(ctx)
-	p, err := l.bank.Get(l.queries)
-	if err == nil {
-		err = ctx.UseBatch(l.queries, p)
-	}
-	if err == nil {
-		l.results, err = ctx.SearchBatch(l.results, l.frag, l.spaces)
-	}
-	l.err = err
+	l.results, l.err = l.bank.Search(l.results[:0], l.queries, l.frag, l.spaces)
 }

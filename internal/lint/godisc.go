@@ -36,9 +36,10 @@ var concurrencySites = map[string]string{
 	// rank that parks and received from by the rank that resumes.
 	"parblast/internal/mpi.(*World).schedule":  "mpi.TestAbortHygiene, parblast.TestNoGoroutineOutlivesARun",
 	"parblast/internal/mpi.(*Rank).awaitToken": "mpi.TestAbortHygiene, parblast.TestNoGoroutineOutlivesARun",
-	// The kernel's subject-claiming pool, joined by wg.Wait before the
-	// fragment's results are assembled.
-	"parblast/internal/blast.(*Context).searchParallel": "blast.TestSearchPoolClaimOrderInvisible, parblast.TestNoGoroutineOutlivesARun",
+	// The kernel executor's helpers, at most W−1 per job: each leaves once
+	// no search has a subject unclaimed, and every search it helped waits
+	// for its claims to finish.
+	"parblast/internal/blast.(*QueryBank).spawn": "blast.TestSearchPoolClaimOrderInvisible, blast.TestExecutorConcurrentSearches, parblast.TestNoGoroutineOutlivesARun",
 }
 
 func runGoDisc(u *Unit) {

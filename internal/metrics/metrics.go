@@ -487,14 +487,14 @@ func (s Snapshot) HasPrefix(prefix string) bool {
 
 // HostSide reports whether the named series counts the simulator's own work
 // rather than the modelled cluster's: what the host built once per world and
-// shared (every *_builds/*_reuses pair, and blast.context_lends), how often
+// shared (every *_builds/*_reuses pair, and blast.searches), how often
 // and how widely ranks searched off the scheduler token (mpi.asides,
 // mpi.aside_peak), and the scheduler's grants and re-keys (mpi.grants,
 // mpi.eligibility_updates). A host-only change may move these and no virtual
 // clock, so the run report and the clock fingerprint leave them out.
 func HostSide(name string) bool {
 	switch name {
-	case "blast.context_lends", "mpi.asides", "mpi.aside_peak", "mpi.grants", "mpi.eligibility_updates":
+	case "blast.searches", "mpi.asides", "mpi.aside_peak", "mpi.grants", "mpi.eligibility_updates":
 		return true
 	}
 	return strings.HasSuffix(name, "_builds") || strings.HasSuffix(name, "_reuses")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
@@ -12,6 +13,7 @@ import (
 	"parblast/internal/mpiblast"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
+	"parblast/internal/trace"
 	"parblast/internal/vfs"
 	"parblast/internal/workload"
 )
@@ -156,5 +158,63 @@ func TestBaselineTreeMergeCrashDuringMerge(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "crash") {
 		t.Errorf("unexpected error for merge-window crash: %v", err)
+	}
+}
+
+// TestStaleSubmissionDropped: a worker that crashes while its last result
+// submission is on the wire — sent, not yet read — is dead when the flat
+// master reads it, so the master drops the message (the Failed check of
+// assigner.recv), detects the crash and has the fragment searched again. A
+// master that counted it would release the survivors with a result only the
+// dead worker can serve, and never finish. The crash falls inside the
+// submission's NIC occupancy, read off a traced fault-free run: the send
+// charges the occupancy after its crash check, so the crash fires at the
+// worker's next operation, before the message arrives.
+func TestStaleSubmissionDropped(t *testing.T) {
+	const nprocs, nFrags = 4, 6
+	job := treeFixtureJob(t, 1200)
+	cost := simtime.DefaultCostModel()
+	col := trace.NewCollector()
+	free, freeOut, err := runTree(t, job, nprocs, nFrags, mpi.Config{Cost: cost, Trace: col}, mpiblast.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last trace.Flow
+	for _, f := range col.Flows() {
+		if f.Dst == 0 && f.Op == mpiblast.ResultsFlowOp && f.RecvAt > last.RecvAt {
+			last = f
+		}
+	}
+	if last.Bytes == 0 {
+		t.Fatal("no result submission was traced")
+	}
+	faults := []mpi.Fault{{Rank: last.Src, At: last.SendAt - float64(last.Bytes)/cost.NetBandwidth/2}}
+	type outcome struct {
+		res engine.RunResult
+		out []byte
+		err error
+	}
+	nodes := treeCluster(t, job, nprocs, nFrags)
+	j := *job
+	j.Fragments = nFrags
+	done := make(chan outcome, 1)
+	go func() {
+		res, _, err := mpiblast.Run(nodes, nprocs, mpi.Config{Cost: cost, Faults: faults}, &j, mpiblast.Options{}, nil)
+		out, _ := nodes[0].Shared.ReadFile(job.OutputPath)
+		done <- outcome{res, out, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("crash of rank %d inside its last submission: %v", last.Src, o.err)
+		}
+		if !bytes.Equal(o.out, freeOut) {
+			t.Error("recovered output differs from the fault-free output")
+		}
+		if o.res.Wall <= free.Wall {
+			t.Errorf("recovered wall %g not above the fault-free %g", o.res.Wall, free.Wall)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("crash inside the last submission: the run is still going after 20 s")
 	}
 }

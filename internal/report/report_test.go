@@ -134,7 +134,7 @@ func TestHostSideSeriesLeaveMetricsUnchanged(t *testing.T) {
 	}
 	want := block()
 	for _, name := range []string{"mpi.grants", "mpi.eligibility_updates", "mpi.asides", "mpi.aside_peak",
-		"blast.context_lends", "blast.index_builds", "core.novel_reuses"} {
+		"blast.searches", "blast.index_builds", "core.novel_reuses"} {
 		reg.Counter(name, 0).Add(5)
 		if got := block(); got != want {
 			t.Errorf("host-side %s moved the metrics block:\n%s\nwant\n%s", name, got, want)

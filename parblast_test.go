@@ -607,7 +607,6 @@ func TestNonFiniteCutoffsRejected(t *testing.T) {
 		{"EValue", func(o *parblast.SearchOptions, v float64) { o.EValue = v }},
 		{"XDropUngapped", func(o *parblast.SearchOptions, v float64) { o.XDropUngapped = v }},
 		{"XDropGapped", func(o *parblast.SearchOptions, v float64) { o.XDropGapped = v }},
-		{"XDropFinal", func(o *parblast.SearchOptions, v float64) { o.XDropFinal = v }},
 		{"GapTriggerBits", func(o *parblast.SearchOptions, v float64) { o.GapTriggerBits = v }},
 	} {
 		for _, v := range []float64{math.NaN(), math.Inf(1)} {

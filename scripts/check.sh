@@ -33,6 +33,17 @@ if [ -n "$wide" ]; then
     echo "$wide" >&2
     exit 1
 fi
+# CHANGES.md under its own rule: the newest "- PR" entry, up to the next
+# top-level bullet, runs to at most 15 lines wrapped at 180 characters (a
+# longer line or table row counts as the lines it wraps to).
+long=$(LC_ALL=C awk '
+    /^- / { inpr = /^- PR /; if (inpr) { n = 0; at = FNR } }
+    inpr { s = $0; gsub(/[\200-\277]/, "", s); n += length(s) > 180 ? int((length(s) + 179) / 180) : 1 }
+    END { if (n > 15) print "CHANGES.md:" at ": the newest PR entry runs to " n " wrapped lines, over 15" }' CHANGES.md)
+if [ -n "$long" ]; then
+    echo "$long" >&2
+    exit 1
+fi
 if [ "${1:-}" = "mdwidth" ]; then
     exit 0
 fi
@@ -57,6 +68,8 @@ pins='TestJobAllocationBudget|TestShuffleSizedByTouchedAggregators|TestIndexBuil
 named "$golden" ./internal/core ./internal/report
 named "$pins" . ./internal/mpiio ./internal/blast ./internal/core
 named TestNoGoroutineOutlivesARun .
+executor='TestExecutorConcurrentSearches|TestSearchPoolClaimOrderInvisible|TestSearchThreadsPoolReuse|TestQueryBankConcurrent|TestQueryBankLendsScratch|TestQueryBankRelease'
+named "$executor" ./internal/blast
 if [ "${1:-}" = "runnames" ]; then
     exit 0
 fi
@@ -256,10 +269,11 @@ done
 # No goroutine outlives a run: the dynamic half of the godisc site list,
 # repeated so a straggler that only sometimes outlives its run shows.
 go test -race -count=3 -run TestNoGoroutineOutlivesARun .
-# The kernel's worker pool claims subjects from a shared counter: race it
-# oversubscribed (four Ps on however many cores there are) and repeatedly,
-# so that claim orders the default run never produces are exercised.
-GOMAXPROCS=4 go test -race -count=3 ./internal/blast
+# The kernel executor's slots claim subjects of concurrent searches from
+# shared counters: race its tests oversubscribed (four Ps on however many
+# cores there are) and repeatedly, so that claim orders and slot hand-offs
+# the default run never produces are exercised.
+GOMAXPROCS=4 go test -race -count=10 -run "^($executor)\$" ./internal/blast
 
 # Fuzz smoke: five seconds for every Fuzz* target of the module, listed per
 # package, so a new target joins without an edit here. Finds shallow panics,

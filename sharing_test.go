@@ -35,11 +35,11 @@ var pioOnly = []parblast.Engine{parblast.EnginePioBLAST}
 // plan, the tree layout, the decoded broadcast, the gathered early-prune
 // scores and batch volumes, the tree merge's selection directory — is built
 // by the host once per world, however
-// many ranks read it, the kernel scratch is lent once per fragment search,
-// and the output is still the sequential oracle's. The counters are the
-// simulator's, booked under rank 0; what the modelled ranks are charged is
-// pinned elsewhere (TestClockFingerprint). How many scratch contexts a job
-// created is host concurrency and no counter: blast.TestQueryBankLendsScratch
+// many ranks read it, the kernel executor runs one search per fragment
+// search, and the output is still the sequential oracle's. The counters are
+// the simulator's, booked under rank 0; what the modelled ranks are charged
+// is pinned elsewhere (TestClockFingerprint). How many kernel slots a job
+// made is host concurrency and no counter: blast.TestQueryBankLendsScratch
 // bounds it.
 func TestBuiltOncePerWorld(t *testing.T) {
 	const procs = 6
@@ -203,10 +203,10 @@ func TestBuiltOncePerWorld(t *testing.T) {
 						t.Errorf("%s reused %d times, want %d: every other rank reads the first one's", g.stem, got, want)
 					}
 				}
-				if got := total["blast.context_lends"]; got != searches && !job.crash {
-					t.Errorf("kernel contexts lent = %d, want %d: one per fragment search", got, searches)
+				if got := total["blast.searches"]; got != searches && !job.crash {
+					t.Errorf("kernel searches = %d, want %d: one per fragment search", got, searches)
 				} else if job.crash && got <= searches-int64(job.frags) {
-					t.Errorf("kernel contexts lent = %d: the crash row searched nothing again", got)
+					t.Errorf("kernel searches = %d: the crash row searched nothing again", got)
 				}
 				if oracle := sequentialOracle(t, seqs, searched); !bytes.Equal(out, oracle) {
 					t.Errorf("output differs from the sequential oracle (%d vs %d bytes)", len(out), len(oracle))
