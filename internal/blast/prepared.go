@@ -486,10 +486,9 @@ func (b *QueryBank) search(dst []*QueryResult, queries []*seq.Sequence, p *Prepa
 // nil) until no request it may join has a subject unclaimed. A helper joins
 // only requests a slot already searches and leaves its slot to a caller
 // waiting for one, so the kernel runs on callers' goroutines where it can
-// (DESIGN §8 says why), and yields its core to a caller it wakes.
+// (DESIGN §8 says why).
 func (b *QueryBank) run(own *request) {
 	var slot *Context
-	yield := false
 	for own == nil || own.unclaimed() || own.active > 0 {
 		r := own
 		if own == nil && b.oldest(true) == nil {
@@ -509,10 +508,6 @@ func (b *QueryBank) run(own *request) {
 		}
 		r.active++
 		b.mu.Unlock()
-		if yield {
-			runtime.Gosched()
-			yield = false
-		}
 		slot.drain(r)
 		b.mu.Lock()
 		r.active--
@@ -526,7 +521,6 @@ func (b *QueryBank) run(own *request) {
 			slot = nil
 		} else if r.active == 0 {
 			r.wake.Signal() // r is searched
-			yield = true
 		}
 	}
 	if slot != nil {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"parblast/internal/seq"
 	"parblast/internal/stats"
@@ -206,14 +207,12 @@ func TestIndexBuildAllocatesItsIndex(t *testing.T) {
 // TestQueryBankRecyclesBuildScratch: a bank's next build reuses what its
 // earlier builds dropped — every enumeration buffer, and a released entry's
 // CSR arrays when no search is in flight — and builds the same rows as a
-// fresh Prepare. An index released while a search is in flight keeps its
-// arrays.
+// fresh Prepare. An index released while a Search of it is in flight keeps
+// its arrays: the search, held past its lookup waiting for the one slot,
+// still returns the result of an intact index.
 func TestQueryBankRecyclesBuildScratch(t *testing.T) {
-	_, queries := bankFixture(31, 3)
-	bank, err := NewQueryBank(DefaultProteinOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag, queries := bankFixture(31, 3)
+	bank := newBank(t, DefaultProteinOptions(), 1)
 	same := func(p *PreparedBatch, q *seq.Sequence) bool {
 		fresh, err := bank.Searcher().prepareBatch([]*seq.Sequence{q})
 		if err != nil {
@@ -242,10 +241,21 @@ func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 	if p, _ = bank.get(one); !same(p, one[0]) {
 		t.Fatal("an index built from recycled arrays differs from a fresh one")
 	}
+	bank.Release(one)
 
-	// Released while a search is in flight (one that has its index and is
-	// searching): the index stays intact through later builds.
-	bank.searching.Add(1)
+	// Released while a Search is in flight: the test holds the bank's one
+	// slot, so the search has its index and waits in the executor while the
+	// entry is released and later builds draw on the spares.
+	_, alone := searchAlone(t, DefaultProteinOptions(), one[0], frag)
+	want := render(t, bank.Searcher(), one[0], frag, alone)
+	bank.mu.Lock()
+	slot := bank.takeSlot()
+	bank.mu.Unlock()
+	got := make(chan string)
+	go func() { got <- searchVia(t, bank, one[0], frag) }()
+	for bank.Stats().Searches == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	bank.Release(one)
 	for _, q := range queries[:2] {
 		if _, err := bank.get([]*seq.Sequence{q}); err != nil {
@@ -253,8 +263,11 @@ func TestQueryBankRecyclesBuildScratch(t *testing.T) {
 		}
 		bank.Release([]*seq.Sequence{q})
 	}
-	if !same(p, one[0]) {
-		t.Error("an index released while a search was in flight was overwritten by a later build")
+	bank.mu.Lock()
+	bank.putSlot(slot)
+	bank.mu.Unlock()
+	if <-got != want {
+		t.Error("a search whose index was released while it was in flight differs from a standalone search")
 	}
 }
 

@@ -68,7 +68,7 @@ pins='TestJobAllocationBudget|TestShuffleSizedByTouchedAggregators|TestIndexBuil
 named "$golden" ./internal/core ./internal/report
 named "$pins" . ./internal/mpiio ./internal/blast ./internal/core
 named TestNoGoroutineOutlivesARun .
-executor='TestExecutorConcurrentSearches|TestSearchPoolClaimOrderInvisible|TestSearchThreadsPoolReuse|TestQueryBankConcurrent|TestQueryBankLendsScratch|TestQueryBankRelease'
+executor='TestExecutorConcurrentSearches|TestSearchPoolClaimOrderInvisible|TestSearchThreadsPoolReuse|TestQueryBankConcurrent|TestQueryBankLendsScratch|TestQueryBankRelease|TestQueryBankRecyclesBuildScratch'
 named "$executor" ./internal/blast
 if [ "${1:-}" = "runnames" ]; then
     exit 0
