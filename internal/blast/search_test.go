@@ -479,3 +479,12 @@ func TestCommaFormatting(t *testing.T) {
 		}
 	}
 }
+
+// TotalResidues sums the residue counts of all subjects.
+func (f *Fragment) TotalResidues() int64 {
+	var n int64
+	for i := range f.Subjects {
+		n += int64(len(f.Subjects[i].Residues))
+	}
+	return n
+}

@@ -39,15 +39,6 @@ type Fragment struct {
 	Subjects []Subject
 }
 
-// TotalResidues sums the residue counts of all subjects.
-func (f *Fragment) TotalResidues() int64 {
-	var n int64
-	for i := range f.Subjects {
-		n += int64(len(f.Subjects[i].Residues))
-	}
-	return n
-}
-
 // EditOp is one column of a pairwise alignment trace.
 type EditOp byte
 

@@ -58,65 +58,6 @@ func TestJobMetaCodec(t *testing.T) {
 	}
 }
 
-// TestSelectionBundleSkipsWithoutCopying: every worker finds its own selection
-// through the layout broadcast's directory, a truncated bundle or a worker
-// outside the world is an error, and neither indexing the bundle nor reading
-// one worker's entry allocates more for more workers — a worker that decoded
-// its way past the others' selections would make the n workers of a batch do
-// O(n²) work.
-func TestSelectionBundleSkipsWithoutCopying(t *testing.T) {
-	bundle := func(workers int) ([]byte, []selection) {
-		sel := make([]selection, workers+1)
-		alive := make([]int, 0, workers)
-		for w := 1; w <= workers; w++ {
-			alive = append(alive, w)
-			sel[w] = selection{Queries: []int{0, 1}, OIDs: []int{w, 2 * w}, Offsets: []int64{int64(100 * w), int64(100*w + 40)}, Lengths: []int64{40, 60}}
-		}
-		return encodeSelectionBundle(true, sel, alive), sel
-	}
-	data, sel := bundle(5)
-	dir := readSelectionDir(data, 8)
-	for w := 1; w <= 5; w++ {
-		got, ok, err := dir.selection(w)
-		if err != nil || !ok || !reflect.DeepEqual(got, sel[w]) {
-			t.Fatalf("worker %d: got %+v ok=%v err=%v, want %+v", w, got, ok, err, sel[w])
-		}
-	}
-	for _, w := range []int{6, 8, -1} {
-		if _, _, err := dir.selection(w); err == nil {
-			t.Fatalf("worker %d, whom the bundle does not name, was served", w)
-		}
-	}
-	if _, _, err := readSelectionDir(data, 5).selection(1); err == nil {
-		t.Fatal("a bundle naming worker 5 was read in a world of 5 ranks")
-	}
-	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := readSelectionDir(data[:cut], 8).selection(1); err == nil {
-			t.Fatalf("truncation at %d of %d undetected", cut, len(data))
-		}
-	}
-	if _, ok, err := readSelectionDir(encodeSelectionBundle(false, nil, nil), 8).selection(1); ok || err != nil {
-		t.Fatalf("abort marker: ok=%v err=%v", ok, err)
-	}
-	allocs := func(workers int) (index, read float64) {
-		data, _ := bundle(workers)
-		dir := readSelectionDir(data, workers+1)
-		index = testing.AllocsPerRun(20, func() { readSelectionDir(data, workers+1) })
-		read = testing.AllocsPerRun(20, func() {
-			if _, _, err := dir.selection(workers); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return index, read
-	}
-	fewIndex, fewRead := allocs(2)
-	manyIndex, manyRead := allocs(200)
-	if manyIndex != fewIndex || manyRead != fewRead {
-		t.Fatalf("200 workers: %v allocations to index, %v to read the last; 2 workers: %v and %v — selections are being copied",
-			manyIndex, manyRead, fewIndex, fewRead)
-	}
-}
-
 // TestBatchMetasDecodeSharesOneString: decoding a worker's submission costs
 // the same number of allocations whatever the hit count — one string copy of
 // the message that every ID and defline shares, the per-query slices — not
@@ -172,8 +113,7 @@ func codeLayout[T any](name string, sample T, code func(*T, *engine.Codec) *engi
 }
 
 // FuzzWire hardens every wire layout of this package against corrupt or
-// malicious payloads (wiretest.Check has the rules). The selection bundle is
-// read as worker 1 sees it.
+// malicious payloads (wiretest.Check has the rules).
 func FuzzWire(f *testing.F) {
 	sel := selection{Queries: []int{0, 1}, OIDs: []int{4, 9}, Offsets: []int64{0, 120}, Lengths: []int64{120, 33}}
 	wiretest.Fuzz(f, []wiretest.Layout{
@@ -181,9 +121,5 @@ func FuzzWire(f *testing.F) {
 		codeLayout("batch metas", batchMetas{FirstQuery: 1, PerQuery: []engine.QueryMeta{{QueryIndex: 1, Hits: []engine.HitMeta{{OID: 4, ID: "s4"}}}}}, (*batchMetas).code),
 		codeLayout("selection", sel, (*selection).code),
 		codeLayout("go", goMsg{Done: true, Extras: []int{3}, Alive: []int{1, 2}}, (*goMsg).code),
-		{Name: "selection bundle", Sample: encodeSelectionBundle(true, []selection{{}, sel, {}}, []int{2, 1}), Decode: func(data []byte) (any, []byte, error) {
-			s, ok, err := readSelectionDir(data, 3).selection(1)
-			return []any{s, ok}, encodeSelectionBundle(ok, []selection{{}, s}, []int{1}), err
-		}},
 	})
 }

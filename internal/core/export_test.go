@@ -1,6 +1,16 @@
 package core
 
-import "parblast/internal/mpi"
+import (
+	"fmt"
+
+	"parblast/internal/mpi"
+)
+
+// PartRequestFlowOp is the trace op of a dynamic worker's part request.
+var PartRequestFlowOp = fmt.Sprintf("tag%02d", tagPartReq)
+
+// PartAssignFlowOp is the trace op of the master's answer to one.
+var PartAssignFlowOp = fmt.Sprintf("tag%02d", tagPartAssign)
 
 // AdaptiveBoundsForTest exposes the batch-boundary computation to tests.
 func AdaptiveBoundsForTest(volumes []int64, budget int64) []int {

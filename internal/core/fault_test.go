@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -13,7 +14,10 @@ import (
 	"parblast/internal/engine"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
+	"parblast/internal/seq"
+	"parblast/internal/trace"
 	"parblast/internal/vfs"
+	"parblast/internal/workload"
 )
 
 // sweepProtocols are the recovery protocols the crash sweep covers:
@@ -135,6 +139,130 @@ func TestCrashSweepEveryProtocol(t *testing.T) {
 		if recovered == 0 {
 			t.Errorf("%s: no crash point recovered at a wall above the fault-free %g", proto.name, free.wall)
 		}
+	}
+}
+
+// TestCrashAfterPartRequest: a dynamic-assignment worker (prefetch 1)
+// crashes just after a part request, in two regimes.
+//
+//   - fast: nodes so fast (speed 0.01, RAM disk) that the request is still
+//     unread when the crash fires, 1 ns after each request. The master answers
+//     a dead requester like a live one: what it gives the dead worker sits in
+//     the ledger and is re-issued when the rendezvous reaps it, and a crash
+//     after the last request — answered "done" — costs the run no detection
+//     interval.
+//   - slow: a part outlasts the detection interval, so the master polls on a
+//     fixed grid. A worker whose request leaves within NetLatency before a
+//     poll deadline crashes before that deadline: the poll reaps it while the
+//     request is in flight, and the request must then go unanswered — a part
+//     given to the reaped worker would never be re-issued. The first query is
+//     12 residues and the rest ~900, so the crash check after the first
+//     query's charge lands inside that window; a bystander 40x slower than the
+//     victim keeps the victim's requests the only arrivals.
+//
+// Every point recovers with the oracle's bytes.
+func TestCrashAfterPartRequest(t *testing.T) {
+	const parts = 40
+	detect, latency := testCost().FaultDetectInterval(), testCost().NetLatency
+	fast := makeFixture(t, 600)
+	slow := makeFixture(t, 600)
+	db := fixtureDB(t)
+	long, err := workload.SampleQueries(db, workload.QueryConfig{TargetBytes: 90000, MeanLen: 100, MutationRate: 0.05, Seed: 202})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &seq.Sequence{ID: "short", Residues: db[0].Residues[:12], Alpha: db[0].Alpha}
+	slow.queries = append([]*seq.Sequence{short}, long...)
+	slow.job.Queries = slow.queries
+	for _, tc := range []struct {
+		name   string
+		fx     *fixture
+		speeds []float64
+		// reaped: only points whose crash a poll sees before the request
+		// arrives count, and at least one must.
+		reaped bool
+	}{
+		{"fast", fast, []float64{0.01, 0.01, 0.01, 0.01, 0.01}, false},
+		{"slow", slow, []float64{1, 0.018, 40 * 0.018}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nprocs := len(tc.speeds)
+			want := oracleOutput(t, tc.fx)
+			opts := core.Options{FaultTolerant: true, DynamicAssignment: true, PrefetchDepth: 1}
+			run := func(cfg mpi.Config) (float64, []byte) {
+				nodes := tc.fx.newCluster(t, nprocs, vfs.RAMDisk(), nil, 0)
+				job := *tc.fx.job
+				job.Fragments = parts
+				cfg.Cost, cfg.Speeds = testCost(), tc.speeds
+				res, _, err := core.Run(nodes, nprocs, cfg, &job, opts, nil)
+				if err != nil {
+					t.Fatalf("faults %v: %v", cfg.Faults, err)
+				}
+				out, err := nodes[0].Shared.ReadFile(job.OutputPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Wall, out
+			}
+			col := trace.NewCollector()
+			free, _ := run(mpi.Config{Trace: col})
+			var requests []trace.Flow
+			var answers []float64         // the master's answer times: where each poll grid starts
+			last := make(map[int]float64) // victim → the time of its last request
+			for _, f := range col.Flows() {
+				switch f.Op {
+				case core.PartRequestFlowOp:
+					requests = append(requests, f)
+					last[f.Src] = max(last[f.Src], f.SendAt)
+				case core.PartAssignFlowOp:
+					answers = append(answers, f.SendAt)
+				}
+			}
+			if len(requests) < 4*(nprocs-1) {
+				t.Fatalf("%d part requests traced, want several per worker", len(requests))
+			}
+			limit := free + float64(detect/2)
+			reached := 0
+			for _, f := range requests {
+				deadline := math.Inf(1)
+				if tc.reaped {
+					// Unanswered since its last answer, the master polls
+					// every detect interval from it; the first deadline after
+					// the request must come before the request arrives.
+					from := -1.0
+					for _, a := range answers {
+						if a < f.RecvAt {
+							from = max(from, a)
+						}
+					}
+					if from < 0 || from > f.SendAt {
+						continue
+					}
+					for deadline = from; deadline <= f.SendAt; deadline += detect {
+					}
+					if deadline >= f.RecvAt {
+						continue
+					}
+				}
+				crashed := trace.NewCollector()
+				faults := []mpi.Fault{{Rank: f.Src, At: f.SendAt + 1e-9}}
+				wall, out := run(mpi.Config{Faults: faults, Trace: crashed})
+				if !bytes.Equal(out, want) {
+					t.Errorf("rank %d crashing after its request at %g: output differs from the oracle", f.Src, f.SendAt)
+				}
+				for _, ev := range crashed.Events(f.Src) {
+					if ev.Name == "crash" && ev.At < deadline {
+						reached++
+					}
+				}
+				if !tc.reaped && f.SendAt == last[f.Src] && wall > limit {
+					t.Errorf("rank %d crashing after its last request: wall %g, fault-free %g: the master waited to detect it", f.Src, wall, free)
+				}
+			}
+			if tc.reaped && reached == 0 {
+				t.Fatalf("no crash fell between a request and the poll deadline within %g s after it: re-tune the speeds", latency)
+			}
+		})
 	}
 }
 

@@ -36,8 +36,7 @@ func TestWireBytesPinned(t *testing.T) {
 			Hits: []engine.HitMeta{{OID: 11, Worker: 2, ID: "s11", SubjLen: 90, Score: 40, BitScore: 20.5, EValue: 0.25, NumHSPs: 1, BlockSize: 300}}},
 		{QueryIndex: 4, Fragment: 1},
 	}}
-	sel := []selection{{}, {Queries: []int{0, 3}, OIDs: []int{11, 12}, Offsets: []int64{0, 1 << 35}, Lengths: []int64{300, 41}},
-		{Queries: []int{1}, OIDs: []int{5}, Offsets: []int64{300}, Lengths: []int64{7}}}
+	sel := selection{Queries: []int{0, 3}, OIDs: []int{11, 12}, Offsets: []int64{0, 1 << 35}, Lengths: []int64{300, 41}}
 	for _, c := range []struct {
 		name string
 		data []byte
@@ -46,11 +45,9 @@ func TestWireBytesPinned(t *testing.T) {
 		{"job meta", meta.encode(), "03010203a00680808080400301056e722e3030000e0000b40102c00c40d0320001056e722e3031000812006e02d8044090010b726573756c74732e6f75740100010004068060010108048080800180080200"},
 		{"serve job meta", (&jobMeta{NumSeqs: 1, TotalLen: 40, OutputPath: "o", Independent: true, Collective: true, QueryBatch: 1, Serve: true}).encode(), "00025000016f000100010002000000000000000001"},
 		{"batch metas", metas.encode(), "060206020012000000000002000116040373313100b401500000000000803440000000000000d03f02d804080200000000000000000000"},
-		{"selection", sel[1].encode(), "02001600d804061880808080800252"},
+		{"selection", sel.encode(), "02001600d804061880808080800252"},
 		{"go", wireBytes(goSample{extras: []int{4, 7}}), "0002080e00"},
 		{"final go", wireBytes(goSample{done: true, alive: []int{1, 2, 5}}), "01000302040a"},
-		{"selection bundle", encodeSelectionBundle(true, sel, []int{2, 1}), "0102040601020ad8040e020f02001600d804061880808080800252"},
-		{"abort bundle", encodeSelectionBundle(false, nil, nil), "00"},
 	} {
 		if got := hex.EncodeToString(c.data); got != c.hex {
 			t.Errorf("%s encodes to\n%s\nwant\n%s", c.name, got, c.hex)

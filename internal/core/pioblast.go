@@ -125,9 +125,9 @@ type Options struct {
 	// TreeMerge replaces the flat worker→master metadata streams with the
 	// hierarchical group merge: workers pre-merge their batch metadata up
 	// a k-ary reduction tree (the same top-k selection the master runs, so
-	// the result is byte-identical) and the master broadcasts the output
-	// layout back down the tree. The flat path remains the ablation
-	// baseline.
+	// the result is byte-identical); the master then sends each worker its
+	// own selection point to point, as on the flat path. The flat path
+	// remains the ablation baseline.
 	TreeMerge bool
 	// MergeFanout is the reduction-tree fan-out for TreeMerge
 	// (0 = mpi.DefaultTreeFanout).
@@ -324,76 +324,6 @@ func treeCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []byte) []
 		c := engine.Encoder(len(a) + len(b))
 		return out.code(&c).Bytes()
 	}
-}
-
-// encodeSelectionBundle packs every worker's output selection into the one
-// payload the layout broadcast carries down the tree. ok=false is the
-// abort marker: a member crashed mid-merge and the batch cannot complete.
-func encodeSelectionBundle(ok bool, sel []selection, workers []int) []byte {
-	var c engine.Codec
-	if c.Bool(&ok); !ok {
-		return c.Bytes()
-	}
-	for i := range engine.Len(&c, &workers) {
-		own := sel[workers[i]].encode()
-		c.Int(&workers[i])
-		c.Blob(&own)
-	}
-	return c.Bytes()
-}
-
-// selectionDir is the layout broadcast as its workers read it: the abort
-// marker, or where in the bundle each worker's encoded selection lies. Every
-// worker holds the same bundle slice, so the host builds the directory once
-// per broadcast (mpi.OnceFor) and each worker decodes only its own entry.
-type selectionDir struct {
-	ok bool
-	// views[w] is worker w's encoded selection, a view of the bundle; nil
-	// when the bundle names no such worker.
-	views [][]byte
-	err   error
-}
-
-// readSelectionDir indexes a layout broadcast for a world of size ranks,
-// without copying any selection. A worker named twice keeps its first entry.
-func readSelectionDir(data []byte, size int) *selectionDir {
-	d := &selectionDir{}
-	c := engine.Decoder(data)
-	if c.Bool(&d.ok); !d.ok {
-		d.err = c.Err()
-		return d
-	}
-	d.views = make([][]byte, size)
-	for range c.Count(0) {
-		var wk int
-		c.Int(&wk)
-		view := c.BlobView()
-		if c.Err() != nil {
-			break
-		}
-		if wk < 0 || wk >= size {
-			d.err = fmt.Errorf("core: layout broadcast names worker %d in a world of %d", wk, size)
-			return d
-		}
-		if d.views[wk] == nil {
-			d.views[wk] = view
-		}
-	}
-	d.err = c.Err()
-	return d
-}
-
-// selection decodes worker's own selection. ok=false reports the master's
-// abort marker.
-func (d *selectionDir) selection(worker int) (sel selection, ok bool, err error) {
-	if d.err != nil || !d.ok {
-		return selection{}, false, d.err
-	}
-	if worker < 0 || worker >= len(d.views) || d.views[worker] == nil {
-		return selection{}, true, fmt.Errorf("core: layout broadcast misses worker %d", worker)
-	}
-	c := engine.Decoder(d.views[worker])
-	return sel, true, sel.code(&c).Err()
 }
 
 // Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1)
@@ -652,13 +582,18 @@ func bootMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, mp masterPlan, tun
 }
 
 // assignParts is the master half of greedy run-time assignment (§5): serve
-// part requests until every live worker has been told "done". Returns the
-// partitions reclaimed from workers that crashed meanwhile.
+// part requests until every worker in the ledger has been told "done".
+// Returns the partitions reclaimed from workers that crashed meanwhile. A
+// request is answered even if its sender has crashed since: the ledger keeps
+// what the dead worker was given, and syncWorkers reaps it and re-issues that.
+// Only a request still in flight when a poll reaped its sender is dropped: a
+// part given then would sit with no ledger entry to re-issue it from, and a
+// "done" would count the dead sender among the served.
 func (mb *masterBatch) assignParts() (pending []int) {
 	r, meta := mb.r, mb.meta
 	r.SetPhase(simtime.PhaseIdle)
 	next := 0
-	served := make(map[int]bool) // live workers told "done"
+	served := make(map[int]bool) // workers told "done"
 	for len(served) < len(mb.own.Alive()) {
 		_, from, _, err := r.RecvTimeout(mpi.AnySource, tagPartReq, r.DetectInterval())
 		if err != nil {
@@ -671,8 +606,8 @@ func (mb *masterBatch) assignParts() (pending []int) {
 			})
 			continue
 		}
-		if r.Failed(from) {
-			continue // the requester crashed after sending
+		if !slices.Contains(mb.own.Alive(), from) {
+			continue // reaped while its request was in flight
 		}
 		if next < len(meta.Parts) {
 			mb.own.Give(from, next)
@@ -773,13 +708,10 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		if combErr != nil {
 			return combErr
 		}
-		r.SetPhase(simtime.PhaseOutput)
 		if len(contributors) != len(members) {
 			// A member crashed mid-merge: its cached blocks are gone
-			// and its hits are unrecoverable. Tell the survivors to
-			// stand down (the abort marker), then fail cleanly —
-			// matching the flat path's output-phase contract.
-			r.TreeBcast(0, meta.TreeFanout, members, encodeSelectionBundle(false, nil, nil))
+			// and its hits are unrecoverable. Fail cleanly and send
+			// nothing — the flat path's output-phase contract.
 			return fmt.Errorf("core: worker crashed during the hierarchical merge; recovery only covers the search phase")
 		}
 		var bm batchMetas
@@ -859,14 +791,10 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 		mb.off = cur + int64(len(footer))
 		onQueryDone()
 	}
-	if meta.Tree {
-		// Layout broadcast down the tree (§3.3): one bundle holding
-		// every worker's selection instead of N point-to-point sends.
-		r.TreeBcast(0, meta.TreeFanout, mb.own.Members(), encodeSelectionBundle(true, sel, alive))
-	} else {
-		for _, w := range alive {
-			r.Send(w, tagSelect, sel[w].encode())
-		}
+	// Each worker learns only its own selection (§3.3), whichever way its
+	// metadata came in.
+	for _, w := range alive {
+		r.Send(w, tagSelect, sel[w].encode())
 	}
 	mb.data, mb.segs = masterData, segs
 	if err := mb.out.SetView(mpiio.View{Segments: segs}); err != nil {
@@ -1301,11 +1229,9 @@ func (w *worker) outputBatch(q0, q1 int) error {
 	c := engine.Encoder(size)
 	submission := bm.code(&c).Bytes()
 	r.Metrics().Counter("engine.blocks_rendered", r.ID()).Add(int64(len(w.ends)))
-	var sel selection
 	if meta.Tree {
 		// Hierarchical merge: fold this worker's metadata into the
-		// k-ary reduction (pre-merging the group's bundles locally)
-		// and take the layout from the down-tree broadcast.
+		// k-ary reduction (pre-merging the group's bundles locally).
 		var combErr error
 		if _, _, err := r.TreeReduce(0, meta.TreeFanout, w.members, submission, treeCombiner(r, maxTargets, &combErr)); err != nil {
 			return err
@@ -1313,28 +1239,16 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		if combErr != nil {
 			return combErr
 		}
-		r.SetPhase(simtime.PhaseIdle)
-		layout := r.TreeBcast(0, meta.TreeFanout, w.members, nil)
-		dir := mpi.OnceFor(r, "core.selection_dir", layout, func() *selectionDir { return readSelectionDir(layout, r.Size()) })
-		s, ok, err := dir.selection(r.ID())
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: merge aborted: a peer crashed during the hierarchical merge")
-		}
-		sel = s
-		r.SetPhase(simtime.PhaseOutput)
 	} else {
 		r.Send(0, tagResults, submission)
+	}
 
-		// Selection: assemble the chosen blocks in offset order and
-		// write.
-		data, _, _ := r.Recv(0, tagSelect)
-		c := engine.Decoder(data)
-		if err := sel.code(&c).Err(); err != nil {
-			return err
-		}
+	// Selection: assemble the chosen blocks in offset order and write.
+	var sel selection
+	data, _, _ := r.Recv(0, tagSelect)
+	dec := engine.Decoder(data)
+	if err := sel.code(&dec).Err(); err != nil {
+		return err
 	}
 	w.order = w.order[:0]
 	for i := range sel.OIDs {

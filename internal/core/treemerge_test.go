@@ -62,6 +62,52 @@ func TestTreeMergeRecordsTreeMetrics(t *testing.T) {
 	}
 }
 
+// TestTreeMergeOnlyReduces: the tree merge changes how metadata reaches the
+// master and nothing else. Flat and tree runs write the same bytes and send
+// the same selections point to point (tag 12, one per worker and batch), and
+// every collective-space byte and message of the tree run is an edge of the
+// reduction, booked in the per-level series: one edge per worker and batch.
+func TestTreeMergeOnlyReduces(t *testing.T) {
+	const nprocs = 6
+	fx := makeFixture(t, 800)
+	run := func(opts core.Options) (metrics.Snapshot, []byte) {
+		reg := metrics.NewRegistry()
+		_, out := runPio(t, fx, nprocs, mpi.Config{Cost: testCost(), Metrics: reg}, opts)
+		return reg.Snapshot(), out
+	}
+	flat, flatOut := run(core.Options{QueryBatch: 2})
+	tree, treeOut := run(core.Options{QueryBatch: 2, TreeMerge: true, MergeFanout: 2})
+	if string(flatOut) != string(treeOut) {
+		t.Fatal("flat and tree merges wrote different output")
+	}
+	batches := int64((len(fx.job.Queries) + 1) / 2)
+	for _, series := range []string{"mpi.send.tag12.bytes", "mpi.send.tag12.msgs"} {
+		if f, tr := flat.CounterTotal(series), tree.CounterTotal(series); f != tr || f == 0 {
+			t.Errorf("%s: flat %d, tree %d: the selections must travel alike", series, f, tr)
+		}
+	}
+	if got, want := tree.CounterTotal("mpi.send.tag12.msgs"), batches*(nprocs-1); got != want {
+		t.Errorf("selections sent = %d, want %d: one per worker and batch", got, want)
+	}
+	var edgeBytes, edgeMsgs int64
+	for _, c := range tree.Counters {
+		if strings.HasPrefix(c.Name, "mpi.tree.level") {
+			switch {
+			case strings.HasSuffix(c.Name, ".bytes"):
+				edgeBytes += c.Value
+			case strings.HasSuffix(c.Name, ".msgs"):
+				edgeMsgs += c.Value
+			}
+		}
+	}
+	if got := tree.CounterTotal("mpi.send.collective.bytes"); got != edgeBytes || got == 0 {
+		t.Errorf("collective-space bytes = %d, reduction edges carried %d", got, edgeBytes)
+	}
+	if got, want := tree.CounterTotal("mpi.send.collective.msgs"), batches*(nprocs-1); got != edgeMsgs || got != want {
+		t.Errorf("collective-space messages = %d, reduction edges %d, want %d: one per worker and batch", got, edgeMsgs, want)
+	}
+}
+
 // TestTreeMergeCrashDuringMergeCleanError: a worker dying inside the
 // merge/output window must surface a clean error naming the failure —
 // recovery covers the search phase only — rather than hanging or writing
@@ -79,8 +125,8 @@ func TestTreeMergeCrashDuringMergeCleanError(t *testing.T) {
 	if err == nil {
 		t.Fatal("crash inside the merge window reported no error")
 	}
-	if !strings.Contains(err.Error(), "crash") {
-		t.Errorf("unexpected error for merge-window crash: %v", err)
+	if !strings.Contains(err.Error(), "worker crashed during the hierarchical merge") {
+		t.Errorf("merge-window crash ended without the engine's named error: %v", err)
 	}
 }
 

@@ -224,11 +224,6 @@ func (c *Codec) Blob(b *[]byte) {
 	*b = slices.Clone(c.view())
 }
 
-// BlobView reads a length-prefixed byte slice while decoding as a view of the
-// message, without copying it; the view is empty, not nil, for an empty blob,
-// and nil on error.
-func (c *Codec) BlobView() []byte { return c.view() }
-
 // view reads a length-prefixed byte slice as a view of the buffer (nil on
 // error).
 func (c *Codec) view() []byte {

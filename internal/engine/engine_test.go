@@ -165,7 +165,7 @@ func TestFragmentFromRecords(t *testing.T) {
 		{OID: 11, ID: "b", Defline: "db", Residues: []byte{3}},
 	}
 	frag := FragmentFromRecords(recs)
-	if len(frag.Subjects) != 2 || frag.Subjects[0].OID != 10 || frag.TotalResidues() != 3 {
+	if len(frag.Subjects) != 2 || frag.Subjects[0].OID != 10 || len(frag.Subjects[0].Residues)+len(frag.Subjects[1].Residues) != 3 {
 		t.Fatalf("fragment wrong: %+v", frag)
 	}
 }

@@ -48,10 +48,6 @@ func NewReader(r io.Reader, alpha *seq.Alphabet) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, readBuffer(r)), alpha: alpha}
 }
 
-// Alphabet returns the alphabet in use, which is nil until the first record
-// has been read when auto-detection is active.
-func (r *Reader) Alphabet() *seq.Alphabet { return r.alpha }
-
 // Read returns the next sequence, or io.EOF after the last one.
 func (r *Reader) Read() (*seq.Sequence, error) {
 	defline, err := r.nextDefline()

@@ -375,3 +375,12 @@ func TestPartitionQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Residues counts the residue bytes in the part.
+func (p *Part) Residues() int64 {
+	var n int64
+	for _, e := range p.Extents {
+		n += e.SeqLen
+	}
+	return n
+}

@@ -37,15 +37,6 @@ func (p *Part) NumSeqs() int {
 	return n
 }
 
-// Residues counts the residue bytes in the part.
-func (p *Part) Residues() int64 {
-	var n int64
-	for _, e := range p.Extents {
-		n += e.SeqLen
-	}
-	return n
-}
-
 // Partition splits the database into n virtual fragments balanced by
 // residue count — pioBLAST's dynamic partitioning (§3.1). It never creates
 // more parts than sequences; the returned slice may therefore be shorter

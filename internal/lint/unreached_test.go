@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
@@ -21,17 +20,21 @@ var unreachedAllowed = map[string]string{
 	"engine.DecodeGob":              "the frozen bench calls it",
 	"engine.EncodeQueryMetas":       "the frozen bench calls it",
 	"engine.DecodeQueryMetas":       "the frozen bench calls it",
+	"blast.HSP.Validate":            "tests of more than one package read it",
 	"metrics.Snapshot.CounterTotal": "tests of more than one package read it",
 	"metrics.Snapshot.GaugeTotal":   "tests of more than one package read it",
 	"seq.New":                       "tests of more than one package read it",
+	"seq.Alphabet.Code":             "tests of more than one package read it",
 	"wiretest.Fuzz":                 "tests of more than one package read it",
 }
 
 // TestNoUnreachedExports fails on an exported identifier of internal/ that
 // no non-test file of the module uses. Functions, types and values count
-// as reached through types.Info.Uses; a method counts as reached when any
-// selector in the module names it, which covers dispatch through an
-// interface (String, Error) without resolving it.
+// as reached through types.Info.Uses, a method when a selector resolves to it
+// (types.Info.Selections) or when its type satisfies an interface the module
+// calls that method through: one whose method a selector resolves to, or the
+// two the standard library calls for it, error and fmt.Stringer. A method
+// that only shares its name with a called one is not reached.
 func TestNoUnreachedExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -42,20 +45,18 @@ func TestNoUnreachedExports(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	used := make(map[types.Object]bool)
-	selected := make(map[string]bool)
+	selected := make(map[*types.Func]bool)
 	for _, p := range pkgs {
 		for _, obj := range p.Info.Uses {
 			used[obj] = true
 		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					selected[sel.Sel.Name] = true
-				}
-				return true
-			})
+		for _, sel := range p.Info.Selections {
+			if m, ok := sel.Obj().(*types.Func); ok {
+				selected[m.Origin()] = true
+			}
 		}
 	}
+	through := calledInterfaces(selected)
 	prefix := l.ModulePath + "/internal/"
 	var unreached []string
 	seen := make(map[string]bool)
@@ -75,7 +76,7 @@ func TestNoUnreachedExports(t *testing.T) {
 				continue
 			}
 			for _, m := range declaredMethods(tn) {
-				if m.Exported() && !selected[m.Name()] {
+				if m.Exported() && !selected[m] && !satisfiesCalled(tn, m.Name(), through) {
 					unreached = append(unreached, short+"."+name+"."+m.Name())
 				}
 			}
@@ -97,6 +98,38 @@ func TestNoUnreachedExports(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("allowlist entry %s: shipped code uses it now, or it is gone: drop the entry", name)
 	}
+}
+
+// calledInterfaces returns the interfaces the module calls methods through:
+// every interface type a selected method belongs to, plus error and
+// fmt.Stringer, whose methods fmt calls.
+func calledInterfaces(selected map[*types.Func]bool) []*types.Interface {
+	str := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(0, nil, "", types.Typ[types.String])), false)
+	stringer := types.NewInterfaceType([]*types.Func{types.NewFunc(0, nil, "String", str)}, nil).Complete()
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), stringer}
+	for m := range selected {
+		if recv := m.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, iface)
+			}
+		}
+	}
+	return ifaces
+}
+
+// satisfiesCalled reports whether tn or a pointer to it implements one of
+// the called interfaces that has a method named name.
+func satisfiesCalled(tn *types.TypeName, name string, ifaces []*types.Interface) bool {
+	for _, iface := range ifaces {
+		has := false
+		for i := 0; i < iface.NumMethods(); i++ {
+			has = has || iface.Method(i).Name() == name
+		}
+		if has && (types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface)) {
+			return true
+		}
+	}
+	return false
 }
 
 // declaredMethods returns the methods declared on a named type: the

@@ -127,14 +127,6 @@ var DefaultProteinGaps = GapPenalties{Open: 11, Extend: 1}
 // DefaultDNAGaps matches blastn defaults (existence 5, extension 2).
 var DefaultDNAGaps = GapPenalties{Open: 5, Extend: 2}
 
-// Cost returns the affine cost of a gap of the given length.
-func (g GapPenalties) Cost(length int) int {
-	if length <= 0 {
-		return 0
-	}
-	return g.Open + length*g.Extend
-}
-
 // Validate rejects non-positive penalties, which would make the gapped
 // dynamic program diverge.
 func (g GapPenalties) Validate() error {

@@ -61,14 +61,14 @@
 // Whether a crash can be seen is decided here, once. Where no fault is
 // scheduled, Failed is false without a scheduling point, DetectInterval is
 // +Inf — so RecvCrashAware, and RecvTimeout at that interval, block like Recv
-// — and the tree collectives run hop by hop, one bare payload per edge.
-// Where one is, detectors poll every FaultDetectInterval and TreeReduce and
-// TreeBcast go flat (one AllGather, one Bcast) over the survivors, so their
-// members must be every live rank. The engines write each detection loop
-// once, for every world. A crash is an event at its virtual time: Failed (at
-// the caller's clock) and RecvTimeout (at its deadline) see it only after it
-// in the scheduler's order — time, then rank id — never because the victim
-// ran first on the host, so a victim may park and compute Aside like any rank.
+// — and TreeReduce runs hop by hop, one bare payload per edge. Where one is,
+// detectors poll every FaultDetectInterval and TreeReduce goes flat (one
+// AllGather) over the survivors, so its members must be every live rank.
+// The engines write each detection loop once, for every world. A crash is an
+// event at its virtual time: Failed (at the caller's clock) and RecvTimeout
+// (at its deadline) see it only after it in the scheduler's order — time,
+// then rank id — never because the victim ran first on the host, so a victim
+// may park and compute Aside like any rank.
 // Only a crash strands a message: a fault-free world that finishes with one
 // still queued fails, naming its destination, source and tag.
 //
@@ -76,7 +76,7 @@
 //
 // All ranks live in one address space, so a value that is the same on every
 // rank — what the participants of a collective derive from its gathered
-// payloads (Once), the tree collectives' layout of a member list
+// payloads (Once), the tree reduction's layout of a member list
 // (World.layout) — is built by the host once and read by the rest, under the
 // token and therefore without a lock. Neither outlives what it was built
 // from: a derived value its collective's record, a layout the next call with
@@ -202,8 +202,7 @@ type World struct {
 	config    Config
 	ranks     []Rank
 	coll      *collective
-	topo      treeTopo    // the last tree layout built (layout)
-	shared    payloadSlot // the last value derived from a payload (OnceFor)
+	topo      treeTopo // the last tree layout built (layout)
 	seq       int64
 	doneCount int
 	live      int // ranks that have not crashed
@@ -297,8 +296,8 @@ type Config struct {
 const ShuffleTagBase = 1 << 20
 
 // CollTagBase opens a third tag region, below the shuffle space, for the
-// point-to-point messages that implement TREE collectives (TreeReduce,
-// TreeBcast). Their bytes are collective-operation traffic —
+// point-to-point messages that implement the TREE collective (TreeReduce).
+// Their bytes are collective-operation traffic —
 // synchronization and aggregation, not merging protocol — so they are
 // booked in the collective bucket even though they travel as ordinary
 // sends.
@@ -306,7 +305,7 @@ const CollTagBase = 1 << 19
 
 // Traffic is what one rank sent, split into protocol traffic, collective-I/O
 // shuffle traffic, and collective-operation payloads (Barrier/Bcast/AllGather
-// contributions, plus the point-to-point hops of the tree collectives). The
+// contributions, plus the point-to-point hops of the tree reduction). The
 // split keeps the paper's §3.2 protocol-volume metric clean: collective
 // synchronization is neither merging protocol nor shuffle data.
 type Traffic struct {
@@ -1223,39 +1222,6 @@ func Once[T any](r *Rank, series string, build func() T) T {
 	}
 	v := build()
 	c.derived, c.hasDerived = v, true
-	if reg != nil {
-		reg.Counter(series+"_builds", 0).Inc()
-	}
-	return v
-}
-
-// payloadSlot is the world's one value derived from a payload (OnceFor): the
-// payload it was built from and the value.
-type payloadSlot struct {
-	payload []byte
-	value   any
-}
-
-// OnceFor is Once for a value derived from a payload that reached every reader
-// as the same slice — a Bcast's, or a TreeBcast's, whose hops forward the
-// root's bytes unchanged — rather than from the collective r last left, which
-// a tree broadcast does not have. The world keeps one such value, keyed by the
-// payload's identity: the first rank to ask with a payload runs build, the
-// rest read its result until a rank asks with another. build must be a
-// function of the payload alone, and the payload, like every one sent, is
-// never changed after it was sent. An empty payload has no identity: every
-// ask builds. series names the host-side built/reused counters, under rank 0.
-func OnceFor[T any](r *Rank, series string, payload []byte, build func() T) T {
-	w := r.world
-	reg := w.config.Metrics
-	if s := w.shared; len(payload) > 0 && sameSlice(s.payload, payload) {
-		if reg != nil {
-			reg.Counter(series+"_reuses", 0).Inc()
-		}
-		return s.value.(T)
-	}
-	v := build()
-	w.shared = payloadSlot{payload: payload, value: v}
 	if reg != nil {
 		reg.Counter(series+"_builds", 0).Inc()
 	}

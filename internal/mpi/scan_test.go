@@ -97,7 +97,8 @@ func scanOracle(t testing.TB, grants *int) func(*World, int) {
 
 // randomProgram is a seeded SPMD program over every primitive that parks a
 // rank or moves another rank's event: point-to-point rings and fan-ins (exact
-// sources, AnySource, tags, timeouts), the flat and tree collectives, Aside,
+// sources, AnySource, tags, timeouts), the flat collectives, the tree
+// reduction and the point-to-point answers that follow it in a merge, Aside,
 // storage accesses and failure queries. Every rank draws the round's
 // operation from the same stream, so all of them run the same collectives;
 // the parameters each draws are its own. Under a fault schedule every receive
@@ -152,8 +153,20 @@ func randomProgram(seed int64, rounds int, fs *vfs.FS) func(*Rank) error {
 				if _, _, err := r.TreeReduce(shared.Intn(n), 2+shared.Intn(3), members, rankPayload(id, 1), sumCombine); err != nil {
 					return err
 				}
-			case 7:
-				r.TreeBcast(shared.Intn(n), 2+shared.Intn(3), members, make([]byte, own.Intn(300)))
+			case 7: // a tree merge: the reduction, then the root answers each member
+				root := shared.Intn(n)
+				if _, _, err := r.TreeReduce(root, 2+shared.Intn(3), members, rankPayload(id, 1), sumCombine); err != nil {
+					return err
+				}
+				if id != root {
+					recv(root, round)
+					break
+				}
+				for _, m := range members {
+					if m != root {
+						r.Send(m, round, make([]byte, own.Intn(300)))
+					}
+				}
 			case 8:
 				r.Aside(func() {})
 			case 9:
@@ -232,7 +245,7 @@ func TestRekeysPerGrantFlatInRanks(t *testing.T) {
 				if _, _, err := r.TreeReduce(0, DefaultTreeFanout, members, rankPayload(r.ID(), 1), sumCombine); err != nil {
 					return err
 				}
-				r.TreeBcast(0, DefaultTreeFanout, members, []byte{1})
+				r.Bcast(0, []byte{1})
 				r.Barrier()
 			}
 			return nil

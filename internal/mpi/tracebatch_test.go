@@ -155,7 +155,7 @@ func TestTraceContextIsInert(t *testing.T) {
 			})
 			do("Barrier", func() uint64 { r.Barrier(); return 0 })
 			do("TreeReduce", func() uint64 { return digest(r.TreeReduce(0, 2, members, rankPayload(id, 2), sumCombine)) })
-			do("TreeBcast", func() uint64 { return digest(r.TreeBcast(0, 2, members, rankPayload(0, 3))) })
+			do("Bcast", func() uint64 { return digest(r.Bcast(0, rankPayload(0, 3))) })
 			do("Aside", func() uint64 {
 				var out []byte
 				r.Aside(func() { out = rankPayload(id, 3) })

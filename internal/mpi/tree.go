@@ -1,12 +1,16 @@
-// Tree collectives: k-ary reduction and broadcast over an explicit member
-// list, built from point-to-point messages so the per-hop latency and
-// volume are charged where they really land. The flat AllGather models the
-// root link as the bottleneck — completion pays the total inbound volume —
-// which is exactly the paper's §3.2 master-serialization problem. A k-ary
-// tree spreads that cost: each node receives at most `fanout` partial folds,
-// so the root's critical path shrinks from O(N) message ingests to
-// O(k·log_k N). An edge carries its subtree's fold as the bare payload and
-// nothing else.
+// The tree collective: a k-ary reduction over an explicit member list,
+// built from point-to-point messages so the per-hop latency and volume are
+// charged where they really land. The flat AllGather models the root link as
+// the bottleneck — completion pays the total inbound volume — which is
+// exactly the paper's §3.2 master-serialization problem. A k-ary tree spreads
+// that cost: each node receives at most `fanout` partial folds, so the root's
+// critical path shrinks from O(N) message ingests to O(k·log_k N). An edge
+// carries its subtree's fold as the bare payload and nothing else.
+//
+// There is no tree broadcast. What a merge's root sends back is each
+// member's own view (which of its hits were chosen, and where they land), a
+// different message per member; a broadcast would carry every member's view
+// to every member, N² bytes for what N point-to-point sends deliver in O(N).
 //
 // # Topology
 //
@@ -17,7 +21,7 @@
 // list) and the members read it (World.layout). Like a sent payload, a member
 // list is read and not copied on the fast path, so a caller must not change
 // it after the call: a new membership is a new slice. Under a fault schedule
-// both collectives go flat (the package comment's # Faults).
+// the reduction goes flat (the package comment's # Faults).
 package mpi
 
 import (
@@ -25,12 +29,9 @@ import (
 	"slices"
 )
 
-// Tree-collective message tags, inside the dedicated CollTagBase region so
-// their traffic is booked as collective-operation volume.
-const (
-	tagTreeReduce = CollTagBase + 1
-	tagTreeBcast  = CollTagBase + 2
-)
+// The tree reduction's message tag, inside the dedicated CollTagBase region so
+// its traffic is booked as collective-operation volume.
+const tagTreeReduce = CollTagBase + 1
 
 // DefaultTreeFanout is the fan-out used when a caller passes no explicit
 // preference. Four balances depth against per-node ingest for the rank
@@ -244,38 +245,4 @@ func (r *Rank) treeReduceFlat(t treeTopo, data []byte, combine func(a, b []byte)
 	}
 	slices.Sort(contributors)
 	return combined, contributors, nil
-}
-
-// TreeBcast distributes root's payload to every member and returns it
-// everywhere. With no fault scheduled it forwards hop by hop along the k-ary
-// tree (each edge pays its own latency and bandwidth); with one scheduled it
-// is the flat Bcast over the survivors (members must then be every live
-// rank) — the same rule as TreeReduce, and the same shared layout.
-//
-//lint:payload
-func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
-	t := r.world.layout(root, fanout, members)
-	myPos := t.position("TreeBcast", r.id)
-	r.maybeCrash()
-	var own int64
-	if r.id == root {
-		own = int64(len(data))
-	}
-	r.recordTreeOp("treebcast", own)
-	if len(t.members) == 1 {
-		return data
-	}
-	if r.faultsScheduled() {
-		return r.Bcast(root, data)
-	}
-	payload := data
-	if myPos != 0 {
-		raw, _, _ := r.Recv(t.members[t.parent(myPos)], tagTreeBcast)
-		payload = raw
-	}
-	for _, c := range t.children(myPos) {
-		r.recordTreeEdge(t.depth(c), int64(len(payload)))
-		r.Send(t.members[c], tagTreeBcast, payload)
-	}
-	return payload
 }

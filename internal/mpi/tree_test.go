@@ -79,27 +79,24 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 	}
 }
 
-func TestTreeBcastAndBarrier(t *testing.T) {
+// TestTreeReduceThenBarrier: a barrier after the hop-by-hop reduction, whose
+// members leave at different clocks, releases every rank at one time.
+func TestTreeReduceThenBarrier(t *testing.T) {
 	const n = 11
-	payload := []byte("layout broadcast")
-	_, err := Run(n, testCost(), func(r *Rank) error {
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		var in []byte
-		if r.ID() == 0 {
-			in = payload
-		}
-		got := r.TreeBcast(0, 4, members, in)
-		if !bytes.Equal(got, payload) {
-			return fmt.Errorf("rank %d bcast got %q", r.ID(), got)
+	clocks, err := Run(n, testCost(), func(r *Rank) error {
+		if _, _, err := r.TreeReduce(0, 4, allRanks(n), rankPayload(r.ID(), 1), sumCombine); err != nil {
+			return err
 		}
 		r.Barrier()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id, c := range clocks {
+		if c.Now() != clocks[0].Now() {
+			t.Fatalf("rank %d left the barrier at %g, rank 0 at %g", id, c.Now(), clocks[0].Now())
+		}
 	}
 }
 

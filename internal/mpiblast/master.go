@@ -326,13 +326,11 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 		return err
 	}
 	if !complete {
-		// A member died mid-merge; its results are unrecoverable. Stand
-		// the survivors down, then fail cleanly — the same output-phase
-		// contract as the flat path.
-		r.TreeBcast(0, m.meta.TreeFanout, members, []byte{0})
+		// A member died mid-merge; its results are unrecoverable. Fail
+		// cleanly and send nothing — the flat path's output-phase
+		// contract.
 		return fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
 	}
-	r.TreeBcast(0, m.meta.TreeFanout, members, []byte{1})
 	return m.writeQueries(m.job.Queries, m.admit, qlat, alive, func(qi int) ([]masterHit, blast.WorkCounters) {
 		// One query at a time through the output loop: stamp it as the
 		// trace context so its fetch round-trips carry it.
@@ -351,8 +349,7 @@ func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats
 	r := m.r
 	nFrags := len(m.meta.FragBases)
 	m.openOutput()
-	// Membership is fixed (no faults in serve mode), so the tree fold needs
-	// no abort protocol.
+	// Membership is fixed: serve mode has no faults.
 	workers := engine.WorkerRanks(r.Size() - 1)
 	members := engine.TreeMembers(workers)
 	return engine.ServeStream(r, stream, bank, stats, func(b workload.Batch, arrival float64) error {

@@ -367,10 +367,6 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 		if err := w.fold(members); err != nil {
 			return err
 		}
-		marker := r.TreeBcast(0, meta.TreeFanout, members, nil)
-		if len(marker) != 1 || marker[0] == 0 {
-			return fmt.Errorf("mpiblast: merge aborted: a peer crashed during the hierarchical merge")
-		}
 	}
 	return w.serveFetches()
 }

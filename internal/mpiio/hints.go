@@ -157,9 +157,6 @@ func (f *File) SetHints(h Hints) error {
 	return nil
 }
 
-// Hints returns the installed hints (zero value = pure heuristics).
-func (f *File) Hints() Hints { return f.hints }
-
 // SetTuner attaches an auto-tuner to the handle: subsequent collective
 // reads consult it for the strategy/gap decision and feed their measured
 // virtual cost back. A nil tuner restores plain hint/heuristic behavior.

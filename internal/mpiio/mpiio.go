@@ -107,9 +107,6 @@ func (f *File) SetView(v View) error {
 	return nil
 }
 
-// View returns the installed view.
-func (f *File) View() View { return f.view }
-
 // ReadAt performs an independent (non-collective) read of n bytes at off,
 // charging the storage cost to the calling rank. Short data at EOF yields
 // a short slice.

@@ -51,9 +51,6 @@ func NewClock() *Clock { return &Clock{phase: PhaseOther} }
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Phase returns the currently charged phase.
-func (c *Clock) Phase() Phase { return c.phase }
-
 // SetPhase switches the bucket that subsequent time is charged to.
 //
 //lint:clock

@@ -105,3 +105,6 @@ func TestOverlapSplit(t *testing.T) {
 		}
 	}
 }
+
+// Phase returns the currently charged phase.
+func (c *Clock) Phase() Phase { return c.phase }

@@ -13,7 +13,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 
@@ -152,14 +151,6 @@ func (p Params) ScoreForEValue(e float64, ss SearchSpace) int {
 	space := float64(ss.EffQueryLen) * float64(ss.EffDBLen)
 	s := (math.Log(p.K*space) - math.Log(e)) / p.Lambda
 	return int(math.Ceil(s))
-}
-
-// Validate rejects parameter sets that would produce nonsense statistics.
-func (p Params) Validate() error {
-	if p.Lambda <= 0 || p.K <= 0 || p.H < 0 {
-		return fmt.Errorf("stats: invalid params λ=%g K=%g H=%g", p.Lambda, p.K, p.H)
-	}
-	return nil
 }
 
 // AppendEValue appends e to dst rendered the way NCBI BLAST reports do:

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -152,4 +153,12 @@ func TestFormatEValueNeverEmpty(t *testing.T) {
 			t.Fatalf("empty format for %g", e)
 		}
 	}
+}
+
+// Validate rejects parameter sets that would produce nonsense statistics.
+func (p Params) Validate() error {
+	if p.Lambda <= 0 || p.K <= 0 || p.H < 0 {
+		return fmt.Errorf("stats: invalid params λ=%g K=%g H=%g", p.Lambda, p.K, p.H)
+	}
+	return nil
 }

@@ -320,7 +320,7 @@ func (fs *FS) Create(path string) *File {
 	fs.mu.Lock()
 	f, ok := fs.files[path]
 	if !ok {
-		f = &File{name: path, fs: fs}
+		f = &File{fs: fs}
 		fs.files[path] = f
 		fs.mu.Unlock()
 		return f
@@ -351,7 +351,7 @@ func (fs *FS) OpenOrCreate(path string) *File {
 	if f, ok := fs.files[path]; ok {
 		return f
 	}
-	f := &File{name: path, fs: fs}
+	f := &File{fs: fs}
 	fs.files[path] = f
 	return f
 }
@@ -389,16 +389,12 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 // Every chunk but the last is full (len == cap), so the file only ever grows
 // at its last chunk.
 type File struct {
-	name string
-	fs   *FS
+	fs *FS
 
 	mu     sync.Mutex
 	chunks [][]byte
 	size   int64
 }
-
-// Name returns the path the file was created with.
-func (f *File) Name() string { return f.name }
 
 // Size returns the current length.
 func (f *File) Size() int64 {

@@ -21,6 +21,14 @@
 // resolve a few per cent on serve_pio_16. For every end-to-end metric
 // it prints, and writes, each side's median and quartiles and how many pairs
 // the working tree won, lost and tied under the metric's direction.
+//
+// With -check it measures nothing: it reads the records named as arguments
+// and fails if one lacks a BENCHMARK.json workload, or if, on any workload,
+// the head fails a larger share of its operations than the base or a head
+// median is worse than its base median by more than the metric's bound in
+// BENCHMARK.json (the rule bench/run.sh -compare applies to single passes):
+//
+//	go run ./scripts/benchpair -check BENCH_7.json BENCH_8.json
 package main
 
 import (
@@ -46,9 +54,10 @@ type spec struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []struct {
-		Name   string `json:"name"`
-		Unit   string `json:"unit"`
-		Better string `json:"better"`
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
 }
 
@@ -119,6 +128,7 @@ func run() error {
 	pairsFlag := flag.String("pairs", "10", "pairs per workload: workload=N entries and one bare N for the rest")
 	seed := flag.Int64("seed", 7001, "first seed; pair i runs on seed+i")
 	out := flag.String("out", "", "write the record to this file")
+	checkOnly := flag.Bool("check", false, "check the records named as arguments against BENCHMARK.json's bounds; run nothing")
 	flag.Parse()
 
 	root, err := os.Getwd()
@@ -128,6 +138,9 @@ func run() error {
 	var sp spec
 	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &sp); err != nil {
 		return err
+	}
+	if *checkOnly {
+		return check(flag.Args(), sp)
 	}
 	plan, err := parsePairs(*pairsFlag, sp)
 	if err != nil {
@@ -352,6 +365,61 @@ func report(name string, w *Workload, sp spec) {
 		fmt.Printf("  %-26s %12.6g %12.3g %12.6g %12.3g %4d/%-3d\n", e.Name,
 			m.Base.Median, m.Base.Q3-m.Base.Q1, m.Head.Median, m.Head.Q3-m.Head.Q1, m.Won, len(w.Seeds))
 	}
+}
+
+// check holds each record's head to its base on every BENCHMARK.json
+// workload: a missing workload fails, as does a larger share of failed
+// operations or a head median worse by more than the metric's bound × |base
+// median|, the bound's edge included in what passes.
+func check(paths []string, sp spec) error {
+	if len(paths) == 0 {
+		return errors.New("-check needs at least one record")
+	}
+	var worse []string
+	for _, path := range paths {
+		var rec Record
+		if err := readJSON(path, &rec); err != nil {
+			return err
+		}
+		if len(rec.Workloads) == 0 {
+			return fmt.Errorf("%s: no workloads: not a pair record", path)
+		}
+		for _, w := range sp.Workloads {
+			wr := rec.Workloads[w.Name]
+			if wr == nil {
+				return fmt.Errorf("%s: no %s: a record covers every workload", path, w.Name)
+			}
+			// A larger share of failed operations, cross-multiplied so an
+			// empty side divides nothing.
+			if wr.Failed["head"]*wr.Ops["base"] > wr.Failed["base"]*wr.Ops["head"] {
+				worse = append(worse, fmt.Sprintf("%s %s: failed operations %d/%d (head) against %d/%d (base)",
+					path, w.Name, wr.Failed["head"], wr.Ops["head"], wr.Failed["base"], wr.Ops["base"]))
+			}
+			for _, e := range sp.EndToEnd {
+				m := wr.Metrics[e.Name]
+				if m == nil {
+					return fmt.Errorf("%s: %s has no %s", path, w.Name, e.Name)
+				}
+				change := 0.0
+				if m.Base.Median != 0 {
+					change = (m.Head.Median - m.Base.Median) / math.Abs(m.Base.Median)
+				}
+				if e.Better == "higher" {
+					change = -change
+				}
+				const eps = 1e-9 // the bound's edge passes, as in bench/run.sh -compare
+				if change > e.Bound+eps {
+					worse = append(worse, fmt.Sprintf("%s %s %s: head median %g, base %g: %+.1f%% worse, bound %g%%",
+						path, w.Name, e.Name, m.Head.Median, m.Base.Median, change*100, e.Bound*100))
+				}
+			}
+		}
+		fmt.Printf("%s: %d workloads checked\n", path, len(rec.Workloads))
+	}
+	if len(worse) > 0 {
+		return errors.New("head worse than base beyond the bound:\n" + strings.Join(worse, "\n"))
+	}
+	return nil
 }
 
 func readJSON(path string, v any) error {

@@ -463,3 +463,7 @@ bash bench/run.sh -compare bench/baseline.json BENCH_3.json
 bash bench/run.sh -compare BENCH_3.json BENCH_4.json
 bash bench/run.sh -compare BENCH_4.json BENCH_5.json
 bash bench/run.sh -compare BENCH_5.json BENCH_6.json
+# The pair records scripts/benchpair wrote from BENCH_7 on, under the same
+# bounds: each record's head medians against its base medians.
+go run ./scripts/benchpair -check BENCH_7.json BENCH_8.json BENCH_9.json \
+    BENCH_10.json BENCH_10a.json BENCH_10b.json BENCH_11.json

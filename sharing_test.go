@@ -33,8 +33,7 @@ var pioOnly = []parblast.Engine{parblast.EnginePioBLAST}
 
 // TestBuiltOncePerWorld: what is the same on every rank — the collective I/O
 // plan, the tree layout, the decoded broadcast, the gathered early-prune
-// scores and batch volumes, the tree merge's selection directory — is built
-// by the host once per world, however
+// scores and batch volumes — is built by the host once per world, however
 // many ranks read it, the kernel executor runs one search per fragment
 // search, and the output is still the sequential oracle's. The counters are
 // the simulator's, booked under rank 0; what the modelled ranks are charged
@@ -133,7 +132,7 @@ func TestBuiltOncePerWorld(t *testing.T) {
 						atMaster[c.Name] += c.Value
 					}
 				}
-				for _, stem := range []string{"mpiio.plan", "mpi.tree_layout", "engine.bcast_decode", "core.prune_threshold", "core.batch_volumes", "core.selection_dir"} {
+				for _, stem := range []string{"mpiio.plan", "mpi.tree_layout", "engine.bcast_decode", "core.prune_threshold", "core.batch_volumes"} {
 					for _, name := range []string{stem + "_builds", stem + "_reuses"} {
 						if total[name] != atMaster[name] {
 							t.Errorf("%s booked under a worker rank: who built it is a host artifact", name)
@@ -165,25 +164,30 @@ func TestBuiltOncePerWorld(t *testing.T) {
 				if got := total["mpi.tree_layout_builds"]; got != job.layouts {
 					t.Errorf("tree layouts built = %d, want %d: one per distinct membership", got, job.layouts)
 				}
-				if job.layouts > 0 && total["mpi.tree_layout_reuses"] < int64(procs-1) {
-					t.Errorf("tree layouts reused = %d: the members do not share one", total["mpi.tree_layout_reuses"])
-				}
-				// pioBLAST's tree merge broadcasts one selection bundle per
-				// output batch — a one-shot run writes one per query, a served
-				// one one per admitted batch —, and the first worker to read
-				// it indexes it for the rest.
-				var dirs int64
-				if eng == parblast.EnginePioBLAST && job.tree {
-					dirs = int64(len(queries))
-					if job.serve {
-						dirs = int64(st.Admitted)
+				// Every member reads the layout once per TreeReduce: pioBLAST
+				// reduces once per output batch — a one-shot run's batch is
+				// one query —, mpiBLAST once per job, a served run once per
+				// admitted batch; the crash rows merge over the survivors,
+				// after the first batch when serving.
+				var reads int64
+				if job.tree {
+					reductions, members := int64(1), int64(procs)
+					switch {
+					case job.serve:
+						reductions = int64(st.Admitted)
+					case eng == parblast.EnginePioBLAST:
+						reductions = int64(len(queries))
+					}
+					if job.crash {
+						members--
+					}
+					reads = reductions * members
+					if job.crash && job.serve {
+						reads++
 					}
 				}
-				if got := total["core.selection_dir_builds"]; got != dirs {
-					t.Errorf("selection directories built = %d, want %d: one per layout broadcast", got, dirs)
-				}
-				if got, want := total["core.selection_dir_reuses"], dirs*(procs-2); got != want && !job.crash {
-					t.Errorf("selection directories reused = %d, want %d: every other worker reads the first one's", got, want)
+				if got := total["mpi.tree_layout_reuses"]; got != reads-job.layouts {
+					t.Errorf("tree layouts reused = %d, want %d: one read per member and TreeReduce", got, reads-job.layouts)
 				}
 				// Every participant of a gather reads the one decode of it.
 				for _, g := range []struct {
