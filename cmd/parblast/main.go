@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	parblast (-db nr.fasta [-title T] | -dbdir DIR [-dbname NAME]) \
-//	         -query queries.fasta -out results.txt \
-//	         [-engine pio|mpi|seq] [-procs 32] [-platform altix|blade|ideal|san] \
-//	         [-fragments N] [-early-prune] [-independent-output] \
-//	         [-collective-read] [-prefetch N] [-dynamic] \
-//	         [-serve -arrival-rate R [-arrival-burst B] [-admit-cap N]] \
-//	         [-report run.json] [-trace-out trace.json] [-timeline]
+//	parblast (-db nr.fasta | -dbdir DIR [-dbname NAME]) -query queries.fasta \
+//	         [-engine pio|mpi|seq] [-procs N] [-out results.txt] [flags]
+//
+// Run parblast -help for every flag: the engines' options, fault injection,
+// serving, and the reports and traces a run can write.
 package main
 
 import (

@@ -98,7 +98,7 @@ func TestBatchMetasDecodeSharesOneString(t *testing.T) {
 
 // wireBytes encodes a sample of a layout that has no type of its own.
 func wireBytes(v goSample) []byte {
-	return goMsg{Done: v.done, Extras: v.extras, Alive: v.alive}.encode()
+	return goMsg{Done: v.done, Extras: v.extras}.encode()
 }
 
 // codeLayout adapts a layout whose code fills a *T.
@@ -120,6 +120,6 @@ func FuzzWire(f *testing.F) {
 		codeLayout("job meta", jobMeta{Queries: []byte{1}, NumSeqs: 3, Parts: [][]wireExtent{{{VolBase: "nr", To: 3, SeqLen: 90}}}, Tree: true, TreeFanout: 2}, (*jobMeta).code),
 		codeLayout("batch metas", batchMetas{FirstQuery: 1, PerQuery: []engine.QueryMeta{{QueryIndex: 1, Hits: []engine.HitMeta{{OID: 4, ID: "s4"}}}}}, (*batchMetas).code),
 		codeLayout("selection", sel, (*selection).code),
-		codeLayout("go", goMsg{Done: true, Extras: []int{3}, Alive: []int{1, 2}}, (*goMsg).code),
+		codeLayout("go", goMsg{Done: true, Extras: []int{3}}, (*goMsg).code),
 	})
 }

@@ -11,8 +11,8 @@ import (
 
 // goSample is the go message's content, for TestWireBytesPinned.
 type goSample struct {
-	done          bool
-	extras, alive []int
+	done   bool
+	extras []int
 }
 
 // TestWireBytesPinned pins one sample of every wire layout this package owns
@@ -46,8 +46,8 @@ func TestWireBytesPinned(t *testing.T) {
 		{"serve job meta", (&jobMeta{NumSeqs: 1, TotalLen: 40, OutputPath: "o", Independent: true, Collective: true, QueryBatch: 1, Serve: true}).encode(), "00025000016f000100010002000000000000000001"},
 		{"batch metas", metas.encode(), "060206020012000000000002000116040373313100b401500000000000803440000000000000d03f02d804080200000000000000000000"},
 		{"selection", sel.encode(), "02001600d804061880808080800252"},
-		{"go", wireBytes(goSample{extras: []int{4, 7}}), "0002080e00"},
-		{"final go", wireBytes(goSample{done: true, alive: []int{1, 2, 5}}), "01000302040a"},
+		{"go", wireBytes(goSample{extras: []int{4, 7}}), "0002080e"},
+		{"final go", wireBytes(goSample{done: true}), "0100"},
 	} {
 		if got := hex.EncodeToString(c.data); got != c.hex {
 			t.Errorf("%s encodes to\n%s\nwant\n%s", c.name, got, c.hex)

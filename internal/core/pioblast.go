@@ -276,18 +276,15 @@ func (s *selection) code(c *engine.Codec) *engine.Codec {
 func (s *selection) encode() []byte { return s.code(new(engine.Codec)).Bytes() }
 
 // goMsg is a master→worker go message: the done flag plus the part indices
-// (if any) the worker must re-search on behalf of dead peers. The final
-// (done) message also carries the surviving worker list, so every rank
-// derives the identical reduction-tree membership for the merge.
+// (if any) the worker must re-search on behalf of dead peers.
 type goMsg struct {
-	Done          bool
-	Extras, Alive []int
+	Done   bool
+	Extras []int
 }
 
 func (m *goMsg) code(c *engine.Codec) *engine.Codec {
 	c.Bool(&m.Done)
 	c.Ints(&m.Extras)
-	c.Ints(&m.Alive)
 	return c
 }
 
@@ -693,7 +690,6 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 	var treeMerged []engine.QueryMeta
 	var perWorker []batchMetas
 	if meta.Tree {
-		members := mb.own.Members()
 		// The master contributes an identity bundle covering every
 		// query, so the fold always yields the full batch range.
 		id := batchMetas{FirstQuery: q0, PerQuery: make([]engine.QueryMeta, 0, q1-q0)}
@@ -701,15 +697,15 @@ func (mb *masterBatch) mergeBatch(queries []*seq.Sequence, q0, q1 int, onQueryDo
 			id.PerQuery = append(id.PerQuery, engine.QueryMeta{QueryIndex: q})
 		}
 		var combErr error
-		combined, contributors, err := r.TreeReduce(0, meta.TreeFanout, members, id.encode(), treeCombiner(r, mb.maxTargets, &combErr))
+		combined, contributors, err := r.TreeReduce(0, meta.TreeFanout, nil, id.encode(), treeCombiner(r, mb.maxTargets, &combErr))
 		if err != nil {
 			return err
 		}
 		if combErr != nil {
 			return combErr
 		}
-		if len(contributors) != len(members) {
-			// A member crashed mid-merge: its cached blocks are gone
+		if !slices.Equal(contributors[1:], alive) {
+			// A worker crashed mid-merge: its cached blocks are gone
 			// and its hits are unrecoverable. Fail cleanly and send
 			// nothing — the flat path's output-phase contract.
 			return fmt.Errorf("core: worker crashed during the hierarchical merge; recovery only covers the search phase")
@@ -831,7 +827,7 @@ func (mb *masterBatch) syncWorkers(pending []int) error {
 		}
 		if len(pending) == 0 {
 			for _, w := range alive {
-				r.Send(w, tagGo, goMsg{Done: true, Alive: alive}.encode())
+				r.Send(w, tagGo, goMsg{Done: true}.encode())
 			}
 			return nil
 		}
@@ -876,12 +872,6 @@ type worker struct {
 	hits    [][]*blast.SubjectResult
 	work    []blast.WorkCounters
 	collect func(qi int, res *blast.QueryResult) // record, bound once
-	// members is this worker's view of the tree-merge membership: the master
-	// and the surviving workers. Without fault tolerance nobody can die and
-	// it is the job broadcast's shared list; with it, the final go message of
-	// each rendezvous carries the master's survivor list and the worker builds
-	// its own.
-	members []int
 	// arena holds the current batch's rendered blocks back to back, in
 	// (query, hit) order; ends[i] is where block i ends in it.
 	arena []byte
@@ -918,10 +908,9 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, bank *blast.Quer
 	meta := boot.Meta
 	w := &worker{
 		r: r, meta: meta, opts: opts,
-		loop:    engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
-		files:   newFileCache(r, node.Shared, meta.IOHints, tuner),
-		byOID:   make(map[int]int),
-		members: boot.Members,
+		loop:  engine.NewSearchLoop(r, bank, meta.TotalLen, meta.NumSeqs),
+		files: newFileCache(r, node.Shared, meta.IOHints, tuner),
+		byOID: make(map[int]int),
 	}
 	w.collect = w.record
 	onFrag, reissueDepth := w.retain, 0
@@ -1105,8 +1094,7 @@ func (w *worker) pipeline(src partSource, depth int, onFrag func(*blast.Fragment
 
 // rendezvous is the worker side of the ready/go rendezvous (fault
 // tolerance): report the stage done, then either proceed or hand the
-// partitions reclaimed from crashed peers to onExtras, and repeat. The final
-// go message carries the survivor list.
+// partitions reclaimed from crashed peers to onExtras, and repeat.
 func (w *worker) rendezvous(onExtras func(extras []int) error) error {
 	r := w.r
 	for {
@@ -1122,7 +1110,6 @@ func (w *worker) rendezvous(onExtras func(extras []int) error) error {
 			return err
 		}
 		if msg.Done {
-			w.members = engine.TreeMembers(msg.Alive)
 			return nil
 		}
 	}
@@ -1233,7 +1220,7 @@ func (w *worker) outputBatch(q0, q1 int) error {
 		// Hierarchical merge: fold this worker's metadata into the
 		// k-ary reduction (pre-merging the group's bundles locally).
 		var combErr error
-		if _, _, err := r.TreeReduce(0, meta.TreeFanout, w.members, submission, treeCombiner(r, maxTargets, &combErr)); err != nil {
+		if _, _, err := r.TreeReduce(0, meta.TreeFanout, nil, submission, treeCombiner(r, maxTargets, &combErr)); err != nil {
 			return err
 		}
 		if combErr != nil {

@@ -172,8 +172,6 @@ func StaticShare(parts, workers, w int) []int {
 type Ledger struct {
 	alive []int
 	parts [][]int
-	// members is TreeMembers(alive), built on first ask after a change.
-	members []int
 }
 
 // NewLedger starts a ledger with workers 1..workers alive, owning nothing.
@@ -183,16 +181,6 @@ func NewLedger(workers int) *Ledger {
 
 // Alive lists the live workers in rank order, until the next Reap.
 func (l *Ledger) Alive() []int { return l.alive }
-
-// Members is the reduction-tree membership of the live workers
-// (TreeMembers). It is one slice until a Reap drops a worker, and never
-// edited, so a tree collective that meets it again need not compare it.
-func (l *Ledger) Members() []int {
-	if l.members == nil {
-		l.members = TreeMembers(l.alive)
-	}
-	return l.members
-}
 
 // Give adds parts to what worker w owns, keeping (not copying) the first
 // slice it is given.
@@ -215,40 +203,26 @@ func (l *Ledger) Reap(dead func(w int) bool, lost func(w int, parts []int)) {
 		}
 		parts := l.parts[w]
 		l.parts[w] = nil
-		l.members = nil
 		lost(w, parts)
 	}
 	l.alive = live
 }
 
-// TreeMembers is the reduction-tree membership: the master plus every live
-// worker — all live ranks, which is what the flat collectives the tree ones
-// become under a fault schedule synchronize over.
-func TreeMembers(alive []int) []int {
-	members := make([]int, 0, len(alive)+1)
-	members = append(members, 0)
-	return append(members, alive...)
-}
-
 // Broadcast is a job or batch broadcast as its receivers read it: the sender's
-// metadata, the query set it carried (nil when it carried none) and the
-// fault-free tree membership, every rank. It is the same on every receiver,
-// so the host decodes it once per broadcast (mpi.Once) and the receivers
-// share it read-only: a worker told of a new survivor set replaces its
-// membership, it never edits this one.
+// metadata and the query set it carried (nil when it carried none). It is the
+// same on every receiver, so the host decodes it once per broadcast
+// (mpi.Once) and the receivers share it read-only.
 type Broadcast[M any] struct {
 	Meta    M
 	Queries []*seq.Sequence
-	Members []int
 	Err     error
 }
 
 // ReadBroadcast decodes data, the payload of the Bcast r just left; split
 // yields the metadata and the packed query set inside it.
 func ReadBroadcast[M any](r *mpi.Rank, data []byte, split func([]byte) (M, []byte, error)) *Broadcast[M] {
-	workers := r.Size() - 1
 	return mpi.Once(r, "engine.bcast_decode", func() *Broadcast[M] {
-		b := &Broadcast[M]{Members: TreeMembers(WorkerRanks(workers))}
+		b := &Broadcast[M]{}
 		var packed []byte
 		if b.Meta, packed, b.Err = split(data); b.Err == nil && len(packed) > 0 {
 			var wq WireQueries

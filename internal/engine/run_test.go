@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"parblast/internal/blast"
@@ -158,36 +157,5 @@ func TestLedgerReapHandsBackEveryPart(t *testing.T) {
 		func(w int, parts []int) { lost[w] = parts })
 	if got := fmt.Sprint(order, l.Alive(), lost); got != "[1 3] [1] map[3:[2]]" {
 		t.Fatalf("second reap: asked, alive, lost = %s", got)
-	}
-}
-
-// TestLedgerMembersNeverEdited: a tree collective meeting the slice it last
-// met skips comparing it (mpi's World.layout), so the membership a ledger
-// hands out must never change under its holder. Members is one slice while
-// no worker dies, a Reap that drops one yields a new slice, and no Reap
-// writes into a slice Members returned.
-func TestLedgerMembersNeverEdited(t *testing.T) {
-	l := NewLedger(5)
-	first := l.Members()
-	held := slices.Clone(first)
-	l.Reap(func(int) bool { return false }, func(int, []int) { t.Fatal("lost a part with no worker dead") })
-	if again := l.Members(); &again[0] != &first[0] {
-		t.Error("a Reap that dropped no worker gave a new membership slice")
-	}
-	l.Reap(func(w int) bool { return w == 1 || w == 3 }, func(int, []int) {})
-	second := l.Members()
-	if !slices.Equal(first, held) {
-		t.Fatalf("Reap edited a held membership: %v, was %v", first, held)
-	}
-	if got := fmt.Sprint(second); got != "[0 2 4 5]" || &second[0] == &first[0] {
-		t.Fatalf("membership after reaping 1 and 3 = %s (new slice: %v)", got, &second[0] != &first[0])
-	}
-	heldSecond := slices.Clone(second)
-	l.Reap(func(w int) bool { return w == 5 }, func(int, []int) {})
-	if !slices.Equal(second, heldSecond) || !slices.Equal(first, held) {
-		t.Fatalf("a later Reap edited a held membership: %v %v", first, second)
-	}
-	if got := fmt.Sprint(l.Members()); got != "[0 2 4]" {
-		t.Fatalf("membership after reaping 5 = %s", got)
 	}
 }

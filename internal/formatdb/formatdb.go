@@ -84,20 +84,17 @@ type DB struct {
 	Volumes       []VolumeInfo
 }
 
-// File name helpers.
-func indexPath(base string) string { return base + ".pin" }
-func hdrPath(base string) string   { return base + ".phr" }
-func seqPath(base string) string   { return base + ".psq" }
-func aliasPath(base string) string { return base + ".pal" }
-
 // IndexPath returns the index ('.pin') path of a volume base.
-func IndexPath(base string) string { return indexPath(base) }
+func IndexPath(base string) string { return base + ".pin" }
 
 // HeaderPath returns the header ('.phr') path of a volume base.
-func HeaderPath(base string) string { return hdrPath(base) }
+func HeaderPath(base string) string { return base + ".phr" }
 
 // SeqPath returns the sequence ('.psq') path of a volume base.
-func SeqPath(base string) string { return seqPath(base) }
+func SeqPath(base string) string { return base + ".psq" }
+
+// aliasPath returns the alias ('.pal') path of a multi-volume database base.
+func aliasPath(base string) string { return base + ".pal" }
 
 // Format writes the formatted database for seqs under base in fs.
 func Format(fs *vfs.FS, base string, seqs []*seq.Sequence, cfg Config) (*DB, error) {
@@ -186,9 +183,9 @@ func writeVolume(fs *vfs.FS, vbase, title string, kind seq.Kind, seqs []*seq.Seq
 	info.SeqSize = int64(body.Len())
 	info.arrayBase = headerSize(len(title))
 
-	fs.WriteFile(hdrPath(vbase), hdr.Bytes())
-	fs.WriteFile(seqPath(vbase), body.Bytes())
-	fs.WriteFile(indexPath(vbase), encodeIndex(title, kind, info))
+	fs.WriteFile(HeaderPath(vbase), hdr.Bytes())
+	fs.WriteFile(SeqPath(vbase), body.Bytes())
+	fs.WriteFile(IndexPath(vbase), encodeIndex(title, kind, info))
 	return info, nil
 }
 
@@ -326,7 +323,7 @@ func openAlias(fs *vfs.FS, base string, alias []byte) (*DB, error) {
 }
 
 func loadVolume(fs *vfs.FS, vbase string) (string, seq.Kind, *VolumeInfo, error) {
-	data, err := fs.ReadFile(indexPath(vbase))
+	data, err := fs.ReadFile(IndexPath(vbase))
 	if err != nil {
 		return "", 0, nil, err
 	}
@@ -421,11 +418,11 @@ func (db *DB) ReadAll(fs *vfs.FS) ([]Record, error) {
 	var out []Record
 	for vi := range db.Volumes {
 		v := &db.Volumes[vi]
-		hdr, err := fs.ReadFile(hdrPath(v.Base))
+		hdr, err := fs.ReadFile(HeaderPath(v.Base))
 		if err != nil {
 			return nil, err
 		}
-		body, err := fs.ReadFile(seqPath(v.Base))
+		body, err := fs.ReadFile(SeqPath(v.Base))
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func formatSample(tb testing.TB) (*vfs.FS, []byte) {
 	if _, err := Format(fs, "ok", seqs, Config{Kind: seq.Protein, Title: "fuzz"}); err != nil {
 		tb.Fatal(err)
 	}
-	good, err := fs.ReadFile(indexPath("ok"))
+	good, err := fs.ReadFile(IndexPath("ok"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHostileIndexIsAnError(t *testing.T) {
 		{"seqsmax", header(^uint32(0), 0)},
 		{"offset2p40", far},
 	} {
-		fs.WriteFile(indexPath(c.name), c.data)
+		fs.WriteFile(IndexPath(c.name), c.data)
 		var err error
 		if n := wiretest.Allocated(func() { _, err = Open(fs, c.name) }); n >= 64<<10 {
 			t.Errorf("%s: opening a %d-byte index allocated %d", c.name, len(c.data), n)

@@ -146,5 +146,5 @@ func FragmentBase(base string, i int) string { return fmt.Sprintf("%s.frag%03d",
 // FragmentFiles lists the file paths of one single-volume database — what
 // the baseline copies to local disks.
 func FragmentFiles(base string) []string {
-	return []string{indexPath(base), hdrPath(base), seqPath(base)}
+	return []string{IndexPath(base), HeaderPath(base), SeqPath(base)}
 }

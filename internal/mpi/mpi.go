@@ -61,9 +61,9 @@
 // Whether a crash can be seen is decided here, once. Where no fault is
 // scheduled, Failed is false without a scheduling point, DetectInterval is
 // +Inf — so RecvCrashAware, and RecvTimeout at that interval, block like Recv
-// — and TreeReduce runs hop by hop, one bare payload per edge. Where one is,
-// detectors poll every FaultDetectInterval and TreeReduce goes flat (one
-// AllGather) over the survivors, so its members must be every live rank.
+// — and TreeReduce runs hop by hop over every rank, one bare payload per
+// edge. Where one is, detectors poll every FaultDetectInterval and
+// TreeReduce goes flat: one AllGather, which completes over the survivors.
 // The engines write each detection loop once, for every world. A crash is an
 // event at its virtual time: Failed (at the caller's clock) and RecvTimeout
 // (at its deadline) see it only after it in the scheduler's order — time,
@@ -76,12 +76,10 @@
 //
 // All ranks live in one address space, so a value that is the same on every
 // rank — what the participants of a collective derive from its gathered
-// payloads (Once), the tree reduction's layout of a member list
-// (World.layout) — is built by the host once and read by the rest, under the
-// token and therefore without a lock. Neither outlives what it was built
-// from: a derived value its collective's record, a layout the next call with
-// another root, fan-out or member list. Every clock charge, message and
-// collective byte stays per rank, so the model cannot tell.
+// payloads (Once) — is built by the host once and read by the rest, under the
+// token and therefore without a lock. It does not outlive its collective's
+// record. Every clock charge, message and collective byte stays per rank, so
+// the model cannot tell.
 //
 // # Cost model
 //
@@ -202,7 +200,6 @@ type World struct {
 	config    Config
 	ranks     []Rank
 	coll      *collective
-	topo      treeTopo // the last tree layout built (layout)
 	seq       int64
 	doneCount int
 	live      int // ranks that have not crashed
@@ -1226,12 +1223,6 @@ func Once[T any](r *Rank, series string, build func() T) T {
 		reg.Counter(series+"_builds", 0).Inc()
 	}
 	return v
-}
-
-// sameSlice reports whether a and b are the same memory: one length, one
-// first element.
-func sameSlice[E any](a, b []E) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // logSteps returns ceil(log2(n)), the tree depth collective latencies use.

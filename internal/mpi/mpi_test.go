@@ -582,10 +582,6 @@ func TestExtraSchedulingPointsAreNeutral(t *testing.T) {
 
 func extraPointsFaultFree(t *testing.T, points map[string]func(*Rank)) {
 	const n = 7
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
 	run := func(point func(*Rank)) []float64 {
 		shared := vfs.MustNew(vfs.Profile{Name: "s", Latency: 2e-3, Bandwidth: 1e6, Channels: 2})
 		locals := make([]*vfs.FS, n)
@@ -625,7 +621,7 @@ func extraPointsFaultFree(t *testing.T, points map[string]func(*Rank)) {
 			point(r)
 			r.Wait(h)
 			point(r)
-			if _, _, err := r.TreeReduce(0, 2, members, rankPayload(id, 2), sumCombine); err != nil {
+			if _, _, err := r.TreeReduce(0, 2, nil, rankPayload(id, 2), sumCombine); err != nil {
 				return err
 			}
 			point(r)

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -123,79 +122,5 @@ func TestOnceBeforeAnyCollective(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "before its first collective") {
 		t.Fatalf("err = %v, want the Once misuse named", err)
-	}
-}
-
-// TestTreeLayoutRebuiltOnlyOnKeyChange: the world keeps the last tree layout
-// and rebuilds it exactly when root, fan-out or member list differs from the
-// previous call's — an equal list in other memory is reused, a list of the
-// same length with other members is not — and every reduction still folds the
-// members it was given. A member list is never edited after a call (tree.go),
-// so the ranks pass the one slice each call names, as the engines' ranks share
-// one.
-func TestTreeLayoutRebuiltOnlyOnKeyChange(t *testing.T) {
-	const n = 7
-	type call struct {
-		root, fanout int
-		members      []int
-		rebuilt      bool
-	}
-	everyone := []int{0, 1, 2, 3, 4, 5, 6}
-	calls := []call{
-		{0, 2, everyone, true},
-		{0, 2, everyone, false},
-		{0, 2, slices.Clone(everyone), false}, // an equal list in other memory
-		{3, 2, everyone, true},                // root
-		{3, 4, everyone, true},                // fan-out
-		{3, 4, []int{0, 1, 3, 4, 5, 6}, true}, // membership
-		{3, 4, []int{0, 1, 3, 4, 5, 6}, false},
-		{3, 4, []int{0, 1, 2, 3, 5, 6}, true}, // same length, other members
-		{0, 2, everyone, true},                // only the last layout is kept
-	}
-	var builds int64
-	for _, c := range calls {
-		if c.rebuilt {
-			builds++
-		}
-	}
-	reg := metrics.NewRegistry()
-	_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
-		for i, c := range calls {
-			// In step, as the engines' batches are: a rank running calls
-			// ahead of the rest would switch the one slot back and forth.
-			r.Barrier()
-			if !slices.Contains(c.members, r.ID()) {
-				continue
-			}
-			sum, covered, err := r.TreeReduce(c.root, c.fanout, c.members, rankPayload(r.ID(), 1), sumCombine)
-			if err != nil {
-				return err
-			}
-			if r.ID() != c.root {
-				continue
-			}
-			var want int64
-			for _, m := range c.members {
-				want += decI64(rankPayload(m, 1))
-			}
-			if !slices.Equal(covered, c.members) || decI64(sum) != want {
-				return fmt.Errorf("call %d: folded %v to %d, want %v to %d", i, covered, decI64(sum), c.members, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	var asked int64
-	for _, c := range calls {
-		asked += int64(len(c.members))
-	}
-	if got := snap.CounterTotal("mpi.tree_layout_builds"); got != builds {
-		t.Errorf("layouts built = %d, want %d (one per key change)", got, builds)
-	}
-	if got := snap.CounterTotal("mpi.tree_layout_reuses"); got != asked-builds {
-		t.Errorf("layouts reused = %d, want %d", got, asked-builds)
 	}
 }

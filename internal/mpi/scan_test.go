@@ -117,7 +117,6 @@ func randomProgram(seed int64, rounds int, fs *vfs.FS) func(*Rank) error {
 			}
 			r.Recv(src, tag)
 		}
-		members := allRanks(n)
 		for round := range rounds {
 			op, k := shared.Intn(11), 1+shared.Intn(max(n-1, 1))
 			r.Advance(own.Float64() * 0.02)
@@ -150,19 +149,19 @@ func randomProgram(seed int64, rounds int, fs *vfs.FS) func(*Rank) error {
 			case 5:
 				r.AllGather(make([]byte, own.Intn(300)))
 			case 6:
-				if _, _, err := r.TreeReduce(shared.Intn(n), 2+shared.Intn(3), members, rankPayload(id, 1), sumCombine); err != nil {
+				if _, _, err := r.TreeReduce(shared.Intn(n), 2+shared.Intn(3), nil, rankPayload(id, 1), sumCombine); err != nil {
 					return err
 				}
 			case 7: // a tree merge: the reduction, then the root answers each member
 				root := shared.Intn(n)
-				if _, _, err := r.TreeReduce(root, 2+shared.Intn(3), members, rankPayload(id, 1), sumCombine); err != nil {
+				if _, _, err := r.TreeReduce(root, 2+shared.Intn(3), nil, rankPayload(id, 1), sumCombine); err != nil {
 					return err
 				}
 				if id != root {
 					recv(root, round)
 					break
 				}
-				for _, m := range members {
+				for m := range n {
 					if m != root {
 						r.Send(m, round, make([]byte, own.Intn(300)))
 					}
@@ -238,11 +237,10 @@ func TestHeapGrantsMatchScan(t *testing.T) {
 func TestRekeysPerGrantFlatInRanks(t *testing.T) {
 	perGrant := func(n int) float64 {
 		reg := metrics.NewRegistry()
-		members := allRanks(n)
 		_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
 			for range 4 {
 				r.Advance(float64(r.ID()%7) * 1e-4)
-				if _, _, err := r.TreeReduce(0, DefaultTreeFanout, members, rankPayload(r.ID(), 1), sumCombine); err != nil {
+				if _, _, err := r.TreeReduce(0, DefaultTreeFanout, nil, rankPayload(r.ID(), 1), sumCombine); err != nil {
 					return err
 				}
 				r.Bcast(0, []byte{1})

@@ -48,11 +48,7 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 				}
 			}
 			_, err := Run(n, testCost(), func(r *Rank) error {
-				members := make([]int, n)
-				for i := range members {
-					members[i] = i
-				}
-				combined, contributors, err := r.TreeReduce(0, fanout, members, rankPayload(r.ID(), width), sumCombine)
+				combined, contributors, err := r.TreeReduce(0, fanout, nil, rankPayload(r.ID(), width), sumCombine)
 				if err != nil {
 					return err
 				}
@@ -80,11 +76,11 @@ func TestTreeReduceMatchesFlatSum(t *testing.T) {
 }
 
 // TestTreeReduceThenBarrier: a barrier after the hop-by-hop reduction, whose
-// members leave at different clocks, releases every rank at one time.
+// ranks leave at different clocks, releases every rank at one time.
 func TestTreeReduceThenBarrier(t *testing.T) {
 	const n = 11
 	clocks, err := Run(n, testCost(), func(r *Rank) error {
-		if _, _, err := r.TreeReduce(0, 4, allRanks(n), rankPayload(r.ID(), 1), sumCombine); err != nil {
+		if _, _, err := r.TreeReduce(0, 4, nil, rankPayload(r.ID(), 1), sumCombine); err != nil {
 			return err
 		}
 		r.Barrier()
@@ -119,11 +115,7 @@ func TestTreeReduceCrashedGroupLeader(t *testing.T) {
 			Faults: []Fault{{Rank: victim, At: 0}},
 		}
 		_, _, err := RunConfig(n, cfg, func(r *Rank) error {
-			members := make([]int, n)
-			for i := range members {
-				members[i] = i
-			}
-			out, contrib, err := r.TreeReduce(0, fanout, members, rankPayload(r.ID(), width), sumCombine)
+			out, contrib, err := r.TreeReduce(0, fanout, nil, rankPayload(r.ID(), width), sumCombine)
 			if err != nil {
 				return err
 			}
@@ -201,7 +193,7 @@ func runWatched(t *testing.T, n int, cfg Config, body func(*Rank) error) ([]*sim
 
 // TestTreeReduceUnderFaultSchedule is the contract of TreeReduce when any
 // fault is scheduled, whatever the tree would have looked like: the root
-// folds exactly the members that were alive when they made the call — a
+// folds exactly the ranks that were alive when they made the call — a
 // zero-length payload included —, names exactly those as contributors, and a
 // crash of the root itself leaves every survivor returning empty-handed
 // instead of waiting. Every case runs twice and must repeat itself to the
@@ -243,14 +235,14 @@ func TestTreeReduceUnderFaultSchedule(t *testing.T) {
 	for _, n := range []int{2, 13, 64} {
 		for _, fanout := range []int{2, 3, 8} {
 			root := n / 3
-			topo := newTreeTopo(root, fanout, allRanks(n))
+			topo := treeTopo{root: root, fanout: fanout, n: n}
 			type victim struct {
 				kind string
 				rank int
 			}
-			victims := []victim{{"leaf", topo.members[n-1]}, {"root", root}}
-			if len(topo.children(1)) > 0 {
-				victims = append(victims, victim{"interior", topo.members[1]})
+			victims := []victim{{"leaf", topo.rank(n - 1)}, {"root", root}}
+			if first, end := topo.children(1); first < end {
+				victims = append(victims, victim{"interior", topo.rank(1)})
 			}
 			check := func(name string, faults []Fault, dead int) {
 				t.Run(fmt.Sprintf("n=%d/fanout=%d/%s", n, fanout, name), func(t *testing.T) {
@@ -268,7 +260,7 @@ func TestTreeReduceUnderFaultSchedule(t *testing.T) {
 						returned := make([]bool, n)
 						clocks, err := runWatched(t, n, Config{Cost: testCost(), Faults: faults}, func(r *Rank) error {
 							r.Advance(busy(r.ID()))
-							out, contrib, err := r.TreeReduce(root, fanout, allRanks(n), payload(r.ID()), combine)
+							out, contrib, err := r.TreeReduce(root, fanout, nil, payload(r.ID()), combine)
 							if err != nil {
 								return err
 							}
@@ -331,18 +323,18 @@ func TestTreeReduceUnderFaultSchedule(t *testing.T) {
 
 // TestTreeReduceBarePayloads pins the fault-free wire: with a concatenating
 // combiner, which reveals the fold order, the root's fold is a pre-order walk
-// of the layout, its contributors are the sorted members, and every tree edge
+// of the layout, its contributors are every rank, and every tree edge
 // carries the sender's partial fold and not one byte more.
 func TestTreeReduceBarePayloads(t *testing.T) {
 	concat := func(a, b []byte) []byte { return append(slices.Clone(a), b...) }
 	for _, n := range []int{2, 13, 64} {
 		for _, fanout := range []int{2, 3, 8} {
 			for _, root := range []int{0, n / 2, n - 1} {
-				topo := newTreeTopo(root, fanout, allRanks(n))
+				topo := treeTopo{root: root, fanout: fanout, n: n}
 				var walk func(p int) []byte
 				walk = func(p int) []byte {
-					out := []byte{byte(topo.members[p])}
-					for _, c := range topo.children(p) {
+					out := []byte{byte(topo.rank(p))}
+					for c, end := topo.children(p); c < end; c++ {
 						out = append(out, walk(c)...)
 					}
 					return out
@@ -355,7 +347,7 @@ func TestTreeReduceBarePayloads(t *testing.T) {
 				var fold []byte
 				var contributors []int
 				_, _, err := RunConfig(n, Config{Cost: testCost(), Metrics: reg}, func(r *Rank) error {
-					out, contrib, err := r.TreeReduce(root, fanout, allRanks(n), []byte{byte(r.ID())}, concat)
+					out, contrib, err := r.TreeReduce(root, fanout, nil, []byte{byte(r.ID())}, concat)
 					if r.ID() == root {
 						fold, contributors = out, contrib
 					}
@@ -369,11 +361,11 @@ func TestTreeReduceBarePayloads(t *testing.T) {
 					t.Errorf("%s: fold %v, want the pre-order walk %v", name, fold, want)
 				}
 				if !slices.Equal(contributors, allRanks(n)) {
-					t.Errorf("%s: contributors %v, want every member", name, contributors)
+					t.Errorf("%s: contributors %v, want every rank", name, contributors)
 				}
 				snap := reg.Snapshot()
 				var got int64
-				for level := 1; level <= topo.maxDepth(); level++ {
+				for level := 1; level <= topo.depth(n-1); level++ {
 					got += snap.CounterTotal(fmt.Sprintf("mpi.tree.level%02d.bytes", level))
 				}
 				if got != edgeBytes {
@@ -406,11 +398,7 @@ func TestCollectiveOpAccounting(t *testing.T) {
 			b = []byte("xyz")
 		}
 		r.Bcast(0, b)
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		r.TreeReduce(0, 2, members, []byte{1}, func(a, b []byte) []byte { return a })
+		r.TreeReduce(0, 2, nil, []byte{1}, func(a, b []byte) []byte { return a })
 		return nil
 	})
 	if err != nil {

@@ -43,9 +43,6 @@ func TestJobMetaCodec(t *testing.T) {
 	}
 }
 
-// wireBytes encodes a sample of a layout that has no type of its own.
-func wireBytes(v assignSample) []byte { return treeAssign{Frag: v.frag, Alive: v.alive}.encode() }
-
 // codeLayout adapts a layout whose code fills a *T.
 func codeLayout[T any](name string, sample T, code func(*T, *engine.Codec) *engine.Codec) wiretest.Layout {
 	enc := func(v *T) []byte { return code(v, new(engine.Codec)).Bytes() }
@@ -66,6 +63,6 @@ func FuzzWire(f *testing.F) {
 		codeLayout("results", resultsMsg{Query: 1, Fragment: 2, Worker: 3, Hits: []engine.WireHit{hit}}, (*resultsMsg).code),
 		codeLayout("fetch key", fetchKey{Query: 1, OID: 9}, (*fetchKey).code),
 		codeLayout("tree results", treeResults{Work: make([]blast.WorkCounters, 2), Hits: [][]treeHit{{{Worker: 2, Hit: hit}}, nil}}, (*treeResults).code),
-		codeLayout("tree assignment", treeAssign{Frag: -1, Alive: []int{1, 3}}, (*treeAssign).code),
+		codeLayout("assignment", -1, func(v *int, c *engine.Codec) *engine.Codec { c.Int(v); return c }),
 	})
 }

@@ -2,6 +2,7 @@ package mpiblast
 
 import (
 	"fmt"
+	"slices"
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
@@ -21,9 +22,9 @@ import (
 // render/fetch/write stage (writeQuery). The drivers stay separate because
 // they are different protocols, not copies: the flat master ingests results
 // WHILE workers search and releases each requester as the queue drains; the
-// tree master parks every idle requester and releases them in one sweep
-// carrying the survivor list; a serving master has no assignment at all
-// (ownership is static) and merges once per stream batch.
+// tree master parks every idle requester and releases them in one sweep; a
+// serving master has no assignment at all (ownership is static) and merges
+// once per stream batch.
 
 // master is the baseline master's state after the job broadcast.
 type master struct {
@@ -58,14 +59,13 @@ type masterHit struct {
 // and the ledger of what each was given, requeued whole on a crash.
 type assigner struct {
 	r      *mpi.Rank
-	tree   bool // assignment payload format (treeAssign vs a bare int)
 	queue  []int
 	parked []int
 	own    *engine.Ledger
 }
 
-func newAssigner(r *mpi.Rank, nFrags int, tree bool) *assigner {
-	a := &assigner{r: r, tree: tree, queue: make([]int, 0, nFrags), own: engine.NewLedger(r.Size() - 1)}
+func newAssigner(r *mpi.Rank, nFrags int) *assigner {
+	a := &assigner{r: r, queue: make([]int, 0, nFrags), own: engine.NewLedger(r.Size() - 1)}
 	for f := 0; f < nFrags; f++ {
 		a.queue = append(a.queue, f)
 	}
@@ -100,11 +100,7 @@ func (a *assigner) assign(w int) bool {
 	f := a.queue[0]
 	a.queue = a.queue[1:]
 	a.own.Give(w, f)
-	if a.tree {
-		a.r.Send(w, tagAssign, treeAssign{Frag: f}.encode())
-	} else {
-		a.r.Send(w, tagAssign, engine.EncodeInt(f))
-	}
+	a.r.Send(w, tagAssign, engine.EncodeInt(f))
 	return true
 }
 
@@ -211,7 +207,7 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 	nFrags, nQueries := len(m.meta.FragBases), len(m.job.Queries)
 	r.SetPhase(simtime.PhaseIdle)
 	results := newFragResults(nFrags, nQueries)
-	a := newAssigner(r, nFrags, false)
+	a := newAssigner(r, nFrags)
 	released := make(map[int]bool) // workers already told "done"
 	remaining := nFrags * nQueries // (fragment, query) results outstanding
 	release := func(w int) {
@@ -286,13 +282,12 @@ func (m *master) oneShotFlat(qlat *[]float64) error {
 }
 
 // oneShotTree is the tree one-shot protocol: greedy assignment (results
-// never travel during search), one sweep release carrying the survivor
-// membership, the tree reduction, and then the same output loop over the
-// merged selection.
+// never travel during search), one sweep release, the tree reduction, and
+// then the same output loop over the merged selection.
 func (m *master) oneShotTree(qlat *[]float64) error {
 	r := m.r
 	r.SetPhase(simtime.PhaseIdle)
-	a := newAssigner(r, len(m.meta.FragBases), true)
+	a := newAssigner(r, len(m.meta.FragBases))
 	// A crashed worker's results only ever existed in its memory, so
 	// everything it completed or had in flight is re-searched.
 	purge := func() { a.purgeDead(nil, nil) }
@@ -313,23 +308,16 @@ func (m *master) oneShotTree(qlat *[]float64) error {
 			a.parked = append(a.parked, from) // idle, awaiting the sweep release
 		}
 	}
-	// Sweep release: everyone learns the final membership at once.
+	// Sweep release: every live worker is told at once.
 	alive := a.own.Alive()
 	for _, w := range alive {
-		r.Send(w, tagAssign, treeAssign{Frag: -1, Alive: alive}.encode())
+		r.Send(w, tagAssign, engine.EncodeInt(-1))
 	}
 
 	m.openOutput()
-	members := a.own.Members()
-	res, complete, err := m.foldTree(members, len(m.job.Queries))
+	res, err := m.foldTree(alive, len(m.job.Queries))
 	if err != nil {
 		return err
-	}
-	if !complete {
-		// A member died mid-merge; its results are unrecoverable. Fail
-		// cleanly and send nothing — the flat path's output-phase
-		// contract.
-		return fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
 	}
 	return m.writeQueries(m.job.Queries, m.admit, qlat, alive, func(qi int) ([]masterHit, blast.WorkCounters) {
 		// One query at a time through the output loop: stamp it as the
@@ -349,15 +337,14 @@ func (m *master) serveStream(stream *engine.Stream, bank *blast.QueryBank, stats
 	r := m.r
 	nFrags := len(m.meta.FragBases)
 	m.openOutput()
-	// Membership is fixed: serve mode has no faults.
+	// Ownership is fixed: serve mode has no faults.
 	workers := engine.WorkerRanks(r.Size() - 1)
-	members := engine.TreeMembers(workers)
 	return engine.ServeStream(r, stream, bank, stats, func(b workload.Batch, arrival float64) error {
 		nQueries := len(b.Queries)
 		hits := make([][]masterHit, nQueries)
 		work := make([]blast.WorkCounters, nQueries)
 		if m.meta.Tree {
-			res, _, err := m.foldTree(members, nQueries)
+			res, err := m.foldTree(workers, nQueries)
 			if err != nil {
 				return err
 			}
@@ -399,31 +386,33 @@ func (m *master) openOutput() {
 
 // foldTree is the master's half of the hierarchical merge: contribute an
 // identity bundle and fold the tree; the result is already the per-query
-// selection. complete is false when a member died mid-merge — the partial
-// fold is then not decoded.
-func (m *master) foldTree(members []int, nQueries int) (res treeResults, complete bool, err error) {
+// selection. A worker of alive that the fold lacks died mid-merge: its
+// results are unrecoverable, so the merge fails cleanly and sends nothing —
+// the flat path's output-phase contract — and the partial fold is not
+// decoded.
+func (m *master) foldTree(alive []int, nQueries int) (res treeResults, err error) {
 	r := m.r
 	r.SetPhase(simtime.PhaseOutput)
 	identity := treeResults{Work: make([]blast.WorkCounters, nQueries), Hits: make([][]treeHit, nQueries)}
 	var combErr error
-	combined, contributors, err := r.TreeReduce(0, m.meta.TreeFanout, members, identity.encode(), treeResultsCombiner(r, m.maxTargets, &combErr))
+	combined, contributors, err := r.TreeReduce(0, m.meta.TreeFanout, nil, identity.encode(), treeResultsCombiner(r, m.maxTargets, &combErr))
 	if err != nil {
-		return res, false, err
+		return res, err
 	}
 	if combErr != nil {
-		return res, false, combErr
+		return res, combErr
 	}
-	if len(contributors) != len(members) {
-		return res, false, nil
+	if !slices.Equal(contributors[1:], alive) {
+		return res, fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
 	}
 	c := engine.Decoder(combined)
 	if err = res.code(&c).Err(); err != nil {
-		return res, false, err
+		return res, err
 	}
 	if len(res.Hits) != nQueries {
-		return res, false, fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), nQueries)
+		return res, fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), nQueries)
 	}
-	return res, true, nil
+	return res, nil
 }
 
 func unpackTreeHits(ths []treeHit) []masterHit {

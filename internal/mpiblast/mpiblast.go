@@ -312,7 +312,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 	w.submit = w.emit
 
 	if meta.Serve {
-		return w.serveStream(boot.Members)
+		return w.serveStream()
 	}
 	return w.oneShot(boot.Queries)
 }
@@ -323,8 +323,6 @@ func runWorker(r *mpi.Rank, node *vfs.Node, bank *blast.QueryBank) error {
 func (w *worker) oneShot(queries []*seq.Sequence) error {
 	r, meta := w.r, w.meta
 	w.begin(queries)
-	var alive []int
-	var err error
 	searchedAny := false
 	for {
 		// Waiting for an assignment is startup time before the first
@@ -337,16 +335,7 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 		}
 		r.Send(0, tagWorkReq, nil)
 		data, _, _ := r.Recv(0, tagAssign)
-		var fragID int
-		if meta.Tree {
-			// The tree protocol's release also carries the survivor list.
-			var a treeAssign
-			c := engine.Decoder(data)
-			err = a.code(&c).Err()
-			fragID, alive = a.Frag, a.Alive
-		} else {
-			fragID, err = engine.DecodeInt(data)
-		}
+		fragID, err := engine.DecodeInt(data)
 		if err != nil {
 			return err
 		}
@@ -363,8 +352,7 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 		}
 	}
 	if meta.Tree {
-		members := engine.TreeMembers(alive)
-		if err := w.fold(members); err != nil {
+		if err := w.fold(); err != nil {
 			return err
 		}
 	}
@@ -376,9 +364,7 @@ func (w *worker) oneShot(queries []*seq.Sequence) error {
 // baseline that cost is paid inside the timed run per assignment; here it
 // is amortized over the whole stream — and every batch then searches the
 // resident fragments with no copy and no load: the warm-cluster payoff.
-// members is the tree membership, fixed for the stream (no faults in serve
-// mode).
-func (w *worker) serveStream(members []int) error {
+func (w *worker) serveStream() error {
 	r, meta := w.r, w.meta
 	mine := engine.StaticShare(len(meta.FragBases), r.Size()-1, r.ID())
 	resident := make([]*blast.Fragment, 0, len(mine))
@@ -401,7 +387,7 @@ func (w *worker) serveStream(members []int) error {
 			}
 		}
 		if meta.Tree {
-			if err := w.fold(members); err != nil {
+			if err := w.fold(); err != nil {
 				return err
 			}
 		}
@@ -476,7 +462,7 @@ func (w *worker) emit(qi int, res *blast.QueryResult) {
 // fold pre-merges the bundle locally (the "group" contribution: every query
 // capped to the global top-k before the payload enters the tree) and folds
 // it into the reduction.
-func (w *worker) fold(members []int) error {
+func (w *worker) fold() error {
 	r := w.r
 	r.SetPhase(simtime.PhaseOutput)
 	maxTargets := w.loop.MaxTargets()
@@ -484,7 +470,7 @@ func (w *worker) fold(members []int) error {
 		w.bundle.Hits[qi] = sortCapTreeHits(w.bundle.Hits[qi], maxTargets)
 	}
 	var combErr error
-	if _, _, err := r.TreeReduce(0, w.meta.TreeFanout, members, w.bundle.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
+	if _, _, err := r.TreeReduce(0, w.meta.TreeFanout, nil, w.bundle.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
 		return err
 	}
 	return combErr

@@ -8,12 +8,6 @@ import (
 	"parblast/internal/engine"
 )
 
-// assignSample is a tree-mode assignment's content, for TestWireBytesPinned.
-type assignSample struct {
-	frag  int
-	alive []int
-}
-
 // TestWireBytesPinned pins one sample of every wire layout this package owns
 // to its encoding, byte for byte. A message's length is charged to the
 // virtual clocks, so a codec change that moves a byte is a model change; a
@@ -35,8 +29,8 @@ func TestWireBytesPinned(t *testing.T) {
 		{"results", results.encode(), "040a06904ea001000000808080010002000212027339046e696e65f0010001026404669a010000000000a040408dedb5a0f7c6c03e0300010214000000000100000000060000000000000000000000000000000000"},
 		{"fetch key", fetchKey{Query: 7, OID: 1 << 20}.encode(), "0e80808001"},
 		{"tree results", tree.encode(), "02904ea00100000080808001000200010812027339046e696e65f0010001026404669a010000000000a040408dedb5a0f7c6c03e0300010200000000000000000000"},
-		{"assignment", wireBytes(assignSample{frag: 6}), "0c00"},
-		{"release", wireBytes(assignSample{frag: -1, alive: []int{1, 3, 4}}), "0103020608"},
+		{"assignment", engine.EncodeInt(6), "0c"},
+		{"release", engine.EncodeInt(-1), "01"},
 	} {
 		if got := hex.EncodeToString(c.data); got != c.hex {
 			t.Errorf("%s encodes to\n%s\nwant\n%s", c.name, got, c.hex)

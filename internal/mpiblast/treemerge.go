@@ -103,19 +103,3 @@ func treeResultsCombiner(r *mpi.Rank, maxTargets int, errp *error) func(a, b []b
 		return out.encode()
 	}
 }
-
-// treeAssign is a tree-mode assignment: the fragment id, or -1 for the
-// release, which also carries the final survivor list so every rank derives
-// the identical tree membership for the merge.
-type treeAssign struct {
-	Frag  int
-	Alive []int
-}
-
-func (a *treeAssign) code(c *engine.Codec) *engine.Codec {
-	c.Int(&a.Frag)
-	c.Ints(&a.Alive)
-	return c
-}
-
-func (a treeAssign) encode() []byte { return a.code(new(engine.Codec)).Bytes() }

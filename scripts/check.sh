@@ -404,14 +404,17 @@ done
 # Width smoke: the north star's 1024- and 4096-rank merges, end to end, each
 # report the sequential one byte for byte. What is the same on every rank is
 # built once per world and a grant costs no scan of the ranks, so host time
-# grows about as the rank count does (×3.4 from 1024 to 4096 ranks). Both
-# jobs run at GOMAXPROCS=2: the job holds one token at a time, and on a wider
+# grows about as the rank count does (×3.4 from 1024 to 4096 ranks). All
+# jobs run at GOMAXPROCS=2: a job holds one token at a time, and on a wider
 # machine idle Ps spend CPU time (GC mark workers, spinning Ms) that grows with
 # the core count, not with the scheduler's work. At GOMAXPROCS=2 on the 2-core
 # reference box the 4096-rank job took 0.41–0.92 s of CPU (0.56–0.66 s wall;
 # CPU time varies with the box's other load) and 72–81 MB peak RSS, against
 # 3.8–5.9 s of CPU (4.1–5.6 s wall) before the eligibility heap; the bounds
-# are twice the highest readings.
+# are twice the highest readings. mpiBLAST's tree merge runs at 1024 ranks
+# too, where a payload that grows with the width in each worker's message
+# costs N² bytes of host work. Three runs took 0.13 s of CPU and 32–33 MB
+# peak RSS; its bounds are twice that as well.
 go run ./cmd/makedb -o "$tmp/wide.fasta" -seqs 2400 -family 12
 go build -o "$tmp/parblast" ./cmd/parblast
 "$tmp/parblast" -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
@@ -423,6 +426,9 @@ for procs in 1024 4096; do
         -engine pio -tree-merge -procs "$procs" -out "$tmp/wide_pio.txt" >/dev/null
     cmp "$tmp/wide_seq.txt" "$tmp/wide_pio.txt"
 done
+GOMAXPROCS=2 go run ./scripts/hostbound -max-s 0.26 -max-mb 66 -- "$tmp/parblast" -db "$tmp/wide.fasta" -query "$tmp/q.fasta" \
+    -engine mpi -tree-merge -procs 1024 -out "$tmp/wide_mpi.txt" >/dev/null
+cmp "$tmp/wide_seq.txt" "$tmp/wide_mpi.txt"
 
 # Pre-formatted database smoke: a database formatted under a name of the
 # user's choosing runs on both engines (mpiBLAST used to fragment the literal
@@ -466,4 +472,4 @@ bash bench/run.sh -compare BENCH_5.json BENCH_6.json
 # The pair records scripts/benchpair wrote from BENCH_7 on, under the same
 # bounds: each record's head medians against its base medians.
 go run ./scripts/benchpair -check BENCH_7.json BENCH_8.json BENCH_9.json \
-    BENCH_10.json BENCH_10a.json BENCH_10b.json BENCH_11.json
+    BENCH_10.json BENCH_10a.json BENCH_10b.json BENCH_11.json BENCH_12.json

@@ -20,10 +20,8 @@ type sharedJob struct {
 	serve     bool
 	// crash kills the last worker: halfway through the fault-free run's
 	// search phase, or — serving — just after the first batch is done, so
-	// that the second batch merges over a smaller membership.
+	// that the second batch merges over fewer ranks.
 	crash bool
-	// layouts is the number of distinct tree memberships the run merges over.
-	layouts int64
 	// prune marks the early-prune, memory-budget row: one threshold gather
 	// per query and one volume gather per job.
 	prune bool
@@ -32,7 +30,7 @@ type sharedJob struct {
 var pioOnly = []parblast.Engine{parblast.EnginePioBLAST}
 
 // TestBuiltOncePerWorld: what is the same on every rank — the collective I/O
-// plan, the tree layout, the decoded broadcast, the gathered early-prune
+// plan, the decoded broadcast, the gathered early-prune
 // scores and batch volumes — is built by the host once per world, however
 // many ranks read it, the kernel executor runs one search per fragment
 // search, and the output is still the sequential oracle's. The counters are
@@ -49,9 +47,9 @@ func TestBuiltOncePerWorld(t *testing.T) {
 	}
 	jobs := []sharedJob{
 		{name: "one-shot", engines: bothEngines, frags: 5},
-		{name: "tree merge", engines: bothEngines, frags: 5, tree: true, layouts: 1},
+		{name: "tree merge", engines: bothEngines, frags: 5, tree: true},
 		{name: "serve", engines: bothEngines, frags: 5, serve: true},
-		{name: "serve, tree merge", engines: bothEngines, frags: 5, serve: true, tree: true, layouts: 1},
+		{name: "serve, tree merge", engines: bothEngines, frags: 5, serve: true, tree: true},
 		{name: "collective read", engines: pioOnly, frags: 10, configure: func(s *parblast.Search) {
 			s.Pio.CollectiveRead = true
 		}},
@@ -59,8 +57,8 @@ func TestBuiltOncePerWorld(t *testing.T) {
 			s.Pio.EarlyPrune, s.Pio.MemoryBudgetBytes = true, 6<<10
 		}},
 		{name: "mid-search crash", engines: bothEngines, frags: 10, crash: true},
-		{name: "mid-search crash, tree merge", engines: bothEngines, frags: 10, crash: true, tree: true, layouts: 1},
-		{name: "serve, tree merge, crash between batches", engines: pioOnly, frags: 5, serve: true, crash: true, tree: true, layouts: 2},
+		{name: "mid-search crash, tree merge", engines: bothEngines, frags: 10, crash: true, tree: true},
+		{name: "serve, tree merge, crash between batches", engines: pioOnly, frags: 5, serve: true, crash: true, tree: true},
 	}
 	for _, job := range jobs {
 		for _, eng := range job.engines {
@@ -132,7 +130,7 @@ func TestBuiltOncePerWorld(t *testing.T) {
 						atMaster[c.Name] += c.Value
 					}
 				}
-				for _, stem := range []string{"mpiio.plan", "mpi.tree_layout", "engine.bcast_decode", "core.prune_threshold", "core.batch_volumes"} {
+				for _, stem := range []string{"mpiio.plan", "engine.bcast_decode", "core.prune_threshold", "core.batch_volumes"} {
 					for _, name := range []string{stem + "_builds", stem + "_reuses"} {
 						if total[name] != atMaster[name] {
 							t.Errorf("%s booked under a worker rank: who built it is a host artifact", name)
@@ -160,34 +158,6 @@ func TestBuiltOncePerWorld(t *testing.T) {
 					if got, want := total["engine.bcast_decode_reuses"], bcasts*(procs-2); got != want {
 						t.Errorf("broadcast decodes reused = %d, want %d: every other worker reads the first one's", got, want)
 					}
-				}
-				if got := total["mpi.tree_layout_builds"]; got != job.layouts {
-					t.Errorf("tree layouts built = %d, want %d: one per distinct membership", got, job.layouts)
-				}
-				// Every member reads the layout once per TreeReduce: pioBLAST
-				// reduces once per output batch — a one-shot run's batch is
-				// one query —, mpiBLAST once per job, a served run once per
-				// admitted batch; the crash rows merge over the survivors,
-				// after the first batch when serving.
-				var reads int64
-				if job.tree {
-					reductions, members := int64(1), int64(procs)
-					switch {
-					case job.serve:
-						reductions = int64(st.Admitted)
-					case eng == parblast.EnginePioBLAST:
-						reductions = int64(len(queries))
-					}
-					if job.crash {
-						members--
-					}
-					reads = reductions * members
-					if job.crash && job.serve {
-						reads++
-					}
-				}
-				if got := total["mpi.tree_layout_reuses"]; got != reads-job.layouts {
-					t.Errorf("tree layouts reused = %d, want %d: one read per member and TreeReduce", got, reads-job.layouts)
 				}
 				// Every participant of a gather reads the one decode of it.
 				for _, g := range []struct {
@@ -323,6 +293,48 @@ func TestHostAllocationScalesWithRanks(t *testing.T) {
 	}
 	if wide >= 64 {
 		t.Errorf("1024 ranks allocate %.1f MB, want < 64 MB", wide)
+	}
+}
+
+// TestTreeMergeBytesPerWorkerFlatInWidth: neither tree protocol sends a
+// worker anything that grows with the job's width, such as a list of the
+// live ranks in mpiBLAST's release or pioBLAST's final go message. The hits'
+// fetches and selections are a fixed total shared by more workers as the job
+// widens, so the widths are 65 and 257 ranks: at 17 the fixed total would
+// hide a list of ranks. pioBLAST runs with one crash due long after the run
+// ends: it never fires, but it arms recovery, the ready/go rendezvous and
+// the flat fold. Both widths report the sequential oracle.
+func TestTreeMergeBytesPerWorkerFlatInWidth(t *testing.T) {
+	seqs, queries := buildWorkload(t)
+	oracle := sequentialOracle(t, seqs, queries)
+	for _, eng := range bothEngines {
+		perWorker := func(procs int) float64 {
+			spec := parblast.RunSpec{Engine: eng, Procs: procs, Platform: parblast.PlatformAltix,
+				Search: parblast.Search{Queries: queries, Output: "out"}}
+			withTreeMerge(eng, &spec.Search, true)
+			if eng == parblast.EnginePioBLAST {
+				spec.Search.Faults = []parblast.Fault{{Rank: 3, At: 100}}
+			}
+			cluster, spec, err := parblast.Stage(spec, parblast.DefaultCostModel(), func(c *parblast.Cluster) (*parblast.DB, error) {
+				return c.FormatDB("nr", seqs, "nr")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, out, err := cluster.Exec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, oracle) {
+				t.Errorf("%v on %d ranks: output differs from the sequential oracle", eng, procs)
+			}
+			return float64(res.CommBytes) / float64(procs-1)
+		}
+		narrow, wide := perWorker(65), perWorker(257)
+		t.Logf("%v: %.0f bytes per worker on 65 ranks, %.0f on 257", eng, narrow, wide)
+		if wide > narrow {
+			t.Errorf("%v: %.0f bytes per worker on 257 ranks, more than the %.0f on 65: a message grows with the width", eng, wide, narrow)
+		}
 	}
 }
 
